@@ -1,12 +1,14 @@
-// Benchmarks regenerating every experiment of DESIGN.md section 2 as Go
-// testing.B benchmarks. Each benchmark corresponds to one experiment row
-// (F1-F10 for the paper's worked figures, E1-E7 for the quantitative claims);
-// run them all with
+// Benchmarks regenerating every paper-reproduction experiment of package
+// internal/bench (`gbench -list` prints the index) as Go testing.B
+// benchmarks. Each benchmark corresponds to one experiment row (F1-F10 for
+// the paper's worked figures, E1-E7 for the quantitative claims); run them
+// all with
 //
 //	go test -bench=. -benchmem
 //
-// and see EXPERIMENTS.md for the recorded paper-vs-measured discussion. The
-// tables themselves (values rather than timings) are produced by cmd/gbench.
+// The tables themselves (values rather than timings) are produced by
+// cmd/gbench. These are working aids for the measure code; the performance
+// benchmark of the system is the program under benchmark/.
 package support_test
 
 import (
@@ -246,7 +248,7 @@ func BenchmarkAntiMonotonicity(b *testing.B) {
 }
 
 // Ablation: the LP-certificate shortcut in the exact MVC/MIES solvers
-// (DESIGN.md, architecture notes). "with-certificate" is the default measure
+// (internal/measures/mvc.go). "with-certificate" is the default measure
 // path; "without-certificate" calls the branch-and-bound solver directly.
 func BenchmarkAblationLPCertificate(b *testing.B) {
 	g := support.ErdosRenyi(90, 0.05, 2, 6)

@@ -1,6 +1,8 @@
 // Command gbench runs the experiment suite that reproduces the paper's
-// figures and quantitative claims (see DESIGN.md section 2 and
-// EXPERIMENTS.md). Each experiment prints one or more result tables.
+// figures and quantitative claims (-list prints the index). Each experiment
+// prints one or more result tables. It measures nothing about this
+// implementation's speed: the performance benchmark is the program under
+// benchmark/ (see benchmark/README.md).
 //
 // Usage:
 //
@@ -9,21 +11,7 @@
 //	gbench -quick              # shrink workloads (seconds instead of minutes)
 //	gbench -csv                # CSV output for plotting
 //	gbench -list               # list experiment IDs
-//	gbench -benchjson BENCH_enumeration.json
-//	                           # write the sequential-vs-parallel enumeration
-//	                           # timings plus the end-to-end mining record
-//	                           # (mine-mni) as JSON and exit
-//	gbench -benchjson new.json -compare BENCH_enumeration.json
-//	                           # additionally gate the fresh timings against a
-//	                           # committed baseline: exit non-zero when any
-//	                           # sequential workload (enumeration or mining)
-//	                           # is >30% slower (the CI benchmark gate)
-//	gbench -exp incremental    # incremental refreeze vs full CSR rebuild
-//	gbench -exp store          # in-memory vs mmapped-store enumeration
-//	gbench -store ba.store -residency 25%
-//	                           # benchmark enumeration over a shard store
-//	                           # written by ggen -store, paging under the
-//	                           # given residency budget
+//	gbench -trace              # print per-experiment wall-clock spans to stderr
 package main
 
 import (
@@ -38,24 +26,14 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "", "experiment ID to run (default: all); see -list")
-		quick     = flag.Bool("quick", false, "use reduced workloads")
-		csv       = flag.Bool("csv", false, "emit CSV instead of aligned text")
-		seed      = flag.Uint64("seed", 1, "base PRNG seed for generated workloads")
-		list      = flag.Bool("list", false, "list experiment IDs and exit")
-		benchjson = flag.String("benchjson", "", "write the enumeration benchmark records to this JSON file and exit")
-		compare   = flag.String("compare", "", "compare freshly measured enumeration records against this baseline JSON and exit non-zero on sequential regression")
-		threshold = flag.Float64("threshold", bench.DefaultRegressionThreshold, "allowed fractional sequential slowdown for -compare (0.30 = 30%; 0 selects the default)")
+		exp   = flag.String("exp", "", "experiment ID to run (default: all); see -list")
+		quick = flag.Bool("quick", false, "use reduced workloads")
+		csv   = flag.Bool("csv", false, "emit CSV instead of aligned text")
+		seed  = flag.Uint64("seed", 1, "base PRNG seed for generated workloads")
+		list  = flag.Bool("list", false, "list experiment IDs and exit")
 	)
-	fl := cliflags.Register(flag.CommandLine, cliflags.Shards, cliflags.Store, cliflags.Trace)
+	fl := cliflags.Register(flag.CommandLine, cliflags.Trace)
 	flag.Parse()
-
-	if fl.StorePath() != "" {
-		if err := bench.RunStoreInput(os.Stdout, fl.StorePath(), fl.Residency(), bench.Config{Quick: *quick, Seed: *seed, CSV: *csv}); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	reg := bench.NewRegistry()
 	if *list {
@@ -66,46 +44,7 @@ func main() {
 		return
 	}
 
-	if *benchjson != "" || *compare != "" {
-		report, err := bench.NewEnumerationReport(bench.Config{Quick: *quick, Seed: *seed, Shards: fl.Shards()})
-		if err != nil {
-			fatal(err)
-		}
-		if *benchjson != "" {
-			f, err := os.Create(*benchjson)
-			if err != nil {
-				fatal(err)
-			}
-			if err := report.WriteJSON(f); err != nil {
-				f.Close()
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote enumeration benchmark records to %s\n", *benchjson)
-		}
-		if *compare != "" {
-			f, err := os.Open(*compare)
-			if err != nil {
-				fatal(err)
-			}
-			baseline, err := bench.ReadEnumerationJSON(f)
-			f.Close()
-			if err != nil {
-				fatal(err)
-			}
-			summary, err := bench.CompareEnumeration(baseline.Records, report.Records, *threshold)
-			fmt.Printf("comparing against %s (sequential gate: +%.0f%%)\n%s", *compare, *threshold*100, summary)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Println("benchmark gate: OK")
-		}
-		return
-	}
-
-	cfg := bench.Config{Quick: *quick, Seed: *seed, CSV: *csv, Shards: fl.Shards()}
+	cfg := bench.Config{Quick: *quick, Seed: *seed, CSV: *csv}
 	var tr *obs.Trace
 	if fl.Trace() {
 		tr = obs.NewTrace("gbench")

@@ -1,7 +1,6 @@
 // Command ggen generates synthetic labeled graphs in .lg format. The
 // generators stand in for the real datasets of the published evaluation (see
-// the substitution note in DESIGN.md) and are fully deterministic given the
-// seed.
+// package internal/gen) and are fully deterministic given the seed.
 //
 // Usage:
 //

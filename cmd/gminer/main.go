@@ -39,7 +39,6 @@ func main() {
 		maxsize     = flag.Int("maxsize", 4, "maximum number of pattern nodes")
 		top         = flag.Int("top", 0, "print only the top-N patterns by support (0 = all)")
 		workers     = flag.Int("workers", 0, "candidate evaluation workers per search level (<2 = sequential)")
-		material    = flag.Bool("materialize", false, "opt out of the default streaming contexts for streaming-capable measures (MNI)")
 		incremental = flag.Bool("incremental", false, "keep the mining session warm, apply -inserts random edge inserts, and re-answer via delta maintenance instead of a cold re-mine (streaming-capable measures only)")
 		inserts     = flag.Int("inserts", 8, "number of random edge inserts the -incremental mode applies")
 		removes     = flag.Int("removes", 0, "number of random edge removals the -incremental mode applies after the inserts")
@@ -53,11 +52,10 @@ func main() {
 		fatal(err)
 	}
 	spec := support.MineSpec{
-		MinSupport:          *minsup,
-		MaxPatternSize:      *maxsize,
-		Measure:             m,
-		Workers:             *workers,
-		MaterializeContexts: *material,
+		MinSupport:     *minsup,
+		MaxPatternSize: *maxsize,
+		Measure:        m,
+		Workers:        *workers,
 	}
 
 	var g *support.Graph
@@ -111,13 +109,8 @@ func engineExplainer(eng *support.Engine, enabled bool) planExplainer {
 		return nil
 	}
 	snap, _ := eng.Current()
-	o := eng.Options()
-	opts := support.ContextOptions{
-		DisablePlanner: o.DisablePlanner,
-		DisableKernels: o.DisableKernels,
-	}
 	return func(p *support.Pattern) *support.PlanExplanation {
-		return support.ExplainPlan(snap, p, opts)
+		return support.ExplainPlan(snap, p)
 	}
 }
 

@@ -20,8 +20,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -30,24 +32,47 @@ import (
 	"repro/internal/cliflags"
 )
 
+// errFlags reports a command line the FlagSet rejected; the FlagSet has
+// already printed the reason and the usage to stderr.
+var errFlags = errors.New("invalid command line")
+
 func main() {
+	switch err := run(os.Args[1:], os.Stdout); {
+	case err == nil:
+	case errors.Is(err, errFlags):
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "gsupport:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command: it parses args, answers the one request they
+// describe and writes the report to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("gsupport", flag.ContinueOnError)
 	var (
-		graphPath   = flag.String("graph", "", "path to the data graph in .lg format")
-		patternPath = flag.String("pattern", "", "path to the pattern in .lg format")
-		edgeLabels  = flag.String("edge", "", "single-edge pattern given as two comma-separated labels, e.g. 1,2")
-		figureName  = flag.String("figure", "", "use a built-in paper figure (figure1..figure10) instead of -graph/-pattern")
-		measureList = flag.String("measures", "", "comma-separated measure names (default: all); see -list")
-		list        = flag.Bool("list", false, "list available measure names and exit")
-		verify      = flag.Bool("verify", true, "verify the paper's bounding chain when all measures are computed")
+		graphPath   = fs.String("graph", "", "path to the data graph in .lg format")
+		patternPath = fs.String("pattern", "", "path to the pattern in .lg format")
+		edgeLabels  = fs.String("edge", "", "single-edge pattern given as two comma-separated labels, e.g. 1,2")
+		figureName  = fs.String("figure", "", "use a built-in paper figure (figure1..figure10) instead of -graph/-pattern")
+		measureList = fs.String("measures", "", "comma-separated measure names (default: all); see -list")
+		list        = fs.Bool("list", false, "list available measure names and exit")
+		verify      = fs.Bool("verify", true, "verify the paper's bounding chain when all measures are computed")
 	)
-	fl := cliflags.Register(flag.CommandLine)
-	flag.Parse()
+	fl := cliflags.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return errFlags
+	}
 
 	if *list {
 		for _, n := range support.MeasureNames() {
-			fmt.Println(n)
+			fmt.Fprintln(stdout, n)
 		}
-		return
+		return nil
 	}
 
 	var names []string
@@ -71,48 +96,42 @@ func main() {
 		g, p, err = loadInputs(*figureName, *graphPath, *patternPath, *edgeLabels)
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	eng, err := fl.Engine(func() (*support.Graph, error) { return g, nil })
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer eng.Close()
 
 	resp, err := fl.Do(eng, &support.Request{Pattern: p, Measures: names, Explain: fl.Explain()})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	if fl.StorePath() != "" {
 		snap, _ := eng.Current()
-		fmt.Printf("data graph: store %s (%q, |V|=%d, |E|=%d, %d shards of %d vertices)\npattern:    %s\n\n",
+		fmt.Fprintf(stdout, "data graph: store %s (%q, |V|=%d, |E|=%d, %d shards of %d vertices)\npattern:    %s\n\n",
 			fl.StorePath(), snap.Name(), snap.NumVertices(), snap.NumEdges(), snap.NumShards(), snap.ShardSize(), p)
 	} else {
-		fmt.Printf("data graph: %s\npattern:    %s\n\n", g, p)
+		fmt.Fprintf(stdout, "data graph: %s\npattern:    %s\n\n", g, p)
 	}
 	if resp.Plan != nil {
-		fmt.Print(resp.Plan)
-		fmt.Println()
+		fmt.Fprintln(stdout, resp.Plan)
 	}
-	fmt.Print(support.FormatEvaluation(resp.Evaluation))
+	fmt.Fprint(stdout, support.FormatEvaluation(resp.Evaluation))
 	if rs, ok := eng.Residency(); ok {
-		fmt.Printf("\nresidency: %s\n", rs)
+		fmt.Fprintf(stdout, "\nresidency: %s\n", rs)
 	}
 
-	verifyChain(resp.Evaluation, *verify && len(names) == 0 && !fl.Streaming())
-}
-
-// verifyChain checks the paper's bounding chain on a full evaluation when
-// asked to.
-func verifyChain(ev *support.Evaluation, enabled bool) {
-	if !enabled {
-		return
+	// The paper's bounding chain is checked on a full evaluation only.
+	if *verify && len(names) == 0 && !fl.Streaming() {
+		if err := resp.Evaluation.VerifyBoundingChain(); err != nil {
+			return fmt.Errorf("bounding chain violated: %w", err)
+		}
+		fmt.Fprintln(stdout, "\nbounding chain MIS = MIES <= nuMIES = nuMVC <= MVC <= MI <= MNI: OK")
 	}
-	if err := ev.VerifyBoundingChain(); err != nil {
-		fatal(fmt.Errorf("bounding chain violated: %w", err))
-	}
-	fmt.Println("\nbounding chain MIS = MIES <= nuMIES = nuMVC <= MVC <= MI <= MNI: OK")
+	return nil
 }
 
 // loadInputs resolves the data graph and pattern from the flag combination.
@@ -165,9 +184,4 @@ func loadPattern(patternPath, edgeLabels string) (*support.Pattern, error) {
 	default:
 		return nil, fmt.Errorf("one of -pattern or -edge is required")
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "gsupport:", err)
-	os.Exit(1)
 }

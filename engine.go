@@ -8,22 +8,20 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/isomorph"
 	"repro/internal/measures"
 	"repro/internal/miner"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
 
-// EngineOptions is the unified knob surface of the library: it collapses the
-// enumeration options that used to be scattered across ContextOptions,
-// MinerConfig's Enum* fields and StoreOptions into one struct that an Engine
-// is constructed with and that individual requests may override. Every layer
-// — the facade wrappers, the CLIs and the gserved server — speaks this one
-// options type.
+// EngineOptions is the one options type of the library: an Engine is
+// constructed with it and individual requests may override its per-request
+// fields (MaxOccurrences, Parallelism, Streaming). The CLIs and the gserved
+// server speak it too.
 //
-// All fields are A/B-safe: results are identical for every setting (the cap
-// excepted, which truncates deterministically).
+// Parallelism, Shards and ResidencyBudget never change results; the cap
+// truncates deterministically, and Streaming narrows which measures an
+// evaluation can compute.
 type EngineOptions struct {
 	// MaxOccurrences caps occurrence enumeration per evaluated pattern; zero
 	// means unlimited. A positive cap forces sequential enumeration so the
@@ -35,21 +33,17 @@ type EngineOptions struct {
 	// given.
 	Parallelism int
 	// Shards is the CSR shard count snapshots are frozen with: 0 keeps the
-	// graph's automatic sharding (one shard up to 65536 vertices). It is
-	// ignored by snapshot- and store-backed engines, whose sources carry
-	// their own shard geometry.
+	// graph's automatic sharding (one shard up to 65536 vertices). Like
+	// ResidencyBudget it is an engine-level property, fixed at construction
+	// and not overridable per request; snapshot- and store-backed engines
+	// ignore it, their sources carry their own shard geometry.
 	Shards int
-	// DisablePlanner and DisableKernels are the A/B switches of the
-	// enumeration engine's data-aware search-order planner and intersection
-	// kernels. Both default to off — the optimized paths are the production
-	// configuration.
-	DisablePlanner bool
-	// DisableKernels is documented on DisablePlanner.
-	DisableKernels bool
-	// Streaming skips materializing occurrence lists and hypergraphs;
-	// occurrences are folded into incremental aggregates as they stream out
-	// of the enumeration workers. Only MNI and the raw occurrence/instance
-	// counts can be computed on streaming state.
+	// Streaming makes evaluation requests skip materializing occurrence
+	// lists and hypergraphs; occurrences are folded into incremental
+	// aggregates as they stream out of the enumeration workers. Only MNI and
+	// the raw occurrence/instance counts can be computed on streaming state.
+	// Mining requests ignore it: the miner picks streamed or materialized
+	// per-candidate contexts from what its measure can run on.
 	Streaming bool
 	// ResidencyBudget caps the resident bytes of a store-backed engine's
 	// mmapped shards, in ParseResidencyBudget syntax (bytes, "64MiB", "25%";
@@ -65,8 +59,6 @@ func (o EngineOptions) contextOptions() core.Options {
 		MaxOccurrences: o.MaxOccurrences,
 		Parallelism:    o.Parallelism,
 		Shards:         o.Shards,
-		DisablePlanner: o.DisablePlanner,
-		DisableKernels: o.DisableKernels,
 		Streaming:      o.Streaming,
 	}
 }
@@ -89,35 +81,28 @@ type MineSpec struct {
 	// Workers is the candidate-level evaluation parallelism per search
 	// level; values below 2 evaluate sequentially.
 	Workers int
-	// MaterializeContexts opts out of the automatic streaming contexts for
-	// streaming-capable measures (see MinerConfig.MaterializeContexts).
-	MaterializeContexts bool
 }
 
 // minerConfig combines the mining spec with engine-level enumeration options
 // into the internal miner configuration.
 func (ms *MineSpec) minerConfig(o EngineOptions) miner.Config {
 	return miner.Config{
-		MinSupport:          ms.MinSupport,
-		MaxPatternSize:      ms.MaxPatternSize,
-		MaxPatterns:         ms.MaxPatterns,
-		Measure:             ms.Measure,
-		MaxOccurrences:      o.MaxOccurrences,
-		Parallelism:         ms.Workers,
-		EnumParallelism:     o.Parallelism,
-		EnumShards:          o.Shards,
-		EnumDisablePlanner:  o.DisablePlanner,
-		EnumDisableKernels:  o.DisableKernels,
-		Streaming:           o.Streaming,
-		MaterializeContexts: ms.MaterializeContexts,
+		MinSupport:      ms.MinSupport,
+		MaxPatternSize:  ms.MaxPatternSize,
+		MaxPatterns:     ms.MaxPatterns,
+		Measure:         ms.Measure,
+		MaxOccurrences:  o.MaxOccurrences,
+		Parallelism:     ms.Workers,
+		EnumParallelism: o.Parallelism,
+		EnumShards:      o.Shards,
 	}
 }
 
 // Request is the one request surface of the Engine: a support-evaluation
 // request carries a Pattern (and optionally measure names), a mining request
 // carries a MineSpec, and either kind may additionally ask for a plan
-// explanation. The facade wrappers (Evaluate, Mine, ...), the CLIs and the
-// gserved server all reduce to this type.
+// explanation. The option-free Evaluate, the CLIs and the gserved server all
+// reduce to this type.
 type Request struct {
 	// Pattern is the query pattern of an evaluation or explanation request;
 	// nil for mining requests.
@@ -132,8 +117,9 @@ type Request struct {
 	// Pattern over the engine's current snapshot into Response.Plan.
 	Explain bool
 	// Options, when non-nil, overrides the engine's default EngineOptions
-	// for this request (ResidencyBudget excepted: residency is fixed when a
-	// store is opened).
+	// for this request. Shards and ResidencyBudget are excepted: the shard
+	// geometry and the residency budget are fixed when the engine opens its
+	// source, so the request is always answered on the pinned snapshot.
 	Options *EngineOptions
 }
 
@@ -175,9 +161,8 @@ type engineState struct {
 // (OpenSession) read the mutable graph and therefore exclude writers for the
 // duration of their refresh, but never each other.
 //
-// The free functions Evaluate, Mine, MineSnapshot, EvaluateSnapshot, ... are
-// thin wrappers that build a throwaway Engine per call; long-lived callers —
-// above all the gserved server — construct one Engine and share it.
+// The free function Evaluate builds a throwaway Engine per call; long-lived
+// callers — above all the gserved server — construct one Engine and share it.
 type Engine struct {
 	opts EngineOptions
 
@@ -201,8 +186,8 @@ type Engine struct {
 	sinceCommit int
 
 	// mu orders writers (Update: exclusive) against graph-reading
-	// operations (sessions, re-shard freezes: shared). Snapshot-pinned
-	// requests take no lock at all.
+	// operations (sessions: shared). Snapshot-pinned requests take no lock
+	// at all.
 	mu    sync.RWMutex
 	state atomic.Pointer[engineState]
 }
@@ -381,21 +366,10 @@ func (e *Engine) DoContext(ctx context.Context, req *Request) (*Response, error)
 	opts := e.opts
 	if req.Options != nil {
 		opts = *req.Options
-		opts.ResidencyBudget = e.opts.ResidencyBudget
+		opts.Shards, opts.ResidencyBudget = e.opts.Shards, e.opts.ResidencyBudget
 	}
 	st := e.state.Load()
 	snap, epoch := st.snap, st.epoch
-	if e.g != nil && opts.Shards != e.opts.Shards {
-		// A request asking for a different shard geometry re-freezes the
-		// graph (served from the graph's snapshot cache when warm). The
-		// read lock excludes writers so the freeze observes a consistent
-		// epoch; the returned snapshot is immutable, so the lock is
-		// released before any enumeration work.
-		e.mu.RLock()
-		snap = e.g.FreezeSharded(graph.FreezeOptions{Shards: opts.Shards})
-		epoch = e.state.Load().epoch
-		e.mu.RUnlock()
-	}
 	root.SetAttrInt("epoch", int64(epoch))
 
 	if req.Mine != nil && (req.Pattern != nil || len(req.Measures) > 0) {
@@ -408,11 +382,7 @@ func (e *Engine) DoContext(ctx context.Context, req *Request) (*Response, error)
 		}
 		sp := root.Start("plan")
 		t := obs.StartTimer()
-		resp.Plan = isomorph.Explain(snap, req.Pattern, isomorph.Options{
-			Parallelism:    opts.Parallelism,
-			DisablePlanner: opts.DisablePlanner,
-			DisableKernels: opts.DisableKernels,
-		})
+		resp.Plan = ExplainPlan(snap, req.Pattern)
 		t.ObserveInto(mPlanSeconds)
 		sp.End()
 		mExplains.Inc()
@@ -505,7 +475,7 @@ func (e *Engine) OpenSession(spec MineSpec) (*Session, error) {
 }
 
 // Session is one warm mining session opened on an Engine: a thin,
-// engine-locked wrapper around an IncrementalMiner. A Session serves one
+// engine-locked wrapper around the incremental miner. A Session serves one
 // client at a time (its methods must not be called concurrently with each
 // other); different sessions are independent.
 type Session struct {

@@ -9,94 +9,128 @@ import (
 	"time"
 
 	support "repro"
+	"repro/internal/obs"
 )
 
-// TestEngineWrapperParity proves the deprecated free-function facade is a
-// pure re-skin of the Engine: Evaluate/EvaluateWithOptions/Mine/MineSnapshot
-// answers are identical — field for field, byte for byte once encoded — to
-// building an Engine and issuing the equivalent Request directly.
+// TestEngineWrapperParity proves the one surviving free-function wrapper is
+// a pure re-skin of the Engine: Evaluate's answer is identical — byte for
+// byte once encoded — to building a default Engine and issuing the
+// equivalent Request directly.
 func TestEngineWrapperParity(t *testing.T) {
 	g := support.BarabasiAlbert(80, 2, 2, 13)
 	p := support.SingleEdgePattern(1, 2)
 
-	asJSON := func(v any) string {
-		b, err := json.Marshal(v)
-		if err != nil {
-			t.Fatalf("marshal: %v", err)
+	t.Run("evaluate", func(t *testing.T) {
+		for _, names := range [][]string{nil, {"MNI", "MI"}, {"occurrences"}} {
+			wrapped, err := support.Evaluate(g, p, names...)
+			if err != nil {
+				t.Fatalf("Evaluate(%v): %v", names, err)
+			}
+			eng, err := support.NewEngine(g, support.EngineOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := eng.Do(&support.Request{Pattern: p, Measures: names})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _ := json.Marshal(resp.Evaluation.Results)
+			want, _ := json.Marshal(wrapped.Results)
+			if string(got) != string(want) {
+				t.Fatalf("measures %v: engine answer differs from wrapper:\n got %s\nwant %s", names, got, want)
+			}
 		}
-		return string(b)
+	})
+}
+
+// TestDoOverrideStaysOnPinnedSnapshot pins "Do never locks": a per-request
+// Options override — even one that leaves Shards at its zero value on a
+// sharded engine — is answered on the engine's pinned snapshot, never on a
+// graph re-frozen at another geometry, and therefore completes while a
+// writer holds the engine's lock.
+func TestDoOverrideStaysOnPinnedSnapshot(t *testing.T) {
+	g := support.BarabasiAlbert(300, 2, 2, 17)
+	eng, err := support.NewEngine(g, support.EngineOptions{Parallelism: 1, Shards: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := &support.Request{Pattern: support.SingleEdgePattern(1, 2), Measures: []string{support.MNI}}
+	override := *req
+	override.Options = &support.EngineOptions{Parallelism: 1, Streaming: true}
+
+	// Sequential enumeration drains every non-empty shard exactly once, so
+	// the drain counter tells which snapshot geometry a request ran on.
+	drains := func(r *support.Request) uint64 {
+		t.Helper()
+		before := obs.Default.CounterValue("repro_enum_shard_drains_total")
+		if _, err := eng.Do(r); err != nil {
+			t.Fatal(err)
+		}
+		return obs.Default.CounterValue("repro_enum_shard_drains_total") - before
+	}
+	want := drains(req)
+	if want < 2 {
+		t.Fatalf("engine snapshot drained %d shards; the workload needs a sharded snapshot", want)
+	}
+	if got := drains(&override); got != want {
+		t.Fatalf("override drained %d shards, the pinned snapshot has %d: the request ran on a re-frozen graph", got, want)
 	}
 
-	t.Run("evaluate", func(t *testing.T) {
-		cases := []struct {
-			opts     support.ContextOptions
-			measures []string
-		}{
-			{support.ContextOptions{}, []string{"MNI", "MI"}},
-			{support.ContextOptions{Parallelism: 1}, []string{"MNI", "MI"}},
-			{support.ContextOptions{Parallelism: 2, Shards: 4}, []string{"MNI", "MI"}},
-			{support.ContextOptions{Streaming: true}, []string{"MNI"}},
-			{support.ContextOptions{MaxOccurrences: 50}, []string{"MNI", "MI"}},
+	// Update runs mutate under the writer lock. An override issued from
+	// inside it must still be answered, on the epoch published before.
+	_, err = eng.Update(func(*support.Graph) error {
+		done := make(chan *support.Response, 1)
+		go func() {
+			resp, err := eng.Do(&override)
+			if err != nil {
+				t.Error(err)
+			}
+			done <- resp
+		}()
+		select {
+		case resp := <-done:
+			if resp != nil && resp.Epoch != 1 {
+				t.Errorf("override under the writer lock answered epoch %d, want 1", resp.Epoch)
+			}
+		case <-time.After(10 * time.Second):
+			t.Error("Do with an Options override blocked on the writer lock")
 		}
-		for _, tc := range cases {
-			opts := tc.opts
-			wrapped, err := support.EvaluateWithOptions(g, p, opts, tc.measures...)
-			if err != nil {
-				t.Fatalf("EvaluateWithOptions(%+v): %v", opts, err)
-			}
-			eng, err := support.NewEngine(g, support.EngineOptions{
-				MaxOccurrences: opts.MaxOccurrences,
-				Parallelism:    opts.Parallelism,
-				Shards:         opts.Shards,
-				Streaming:      opts.Streaming,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp, err := eng.Do(&support.Request{Pattern: p, Measures: tc.measures})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := asJSON(resp.Evaluation.Results), asJSON(wrapped.Results); got != want {
-				t.Fatalf("opts %+v: engine answer differs from wrapper:\n got %s\nwant %s", opts, got, want)
-			}
-		}
+		return nil
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
 
-	t.Run("mine", func(t *testing.T) {
-		cfg := support.MinerConfig{MinSupport: 5, MaxPatternSize: 3}
-		wrapped, err := support.Mine(g, cfg)
+// TestMineIgnoresStreamingOption pins the derived context choice at the
+// Engine surface: mining with a measure that needs materialized contexts
+// (MVC) succeeds under EngineOptions{Streaming: true} and equals the
+// Streaming: false result, because the miner picks the context kind from
+// the measure, not from the evaluation option.
+func TestMineIgnoresStreamingOption(t *testing.T) {
+	g := support.BarabasiAlbert(60, 2, 2, 11)
+	mvc, err := support.NewMeasure(support.MVC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := &support.MineSpec{MinSupport: 3, MaxPatternSize: 3, Measure: mvc}
+	mine := func(streaming bool) *support.MinerResult {
+		t.Helper()
+		eng, err := support.NewEngine(g, support.EngineOptions{Streaming: streaming})
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := support.NewEngine(g, support.EngineOptions{})
+		resp, err := eng.Do(&support.Request{Mine: spec})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("mining MVC with Streaming=%v: %v", streaming, err)
 		}
-		resp, err := eng.Do(&support.Request{Mine: &support.MineSpec{MinSupport: 5, MaxPatternSize: 3}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameMining(t, resp.Mining, wrapped)
-	})
-
-	t.Run("mine-snapshot", func(t *testing.T) {
-		snap := g.FreezeSharded(support.FreezeOptions{Shards: 4})
-		cfg := support.MinerConfig{MinSupport: 5, MaxPatternSize: 3}
-		wrapped, err := support.MineSnapshot(snap, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng, err := support.NewSnapshotEngine(snap, support.EngineOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := eng.Do(&support.Request{Mine: &support.MineSpec{MinSupport: 5, MaxPatternSize: 3}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameMining(t, resp.Mining, wrapped)
-	})
+		return resp.Mining
+	}
+	want := mine(false)
+	if len(want.Patterns) == 0 {
+		t.Fatal("no frequent patterns; workload is vacuous")
+	}
+	assertSameMining(t, mine(true), want)
 }
 
 // assertSameMining compares two mining results modulo wall-clock stats.
@@ -269,17 +303,20 @@ func TestEngineConcurrentEpochHandoff(t *testing.T) {
 	wantEval := make(map[uint64]string)
 	wantMine := make(map[uint64]*support.MinerResult)
 	for ep, snap := range snaps {
-		ev, err := support.EvaluateSnapshot(snap, p, support.ContextOptions{}, "MNI", "MVC")
+		pinned, err := support.NewSnapshotEngine(snap, support.EngineOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _ := json.Marshal(ev.Results)
+		resp, err := pinned.Do(&support.Request{Pattern: p, Measures: []string{"MNI", "MVC"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := json.Marshal(resp.Evaluation.Results)
 		wantEval[ep] = string(b)
-		res, err := support.MineSnapshot(snap, support.MinerConfig{MinSupport: 5, MaxPatternSize: 3})
-		if err != nil {
+		if resp, err = pinned.Do(&support.Request{Mine: &spec}); err != nil {
 			t.Fatal(err)
 		}
-		wantMine[ep] = res
+		wantMine[ep] = resp.Mining
 	}
 
 	epochsSeen := make(map[uint64]int)

@@ -51,16 +51,25 @@ func ExampleVerifyBoundingChain() {
 	// MIS = MIES <= nuMIES = nuMVC <= MVC <= MI <= MNI holds
 }
 
-// ExampleMineWithMeasure mines frequent patterns from the Figure 2 graph with
-// the MI measure and prints how many frequent shapes exist per pattern size.
-func ExampleMineWithMeasure() {
+// ExampleEngine_Do mines frequent patterns from the Figure 2 graph with the
+// MI measure — one mining Request on an Engine — and prints how many
+// frequent shapes exist per pattern size.
+func ExampleEngine_Do() {
 	fig := support.PaperFigures()[1] // figure2
-	res, err := support.MineWithMeasure(fig.Graph, support.MI, 1, 3)
+	eng, err := support.NewEngine(fig.Graph, support.EngineOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	mi, err := support.NewMeasure(support.MI)
+	if err != nil {
+		log.Fatal(err)
+	}
+	resp, err := eng.Do(&support.Request{Mine: &support.MineSpec{MinSupport: 1, MaxPatternSize: 3, Measure: mi}})
 	if err != nil {
 		log.Fatal(err)
 	}
 	bySize := map[int]int{}
-	for _, fp := range res.Patterns {
+	for _, fp := range resp.Mining.Patterns {
 		bySize[fp.Pattern.Size()]++
 	}
 	sizes := make([]int, 0, len(bySize))
@@ -86,7 +95,7 @@ func ExampleNewDeltaContext() {
 		MustBuild()
 	p := support.SingleEdgePattern(1, 2)
 
-	d, err := support.NewDeltaContext(g, p, support.ContextOptions{})
+	d, err := support.NewDeltaContext(g, p, support.EngineOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -113,37 +122,46 @@ func ExampleNewDeltaContext() {
 	// after:  occurrences=4 MNI=2
 }
 
-// ExampleMineIncremental keeps a whole mining session warm: after mutations,
-// Refresh re-answers the frequent-pattern question from delta-maintained
-// support state — including boundary patterns that newly crossed the
-// threshold — without a cold re-mine.
-func ExampleMineIncremental() {
+// ExampleEngine_OpenSession keeps a whole mining session warm: after an
+// Update, Refresh re-answers the frequent-pattern question from
+// delta-maintained support state — including boundary patterns that newly
+// crossed the threshold — without a cold re-mine.
+func ExampleEngine_OpenSession() {
 	g := support.NewGraphBuilder("growing").
 		Vertex(1, 1).Vertex(2, 1).Vertex(3, 2).
 		Edge(1, 2).Edge(1, 3).
 		MustBuild()
-
-	inc, err := support.MineIncremental(g, support.MinerConfig{MinSupport: 2, MaxPatternSize: 2})
+	eng, err := support.NewEngine(g, support.EngineOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer inc.Close()
+
+	sess, err := eng.OpenSession(support.MineSpec{MinSupport: 2, MaxPatternSize: 2})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer sess.Close()
 	fmt.Printf("initial: %d frequent of %d tracked candidates\n",
-		inc.Result().Stats.Frequent, inc.TrackedPatterns())
+		sess.Result().Stats.Frequent, sess.TrackedPatterns())
 
 	// A new edge pushes the (1)-(2) pattern over the threshold; Refresh
 	// expands from the tracked boundary instead of re-mining.
-	g.MustAddVertex(4, 2)
-	g.MustAddEdge(2, 4)
-	res, err := inc.Refresh()
+	if _, err := eng.Update(func(g *support.Graph) error {
+		g.MustAddVertex(4, 2)
+		g.MustAddEdge(2, 4)
+		return nil
+	}); err != nil {
+		log.Fatal(err)
+	}
+	res, epoch, err := sess.Refresh()
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("after:   %d frequent of %d tracked candidates\n",
-		res.Stats.Frequent, inc.TrackedPatterns())
+	fmt.Printf("epoch %d: %d frequent of %d tracked candidates\n",
+		epoch, res.Stats.Frequent, sess.TrackedPatterns())
 	// Output:
 	// initial: 1 frequent of 2 tracked candidates
-	// after:   2 frequent of 2 tracked candidates
+	// epoch 2: 2 frequent of 2 tracked candidates
 }
 
 // ExampleSingleEdgePattern shows the smallest possible query: a labeled edge.

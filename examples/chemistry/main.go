@@ -29,14 +29,15 @@ const (
 func main() {
 	g := buildPolymer(6)
 	fmt.Printf("molecule graph: %s\n\n", g)
+	eng, err := support.NewEngine(g, support.EngineOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Mine frequent substructures with the fast MNI measure (the GraMi
 	// baseline) and with the overlap-aware MI measure from the paper.
 	for _, measureName := range []string{support.MNI, support.MI} {
-		res, err := support.MineWithMeasure(g, measureName, 3, 4)
-		if err != nil {
-			log.Fatal(err)
-		}
+		res := mine(eng, measureName, 3, 4)
 		fmt.Printf("measure %-4s  threshold 3  -> %d frequent substructures "+
 			"(%d candidates, %d pruned, %s)\n",
 			measureName, res.Stats.Frequent, res.Stats.Candidates, res.Stats.Pruned, res.Stats.Elapsed)
@@ -70,6 +71,23 @@ func main() {
 	fmt.Print(support.FormatEvaluation(ev))
 	fmt.Println("\nThe two terminal carbons are symmetric, so MI merges their images")
 	fmt.Println("and reports a support closer to the number of ether bridges than MNI.")
+}
+
+// mine runs one mining request on the engine with the named support measure.
+func mine(eng *support.Engine, measure string, minSupport float64, maxPatternSize int) *support.MinerResult {
+	m, err := support.NewMeasure(measure)
+	if err != nil {
+		log.Fatal(err)
+	}
+	resp, err := eng.Do(&support.Request{Mine: &support.MineSpec{
+		MinSupport:     minSupport,
+		MaxPatternSize: maxPatternSize,
+		Measure:        m,
+	}})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return resp.Mining
 }
 
 // buildPolymer creates `rings` six-carbon rings chained by ether bridges

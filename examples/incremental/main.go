@@ -1,6 +1,6 @@
 // Incremental example: keep support answers warm while the data graph keeps
 // growing. A delta context maintains the streamed MNI state of one pattern
-// across edge inserts, and an incremental mining session re-answers the full
+// across edge inserts, and a warm Engine session re-answers the full
 // frequent-pattern question after every mutation batch — both without
 // re-enumerating the graph from scratch, and both provably identical to a
 // cold restart.
@@ -34,7 +34,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	d, err := support.NewDeltaContext(g, p, support.ContextOptions{})
+	d, err := support.NewDeltaContext(g, p, support.EngineOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -75,36 +75,48 @@ func main() {
 	fmt.Printf("maintenance: %d refreshes, %d delta, %d full rebuilds, last ball %d vertices\n\n",
 		st.Refreshes, st.DeltaRefreshes, st.FullRebuilds, st.LastBallVertices)
 
-	// Part 2: the whole mining question kept warm. The session tracks every
-	// evaluated candidate (the frequent set and the pruned boundary) with a
-	// live delta context, so Refresh never pays a cold re-enumeration for a
-	// pattern it has seen.
-	inc, err := support.MineIncremental(g, support.MinerConfig{MinSupport: 8, MaxPatternSize: 3})
+	// Part 2: the whole mining question kept warm. From here on the graph
+	// belongs to an Engine: mutations go through Update, which refreezes and
+	// publishes the next epoch. The session tracks every evaluated candidate
+	// (the frequent set and the pruned boundary) with a live delta context,
+	// so Refresh never pays a cold re-enumeration for a pattern it has seen.
+	eng, err := support.NewEngine(g, support.EngineOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer inc.Close()
-	res := inc.Result()
-	fmt.Printf("initial mine: %d frequent patterns (%d candidates tracked) in %s\n",
-		res.Stats.Frequent, inc.TrackedPatterns(), res.Stats.Elapsed.Round(time.Millisecond))
-
-	for _, v := range ids[:25] {
-		if w := ids[len(ids)-1-int(v)]; v != w && !g.HasEdge(v, w) {
-			g.MustAddEdge(v, w)
-		}
+	spec := support.MineSpec{MinSupport: 8, MaxPatternSize: 3}
+	sess, err := eng.OpenSession(spec)
+	if err != nil {
+		log.Fatal(err)
 	}
-	res, err = inc.Refresh()
+	defer sess.Close()
+	res := sess.Result()
+	fmt.Printf("initial mine: %d frequent patterns (%d candidates tracked) in %s\n",
+		res.Stats.Frequent, sess.TrackedPatterns(), res.Stats.Elapsed.Round(time.Millisecond))
+
+	if _, err := eng.Update(func(g *support.Graph) error {
+		for _, v := range ids[:25] {
+			if w := ids[len(ids)-1-int(v)]; v != w && !g.HasEdge(v, w) {
+				g.MustAddEdge(v, w)
+			}
+		}
+		return nil
+	}); err != nil {
+		log.Fatal(err)
+	}
+	res, _, err = sess.Refresh()
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("after 25 inserts: %d frequent patterns via delta refresh in %s\n",
 		res.Stats.Frequent, res.Stats.Elapsed.Round(time.Millisecond))
 
-	// The warm answers are exact: a cold re-mine of the mutated graph agrees.
-	cold, err := support.Mine(g, support.MinerConfig{MinSupport: 8, MaxPatternSize: 3})
+	// The warm answers are exact: a cold re-mine of the new epoch agrees.
+	resp, err := eng.Do(&support.Request{Mine: &spec})
 	if err != nil {
 		log.Fatal(err)
 	}
+	cold := resp.Mining
 	fmt.Printf("cold re-mine agreement: %v (%d patterns, %s)\n",
 		len(cold.Patterns) == len(res.Patterns), len(cold.Patterns), cold.Stats.Elapsed.Round(time.Millisecond))
 }

@@ -19,9 +19,14 @@ import (
 
 func main() {
 	// A preferential-attachment graph with a small label alphabet stands in
-	// for a citation network (see DESIGN.md for the dataset substitution).
+	// for a citation network (package internal/gen holds the stand-in
+	// generators).
 	g := support.BarabasiAlbert(150, 2, 3, 2026)
 	fmt.Printf("data graph: %s\n\n", g)
+	eng, err := support.NewEngine(g, support.EngineOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	measuresToCompare := []string{support.MNI, support.MI, support.MVCApprox, support.MIESGreedy}
 	thresholds := []float64{4, 8, 16}
@@ -30,10 +35,7 @@ func main() {
 	fmt.Fprintln(w, "measure\tthreshold\tfrequent\tcandidates\tpruned\telapsed")
 	for _, name := range measuresToCompare {
 		for _, th := range thresholds {
-			res, err := support.MineWithMeasure(g, name, th, 3)
-			if err != nil {
-				log.Fatal(err)
-			}
+			res := mine(eng, name, th, 3)
 			fmt.Fprintf(w, "%s\t%.0f\t%d\t%d\t%d\t%s\n",
 				name, th, res.Stats.Frequent, res.Stats.Candidates, res.Stats.Pruned,
 				res.Stats.Elapsed.Round(res.Stats.Elapsed/100+1))
@@ -46,10 +48,7 @@ func main() {
 	// Show the largest frequent patterns found by the paper's MI measure,
 	// allowing one more node than the sweep above.
 	fmt.Println("\nlargest frequent patterns under the MI measure (threshold 4):")
-	res, err := support.MineWithMeasure(g, support.MI, 4, 4)
-	if err != nil {
-		log.Fatal(err)
-	}
+	res := mine(eng, support.MI, 4, 4)
 	shown := 0
 	for _, fp := range res.Patterns {
 		if fp.Pattern.Size() < 3 {
@@ -69,6 +68,23 @@ func main() {
 	fmt.Println("\nStricter measures (closer to MIS) report fewer frequent patterns at the")
 	fmt.Println("same threshold because they do not count overlapping placements twice;")
 	fmt.Println("faster measures (MNI) keep the mining loop cheap but over-report.")
+}
+
+// mine runs one mining request on the engine with the named support measure.
+func mine(eng *support.Engine, measure string, minSupport float64, maxPatternSize int) *support.MinerResult {
+	m, err := support.NewMeasure(measure)
+	if err != nil {
+		log.Fatal(err)
+	}
+	resp, err := eng.Do(&support.Request{Mine: &support.MineSpec{
+		MinSupport:     minSupport,
+		MaxPatternSize: maxPatternSize,
+		Measure:        m,
+	}})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return resp.Mining
 }
 
 // labelsOf lists the pattern's node labels in node order.

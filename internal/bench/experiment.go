@@ -11,27 +11,22 @@ import (
 // Config controls how experiments are run.
 type Config struct {
 	// Quick shrinks parameter sweeps so the whole suite finishes in seconds;
-	// used by unit tests and -short benchmarks. The full sweeps are used by
-	// cmd/gbench and the recorded EXPERIMENTS.md numbers.
+	// used by unit tests and -short benchmarks. The full sweeps are what
+	// cmd/gbench runs by default.
 	Quick bool
 	// Seed is the base PRNG seed for generated workloads.
 	Seed uint64
 	// CSV selects CSV output instead of aligned text.
 	CSV bool
-	// Shards is the CSR snapshot shard count used by the enumeration
-	// experiments (isomorph.Options.Shards): 0 keeps the graph's automatic
-	// sharding. The sharding experiment sweeps its own shard counts and
-	// ignores this knob.
-	Shards int
 }
 
 // DefaultConfig is the configuration used by cmd/gbench when no flags are
 // given.
 func DefaultConfig() Config { return Config{Seed: 1} }
 
-// Experiment is one reproducible experiment from DESIGN.md's index.
+// Experiment is one reproducible experiment of the paper-reproduction suite.
 type Experiment struct {
-	// ID is the experiment identifier from DESIGN.md (e.g. "chain", "figures").
+	// ID is the experiment identifier (e.g. "chain", "figures").
 	ID string
 	// Claim is the paper claim or artefact the experiment reproduces.
 	Claim string
@@ -102,13 +97,6 @@ func allExperiments() []Experiment {
 	return []Experiment{
 		figuresExperiment(),
 		chainExperiment(),
-		enumerationExperiment(),
-		plannerExperiment(),
-		shardingExperiment(),
-		incrementalExperiment(),
-		deltaMNIExperiment(),
-		storeExperiment(),
-		rewriteExperiment(),
 		scalingExperiment(),
 		approxExperiment(),
 		lpExperiment(),
@@ -116,7 +104,6 @@ func allExperiments() []Experiment {
 		miningExperiment(),
 		antimonoExperiment(),
 		overlapExperiment(),
-		servingExperiment(),
 	}
 }
 

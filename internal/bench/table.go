@@ -1,7 +1,9 @@
 // Package bench implements the experiment harness behind cmd/gbench and the
 // root-level Go benchmarks: every table and figure reproduced from the paper
-// (see DESIGN.md, Section 2) is an Experiment that renders one or more Tables
-// of results. Experiments are deterministic given their seed.
+// (allExperiments in experiment.go is the index) is an Experiment that
+// renders one or more Tables of results. Experiments are deterministic given
+// their seed. The package reproduces the paper; it does not measure this
+// implementation's speed — that is the program under benchmark/.
 package bench
 
 import (
@@ -11,7 +13,7 @@ import (
 )
 
 // Table is a simple column-oriented result table that can be rendered as
-// aligned text (for terminals and EXPERIMENTS.md) or CSV (for plotting).
+// aligned text (for terminals) or CSV (for plotting).
 type Table struct {
 	Title   string
 	Columns []string

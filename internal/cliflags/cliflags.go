@@ -1,12 +1,11 @@
 // Package cliflags is the one place the g* command-line tools declare their
-// shared engine-facing flags. gsupport, gminer, gbench and gserved all speak
-// the same knobs — enumeration parallelism, snapshot sharding, the
-// planner/kernel A/B switches, the out-of-core store pair (-store,
-// -residency) and -explain — and before this package each binary re-declared
-// its own drifting copies. Register installs the requested flag families on
-// a FlagSet and EngineOptions maps the parsed values onto the unified
-// support.EngineOptions surface, so a new tool gets the full serving
-// configuration for free.
+// shared engine-facing flags. gsupport, gminer and gserved speak the same
+// knobs — enumeration parallelism, streaming evaluation, snapshot sharding,
+// the out-of-core store pair (-store, -residency), -explain and -trace
+// (which gbench shares). Register installs the requested flag families on a
+// FlagSet and EngineOptions maps the parsed values onto
+// support.EngineOptions, so a new tool gets the full serving configuration
+// for free.
 package cliflags
 
 import (
@@ -24,8 +23,7 @@ type Group int
 
 // The flag families a tool can request.
 const (
-	// Enum installs the enumeration-engine knobs: -parallel, -streaming and
-	// the -no-planner/-no-kernels A/B switches.
+	// Enum installs the enumeration-engine knobs: -parallel and -streaming.
 	Enum Group = iota
 	// Shards installs -shards, the CSR snapshot shard count.
 	Shards
@@ -44,8 +42,6 @@ type Flags struct {
 	parallel  *int
 	shards    *int
 	streaming *bool
-	noPlanner *bool
-	noKernels *bool
 	store     *string
 	residency *string
 	explain   *bool
@@ -63,9 +59,7 @@ func Register(fs *flag.FlagSet, groups ...Group) *Flags {
 		switch g {
 		case Enum:
 			f.parallel = fs.Int("parallel", 0, "enumeration worker count (0 = GOMAXPROCS, 1 = sequential)")
-			f.streaming = fs.Bool("streaming", false, "stream occurrences into incremental aggregates instead of materializing them (MNI and the raw counts only)")
-			f.noPlanner = fs.Bool("no-planner", false, "disable the data-aware search-order planner (A/B switch; results are identical)")
-			f.noKernels = fs.Bool("no-kernels", false, "disable the intersection kernels (A/B switch; results are identical)")
+			f.streaming = fs.Bool("streaming", false, "evaluate on streamed aggregates instead of materialized occurrences (MNI and the raw counts only; mining picks by measure and ignores it)")
 		case Shards:
 			f.shards = fs.Int("shards", 0, "CSR snapshot shard count (0 = auto: one shard up to 65536 vertices)")
 		case Store:
@@ -93,32 +87,10 @@ func (f *Flags) EngineOptions() support.EngineOptions {
 	if f.streaming != nil {
 		o.Streaming = *f.streaming
 	}
-	if f.noPlanner != nil {
-		o.DisablePlanner = *f.noPlanner
-	}
-	if f.noKernels != nil {
-		o.DisableKernels = *f.noKernels
-	}
 	if f.residency != nil {
 		o.ResidencyBudget = *f.residency
 	}
 	return o
-}
-
-// Parallel returns the -parallel value (0 when unregistered).
-func (f *Flags) Parallel() int {
-	if f.parallel == nil {
-		return 0
-	}
-	return *f.parallel
-}
-
-// Shards returns the -shards value (0 when unregistered).
-func (f *Flags) Shards() int {
-	if f.shards == nil {
-		return 0
-	}
-	return *f.shards
 }
 
 // Streaming returns the -streaming value (false when unregistered).
@@ -135,15 +107,6 @@ func (f *Flags) StorePath() string {
 		return ""
 	}
 	return *f.store
-}
-
-// Residency returns the -residency budget string ("" when unset or
-// unregistered).
-func (f *Flags) Residency() string {
-	if f.residency == nil {
-		return ""
-	}
-	return *f.residency
 }
 
 // Explain returns the -explain value (false when unregistered).

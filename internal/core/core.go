@@ -18,6 +18,7 @@ package core
 import (
 	"fmt"
 	"strconv"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/hypergraph"
@@ -52,7 +53,10 @@ type Context struct {
 
 	// transitive caches the transitive node subsets per policy, computed on
 	// first use from the pattern only (they do not depend on the data graph).
-	transitive map[isomorph.SubgraphPolicy][][]pattern.NodeID
+	// It is the one piece of lazily filled state, so transitiveMu guards it
+	// and concurrent measure computations stay safe.
+	transitiveMu sync.Mutex
+	transitive   map[isomorph.SubgraphPolicy][][]pattern.NodeID
 }
 
 // Options configures context construction.
@@ -72,14 +76,6 @@ type Options struct {
 	// isomorph.Options.Shards). The resulting Context is identical for every
 	// setting.
 	Shards int
-	// DisablePlanner and DisableKernels are the A/B switches of the
-	// enumeration engine's data-aware search-order planner and intersection
-	// kernels (isomorph.Options.DisablePlanner / DisableKernels). Both
-	// default to off — the optimized paths are the production
-	// configuration — and the resulting Context is identical for every
-	// setting.
-	DisablePlanner bool
-	DisableKernels bool
 	// Streaming skips materializing the occurrence list, the instance list
 	// and both hypergraphs; only the incremental aggregates (occurrence and
 	// instance counts, MNI domain tables) are kept. Measures that need the
@@ -185,12 +181,7 @@ func NewContext(g *graph.Graph, p *pattern.Pattern, opts Options) (*Context, err
 		return nil, fmt.Errorf("core: nil graph or pattern")
 	}
 	nodes := p.Nodes()
-	ctx := &Context{
-		g:          g,
-		p:          p,
-		streaming:  opts.Streaming,
-		transitive: make(map[isomorph.SubgraphPolicy][][]pattern.NodeID),
-	}
+	ctx := &Context{g: g, p: p, streaming: opts.Streaming}
 
 	snap := opts.Snapshot
 	if snap == nil {
@@ -208,8 +199,6 @@ func NewContext(g *graph.Graph, p *pattern.Pattern, opts Options) (*Context, err
 		isomorph.Options{
 			MaxOccurrences: opts.MaxOccurrences,
 			Parallelism:    enumPar,
-			DisablePlanner: opts.DisablePlanner,
-			DisableKernels: opts.DisableKernels,
 		},
 		func(int) func(*isomorph.Occurrence) bool {
 			a := &workerAcc{}
@@ -354,8 +343,13 @@ func (c *Context) InstanceHypergraph() *hypergraph.Hypergraph { return c.instanc
 // TransitiveNodeSubsets returns (and caches) the transitive node subsets of
 // the pattern under the given subgraph policy.
 func (c *Context) TransitiveNodeSubsets(policy isomorph.SubgraphPolicy) [][]pattern.NodeID {
+	c.transitiveMu.Lock()
+	defer c.transitiveMu.Unlock()
 	if cached, ok := c.transitive[policy]; ok {
 		return cached
+	}
+	if c.transitive == nil {
+		c.transitive = make(map[isomorph.SubgraphPolicy][][]pattern.NodeID)
 	}
 	subsets := isomorph.TransitiveNodeSubsets(c.p, policy)
 	c.transitive[policy] = subsets

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -92,6 +93,30 @@ func TestTransitiveNodeSubsetsCaching(t *testing.T) {
 	}
 	if len(ctx.TransitiveNodeSubsets(isomorph.PatternOnly)) > len(a) {
 		t.Error("PatternOnly subsets should not exceed AllSubgraphs subsets")
+	}
+}
+
+// TestTransitiveNodeSubsetsConcurrent pins the Context contract "safe for
+// concurrent readers": measures under different subgraph policies (MI and
+// the structural-overlap MIS variant) share one Context, so the lazily
+// filled cache must tolerate concurrent first use. Fails under -race (or
+// dies with "concurrent map writes") when the cache is unsynchronized.
+func TestTransitiveNodeSubsetsConcurrent(t *testing.T) {
+	fig := dataset.Figure4()
+	policies := []isomorph.SubgraphPolicy{isomorph.PatternOnly, isomorph.InducedSubpatterns, isomorph.AllSubgraphs}
+	for round := 0; round < 20; round++ {
+		ctx := core.MustNewContext(fig.Graph, fig.Pattern, core.Options{})
+		var wg sync.WaitGroup
+		for i := 0; i < 6; i++ {
+			wg.Add(1)
+			go func(policy isomorph.SubgraphPolicy) {
+				defer wg.Done()
+				if len(ctx.TransitiveNodeSubsets(policy)) == 0 {
+					t.Errorf("policy %d: no transitive node subsets", policy)
+				}
+			}(policies[i%len(policies)])
+		}
+		wg.Wait()
 	}
 }
 

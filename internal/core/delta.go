@@ -275,10 +275,8 @@ func (d *DeltaContext) enumerate(snap *graph.Snapshot, roots []int32, dirty map[
 	var accs []*deltaAcc
 	isomorph.EnumerateSnapshotWorkers(snap, d.p,
 		isomorph.Options{
-			Parallelism:    d.opts.Parallelism,
-			RootIndexes:    roots,
-			DisablePlanner: d.opts.DisablePlanner,
-			DisableKernels: d.opts.DisableKernels,
+			Parallelism: d.opts.Parallelism,
+			RootIndexes: roots,
 		},
 		func(int) func(*isomorph.Occurrence) bool {
 			a := &deltaAcc{
@@ -380,7 +378,6 @@ func (d *DeltaContext) Context() *Context {
 		numOccurrences: d.numOcc,
 		numInstances:   len(d.insts),
 		domainSizes:    d.MNIDomainSizes(),
-		transitive:     make(map[isomorph.SubgraphPolicy][][]pattern.NodeID),
 	}
 }
 

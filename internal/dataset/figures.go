@@ -1,7 +1,7 @@
 // Package dataset provides graph I/O (the GraMi-style .lg text format and a
 // simple edge-list format) and the built-in example graphs transcribed from
 // the paper's figures. The figure fixtures are the ground truth for the
-// correctness tests and for the F1-F10 experiments in EXPERIMENTS.md.
+// correctness tests and for the F1-F10 rows of the gbench "figures" experiment.
 package dataset
 
 import (
@@ -38,7 +38,7 @@ type Figure struct {
 // Figure1 is the running example of the introduction: a one-edge pattern in a
 // small five-vertex data graph, used to sketch the hypergraph framework. The
 // paper's Figure 1 gives the drawing but not the counts, so all expectations
-// except the occurrence count are left unstated; the DESIGN.md documents the
+// except the occurrence count are left unstated; the builder below is the
 // concrete label assignment chosen here.
 func Figure1() Figure {
 	g := graph.NewBuilder("figure1").
@@ -262,7 +262,7 @@ func Figure9() Figure {
 // (neither harmfully nor structurally). The paper's figure does not state its
 // vertex labels, so the fixture instantiates the taxonomy with a path pattern
 // labeled A-B-C-A whose two A-nodes are not transitive in any connected
-// subgraph; DESIGN.md records this substitution.
+// subgraph; this comment is the record of that substitution.
 //
 // Vertices 1,4,5,6 carry label A, 2,7,9 label B and 3,8 label C; the three
 // occurrences are f1 = (1,2,3,4), f2 = (5,2,3,4) and f3 = (6,7,8,5).

@@ -2,11 +2,13 @@
 // package-level symbol (and every exported field or method reachable through
 // an exported type) in the listed packages must carry a doc comment, and
 // every package must have a package comment. CI runs it as the docs lint
-// step so the documentation pass of the architecture spine cannot regress.
+// step over every package of the module, so the documentation pass of the
+// architecture spine cannot regress and new packages are covered by default.
 //
 // Usage:
 //
-//	go run ./internal/doclint internal/graph internal/core internal/isomorph
+//	go run ./internal/doclint $(go list -f '{{.Dir}}' ./...)
+//	go run ./internal/doclint internal/graph internal/core
 //
 // Each argument is a package directory relative to the module root (or an
 // absolute path). Test files are skipped. The exit status is non-zero when

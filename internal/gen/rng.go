@@ -1,7 +1,6 @@
 // Package gen provides deterministic synthetic workload generators used as
-// stand-ins for the real datasets of the SIGMOD evaluation (see the
-// substitution note in DESIGN.md): Erdős–Rényi and Barabási–Albert random
-// labeled graphs, random geometric and lattice graphs, adversarial
+// stand-ins for the real datasets of the SIGMOD evaluation: Erdős–Rényi and
+// Barabási–Albert random labeled graphs, random geometric and lattice graphs, adversarial
 // overlap-structure generators that stress specific support measures, and
 // label assignment models (uniform and Zipf). All randomness flows through an
 // explicit, seedable PRNG so every experiment is reproducible.

@@ -59,16 +59,6 @@ type Options struct {
 	// mutation ball of incremental delta maintenance, which contains all
 	// images of every affected occurrence) are insensitive to that choice.
 	RootIndexes []int32
-	// DisablePlanner opts out of the data-aware search-order planner and
-	// falls back to the pattern-only heuristic order (see planner.go). The
-	// enumerated occurrence set is identical either way; the knob exists for
-	// A/B benchmarking and as an escape hatch.
-	DisablePlanner bool
-	// DisableKernels opts out of the inner-loop intersection kernels
-	// (memoized candidate runs, galloping anchor intersection, high-degree
-	// adjacency bitsets; see kernels.go) and uses plain seed-and-probe
-	// matching. The enumerated occurrence set is identical either way.
-	DisableKernels bool
 
 	// reuseOccurrence switches emit to a single per-worker Occurrence that
 	// is overwritten in place on every yield, eliminating the per-occurrence
@@ -118,14 +108,12 @@ type searchPlan struct {
 	// neighbor of the depth-d candidate.
 	anchors [][]int
 
-	// kernels enables the inner-loop intersection kernels (see kernels.go).
-	kernels bool
 	// reuse carries Options.reuseOccurrence to the per-worker states.
 	reuse bool
 	// slotOf[d] is the memoized-run slot serving depth d, or -1 when the
-	// depth is not single-anchor (or kernels are off). Depths whose
-	// (anchor depth, label, minDeg) constraint key coincides share a slot,
-	// so a star's leaf depths pay one filter pass per anchor assignment.
+	// depth is not single-anchor. Depths whose (anchor depth, label, minDeg)
+	// constraint key coincides share a slot, so a star's leaf depths pay one
+	// filter pass per anchor assignment.
 	slotOf   []int
 	numSlots int
 
@@ -146,13 +134,12 @@ type searchPlan struct {
 }
 
 // newSearchPlan compiles the matching order of p against the given frozen
-// snapshot — the data-aware planned order by default (see planner.go) — and
-// precomputes the per-depth constraint data and kernel slots. It returns nil
-// when the pattern cannot occur at all (empty pattern, a label absent from
-// the data graph, or an empty root restriction).
+// snapshot (see planner.go) and precomputes the per-depth constraint data and
+// kernel slots. It returns nil when the pattern cannot occur at all (empty
+// pattern, a label absent from the data graph, or an empty root restriction).
 func newSearchPlan(snap *graph.Snapshot, p *pattern.Pattern, opts Options) *searchPlan {
 	m := newPatternModel(p)
-	order, _ := chooseOrder(snap, m, opts)
+	order, _ := chooseOrder(snap, m)
 	if len(order) == 0 {
 		return nil
 	}
@@ -164,7 +151,6 @@ func newSearchPlan(snap *graph.Snapshot, p *pattern.Pattern, opts Options) *sear
 		label:   make([]graph.Label, len(order)),
 		minDeg:  make([]int, len(order)),
 		anchors: make([][]int, len(order)),
-		kernels: !opts.DisableKernels,
 		reuse:   opts.reuseOccurrence,
 	}
 	// depthOf[i]: search depth of pattern position i, -1 until ordered.
@@ -220,7 +206,7 @@ func (pl *searchPlan) assignSlots() {
 	pl.slotOf = make([]int, pl.k)
 	for d := range pl.slotOf {
 		pl.slotOf[d] = -1
-		if !pl.kernels || d == 0 || len(pl.anchors[d]) != 1 {
+		if d == 0 || len(pl.anchors[d]) != 1 {
 			continue
 		}
 		key := slotKey{pl.anchors[d][0], pl.label[d], pl.minDeg[d]}
@@ -284,9 +270,7 @@ func newSearchState(pl *searchPlan, yield func(*Occurrence) bool, stop *atomic.B
 			st.slots[i].anchor = -1
 		}
 	}
-	if pl.kernels {
-		st.scratch = make([][]int32, pl.k)
-	}
+	st.scratch = make([][]int32, pl.k)
 	if pl.snap.NumShards() == 1 {
 		st.ids = pl.snap.ShardVertexIDs(0)
 	}
@@ -312,12 +296,12 @@ func (s *searchState) searchRoot(r int32) bool {
 	return halt
 }
 
-// search extends the partial assignment at the given depth. Depending on the
-// plan it runs one of three candidate loops: the memoized single-anchor run
-// (kernels, one anchor), the galloping two-anchor intersection (kernels, two
-// or more anchors), or the plain seed-and-probe scan (kernels disabled).
-// All three visit candidates in ascending dense-index order, so the
-// sequential emission order is the same for a given search order.
+// search extends the partial assignment at the given depth through one of the
+// two candidate kernels (see kernels.go): the memoized single-anchor run, or
+// the galloping intersection when the depth has two or more anchors. Every
+// depth past the root has at least one anchor because the search order is
+// connected. Both kernels visit candidates in ascending dense-index order, so
+// the sequential emission order is fixed by the search order alone.
 //
 //gvet:hotpath
 func (s *searchState) search(depth int) bool {
@@ -334,11 +318,11 @@ func (s *searchState) search(depth int) bool {
 	minDeg := pl.minDeg[depth]
 
 	if slot := pl.slotOf[depth]; slot >= 0 {
-		// Kernel path, single anchor: iterate the anchor assignment's
-		// memoized label+degree filtered run; only used[] is dynamic. The
-		// run is recomputed when the anchor depth is reassigned, which can
-		// only happen after every loop over the run has unwound, so sibling
-		// depths sharing the slot read it safely.
+		// Single anchor: iterate the anchor assignment's memoized
+		// label+degree filtered run; only used[] is dynamic. The run is
+		// recomputed when the anchor depth is reassigned, which can only
+		// happen after every loop over the run has unwound, so sibling depths
+		// sharing the slot read it safely.
 		sl := &s.slots[slot]
 		if av := s.assign[anchors[0]]; sl.anchor != av {
 			sl.run = filterRun(snap, snap.NeighborsAt(av), label, minDeg, sl.run[:0])
@@ -358,44 +342,7 @@ func (s *searchState) search(depth int) bool {
 		}
 		return false
 	}
-
-	if pl.kernels && len(anchors) >= 2 {
-		return s.searchGallop(depth, anchors, label, minDeg)
-	}
-
-	// Seed candidates from the anchor whose assigned data vertex has the
-	// smallest degree, then verify adjacency against the remaining anchors.
-	seed := anchors[0]
-	if len(anchors) > 1 {
-		for _, a := range anchors[1:] {
-			if snap.DegreeAt(s.assign[a]) < snap.DegreeAt(s.assign[seed]) {
-				seed = a
-			}
-		}
-	}
-
-candidateLoop:
-	for _, c := range snap.NeighborsAt(s.assign[seed]) {
-		if s.used[c] || snap.LabelAt(c) != label || snap.DegreeAt(c) < minDeg {
-			continue
-		}
-		for _, a := range anchors {
-			if a == seed {
-				continue
-			}
-			if !snap.HasEdgeAt(c, s.assign[a]) {
-				continue candidateLoop
-			}
-		}
-		s.assign[depth] = c
-		s.used[c] = true
-		halt := s.search(depth + 1)
-		s.used[c] = false
-		if halt {
-			return true
-		}
-	}
-	return false
+	return s.searchGallop(depth, anchors, label, minDeg)
 }
 
 // searchGallop is the multi-anchor kernel: intersect the two smallest-degree

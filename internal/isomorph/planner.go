@@ -36,11 +36,10 @@ import (
 // estimate — selective constraints bind first, and every extra anchor both
 // shrinks the estimate and prunes harder.
 //
-// The planner falls back to naiveOrder when Options.DisablePlanner is set,
-// when the snapshot is empty (no statistics to consult), or when the cost
-// model (orderCost, the expected number of partial assignments the search
-// visits) does not score the planned order strictly cheaper than the naive
-// one. The tie case matters: the naive order visits pattern vertices in
+// The planner falls back to naiveOrder when the snapshot is empty (no
+// statistics to consult) or when the cost model (orderCost, the expected
+// number of partial assignments the search visits) does not score the planned
+// order strictly cheaper than the naive one. The tie case matters: the naive order visits pattern vertices in
 // sorted-node order whenever degrees don't distinguish them, which makes the
 // sequential engine's emission order coincide with the canonical occurrence
 // order and turns the canonical sort behind Enumerate into a free prescan.
@@ -271,19 +270,17 @@ func orderCost(m *patternModel, st *plannerStats, order []int) float64 {
 	return cost
 }
 
-// chooseOrder resolves the search order for (snap, p) under opts. By default
-// it builds the greedy data-aware order and keeps it only when its modeled
-// tree cost (orderCost) is strictly below the naive pattern-only order's —
+// chooseOrder resolves the search order for (snap, p): it builds the greedy
+// data-aware order and keeps it only when its modeled tree cost (orderCost) is strictly below the naive pattern-only order's —
 // under a symmetric label distribution the two orders model identically and
 // the naive order wins the tie, which also preserves the sequential engine's
 // sorted emission order (the naive order tends to match the sorted node
 // order, making Enumerate's canonical sort a no-op prescan). The naive order
-// is also used when Options.DisablePlanner is set or the snapshot is empty
-// (no statistics to consult). The second return reports whether the planned
-// order was chosen.
-func chooseOrder(snap *graph.Snapshot, m *patternModel, opts Options) ([]int, bool) {
+// is also used when the snapshot is empty (no statistics to consult). The
+// second return reports whether the planned order was chosen.
+func chooseOrder(snap *graph.Snapshot, m *patternModel) ([]int, bool) {
 	naive := naiveOrder(m)
-	if opts.DisablePlanner || snap.NumVertices() == 0 {
+	if snap.NumVertices() == 0 {
 		return naive, false
 	}
 	st := newPlannerStats(snap, m)
@@ -313,10 +310,8 @@ type PlanStep struct {
 	// computed for the explained order even when the naive order was chosen.
 	Estimate float64
 	// Kernel names the inner-loop mechanism serving this depth: "roots"
-	// (depth zero), "run-cache" (memoized single-anchor candidate run),
-	// "gallop" (galloping intersection of two anchor runs), or "probe"
-	// (seed-and-probe, used for multi-anchor depths when kernels are
-	// disabled).
+	// (depth zero), "run-cache" (memoized single-anchor candidate run) or
+	// "gallop" (galloping intersection of two anchor runs).
 	Kernel string
 }
 
@@ -324,9 +319,9 @@ type PlanStep struct {
 // for a (snapshot, pattern) pair, with the per-depth statistics that led to
 // it. Produced by Explain; rendered by String.
 type PlanExplanation struct {
-	// Planned is false when the naive pattern-only order was used: planner
-	// disabled, empty snapshot, or the cost model did not score the planned
-	// order strictly cheaper than the naive one.
+	// Planned is false when the naive pattern-only order was used: empty
+	// snapshot, or the cost model did not score the planned order strictly
+	// cheaper than the naive one.
 	Planned bool
 	// Steps lists the chosen order, depth by depth.
 	Steps []PlanStep
@@ -338,12 +333,14 @@ type PlanExplanation struct {
 	Vertices, Edges int
 }
 
-// Explain compiles the search plan of p against snap under opts without
-// running the search, returning the chosen order with per-depth candidate
-// estimates. It powers the -explain flags of the gsupport and gminer CLIs.
+// Explain compiles the search plan of p against snap without running the
+// search, returning the chosen order with per-depth candidate estimates. Of
+// opts only RootIndexes is consulted (it narrows RootCandidates); the search
+// order depends on the snapshot and pattern alone. It powers the -explain
+// flags of the gsupport and gminer CLIs.
 func Explain(snap *graph.Snapshot, p *pattern.Pattern, opts Options) *PlanExplanation {
 	m := newPatternModel(p)
-	order, planned := chooseOrder(snap, m, opts)
+	order, planned := chooseOrder(snap, m)
 	st := newPlannerStats(snap, m)
 	ex := &PlanExplanation{
 		Planned:  planned,
@@ -365,15 +362,12 @@ func Explain(snap *graph.Snapshot, p *pattern.Pattern, opts Options) *PlanExplan
 		case d == 0:
 			step.Estimate = st.rootEstimate(m, i)
 			step.Kernel = "roots"
-		case anchors == 1 && !opts.DisableKernels:
+		case anchors == 1:
 			step.Estimate = st.extendEstimate(m, i, anchors)
 			step.Kernel = "run-cache"
-		case anchors >= 2 && !opts.DisableKernels:
-			step.Estimate = st.extendEstimate(m, i, anchors)
-			step.Kernel = "gallop"
 		default:
 			step.Estimate = st.extendEstimate(m, i, anchors)
-			step.Kernel = "probe"
+			step.Kernel = "gallop"
 		}
 		ex.Steps = append(ex.Steps, step)
 		inOrder[i] = true

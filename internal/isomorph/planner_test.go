@@ -13,24 +13,70 @@ import (
 	"repro/internal/store"
 )
 
-// plannerConfigs are the A/B corners of the search-order planner and the
-// intersection kernels; every corner must enumerate the identical sequence.
-var plannerConfigs = []struct {
-	name                           string
-	disablePlanner, disableKernels bool
-}{
-	{"naive", true, true},
-	{"planner-only", false, true},
-	{"kernels-only", true, false},
-	{"planner+kernels", false, false},
+// referenceOccurrenceKeys is the independent oracle the planned, kernelised
+// search is pinned against: plain backtracking over the mutable map-backed
+// Graph — no snapshot, no search order, no kernels, no code shared with
+// searchState. Pattern nodes are assigned in sorted node order and every data
+// vertex is tried in ascending ID order, so the keys come out in the
+// canonical occurrence order Enumerate promises and sequences compare
+// element by element.
+func referenceOccurrenceKeys(g *graph.Graph, p *pattern.Pattern) []string {
+	nodes := p.Nodes()
+	vertices := g.SortedVertices()
+	images := make([]graph.VertexID, len(nodes))
+	used := make(map[graph.VertexID]bool)
+	var keys []string
+	var assign func(i int)
+	assign = func(i int) {
+		if i == len(nodes) {
+			key := ""
+			for j, n := range nodes {
+				key += fmt.Sprintf("%d>%d;", n, images[j])
+			}
+			keys = append(keys, key)
+			return
+		}
+	candidates:
+		for _, v := range vertices {
+			if used[v] || g.MustLabelOf(v) != p.LabelOf(nodes[i]) {
+				continue
+			}
+			for j := 0; j < i; j++ {
+				if p.Graph().HasEdge(nodes[i], nodes[j]) && !g.HasEdge(v, images[j]) {
+					continue candidates
+				}
+			}
+			images[i], used[v] = v, true
+			assign(i + 1)
+			used[v] = false
+		}
+	}
+	assign(0)
+	return keys
 }
 
-// TestPlannedMatchesNaive pins the tentpole acceptance contract: for every
-// planner/kernel A/B corner, shard count in {1, 2, 7} and parallelism in
-// {1, 4}, Enumerate returns the byte-identical occurrence sequence on
-// workloads whose label distributions push the planner both ways (uniform
-// labels keep the naive order, skewed labels re-root the search). Run under
-// -race this also exercises the kernels' lazily built shared state.
+// assertKeysEqual fails the test at the first position two occurrence-key
+// sequences differ.
+func assertKeysEqual(t *testing.T, where string, got, want []string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d occurrences, reference matcher found %d", where, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: occurrence %d = %s, reference matcher has %s", where, i, got[i], want[i])
+		}
+	}
+}
+
+// TestPlannedMatchesNaive pins the search against the naive reference
+// matcher: for every shard count in {1, 2, 7} and parallelism in {1, 4},
+// Enumerate returns the byte-identical occurrence sequence on workloads
+// whose label distributions push the planner both ways (uniform labels keep
+// the naive order, skewed labels re-root the search) and whose patterns reach
+// both kernels (the star's single-anchor runs, the triangle's galloping
+// intersection). Run under -race this also exercises the kernels' lazily
+// built shared state.
 func TestPlannedMatchesNaive(t *testing.T) {
 	workloads := []struct {
 		name string
@@ -42,41 +88,21 @@ func TestPlannedMatchesNaive(t *testing.T) {
 		{"er-star", gen.ErdosRenyi(300, 0.02, gen.UniformLabels{K: 3}, 9), starPattern()},
 	}
 	for _, wl := range workloads {
-		var want []string
+		want := referenceOccurrenceKeys(wl.g, wl.p)
+		if len(want) == 0 {
+			t.Fatalf("%s: no occurrences; workload is vacuous", wl.name)
+		}
 		for _, shards := range []int{1, 2, 7} {
 			for _, par := range []int{1, 4} {
-				for _, c := range plannerConfigs {
-					opts := isomorph.Options{
-						Parallelism:    par,
-						Shards:         shards,
-						DisablePlanner: c.disablePlanner,
-						DisableKernels: c.disableKernels,
-					}
-					got := occurrenceKeys(isomorph.Enumerate(wl.g, wl.p, opts))
-					if want == nil {
-						want = got
-						if len(want) == 0 {
-							t.Fatalf("%s: no occurrences; workload is vacuous", wl.name)
-						}
-						continue
-					}
-					if len(got) != len(want) {
-						t.Fatalf("%s shards=%d par=%d %s: %d occurrences, want %d",
-							wl.name, shards, par, c.name, len(got), len(want))
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("%s shards=%d par=%d %s: occurrence %d = %s, want %s",
-								wl.name, shards, par, c.name, i, got[i], want[i])
-						}
-					}
-				}
+				opts := isomorph.Options{Parallelism: par, Shards: shards}
+				got := occurrenceKeys(isomorph.Enumerate(wl.g, wl.p, opts))
+				assertKeysEqual(t, fmt.Sprintf("%s shards=%d par=%d", wl.name, shards, par), got, want)
 			}
 		}
 	}
 }
 
-// TestPlannedMatchesNaiveStoreSnapshot repeats the A/B identity over an
+// TestPlannedMatchesNaiveStoreSnapshot repeats the identity over an
 // mmap-backed store snapshot: the kernels read neighbor runs straight out of
 // mapped segment bytes, so the identity must survive the out-of-core path
 // (including lazily built adjacency bitsets over mapped CSR rows).
@@ -93,33 +119,20 @@ func TestPlannedMatchesNaiveStoreSnapshot(t *testing.T) {
 	}
 	defer st.Close()
 	snap := st.Snapshot()
-	var want []string
+	want := referenceOccurrenceKeys(g, p)
+	if len(want) == 0 {
+		t.Fatal("no occurrences; workload is vacuous")
+	}
 	for _, par := range []int{1, 4} {
-		for _, c := range plannerConfigs {
-			opts := isomorph.Options{
-				Parallelism:    par,
-				DisablePlanner: c.disablePlanner,
-				DisableKernels: c.disableKernels,
-			}
-			got := occurrenceKeys(collectSnapshot(snap, p, opts))
-			if want == nil {
-				want = got
-				if len(want) == 0 {
-					t.Fatal("no occurrences; workload is vacuous")
-				}
-				continue
-			}
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("par=%d %s: store-backed enumeration diverged from naive", par, c.name)
-			}
-		}
+		got := occurrenceKeys(collectSnapshot(snap, p, isomorph.Options{Parallelism: par}))
+		assertKeysEqual(t, fmt.Sprintf("store par=%d", par), got, want)
 	}
 }
 
 // TestPlannedMatchesNaiveRootRestricted pins the planner's interaction with
 // Options.RootIndexes: the restriction applies to whichever pattern node the
-// chosen order roots, so with a full-range restriction every A/B corner must
-// still enumerate the identical complete sequence.
+// chosen order roots, so with a full-range restriction the search must still
+// enumerate the complete reference sequence.
 func TestPlannedMatchesNaiveRootRestricted(t *testing.T) {
 	g := gen.BarabasiAlbert(300, 3, gen.UniformLabels{K: 2}, 12)
 	p := starPattern()
@@ -128,26 +141,12 @@ func TestPlannedMatchesNaiveRootRestricted(t *testing.T) {
 	for i := range all {
 		all[i] = int32(i)
 	}
-	var want []string
-	for _, c := range plannerConfigs {
-		opts := isomorph.Options{
-			Parallelism:    1,
-			RootIndexes:    all,
-			DisablePlanner: c.disablePlanner,
-			DisableKernels: c.disableKernels,
-		}
-		got := occurrenceKeys(collectSnapshot(snap, p, opts))
-		if want == nil {
-			want = got
-			if len(want) == 0 {
-				t.Fatal("no occurrences; workload is vacuous")
-			}
-			continue
-		}
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("%s: root-restricted enumeration diverged from naive", c.name)
-		}
+	want := referenceOccurrenceKeys(g, p)
+	if len(want) == 0 {
+		t.Fatal("no occurrences; workload is vacuous")
 	}
+	got := occurrenceKeys(collectSnapshot(snap, p, isomorph.Options{Parallelism: 1, RootIndexes: all}))
+	assertKeysEqual(t, "root-restricted", got, want)
 }
 
 // TestExplainDeterministic pins plan stability: the planner consults only
@@ -194,10 +193,6 @@ func TestExplainPrefersRareLabelRoot(t *testing.T) {
 	}
 	if got := ex.Steps[0].Label; got != 2 {
 		t.Fatalf("root label = %d, want the rare label 2:\n%s", got, ex)
-	}
-	// The A/B switch must disable exactly this decision.
-	if ex := isomorph.Explain(g.Freeze(), p, isomorph.Options{DisablePlanner: true}); ex.Planned {
-		t.Fatalf("DisablePlanner still produced a planned order:\n%s", ex)
 	}
 }
 

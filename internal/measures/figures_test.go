@@ -10,7 +10,7 @@ import (
 )
 
 // TestFigureSupports checks every support value and raw count the paper
-// states for its worked figures (F1-F10 in DESIGN.md).
+// states for its worked figures (the F1-F10 fixtures of package dataset).
 func TestFigureSupports(t *testing.T) {
 	for _, fig := range dataset.AllFigures() {
 		fig := fig

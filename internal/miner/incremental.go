@@ -71,7 +71,7 @@ type trackedPattern struct {
 
 // NewIncremental starts an incremental mining session: it runs the initial
 // mining fixpoint (equivalent to Mine) and retains a live delta context per
-// evaluated candidate. The configuration is validated as by New, with three
+// evaluated candidate. The configuration is validated as by New, with two
 // extra constraints that make exact delta maintenance possible: the measure
 // must be streaming-capable (it is evaluated on live streamed aggregates),
 // and MaxOccurrences/MaxPatterns must be zero (truncated enumerations and
@@ -90,9 +90,6 @@ func NewIncremental(g *graph.Graph, cfg Config) (*Incremental, error) {
 	}
 	if cfg.MaxPatterns != 0 {
 		return nil, fmt.Errorf("miner: incremental mining does not support MaxPatterns")
-	}
-	if cfg.MaterializeContexts {
-		return nil, fmt.Errorf("miner: incremental mining always runs on streamed delta contexts; MaterializeContexts is not supported")
 	}
 	inc := &Incremental{
 		g:         g,
@@ -399,10 +396,8 @@ func (inc *Incremental) track(p *pattern.Pattern, code string) (*trackedPattern,
 	// that do run concurrently are root-restricted to the mutation ball,
 	// whose few roots make the auto mode fall back to sequential anyway.
 	d, err := core.NewDeltaContext(inc.g, p, core.Options{
-		Parallelism:    inc.cfg.EnumParallelism,
-		Shards:         inc.cfg.EnumShards,
-		DisablePlanner: inc.cfg.EnumDisablePlanner,
-		DisableKernels: inc.cfg.EnumDisableKernels,
+		Parallelism: inc.cfg.EnumParallelism,
+		Shards:      inc.cfg.EnumShards,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("miner: building delta context for %s: %w", p, err)

@@ -156,11 +156,10 @@ func TestIncrementalParallelRefreshMatchesSequential(t *testing.T) {
 func TestIncrementalRejectsUnsupportedConfigs(t *testing.T) {
 	g := gen.BarabasiAlbert(40, 2, gen.UniformLabels{K: 2}, 1)
 	cases := []miner.Config{
-		{MinSupport: 2, Measure: measures.MVC{}},   // not streaming-capable
-		{MinSupport: 2, MaxOccurrences: 100},       // truncated enumeration
-		{MinSupport: 2, MaxPatterns: 5},            // truncated result set
-		{MinSupport: 2, MaterializeContexts: true}, // forces materialized contexts
-		{MinSupport: 0},                            // invalid threshold (via New)
+		{MinSupport: 2, Measure: measures.MVC{}}, // not streaming-capable
+		{MinSupport: 2, MaxOccurrences: 100},     // truncated enumeration
+		{MinSupport: 2, MaxPatterns: 5},          // truncated result set
+		{MinSupport: 0},                          // invalid threshold (via New)
 	}
 	for i, cfg := range cases {
 		if _, err := miner.NewIncremental(g, cfg); err == nil {

@@ -58,26 +58,6 @@ type Config struct {
 	// automatic sharding, positive values split the vertex range into that
 	// many contiguous shards. Mining results are identical for every setting.
 	EnumShards int
-	// EnumDisablePlanner and EnumDisableKernels are the A/B switches of the
-	// per-candidate enumeration engine's data-aware search-order planner and
-	// intersection kernels (core.Options.DisablePlanner / DisableKernels).
-	// Both default to off — the optimized paths are the production
-	// configuration — and mining results are identical for every setting.
-	EnumDisablePlanner bool
-	EnumDisableKernels bool
-	// Streaming builds per-candidate contexts in streaming mode: occurrences
-	// are folded into incremental aggregates instead of being materialized.
-	// Only valid with measures that run on streamed aggregates (MNI and the
-	// raw counts); other measures fail the run with an error.
-	//
-	// When the configured measure supports streaming (the default measure,
-	// MNI, does), streaming contexts are auto-selected even when this field
-	// is false; set MaterializeContexts to opt out.
-	Streaming bool
-	// MaterializeContexts disables the automatic streaming described on
-	// Streaming, forcing fully materialized per-candidate contexts even for
-	// streaming-capable measures. It cannot be combined with Streaming.
-	MaterializeContexts bool
 }
 
 // DefaultMaxPatternSize bounds pattern growth when the caller does not say
@@ -128,6 +108,12 @@ type Miner struct {
 	g    *graph.Graph
 	snap *graph.Snapshot
 	cfg  Config
+	// streaming selects streamed per-candidate contexts. It is derived, not
+	// configured: when the measure runs on streamed aggregates (MNI, the raw
+	// counts), materializing occurrence lists and hypergraphs per candidate
+	// is pure overhead; every other measure needs the materialized state.
+	// The mining result is the same either way.
+	streaming bool
 }
 
 // New returns a miner over the given data graph.
@@ -168,22 +154,11 @@ func newMiner(g *graph.Graph, snap *graph.Snapshot, cfg Config) (*Miner, error) 
 	if cfg.Measure == nil {
 		cfg.Measure = measures.MNI{}
 	}
-	if cfg.Streaming && cfg.MaterializeContexts {
-		return nil, fmt.Errorf("miner: Streaming and MaterializeContexts are mutually exclusive")
-	}
-	// Streaming by default: when the measure runs on streamed aggregates,
-	// materializing occurrence lists and hypergraphs per candidate is pure
-	// overhead, so streaming contexts are auto-selected. The results are
-	// identical; MaterializeContexts is the explicit opt-out.
-	if !cfg.Streaming && !cfg.MaterializeContexts && measures.SupportsStreaming(cfg.Measure) {
-		cfg.Streaming = true
-	}
-	return &Miner{g: g, snap: snap, cfg: cfg}, nil
+	return &Miner{g: g, snap: snap, cfg: cfg, streaming: measures.SupportsStreaming(cfg.Measure)}, nil
 }
 
 // Config returns the effective configuration of the miner after defaulting:
-// the measure fallback to MNI, the default size cap, and the automatic
-// selection of streaming contexts for streaming-capable measures.
+// the measure fallback to MNI and the default size cap.
 func (m *Miner) Config() Config { return m.cfg }
 
 // Mine runs the search and returns every frequent pattern found together
@@ -349,9 +324,7 @@ func (m *Miner) evaluate(p *pattern.Pattern) (FrequentPattern, bool, error) {
 		MaxOccurrences: m.cfg.MaxOccurrences,
 		Parallelism:    enumPar,
 		Shards:         m.cfg.EnumShards,
-		DisablePlanner: m.cfg.EnumDisablePlanner,
-		DisableKernels: m.cfg.EnumDisableKernels,
-		Streaming:      m.cfg.Streaming,
+		Streaming:      m.streaming,
 		Snapshot:       m.snap,
 	})
 	if err != nil {

@@ -3,6 +3,7 @@ package miner_test
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -61,57 +62,64 @@ func TestMineFigure6(t *testing.T) {
 	}
 }
 
-// TestStreamingAutoSelected checks the streaming-by-default policy: MNI-style
-// measures get streaming contexts without the knob, MaterializeContexts opts
-// out, measures needing materialized state are never auto-streamed, and the
-// auto-streamed run reports exactly the same frequent patterns.
+// contextSpy wraps a measure and records which kind of context the miner
+// handed it. Streaming support is decided by canonical name, so the spy
+// inherits it when it keeps the wrapped name and loses it under any other.
+type contextSpy struct {
+	measures.Measure
+	name                   string
+	streamed, materialized *int
+}
+
+func (s contextSpy) Name() string { return s.name }
+
+func (s contextSpy) Compute(ctx *core.Context) (measures.Result, error) {
+	if ctx.Streaming() {
+		*s.streamed++
+	} else {
+		*s.materialized++
+	}
+	return s.Measure.Compute(ctx)
+}
+
+// TestStreamingAutoSelected checks that the context kind is derived from the
+// measure alone: a streaming-capable measure (MNI) only ever sees streamed
+// contexts, the same computation under a name outside the streaming set only
+// ever sees materialized ones, and both runs report exactly the same frequent
+// patterns.
 func TestStreamingAutoSelected(t *testing.T) {
 	g := gen.BarabasiAlbert(45, 2, gen.UniformLabels{K: 2}, 5)
 
-	auto, err := miner.New(g, miner.Config{MinSupport: 3}) // default measure MNI
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !auto.Config().Streaming {
-		t.Error("MNI mining did not auto-select streaming contexts")
-	}
-
-	mat, err := miner.New(g, miner.Config{MinSupport: 3, MaterializeContexts: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mat.Config().Streaming {
-		t.Error("MaterializeContexts did not opt out of auto-streaming")
+	mine := func(name string) (res *miner.Result, streamed, materialized int) {
+		t.Helper()
+		spy := contextSpy{Measure: measures.MNI{}, name: name, streamed: &streamed, materialized: &materialized}
+		m, err := miner.New(g, miner.Config{MinSupport: 3, Measure: spy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err = m.Mine(); err != nil {
+			t.Fatal(err)
+		}
+		return res, streamed, materialized
 	}
 
-	mvc, err := miner.New(g, miner.Config{MinSupport: 3, Measure: measures.MVC{}})
-	if err != nil {
-		t.Fatal(err)
+	autoRes, streamed, materialized := mine(measures.NameMNI)
+	if streamed == 0 || materialized != 0 {
+		t.Errorf("MNI mining saw %d streamed and %d materialized contexts, want streamed only", streamed, materialized)
 	}
-	if mvc.Config().Streaming {
-		t.Error("MVC mining auto-selected streaming even though MVC needs materialized contexts")
-	}
-
-	if _, err := miner.New(g, miner.Config{MinSupport: 3, Streaming: true, MaterializeContexts: true}); err == nil {
-		t.Error("Streaming together with MaterializeContexts should error")
+	matRes, streamed, materialized := mine("MNI-on-materialized")
+	if streamed != 0 || materialized == 0 {
+		t.Errorf("a non-streaming measure saw %d streamed and %d materialized contexts, want materialized only", streamed, materialized)
 	}
 
-	autoRes, err := auto.Mine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	matRes, err := mat.Mine()
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(autoRes.Patterns) != len(matRes.Patterns) {
-		t.Fatalf("auto-streaming found %d patterns, materialized %d", len(autoRes.Patterns), len(matRes.Patterns))
+		t.Fatalf("streaming found %d patterns, materialized %d", len(autoRes.Patterns), len(matRes.Patterns))
 	}
 	for i := range autoRes.Patterns {
 		a, m := autoRes.Patterns[i], matRes.Patterns[i]
 		if a.Pattern.CanonicalCode() != m.Pattern.CanonicalCode() || a.Support != m.Support ||
 			a.Occurrences != m.Occurrences || a.Instances != m.Instances {
-			t.Fatalf("pattern %d differs between auto-streaming and materialized runs: %+v vs %+v", i, a, m)
+			t.Fatalf("pattern %d differs between streaming and materialized runs: %+v vs %+v", i, a, m)
 		}
 	}
 }

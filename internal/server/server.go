@@ -534,17 +534,8 @@ func (s *Server) explainFor(req *EvaluateRequest) string {
 	if err != nil {
 		return ""
 	}
-	opts := engineOptions(s.eng.Options(), req.Options, s.cfg.MaxParallelism)
 	snap, _ := s.eng.Current()
-	pe := support.ExplainPlan(snap, p, support.ContextOptions{
-		Parallelism:    opts.Parallelism,
-		DisablePlanner: opts.DisablePlanner,
-		DisableKernels: opts.DisableKernels,
-	})
-	if pe == nil {
-		return ""
-	}
-	return pe.String()
+	return support.ExplainPlan(snap, p).String()
 }
 
 // writeError maps an error onto its HTTP status (500 unless the handler

@@ -246,6 +246,17 @@ func TestHTTPEndpoints(t *testing.T) {
 		if code != http.StatusNotFound {
 			t.Fatalf("unknown session: %d, want 404", code)
 		}
+		// The retired enumeration A/B switches are unknown wire keys: the
+		// strict decoder rejects them with the same 400 body every time
+		// rather than silently ignoring them.
+		retired := json.RawMessage(`{"pattern":{"edge":[1,2]},"options":{"disable_planner":true}}`)
+		code, first := doJSON(t, c, http.MethodPost, ts.URL+"/v1/evaluate", retired)
+		if code != http.StatusBadRequest || !strings.Contains(string(first), "disable_planner") {
+			t.Fatalf("retired option: %d %s, want 400 naming the field", code, first)
+		}
+		if _, again := doJSON(t, c, http.MethodPost, ts.URL+"/v1/evaluate", retired); !bytes.Equal(first, again) {
+			t.Fatalf("retired option: error body not deterministic: %s vs %s", first, again)
+		}
 	})
 }
 

@@ -7,8 +7,8 @@
 // without touching the serving logic.
 //
 // Everything in this package reduces to support.Request/support.Response:
-// wire types decode into the same Request the in-process facade wrappers
-// build, so a remote answer is byte-identical to the in-process one on the
+// wire types decode into the same Request an in-process caller builds, so
+// a remote answer is byte-identical to the in-process one on the
 // same epoch — the property the concurrency tests pin down.
 package server
 
@@ -62,10 +62,6 @@ type OptionsWire struct {
 	MaxOccurrences int `json:"max_occurrences,omitempty"`
 	// Streaming selects streaming aggregation (MNI and raw counts only).
 	Streaming bool `json:"streaming,omitempty"`
-	// DisablePlanner and DisableKernels are the enumeration A/B switches.
-	DisablePlanner bool `json:"disable_planner,omitempty"`
-	// DisableKernels is documented on DisablePlanner.
-	DisableKernels bool `json:"disable_kernels,omitempty"`
 }
 
 // EvaluateRequest asks for the support of one pattern on the current epoch.
@@ -359,8 +355,6 @@ func engineOptions(defaults support.EngineOptions, ow *OptionsWire, maxParalleli
 		o.Parallelism = ow.Parallelism
 		o.MaxOccurrences = ow.MaxOccurrences
 		o.Streaming = ow.Streaming
-		o.DisablePlanner = ow.DisablePlanner
-		o.DisableKernels = ow.DisableKernels
 	}
 	o.Parallelism = clampParallelism(o.Parallelism, maxParallelism)
 	return &o

@@ -9,12 +9,15 @@
 //   - graph generators and .lg file I/O
 //   - the support measures (MNI, MI, MVC, MIS/MIES, LP relaxations, ...)
 //     evaluated through Evaluate or individually through NewMeasure
-//   - the frequent-subgraph miner (Mine)
+//   - the Engine (engine.go): the one way in for everything that takes
+//     options — evaluation, frequent-subgraph mining (Request.Mine), plan
+//     explanation, warm mining sessions, store-backed and durable sources
 //
-// The heavy lifting lives in the internal packages (internal/graph,
-// internal/measures, internal/miner, ...); this package keeps a small,
-// stable, documented surface. See the examples/ directory for runnable
-// programs built exclusively on this facade.
+// Evaluate and VerifyBoundingChain are the option-free one-call forms of an
+// Engine evaluation. The heavy lifting lives in the internal packages
+// (internal/graph, internal/measures, internal/miner, ...); this package
+// keeps a small, stable, documented surface. See the examples/ directory for
+// runnable programs built exclusively on this facade.
 package support
 
 import (
@@ -52,8 +55,8 @@ type (
 	// Instance is one subgraph of the data graph isomorphic to the pattern.
 	Instance = isomorph.Instance
 	// Context bundles a (graph, pattern) pair with its occurrence and
-	// instance hypergraphs; build one with NewContext and evaluate measures
-	// on it.
+	// instance hypergraphs; every Evaluation carries the one its measures
+	// were computed on.
 	Context = core.Context
 	// Measure computes a support value on a Context.
 	Measure = measures.Measure
@@ -61,8 +64,6 @@ type (
 	Result = measures.Result
 	// Evaluation maps measure names to Results for one Context.
 	Evaluation = measures.Evaluation
-	// MinerConfig configures frequent-pattern mining.
-	MinerConfig = miner.Config
 	// MinerResult is the outcome of a mining run.
 	MinerResult = miner.Result
 	// FrequentPattern is one mined frequent pattern with its support.
@@ -73,9 +74,6 @@ type (
 	DeltaContext = core.DeltaContext
 	// DeltaStats counts the maintenance work a DeltaContext has done.
 	DeltaStats = core.DeltaStats
-	// IncrementalMiner is a mining session that stays warm across graph
-	// mutations; start one with MineIncremental.
-	IncrementalMiner = miner.Incremental
 	// Mutation is one structural graph mutation as recorded by a graph's
 	// mutation feed (see Graph.Subscribe).
 	Mutation = graph.Mutation
@@ -172,117 +170,14 @@ func RandomGeometric(n int, radius float64, labelCount int, seed uint64) *Graph 
 	return gen.RandomGeometric(n, radius, gen.UniformLabels{K: labelCount}, seed)
 }
 
-// ContextOptions controls occurrence enumeration when building a Context.
-//
-// Deprecated: ContextOptions predates the unified EngineOptions surface and
-// is kept for compatibility; it remains fully functional. New code should
-// construct an Engine with EngineOptions (or keep calling the thin wrappers,
-// which translate for you).
-type ContextOptions struct {
-	// MaxOccurrences caps occurrence enumeration; zero means unlimited. A
-	// positive cap forces sequential enumeration so the kept prefix is
-	// deterministic.
-	MaxOccurrences int
-	// Parallelism is the worker count of the streaming enumeration engine:
-	// 0 picks GOMAXPROCS (with a sequential fallback on tiny inputs), 1
-	// forces the deterministic sequential path, higher values are used as
-	// given. The resulting Context is identical for every setting.
-	Parallelism int
-	// Shards is the CSR shard count of the frozen snapshot enumeration runs
-	// on: 0 keeps the graph's automatic sharding (one shard up to 65536
-	// vertices), positive values split the vertex range into at most that
-	// many contiguous, independently allocated shards that parallel workers
-	// drain cache-locally. The resulting Context is identical for every
-	// setting.
-	Shards int
-	// DisablePlanner disables the data-aware search-order planner of the
-	// enumeration engine, falling back to the pattern-only heuristic order.
-	// DisableKernels disables its intersection kernels (memoized candidate
-	// runs, galloping intersection, adjacency bitsets), falling back to
-	// seed-and-probe matching. Both default to off — the optimized paths are
-	// the production configuration — and exist as A/B switches for
-	// benchmarking and debugging; results are identical for every setting.
-	DisablePlanner bool
-	DisableKernels bool
-	// Streaming skips materializing the occurrence list and hypergraphs;
-	// occurrences are folded into incremental aggregates as they stream out
-	// of the enumeration workers. Only MNI and the raw occurrence/instance
-	// counts can be computed on a streaming context.
-	Streaming bool
-	// Snapshot pins context construction to an explicit frozen snapshot —
-	// above all a store-opened, mmap-backed one — instead of freezing the
-	// graph argument, which may then be nil. Shards is ignored: the
-	// snapshot's own shard geometry applies.
-	Snapshot *Snapshot
-}
-
-// engineOptions projects the deprecated ContextOptions onto the unified
-// EngineOptions surface (the Snapshot field travels separately: it selects
-// the engine's source, not an option).
-func (o ContextOptions) engineOptions() EngineOptions {
-	return EngineOptions{
-		MaxOccurrences: o.MaxOccurrences,
-		Parallelism:    o.Parallelism,
-		Shards:         o.Shards,
-		DisablePlanner: o.DisablePlanner,
-		DisableKernels: o.DisableKernels,
-		Streaming:      o.Streaming,
-	}
-}
-
-// engineOptionsFromMiner collects the enumeration-level knobs scattered over
-// a MinerConfig into EngineOptions; mineSpec collects the mining-level rest.
-func engineOptionsFromMiner(cfg MinerConfig) EngineOptions {
-	return EngineOptions{
-		MaxOccurrences: cfg.MaxOccurrences,
-		Parallelism:    cfg.EnumParallelism,
-		Shards:         cfg.EnumShards,
-		DisablePlanner: cfg.EnumDisablePlanner,
-		DisableKernels: cfg.EnumDisableKernels,
-		Streaming:      cfg.Streaming,
-	}
-}
-
-// mineSpec collects the mining-level knobs of a MinerConfig into a MineSpec.
-func mineSpec(cfg MinerConfig) *MineSpec {
-	return &MineSpec{
-		MinSupport:          cfg.MinSupport,
-		MaxPatternSize:      cfg.MaxPatternSize,
-		MaxPatterns:         cfg.MaxPatterns,
-		Measure:             cfg.Measure,
-		Workers:             cfg.Parallelism,
-		MaterializeContexts: cfg.MaterializeContexts,
-	}
-}
-
-// NewContext enumerates the occurrences and instances of p in g and builds
-// the occurrence/instance hypergraphs all measures are computed from. With
-// opts.Streaming the hypergraphs and occurrence list are skipped and only
-// MNI and the raw counts can be evaluated on the returned context.
-func NewContext(g *Graph, p *Pattern, opts ContextOptions) (*Context, error) {
-	return core.NewContext(g, p, core.Options{
-		MaxOccurrences: opts.MaxOccurrences,
-		Parallelism:    opts.Parallelism,
-		Shards:         opts.Shards,
-		DisablePlanner: opts.DisablePlanner,
-		DisableKernels: opts.DisableKernels,
-		Streaming:      opts.Streaming,
-		Snapshot:       opts.Snapshot,
-	})
-}
-
 // ExplainPlan compiles — without running it — the search plan the enumeration
 // engine would use for pattern p over the given snapshot (freeze a Graph or
 // open a Store to obtain one), returning the chosen search order with the
 // per-depth candidate estimates and inner-loop kernels. Render it with its
-// String method. It powers the -explain flags of the gsupport and gminer
-// CLIs.
-func ExplainPlan(snap *Snapshot, p *Pattern, opts ContextOptions) *PlanExplanation {
-	return isomorph.Explain(snap, p, isomorph.Options{
-		Parallelism:    opts.Parallelism,
-		DisablePlanner: opts.DisablePlanner,
-		DisableKernels: opts.DisableKernels,
-	})
+// String method. The plan depends on the snapshot and the pattern alone. It
+// powers gminer -explain and the gserved slow-query log.
+func ExplainPlan(snap *Snapshot, p *Pattern) *PlanExplanation {
+	return isomorph.Explain(snap, p, isomorph.Options{})
 }
 
 // MeasureNames returns every measure name known to NewMeasure, sorted.
@@ -293,24 +188,12 @@ func NewMeasure(name string) (Measure, error) { return measures.NewRegistry().Ne
 
 // Evaluate computes the given measures (all default measures when none are
 // named) for pattern p in graph g and returns the evaluation. It is the
-// one-call entry point for "what is the support of this pattern?".
+// one-call entry point for "what is the support of this pattern?": a
+// throwaway Engine with default options answers one Request. Callers that
+// need options, a store-backed source or repeated requests build the Engine
+// themselves.
 func Evaluate(g *Graph, p *Pattern, names ...string) (*Evaluation, error) {
-	return EvaluateWithOptions(g, p, ContextOptions{}, names...)
-}
-
-// EvaluateWithOptions is Evaluate with explicit context options: enumeration
-// parallelism, streaming mode and the occurrence cap. On a streaming context
-// with no explicit measure names only the streaming-capable measures (MNI and
-// the raw counts) are evaluated. It is a thin wrapper over the Engine path:
-// a throwaway Engine is built and the evaluation runs as one Request.
-func EvaluateWithOptions(g *Graph, p *Pattern, opts ContextOptions, names ...string) (*Evaluation, error) {
-	if opts.Snapshot != nil {
-		return EvaluateSnapshot(opts.Snapshot, p, opts, names...)
-	}
-	if g == nil || p == nil {
-		return nil, fmt.Errorf("core: nil graph or pattern")
-	}
-	e, err := NewEngine(g, opts.engineOptions())
+	e, err := NewEngine(g, EngineOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -326,15 +209,11 @@ func EvaluateWithOptions(g *Graph, p *Pattern, opts ContextOptions, names ...str
 // AddVertex/AddEdge batches and it applies exact occurrence deltas (restricted
 // to the mutated region) instead of re-enumerating the graph. Evaluate
 // streaming-capable measures (MNI, the raw counts) on DeltaContext.Context().
-// opts.Streaming is implied and opts.MaxOccurrences must be zero.
-func NewDeltaContext(g *Graph, p *Pattern, opts ContextOptions) (*DeltaContext, error) {
-	return core.NewDeltaContext(g, p, core.Options{
-		MaxOccurrences: opts.MaxOccurrences,
-		Parallelism:    opts.Parallelism,
-		Shards:         opts.Shards,
-		DisablePlanner: opts.DisablePlanner,
-		DisableKernels: opts.DisableKernels,
-	})
+// It is the single-pattern form of Engine.OpenSession, for callers that
+// mutate the graph themselves. Of opts, Parallelism and Shards apply;
+// Streaming is implied and MaxOccurrences must be zero.
+func NewDeltaContext(g *Graph, p *Pattern, opts EngineOptions) (*DeltaContext, error) {
+	return core.NewDeltaContext(g, p, opts.contextOptions())
 }
 
 // VerifyBoundingChain evaluates every measure of the paper's bounding chain
@@ -349,37 +228,6 @@ func VerifyBoundingChain(g *Graph, p *Pattern) error {
 		return err
 	}
 	return ev.VerifyBoundingChain()
-}
-
-// Mine runs the frequent-subgraph miner over g with the given configuration.
-// The zero MeasureName means MNI. See MinerConfig for all knobs. It is a
-// thin wrapper over the Engine path: the graph is frozen once and the run
-// executes as one mining Request on the pinned snapshot.
-func Mine(g *Graph, cfg MinerConfig) (*MinerResult, error) {
-	if g == nil {
-		return nil, fmt.Errorf("miner: nil data graph")
-	}
-	e, err := NewEngine(g, engineOptionsFromMiner(cfg))
-	if err != nil {
-		return nil, err
-	}
-	resp, err := e.Do(&Request{Mine: mineSpec(cfg)})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Mining, nil
-}
-
-// MineIncremental starts an incremental mining session over g: the initial
-// result equals Mine's, and after graph mutations IncrementalMiner.Refresh
-// re-answers the frequent-pattern question from live delta-maintained
-// support state instead of a cold re-mine. Requires a streaming-capable
-// measure (the default MNI is) and zero MaxOccurrences/MaxPatterns; close
-// the session when done. It is the in-process, engine-less form of
-// Engine.OpenSession (which adds the writer/reader locking a long-lived
-// server needs).
-func MineIncremental(g *Graph, cfg MinerConfig) (*IncrementalMiner, error) {
-	return miner.NewIncremental(g, cfg)
 }
 
 // WriteStore persists a frozen snapshot as an out-of-core shard store in
@@ -409,59 +257,6 @@ func OpenStoreWithBudget(dir, budget string) (*Store, error) {
 // the store.BudgetEnv environment override.
 func ParseResidencyBudget(s string) (bytes int64, frac float64, err error) {
 	return store.ParseBudget(s)
-}
-
-// MineSnapshot runs the frequent-subgraph miner directly over a frozen
-// snapshot — typically a store-opened, mmap-backed one — with no mutable
-// Graph required. Results are identical to Mine on the graph the snapshot
-// was frozen from; cfg.EnumShards is ignored in favor of the snapshot's own
-// shard geometry.
-func MineSnapshot(snap *Snapshot, cfg MinerConfig) (*MinerResult, error) {
-	if snap == nil {
-		return nil, fmt.Errorf("miner: nil snapshot")
-	}
-	e, err := NewSnapshotEngine(snap, engineOptionsFromMiner(cfg))
-	if err != nil {
-		return nil, err
-	}
-	resp, err := e.Do(&Request{Mine: mineSpec(cfg)})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Mining, nil
-}
-
-// EvaluateSnapshot computes the given measures (all default measures when
-// none are named) for pattern p over an explicit frozen snapshot —
-// typically a store-opened, mmap-backed one. It is Evaluate for data that
-// has no mutable Graph behind it.
-func EvaluateSnapshot(snap *Snapshot, p *Pattern, opts ContextOptions, names ...string) (*Evaluation, error) {
-	if snap == nil || p == nil {
-		return nil, fmt.Errorf("core: nil graph or pattern")
-	}
-	e, err := NewSnapshotEngine(snap, opts.engineOptions())
-	if err != nil {
-		return nil, err
-	}
-	resp, err := e.Do(&Request{Pattern: p, Measures: names})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Evaluation, nil
-}
-
-// MineWithMeasure is a convenience wrapper around Mine that selects the
-// support measure by canonical name.
-func MineWithMeasure(g *Graph, measureName string, minSupport float64, maxPatternSize int) (*MinerResult, error) {
-	m, err := NewMeasure(measureName)
-	if err != nil {
-		return nil, err
-	}
-	return Mine(g, MinerConfig{
-		MinSupport:     minSupport,
-		MaxPatternSize: maxPatternSize,
-		Measure:        m,
-	})
 }
 
 // FormatEvaluation renders an evaluation as a small human-readable report,

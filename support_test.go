@@ -76,20 +76,30 @@ func TestFacadeMeasureSelection(t *testing.T) {
 	}
 }
 
+// TestFacadeContextAndCounts reads the raw counts off the Context an
+// evaluation carries, with and without a per-request occurrence cap.
 func TestFacadeContextAndCounts(t *testing.T) {
 	fig := support.PaperFigures()[1] // figure2
-	ctx, err := support.NewContext(fig.Graph, fig.Pattern, support.ContextOptions{})
+	eng, err := support.NewEngine(fig.Graph, support.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ctx.NumOccurrences() != 6 || ctx.NumInstances() != 1 {
+	resp, err := eng.Do(&support.Request{Pattern: fig.Pattern, Measures: []string{support.Occurrences}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ctx := resp.Evaluation.Context; ctx.NumOccurrences() != 6 || ctx.NumInstances() != 1 {
 		t.Errorf("counts = %d/%d", ctx.NumOccurrences(), ctx.NumInstances())
 	}
-	capped, err := support.NewContext(fig.Graph, fig.Pattern, support.ContextOptions{MaxOccurrences: 3})
+	resp, err = eng.Do(&support.Request{
+		Pattern:  fig.Pattern,
+		Measures: []string{support.Occurrences},
+		Options:  &support.EngineOptions{MaxOccurrences: 3},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if capped.NumOccurrences() != 3 {
+	if capped := resp.Evaluation.Context; capped.NumOccurrences() != 3 {
 		t.Errorf("MaxOccurrences not honored: %d", capped.NumOccurrences())
 	}
 }
@@ -133,10 +143,15 @@ func TestFacadeGeneratorsAndIO(t *testing.T) {
 
 func TestFacadeMining(t *testing.T) {
 	g := support.BarabasiAlbert(60, 2, 2, 11)
-	res, err := support.MineWithMeasure(g, support.MNI, 3, 3)
+	eng, err := support.NewEngine(g, support.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	resp, err := eng.Do(&support.Request{Mine: &support.MineSpec{MinSupport: 3, MaxPatternSize: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := resp.Mining
 	if len(res.Patterns) == 0 {
 		t.Fatal("expected frequent patterns")
 	}
@@ -154,10 +169,7 @@ func TestFacadeMining(t *testing.T) {
 			t.Errorf("mined support %v != direct %v", fp.Support, direct)
 		}
 	}
-	if _, err := support.MineWithMeasure(g, "bogus", 3, 3); err == nil {
-		t.Error("unknown measure should error")
-	}
-	if _, err := support.Mine(g, support.MinerConfig{}); err == nil {
+	if _, err := eng.Do(&support.Request{Mine: &support.MineSpec{}}); err == nil {
 		t.Error("zero threshold should error")
 	}
 }
