@@ -20,8 +20,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -31,25 +33,48 @@ import (
 	"repro/internal/gen"
 )
 
+// errFlags reports a command line the FlagSet rejected; the FlagSet has
+// already printed the reason and the usage to stderr.
+var errFlags = errors.New("invalid command line")
+
 func main() {
+	switch err := run(os.Args[1:], os.Stdout); {
+	case err == nil:
+	case errors.Is(err, errFlags):
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "gminer:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command: it parses args, mines as they describe and
+// writes the report to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("gminer", flag.ContinueOnError)
 	var (
-		graphPath   = flag.String("graph", "", "path to the data graph in .lg format (required)")
-		measure     = flag.String("measure", support.MNI, "support measure driving pruning; see gsupport -list")
-		minsup      = flag.Float64("minsup", 2, "minimum support threshold")
-		maxsize     = flag.Int("maxsize", 4, "maximum number of pattern nodes")
-		top         = flag.Int("top", 0, "print only the top-N patterns by support (0 = all)")
-		workers     = flag.Int("workers", 0, "candidate evaluation workers per search level (<2 = sequential)")
-		incremental = flag.Bool("incremental", false, "keep the mining session warm, apply -inserts random edge inserts, and re-answer via delta maintenance instead of a cold re-mine (streaming-capable measures only)")
-		inserts     = flag.Int("inserts", 8, "number of random edge inserts the -incremental mode applies")
-		removes     = flag.Int("removes", 0, "number of random edge removals the -incremental mode applies after the inserts")
-		insertSeed  = flag.Uint64("insert-seed", 1, "PRNG seed for the -incremental edge inserts and removals")
+		graphPath   = fs.String("graph", "", "path to the data graph in .lg format (required)")
+		measure     = fs.String("measure", support.MNI, "support measure driving pruning; see gsupport -list")
+		minsup      = fs.Float64("minsup", 2, "minimum support threshold")
+		maxsize     = fs.Int("maxsize", 4, "maximum number of pattern nodes")
+		top         = fs.Int("top", 0, "print only the top-N patterns by support (0 = all)")
+		workers     = fs.Int("workers", 0, "candidate evaluation workers per search level (<2 = sequential)")
+		incremental = fs.Bool("incremental", false, "keep the mining session warm, apply -inserts random edge inserts, and re-answer via delta maintenance instead of a cold re-mine (streaming-capable measures only)")
+		inserts     = fs.Int("inserts", 8, "number of random edge inserts the -incremental mode applies")
+		removes     = fs.Int("removes", 0, "number of random edge removals the -incremental mode applies after the inserts")
+		insertSeed  = fs.Uint64("insert-seed", 1, "PRNG seed for the -incremental edge inserts and removals")
 	)
-	fl := cliflags.Register(flag.CommandLine)
-	flag.Parse()
+	fl := cliflags.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return errFlags
+	}
 
 	m, err := support.NewMeasure(*measure)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	spec := support.MineSpec{
 		MinSupport:     *minsup,
@@ -61,41 +86,41 @@ func main() {
 	var g *support.Graph
 	if fl.StorePath() == "" {
 		if *graphPath == "" {
-			fatal(fmt.Errorf("one of -graph or -store is required"))
+			return fmt.Errorf("one of -graph or -store is required")
 		}
 		if g, err = support.LoadLGFile(*graphPath); err != nil {
-			fatal(err)
+			return err
 		}
 	} else if *incremental {
-		fatal(fmt.Errorf("-incremental needs a mutable graph; a -store snapshot is immutable"))
+		return fmt.Errorf("-incremental needs a mutable graph; a -store snapshot is immutable")
 	}
 
 	eng, err := fl.Engine(func() (*support.Graph, error) { return g, nil })
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer eng.Close()
 
 	if *incremental {
-		mineIncremental(eng, g, spec, *measure, *top, *inserts, *removes, *insertSeed, fl.Explain())
-		return
+		return mineIncremental(stdout, eng, g, spec, *measure, *top, *inserts, *removes, *insertSeed, fl.Explain())
 	}
 
 	resp, err := fl.Do(eng, &support.Request{Mine: &spec})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if fl.StorePath() != "" {
 		snap, _ := eng.Current()
-		fmt.Printf("data graph: store %s (%q, |V|=%d, |E|=%d, %d shards of %d vertices)\nmeasure:    %s   threshold: %g   max pattern size: %d\n\n",
+		fmt.Fprintf(stdout, "data graph: store %s (%q, |V|=%d, |E|=%d, %d shards of %d vertices)\nmeasure:    %s   threshold: %g   max pattern size: %d\n\n",
 			fl.StorePath(), snap.Name(), snap.NumVertices(), snap.NumEdges(), snap.NumShards(), snap.ShardSize(), *measure, *minsup, *maxsize)
 	} else {
-		printHeader(g, *measure, *minsup, *maxsize)
+		printHeader(stdout, g, *measure, *minsup, *maxsize)
 	}
-	printResult(resp.Mining, *top, engineExplainer(eng, fl.Explain()))
+	printResult(stdout, resp.Mining, *top, engineExplainer(eng, fl.Explain()))
 	if rs, ok := eng.Residency(); ok {
-		fmt.Printf("\nresidency: %s\n", rs)
+		fmt.Fprintf(stdout, "\nresidency: %s\n", rs)
 	}
+	return nil
 }
 
 // planExplainer compiles the search plan of one mined pattern for -explain
@@ -118,16 +143,16 @@ func engineExplainer(eng *support.Engine, enabled bool) planExplainer {
 // through OpenSession, mutate (inserts then removals) through the Update
 // epoch handoff, and re-answer from the live delta state, reporting how the
 // refresh latency compares to a from-scratch re-mine of the new epoch.
-func mineIncremental(eng *support.Engine, g *support.Graph, spec support.MineSpec, measure string, top, inserts, removes int, seed uint64, explain bool) {
+func mineIncremental(stdout io.Writer, eng *support.Engine, g *support.Graph, spec support.MineSpec, measure string, top, inserts, removes int, seed uint64, explain bool) error {
 	sess, err := eng.OpenSession(spec)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer sess.Close()
 
-	printHeader(g, measure, spec.MinSupport, spec.MaxPatternSize)
-	fmt.Printf("=== initial mine (tracked candidates: %d, epoch %d) ===\n", sess.TrackedPatterns(), eng.Epoch())
-	printResult(sess.Result(), top, engineExplainer(eng, explain))
+	printHeader(stdout, g, measure, spec.MinSupport, spec.MaxPatternSize)
+	fmt.Fprintf(stdout, "=== initial mine (tracked candidates: %d, epoch %d) ===\n", sess.TrackedPatterns(), eng.Epoch())
+	printResult(stdout, sess.Result(), top, engineExplainer(eng, explain))
 
 	var applied, removed int
 	epoch, err := eng.Update(func(g *support.Graph) error {
@@ -136,36 +161,37 @@ func mineIncremental(eng *support.Engine, g *support.Graph, spec support.MineSpe
 		return nil
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if applied < inserts {
-		fmt.Printf("note: only %d of %d requested edge inserts were possible on this graph\n", applied, inserts)
+		fmt.Fprintf(stdout, "note: only %d of %d requested edge inserts were possible on this graph\n", applied, inserts)
 	}
 	if removed < removes {
-		fmt.Printf("note: only %d of %d requested edge removals were possible on this graph\n", removed, removes)
+		fmt.Fprintf(stdout, "note: only %d of %d requested edge removals were possible on this graph\n", removed, removes)
 	}
 
 	start := time.Now()
 	res, refreshEpoch, err := sess.Refresh()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	refreshElapsed := time.Since(start)
 
 	start = time.Now()
 	cold, err := eng.Do(&support.Request{Mine: &spec})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	coldElapsed := time.Since(start)
 	if len(cold.Mining.Patterns) != len(res.Patterns) {
-		fatal(fmt.Errorf("delta refresh found %d frequent patterns, cold re-mine found %d", len(res.Patterns), len(cold.Mining.Patterns)))
+		return fmt.Errorf("delta refresh found %d frequent patterns, cold re-mine found %d", len(res.Patterns), len(cold.Mining.Patterns))
 	}
 
-	fmt.Printf("\n=== after %d random edge inserts and %d removals (epoch %d -> %d) ===\n", applied, removed, epoch-1, refreshEpoch)
-	fmt.Printf("delta refresh:  %12s  (tracked candidates: %d)\n", refreshElapsed, sess.TrackedPatterns())
-	fmt.Printf("cold re-mine:   %12s  (same %d frequent patterns)\n\n", coldElapsed, len(cold.Mining.Patterns))
-	printResult(res, top, engineExplainer(eng, explain))
+	fmt.Fprintf(stdout, "\n=== after %d random edge inserts and %d removals (epoch %d -> %d) ===\n", applied, removed, epoch-1, refreshEpoch)
+	fmt.Fprintf(stdout, "delta refresh:  %12s  (tracked candidates: %d)\n", refreshElapsed, sess.TrackedPatterns())
+	fmt.Fprintf(stdout, "cold re-mine:   %12s  (same %d frequent patterns)\n\n", coldElapsed, len(cold.Mining.Patterns))
+	printResult(stdout, res, top, engineExplainer(eng, explain))
+	return nil
 }
 
 // applyRandomInserts adds up to n random non-duplicate edges between
@@ -211,32 +237,32 @@ func applyRandomRemovals(g *support.Graph, n int, seed uint64) int {
 }
 
 // printHeader describes the mining configuration.
-func printHeader(g *support.Graph, measure string, minsup float64, maxsize int) {
-	fmt.Printf("data graph: %s\nmeasure:    %s   threshold: %g   max pattern size: %d\n\n",
+func printHeader(stdout io.Writer, g *support.Graph, measure string, minsup float64, maxsize int) {
+	fmt.Fprintf(stdout, "data graph: %s\nmeasure:    %s   threshold: %g   max pattern size: %d\n\n",
 		g, measure, minsup, maxsize)
 }
 
 // printResult renders a mining result, truncated to the top-N patterns when
 // asked to; a non-nil explainer prints each printed pattern's search plan
 // under its result line.
-func printResult(res *support.MinerResult, top int, explain planExplainer) {
-	fmt.Printf("candidates evaluated: %d   pruned: %d   duplicates skipped: %d   elapsed: %s\n\n",
+func printResult(stdout io.Writer, res *support.MinerResult, top int, explain planExplainer) {
+	fmt.Fprintf(stdout, "candidates evaluated: %d   pruned: %d   duplicates skipped: %d   elapsed: %s\n\n",
 		res.Stats.Candidates, res.Stats.Pruned, res.Stats.Duplicates, res.Stats.Elapsed)
 
 	patterns := res.Patterns
 	if top > 0 && top < len(patterns) {
 		patterns = patterns[:top]
 	}
-	fmt.Printf("frequent patterns (%d total):\n", len(res.Patterns))
+	fmt.Fprintf(stdout, "frequent patterns (%d total):\n", len(res.Patterns))
 	for i, fp := range patterns {
 		exact := ""
 		if !fp.Exact {
 			exact = " (approx)"
 		}
-		fmt.Printf("%3d. support=%.4g%s  occurrences=%d  instances=%d  %s\n",
+		fmt.Fprintf(stdout, "%3d. support=%.4g%s  occurrences=%d  instances=%d  %s\n",
 			i+1, fp.Support, exact, fp.Occurrences, fp.Instances, describePattern(fp))
 		if explain != nil {
-			fmt.Print(indent(explain(fp.Pattern).String(), "     "))
+			fmt.Fprint(stdout, indent(explain(fp.Pattern).String(), "     "))
 		}
 	}
 }
@@ -270,9 +296,4 @@ func describePattern(fp support.FrequentPattern) string {
 		desc += fmt.Sprintf("%d-%d", e.U, e.V)
 	}
 	return desc
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "gminer:", err)
-	os.Exit(1)
 }

@@ -353,10 +353,11 @@ func (e *Engine) Do(req *Request) (*Response, error) {
 // DoContext is Do with a context. The context carries observability only —
 // when an obs.Trace is attached (obs.ContextWithTrace), the request's phases
 // are recorded as child spans of the trace root (plan, enumerate, aggregate,
-// mine) and the root is annotated with the answering epoch. Cancellation is
-// not consulted: requests run on an immutable snapshot and always complete.
-// The Response is a pure function of (request, pinned snapshot); nothing
-// timing-dependent ever enters it.
+// mine — the last with generate and evaluate children and the search counts
+// as attributes) and the root is annotated with the answering epoch.
+// Cancellation is not consulted: requests run on an immutable snapshot and
+// always complete. The Response is a pure function of (request, pinned
+// snapshot); nothing timing-dependent ever enters it.
 func (e *Engine) DoContext(ctx context.Context, req *Request) (*Response, error) {
 	if req == nil {
 		return nil, fmt.Errorf("support: nil request")
@@ -399,6 +400,9 @@ func (e *Engine) DoContext(ctx context.Context, req *Request) (*Response, error)
 		}
 		res, err := m.Mine()
 		t.ObserveInto(mMineSeconds)
+		if err == nil {
+			observeMining(sp, res.Stats)
+		}
 		sp.End()
 		if err != nil {
 			return nil, err
@@ -433,6 +437,23 @@ func (e *Engine) DoContext(ctx context.Context, req *Request) (*Response, error)
 	default:
 		return nil, fmt.Errorf("support: request needs a Pattern or a Mine spec")
 	}
+}
+
+// observeMining opens up the mine span with what the miner counted and timed
+// itself — candidate generation against support evaluation, and the search
+// counts as attributes — and adds the counts to the repro_miner_ counters.
+// None of it reaches a Response.
+func observeMining(sp *obs.Span, st miner.Stats) {
+	sp.Record("generate", st.Generate)
+	sp.Record("evaluate", st.Evaluate)
+	sp.SetAttrInt("extensions", int64(st.Extensions))
+	sp.SetAttrInt("codes", int64(st.Codes))
+	sp.SetAttrInt("duplicates", int64(st.Duplicates))
+	sp.SetAttrInt("candidates", int64(st.Candidates))
+	mMinerExtensions.Add(uint64(st.Extensions))
+	mMinerCodes.Add(uint64(st.Codes))
+	mMinerDuplicates.Add(uint64(st.Duplicates))
+	mMinerCandidates.Add(uint64(st.Candidates))
 }
 
 // evaluateNamed computes the named measures (default set when none are

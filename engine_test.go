@@ -1,9 +1,11 @@
 package support_test
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -148,7 +150,8 @@ func assertSameMining(t *testing.T, got, want *support.MinerResult) {
 		}
 	}
 	gs, ws := got.Stats, want.Stats
-	gs.Elapsed, ws.Elapsed = 0, 0
+	gs.Elapsed, gs.Generate, gs.Evaluate = 0, 0, 0
+	ws.Elapsed, ws.Generate, ws.Evaluate = 0, 0, 0
 	if !reflect.DeepEqual(gs, ws) {
 		t.Fatalf("stats differ: %+v != %+v", gs, ws)
 	}
@@ -353,4 +356,49 @@ func keys(m map[uint64]int) []string {
 		out = append(out, fmt.Sprintf("%d:%d", k, v))
 	}
 	return out
+}
+
+// TestMineSpanOpensUp: a traced mining request renders the miner's own split
+// of its time as generate and evaluate children of the mine span and its
+// search counts as attributes, and adds the counts to the repro_miner_
+// counters; the answer is the one an untraced request gets.
+func TestMineSpanOpensUp(t *testing.T) {
+	eng, err := support.NewEngine(support.BarabasiAlbert(60, 2, 3, 11), support.EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := &support.Request{Mine: &support.MineSpec{MinSupport: 3, MaxPatternSize: 3}}
+	plain, err := eng.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	counters := []string{"repro_miner_extensions_total", "repro_miner_codes_total", "repro_miner_duplicates_total", "repro_miner_candidates_total"}
+	before := make([]uint64, len(counters))
+	for i, name := range counters {
+		before[i] = obs.Default.CounterValue(name)
+	}
+	tr := obs.NewTrace("request")
+	traced, err := eng.DoContext(obs.ContextWithTrace(context.Background(), tr), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	assertSameMining(t, traced.Mining, plain.Mining)
+
+	st := traced.Mining.Stats
+	for i, want := range []int{st.Extensions, st.Codes, st.Duplicates, st.Candidates} {
+		if got := obs.Default.CounterValue(counters[i]) - before[i]; got != uint64(want) || want == 0 {
+			t.Errorf("%s grew by %d, the run counted %d", counters[i], got, want)
+		}
+	}
+	lines := strings.Split(strings.TrimRight(tr.String(), "\n"), "\n")
+	if len(lines) != 4 || !strings.HasPrefix(lines[1], "  mine ") ||
+		!strings.HasPrefix(lines[2], "    generate ") || !strings.HasPrefix(lines[3], "    evaluate ") {
+		t.Fatalf("span tree:\n%s", tr.String())
+	}
+	want := fmt.Sprintf(" extensions=%d codes=%d duplicates=%d candidates=%d", st.Extensions, st.Codes, st.Duplicates, st.Candidates)
+	if !strings.HasSuffix(lines[1], want) {
+		t.Errorf("mine span %q should end in %q", lines[1], want)
+	}
 }

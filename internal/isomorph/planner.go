@@ -67,11 +67,10 @@ func newPatternModel(p *pattern.Pattern) *patternModel {
 		deg:    make([]int, len(nodes)),
 		adj:    make([][]int, len(nodes)),
 	}
-	pg := p.Graph()
 	for i, v := range nodes {
 		m.labels[i] = p.LabelOf(v)
-		m.deg[i] = pg.Degree(v)
-		nbs := pg.Neighbors(v)
+		m.deg[i] = p.Degree(v)
+		nbs := p.Neighbors(v)
 		pos := make([]int, len(nbs))
 		for j, nb := range nbs {
 			pos[j] = nodePos(nodes, nb)

@@ -54,15 +54,20 @@ type Incremental struct {
 	// seedPairs records the one-edge label pairs already seeded.
 	seedPairs map[[2]graph.Label]bool
 
+	// duplicates, extensions and codes accumulate over the session's runs;
+	// evaluate is the support-evaluation time of the current run.
 	duplicates int
-	result     *Result
-	closed     bool
+	extensions int
+	codes      int
+	evaluate   time.Duration
+
+	result *Result
+	closed bool
 }
 
 // trackedPattern is one candidate pattern kept warm across mutations.
 type trackedPattern struct {
 	p        *pattern.Pattern
-	code     string
 	delta    *core.DeltaContext
 	support  float64
 	exact    bool
@@ -137,8 +142,8 @@ func (inc *Incremental) Close() {
 
 // Result returns the outcome of the most recent initial run or Refresh. The
 // Stats describe the whole session: Candidates/Pruned/Frequent count the
-// currently tracked patterns, Duplicates accumulates across runs, and
-// Elapsed is the duration of the most recent run only.
+// currently tracked patterns, Duplicates/Extensions/Codes accumulate across
+// runs, and Elapsed/Generate/Evaluate time the most recent run only.
 func (inc *Incremental) Result() *Result { return inc.result }
 
 // TrackedPatterns returns the number of candidates kept warm (frequent
@@ -164,6 +169,7 @@ func (inc *Incremental) Refresh() (*Result, error) {
 		return inc.result, nil
 	}
 	start := time.Now()
+	inc.evaluate = 0
 
 	// Widen the label alphabet first: extension generation below must see
 	// labels introduced by this batch.
@@ -186,8 +192,8 @@ func (inc *Incremental) Refresh() (*Result, error) {
 	var frontier []*trackedPattern
 	inFrontier := make(map[string]bool)
 	enqueue := func(tp *trackedPattern) {
-		if !inFrontier[tp.code] {
-			inFrontier[tp.code] = true
+		if code := tp.p.CanonicalCode(); !inFrontier[code] {
+			inFrontier[code] = true
 			frontier = append(frontier, tp)
 		}
 	}
@@ -196,7 +202,10 @@ func (inc *Incremental) Refresh() (*Result, error) {
 	for i, tp := range tracked {
 		wasFrequent[i] = tp.frequent
 	}
-	if err := inc.refreshTracked(tracked); err != nil {
+	refreshStart := time.Now()
+	err := inc.refreshTracked(tracked)
+	inc.evaluate += time.Since(refreshStart)
+	if err != nil {
 		return nil, err
 	}
 	for i, tp := range tracked {
@@ -332,53 +341,43 @@ func (inc *Incremental) seedNew(edges []graph.Edge) ([]*trackedPattern, error) {
 	})
 	var out []*trackedPattern
 	for _, pr := range pairs {
-		p := pattern.SingleEdge(pr[0], pr[1])
-		code := p.CanonicalCode()
-		if _, ok := inc.tracked[code]; ok {
-			inc.duplicates++
-			continue
-		}
-		tp, err := inc.track(p, code)
+		inc.codes++
+		tp, err := inc.track(pattern.SingleEdge(pr[0], pr[1]))
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, tp)
+		if tp != nil {
+			out = append(out, tp)
+		}
 	}
 	return out, nil
 }
 
 // expand runs the mining fixpoint from the given frontier: every frequent
-// frontier pattern is extended over the current alphabet, unseen extension
-// codes are tracked and evaluated (the only cold enumerations in the
-// session), and newly tracked frequent patterns join the next wave.
+// frontier pattern is extended over the current alphabet (the empty one once
+// it is at the size cap, as in Mine), unseen extension codes are tracked and
+// evaluated (the only cold enumerations in the session), and newly tracked
+// frequent patterns join the next wave.
 func (inc *Incremental) expand(frontier []*trackedPattern) error {
 	labels := inc.labelList()
 	for len(frontier) > 0 {
-		sort.Slice(frontier, func(i, j int) bool {
-			if ni, nj := frontier[i].p.NumEdges(), frontier[j].p.NumEdges(); ni != nj {
-				return ni < nj
-			}
-			return frontier[i].code < frontier[j].code
-		})
+		sort.Slice(frontier, func(i, j int) bool { return trackedLess(frontier[i], frontier[j]) })
 		var next []*trackedPattern
 		for _, tp := range frontier {
 			if !tp.frequent {
 				continue
 			}
-			for _, ext := range tp.p.Extend(labels) {
-				if ext.Result.Size() > inc.cfg.MaxPatternSize {
-					continue
-				}
-				code := ext.Result.CanonicalCode()
-				if _, ok := inc.tracked[code]; ok {
-					inc.duplicates++
-					continue
-				}
-				grown, err := inc.track(ext.Result, code)
+			alphabet := growthAlphabet(tp.p, labels, inc.cfg.MaxPatternSize)
+			inc.codes += tp.p.GrowSteps(len(alphabet))
+			for _, ext := range tp.p.Extend(alphabet) {
+				inc.extensions++
+				grown, err := inc.track(ext.Result)
 				if err != nil {
 					return err
 				}
-				next = append(next, grown)
+				if grown != nil {
+					next = append(next, grown)
+				}
 			}
 		}
 		frontier = next
@@ -386,9 +385,17 @@ func (inc *Incremental) expand(frontier []*trackedPattern) error {
 	return nil
 }
 
-// track builds the live delta context of a new candidate, evaluates it, and
-// adds it to the tracked set.
-func (inc *Incremental) track(p *pattern.Pattern, code string) (*trackedPattern, error) {
+// track adds a new candidate to the tracked set: it builds the candidate's
+// live delta context and evaluates it. A candidate whose canonical code is
+// already tracked is counted as a duplicate instead, and nil is returned.
+func (inc *Incremental) track(p *pattern.Pattern) (*trackedPattern, error) {
+	code := p.CanonicalCode()
+	if _, ok := inc.tracked[code]; ok {
+		inc.duplicates++
+		return nil, nil
+	}
+	start := time.Now()
+	defer func() { inc.evaluate += time.Since(start) }()
 	// The context's enumeration parallelism is deliberately not throttled
 	// under candidate-level Parallelism (unlike Miner.evaluate): track runs
 	// only on the session goroutine — cold builds are the expensive
@@ -402,7 +409,7 @@ func (inc *Incremental) track(p *pattern.Pattern, code string) (*trackedPattern,
 	if err != nil {
 		return nil, fmt.Errorf("miner: building delta context for %s: %w", p, err)
 	}
-	tp := &trackedPattern{p: p, code: code, delta: d}
+	tp := &trackedPattern{p: p, delta: d}
 	if err := inc.evaluateTracked(tp); err != nil {
 		d.Close()
 		return nil, err
@@ -432,13 +439,16 @@ func (inc *Incremental) sortedTracked() []*trackedPattern {
 	for _, tp := range inc.tracked {
 		out = append(out, tp)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if ni, nj := out[i].p.NumEdges(), out[j].p.NumEdges(); ni != nj {
-			return ni < nj
-		}
-		return out[i].code < out[j].code
-	})
+	sort.Slice(out, func(i, j int) bool { return trackedLess(out[i], out[j]) })
 	return out
+}
+
+// trackedLess orders candidates by edge count, then canonical code.
+func trackedLess(a, b *trackedPattern) bool {
+	if na, nb := a.p.NumEdges(), b.p.NumEdges(); na != nb {
+		return na < nb
+	}
+	return a.p.CanonicalCode() < b.p.CanonicalCode()
 }
 
 // labelList returns the session's alphabet as a sorted slice.
@@ -470,6 +480,10 @@ func (inc *Incremental) assemble(elapsed time.Duration) {
 		res.Stats.Frequent++
 	}
 	res.Stats.Duplicates = inc.duplicates
+	res.Stats.Extensions = inc.extensions
+	res.Stats.Codes = inc.codes
 	res.Stats.Elapsed = elapsed
+	res.Stats.Evaluate = inc.evaluate
+	res.Stats.Generate = elapsed - inc.evaluate
 	inc.result = res
 }

@@ -91,8 +91,20 @@ type Stats struct {
 	// Duplicates is the number of candidates skipped because an isomorphic
 	// pattern had already been evaluated.
 	Duplicates int
-	// Elapsed is the wall-clock duration of the run.
-	Elapsed time.Duration
+	// Extensions is the number of extensions pattern.Extend returned to the
+	// search: grow steps of frequent patterns, one per shape and parent.
+	Extensions int
+	// Codes is the number of canonical codes computed for the search: one
+	// per one-edge seed and one per grow step Extend generated, including
+	// the steps it de-duplicated away (pattern.GrowSteps).
+	Codes int
+	// Elapsed is the wall-clock duration of the run. Generate and Evaluate
+	// split it: Generate is the time spent producing candidates (seeding,
+	// Extend, canonical codes, de-duplication, ordering), Evaluate the time
+	// spent computing their supports.
+	Elapsed  time.Duration
+	Generate time.Duration
+	Evaluate time.Duration
 }
 
 // Result is the outcome of a mining run.
@@ -168,43 +180,47 @@ func (m *Miner) Config() Config { return m.cfg }
 func (m *Miner) Mine() (*Result, error) {
 	start := time.Now()
 	res := &Result{}
-	seen := make(map[string]bool)
-
-	// Seed: all one-edge patterns over label pairs that actually occur.
-	seeds := m.seedPatterns()
-
-	type queued struct {
-		p    *pattern.Pattern
-		code string
+	// finish closes the clocks: whatever was not evaluation was generation.
+	finish := func() *Result {
+		res.Stats.Elapsed = time.Since(start)
+		res.Stats.Generate = res.Stats.Elapsed - res.Stats.Evaluate
+		return res
 	}
-	var frontier []queued
-	for _, p := range seeds {
+	// admit de-duplicates candidates by canonical code.
+	seen := make(map[string]bool)
+	admit := func(p *pattern.Pattern) bool {
 		code := p.CanonicalCode()
 		if seen[code] {
 			res.Stats.Duplicates++
-			continue
+			return false
 		}
 		seen[code] = true
-		frontier = append(frontier, queued{p: p, code: code})
+		return true
 	}
-	sort.Slice(frontier, func(i, j int) bool { return frontier[i].code < frontier[j].code })
+
+	// Seed: all one-edge patterns over label pairs that actually occur.
+	var frontier []*pattern.Pattern
+	for _, p := range m.seedPatterns() {
+		res.Stats.Codes++
+		if admit(p) {
+			frontier = append(frontier, p)
+		}
+	}
+	sortByCode(frontier)
 
 	labels := m.labels()
 
 	for len(frontier) > 0 {
-		var next []queued
-		level := make([]*pattern.Pattern, len(frontier))
-		for i, q := range frontier {
-			level[i] = q.p
-		}
-		evaluations, err := m.evaluateLevel(level)
+		evalStart := time.Now()
+		evaluations, err := m.evaluateLevel(frontier)
+		res.Stats.Evaluate += time.Since(evalStart)
 		if err != nil {
 			return nil, err
 		}
-		for i, q := range frontier {
+		var next []*pattern.Pattern
+		for i, p := range frontier {
 			if m.cfg.MaxPatterns > 0 && res.Stats.Frequent >= m.cfg.MaxPatterns {
-				res.Stats.Elapsed = time.Since(start)
-				return res, nil
+				return finish(), nil
 			}
 			fp, frequent := evaluations[i].fp, evaluations[i].frequent
 			res.Stats.Candidates++
@@ -215,27 +231,37 @@ func (m *Miner) Mine() (*Result, error) {
 			res.Patterns = append(res.Patterns, fp)
 			res.Stats.Frequent++
 
-			for _, ext := range q.p.Extend(labels) {
-				// The size cap limits the number of pattern nodes; internal
-				// edge extensions (which keep the node count) are still
-				// explored so that dense shapes like triangles are reachable.
-				if ext.Result.Size() > m.cfg.MaxPatternSize {
-					continue
+			alphabet := growthAlphabet(p, labels, m.cfg.MaxPatternSize)
+			res.Stats.Codes += p.GrowSteps(len(alphabet))
+			for _, ext := range p.Extend(alphabet) {
+				res.Stats.Extensions++
+				if admit(ext.Result) {
+					next = append(next, ext.Result)
 				}
-				code := ext.Result.CanonicalCode()
-				if seen[code] {
-					res.Stats.Duplicates++
-					continue
-				}
-				seen[code] = true
-				next = append(next, queued{p: ext.Result, code: code})
 			}
 		}
-		sort.Slice(next, func(i, j int) bool { return next[i].code < next[j].code })
+		sortByCode(next)
 		frontier = next
 	}
-	res.Stats.Elapsed = time.Since(start)
-	return res, nil
+	return finish(), nil
+}
+
+// growthAlphabet is the alphabet p is extended over. The size cap limits the
+// number of pattern nodes, so a pattern already at the cap gets the empty
+// alphabet: its vertex extensions are never generated, while its internal
+// edge extensions (which keep the node count) are still explored so that
+// dense shapes like triangles are reachable.
+func growthAlphabet(p *pattern.Pattern, labels []graph.Label, maxSize int) []graph.Label {
+	if p.Size() >= maxSize {
+		return nil
+	}
+	return labels
+}
+
+// sortByCode orders one search level by canonical code, which every pattern
+// reaching a level already holds.
+func sortByCode(level []*pattern.Pattern) {
+	sort.Slice(level, func(i, j int) bool { return level[i].CanonicalCode() < level[j].CanonicalCode() })
 }
 
 // levelEval is the outcome of evaluating one candidate of a search level.

@@ -335,3 +335,64 @@ func TestParallelMiningMatchesSequential(t *testing.T) {
 		t.Errorf("stats differ: %+v vs %+v", sequential.Stats, parallel.Stats)
 	}
 }
+
+// TestMineStatsOpenTheSearch pins the generation-side counts: they do not
+// depend on the parallelism, every admitted or duplicate candidate is a seed
+// or an extension, a pattern at the size cap generates no vertex steps, the
+// two clocks add up to the run, and a warm session counts as a cold mine.
+func TestMineStatsOpenTheSearch(t *testing.T) {
+	g := gen.BarabasiAlbert(60, 2, gen.UniformLabels{K: 3}, 13)
+	seeds := make(map[[2]graph.Label]bool)
+	for _, e := range g.Edges() {
+		a, b := g.MustLabelOf(e.U), g.MustLabelOf(e.V)
+		if a > b {
+			a, b = b, a
+		}
+		seeds[[2]graph.Label{a, b}] = true
+	}
+	mine := func(cfg miner.Config) miner.Stats {
+		m, err := miner.New(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.Mine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Stats
+	}
+
+	cfg := miner.Config{MinSupport: 3, MaxPatternSize: 4}
+	st := mine(cfg)
+	if st.Candidates+st.Duplicates != len(seeds)+st.Extensions {
+		t.Errorf("candidates %d + duplicates %d != seeds %d + extensions %d", st.Candidates, st.Duplicates, len(seeds), st.Extensions)
+	}
+	if st.Extensions == 0 || st.Codes <= len(seeds)+st.Extensions {
+		t.Errorf("extensions %d, codes %d: Extend should have de-duplicated some of the steps it coded", st.Extensions, st.Codes)
+	}
+	if st.Evaluate <= 0 || st.Generate <= 0 || st.Generate+st.Evaluate != st.Elapsed {
+		t.Errorf("generate %v + evaluate %v should split elapsed %v", st.Generate, st.Evaluate, st.Elapsed)
+	}
+
+	parCfg := cfg
+	parCfg.Parallelism = 4
+	if par := mine(parCfg); par.Extensions != st.Extensions || par.Codes != st.Codes || par.Duplicates != st.Duplicates {
+		t.Errorf("counts depend on parallelism: %+v vs %+v", par, st)
+	}
+
+	// Two-node patterns at a cap of two have no free node pair and get the
+	// empty alphabet: nothing is generated beyond the seeds.
+	if capped := mine(miner.Config{MinSupport: 3, MaxPatternSize: 2}); capped.Extensions != 0 || capped.Codes != len(seeds) {
+		t.Errorf("at the size cap: extensions %d, codes %d, want 0 and %d", capped.Extensions, capped.Codes, len(seeds))
+	}
+
+	inc, err := miner.NewIncremental(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inc.Close()
+	if warm := inc.Result().Stats; warm.Extensions != st.Extensions || warm.Codes != st.Codes || warm.Duplicates != st.Duplicates ||
+		warm.Generate+warm.Evaluate != warm.Elapsed {
+		t.Errorf("session counts %+v differ from the cold mine's %+v", warm, st)
+	}
+}

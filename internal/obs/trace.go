@@ -68,6 +68,20 @@ func (s *Span) Start(name string) *Span {
 	return child
 }
 
+// Record adds a finished child span under s whose duration was measured
+// elsewhere — a phase the callee timed itself, possibly summed over several
+// interleaved stretches — and returns it. Nil-safe.
+func (s *Span) Record(name string, elapsed time.Duration) *Span {
+	if s == nil {
+		return nil
+	}
+	s.tr.mu.Lock()
+	defer s.tr.mu.Unlock()
+	child := &Span{tr: s.tr, name: name, start: s.start, elapsed: elapsed, done: true}
+	s.children = append(s.children, child)
+	return child
+}
+
 // End closes the span, fixing its duration. Ending twice keeps the first
 // duration. Nil-safe.
 func (s *Span) End() {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestTraceTree checks span nesting, attributes and rendering shape (names
@@ -87,5 +88,21 @@ func TestConcurrentSpans(t *testing.T) {
 	tr.Finish()
 	if n := strings.Count(tr.String(), "\n"); n != 1+8*200 {
 		t.Errorf("span tree has %d lines, want %d", n, 1+8*200)
+	}
+}
+
+// TestSpanRecord: a child recorded with a duration measured elsewhere
+// renders finished, with that duration, and can carry attributes.
+func TestSpanRecord(t *testing.T) {
+	tr := NewTrace("mine")
+	tr.Root().Record("generate", 1500*time.Microsecond).SetAttrInt("codes", 7)
+	tr.Finish()
+	lines := strings.Split(strings.TrimRight(tr.String(), "\n"), "\n")
+	if len(lines) != 2 || lines[1] != "  generate 1.5ms codes=7" {
+		t.Errorf("span tree:\n%s", tr.String())
+	}
+	var nilSpan *Span
+	if nilSpan.Record("generate", time.Second) != nil {
+		t.Error("Record on a nil span must return nil")
 	}
 }

@@ -1,9 +1,8 @@
 package pattern
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"bytes"
+	"strconv"
 
 	"repro/internal/graph"
 )
@@ -11,77 +10,18 @@ import (
 // CanonicalCode returns a canonical string form of the pattern: two patterns
 // have equal codes if and only if they are isomorphic (Definition 2.1.5).
 //
-// Because mining patterns are small (a handful of nodes), the code is
-// computed exactly by minimizing the encoded adjacency structure over all
-// node permutations, pruned by label classes. This plays the same role as the
-// minimum DFS code in gSpan but is simpler to verify and exact for the
-// pattern sizes the miner produces.
+// The code is the lexicographically smallest string, over all orderings of
+// the nodes, of one "L<label>." token per node followed by the upper
+// triangle of the adjacency matrix under that ordering, row by row, as '0'
+// and '1'. It plays the same role as the minimum DFS code in gSpan but is
+// simpler to verify and exact. It is computed once per pattern and cached.
 func (p *Pattern) CanonicalCode() string {
-	nodes := p.Nodes()
-	k := len(nodes)
-
-	// Order candidate nodes by (label, degree) so the search tries promising
-	// prefixes first; correctness does not depend on this ordering.
-	sorted := make([]NodeID, len(nodes))
-	copy(sorted, nodes)
-	sort.Slice(sorted, func(i, j int) bool {
-		li, lj := p.LabelOf(sorted[i]), p.LabelOf(sorted[j])
-		if li != lj {
-			return li < lj
-		}
-		di, dj := p.g.Degree(sorted[i]), p.g.Degree(sorted[j])
-		if di != dj {
-			return di < dj
-		}
-		return sorted[i] < sorted[j]
-	})
-
-	best := ""
-	perm := make([]NodeID, 0, k)
-	used := make(map[NodeID]bool, k)
-
-	var encode func() string
-	encode = func() string {
-		// Encode labels in permutation order followed by the upper triangle
-		// of the adjacency matrix under that ordering.
-		var b strings.Builder
-		for _, v := range perm {
-			fmt.Fprintf(&b, "L%d.", p.LabelOf(v))
-		}
-		for i := 0; i < k; i++ {
-			for j := i + 1; j < k; j++ {
-				if p.g.HasEdge(perm[i], perm[j]) {
-					b.WriteByte('1')
-				} else {
-					b.WriteByte('0')
-				}
-			}
-		}
-		return b.String()
+	if c := p.code.Load(); c != nil {
+		return *c
 	}
-
-	var search func()
-	search = func() {
-		if len(perm) == k {
-			code := encode()
-			if best == "" || code < best {
-				best = code
-			}
-			return
-		}
-		for _, v := range sorted {
-			if used[v] {
-				continue
-			}
-			used[v] = true
-			perm = append(perm, v)
-			search()
-			perm = perm[:len(perm)-1]
-			used[v] = false
-		}
-	}
-	search()
-	return best
+	code := p.shape.canonicalCode()
+	p.code.Store(&code)
+	return code
 }
 
 // IsIsomorphicTo reports whether p and q are isomorphic labeled graphs.
@@ -92,74 +32,132 @@ func (p *Pattern) IsIsomorphicTo(q *Pattern) bool {
 	return p.CanonicalCode() == q.CanonicalCode()
 }
 
-// Extension describes one grow step applied to a pattern during mining.
-type Extension struct {
-	// Kind is "edge" when connecting two existing nodes and "vertex" when a
-	// new node is attached to an existing one.
-	Kind string
-	// From is the existing node the extension attaches to.
-	From NodeID
-	// To is the other existing node ("edge" extensions) or the newly created
-	// node ("vertex" extensions).
-	To NodeID
-	// Label is the label of the new node for "vertex" extensions.
-	Label graph.Label
-	// Result is the extended pattern with dense node IDs.
-	Result *Pattern
+// canonicalCode computes the code of a shape without trying all k! node
+// orders. A token ends in '.' and holds no other '.', so no token is a
+// prefix of another: the smallest token sequence is the tokens in sorted
+// order, and every ordering that attains it differs from the sorted one only
+// by permuting nodes that carry the same label. All such orderings share the
+// token prefix, so the minimum is decided by the triangle alone — compared
+// as packed words, most significant bit first, and rendered once at the end.
+func (s shape) canonicalCode() string {
+	k := len(s.labels)
+	c := canonSearch{
+		s:       s,
+		perm:    make([]int, k),
+		cellEnd: make([]int, k),
+		best:    make([]int, k),
+	}
+	// Stable insertion sort of the nodes by token.
+	for i := 0; i < k; i++ {
+		j := i
+		for ; j > 0 && tokenLess(s.labels[i], s.labels[c.perm[j-1]]); j-- {
+			c.perm[j] = c.perm[j-1]
+		}
+		c.perm[j] = i
+	}
+	// A cell is a run of equal labels; cellEnd[i] is the end of i's cell.
+	for i := k - 1; i >= 0; i-- {
+		if i+1 < k && s.labels[c.perm[i]] == s.labels[c.perm[i+1]] {
+			c.cellEnd[i] = c.cellEnd[i+1]
+		} else {
+			c.cellEnd[i] = i + 1
+		}
+	}
+	nbits := k * (k - 1) / 2
+	tri := make([]uint64, 2*((nbits+63)/64)) // the current triangle and the best
+	c.cur, c.bestTri = tri[:len(tri)/2], tri[len(tri)/2:]
+	c.permute(0)
+
+	buf := make([]byte, 0, 4*k+nbits)
+	for _, i := range c.best {
+		buf = append(buf, 'L')
+		buf = strconv.AppendInt(buf, int64(s.labels[i]), 10)
+		buf = append(buf, '.')
+	}
+	for a := 0; a < k; a++ {
+		for b := a + 1; b < k; b++ {
+			if s.has(c.best[a], c.best[b]) {
+				buf = append(buf, '1')
+			} else {
+				buf = append(buf, '0')
+			}
+		}
+	}
+	return string(buf)
 }
 
-// Extend enumerates all patterns obtained from p by a single grow step:
-// either adding an edge between two existing non-adjacent nodes, or attaching
-// a brand new node with one of the given labels to an existing node. The
-// returned extensions are de-duplicated up to isomorphism of the resulting
-// pattern, so the miner explores each shape exactly once per parent.
-func (p *Pattern) Extend(labels []graph.Label) []Extension {
-	var out []Extension
-	seen := make(map[string]bool)
+// tokenLess orders labels by their code tokens "L<a>." and "L<b>.", which is
+// string order, not numeric order: "L10." < "L2." and "L-1." < "L1.".
+func tokenLess(a, b graph.Label) bool {
+	if a == b {
+		return false
+	}
+	var ba, bb [24]byte
+	ta := append(strconv.AppendInt(ba[:0], int64(a), 10), '.')
+	tb := append(strconv.AppendInt(bb[:0], int64(b), 10), '.')
+	return bytes.Compare(ta, tb) < 0
+}
 
-	record := func(ext Extension) {
-		code := ext.Result.CanonicalCode()
-		if seen[code] {
+// canonSearch walks the node orderings that keep the sorted token sequence —
+// the permutations within each label cell — and keeps the one with the
+// smallest triangle.
+type canonSearch struct {
+	s       shape
+	perm    []int // current ordering: perm[a] is the node at place a
+	cellEnd []int
+	cur     []uint64 // triangle of perm, packed
+	best    []int    // ordering of the smallest triangle so far
+	bestTri []uint64
+	found   bool
+}
+
+// permute fixes places from onwards, trying every node of the place's cell
+// that is still free (the free ones sit at from..cellEnd).
+func (c *canonSearch) permute(from int) {
+	if from == len(c.perm) {
+		c.leaf()
+		return
+	}
+	for i := from; i < c.cellEnd[from]; i++ {
+		c.perm[from], c.perm[i] = c.perm[i], c.perm[from]
+		c.permute(from + 1)
+		c.perm[from], c.perm[i] = c.perm[i], c.perm[from]
+	}
+}
+
+// leaf packs the upper triangle of the current ordering, row by row, and
+// keeps it when it is the smallest seen.
+func (c *canonSearch) leaf() {
+	k := len(c.perm)
+	var acc uint64
+	n, w := 0, 0
+	for a := 0; a < k; a++ {
+		row := c.s.row(c.perm[a])
+		for b := a + 1; b < k; b++ {
+			j := c.perm[b]
+			acc = acc<<1 | row[j>>6]>>(uint(j)&63)&1
+			if n++; n == 64 {
+				c.cur[w], acc, n = acc, 0, 0
+				w++
+			}
+		}
+	}
+	if n > 0 {
+		c.cur[w] = acc
+	}
+	if c.found {
+		smaller := false
+		for i, word := range c.cur {
+			if word != c.bestTri[i] {
+				smaller = word < c.bestTri[i]
+				break
+			}
+		}
+		if !smaller {
 			return
 		}
-		seen[code] = true
-		out = append(out, ext)
 	}
-
-	nodes := p.Nodes()
-
-	// Internal edge extensions.
-	for i := 0; i < len(nodes); i++ {
-		for j := i + 1; j < len(nodes); j++ {
-			u, v := nodes[i], nodes[j]
-			if p.g.HasEdge(u, v) {
-				continue
-			}
-			g := p.g.Clone()
-			g.MustAddEdge(u, v)
-			ext := Extension{Kind: "edge", From: u, To: v, Result: (&Pattern{g: g}).relabeled()}
-			record(ext)
-		}
-	}
-
-	// New-vertex extensions.
-	sortedLabels := make([]graph.Label, len(labels))
-	copy(sortedLabels, labels)
-	sort.Slice(sortedLabels, func(i, j int) bool { return sortedLabels[i] < sortedLabels[j] })
-	newID := NodeID(0)
-	for _, v := range nodes {
-		if v >= newID {
-			newID = v + 1
-		}
-	}
-	for _, v := range nodes {
-		for _, l := range sortedLabels {
-			g := p.g.Clone()
-			g.MustAddVertex(newID, l)
-			g.MustAddEdge(v, newID)
-			ext := Extension{Kind: "vertex", From: v, To: newID, Label: l, Result: (&Pattern{g: g}).relabeled()}
-			record(ext)
-		}
-	}
-	return out
+	c.found = true
+	copy(c.best, c.perm)
+	copy(c.bestTri, c.cur)
 }

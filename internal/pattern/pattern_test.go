@@ -221,3 +221,81 @@ func TestCanonicalCodeRandomizedInvariance(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestAccessorsOnSparseIDs reads a pattern whose node IDs are neither dense
+// nor all positive through every accessor, unknown nodes included.
+func TestAccessorsOnSparseIDs(t *testing.T) {
+	g := graph.NewBuilder("kite").
+		Vertex(-3, 7).Vertex(4, 10).Vertex(9, 7).Vertex(20, -1).
+		Cycle(-3, 4, 9).Edge(9, 20).
+		MustBuild()
+	p := pattern.MustNew(g)
+
+	if got := p.Nodes(); len(got) != 4 || got[0] != -3 || got[1] != 4 || got[2] != 9 || got[3] != 20 {
+		t.Errorf("Nodes() = %v", got)
+	}
+	wantEdges := []graph.Edge{{U: -3, V: 4}, {U: -3, V: 9}, {U: 4, V: 9}, {U: 9, V: 20}}
+	if got := p.Edges(); len(got) != len(wantEdges) {
+		t.Errorf("Edges() = %v, want %v", got, wantEdges)
+	} else {
+		for i := range got {
+			if got[i] != wantEdges[i] {
+				t.Errorf("Edges() = %v, want %v", got, wantEdges)
+				break
+			}
+		}
+	}
+	if p.LabelOf(4) != 10 || p.LabelOf(20) != -1 || p.LabelOf(-3) != 7 {
+		t.Errorf("labels: %d %d %d", p.LabelOf(4), p.LabelOf(20), p.LabelOf(-3))
+	}
+	for v, want := range map[pattern.NodeID]int{-3: 2, 4: 2, 9: 3, 20: 1, 5: 0, 0: 0} {
+		if got := p.Degree(v); got != want {
+			t.Errorf("Degree(%d) = %d, want %d", v, got, want)
+		}
+	}
+	if !p.HasEdge(20, 9) || !p.HasEdge(-3, 9) || p.HasEdge(20, 4) || p.HasEdge(9, 9) || p.HasEdge(9, 1) {
+		t.Error("HasEdge disagrees with the graph")
+	}
+	if nbs := p.Neighbors(9); len(nbs) != 3 || nbs[0] != -3 || nbs[1] != 4 || nbs[2] != 20 {
+		t.Errorf("Neighbors(9) = %v", nbs)
+	}
+	if nbs := p.Neighbors(1); nbs != nil {
+		t.Errorf("Neighbors of an unknown node = %v", nbs)
+	}
+	if view := p.Graph(); !view.Equal(g) || view.Name() != "kite" || view != p.Graph() {
+		t.Errorf("Graph() = %v, want a memoised copy of %v", view, g)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("LabelOf an unknown node should panic")
+		}
+	}()
+	p.LabelOf(1)
+}
+
+// TestWidePattern builds a pattern with more nodes than one bitset word
+// holds; only a path with distinct labels keeps its code cheap.
+func TestWidePattern(t *testing.T) {
+	const k = 70
+	b := graph.NewBuilder("wide")
+	ids := make([]graph.VertexID, k)
+	for i := range ids {
+		ids[i] = graph.VertexID(i)
+		b.Vertex(ids[i], graph.Label(i+1))
+	}
+	p := pattern.MustNew(b.Path(ids...).MustBuild())
+	if p.Size() != k || p.NumEdges() != k-1 || p.Degree(64) != 2 || !p.HasEdge(64, 65) || p.HasEdge(0, 69) {
+		t.Fatalf("wide path misread: %d nodes, %d edges", p.Size(), p.NumEdges())
+	}
+	exts := p.Extend([]graph.Label{1})
+	if len(exts) != p.GrowSteps(1) { // distinct labels: no two steps are isomorphic
+		t.Errorf("%d extensions of %d grow steps", len(exts), p.GrowSteps(1))
+	}
+	last := exts[len(exts)-1]
+	if last.Kind != "vertex" || last.From != 69 || last.To != 70 || last.Result.Size() != k+1 || !last.Result.HasEdge(69, 70) {
+		t.Errorf("last extension: %+v", last)
+	}
+	if _, err := pattern.New(b.Vertex(99, 1).MustBuild()); err == nil {
+		t.Error("an isolated extra node should make the wide pattern disconnected")
+	}
+}

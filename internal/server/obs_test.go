@@ -32,16 +32,18 @@ func obsServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 
 // TestMetricsEndpoint pins the /metrics surface: the Prometheus exposition
 // must carry at least one metric family from every instrumented layer —
-// engine, store/WAL, delta, graph, enumeration and the serving layer itself
-// — and the exercised counters must be live (nonzero after traffic).
+// engine, store/WAL, delta, graph, enumeration, the serving layer itself
+// and the miner's search counts — and the exercised counters must be live (nonzero after traffic).
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := obsServer(t, Config{})
 	c := ts.Client()
 
 	// Drive every layer the graph-backed engine reaches: an evaluation
 	// (engine + enumeration), a mutation (graph + engine update) and a
-	// session open (sessions + delta maintenance).
+	// session open (sessions + delta maintenance), and a cold mine (the
+	// miner's search counts).
 	postOK(t, c, ts.URL+"/v1/evaluate", EvaluateRequest{Pattern: PatternWire{Edge: []int{1, 2}}})
+	postOK(t, c, ts.URL+"/v1/mine", MineWire{MinSupport: 4, MaxPatternSize: 3})
 	postOK(t, c, ts.URL+"/v1/mutate", MutateRequest{AddVertices: []VertexWire{{ID: 6000, Label: 1}, {ID: 6001, Label: 2}}, AddEdges: [][2]int{{6000, 6001}}})
 	postOK(t, c, ts.URL+"/v1/sessions", OpenSessionRequest{Mine: MineWire{MinSupport: 4, MaxPatternSize: 2}})
 
@@ -57,6 +59,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		"repro_engine_requests_total",      // engine requests
 		"repro_engine_enumerate_seconds",   // engine phase histograms
 		"repro_engine_epoch",               // epoch gauge
+		"repro_miner_extensions_total",     // miner search counts
+		"repro_miner_codes_total",          //
+		"repro_miner_duplicates_total",     //
+		"repro_miner_candidates_total",     //
 		"repro_enum_shard_drains_total",    // enumeration drain sampling
 		"repro_graph_mutations_total",      // graph mutation layer
 		"repro_delta_refreshes_total",      // delta maintenance
@@ -77,6 +83,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, name := range []string{
 		"repro_engine_requests_total",
 		"repro_enum_roots_total",
+		"repro_miner_extensions_total",
+		"repro_miner_codes_total",
+		"repro_miner_duplicates_total",
+		"repro_miner_candidates_total",
 		"repro_graph_mutations_total",
 		"repro_server_http_requests_total",
 	} {

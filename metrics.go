@@ -4,9 +4,9 @@ import "repro/internal/obs"
 
 // Engine-layer metrics. Request counters split by kind, per-phase latency
 // histograms mirroring the span taxonomy of DoContext (plan, enumerate,
-// aggregate, mine), and the epoch gauge — which tracks the most recently
-// published engine state in the process, the live serving engine in any
-// deployment that runs one.
+// aggregate, mine), the search counts of mining requests, and the epoch
+// gauge — which tracks the most recently published engine state in the
+// process, the live serving engine in any deployment that runs one.
 var (
 	mEpoch = obs.NewGauge("repro_engine_epoch",
 		"epoch of the most recently published engine state")
@@ -28,6 +28,14 @@ var (
 		"latency of the aggregate phase (measure evaluation over enumerated state)", obs.LatencyBuckets)
 	mMineSeconds = obs.NewHistogram("repro_engine_mine_seconds",
 		"end-to-end latency of a mining request", obs.LatencyBuckets)
+	mMinerExtensions = obs.NewCounter("repro_miner_extensions_total",
+		"pattern extensions generated by mining requests (one per shape and parent)")
+	mMinerCodes = obs.NewCounter("repro_miner_codes_total",
+		"canonical codes computed by mining requests (seeds plus every grow step)")
+	mMinerDuplicates = obs.NewCounter("repro_miner_duplicates_total",
+		"candidates mining requests skipped as isomorphic to an earlier one")
+	mMinerCandidates = obs.NewCounter("repro_miner_candidates_total",
+		"candidates whose support mining requests evaluated")
 	mSessionOpens = obs.NewCounter("repro_session_opens_total",
 		"warm mining sessions opened on engines")
 	mSessionRefreshSeconds = obs.NewHistogram("repro_session_refresh_seconds",
