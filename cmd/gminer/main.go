@@ -64,7 +64,7 @@ func run(args []string, stdout io.Writer) error {
 		removes     = fs.Int("removes", 0, "number of random edge removals the -incremental mode applies after the inserts")
 		insertSeed  = fs.Uint64("insert-seed", 1, "PRNG seed for the -incremental edge inserts and removals")
 	)
-	fl := cliflags.Register(fs)
+	fl := cliflags.Register(fs, cliflags.Enum, cliflags.Shards, cliflags.Store, cliflags.Explain, cliflags.Trace)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil

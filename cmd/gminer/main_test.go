@@ -62,6 +62,7 @@ func TestRunErrors(t *testing.T) {
 		{"unknown measure", []string{"-graph", "testdata/ba120.lg", "-measure", "nope"}, false},
 		{"incremental on a store", []string{"-store", "testdata", "-incremental"}, false},
 		{"retired flag", []string{"-graph", "testdata/ba120.lg", "-materialize"}, true},
+		{"streaming is not a mining flag", []string{"-graph", "testdata/ba120.lg", "-streaming"}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -75,7 +75,7 @@ func main() {
 		slowQuery   = flag.Duration("slow-query", 0, "log requests slower than this with their span tree and chosen plan (0 = disabled)")
 		pprofAddr   = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled; keep it loopback-only)")
 	)
-	fl := cliflags.Register(flag.CommandLine, cliflags.Enum, cliflags.Shards, cliflags.Store)
+	fl := cliflags.Register(flag.CommandLine, cliflags.Enum, cliflags.Streaming, cliflags.Shards, cliflags.Store)
 	flag.Parse()
 
 	log, err := newLogger(*logLevel)

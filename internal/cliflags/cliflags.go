@@ -1,8 +1,10 @@
 // Package cliflags is the one place the g* command-line tools declare their
 // shared engine-facing flags. gsupport, gminer and gserved speak the same
-// knobs — enumeration parallelism, streaming evaluation, snapshot sharding,
-// the out-of-core store pair (-store, -residency), -explain and -trace
-// (which gbench shares). Register installs the requested flag families on a
+// knobs — enumeration parallelism, snapshot sharding, the out-of-core store
+// pair (-store, -residency), -explain and -trace (which gbench shares) — and
+// the two that evaluate single patterns add streaming evaluation, which
+// mining has no use for (the miner picks streamed or materialized contexts
+// from the measure). Register installs the requested flag families on a
 // FlagSet and EngineOptions maps the parsed values onto
 // support.EngineOptions, so a new tool gets the full serving configuration
 // for free.
@@ -23,8 +25,10 @@ type Group int
 
 // The flag families a tool can request.
 const (
-	// Enum installs the enumeration-engine knobs: -parallel and -streaming.
+	// Enum installs -parallel, the enumeration worker count.
 	Enum Group = iota
+	// Streaming installs -streaming, evaluation on streamed aggregates.
+	Streaming
 	// Shards installs -shards, the CSR snapshot shard count.
 	Shards
 	// Store installs the out-of-core pair -store and -residency.
@@ -52,14 +56,15 @@ type Flags struct {
 // none are named) and returns the holder to read after fs.Parse.
 func Register(fs *flag.FlagSet, groups ...Group) *Flags {
 	if len(groups) == 0 {
-		groups = []Group{Enum, Shards, Store, Explain, Trace}
+		groups = []Group{Enum, Streaming, Shards, Store, Explain, Trace}
 	}
 	f := &Flags{}
 	for _, g := range groups {
 		switch g {
 		case Enum:
 			f.parallel = fs.Int("parallel", 0, "enumeration worker count (0 = GOMAXPROCS, 1 = sequential)")
-			f.streaming = fs.Bool("streaming", false, "evaluate on streamed aggregates instead of materialized occurrences (MNI and the raw counts only; mining picks by measure and ignores it)")
+		case Streaming:
+			f.streaming = fs.Bool("streaming", false, "evaluate on streamed aggregates instead of materialized occurrences (MNI and the raw counts only)")
 		case Shards:
 			f.shards = fs.Int("shards", 0, "CSR snapshot shard count (0 = auto: one shard up to 65536 vertices)")
 		case Store:

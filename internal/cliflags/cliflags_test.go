@@ -30,6 +30,10 @@ func TestEngineOptions(t *testing.T) {
 			[]string{"-parallel", "4", "-streaming", "-shards", "7", "-store", "/tmp/s", "-residency", "25%"},
 			support.EngineOptions{Parallelism: 4, Streaming: true, Shards: 7, ResidencyBudget: "25%"}},
 		{"enum-only", []Group{Enum}, []string{"-parallel", "1"}, support.EngineOptions{Parallelism: 1}},
+		{"streaming-only", []Group{Streaming}, []string{"-streaming"}, support.EngineOptions{Streaming: true}},
+		{"mining-families", []Group{Enum, Shards, Store, Explain, Trace},
+			[]string{"-parallel", "2", "-shards", "3", "-residency", "1MiB", "-explain", "-trace"},
+			support.EngineOptions{Parallelism: 2, Shards: 3, ResidencyBudget: "1MiB"}},
 		{"trace-only", []Group{Trace}, []string{"-trace"}, support.EngineOptions{}},
 	}
 	for _, tc := range cases {
@@ -73,8 +77,12 @@ func TestRetiredFlagsFailParsing(t *testing.T) {
 			t.Errorf("%s parsed; the flag should be gone", arg)
 		}
 	}
-	// A family that is not registered is not parseable either.
+	// A family that is not registered is not parseable either: -parallel
+	// without Enum, and -streaming on the families a mining tool registers.
 	if _, err := parse([]string{"-parallel", "2"}, Trace); err == nil {
 		t.Error("-parallel parsed although only the Trace family was registered")
+	}
+	if _, err := parse([]string{"-streaming"}, Enum, Shards, Store, Explain, Trace); err == nil {
+		t.Error("-streaming parsed although the Streaming family was not registered")
 	}
 }

@@ -6,18 +6,21 @@
 // in the measures package are computed from a Context produced here.
 //
 // Context construction runs on the streaming parallel enumeration engine of
-// package isomorph: occurrences are streamed into per-worker accumulators
-// that are merged once enumeration finishes. In the default (materialized)
-// mode the merged result is byte-for-byte identical to a sequential build. In
+// package isomorph: every worker folds its occurrences into one accumulator —
+// the occurrence count and the per-node MNI domain table (table.go), plus
+// the occurrences themselves when the list is wanted — and the accumulators
+// are merged once enumeration finishes. In the default (materialized) mode
+// the merged result is byte-for-byte identical to a sequential build. In
 // streaming mode the occurrence list and both hypergraphs are never
-// materialized; only the aggregates that can be maintained incrementally
-// survive (occurrence count, distinct-instance count, and the per-node MNI
-// domain tables), which is all that MNI and the raw counts need.
+// materialized; only the aggregates survive (occurrence count, MNI domain
+// sizes, and the distinct-instance count, which is the occurrence count
+// divided by the number of pattern automorphisms — see instancesByOrbit),
+// which is all that MNI and the raw counts need. DeltaContext keeps the same
+// accumulator alive across graph mutations.
 package core
 
 import (
 	"fmt"
-	"strconv"
 	"sync"
 
 	"repro/internal/graph"
@@ -46,9 +49,7 @@ type Context struct {
 	numOccurrences int
 	numInstances   int
 	// domainSizes[i] is the number of distinct data vertices the occurrences
-	// map pattern node Pattern().Nodes()[i] to (the MNI domain size). Only
-	// populated in streaming mode; nil on materialized contexts, which scan
-	// their occurrence list instead (see measures.MNI).
+	// map pattern node Pattern().Nodes()[i] to (the MNI domain size).
 	domainSizes []int
 
 	// transitive caches the transitive node subsets per policy, computed on
@@ -92,95 +93,12 @@ type Options struct {
 	Snapshot *graph.Snapshot
 }
 
-// workerAcc is the per-worker streaming accumulator occurrences are folded
-// into; each enumeration worker owns exactly one, so no locking is needed on
-// the hot path.
-type workerAcc struct {
-	count int
-	occs  []*isomorph.Occurrence        // materialized mode only
-	doms  []map[graph.VertexID]struct{} // streaming mode: per-node MNI domains
-	insts map[string]struct{}           // streaming mode: distinct instance keys
-}
-
-// instanceKeyer computes a canonical key of the instance (image subgraph) an
-// occurrence projects onto, reusing worker-local scratch buffers so the
-// streaming hot path allocates only the final map-key string. Two occurrences
-// share a key iff they project onto the same instance, matching the grouping
-// of isomorph.Instances.
-type instanceKeyer struct {
-	// edgeSlots holds, per pattern edge, the positions of its endpoints in
-	// the occurrence's node order.
-	edgeSlots [][2]int
-	vbuf      []graph.VertexID
-	ebuf      []graph.Edge
-	buf       []byte
-}
-
-func newInstanceKeyer(p *pattern.Pattern, nodes []pattern.NodeID) *instanceKeyer {
-	pos := make(map[pattern.NodeID]int, len(nodes))
-	for i, n := range nodes {
-		pos[n] = i
-	}
-	k := &instanceKeyer{}
-	for _, e := range p.Edges() {
-		k.edgeSlots = append(k.edgeSlots, [2]int{pos[e.U], pos[e.V]})
-	}
-	return k
-}
-
-// key fills and returns the keyer's byte buffer; the caller converts it to a
-// string only when inserting into a map (lookups via m[string(buf)] are
-// allocation-free).
-func (k *instanceKeyer) key(o *isomorph.Occurrence) []byte {
-	k.vbuf = k.vbuf[:0]
-	for i := 0; i < o.Len(); i++ {
-		v := o.ImageAt(i)
-		// Insertion sort; patterns are small (k <= ~5 in practice).
-		j := len(k.vbuf)
-		k.vbuf = append(k.vbuf, v)
-		for j > 0 && k.vbuf[j-1] > v {
-			k.vbuf[j] = k.vbuf[j-1]
-			j--
-		}
-		k.vbuf[j] = v
-	}
-	k.ebuf = k.ebuf[:0]
-	for _, s := range k.edgeSlots {
-		u, v := o.ImageAt(s[0]), o.ImageAt(s[1])
-		if u > v {
-			u, v = v, u
-		}
-		e := graph.Edge{U: u, V: v}
-		j := len(k.ebuf)
-		k.ebuf = append(k.ebuf, e)
-		for j > 0 && (k.ebuf[j-1].U > e.U || (k.ebuf[j-1].U == e.U && k.ebuf[j-1].V > e.V)) {
-			k.ebuf[j] = k.ebuf[j-1]
-			j--
-		}
-		k.ebuf[j] = e
-	}
-	k.buf = k.buf[:0]
-	for _, v := range k.vbuf {
-		k.buf = strconv.AppendInt(k.buf, int64(v), 10)
-		k.buf = append(k.buf, ',')
-	}
-	k.buf = append(k.buf, '|')
-	for _, e := range k.ebuf {
-		k.buf = strconv.AppendInt(k.buf, int64(e.U), 10)
-		k.buf = append(k.buf, '-')
-		k.buf = strconv.AppendInt(k.buf, int64(e.V), 10)
-		k.buf = append(k.buf, ',')
-	}
-	return k.buf
-}
-
 // NewContext enumerates occurrences and instances of p in g and builds the
 // configured amount of derived state (see Options).
 func NewContext(g *graph.Graph, p *pattern.Pattern, opts Options) (*Context, error) {
 	if (g == nil && opts.Snapshot == nil) || p == nil {
 		return nil, fmt.Errorf("core: nil graph or pattern")
 	}
-	nodes := p.Nodes()
 	ctx := &Context{g: g, p: p, streaming: opts.Streaming}
 
 	snap := opts.Snapshot
@@ -194,42 +112,19 @@ func NewContext(g *graph.Graph, p *pattern.Pattern, opts Options) (*Context, err
 		// the deterministic one the Options doc promises.
 		enumPar = 1
 	}
-	var accs []*workerAcc
-	isomorph.EnumerateSnapshotWorkers(snap, p,
-		isomorph.Options{
-			MaxOccurrences: opts.MaxOccurrences,
-			Parallelism:    enumPar,
-		},
-		func(int) func(*isomorph.Occurrence) bool {
-			a := &workerAcc{}
-			accs = append(accs, a)
-			if !opts.Streaming {
-				return func(o *isomorph.Occurrence) bool {
-					a.occs = append(a.occs, o)
-					return true
-				}
-			}
-			a.doms = make([]map[graph.VertexID]struct{}, len(nodes))
-			for i := range a.doms {
-				a.doms[i] = make(map[graph.VertexID]struct{})
-			}
-			a.insts = make(map[string]struct{})
-			keyer := newInstanceKeyer(p, nodes)
-			return func(o *isomorph.Occurrence) bool {
-				a.count++
-				for i := range nodes {
-					a.doms[i][o.ImageAt(i)] = struct{}{}
-				}
-				key := keyer.key(o)
-				if _, ok := a.insts[string(key)]; !ok {
-					a.insts[string(key)] = struct{}{}
-				}
-				return true
-			}
-		})
-
-	if opts.Streaming {
-		mergeStreamed(ctx, nodes, accs)
+	// A streaming build keeps no occurrences and counts instances by orbit,
+	// unless a cap may truncate the enumeration: then the orbit count does
+	// not apply, and the prefix — no longer than the caller's own cap — is
+	// retained just long enough to group it.
+	keep := !opts.Streaming || opts.MaxOccurrences > 0
+	accs := accumulate(snap, p,
+		isomorph.Options{MaxOccurrences: opts.MaxOccurrences, Parallelism: enumPar},
+		keep, nil)
+	all := mergeWorkers(p, accs)
+	ctx.numOccurrences = all.count
+	ctx.domainSizes = all.table.sizes()
+	if !keep {
+		ctx.numInstances = instancesByOrbit(all.count, automorphismCount(p))
 		return ctx, nil
 	}
 
@@ -239,7 +134,10 @@ func NewContext(g *graph.Graph, p *pattern.Pattern, opts Options) (*Context, err
 	}
 	occs := isomorph.MergeSortedOccurrences(buckets)
 	insts := isomorph.Instances(p, occs)
-	ctx.numOccurrences = len(occs)
+	ctx.numInstances = len(insts)
+	if opts.Streaming {
+		return ctx, nil
+	}
 
 	occH := hypergraph.New()
 	for i, o := range occs {
@@ -254,33 +152,7 @@ func NewContext(g *graph.Graph, p *pattern.Pattern, opts Options) (*Context, err
 	ctx.instances = insts
 	ctx.occurrenceH = occH
 	ctx.instanceH = instH
-	ctx.numInstances = len(insts)
 	return ctx, nil
-}
-
-// mergeStreamed folds the per-worker streaming accumulators into the context.
-func mergeStreamed(ctx *Context, nodes []pattern.NodeID, accs []*workerAcc) {
-	doms := make([]map[graph.VertexID]struct{}, len(nodes))
-	for i := range doms {
-		doms[i] = make(map[graph.VertexID]struct{})
-	}
-	instKeys := make(map[string]struct{})
-	for _, a := range accs {
-		ctx.numOccurrences += a.count
-		for i := range nodes {
-			for v := range a.doms[i] {
-				doms[i][v] = struct{}{}
-			}
-		}
-		for k := range a.insts {
-			instKeys[k] = struct{}{}
-		}
-	}
-	ctx.numInstances = len(instKeys)
-	ctx.domainSizes = make([]int, len(nodes))
-	for i := range nodes {
-		ctx.domainSizes[i] = len(doms[i])
-	}
 }
 
 // MustNewContext is NewContext but panics on error; intended for tests.
@@ -326,8 +198,7 @@ func (c *Context) NumInstances() int { return c.numInstances }
 
 // MNIDomainSizes returns, aligned with Pattern().Nodes(), the number of
 // distinct data vertices each pattern node is mapped to across all
-// occurrences. It is non-nil only on streaming contexts, where it is the
-// incremental substitute for scanning the occurrence list.
+// occurrences. It is available in both modes and is all measures.MNI reads.
 func (c *Context) MNIDomainSizes() []int { return c.domainSizes }
 
 // OccurrenceHypergraph returns the occurrence hypergraph H_O: one labeled

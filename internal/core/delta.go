@@ -11,7 +11,7 @@ import (
 
 // DeltaContext keeps the streamed aggregates of a (graph, pattern) pair —
 // occurrence count, distinct-instance count and the per-node MNI domain
-// tables — alive across graph mutations, so support questions can be
+// table — alive across graph mutations, so support questions can be
 // re-answered after an update without re-enumerating the whole graph.
 //
 // It is the measure-level continuation of the graph layer's incremental
@@ -19,8 +19,9 @@ import (
 // re-enumerates only occurrences that can involve mutated structure. The
 // construction follows the dynamic query-answering discipline of Berkholz,
 // Keppeler and Schweikardt ("Answering FO+MOD queries under updates"): the
-// maintained state is a set of refcounted tables, and each update batch is
-// turned into exact insert/delete deltas against them.
+// maintained state is a refcounted table (a multiplicity per projected
+// tuple), and each update batch is turned into exact insert/delete deltas
+// against it.
 //
 // Mechanically, a DeltaContext subscribes to the graph's mutation feed and
 // retains the snapshot it last synchronized on. Refresh drains the feed and,
@@ -31,11 +32,13 @@ import (
 // occurrence touching mutated structure, a minus-pass on the retained old
 // snapshot counts the stale pre-mutation contributions of the same region —
 // including every occurrence a removal destroyed — and the signed difference
-// is applied to the refcounted domain and instance tables. Occurrences
-// outside the balls are untouched on both sides and never re-enumerated.
-// Because the tables are refcounted, the subtraction is exact — stale
-// contributions are removed entry by entry, not approximated — and the
-// resulting aggregates are identical to a from-scratch streamed Context for
+// is merged into the refcounted domain table. Occurrences outside the balls
+// are untouched on both sides and never re-enumerated. Because the table is
+// refcounted, the subtraction is exact — stale contributions are removed
+// entry by entry, not approximated — and both passes count whole automorphism
+// orbits (touching a dirty vertex is a property of the image), so the
+// instance count stays the occurrence count over |Aut(P)|. The resulting
+// aggregates are identical to a from-scratch streamed Context for
 // every shard count and parallelism setting, under insertions and deletions
 // alike. When either ball grows past half its graph (a mutation storm that
 // saturates every shard), Refresh falls back to a from-scratch
@@ -53,15 +56,11 @@ type DeltaContext struct {
 	feed *graph.MutationFeed
 	snap *graph.Snapshot // the snapshot the tables are synchronized with
 
-	nodes []pattern.NodeID
-	// counts[i][v] is the number of live occurrences mapping pattern node
-	// nodes[i] to data vertex v; entries are deleted when they reach zero,
-	// so len(counts[i]) is the MNI domain size of node i.
-	counts []map[graph.VertexID]int
-	// insts[key] is the number of live occurrences projecting onto the
-	// instance identified by key; len(insts) is the distinct-instance count.
-	insts  map[string]int
-	numOcc int
+	// state is the accumulator every pass is merged into: the live occurrence
+	// count and the refcounted MNI domain table.
+	state *accumulator
+	// automorphisms is |Aut(p)|, the size of every instance's orbit.
+	automorphisms int
 
 	stats DeltaStats
 }
@@ -98,13 +97,7 @@ func NewDeltaContext(g *graph.Graph, p *pattern.Pattern, opts Options) (*DeltaCo
 		return nil, fmt.Errorf("core: DeltaContext does not support MaxOccurrences (a truncated enumeration has no exact delta)")
 	}
 	opts.Streaming = true
-	d := &DeltaContext{
-		g:     g,
-		p:     p,
-		opts:  opts,
-		nodes: p.Nodes(),
-	}
-	d.counts = make([]map[graph.VertexID]int, len(d.nodes))
+	d := &DeltaContext{g: g, p: p, opts: opts, automorphisms: automorphismCount(p)}
 	d.feed = g.Subscribe()
 	d.snap = g.FreezeSharded(graph.FreezeOptions{Shards: opts.Shards})
 	d.rebuild(d.snap)
@@ -173,15 +166,12 @@ func (d *DeltaContext) Refresh() error {
 	// Plus-pass: occurrences in the new graph rooted inside the new ball and
 	// touching a dirty vertex. This covers every occurrence the batch added
 	// plus the surviving occurrences of the mutated region.
-	plus := d.enumerate(newSnap, ballNew, dirty)
+	d.state.merge(d.enumerate(newSnap, ballNew, dirty), +1)
 
 	// Minus-pass: the mutated region's occurrences in the retained
 	// pre-mutation snapshot — exactly the contributions already present in
 	// the tables, every occurrence the batch destroyed included.
-	minus := d.enumerate(d.snap, ballOld, dirty)
-
-	d.apply(plus, +1)
-	d.apply(minus, -1)
+	d.state.merge(d.enumerate(d.snap, ballOld, dirty), -1)
 	d.snap = newSnap
 	return nil
 }
@@ -230,113 +220,23 @@ func (d *DeltaContext) mutationBall(snap *graph.Snapshot, dirty map[graph.Vertex
 	return ball, true
 }
 
-// deltaAcc is the per-worker accumulator of one delta enumeration pass; each
-// enumeration worker owns exactly one, so the hot path needs no locks.
-type deltaAcc struct {
-	occ    int
-	counts []map[graph.VertexID]int
-	insts  map[string]int
-	keyer  *instanceKeyer
-	// dirty filters the stream to occurrences touching a dirty vertex; nil
-	// accepts everything (full builds).
-	dirty map[graph.VertexID]bool
-}
-
-func (a *deltaAcc) yield(o *isomorph.Occurrence) bool {
-	if a.dirty != nil {
-		touched := false
-		for i := 0; i < o.Len(); i++ {
-			if a.dirty[o.ImageAt(i)] {
-				touched = true
-				break
-			}
-		}
-		if !touched {
-			return true
-		}
-	}
-	a.occ++
-	for i := range a.counts {
-		a.counts[i][o.ImageAt(i)]++
-	}
-	key := a.keyer.key(o)
-	a.insts[string(key)]++
-	return true
-}
-
 // enumerate streams the occurrences of d's pattern over snap — restricted to
 // the given sorted root indexes (nil = all roots) and filtered to those
 // touching dirty (nil = all occurrences) — into per-worker accumulators.
-func (d *DeltaContext) enumerate(snap *graph.Snapshot, roots []int32, dirty map[graph.VertexID]bool) []*deltaAcc {
+func (d *DeltaContext) enumerate(snap *graph.Snapshot, roots []int32, dirty map[graph.VertexID]bool) []*accumulator {
 	if roots == nil && dirty != nil {
 		// Defensive: a restricted pass without roots would scan everything.
 		roots = []int32{}
 	}
-	var accs []*deltaAcc
-	isomorph.EnumerateSnapshotWorkers(snap, d.p,
-		isomorph.Options{
-			Parallelism: d.opts.Parallelism,
-			RootIndexes: roots,
-		},
-		func(int) func(*isomorph.Occurrence) bool {
-			a := &deltaAcc{
-				counts: make([]map[graph.VertexID]int, len(d.nodes)),
-				insts:  make(map[string]int),
-				keyer:  newInstanceKeyer(d.p, d.nodes),
-				dirty:  dirty,
-			}
-			for i := range a.counts {
-				a.counts[i] = make(map[graph.VertexID]int)
-			}
-			accs = append(accs, a)
-			return a.yield
-		})
-	return accs
+	return accumulate(snap, d.p,
+		isomorph.Options{Parallelism: d.opts.Parallelism, RootIndexes: roots},
+		false, dirty)
 }
 
-// apply folds per-worker accumulators into the maintained tables with the
-// given sign. Entries reaching zero are deleted so domain sizes are plain
-// map lengths; a negative refcount means the plus/minus passes disagreed
-// about an occurrence, which the construction rules out.
-func (d *DeltaContext) apply(accs []*deltaAcc, sign int) {
-	for _, a := range accs {
-		d.numOcc += sign * a.occ
-		for i := range d.counts {
-			for v, c := range a.counts[i] {
-				next := d.counts[i][v] + sign*c
-				switch {
-				case next > 0:
-					d.counts[i][v] = next
-				case next == 0:
-					delete(d.counts[i], v)
-				default:
-					panic(fmt.Sprintf("core: DeltaContext domain refcount for node %d vertex %d went negative (%d)", d.nodes[i], v, next))
-				}
-			}
-		}
-		for k, c := range a.insts {
-			next := d.insts[k] + sign*c
-			switch {
-			case next > 0:
-				d.insts[k] = next
-			case next == 0:
-				delete(d.insts, k)
-			default:
-				panic(fmt.Sprintf("core: DeltaContext instance refcount for %q went negative (%d)", k, next))
-			}
-		}
-	}
-}
-
-// rebuild discards the maintained tables and recomputes them from a full
+// rebuild discards the maintained state and recomputes it from a full
 // enumeration of snap.
 func (d *DeltaContext) rebuild(snap *graph.Snapshot) {
-	d.numOcc = 0
-	for i := range d.counts {
-		d.counts[i] = make(map[graph.VertexID]int)
-	}
-	d.insts = make(map[string]int)
-	d.apply(d.enumerate(snap, nil, nil), +1)
+	d.state = mergeWorkers(d.p, d.enumerate(snap, nil, nil))
 }
 
 // Graph returns the underlying data graph.
@@ -346,20 +246,16 @@ func (d *DeltaContext) Graph() *graph.Graph { return d.g }
 func (d *DeltaContext) Pattern() *pattern.Pattern { return d.p }
 
 // NumOccurrences returns the maintained occurrence count.
-func (d *DeltaContext) NumOccurrences() int { return d.numOcc }
+func (d *DeltaContext) NumOccurrences() int { return d.state.count }
 
 // NumInstances returns the maintained distinct-instance count.
-func (d *DeltaContext) NumInstances() int { return len(d.insts) }
+func (d *DeltaContext) NumInstances() int {
+	return instancesByOrbit(d.state.count, d.automorphisms)
+}
 
 // MNIDomainSizes returns, aligned with Pattern().Nodes(), the maintained MNI
 // domain size of every pattern node as a fresh slice.
-func (d *DeltaContext) MNIDomainSizes() []int {
-	sizes := make([]int, len(d.counts))
-	for i := range d.counts {
-		sizes[i] = len(d.counts[i])
-	}
-	return sizes
-}
+func (d *DeltaContext) MNIDomainSizes() []int { return d.state.table.sizes() }
 
 // Stats returns the maintenance counters accumulated so far.
 func (d *DeltaContext) Stats() DeltaStats { return d.stats }
@@ -375,8 +271,8 @@ func (d *DeltaContext) Context() *Context {
 		g:              d.g,
 		p:              d.p,
 		streaming:      true,
-		numOccurrences: d.numOcc,
-		numInstances:   len(d.insts),
+		numOccurrences: d.NumOccurrences(),
+		numInstances:   d.NumInstances(),
 		domainSizes:    d.MNIDomainSizes(),
 	}
 }
@@ -384,5 +280,5 @@ func (d *DeltaContext) Context() *Context {
 // String returns a compact summary of the maintained state.
 func (d *DeltaContext) String() string {
 	return fmt.Sprintf("DeltaContext(pattern k=%d, %d occurrences, %d instances, %d delta refreshes, %d full rebuilds)",
-		d.p.Size(), d.numOcc, len(d.insts), d.stats.DeltaRefreshes, d.stats.FullRebuilds)
+		d.p.Size(), d.NumOccurrences(), d.NumInstances(), d.stats.DeltaRefreshes, d.stats.FullRebuilds)
 }

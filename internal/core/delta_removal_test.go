@@ -11,20 +11,21 @@ import (
 // TestDeltaContextMatchesScratchUnderDeletions extends the tentpole
 // correctness bar to removals: after batches that delete edges and vertices
 // (cascades included) — and batches mixing inserts with deletions — the
-// delta-maintained aggregates must still equal a from-scratch streamed
-// context, across shard counts and parallelism (run under -race in CI).
+// delta-maintained aggregates must still equal a from-scratch context, across
+// shard counts and parallelism (run under -race in CI).
 func TestDeltaContextMatchesScratchUnderDeletions(t *testing.T) {
-	p := trianglePattern()
-	for _, shards := range []int{1, 2, 7} {
-		for _, par := range []int{1, 4} {
-			g := gen.BarabasiAlbert(200, 3, gen.UniformLabels{K: 2}, 17)
+	for _, tc := range deltaCases(200, 17) {
+		p := tc.p
+		for _, set := range tc.settings {
+			shards, par := set[0], set[1]
+			g := tc.graph()
 			d, err := core.NewDeltaContext(g, p, core.Options{Shards: shards, Parallelism: par})
 			if err != nil {
-				t.Fatalf("shards=%d par=%d: NewDeltaContext: %v", shards, par, err)
+				t.Fatalf("%s shards=%d par=%d: NewDeltaContext: %v", tc.name, shards, par, err)
 			}
 			defer d.Close()
 			if d.NumOccurrences() == 0 {
-				t.Fatal("workload has no triangles; test needs a non-trivial baseline")
+				t.Fatalf("%s: workload has no occurrences; test needs a non-trivial baseline", tc.name)
 			}
 
 			// Late-arrival vertices of the preferential-attachment graph have
@@ -34,9 +35,9 @@ func TestDeltaContextMatchesScratchUnderDeletions(t *testing.T) {
 			refresh := func(step int, tag string) {
 				t.Helper()
 				if err := d.Refresh(); err != nil {
-					t.Fatalf("shards=%d par=%d step=%d %s: Refresh: %v", shards, par, step, tag, err)
+					t.Fatalf("%s shards=%d par=%d step=%d %s: Refresh: %v", tc.name, shards, par, step, tag, err)
 				}
-				requireDeltaMatchesScratch(t, d, g, p, tag)
+				requireDeltaMatchesScratch(t, d, g, p, tc.name+" "+tag)
 			}
 			for step := 0; step < 5; step++ {
 				// Remove one existing edge of a low-degree vertex.
@@ -69,7 +70,7 @@ func TestDeltaContextMatchesScratchUnderDeletions(t *testing.T) {
 				refresh(step, "after mixed batch")
 			}
 			if st := d.Stats(); st.DeltaRefreshes == 0 {
-				t.Fatalf("shards=%d par=%d: no removal refresh took the delta path (stats %+v)", shards, par, st)
+				t.Fatalf("%s shards=%d par=%d: no removal refresh took the delta path (stats %+v)", tc.name, shards, par, st)
 			}
 		}
 	}
@@ -77,7 +78,7 @@ func TestDeltaContextMatchesScratchUnderDeletions(t *testing.T) {
 
 // TestDeltaContextDrainsToZero removes every edge of a small graph one batch
 // at a time: the refcounted tables must subtract all the way down to empty
-// without ever going negative (a negative refcount panics in apply).
+// without ever going negative (a negative refcount panics in the table's merge).
 func TestDeltaContextDrainsToZero(t *testing.T) {
 	p := trianglePattern()
 	g := gen.BarabasiAlbert(60, 3, gen.UniformLabels{K: 2}, 7)

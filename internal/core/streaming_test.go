@@ -1,48 +1,120 @@
 package core_test
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/isomorph"
 	"repro/internal/pattern"
+	"repro/internal/store"
 )
+
+// symmetricPatterns returns single-label patterns with non-trivial
+// automorphism groups (|Aut| = 6, 8, 6, 24, 2): the inputs on which counting
+// instances by orbit differs most from counting occurrences.
+func symmetricPatterns() []*pattern.Pattern {
+	b := func(name string) *graph.Builder { return graph.NewBuilder(name).Vertices(1, 0, 1, 2, 3) }
+	return []*pattern.Pattern{
+		trianglePattern(),
+		pattern.MustNew(b("c4").Cycle(0, 1, 2, 3).MustBuild()),
+		pattern.MustNew(b("star3").Star(0, 1, 2, 3).MustBuild()),
+		pattern.MustNew(b("k4").Clique(0, 1, 2, 3).MustBuild()),
+		pattern.MustNew(graph.NewBuilder("path3").Vertices(1, 0, 1, 2).Path(0, 1, 2).MustBuild()),
+	}
+}
+
+// aggregateCase is one (data, pattern) input of the streamed-vs-materialized
+// comparisons; snap is set when the data is a snapshot with no mutable graph
+// behind it.
+type aggregateCase struct {
+	name string
+	g    *graph.Graph
+	p    *pattern.Pattern
+	snap *graph.Snapshot
+}
+
+// aggregateCases returns every paper figure, every symmetric pattern on a
+// one-label generated graph, and one of those over a store-backed snapshot.
+func aggregateCases(t *testing.T) []aggregateCase {
+	t.Helper()
+	var cases []aggregateCase
+	for _, fig := range dataset.AllFigures() {
+		cases = append(cases, aggregateCase{name: fig.Name, g: fig.Graph, p: fig.Pattern})
+	}
+	g := gen.BarabasiAlbert(40, 3, gen.UniformLabels{K: 1}, 21)
+	for _, p := range symmetricPatterns() {
+		cases = append(cases, aggregateCase{name: p.Graph().Name() + "/ba40", g: g, p: p})
+	}
+	dir := t.TempDir()
+	if err := store.Write(g.FreezeSharded(graph.FreezeOptions{Shards: 4}), dir); err != nil {
+		t.Fatalf("store.Write: %v", err)
+	}
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatalf("store.Open: %v", err)
+	}
+	t.Cleanup(func() { st.Close() })
+	c4 := symmetricPatterns()[1]
+	return append(cases, aggregateCase{name: "c4/store", p: c4, snap: st.Snapshot()})
+}
+
+// requireAggregatesMatch checks a context's aggregates against values
+// recomputed from a materialized context's lists by a plain scan: occurrence
+// count, instance count (the grouped instance list, never another orbit
+// count) and per-node distinct images. Both contexts must report those sizes.
+func requireAggregatesMatch(t *testing.T, tag string, got, mat *core.Context) {
+	t.Helper()
+	if got.NumOccurrences() != len(mat.Occurrences()) {
+		t.Fatalf("%s: %d occurrences, materialized list has %d", tag, got.NumOccurrences(), len(mat.Occurrences()))
+	}
+	if got.NumInstances() != len(mat.Instances()) {
+		t.Fatalf("%s: %d instances, materialized list has %d", tag, got.NumInstances(), len(mat.Instances()))
+	}
+	nodes := mat.Pattern().Nodes()
+	want := make([]int, len(nodes))
+	for i, n := range nodes {
+		images := make(map[graph.VertexID]bool)
+		for _, o := range mat.Occurrences() {
+			images[o.MustImage(n)] = true
+		}
+		want[i] = len(images)
+	}
+	if sizes := got.MNIDomainSizes(); !reflect.DeepEqual(sizes, want) {
+		t.Fatalf("%s: domain sizes %v, scan of the occurrence list gives %v", tag, sizes, want)
+	}
+	if sizes := mat.MNIDomainSizes(); !reflect.DeepEqual(sizes, want) {
+		t.Fatalf("%s: materialized domain sizes %v, scan of its own list gives %v", tag, sizes, want)
+	}
+}
 
 // TestStreamingContextMatchesMaterialized checks that streaming contexts
 // report the same aggregates (occurrence count, instance count, MNI domain
-// sizes) as a fully materialized build, across all paper figures and every
-// parallelism setting.
+// sizes) as a fully materialized build at every parallelism setting —
+// untruncated, where instances are counted by orbit, and under MaxOccurrences
+// caps that cut an orbit (1, 2, |Aut|+1, total-1), where they cannot be.
 func TestStreamingContextMatchesMaterialized(t *testing.T) {
-	for _, fig := range dataset.AllFigures() {
-		mat := core.MustNewContext(fig.Graph, fig.Pattern, core.Options{})
-		for _, par := range []int{0, 1, 4} {
-			st := core.MustNewContext(fig.Graph, fig.Pattern, core.Options{Streaming: true, Parallelism: par})
-			if st.Materialized() || !st.Streaming() {
-				t.Fatalf("%s: streaming context misreports its mode", fig.Name)
+	for _, tc := range aggregateCases(t) {
+		full := core.MustNewContext(tc.g, tc.p, core.Options{Snapshot: tc.snap})
+		aut := len(isomorph.Automorphisms(tc.p.Graph()))
+		for _, max := range []int{0, 1, 2, aut + 1, full.NumOccurrences() - 1} {
+			if max < 0 || max > full.NumOccurrences() {
+				continue
 			}
-			if st.NumOccurrences() != mat.NumOccurrences() {
-				t.Errorf("%s par=%d: streaming occurrences %d, materialized %d",
-					fig.Name, par, st.NumOccurrences(), mat.NumOccurrences())
+			mat := full
+			if max > 0 {
+				mat = core.MustNewContext(tc.g, tc.p, core.Options{Snapshot: tc.snap, MaxOccurrences: max})
 			}
-			if st.NumInstances() != mat.NumInstances() {
-				t.Errorf("%s par=%d: streaming instances %d, materialized %d",
-					fig.Name, par, st.NumInstances(), mat.NumInstances())
-			}
-			sizes := st.MNIDomainSizes()
-			nodes := fig.Pattern.Nodes()
-			if len(sizes) != len(nodes) {
-				t.Fatalf("%s: %d domain sizes for %d pattern nodes", fig.Name, len(sizes), len(nodes))
-			}
-			for i, n := range nodes {
-				images := make(map[graph.VertexID]bool)
-				for _, o := range mat.Occurrences() {
-					images[o.MustImage(n)] = true
+			for _, par := range []int{0, 1, 4} {
+				st := core.MustNewContext(tc.g, tc.p, core.Options{Snapshot: tc.snap, Streaming: true, Parallelism: par, MaxOccurrences: max})
+				if st.Materialized() || !st.Streaming() {
+					t.Fatalf("%s: streaming context misreports its mode", tc.name)
 				}
-				if sizes[i] != len(images) {
-					t.Errorf("%s: node %d domain size %d, want %d", fig.Name, n, sizes[i], len(images))
-				}
+				requireAggregatesMatch(t, fmt.Sprintf("%s max=%d par=%d", tc.name, max, par), st, mat)
 			}
 		}
 	}
@@ -64,29 +136,28 @@ func TestStreamingContextOmitsMaterializedState(t *testing.T) {
 
 // TestContextIdenticalAcrossShards checks the shards knob end to end through
 // context construction: occurrence order, instance grouping and the streamed
-// aggregates must be identical for every shard count and parallelism.
+// aggregates must be identical for every shard count and parallelism, on a
+// labeled triangle and on every symmetric pattern over a one-label graph.
 func TestContextIdenticalAcrossShards(t *testing.T) {
-	g := gen.BarabasiAlbert(300, 3, gen.UniformLabels{K: 2}, 11)
-	tri := pattern.MustNew(graph.NewBuilder("tri").Vertices(1, 0, 1, 2).Cycle(0, 1, 2).MustBuild())
-
-	base := core.MustNewContext(g, tri, core.Options{Parallelism: 1})
-	for _, shards := range []int{1, 2, 7} {
-		for _, par := range []int{1, 4} {
-			ctx := core.MustNewContext(g, tri, core.Options{Parallelism: par, Shards: shards})
-			if ctx.NumOccurrences() != base.NumOccurrences() || ctx.NumInstances() != base.NumInstances() {
-				t.Fatalf("shards=%d par=%d: %d/%d occurrences/instances, want %d/%d",
-					shards, par, ctx.NumOccurrences(), ctx.NumInstances(), base.NumOccurrences(), base.NumInstances())
-			}
-			for i, o := range ctx.Occurrences() {
-				if o.Key() != base.Occurrences()[i].Key() {
-					t.Fatalf("shards=%d par=%d: occurrence %d is %s, unsharded has %s",
-						shards, par, i, o.Key(), base.Occurrences()[i].Key())
+	cases := []aggregateCase{{name: "tri/ba300", g: gen.BarabasiAlbert(300, 3, gen.UniformLabels{K: 2}, 11), p: trianglePattern()}}
+	one := gen.BarabasiAlbert(40, 3, gen.UniformLabels{K: 1}, 21)
+	for _, p := range symmetricPatterns() {
+		cases = append(cases, aggregateCase{name: p.Graph().Name() + "/ba40", g: one, p: p})
+	}
+	for _, tc := range cases {
+		base := core.MustNewContext(tc.g, tc.p, core.Options{Parallelism: 1})
+		for _, shards := range []int{1, 2, 7} {
+			for _, par := range []int{1, 4} {
+				tag := fmt.Sprintf("%s shards=%d par=%d", tc.name, shards, par)
+				ctx := core.MustNewContext(tc.g, tc.p, core.Options{Parallelism: par, Shards: shards})
+				requireAggregatesMatch(t, tag, ctx, base)
+				for i, o := range ctx.Occurrences() {
+					if o.Key() != base.Occurrences()[i].Key() {
+						t.Fatalf("%s: occurrence %d is %s, unsharded has %s", tag, i, o.Key(), base.Occurrences()[i].Key())
+					}
 				}
-			}
-			st := core.MustNewContext(g, tri, core.Options{Parallelism: par, Shards: shards, Streaming: true})
-			if st.NumOccurrences() != base.NumOccurrences() || st.NumInstances() != base.NumInstances() {
-				t.Fatalf("shards=%d par=%d streaming: %d/%d occurrences/instances, want %d/%d",
-					shards, par, st.NumOccurrences(), st.NumInstances(), base.NumOccurrences(), base.NumInstances())
+				st := core.MustNewContext(tc.g, tc.p, core.Options{Parallelism: par, Shards: shards, Streaming: true})
+				requireAggregatesMatch(t, tag+" streaming", st, base)
 			}
 		}
 	}

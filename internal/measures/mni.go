@@ -20,35 +20,19 @@ type MNI struct{}
 // Name implements Measure.
 func (MNI) Name() string { return NameMNI }
 
-// Compute implements Measure. On a streaming context the per-node image
-// domains were already accumulated incrementally during enumeration, so the
-// measure is read off the domain-size table without any occurrence list; on a
-// materialized context the occurrence list is scanned as before.
+// Compute implements Measure. The per-node image domains are accumulated
+// while the context is built, in both modes, so the measure is read off the
+// domain-size table without any occurrence list.
 func (MNI) Compute(ctx *core.Context) (Result, error) {
 	if ctx.NumOccurrences() == 0 {
 		return Result{Measure: NameMNI, Value: 0, Exact: true}, nil
 	}
 	nodes := ctx.Pattern().Nodes()
-	minCount := -1
-	minNode := nodes[0]
-	if sizes := ctx.MNIDomainSizes(); sizes != nil {
-		for i, n := range nodes {
-			if minCount < 0 || sizes[i] < minCount {
-				minCount = sizes[i]
-				minNode = n
-			}
-		}
-	} else {
-		occs := ctx.Occurrences()
-		for _, n := range nodes {
-			images := make(map[graph.VertexID]bool, len(occs))
-			for _, o := range occs {
-				images[o.MustImage(n)] = true
-			}
-			if minCount < 0 || len(images) < minCount {
-				minCount = len(images)
-				minNode = n
-			}
+	sizes := ctx.MNIDomainSizes()
+	minCount, minNode := sizes[0], nodes[0]
+	for i, n := range nodes {
+		if sizes[i] < minCount {
+			minCount, minNode = sizes[i], n
 		}
 	}
 	return Result{
