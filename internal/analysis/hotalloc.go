@@ -2,18 +2,20 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
 // HotAlloc checks allocation discipline in functions annotated
-// //gvet:hotpath — the drain loops, intersection kernels and planner inner
-// functions that run once per candidate occurrence. In those functions it
-// flags map allocation, interface boxing (a concrete value passed or
-// converted where an interface is expected), closure allocation, and any
-// use of fmt, all of which put per-occurrence garbage on the heap.
+// //gvet:hotpath — the drain loops, intersection kernels, planner inner
+// functions and emit, which run once per candidate occurrence. In those
+// functions it flags map and slice allocation, new and &T{...}, interface
+// boxing (a concrete value passed or converted where an interface is
+// expected), closure allocation, and any use of fmt, all of which put
+// per-occurrence garbage on the heap.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
-	Doc: "flag map allocation, interface boxing, closures and fmt use inside " +
+	Doc: "flag map and slice allocation, new, &T{...}, interface boxing, closures and fmt use inside " +
 		"//gvet:hotpath functions; per-occurrence allocation dominates mining throughput",
 	Run: runHotAlloc,
 }
@@ -49,6 +51,10 @@ func checkHotFunc(pass *Pass, fn *ast.FuncDecl) {
 			if isMapType(pass.Pkg.Info.TypeOf(n)) {
 				pass.Reportf(n.Pos(), "map literal allocates in hot path; preallocate the map outside %s or use a slice keyed by index", fn.Name.Name)
 			}
+		case *ast.UnaryExpr:
+			if _, lit := n.X.(*ast.CompositeLit); lit && n.Op == token.AND {
+				pass.Reportf(n.Pos(), "&T{...} allocates in hot path; overwrite a value owned by preallocated state in %s", fn.Name.Name)
+			}
 		case *ast.CallExpr:
 			checkHotCall(pass, fn, n)
 		}
@@ -56,8 +62,8 @@ func checkHotFunc(pass *Pass, fn *ast.FuncDecl) {
 	})
 }
 
-// checkHotCall flags map makes, fmt calls, interface conversions and
-// interface-typed arguments for one call in a hot function.
+// checkHotCall flags map and slice makes, new, fmt calls, interface
+// conversions and interface-typed arguments for one call in a hot function.
 func checkHotCall(pass *Pass, fn *ast.FuncDecl, call *ast.CallExpr) {
 	pkgPath, name := callee(pass, call)
 	if pkgPath == "fmt" {
@@ -65,8 +71,13 @@ func checkHotCall(pass *Pass, fn *ast.FuncDecl, call *ast.CallExpr) {
 		return
 	}
 	if pkgPath == "" && hotBuiltins[name] {
-		if name == "make" && isMapType(pass.Pkg.Info.TypeOf(call)) {
+		switch t := pass.Pkg.Info.TypeOf(call); {
+		case name == "make" && isMapType(t):
 			pass.Reportf(call.Pos(), "make(map) allocates in hot path; preallocate the map outside %s and reuse it", fn.Name.Name)
+		case name == "make" && isSliceType(t):
+			pass.Reportf(call.Pos(), "make([]T) allocates in hot path; reuse a buffer owned by preallocated state in %s", fn.Name.Name)
+		case name == "new":
+			pass.Reportf(call.Pos(), "new allocates in hot path; overwrite a value owned by preallocated state in %s", fn.Name.Name)
 		}
 		return
 	}
@@ -118,6 +129,15 @@ func isMapType(t types.Type) bool {
 		return false
 	}
 	_, ok := t.Underlying().(*types.Map)
+	return ok
+}
+
+// isSliceType reports whether a type's underlying type is a slice.
+func isSliceType(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	_, ok := t.Underlying().(*types.Slice)
 	return ok
 }
 

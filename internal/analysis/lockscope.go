@@ -26,9 +26,6 @@ var LockScope = &Analyzer{
 var blockingNames = map[string]bool{
 	"Freeze":                   true,
 	"FreezeSharded":            true,
-	"Enumerate":                true,
-	"EnumerateFunc":            true,
-	"EnumerateWorkers":         true,
 	"EnumerateSnapshot":        true,
 	"EnumerateSnapshotWorkers": true,
 	"Mine":                     true,

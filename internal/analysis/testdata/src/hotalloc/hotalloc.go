@@ -1,5 +1,6 @@
 // Package hotalloc seeds hotalloc violations inside //gvet:hotpath
-// functions: map allocation, fmt use, closures and interface boxing.
+// functions: map and slice allocation, new, &T{...}, fmt use, closures and
+// interface boxing.
 package hotalloc
 
 import "fmt"
@@ -29,6 +30,34 @@ func drainFast(xs []int) int {
 //gvet:hotpath
 func boxValue(v int) {
 	consume(v) // want "boxes a concrete value into interface parameter of consume"
+}
+
+type occurrence struct{ images []int }
+
+type state struct {
+	arena []occurrence
+	occ   occurrence
+}
+
+// emitFresh mimics an emit that hands every consumer its own occurrence: an
+// arena refill, a fresh struct or a counter cell per call.
+//
+//gvet:hotpath
+func (s *state) emitFresh(k int) *occurrence {
+	if len(s.arena) == 0 {
+		s.arena = make([]occurrence, 1024) // want "allocates in hot path; reuse a buffer owned by preallocated state in emitFresh"
+	}
+	n := new(int) // want "new allocates in hot path"
+	*n = k
+	return &occurrence{images: s.arena[0].images} // want "allocates in hot path; overwrite a value owned by preallocated state in emitFresh"
+}
+
+// emitBorrowed lends the one occurrence the state owns: nothing to flag.
+//
+//gvet:hotpath
+func (s *state) emitBorrowed(k int) *occurrence {
+	s.occ.images[0] = k
+	return &s.occ
 }
 
 // cold is identical but unannotated: not checked.

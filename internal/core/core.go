@@ -6,17 +6,17 @@
 // in the measures package are computed from a Context produced here.
 //
 // Context construction runs on the streaming parallel enumeration engine of
-// package isomorph: every worker folds its occurrences into one accumulator —
-// the occurrence count and the per-node MNI domain table (table.go), plus
-// the occurrences themselves when the list is wanted — and the accumulators
-// are merged once enumeration finishes. In the default (materialized) mode
-// the merged result is byte-for-byte identical to a sequential build. In
-// streaming mode the occurrence list and both hypergraphs are never
-// materialized; only the aggregates survive (occurrence count, MNI domain
-// sizes, and the distinct-instance count, which is the occurrence count
-// divided by the number of pattern automorphisms — see instancesByOrbit),
-// which is all that MNI and the raw counts need. DeltaContext keeps the same
-// accumulator alive across graph mutations.
+// package isomorph. In streaming mode every worker folds the occurrences it
+// is lent into one accumulator — the occurrence count and the per-node MNI
+// domain table (table.go) — and the accumulators are merged once enumeration
+// finishes; the occurrence list and both hypergraphs are never materialized
+// and only the aggregates survive (occurrence count, MNI domain sizes, and
+// the distinct-instance count, which is the occurrence count divided by the
+// number of pattern automorphisms — see instancesByOrbit), which is all that
+// MNI and the raw counts need. In the default (materialized) mode the list
+// comes from isomorph.EnumerateSnapshot, identical for every parallelism and
+// shard setting, and is scanned once into the same accumulator. DeltaContext
+// keeps that accumulator alive across graph mutations.
 package core
 
 import (
@@ -63,8 +63,8 @@ type Context struct {
 // Options configures context construction.
 type Options struct {
 	// MaxOccurrences caps occurrence enumeration; zero means unlimited. A
-	// positive cap forces sequential enumeration so the kept prefix is
-	// deterministic.
+	// positive cap keeps the first MaxOccurrences occurrences of the
+	// sequential search order, whatever Parallelism says.
 	MaxOccurrences int
 	// Parallelism is the worker count of the enumeration engine: 0 picks
 	// GOMAXPROCS (with a sequential fallback on tiny inputs), 1 forces the
@@ -74,7 +74,7 @@ type Options struct {
 	// Shards is the CSR shard count of the frozen snapshot enumeration runs
 	// on: 0 keeps the graph's automatic sharding, positive values split the
 	// vertex range into at most that many contiguous shards (see
-	// isomorph.Options.Shards). The resulting Context is identical for every
+	// graph.FreezeOptions). The resulting Context is identical for every
 	// setting.
 	Shards int
 	// Streaming skips materializing the occurrence list, the instance list
@@ -105,34 +105,28 @@ func NewContext(g *graph.Graph, p *pattern.Pattern, opts Options) (*Context, err
 	if snap == nil {
 		snap = g.FreezeSharded(graph.FreezeOptions{Shards: opts.Shards})
 	}
-	enumPar := opts.Parallelism
-	if opts.MaxOccurrences > 0 {
-		// A parallel run would keep whichever occurrences win the race for
-		// the shared budget; pin the sequential path so the kept prefix is
-		// the deterministic one the Options doc promises.
-		enumPar = 1
-	}
-	// A streaming build keeps no occurrences and counts instances by orbit,
-	// unless a cap may truncate the enumeration: then the orbit count does
-	// not apply, and the prefix — no longer than the caller's own cap — is
-	// retained just long enough to group it.
-	keep := !opts.Streaming || opts.MaxOccurrences > 0
-	accs := accumulate(snap, p,
-		isomorph.Options{MaxOccurrences: opts.MaxOccurrences, Parallelism: enumPar},
-		keep, nil)
-	all := mergeWorkers(p, accs)
-	ctx.numOccurrences = all.count
-	ctx.domainSizes = all.table.sizes()
-	if !keep {
+	enum := isomorph.Options{MaxOccurrences: opts.MaxOccurrences, Parallelism: opts.Parallelism}
+	if opts.Streaming && opts.MaxOccurrences == 0 {
+		// Nothing is kept: every worker folds its borrowed occurrences into
+		// its own accumulator and instances are counted by orbit.
+		all := mergeWorkers(p, accumulate(snap, p, enum, nil))
+		ctx.numOccurrences = all.count
+		ctx.domainSizes = all.table.sizes()
 		ctx.numInstances = instancesByOrbit(all.count, automorphismCount(p))
 		return ctx, nil
 	}
 
-	buckets := make([][]*isomorph.Occurrence, len(accs))
-	for i, a := range accs {
-		buckets[i] = a.occs
+	// The list is wanted — by a materialized context for good, by a capped
+	// streaming one (whose prefix, no longer than the caller's own cap, is
+	// not closed under automorphisms, so the orbit count does not apply) just
+	// long enough to group it — and one scan folds it into the accumulator.
+	occs := isomorph.EnumerateSnapshot(snap, p, enum)
+	all := &accumulator{table: newDomainTable(p.Nodes())}
+	for _, o := range occs {
+		all.yield(o)
 	}
-	occs := isomorph.MergeSortedOccurrences(buckets)
+	ctx.numOccurrences = all.count
+	ctx.domainSizes = all.table.sizes()
 	insts := isomorph.Instances(p, occs)
 	ctx.numInstances = len(insts)
 	if opts.Streaming {

@@ -230,7 +230,7 @@ func (d *DeltaContext) enumerate(snap *graph.Snapshot, roots []int32, dirty map[
 	}
 	return accumulate(snap, d.p,
 		isomorph.Options{Parallelism: d.opts.Parallelism, RootIndexes: roots},
-		false, dirty)
+		dirty)
 }
 
 // rebuild discards the maintained state and recomputes it from a full

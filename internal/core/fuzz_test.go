@@ -14,7 +14,7 @@ import (
 // FuzzStreamedAggregates checks, on a small labeled graph and a connected
 // pattern of at most four nodes decoded from the fuzz input, that a streaming
 // context's occurrence count, instance count, MNI domain sizes and MNI value
-// equal what a plain scan of isomorph.Enumerate's list and
+// equal what a plain scan of isomorph.EnumerateSnapshot's list and
 // isomorph.Instances' grouping gives.
 func FuzzStreamedAggregates(f *testing.F) {
 	f.Add([]byte{})
@@ -24,7 +24,7 @@ func FuzzStreamedAggregates(f *testing.F) {
 	f.Add([]byte{1, 2, 1, 0, 1, 0, 0, 1, 0, 4, 0, 1, 0, 1, 0, 1, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 0, 0, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, p, par := decodeGraphAndPattern(data)
-		occs := isomorph.Enumerate(g, p, isomorph.Options{Parallelism: 1})
+		occs := isomorph.EnumerateSnapshot(g.Freeze(), p, isomorph.Options{Parallelism: 1})
 		nodes := p.Nodes()
 		sizes := make([]int, len(nodes))
 		mni := 0

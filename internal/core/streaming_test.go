@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -186,6 +187,43 @@ func TestMaterializedContextIdenticalAcrossParallelism(t *testing.T) {
 			if in.Key() != base.Instances()[i].Key() {
 				t.Fatalf("par=%d: instance %d is %s, sequential has %s", par, i, in.Key(), base.Instances()[i].Key())
 			}
+		}
+	}
+}
+
+// TestStreamingAllocationDoesNotScale checks that a streaming context pays
+// for its domain tables and for nothing per occurrence: over two graphs on
+// the same vertices, one with more than four times the occurrences of the
+// other, the build allocates the same bytes up to what the larger tables
+// cost (generously, 128 B per (pattern node, data vertex) entry of every
+// worker's table — a map entry plus the buckets it outgrew).
+func TestStreamingAllocationDoesNotScale(t *testing.T) {
+	const slack = 64 << 10 // bytes; 4N-N occurrences at 1 B each would exceed it
+	star := pattern.MustNew(graph.NewBuilder("star").
+		Vertex(0, 1).Vertex(1, 2).Vertex(2, 2).Vertex(3, 2).Star(0, 1, 2, 3).MustBuild())
+	sparse := gen.BarabasiAlbert(2000, 2, gen.UniformLabels{K: 2}, 5).Freeze()
+	dense := gen.BarabasiAlbert(2000, 3, gen.UniformLabels{K: 2}, 5).Freeze()
+	for _, par := range []int{1, 4} {
+		build := func(snap *graph.Snapshot) (ctx *core.Context, bytes uint64) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			ctx = core.MustNewContext(nil, star, core.Options{Streaming: true, Parallelism: par, Snapshot: snap})
+			runtime.ReadMemStats(&after)
+			return ctx, after.TotalAlloc - before.TotalAlloc
+		}
+		few, small := build(sparse)
+		many, big := build(dense)
+		n, m := few.NumOccurrences(), many.NumOccurrences()
+		if n < 20000 || m < 4*n {
+			t.Fatalf("workload has %d and %d occurrences; want N >= 20000 and >= 4N", n, m)
+		}
+		tables := 0
+		for _, size := range many.MNIDomainSizes() {
+			tables += 128 * par * size
+		}
+		if diff := int64(big) - int64(small); diff > int64(slack+tables) {
+			t.Errorf("Parallelism=%d: %d occurrences allocated %d B, %d occurrences %d B (tables allowed %d B): %.1f B per extra occurrence",
+				par, n, small, m, big, tables, float64(diff)/float64(m-n))
 		}
 	}
 }

@@ -70,17 +70,16 @@ func (t domainTable) sizes() []int {
 	return sizes
 }
 
-// accumulator is what an occurrence stream is folded into: the occurrence
-// count and the domain table, plus the occurrences themselves when a caller
-// needs the list. Each enumeration worker owns exactly one, so the hot path
-// takes no locks; the per-worker accumulators are merged once enumeration
-// finishes, and a DeltaContext keeps one more as its maintained state.
+// accumulator is what occurrences are folded into: the occurrence count and
+// the domain table. It reads an occurrence and retains nothing of it, which
+// is what lets the enumeration engine lend every worker's occurrences instead
+// of allocating them. Each enumeration worker owns exactly one, so the hot
+// path takes no locks; the per-worker accumulators are merged once
+// enumeration finishes, a materialized build scans its list into one, and a
+// DeltaContext keeps one more as its maintained state.
 type accumulator struct {
 	count int
 	table domainTable
-	// keep retains every counted occurrence in occs.
-	keep bool
-	occs []*isomorph.Occurrence
 	// dirty, when non-nil, restricts counting to occurrences that touch one
 	// of its vertices (the delta passes of DeltaContext.Refresh).
 	dirty map[graph.VertexID]bool
@@ -101,15 +100,11 @@ func (a *accumulator) yield(o *isomorph.Occurrence) bool {
 	}
 	a.count++
 	a.table.add(o)
-	if a.keep {
-		a.occs = append(a.occs, o)
-	}
 	return true
 }
 
 // merge folds the counts of every accumulator in accs into a with the given
-// sign. Retained occurrences are not moved: callers that kept them read the
-// per-worker lists, whose order MergeSortedOccurrences depends on.
+// sign.
 func (a *accumulator) merge(accs []*accumulator, sign int) {
 	for _, b := range accs {
 		a.count += sign * b.count
@@ -120,11 +115,11 @@ func (a *accumulator) merge(accs []*accumulator, sign int) {
 // accumulate streams the occurrences of p over snap into one accumulator per
 // enumeration worker and returns them in worker order; none when the search
 // has no plan (the pattern cannot occur at all).
-func accumulate(snap *graph.Snapshot, p *pattern.Pattern, enum isomorph.Options, keep bool, dirty map[graph.VertexID]bool) []*accumulator {
+func accumulate(snap *graph.Snapshot, p *pattern.Pattern, enum isomorph.Options, dirty map[graph.VertexID]bool) []*accumulator {
 	nodes := p.Nodes()
 	var accs []*accumulator
 	isomorph.EnumerateSnapshotWorkers(snap, p, enum, func(int) func(*isomorph.Occurrence) bool {
-		a := &accumulator{table: newDomainTable(nodes), keep: keep, dirty: dirty}
+		a := &accumulator{table: newDomainTable(nodes), dirty: dirty}
 		accs = append(accs, a)
 		return a.yield
 	})

@@ -10,21 +10,6 @@ import (
 	"repro/internal/pattern"
 )
 
-// collectSnapshot materializes the occurrences EnumerateSnapshotWorkers
-// streams for the given snapshot and options, in canonical order.
-func collectSnapshot(snap *graph.Snapshot, p *pattern.Pattern, opts isomorph.Options) []*isomorph.Occurrence {
-	var buckets [][]*isomorph.Occurrence
-	isomorph.EnumerateSnapshotWorkers(snap, p, opts, func(int) func(*isomorph.Occurrence) bool {
-		i := len(buckets)
-		buckets = append(buckets, nil)
-		return func(o *isomorph.Occurrence) bool {
-			buckets[i] = append(buckets[i], o)
-			return true
-		}
-	})
-	return isomorph.MergeSortedOccurrences(buckets)
-}
-
 // starPattern returns a 4-node star with a label-1 center and label-2
 // leaves; which node roots the search order is up to the planner (resolve it
 // through isomorph.Explain when a test depends on it).
@@ -35,21 +20,20 @@ func starPattern() *pattern.Pattern {
 		MustBuild())
 }
 
-// TestEnumerateSnapshotMatchesGraphEnumeration pins the snapshot-pinned entry
-// point to the graph-level one: enumerating over the graph's own frozen
-// snapshot is identical to EnumerateWorkers for every shard and parallelism
-// combination.
+// TestEnumerateSnapshotMatchesGraphEnumeration pins the list to the snapshot
+// it is taken from and to nothing else: every shard geometry and parallelism
+// of the same graph yields the sequence the sequential search of its default
+// freeze does.
 func TestEnumerateSnapshotMatchesGraphEnumeration(t *testing.T) {
 	g := gen.BarabasiAlbert(300, 3, gen.UniformLabels{K: 2}, 7)
 	p := starPattern()
-	want := occurrenceKeys(isomorph.Enumerate(g, p, isomorph.Options{Parallelism: 1}))
+	want := occurrenceKeys(isomorph.EnumerateSnapshot(g.Freeze(), p, isomorph.Options{Parallelism: 1}))
 	if len(want) == 0 {
 		t.Fatal("workload enumerated no occurrences; test needs a non-trivial set")
 	}
 	for _, shards := range []int{1, 2, 7} {
 		for _, par := range []int{1, 4} {
-			snap := g.FreezeSharded(graph.FreezeOptions{Shards: shards})
-			got := occurrenceKeys(collectSnapshot(snap, p, isomorph.Options{Parallelism: par}))
+			got := occurrenceKeys(isomorph.EnumerateSnapshot(sharded(g, shards), p, isomorph.Options{Parallelism: par}))
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("shards=%d par=%d: snapshot enumeration diverged: %d occurrences, want %d",
 					shards, par, len(got), len(want))
@@ -67,7 +51,7 @@ func TestRootRestrictedEnumeration(t *testing.T) {
 	p := starPattern()
 
 	snap := g.Freeze()
-	full := isomorph.Enumerate(g, p, isomorph.Options{Parallelism: 1})
+	full := isomorph.EnumerateSnapshot(snap, p, isomorph.Options{Parallelism: 1})
 
 	// The root pattern node is the first node of the search order, which the
 	// planner chooses per (snapshot, pattern); resolve it through Explain
@@ -99,7 +83,7 @@ func TestRootRestrictedEnumeration(t *testing.T) {
 
 	for _, shards := range []int{1, 2, 7} {
 		for _, par := range []int{1, 4} {
-			sh := g.FreezeSharded(graph.FreezeOptions{Shards: shards})
+			sh := sharded(g, shards)
 			// Dense indexes are snapshot-specific: re-resolve the allowed
 			// vertex IDs against this snapshot.
 			var roots []int32
@@ -108,7 +92,7 @@ func TestRootRestrictedEnumeration(t *testing.T) {
 					roots = append(roots, c)
 				}
 			}
-			got := occurrenceKeys(collectSnapshot(sh, p, isomorph.Options{Parallelism: par, RootIndexes: roots}))
+			got := occurrenceKeys(isomorph.EnumerateSnapshot(sh, p, isomorph.Options{Parallelism: par, RootIndexes: roots}))
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("shards=%d par=%d: restricted enumeration yielded %d occurrences, want %d",
 					shards, par, len(got), len(want))
@@ -117,7 +101,7 @@ func TestRootRestrictedEnumeration(t *testing.T) {
 	}
 
 	// An empty (but non-nil) restriction enumerates nothing.
-	if got := collectSnapshot(snap, p, isomorph.Options{RootIndexes: []int32{}}); len(got) != 0 {
+	if got := isomorph.EnumerateSnapshot(snap, p, isomorph.Options{RootIndexes: []int32{}}); len(got) != 0 {
 		t.Fatalf("empty root restriction enumerated %d occurrences, want 0", len(got))
 	}
 }
@@ -133,16 +117,16 @@ func TestEnumerateSnapshotIsHistorical(t *testing.T) {
 	p := starPattern()
 
 	old := g.Freeze()
-	before := occurrenceKeys(collectSnapshot(old, p, isomorph.Options{}))
+	before := occurrenceKeys(isomorph.EnumerateSnapshot(old, p, isomorph.Options{}))
 
 	g.MustAddVertex(4, 2)
 	g.MustAddEdge(0, 4) // the center gains a leaf: new stars appear
 
-	after := occurrenceKeys(collectSnapshot(g.Freeze(), p, isomorph.Options{}))
+	after := occurrenceKeys(isomorph.EnumerateSnapshot(g.Freeze(), p, isomorph.Options{}))
 	if len(after) <= len(before) {
 		t.Fatalf("mutation added no occurrences (%d -> %d); workload broken", len(before), len(after))
 	}
-	if got := occurrenceKeys(collectSnapshot(old, p, isomorph.Options{})); !reflect.DeepEqual(got, before) {
+	if got := occurrenceKeys(isomorph.EnumerateSnapshot(old, p, isomorph.Options{})); !reflect.DeepEqual(got, before) {
 		t.Fatalf("old snapshot enumeration changed after mutation: %d occurrences, want %d", len(got), len(before))
 	}
 }

@@ -9,18 +9,16 @@ import (
 	"repro/internal/pattern"
 )
 
-// Options controls occurrence enumeration.
+// Options controls occurrence enumeration. Sharding is not among them: the
+// search runs on the snapshot it is handed, so the shard count is decided
+// where that snapshot is frozen (core, support.Engine, the store).
 type Options struct {
 	// MaxOccurrences stops enumeration once this many occurrences have been
-	// found; zero means unlimited. Mining with a threshold t can set this to
-	// a small multiple of t to bound work on very frequent patterns. The cap
-	// no longer forces sequential enumeration: parallel workers share one
-	// atomic budget, so exactly MaxOccurrences occurrences are delivered in
-	// total, but WHICH ones depends on worker interleaving. Enumerate (and
-	// the capped core contexts built on it) still pins a positive cap to the
-	// sequential path, preserving the documented deterministic-prefix
-	// semantics; streaming callers that want that guarantee alongside a cap
-	// should set Parallelism to 1.
+	// delivered; zero means unlimited. A positive cap runs the search on the
+	// sequential path whatever Parallelism says, so the delivered occurrences
+	// are exactly the first MaxOccurrences of the deterministic sequential
+	// search order. Mining with a threshold t can set this to a small
+	// multiple of t to bound work on very frequent patterns.
 	MaxOccurrences int
 	// Parallelism is the number of worker goroutines the enumeration engine
 	// partitions root candidates across. Zero picks GOMAXPROCS (falling back
@@ -28,17 +26,6 @@ type Options struct {
 	// 1 forces the deterministic sequential path; values above 1 are used
 	// as given.
 	Parallelism int
-	// Shards selects the shard count of the frozen CSR snapshot the search
-	// runs on: 0 keeps the graph's automatic sharding (a single shard up to
-	// graph.DefaultShardSize vertices), positive values split the vertex
-	// range into at most that many contiguous shards (shard sizes round up
-	// to powers of two). Root candidates are partitioned
-	// shard-first, so parallel workers drain whole shards — keeping their hot
-	// loops inside one shard's arrays — before stealing across shards. The
-	// enumerated occurrence set is identical for every setting. Ignored by
-	// the EnumerateSnapshot* entry points, which run on the snapshot they
-	// are handed.
-	Shards int
 	// RootIndexes, when non-nil, restricts the search to occurrences rooted
 	// at the given global dense indexes of the snapshot the search runs on
 	// (the root is the data vertex matched to the first pattern node of the
@@ -51,28 +38,23 @@ type Options struct {
 	// restricts roots to the mutation ball and enumerates only occurrences
 	// that can reach into dirty shards.
 	//
-	// Dense indexes are snapshot-specific, so RootIndexes is only meaningful
-	// with the EnumerateSnapshot* entry points that pin the snapshot the
-	// indexes were computed against. Note that the first pattern node of the
-	// search order is chosen per (snapshot, pattern) by the search-order
-	// planner; restrictions that must cover every possible root (such as the
-	// mutation ball of incremental delta maintenance, which contains all
-	// images of every affected occurrence) are insensitive to that choice.
+	// Dense indexes are snapshot-specific: they refer to the snapshot passed
+	// to the entry point. Note that the first pattern node of the search
+	// order is chosen per (snapshot, pattern) by the search-order planner;
+	// restrictions that must cover every possible root (such as the mutation
+	// ball of incremental delta maintenance, which contains all images of
+	// every affected occurrence) are insensitive to that choice.
 	RootIndexes []int32
-
-	// reuseOccurrence switches emit to a single per-worker Occurrence that
-	// is overwritten in place on every yield, eliminating the per-occurrence
-	// arena allocations (and the GC write-barrier traffic they cause) for
-	// consumers that copy what they need before returning. Package-internal:
-	// only Enumerate and Count set it — their consumers never retain the
-	// yielded pointer — while the exported streaming entry points keep the
-	// documented retainable-occurrence contract.
-	reuseOccurrence bool
 }
 
 // workers resolves the effective worker count for a search with the given
 // number of root candidates on a data graph with n vertices.
 func (o Options) workers(roots, n int) int {
+	if o.MaxOccurrences > 0 {
+		// The one cap rule: a capped search delivers the first MaxOccurrences
+		// occurrences of the sequential order, so it runs on that path.
+		return 1
+	}
 	w := o.Parallelism
 	if w <= 0 {
 		// Auto mode: parallelism is not worth goroutine startup on tiny
@@ -108,8 +90,6 @@ type searchPlan struct {
 	// neighbor of the depth-d candidate.
 	anchors [][]int
 
-	// reuse carries Options.reuseOccurrence to the per-worker states.
-	reuse bool
 	// slotOf[d] is the memoized-run slot serving depth d, or -1 when the
 	// depth is not single-anchor. Depths whose (anchor depth, label, minDeg)
 	// constraint key coincides share a slot, so a star's leaf depths pay one
@@ -151,7 +131,6 @@ func newSearchPlan(snap *graph.Snapshot, p *pattern.Pattern, opts Options) *sear
 		label:   make([]graph.Label, len(order)),
 		minDeg:  make([]int, len(order)),
 		anchors: make([][]int, len(order)),
-		reuse:   opts.reuseOccurrence,
 	}
 	// depthOf[i]: search depth of pattern position i, -1 until ordered.
 	depthOf := make([]int, pl.k)
@@ -245,15 +224,9 @@ type searchState struct {
 	// of the emit loop when the snapshot has exactly one shard; nil
 	// otherwise (emit falls back to Snapshot.ID).
 	ids []graph.VertexID
-	// reuse, when non-nil, is the one Occurrence emit overwrites in place
-	// instead of drawing from the arenas (Options.reuseOccurrence).
-	reuse *Occurrence
-
-	// Per-worker arenas amortize the two allocations behind every emitted
-	// occurrence (the Occurrence struct and its image slice) into large
-	// chunks, keeping the hot emit path almost allocation-free.
-	imageArena []graph.VertexID
-	occArena   []Occurrence
+	// occ is the one Occurrence this worker ever yields: emit overwrites its
+	// images in place and lends it to the consumer for the length of the call.
+	occ Occurrence
 }
 
 func newSearchState(pl *searchPlan, yield func(*Occurrence) bool, stop *atomic.Bool) *searchState {
@@ -263,6 +236,7 @@ func newSearchState(pl *searchPlan, yield func(*Occurrence) bool, stop *atomic.B
 		used:   make([]bool, pl.snap.NumVertices()),
 		yield:  yield,
 		stop:   stop,
+		occ:    Occurrence{nodes: pl.nodes, images: make([]graph.VertexID, pl.k)},
 	}
 	if pl.numSlots > 0 {
 		st.slots = make([]runSlot, pl.numSlots)
@@ -273,12 +247,6 @@ func newSearchState(pl *searchPlan, yield func(*Occurrence) bool, stop *atomic.B
 	st.scratch = make([][]int32, pl.k)
 	if pl.snap.NumShards() == 1 {
 		st.ids = pl.snap.ShardVertexIDs(0)
-	}
-	if pl.reuse {
-		st.reuse = &Occurrence{
-			nodes:  pl.nodes,
-			images: make([]graph.VertexID, pl.k),
-		}
 	}
 	return st
 }
@@ -411,33 +379,15 @@ candidateLoop:
 	return false
 }
 
-// emit materializes the current full assignment as an Occurrence and hands it
-// to the consumer. It returns the consumer's continue/stop decision. In
-// reuse mode (Options.reuseOccurrence) the same Occurrence is overwritten in
-// place on every call; otherwise each occurrence draws fresh storage from the
-// per-worker arenas and stays valid after the consumer returns.
+// emit writes the current full assignment into the worker's one Occurrence
+// and lends it to the consumer, returning the consumer's continue/stop
+// decision. The occurrence is borrowed: the next emit overwrites it, so a
+// consumer copies what it wants to keep before it returns.
+//
+//gvet:hotpath
 func (s *searchState) emit() bool {
 	pl := s.pl
-	var images []graph.VertexID
-	var o *Occurrence
-	if s.reuse != nil {
-		o = s.reuse
-		images = o.images
-	} else {
-		const arenaChunk = 1024
-		if len(s.imageArena) < pl.k {
-			s.imageArena = make([]graph.VertexID, arenaChunk*pl.k)
-		}
-		images = s.imageArena[:pl.k:pl.k]
-		s.imageArena = s.imageArena[pl.k:]
-		if len(s.occArena) == 0 {
-			s.occArena = make([]Occurrence, arenaChunk)
-		}
-		o = &s.occArena[0]
-		s.occArena = s.occArena[1:]
-		o.nodes = pl.nodes
-		o.images = images
-	}
+	images := s.occ.images
 	if ids := s.ids; ids != nil {
 		for d := 0; d < pl.k; d++ {
 			images[pl.slot[d]] = ids[s.assign[d]]
@@ -447,37 +397,34 @@ func (s *searchState) emit() bool {
 			images[pl.slot[d]] = pl.snap.ID(s.assign[d])
 		}
 	}
-	return s.yield(o)
+	return s.yield(&s.occ)
 }
 
-// EnumerateWorkers is the streaming core of the enumeration engine: it
-// partitions the root candidates of pattern p in data graph g across a worker
-// pool and streams every occurrence into per-worker consumers, without
-// materializing any occurrence list. The search runs on g's cached CSR
-// snapshot at the granularity selected by Options.Shards, freezing it first
-// when necessary; EnumerateSnapshotWorkers is the variant that pins an
-// explicit (possibly historical) snapshot instead.
+// EnumerateSnapshotWorkers is the streaming entry point of the enumeration
+// engine: it partitions the root candidates of pattern p in the frozen
+// snapshot snap across a worker pool and streams every occurrence into
+// per-worker consumers, without materializing any occurrence list. The search
+// never freezes a graph — callers freeze (and choose the shard count) before
+// calling — and because snapshots are immutable this is also how historical
+// state is searched: incremental delta maintenance (core.DeltaContext)
+// re-enumerates the pre-mutation occurrence set on the retained old snapshot
+// while the graph has already moved on. Options.RootIndexes refers to snap's
+// dense-index space.
 //
 // newYield is invoked once per worker, serially, before the workers start;
 // the returned consumer is then called from that worker's goroutine only, so
 // consumers may accumulate into unsynchronized worker-local state. Returning
-// false from any consumer stops all workers. With an effective parallelism of
-// one (Options.Parallelism == 1, or a tiny input in auto mode) everything
-// runs on the calling goroutine in the deterministic sequential search order;
-// a positive MaxOccurrences cap no longer forces that path — parallel workers
-// share an atomic occurrence budget instead.
-func EnumerateWorkers(g *graph.Graph, p *pattern.Pattern, opts Options, newYield func(worker int) func(*Occurrence) bool) {
-	EnumerateSnapshotWorkers(g.FreezeSharded(graph.FreezeOptions{Shards: opts.Shards}), p, opts, newYield)
-}
-
-// EnumerateSnapshotWorkers is EnumerateWorkers over an explicit frozen
-// snapshot instead of a graph's current cached one. Because snapshots are
-// immutable, this is the entry point for enumeration against historical
-// state: incremental delta maintenance (core.DeltaContext) uses it to
-// re-enumerate the pre-mutation occurrence set on the retained old snapshot
-// while the graph has already moved on. Options.Shards is ignored — the
-// snapshot's own shard geometry applies — and Options.RootIndexes refers to
-// this snapshot's dense-index space.
+// false from any consumer stops all workers.
+//
+// The *Occurrence a consumer receives is borrowed: each worker owns one
+// Occurrence, overwrites it for every occurrence it finds and lends it for
+// the length of the call. A consumer folds it into its own state or copies
+// out what it keeps (Images, Key, ...) before returning; EnumerateSnapshot is
+// the consumer that keeps everything.
+//
+// With an effective parallelism of one (Options.Parallelism == 1, a tiny
+// input in auto mode, or a positive MaxOccurrences) everything runs on the
+// calling goroutine in the deterministic sequential search order.
 func EnumerateSnapshotWorkers(snap *graph.Snapshot, p *pattern.Pattern, opts Options, newYield func(worker int) func(*Occurrence) bool) {
 	pl := newSearchPlan(snap, p, opts)
 	if pl == nil {
@@ -519,23 +466,11 @@ func EnumerateSnapshotWorkers(snap *graph.Snapshot, p *pattern.Pattern, opts Opt
 	)
 	cursors := make([]int64, len(pl.rootsByShard))
 	numShards := len(pl.rootsByShard)
-	// A positive cap becomes a budget shared by all workers: each delivery
-	// draws one token, a worker whose draw fails stops without delivering,
-	// and the drain loop's stop flag fans the halt out to the others. Exactly
-	// MaxOccurrences occurrences are delivered in total.
-	var budget *atomic.Int64
-	if opts.MaxOccurrences > 0 {
-		budget = new(atomic.Int64)
-		budget.Store(int64(opts.MaxOccurrences))
-	}
 	// All consumers are created before any worker starts, so newYield may
 	// safely grow shared registries without synchronization.
 	yields := make([]func(*Occurrence) bool, workers)
 	for w := range yields {
 		yields[w] = newYield(w)
-		if budget != nil {
-			yields[w] = budgetYield(yields[w], budget)
-		}
 	}
 	for w := 0; w < workers; w++ {
 		yield := yields[w]
@@ -593,63 +528,23 @@ func capYield(yield func(*Occurrence) bool, max int) func(*Occurrence) bool {
 	}
 }
 
-// budgetYield wraps one worker's consumer around the shared occurrence
-// budget: a delivery first draws a token, and a failed draw stops the worker
-// without delivering. The worker that draws the last token also stops, so
-// across all workers exactly the budgeted number of occurrences is
-// delivered.
-func budgetYield(yield func(*Occurrence) bool, budget *atomic.Int64) func(*Occurrence) bool {
-	return func(o *Occurrence) bool {
-		n := budget.Add(-1)
-		if n < 0 {
-			return false
-		}
-		if !yield(o) {
-			return false
-		}
-		return n > 0
-	}
-}
-
-// EnumerateFunc streams every occurrence of pattern p in data graph g to
-// yield, stopping early when yield returns false. When the effective
-// parallelism is above one, yield is called concurrently from multiple worker
-// goroutines and must be safe for concurrent use; consumers that want
-// lock-free worker-local accumulation should use EnumerateWorkers instead.
-func EnumerateFunc(g *graph.Graph, p *pattern.Pattern, opts Options, yield func(*Occurrence) bool) {
-	EnumerateWorkers(g, p, opts, func(int) func(*Occurrence) bool { return yield })
-}
-
-// Enumerate returns all occurrences of pattern p in data graph g, in the
-// canonical deterministic order (see SortOccurrences). It is a thin
-// materializing wrapper around the streaming engine: per-worker occurrence
-// buckets are sorted concurrently and merged, so the result is identical for
-// every Parallelism setting. A positive MaxOccurrences pins the run to the
-// sequential path so that exactly the first MaxOccurrences occurrences of
-// the deterministic search order are returned (the parallel budget keeps the
-// count exact but not which occurrences survive).
-func Enumerate(g *graph.Graph, p *pattern.Pattern, opts Options) []*Occurrence {
-	return EnumerateSnapshot(g.FreezeSharded(graph.FreezeOptions{Shards: opts.Shards}), p, opts)
-}
-
-// EnumerateSnapshot is Enumerate pinned to an explicit frozen snapshot: the
-// same chunked, pointer-free materialization runs over snap directly, so
-// store-backed (mmapped) snapshots and pre-frozen in-memory snapshots are
-// timed and tested through the identical code path as Enumerate itself.
+// EnumerateSnapshot returns all occurrences of pattern p in snap, in the
+// canonical deterministic order (see SortOccurrences). It is the one
+// materializer on top of the streaming engine: each worker's borrowed
+// occurrences are copied out, the per-worker buckets are sorted concurrently
+// and merged, so the result is identical for every Parallelism setting and
+// every shard geometry, and the returned occurrences are the caller's to
+// keep. With a positive MaxOccurrences it returns exactly the first
+// MaxOccurrences occurrences of the sequential search order.
 func EnumerateSnapshot(snap *graph.Snapshot, p *pattern.Pattern, opts Options) []*Occurrence {
-	if opts.MaxOccurrences > 0 {
-		opts.Parallelism = 1
-	}
-	// Accumulate each worker's stream as pointer-free image chunks (the
-	// engine reuses one Occurrence per worker, so images are copied out) and
+	// Accumulate each worker's stream as pointer-free image chunks and
 	// materialize the Occurrence structs afterwards in one exact-size pass.
-	// Compared to appending per-occurrence pointers this removes all GC
-	// write-barrier traffic from the hot consumer and all per-occurrence
-	// arena churn from emit. The chunks have a fixed capacity and are never
-	// regrown: repeatedly re-growing one flat log would allocate ~5x the
-	// final size in copies (Go grows large slices by 1.25x), and on a busy
-	// heap that garbage alone forces extra collection cycles mid-run.
-	opts.reuseOccurrence = true
+	// Compared to appending per-occurrence pointers this keeps GC
+	// write-barrier traffic out of the hot consumer. The chunks have a fixed
+	// capacity and are never regrown: repeatedly re-growing one flat log
+	// would allocate ~5x the final size in copies (Go grows large slices by
+	// 1.25x), and on a busy heap that garbage alone forces extra collection
+	// cycles mid-run.
 	const chunkOccs = 4096 // occurrences per image chunk
 	type bucket struct {
 		chunks [][]graph.VertexID
@@ -694,17 +589,17 @@ func EnumerateSnapshot(snap *graph.Snapshot, p *pattern.Pattern, opts Options) [
 		}
 		slices[i] = ptrs
 	}
-	return MergeSortedOccurrences(slices)
+	return mergeSortedOccurrences(slices)
 }
 
-// MergeSortedOccurrences sorts each bucket of occurrences concurrently and
+// mergeSortedOccurrences sorts each bucket of occurrences concurrently and
 // merges the sorted buckets into one slice in the canonical order. It is the
-// materialization tail of the parallel enumeration engine: bucket sorting
+// materialization tail of EnumerateSnapshot: bucket sorting
 // parallelizes across cores, leaving only the final k-way merge sequential.
 // The merge keeps a binary min-heap over the bucket heads, so it costs
 // O(total log buckets) comparisons rather than a per-element scan of every
 // bucket.
-func MergeSortedOccurrences(buckets [][]*Occurrence) []*Occurrence {
+func mergeSortedOccurrences(buckets [][]*Occurrence) []*Occurrence {
 	buckets = nonEmpty(buckets)
 	switch len(buckets) {
 	case 0:
@@ -775,23 +670,4 @@ func nonEmpty(buckets [][]*Occurrence) [][]*Occurrence {
 		}
 	}
 	return out
-}
-
-// Count returns the number of occurrences of p in g without materializing
-// them.
-func Count(g *graph.Graph, p *pattern.Pattern) int {
-	var counts []*int64
-	EnumerateWorkers(g, p, Options{reuseOccurrence: true}, func(int) func(*Occurrence) bool {
-		n := new(int64)
-		counts = append(counts, n)
-		return func(*Occurrence) bool {
-			*n++
-			return true
-		}
-	})
-	total := int64(0)
-	for _, n := range counts {
-		total += *n
-	}
-	return int(total)
 }

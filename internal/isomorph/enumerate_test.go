@@ -1,7 +1,10 @@
 package isomorph_test
 
 import (
+	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dataset"
@@ -10,6 +13,13 @@ import (
 	"repro/internal/isomorph"
 	"repro/internal/pattern"
 )
+
+// sharded freezes g into at most the given number of shards (0 keeps the
+// automatic sharding): enumeration runs on snapshots, so the tests decide the
+// shard geometry where they freeze.
+func sharded(g *graph.Graph, shards int) *graph.Snapshot {
+	return g.FreezeSharded(graph.FreezeOptions{Shards: shards})
+}
 
 // occurrenceKeys returns the sorted canonical keys of an occurrence slice.
 func occurrenceKeys(occs []*isomorph.Occurrence) []string {
@@ -27,10 +37,10 @@ func occurrenceKeys(occs []*isomorph.Occurrence) []string {
 // exercises the worker pool for data races.
 func TestEnumerateParallelDeterminism(t *testing.T) {
 	for _, fig := range dataset.AllFigures() {
-		want := isomorph.Enumerate(fig.Graph, fig.Pattern, isomorph.Options{Parallelism: 1})
+		want := isomorph.EnumerateSnapshot(fig.Graph.Freeze(), fig.Pattern, isomorph.Options{Parallelism: 1})
 		wantKeys := occurrenceKeys(want)
 		for _, par := range []int{0, 2, 3, 8} {
-			got := isomorph.Enumerate(fig.Graph, fig.Pattern, isomorph.Options{Parallelism: par})
+			got := isomorph.EnumerateSnapshot(fig.Graph.Freeze(), fig.Pattern, isomorph.Options{Parallelism: par})
 			gotKeys := occurrenceKeys(got)
 			if len(gotKeys) != len(wantKeys) {
 				t.Fatalf("%s: Parallelism=%d returned %d occurrences, sequential returned %d",
@@ -53,9 +63,9 @@ func TestEnumerateParallelDeterminism(t *testing.T) {
 func TestEnumerateParallelDeterminismGenerated(t *testing.T) {
 	g := gen.BarabasiAlbert(300, 3, gen.UniformLabels{K: 2}, 11)
 	pat := trianglePattern(1)
-	want := occurrenceKeys(isomorph.Enumerate(g, pat, isomorph.Options{Parallelism: 1}))
+	want := occurrenceKeys(isomorph.EnumerateSnapshot(g.Freeze(), pat, isomorph.Options{Parallelism: 1}))
 	for _, par := range []int{0, 2, 4, 16} {
-		got := occurrenceKeys(isomorph.Enumerate(g, pat, isomorph.Options{Parallelism: par}))
+		got := occurrenceKeys(isomorph.EnumerateSnapshot(g.Freeze(), pat, isomorph.Options{Parallelism: par}))
 		if len(got) != len(want) {
 			t.Fatalf("Parallelism=%d returned %d occurrences, sequential returned %d", par, len(got), len(want))
 		}
@@ -68,10 +78,10 @@ func TestEnumerateParallelDeterminismGenerated(t *testing.T) {
 }
 
 // TestEnumerateShardDeterminism pins the acceptance contract of the sharded
-// snapshot work: the Enumerate output is byte-identical across shard counts
-// {1, 2, 7} and parallelism {1, 4} on every paper figure and on a generated
-// graph large enough for the worker pool to fan out. Run under -race this
-// also exercises the shard-first stealing scheduler for data races.
+// snapshot work: the EnumerateSnapshot output is byte-identical across shard
+// counts {1, 2, 7} and parallelism {1, 4} on every paper figure and on a
+// generated graph large enough for the worker pool to fan out. Run under
+// -race this also exercises the shard-first stealing scheduler for data races.
 func TestEnumerateShardDeterminism(t *testing.T) {
 	type workload struct {
 		name string
@@ -88,10 +98,10 @@ func TestEnumerateShardDeterminism(t *testing.T) {
 		p:    trianglePattern(1),
 	})
 	for _, wl := range workloads {
-		want := occurrenceKeys(isomorph.Enumerate(wl.g, wl.p, isomorph.Options{}))
+		want := occurrenceKeys(isomorph.EnumerateSnapshot(wl.g.Freeze(), wl.p, isomorph.Options{}))
 		for _, shards := range []int{1, 2, 7} {
 			for _, par := range []int{1, 4} {
-				got := occurrenceKeys(isomorph.Enumerate(wl.g, wl.p, isomorph.Options{Shards: shards, Parallelism: par}))
+				got := occurrenceKeys(isomorph.EnumerateSnapshot(sharded(wl.g, shards), wl.p, isomorph.Options{Parallelism: par}))
 				if len(got) != len(want) {
 					t.Fatalf("%s: Shards=%d Parallelism=%d returned %d occurrences, unsharded returned %d",
 						wl.name, shards, par, len(got), len(want))
@@ -132,12 +142,16 @@ func TestEnumerateOccurrencesSpanShards(t *testing.T) {
 	pat := pattern.MustNew(pg)
 
 	const shards = 7 // 14 vertices -> 2-vertex shards
-	want := occurrenceKeys(isomorph.Enumerate(g, pat, isomorph.Options{}))
+	want := occurrenceKeys(isomorph.EnumerateSnapshot(g.Freeze(), pat, isomorph.Options{}))
 	if len(want) == 0 {
 		t.Fatal("workload produced no occurrences")
 	}
+	snap := sharded(g, shards)
+	if snap.NumShards() < 2 {
+		t.Fatalf("snapshot built %d shards, want >= 2", snap.NumShards())
+	}
 	for _, par := range []int{1, 4} {
-		occs := isomorph.Enumerate(g, pat, isomorph.Options{Shards: shards, Parallelism: par})
+		occs := isomorph.EnumerateSnapshot(snap, pat, isomorph.Options{Parallelism: par})
 		got := occurrenceKeys(occs)
 		if len(got) != len(want) {
 			t.Fatalf("Parallelism=%d: %d occurrences, want %d", par, len(got), len(want))
@@ -146,10 +160,6 @@ func TestEnumerateOccurrencesSpanShards(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("Parallelism=%d occurrence %d = %s, want %s", par, i, got[i], want[i])
 			}
-		}
-		snap := g.FreezeSharded(graph.FreezeOptions{Shards: shards})
-		if snap.NumShards() < 2 {
-			t.Fatalf("snapshot built %d shards, want >= 2", snap.NumShards())
 		}
 		spanning := 0
 		for _, o := range occs {
@@ -171,40 +181,56 @@ func TestEnumerateOccurrencesSpanShards(t *testing.T) {
 	}
 }
 
-// TestEnumerateFuncStreams checks the visitor API: every occurrence of the
-// slice API is delivered exactly once, and returning false stops the stream.
+// TestEnumerateFuncStreams checks the streaming API with one consumer shared
+// by every worker: each occurrence of the list API is delivered exactly once,
+// and a false from one consumer call halts every worker.
 func TestEnumerateFuncStreams(t *testing.T) {
-	fig := dataset.Figure2()
-	want := isomorph.Enumerate(fig.Graph, fig.Pattern, isomorph.Options{})
-
-	var (
-		mu   sync.Mutex
-		seen = make(map[string]int)
-	)
-	isomorph.EnumerateFunc(fig.Graph, fig.Pattern, isomorph.Options{}, func(o *isomorph.Occurrence) bool {
-		mu.Lock()
-		seen[o.Key()]++
-		mu.Unlock()
-		return true
-	})
-	if len(seen) != len(want) {
-		t.Fatalf("streamed %d distinct occurrences, want %d", len(seen), len(want))
+	g := gen.BarabasiAlbert(300, 3, gen.UniformLabels{K: 2}, 11)
+	snap := g.Freeze()
+	pat := starPattern()
+	want := isomorph.EnumerateSnapshot(snap, pat, isomorph.Options{})
+	if len(want) < 1000 {
+		t.Fatalf("only %d occurrences; workload too small to tell an early stop from a full run", len(want))
 	}
-	for _, o := range want {
-		if seen[o.Key()] != 1 {
-			t.Errorf("occurrence %s delivered %d times, want once", o.Key(), seen[o.Key()])
+
+	for _, par := range []int{1, 4} {
+		var (
+			mu   sync.Mutex
+			seen = make(map[string]int)
+		)
+		shared := func(o *isomorph.Occurrence) bool {
+			mu.Lock()
+			seen[o.Key()]++
+			mu.Unlock()
+			return true
 		}
-	}
+		isomorph.EnumerateSnapshotWorkers(snap, pat, isomorph.Options{Parallelism: par},
+			func(int) func(*isomorph.Occurrence) bool { return shared })
+		if len(seen) != len(want) {
+			t.Fatalf("Parallelism=%d: streamed %d distinct occurrences, want %d", par, len(seen), len(want))
+		}
+		for _, o := range want {
+			if seen[o.Key()] != 1 {
+				t.Errorf("Parallelism=%d: occurrence %s delivered %d times, want once", par, o.Key(), seen[o.Key()])
+			}
+		}
 
-	// Early termination: a consumer that refuses after the first occurrence
-	// must not receive the whole stream.
-	delivered := 0
-	isomorph.EnumerateFunc(fig.Graph, fig.Pattern, isomorph.Options{Parallelism: 1}, func(*isomorph.Occurrence) bool {
-		delivered++
-		return false
-	})
-	if delivered != 1 {
-		t.Errorf("stopped consumer received %d occurrences, want 1", delivered)
+		// Early termination: only the first call, on whichever worker makes
+		// it, refuses. Workers steal roots until none are left, so a single
+		// worker that kept going would deliver all the rest.
+		var delivered, refused atomic.Int64
+		refuseOnce := func(*isomorph.Occurrence) bool {
+			delivered.Add(1)
+			return !refused.CompareAndSwap(0, 1)
+		}
+		isomorph.EnumerateSnapshotWorkers(snap, pat, isomorph.Options{Parallelism: par},
+			func(int) func(*isomorph.Occurrence) bool { return refuseOnce })
+		if got := delivered.Load(); got >= int64(len(want))/2 {
+			t.Errorf("Parallelism=%d: one refusal still let %d of %d occurrences through", par, got, len(want))
+		}
+		if par == 1 && delivered.Load() != 1 {
+			t.Errorf("sequential stopped consumer received %d occurrences, want 1", delivered.Load())
+		}
 	}
 }
 
@@ -214,14 +240,15 @@ func TestEnumerateFuncStreams(t *testing.T) {
 func TestEnumerateWorkersPerWorkerAccumulation(t *testing.T) {
 	g := gen.BarabasiAlbert(300, 3, gen.UniformLabels{K: 2}, 11)
 	pat := trianglePattern(1)
-	want := isomorph.Enumerate(g, pat, isomorph.Options{})
+	snap := g.Freeze()
+	want := isomorph.EnumerateSnapshot(snap, pat, isomorph.Options{})
 
 	// Workers must only touch state reached through their own consumer (the
 	// enclosing buckets slice may be reallocated by later newYield calls
 	// while earlier workers are already running).
 	type bucket struct{ keys []string }
 	var buckets []*bucket
-	isomorph.EnumerateWorkers(g, pat, isomorph.Options{Parallelism: 4}, func(int) func(*isomorph.Occurrence) bool {
+	isomorph.EnumerateSnapshotWorkers(snap, pat, isomorph.Options{Parallelism: 4}, func(int) func(*isomorph.Occurrence) bool {
 		b := &bucket{}
 		buckets = append(buckets, b)
 		return func(o *isomorph.Occurrence) bool {
@@ -242,13 +269,16 @@ func TestEnumerateWorkersPerWorkerAccumulation(t *testing.T) {
 	}
 }
 
-// TestEnumerateMaxOccurrencesParallelSafe checks that a positive cap is
-// honored exactly even when a high Parallelism is requested (the engine must
-// force the sequential path so the kept prefix is deterministic).
+// TestEnumerateMaxOccurrencesParallelSafe pins the one cap rule: a positive
+// MaxOccurrences means the first n occurrences of the sequential search
+// order at every entry point, whatever Parallelism asks for. The list entry
+// point returns the same capped list, and the streaming one delivers exactly
+// the Parallelism: 1 prefix, in order, to a single worker.
 func TestEnumerateMaxOccurrencesParallelSafe(t *testing.T) {
 	fig := dataset.Figure2()
-	want := isomorph.Enumerate(fig.Graph, fig.Pattern, isomorph.Options{MaxOccurrences: 2, Parallelism: 1})
-	got := isomorph.Enumerate(fig.Graph, fig.Pattern, isomorph.Options{MaxOccurrences: 2, Parallelism: 8})
+	snap := fig.Graph.Freeze()
+	want := isomorph.EnumerateSnapshot(snap, fig.Pattern, isomorph.Options{MaxOccurrences: 2, Parallelism: 1})
+	got := isomorph.EnumerateSnapshot(snap, fig.Pattern, isomorph.Options{MaxOccurrences: 2, Parallelism: 8})
 	if len(got) != 2 || len(want) != 2 {
 		t.Fatalf("caps not honored: sequential kept %d, parallel kept %d, want 2", len(want), len(got))
 	}
@@ -257,15 +287,63 @@ func TestEnumerateMaxOccurrencesParallelSafe(t *testing.T) {
 			t.Errorf("capped occurrence %d differs: %s vs %s", i, got[i].Key(), want[i].Key())
 		}
 	}
+
+	// Large enough that an uncapped Parallelism: 4 run really fans out.
+	big := gen.BarabasiAlbert(300, 3, gen.UniformLabels{K: 2}, 14).Freeze()
+	star := starPattern()
+	streamed := func(opts isomorph.Options) []string {
+		var keys []string
+		workers := 0
+		isomorph.EnumerateSnapshotWorkers(big, star, opts, func(int) func(*isomorph.Occurrence) bool {
+			workers++
+			return func(o *isomorph.Occurrence) bool {
+				keys = append(keys, o.Key())
+				return true
+			}
+		})
+		if workers != 1 {
+			t.Fatalf("%+v: capped search started %d workers, want 1", opts, workers)
+		}
+		return keys
+	}
+	order := streamed(isomorph.Options{Parallelism: 1})
+	if len(order) < 100 {
+		t.Fatalf("only %d occurrences; workload too small to exercise the cap", len(order))
+	}
+	for _, max := range []int{1, 7, 64} {
+		for _, par := range []int{1, 4, 8} {
+			got := streamed(isomorph.Options{MaxOccurrences: max, Parallelism: par})
+			if !reflect.DeepEqual(got, order[:max]) {
+				t.Errorf("max=%d Parallelism=%d: delivered %v, want the sequential prefix %v", max, par, got, order[:max])
+			}
+		}
+	}
 }
 
-// TestCountMatchesEnumerate checks the streaming counter against the
-// materializing API.
+// TestCountMatchesEnumerate checks a counting streaming consumer against the
+// length of the materialized list, sequential and parallel.
 func TestCountMatchesEnumerate(t *testing.T) {
 	g := gen.BarabasiAlbert(300, 3, gen.UniformLabels{K: 2}, 11)
 	pat := trianglePattern(1)
-	if got, want := isomorph.Count(g, pat), len(isomorph.Enumerate(g, pat, isomorph.Options{})); got != want {
-		t.Fatalf("Count = %d, Enumerate returned %d", got, want)
+	snap := g.Freeze()
+	want := len(isomorph.EnumerateSnapshot(snap, pat, isomorph.Options{}))
+	for _, par := range []int{1, 4} {
+		var counts []*int
+		isomorph.EnumerateSnapshotWorkers(snap, pat, isomorph.Options{Parallelism: par}, func(int) func(*isomorph.Occurrence) bool {
+			n := new(int)
+			counts = append(counts, n)
+			return func(*isomorph.Occurrence) bool {
+				*n++
+				return true
+			}
+		})
+		got := 0
+		for _, n := range counts {
+			got += *n
+		}
+		if got != want {
+			t.Fatalf("Parallelism=%d: counted %d occurrences, EnumerateSnapshot returned %d", par, got, want)
+		}
 	}
 }
 
@@ -273,7 +351,7 @@ func TestCountMatchesEnumerate(t *testing.T) {
 // pattern with non-dense node IDs (the paper's figures number nodes from 1).
 func TestOccurrenceImageBinarySearch(t *testing.T) {
 	fig := dataset.Figure9()
-	occs := isomorph.Enumerate(fig.Graph, fig.Pattern, isomorph.Options{})
+	occs := isomorph.EnumerateSnapshot(fig.Graph.Freeze(), fig.Pattern, isomorph.Options{})
 	if len(occs) == 0 {
 		t.Fatal("no occurrences on figure9")
 	}
@@ -289,6 +367,117 @@ func TestOccurrenceImageBinarySearch(t *testing.T) {
 		}
 		if _, ok := o.Image(-999); ok {
 			t.Error("Image(-999) found a nonexistent node")
+		}
+	}
+}
+
+// TestYieldedOccurrenceIsBorrowed pins the emit contract of the streaming
+// entry point: on each worker every yield receives the same *Occurrence, a
+// consumer that retained it sees the images of whatever was emitted last,
+// and the Images()/Key() copies taken inside the yield stay what they were.
+func TestYieldedOccurrenceIsBorrowed(t *testing.T) {
+	snap := gen.BarabasiAlbert(300, 3, gen.UniformLabels{K: 2}, 11).Freeze()
+	pat := starPattern()
+	want := make(map[string][]graph.VertexID)
+	for _, o := range isomorph.EnumerateSnapshot(snap, pat, isomorph.Options{}) {
+		want[o.Key()] = o.Images()
+	}
+
+	for _, par := range []int{1, 4} {
+		type worker struct {
+			lent   *isomorph.Occurrence // retained from the first yield
+			moved  int                  // yields that received another pointer
+			keys   []string
+			images [][]graph.VertexID
+		}
+		var workers []*worker
+		isomorph.EnumerateSnapshotWorkers(snap, pat, isomorph.Options{Parallelism: par}, func(int) func(*isomorph.Occurrence) bool {
+			w := &worker{}
+			workers = append(workers, w)
+			return func(o *isomorph.Occurrence) bool {
+				if w.lent == nil {
+					w.lent = o
+				} else if o != w.lent {
+					w.moved++
+				}
+				w.keys = append(w.keys, o.Key())
+				w.images = append(w.images, o.Images())
+				return true
+			}
+		})
+
+		seen := 0
+		for _, w := range workers {
+			if w.moved > 0 {
+				t.Errorf("Parallelism=%d: %d of a worker's %d yields received a different *Occurrence than its first", par, w.moved, len(w.keys))
+			}
+			if len(w.keys) >= 2 {
+				// Keys are distinct, so reading the last one means the
+				// occurrence retained at the first yield was overwritten.
+				first, last := w.keys[0], w.keys[len(w.keys)-1]
+				if got := w.lent.Key(); got != last {
+					t.Errorf("Parallelism=%d: the retained occurrence reads %s; the worker emitted %s first and %s last", par, got, first, last)
+				}
+			}
+			for i, key := range w.keys {
+				if !reflect.DeepEqual(w.images[i], want[key]) {
+					t.Fatalf("Parallelism=%d: Images() copy of %s reads %v after the run", par, key, w.images[i])
+				}
+				seen++
+			}
+		}
+		if seen != len(want) {
+			t.Errorf("Parallelism=%d: copies of %d occurrences survived, want all %d", par, seen, len(want))
+		}
+	}
+}
+
+// allocatedBytes returns the heap bytes f allocates (nothing else runs
+// meanwhile: the tests of this package are sequential).
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestStreamingAllocationDoesNotScale checks that lending the occurrence is
+// free: a counting consumer over the same pattern allocates what the search
+// plan and the per-worker state cost, whether the graph holds N occurrences
+// or more than 4N. Both graphs have the same vertex count, which is what
+// those fixed costs depend on.
+func TestStreamingAllocationDoesNotScale(t *testing.T) {
+	const slack = 64 << 10 // bytes; 4N-N occurrences at 1 B each would exceed it
+	pat := starPattern()
+	sparse := gen.BarabasiAlbert(2000, 2, gen.UniformLabels{K: 2}, 5).Freeze()
+	dense := gen.BarabasiAlbert(2000, 3, gen.UniformLabels{K: 2}, 5).Freeze()
+	for _, par := range []int{1, 4} {
+		count := func(snap *graph.Snapshot) (occurrences int, bytes uint64) {
+			var counts []*int
+			bytes = allocatedBytes(func() {
+				isomorph.EnumerateSnapshotWorkers(snap, pat, isomorph.Options{Parallelism: par}, func(int) func(*isomorph.Occurrence) bool {
+					n := new(int)
+					counts = append(counts, n)
+					return func(*isomorph.Occurrence) bool {
+						*n++
+						return true
+					}
+				})
+			})
+			for _, n := range counts {
+				occurrences += *n
+			}
+			return occurrences, bytes
+		}
+		n, small := count(sparse)
+		m, big := count(dense)
+		if n < 20000 || m < 4*n {
+			t.Fatalf("workload has %d and %d occurrences; want N >= 20000 and >= 4N", n, m)
+		}
+		if diff := int64(big) - int64(small); diff > slack || diff < -slack {
+			t.Errorf("Parallelism=%d: %d occurrences allocated %d B, %d occurrences %d B: %.1f B per extra occurrence",
+				par, n, small, m, big, float64(diff)/float64(m-n))
 		}
 	}
 }

@@ -11,8 +11,8 @@ import (
 
 // TestEnumerateAfterIncrementalRefreeze pins down that the incremental
 // shard-level refreeze is invisible to the enumeration engine: interleaving
-// AddEdge/AddVertex with enumerations (each of which refreezes the mutated
-// snapshot) yields exactly the occurrence sequence of a from-scratch graph,
+// AddEdge/AddVertex with enumerations (each over a refreeze of the mutated
+// graph) yields exactly the occurrence sequence of a from-scratch graph,
 // at every shard count and parallelism. Run under -race this also checks
 // that refreezing does not write into shards shared with earlier snapshots.
 func TestEnumerateAfterIncrementalRefreeze(t *testing.T) {
@@ -21,8 +21,8 @@ func TestEnumerateAfterIncrementalRefreeze(t *testing.T) {
 		for _, par := range []int{1, 4} {
 			t.Run(fmt.Sprintf("shards=%d/par=%d", shards, par), func(t *testing.T) {
 				g := gen.BarabasiAlbert(200, 2, gen.UniformLabels{K: 2}, 9)
-				opts := isomorph.Options{Parallelism: par, Shards: shards}
-				isomorph.Enumerate(g, pat, opts) // freeze the pre-mutation snapshot
+				opts := isomorph.Options{Parallelism: par}
+				sharded(g, shards) // freeze the pre-mutation snapshot
 
 				next := graph.VertexID(10_000)
 				ids := g.SortedVertices()
@@ -37,8 +37,8 @@ func TestEnumerateAfterIncrementalRefreeze(t *testing.T) {
 					g.MustAddEdge(next, u)
 					next++
 
-					got := occurrenceKeys(isomorph.Enumerate(g, pat, opts))
-					want := occurrenceKeys(isomorph.Enumerate(g.Clone(), pat, isomorph.Options{Parallelism: 1, Shards: shards}))
+					got := occurrenceKeys(isomorph.EnumerateSnapshot(sharded(g, shards), pat, opts))
+					want := occurrenceKeys(isomorph.EnumerateSnapshot(sharded(g.Clone(), shards), pat, isomorph.Options{Parallelism: 1}))
 					if len(got) != len(want) {
 						t.Fatalf("step %d: %d occurrences after refreeze, scratch clone has %d", step, len(got), len(want))
 					}

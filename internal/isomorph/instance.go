@@ -86,15 +86,6 @@ func Instances(p *pattern.Pattern, occs []*Occurrence) []*Instance {
 	return out
 }
 
-// CountInstances returns the number of distinct instances of p in g. Note
-// that, as the paper stresses, neither the occurrence count nor the instance
-// count is anti-monotonic; this function exists for workload characterization
-// and for comparing the measures against the "natural" count.
-func CountInstances(g *graph.Graph, p *pattern.Pattern) int {
-	occs := Enumerate(g, p, Options{})
-	return len(Instances(p, occs))
-}
-
 // VerticesOverlap reports whether two instances share at least one vertex
 // (vertex overlap, Definition 2.2.3).
 func VerticesOverlap(a, b *Instance) bool {

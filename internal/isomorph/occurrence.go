@@ -3,6 +3,17 @@
 // pattern in a data graph, de-duplication of occurrences into instances
 // (Definition 2.1.9), and automorphism / vertex-orbit computation used by the
 // MI measure's transitive node subsets (Definition 3.2.3).
+//
+// Enumeration has two entry points, both over a frozen graph.Snapshot (the
+// package never freezes a graph; callers choose the shard count where they
+// freeze). EnumerateSnapshotWorkers streams: every worker lends its one
+// Occurrence to its consumer for the length of each call, so a consumer
+// folds it or copies out what it keeps, and the search allocates nothing per
+// occurrence. EnumerateSnapshot is the one materializer: the consumer that
+// keeps everything and returns it as a list in canonical order. The paper's
+// measures want exactly those two things — MNI and the raw counts fold an
+// occurrence into a projection and forget it (Definition 2.2.8), the
+// hypergraph measures need the whole set (Definition 3.1.3).
 package isomorph
 
 import (
@@ -25,7 +36,7 @@ type Occurrence struct {
 }
 
 // NewOccurrence builds an occurrence from an explicit mapping. It validates
-// injectivity but not edge preservation; use Enumerate for verified
+// injectivity but not edge preservation; use EnumerateSnapshot for verified
 // occurrences. It is exported mainly for tests that transcribe the paper's
 // figures.
 func NewOccurrence(p *pattern.Pattern, mapping map[pattern.NodeID]graph.VertexID) (*Occurrence, error) {
@@ -161,7 +172,7 @@ func (o *Occurrence) Compare(q *Occurrence) int {
 	// Occurrences streamed out of one enumeration all share the search
 	// plan's node slice; recognizing that by pointer identity skips the
 	// element-wise node comparison, which roughly halves the cost of the
-	// canonical sort behind Enumerate.
+	// canonical sort behind EnumerateSnapshot.
 	if len(o.nodes) == 0 || &o.nodes[0] != &q.nodes[0] {
 		for i := range o.nodes {
 			if o.nodes[i] != q.nodes[i] {

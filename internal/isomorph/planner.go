@@ -42,11 +42,13 @@ import (
 // order strictly cheaper than the naive one. The tie case matters: the naive order visits pattern vertices in
 // sorted-node order whenever degrees don't distinguish them, which makes the
 // sequential engine's emission order coincide with the canonical occurrence
-// order and turns the canonical sort behind Enumerate into a free prescan.
+// order and turns the canonical sort behind EnumerateSnapshot into a free
+// prescan.
 // Either way the chosen
 // order only affects enumeration speed, never results: occurrences are sets
 // keyed by sorted pattern nodes, and every consumer (canonical sort in
-// Enumerate, the order-independent aggregates of core) is order-insensitive.
+// EnumerateSnapshot, the order-independent aggregates of core) is
+// order-insensitive.
 
 // patternModel is the position-indexed view of a pattern the order builders
 // work on: everything is keyed by the vertex's position in the sorted node
@@ -274,7 +276,8 @@ func orderCost(m *patternModel, st *plannerStats, order []int) float64 {
 // under a symmetric label distribution the two orders model identically and
 // the naive order wins the tie, which also preserves the sequential engine's
 // sorted emission order (the naive order tends to match the sorted node
-// order, making Enumerate's canonical sort a no-op prescan). The naive order
+// order, making EnumerateSnapshot's canonical sort a no-op prescan). The naive
+// order
 // is also used when the snapshot is empty (no statistics to consult). The
 // second return reports whether the planned order was chosen.
 func chooseOrder(snap *graph.Snapshot, m *patternModel) ([]int, bool) {

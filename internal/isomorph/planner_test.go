@@ -2,8 +2,6 @@ package isomorph_test
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/gen"
@@ -18,7 +16,7 @@ import (
 // Graph — no snapshot, no search order, no kernels, no code shared with
 // searchState. Pattern nodes are assigned in sorted node order and every data
 // vertex is tried in ascending ID order, so the keys come out in the
-// canonical occurrence order Enumerate promises and sequences compare
+// canonical occurrence order EnumerateSnapshot promises and sequences compare
 // element by element.
 func referenceOccurrenceKeys(g *graph.Graph, p *pattern.Pattern) []string {
 	nodes := p.Nodes()
@@ -71,12 +69,12 @@ func assertKeysEqual(t *testing.T, where string, got, want []string) {
 
 // TestPlannedMatchesNaive pins the search against the naive reference
 // matcher: for every shard count in {1, 2, 7} and parallelism in {1, 4},
-// Enumerate returns the byte-identical occurrence sequence on workloads
-// whose label distributions push the planner both ways (uniform labels keep
-// the naive order, skewed labels re-root the search) and whose patterns reach
-// both kernels (the star's single-anchor runs, the triangle's galloping
-// intersection). Run under -race this also exercises the kernels' lazily
-// built shared state.
+// EnumerateSnapshot returns the byte-identical occurrence sequence on
+// workloads whose label distributions push the planner both ways (uniform
+// labels keep the naive order, skewed labels re-root the search) and whose
+// patterns reach both kernels (the star's single-anchor runs, the triangle's
+// galloping intersection). Run under -race this also exercises the kernels'
+// lazily built shared state.
 func TestPlannedMatchesNaive(t *testing.T) {
 	workloads := []struct {
 		name string
@@ -94,8 +92,7 @@ func TestPlannedMatchesNaive(t *testing.T) {
 		}
 		for _, shards := range []int{1, 2, 7} {
 			for _, par := range []int{1, 4} {
-				opts := isomorph.Options{Parallelism: par, Shards: shards}
-				got := occurrenceKeys(isomorph.Enumerate(wl.g, wl.p, opts))
+				got := occurrenceKeys(isomorph.EnumerateSnapshot(sharded(wl.g, shards), wl.p, isomorph.Options{Parallelism: par}))
 				assertKeysEqual(t, fmt.Sprintf("%s shards=%d par=%d", wl.name, shards, par), got, want)
 			}
 		}
@@ -110,7 +107,7 @@ func TestPlannedMatchesNaiveStoreSnapshot(t *testing.T) {
 	g := gen.BarabasiAlbert(300, 3, gen.UniformLabels{K: 2}, 11)
 	p := starPattern()
 	dir := t.TempDir()
-	if err := store.Write(g.FreezeSharded(graph.FreezeOptions{Shards: 4}), dir); err != nil {
+	if err := store.Write(sharded(g, 4), dir); err != nil {
 		t.Fatalf("writing store: %v", err)
 	}
 	st, err := store.Open(dir, store.Options{})
@@ -124,7 +121,7 @@ func TestPlannedMatchesNaiveStoreSnapshot(t *testing.T) {
 		t.Fatal("no occurrences; workload is vacuous")
 	}
 	for _, par := range []int{1, 4} {
-		got := occurrenceKeys(collectSnapshot(snap, p, isomorph.Options{Parallelism: par}))
+		got := occurrenceKeys(isomorph.EnumerateSnapshot(snap, p, isomorph.Options{Parallelism: par}))
 		assertKeysEqual(t, fmt.Sprintf("store par=%d", par), got, want)
 	}
 }
@@ -136,7 +133,7 @@ func TestPlannedMatchesNaiveStoreSnapshot(t *testing.T) {
 func TestPlannedMatchesNaiveRootRestricted(t *testing.T) {
 	g := gen.BarabasiAlbert(300, 3, gen.UniformLabels{K: 2}, 12)
 	p := starPattern()
-	snap := g.FreezeSharded(graph.FreezeOptions{Shards: 2})
+	snap := sharded(g, 2)
 	all := make([]int32, snap.NumVertices())
 	for i := range all {
 		all[i] = int32(i)
@@ -145,7 +142,7 @@ func TestPlannedMatchesNaiveRootRestricted(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("no occurrences; workload is vacuous")
 	}
-	got := occurrenceKeys(collectSnapshot(snap, p, isomorph.Options{Parallelism: 1, RootIndexes: all}))
+	got := occurrenceKeys(isomorph.EnumerateSnapshot(snap, p, isomorph.Options{Parallelism: 1, RootIndexes: all}))
 	assertKeysEqual(t, "root-restricted", got, want)
 }
 
@@ -193,47 +190,5 @@ func TestExplainPrefersRareLabelRoot(t *testing.T) {
 	}
 	if got := ex.Steps[0].Label; got != 2 {
 		t.Fatalf("root label = %d, want the rare label 2:\n%s", got, ex)
-	}
-}
-
-// TestMaxOccurrencesParallelBudget pins the worker-level cap contract: a
-// positive MaxOccurrences with a parallel worker pool delivers exactly the
-// cap from the shared budget, and every delivered occurrence is one of the
-// real (uncapped) occurrences with no duplicates. Run under -race this also
-// exercises the atomic budget.
-func TestMaxOccurrencesParallelBudget(t *testing.T) {
-	g := gen.BarabasiAlbert(300, 3, gen.UniformLabels{K: 2}, 14)
-	p := starPattern()
-	valid := make(map[string]bool)
-	for _, k := range occurrenceKeys(isomorph.Enumerate(g, p, isomorph.Options{})) {
-		valid[k] = true
-	}
-	if len(valid) < 100 {
-		t.Fatalf("only %d occurrences; workload too small to exercise the budget", len(valid))
-	}
-	for _, max := range []int{1, 7, 64} {
-		var total atomic.Int64
-		var mu sync.Mutex
-		seen := make(map[string]bool)
-		isomorph.EnumerateWorkers(g, p, isomorph.Options{MaxOccurrences: max, Parallelism: 4},
-			func(int) func(*isomorph.Occurrence) bool {
-				return func(o *isomorph.Occurrence) bool {
-					total.Add(1)
-					key := o.Key()
-					mu.Lock()
-					defer mu.Unlock()
-					if seen[key] {
-						t.Errorf("max=%d: duplicate occurrence %s", max, key)
-					}
-					seen[key] = true
-					if !valid[key] {
-						t.Errorf("max=%d: delivered occurrence %s not in the uncapped set", max, key)
-					}
-					return true
-				}
-			})
-		if got := total.Load(); got != int64(max) {
-			t.Errorf("max=%d: workers delivered %d occurrences", max, got)
-		}
 	}
 }

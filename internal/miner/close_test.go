@@ -1,6 +1,8 @@
 package miner
 
 import (
+	"errors"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/gen"
@@ -49,5 +51,46 @@ func TestIncrementalCloseReleasesFeeds(t *testing.T) {
 	}
 	if _, err := incs[0].Refresh(); err == nil {
 		t.Fatalf("Refresh on a closed session should fail")
+	}
+}
+
+// TestForEach pins the worker pool behind evaluateLevel and refreshTracked:
+// every index runs exactly once at every worker count, and after a failure
+// the error comes back, no index runs twice and — sequentially — nothing
+// past the failing index runs at all.
+func TestForEach(t *testing.T) {
+	const n = 200
+	boom := errors.New("boom")
+	for _, workers := range []int{0, 1, 2, 4, n + 5} {
+		var ran [n]atomic.Int32
+		if err := forEach(n, workers, func(i int) error { ran[i].Add(1); return nil }); err != nil {
+			t.Fatalf("workers=%d: unexpected error %v", workers, err)
+		}
+		for i := range ran {
+			if got := ran[i].Load(); got != 1 {
+				t.Fatalf("workers=%d: index %d ran %d times, want once", workers, i, got)
+			}
+		}
+
+		var failing [n]atomic.Int32
+		err := forEach(n, workers, func(i int) error {
+			failing[i].Add(1)
+			if i == 10 {
+				return boom
+			}
+			return nil
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("workers=%d: got error %v, want boom", workers, err)
+		}
+		for i := range failing {
+			got := failing[i].Load()
+			if got > 1 || (workers < 2 && i > 10 && got != 0) {
+				t.Fatalf("workers=%d: index %d ran %d times after the failure at 10", workers, i, got)
+			}
+		}
+	}
+	if err := forEach(0, 4, func(int) error { return boom }); err != nil {
+		t.Fatalf("empty range returned %v", err)
 	}
 }

@@ -3,7 +3,6 @@ package miner
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -251,70 +250,19 @@ func (inc *Incremental) Refresh() (*Result, error) {
 }
 
 // refreshTracked delta-refreshes and re-evaluates every tracked candidate.
-// With cfg.Parallelism >= 2 the independent refreshes run on a worker pool
-// (the ROADMAP's "parallel tracked refresh" item): each worker drains
-// candidate indexes from a channel, mutating only its candidate's own state,
-// and the first error wins. The tracked states after a parallel refresh are
-// identical to a sequential one — delta maintenance is per-candidate exact
-// and the candidates share nothing but the immutable refrozen snapshot.
+// With cfg.Parallelism >= 2 the independent refreshes run on forEach's worker
+// pool, each mutating only its candidate's own state. The tracked states
+// after a parallel refresh are identical to a sequential one — delta
+// maintenance is per-candidate exact and the candidates share nothing but the
+// immutable refrozen snapshot.
 func (inc *Incremental) refreshTracked(tracked []*trackedPattern) error {
-	refresh := func(tp *trackedPattern) error {
+	return forEach(len(tracked), inc.cfg.Parallelism, func(i int) error {
+		tp := tracked[i]
 		if err := tp.delta.Refresh(); err != nil {
 			return fmt.Errorf("miner: refreshing %s: %w", tp.p, err)
 		}
 		return inc.evaluateTracked(tp)
-	}
-	workers := inc.cfg.Parallelism
-	if workers > len(tracked) {
-		workers = len(tracked)
-	}
-	if workers < 2 {
-		for _, tp := range tracked {
-			if err := refresh(tp); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	indexes := make(chan int)
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	record := func(err error) {
-		errMu.Lock()
-		defer errMu.Unlock()
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	failed := func() bool {
-		errMu.Lock()
-		defer errMu.Unlock()
-		return firstErr != nil
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range indexes {
-				if failed() {
-					continue // drain remaining work after a failure
-				}
-				if err := refresh(tracked[i]); err != nil {
-					record(err)
-				}
-			}
-		}()
-	}
-	for i := range tracked {
-		indexes <- i
-	}
-	close(indexes)
-	wg.Wait()
-	return firstErr
+	})
 }
 
 // seedNew tracks the one-edge seed pattern of every not-yet-seen label pair

@@ -40,27 +40,6 @@ func starPattern(t *testing.T) *pattern.Pattern {
 	return p
 }
 
-// enumerateSnapshot materializes the canonically sorted occurrence list of p
-// over an explicit snapshot.
-func enumerateSnapshot(snap *graph.Snapshot, p *pattern.Pattern, parallelism int) []*isomorph.Occurrence {
-	type bucket struct{ occs []*isomorph.Occurrence }
-	var buckets []*bucket
-	isomorph.EnumerateSnapshotWorkers(snap, p, isomorph.Options{Parallelism: parallelism},
-		func(int) func(*isomorph.Occurrence) bool {
-			b := &bucket{}
-			buckets = append(buckets, b)
-			return func(o *isomorph.Occurrence) bool {
-				b.occs = append(b.occs, o)
-				return true
-			}
-		})
-	slices := make([][]*isomorph.Occurrence, len(buckets))
-	for i, b := range buckets {
-		slices[i] = b.occs
-	}
-	return isomorph.MergeSortedOccurrences(slices)
-}
-
 // requireSameOccurrences compares two canonical occurrence lists element by
 // element.
 func requireSameOccurrences(t *testing.T, got, want []*isomorph.Occurrence, tag string) {
@@ -98,8 +77,8 @@ func TestRoundTripEnumeration(t *testing.T) {
 			t.Fatalf("shards=%d: reopened snapshot geometry differs", shards)
 		}
 		for _, par := range []int{1, 4} {
-			got := enumerateSnapshot(mm, p, par)
-			want := enumerateSnapshot(snap, p, par)
+			got := isomorph.EnumerateSnapshot(mm, p, isomorph.Options{Parallelism: par})
+			want := isomorph.EnumerateSnapshot(snap, p, isomorph.Options{Parallelism: par})
 			if len(want) == 0 {
 				t.Fatalf("shards=%d: workload enumerates no occurrences; test is vacuous", shards)
 			}
