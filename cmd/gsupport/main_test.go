@@ -5,10 +5,15 @@ import (
 	"errors"
 	"os"
 	"testing"
+
+	support "repro"
 )
 
 // TestRunGolden pins gsupport's stdout on paper-figure graphs: the report is
 // a pure function of the flags, identical at every -parallel setting.
+// figures.golden is the full default report of every paper figure,
+// concatenated in PaperFigures order and recorded before the instance
+// hypergraph was deleted (PR 18).
 func TestRunGolden(t *testing.T) {
 	figure2, err := os.ReadFile("testdata/figure2.golden")
 	if err != nil {
@@ -38,6 +43,23 @@ func TestRunGolden(t *testing.T) {
 				t.Fatalf("run %v printed:\n%s\nwant:\n%s", tc.args, got, tc.want)
 			}
 		})
+	}
+
+	figures, err := os.ReadFile("testdata/figures.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, extra := range [][]string{nil, {"-parallel", "1"}, {"-parallel", "8", "-shards", "2"}} {
+		var out bytes.Buffer
+		for _, f := range support.PaperFigures() {
+			args := append([]string{"-figure", f.Name}, extra...)
+			if err := run(args, &out); err != nil {
+				t.Fatalf("run %v: %v", args, err)
+			}
+		}
+		if got := out.String(); got != string(figures) {
+			t.Errorf("every figure with flags %v printed:\n%s\nwant:\n%s", extra, got, figures)
+		}
 	}
 }
 

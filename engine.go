@@ -38,8 +38,8 @@ type EngineOptions struct {
 	// and not overridable per request; snapshot- and store-backed engines
 	// ignore it, their sources carry their own shard geometry.
 	Shards int
-	// Streaming makes evaluation requests skip materializing occurrence
-	// lists and hypergraphs; occurrences are folded into incremental
+	// Streaming makes evaluation requests skip materializing the occurrence
+	// list and hypergraph; occurrences are folded into incremental
 	// aggregates as they stream out of the enumeration workers. Only MNI and
 	// the raw occurrence/instance counts can be computed on streaming state.
 	// Mining requests ignore it: the miner picks streamed or materialized

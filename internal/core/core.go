@@ -1,22 +1,27 @@
 // Package core assembles the paper's hypergraph framework: given a data
-// graph and a pattern it enumerates occurrences and instances, builds the
-// occurrence hypergraph (Definition 3.1.3) and the instance hypergraph
-// (Definition 3.1.4), and classifies pairwise overlaps between occurrences
-// (simple, harmful and structural overlap, Section 4.5). All support measures
-// in the measures package are computed from a Context produced here.
+// graph and a pattern it enumerates occurrences, builds the occurrence
+// hypergraph (Definition 3.1.3) and classifies pairwise overlaps between
+// occurrences (simple, harmful and structural overlap, Section 4.5). All
+// support measures in the measures package are computed from a Context
+// produced here. The instance hypergraph (Definition 3.1.4) is not built: as
+// vertex sets its edges are the occurrence hypergraph's, each only repeated
+// fewer times, so every cover, packing and LP optimum has the same value on
+// either.
 //
 // Context construction runs on the streaming parallel enumeration engine of
 // package isomorph. In streaming mode every worker folds the occurrences it
 // is lent into one accumulator — the occurrence count and the per-node MNI
 // domain table (table.go) — and the accumulators are merged once enumeration
-// finishes; the occurrence list and both hypergraphs are never materialized
-// and only the aggregates survive (occurrence count, MNI domain sizes, and
-// the distinct-instance count, which is the occurrence count divided by the
-// number of pattern automorphisms — see instancesByOrbit), which is all that
-// MNI and the raw counts need. In the default (materialized) mode the list
-// comes from isomorph.EnumerateSnapshot, identical for every parallelism and
-// shard setting, and is scanned once into the same accumulator. DeltaContext
-// keeps that accumulator alive across graph mutations.
+// finishes; the occurrence list and the hypergraph are never materialized
+// and only the aggregates survive (occurrence count, MNI domain sizes and the
+// distinct-instance count), which is all that MNI and the raw counts need. In
+// the default (materialized) mode the list comes from
+// isomorph.EnumerateSnapshot, identical for every parallelism and shard
+// setting, and is scanned once into the same accumulator. The instance count
+// has one rule in both modes: an untruncated enumeration divides the
+// occurrence count by the number of pattern automorphisms (instancesByOrbit),
+// a MaxOccurrences prefix is grouped by isomorph.Instances. DeltaContext keeps
+// the accumulator alive across graph mutations.
 package core
 
 import (
@@ -29,21 +34,20 @@ import (
 	"repro/internal/pattern"
 )
 
-// Context bundles a pattern, a data graph, the enumerated occurrences and
-// instances, and the derived hypergraphs. A Context is immutable after
-// construction and safe for concurrent readers, so one Context can feed many
-// measure computations.
+// Context bundles a pattern, a data graph, the aggregates of the pattern's
+// occurrences and — unless built with Options.Streaming — the occurrence list
+// and the occurrence hypergraph, whose edge i is occurrence i. A Context is
+// immutable after construction and safe for concurrent readers, so one
+// Context can feed many measure computations.
 type Context struct {
 	g *graph.Graph
 	p *pattern.Pattern
 
 	streaming bool
 
-	// Materialized state; all nil when the context was built with Streaming.
+	// Materialized state; both nil when the context was built with Streaming.
 	occurrences []*isomorph.Occurrence
-	instances   []*isomorph.Instance
 	occurrenceH *hypergraph.Hypergraph
-	instanceH   *hypergraph.Hypergraph
 
 	// Streamed aggregates, valid in both modes.
 	numOccurrences int
@@ -77,9 +81,9 @@ type Options struct {
 	// graph.FreezeOptions). The resulting Context is identical for every
 	// setting.
 	Shards int
-	// Streaming skips materializing the occurrence list, the instance list
-	// and both hypergraphs; only the incremental aggregates (occurrence and
-	// instance counts, MNI domain tables) are kept. Measures that need the
+	// Streaming skips materializing the occurrence list and the occurrence
+	// hypergraph; only the incremental aggregates (occurrence and instance
+	// counts, MNI domain tables) are kept. Measures that need the
 	// materialized state (MI, MVC, MIS/MIES, the LP relaxations, MCP) return
 	// an error on a streaming context.
 	Streaming bool
@@ -93,8 +97,8 @@ type Options struct {
 	Snapshot *graph.Snapshot
 }
 
-// NewContext enumerates occurrences and instances of p in g and builds the
-// configured amount of derived state (see Options).
+// NewContext enumerates the occurrences of p in g and builds the configured
+// amount of derived state (see Options).
 func NewContext(g *graph.Graph, p *pattern.Pattern, opts Options) (*Context, error) {
 	if (g == nil && opts.Snapshot == nil) || p == nil {
 		return nil, fmt.Errorf("core: nil graph or pattern")
@@ -106,46 +110,42 @@ func NewContext(g *graph.Graph, p *pattern.Pattern, opts Options) (*Context, err
 		snap = g.FreezeSharded(graph.FreezeOptions{Shards: opts.Shards})
 	}
 	enum := isomorph.Options{MaxOccurrences: opts.MaxOccurrences, Parallelism: opts.Parallelism}
+	var (
+		occs []*isomorph.Occurrence
+		all  *accumulator
+	)
 	if opts.Streaming && opts.MaxOccurrences == 0 {
 		// Nothing is kept: every worker folds its borrowed occurrences into
-		// its own accumulator and instances are counted by orbit.
-		all := mergeWorkers(p, accumulate(snap, p, enum, nil))
-		ctx.numOccurrences = all.count
-		ctx.domainSizes = all.table.sizes()
-		ctx.numInstances = instancesByOrbit(all.count, automorphismCount(p))
-		return ctx, nil
-	}
-
-	// The list is wanted — by a materialized context for good, by a capped
-	// streaming one (whose prefix, no longer than the caller's own cap, is
-	// not closed under automorphisms, so the orbit count does not apply) just
-	// long enough to group it — and one scan folds it into the accumulator.
-	occs := isomorph.EnumerateSnapshot(snap, p, enum)
-	all := &accumulator{table: newDomainTable(p.Nodes())}
-	for _, o := range occs {
-		all.yield(o)
+		// its own accumulator.
+		all = mergeWorkers(p, accumulate(snap, p, enum, nil))
+	} else {
+		// The list is wanted — by a materialized context for good, by a
+		// capped streaming one just long enough to group it — and one scan
+		// folds it into the accumulator.
+		occs = isomorph.EnumerateSnapshot(snap, p, enum)
+		all = &accumulator{table: newDomainTable(p.Nodes())}
+		for _, o := range occs {
+			all.yield(o)
+		}
 	}
 	ctx.numOccurrences = all.count
 	ctx.domainSizes = all.table.sizes()
-	insts := isomorph.Instances(p, occs)
-	ctx.numInstances = len(insts)
+	if opts.MaxOccurrences == 0 {
+		ctx.numInstances = instancesByOrbit(all.count, automorphismCount(p))
+	} else {
+		// A prefix no longer than the caller's own cap is not closed under
+		// automorphisms, so the orbit count does not apply to it.
+		ctx.numInstances = len(isomorph.Instances(p, occs))
+	}
 	if opts.Streaming {
 		return ctx, nil
 	}
 
-	occH := hypergraph.New()
-	for i, o := range occs {
-		occH.MustAddEdge(fmt.Sprintf("f%d", i+1), o.VertexSet())
-	}
-	instH := hypergraph.New()
-	for i, in := range insts {
-		instH.MustAddEdge(fmt.Sprintf("S%d", i+1), in.Vertices())
-	}
-
 	ctx.occurrences = occs
-	ctx.instances = insts
-	ctx.occurrenceH = occH
-	ctx.instanceH = instH
+	ctx.occurrenceH = hypergraph.New()
+	for _, o := range occs {
+		ctx.occurrenceH.MustAddEdge(o.VertexSet())
+	}
 	return ctx, nil
 }
 
@@ -165,8 +165,8 @@ func (c *Context) Graph() *graph.Graph { return c.g }
 // Pattern returns the query pattern.
 func (c *Context) Pattern() *pattern.Pattern { return c.p }
 
-// Materialized reports whether the context holds the full occurrence and
-// instance lists and both hypergraphs. It is false for contexts built with
+// Materialized reports whether the context holds the occurrence list and the
+// occurrence hypergraph. It is false for contexts built with
 // Options.Streaming.
 func (c *Context) Materialized() bool { return !c.streaming }
 
@@ -176,10 +176,6 @@ func (c *Context) Streaming() bool { return c.streaming }
 // Occurrences returns all enumerated occurrences in deterministic order, or
 // nil for a streaming context.
 func (c *Context) Occurrences() []*isomorph.Occurrence { return c.occurrences }
-
-// Instances returns the distinct instances in deterministic order, or nil for
-// a streaming context.
-func (c *Context) Instances() []*isomorph.Instance { return c.instances }
 
 // NumOccurrences returns the occurrence count (not a valid support measure on
 // its own; see Chapter 2). It is available in both modes.
@@ -195,15 +191,11 @@ func (c *Context) NumInstances() int { return c.numInstances }
 // occurrences. It is available in both modes and is all measures.MNI reads.
 func (c *Context) MNIDomainSizes() []int { return c.domainSizes }
 
-// OccurrenceHypergraph returns the occurrence hypergraph H_O: one labeled
-// edge f_i per occurrence over its vertex images. It is nil for a streaming
-// context.
+// OccurrenceHypergraph returns the occurrence hypergraph H_O: one edge per
+// occurrence over its vertex images, in occurrence order, so the edge with
+// EdgeID(i) is the vertex set of Occurrences()[i] and NumEdges equals
+// NumOccurrences. It is nil for a streaming context.
 func (c *Context) OccurrenceHypergraph() *hypergraph.Hypergraph { return c.occurrenceH }
-
-// InstanceHypergraph returns the instance hypergraph H_I: one labeled edge
-// S_i per distinct instance over its vertex set. It is nil for a streaming
-// context.
-func (c *Context) InstanceHypergraph() *hypergraph.Hypergraph { return c.instanceH }
 
 // TransitiveNodeSubsets returns (and caches) the transitive node subsets of
 // the pattern under the given subgraph policy.
@@ -227,6 +219,6 @@ func (c *Context) String() string {
 		return fmt.Sprintf("Context(pattern k=%d, %d occurrences, %d instances, streaming)",
 			c.p.Size(), c.numOccurrences, c.numInstances)
 	}
-	return fmt.Sprintf("Context(pattern k=%d, %d occurrences, %d instances, H_O=%s, H_I=%s)",
-		c.p.Size(), len(c.occurrences), len(c.instances), c.occurrenceH, c.instanceH)
+	return fmt.Sprintf("Context(pattern k=%d, %d occurrences, %d instances, H_O=%s)",
+		c.p.Size(), c.numOccurrences, c.numInstances, c.occurrenceH)
 }

@@ -24,15 +24,11 @@ func TestNewContextFigure2(t *testing.T) {
 		t.Fatalf("occurrences/instances = %d/%d, want 6/1", ctx.NumOccurrences(), ctx.NumInstances())
 	}
 	ho := ctx.OccurrenceHypergraph()
-	hi := ctx.InstanceHypergraph()
-	if ho.NumEdges() != 6 || hi.NumEdges() != 1 {
-		t.Errorf("hypergraph edges = %d/%d, want 6/1", ho.NumEdges(), hi.NumEdges())
+	if ho.NumEdges() != 6 {
+		t.Errorf("occurrence hypergraph edges = %d, want 6", ho.NumEdges())
 	}
 	if k, uniform := ho.IsUniform(); !uniform || k != 3 {
 		t.Errorf("occurrence hypergraph should be 3-uniform, got k=%d uniform=%v", k, uniform)
-	}
-	if k, uniform := hi.IsUniform(); !uniform || k != 3 {
-		t.Errorf("instance hypergraph should be 3-uniform, got k=%d uniform=%v", k, uniform)
 	}
 	// The occurrence hypergraph's vertex set is exactly the triangle.
 	if got := ho.NumVertices(); got != 3 {

@@ -12,10 +12,10 @@ import (
 )
 
 // FuzzStreamedAggregates checks, on a small labeled graph and a connected
-// pattern of at most four nodes decoded from the fuzz input, that a streaming
-// context's occurrence count, instance count, MNI domain sizes and MNI value
-// equal what a plain scan of isomorph.EnumerateSnapshot's list and
-// isomorph.Instances' grouping gives.
+// pattern of at most four nodes decoded from the fuzz input, that the
+// occurrence count, instance count, MNI domain sizes and MNI value of a
+// streaming and of a materialized context equal what a plain scan of
+// isomorph.EnumerateSnapshot's list and isomorph.Instances' grouping gives.
 func FuzzStreamedAggregates(f *testing.F) {
 	f.Add([]byte{})
 	// A one-label triangle in K4: 24 occurrences, 4 instances.
@@ -39,19 +39,22 @@ func FuzzStreamedAggregates(f *testing.F) {
 			}
 		}
 
-		st := core.MustNewContext(g, p, core.Options{Streaming: true, Parallelism: par})
-		if st.NumOccurrences() != len(occs) {
-			t.Fatalf("graph %v pattern %v par=%d: %d occurrences, enumeration lists %d", g.Edges(), p, par, st.NumOccurrences(), len(occs))
-		}
-		if want := len(isomorph.Instances(p, occs)); st.NumInstances() != want {
-			t.Fatalf("graph %v pattern %v par=%d: %d instances, grouping the list gives %d", g.Edges(), p, par, st.NumInstances(), want)
-		}
-		if got := st.MNIDomainSizes(); !reflect.DeepEqual(got, sizes) {
-			t.Fatalf("graph %v pattern %v par=%d: domain sizes %v, scan gives %v", g.Edges(), p, par, got, sizes)
-		}
-		res, err := measures.MNI{}.Compute(st)
-		if err != nil || res.Value != float64(mni) {
-			t.Fatalf("graph %v pattern %v par=%d: MNI = %v (err %v), scan gives %d", g.Edges(), p, par, res.Value, err, mni)
+		instances := len(isomorph.Instances(p, occs))
+		for _, streaming := range []bool{true, false} {
+			ctx := core.MustNewContext(g, p, core.Options{Streaming: streaming, Parallelism: par})
+			if ctx.NumOccurrences() != len(occs) {
+				t.Fatalf("graph %v pattern %v par=%d streaming=%v: %d occurrences, enumeration lists %d", g.Edges(), p, par, streaming, ctx.NumOccurrences(), len(occs))
+			}
+			if ctx.NumInstances() != instances {
+				t.Fatalf("graph %v pattern %v par=%d streaming=%v: %d instances, grouping the list gives %d", g.Edges(), p, par, streaming, ctx.NumInstances(), instances)
+			}
+			if got := ctx.MNIDomainSizes(); !reflect.DeepEqual(got, sizes) {
+				t.Fatalf("graph %v pattern %v par=%d streaming=%v: domain sizes %v, scan gives %v", g.Edges(), p, par, streaming, got, sizes)
+			}
+			res, err := measures.MNI{}.Compute(ctx)
+			if err != nil || res.Value != float64(mni) {
+				t.Fatalf("graph %v pattern %v par=%d streaming=%v: MNI = %v (err %v), scan gives %d", g.Edges(), p, par, streaming, res.Value, err, mni)
+			}
 		}
 	})
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/hypergraph"
 	"repro/internal/isomorph"
 	"repro/internal/pattern"
 	"repro/internal/store"
@@ -65,16 +66,21 @@ func aggregateCases(t *testing.T) []aggregateCase {
 }
 
 // requireAggregatesMatch checks a context's aggregates against values
-// recomputed from a materialized context's lists by a plain scan: occurrence
-// count, instance count (the grouped instance list, never another orbit
-// count) and per-node distinct images. Both contexts must report those sizes.
+// recomputed from a materialized context's occurrence list by a plain scan:
+// occurrence count, instance count (isomorph.Instances' grouping of the list,
+// never another orbit count) and per-node distinct images. Both contexts must
+// report those counts and sizes.
 func requireAggregatesMatch(t *testing.T, tag string, got, mat *core.Context) {
 	t.Helper()
 	if got.NumOccurrences() != len(mat.Occurrences()) {
 		t.Fatalf("%s: %d occurrences, materialized list has %d", tag, got.NumOccurrences(), len(mat.Occurrences()))
 	}
-	if got.NumInstances() != len(mat.Instances()) {
-		t.Fatalf("%s: %d instances, materialized list has %d", tag, got.NumInstances(), len(mat.Instances()))
+	instances := len(isomorph.Instances(mat.Pattern(), mat.Occurrences()))
+	if got.NumInstances() != instances {
+		t.Fatalf("%s: %d instances, grouping the materialized list gives %d", tag, got.NumInstances(), instances)
+	}
+	if mat.NumInstances() != instances {
+		t.Fatalf("%s: materialized context reports %d instances, grouping its own list gives %d", tag, mat.NumInstances(), instances)
 	}
 	nodes := mat.Pattern().Nodes()
 	want := make([]int, len(nodes))
@@ -93,11 +99,12 @@ func requireAggregatesMatch(t *testing.T, tag string, got, mat *core.Context) {
 	}
 }
 
-// TestStreamingContextMatchesMaterialized checks that streaming contexts
-// report the same aggregates (occurrence count, instance count, MNI domain
-// sizes) as a fully materialized build at every parallelism setting —
-// untruncated, where instances are counted by orbit, and under MaxOccurrences
-// caps that cut an orbit (1, 2, |Aut|+1, total-1), where they cannot be.
+// TestStreamingContextMatchesMaterialized checks that streaming and
+// materialized contexts report the aggregates (occurrence count, instance
+// count, MNI domain sizes) a scan of the materialized list gives, at every
+// parallelism setting — untruncated, where both count instances by orbit, and
+// under MaxOccurrences caps that cut an orbit (1, 2, |Aut|+1, total-1), where
+// neither can.
 func TestStreamingContextMatchesMaterialized(t *testing.T) {
 	for _, tc := range aggregateCases(t) {
 		full := core.MustNewContext(tc.g, tc.p, core.Options{Snapshot: tc.snap})
@@ -111,32 +118,57 @@ func TestStreamingContextMatchesMaterialized(t *testing.T) {
 				mat = core.MustNewContext(tc.g, tc.p, core.Options{Snapshot: tc.snap, MaxOccurrences: max})
 			}
 			for _, par := range []int{0, 1, 4} {
+				tag := fmt.Sprintf("%s max=%d par=%d", tc.name, max, par)
 				st := core.MustNewContext(tc.g, tc.p, core.Options{Snapshot: tc.snap, Streaming: true, Parallelism: par, MaxOccurrences: max})
 				if st.Materialized() || !st.Streaming() {
 					t.Fatalf("%s: streaming context misreports its mode", tc.name)
 				}
-				requireAggregatesMatch(t, fmt.Sprintf("%s max=%d par=%d", tc.name, max, par), st, mat)
+				requireAggregatesMatch(t, tag, st, mat)
+				mp := core.MustNewContext(tc.g, tc.p, core.Options{Snapshot: tc.snap, Parallelism: par, MaxOccurrences: max})
+				requireAggregatesMatch(t, tag+" materialized", mp, mat)
 			}
 		}
 	}
 }
 
 // TestStreamingContextOmitsMaterializedState checks that streaming mode
-// really does not materialize: the occurrence/instance lists and both
-// hypergraphs must be absent.
+// really does not materialize: the occurrence list and the occurrence
+// hypergraph must be absent.
 func TestStreamingContextOmitsMaterializedState(t *testing.T) {
 	fig := dataset.Figure2()
 	st := core.MustNewContext(fig.Graph, fig.Pattern, core.Options{Streaming: true})
-	if st.Occurrences() != nil || st.Instances() != nil {
-		t.Error("streaming context materialized occurrence or instance lists")
+	if st.Occurrences() != nil {
+		t.Error("streaming context materialized the occurrence list")
 	}
-	if st.OccurrenceHypergraph() != nil || st.InstanceHypergraph() != nil {
+	if st.OccurrenceHypergraph() != nil {
 		t.Error("streaming context materialized a hypergraph")
 	}
 }
 
+// TestOccurrenceHypergraphEdgeIsOccurrence pins the one identity a
+// materialized context has: hyperedge EdgeID(i) is the vertex set of
+// Occurrences()[i] — what MIS-HO and MIS-SO rely on when they index the
+// occurrence list by the overlap graph's edge IDs — at every parallelism.
+func TestOccurrenceHypergraphEdgeIsOccurrence(t *testing.T) {
+	for _, tc := range aggregateCases(t) {
+		for _, par := range []int{1, 4} {
+			ctx := core.MustNewContext(tc.g, tc.p, core.Options{Snapshot: tc.snap, Parallelism: par})
+			h, occs := ctx.OccurrenceHypergraph(), ctx.Occurrences()
+			if h.NumEdges() != ctx.NumOccurrences() || len(occs) != ctx.NumOccurrences() {
+				t.Fatalf("%s par=%d: %d hyperedges and %d listed occurrences for %d occurrences", tc.name, par, h.NumEdges(), len(occs), ctx.NumOccurrences())
+			}
+			for i, o := range occs {
+				e, ok := h.Edge(hypergraph.EdgeID(i))
+				if !ok || !reflect.DeepEqual(e.Vertices, o.VertexSet()) {
+					t.Fatalf("%s par=%d: hyperedge %d is %v, occurrence %d has vertex set %v", tc.name, par, i, e.Vertices, i, o.VertexSet())
+				}
+			}
+		}
+	}
+}
+
 // TestContextIdenticalAcrossShards checks the shards knob end to end through
-// context construction: occurrence order, instance grouping and the streamed
+// context construction: occurrence order, instance count and the streamed
 // aggregates must be identical for every shard count and parallelism, on a
 // labeled triangle and on every symmetric pattern over a one-label graph.
 func TestContextIdenticalAcrossShards(t *testing.T) {
@@ -165,8 +197,8 @@ func TestContextIdenticalAcrossShards(t *testing.T) {
 }
 
 // TestMaterializedContextIdenticalAcrossParallelism checks the parallel
-// engine end to end through context construction: hypergraphs, occurrence
-// order and instance grouping must be identical for every parallelism value.
+// engine end to end through context construction: occurrence order and the
+// counts must be identical for every parallelism value.
 func TestMaterializedContextIdenticalAcrossParallelism(t *testing.T) {
 	g := gen.BarabasiAlbert(300, 3, gen.UniformLabels{K: 2}, 11)
 	tri := pattern.MustNew(graph.NewBuilder("tri").Vertices(1, 0, 1, 2).Cycle(0, 1, 2).MustBuild())
@@ -181,11 +213,6 @@ func TestMaterializedContextIdenticalAcrossParallelism(t *testing.T) {
 		for i, o := range ctx.Occurrences() {
 			if o.Key() != base.Occurrences()[i].Key() {
 				t.Fatalf("par=%d: occurrence %d is %s, sequential has %s", par, i, o.Key(), base.Occurrences()[i].Key())
-			}
-		}
-		for i, in := range ctx.Instances() {
-			if in.Key() != base.Instances()[i].Key() {
-				t.Fatalf("par=%d: instance %d is %s, sequential has %s", par, i, in.Key(), base.Instances()[i].Key())
 			}
 		}
 	}

@@ -268,7 +268,7 @@ func (h *Hypergraph) ValidateCover(cover []graph.VertexID) error {
 			}
 		}
 		if !hit {
-			return fmt.Errorf("hypergraph: edge %d (%q) is not covered", i, e.Label)
+			return fmt.Errorf("hypergraph: edge %d %v is not covered", i, e.Vertices)
 		}
 	}
 	return nil

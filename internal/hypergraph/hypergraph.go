@@ -1,5 +1,5 @@
-// Package hypergraph implements the occurrence/instance hypergraph substrate
-// of the paper's framework (Definitions 3.1.1-3.1.4) together with the
+// Package hypergraph implements the hypergraph substrate of the paper's
+// framework (Definitions 3.1.1-3.1.3) together with the
 // combinatorial optimization problems the support measures reduce to:
 // minimum vertex cover, maximum independent edge set (set packing), maximum
 // independent set on the projected overlap graph, and minimum clique
@@ -10,6 +10,7 @@ package hypergraph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -18,12 +19,11 @@ import (
 // EdgeID indexes an edge of a hypergraph.
 type EdgeID int
 
-// HyperEdge is a non-empty subset of hypergraph vertices together with a
-// label distinguishing it from other edges over the same vertex set (the
-// paper labels occurrence-hypergraph edges with the occurrence f_i and
-// instance-hypergraph edges with the instance S_i).
+// HyperEdge is a non-empty subset of hypergraph vertices. Its EdgeID — its
+// position in insertion order — is its only identity and what distinguishes
+// it from other edges over the same vertex set (the paper's f_i: the
+// occurrence hypergraph has one edge per occurrence, in occurrence order).
 type HyperEdge struct {
-	Label    string
 	Vertices []graph.VertexID
 }
 
@@ -37,9 +37,9 @@ func (e HyperEdge) contains(v graph.VertexID) bool {
 	return false
 }
 
-// Hypergraph is a labeled-edge hypergraph H = (V, E). Vertices are data-graph
-// vertex IDs; edges are vertex subsets. The zero value is an empty hypergraph
-// ready for use.
+// Hypergraph is a hypergraph H = (V, E) whose edges are told apart by
+// position. Vertices are data-graph vertex IDs; edges are vertex subsets.
+// Build one with New.
 type Hypergraph struct {
 	vertexSet map[graph.VertexID]bool
 	vertices  []graph.VertexID
@@ -56,25 +56,19 @@ func New() *Hypergraph {
 	}
 }
 
-// AddEdge adds an edge with the given label over the given vertex set,
-// implicitly adding any new vertices. The vertex set must be non-empty.
-// Duplicate vertex mentions within one edge are collapsed.
-func (h *Hypergraph) AddEdge(label string, vertices []graph.VertexID) (EdgeID, error) {
+// AddEdge adds an edge over the given vertex set, implicitly adding any new
+// vertices, and returns its ID: the number of edges added before it. The
+// vertex set must be non-empty. Duplicate vertex mentions within one edge are
+// collapsed.
+func (h *Hypergraph) AddEdge(vertices []graph.VertexID) (EdgeID, error) {
 	if len(vertices) == 0 {
-		return 0, fmt.Errorf("hypergraph: edge %q has an empty vertex set", label)
+		return 0, fmt.Errorf("hypergraph: edge %d has an empty vertex set", len(h.edges))
 	}
-	dedup := make(map[graph.VertexID]bool, len(vertices))
-	var vs []graph.VertexID
-	for _, v := range vertices {
-		if dedup[v] {
-			continue
-		}
-		dedup[v] = true
-		vs = append(vs, v)
-	}
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
+	vs := slices.Clone(vertices)
+	slices.Sort(vs)
+	vs = slices.Compact(vs)
 	id := EdgeID(len(h.edges))
-	h.edges = append(h.edges, HyperEdge{Label: label, Vertices: vs})
+	h.edges = append(h.edges, HyperEdge{Vertices: vs})
 	for _, v := range vs {
 		if !h.vertexSet[v] {
 			h.vertexSet[v] = true
@@ -86,8 +80,8 @@ func (h *Hypergraph) AddEdge(label string, vertices []graph.VertexID) (EdgeID, e
 }
 
 // MustAddEdge is AddEdge but panics on error.
-func (h *Hypergraph) MustAddEdge(label string, vertices []graph.VertexID) EdgeID {
-	id, err := h.AddEdge(label, vertices)
+func (h *Hypergraph) MustAddEdge(vertices []graph.VertexID) EdgeID {
+	id, err := h.AddEdge(vertices)
 	if err != nil {
 		panic(err)
 	}
@@ -115,7 +109,7 @@ func (h *Hypergraph) Edges() []HyperEdge {
 	for i, e := range h.edges {
 		vs := make([]graph.VertexID, len(e.Vertices))
 		copy(vs, e.Vertices)
-		out[i] = HyperEdge{Label: e.Label, Vertices: vs}
+		out[i] = HyperEdge{Vertices: vs}
 	}
 	return out
 }
@@ -128,7 +122,7 @@ func (h *Hypergraph) Edge(id EdgeID) (HyperEdge, bool) {
 	e := h.edges[id]
 	vs := make([]graph.VertexID, len(e.Vertices))
 	copy(vs, e.Vertices)
-	return HyperEdge{Label: e.Label, Vertices: vs}, true
+	return HyperEdge{Vertices: vs}, true
 }
 
 // IncidentEdges returns the IDs of the edges containing vertex v.
@@ -143,8 +137,8 @@ func (h *Hypergraph) IncidentEdges(v graph.VertexID) []EdgeID {
 func (h *Hypergraph) VertexDegree(v graph.VertexID) int { return len(h.incidence[v]) }
 
 // IsUniform reports whether all edges have the same cardinality and, if so,
-// returns that cardinality k. Occurrence/instance hypergraphs of a k-node
-// pattern are always k-uniform (Section 4.4).
+// returns that cardinality k. The occurrence hypergraph of a k-node pattern
+// is always k-uniform (Section 4.4).
 func (h *Hypergraph) IsUniform() (int, bool) {
 	if len(h.edges) == 0 {
 		return 0, true
@@ -159,7 +153,7 @@ func (h *Hypergraph) IsUniform() (int, bool) {
 }
 
 // IsSimple reports whether no edge's vertex set is a subset of another
-// edge's vertex set (Definition 3.1.1). Edge labels are ignored.
+// edge's vertex set (Definition 3.1.1).
 func (h *Hypergraph) IsSimple() bool {
 	for i := range h.edges {
 		for j := range h.edges {

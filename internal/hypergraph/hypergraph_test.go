@@ -14,7 +14,7 @@ import (
 func figure6Hypergraph() *hypergraph.Hypergraph {
 	h := hypergraph.New()
 	for _, vs := range [][]graph.VertexID{{1, 5}, {1, 6}, {1, 7}, {1, 8}, {2, 8}, {3, 8}, {4, 8}} {
-		h.MustAddEdge("f", vs)
+		h.MustAddEdge(vs)
 	}
 	return h
 }
@@ -35,17 +35,17 @@ func randomUniformHypergraph(seed uint64, k, vertices, edges int) *hypergraph.Hy
 			seen[v] = true
 			vs = append(vs, graph.VertexID(v))
 		}
-		h.MustAddEdge("e", vs)
+		h.MustAddEdge(vs)
 	}
 	return h
 }
 
 func TestHypergraphBasics(t *testing.T) {
 	h := hypergraph.New()
-	if _, err := h.AddEdge("empty", nil); err == nil {
+	if _, err := h.AddEdge(nil); err == nil {
 		t.Error("empty edge should be rejected")
 	}
-	id, err := h.AddEdge("e1", []graph.VertexID{3, 1, 3, 2}) // duplicate vertex collapsed
+	id, err := h.AddEdge([]graph.VertexID{3, 1, 3, 2}) // duplicate vertex collapsed
 	if err != nil {
 		t.Fatalf("AddEdge: %v", err)
 	}
@@ -56,7 +56,7 @@ func TestHypergraphBasics(t *testing.T) {
 	if _, ok := h.Edge(99); ok {
 		t.Error("Edge(99) should not exist")
 	}
-	h.MustAddEdge("e2", []graph.VertexID{2, 4})
+	h.MustAddEdge([]graph.VertexID{2, 4})
 	if h.NumVertices() != 4 || h.NumEdges() != 2 {
 		t.Errorf("sizes = %d vertices, %d edges", h.NumVertices(), h.NumEdges())
 	}
@@ -79,12 +79,12 @@ func TestHypergraphBasics(t *testing.T) {
 
 func TestIsSimpleAndDual(t *testing.T) {
 	h := hypergraph.New()
-	h.MustAddEdge("a", []graph.VertexID{1, 2})
-	h.MustAddEdge("b", []graph.VertexID{2, 3})
+	h.MustAddEdge([]graph.VertexID{1, 2})
+	h.MustAddEdge([]graph.VertexID{2, 3})
 	if !h.IsSimple() {
 		t.Error("no edge is a subset of another; hypergraph should be simple")
 	}
-	h.MustAddEdge("c", []graph.VertexID{1, 2, 3})
+	h.MustAddEdge([]graph.VertexID{1, 2, 3})
 	if h.IsSimple() {
 		t.Error("edge {1,2} is a subset of {1,2,3}; hypergraph should not be simple")
 	}
@@ -139,7 +139,7 @@ func TestVertexCoverEmptyAndValidate(t *testing.T) {
 	if res := h.MatchingVertexCover(); res.Size != 0 {
 		t.Errorf("empty matching cover = %+v", res)
 	}
-	h.MustAddEdge("e", []graph.VertexID{1, 2})
+	h.MustAddEdge([]graph.VertexID{1, 2})
 	if err := h.ValidateCover(nil); err == nil {
 		t.Error("empty set should not cover a non-empty hypergraph")
 	}

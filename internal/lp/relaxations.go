@@ -90,20 +90,19 @@ func FractionalIndependentEdgeSet(h *hypergraph.Hypergraph) (RelaxationResult, e
 // and returns the solution together with the vertex order used for the
 // constraints (so callers can map constraint duals back to vertices). The
 // y(e) <= 1 bounds of Definition 4.3.2 are implied by the vertex constraints
-// and not materialized. Variable i corresponds to hypergraph edge i.
+// and not materialized. Variable i is hypergraph edge i: AddVariable hands
+// out dense indexes in call order, as AddEdge does.
 func solvePackingLP(h *hypergraph.Hypergraph) (Solution, []graph.VertexID, error) {
-	m := h.NumEdges()
 	p := NewProblem(Maximize)
-	vars := make([]int, m)
-	for i := 0; i < m; i++ {
-		vars[i] = p.AddVariable(fmt.Sprintf("y_%d", i), 1)
+	for i := 0; i < h.NumEdges(); i++ {
+		p.AddVariable(1)
 	}
 	order := h.Vertices()
 	for _, v := range order {
 		ids := h.IncidentEdges(v)
 		coeffs := make(map[int]float64, len(ids))
 		for _, id := range ids {
-			coeffs[vars[int(id)]] = 1
+			coeffs[int(id)] = 1
 		}
 		p.AddConstraint(coeffs, LE, 1)
 	}

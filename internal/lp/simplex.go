@@ -76,7 +76,6 @@ type constraint struct {
 type Problem struct {
 	sense       Sense
 	objective   []float64
-	names       []string
 	constraints []constraint
 }
 
@@ -87,16 +86,15 @@ func NewProblem(sense Sense) *Problem {
 
 // AddVariable adds a non-negative variable with the given objective
 // coefficient and returns its index.
-func (p *Problem) AddVariable(name string, objCoeff float64) int {
+func (p *Problem) AddVariable(objCoeff float64) int {
 	p.objective = append(p.objective, objCoeff)
-	p.names = append(p.names, name)
 	return len(p.objective) - 1
 }
 
 // AddBoundedVariable adds a variable with 0 <= x <= upper and returns its
 // index. The upper bound is added as an explicit constraint.
-func (p *Problem) AddBoundedVariable(name string, objCoeff, upper float64) int {
-	idx := p.AddVariable(name, objCoeff)
+func (p *Problem) AddBoundedVariable(objCoeff, upper float64) int {
+	idx := p.AddVariable(objCoeff)
 	p.AddConstraint(map[int]float64{idx: 1}, LE, upper)
 	return idx
 }

@@ -14,8 +14,8 @@ func approxEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 func TestSolveSimpleMinimization(t *testing.T) {
 	// min x + y  s.t. x + y >= 1, x >= 0, y >= 0  -> optimum 1.
 	p := NewProblem(Minimize)
-	x := p.AddVariable("x", 1)
-	y := p.AddVariable("y", 1)
+	x := p.AddVariable(1)
+	y := p.AddVariable(1)
 	p.AddConstraint(map[int]float64{x: 1, y: 1}, GE, 1)
 	sol, err := p.Solve()
 	if err != nil {
@@ -29,8 +29,8 @@ func TestSolveSimpleMinimization(t *testing.T) {
 func TestSolveSimpleMaximization(t *testing.T) {
 	// max 3x + 2y s.t. x + y <= 4, x <= 2, y <= 3 -> x=2, y=2, objective 10.
 	p := NewProblem(Maximize)
-	x := p.AddVariable("x", 3)
-	y := p.AddVariable("y", 2)
+	x := p.AddVariable(3)
+	y := p.AddVariable(2)
 	p.AddConstraint(map[int]float64{x: 1, y: 1}, LE, 4)
 	p.AddConstraint(map[int]float64{x: 1}, LE, 2)
 	p.AddConstraint(map[int]float64{y: 1}, LE, 3)
@@ -49,8 +49,8 @@ func TestSolveSimpleMaximization(t *testing.T) {
 func TestSolveEqualityConstraint(t *testing.T) {
 	// min 2x + 3y s.t. x + y = 5, x <= 3 -> x=3, y=2, objective 12.
 	p := NewProblem(Minimize)
-	x := p.AddVariable("x", 2)
-	y := p.AddVariable("y", 3)
+	x := p.AddVariable(2)
+	y := p.AddVariable(3)
 	p.AddConstraint(map[int]float64{x: 1, y: 1}, EQ, 5)
 	p.AddConstraint(map[int]float64{x: 1}, LE, 3)
 	sol, err := p.Solve()
@@ -65,7 +65,7 @@ func TestSolveEqualityConstraint(t *testing.T) {
 func TestSolveInfeasible(t *testing.T) {
 	// x >= 2 and x <= 1 simultaneously is infeasible.
 	p := NewProblem(Minimize)
-	x := p.AddVariable("x", 1)
+	x := p.AddVariable(1)
 	p.AddConstraint(map[int]float64{x: 1}, GE, 2)
 	p.AddConstraint(map[int]float64{x: 1}, LE, 1)
 	sol, err := p.Solve()
@@ -80,7 +80,7 @@ func TestSolveInfeasible(t *testing.T) {
 func TestSolveUnbounded(t *testing.T) {
 	// max x with only x >= 1 is unbounded.
 	p := NewProblem(Maximize)
-	x := p.AddVariable("x", 1)
+	x := p.AddVariable(1)
 	p.AddConstraint(map[int]float64{x: 1}, GE, 1)
 	sol, err := p.Solve()
 	if err != nil {
@@ -101,7 +101,7 @@ func TestSolveNoVariables(t *testing.T) {
 func TestSolveNegativeRHS(t *testing.T) {
 	// min x s.t. -x <= -3  (i.e. x >= 3) -> optimum 3.
 	p := NewProblem(Minimize)
-	x := p.AddVariable("x", 1)
+	x := p.AddVariable(1)
 	p.AddConstraint(map[int]float64{x: -1}, LE, -3)
 	sol, err := p.Solve()
 	if err != nil {
@@ -117,8 +117,8 @@ func TestSolveDegenerateProblem(t *testing.T) {
 	// for the minimization of x1 subject to redundant constraints at the
 	// origin.
 	p := NewProblem(Minimize)
-	x1 := p.AddVariable("x1", 1)
-	x2 := p.AddVariable("x2", 0)
+	x1 := p.AddVariable(1)
+	x2 := p.AddVariable(0)
 	p.AddConstraint(map[int]float64{x1: 1, x2: 1}, GE, 0)
 	p.AddConstraint(map[int]float64{x1: 1}, GE, 0)
 	p.AddConstraint(map[int]float64{x1: 1, x2: 2}, GE, 0)
@@ -136,7 +136,7 @@ func TestSolveDegenerateProblem(t *testing.T) {
 func buildTriangleHypergraph() *hypergraph.Hypergraph {
 	h := hypergraph.New()
 	for i := 0; i < 6; i++ {
-		h.MustAddEdge("f", []graph.VertexID{1, 2, 3})
+		h.MustAddEdge([]graph.VertexID{1, 2, 3})
 	}
 	return h
 }
@@ -157,7 +157,7 @@ func TestFractionalDualityOnFigure6Shape(t *testing.T) {
 	h := hypergraph.New()
 	edges := [][]graph.VertexID{{1, 5}, {1, 6}, {1, 7}, {1, 8}, {2, 8}, {3, 8}, {4, 8}}
 	for _, e := range edges {
-		h.MustAddEdge("f", e)
+		h.MustAddEdge(e)
 	}
 	cover, err := FractionalVertexCover(h)
 	if err != nil {
@@ -201,7 +201,7 @@ func TestRoundedVertexCoverIsCover(t *testing.T) {
 		if a == b || b == c || a == c {
 			continue
 		}
-		h.MustAddEdge("e", []graph.VertexID{a, b, c})
+		h.MustAddEdge([]graph.VertexID{a, b, c})
 	}
 	frac, err := FractionalVertexCover(h)
 	if err != nil {
@@ -237,7 +237,7 @@ func TestDualityOnRandomHypergraphs(t *testing.T) {
 				seen[v] = true
 				vs = append(vs, graph.VertexID(v))
 			}
-			h.MustAddEdge("e", vs)
+			h.MustAddEdge(vs)
 		}
 		cover, err := FractionalVertexCover(h)
 		if err != nil {

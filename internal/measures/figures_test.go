@@ -1,7 +1,10 @@
 package measures_test
 
 import (
+	"fmt"
 	"math"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -47,6 +50,40 @@ func TestFigureSupports(t *testing.T) {
 			check("MIS", measures.MIS{}, fig.ExpectedMIS)
 			check("MIES", measures.MIES{}, fig.ExpectedMIS) // Theorem 4.1: MIES = MIS
 		})
+	}
+}
+
+// TestFigureWitnesses pins value, exactness and witness string of every
+// registered measure on every figure against a golden recorded before the
+// instance hypergraph, the hyperedge labels and imageKey were deleted (PR 18):
+// witnesses print hyperedge indexes, covers and minimizing subsets, none of
+// which reach a CLI or wire body, so nothing else holds them still.
+func TestFigureWitnesses(t *testing.T) {
+	want, err := os.ReadFile("testdata/witnesses.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := measures.NewRegistry()
+	var got strings.Builder
+	for _, fig := range dataset.AllFigures() {
+		ctx, err := core.NewContext(fig.Graph, fig.Pattern, core.Options{})
+		if err != nil {
+			t.Fatalf("%s: NewContext: %v", fig.Name, err)
+		}
+		for _, name := range reg.Names() {
+			m, err := reg.New(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := m.Compute(ctx)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", fig.Name, name, err)
+			}
+			fmt.Fprintf(&got, "%s %s | %s\n", fig.Name, res, res.Witness)
+		}
+	}
+	if got.String() != string(want) {
+		t.Errorf("witnesses moved:\n%s\nwant:\n%s", got.String(), want)
 	}
 }
 

@@ -168,42 +168,6 @@ func TestZeroOccurrenceResults(t *testing.T) {
 	}
 }
 
-func TestInstanceHypergraphVariants(t *testing.T) {
-	// On the figures, MVC / MIES / MIS computed on the instance hypergraph
-	// agree with the occurrence-hypergraph values (the edge vertex sets are
-	// the same up to multiplicity).
-	for _, fig := range dataset.AllFigures() {
-		ctx := mustContext(t, fig.Graph, fig.Pattern)
-		for _, pair := range []struct {
-			occ, inst measures.Measure
-		}{
-			{measures.MVC{}, measures.MVC{UseInstances: true}},
-			{measures.MIES{}, measures.MIES{UseInstances: true}},
-			{measures.MIS{}, measures.MIS{UseInstances: true}},
-			{measures.NuMVC{}, measures.NuMVC{UseInstances: true}},
-			{measures.NuMIES{}, measures.NuMIES{UseInstances: true}},
-		} {
-			a, err := pair.occ.Compute(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := pair.inst.Compute(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(a.Value-b.Value) > 1e-6 {
-				t.Errorf("%s: %s occurrence=%v vs instance=%v", fig.Name, a.Measure, a.Value, b.Value)
-			}
-		}
-	}
-	// Harmful/structural overlap on instances is rejected.
-	fig := dataset.Figure2()
-	ctx := mustContext(t, fig.Graph, fig.Pattern)
-	if _, err := (measures.MIS{UseInstances: true, Overlap: measures.HarmfulOverlap}).Compute(ctx); err == nil {
-		t.Error("harmful overlap on instances should be rejected")
-	}
-}
-
 func TestApproximationGuarantees(t *testing.T) {
 	// The matching-based MVC approximation is within a factor k of the exact
 	// MVC, and the greedy MIES is within a factor k below the exact MIES, on

@@ -1,6 +1,7 @@
 package measures
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/core"
@@ -51,22 +52,42 @@ func (m MI) Compute(ctx *core.Context) (Result, error) {
 	if len(subsets) == 0 {
 		return Result{}, fmt.Errorf("measures: pattern yielded no transitive node subsets")
 	}
-	minCount := -1
-	var minSubset []pattern.NodeID
-	for _, subset := range subsets {
-		images := make(map[string]bool, len(occs))
-		for _, o := range occs {
-			images[imageKey(o.SubsetImage(subset))] = true
-		}
-		if minCount < 0 || len(images) < minCount {
-			minCount = len(images)
-			minSubset = subset
-		}
-	}
+	minSubset, minCount := minDistinctImages(occs, subsets)
 	return Result{
 		Measure: NameMI,
 		Value:   float64(minCount),
 		Exact:   true,
 		Witness: fmt.Sprintf("minimizing transitive node subset %v with %d distinct set images", minSubset, minCount),
 	}, nil
+}
+
+// minDistinctImages returns the subset with the fewest distinct set-images
+// {f_i(subset)} across occs, and that number: the minimization MI runs over
+// transitive node subsets and MNIK over connected k-subsets. The first
+// minimizing subset in the given order wins. subsets must not be empty.
+func minDistinctImages(occs []*isomorph.Occurrence, subsets [][]pattern.NodeID) ([]pattern.NodeID, int) {
+	minCount := -1
+	var minSubset []pattern.NodeID
+	var key []byte
+	for _, subset := range subsets {
+		images := make(map[string]bool, len(occs))
+		for _, o := range occs {
+			// Varints are prefix-free, so distinct sorted images get
+			// distinct keys with no separator.
+			key = key[:0]
+			for _, v := range o.SubsetImage(subset) {
+				key = binary.AppendVarint(key, int64(v))
+			}
+			// The lookup converts without allocating; only a new image
+			// pays for its string.
+			if !images[string(key)] {
+				images[string(key)] = true
+			}
+		}
+		if minCount < 0 || len(images) < minCount {
+			minCount = len(images)
+			minSubset = subset
+		}
+	}
+	return minSubset, minCount
 }

@@ -49,10 +49,6 @@ type MIS struct {
 	// Overlap selects the overlap notion; SimpleOverlap reproduces the
 	// classical measure, the other modes the Section 4.5 variants.
 	Overlap OverlapMode
-	// UseInstances builds the overlap graph over instances instead of
-	// occurrences. Only valid with SimpleOverlap (the harmful and structural
-	// notions are defined on occurrences).
-	UseInstances bool
 	// Approximate reports the greedy independent set instead of the exact
 	// optimum.
 	Approximate bool
@@ -76,13 +72,7 @@ func (m MIS) Compute(ctx *core.Context) (Result, error) {
 	if err := requireMaterialized(ctx, m.Name()); err != nil {
 		return Result{}, err
 	}
-	if m.UseInstances && m.Overlap != SimpleOverlap {
-		return Result{}, fmt.Errorf("measures: %s overlap is defined on occurrences, not instances", m.Overlap)
-	}
 	h := ctx.OccurrenceHypergraph()
-	if m.UseInstances {
-		h = ctx.InstanceHypergraph()
-	}
 	if h.NumEdges() == 0 {
 		return Result{Measure: m.Name(), Value: 0, Exact: true}, nil
 	}
@@ -163,12 +153,11 @@ func miesLPShortcut(h *hypergraph.Hypergraph) (int, bool, error) {
 }
 
 // MIES is the maximum independent edge set support (Definition 4.2.1): the
-// largest number of pairwise vertex-disjoint edges of the occurrence (or
-// instance) hypergraph. It equals MIS (Theorem 4.1) and is anti-monotonic
-// (Theorem 4.2); it is NP-hard to compute exactly.
+// largest number of pairwise vertex-disjoint edges of the occurrence
+// hypergraph (disjoint edges are distinct vertex sets, so the instance
+// hypergraph packs the same). It equals MIS (Theorem 4.1) and is
+// anti-monotonic (Theorem 4.2); it is NP-hard to compute exactly.
 type MIES struct {
-	// UseInstances selects the instance hypergraph.
-	UseInstances bool
 	// Approximate reports the greedy packing instead of the exact optimum.
 	Approximate bool
 	// MaxNodes bounds the exact solver's search; zero means DefaultMaxNodes.
@@ -189,9 +178,6 @@ func (m MIES) Compute(ctx *core.Context) (Result, error) {
 		return Result{}, err
 	}
 	h := ctx.OccurrenceHypergraph()
-	if m.UseInstances {
-		h = ctx.InstanceHypergraph()
-	}
 	if h.NumEdges() == 0 {
 		return Result{Measure: m.Name(), Value: 0, Exact: true}, nil
 	}
@@ -232,23 +218,17 @@ func (m MIES) Compute(ctx *core.Context) (Result, error) {
 // NuMIES is the polynomial-time LP relaxation of MIES (Definition 4.3.2): the
 // optimal value of the fractional independent edge set LP. By LP duality it
 // equals ν_MVC (Theorem 4.6).
-type NuMIES struct {
-	// UseInstances selects the instance hypergraph.
-	UseInstances bool
-}
+type NuMIES struct{}
 
 // Name implements Measure.
 func (NuMIES) Name() string { return NameNuMIES }
 
 // Compute implements Measure.
-func (m NuMIES) Compute(ctx *core.Context) (Result, error) {
+func (NuMIES) Compute(ctx *core.Context) (Result, error) {
 	if err := requireMaterialized(ctx, NameNuMIES); err != nil {
 		return Result{}, err
 	}
 	h := ctx.OccurrenceHypergraph()
-	if m.UseInstances {
-		h = ctx.InstanceHypergraph()
-	}
 	res, err := lp.FractionalIndependentEdgeSet(h)
 	if err != nil {
 		return Result{}, fmt.Errorf("measures: fractional independent edge set: %w", err)
@@ -267,23 +247,17 @@ func (m NuMIES) Compute(ctx *core.Context) (Result, error) {
 // MCP is the greedy minimum clique partition support on the overlap graph,
 // the Calders et al. baseline referenced in Chapter 5. The greedy partition
 // upper-bounds the true MCP, which itself upper-bounds MIS.
-type MCP struct {
-	// UseInstances selects the instance hypergraph.
-	UseInstances bool
-}
+type MCP struct{}
 
 // Name implements Measure.
 func (MCP) Name() string { return NameMCP }
 
 // Compute implements Measure.
-func (m MCP) Compute(ctx *core.Context) (Result, error) {
+func (MCP) Compute(ctx *core.Context) (Result, error) {
 	if err := requireMaterialized(ctx, NameMCP); err != nil {
 		return Result{}, err
 	}
 	h := ctx.OccurrenceHypergraph()
-	if m.UseInstances {
-		h = ctx.InstanceHypergraph()
-	}
 	if h.NumEdges() == 0 {
 		return Result{Measure: NameMCP, Value: 0, Exact: true}, nil
 	}

@@ -2,11 +2,8 @@ package measures
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/core"
-	"repro/internal/graph"
-	"repro/internal/pattern"
 )
 
 // MNI is the minimum-image-based support of Bringmann and Nijssen
@@ -75,31 +72,11 @@ func (m MNIK) Compute(ctx *core.Context) (Result, error) {
 	if len(subsets) == 0 {
 		return Result{}, fmt.Errorf("measures: pattern has no connected node subsets of size %d", k)
 	}
-	minCount := -1
-	var minSubset []pattern.NodeID
-	for _, subset := range subsets {
-		images := make(map[string]bool, len(occs))
-		for _, o := range occs {
-			images[imageKey(o.SubsetImage(subset))] = true
-		}
-		if minCount < 0 || len(images) < minCount {
-			minCount = len(images)
-			minSubset = subset
-		}
-	}
+	minSubset, minCount := minDistinctImages(occs, subsets)
 	return Result{
 		Measure: NameMNIK,
 		Value:   float64(minCount),
 		Exact:   true,
 		Witness: fmt.Sprintf("minimizing connected subset %v (k=%d) with %d distinct set images", minSubset, k, minCount),
 	}, nil
-}
-
-// imageKey builds a canonical string key for a sorted vertex set.
-func imageKey(vs []graph.VertexID) string {
-	var b strings.Builder
-	for _, v := range vs {
-		fmt.Fprintf(&b, "%d,", v)
-	}
-	return b.String()
 }

@@ -10,19 +10,14 @@ import (
 )
 
 // MVC is the minimum vertex cover support measure of Section 3.3: the size
-// of a smallest vertex set of the occurrence (or instance) hypergraph that
-// intersects every hyperedge. MVC is anti-monotonic (Theorem 3.5), bounded by
+// of a smallest vertex set of the occurrence hypergraph that intersects every
+// hyperedge (the instance hypergraph has the same edges as vertex sets, hence
+// the same covers). MVC is anti-monotonic (Theorem 3.5), bounded by
 // MI from above (Theorem 3.6) and by MIES/MIS from below (Theorem 4.5), but
 // computing it exactly is NP-hard. The exact solver is branch and bound; the
 // approximate variant is the textbook k-approximation for k-uniform
 // hypergraphs (take all vertices of an uncovered edge).
 type MVC struct {
-	// UseInstances selects the instance hypergraph instead of the occurrence
-	// hypergraph. Both hypergraphs give the same cover sizes when the pattern
-	// has no non-identity automorphisms; with automorphisms the edge
-	// multisets coincide as vertex sets, so the value is identical — the
-	// option mainly exists to exercise both code paths.
-	UseInstances bool
 	// Approximate skips the exact solver and reports the matching-based
 	// k-approximation.
 	Approximate bool
@@ -52,9 +47,6 @@ func (m MVC) Compute(ctx *core.Context) (Result, error) {
 		return Result{}, err
 	}
 	h := ctx.OccurrenceHypergraph()
-	if m.UseInstances {
-		h = ctx.InstanceHypergraph()
-	}
 	if h.NumEdges() == 0 {
 		return Result{Measure: m.Name(), Value: 0, Exact: true}, nil
 	}
@@ -115,23 +107,17 @@ func mvcLPShortcut(h *hypergraph.Hypergraph) (int, bool, error) {
 // NuMVC is the polynomial-time LP relaxation of MVC (Definition 4.3.1): the
 // optimal value of the fractional vertex cover LP. By LP duality it equals
 // ν_MIES (Theorem 4.6) and it is sandwiched between σ_MIES and σ_MVC.
-type NuMVC struct {
-	// UseInstances selects the instance hypergraph.
-	UseInstances bool
-}
+type NuMVC struct{}
 
 // Name implements Measure.
 func (NuMVC) Name() string { return NameNuMVC }
 
 // Compute implements Measure.
-func (m NuMVC) Compute(ctx *core.Context) (Result, error) {
+func (NuMVC) Compute(ctx *core.Context) (Result, error) {
 	if err := requireMaterialized(ctx, NameNuMVC); err != nil {
 		return Result{}, err
 	}
 	h := ctx.OccurrenceHypergraph()
-	if m.UseInstances {
-		h = ctx.InstanceHypergraph()
-	}
 	res, err := lp.FractionalVertexCover(h)
 	if err != nil {
 		return Result{}, fmt.Errorf("measures: fractional vertex cover: %w", err)

@@ -114,11 +114,10 @@ type Result struct {
 	Stats    Stats
 }
 
-// Miner mines frequent patterns from a single data graph, given either as a
-// mutable Graph (New) or as a frozen snapshot with no graph behind it
-// (NewSnapshot — the out-of-core mining path).
+// Miner mines frequent patterns from one frozen snapshot of a data graph:
+// the one it is handed (NewSnapshot — the engine's and the out-of-core mining
+// path) or the one New freezes.
 type Miner struct {
-	g    *graph.Graph
 	snap *graph.Snapshot
 	cfg  Config
 	// streaming selects streamed per-candidate contexts. It is derived, not
@@ -129,32 +128,27 @@ type Miner struct {
 	streaming bool
 }
 
-// New returns a miner over the given data graph.
+// New returns a miner over the data graph as it is now: it freezes g once,
+// into cfg.EnumShards shards, and mines that snapshot.
 func New(g *graph.Graph, cfg Config) (*Miner, error) {
 	if g == nil {
 		return nil, fmt.Errorf("miner: nil data graph")
 	}
-	return newMiner(g, nil, cfg)
+	return NewSnapshot(g.FreezeSharded(graph.FreezeOptions{Shards: cfg.EnumShards}), cfg)
 }
 
 // NewSnapshot returns a miner that runs entirely on an explicit frozen
-// snapshot — no mutable Graph is required or consulted. This is the mining
-// entry point for store-opened, mmap-backed snapshots (internal/store):
-// seed label pairs and the extension alphabet are derived from the
-// snapshot's CSR arrays, and every per-candidate enumeration is pinned to
-// the snapshot, so results are identical to mining the graph the snapshot
-// was frozen from. Config.EnumShards is ignored — the snapshot's own shard
-// geometry applies.
+// snapshot — no mutable Graph is required or consulted, so store-opened,
+// mmap-backed snapshots (internal/store) mine like any other: seed label
+// pairs and the extension alphabet are derived from the snapshot's CSR
+// arrays, and every per-candidate enumeration is pinned to the snapshot, so
+// results are identical to mining the graph the snapshot was frozen from.
+// Config.EnumShards is ignored — the snapshot's own shard geometry applies.
+// The configuration is validated and defaulted here.
 func NewSnapshot(snap *graph.Snapshot, cfg Config) (*Miner, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("miner: nil snapshot")
 	}
-	return newMiner(nil, snap, cfg)
-}
-
-// newMiner validates and defaults the configuration shared by both
-// constructors.
-func newMiner(g *graph.Graph, snap *graph.Snapshot, cfg Config) (*Miner, error) {
 	if cfg.MinSupport <= 0 {
 		return nil, fmt.Errorf("miner: MinSupport must be positive, got %v", cfg.MinSupport)
 	}
@@ -167,7 +161,7 @@ func newMiner(g *graph.Graph, snap *graph.Snapshot, cfg Config) (*Miner, error) 
 	if cfg.Measure == nil {
 		cfg.Measure = measures.MNI{}
 	}
-	return &Miner{g: g, snap: snap, cfg: cfg, streaming: measures.SupportsStreaming(cfg.Measure)}, nil
+	return &Miner{snap: snap, cfg: cfg, streaming: measures.SupportsStreaming(cfg.Measure)}, nil
 }
 
 // Config returns the effective configuration of the miner after defaulting:
@@ -209,7 +203,7 @@ func (m *Miner) Mine() (*Result, error) {
 	}
 	sortByCode(frontier)
 
-	labels := m.labels()
+	labels := m.snap.Labels()
 
 	for len(frontier) > 0 {
 		evalStart := time.Now()
@@ -353,10 +347,9 @@ func (m *Miner) evaluate(p *pattern.Pattern) (FrequentPattern, bool, error) {
 		// machine with Parallelism x GOMAXPROCS workers.
 		enumPar = 1
 	}
-	ctx, err := core.NewContext(m.g, p, core.Options{
+	ctx, err := core.NewContext(nil, p, core.Options{
 		MaxOccurrences: m.cfg.MaxOccurrences,
 		Parallelism:    enumPar,
-		Shards:         m.cfg.EnumShards,
 		Streaming:      m.streaming,
 		Snapshot:       m.snap,
 	})
@@ -377,45 +370,23 @@ func (m *Miner) evaluate(p *pattern.Pattern) (FrequentPattern, bool, error) {
 	return fp, r.Value >= m.cfg.MinSupport, nil
 }
 
-// labels returns the extension alphabet: the graph's distinct labels, or
-// the snapshot's when mining snapshot-backed.
-func (m *Miner) labels() []graph.Label {
-	if m.snap != nil {
-		return m.snap.Labels()
-	}
-	return m.g.Labels()
-}
-
 // seedPatterns returns the one-edge patterns for every ordered label pair
-// that appears on at least one data edge. On the snapshot-backed path the
-// pairs are collected from one pass over the CSR adjacency (visiting each
-// undirected edge once, from its smaller endpoint) instead of the graph's
-// edge map.
+// that appears on at least one data edge, collected in one pass over the CSR
+// adjacency (visiting each undirected edge once, from its smaller endpoint).
 func (m *Miner) seedPatterns() []*pattern.Pattern {
 	type labelPair struct{ a, b graph.Label }
 	pairs := make(map[labelPair]bool)
-	if m.snap != nil {
-		for i := int32(0); i < int32(m.snap.NumVertices()); i++ {
-			la := m.snap.LabelAt(i)
-			for _, j := range m.snap.NeighborsAt(i) {
-				if j <= i {
-					continue
-				}
-				a, b := la, m.snap.LabelAt(j)
-				if a > b {
-					a, b = b, a
-				}
-				pairs[labelPair{a: a, b: b}] = true
+	for i := int32(0); i < int32(m.snap.NumVertices()); i++ {
+		la := m.snap.LabelAt(i)
+		for _, j := range m.snap.NeighborsAt(i) {
+			if j <= i {
+				continue
 			}
-		}
-	} else {
-		for _, e := range m.g.Edges() {
-			la := m.g.MustLabelOf(e.U)
-			lb := m.g.MustLabelOf(e.V)
-			if la > lb {
-				la, lb = lb, la
+			a, b := la, m.snap.LabelAt(j)
+			if a > b {
+				a, b = b, a
 			}
-			pairs[labelPair{a: la, b: lb}] = true
+			pairs[labelPair{a: a, b: b}] = true
 		}
 	}
 	keys := make([]labelPair, 0, len(pairs))

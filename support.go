@@ -52,11 +52,9 @@ type (
 	Pattern = pattern.Pattern
 	// Occurrence is one isomorphism from a pattern into the data graph.
 	Occurrence = isomorph.Occurrence
-	// Instance is one subgraph of the data graph isomorphic to the pattern.
-	Instance = isomorph.Instance
-	// Context bundles a (graph, pattern) pair with its occurrence and
-	// instance hypergraphs; every Evaluation carries the one its measures
-	// were computed on.
+	// Context bundles a (graph, pattern) pair with its occurrence aggregates
+	// and, when materialized, its occurrence list and occurrence hypergraph;
+	// every Evaluation carries the one its measures were computed on.
 	Context = core.Context
 	// Measure computes a support value on a Context.
 	Measure = measures.Measure
