@@ -31,6 +31,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/hypergraph"
 	"repro/internal/isomorph"
+	"repro/internal/lp"
 	"repro/internal/pattern"
 )
 
@@ -56,12 +57,16 @@ type Context struct {
 	// map pattern node Pattern().Nodes()[i] to (the MNI domain size).
 	domainSizes []int
 
-	// transitive caches the transitive node subsets per policy, computed on
-	// first use from the pattern only (they do not depend on the data graph).
-	// It is the one piece of lazily filled state, so transitiveMu guards it
-	// and concurrent measure computations stay safe.
+	// Two pieces of state are filled lazily, each behind its own guard so
+	// concurrent measure computations stay safe. transitive caches the
+	// transitive node subsets per policy, computed on first use from the
+	// pattern only (they do not depend on the data graph).
 	transitiveMu sync.Mutex
 	transitive   map[isomorph.SubgraphPolicy][][]pattern.NodeID
+	// relaxation is the packing LP optimum of occurrenceH, solved on first
+	// use and at most once.
+	relaxationOnce sync.Once
+	relaxation     lp.RelaxationResult
 }
 
 // Options configures context construction.
@@ -211,6 +216,16 @@ func (c *Context) TransitiveNodeSubsets(policy isomorph.SubgraphPolicy) [][]patt
 	subsets := isomorph.TransitiveNodeSubsets(c.p, policy)
 	c.transitive[policy] = subsets
 	return subsets
+}
+
+// Relaxation returns (and caches) the optimum of the packing LP of the
+// occurrence hypergraph: ν_MIES and, by duality, ν_MVC (Theorem 4.6), with an
+// optimal fractional packing and cover. Every measure that needs an LP bound
+// reads this one result, so a context pays for at most one solve. It must not
+// be called on a streaming context, which has no hypergraph to relax.
+func (c *Context) Relaxation() lp.RelaxationResult {
+	c.relaxationOnce.Do(func() { c.relaxation = lp.Solve(c.occurrenceH) })
+	return c.relaxation
 }
 
 // String returns a compact summary of the context.

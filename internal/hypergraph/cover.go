@@ -164,11 +164,12 @@ func (h *Hypergraph) GreedyVertexCover() CoverResult {
 	covered := make([]bool, h.NumEdges())
 	remaining := h.NumEdges()
 	chosen := make(map[graph.VertexID]bool)
+	vertices := h.Vertices()
 
 	for remaining > 0 {
 		var best graph.VertexID
 		bestGain := -1
-		for _, v := range h.Vertices() {
+		for _, v := range vertices {
 			if chosen[v] {
 				continue
 			}
@@ -233,23 +234,7 @@ func (h *Hypergraph) MatchingVertexCover() CoverResult {
 
 // IsVertexCover reports whether the given vertex set intersects every edge.
 func (h *Hypergraph) IsVertexCover(cover []graph.VertexID) bool {
-	set := make(map[graph.VertexID]bool, len(cover))
-	for _, v := range cover {
-		set[v] = true
-	}
-	for _, e := range h.edges {
-		hit := false
-		for _, v := range e.Vertices {
-			if set[v] {
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			return false
-		}
-	}
-	return true
+	return h.ValidateCover(cover) == nil
 }
 
 // ValidateCover returns an error describing the first uncovered edge, or nil

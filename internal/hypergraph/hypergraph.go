@@ -185,50 +185,6 @@ func isSubset(a, b []graph.VertexID) bool {
 	return i == len(a)
 }
 
-// EdgesOverlap reports whether the two edges share at least one vertex.
-func (h *Hypergraph) EdgesOverlap(a, b EdgeID) bool {
-	if int(a) < 0 || int(a) >= len(h.edges) || int(b) < 0 || int(b) >= len(h.edges) {
-		return false
-	}
-	va := h.edges[a].Vertices
-	vb := h.edges[b].Vertices
-	i, j := 0, 0
-	for i < len(va) && j < len(vb) {
-		switch {
-		case va[i] == vb[j]:
-			return true
-		case va[i] < vb[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return false
-}
-
-// conflictMatrix returns an m x m boolean matrix where entry [i][j] reports
-// whether edges i and j share a vertex. It is computed via the incidence
-// lists (total work proportional to the number of overlapping pairs) rather
-// than by comparing all pairs, which matters for occurrence hypergraphs with
-// thousands of edges.
-func (h *Hypergraph) conflictMatrix() [][]bool {
-	m := len(h.edges)
-	conflicts := make([][]bool, m)
-	for i := range conflicts {
-		conflicts[i] = make([]bool, m)
-	}
-	for _, ids := range h.incidence {
-		for x := 0; x < len(ids); x++ {
-			for y := x + 1; y < len(ids); y++ {
-				a, b := ids[x], ids[y]
-				conflicts[a][b] = true
-				conflicts[b][a] = true
-			}
-		}
-	}
-	return conflicts
-}
-
 // Dual returns the dual hypergraph H* (Definition 3.1.2): its vertices are
 // the edges of H (identified by position) and it has one edge X_v per vertex
 // v of H collecting all H-edges containing v. The dual's edges are labeled

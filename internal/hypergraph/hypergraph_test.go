@@ -69,12 +69,6 @@ func TestHypergraphBasics(t *testing.T) {
 	if k, uniform := h.IsUniform(); uniform {
 		t.Errorf("hypergraph should not be uniform, got k=%d", k)
 	}
-	if !h.EdgesOverlap(0, 1) {
-		t.Error("edges share vertex 2 and should overlap")
-	}
-	if h.EdgesOverlap(0, 99) {
-		t.Error("overlap with a non-existent edge should be false")
-	}
 }
 
 func TestIsSimpleAndDual(t *testing.T) {
@@ -253,6 +247,9 @@ func TestTruncatedSearchStaysValid(t *testing.T) {
 	pack := h.MaximumIndependentEdgeSet(5)
 	if !h.IsIndependentEdgeSet(pack.Edges) {
 		t.Error("truncated packing is not independent")
+	}
+	if greedy := h.GreedyIndependentEdgeSet(); pack.Size < greedy.Size {
+		t.Errorf("truncated packing %d is below the greedy packing %d", pack.Size, greedy.Size)
 	}
 }
 

@@ -16,122 +16,17 @@ type MatchingResult struct {
 }
 
 // MaximumIndependentEdgeSet computes a maximum set of pairwise vertex-disjoint
-// edges (Definition 4.2.1, the MIES measure; equal to MIS by Theorem 4.1) by
-// branch and bound. maxNodes bounds the number of explored search nodes; zero
-// means unlimited. When the bound is hit the best packing found so far is
-// returned with Exact=false.
-//
-// Two pruning bounds are combined: the number of still-selectable edges, and
-// a vertex-capacity bound (every additional edge consumes at least
-// min-edge-size unused vertices). Edges are branched in order of increasing
-// conflict degree so that good packings are found early.
+// edges (Definition 4.2.1, the MIES measure). By Theorem 4.1 that is a maximum
+// independent set of the simple-overlap graph, so this is the one search of
+// OverlapGraph.MaximumIndependentSet run on NewOverlapGraph(h, nil), with the
+// same maxNodes budget and Exact flag.
 func (h *Hypergraph) MaximumIndependentEdgeSet(maxNodes int) MatchingResult {
-	m := h.NumEdges()
-	if m == 0 {
-		return MatchingResult{Exact: true}
+	res := NewOverlapGraph(h, nil).MaximumIndependentSet(maxNodes)
+	edges := make([]EdgeID, len(res.Members))
+	for i, m := range res.Members {
+		edges[i] = EdgeID(m)
 	}
-
-	conflicts := h.conflictMatrix()
-
-	// Branch order: least-conflicting edges first.
-	order := make([]int, m)
-	for i := range order {
-		order[i] = i
-	}
-	conflictDegree := make([]int, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < m; j++ {
-			if conflicts[i][j] {
-				conflictDegree[i]++
-			}
-		}
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if conflictDegree[order[a]] != conflictDegree[order[b]] {
-			return conflictDegree[order[a]] < conflictDegree[order[b]]
-		}
-		return order[a] < order[b]
-	})
-
-	minEdgeSize := len(h.edges[0].Vertices)
-	for _, e := range h.edges[1:] {
-		if len(e.Vertices) < minEdgeSize {
-			minEdgeSize = len(e.Vertices)
-		}
-	}
-	if minEdgeSize < 1 {
-		minEdgeSize = 1
-	}
-	totalVertices := h.NumVertices()
-
-	greedy := h.GreedyIndependentEdgeSet()
-	best := make([]EdgeID, len(greedy.Edges))
-	copy(best, greedy.Edges)
-
-	blocked := make([]int, m)
-	var current []EdgeID
-	usedVertices := 0
-	explored := 0
-	truncated := false
-
-	var search func(pos int)
-	search = func(pos int) {
-		if truncated {
-			return
-		}
-		explored++
-		if maxNodes > 0 && explored > maxNodes {
-			truncated = true
-			return
-		}
-		if len(current) > len(best) {
-			best = make([]EdgeID, len(current))
-			copy(best, current)
-		}
-		// Bound 1: still-selectable edges beyond pos.
-		remaining := 0
-		for p := pos; p < m; p++ {
-			if blocked[order[p]] == 0 {
-				remaining++
-			}
-		}
-		// Bound 2: vertex capacity.
-		capacity := (totalVertices - usedVertices) / minEdgeSize
-		if remaining > capacity {
-			remaining = capacity
-		}
-		if len(current)+remaining <= len(best) {
-			return
-		}
-		for p := pos; p < m; p++ {
-			i := order[p]
-			if blocked[i] != 0 {
-				continue
-			}
-			current = append(current, EdgeID(i))
-			usedVertices += len(h.edges[i].Vertices)
-			for j := 0; j < m; j++ {
-				if conflicts[i][j] {
-					blocked[j]++
-				}
-			}
-			search(p + 1)
-			for j := 0; j < m; j++ {
-				if conflicts[i][j] {
-					blocked[j]--
-				}
-			}
-			usedVertices -= len(h.edges[i].Vertices)
-			current = current[:len(current)-1]
-			if truncated {
-				return
-			}
-		}
-	}
-	search(0)
-
-	sort.Slice(best, func(i, j int) bool { return best[i] < best[j] })
-	return MatchingResult{Edges: best, Size: len(best), Exact: !truncated}
+	return MatchingResult{Edges: edges, Size: res.Size, Exact: res.Exact}
 }
 
 // GreedyIndependentEdgeSet computes an inclusion-maximal independent edge set

@@ -1,6 +1,7 @@
 package hypergraph
 
 import (
+	"slices"
 	"sort"
 )
 
@@ -11,24 +12,42 @@ import (
 type OverlapGraph struct {
 	n   int
 	adj [][]bool
+	// h is the projected hypergraph when the graph was built by plain vertex
+	// overlap and nil under a predicate. Only then is an independent set a
+	// set of pairwise disjoint hyperedges, which the vertex-capacity bound
+	// and the packing seed of MaximumIndependentSet rely on.
+	h *Hypergraph
 }
 
-// OverlapPredicate decides whether hypergraph edges a and b overlap. The
-// default (vertex overlap) is provided by Hypergraph.EdgesOverlap; the
-// measures package supplies harmful-overlap and structural-overlap predicates
-// that compare the underlying occurrences.
+// OverlapPredicate decides whether hypergraph edges a and b overlap. Simple
+// vertex overlap needs none (NewOverlapGraph reads it off the hypergraph);
+// the measures package supplies harmful-overlap and structural-overlap
+// predicates that compare the underlying occurrences.
 type OverlapPredicate func(a, b EdgeID) bool
 
 // NewOverlapGraph builds the overlap graph of h under the given predicate.
-// A nil predicate means simple vertex overlap.
+// A nil predicate means simple vertex overlap, which is read off the
+// incidence lists (work proportional to the number of overlapping pairs — it
+// matters for occurrence hypergraphs with thousands of edges); a predicate
+// is asked about every pair.
 func NewOverlapGraph(h *Hypergraph, pred OverlapPredicate) *OverlapGraph {
-	if pred == nil {
-		pred = h.EdgesOverlap
-	}
 	n := h.NumEdges()
 	og := &OverlapGraph{n: n, adj: make([][]bool, n)}
 	for i := range og.adj {
 		og.adj[i] = make([]bool, n)
+	}
+	if pred == nil {
+		og.h = h
+		for _, ids := range h.incidence {
+			for x := 0; x < len(ids); x++ {
+				for y := x + 1; y < len(ids); y++ {
+					a, b := ids[x], ids[y]
+					og.adj[a][b] = true
+					og.adj[b][a] = true
+				}
+			}
+		}
+		return og
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -76,18 +95,26 @@ type IndependentSetResult struct {
 }
 
 // MaximumIndependentSet computes a maximum independent vertex set of the
-// overlap graph (the MIS support, Definition 2.2.7) by branch and bound with
-// a greedy initial bound. maxNodes limits the explored search nodes; zero
-// means unlimited. Vertices are branched in order of increasing degree so
-// that large independent sets are found early and the bound prunes
-// aggressively.
+// overlap graph (the MIS support, Definition 2.2.7) by branch and bound.
+// maxNodes limits the explored search nodes; zero means unlimited. When the
+// bound is hit the best set found so far is returned with Exact=false.
+// Vertices are branched in order of increasing degree so that large
+// independent sets are found early, and GreedyIndependentSet is the first
+// incumbent.
+//
+// Under simple overlap this is also the search behind
+// Hypergraph.MaximumIndependentEdgeSet (Theorem 4.1), and two things hold
+// that a predicate graph does not offer. The greedy packing is a second seed
+// (the larger of the two starts as the incumbent, the packing on a tie): it
+// is the first-fit set in branch order, which the search's first descent
+// finds anyway — unless the budget ends it first. And a vertex-capacity bound
+// joins the count of still-selectable vertices: members are disjoint
+// hyperedges, so every further one consumes at least min-edge-size unused
+// hypergraph vertices.
 func (og *OverlapGraph) MaximumIndependentSet(maxNodes int) IndependentSetResult {
 	if og.n == 0 {
 		return IndependentSetResult{Exact: true}
 	}
-	greedy := og.GreedyIndependentSet()
-	best := make([]int, len(greedy.Members))
-	copy(best, greedy.Members)
 
 	order := make([]int, og.n)
 	for i := range order {
@@ -108,8 +135,33 @@ func (og *OverlapGraph) MaximumIndependentSet(maxNodes int) IndependentSetResult
 		return order[a] < order[b]
 	})
 
+	best := og.GreedyIndependentSet().Members
+
+	// Under a predicate members may share hypergraph vertices: weights of
+	// zero against a capacity of n leave the capacity bound vacuous.
+	weight := make([]int, og.n)
+	capacityTotal, minWeight := og.n, 1
+	if og.h != nil {
+		var packing []int
+		for _, i := range order {
+			if !slices.ContainsFunc(packing, func(j int) bool { return og.adj[i][j] }) {
+				packing = append(packing, i)
+			}
+		}
+		if len(packing) >= len(best) {
+			best = packing
+		}
+		capacityTotal = og.h.NumVertices()
+		minWeight = len(og.h.edges[0].Vertices)
+		for i, e := range og.h.edges {
+			weight[i] = len(e.Vertices)
+			minWeight = min(minWeight, weight[i])
+		}
+	}
+
 	blocked := make([]int, og.n)
 	var current []int
+	usedWeight := 0
 	explored := 0
 	truncated := false
 
@@ -127,12 +179,15 @@ func (og *OverlapGraph) MaximumIndependentSet(maxNodes int) IndependentSetResult
 			best = make([]int, len(current))
 			copy(best, current)
 		}
+		// Bound 1: still-selectable vertices beyond pos.
 		remaining := 0
 		for p := pos; p < og.n; p++ {
 			if blocked[order[p]] == 0 {
 				remaining++
 			}
 		}
+		// Bound 2: vertex capacity.
+		remaining = min(remaining, (capacityTotal-usedWeight)/minWeight)
 		if len(current)+remaining <= len(best) {
 			return
 		}
@@ -142,6 +197,7 @@ func (og *OverlapGraph) MaximumIndependentSet(maxNodes int) IndependentSetResult
 				continue
 			}
 			current = append(current, i)
+			usedWeight += weight[i]
 			for j := 0; j < og.n; j++ {
 				if og.adj[i][j] {
 					blocked[j]++
@@ -153,6 +209,7 @@ func (og *OverlapGraph) MaximumIndependentSet(maxNodes int) IndependentSetResult
 					blocked[j]--
 				}
 			}
+			usedWeight -= weight[i]
 			current = current[:len(current)-1]
 			if truncated {
 				return

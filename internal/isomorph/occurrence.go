@@ -18,6 +18,7 @@ package isomorph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -112,20 +113,16 @@ func (o *Occurrence) VertexSet() []graph.VertexID {
 // de-duplicated slice. This is the image of a coarse-grained node subset
 // (Definition 3.2.1).
 func (o *Occurrence) SubsetImage(w []pattern.NodeID) []graph.VertexID {
-	set := make(map[graph.VertexID]bool, len(w))
+	out := make([]graph.VertexID, 0, len(w))
 	for _, n := range w {
-		img, ok := o.Image(n)
-		if !ok {
-			continue
+		if img, ok := o.Image(n); ok {
+			out = append(out, img)
 		}
-		set[img] = true
 	}
-	out := make([]graph.VertexID, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	// An occurrence is injective, so only a node repeated in w repeats an
+	// image.
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // EdgeImage returns f(E_P): the set of data edges that pattern edges map to,

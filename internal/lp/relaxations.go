@@ -1,144 +1,94 @@
 package lp
 
-import (
-	"fmt"
-	"sort"
+import "repro/internal/hypergraph"
 
-	"repro/internal/graph"
-	"repro/internal/hypergraph"
-)
-
-// RelaxationResult carries the optimal value and fractional solution of one
-// of the LP relaxations of Section 4.3.
+// RelaxationResult is the optimum of the packing LP of a hypergraph together
+// with an optimal solution of each side of the duality: Packing is feasible
+// for Definition 4.3.2, Cover for Definition 4.3.1, and both sum to Value —
+// each up to floating-point round-off (an entry may read -1e-16).
 type RelaxationResult struct {
-	// Value is the optimal objective value (ν_MVC or ν_MIES).
+	// Value is the optimal objective value, ν_MIES = ν_MVC.
 	Value float64
-	// VertexValues maps hypergraph vertices to their fractional x(v) for the
-	// vertex cover relaxation; nil for the edge relaxation.
-	VertexValues map[graph.VertexID]float64
-	// EdgeValues maps hypergraph edge IDs to their fractional y(e) for the
-	// independent edge set relaxation; nil for the cover relaxation.
-	EdgeValues map[hypergraph.EdgeID]float64
-	Status     Status
+	// Packing holds the fractional y(e) of every edge, indexed by EdgeID.
+	Packing []float64
+	// Cover holds the fractional x(v) of every vertex, aligned with the
+	// hypergraph's Vertices().
+	Cover []float64
+	// Status is Optimal unless the simplex stopped short; Value, Packing and
+	// Cover are only meaningful when it is.
+	Status Status
 }
 
-// FractionalVertexCover solves the LP relaxation of the minimum vertex cover
-// problem on h (Definition 4.3.1, the ν_MVC support):
-//
-//	minimize   sum_v x(v)
-//	subject to sum_{v in e} x(v) >= 1   for every edge e
-//	           0 <= x(v) <= 1
-//
-// Internally the solver works on the dual packing LP (Definition 4.3.2),
-// which has an immediately feasible slack basis and therefore needs no
-// phase-1 simplex; by strong LP duality (Theorem 4.6) the optimal values
-// coincide and the fractional cover x is recovered from the packing LP's
-// shadow prices. The explicit x(v) <= 1 bounds of the definition are
-// redundant for the minimization and are not materialized.
-func FractionalVertexCover(h *hypergraph.Hypergraph) (RelaxationResult, error) {
-	vertices := h.Vertices()
-	if h.NumEdges() == 0 {
-		return RelaxationResult{Value: 0, VertexValues: map[graph.VertexID]float64{}, Status: Optimal}, nil
-	}
-	sol, order, err := solvePackingLP(h)
-	if err != nil {
-		return RelaxationResult{}, err
-	}
-	res := RelaxationResult{Value: sol.Objective, Status: sol.Status, VertexValues: make(map[graph.VertexID]float64, len(vertices))}
-	if sol.Status == Optimal {
-		if sol.Duals == nil {
-			return RelaxationResult{}, fmt.Errorf("lp: packing LP returned no dual solution")
-		}
-		for i, v := range order {
-			res.VertexValues[v] = sol.Duals[i]
-		}
-	}
-	return res, nil
-}
-
-// FractionalIndependentEdgeSet solves the LP relaxation of the maximum
-// independent edge set problem on h (Definition 4.3.2, the ν_MIES support),
-// which is the LP dual of FractionalVertexCover:
-//
-//	maximize   sum_e y(e)
-//	subject to sum_{e containing v} y(e) <= 1   for every vertex v
-//	           0 <= y(e) <= 1
-func FractionalIndependentEdgeSet(h *hypergraph.Hypergraph) (RelaxationResult, error) {
-	m := h.NumEdges()
-	if m == 0 {
-		return RelaxationResult{Value: 0, EdgeValues: map[hypergraph.EdgeID]float64{}, Status: Optimal}, nil
-	}
-	sol, _, err := solvePackingLP(h)
-	if err != nil {
-		return RelaxationResult{}, err
-	}
-	res := RelaxationResult{Value: sol.Objective, Status: sol.Status, EdgeValues: make(map[hypergraph.EdgeID]float64, m)}
-	if sol.Status == Optimal {
-		for i := 0; i < m; i++ {
-			res.EdgeValues[hypergraph.EdgeID(i)] = sol.Values[i]
-		}
-	}
-	return res, nil
-}
-
-// solvePackingLP builds and solves the fractional independent edge set LP
+// Solve solves the fractional independent edge set LP of h (Definition 4.3.2)
 //
 //	maximize   sum_e y(e)
 //	subject to sum_{e containing v} y(e) <= 1   for every vertex v
 //	           y >= 0
 //
-// and returns the solution together with the vertex order used for the
-// constraints (so callers can map constraint duals back to vertices). The
-// y(e) <= 1 bounds of Definition 4.3.2 are implied by the vertex constraints
-// and not materialized. Variable i is hypergraph edge i: AddVariable hands
-// out dense indexes in call order, as AddEdge does.
-func solvePackingLP(h *hypergraph.Hypergraph) (Solution, []graph.VertexID, error) {
-	p := NewProblem(Maximize)
-	for i := 0; i < h.NumEdges(); i++ {
-		p.AddVariable(1)
+// and returns its value, the optimal y and — as the shadow prices of the
+// vertex constraints — an optimal x of the dual fractional vertex cover LP
+// (Definition 4.3.1). The tableau has one column per edge (column i is
+// EdgeID(i)) followed by one slack column per vertex row, in Vertices()
+// order. The y(e) <= 1 and x(v) <= 1 bounds of the definitions are implied
+// by the constraints and not materialized.
+func Solve(h *hypergraph.Hypergraph) RelaxationResult {
+	mSolves.Inc()
+	n := h.NumEdges()
+	if n == 0 {
+		return RelaxationResult{Status: Optimal}
 	}
-	order := h.Vertices()
-	for _, v := range order {
-		ids := h.IncidentEdges(v)
-		coeffs := make(map[int]float64, len(ids))
-		for _, id := range ids {
-			coeffs[int(id)] = 1
+	vertices := h.Vertices()
+	totalCols := n + len(vertices)
+	tab := make([][]float64, len(vertices))
+	basis := make([]int, len(vertices))
+	for i, v := range vertices {
+		row := make([]float64, totalCols+1)
+		for _, e := range h.IncidentEdges(v) {
+			row[e] = 1
 		}
-		p.AddConstraint(coeffs, LE, 1)
+		row[n+i] = 1
+		row[totalCols] = 1
+		tab[i] = row
+		basis[i] = n + i
 	}
-	sol, err := p.Solve()
-	if err != nil {
-		return Solution{}, nil, err
+	// The tableau minimizes, so maximizing sum y is minimizing -sum y.
+	objective := make([]float64, totalCols)
+	for j := 0; j < n; j++ {
+		objective[j] = -1
 	}
-	return sol, order, nil
+	status, objRow := runSimplex(tab, basis, objective, totalCols)
+	res := RelaxationResult{Status: status}
+	if status != Optimal {
+		return res
+	}
+	res.Packing = make([]float64, n)
+	for i, b := range basis {
+		if b < n {
+			res.Packing[b] = tab[i][totalCols]
+		}
+	}
+	// Summed in edge order: ν is held to the bit, and float addition is not
+	// associative.
+	for _, y := range res.Packing {
+		res.Value += y
+	}
+	// The shadow price of a vertex row is the objective-row entry of its
+	// slack column, negated because the tableau minimizes.
+	res.Cover = make([]float64, len(vertices))
+	for i := range res.Cover {
+		res.Cover[i] = -objRow[n+i]
+	}
+	return res
 }
 
-// RoundedVertexCover rounds a fractional vertex cover to an integral one
-// using threshold rounding at 1/k for a k-uniform hypergraph: every vertex
-// with x(v) >= 1/k is selected. For k-uniform hypergraphs this always yields
-// a valid cover of size at most k times the LP optimum, giving the classical
-// k-approximation via LP rounding.
-func RoundedVertexCover(h *hypergraph.Hypergraph, frac RelaxationResult) []graph.VertexID {
-	k, uniform := h.IsUniform()
-	if !uniform || k == 0 {
-		// Fall back to the largest edge cardinality.
-		k = 0
-		for _, e := range h.Edges() {
-			if len(e.Vertices) > k {
-				k = len(e.Vertices)
-			}
-		}
-		if k == 0 {
-			return nil
-		}
-	}
-	threshold := 1.0 / float64(k)
-	var cover []graph.VertexID
-	for v, x := range frac.VertexValues {
-		if x >= threshold-1e-9 {
-			cover = append(cover, v)
-		}
-	}
-	sort.Slice(cover, func(i, j int) bool { return cover[i] < cover[j] })
-	return cover
+// FractionalVertexCover is Solve under the name of Definition 4.3.1 (the
+// ν_MVC support): read Value and Cover.
+func FractionalVertexCover(h *hypergraph.Hypergraph) (RelaxationResult, error) {
+	return Solve(h), nil
+}
+
+// FractionalIndependentEdgeSet is Solve under the name of Definition 4.3.2
+// (the ν_MIES support): read Value and Packing.
+func FractionalIndependentEdgeSet(h *hypergraph.Hypergraph) (RelaxationResult, error) {
+	return Solve(h), nil
 }

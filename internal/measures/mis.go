@@ -42,16 +42,17 @@ func (m OverlapMode) String() string {
 
 // MIS is the maximum-independent-set support of Vanetik et al.
 // (Definition 2.2.7): the size of a maximum independent vertex set of the
-// occurrence overlap graph. Under the hypergraph framework it equals the MIES
-// measure (Theorem 4.1). Computing it is NP-hard; the exact solver is branch
-// and bound with a configurable node budget.
+// occurrence overlap graph. Under simple overlap that is a maximum set of
+// pairwise disjoint hyperedges (Theorem 4.1), so it is computed as MIES is —
+// same certificate, same search, same value and Exact flag — and only the
+// witness is worded in overlap-graph terms. The overlap graph proper serves
+// the harmful- and structural-overlap variants of Section 4.5, which have no
+// hypergraph reading. Computing any of them is NP-hard; the exact solver is
+// branch and bound with a configurable node budget.
 type MIS struct {
 	// Overlap selects the overlap notion; SimpleOverlap reproduces the
 	// classical measure, the other modes the Section 4.5 variants.
 	Overlap OverlapMode
-	// Approximate reports the greedy independent set instead of the exact
-	// optimum.
-	Approximate bool
 	// MaxNodes bounds the exact solver's search; zero means DefaultMaxNodes.
 	MaxNodes int
 }
@@ -77,10 +78,17 @@ func (m MIS) Compute(ctx *core.Context) (Result, error) {
 		return Result{Measure: m.Name(), Value: 0, Exact: true}, nil
 	}
 
+	if m.Overlap == SimpleOverlap {
+		res, certified := independentEdgeSet(ctx, m.MaxNodes)
+		witness := fmt.Sprintf("independent overlap-graph vertices %v", res.Edges)
+		if certified {
+			witness = fmt.Sprintf("greedy independent set of %d certified optimal by the LP relaxation", res.Size)
+		}
+		return Result{Measure: NameMIS, Value: float64(res.Size), Exact: res.Exact, Witness: witness}, nil
+	}
+
 	var pred hypergraph.OverlapPredicate
 	switch m.Overlap {
-	case SimpleOverlap:
-		pred = nil // simple vertex overlap, provided by the hypergraph
 	case HarmfulOverlap:
 		occs := ctx.Occurrences()
 		pred = func(a, b hypergraph.EdgeID) bool {
@@ -97,37 +105,11 @@ func (m MIS) Compute(ctx *core.Context) (Result, error) {
 		return Result{}, fmt.Errorf("measures: unknown overlap mode %d", m.Overlap)
 	}
 
-	og := hypergraph.NewOverlapGraph(h, pred)
-	if m.Approximate {
-		res := og.GreedyIndependentSet()
-		return Result{
-			Measure: m.Name(),
-			Value:   float64(res.Size),
-			Exact:   false,
-			Witness: fmt.Sprintf("greedy independent set of %d overlap-graph vertices", res.Size),
-		}, nil
-	}
-	// LP certificate shortcut (simple overlap only): independent sets of the
-	// simple-overlap graph are exactly independent edge sets of the
-	// hypergraph (Theorem 4.1), so a greedy solution matching the floor of
-	// the fractional packing optimum is provably maximum.
-	if m.Overlap == SimpleOverlap {
-		if size, ok, err := miesLPShortcut(h); err != nil {
-			return Result{}, err
-		} else if ok {
-			return Result{
-				Measure: m.Name(),
-				Value:   float64(size),
-				Exact:   true,
-				Witness: fmt.Sprintf("greedy independent set of %d certified optimal by the LP relaxation", size),
-			}, nil
-		}
-	}
 	budget := m.MaxNodes
 	if budget == 0 {
 		budget = DefaultMaxNodes
 	}
-	res := og.MaximumIndependentSet(budget)
+	res := hypergraph.NewOverlapGraph(h, pred).MaximumIndependentSet(budget)
 	return Result{
 		Measure: m.Name(),
 		Value:   float64(res.Size),
@@ -136,20 +118,33 @@ func (m MIS) Compute(ctx *core.Context) (Result, error) {
 	}, nil
 }
 
-// miesLPShortcut reports whether the greedy independent edge set of h is
-// certified maximum by the fractional packing upper bound, and if so its
-// size.
-func miesLPShortcut(h *hypergraph.Hypergraph) (int, bool, error) {
-	best := h.GreedyIndependentEdgeSet().Size
-	frac, err := lp.FractionalIndependentEdgeSet(h)
-	if err != nil {
-		return 0, false, fmt.Errorf("measures: LP certificate for MIES: %w", err)
-	}
+// miesLPShortcut reports whether the greedy independent edge set of the
+// context's hypergraph is certified maximum by the upper bound of its one LP
+// relaxation, and if so its size.
+func miesLPShortcut(ctx *core.Context) (int, bool) {
+	frac := ctx.Relaxation()
 	if frac.Status != lp.Optimal {
-		return 0, false, nil
+		return 0, false
 	}
+	best := ctx.OccurrenceHypergraph().GreedyIndependentEdgeSet().Size
 	upper := int(math.Floor(frac.Value + 1e-6))
-	return best, best >= upper, nil
+	return best, best >= upper
+}
+
+// independentEdgeSet computes σ_MIES = σ_MIS (Theorem 4.1) on a context with
+// at least one occurrence: the greedy packing when the LP bound certifies it
+// — only Size and Exact are set then, and certified is true — and otherwise
+// the branch-and-bound search under the given node budget (zero means
+// DefaultMaxNodes). The certificate is tried first because it needs no
+// quadratic structure; the search builds the conflict matrix.
+func independentEdgeSet(ctx *core.Context, maxNodes int) (res hypergraph.MatchingResult, certified bool) {
+	if size, ok := miesLPShortcut(ctx); ok {
+		return hypergraph.MatchingResult{Size: size, Exact: true}, true
+	}
+	if maxNodes == 0 {
+		maxNodes = DefaultMaxNodes
+	}
+	return ctx.OccurrenceHypergraph().MaximumIndependentEdgeSet(maxNodes), false
 }
 
 // MIES is the maximum independent edge set support (Definition 4.2.1): the
@@ -190,29 +185,12 @@ func (m MIES) Compute(ctx *core.Context) (Result, error) {
 			Witness: fmt.Sprintf("greedy packing of %d hyperedges", res.Size),
 		}, nil
 	}
-	// LP certificate shortcut: a greedy packing matching the floor of the
-	// fractional packing optimum is provably maximum.
-	if size, ok, err := miesLPShortcut(h); err != nil {
-		return Result{}, err
-	} else if ok {
-		return Result{
-			Measure: NameMIES,
-			Value:   float64(size),
-			Exact:   true,
-			Witness: fmt.Sprintf("greedy packing of %d certified optimal by the LP relaxation", size),
-		}, nil
+	res, certified := independentEdgeSet(ctx, m.MaxNodes)
+	witness := fmt.Sprintf("independent hyperedges %v", res.Edges)
+	if certified {
+		witness = fmt.Sprintf("greedy packing of %d certified optimal by the LP relaxation", res.Size)
 	}
-	budget := m.MaxNodes
-	if budget == 0 {
-		budget = DefaultMaxNodes
-	}
-	res := h.MaximumIndependentEdgeSet(budget)
-	return Result{
-		Measure: NameMIES,
-		Value:   float64(res.Size),
-		Exact:   res.Exact,
-		Witness: fmt.Sprintf("independent hyperedges %v", res.Edges),
-	}, nil
+	return Result{Measure: NameMIES, Value: float64(res.Size), Exact: res.Exact, Witness: witness}, nil
 }
 
 // NuMIES is the polynomial-time LP relaxation of MIES (Definition 4.3.2): the
@@ -225,22 +203,15 @@ func (NuMIES) Name() string { return NameNuMIES }
 
 // Compute implements Measure.
 func (NuMIES) Compute(ctx *core.Context) (Result, error) {
-	if err := requireMaterialized(ctx, NameNuMIES); err != nil {
-		return Result{}, err
-	}
-	h := ctx.OccurrenceHypergraph()
-	res, err := lp.FractionalIndependentEdgeSet(h)
+	value, err := nu(ctx, NameNuMIES)
 	if err != nil {
-		return Result{}, fmt.Errorf("measures: fractional independent edge set: %w", err)
-	}
-	if res.Status != lp.Optimal {
-		return Result{}, fmt.Errorf("measures: fractional MIES LP ended with status %v", res.Status)
+		return Result{}, err
 	}
 	return Result{
 		Measure: NameNuMIES,
-		Value:   res.Value,
+		Value:   value,
 		Exact:   true,
-		Witness: fmt.Sprintf("fractional packing over %d hyperedges", h.NumEdges()),
+		Witness: fmt.Sprintf("fractional packing over %d hyperedges", ctx.OccurrenceHypergraph().NumEdges()),
 	}, nil
 }
 

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/hypergraph"
 	"repro/internal/lp"
 )
 
@@ -28,9 +27,11 @@ type MVC struct {
 // DefaultMaxNodes is the default branch-and-bound node budget for the exact
 // NP-hard solvers. The budget exists so that mining loops never hang on one
 // adversarial pattern; when it is exhausted the best bound found so far is
-// returned with Exact=false. Exact solvers first try to certify a greedy
-// solution with the LP relaxation (see mvcLPShortcut), so the budget is only
-// consumed on genuinely hard instances.
+// returned with Exact=false. Exact measures first try to certify a greedy
+// solution against the context's one LP relaxation (mvcLPShortcut,
+// miesLPShortcut), so the budget is only consumed on instances the bound does
+// not close; MIS and MIES spend it in the same search, so under any budget
+// they report the same value with the same Exact flag.
 const DefaultMaxNodes = 200_000
 
 // Name implements Measure.
@@ -63,9 +64,7 @@ func (m MVC) Compute(ctx *core.Context) (Result, error) {
 	// matches the ceiling of the fractional optimum, it is provably minimum
 	// (sigma_MVC is an integer >= nu_MVC), so the exponential search can be
 	// skipped entirely.
-	if size, ok, err := mvcLPShortcut(h); err != nil {
-		return Result{}, err
-	} else if ok {
+	if size, ok := mvcLPShortcut(ctx); ok {
 		return Result{
 			Measure: NameMVC,
 			Value:   float64(size),
@@ -86,22 +85,34 @@ func (m MVC) Compute(ctx *core.Context) (Result, error) {
 	}, nil
 }
 
-// mvcLPShortcut reports whether the best polynomial heuristic cover of h is
-// certified optimal by the LP lower bound, and if so its size.
-func mvcLPShortcut(h *hypergraph.Hypergraph) (int, bool, error) {
+// mvcLPShortcut reports whether the best polynomial heuristic cover of the
+// context's hypergraph is certified optimal by the lower bound of its one LP
+// relaxation, and if so its size.
+func mvcLPShortcut(ctx *core.Context) (int, bool) {
+	frac := ctx.Relaxation()
+	if frac.Status != lp.Optimal {
+		return 0, false
+	}
+	h := ctx.OccurrenceHypergraph()
 	best := h.GreedyVertexCover().Size
 	if alt := h.MatchingVertexCover().Size; alt < best {
 		best = alt
 	}
-	frac, err := lp.FractionalVertexCover(h)
-	if err != nil {
-		return 0, false, fmt.Errorf("measures: LP certificate for MVC: %w", err)
-	}
-	if frac.Status != lp.Optimal {
-		return 0, false, nil
-	}
 	lower := int(math.Ceil(frac.Value - 1e-6))
-	return best, best <= lower, nil
+	return best, best <= lower
+}
+
+// nu is the value both LP measures report: the optimum of the context's one
+// relaxation, which is ν_MVC and ν_MIES at once (Theorem 4.6).
+func nu(ctx *core.Context, name string) (float64, error) {
+	if err := requireMaterialized(ctx, name); err != nil {
+		return 0, err
+	}
+	frac := ctx.Relaxation()
+	if frac.Status != lp.Optimal {
+		return 0, fmt.Errorf("measures: %s: packing LP ended with status %v", name, frac.Status)
+	}
+	return frac.Value, nil
 }
 
 // NuMVC is the polynomial-time LP relaxation of MVC (Definition 4.3.1): the
@@ -114,21 +125,14 @@ func (NuMVC) Name() string { return NameNuMVC }
 
 // Compute implements Measure.
 func (NuMVC) Compute(ctx *core.Context) (Result, error) {
-	if err := requireMaterialized(ctx, NameNuMVC); err != nil {
-		return Result{}, err
-	}
-	h := ctx.OccurrenceHypergraph()
-	res, err := lp.FractionalVertexCover(h)
+	value, err := nu(ctx, NameNuMVC)
 	if err != nil {
-		return Result{}, fmt.Errorf("measures: fractional vertex cover: %w", err)
-	}
-	if res.Status != lp.Optimal {
-		return Result{}, fmt.Errorf("measures: fractional vertex cover LP ended with status %v", res.Status)
+		return Result{}, err
 	}
 	return Result{
 		Measure: NameNuMVC,
-		Value:   res.Value,
+		Value:   value,
 		Exact:   true,
-		Witness: fmt.Sprintf("fractional cover over %d vertices", h.NumVertices()),
+		Witness: fmt.Sprintf("fractional cover over %d vertices", ctx.OccurrenceHypergraph().NumVertices()),
 	}, nil
 }

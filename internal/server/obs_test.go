@@ -66,6 +66,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"repro_enum_shard_drains_total",    // enumeration drain sampling
 		"repro_graph_mutations_total",      // graph mutation layer
 		"repro_delta_refreshes_total",      // delta maintenance
+		"repro_lp_solves_total",            // LP relaxation
 		"repro_store_page_ins_total",       // shard residency
 		"repro_store_resident_bytes",       // residency gauge
 		"repro_wal_fsync_seconds",          // WAL durability
