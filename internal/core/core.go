@@ -11,7 +11,8 @@
 // Context construction runs on the streaming parallel enumeration engine of
 // package isomorph. In streaming mode every worker folds the occurrences it
 // is lent into one accumulator — the occurrence count and the per-node MNI
-// domain table (table.go) — and the accumulators are merged once enumeration
+// domain table, rows of counters keyed by the snapshot's dense vertex indexes
+// (table.go) — and the accumulators are merged once enumeration
 // finishes; the occurrence list and the hypergraph are never materialized
 // and only the aggregates survive (occurrence count, MNI domain sizes and the
 // distinct-instance count), which is all that MNI and the raw counts need. In
@@ -21,7 +22,8 @@
 // has one rule in both modes: an untruncated enumeration divides the
 // occurrence count by the number of pattern automorphisms (instancesByOrbit),
 // a MaxOccurrences prefix is grouped by isomorph.Instances. DeltaContext keeps
-// the accumulator alive across graph mutations.
+// the aggregates alive across graph mutations, in a VertexID-keyed refcount
+// state that every pass's table is folded into.
 package core
 
 import (
@@ -114,7 +116,6 @@ func NewContext(g *graph.Graph, p *pattern.Pattern, opts Options) (*Context, err
 	if snap == nil {
 		snap = g.FreezeSharded(graph.FreezeOptions{Shards: opts.Shards})
 	}
-	enum := isomorph.Options{MaxOccurrences: opts.MaxOccurrences, Parallelism: opts.Parallelism}
 	var (
 		occs []*isomorph.Occurrence
 		all  *accumulator
@@ -122,16 +123,13 @@ func NewContext(g *graph.Graph, p *pattern.Pattern, opts Options) (*Context, err
 	if opts.Streaming && opts.MaxOccurrences == 0 {
 		// Nothing is kept: every worker folds its borrowed occurrences into
 		// its own accumulator.
-		all = mergeWorkers(p, accumulate(snap, p, enum, nil))
+		all = mergeWorkers(p, accumulate(snap, p, opts.Parallelism, nil, nil))
 	} else {
 		// The list is wanted — by a materialized context for good, by a
 		// capped streaming one just long enough to group it — and one scan
 		// folds it into the accumulator.
-		occs = isomorph.EnumerateSnapshot(snap, p, enum)
-		all = &accumulator{table: newDomainTable(p.Nodes())}
-		for _, o := range occs {
-			all.yield(o)
-		}
+		occs = isomorph.EnumerateSnapshot(snap, p, isomorph.Options{MaxOccurrences: opts.MaxOccurrences, Parallelism: opts.Parallelism})
+		all = scan(snap, p, occs)
 	}
 	ctx.numOccurrences = all.count
 	ctx.domainSizes = all.table.sizes()

@@ -2,16 +2,15 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
-	"repro/internal/isomorph"
 	"repro/internal/pattern"
 )
 
 // DeltaContext keeps the streamed aggregates of a (graph, pattern) pair —
-// occurrence count, distinct-instance count and the per-node MNI domain
-// table — alive across graph mutations, so support questions can be
+// occurrence count, distinct-instance count and the per-node MNI domains
+// — alive across graph mutations, so support questions can be
 // re-answered after an update without re-enumerating the whole graph.
 //
 // It is the measure-level continuation of the graph layer's incremental
@@ -20,30 +19,39 @@ import (
 // construction follows the dynamic query-answering discipline of Berkholz,
 // Keppeler and Schweikardt ("Answering FO+MOD queries under updates"): the
 // maintained state is a refcounted table (a multiplicity per projected
-// tuple), and each update batch is turned into exact insert/delete deltas
-// against it.
+// tuple), keyed by VertexID because it outlives every snapshot it was
+// computed on, and each update batch is turned into exact insert/delete
+// deltas against it.
 //
 // Mechanically, a DeltaContext subscribes to the graph's mutation feed and
 // retains the snapshot it last synchronized on. Refresh drains the feed and,
 // for a small update batch, runs two root-restricted enumerations, one per
-// side of the mutation, each over that side's own mutation ball (every vertex
-// within pattern diameter of a mutated vertex, which bounds where affected
-// occurrences can be rooted): a plus-pass on the new snapshot counts every
-// occurrence touching mutated structure, a minus-pass on the retained old
-// snapshot counts the stale pre-mutation contributions of the same region —
-// including every occurrence a removal destroyed — and the signed difference
-// is merged into the refcounted domain table. Occurrences outside the balls
-// are untouched on both sides and never re-enumerated. Because the table is
-// refcounted, the subtraction is exact — stale contributions are removed
-// entry by entry, not approximated — and both passes count whole automorphism
-// orbits (touching a dirty vertex is a property of the image), so the
-// instance count stays the occurrence count over |Aut(P)|. The resulting
-// aggregates are identical to a from-scratch streamed Context for
-// every shard count and parallelism setting, under insertions and deletions
-// alike. When either ball grows past half its graph (a mutation storm that
-// saturates every shard), Refresh falls back to a from-scratch
-// re-enumeration instead, which is cheaper than two nearly-full delta passes
-// and keeps answers exact.
+// side of the mutation, each over that side's own mutation ball: every vertex
+// within radius hops of a dirty vertex, where the radius is the pattern's
+// diameter. An occurrence f touching a dirty vertex f(a) has every image f(b)
+// within dist_P(a, b) <= diam(P) hops of it, because pattern edges map onto
+// data edges — so the ball bounds where an affected occurrence can be rooted
+// and holds all of its images, which is also what lets a pass count into rows
+// the size of its ball (table.go). The dirty set is per side too: the batch's
+// dirty VertexIDs are translated once into each snapshot's dense indexes — a
+// removed vertex exists only on the old side, an added one only on the new —
+// and occurrences are tested against it in index space.
+//
+// A plus-pass on the new snapshot counts every occurrence touching mutated
+// structure, a minus-pass on the retained old snapshot counts the stale
+// pre-mutation contributions of the same region — including every occurrence
+// a removal destroyed — and the signed difference is folded into the
+// refcounted state. Occurrences outside the balls are untouched on both sides
+// and never re-enumerated. Because the state is refcounted, the subtraction
+// is exact — stale contributions are removed entry by entry, not approximated
+// — and both passes count whole automorphism orbits (touching a dirty vertex
+// is a property of the image), so the instance count stays the occurrence
+// count over |Aut(P)|. The resulting aggregates are identical to a
+// from-scratch streamed Context for every shard count and parallelism
+// setting, under insertions and deletions alike. When either ball grows past
+// half its graph (a mutation storm that saturates every shard), Refresh falls
+// back to a from-scratch re-enumeration instead, which is cheaper than two
+// nearly-full delta passes and keeps answers exact.
 //
 // A DeltaContext is not safe for concurrent use: Refresh and the read
 // accessors must not race with each other or with mutations of the
@@ -54,13 +62,15 @@ type DeltaContext struct {
 	opts Options
 
 	feed *graph.MutationFeed
-	snap *graph.Snapshot // the snapshot the tables are synchronized with
+	snap *graph.Snapshot // the snapshot the state is synchronized with
 
-	// state is the accumulator every pass is merged into: the live occurrence
-	// count and the refcounted MNI domain table.
-	state *accumulator
+	// state is what every pass is folded into: the live occurrence count and
+	// the refcounted, VertexID-keyed MNI domains.
+	state *domainState
 	// automorphisms is |Aut(p)|, the size of every instance's orbit.
 	automorphisms int
+	// radius is the pattern's diameter, the radius of every mutation ball.
+	radius int
 
 	stats DeltaStats
 }
@@ -97,7 +107,7 @@ func NewDeltaContext(g *graph.Graph, p *pattern.Pattern, opts Options) (*DeltaCo
 		return nil, fmt.Errorf("core: DeltaContext does not support MaxOccurrences (a truncated enumeration has no exact delta)")
 	}
 	opts.Streaming = true
-	d := &DeltaContext{g: g, p: p, opts: opts, automorphisms: automorphismCount(p)}
+	d := &DeltaContext{g: g, p: p, opts: opts, automorphisms: automorphismCount(p), radius: patternDiameter(p)}
 	d.feed = g.Subscribe()
 	d.snap = g.FreezeSharded(graph.FreezeOptions{Shards: opts.Shards})
 	d.rebuild(d.snap)
@@ -125,19 +135,21 @@ func (d *DeltaContext) Refresh() error {
 	// occurrence gained by the batch must touch it (a new occurrence uses an
 	// added edge or an added vertex), an occurrence lost by the batch must
 	// touch it too (a dead occurrence used a removed edge or vertex), and
-	// membership is by VertexID, so old and new snapshots agree on which
-	// shared occurrences touch it — which is what makes the signed
-	// cancellation below exact.
-	dirty := make(map[graph.VertexID]bool, 2*len(muts))
+	// the set is one list of VertexIDs translated into each side's indexes,
+	// so old and new snapshots agree on which shared occurrences touch it —
+	// which is what makes the signed cancellation below exact.
+	dirty := make([]graph.VertexID, 0, 2*len(muts))
 	for _, m := range muts {
 		switch m.Kind {
 		case graph.MutVertexAdded, graph.MutVertexRemoved:
-			dirty[m.U] = true
+			dirty = append(dirty, m.U)
 		case graph.MutEdgeAdded, graph.MutEdgeRemoved:
-			dirty[m.U] = true
-			dirty[m.V] = true
+			dirty = append(dirty, m.U, m.V)
 		}
 	}
+	slices.Sort(dirty)
+	dirty = slices.Compact(dirty)
+	dirtyNew, dirtyOld := dirtyIndexes(newSnap, dirty), dirtyIndexes(d.snap, dirty)
 
 	// Each side gets its own mutation ball, BFS-grown over its own topology:
 	// with deletions in the batch, neither snapshot's edge set contains the
@@ -146,8 +158,8 @@ func (d *DeltaContext) Refresh() error {
 	// occurrences touching dirty structure can be rooted; the minus-ball does
 	// the same for the retained pre-mutation snapshot (a removed vertex still
 	// exists there and seeds it).
-	ballNew, okNew := d.mutationBall(newSnap, dirty)
-	ballOld, okOld := d.mutationBall(d.snap, dirty)
+	ballNew, okNew := d.mutationBall(newSnap, dirtyNew)
+	ballOld, okOld := d.mutationBall(d.snap, dirtyOld)
 	if !okNew || !okOld {
 		// Saturating batch: a ball covers most of its graph, so two
 		// restricted passes would cost more than one full one. Rebuild the
@@ -166,40 +178,72 @@ func (d *DeltaContext) Refresh() error {
 	// Plus-pass: occurrences in the new graph rooted inside the new ball and
 	// touching a dirty vertex. This covers every occurrence the batch added
 	// plus the surviving occurrences of the mutated region.
-	d.state.merge(d.enumerate(newSnap, ballNew, dirty), +1)
+	d.state.fold(d.pass(newSnap, ballNew, dirtyNew), +1)
 
 	// Minus-pass: the mutated region's occurrences in the retained
 	// pre-mutation snapshot — exactly the contributions already present in
-	// the tables, every occurrence the batch destroyed included.
-	d.state.merge(d.enumerate(d.snap, ballOld, dirty), -1)
+	// the state, every occurrence the batch destroyed included.
+	d.state.fold(d.pass(d.snap, ballOld, dirtyOld), -1)
 	d.snap = newSnap
 	return nil
 }
 
-// mutationBall collects the dense indexes (in snap's index space) of every
-// vertex within pattern diameter of a dirty vertex — the only places an
-// affected occurrence can be rooted. It reports ok=false when the ball
-// exceeds half the graph, the point where a full rebuild is cheaper than two
-// delta passes.
-func (d *DeltaContext) mutationBall(snap *graph.Snapshot, dirty map[graph.VertexID]bool) ([]int32, bool) {
-	limit := snap.NumVertices() / 2
-	radius := d.p.Size() - 1
-	visited := make(map[int32]bool, 4*len(dirty))
-	var ball, frontier []int32
-	for v := range dirty {
-		if i, inSnap := snap.IndexOf(v); inSnap && !visited[i] {
-			visited[i] = true
-			frontier = append(frontier, i)
+// dirtyIndexes translates the batch's sorted dirty VertexIDs into snap's
+// dense indexes, skipping the vertices snap does not have. IndexOf is
+// monotone, so the result is sorted; it is never nil.
+func dirtyIndexes(snap *graph.Snapshot, dirty []graph.VertexID) []int32 {
+	indexes := make([]int32, 0, len(dirty))
+	for _, v := range dirty {
+		if i, inSnap := snap.IndexOf(v); inSnap {
+			indexes = append(indexes, i)
 		}
+	}
+	return indexes
+}
+
+// patternDiameter returns the largest shortest-path distance between two
+// nodes of p, by one BFS per node.
+func patternDiameter(p *pattern.Pattern) int {
+	nodes := p.Nodes()
+	diameter := 0
+	dist := make([]int, len(nodes))
+	for src := range nodes {
+		for i := range dist {
+			dist[i] = -1
+		}
+		dist[src] = 0
+		for queue := []int{src}; len(queue) > 0; queue = queue[1:] {
+			u := queue[0]
+			for _, nb := range p.Neighbors(nodes[u]) {
+				if w, _ := slices.BinarySearch(nodes, nb); dist[w] < 0 {
+					dist[w] = dist[u] + 1
+					diameter = max(diameter, dist[w])
+					queue = append(queue, w)
+				}
+			}
+		}
+	}
+	return diameter
+}
+
+// mutationBall collects the sorted dense indexes (in snap's index space) of
+// every vertex within d.radius hops of one of the given sorted dirty indexes:
+// the only places an affected occurrence can be rooted, and all the places
+// its images can lie. It reports ok=false when the ball exceeds half the
+// graph, the point where a full rebuild is cheaper than two delta passes.
+func (d *DeltaContext) mutationBall(snap *graph.Snapshot, dirty []int32) ([]int32, bool) {
+	limit := snap.NumVertices() / 2
+	if len(dirty) > limit {
+		return nil, false
+	}
+	visited := make(map[int32]bool, 4*len(dirty))
+	for _, i := range dirty {
+		visited[i] = true
 	}
 	// Seeding in index order makes the whole BFS visit order — and every
 	// intermediate slice it builds — reproducible run to run.
-	sort.Slice(frontier, func(i, j int) bool { return frontier[i] < frontier[j] })
-	ball = append(ball, frontier...)
-	if len(ball) > limit {
-		return nil, false
-	}
-	for depth := 0; depth < radius && len(frontier) > 0; depth++ {
+	ball, frontier := slices.Clone(dirty), dirty
+	for depth := 0; depth < d.radius && len(frontier) > 0; depth++ {
 		var next []int32
 		for _, i := range frontier {
 			for _, nb := range snap.NeighborsAt(i) {
@@ -216,27 +260,26 @@ func (d *DeltaContext) mutationBall(snap *graph.Snapshot, dirty map[graph.Vertex
 		}
 		frontier = next
 	}
-	sort.Slice(ball, func(i, j int) bool { return ball[i] < ball[j] })
+	slices.Sort(ball)
 	return ball, true
 }
 
-// enumerate streams the occurrences of d's pattern over snap — restricted to
-// the given sorted root indexes (nil = all roots) and filtered to those
-// touching dirty (nil = all occurrences) — into per-worker accumulators.
-func (d *DeltaContext) enumerate(snap *graph.Snapshot, roots []int32, dirty map[graph.VertexID]bool) []*accumulator {
-	if roots == nil && dirty != nil {
-		// Defensive: a restricted pass without roots would scan everything.
-		roots = []int32{}
+// pass counts, into a table over the ball, the occurrences of d's pattern in
+// snap that are rooted in ball and touch one of the dirty indexes.
+func (d *DeltaContext) pass(snap *graph.Snapshot, ball, dirty []int32) *accumulator {
+	if len(ball) == 0 {
+		// No dirty vertex exists on this side, so nothing of it changed; an
+		// empty restriction must not read as "no restriction".
+		return mergeWorkers(d.p, nil)
 	}
-	return accumulate(snap, d.p,
-		isomorph.Options{Parallelism: d.opts.Parallelism, RootIndexes: roots},
-		dirty)
+	return mergeWorkers(d.p, accumulate(snap, d.p, d.opts.Parallelism, ball, dirty))
 }
 
-// rebuild discards the maintained state and recomputes it from a full
-// enumeration of snap.
+// rebuild discards the maintained state and recomputes it: the same fold, of
+// a complete enumeration of snap into an empty state.
 func (d *DeltaContext) rebuild(snap *graph.Snapshot) {
-	d.state = mergeWorkers(d.p, d.enumerate(snap, nil, nil))
+	d.state = newDomainState(d.p.Nodes())
+	d.state.fold(mergeWorkers(d.p, accumulate(snap, d.p, d.opts.Parallelism, nil, nil)), +1)
 }
 
 // Graph returns the underlying data graph.
@@ -255,7 +298,7 @@ func (d *DeltaContext) NumInstances() int {
 
 // MNIDomainSizes returns, aligned with Pattern().Nodes(), the maintained MNI
 // domain size of every pattern node as a fresh slice.
-func (d *DeltaContext) MNIDomainSizes() []int { return d.state.table.sizes() }
+func (d *DeltaContext) MNIDomainSizes() []int { return d.state.sizes() }
 
 // Stats returns the maintenance counters accumulated so far.
 func (d *DeltaContext) Stats() DeltaStats { return d.stats }

@@ -1,0 +1,141 @@
+package core_test
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/gen"
+	"repro/internal/graph"
+)
+
+// spreadIDs returns a copy of g with vertex v renamed stride*v, so that there
+// is room for new vertices between any two.
+func spreadIDs(g *graph.Graph, stride graph.VertexID) *graph.Graph {
+	out := graph.New(g.Name() + "/spread")
+	for _, v := range g.SortedVertices() {
+		out.MustAddVertex(stride*v, g.MustLabelOf(v))
+	}
+	for _, e := range g.Edges() {
+		out.MustAddEdge(stride*e.U, stride*e.V)
+	}
+	return out
+}
+
+// TestDeltaContextAcrossShiftedIndexSpaces covers the batches under which the
+// two sides of a refresh disagree about every dense index of the mutated
+// region: a vertex inserted between existing IDs (every vertex above it moves
+// up one index in the new snapshot), a vertex removed below the region (every
+// vertex above it moves down), and both in one batch. Pass tables and dirty
+// sets are keyed by those indexes, the maintained state by VertexID; the
+// aggregates must equal a from-scratch context after every refresh, and every
+// refresh here is small enough to be applied as a delta.
+func TestDeltaContextAcrossShiftedIndexSpaces(t *testing.T) {
+	p := trianglePattern()
+	for _, shards := range []int{1, 2, 7} {
+		for _, par := range []int{1, 4} {
+			tag := fmt.Sprintf("shards=%d par=%d", shards, par)
+			g := spreadIDs(gen.RandomGeometric(300, 0.08, gen.UniformLabels{K: 1}, 23), 10)
+			d, err := core.NewDeltaContext(g, p, core.Options{Shards: shards, Parallelism: par})
+			if err != nil {
+				t.Fatalf("%s: NewDeltaContext: %v", tag, err)
+			}
+			defer d.Close()
+			if d.NumOccurrences() == 0 {
+				t.Fatalf("%s: workload has no triangles; test needs a non-trivial baseline", tag)
+			}
+			refresh := func(step string) {
+				t.Helper()
+				if err := d.Refresh(); err != nil {
+					t.Fatalf("%s %s: Refresh: %v", tag, step, err)
+				}
+				requireDeltaMatchesScratch(t, d, g, p, tag+" "+step)
+			}
+			// edgeAbove returns an edge whose lower endpoint is the first
+			// vertex at or after position from that still has a neighbor.
+			ids := g.SortedVertices()
+			edgeAbove := func(from int) (graph.VertexID, graph.VertexID) {
+				for _, u := range ids[from:] {
+					if g.HasVertex(u) && len(g.Neighbors(u)) > 0 {
+						return u, g.Neighbors(u)[0]
+					}
+				}
+				t.Fatalf("%s: no edge above position %d", tag, from)
+				return 0, 0
+			}
+
+			// Insert between: a new vertex low in the ID order closes a
+			// triangle over an edge high in it.
+			u, w := edgeAbove(200)
+			g.MustAddVertex(ids[20]+1, 1)
+			g.MustAddEdge(ids[20]+1, u)
+			g.MustAddEdge(ids[20]+1, w)
+			refresh("insert between")
+
+			// Remove below: a low vertex goes (its edges with it) while the
+			// triangle just built loses an edge.
+			g.MustRemoveVertex(ids[5])
+			g.MustRemoveEdge(u, w)
+			refresh("remove below")
+
+			// Both in one batch, around another edge.
+			u, w = edgeAbove(250)
+			g.MustAddVertex(ids[30]+1, 1)
+			g.MustAddEdge(ids[30]+1, u)
+			g.MustAddEdge(ids[30]+1, w)
+			g.MustRemoveVertex(ids[8])
+			refresh("insert and remove")
+
+			if st := d.Stats(); st.DeltaRefreshes != 3 || st.FullRebuilds != 0 {
+				t.Fatalf("%s: every batch should take the delta path, stats %+v", tag, st)
+			}
+		}
+	}
+}
+
+// TestRestrictedPassCostsItsBall checks that a delta refresh pays for its
+// mutation ball and not for the graph: the same kind of batch — one edge
+// between the two newest, lowest-degree vertices of a preferential-attachment
+// graph — allocates on 2^16 vertices what it allocates on 2^12, up to a fixed
+// slack. Per-worker search state, pass tables and dirty sets are all sized by
+// the pattern or the ball; one n-sized slice per worker per pass (64 KiB at a
+// byte per vertex, two workers, two passes) would be 16 times the slack. The
+// new snapshot is frozen before measuring, so Refresh finds it cached.
+func TestRestrictedPassCostsItsBall(t *testing.T) {
+	const slack = 16 << 10
+	p := trianglePattern()
+	refreshBytes := func(n int) (bytes uint64, ball int) {
+		g := gen.BarabasiAlbert(n, 2, gen.UniformLabels{K: 1}, 9)
+		d, err := core.NewDeltaContext(g, p, core.Options{Shards: 16, Parallelism: 2})
+		if err != nil {
+			t.Fatalf("n=%d: NewDeltaContext: %v", n, err)
+		}
+		defer d.Close()
+		ids := g.SortedVertices()
+		u, v := ids[len(ids)-1], ids[len(ids)-2]
+		if g.HasEdge(u, v) {
+			t.Fatalf("n=%d: the two newest vertices are already adjacent", n)
+		}
+		g.MustAddEdge(u, v)
+		g.FreezeSharded(graph.FreezeOptions{Shards: 16})
+
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err = d.Refresh()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("n=%d: Refresh: %v", n, err)
+		}
+		if st := d.Stats(); st.DeltaRefreshes != 1 {
+			t.Fatalf("n=%d: the refresh should take the delta path, stats %+v", n, st)
+		}
+		return after.TotalAlloc - before.TotalAlloc, d.Stats().LastBallVertices
+	}
+	small, smallBall := refreshBytes(1 << 12)
+	big, bigBall := refreshBytes(1 << 16)
+	if big > small+slack {
+		t.Errorf("one-edge refresh allocated %d B on 2^12 vertices (balls of %d) and %d B on 2^16 (balls of %d): a restricted pass must not pay for the graph",
+			small, smallBall, big, bigBall)
+	}
+}

@@ -59,6 +59,99 @@ func FuzzStreamedAggregates(f *testing.F) {
 	})
 }
 
+// FuzzDeltaAggregates checks DeltaContext against re-evaluation from scratch
+// (Berkholz et al., PAPERS.md: an answer maintained under updates equals the
+// answer recomputed after every update). The first byte splits the input: that
+// many bytes decode to a graph and a pattern exactly as in
+// FuzzStreamedAggregates, with the graph's IDs spread to 0, 3, 6, ... so a
+// vertex can be added between two others; the rest is a script of three-byte
+// operations — add an edge, remove an edge, add a vertex at any ID from 0 to
+// 47, remove a vertex (its edges with it), or refresh — with a refresh after
+// the last. After every refresh the maintained occurrence count, instance
+// count and MNI domain sizes must equal a from-scratch streaming context's,
+// whether the batch was applied as two ball-restricted passes — whose tables
+// are keyed by dense indexes that the batch's own vertex inserts and removals
+// shifted between the two sides — or as a saturation rebuild.
+func FuzzDeltaAggregates(f *testing.F) {
+	f.Add([]byte{})
+	// One-label triangles in K4 (IDs 0, 3, 6, 9): add vertex 4 between two of
+	// them and wire it to 0 and 3, refresh; remove vertex 0, refresh.
+	f.Add([]byte{26, 0, 0, 1, 0, 0, 0, 0, 0, 4, 2, 0, 0, 0, 0, 0, 1, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3,
+		2, 4, 0, 0, 0, 2, 0, 1, 2, 4, 0, 0, 3, 0, 0, 4, 0, 0})
+	// A labeled path in a labeled 6-cycle with a chord, three workers: remove
+	// an edge and a vertex and add vertex 1 between the two lowest, wired to
+	// the lowest, in one batch; then one more edge.
+	f.Add([]byte{30, 1, 2, 1, 0, 1, 0, 0, 1, 0, 4, 0, 1, 0, 1, 0, 1, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 0, 0, 3,
+		1, 2, 0, 3, 4, 0, 2, 1, 1, 0, 0, 1, 4, 0, 0, 0, 2, 5})
+	// An edge pattern on a 13-vertex path, sparse enough that both batches
+	// stay under the saturation limit and are applied as deltas: add vertex 1
+	// between 0 and 3 and wire it to 0, refresh; remove the highest vertex and
+	// the lowest — every surviving index shifts — and refresh.
+	f.Add([]byte{45, 0, 1, 0, 0, 0, 0, 0, 11, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+		0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 9, 10, 10, 11, 11, 12,
+		2, 1, 0, 0, 0, 1, 4, 0, 0, 3, 13, 0, 3, 0, 0, 4, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		split := 0
+		if len(data) > 0 {
+			split = min(int(data[0]), len(data)-1)
+			data = data[1:]
+		}
+		dense, p, par := decodeGraphAndPattern(data[:split])
+		script := data[split:]
+		g := spreadIDs(dense, 3)
+
+		d, err := core.NewDeltaContext(g, p, core.Options{Parallelism: par, Shards: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		check := func(op int) {
+			t.Helper()
+			if err := d.Refresh(); err != nil {
+				t.Fatalf("op %d: Refresh: %v", op, err)
+			}
+			fresh := core.MustNewContext(g.Clone(), p, core.Options{Streaming: true, Parallelism: par})
+			got := d.Context()
+			if got.NumOccurrences() != fresh.NumOccurrences() || got.NumInstances() != fresh.NumInstances() ||
+				!reflect.DeepEqual(got.MNIDomainSizes(), fresh.MNIDomainSizes()) {
+				t.Fatalf("after op %d, graph %v pattern %v par=%d (stats %+v): maintained %d occurrences / %d instances / domains %v, from scratch %d / %d / %v",
+					op, g.Edges(), p, par, d.Stats(), got.NumOccurrences(), got.NumInstances(), got.MNIDomainSizes(),
+					fresh.NumOccurrences(), fresh.NumInstances(), fresh.MNIDomainSizes())
+			}
+		}
+		check(-1)
+		for op := 0; len(script) >= 3; op++ {
+			kind, a, b := script[0]%5, int(script[1]), int(script[2])
+			script = script[3:]
+			vs := g.SortedVertices()
+			switch kind {
+			case 0:
+				if len(vs) >= 2 {
+					if u, v := vs[a%len(vs)], vs[b%len(vs)]; u != v && !g.HasEdge(u, v) {
+						g.MustAddEdge(u, v)
+					}
+				}
+			case 1:
+				if es := g.Edges(); len(es) > 0 {
+					e := es[(a+256*b)%len(es)]
+					g.MustRemoveEdge(e.U, e.V)
+				}
+			case 2:
+				if v := graph.VertexID(a % 48); !g.HasVertex(v) {
+					g.MustAddVertex(v, graph.Label(1+b%3))
+				}
+			case 3:
+				if len(vs) > 0 {
+					g.MustRemoveVertex(vs[a%len(vs)])
+				}
+			case 4:
+				check(op)
+			}
+		}
+		check(len(data))
+	})
+}
+
 // decodeGraphAndPattern reads from data a connected pattern of two to four
 // nodes, an enumeration parallelism of one to four, and a data graph of two
 // to thirteen vertices, all over one to three labels: a label-count byte, a

@@ -10,38 +10,39 @@ import (
 	"repro/internal/pattern"
 )
 
-// TestDomainTableRefcounts pins the table's contract on its own: a vertex
-// stays in a node's domain until the last occurrence through it is merged
-// out, and merging out an occurrence that was never added panics naming the
-// pattern node and the data vertex.
+// TestDomainTableRefcounts pins the contract between a pass table and the
+// maintained state on its own: a vertex stays in a node's domain until the
+// last occurrence through it is folded out, and folding out an occurrence
+// that was never folded in panics naming the pattern node and the data
+// vertex — its VertexID, not the dense index the pass counted it under (the
+// snapshot's IDs 10, 20, 21 sit at indexes 0, 1, 2).
 func TestDomainTableRefcounts(t *testing.T) {
 	p := pattern.MustNew(graph.NewBuilder("edge").Vertices(1, 5, 9).Edge(5, 9).MustBuild())
-	single := func(u, v graph.VertexID) domainTable {
+	snap := graph.NewBuilder("data").Vertices(1, 10, 20, 21).Edge(10, 20).Edge(10, 21).MustBuild().Freeze()
+	single := func(u, v graph.VertexID) *accumulator {
 		o, err := isomorph.NewOccurrence(p, map[pattern.NodeID]graph.VertexID{5: u, 9: v})
 		if err != nil {
 			t.Fatal(err)
 		}
-		one := newDomainTable(p.Nodes())
-		one.add(o)
-		return one
+		return scan(snap, p, []*isomorph.Occurrence{o})
 	}
 
-	table := newDomainTable(p.Nodes())
-	table.merge(single(10, 20), +1)
-	table.merge(single(10, 21), +1)
-	if got := table.sizes(); !reflect.DeepEqual(got, []int{1, 2}) {
-		t.Fatalf("sizes after two adds = %v, want [1 2]", got)
+	state := newDomainState(p.Nodes())
+	state.fold(single(10, 20), +1)
+	state.fold(single(10, 21), +1)
+	if got := state.sizes(); !reflect.DeepEqual(got, []int{1, 2}) || state.count != 2 {
+		t.Fatalf("after two folds: sizes %v count %d, want [1 2] and 2", got, state.count)
 	}
-	table.merge(single(10, 20), -1)
-	if got := table.sizes(); !reflect.DeepEqual(got, []int{1, 1}) {
-		t.Fatalf("sizes after one removal = %v, want [1 1]: vertex 10 still has an occurrence", got)
+	state.fold(single(10, 20), -1)
+	if got := state.sizes(); !reflect.DeepEqual(got, []int{1, 1}) {
+		t.Fatalf("sizes after folding one out = %v, want [1 1]: vertex 10 still has an occurrence", got)
 	}
 
 	defer func() {
 		msg, _ := recover().(string)
 		if !strings.Contains(msg, "node 9 vertex 20") {
-			t.Fatalf("merging out a never-added occurrence: panic %q, want one naming node 9 vertex 20", msg)
+			t.Fatalf("folding out a never-folded occurrence: panic %q, want one naming node 9 vertex 20", msg)
 		}
 	}()
-	table.merge(single(10, 20), -1)
+	state.fold(single(10, 20), -1)
 }

@@ -29,10 +29,12 @@ type Options struct {
 	// RootIndexes, when non-nil, restricts the search to occurrences rooted
 	// at the given global dense indexes of the snapshot the search runs on
 	// (the root is the data vertex matched to the first pattern node of the
-	// search order). The slice must be sorted ascending. Restriction happens
-	// per shard — the sorted set is intersected with each shard's pruned
-	// candidate list, and shards with an empty intersection drop out of the
-	// worker schedule entirely — so a restriction clustered in a few dirty
+	// search order). The slice must be sorted ascending and hold no index
+	// twice (a repeated root is searched twice). The plan walks it
+	// once — keeping the indexes that pass the root's label and degree
+	// constraints, bucketed by shard — so planning a restricted search costs
+	// its restriction, not the graph, and a shard holding none of it never
+	// enters the worker schedule: a restriction clustered in a few dirty
 	// shards skips every clean shard's arrays. This is the engine hook
 	// behind incremental delta maintenance (core.DeltaContext), which
 	// restricts roots to the mutation ball and enumerates only occurrences
@@ -149,21 +151,35 @@ func newSearchPlan(snap *graph.Snapshot, p *pattern.Pattern, opts Options) *sear
 	}
 	pl.assignSlots()
 
-	for s := 0; s < snap.NumShards(); s++ {
-		candidates := snap.ShardIndexesWithLabel(s, pl.label[0])
-		if opts.RootIndexes != nil {
-			candidates = gallopIntersect(candidates, opts.RootIndexes, nil)
-		}
-		var roots []int32
-		for _, c := range candidates {
-			if snap.DegreeAt(c) >= pl.minDeg[0] {
-				roots = append(roots, c)
+	if opts.RootIndexes != nil {
+		// The restriction is sorted, so its shards come up in ascending
+		// order and each bucket is the tail of the list so far.
+		for _, c := range opts.RootIndexes {
+			if snap.LabelAt(c) != pl.label[0] || snap.DegreeAt(c) < pl.minDeg[0] {
+				continue
 			}
+			s := snap.ShardOf(c)
+			if last := len(pl.shardIDs) - 1; last < 0 || pl.shardIDs[last] != s {
+				pl.rootsByShard = append(pl.rootsByShard, nil)
+				pl.shardIDs = append(pl.shardIDs, s)
+			}
+			last := len(pl.rootsByShard) - 1
+			pl.rootsByShard[last] = append(pl.rootsByShard[last], c)
+			pl.numRoots++
 		}
-		if len(roots) > 0 {
-			pl.rootsByShard = append(pl.rootsByShard, roots)
-			pl.shardIDs = append(pl.shardIDs, s)
-			pl.numRoots += len(roots)
+	} else {
+		for s := 0; s < snap.NumShards(); s++ {
+			var roots []int32
+			for _, c := range snap.ShardIndexesWithLabel(s, pl.label[0]) {
+				if snap.DegreeAt(c) >= pl.minDeg[0] {
+					roots = append(roots, c)
+				}
+			}
+			if len(roots) > 0 {
+				pl.rootsByShard = append(pl.rootsByShard, roots)
+				pl.shardIDs = append(pl.shardIDs, s)
+				pl.numRoots += len(roots)
+			}
 		}
 	}
 	if pl.numRoots == 0 {
@@ -206,10 +222,11 @@ func (pl *searchPlan) assignSlots() {
 }
 
 // searchState is the per-worker mutable state of the backtracking search.
+// Nothing in it is sized by the data graph: a worker costs its pattern, so a
+// root-restricted pass over a small ball is as cheap to start as it is to run.
 type searchState struct {
 	pl     *searchPlan
 	assign []int32 // assign[d]: dense index matched at depth d
-	used   []bool  // used[i]: dense index i is already matched
 	yield  func(*Occurrence) bool
 	stop   *atomic.Bool // shared cancellation flag; nil in sequential mode
 
@@ -225,7 +242,8 @@ type searchState struct {
 	// otherwise (emit falls back to Snapshot.ID).
 	ids []graph.VertexID
 	// occ is the one Occurrence this worker ever yields: emit overwrites its
-	// images in place and lends it to the consumer for the length of the call.
+	// images and indexes in place and lends it to the consumer for the length
+	// of the call.
 	occ Occurrence
 }
 
@@ -233,10 +251,9 @@ func newSearchState(pl *searchPlan, yield func(*Occurrence) bool, stop *atomic.B
 	st := &searchState{
 		pl:     pl,
 		assign: make([]int32, pl.k),
-		used:   make([]bool, pl.snap.NumVertices()),
 		yield:  yield,
 		stop:   stop,
-		occ:    Occurrence{nodes: pl.nodes, images: make([]graph.VertexID, pl.k)},
+		occ:    Occurrence{nodes: pl.nodes, images: make([]graph.VertexID, pl.k), indexes: make([]int32, pl.k)},
 	}
 	if pl.numSlots > 0 {
 		st.slots = make([]runSlot, pl.numSlots)
@@ -258,10 +275,23 @@ func newSearchState(pl *searchPlan, yield func(*Occurrence) bool, stop *atomic.B
 //gvet:hotpath
 func (s *searchState) searchRoot(r int32) bool {
 	s.assign[0] = r
-	s.used[r] = true
-	halt := s.search(1)
-	s.used[r] = false
-	return halt
+	return s.search(1)
+}
+
+// taken reports whether dense index c is already matched at one of the first
+// depth depths. An occurrence is injective, and the partial assignment is the
+// whole record of what is matched: at most k-1 int32s, resident in L1, where
+// a flag per data vertex costs every worker of every pass an n-sized
+// allocation, a random access per candidate and two stores to keep it current.
+//
+//gvet:hotpath
+func (s *searchState) taken(c int32, depth int) bool {
+	for _, a := range s.assign[:depth] {
+		if a == c {
+			return true
+		}
+	}
+	return false
 }
 
 // search extends the partial assignment at the given depth through one of the
@@ -287,7 +317,7 @@ func (s *searchState) search(depth int) bool {
 
 	if slot := pl.slotOf[depth]; slot >= 0 {
 		// Single anchor: iterate the anchor assignment's memoized
-		// label+degree filtered run; only used[] is dynamic. The run is
+		// label+degree filtered run; only the taken check is dynamic. The run is
 		// recomputed when the anchor depth is reassigned, which can only
 		// happen after every loop over the run has unwound, so sibling depths
 		// sharing the slot read it safely.
@@ -297,14 +327,11 @@ func (s *searchState) search(depth int) bool {
 			sl.anchor = av
 		}
 		for _, c := range sl.run {
-			if s.used[c] {
+			if s.taken(c, depth) {
 				continue
 			}
 			s.assign[depth] = c
-			s.used[c] = true
-			halt := s.search(depth + 1)
-			s.used[c] = false
-			if halt {
+			if s.search(depth + 1) {
 				return true
 			}
 		}
@@ -356,7 +383,7 @@ func (s *searchState) searchGallop(depth int, anchors []int, label graph.Label, 
 
 candidateLoop:
 	for _, c := range run {
-		if s.used[c] || snap.LabelAt(c) != label || snap.DegreeAt(c) < minDeg {
+		if s.taken(c, depth) || snap.LabelAt(c) != label || snap.DegreeAt(c) < minDeg {
 			continue
 		}
 		for _, r := range res {
@@ -369,32 +396,34 @@ candidateLoop:
 			}
 		}
 		s.assign[depth] = c
-		s.used[c] = true
-		halt := s.search(depth + 1)
-		s.used[c] = false
-		if halt {
+		if s.search(depth + 1) {
 			return true
 		}
 	}
 	return false
 }
 
-// emit writes the current full assignment into the worker's one Occurrence
-// and lends it to the consumer, returning the consumer's continue/stop
+// emit writes the current full assignment into the worker's one Occurrence —
+// in pattern-node order, as dense indexes and as the VertexIDs they stand for
+// — and lends it to the consumer, returning the consumer's continue/stop
 // decision. The occurrence is borrowed: the next emit overwrites it, so a
 // consumer copies what it wants to keep before it returns.
 //
 //gvet:hotpath
 func (s *searchState) emit() bool {
 	pl := s.pl
-	images := s.occ.images
+	images, indexes := s.occ.images, s.occ.indexes
 	if ids := s.ids; ids != nil {
 		for d := 0; d < pl.k; d++ {
-			images[pl.slot[d]] = ids[s.assign[d]]
+			x := s.assign[d]
+			indexes[pl.slot[d]] = x
+			images[pl.slot[d]] = ids[x]
 		}
 	} else {
 		for d := 0; d < pl.k; d++ {
-			images[pl.slot[d]] = pl.snap.ID(s.assign[d])
+			x := s.assign[d]
+			indexes[pl.slot[d]] = x
+			images[pl.slot[d]] = pl.snap.ID(x)
 		}
 	}
 	return s.yield(&s.occ)
@@ -420,7 +449,9 @@ func (s *searchState) emit() bool {
 // Occurrence, overwrites it for every occurrence it finds and lends it for
 // the length of the call. A consumer folds it into its own state or copies
 // out what it keeps (Images, Key, ...) before returning; EnumerateSnapshot is
-// the consumer that keeps everything.
+// the consumer that keeps everything. While it is lent, IndexAt gives each
+// image's dense index in snap, so a consumer whose state lives and dies with
+// snap (core's per-pass MNI rows) never handles a VertexID.
 //
 // With an effective parallelism of one (Options.Parallelism == 1, a tiny
 // input in auto mode, or a positive MaxOccurrences) everything runs on the

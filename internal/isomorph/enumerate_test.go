@@ -1,8 +1,10 @@
 package isomorph_test
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,6 +14,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/isomorph"
 	"repro/internal/pattern"
+	"repro/internal/store"
 )
 
 // sharded freezes g into at most the given number of shards (0 keeps the
@@ -430,6 +433,74 @@ func TestYieldedOccurrenceIsBorrowed(t *testing.T) {
 			t.Errorf("Parallelism=%d: copies of %d occurrences survived, want all %d", par, seen, len(want))
 		}
 	}
+}
+
+// TestLentOccurrenceCarriesDenseIndexes pins IndexAt: for every occurrence
+// the streaming entry point lends, IndexAt(i) is the dense index of
+// ImageAt(i) in the snapshot that was searched — at every shard geometry and
+// parallelism, and over an mmap-backed store snapshot — and an occurrence
+// that was not lent (listed, or built by hand) panics instead of answering.
+// The graph's IDs are spread out (7, 10, 13, ...) so an index is never its ID.
+func TestLentOccurrenceCarriesDenseIndexes(t *testing.T) {
+	dense := gen.BarabasiAlbert(300, 3, gen.UniformLabels{K: 2}, 11)
+	g := graph.New("spread")
+	for _, v := range dense.SortedVertices() {
+		g.MustAddVertex(3*v+7, dense.MustLabelOf(v))
+	}
+	for _, e := range dense.Edges() {
+		g.MustAddEdge(3*e.U+7, 3*e.V+7)
+	}
+	pat := starPattern()
+
+	snaps := map[string]*graph.Snapshot{}
+	for _, shards := range []int{1, 2, 7} {
+		snaps[fmt.Sprintf("shards=%d", shards)] = sharded(g, shards)
+	}
+	dir := t.TempDir()
+	if err := store.Write(sharded(g, 4), dir); err != nil {
+		t.Fatalf("writing store: %v", err)
+	}
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatalf("opening store: %v", err)
+	}
+	defer st.Close()
+	snaps["store"] = st.Snapshot()
+
+	for name, snap := range snaps {
+		for _, par := range []int{1, 4} {
+			var checked []int
+			isomorph.EnumerateSnapshotWorkers(snap, pat, isomorph.Options{Parallelism: par}, func(w int) func(*isomorph.Occurrence) bool {
+				checked = append(checked, 0)
+				return func(o *isomorph.Occurrence) bool {
+					for i := 0; i < o.Len(); i++ {
+						want, ok := snap.IndexOf(o.ImageAt(i))
+						if got := o.IndexAt(i); !ok || got != want {
+							t.Errorf("%s par=%d: %s has IndexAt(%d) = %d, IndexOf(%d) = %d (found %v)", name, par, o, i, got, o.ImageAt(i), want, ok)
+							return false
+						}
+					}
+					checked[w]++
+					return true
+				}
+			})
+			total := 0
+			for _, n := range checked {
+				total += n
+			}
+			if total == 0 {
+				t.Fatalf("%s par=%d: no occurrences; workload is vacuous", name, par)
+			}
+		}
+	}
+
+	listed := isomorph.EnumerateSnapshot(snaps["shards=1"], pat, isomorph.Options{})[0]
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "not lent") {
+			t.Fatalf("IndexAt on a listed occurrence: panic %q, want one saying it was not lent", msg)
+		}
+	}()
+	listed.IndexAt(0)
 }
 
 // allocatedBytes returns the heap bytes f allocates (nothing else runs

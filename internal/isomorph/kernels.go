@@ -62,7 +62,7 @@ func gallopIntersect(a, b, dst []int32) []int32 {
 
 // filterRun appends to dst the entries of a sorted neighbor run that satisfy
 // the depth's static constraints (label equality and the min-degree lower
-// bound) and returns the extended slice. The used[] check stays in the
+// bound) and returns the extended slice. The taken check stays in the
 // backtracking loop — it is the only per-candidate predicate that changes as
 // the search descends, so everything else is safe to pre-filter once per
 // anchor assignment.

@@ -28,12 +28,22 @@ import (
 // Occurrence is an isomorphism f from a pattern P to a subgraph of the data
 // graph G: an injective map from pattern nodes to data vertices that
 // preserves vertex labels and maps every pattern edge onto a data edge.
+//
+// An occurrence names its images by VertexID, which means the same thing in
+// every snapshot of a graph. The one a streaming consumer is lent by
+// EnumerateSnapshotWorkers also carries them as dense indexes of the snapshot
+// that was searched (IndexAt) — the space the search found them in, valid for
+// that snapshot only — so a consumer that folds per snapshot never pays for a
+// translation.
 type Occurrence struct {
 	// nodes is the pattern's node list in sorted order; images[i] is the data
 	// vertex f(nodes[i]). Keeping a parallel slice representation makes
 	// occurrences cheap to copy and hash.
 	nodes  []pattern.NodeID
 	images []graph.VertexID
+	// indexes[i] is the dense index of images[i] in the searched snapshot;
+	// nil unless the occurrence is lent by the enumeration engine.
+	indexes []int32
 }
 
 // NewOccurrence builds an occurrence from an explicit mapping. It validates
@@ -74,6 +84,19 @@ func (o *Occurrence) Image(v pattern.NodeID) (graph.VertexID, bool) {
 // ImageAt returns f(Nodes()[i]) without copying the node or image slices; it
 // is the allocation-free accessor used by streaming consumers.
 func (o *Occurrence) ImageAt(i int) graph.VertexID { return o.images[i] }
+
+// IndexAt returns the dense index of ImageAt(i) in the snapshot handed to
+// EnumerateSnapshotWorkers. Only the occurrence that entry point lends to a
+// consumer has one, for as long as it is lent: a copied, listed or hand-built
+// occurrence (EnumerateSnapshot, NewOccurrence) outlives the snapshot whose
+// index space it was found in, so on those IndexAt panics — translate with
+// Snapshot.IndexOf(ImageAt(i)) instead.
+func (o *Occurrence) IndexAt(i int) int32 {
+	if o.indexes == nil {
+		panic("isomorph: IndexAt on an occurrence that is not lent by EnumerateSnapshotWorkers; it has VertexIDs only")
+	}
+	return o.indexes[i]
+}
 
 // Len returns the number of pattern nodes of the occurrence.
 func (o *Occurrence) Len() int { return len(o.nodes) }
