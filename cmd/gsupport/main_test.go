@@ -32,6 +32,20 @@ func TestRunGolden(t *testing.T) {
 				"pattern:    Pattern(k=2, m=1, code=L1.L2.1)\n\n" +
 				"occurrences  occurrences=7 (exact)\n" +
 				"MNI          MNI=4 (exact)\n"},
+		// -explain names the pattern's symmetry: the one-label triangle's six
+		// occurrences are one instance, and a streamed search finds it once
+		// because each depth starts above the images matched before it.
+		{"figure2-streaming-explain", []string{"-figure", "figure2", "-streaming", "-explain", "-measures", "occurrences,instances,MNI"},
+			"data graph: Graph(\"figure2\", |V|=6, |E|=6, |Σ|=1)\n" +
+				"pattern:    Pattern(k=3, m=3, code=L1.L1.L1.111)\n\n" +
+				"search order (naive; |V|=6 |E|=6, 3 root candidates)\n" +
+				"  symmetry: |Aut(P)|=6, node orbits=1; a streamed search emits one representative per instance, 1 of every 6 occurrences\n" +
+				"  depth 0: node 0 label 1 patternDeg 2 anchors 0 labelCount 6 est 6.0 kernel roots\n" +
+				"  depth 1: node 1 label 1 patternDeg 2 anchors 1 labelCount 6 est 2.0 kernel run-cache image above depths [0]\n" +
+				"  depth 2: node 2 label 1 patternDeg 2 anchors 2 labelCount 6 est 0.7 kernel gallop image above depths [0 1]\n\n" +
+				"occurrences  occurrences=6 (exact)\n" +
+				"instances    instances=1 (exact)\n" +
+				"MNI          MNI=3 (exact)\n"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

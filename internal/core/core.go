@@ -9,21 +9,26 @@
 // either.
 //
 // Context construction runs on the streaming parallel enumeration engine of
-// package isomorph. In streaming mode every worker folds the occurrences it
-// is lent into one accumulator — the occurrence count and the per-node MNI
-// domain table, rows of counters keyed by the snapshot's dense vertex indexes
-// (table.go) — and the accumulators are merged once enumeration
-// finishes; the occurrence list and the hypergraph are never materialized
-// and only the aggregates survive (occurrence count, MNI domain sizes and the
-// distinct-instance count), which is all that MNI and the raw counts need. In
-// the default (materialized) mode the list comes from
-// isomorph.EnumerateSnapshot, identical for every parallelism and shard
-// setting, and is scanned once into the same accumulator. The instance count
-// has one rule in both modes: an untruncated enumeration divides the
-// occurrence count by the number of pattern automorphisms (instancesByOrbit),
-// a MaxOccurrences prefix is grouped by isomorph.Instances. DeltaContext keeps
-// the aggregates alive across graph mutations, in a VertexID-keyed refcount
-// state that every pass's table is folded into.
+// package isomorph. In streaming mode the pattern's symmetry is derived once
+// (isomorph.NewSymmetry) and handed to the search, which then finds one
+// representative occurrence per instance instead of all |Aut(P)| of them;
+// every worker folds the representatives it is lent into one accumulator —
+// their count and the MNI domain table, one row of counters per node orbit
+// keyed by the snapshot's dense vertex indexes (table.go) — and the
+// accumulators are merged once enumeration finishes. The occurrence list and
+// the hypergraph are never materialized and only the aggregates survive: the
+// instance count is the number of representatives, the occurrence count is
+// |Aut(P)| times that, and a node's MNI domain size is the number of non-zero
+// counters of its orbit's row, which is all that MNI and the raw counts need.
+// In the default (materialized) mode the list comes from
+// isomorph.EnumerateSnapshot's full search, identical for every parallelism
+// and shard setting, and is scanned once into a table with a row per node;
+// its instance count is the list's length over |Aut(P)| (instancesByOrbit,
+// which checks the division is exact), except that a MaxOccurrences prefix,
+// not being closed under automorphisms, is grouped by isomorph.Instances.
+// DeltaContext keeps the streamed aggregates alive across graph mutations, in
+// a VertexID-keyed refcount state, one row per node orbit, that every pass's
+// table is folded into.
 package core
 
 import (
@@ -116,25 +121,26 @@ func NewContext(g *graph.Graph, p *pattern.Pattern, opts Options) (*Context, err
 	if snap == nil {
 		snap = g.FreezeSharded(graph.FreezeOptions{Shards: opts.Shards})
 	}
-	var (
-		occs []*isomorph.Occurrence
-		all  *accumulator
-	)
 	if opts.Streaming && opts.MaxOccurrences == 0 {
-		// Nothing is kept: every worker folds its borrowed occurrences into
-		// its own accumulator.
-		all = mergeWorkers(p, accumulate(snap, p, opts.Parallelism, nil, nil))
-	} else {
-		// The list is wanted — by a materialized context for good, by a
-		// capped streaming one just long enough to group it — and one scan
-		// folds it into the accumulator.
-		occs = isomorph.EnumerateSnapshot(snap, p, isomorph.Options{MaxOccurrences: opts.MaxOccurrences, Parallelism: opts.Parallelism})
-		all = scan(snap, p, occs)
+		// Nothing is kept: the search finds one representative per instance
+		// and every worker folds the ones it is lent into its own
+		// accumulator, each standing for |Aut(P)| occurrences.
+		c := newInstanceCounter(p)
+		all := c.accumulate(snap, opts.Parallelism, nil, nil)
+		ctx.numInstances = all.count
+		ctx.numOccurrences = c.occurrences(all.count)
+		ctx.domainSizes = all.table.sizes()
+		return ctx, nil
 	}
+	// The list is wanted — by a materialized context for good, by a capped
+	// streaming one just long enough to group it — so the search is the full
+	// one, and one scan folds its list into a table with a row per node.
+	occs := isomorph.EnumerateSnapshot(snap, p, isomorph.Options{MaxOccurrences: opts.MaxOccurrences, Parallelism: opts.Parallelism})
+	all := scan(snap, p, occs)
 	ctx.numOccurrences = all.count
 	ctx.domainSizes = all.table.sizes()
 	if opts.MaxOccurrences == 0 {
-		ctx.numInstances = instancesByOrbit(all.count, automorphismCount(p))
+		ctx.numInstances = instancesByOrbit(all.count, len(isomorph.Automorphisms(p.Graph())))
 	} else {
 		// A prefix no longer than the caller's own cap is not closed under
 		// automorphisms, so the orbit count does not apply to it.

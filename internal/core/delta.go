@@ -37,16 +37,27 @@ import (
 // removed vertex exists only on the old side, an added one only on the new —
 // and occurrences are tested against it in index space.
 //
-// A plus-pass on the new snapshot counts every occurrence touching mutated
+// A plus-pass on the new snapshot counts every instance touching mutated
 // structure, a minus-pass on the retained old snapshot counts the stale
-// pre-mutation contributions of the same region — including every occurrence
+// pre-mutation contributions of the same region — including every instance
 // a removal destroyed — and the signed difference is folded into the
-// refcounted state. Occurrences outside the balls are untouched on both sides
+// refcounted state. Instances outside the balls are untouched on both sides
 // and never re-enumerated. Because the state is refcounted, the subtraction
-// is exact — stale contributions are removed entry by entry, not approximated
-// — and both passes count whole automorphism orbits (touching a dirty vertex
-// is a property of the image), so the instance count stays the occurrence
-// count over |Aut(P)|. The resulting aggregates are identical to a
+// is exact — stale contributions are removed entry by entry, not approximated.
+//
+// Every pass searches one representative occurrence per instance
+// (isomorph.Options.Symmetry) and counts it into one row per node orbit, and
+// the two passes of a refresh need not agree on which occurrence that is —
+// they will not, when the planner orders the search differently on the two
+// snapshots. What a pass adds for an instance with representative f is one to
+// (orbit(j), f(j)) for every pattern node j; for another occurrence f∘σ of
+// the same instance that is one to (orbit(j), f(σ(j))) = (orbit(σ(j)),
+// f(σ(j))), the same entries summed in another order. Touching a dirty vertex
+// and lying inside the ball are properties of the image as well. So an
+// instance the batch left alone is added by the plus pass and subtracted by
+// the minus pass entry for entry, whichever occurrences stood for it, and the
+// state counts instances (occurrences are |Aut(P)| times that) without ever
+// naming a representative. The resulting aggregates are identical to a
 // from-scratch streamed Context for every shard count and parallelism
 // setting, under insertions and deletions alike. When either ball grows past
 // half its graph (a mutation storm that saturates every shard), Refresh falls
@@ -64,11 +75,12 @@ type DeltaContext struct {
 	feed *graph.MutationFeed
 	snap *graph.Snapshot // the snapshot the state is synchronized with
 
-	// state is what every pass is folded into: the live occurrence count and
-	// the refcounted, VertexID-keyed MNI domains.
+	// counter runs every pass: the pattern's symmetry, derived once, and the
+	// orbit-row layout of the pass tables and of state.
+	counter *instanceCounter
+	// state is what every pass is folded into: the live instance count and
+	// the refcounted, VertexID-keyed MNI domains, one row per node orbit.
 	state *domainState
-	// automorphisms is |Aut(p)|, the size of every instance's orbit.
-	automorphisms int
 	// radius is the pattern's diameter, the radius of every mutation ball.
 	radius int
 
@@ -107,7 +119,7 @@ func NewDeltaContext(g *graph.Graph, p *pattern.Pattern, opts Options) (*DeltaCo
 		return nil, fmt.Errorf("core: DeltaContext does not support MaxOccurrences (a truncated enumeration has no exact delta)")
 	}
 	opts.Streaming = true
-	d := &DeltaContext{g: g, p: p, opts: opts, automorphisms: automorphismCount(p), radius: patternDiameter(p)}
+	d := &DeltaContext{g: g, p: p, opts: opts, counter: newInstanceCounter(p), radius: patternDiameter(p)}
 	d.feed = g.Subscribe()
 	d.snap = g.FreezeSharded(graph.FreezeOptions{Shards: opts.Shards})
 	d.rebuild(d.snap)
@@ -264,22 +276,22 @@ func (d *DeltaContext) mutationBall(snap *graph.Snapshot, dirty []int32) ([]int3
 	return ball, true
 }
 
-// pass counts, into a table over the ball, the occurrences of d's pattern in
+// pass counts, into a table over the ball, the instances of d's pattern in
 // snap that are rooted in ball and touch one of the dirty indexes.
 func (d *DeltaContext) pass(snap *graph.Snapshot, ball, dirty []int32) *accumulator {
 	if len(ball) == 0 {
 		// No dirty vertex exists on this side, so nothing of it changed; an
 		// empty restriction must not read as "no restriction".
-		return mergeWorkers(d.p, nil)
+		return mergeWorkers(d.counter.rowLayout, nil)
 	}
-	return mergeWorkers(d.p, accumulate(snap, d.p, d.opts.Parallelism, ball, dirty))
+	return d.counter.accumulate(snap, d.opts.Parallelism, ball, dirty)
 }
 
 // rebuild discards the maintained state and recomputes it: the same fold, of
 // a complete enumeration of snap into an empty state.
 func (d *DeltaContext) rebuild(snap *graph.Snapshot) {
-	d.state = newDomainState(d.p.Nodes())
-	d.state.fold(mergeWorkers(d.p, accumulate(snap, d.p, d.opts.Parallelism, nil, nil)), +1)
+	d.state = newDomainState(d.counter.rowLayout)
+	d.state.fold(d.counter.accumulate(snap, d.opts.Parallelism, nil, nil), +1)
 }
 
 // Graph returns the underlying data graph.
@@ -288,13 +300,12 @@ func (d *DeltaContext) Graph() *graph.Graph { return d.g }
 // Pattern returns the maintained query pattern.
 func (d *DeltaContext) Pattern() *pattern.Pattern { return d.p }
 
-// NumOccurrences returns the maintained occurrence count.
-func (d *DeltaContext) NumOccurrences() int { return d.state.count }
+// NumOccurrences returns the maintained occurrence count: |Aut(P)| for every
+// maintained instance.
+func (d *DeltaContext) NumOccurrences() int { return d.counter.occurrences(d.state.count) }
 
 // NumInstances returns the maintained distinct-instance count.
-func (d *DeltaContext) NumInstances() int {
-	return instancesByOrbit(d.state.count, d.automorphisms)
-}
+func (d *DeltaContext) NumInstances() int { return d.state.count }
 
 // MNIDomainSizes returns, aligned with Pattern().Nodes(), the maintained MNI
 // domain size of every pattern node as a fresh slice.

@@ -14,10 +14,24 @@ import (
 // pattern node, count distinct) has one layout per lifetime, and this file is
 // the only one that knows either.
 //
+// Both layouts keep one row per node orbit of Aut(P), not one per node,
+// because that is all the streaming search delivers and all MNI needs. The
+// search yields one representative f per instance (isomorph.Options.Symmetry);
+// the instance's |Aut(P)| occurrences are f∘σ, and over them a node j of orbit
+// O takes the images f(σ(j)) — the set f(O), whichever occurrence f is. So a
+// representative adds one to (O, f(j)) for every node j, the counter of
+// (O, v) is the number of instances with v ∈ f(O), the non-zero counters of
+// row O are the MNI domain of every node of O alike, and sizes() fans the
+// row's size out to them. None of this mentions which occurrence represents
+// an instance, which matters because that choice follows the search order
+// and the search order follows the snapshot: the plus and minus passes of a
+// delta refresh may represent one instance by different occurrences and
+// still add and subtract the same entries.
+//
 // A domainTable lives for one enumeration pass over one snapshot, so it is
 // keyed the way the search is: by the snapshot's dense vertex indexes, which
 // is what an occurrence is found in and lent as (Occurrence.IndexAt). Counting
-// an occurrence is k array increments; no VertexID is looked at and no hash
+// a representative is k array increments; no VertexID is looked at and no hash
 // table exists. A from-scratch Context reads "is the counter non-zero" and
 // throws the table away.
 //
@@ -25,48 +39,108 @@ import (
 // indexes shift with every vertex insert or removal, so it is keyed by
 // VertexID, which means the same vertex in all of them; and it keeps exact
 // multiplicities (a refcount per projected tuple, Berkholz et al., PAPERS.md),
-// because a delta refresh subtracts and must tell the last occurrence through
-// a vertex from one of many. It holds only the vertices some occurrence maps
+// because a delta refresh subtracts and must tell the last instance through
+// a vertex from one of many. It holds only the vertices some instance maps
 // to, not a counter per data vertex per tracked pattern.
 //
 // domainState.fold is the single place the first becomes the second — the
 // one point where a dense index is turned into a VertexID.
+//
+// The one pass that is not a search for representatives is the scan of a
+// materialized list, whose order witnesses.golden pins and whose
+// MaxOccurrences prefix is not closed under Aut(P): it counts every listed
+// occurrence into one row per node (nodeRows), through the same table.
 
-// domainTable is the MNI table one enumeration pass fills: for every pattern
-// node a row of counters over the pass's vertex universe, row i at
-// counts[i*width:(i+1)*width], each the number of counted occurrences that
-// map nodes[i] to that vertex.
+// rowLayout says which row of a table each pattern node counts into: its
+// orbit's, for everything a streaming search fills, or its own.
+type rowLayout struct {
+	nodes []pattern.NodeID
+	rowOf []int // rowOf[i]: the row of nodes[i]; rows are numbered by first node
+	rows  int
+}
+
+// orbitRows is the layout with one row per node orbit of sym, which must be
+// the symmetry of the pattern whose sorted nodes are given.
+func orbitRows(nodes []pattern.NodeID, sym *isomorph.Symmetry) rowLayout {
+	l := rowLayout{nodes: nodes, rowOf: make([]int, len(nodes)), rows: sym.NumOrbits()}
+	for i := range nodes {
+		l.rowOf[i] = sym.OrbitOf(i)
+	}
+	return l
+}
+
+// nodeRows is the layout with one row per pattern node.
+func nodeRows(nodes []pattern.NodeID) rowLayout {
+	l := rowLayout{nodes: nodes, rowOf: make([]int, len(nodes)), rows: len(nodes)}
+	for i := range nodes {
+		l.rowOf[i] = i
+	}
+	return l
+}
+
+// describe names a row for a diagnostic by the first pattern node counting
+// into it: "node 9", or "the orbit of node 5" when others share the row.
+func (l rowLayout) describe(row int) string {
+	first, members := -1, 0
+	for i, r := range l.rowOf {
+		if r == row {
+			if first < 0 {
+				first = i
+			}
+			members++
+		}
+	}
+	if members > 1 {
+		return fmt.Sprintf("the orbit of node %d", l.nodes[first])
+	}
+	return fmt.Sprintf("node %d", l.nodes[first])
+}
+
+// fanOut returns, aligned with the pattern's nodes, each node's row's entry of
+// perRow, as a fresh slice.
+func (l rowLayout) fanOut(perRow []int) []int {
+	out := make([]int, len(l.rowOf))
+	for i, r := range l.rowOf {
+		out[i] = perRow[r]
+	}
+	return out
+}
+
+// domainTable is the MNI table one enumeration pass fills: for every row of
+// its layout a run of counters over the pass's vertex universe, row r at
+// counts[r*width:(r+1)*width], each the number of counted assignments that
+// map a node of the row to that vertex.
 //
 // The universe of a complete enumeration is the whole snapshot (universe nil,
 // the counter of dense index x at position x); the universe of a
 // root-restricted delta pass is its sorted mutation ball (position by binary
 // search), which by construction holds every image of every occurrence the
-// pass counts. One table is 4·k·width bytes — 4·k·n for a complete pass,
-// 4·k·|ball| for a restricted one, never 4·k·n — and every enumeration worker
-// owns one.
+// pass counts. One table is 4·rows·width bytes — 4·orbits·n for a complete
+// streaming pass, 4·orbits·|ball| for a restricted one, never 4·k·n — and
+// every enumeration worker owns one.
 type domainTable struct {
+	rowLayout
 	snap     *graph.Snapshot
-	nodes    []pattern.NodeID
 	universe []int32
 	width    int
 	counts   []int32
 }
 
-func newDomainTable(snap *graph.Snapshot, nodes []pattern.NodeID, universe []int32) domainTable {
+func newDomainTable(snap *graph.Snapshot, layout rowLayout, universe []int32) domainTable {
 	width := snap.NumVertices()
 	if universe != nil {
 		width = len(universe)
 	}
-	return domainTable{snap: snap, nodes: nodes, universe: universe, width: width, counts: make([]int32, len(nodes)*width)}
+	return domainTable{rowLayout: layout, snap: snap, universe: universe, width: width, counts: make([]int32, layout.rows*width)}
 }
 
-// add counts one occurrence lent by the enumeration of t's snapshot into
-// every row.
+// add counts one assignment lent by the enumeration of t's snapshot: every
+// node's image into the node's row.
 //
 //gvet:hotpath
 func (t *domainTable) add(o *isomorph.Occurrence) {
-	for i := range t.nodes {
-		t.bump(i, o.IndexAt(i))
+	for i, r := range t.rowOf {
+		t.bump(r, o.IndexAt(i))
 	}
 }
 
@@ -75,26 +149,26 @@ func (t *domainTable) add(o *isomorph.Occurrence) {
 // space, so each image is translated back, log n apiece — against the sort
 // and the hyperedge a materialized build already pays per occurrence.
 func (t *domainTable) addListed(o *isomorph.Occurrence) {
-	for i := range t.nodes {
+	for i, r := range t.rowOf {
 		x, ok := t.snap.IndexOf(o.ImageAt(i))
 		if !ok {
 			panic(fmt.Sprintf("core: occurrence image %d of pattern node %d is not a vertex of the snapshot it was enumerated on", o.ImageAt(i), t.nodes[i]))
 		}
-		t.bump(i, x)
+		t.bump(r, x)
 	}
 }
 
-// bump increments the counter of (pattern node i, dense index x).
+// bump increments the counter of (row r, dense index x).
 //
 //gvet:hotpath
-func (t *domainTable) bump(i int, x int32) {
+func (t *domainTable) bump(r int, x int32) {
 	pos := int(x)
 	if t.universe != nil {
-		pos = t.position(i, x)
+		pos = t.position(r, x)
 	}
-	c := &t.counts[i*t.width+pos]
+	c := &t.counts[r*t.width+pos]
 	if *c == math.MaxInt32 {
-		t.overflow(i, pos)
+		t.overflow(r, pos)
 	}
 	*c++
 }
@@ -103,22 +177,22 @@ func (t *domainTable) bump(i int, x int32) {
 // means an occurrence touching a dirty vertex has an image outside the
 // mutation ball, which the ball's radius (the pattern's diameter) rules out,
 // so it panics.
-func (t *domainTable) position(i int, x int32) int {
+func (t *domainTable) position(r int, x int32) int {
 	pos, ok := slices.BinarySearch(t.universe, x)
 	if !ok {
-		panic(fmt.Sprintf("core: image %d of pattern node %d lies outside the pass's %d-vertex mutation ball", t.snap.ID(x), t.nodes[i], len(t.universe)))
+		panic(fmt.Sprintf("core: image %d of %s lies outside the pass's %d-vertex mutation ball", t.snap.ID(x), t.describe(r), len(t.universe)))
 	}
 	return pos
 }
 
 // overflow reports a counter about to pass 2^31-1. A hub reaches that in
 // minutes of emits, so the counter must not wrap silently into "absent".
-func (t *domainTable) overflow(i, pos int) {
-	panic(fmt.Sprintf("core: more than %d occurrences map pattern node %d to vertex %d; the pass table's counters are 32 bits wide", math.MaxInt32, t.nodes[i], t.snap.ID(t.index(pos))))
+func (t *domainTable) overflow(r, pos int) {
+	panic(fmt.Sprintf("core: more than %d counted assignments map %s to vertex %d; the pass table's counters are 32 bits wide", math.MaxInt32, t.describe(r), t.snap.ID(t.index(pos))))
 }
 
-// row returns pattern node i's counters, one per universe position.
-func (t *domainTable) row(i int) []int32 { return t.counts[i*t.width : (i+1)*t.width] }
+// row returns row r's counters, one per universe position.
+func (t *domainTable) row(r int) []int32 { return t.counts[r*t.width : (r+1)*t.width] }
 
 // index returns the dense index of universe position pos.
 func (t *domainTable) index(pos int) int32 {
@@ -130,11 +204,11 @@ func (t *domainTable) index(pos int) int32 {
 
 // merge adds the counters of another worker's table of the same pass into t.
 func (t *domainTable) merge(other domainTable) {
-	for i := range t.nodes {
-		row := t.row(i)
-		for pos, c := range other.row(i) {
+	for r := 0; r < t.rows; r++ {
+		row := t.row(r)
+		for pos, c := range other.row(r) {
 			if c > math.MaxInt32-row[pos] {
-				t.overflow(i, pos)
+				t.overflow(r, pos)
 			}
 			row[pos] += c
 		}
@@ -146,48 +220,50 @@ func (t *domainTable) merge(other domainTable) {
 // slice. A table with no counters (mergeWorkers' answer when the pattern
 // cannot occur) has zero-width rows and reads as all zeros.
 func (t *domainTable) sizes() []int {
-	sizes := make([]int, len(t.nodes))
-	for i := range sizes {
-		for _, c := range t.row(i) {
+	perRow := make([]int, t.rows)
+	for r := range perRow {
+		for _, c := range t.row(r) {
 			if c != 0 {
-				sizes[i]++
+				perRow[r]++
 			}
 		}
 	}
-	return sizes
+	return t.fanOut(perRow)
 }
 
-// domainState is the MNI state a DeltaContext maintains: the live occurrence
-// count and, per pattern node, a refcount for every data vertex at least one
-// counted occurrence maps the node to (an entry exists only while its
-// refcount is positive, so a node's MNI domain size is the length of its
-// row). It is the only VertexID-keyed table in the package.
+// domainState is the MNI state a DeltaContext maintains: the live instance
+// count and, per node orbit, a refcount for every data vertex at least one
+// instance maps a node of the orbit to (an entry exists only while its
+// refcount is positive, so the MNI domain size of the orbit's nodes is the
+// length of its row). It is the only VertexID-keyed table in the package:
+// orbits·|domain| refcounts per tracked pattern at rest.
 type domainState struct {
-	count int
-	nodes []pattern.NodeID
-	rows  []map[graph.VertexID]int
+	rowLayout
+	count   int
+	entries []map[graph.VertexID]int
 }
 
-func newDomainState(nodes []pattern.NodeID) *domainState {
-	s := &domainState{nodes: nodes, rows: make([]map[graph.VertexID]int, len(nodes))}
-	for i := range s.rows {
-		s.rows[i] = make(map[graph.VertexID]int)
+func newDomainState(layout rowLayout) *domainState {
+	s := &domainState{rowLayout: layout, entries: make([]map[graph.VertexID]int, layout.rows)}
+	for r := range s.entries {
+		s.entries[r] = make(map[graph.VertexID]int)
 	}
 	return s
 }
 
 // fold adds sign times a pass's count and counters into s, translating every
 // non-zero counter's universe position to the VertexID it stands for in the
-// pass's snapshot, and deletes entries that reach zero. A negative refcount
-// means a subtracted occurrence was never added — the plus and minus passes
-// of a delta refresh disagreed about the old graph — which the construction
-// rules out, so it panics. (Folding the plus pass first keeps every refcount
-// non-negative in transit as well.)
+// pass's snapshot, and deletes entries that reach zero. The pass must have
+// counted into s's own layout. A negative refcount means a subtracted
+// instance was never added — the plus and minus passes of a delta refresh
+// disagreed about the old graph — which the construction rules out, so it
+// panics. (Folding the plus pass first keeps every refcount non-negative in
+// transit as well.)
 func (s *domainState) fold(a *accumulator, sign int) {
 	s.count += sign * a.count
 	t := &a.table
-	for i, row := range s.rows {
-		for pos, c := range t.row(i) {
+	for r, row := range s.entries {
+		for pos, c := range t.row(r) {
 			if c == 0 {
 				continue
 			}
@@ -198,7 +274,7 @@ func (s *domainState) fold(a *accumulator, sign int) {
 			case next == 0:
 				delete(row, v)
 			default:
-				panic(fmt.Sprintf("core: domain refcount for node %d vertex %d went negative (%d)", s.nodes[i], v, next))
+				panic(fmt.Sprintf("core: domain refcount for %s vertex %d went negative (%d)", s.describe(r), v, next))
 			}
 		}
 	}
@@ -207,18 +283,19 @@ func (s *domainState) fold(a *accumulator, sign int) {
 // sizes returns the MNI domain size of every pattern node, aligned with
 // Pattern().Nodes(), as a fresh slice.
 func (s *domainState) sizes() []int {
-	sizes := make([]int, len(s.rows))
-	for i, row := range s.rows {
-		sizes[i] = len(row)
+	perRow := make([]int, s.rows)
+	for r, row := range s.entries {
+		perRow[r] = len(row)
 	}
-	return sizes
+	return s.fanOut(perRow)
 }
 
-// accumulator is what the occurrences of one pass are folded into: the
-// occurrence count and the pass's domain table. It reads an occurrence and
-// retains nothing of it, which is what lets the enumeration engine lend every
-// worker's occurrences instead of allocating them. Each enumeration worker
-// owns exactly one, so the hot path takes no locks; the per-worker
+// accumulator is what one pass is folded into: the number of assignments
+// counted — representatives, one per instance, on a streaming pass; listed
+// occurrences on a scan — and the pass's domain table. It reads an occurrence
+// and retains nothing of it, which is what lets the enumeration engine lend
+// every worker's occurrences instead of allocating them. Each enumeration
+// worker owns exactly one, so the hot path takes no locks; the per-worker
 // accumulators are merged once enumeration finishes.
 type accumulator struct {
 	count int
@@ -239,10 +316,12 @@ func (a *accumulator) yield(o *isomorph.Occurrence) bool {
 	return true
 }
 
-// touchesDirty reports whether an image of o is one of a.dirty's indexes. It
-// runs once per occurrence rooted in the ball and rejects most of them, so
-// the binary search is written out: called through slices.BinarySearch the
-// same probes were 18 % of a 70-pattern session refresh's CPU, inline 14 %.
+// touchesDirty reports whether an image of o is one of a.dirty's indexes — a
+// property of the image set, so of the instance, whichever occurrence stands
+// for it. It runs once per representative rooted in the ball and rejects most
+// of them, so the binary search is written out: called through
+// slices.BinarySearch the same probes were 18 % of a 70-pattern session
+// refresh's CPU, inline 14 %.
 //
 //gvet:hotpath
 func (a *accumulator) touchesDirty(o *isomorph.Occurrence) bool {
@@ -264,31 +343,50 @@ func (a *accumulator) touchesDirty(o *isomorph.Occurrence) bool {
 	return false
 }
 
-// accumulate streams the occurrences of p over snap into one accumulator per
-// enumeration worker and returns them in worker order; none when the search
-// has no plan (the pattern cannot occur at all). With ball nil it is a
-// complete enumeration over whole-snapshot tables; otherwise ball is the
-// sorted root restriction and the universe of every table, and only
-// occurrences touching dirty are counted.
-func accumulate(snap *graph.Snapshot, p *pattern.Pattern, parallelism int, ball, dirty []int32) []*accumulator {
-	nodes := p.Nodes()
+// instanceCounter is what the streaming passes of one context share: the
+// pattern, its symmetry — Aut(P) computed once — and the orbit-row layout
+// every pass table and the maintained state are laid out in.
+type instanceCounter struct {
+	p   *pattern.Pattern
+	sym *isomorph.Symmetry
+	rowLayout
+}
+
+func newInstanceCounter(p *pattern.Pattern) *instanceCounter {
+	sym := isomorph.NewSymmetry(p)
+	return &instanceCounter{p: p, sym: sym, rowLayout: orbitRows(p.Nodes(), sym)}
+}
+
+// occurrences returns the number of occurrences the given number of
+// instances stands for: |Aut(P)| each.
+func (c *instanceCounter) occurrences(instances int) int { return instances * c.sym.Order() }
+
+// accumulate streams one representative per instance of the pattern over snap
+// into one accumulator per enumeration worker and returns them merged; the
+// empty accumulator when the search has no plan (the pattern cannot occur at
+// all). With ball nil it is a complete enumeration over whole-snapshot tables;
+// otherwise ball is the sorted root restriction and the universe of every
+// table, and only instances touching dirty are counted.
+func (c *instanceCounter) accumulate(snap *graph.Snapshot, parallelism int, ball, dirty []int32) *accumulator {
 	var accs []*accumulator
-	enum := isomorph.Options{Parallelism: parallelism, RootIndexes: ball}
-	isomorph.EnumerateSnapshotWorkers(snap, p, enum, func(int) func(*isomorph.Occurrence) bool {
-		a := &accumulator{table: newDomainTable(snap, nodes, ball), dirty: dirty}
+	enum := isomorph.Options{Parallelism: parallelism, RootIndexes: ball, Symmetry: c.sym}
+	isomorph.EnumerateSnapshotWorkers(snap, c.p, enum, func(int) func(*isomorph.Occurrence) bool {
+		a := &accumulator{table: newDomainTable(snap, c.rowLayout, ball), dirty: dirty}
 		accs = append(accs, a)
 		return a.yield
 	})
-	return accs
+	return mergeWorkers(c.rowLayout, accs)
 }
 
-// scan folds a list enumerated over snap into one accumulator; like
-// accumulate, it allocates no table for a pattern that does not occur.
+// scan folds a list enumerated over snap into one accumulator with a row per
+// pattern node; like accumulate, it allocates no table for a pattern that
+// does not occur.
 func scan(snap *graph.Snapshot, p *pattern.Pattern, occs []*isomorph.Occurrence) *accumulator {
+	layout := nodeRows(p.Nodes())
 	if len(occs) == 0 {
-		return mergeWorkers(p, nil)
+		return mergeWorkers(layout, nil)
 	}
-	a := &accumulator{count: len(occs), table: newDomainTable(snap, p.Nodes(), nil)}
+	a := &accumulator{count: len(occs), table: newDomainTable(snap, layout, nil)}
 	for _, o := range occs {
 		a.table.addListed(o)
 	}
@@ -298,9 +396,9 @@ func scan(snap *graph.Snapshot, p *pattern.Pattern, occs []*isomorph.Occurrence)
 // mergeWorkers merges per-worker accumulators into the first of them, which
 // saves the sequential path a copy of its only table. No workers at all (the
 // pattern cannot occur) merge to an accumulator with no counters.
-func mergeWorkers(p *pattern.Pattern, accs []*accumulator) *accumulator {
+func mergeWorkers(layout rowLayout, accs []*accumulator) *accumulator {
 	if len(accs) == 0 {
-		return &accumulator{table: domainTable{nodes: p.Nodes()}}
+		return &accumulator{table: domainTable{rowLayout: layout}}
 	}
 	all := accs[0]
 	for _, b := range accs[1:] {
@@ -311,25 +409,22 @@ func mergeWorkers(p *pattern.Pattern, accs []*accumulator) *accumulator {
 }
 
 // instancesByOrbit is the distinct-instance count of a complete occurrence
-// set. An instance (Definition 2.1.9) is an image subgraph f(P), identified
+// list. An instance (Definition 2.1.9) is an image subgraph f(P), identified
 // by its vertex set and its edge set. Two occurrences f, g with the same
 // image differ by the permutation g⁻¹∘f of the pattern's nodes, which keeps
 // labels and maps edges onto edges: an automorphism (Definition 2.1.6).
 // Conversely f∘σ is an occurrence with f's image for every automorphism σ,
 // and f∘σ = f forces σ = id because f is injective. So Aut(P) acts freely on
 // the occurrences and its orbits are exactly the instances, each of size
-// |Aut(P)|. The one precondition is that the set is closed under that action:
-// an untruncated enumeration is, and so is its restriction to the occurrences
-// touching a vertex set (a property of the image); a MaxOccurrences prefix is
-// not, and is counted from its retained list instead.
+// |Aut(P)|. The one precondition is that the list is closed under that action:
+// an untruncated enumeration is; a MaxOccurrences prefix is not, and is
+// grouped from its retained list instead. The streaming search relies on the
+// same fact from the other end — it finds one occurrence per orbit and
+// multiplies — so the division, and its check, are the materialized list's
+// alone: a full search that missed or repeated an occurrence shows up here.
 func instancesByOrbit(occurrences, automorphisms int) int {
 	if occurrences%automorphisms != 0 {
 		panic(fmt.Sprintf("core: %d occurrences is not a multiple of the pattern's %d automorphisms", occurrences, automorphisms))
 	}
 	return occurrences / automorphisms
-}
-
-// automorphismCount returns |Aut(p)|; callers compute it once per context.
-func automorphismCount(p *pattern.Pattern) int {
-	return len(isomorph.Automorphisms(p.Graph()))
 }

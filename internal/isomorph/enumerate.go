@@ -47,6 +47,18 @@ type Options struct {
 	// ball of incremental delta maintenance, which contains all images of
 	// every affected occurrence) are insensitive to that choice.
 	RootIndexes []int32
+	// Symmetry, when non-nil, must be NewSymmetry of the pattern searched,
+	// and makes the search one over instances: of the Symmetry.Order()
+	// occurrences of an instance it delivers exactly one, the representative
+	// that satisfies the plan's ordering constraints (Symmetry.below), and
+	// never descends into the branches that would have found the others. A
+	// consumer counts Order() occurrences per representative and reads
+	// f(orbit) as every orbit node's images (see Symmetry); which occurrence
+	// represents an instance depends on the search order and so on the
+	// snapshot, and nothing may depend on it. A cap counts what is
+	// delivered. Nil is the full search: every occurrence, which is what a
+	// consumer that keeps or orders occurrences needs.
+	Symmetry *Symmetry
 }
 
 // workers resolves the effective worker count for a search with the given
@@ -75,6 +87,16 @@ func (o Options) workers(roots, n int) int {
 	return w
 }
 
+// below returns, by depth of the given search order, the earlier depths whose
+// assigned index bounds the depth's candidates from below: Symmetry's
+// ordering constraints, or none at any depth for the full search.
+func (o Options) below(order []int) [][]int {
+	if o.Symmetry == nil {
+		return make([][]int, len(order))
+	}
+	return o.Symmetry.below(order)
+}
+
 // searchPlan is the per-(graph, pattern) preprocessing shared by all workers:
 // the frozen CSR snapshot, the connected search order with its label/degree
 // constraints, the anchor depths used for connectivity pruning, and the
@@ -98,6 +120,15 @@ type searchPlan struct {
 	// filter pass per anchor assignment.
 	slotOf   []int
 	numSlots int
+
+	// below[d] lists the earlier depths whose assigned index the candidate
+	// at depth d must exceed: the ordering constraints that keep one
+	// occurrence per instance (Symmetry.below). Every list is empty in a
+	// full search, which is the same code with nowhere to start later.
+	below [][]int
+	// weight is the number of occurrences one emit stands for: |Aut(P)|
+	// under a Symmetry, one without.
+	weight uint64
 
 	// rootsByShard holds the label- and degree-pruned root candidates of each
 	// non-empty snapshot shard, in ascending shard (and therefore global
@@ -133,6 +164,11 @@ func newSearchPlan(snap *graph.Snapshot, p *pattern.Pattern, opts Options) *sear
 		label:   make([]graph.Label, len(order)),
 		minDeg:  make([]int, len(order)),
 		anchors: make([][]int, len(order)),
+		below:   opts.below(order),
+		weight:  1,
+	}
+	if opts.Symmetry != nil {
+		pl.weight = uint64(opts.Symmetry.Order())
 	}
 	// depthOf[i]: search depth of pattern position i, -1 until ordered.
 	depthOf := make([]int, pl.k)
@@ -245,6 +281,9 @@ type searchState struct {
 	// images and indexes in place and lends it to the consumer for the length
 	// of the call.
 	occ Occurrence
+	// emits counts the occurrences lent since the drain loop last published
+	// them (publishEmits).
+	emits uint64
 }
 
 func newSearchState(pl *searchPlan, yield func(*Occurrence) bool, stop *atomic.Bool) *searchState {
@@ -276,6 +315,31 @@ func newSearchState(pl *searchPlan, yield func(*Occurrence) bool, stop *atomic.B
 func (s *searchState) searchRoot(r int32) bool {
 	s.assign[0] = r
 	return s.search(1)
+}
+
+// above returns the part of a sorted candidate run that lies above the index
+// assigned at every one of the given depths: where a depth bound by ordering
+// constraints starts its scan. The cut is a binary search on the run the
+// depth was going to walk anyway, so the symmetric branches below it are
+// never entered rather than entered and rejected.
+//
+//gvet:hotpath
+func (s *searchState) above(run []int32, below []int) []int32 {
+	floor := s.assign[below[0]]
+	for _, d := range below[1:] {
+		if x := s.assign[d]; x > floor {
+			floor = x
+		}
+	}
+	lo, hi := 0, len(run)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); run[mid] <= floor {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return run[lo:]
 }
 
 // taken reports whether dense index c is already matched at one of the first
@@ -326,7 +390,11 @@ func (s *searchState) search(depth int) bool {
 			sl.run = filterRun(snap, snap.NeighborsAt(av), label, minDeg, sl.run[:0])
 			sl.anchor = av
 		}
-		for _, c := range sl.run {
+		run := sl.run
+		if below := pl.below[depth]; len(below) > 0 {
+			run = s.above(run, below)
+		}
+		for _, c := range run {
 			if s.taken(c, depth) {
 				continue
 			}
@@ -364,6 +432,9 @@ func (s *searchState) searchGallop(depth int, anchors []int, label graph.Label, 
 	}
 	run := gallopIntersect(snap.NeighborsAt(s.assign[a1]), snap.NeighborsAt(s.assign[a2]), s.scratch[depth][:0])
 	s.scratch[depth] = run // keep the grown capacity for the next visit
+	if below := s.pl.below[depth]; len(below) > 0 {
+		run = s.above(run, below)
+	}
 
 	// Residual anchors are verified per candidate; hoist their bitmap rows
 	// (nil for low-degree assignments) out of the loop.
@@ -426,7 +497,18 @@ func (s *searchState) emit() bool {
 			images[pl.slot[d]] = pl.snap.ID(x)
 		}
 	}
+	s.emits++
 	return s.yield(&s.occ)
+}
+
+// publishEmits moves the worker's emits since the last call into the
+// enumeration counters: what the search delivered, and the occurrences that
+// stands for. The drain loops call it once per drained shard, beside the root
+// count, so emit itself only bumps a worker-local integer.
+func (s *searchState) publishEmits() {
+	mRepresentatives.Add(s.emits)
+	mOccurrences.Add(s.emits * s.pl.weight)
+	s.emits = 0
 }
 
 // EnumerateSnapshotWorkers is the streaming entry point of the enumeration
@@ -476,12 +558,14 @@ func EnumerateSnapshotWorkers(snap *graph.Snapshot, p *pattern.Pattern, opts Opt
 					snap.ReleaseShard(pl.shardIDs[s])
 					mShardDrains.Inc()
 					mRoots.Add(uint64(j + 1))
+					st.publishEmits()
 					return
 				}
 			}
 			snap.ReleaseShard(pl.shardIDs[s])
 			mShardDrains.Inc()
 			mRoots.Add(uint64(len(roots)))
+			st.publishEmits()
 		}
 		return
 	}
@@ -537,6 +621,7 @@ func EnumerateSnapshotWorkers(snap *graph.Snapshot, p *pattern.Pattern, opts Opt
 				}()
 				mShardDrains.Inc()
 				mRoots.Add(searched)
+				st.publishEmits()
 				if halt {
 					return
 				}

@@ -315,6 +315,11 @@ type PlanStep struct {
 	// (depth zero), "run-cache" (memoized single-anchor candidate run) or
 	// "gallop" (galloping intersection of two anchor runs).
 	Kernel string
+	// Below lists the earlier depths whose image bounds this one from below:
+	// the candidate scan at this depth starts above the largest dense index
+	// assigned at any of them. It is how a search under Options.Symmetry finds
+	// each instance once; empty at every depth of a full search.
+	Below []int
 }
 
 // PlanExplanation reports the search order the enumeration engine would use
@@ -330,6 +335,11 @@ type PlanExplanation struct {
 	// RootCandidates is the actual (not estimated) number of label+degree
 	// pruned root candidates, after any RootIndexes restriction.
 	RootCandidates int
+	// Automorphisms is |Aut(P)| and Orbits the number of node orbits when the
+	// plan is one under Options.Symmetry — the search then emits one
+	// assignment for every Automorphisms occurrences, and its consumer keeps
+	// Orbits rows — and both are zero for a full-search plan.
+	Automorphisms, Orbits int
 	// Vertices and Edges are the snapshot totals the estimates were computed
 	// from.
 	Vertices, Edges int
@@ -337,9 +347,11 @@ type PlanExplanation struct {
 
 // Explain compiles the search plan of p against snap without running the
 // search, returning the chosen order with per-depth candidate estimates. Of
-// opts only RootIndexes is consulted (it narrows RootCandidates); the search
-// order depends on the snapshot and pattern alone. It powers the -explain
-// flags of the gsupport and gminer CLIs.
+// opts RootIndexes narrows RootCandidates and Symmetry adds the ordering
+// constraints a search under it applies (Automorphisms, Orbits, Below); the
+// search order depends on the snapshot and pattern alone, and plain Options
+// explain the full search. It powers the -explain flags of the gsupport and
+// gminer CLIs.
 func Explain(snap *graph.Snapshot, p *pattern.Pattern, opts Options) *PlanExplanation {
 	m := newPatternModel(p)
 	order, planned := chooseOrder(snap, m)
@@ -350,6 +362,10 @@ func Explain(snap *graph.Snapshot, p *pattern.Pattern, opts Options) *PlanExplan
 		Vertices: snap.NumVertices(),
 		Edges:    snap.NumEdges(),
 	}
+	if sym := opts.Symmetry; sym != nil {
+		ex.Automorphisms, ex.Orbits = sym.Order(), sym.NumOrbits()
+	}
+	below := opts.below(order)
 	inOrder := make([]bool, len(m.nodes))
 	for d, i := range order {
 		anchors := m.orderedNeighbors(i, inOrder)
@@ -359,6 +375,7 @@ func Explain(snap *graph.Snapshot, p *pattern.Pattern, opts Options) *PlanExplan
 			PatternDegree: m.deg[i],
 			Anchors:       anchors,
 			LabelCount:    st.cnt[i],
+			Below:         below[d],
 		}
 		switch {
 		case d == 0:
@@ -390,9 +407,20 @@ func (e *PlanExplanation) String() string {
 	}
 	fmt.Fprintf(&b, "search order (%s; |V|=%d |E|=%d, %d root candidates)\n",
 		mode, e.Vertices, e.Edges, e.RootCandidates)
+	switch {
+	case e.Automorphisms == 1:
+		b.WriteString("  symmetry: none; every occurrence is an instance of its own\n")
+	case e.Automorphisms > 1:
+		fmt.Fprintf(&b, "  symmetry: |Aut(P)|=%d, node orbits=%d; a streamed search emits one representative per instance, 1 of every %d occurrences\n",
+			e.Automorphisms, e.Orbits, e.Automorphisms)
+	}
 	for d, s := range e.Steps {
-		fmt.Fprintf(&b, "  depth %d: node %d label %d patternDeg %d anchors %d labelCount %d est %.1f kernel %s\n",
+		fmt.Fprintf(&b, "  depth %d: node %d label %d patternDeg %d anchors %d labelCount %d est %.1f kernel %s",
 			d, s.Node, s.Label, s.PatternDegree, s.Anchors, s.LabelCount, s.Estimate, s.Kernel)
+		if len(s.Below) > 0 {
+			fmt.Fprintf(&b, " image above depths %v", s.Below)
+		}
+		b.WriteByte('\n')
 	}
 	return b.String()
 }

@@ -2,6 +2,7 @@ package isomorph_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -11,27 +12,23 @@ import (
 	"repro/internal/store"
 )
 
-// referenceOccurrenceKeys is the independent oracle the planned, kernelised
+// referenceOccurrences is the independent oracle the planned, kernelised
 // search is pinned against: plain backtracking over the mutable map-backed
 // Graph — no snapshot, no search order, no kernels, no code shared with
 // searchState. Pattern nodes are assigned in sorted node order and every data
-// vertex is tried in ascending ID order, so the keys come out in the
-// canonical occurrence order EnumerateSnapshot promises and sequences compare
-// element by element.
-func referenceOccurrenceKeys(g *graph.Graph, p *pattern.Pattern) []string {
+// vertex is tried in ascending ID order, so the occurrences — each the images
+// of p.Nodes(), in that order — come out in the canonical occurrence order
+// EnumerateSnapshot promises and sequences compare element by element.
+func referenceOccurrences(g *graph.Graph, p *pattern.Pattern) [][]graph.VertexID {
 	nodes := p.Nodes()
 	vertices := g.SortedVertices()
 	images := make([]graph.VertexID, len(nodes))
 	used := make(map[graph.VertexID]bool)
-	var keys []string
+	var occs [][]graph.VertexID
 	var assign func(i int)
 	assign = func(i int) {
 		if i == len(nodes) {
-			key := ""
-			for j, n := range nodes {
-				key += fmt.Sprintf("%d>%d;", n, images[j])
-			}
-			keys = append(keys, key)
+			occs = append(occs, append([]graph.VertexID(nil), images...))
 			return
 		}
 	candidates:
@@ -50,6 +47,20 @@ func referenceOccurrenceKeys(g *graph.Graph, p *pattern.Pattern) []string {
 		}
 	}
 	assign(0)
+	return occs
+}
+
+// referenceOccurrenceKeys renders the reference matcher's occurrences as the
+// keys occurrenceKeys gives enumerated ones.
+func referenceOccurrenceKeys(g *graph.Graph, p *pattern.Pattern) []string {
+	nodes := p.Nodes()
+	occs := referenceOccurrences(g, p)
+	keys := make([]string, len(occs))
+	for i, images := range occs {
+		for j, n := range nodes {
+			keys[i] += fmt.Sprintf("%d>%d;", n, images[j])
+		}
+	}
 	return keys
 }
 
@@ -147,16 +158,30 @@ func TestPlannedMatchesNaiveRootRestricted(t *testing.T) {
 }
 
 // TestExplainDeterministic pins plan stability: the planner consults only
-// immutable snapshot statistics, so repeated Explain calls for the same
-// (snapshot, pattern, options) must return the identical plan.
+// immutable snapshot statistics and the pattern's own symmetry, so repeated
+// Explain calls for the same (snapshot, pattern, options) must return the
+// identical plan — for the full search plain Options explain, which says
+// nothing of symmetry, and for the search under the star's symmetry, which is
+// the same order with the group's order, the orbit count and the leaves' lower
+// bounds added.
 func TestExplainDeterministic(t *testing.T) {
 	g := gen.BarabasiAlbert(300, 3, gen.UniformLabels{K: 3}, 13)
 	p := starPattern()
 	snap := g.Freeze()
-	want := isomorph.Explain(snap, p, isomorph.Options{}).String()
+	full := isomorph.Explain(snap, p, isomorph.Options{}).String()
+	if strings.Contains(full, "symmetry") || strings.Contains(full, "above") {
+		t.Fatalf("plain Options explain a symmetry-broken plan:\n%s", full)
+	}
+	symmetric := isomorph.Explain(snap, p, isomorph.Options{Symmetry: isomorph.NewSymmetry(p)}).String()
+	if !strings.Contains(symmetric, "symmetry: |Aut(P)|=6, node orbits=2") || strings.Count(symmetric, "image above depths") != 2 {
+		t.Fatalf("star under its symmetry: want the group's order, the orbit count and a bound on two leaf depths:\n%s", symmetric)
+	}
 	for i := 0; i < 5; i++ {
-		if got := isomorph.Explain(snap, p, isomorph.Options{}).String(); got != want {
-			t.Fatalf("Explain call %d differs:\n%s\nwant:\n%s", i, got, want)
+		if got := isomorph.Explain(snap, p, isomorph.Options{}).String(); got != full {
+			t.Fatalf("Explain call %d differs:\n%s\nwant:\n%s", i, got, full)
+		}
+		if got := isomorph.Explain(snap, p, isomorph.Options{Symmetry: isomorph.NewSymmetry(p)}).String(); got != symmetric {
+			t.Fatalf("Explain call %d under symmetry differs:\n%s\nwant:\n%s", i, got, symmetric)
 		}
 	}
 }

@@ -84,6 +84,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, name := range []string{
 		"repro_engine_requests_total",
 		"repro_enum_roots_total",
+		"repro_enum_representatives_total",
+		"repro_enum_occurrences_total",
 		"repro_miner_extensions_total",
 		"repro_miner_codes_total",
 		"repro_miner_duplicates_total",

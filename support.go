@@ -171,11 +171,14 @@ func RandomGeometric(n int, radius float64, labelCount int, seed uint64) *Graph 
 // ExplainPlan compiles — without running it — the search plan the enumeration
 // engine would use for pattern p over the given snapshot (freeze a Graph or
 // open a Store to obtain one), returning the chosen search order with the
-// per-depth candidate estimates and inner-loop kernels. Render it with its
-// String method. The plan depends on the snapshot and the pattern alone. It
-// powers gminer -explain and the gserved slow-query log.
+// per-depth candidate estimates and inner-loop kernels, and with the
+// pattern's symmetry: its automorphism count, its node orbits and the depths
+// a streamed evaluation bounds from below so that it finds every instance
+// once (a materialized evaluation walks the same order without the bounds).
+// Render it with its String method. The plan depends on the snapshot and the
+// pattern alone. It powers gminer -explain and the gserved slow-query log.
 func ExplainPlan(snap *Snapshot, p *Pattern) *PlanExplanation {
-	return isomorph.Explain(snap, p, isomorph.Options{})
+	return isomorph.Explain(snap, p, isomorph.Options{Symmetry: isomorph.NewSymmetry(p)})
 }
 
 // MeasureNames returns every measure name known to NewMeasure, sorted.
