@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -749,11 +750,22 @@ func (s *Snapshot) ID(i int32) VertexID {
 // IndexOf returns the dense index of vertex v. The second return value
 // reports whether the vertex exists.
 func (s *Snapshot) IndexOf(v VertexID) (int32, bool) {
-	i := sort.Search(s.n, func(k int) bool { return s.ID(int32(k)) >= v })
-	if i < s.n && s.ID(int32(i)) == v {
-		return int32(i), true
+	// IDs ascend across shards as well as within one, so the owning shard is
+	// the last whose first ID is not above v; the rest is one binary search
+	// in that shard's own ids array, with no per-probe routing.
+	k := sort.Search(len(s.shards), func(k int) bool {
+		ids := s.shards[k].ids
+		return len(ids) == 0 || ids[0] > v
+	}) - 1
+	if k < 0 {
+		return 0, false
 	}
-	return 0, false
+	sh := &s.shards[k]
+	j, ok := slices.BinarySearch(sh.ids, v)
+	if !ok {
+		return 0, false
+	}
+	return sh.lo + int32(j), true
 }
 
 // LabelAt returns the label of dense index i.

@@ -226,3 +226,32 @@ func TestFreezeMissingVertex(t *testing.T) {
 		t.Error("Neighbors(99) returned a non-nil slice")
 	}
 }
+
+// TestIndexOfAcrossShards probes every ID from below the first vertex to
+// above the last on a graph whose IDs have gaps, at shard sizes that put the
+// probe before the first shard, between two shards and past the last.
+func TestIndexOfAcrossShards(t *testing.T) {
+	g := New("gaps")
+	for v := VertexID(5); v < 200; v += 1 + v%7 {
+		g.MustAddVertex(v, 1)
+	}
+	for _, size := range []int{1, 4, 16, 1 << 10} {
+		s := g.FreezeSharded(FreezeOptions{ShardSize: size})
+		next := int32(0)
+		for v := VertexID(0); v < 210; v++ {
+			i, ok := s.IndexOf(v)
+			if present := g.HasVertex(v); ok != present || (ok && (i != next || s.ID(i) != v)) {
+				t.Fatalf("shard size %d: IndexOf(%d) = (%d, %v), present %v, next index %d", size, v, i, ok, present, next)
+			}
+			if ok {
+				next++
+			}
+		}
+		if int(next) != s.NumVertices() {
+			t.Fatalf("shard size %d: found %d of %d vertices", size, next, s.NumVertices())
+		}
+	}
+	if _, ok := New("empty").Freeze().IndexOf(0); ok {
+		t.Error("IndexOf found a vertex in an empty snapshot")
+	}
+}

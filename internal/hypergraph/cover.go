@@ -2,7 +2,7 @@ package hypergraph
 
 import (
 	"fmt"
-	"sort"
+	"math"
 
 	"repro/internal/graph"
 )
@@ -24,182 +24,200 @@ type CoverResult struct {
 // search nodes explored; when the bound is hit the best cover found so far is
 // returned with Exact=false. A maxNodes of zero means unlimited.
 //
-// The branching rule picks an uncovered edge and tries each of its vertices,
-// which keeps the search tree at most k-ary for k-uniform hypergraphs; the
-// greedy cover provides the initial upper bound.
+// The branching rule picks the first uncovered edge and tries each of its
+// vertices, highest degree first, which keeps the search tree at most k-ary
+// for k-uniform hypergraphs; the greedy cover provides the initial upper
+// bound and a greedy packing of the uncovered edges the lower bound at every
+// node.
 func (h *Hypergraph) MinimumVertexCover(maxNodes int) CoverResult {
+	return h.MinimumVertexCoverBounded(maxNodes, 0)
+}
+
+// MinimumVertexCoverBounded is MinimumVertexCover for a caller that already
+// holds a lower bound on the optimum (⌈ν_MVC⌉ of the LP relaxation, say): the
+// search ends, with Exact=true, the moment its incumbent is no larger than
+// lowerBound, instead of spending the rest of the budget proving what the
+// bound already proves. The incumbent only ever changes on strict
+// improvement, so a search that would have finished anyway returns the same
+// cover. A lowerBound of zero is no bound.
+func (h *Hypergraph) MinimumVertexCoverBounded(maxNodes, lowerBound int) CoverResult {
+	res, explored := h.minimumVertexCover(maxNodes, lowerBound)
+	mCoverNodes.Add(uint64(explored))
+	return res
+}
+
+// minimumVertexCover is the search behind both entry points; it also returns
+// the number of search nodes it explored.
+func (h *Hypergraph) minimumVertexCover(maxNodes, lowerBound int) (CoverResult, int) {
 	if h.NumEdges() == 0 {
-		return CoverResult{Cover: nil, Size: 0, Exact: true}
+		return CoverResult{Exact: true}, 0
 	}
-
-	best := h.GreedyVertexCover()
-	bestSet := make(map[graph.VertexID]bool, len(best.Cover))
-	for _, v := range best.Cover {
-		bestSet[v] = true
+	d := h.view()
+	s := coverSearch{
+		d:        d,
+		maxNodes: maxNodes,
+		lower:    lowerBound,
+		chosen:   make([]bool, len(d.vertices)),
+		hits:     make([]int32, d.numEdges()),
+		used:     make([]uint32, len(d.vertices)),
 	}
-	bestSize := best.Size
+	s.best, s.bestSize = greedyVertexCover(d)
+	if s.bestSize > s.lower {
+		s.search(0)
+	}
+	return CoverResult{Cover: d.ids(s.best), Size: s.bestSize, Exact: !s.truncated}, s.explored
+}
 
-	chosen := make(map[graph.VertexID]bool)
-	explored := 0
-	truncated := false
+// coverSearch is the state of one branch-and-bound cover search.
+type coverSearch struct {
+	d        *dense
+	maxNodes int
+	lower    int
 
-	// firstUncovered returns an edge not intersected by chosen, or -1.
-	firstUncovered := func() int {
-		for i, e := range h.edges {
-			covered := false
-			for _, v := range e.Vertices {
-				if chosen[v] {
-					covered = true
-					break
-				}
-			}
-			if !covered {
-				return i
-			}
+	// chosen marks the vertices of the partial cover, by rank; hits[e] is how
+	// many of them edge e contains, kept current along the incidence list of
+	// the vertex a node branches on.
+	chosen  []bool
+	nChosen int
+	hits    []int32
+
+	// used stamps the vertices consumed by the greedy packing of one
+	// lowerBoundReaches call with that call's epoch.
+	used  []uint32
+	epoch uint32
+
+	best     []bool
+	bestSize int
+
+	explored  int
+	truncated bool // the node budget ran out
+	stopped   bool // truncated, or the incumbent met the lower bound
+}
+
+// search explores the node whose partial cover is chosen. Every edge before
+// from is covered by it.
+func (s *coverSearch) search(from int32) {
+	if s.stopped {
+		return
+	}
+	s.explored++
+	if s.maxNodes > 0 && s.explored > s.maxNodes {
+		s.truncated, s.stopped = true, true
+		return
+	}
+	if s.nChosen >= s.bestSize {
+		return // cannot improve
+	}
+	e, m := from, int32(len(s.hits))
+	for e < m && s.hits[e] > 0 {
+		e++
+	}
+	if e == m {
+		// All edges covered with a strictly smaller cover.
+		s.bestSize = s.nChosen
+		copy(s.best, s.chosen)
+		s.stopped = s.bestSize <= s.lower
+		return
+	}
+	if s.lowerBoundReaches(e, s.bestSize-s.nChosen) {
+		return // even a perfect finish cannot beat the incumbent
+	}
+	for _, v := range s.d.branchOrder(e) {
+		s.chosen[v] = true
+		s.nChosen++
+		for _, f := range s.d.incident(v) {
+			s.hits[f]++
 		}
-		return -1
-	}
-
-	// matchingLowerBound greedily packs pairwise-disjoint uncovered edges;
-	// any vertex cover needs at least one (distinct) vertex per packed edge,
-	// so the packing size is a valid lower bound on the remaining work.
-	matchingLowerBound := func() int {
-		used := make(map[graph.VertexID]bool)
-		count := 0
-		for _, e := range h.edges {
-			covered := false
-			for _, v := range e.Vertices {
-				if chosen[v] {
-					covered = true
-					break
-				}
-			}
-			if covered {
-				continue
-			}
-			disjoint := true
-			for _, v := range e.Vertices {
-				if used[v] {
-					disjoint = false
-					break
-				}
-			}
-			if !disjoint {
-				continue
-			}
-			for _, v := range e.Vertices {
-				used[v] = true
-			}
-			count++
+		s.search(e + 1)
+		for _, f := range s.d.incident(v) {
+			s.hits[f]--
 		}
-		return count
-	}
-
-	var search func()
-	search = func() {
-		if truncated {
+		s.nChosen--
+		s.chosen[v] = false
+		if s.stopped {
 			return
 		}
-		explored++
-		if maxNodes > 0 && explored > maxNodes {
-			truncated = true
-			return
-		}
-		if len(chosen) >= bestSize {
-			return // cannot improve
-		}
-		idx := firstUncovered()
-		if idx < 0 {
-			// All edges covered with a strictly smaller cover.
-			bestSize = len(chosen)
-			bestSet = make(map[graph.VertexID]bool, len(chosen))
-			for v := range chosen {
-				bestSet[v] = true
-			}
-			return
-		}
-		if len(chosen)+matchingLowerBound() >= bestSize {
-			return // even a perfect finish cannot beat the incumbent
-		}
-		// Branch on every vertex of the uncovered edge, trying high-degree
-		// vertices first.
-		edge := h.edges[idx]
-		cands := make([]graph.VertexID, len(edge.Vertices))
-		copy(cands, edge.Vertices)
-		sort.Slice(cands, func(i, j int) bool {
-			di, dj := h.VertexDegree(cands[i]), h.VertexDegree(cands[j])
-			if di != dj {
-				return di > dj
-			}
-			return cands[i] < cands[j]
-		})
-		for _, v := range cands {
-			chosen[v] = true
-			search()
-			delete(chosen, v)
-			if truncated {
-				return
-			}
-		}
 	}
-	search()
+}
 
-	cover := make([]graph.VertexID, 0, len(bestSet))
-	for v := range bestSet {
-		cover = append(cover, v)
+// lowerBoundReaches greedily packs pairwise-disjoint uncovered edges, in edge
+// order from the first uncovered one, and reports whether the packing reaches
+// need edges. Any vertex cover needs one more vertex per packed edge, so the
+// packing size is a lower bound on what the partial cover still lacks.
+func (s *coverSearch) lowerBoundReaches(from int32, need int) bool {
+	if s.epoch == math.MaxUint32 {
+		clear(s.used)
+		s.epoch = 0
 	}
-	sort.Slice(cover, func(i, j int) bool { return cover[i] < cover[j] })
-	return CoverResult{Cover: cover, Size: len(cover), Exact: !truncated}
+	s.epoch++
+	count := 0
+next:
+	for e := from; e < int32(len(s.hits)); e++ {
+		if s.hits[e] > 0 {
+			continue
+		}
+		vs := s.d.edge(e)
+		for _, v := range vs {
+			if s.used[v] == s.epoch {
+				continue next
+			}
+		}
+		for _, v := range vs {
+			s.used[v] = s.epoch
+		}
+		if count++; count >= need {
+			return true
+		}
+	}
+	return false
 }
 
 // GreedyVertexCover computes a vertex cover by repeatedly selecting the
 // vertex contained in the largest number of uncovered edges (the classical
-// greedy set-cover heuristic, O(ln m)-approximate). The result is a valid
-// cover but not necessarily minimum; Exact is always false unless the cover
-// is empty.
+// greedy set-cover heuristic, O(ln m)-approximate), the lowest ID among
+// equals. The result is a valid cover but not necessarily minimum; Exact is
+// always false unless the cover is empty.
 func (h *Hypergraph) GreedyVertexCover() CoverResult {
 	if h.NumEdges() == 0 {
 		return CoverResult{Exact: true}
 	}
-	covered := make([]bool, h.NumEdges())
-	remaining := h.NumEdges()
-	chosen := make(map[graph.VertexID]bool)
-	vertices := h.Vertices()
+	d := h.view()
+	chosen, size := greedyVertexCover(d)
+	return CoverResult{Cover: d.ids(chosen), Size: size, Exact: false}
+}
 
-	for remaining > 0 {
-		var best graph.VertexID
-		bestGain := -1
-		for _, v := range vertices {
-			if chosen[v] {
-				continue
+// greedyVertexCover returns the greedy cover as a rank-indexed membership
+// array, and its size. gain[r] is the number of uncovered edges containing r,
+// kept current as edges get covered, so a pick is one scan of the vertices.
+func greedyVertexCover(d *dense) ([]bool, int) {
+	gain := make([]int32, len(d.vertices))
+	for r := range gain {
+		gain[r] = int32(d.degree(int32(r)))
+	}
+	covered := make([]bool, d.numEdges())
+	chosen := make([]bool, len(d.vertices))
+	size := 0
+	for remaining := len(covered); remaining > 0; {
+		best := 0
+		for r := range gain {
+			if gain[r] > gain[best] {
+				best = r
 			}
-			gain := 0
-			for _, id := range h.incidence[v] {
-				if !covered[id] {
-					gain++
-				}
-			}
-			if gain > bestGain || (gain == bestGain && v < best) {
-				best, bestGain = v, gain
-			}
-		}
-		if bestGain <= 0 {
-			break
 		}
 		chosen[best] = true
-		for _, id := range h.incidence[best] {
-			if !covered[id] {
-				covered[id] = true
-				remaining--
+		size++
+		for _, e := range d.incident(int32(best)) {
+			if covered[e] {
+				continue
+			}
+			covered[e] = true
+			remaining--
+			for _, r := range d.edge(e) {
+				gain[r]--
 			}
 		}
 	}
-	cover := make([]graph.VertexID, 0, len(chosen))
-	for v := range chosen {
-		cover = append(cover, v)
-	}
-	sort.Slice(cover, func(i, j int) bool { return cover[i] < cover[j] })
-	return CoverResult{Cover: cover, Size: len(cover), Exact: false}
+	return chosen, size
 }
 
 // MatchingVertexCover computes a vertex cover via the classical maximal
@@ -208,27 +226,20 @@ func (h *Hypergraph) GreedyVertexCover() CoverResult {
 // this is the textbook k-approximation referenced in Section 3.3 (the best
 // known polynomial algorithms achieve k - o(1)).
 func (h *Hypergraph) MatchingVertexCover() CoverResult {
-	chosen := make(map[graph.VertexID]bool)
-	for _, e := range h.edges {
-		covered := false
-		for _, v := range e.Vertices {
-			if chosen[v] {
-				covered = true
-				break
+	d := h.view()
+	chosen := make([]bool, len(d.vertices))
+next:
+	for e := int32(0); e < int32(d.numEdges()); e++ {
+		for _, r := range d.edge(e) {
+			if chosen[r] {
+				continue next
 			}
 		}
-		if covered {
-			continue
-		}
-		for _, v := range e.Vertices {
-			chosen[v] = true
+		for _, r := range d.edge(e) {
+			chosen[r] = true
 		}
 	}
-	cover := make([]graph.VertexID, 0, len(chosen))
-	for v := range chosen {
-		cover = append(cover, v)
-	}
-	sort.Slice(cover, func(i, j int) bool { return cover[i] < cover[j] })
+	cover := d.ids(chosen)
 	return CoverResult{Cover: cover, Size: len(cover), Exact: h.NumEdges() == 0}
 }
 
@@ -240,21 +251,21 @@ func (h *Hypergraph) IsVertexCover(cover []graph.VertexID) bool {
 // ValidateCover returns an error describing the first uncovered edge, or nil
 // if cover is a valid vertex cover.
 func (h *Hypergraph) ValidateCover(cover []graph.VertexID) error {
-	set := make(map[graph.VertexID]bool, len(cover))
+	d := h.view()
+	in := make([]bool, len(d.vertices))
 	for _, v := range cover {
-		set[v] = true
+		if r, ok := d.rank(v); ok {
+			in[r] = true
+		}
 	}
-	for i, e := range h.edges {
-		hit := false
-		for _, v := range e.Vertices {
-			if set[v] {
-				hit = true
-				break
+next:
+	for e := int32(0); e < int32(d.numEdges()); e++ {
+		for _, r := range d.edge(e) {
+			if in[r] {
+				continue next
 			}
 		}
-		if !hit {
-			return fmt.Errorf("hypergraph: edge %d %v is not covered", i, e.Vertices)
-		}
+		return fmt.Errorf("hypergraph: edge %d %v is not covered", e, h.edges[e].Vertices)
 	}
 	return nil
 }

@@ -1,17 +1,30 @@
 // Package hypergraph implements the hypergraph substrate of the paper's
-// framework (Definitions 3.1.1-3.1.3) together with the
-// combinatorial optimization problems the support measures reduce to:
-// minimum vertex cover, maximum independent edge set (set packing), maximum
-// independent set on the projected overlap graph, and minimum clique
-// partition. Exact solvers are branch-and-bound and intended for the moderate
-// problem sizes produced by pattern mining; each has a polynomial greedy
+// framework (Definitions 3.1.1-3.1.3) together with the combinatorial
+// optimization problems the support measures reduce to: minimum vertex cover,
+// maximum independent edge set (set packing), maximum independent set on the
+// projected overlap graph, and minimum clique partition. Exact solvers are
+// branch and bound under a node budget; each has a polynomial greedy
 // companion used as a bound and as the approximate measure variant.
+//
+// A Hypergraph is built edge by edge and then queried. Building keeps nothing
+// but the edge list; the first query lays the built hypergraph out once as a
+// dense, index-keyed view (dense.go) — vertices ranked 0..|V|-1 in Vertices()
+// order, edges and incidence lists as flat int32 CSR, every edge's branch
+// order sorted once — and every solver and accessor runs on that. A solver's
+// state is then a handful of slices indexed by rank or EdgeID: a search node
+// of MinimumVertexCover costs the incidence list of the vertex it branches on
+// plus one pass over the still-uncovered edges, and nothing is hashed or
+// allocated inside a search. The view changes what a node costs, not which
+// nodes there are: branching order, bounds and incumbents are those of the
+// map-based searches kept in reference_test.go, which FuzzSolverTrees holds
+// the solvers to node for node. repro_cover_search_nodes_total and
+// repro_packing_search_nodes_total count the nodes.
 package hypergraph
 
 import (
 	"fmt"
 	"slices"
-	"sort"
+	"sync"
 
 	"repro/internal/graph"
 )
@@ -27,34 +40,22 @@ type HyperEdge struct {
 	Vertices []graph.VertexID
 }
 
-// contains reports whether the edge contains vertex v.
-func (e HyperEdge) contains(v graph.VertexID) bool {
-	for _, w := range e.Vertices {
-		if w == v {
-			return true
-		}
-	}
-	return false
-}
-
 // Hypergraph is a hypergraph H = (V, E) whose edges are told apart by
 // position. Vertices are data-graph vertex IDs; edges are vertex subsets.
-// Build one with New.
+// Build one with New. Once built it is safe for concurrent readers; AddEdge
+// must not run concurrently with anything else.
 type Hypergraph struct {
-	vertexSet map[graph.VertexID]bool
-	vertices  []graph.VertexID
-	edges     []HyperEdge
-	// incidence maps a vertex to the IDs of the edges containing it.
-	incidence map[graph.VertexID][]EdgeID
+	edges []HyperEdge
+
+	// dense is the index-keyed view of the edges added so far, laid out
+	// under denseMu by the first query after the last AddEdge (which has the
+	// hypergraph to itself and drops the view without the lock).
+	denseMu sync.Mutex
+	dense   *dense
 }
 
 // New returns an empty hypergraph.
-func New() *Hypergraph {
-	return &Hypergraph{
-		vertexSet: make(map[graph.VertexID]bool),
-		incidence: make(map[graph.VertexID][]EdgeID),
-	}
-}
+func New() *Hypergraph { return &Hypergraph{} }
 
 // AddEdge adds an edge over the given vertex set, implicitly adding any new
 // vertices, and returns its ID: the number of edges added before it. The
@@ -69,13 +70,7 @@ func (h *Hypergraph) AddEdge(vertices []graph.VertexID) (EdgeID, error) {
 	vs = slices.Compact(vs)
 	id := EdgeID(len(h.edges))
 	h.edges = append(h.edges, HyperEdge{Vertices: vs})
-	for _, v := range vs {
-		if !h.vertexSet[v] {
-			h.vertexSet[v] = true
-			h.vertices = append(h.vertices, v)
-		}
-		h.incidence[v] = append(h.incidence[v], id)
-	}
+	h.dense = nil
 	return id, nil
 }
 
@@ -89,27 +84,20 @@ func (h *Hypergraph) MustAddEdge(vertices []graph.VertexID) EdgeID {
 }
 
 // NumVertices returns |V|.
-func (h *Hypergraph) NumVertices() int { return len(h.vertices) }
+func (h *Hypergraph) NumVertices() int { return len(h.view().vertices) }
 
 // NumEdges returns |E|.
 func (h *Hypergraph) NumEdges() int { return len(h.edges) }
 
 // Vertices returns the vertex set in sorted order.
-func (h *Hypergraph) Vertices() []graph.VertexID {
-	out := make([]graph.VertexID, len(h.vertices))
-	copy(out, h.vertices)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (h *Hypergraph) Vertices() []graph.VertexID { return slices.Clone(h.view().vertices) }
 
 // Edges returns all edges in insertion order. The returned slice shares no
 // storage with the hypergraph's internal state.
 func (h *Hypergraph) Edges() []HyperEdge {
 	out := make([]HyperEdge, len(h.edges))
 	for i, e := range h.edges {
-		vs := make([]graph.VertexID, len(e.Vertices))
-		copy(vs, e.Vertices)
-		out[i] = HyperEdge{Vertices: vs}
+		out[i] = HyperEdge{Vertices: slices.Clone(e.Vertices)}
 	}
 	return out
 }
@@ -119,22 +107,33 @@ func (h *Hypergraph) Edge(id EdgeID) (HyperEdge, bool) {
 	if int(id) < 0 || int(id) >= len(h.edges) {
 		return HyperEdge{}, false
 	}
-	e := h.edges[id]
-	vs := make([]graph.VertexID, len(e.Vertices))
-	copy(vs, e.Vertices)
-	return HyperEdge{Vertices: vs}, true
+	return HyperEdge{Vertices: slices.Clone(h.edges[id].Vertices)}, true
 }
 
-// IncidentEdges returns the IDs of the edges containing vertex v.
+// IncidentEdges returns the IDs of the edges containing vertex v, ascending.
 func (h *Hypergraph) IncidentEdges(v graph.VertexID) []EdgeID {
-	ids := h.incidence[v]
+	d := h.view()
+	r, ok := d.rank(v)
+	if !ok {
+		return nil
+	}
+	ids := d.incident(r)
 	out := make([]EdgeID, len(ids))
-	copy(out, ids)
+	for i, e := range ids {
+		out[i] = EdgeID(e)
+	}
 	return out
 }
 
 // VertexDegree returns the number of edges containing v.
-func (h *Hypergraph) VertexDegree(v graph.VertexID) int { return len(h.incidence[v]) }
+func (h *Hypergraph) VertexDegree(v graph.VertexID) int {
+	d := h.view()
+	r, ok := d.rank(v)
+	if !ok {
+		return 0
+	}
+	return len(d.incident(r))
+}
 
 // IsUniform reports whether all edges have the same cardinality and, if so,
 // returns that cardinality k. The occurrence hypergraph of a k-node pattern
@@ -200,10 +199,8 @@ type Dual struct {
 func (h *Hypergraph) Dual() *Dual {
 	d := &Dual{}
 	for _, v := range h.Vertices() {
-		ids := h.IncidentEdges(v)
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		d.Names = append(d.Names, v)
-		d.Sets = append(d.Sets, ids)
+		d.Sets = append(d.Sets, h.IncidentEdges(v))
 	}
 	return d
 }

@@ -1,8 +1,6 @@
 package hypergraph
 
-import (
-	"sort"
-)
+import "slices"
 
 // MatchingResult is the outcome of a maximum independent edge set (hypergraph
 // matching / set packing) computation.
@@ -21,7 +19,18 @@ type MatchingResult struct {
 // OverlapGraph.MaximumIndependentSet run on NewOverlapGraph(h, nil), with the
 // same maxNodes budget and Exact flag.
 func (h *Hypergraph) MaximumIndependentEdgeSet(maxNodes int) MatchingResult {
-	res := NewOverlapGraph(h, nil).MaximumIndependentSet(maxNodes)
+	return h.MaximumIndependentEdgeSetBounded(maxNodes, 0)
+}
+
+// MaximumIndependentEdgeSetBounded is MaximumIndependentEdgeSet for a caller
+// that already holds an upper bound on the optimum (⌊ν_MIES⌋ of the LP
+// relaxation, say): the search ends, with Exact=true, the moment its
+// incumbent reaches upperBound. The incumbent only ever changes on strict
+// improvement, so a search that would have finished anyway returns the same
+// edges. An upperBound of zero is no bound.
+func (h *Hypergraph) MaximumIndependentEdgeSetBounded(maxNodes, upperBound int) MatchingResult {
+	res, explored := NewOverlapGraph(h, nil).maximumIndependentSet(maxNodes, upperBound)
+	mPackingNodes.Add(uint64(explored))
 	edges := make([]EdgeID, len(res.Members))
 	for i, m := range res.Members {
 		edges[i] = EdgeID(m)
@@ -39,69 +48,59 @@ func (h *Hypergraph) GreedyIndependentEdgeSet() MatchingResult {
 	if m == 0 {
 		return MatchingResult{Exact: true}
 	}
-	// Overlap degree per edge, computed from the incidence lists so the work
-	// is proportional to the number of actually overlapping pairs.
-	overlapSets := make([]map[int]bool, m)
-	for i := range overlapSets {
-		overlapSets[i] = make(map[int]bool)
+	d := h.view()
+	// Overlap degrees are counted off the incidence lists under one stamp
+	// array: the overlapping pairs are walked, never stored.
+	degree := make([]int32, m)
+	mark := make([]int32, m)
+	var buf []int32
+	for e := range degree {
+		buf = d.overlaps(int32(e), mark, buf[:0])
+		degree[e] = int32(len(buf))
 	}
-	for _, ids := range h.incidence {
-		for x := 0; x < len(ids); x++ {
-			for y := x + 1; y < len(ids); y++ {
-				a, b := int(ids[x]), int(ids[y])
-				overlapSets[a][b] = true
-				overlapSets[b][a] = true
-			}
-		}
-	}
-	order := make([]int, m)
+	order := make([]int32, m)
 	for i := range order {
-		order[i] = i
+		order[i] = int32(i)
 	}
-	sort.Slice(order, func(a, b int) bool {
-		if len(overlapSets[order[a]]) != len(overlapSets[order[b]]) {
-			return len(overlapSets[order[a]]) < len(overlapSets[order[b]])
+	slices.SortFunc(order, func(a, b int32) int {
+		if degree[a] != degree[b] {
+			return int(degree[a] - degree[b])
 		}
-		return order[a] < order[b]
+		return int(a - b)
 	})
 
-	used := make(map[int]bool) // vertices already consumed, keyed by int(VertexID)
+	used := make([]bool, len(d.vertices))
 	var selected []EdgeID
-	for _, idx := range order {
-		e := h.edges[idx]
-		free := true
-		for _, v := range e.Vertices {
-			if used[int(v)] {
-				free = false
-				break
+next:
+	for _, e := range order {
+		for _, r := range d.edge(e) {
+			if used[r] {
+				continue next
 			}
 		}
-		if !free {
-			continue
+		for _, r := range d.edge(e) {
+			used[r] = true
 		}
-		for _, v := range e.Vertices {
-			used[int(v)] = true
-		}
-		selected = append(selected, EdgeID(idx))
+		selected = append(selected, EdgeID(e))
 	}
-	sort.Slice(selected, func(i, j int) bool { return selected[i] < selected[j] })
+	slices.Sort(selected)
 	return MatchingResult{Edges: selected, Size: len(selected), Exact: false}
 }
 
 // IsIndependentEdgeSet reports whether the given edges are pairwise
 // vertex-disjoint.
 func (h *Hypergraph) IsIndependentEdgeSet(edges []EdgeID) bool {
-	seen := make(map[int]bool)
+	d := h.view()
+	seen := make([]bool, len(d.vertices))
 	for _, id := range edges {
-		e, ok := h.Edge(id)
-		if !ok {
+		if id < 0 || int(id) >= d.numEdges() {
 			return false
 		}
-		for _, v := range e.Vertices {
-			if seen[int(v)] {
+		for _, r := range d.edge(int32(id)) {
+			if seen[r] {
 				return false
 			}
-			seen[int(v)] = true
+			seen[r] = true
 		}
 	}
 	return true

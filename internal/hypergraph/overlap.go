@@ -1,17 +1,17 @@
 package hypergraph
 
-import (
-	"slices"
-	"sort"
-)
+import "slices"
 
 // OverlapGraph is the occurrence/instance overlap graph (Definition 2.2.5)
 // projected from a hypergraph: one vertex per hypergraph edge, and an
 // (undirected, simple) edge between two vertices whenever the corresponding
 // hypergraph edges overlap under the chosen overlap predicate.
 type OverlapGraph struct {
-	n   int
-	adj [][]bool
+	n int
+	// adjOff/adjList: the neighbors of vertex i are
+	// adjList[adjOff[i]:adjOff[i+1]], ascending.
+	adjOff  []int32
+	adjList []int32
 	// h is the projected hypergraph when the graph was built by plain vertex
 	// overlap and nil under a predicate. Only then is an independent set a
 	// set of pairwise disjoint hyperedges, which the vertex-capacity bound
@@ -32,30 +32,41 @@ type OverlapPredicate func(a, b EdgeID) bool
 // is asked about every pair.
 func NewOverlapGraph(h *Hypergraph, pred OverlapPredicate) *OverlapGraph {
 	n := h.NumEdges()
-	og := &OverlapGraph{n: n, adj: make([][]bool, n)}
-	for i := range og.adj {
-		og.adj[i] = make([]bool, n)
-	}
+	og := &OverlapGraph{n: n, adjOff: make([]int32, n+1)}
 	if pred == nil {
 		og.h = h
-		for _, ids := range h.incidence {
-			for x := 0; x < len(ids); x++ {
-				for y := x + 1; y < len(ids); y++ {
-					a, b := ids[x], ids[y]
-					og.adj[a][b] = true
-					og.adj[b][a] = true
-				}
-			}
+		d := h.view()
+		mark := make([]int32, n)
+		for e := 0; e < n; e++ {
+			og.adjList = d.overlaps(int32(e), mark, og.adjList)
+			slices.Sort(og.adjList[og.adjOff[e]:])
+			og.adjOff[e+1] = int32(len(og.adjList))
 		}
 		return og
 	}
+	var pairs []int32
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if pred(EdgeID(i), EdgeID(j)) {
-				og.adj[i][j] = true
-				og.adj[j][i] = true
+				pairs = append(pairs, int32(i), int32(j))
+				og.adjOff[i+1]++
+				og.adjOff[j+1]++
 			}
 		}
+	}
+	for i := 0; i < n; i++ {
+		og.adjOff[i+1] += og.adjOff[i]
+	}
+	// Pairs arrive sorted by (i, j), so a vertex receives its smaller
+	// neighbors in order before its larger ones in order.
+	og.adjList = make([]int32, len(pairs))
+	next := slices.Clone(og.adjOff[:n])
+	for k := 0; k < len(pairs); k += 2 {
+		i, j := pairs[k], pairs[k+1]
+		og.adjList[next[i]] = j
+		next[i]++
+		og.adjList[next[j]] = i
+		next[j]++
 	}
 	return og
 }
@@ -64,26 +75,20 @@ func NewOverlapGraph(h *Hypergraph, pred OverlapPredicate) *OverlapGraph {
 // edges = occurrences or instances of the pattern).
 func (og *OverlapGraph) NumVertices() int { return og.n }
 
+// neighbors returns the vertices adjacent to i, ascending.
+func (og *OverlapGraph) neighbors(i int32) []int32 { return og.adjList[og.adjOff[i]:og.adjOff[i+1]] }
+
 // HasEdge reports whether overlap-graph vertices i and j are adjacent.
 func (og *OverlapGraph) HasEdge(i, j int) bool {
-	if i < 0 || j < 0 || i >= og.n || j >= og.n || i == j {
+	if i < 0 || j < 0 || i >= og.n || j >= og.n {
 		return false
 	}
-	return og.adj[i][j]
+	_, ok := slices.BinarySearch(og.neighbors(int32(i)), int32(j))
+	return ok
 }
 
 // NumEdges returns the number of overlap-graph edges.
-func (og *OverlapGraph) NumEdges() int {
-	count := 0
-	for i := 0; i < og.n; i++ {
-		for j := i + 1; j < og.n; j++ {
-			if og.adj[i][j] {
-				count++
-			}
-		}
-	}
-	return count
-}
+func (og *OverlapGraph) NumEdges() int { return len(og.adjList) / 2 }
 
 // IndependentSetResult is the outcome of a maximum independent set
 // computation on an overlap graph.
@@ -112,157 +117,205 @@ type IndependentSetResult struct {
 // hyperedges, so every further one consumes at least min-edge-size unused
 // hypergraph vertices.
 func (og *OverlapGraph) MaximumIndependentSet(maxNodes int) IndependentSetResult {
+	res, explored := og.maximumIndependentSet(maxNodes, 0)
+	mPackingNodes.Add(uint64(explored))
+	return res
+}
+
+// maximumIndependentSet is the search behind MaximumIndependentSet and
+// Hypergraph.MaximumIndependentEdgeSetBounded, whose upperBound it takes
+// (zero is no bound); it also returns the number of search nodes it explored.
+func (og *OverlapGraph) maximumIndependentSet(maxNodes, upperBound int) (IndependentSetResult, int) {
 	if og.n == 0 {
-		return IndependentSetResult{Exact: true}
+		return IndependentSetResult{Exact: true}, 0
 	}
-
-	order := make([]int, og.n)
-	for i := range order {
-		order[i] = i
+	s := independentSetSearch{
+		og:       og,
+		maxNodes: maxNodes,
+		upper:    upperBound,
+		order:    make([]int32, og.n),
+		posOf:    make([]int32, og.n),
+		blocked:  make([]int32, og.n),
+		weight:   make([]int32, og.n),
+		// Under a predicate members may share hypergraph vertices: weights
+		// of zero against a capacity of n leave the capacity bound vacuous.
+		capacity:  og.n,
+		minWeight: 1,
 	}
-	degree := make([]int, og.n)
-	for i := 0; i < og.n; i++ {
-		for j := 0; j < og.n; j++ {
-			if og.adj[i][j] {
-				degree[i]++
-			}
+	for i := range s.order {
+		s.order[i] = int32(i)
+	}
+	slices.SortFunc(s.order, func(a, b int32) int {
+		if da, db := len(og.neighbors(a)), len(og.neighbors(b)); da != db {
+			return da - db
 		}
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if degree[order[a]] != degree[order[b]] {
-			return degree[order[a]] < degree[order[b]]
-		}
-		return order[a] < order[b]
+		return int(a - b)
 	})
+	for p, i := range s.order {
+		s.posOf[i] = int32(p)
+	}
 
-	best := og.GreedyIndependentSet().Members
-
-	// Under a predicate members may share hypergraph vertices: weights of
-	// zero against a capacity of n leave the capacity bound vacuous.
-	weight := make([]int, og.n)
-	capacityTotal, minWeight := og.n, 1
+	s.best = og.greedyIndependentSet()
 	if og.h != nil {
-		var packing []int
-		for _, i := range order {
-			if !slices.ContainsFunc(packing, func(j int) bool { return og.adj[i][j] }) {
+		taken := make([]bool, og.n)
+		var packing []int32
+		for _, i := range s.order {
+			if !slices.ContainsFunc(og.neighbors(i), func(j int32) bool { return taken[j] }) {
+				taken[i] = true
 				packing = append(packing, i)
 			}
 		}
-		if len(packing) >= len(best) {
-			best = packing
+		if len(packing) >= len(s.best) {
+			s.best = packing
 		}
-		capacityTotal = og.h.NumVertices()
-		minWeight = len(og.h.edges[0].Vertices)
-		for i, e := range og.h.edges {
-			weight[i] = len(e.Vertices)
-			minWeight = min(minWeight, weight[i])
-		}
-	}
-
-	blocked := make([]int, og.n)
-	var current []int
-	usedWeight := 0
-	explored := 0
-	truncated := false
-
-	var search func(pos int)
-	search = func(pos int) {
-		if truncated {
-			return
-		}
-		explored++
-		if maxNodes > 0 && explored > maxNodes {
-			truncated = true
-			return
-		}
-		if len(current) > len(best) {
-			best = make([]int, len(current))
-			copy(best, current)
-		}
-		// Bound 1: still-selectable vertices beyond pos.
-		remaining := 0
-		for p := pos; p < og.n; p++ {
-			if blocked[order[p]] == 0 {
-				remaining++
-			}
-		}
-		// Bound 2: vertex capacity.
-		remaining = min(remaining, (capacityTotal-usedWeight)/minWeight)
-		if len(current)+remaining <= len(best) {
-			return
-		}
-		for p := pos; p < og.n; p++ {
-			i := order[p]
-			if blocked[i] != 0 {
-				continue
-			}
-			current = append(current, i)
-			usedWeight += weight[i]
-			for j := 0; j < og.n; j++ {
-				if og.adj[i][j] {
-					blocked[j]++
-				}
-			}
-			search(p + 1)
-			for j := 0; j < og.n; j++ {
-				if og.adj[i][j] {
-					blocked[j]--
-				}
-			}
-			usedWeight -= weight[i]
-			current = current[:len(current)-1]
-			if truncated {
-				return
-			}
+		d := og.h.view()
+		s.capacity = len(d.vertices)
+		s.minWeight = len(d.edge(0))
+		for e := range s.weight {
+			s.weight[e] = int32(len(d.edge(int32(e))))
+			s.minWeight = min(s.minWeight, int(s.weight[e]))
 		}
 	}
-	search(0)
+	if upperBound == 0 || len(s.best) < upperBound {
+		s.search(0, og.n)
+	}
 
-	sort.Ints(best)
-	return IndependentSetResult{Members: best, Size: len(best), Exact: !truncated}
+	members := make([]int, len(s.best))
+	for i, m := range s.best {
+		members[i] = int(m)
+	}
+	slices.Sort(members)
+	return IndependentSetResult{Members: members, Size: len(members), Exact: !s.truncated}, s.explored
+}
+
+// independentSetSearch is the state of one branch-and-bound independent set
+// search.
+type independentSetSearch struct {
+	og       *OverlapGraph
+	maxNodes int
+	upper    int
+
+	// order is the branch order (degree ascending, index ascending) and
+	// posOf its inverse.
+	order, posOf []int32
+	// blocked[j] counts the members of current adjacent to j.
+	blocked []int32
+	// weight, capacity and minWeight feed the vertex-capacity bound.
+	weight              []int32
+	capacity, minWeight int
+
+	current    []int32
+	usedWeight int
+	best       []int32
+
+	explored  int
+	truncated bool // the node budget ran out
+	stopped   bool // truncated, or the incumbent met the upper bound
+}
+
+// search explores the node whose independent set is current and whose
+// candidates are the unblocked vertices at branch positions pos and later;
+// remaining is their number.
+func (s *independentSetSearch) search(pos, remaining int) {
+	if s.stopped {
+		return
+	}
+	s.explored++
+	if s.maxNodes > 0 && s.explored > s.maxNodes {
+		s.truncated, s.stopped = true, true
+		return
+	}
+	if len(s.current) > len(s.best) {
+		s.best = slices.Clone(s.current)
+		if s.upper > 0 && len(s.best) >= s.upper {
+			s.stopped = true
+			return
+		}
+	}
+	// Bound 1 is remaining, the still-selectable vertices; bound 2 the
+	// vertex capacity.
+	if len(s.current)+min(remaining, (s.capacity-s.usedWeight)/s.minWeight) <= len(s.best) {
+		return
+	}
+	for p := pos; remaining > 0; p++ {
+		i := s.order[p]
+		if s.blocked[i] != 0 {
+			continue
+		}
+		// Taking i leaves the candidates after p that it does not block.
+		remaining--
+		left := remaining
+		for _, j := range s.og.neighbors(i) {
+			if s.blocked[j] == 0 && s.posOf[j] > int32(p) {
+				left--
+			}
+			s.blocked[j]++
+		}
+		s.current = append(s.current, i)
+		s.usedWeight += int(s.weight[i])
+		s.search(p+1, left)
+		s.usedWeight -= int(s.weight[i])
+		s.current = s.current[:len(s.current)-1]
+		for _, j := range s.og.neighbors(i) {
+			s.blocked[j]--
+		}
+		if s.stopped {
+			return
+		}
+	}
 }
 
 // GreedyIndependentSet computes an inclusion-maximal independent set by
-// repeatedly taking the minimum-degree vertex and discarding its neighbors.
+// repeatedly taking the minimum-degree vertex (the lowest index among equals)
+// and discarding its neighbors.
 func (og *OverlapGraph) GreedyIndependentSet() IndependentSetResult {
 	if og.n == 0 {
 		return IndependentSetResult{Exact: true}
 	}
+	picked := og.greedyIndependentSet()
+	members := make([]int, len(picked))
+	for i, m := range picked {
+		members[i] = int(m)
+	}
+	slices.Sort(members)
+	return IndependentSetResult{Members: members, Size: len(members), Exact: false}
+}
+
+// greedyIndependentSet returns the greedy set in pick order. live[i] is the
+// number of alive neighbors of i, kept current as vertices die, so a pick is
+// one scan of the vertices.
+func (og *OverlapGraph) greedyIndependentSet() []int32 {
 	alive := make([]bool, og.n)
+	live := make([]int32, og.n)
 	for i := range alive {
 		alive[i] = true
+		live[i] = int32(len(og.neighbors(int32(i))))
 	}
-	aliveCount := og.n
-	var members []int
-	for aliveCount > 0 {
-		best := -1
-		bestDeg := -1
-		for i := 0; i < og.n; i++ {
-			if !alive[i] {
-				continue
-			}
-			deg := 0
-			for j := 0; j < og.n; j++ {
-				if alive[j] && og.adj[i][j] {
-					deg++
-				}
-			}
-			if best == -1 || deg < bestDeg {
-				best, bestDeg = i, deg
+	kill := func(x int32) {
+		alive[x] = false
+		for _, y := range og.neighbors(x) {
+			live[y]--
+		}
+	}
+	var members []int32
+	for aliveCount := og.n; aliveCount > 0; {
+		best := int32(-1)
+		for i := int32(0); i < int32(og.n); i++ {
+			if alive[i] && (best == -1 || live[i] < live[best]) {
+				best = i
 			}
 		}
 		members = append(members, best)
-		alive[best] = false
+		kill(best)
 		aliveCount--
-		for j := 0; j < og.n; j++ {
-			if alive[j] && og.adj[best][j] {
-				alive[j] = false
+		for _, j := range og.neighbors(best) {
+			if alive[j] {
+				kill(j)
 				aliveCount--
 			}
 		}
 	}
-	sort.Ints(members)
-	return IndependentSetResult{Members: members, Size: len(members), Exact: false}
+	return members
 }
 
 // IsIndependentSet reports whether the given overlap-graph vertices are
@@ -303,19 +356,13 @@ func (og *OverlapGraph) GreedyCliquePartition() CliquePartitionResult {
 		}
 		clique := []int{v}
 		assigned[v] = true
-		for w := v + 1; w < og.n; w++ {
-			if assigned[w] {
+		// A member is adjacent to v, so only v's later neighbors can join.
+		for _, w := range og.neighbors(int32(v)) {
+			if int(w) < v || assigned[w] {
 				continue
 			}
-			ok := true
-			for _, c := range clique {
-				if !og.adj[c][w] {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				clique = append(clique, w)
+			if !slices.ContainsFunc(clique, func(c int) bool { return !og.HasEdge(c, int(w)) }) {
+				clique = append(clique, int(w))
 				assigned[w] = true
 			}
 		}

@@ -126,9 +126,8 @@ func (o *Occurrence) Images() []graph.VertexID {
 
 // VertexSet returns f(V_P) as a sorted slice without duplicates.
 func (o *Occurrence) VertexSet() []graph.VertexID {
-	out := make([]graph.VertexID, len(o.images))
-	copy(out, o.images)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := slices.Clone(o.images)
+	slices.Sort(out)
 	return out
 }
 

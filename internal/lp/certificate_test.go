@@ -229,7 +229,8 @@ func TestSolveDegenerateProblem(t *testing.T) {
 // edges from the fuzz input — each edge is a size byte (1 to 4 mentions)
 // followed by that many vertex bytes — and asserts the certificate together
 // with the integral sandwich ⌈ν⌉ ≤ σ_MVC and σ_MIES ≤ ⌊ν⌋ against the
-// unbudgeted exact solvers.
+// unbudgeted exact solvers, and that an edge repeating an earlier vertex set
+// is given exactly zero: it has no column to enter the basis with.
 func FuzzRelaxationCertificate(f *testing.F) {
 	f.Add([]byte{})
 	// The triangle of Figure 2, six times over.
@@ -238,6 +239,15 @@ func FuzzRelaxationCertificate(f *testing.F) {
 	f.Add([]byte{1, 1, 5, 1, 1, 6, 1, 1, 7, 1, 1, 8, 1, 2, 8, 1, 3, 8, 1, 4, 8})
 	// A 5-cycle (ν = 2.5) with a singleton, a 4-edge and a repeated mention.
 	f.Add([]byte{1, 0, 1, 1, 1, 2, 1, 2, 3, 1, 3, 4, 1, 4, 0, 0, 9, 3, 5, 6, 7, 8, 2, 5, 5, 6})
+	// The occurrence hypergraph of a 3-leaf star pattern: five hub-and-leaves
+	// sets, each once per automorphism of the pattern.
+	var star []byte
+	for _, set := range [][]byte{{0, 2, 3, 4}, {0, 2, 3, 5}, {0, 2, 4, 5}, {0, 3, 4, 5}, {1, 3, 4, 5}} {
+		for rep := 0; rep < 6; rep++ {
+			star = append(append(star, 3), set...)
+		}
+	}
+	f.Add(star)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h := hypergraph.New()
 		for len(data) > 0 && h.NumEdges() < 40 {
@@ -254,6 +264,11 @@ func FuzzRelaxationCertificate(f *testing.F) {
 		}
 		res := solveBothWays(t, h)
 		certify(t, h, res)
+		for e, first := range h.EdgeClasses() {
+			if int(first) != e && math.Float64bits(res.Packing[e]) != 0 {
+				t.Fatalf("%v %v: edge %d repeats edge %d and got y = %v", h, h.Edges(), e, first, res.Packing[e])
+			}
+		}
 		if cover := h.MinimumVertexCover(0); int(math.Ceil(res.Value-1e-6)) > cover.Size {
 			t.Fatalf("%v %v: integral cover %d below fractional %v", h, h.Edges(), cover.Size, res.Value)
 		}

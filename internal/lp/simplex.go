@@ -6,9 +6,34 @@
 // constraint is "sum of y over the edges at a vertex <= 1" with a non-negative
 // right-hand side, so the all-slack basis is feasible from the start, and the
 // covering LP is never solved on its own — its optimal x is read off the final
-// objective row. The solver targets the moderate sizes of occurrence
-// hypergraphs (hundreds of vertices, thousands of edges), not industrial LP
-// workloads.
+// objective row.
+//
+// Two things keep a pivot at the price of the numbers it changes, and neither
+// changes a pivot. The tableau has one column per distinct vertex set, not per
+// edge: the |Aut(P)| occurrences of one instance are identical columns, an
+// identical column keeps the reduced cost of its class's first edge through
+// every row operation and loses every Dantzig and Bland tie to it (both take
+// the lowest index), so it never enters the basis — its y is 0 whether it has
+// a column or not, and dropping it leaves the kept columns in their order, so
+// pricing and the ratio test's lowest-basis-index tie-break decide as before.
+// And a pivot subtracts multiples of the pivot row, which in a packing tableau
+// is mostly zeros: its non-zero positions are gathered once per pivot, into a
+// scratch slice owned by the solve, and every row is updated over those only —
+// the skipped terms are x - f·0. Pivot sequence, every floating-point
+// operation on a non-zero entry and hence ν's bits are those of the
+// uncollapsed, dense-row solver kept as the oracle in reference_test.go. (One
+// path is not covered by the argument: a column disabled as round-off noise
+// takes its whole class with it, where the uncollapsed solver would go on to
+// try the duplicates one by one; that needs a reduced cost above 1e-7 on a
+// column with no positive entry and has not been seen to happen.)
+//
+// Solve is also a scheduling point: it yields the processor before it
+// allocates the tableau and after the pivots, so that a garbage collection in
+// flight does not ride through the burst of allocation and the scheduler-free
+// arithmetic between them (see the comment in Solve).
+//
+// The solver targets the moderate sizes of occurrence hypergraphs (hundreds
+// of vertices, thousands of edges), not industrial LP workloads.
 package lp
 
 import "math"
@@ -51,10 +76,10 @@ const (
 // entry), which callers use for dual extraction.
 //
 // Reduced costs are maintained in an explicit objective row that is pivoted
-// together with the constraint rows, so each iteration costs O(m * n) for the
-// pivot and O(n) for pricing. Column selection uses Dantzig's rule (most
-// negative reduced cost) and falls back to Bland's anti-cycling rule after a
-// long run of degenerate pivots.
+// together with the constraint rows, so each iteration costs O(m * nnz) for
+// the pivot, nnz being the non-zeros of the pivot row, and O(n) for pricing.
+// Column selection uses Dantzig's rule (most negative reduced cost) and falls
+// back to Bland's anti-cycling rule after a long run of degenerate pivots.
 func runSimplex(tab [][]float64, basis []int, objective []float64, totalCols int) (Status, []float64) {
 	m := len(tab)
 
@@ -88,6 +113,14 @@ func runSimplex(tab [][]float64, basis []int, objective []float64, totalCols int
 	// disabled marks columns that looked improving but turned out to be
 	// round-off noise (no positive pivot entry and a tiny reduced cost).
 	disabled := make([]bool, totalCols)
+	// nonZero is this solve's scratch for the pivot row's non-zero columns,
+	// refilled by every pivot and never reallocated.
+	nonZero := make([]int32, 0, totalCols+1)
+	pivots, blandPivots := uint64(0), uint64(0)
+	defer func() {
+		mPivots.Add(pivots)
+		mBlandPivots.Add(blandPivots)
+	}()
 
 	for iter := 0; iter < maxIterations; iter++ {
 		// Entering column: in the z_j - c_j convention kept in objRow, any
@@ -106,7 +139,7 @@ func runSimplex(tab [][]float64, basis []int, objective []float64, totalCols int
 			for j := 0; j < totalCols; j++ {
 				if !disabled[j] && objRow[j] > priceEps {
 					entering = j
-					mBlandPivots.Inc()
+					blandPivots++
 					break
 				}
 			}
@@ -139,24 +172,36 @@ func runSimplex(tab [][]float64, basis []int, objective []float64, totalCols int
 		} else {
 			degenerate = 0
 		}
-		pivot(tab, basis, leaving, entering, totalCols)
-		mPivots.Inc()
+		nonZero = pivot(tab, basis, leaving, entering, nonZero[:0])
+		pivots++
 		// Pivot the objective row as well.
 		factor := objRow[entering]
 		if math.Abs(factor) > eps {
-			for j := 0; j <= totalCols; j++ {
-				objRow[j] -= factor * tab[leaving][j]
+			prow := tab[leaving]
+			for _, j := range nonZero {
+				objRow[j] -= factor * prow[j]
 			}
 		}
 	}
 	return IterationLimit, objRow
 }
 
-// pivot performs a standard tableau pivot on (row, col).
-func pivot(tab [][]float64, basis []int, row, col, totalCols int) {
-	pv := tab[row][col]
-	for j := 0; j <= totalCols; j++ {
-		tab[row][j] /= pv
+// pivot performs a standard tableau pivot on (row, col). It gathers the
+// columns where the pivot row is non-zero into nonZero (passed in empty, with
+// the capacity of a full row, and returned filled) and updates the other rows
+// over those only: wherever the pivot row holds a zero, a dense update would
+// subtract factor·0 and leave the entry as it was. No tableau entry is ever a
+// negative zero — rows start as +0 and 1, a quotient by the positive pivot
+// keeps its sign, and a difference is -0 only from a -0 — so "as it was" is
+// exact, not just equal.
+func pivot(tab [][]float64, basis []int, row, col int, nonZero []int32) []int32 {
+	prow := tab[row]
+	pv := prow[col]
+	for j, x := range prow {
+		if x != 0 {
+			prow[j] = x / pv
+			nonZero = append(nonZero, int32(j))
+		}
 	}
 	for i := range tab {
 		if i == row {
@@ -166,9 +211,11 @@ func pivot(tab [][]float64, basis []int, row, col, totalCols int) {
 		if math.Abs(factor) <= eps {
 			continue
 		}
-		for j := 0; j <= totalCols; j++ {
-			tab[i][j] -= factor * tab[row][j]
+		r := tab[i]
+		for _, j := range nonZero {
+			r[j] -= factor * prow[j]
 		}
 	}
 	basis[row] = col
+	return nonZero
 }

@@ -189,3 +189,62 @@ func TestMISIsMIES(t *testing.T) {
 		t.Errorf("the sweep checked %d contexts, want 156", checked)
 	}
 }
+
+// TestSearchTreesUnmoved pins the exact searches on the two small
+// eval-measures cases, without the LP bound (the unbounded entry points the
+// benchmark's probes call) and at the probes' 20 000-node budget, to what the
+// map-based searches did before the solvers moved onto the dense view: the
+// cover search explores 7 409 nodes on the edge pattern and is cut off on
+// node 20 001 on the path, and both searches return the covers and packings
+// recorded then. Handed ⌈ν⌉ — what measures.MVC does — the edge search stops
+// on the same cover the moment it finds it, which a 50-node budget is enough
+// for.
+func TestSearchTreesUnmoved(t *testing.T) {
+	coverNodes := obs.Default.Counter("repro_cover_search_nodes_total")
+	packingNodes := obs.Default.Counter("repro_packing_search_nodes_total")
+	cases := []struct {
+		pattern      string
+		coverNodes   uint64
+		coverExact   bool
+		cover        string
+		packingNodes uint64
+		packing      string
+	}{
+		{"edge", 7409, true, "[0 1 2 4 5 6 7 8 9 10 11 17 19 20 28 29 32 35 36 49 50 52 67 73 76 80 85 92]",
+			20001, "[5 13 18 22 26 32 36 40 42 43 46 49 54 58 61 63 66 67 68 72 74 76 79 81 84 86 87 88]"},
+		{"path", 20001, false, "[0 1 2 3 4 6 9 10 16 18 20 24 32 33 36 40 49 57]",
+			20001, "[48 131 162 181 203 230 239 253 287 296 313 332 337 355 363 365 400 424]"},
+	}
+	for _, c := range cases {
+		ctx := mustContext(t, barabasiAlbert(100, 1), queryPatterns[c.pattern])
+		h := ctx.OccurrenceHypergraph()
+
+		before := coverNodes.Value()
+		cover := h.MinimumVertexCover(20000)
+		if n := coverNodes.Value() - before; n != c.coverNodes {
+			t.Errorf("%s: the cover search explored %d nodes, want %d", c.pattern, n, c.coverNodes)
+		}
+		if got := fmt.Sprint(cover.Cover); got != c.cover || cover.Exact != c.coverExact {
+			t.Errorf("%s: cover %s (exact %v), want %s (exact %v)", c.pattern, got, cover.Exact, c.cover, c.coverExact)
+		}
+
+		before = packingNodes.Value()
+		packing := h.MaximumIndependentEdgeSet(20000)
+		if n := packingNodes.Value() - before; n != c.packingNodes {
+			t.Errorf("%s: the packing search explored %d nodes, want %d", c.pattern, n, c.packingNodes)
+		}
+		if got := fmt.Sprint(packing.Edges); got != c.packing || packing.Exact {
+			t.Errorf("%s: packing %s (exact %v), want %s (exact false)", c.pattern, got, packing.Exact, c.packing)
+		}
+	}
+
+	ctx := mustContext(t, barabasiAlbert(100, 1), queryPatterns["edge"])
+	before := coverNodes.Value()
+	res, err := measures.MVC{MaxNodes: 50}.Compute(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := coverNodes.Value() - before; !res.Exact || res.Witness != "vertex cover "+cases[0].cover || n >= 50 {
+		t.Errorf("MVC under ⌈ν⌉ and 50 nodes: %v (exact %v) after %d nodes, %s", res.Value, res.Exact, n, res.Witness)
+	}
+}

@@ -3,8 +3,10 @@ package measures
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/isomorph"
 	"repro/internal/pattern"
 )
@@ -52,7 +54,7 @@ func (m MI) Compute(ctx *core.Context) (Result, error) {
 	if len(subsets) == 0 {
 		return Result{}, fmt.Errorf("measures: pattern yielded no transitive node subsets")
 	}
-	minSubset, minCount := minDistinctImages(occs, subsets)
+	minSubset, minCount := minDistinctImages(ctx, subsets)
 	return Result{
 		Measure: NameMI,
 		Value:   float64(minCount),
@@ -62,30 +64,65 @@ func (m MI) Compute(ctx *core.Context) (Result, error) {
 }
 
 // minDistinctImages returns the subset with the fewest distinct set-images
-// {f_i(subset)} across occs, and that number: the minimization MI runs over
-// transitive node subsets and MNIK over connected k-subsets. The first
-// minimizing subset in the given order wins. subsets must not be empty.
-func minDistinctImages(occs []*isomorph.Occurrence, subsets [][]pattern.NodeID) ([]pattern.NodeID, int) {
+// {f_i(subset)} across the context's occurrences, and that number: the
+// minimization MI runs over transitive node subsets and MNIK over connected
+// k-subsets. The first minimizing subset in the given order wins. subsets
+// must not be empty.
+//
+// A singleton's distinct images are its node's MNI domain, whose size the
+// context counted while it was built; only a subset of several nodes has its
+// images hashed, through one key buffer, one image buffer and one map reused
+// across occurrences and subsets.
+func minDistinctImages(ctx *core.Context, subsets [][]pattern.NodeID) ([]pattern.NodeID, int) {
+	occs, nodes, sizes := ctx.Occurrences(), ctx.Pattern().Nodes(), ctx.MNIDomainSizes()
 	minCount := -1
 	var minSubset []pattern.NodeID
-	var key []byte
+	var (
+		at     []int // positions of the subset's nodes in an occurrence
+		image  []graph.VertexID
+		key    []byte
+		images map[string]bool
+	)
 	for _, subset := range subsets {
-		images := make(map[string]bool, len(occs))
-		for _, o := range occs {
-			// Varints are prefix-free, so distinct sorted images get
-			// distinct keys with no separator.
-			key = key[:0]
-			for _, v := range o.SubsetImage(subset) {
-				key = binary.AppendVarint(key, int64(v))
-			}
-			// The lookup converts without allocating; only a new image
-			// pays for its string.
-			if !images[string(key)] {
-				images[string(key)] = true
+		at = at[:0]
+		for _, n := range subset {
+			if i, ok := slices.BinarySearch(nodes, n); ok {
+				at = append(at, i)
 			}
 		}
-		if minCount < 0 || len(images) < minCount {
-			minCount = len(images)
+		count := 0
+		if len(at) == 1 {
+			count = sizes[at[0]]
+		} else {
+			if images == nil {
+				images = make(map[string]bool, len(occs))
+			}
+			clear(images)
+			for _, o := range occs {
+				image = image[:0]
+				for _, i := range at {
+					image = append(image, o.ImageAt(i))
+				}
+				// An occurrence is injective, so only a node repeated in the
+				// subset repeats an image.
+				slices.Sort(image)
+				image = slices.Compact(image)
+				// Varints are prefix-free, so distinct sorted images get
+				// distinct keys with no separator.
+				key = key[:0]
+				for _, v := range image {
+					key = binary.AppendVarint(key, int64(v))
+				}
+				// The lookup converts without allocating; only a new image
+				// pays for its string.
+				if !images[string(key)] {
+					images[string(key)] = true
+				}
+			}
+			count = len(images)
+		}
+		if minCount < 0 || count < minCount {
+			minCount = count
 			minSubset = subset
 		}
 	}

@@ -2,11 +2,9 @@ package measures
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/hypergraph"
-	"repro/internal/lp"
 )
 
 // OverlapMode selects the overlap notion used when building the overlap
@@ -118,33 +116,24 @@ func (m MIS) Compute(ctx *core.Context) (Result, error) {
 	}, nil
 }
 
-// miesLPShortcut reports whether the greedy independent edge set of the
-// context's hypergraph is certified maximum by the upper bound of its one LP
-// relaxation, and if so its size.
-func miesLPShortcut(ctx *core.Context) (int, bool) {
-	frac := ctx.Relaxation()
-	if frac.Status != lp.Optimal {
-		return 0, false
-	}
-	best := ctx.OccurrenceHypergraph().GreedyIndependentEdgeSet().Size
-	upper := int(math.Floor(frac.Value + 1e-6))
-	return best, best >= upper
-}
-
 // independentEdgeSet computes σ_MIES = σ_MIS (Theorem 4.1) on a context with
-// at least one occurrence: the greedy packing when the LP bound certifies it
-// — only Size and Exact are set then, and certified is true — and otherwise
-// the branch-and-bound search under the given node budget (zero means
-// DefaultMaxNodes). The certificate is tried first because it needs no
-// quadratic structure; the search builds the conflict matrix.
+// at least one occurrence: the greedy packing when it reaches the upper bound
+// of the context's LP relaxation and is thereby certified maximum — only Size
+// and Exact are set then, and certified is true — and otherwise the
+// branch-and-bound search under the given node budget (zero means
+// DefaultMaxNodes), which is handed the same bound and ends the moment it
+// finds a packing that large. The certificate is tried first because it needs
+// no quadratic structure; the search builds the conflict lists.
 func independentEdgeSet(ctx *core.Context, maxNodes int) (res hypergraph.MatchingResult, certified bool) {
-	if size, ok := miesLPShortcut(ctx); ok {
+	h := ctx.OccurrenceHypergraph()
+	_, upper := nuBounds(ctx)
+	if size := h.GreedyIndependentEdgeSet().Size; upper > 0 && size >= upper {
 		return hypergraph.MatchingResult{Size: size, Exact: true}, true
 	}
 	if maxNodes == 0 {
 		maxNodes = DefaultMaxNodes
 	}
-	return ctx.OccurrenceHypergraph().MaximumIndependentEdgeSet(maxNodes), false
+	return h.MaximumIndependentEdgeSetBounded(maxNodes, upper), false
 }
 
 // MIES is the maximum independent edge set support (Definition 4.2.1): the

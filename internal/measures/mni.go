@@ -72,7 +72,7 @@ func (m MNIK) Compute(ctx *core.Context) (Result, error) {
 	if len(subsets) == 0 {
 		return Result{}, fmt.Errorf("measures: pattern has no connected node subsets of size %d", k)
 	}
-	minSubset, minCount := minDistinctImages(occs, subsets)
+	minSubset, minCount := minDistinctImages(ctx, subsets)
 	return Result{
 		Measure: NameMNIK,
 		Value:   float64(minCount),

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/hypergraph"
 	"repro/internal/lp"
 )
 
@@ -29,7 +30,7 @@ type MVC struct {
 // adversarial pattern; when it is exhausted the best bound found so far is
 // returned with Exact=false. Exact measures first try to certify a greedy
 // solution against the context's one LP relaxation (mvcLPShortcut,
-// miesLPShortcut), so the budget is only consumed on instances the bound does
+// independentEdgeSet), so the budget is only consumed on instances the bound does
 // not close; MIS and MIES spend it in the same search, so under any budget
 // they report the same value with the same Exact flag.
 const DefaultMaxNodes = 200_000
@@ -64,7 +65,8 @@ func (m MVC) Compute(ctx *core.Context) (Result, error) {
 	// matches the ceiling of the fractional optimum, it is provably minimum
 	// (sigma_MVC is an integer >= nu_MVC), so the exponential search can be
 	// skipped entirely.
-	if size, ok := mvcLPShortcut(ctx); ok {
+	lower, _ := nuBounds(ctx)
+	if size, ok := mvcLPShortcut(h, lower); ok {
 		return Result{
 			Measure: NameMVC,
 			Value:   float64(size),
@@ -76,7 +78,9 @@ func (m MVC) Compute(ctx *core.Context) (Result, error) {
 	if budget == 0 {
 		budget = DefaultMaxNodes
 	}
-	res := h.MinimumVertexCover(budget)
+	// The search gets the same bound: it ends the moment it finds a cover of
+	// that size rather than spending the budget on proving it minimum.
+	res := h.MinimumVertexCoverBounded(budget, lower)
 	return Result{
 		Measure: NameMVC,
 		Value:   float64(res.Size),
@@ -85,20 +89,25 @@ func (m MVC) Compute(ctx *core.Context) (Result, error) {
 	}, nil
 }
 
-// mvcLPShortcut reports whether the best polynomial heuristic cover of the
-// context's hypergraph is certified optimal by the lower bound of its one LP
-// relaxation, and if so its size.
-func mvcLPShortcut(ctx *core.Context) (int, bool) {
+// nuBounds returns the integer bounds the context's one LP relaxation puts
+// on the exact measures: σ_MVC ≥ ⌈ν⌉ and σ_MIES = σ_MIS ≤ ⌊ν⌋, each taken with
+// a 1e-6 allowance for round-off in ν. Both are zero — no bound — when the
+// simplex stopped short of an optimum.
+func nuBounds(ctx *core.Context) (coverLower, packingUpper int) {
 	frac := ctx.Relaxation()
 	if frac.Status != lp.Optimal {
-		return 0, false
+		return 0, 0
 	}
-	h := ctx.OccurrenceHypergraph()
+	return int(math.Ceil(frac.Value - 1e-6)), int(math.Floor(frac.Value + 1e-6))
+}
+
+// mvcLPShortcut reports whether the best polynomial heuristic cover of h is
+// certified optimal by lower, the bound of nuBounds, and if so its size.
+func mvcLPShortcut(h *hypergraph.Hypergraph, lower int) (int, bool) {
 	best := h.GreedyVertexCover().Size
 	if alt := h.MatchingVertexCover().Size; alt < best {
 		best = alt
 	}
-	lower := int(math.Ceil(frac.Value - 1e-6))
 	return best, best <= lower
 }
 

@@ -67,6 +67,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"repro_graph_mutations_total",      // graph mutation layer
 		"repro_delta_refreshes_total",      // delta maintenance
 		"repro_lp_solves_total",            // LP relaxation
+		"repro_cover_search_nodes_total",   // exact searches
+		"repro_packing_search_nodes_total", //
 		"repro_store_page_ins_total",       // shard residency
 		"repro_store_resident_bytes",       // residency gauge
 		"repro_wal_fsync_seconds",          // WAL durability
