@@ -126,7 +126,7 @@ func NewContext(g *graph.Graph, p *pattern.Pattern, opts Options) (*Context, err
 		// and every worker folds the ones it is lent into its own
 		// accumulator, each standing for |Aut(P)| occurrences.
 		c := newInstanceCounter(p)
-		all := c.accumulate(snap, opts.Parallelism, nil, nil)
+		all := c.accumulate(snap, opts.Parallelism)
 		ctx.numInstances = all.count
 		ctx.numOccurrences = c.occurrences(all.count)
 		ctx.domainSizes = all.table.sizes()

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/graph"
+	"repro/internal/isomorph"
 	"repro/internal/pattern"
 )
 
@@ -14,66 +15,84 @@ import (
 // re-answered after an update without re-enumerating the whole graph.
 //
 // It is the measure-level continuation of the graph layer's incremental
-// refreeze: where FreezeSharded rebuilds only dirty CSR shards, DeltaContext
-// re-enumerates only occurrences that can involve mutated structure. The
-// construction follows the dynamic query-answering discipline of Berkholz,
-// Keppeler and Schweikardt ("Answering FO+MOD queries under updates"): the
-// maintained state is a refcounted table (a multiplicity per projected
-// tuple), keyed by VertexID because it outlives every snapshot it was
-// computed on, and each update batch is turned into exact insert/delete
-// deltas against it.
+// refreeze: where FreezeSharded rebuilds only the rows a mutation made stale,
+// DeltaContext re-enumerates only the instances through the vertices it
+// touched. The construction follows the dynamic query-answering discipline of
+// Berkholz, Keppeler and Schweikardt ("Answering FO+MOD queries under
+// updates"): the maintained state is a refcounted table (a multiplicity per
+// projected tuple), keyed by VertexID because it outlives every snapshot it
+// was computed on, each update batch is turned into exact insert/delete
+// deltas against it, and what an update costs is bounded by the neighbourhood
+// of the change, not by the database.
 //
-// Mechanically, a DeltaContext subscribes to the graph's mutation feed and
-// retains the snapshot it last synchronized on. Refresh drains the feed and,
-// for a small update batch, runs two root-restricted enumerations, one per
-// side of the mutation, each over that side's own mutation ball: every vertex
-// within radius hops of a dirty vertex, where the radius is the pattern's
-// diameter. An occurrence f touching a dirty vertex f(a) has every image f(b)
-// within dist_P(a, b) <= diam(P) hops of it, because pattern edges map onto
-// data edges — so the ball bounds where an affected occurrence can be rooted
-// and holds all of its images, which is also what lets a pass count into rows
-// the size of its ball (table.go). The dirty set is per side too: the batch's
-// dirty VertexIDs are translated once into each snapshot's dense indexes — a
-// removed vertex exists only on the old side, an added one only on the new —
-// and occurrences are tested against it in index space.
+// A DeltaContext retains the snapshot it last synchronized on and absorbs one
+// Batch at a time: the mutations since then, the snapshot after them, and the
+// batch's dirty vertices — every endpoint of an added or removed edge, every
+// added or removed vertex — as dense indexes of either side (a removed vertex
+// exists only on the old side, an added one only on the new). An instance the
+// batch created uses an added edge or vertex, an instance it destroyed used a
+// removed one, so both have a dirty vertex among their images; every other
+// instance is the same subgraph on both sides. The delta rule of incremental
+// view maintenance then says what to do: add the instances of the new snapshot
+// that touch a dirty vertex (the plus pass), subtract those of the old one
+// (the minus pass), leave the rest alone. Because the state is refcounted, the
+// subtraction is exact — stale contributions are removed entry by entry, not
+// approximated — and an instance the batch left alone is added and subtracted
+// entry for entry.
 //
-// A plus-pass on the new snapshot counts every instance touching mutated
-// structure, a minus-pass on the retained old snapshot counts the stale
-// pre-mutation contributions of the same region — including every instance
-// a removal destroyed — and the signed difference is folded into the
-// refcounted state. Instances outside the balls are untouched on both sides
-// and never re-enumerated. Because the state is refcounted, the subtraction
-// is exact — stale contributions are removed entry by entry, not approximated.
+// A pass finds the instances touching a dirty vertex by rooting the search
+// there rather than by filtering a wider enumeration. For the first position
+// j₀ of every node orbit of Aut(P) it runs isomorph.EnumeratePinned with j₀
+// pinned at the side's dirty indexes D, under the pattern's symmetry: the
+// occurrences of an instance I that map j₀ to x are one coset of j₀'s
+// stabiliser whenever x is an image of j₀'s orbit, and the pinned search
+// delivers one occurrence per coset, so over all orbits exactly one
+// representative arrives per pair (I, x ∈ V(I) ∩ D) — an instance's vertex is
+// an image of exactly one orbit. The pass counts a representative iff its root
+// image is the smallest dirty index among its images, which keeps one of those
+// pairs per instance: every instance touching D is counted once, as one
+// representative, into one row per node orbit (table.go), exactly as a
+// complete streaming pass counts it. What a pass adds for an instance with
+// representative f is one to (orbit(j), f(j)) for every pattern node j; for
+// another occurrence f∘σ of the same instance that is one to (orbit(σ(j)),
+// f(σ(j))), the same entries summed in another order — so the two passes of a
+// refresh need not agree on which occurrence stands for an instance, and will
+// not when the planner orders the searches differently on the two snapshots.
+// The search stays at instance level on purpose: the occurrence-level rule
+// "the first dirty position wins, divide by |Aut(P)|" is exact too, but at a
+// dirty hub of degree d it walks the d⁴ ordered leaf tuples of a 4-leaf star
+// where the pinned, symmetry-broken search walks the C(d, 4) stars.
 //
-// Every pass searches one representative occurrence per instance
-// (isomorph.Options.Symmetry) and counts it into one row per node orbit, and
-// the two passes of a refresh need not agree on which occurrence that is —
-// they will not, when the planner orders the search differently on the two
-// snapshots. What a pass adds for an instance with representative f is one to
-// (orbit(j), f(j)) for every pattern node j; for another occurrence f∘σ of
-// the same instance that is one to (orbit(j), f(σ(j))) = (orbit(σ(j)),
-// f(σ(j))), the same entries summed in another order. Touching a dirty vertex
-// and lying inside the ball are properties of the image as well. So an
-// instance the batch left alone is added by the plus pass and subtracted by
-// the minus pass entry for entry, whichever occurrences stood for it, and the
-// state counts instances (occurrences are |Aut(P)| times that) without ever
-// naming a representative. The resulting aggregates are identical to a
-// from-scratch streamed Context for every shard count and parallelism
-// setting, under insertions and deletions alike. When either ball grows past
-// half its graph (a mutation storm that saturates every shard), Refresh falls
-// back to a from-scratch re-enumeration instead, which is cheaper than two
-// nearly-full delta passes and keeps answers exact.
+// An occurrence f touching a dirty vertex f(a) has every image f(b) within
+// dist_P(a, b) <= diam(P) hops of it, because pattern edges map onto data
+// edges. So the side's mutation ball of radius diam(P) — every vertex within
+// that many hops of a dirty one, BFS-grown over the side's own topology —
+// holds every image a pass counts, and is the universe its table is laid out
+// over: a pass costs rows the size of its ball, not of the graph. When either
+// ball grows past half its graph (a mutation storm that saturates every
+// shard), the context falls back to a from-scratch re-enumeration instead,
+// which is cheaper than two nearly-full delta passes and keeps answers exact.
+// The resulting aggregates are identical to a from-scratch streamed Context
+// for every shard count and parallelism setting, under insertions and
+// deletions alike.
 //
-// A DeltaContext is not safe for concurrent use: Refresh and the read
+// A context built by NewDeltaContext subscribes to the graph's mutation feed
+// and Refresh makes its own one-context batch; one built by NewDeltaContextAt
+// is handed its batches by an owner that tracks many patterns (the incremental
+// miner) and prepares each batch once for all of them. Both apply it through
+// Apply.
+//
+// A DeltaContext is not safe for concurrent use: Refresh, Apply and the read
 // accessors must not race with each other or with mutations of the
-// underlying graph, mirroring the Graph's own reader contract.
+// underlying graph, mirroring the Graph's own reader contract. A Batch is
+// read-only once built, so any number of contexts may apply one concurrently.
 type DeltaContext struct {
 	g    *graph.Graph
 	p    *pattern.Pattern
 	opts Options
 
-	feed *graph.MutationFeed
-	snap *graph.Snapshot // the snapshot the state is synchronized with
+	feed *graph.MutationFeed // nil when the owner hands the batches in
+	snap *graph.Snapshot     // the snapshot the state is synchronized with
 
 	// counter runs every pass: the pattern's symmetry, derived once, and the
 	// orbit-row layout of the pass tables and of state.
@@ -81,8 +100,12 @@ type DeltaContext struct {
 	// state is what every pass is folded into: the live instance count and
 	// the refcounted, VertexID-keyed MNI domains, one row per node orbit.
 	state *domainState
-	// radius is the pattern's diameter, the radius of every mutation ball.
+	// radius is the pattern's diameter, the radius of the mutation balls the
+	// pass tables are laid out over.
 	radius int
+	// pins[r] is the first node position of orbit r: where a delta pass pins
+	// its searches.
+	pins []int
 
 	stats DeltaStats
 }
@@ -90,17 +113,25 @@ type DeltaContext struct {
 // DeltaStats counts the maintenance work a DeltaContext has done; tests and
 // benchmarks use it to assert which path a refresh took.
 type DeltaStats struct {
-	// Refreshes is the number of Refresh calls, including no-op ones.
+	// Refreshes is the number of Refresh and Apply calls, including no-op
+	// ones.
 	Refreshes int
-	// DeltaRefreshes counts refreshes applied as ball-restricted deltas.
+	// DeltaRefreshes counts refreshes applied as a plus and a minus delta
+	// pass rooted at the batch's dirty vertices.
 	DeltaRefreshes int
 	// FullRebuilds counts refreshes that fell back to from-scratch
 	// re-enumeration (saturating mutation batches).
 	FullRebuilds int
 	// LastBallVertices is the combined mutation-ball size of the most recent
-	// delta refresh: the number of candidate root vertices the plus-pass and
-	// minus-pass were restricted to, summed over both sides.
+	// delta refresh: the number of vertices its two pass tables were laid out
+	// over, summed over both sides.
 	LastBallVertices int
+	// PassRepresentatives is the number of representatives the delta passes'
+	// pinned searches have emitted, and PassCounted the number of them the
+	// passes counted — the others were instances through two or more dirty
+	// vertices, met again at a larger one. Their ratio is the share of a
+	// pass's search that was useful.
+	PassRepresentatives, PassCounted int
 }
 
 // NewDeltaContext builds the initial streamed aggregates of p in g (a full
@@ -112,44 +143,218 @@ type DeltaStats struct {
 // occurrence lists or hypergraphs — and Options.MaxOccurrences must be zero:
 // a truncated enumeration has no well-defined delta.
 func NewDeltaContext(g *graph.Graph, p *pattern.Pattern, opts Options) (*DeltaContext, error) {
-	if g == nil || p == nil {
+	if g == nil {
+		return nil, fmt.Errorf("core: nil graph or pattern")
+	}
+	// Subscribe before freezing: a mutation applied between the two is then
+	// in the first batch rather than lost.
+	feed := g.Subscribe()
+	d, err := NewDeltaContextAt(g, g.FreezeSharded(graph.FreezeOptions{Shards: opts.Shards}), p, opts)
+	if err != nil {
+		feed.Close()
+		return nil, err
+	}
+	d.feed = feed
+	return d, nil
+}
+
+// NewDeltaContextAt is NewDeltaContext for an owner that keeps many contexts
+// over one graph in step: the aggregates are built on snap, which must be a
+// frozen snapshot of g, the context subscribes to nothing, and the owner
+// hands every later update to Apply as a Batch leading from the snapshot the
+// context is synchronized with to the next — one feed, one refreeze and one
+// set of mutation balls per update, however many patterns are tracked.
+// Options.Shards is ignored: the snapshots' own shard geometry applies.
+func NewDeltaContextAt(g *graph.Graph, snap *graph.Snapshot, p *pattern.Pattern, opts Options) (*DeltaContext, error) {
+	if g == nil || snap == nil || p == nil {
 		return nil, fmt.Errorf("core: nil graph or pattern")
 	}
 	if opts.MaxOccurrences != 0 {
 		return nil, fmt.Errorf("core: DeltaContext does not support MaxOccurrences (a truncated enumeration has no exact delta)")
 	}
 	opts.Streaming = true
-	d := &DeltaContext{g: g, p: p, opts: opts, counter: newInstanceCounter(p), radius: patternDiameter(p)}
-	d.feed = g.Subscribe()
-	d.snap = g.FreezeSharded(graph.FreezeOptions{Shards: opts.Shards})
-	d.rebuild(d.snap)
+	d := &DeltaContext{g: g, p: p, opts: opts, snap: snap, counter: newInstanceCounter(p), radius: patternDiameter(p)}
+	for i, r := range d.counter.rowOf {
+		if r == len(d.pins) {
+			d.pins = append(d.pins, i)
+		}
+	}
+	d.rebuild(snap)
 	return d, nil
 }
 
-// Close unsubscribes the context from the graph's mutation feed. The
-// aggregates remain readable but stop tracking further mutations.
-func (d *DeltaContext) Close() { d.feed.Close() }
+// Close unsubscribes the context from the graph's mutation feed, if it has
+// one. The aggregates remain readable but stop tracking further mutations.
+func (d *DeltaContext) Close() {
+	if d.feed != nil {
+		d.feed.Close()
+	}
+}
 
 // Refresh synchronizes the maintained aggregates with every graph mutation
-// since the previous Refresh (or since construction). With no pending
-// mutations it is a no-op. Like all graph reads it must not race with the
-// graph's mutation methods.
+// since the previous Refresh (or since construction): the one-context case of
+// Apply, on a batch made of the context's own feed. With no pending mutations
+// it is a no-op. Like all graph reads it must not race with the graph's
+// mutation methods. A context built by NewDeltaContextAt has no feed to drain
+// and is refreshed by its owner's batches alone.
 func (d *DeltaContext) Refresh() error {
+	if d.feed == nil {
+		return fmt.Errorf("core: Refresh on a DeltaContext without a mutation feed; its owner applies batches")
+	}
 	muts := d.feed.Drain()
-	d.stats.Refreshes++
-	mDeltaRefreshes.Inc()
 	if len(muts) == 0 {
+		d.stats.Refreshes++
+		mDeltaRefreshes.Inc()
 		return nil
 	}
 	newSnap := d.g.FreezeSharded(graph.FreezeOptions{Shards: d.opts.Shards})
+	return d.Apply(NewBatch(d.snap, newSnap, muts, []int{d.radius}))
+}
 
-	// The dirty vertex set: every vertex incident to mutated structure. An
-	// occurrence gained by the batch must touch it (a new occurrence uses an
-	// added edge or an added vertex), an occurrence lost by the batch must
-	// touch it too (a dead occurrence used a removed edge or vertex), and
-	// the set is one list of VertexIDs translated into each side's indexes,
-	// so old and new snapshots agree on which shared occurrences touch it —
-	// which is what makes the signed cancellation below exact.
+// Radius returns the radius of the mutation balls the context's delta passes
+// count into: the pattern's diameter. A Batch must be prepared for it.
+func (d *DeltaContext) Radius() int { return d.radius }
+
+// Apply folds one update batch into the maintained aggregates and moves the
+// context on to the batch's new snapshot. The batch must lead away from the
+// snapshot the context is synchronized with and must have been prepared for
+// the context's Radius. Apply reads the batch and writes only the context, so
+// the contexts sharing a batch may apply it concurrently.
+func (d *DeltaContext) Apply(b *Batch) error {
+	if b.old.snap != d.snap {
+		return fmt.Errorf("core: batch does not start at the snapshot the DeltaContext of %s is synchronized with", d.p)
+	}
+	d.stats.Refreshes++
+	mDeltaRefreshes.Inc()
+	d.snap = b.new.snap
+
+	// Each side has its own mutation ball: with deletions in the batch,
+	// neither snapshot's edge set contains the other's, so distances differ
+	// between them and a single transferred ball would under-cover one side.
+	ballNew, okNew := b.new.ball(d.radius)
+	ballOld, okOld := b.old.ball(d.radius)
+	if !okNew || !okOld {
+		// Saturating batch: a ball covers most of its graph, so two delta
+		// passes would cost more than one full one. Rebuild the tables from
+		// scratch; answers stay exact either way.
+		d.rebuild(b.new.snap)
+		d.stats.FullRebuilds++
+		mDeltaFull.Inc()
+		return nil
+	}
+	d.stats.DeltaRefreshes++
+	d.stats.LastBallVertices = len(ballNew) + len(ballOld)
+	mDeltaApplied.Inc()
+	mDeltaBall.Observe(float64(d.stats.LastBallVertices))
+
+	// Plus pass: the instances of the new graph through a dirty vertex — every
+	// instance the batch added plus the survivors of the mutated region.
+	d.state.fold(d.pass(&b.new, ballNew), +1)
+
+	// Minus pass: the same of the retained pre-mutation snapshot — exactly
+	// the contributions already present in the state, every instance the
+	// batch destroyed included.
+	d.state.fold(d.pass(&b.old, ballOld), -1)
+	return nil
+}
+
+// pass counts, into a table over the side's ball, the instances of d's
+// pattern in the side's snapshot that touch one of its dirty indexes: for the
+// first position of every node orbit a search pinned at the dirty indexes,
+// counting what arrives rooted at its smallest dirty image (deltaPass.yield).
+// It runs on the calling goroutine whatever Options.Parallelism says: the
+// roots are the batch's few dirty vertices, and the owner of many contexts
+// fans out across contexts instead.
+func (d *DeltaContext) pass(s *batchSide, ball []int32) *accumulator {
+	if len(s.dirty) == 0 {
+		// No dirty vertex exists on this side, so nothing of it changed: no
+		// pass at all, which is not a pass without a restriction.
+		return mergeWorkers(d.counter.rowLayout, nil)
+	}
+	dp := deltaPass{
+		accumulator: accumulator{table: newDomainTable(s.snap, d.counter.rowLayout, ball)},
+		dirty:       s.dirty,
+	}
+	for _, root := range d.pins {
+		dp.root = root
+		isomorph.EnumeratePinned(s.snap, d.p, d.counter.sym, root, s.dirty, dp.yield)
+	}
+	d.stats.PassRepresentatives += dp.emitted
+	d.stats.PassCounted += dp.count
+	mPassRepresentatives.Add(uint64(dp.emitted))
+	mPassCounted.Add(uint64(dp.count))
+	return &dp.accumulator
+}
+
+// deltaPass is the consumer of one delta pass's pinned searches: the pass's
+// accumulator, the side's sorted dirty indexes and the pattern position the
+// search now running is pinned at.
+type deltaPass struct {
+	accumulator
+	dirty   []int32
+	root    int
+	emitted int
+}
+
+// yield counts a representative iff its root image is the smallest dirty
+// index among its images. The pinned searches deliver an instance once per
+// dirty vertex it touches, rooted there; this keeps the one rooted lowest.
+//
+//gvet:hotpath
+func (dp *deltaPass) yield(o *isomorph.Occurrence) bool {
+	dp.emitted++
+	x := o.IndexAt(dp.root)
+	for i := 0; i < o.Len(); i++ {
+		if y := o.IndexAt(i); y < x {
+			if _, dirty := slices.BinarySearch(dp.dirty, y); dirty {
+				return true
+			}
+		}
+	}
+	dp.count++
+	dp.table.add(o)
+	return true
+}
+
+// Batch is one update of a graph prepared for every DeltaContext that has to
+// absorb it: the snapshot before and the snapshot after, and per side the
+// batch's dirty vertices as sorted dense indexes and one sorted mutation ball
+// per radius asked for. Everything a context needs that does not depend on
+// its pattern is computed here, once, so an owner of seventy contexts pays for
+// one dirty set and two or three balls per side, not seventy; and nothing in
+// it changes after NewBatch returns, so the contexts may apply it from
+// several goroutines at once.
+type Batch struct {
+	old, new batchSide
+}
+
+// batchSide is one snapshot's half of a Batch.
+type batchSide struct {
+	snap *graph.Snapshot
+	// dirty is the batch's dirty vertices that exist in snap, as sorted dense
+	// indexes; never nil.
+	dirty []int32
+	// balls[r] is the sorted ball of radius r around dirty, for every radius
+	// the batch was prepared for that is at most reach; nil otherwise.
+	balls [][]int32
+	// reach is the largest radius whose ball holds at most half of snap's
+	// vertices, capped at the largest radius asked for; -1 when the dirty set
+	// alone is larger than that.
+	reach int
+}
+
+// NewBatch prepares the update that leads from snapshot old to snapshot new
+// by the given mutations, for contexts whose radii (DeltaContext.Radius) are
+// among those listed.
+//
+// The dirty vertex set is every vertex incident to mutated structure. An
+// instance gained by the batch must touch it (it uses an added edge or an
+// added vertex), an instance lost by the batch must touch it too (it used a
+// removed edge or vertex), and the set is one list of VertexIDs translated
+// into each side's indexes, so the old and new snapshots agree on which
+// shared instances touch it — which is what makes the signed cancellation of
+// a refresh exact.
+func NewBatch(old, new *graph.Snapshot, muts []graph.Mutation, radii []int) *Batch {
 	dirty := make([]graph.VertexID, 0, 2*len(muts))
 	for _, m := range muts {
 		switch m.Kind {
@@ -161,56 +366,75 @@ func (d *DeltaContext) Refresh() error {
 	}
 	slices.Sort(dirty)
 	dirty = slices.Compact(dirty)
-	dirtyNew, dirtyOld := dirtyIndexes(newSnap, dirty), dirtyIndexes(d.snap, dirty)
-
-	// Each side gets its own mutation ball, BFS-grown over its own topology:
-	// with deletions in the batch, neither snapshot's edge set contains the
-	// other's, so distances differ between them and a single transferred ball
-	// would under-cover one side. The plus-ball bounds where new-graph
-	// occurrences touching dirty structure can be rooted; the minus-ball does
-	// the same for the retained pre-mutation snapshot (a removed vertex still
-	// exists there and seeds it).
-	ballNew, okNew := d.mutationBall(newSnap, dirtyNew)
-	ballOld, okOld := d.mutationBall(d.snap, dirtyOld)
-	if !okNew || !okOld {
-		// Saturating batch: a ball covers most of its graph, so two
-		// restricted passes would cost more than one full one. Rebuild the
-		// tables from scratch; answers stay exact either way.
-		d.rebuild(newSnap)
-		d.stats.FullRebuilds++
-		mDeltaFull.Inc()
-		d.snap = newSnap
-		return nil
-	}
-	d.stats.DeltaRefreshes++
-	d.stats.LastBallVertices = len(ballNew) + len(ballOld)
-	mDeltaApplied.Inc()
-	mDeltaBall.Observe(float64(d.stats.LastBallVertices))
-
-	// Plus-pass: occurrences in the new graph rooted inside the new ball and
-	// touching a dirty vertex. This covers every occurrence the batch added
-	// plus the surviving occurrences of the mutated region.
-	d.state.fold(d.pass(newSnap, ballNew, dirtyNew), +1)
-
-	// Minus-pass: the mutated region's occurrences in the retained
-	// pre-mutation snapshot — exactly the contributions already present in
-	// the state, every occurrence the batch destroyed included.
-	d.state.fold(d.pass(d.snap, ballOld, dirtyOld), -1)
-	d.snap = newSnap
-	return nil
+	return &Batch{old: newBatchSide(old, dirty, radii), new: newBatchSide(new, dirty, radii)}
 }
 
-// dirtyIndexes translates the batch's sorted dirty VertexIDs into snap's
-// dense indexes, skipping the vertices snap does not have. IndexOf is
-// monotone, so the result is sorted; it is never nil.
-func dirtyIndexes(snap *graph.Snapshot, dirty []graph.VertexID) []int32 {
-	indexes := make([]int32, 0, len(dirty))
+// newBatchSide translates the batch's sorted dirty VertexIDs into snap's
+// dense indexes, skipping the vertices snap does not have (IndexOf is
+// monotone, so the result is sorted), and grows the balls around them by one
+// breadth-first search, cutting a sorted copy at every radius asked for. The
+// search stops at the largest radius asked for or once the ball passes half
+// the graph — the point where a full rebuild is cheaper than two delta passes
+// — whichever comes first. Nothing here is sized by the graph.
+func newBatchSide(snap *graph.Snapshot, dirty []graph.VertexID, radii []int) batchSide {
+	s := batchSide{snap: snap, dirty: make([]int32, 0, len(dirty)), reach: -1}
 	for _, v := range dirty {
 		if i, inSnap := snap.IndexOf(v); inSnap {
-			indexes = append(indexes, i)
+			s.dirty = append(s.dirty, i)
 		}
 	}
-	return indexes
+	limit := snap.NumVertices() / 2
+	if len(radii) == 0 || len(s.dirty) > limit {
+		return s
+	}
+	s.balls = make([][]int32, slices.Max(radii)+1)
+	visited := make(map[int32]struct{}, 4*len(s.dirty))
+	for _, i := range s.dirty {
+		visited[i] = struct{}{}
+	}
+	// Seeding in index order makes the whole BFS visit order — and every
+	// intermediate slice it builds — reproducible run to run.
+	reached, frontier := slices.Clone(s.dirty), s.dirty
+	for r := range s.balls {
+		if r > 0 {
+			var next []int32
+			for _, i := range frontier {
+				for _, nb := range snap.NeighborsAt(i) {
+					if _, seen := visited[nb]; !seen {
+						visited[nb] = struct{}{}
+						next = append(next, nb)
+					}
+				}
+			}
+			reached, frontier = append(reached, next...), next
+			if len(reached) > limit {
+				break
+			}
+		}
+		s.reach = r
+		if slices.Contains(radii, r) {
+			ball := make([]int32, len(reached))
+			copy(ball, reached)
+			slices.Sort(ball)
+			s.balls[r] = ball
+		}
+	}
+	return s
+}
+
+// ball returns the side's sorted mutation ball of the given radius: every
+// vertex within that many hops of a dirty one, which is everywhere an image
+// of an instance touching a dirty vertex can lie when the radius is its
+// pattern's diameter. It reports ok=false when the ball exceeds half the
+// graph.
+func (s *batchSide) ball(radius int) (ball []int32, ok bool) {
+	if radius > s.reach {
+		return nil, false
+	}
+	if ball = s.balls[radius]; ball == nil {
+		panic(fmt.Sprintf("core: batch was not prepared for mutation balls of radius %d", radius))
+	}
+	return ball, true
 }
 
 // patternDiameter returns the largest shortest-path distance between two
@@ -238,60 +462,11 @@ func patternDiameter(p *pattern.Pattern) int {
 	return diameter
 }
 
-// mutationBall collects the sorted dense indexes (in snap's index space) of
-// every vertex within d.radius hops of one of the given sorted dirty indexes:
-// the only places an affected occurrence can be rooted, and all the places
-// its images can lie. It reports ok=false when the ball exceeds half the
-// graph, the point where a full rebuild is cheaper than two delta passes.
-func (d *DeltaContext) mutationBall(snap *graph.Snapshot, dirty []int32) ([]int32, bool) {
-	limit := snap.NumVertices() / 2
-	if len(dirty) > limit {
-		return nil, false
-	}
-	visited := make(map[int32]bool, 4*len(dirty))
-	for _, i := range dirty {
-		visited[i] = true
-	}
-	// Seeding in index order makes the whole BFS visit order — and every
-	// intermediate slice it builds — reproducible run to run.
-	ball, frontier := slices.Clone(dirty), dirty
-	for depth := 0; depth < d.radius && len(frontier) > 0; depth++ {
-		var next []int32
-		for _, i := range frontier {
-			for _, nb := range snap.NeighborsAt(i) {
-				if visited[nb] {
-					continue
-				}
-				visited[nb] = true
-				next = append(next, nb)
-				ball = append(ball, nb)
-				if len(ball) > limit {
-					return nil, false
-				}
-			}
-		}
-		frontier = next
-	}
-	slices.Sort(ball)
-	return ball, true
-}
-
-// pass counts, into a table over the ball, the instances of d's pattern in
-// snap that are rooted in ball and touch one of the dirty indexes.
-func (d *DeltaContext) pass(snap *graph.Snapshot, ball, dirty []int32) *accumulator {
-	if len(ball) == 0 {
-		// No dirty vertex exists on this side, so nothing of it changed; an
-		// empty restriction must not read as "no restriction".
-		return mergeWorkers(d.counter.rowLayout, nil)
-	}
-	return d.counter.accumulate(snap, d.opts.Parallelism, ball, dirty)
-}
-
 // rebuild discards the maintained state and recomputes it: the same fold, of
 // a complete enumeration of snap into an empty state.
 func (d *DeltaContext) rebuild(snap *graph.Snapshot) {
 	d.state = newDomainState(d.counter.rowLayout)
-	d.state.fold(d.counter.accumulate(snap, d.opts.Parallelism, nil, nil), +1)
+	d.state.fold(d.counter.accumulate(snap, d.opts.Parallelism), +1)
 }
 
 // Graph returns the underlying data graph.

@@ -8,6 +8,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/obs"
+	"repro/internal/pattern"
 )
 
 // spreadIDs returns a copy of g with vertex v renamed stride*v, so that there
@@ -137,5 +139,59 @@ func TestRestrictedPassCostsItsBall(t *testing.T) {
 	if big > small+slack {
 		t.Errorf("one-edge refresh allocated %d B on 2^12 vertices (balls of %d) and %d B on 2^16 (balls of %d): a restricted pass must not pay for the graph",
 			small, smallBall, big, bigBall)
+	}
+}
+
+// TestDeltaPassCountsWhatItEmits pins the two work counters of a delta pass on
+// the case that separates rooting the search at the dirty vertices from
+// filtering a wider enumeration: a one-label 4-leaf star (24 automorphisms)
+// and an edge added at a hub. The batch's two dirty vertices are the only
+// roots, an instance is emitted once per dirty vertex it touches and counted
+// once, so what the passes emit is at most twice what they count — not the
+// hub's ordered leaf tuples, and not everything rooted within three hops — and
+// the process-wide counters move by exactly what the context's stats do.
+func TestDeltaPassCountsWhatItEmits(t *testing.T) {
+	const leaves = 14
+	b := graph.NewBuilder("hub").Vertex(1000, 1).Vertex(2000, 1)
+	for i := 0; i < leaves; i++ {
+		b.Vertex(graph.VertexID(i), 1).Edge(1000, graph.VertexID(i))
+	}
+	g := b.Edge(0, 1).Edge(1, 2).Edge(2000, 3).MustBuild()
+	for v := graph.VertexID(100); v < 200; v++ { // bulk, so the balls stay under half the graph
+		g.MustAddVertex(v, 1)
+	}
+	star := pattern.MustNew(graph.NewBuilder("star4").Vertices(1, 0, 1, 2, 3, 4).Star(0, 1, 2, 3, 4).MustBuild())
+	d, err := core.NewDeltaContext(g, star, core.Options{Shards: 2})
+	if err != nil {
+		t.Fatalf("NewDeltaContext: %v", err)
+	}
+	defer d.Close()
+	before := d.NumInstances()
+	emitted0 := obs.Default.CounterValue("repro_delta_pass_representatives_total")
+	counted0 := obs.Default.CounterValue("repro_delta_pass_counted_total")
+
+	g.MustAddEdge(1000, 2000)
+	if err := d.Refresh(); err != nil {
+		t.Fatalf("Refresh: %v", err)
+	}
+	requireDeltaMatchesScratch(t, d, g, star, "edge at the hub")
+	st := d.Stats()
+	if st.DeltaRefreshes != 1 {
+		t.Fatalf("the refresh should take the delta path, stats %+v", st)
+	}
+	// The new edge makes 2000 a leaf of C(14, 3) more stars centred on the hub.
+	if gained, want := d.NumInstances()-before, leaves*(leaves-1)*(leaves-2)/6; gained != want {
+		t.Fatalf("the edge added %d stars, want C(%d, 3) = %d", gained, leaves, want)
+	}
+	// Both passes count at least the C(14, 4) stars centred on the hub.
+	if least := 2 * leaves * (leaves - 1) * (leaves - 2) * (leaves - 3) / 24; st.PassCounted < least {
+		t.Fatalf("the passes counted %d instances, want at least %d", st.PassCounted, least)
+	}
+	if st.PassRepresentatives < st.PassCounted || st.PassRepresentatives > 2*st.PassCounted {
+		t.Fatalf("the passes emitted %d representatives and counted %d: with two dirty vertices an instance is emitted once or twice", st.PassRepresentatives, st.PassCounted)
+	}
+	if emitted, counted := obs.Default.CounterValue("repro_delta_pass_representatives_total")-emitted0,
+		obs.Default.CounterValue("repro_delta_pass_counted_total")-counted0; emitted != uint64(st.PassRepresentatives) || counted != uint64(st.PassCounted) {
+		t.Fatalf("counters moved by %d emitted / %d counted, the context's stats say %d / %d", emitted, counted, st.PassRepresentatives, st.PassCounted)
 	}
 }

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -75,6 +76,17 @@ func FuzzStreamedAggregates(f *testing.F) {
 // search one representative per instance and count into orbit rows, so a
 // materialized context is the second oracle: the full search, every occurrence
 // listed and scanned into a row per node, sharing neither.
+//
+// Beside the decoded pattern, refreshed on its own through
+// DeltaContext.Refresh, four one-label patterns of diameters one, two, three
+// and one (edge, 3-path, 4-path, triangle) and the decoded pattern once more
+// are kept as an owner of many contexts keeps them: built by
+// NewDeltaContextAt on one snapshot, fed by one feed, and handed one shared
+// Batch per refresh, prepared for the distinct diameters. Every one of them is
+// held to the same two oracles after every refresh — so the script's vertex
+// removals, its vertices present on one side of a batch only, and its batches
+// whose dirty vertices all lie on one side (the other side must be no pass,
+// not a pass without a restriction) reach the shared path as well.
 func FuzzDeltaAggregates(f *testing.F) {
 	f.Add([]byte{})
 	// One-label triangles in K4 (IDs 0, 3, 6, 9): add vertex 4 between two of
@@ -108,20 +120,65 @@ func FuzzDeltaAggregates(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer d.Close()
+
+		freeze := graph.FreezeOptions{Shards: par}
+		feed := g.Subscribe()
+		defer feed.Close()
+		snap := g.FreezeSharded(freeze)
+		one := func(b *graph.Builder) *pattern.Pattern { return pattern.MustNew(b.MustBuild()) }
+		var shared []*core.DeltaContext
+		var radii []int
+		for _, sp := range []*pattern.Pattern{
+			one(graph.NewBuilder("edge").Vertices(1, 0, 1).Edge(0, 1)),
+			one(graph.NewBuilder("path3").Vertices(1, 0, 1, 2).Path(0, 1, 2)),
+			one(graph.NewBuilder("path4").Vertices(1, 0, 1, 2, 3).Path(0, 1, 2, 3)),
+			one(graph.NewBuilder("triangle").Vertices(1, 0, 1, 2).Cycle(0, 1, 2)),
+			p,
+		} {
+			sd, err := core.NewDeltaContextAt(g, snap, sp, core.Options{Parallelism: par})
+			if err != nil {
+				t.Fatal(err)
+			}
+			shared = append(shared, sd)
+			if r := sd.Radius(); !slices.Contains(radii, r) {
+				radii = append(radii, r)
+			}
+		}
+		if len(radii) < 3 {
+			t.Fatalf("the shared contexts have radii %v; the batch should be prepared for three or more", radii)
+		}
+
+		requireFresh := func(op int, how string, d *core.DeltaContext) {
+			t.Helper()
+			got := d.Context()
+			for _, streaming := range []bool{true, false} {
+				fresh := core.MustNewContext(g.Clone(), d.Pattern(), core.Options{Streaming: streaming, Parallelism: par})
+				if got.NumOccurrences() != fresh.NumOccurrences() || got.NumInstances() != fresh.NumInstances() ||
+					!reflect.DeepEqual(got.MNIDomainSizes(), fresh.MNIDomainSizes()) {
+					t.Fatalf("after op %d, graph %v pattern %v par=%d, %s (stats %+v): maintained %d occurrences / %d instances / domains %v, from scratch (streaming=%v) %d / %d / %v",
+						op, g.Edges(), d.Pattern(), par, how, d.Stats(), got.NumOccurrences(), got.NumInstances(), got.MNIDomainSizes(),
+						streaming, fresh.NumOccurrences(), fresh.NumInstances(), fresh.MNIDomainSizes())
+				}
+			}
+		}
 		check := func(op int) {
 			t.Helper()
 			if err := d.Refresh(); err != nil {
 				t.Fatalf("op %d: Refresh: %v", op, err)
 			}
-			got := d.Context()
-			for _, streaming := range []bool{true, false} {
-				fresh := core.MustNewContext(g.Clone(), p, core.Options{Streaming: streaming, Parallelism: par})
-				if got.NumOccurrences() != fresh.NumOccurrences() || got.NumInstances() != fresh.NumInstances() ||
-					!reflect.DeepEqual(got.MNIDomainSizes(), fresh.MNIDomainSizes()) {
-					t.Fatalf("after op %d, graph %v pattern %v par=%d (stats %+v): maintained %d occurrences / %d instances / domains %v, from scratch (streaming=%v) %d / %d / %v",
-						op, g.Edges(), p, par, d.Stats(), got.NumOccurrences(), got.NumInstances(), got.MNIDomainSizes(),
-						streaming, fresh.NumOccurrences(), fresh.NumInstances(), fresh.MNIDomainSizes())
+			requireFresh(op, "refreshed alone", d)
+			if muts := feed.Drain(); len(muts) > 0 {
+				next := g.FreezeSharded(freeze)
+				batch := core.NewBatch(snap, next, muts, radii)
+				snap = next
+				for _, sd := range shared {
+					if err := sd.Apply(batch); err != nil {
+						t.Fatalf("op %d: Apply: %v", op, err)
+					}
 				}
+			}
+			for _, sd := range shared {
+				requireFresh(op, "fed a shared batch", sd)
 			}
 		}
 		check(-1)

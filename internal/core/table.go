@@ -112,12 +112,13 @@ func (l rowLayout) fanOut(perRow []int) []int {
 // map a node of the row to that vertex.
 //
 // The universe of a complete enumeration is the whole snapshot (universe nil,
-// the counter of dense index x at position x); the universe of a
-// root-restricted delta pass is its sorted mutation ball (position by binary
-// search), which by construction holds every image of every occurrence the
-// pass counts. One table is 4·rows·width bytes — 4·orbits·n for a complete
-// streaming pass, 4·orbits·|ball| for a restricted one, never 4·k·n — and
-// every enumeration worker owns one.
+// the counter of dense index x at position x); the universe of a delta pass,
+// whose searches are rooted at the batch's dirty vertices, is the sorted
+// mutation ball around them (position by binary search), which by
+// construction holds every image of every instance the pass counts. One table
+// is 4·rows·width bytes — 4·orbits·n for a complete streaming pass,
+// 4·orbits·|ball| for a delta pass, never 4·k·n. Every worker of a complete
+// pass owns one; a delta pass has one.
 type domainTable struct {
 	rowLayout
 	snap     *graph.Snapshot
@@ -295,52 +296,20 @@ func (s *domainState) sizes() []int {
 // occurrences on a scan — and the pass's domain table. It reads an occurrence
 // and retains nothing of it, which is what lets the enumeration engine lend
 // every worker's occurrences instead of allocating them. Each enumeration
-// worker owns exactly one, so the hot path takes no locks; the per-worker
-// accumulators are merged once enumeration finishes.
+// worker of a complete pass owns exactly one, so the hot path takes no locks,
+// and the per-worker accumulators are merged once enumeration finishes; a
+// delta pass runs its pinned searches on one goroutine into one (deltaPass,
+// delta.go), which decides what of their output to count.
 type accumulator struct {
 	count int
 	table domainTable
-	// dirty, when non-nil, restricts counting to occurrences that touch one
-	// of its vertices (the delta passes of DeltaContext.Refresh): the batch's
-	// dirty vertices as sorted dense indexes of the pass's snapshot.
-	dirty []int32
 }
 
 //gvet:hotpath
 func (a *accumulator) yield(o *isomorph.Occurrence) bool {
-	if a.dirty != nil && !a.touchesDirty(o) {
-		return true
-	}
 	a.count++
 	a.table.add(o)
 	return true
-}
-
-// touchesDirty reports whether an image of o is one of a.dirty's indexes — a
-// property of the image set, so of the instance, whichever occurrence stands
-// for it. It runs once per representative rooted in the ball and rejects most
-// of them, so the binary search is written out: called through
-// slices.BinarySearch the same probes were 18 % of a 70-pattern session
-// refresh's CPU, inline 14 %.
-//
-//gvet:hotpath
-func (a *accumulator) touchesDirty(o *isomorph.Occurrence) bool {
-	dirty := a.dirty
-	for i := 0; i < o.Len(); i++ {
-		x := o.IndexAt(i)
-		lo, hi := 0, len(dirty)
-		for lo < hi {
-			if mid := int(uint(lo+hi) >> 1); dirty[mid] < x {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo < len(dirty) && dirty[lo] == x {
-			return true
-		}
-	}
-	return false
 }
 
 // instanceCounter is what the streaming passes of one context share: the
@@ -361,17 +330,15 @@ func newInstanceCounter(p *pattern.Pattern) *instanceCounter {
 // instances stands for: |Aut(P)| each.
 func (c *instanceCounter) occurrences(instances int) int { return instances * c.sym.Order() }
 
-// accumulate streams one representative per instance of the pattern over snap
-// into one accumulator per enumeration worker and returns them merged; the
-// empty accumulator when the search has no plan (the pattern cannot occur at
-// all). With ball nil it is a complete enumeration over whole-snapshot tables;
-// otherwise ball is the sorted root restriction and the universe of every
-// table, and only instances touching dirty are counted.
-func (c *instanceCounter) accumulate(snap *graph.Snapshot, parallelism int, ball, dirty []int32) *accumulator {
+// accumulate streams one representative per instance of the pattern over the
+// whole of snap into one whole-snapshot accumulator per enumeration worker and
+// returns them merged; the empty accumulator when the search has no plan (the
+// pattern cannot occur at all).
+func (c *instanceCounter) accumulate(snap *graph.Snapshot, parallelism int) *accumulator {
 	var accs []*accumulator
-	enum := isomorph.Options{Parallelism: parallelism, RootIndexes: ball, Symmetry: c.sym}
+	enum := isomorph.Options{Parallelism: parallelism, Symmetry: c.sym}
 	isomorph.EnumerateSnapshotWorkers(snap, c.p, enum, func(int) func(*isomorph.Occurrence) bool {
-		a := &accumulator{table: newDomainTable(snap, c.rowLayout, ball), dirty: dirty}
+		a := &accumulator{table: newDomainTable(snap, c.rowLayout, nil)}
 		accs = append(accs, a)
 		return a.yield
 	})

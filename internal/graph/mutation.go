@@ -107,9 +107,9 @@ func (g *Graph) Subscribe() *MutationFeed {
 }
 
 // OpenFeeds returns the number of mutation feeds currently subscribed to the
-// graph. Long-lived servers use it as a leak check: every session and delta
-// context owns feeds, and closing them must return this count to its
-// baseline.
+// graph. Long-lived servers use it as a leak check: every mining session and
+// every standalone delta context owns one feed, and closing them must return
+// this count to its baseline.
 func (g *Graph) OpenFeeds() int {
 	g.feedMu.Lock()
 	n := len(g.feeds)

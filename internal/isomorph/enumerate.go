@@ -34,18 +34,16 @@ type Options struct {
 	// once — keeping the indexes that pass the root's label and degree
 	// constraints, bucketed by shard — so planning a restricted search costs
 	// its restriction, not the graph, and a shard holding none of it never
-	// enters the worker schedule: a restriction clustered in a few dirty
-	// shards skips every clean shard's arrays. This is the engine hook
-	// behind incremental delta maintenance (core.DeltaContext), which
-	// restricts roots to the mutation ball and enumerates only occurrences
-	// that can reach into dirty shards.
+	// enters the worker schedule: a restriction clustered in a few shards
+	// skips every other shard's arrays.
 	//
 	// Dense indexes are snapshot-specific: they refer to the snapshot passed
 	// to the entry point. Note that the first pattern node of the search
-	// order is chosen per (snapshot, pattern) by the search-order planner;
-	// restrictions that must cover every possible root (such as the mutation
-	// ball of incremental delta maintenance, which contains all images of
-	// every affected occurrence) are insensitive to that choice.
+	// order is chosen per (snapshot, pattern) by the search-order planner, so
+	// the restriction says where that node may land, whichever it is; a
+	// caller that needs a particular node somewhere particular — delta
+	// maintenance, which wants the occurrences through a changed vertex —
+	// prescribes the root instead (EnumeratePinned).
 	RootIndexes []int32
 	// Symmetry, when non-nil, must be NewSymmetry of the pattern searched,
 	// and makes the search one over instances: of the Symmetry.Order()
@@ -94,7 +92,7 @@ func (o Options) below(order []int) [][]int {
 	if o.Symmetry == nil {
 		return make([][]int, len(order))
 	}
-	return o.Symmetry.below(order)
+	return o.Symmetry.below(order, o.Symmetry.perms)
 }
 
 // searchPlan is the per-(graph, pattern) preprocessing shared by all workers:
@@ -156,53 +154,13 @@ func newSearchPlan(snap *graph.Snapshot, p *pattern.Pattern, opts Options) *sear
 	if len(order) == 0 {
 		return nil
 	}
-	pl := &searchPlan{
-		snap:    snap,
-		nodes:   m.nodes,
-		k:       len(m.nodes),
-		slot:    order,
-		label:   make([]graph.Label, len(order)),
-		minDeg:  make([]int, len(order)),
-		anchors: make([][]int, len(order)),
-		below:   opts.below(order),
-		weight:  1,
-	}
+	weight := uint64(1)
 	if opts.Symmetry != nil {
-		pl.weight = uint64(opts.Symmetry.Order())
+		weight = uint64(opts.Symmetry.Order())
 	}
-	// depthOf[i]: search depth of pattern position i, -1 until ordered.
-	depthOf := make([]int, pl.k)
-	for i := range depthOf {
-		depthOf[i] = -1
-	}
-	for d, i := range order {
-		pl.label[d] = m.labels[i]
-		pl.minDeg[d] = m.deg[i]
-		for _, nb := range m.adj[i] {
-			if ad := depthOf[nb]; ad >= 0 {
-				pl.anchors[d] = append(pl.anchors[d], ad)
-			}
-		}
-		depthOf[i] = d
-	}
-	pl.assignSlots()
-
+	pl := compilePlan(snap, m, order, opts.below(order), weight)
 	if opts.RootIndexes != nil {
-		// The restriction is sorted, so its shards come up in ascending
-		// order and each bucket is the tail of the list so far.
-		for _, c := range opts.RootIndexes {
-			if snap.LabelAt(c) != pl.label[0] || snap.DegreeAt(c) < pl.minDeg[0] {
-				continue
-			}
-			s := snap.ShardOf(c)
-			if last := len(pl.shardIDs) - 1; last < 0 || pl.shardIDs[last] != s {
-				pl.rootsByShard = append(pl.rootsByShard, nil)
-				pl.shardIDs = append(pl.shardIDs, s)
-			}
-			last := len(pl.rootsByShard) - 1
-			pl.rootsByShard[last] = append(pl.rootsByShard[last], c)
-			pl.numRoots++
-		}
+		pl.restrictRoots(opts.RootIndexes)
 	} else {
 		for s := 0; s < snap.NumShards(); s++ {
 			var roots []int32
@@ -222,6 +180,60 @@ func newSearchPlan(snap *graph.Snapshot, p *pattern.Pattern, opts Options) *sear
 		return nil
 	}
 	return pl
+}
+
+// compilePlan precomputes the per-depth constraint data and kernel slots of
+// the given search order; the root candidates are the caller's to fill in.
+func compilePlan(snap *graph.Snapshot, m *patternModel, order []int, below [][]int, weight uint64) *searchPlan {
+	pl := &searchPlan{
+		snap:    snap,
+		nodes:   m.nodes,
+		k:       len(m.nodes),
+		slot:    order,
+		label:   make([]graph.Label, len(order)),
+		minDeg:  make([]int, len(order)),
+		anchors: make([][]int, len(order)),
+		below:   below,
+		weight:  weight,
+	}
+	// depthOf[i]: search depth of pattern position i, -1 until ordered.
+	depthOf := make([]int, pl.k)
+	for i := range depthOf {
+		depthOf[i] = -1
+	}
+	for d, i := range order {
+		pl.label[d] = m.labels[i]
+		pl.minDeg[d] = m.deg[i]
+		for _, nb := range m.adj[i] {
+			if ad := depthOf[nb]; ad >= 0 {
+				pl.anchors[d] = append(pl.anchors[d], ad)
+			}
+		}
+		depthOf[i] = d
+	}
+	pl.assignSlots()
+	return pl
+}
+
+// restrictRoots makes the plan's root candidates those of the given sorted
+// dense indexes that pass the root's label and degree constraints, bucketed
+// by shard. The list is sorted, so its shards come up in ascending order and
+// each bucket is the tail of the list so far.
+func (pl *searchPlan) restrictRoots(indexes []int32) {
+	snap := pl.snap
+	for _, c := range indexes {
+		if snap.LabelAt(c) != pl.label[0] || snap.DegreeAt(c) < pl.minDeg[0] {
+			continue
+		}
+		s := snap.ShardOf(c)
+		if last := len(pl.shardIDs) - 1; last < 0 || pl.shardIDs[last] != s {
+			pl.rootsByShard = append(pl.rootsByShard, nil)
+			pl.shardIDs = append(pl.shardIDs, s)
+		}
+		last := len(pl.rootsByShard) - 1
+		pl.rootsByShard[last] = append(pl.rootsByShard[last], c)
+		pl.numRoots++
+	}
 }
 
 // assignSlots gives every single-anchor depth a memoized-run slot, sharing
@@ -259,7 +271,7 @@ func (pl *searchPlan) assignSlots() {
 
 // searchState is the per-worker mutable state of the backtracking search.
 // Nothing in it is sized by the data graph: a worker costs its pattern, so a
-// root-restricted pass over a small ball is as cheap to start as it is to run.
+// search pinned at a handful of vertices is as cheap to start as it is to run.
 type searchState struct {
 	pl     *searchPlan
 	assign []int32 // assign[d]: dense index matched at depth d
@@ -517,10 +529,10 @@ func (s *searchState) publishEmits() {
 // per-worker consumers, without materializing any occurrence list. The search
 // never freezes a graph — callers freeze (and choose the shard count) before
 // calling — and because snapshots are immutable this is also how historical
-// state is searched: incremental delta maintenance (core.DeltaContext)
-// re-enumerates the pre-mutation occurrence set on the retained old snapshot
-// while the graph has already moved on. Options.RootIndexes refers to snap's
-// dense-index space.
+// state is searched: a retained old snapshot is searched as it was while the
+// graph has already moved on (the minus pass of core.DeltaContext does so
+// through EnumeratePinned). Options.RootIndexes refers to snap's dense-index
+// space.
 //
 // newYield is invoked once per worker, serially, before the workers start;
 // the returned consumer is then called from that worker's goroutine only, so
@@ -550,23 +562,7 @@ func EnumerateSnapshotWorkers(snap *graph.Snapshot, p *pattern.Pattern, opts Opt
 		if opts.MaxOccurrences > 0 {
 			yield = capYield(yield, opts.MaxOccurrences)
 		}
-		st := newSearchState(pl, yield, nil)
-		for s, roots := range pl.rootsByShard {
-			snap.AcquireShard(pl.shardIDs[s])
-			for j, r := range roots {
-				if st.searchRoot(r) {
-					snap.ReleaseShard(pl.shardIDs[s])
-					mShardDrains.Inc()
-					mRoots.Add(uint64(j + 1))
-					st.publishEmits()
-					return
-				}
-			}
-			snap.ReleaseShard(pl.shardIDs[s])
-			mShardDrains.Inc()
-			mRoots.Add(uint64(len(roots)))
-			st.publishEmits()
-		}
+		pl.drain(newSearchState(pl, yield, nil))
 		return
 	}
 
@@ -629,6 +625,64 @@ func EnumerateSnapshotWorkers(snap *graph.Snapshot, p *pattern.Pattern, opts Opt
 		}()
 	}
 	wg.Wait()
+}
+
+// drain searches every root candidate of the plan on the calling goroutine,
+// shard by shard in ascending index order — the deterministic sequential
+// search order — until the roots run out or the consumer stops the search.
+func (pl *searchPlan) drain(st *searchState) {
+	snap := pl.snap
+	for s, roots := range pl.rootsByShard {
+		snap.AcquireShard(pl.shardIDs[s])
+		searched, halt := len(roots), false
+		for j, r := range roots {
+			if st.searchRoot(r) {
+				searched, halt = j+1, true
+				break
+			}
+		}
+		snap.ReleaseShard(pl.shardIDs[s])
+		mShardDrains.Inc()
+		mRoots.Add(uint64(searched))
+		st.publishEmits()
+		if halt {
+			return
+		}
+	}
+}
+
+// EnumeratePinned is the entry point of a search whose root is prescribed: it
+// streams, on the calling goroutine and in the deterministic sequential order,
+// the occurrences of p in snap that map the pattern node at position root of
+// p.Nodes() to one of the given dense indexes of snap (sorted ascending, none
+// twice; those failing the node's label or degree constraint are skipped).
+// The search order is the planner's greedy growth from that node, so it costs
+// the neighbourhoods of the candidates, whatever the node — which is what an
+// update wants: the occurrences through a handful of changed vertices
+// (core.DeltaContext pins every node orbit's first position at them in turn).
+//
+// With sym nil every such occurrence is delivered. With sym the pattern's
+// Symmetry, the occurrences of one instance that agree on the root's image
+// are one coset of the root position's stabiliser in Aut(P), and the search
+// delivers one of them (Symmetry.below), never entering the branches of the
+// others: per candidate x, one representative of every instance that maps a
+// node of the root's orbit to x. As under Options.Symmetry, nothing may depend
+// on which occurrence that is. The *Occurrence lent to yield is borrowed, as
+// in EnumerateSnapshotWorkers; returning false stops the search.
+func EnumeratePinned(snap *graph.Snapshot, p *pattern.Pattern, sym *Symmetry, root int, candidates []int32, yield func(*Occurrence) bool) {
+	if len(candidates) == 0 {
+		return
+	}
+	m := newPatternModel(p)
+	order := growOrder(m, newPlannerStats(snap, m), root)
+	below, weight := make([][]int, len(order)), uint64(1)
+	if sym != nil {
+		stabiliser := sym.stabiliser(root)
+		below, weight = sym.below(order, stabiliser), uint64(len(stabiliser))
+	}
+	pl := compilePlan(snap, m, order, below, weight)
+	pl.restrictRoots(candidates)
+	pl.drain(newSearchState(pl, yield, nil))
 }
 
 // capYield wraps a consumer so that enumeration stops after max occurrences

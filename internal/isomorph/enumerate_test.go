@@ -323,6 +323,63 @@ func TestEnumerateMaxOccurrencesParallelSafe(t *testing.T) {
 	}
 }
 
+// TestStopOnLastRootOfShardHalts is the regression test for a stop that lands
+// on the last root candidate of a shard's bucket: the sequential drain must
+// return there, not move on to the next shard. The graph is four disjoint
+// 1–2 labelled edges, one per two-vertex shard, so every shard bucket holds
+// exactly one matching root — the shape a pinned or RootIndexes search has
+// all the time. A consumer that has returned false is never called again, and
+// a cap of one keeps one occurrence, at every entry point that drains.
+func TestStopOnLastRootOfShardHalts(t *testing.T) {
+	b := graph.NewBuilder("matching")
+	for v := graph.VertexID(0); v < 8; v += 2 {
+		b.Vertex(v, 1).Vertex(v+1, 2).Edge(v, v+1)
+	}
+	snap := b.MustBuild().FreezeSharded(graph.FreezeOptions{ShardSize: 2})
+	if snap.NumShards() != 4 {
+		t.Fatalf("froze into %d shards, want 4", snap.NumShards())
+	}
+	edge := pattern.MustNew(graph.NewBuilder("edge").Vertex(0, 1).Vertex(1, 2).Edge(0, 1).MustBuild())
+	all := []int32{0, 1, 2, 3, 4, 5, 6, 7}
+
+	// stopAfter returns a consumer that stops on its n-th occurrence and fails
+	// the test if it is called after that.
+	stopAfter := func(where string, n int, calls *int) func(*isomorph.Occurrence) bool {
+		return func(*isomorph.Occurrence) bool {
+			*calls++
+			if *calls > n {
+				t.Errorf("%s: consumer called %d times after stopping at %d", where, *calls-n, n)
+			}
+			return *calls < n
+		}
+	}
+	for n := 1; n <= 3; n++ {
+		for _, opts := range []isomorph.Options{{}, {RootIndexes: all}, {Symmetry: isomorph.NewSymmetry(edge)}} {
+			where := fmt.Sprintf("stop at %d, options %+v", n, opts)
+			calls := 0
+			opts.Parallelism = 1
+			isomorph.EnumerateSnapshotWorkers(snap, edge, opts, func(int) func(*isomorph.Occurrence) bool {
+				return stopAfter(where, n, &calls)
+			})
+			if calls != n {
+				t.Errorf("%s: %d occurrences delivered, want %d", where, calls, n)
+			}
+			opts.Parallelism, opts.MaxOccurrences = 0, n
+			if got := isomorph.EnumerateSnapshot(snap, edge, opts); len(got) != n {
+				t.Errorf("MaxOccurrences %d, options %+v: %d occurrences returned", n, opts, len(got))
+			}
+		}
+		for root := 0; root < 2; root++ {
+			where := fmt.Sprintf("stop at %d, pinned at position %d", n, root)
+			calls := 0
+			isomorph.EnumeratePinned(snap, edge, nil, root, all, stopAfter(where, n, &calls))
+			if calls != n {
+				t.Errorf("%s: %d occurrences delivered, want %d", where, calls, n)
+			}
+		}
+	}
+}
+
 // TestCountMatchesEnumerate checks a counting streaming consumer against the
 // length of the materialized list, sequential and parallel.
 func TestCountMatchesEnumerate(t *testing.T) {

@@ -224,6 +224,14 @@ func plannedOrder(m *patternModel, st *plannerStats) []int {
 			start, startEst = i, est
 		}
 	}
+	return growOrder(m, st, start)
+}
+
+// growOrder is plannedOrder's greedy growth from a given root position: the
+// whole of the planned order when the root is prescribed rather than chosen,
+// as it is for a search pinned at a pattern node (EnumeratePinned).
+func growOrder(m *patternModel, st *plannerStats, start int) []int {
+	k := len(m.nodes)
 	order := make([]int, 1, k)
 	order[0] = start
 	inOrder := make([]bool, k)

@@ -93,7 +93,15 @@ func (s *Symmetry) OrbitOf(i int) int { return s.orbitOf[i] }
 // on a sorted candidate run is a place to start, not a test per candidate.
 // Orbit-mates carry one label, so comparing dense indexes compares within
 // one label class of one snapshot.
-func (s *Symmetry) below(order []int) [][]int {
+//
+// group is the subgroup the rounds start from, the symmetry that is left to
+// break: all of Aut(P) (s.perms) for a search free to root anywhere, and for a
+// pinned search (EnumeratePinned), which is handed the image of order[0]
+// rather than left to choose it, that position's stabiliser — the occurrences
+// f∘σ of an instance that agree with f on the pinned node are those with σ in
+// the stabiliser (f is injective), one coset, and the same rounds leave one of
+// them.
+func (s *Symmetry) below(order []int, group [][]int) [][]int {
 	if len(order) != len(s.orbitOf) {
 		panic(fmt.Sprintf("isomorph: symmetry of a %d-node pattern handed to the search of a %d-node one", len(s.orbitOf), len(order)))
 	}
@@ -102,7 +110,6 @@ func (s *Symmetry) below(order []int) [][]int {
 	for d, i := range order {
 		depthOf[i] = d
 	}
-	group := s.perms
 	for d := 0; len(group) > 1; d++ {
 		pivot := order[d]
 		var stabiliser [][]int
@@ -119,4 +126,15 @@ func (s *Symmetry) below(order []int) [][]int {
 		group = stabiliser
 	}
 	return below
+}
+
+// stabiliser returns the automorphisms that fix position i.
+func (s *Symmetry) stabiliser(i int) [][]int {
+	var fixing [][]int
+	for _, perm := range s.perms {
+		if perm[i] == i {
+			fixing = append(fixing, perm)
+		}
+	}
+	return fixing
 }

@@ -52,20 +52,20 @@ func imageKey(p *pattern.Pattern, nodes []pattern.NodeID, images []graph.VertexI
 // reference is what the reference matcher says about one (graph, pattern)
 // pair, in the terms a search under Options.Symmetry is held to.
 type reference struct {
-	occurrences map[string]bool           // every occurrence, as its image list
-	instances   map[string]bool           // every instance, by imageKey
-	domains     []map[graph.VertexID]bool // domains[i]: the images of p.Nodes()[i]
+	occurrences map[string]bool             // every occurrence, as its image list
+	instances   map[string][]graph.VertexID // every instance, by imageKey: the images of one of its occurrences
+	domains     []map[graph.VertexID]bool   // domains[i]: the images of p.Nodes()[i]
 }
 
 func newReference(g *graph.Graph, p *pattern.Pattern) *reference {
 	nodes := p.Nodes()
-	ref := &reference{occurrences: map[string]bool{}, instances: map[string]bool{}, domains: make([]map[graph.VertexID]bool, len(nodes))}
+	ref := &reference{occurrences: map[string]bool{}, instances: map[string][]graph.VertexID{}, domains: make([]map[graph.VertexID]bool, len(nodes))}
 	for i := range ref.domains {
 		ref.domains[i] = map[graph.VertexID]bool{}
 	}
 	for _, images := range referenceOccurrences(g, p) {
 		ref.occurrences[listKey(images)] = true
-		ref.instances[imageKey(p, nodes, images)] = true
+		ref.instances[imageKey(p, nodes, images)] = images
 		for i, v := range images {
 			ref.domains[i][v] = true
 		}
@@ -163,14 +163,11 @@ func checkSymmetricSearch(t *testing.T, where string, g *graph.Graph, snaps []*g
 	return sym.Order(), len(ref.occurrences)
 }
 
-// TestSymmetricSearchExhaustive sweeps every connected labeled pattern of up
-// to five nodes over three labels (the sweep of pattern's
-// TestCanonicalCodeMatchesReference, five-node patterns under the labelings in
-// pool order) over one fixed graph: twelve vertices with sparse IDs, label
-// classes of six, four and two so that even a one-label five-node pattern
-// occurs, and half of all edges present so every shape does.
-func TestSymmetricSearchExhaustive(t *testing.T) {
-	labels := []graph.Label{1, 2, 3}
+// exhaustiveGraph is the one fixed graph of the exhaustive sweeps: twelve
+// vertices with sparse IDs, label classes of six, four and two so that even a
+// one-label five-node pattern occurs, and half of all edges present so every
+// shape does.
+func exhaustiveGraph() *graph.Graph {
 	g := graph.New("fixed")
 	rng := gen.NewRNG(20261003)
 	const n = 12
@@ -185,9 +182,15 @@ func TestSymmetricSearchExhaustive(t *testing.T) {
 			}
 		}
 	}
+	return g
+}
 
-	snaps := []*graph.Snapshot{sharded(g, 1), sharded(g, 2), sharded(g, 7)}
-	patterns, symmetric, occurring := 0, 0, 0
+// sweepSmallPatterns calls visit with every connected labeled pattern of up to
+// five nodes over three labels (the sweep of pattern's
+// TestCanonicalCodeMatchesReference, five-node patterns under the labelings in
+// pool order) and returns how many there were.
+func sweepSmallPatterns(visit func(where string, p *pattern.Pattern)) (patterns int) {
+	labels := []graph.Label{1, 2, 3}
 	for k := 1; k <= 5; k++ {
 		pairs := k * (k - 1) / 2
 		labelings := 1
@@ -220,18 +223,30 @@ func TestSymmetricSearchExhaustive(t *testing.T) {
 				if err != nil {
 					continue // not connected
 				}
-				where := fmt.Sprintf("k=%d mask=%b labeling=%d", k, mask, lab)
-				aut, occs := checkSymmetricSearch(t, where, g, snaps, p, []int{1, 4})
+				visit(fmt.Sprintf("k=%d mask=%b labeling=%d", k, mask, lab), p)
 				patterns++
-				if aut > 1 {
-					symmetric++
-				}
-				if occs > 0 {
-					occurring++
-				}
 			}
 		}
 	}
+	return patterns
+}
+
+// TestSymmetricSearchExhaustive holds the search under Options.Symmetry to the
+// reference matcher on every pattern of sweepSmallPatterns over
+// exhaustiveGraph.
+func TestSymmetricSearchExhaustive(t *testing.T) {
+	g := exhaustiveGraph()
+	snaps := []*graph.Snapshot{sharded(g, 1), sharded(g, 2), sharded(g, 7)}
+	symmetric, occurring := 0, 0
+	patterns := sweepSmallPatterns(func(where string, p *pattern.Pattern) {
+		aut, occs := checkSymmetricSearch(t, where, g, snaps, p, []int{1, 4})
+		if aut > 1 {
+			symmetric++
+		}
+		if occs > 0 {
+			occurring++
+		}
+	})
 	t.Logf("%d connected labeled patterns, %d with a non-trivial automorphism group, %d occurring in the graph", patterns, symmetric, occurring)
 	if symmetric == 0 || occurring < patterns/2 {
 		t.Fatalf("sweep is vacuous: %d of %d patterns symmetric, %d occurring", symmetric, patterns, occurring)

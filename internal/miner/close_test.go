@@ -9,9 +9,11 @@ import (
 )
 
 // TestIncrementalCloseReleasesFeeds is the session-eviction resource
-// accounting check: every incremental session owns one mutation feed itself
-// plus one per tracked delta context, and closing the session must return
-// the graph's subscription count exactly to its baseline — a server evicting
+// accounting check: an incremental session owns exactly one mutation feed
+// however many candidates it tracks — the tracked delta contexts are handed
+// the session's batches and subscribe to nothing, so a graph mutation is
+// appended once per session — and closing the session must return the
+// graph's subscription count exactly to its baseline: a server evicting
 // thousands of idle sessions must not leak feeds (each undrained feed
 // buffers every future mutation forever).
 func TestIncrementalCloseReleasesFeeds(t *testing.T) {
@@ -31,10 +33,11 @@ func TestIncrementalCloseReleasesFeeds(t *testing.T) {
 	if open <= base {
 		t.Fatalf("expected open sessions to hold mutation feeds, got %d (baseline %d)", open, base)
 	}
-	// Every session holds its own feed plus one per tracked candidate.
-	wantPer := 1 + incs[0].TrackedPatterns()
-	if got := (open - base) / sessions; got != wantPer {
-		t.Fatalf("each session holds %d feeds, want %d (1 + %d tracked)", got, wantPer, incs[0].TrackedPatterns())
+	if incs[0].TrackedPatterns() < 2 {
+		t.Fatalf("sessions track %d candidates; the check needs several", incs[0].TrackedPatterns())
+	}
+	if open-base != sessions {
+		t.Fatalf("%d sessions tracking %d candidates each hold %d feeds, want one per session", sessions, incs[0].TrackedPatterns(), open-base)
 	}
 
 	for _, inc := range incs {

@@ -2,6 +2,7 @@ package miner
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -41,7 +42,12 @@ type Incremental struct {
 	g   *graph.Graph
 	cfg Config
 
+	// feed is the session's one subscription to the graph's mutations, and
+	// snap the snapshot every tracked delta context is synchronized with:
+	// Refresh turns what the feed holds into one core.Batch leading from snap
+	// to the refrozen graph and hands it to all of them.
 	feed *graph.MutationFeed
+	snap *graph.Snapshot
 	// tracked maps canonical pattern codes to their live mining state; it
 	// only ever grows. A candidate whose support falls below the threshold
 	// (deletions can do that) is not evicted: it rejoins the pruned boundary,
@@ -108,6 +114,7 @@ func NewIncremental(g *graph.Graph, cfg Config) (*Incremental, error) {
 	// Subscribe before the initial run: mutations applied between the
 	// initial enumerations and the first Refresh are then never lost.
 	inc.feed = g.Subscribe()
+	inc.snap = inc.freeze()
 
 	start := time.Now()
 	seeds, err := inc.seedNew(g.Edges())
@@ -123,7 +130,8 @@ func NewIncremental(g *graph.Graph, cfg Config) (*Incremental, error) {
 	return inc, nil
 }
 
-// Close releases every live delta context and the session's mutation feed,
+// Close releases the session's mutation feed — the only subscription it
+// holds; the tracked delta contexts are fed by the session and own none —
 // returning the graph's mutation-feed count to what it was before the
 // session existed. It is idempotent — a server evicting a session races its
 // own shutdown path against client disconnects, and both may Close — and the
@@ -133,10 +141,13 @@ func (inc *Incremental) Close() {
 		return
 	}
 	inc.closed = true
-	for _, tp := range inc.tracked {
-		tp.delta.Close()
-	}
 	inc.feed.Close()
+}
+
+// freeze returns the current snapshot of the data graph at the session's
+// shard setting (the graph's cached one when nothing has changed).
+func (inc *Incremental) freeze() *graph.Snapshot {
+	return inc.g.FreezeSharded(graph.FreezeOptions{Shards: inc.cfg.EnumShards})
 }
 
 // Result returns the outcome of the most recent initial run or Refresh. The
@@ -182,12 +193,12 @@ func (inc *Incremental) Refresh() (*Result, error) {
 
 	// Delta-refresh every tracked candidate and collect the boundary
 	// patterns that crossed the threshold. The per-candidate refreshes are
-	// independent (the refrozen snapshot is shared through the graph's
-	// snapshot cache), so they fan out across cfg.Parallelism workers;
-	// crossings are collected afterwards in the deterministic sorted order,
-	// so the frontier is identical to a sequential refresh. inFrontier
-	// guards against queueing a pattern twice (a threshold crossing and an
-	// alphabet widening in one batch would otherwise both enqueue it).
+	// independent (they read one prepared batch and write their own state),
+	// so they fan out across cfg.Parallelism workers; crossings are
+	// collected afterwards in the deterministic sorted order, so the
+	// frontier is identical to a sequential refresh. inFrontier guards
+	// against queueing a pattern twice (a threshold crossing and an alphabet
+	// widening in one batch would otherwise both enqueue it).
 	var frontier []*trackedPattern
 	inFrontier := make(map[string]bool)
 	enqueue := func(tp *trackedPattern) {
@@ -202,7 +213,7 @@ func (inc *Incremental) Refresh() (*Result, error) {
 		wasFrequent[i] = tp.frequent
 	}
 	refreshStart := time.Now()
-	err := inc.refreshTracked(tracked)
+	err := inc.refreshTracked(tracked, muts)
 	inc.evaluate += time.Since(refreshStart)
 	if err != nil {
 		return nil, err
@@ -250,18 +261,42 @@ func (inc *Incremental) Refresh() (*Result, error) {
 }
 
 // refreshTracked delta-refreshes and re-evaluates every tracked candidate.
-// With cfg.Parallelism >= 2 the independent refreshes run on forEach's worker
-// pool, each mutating only its candidate's own state. The tracked states
-// after a parallel refresh are identical to a sequential one — delta
-// maintenance is per-candidate exact and the candidates share nothing but the
-// immutable refrozen snapshot.
-func (inc *Incremental) refreshTracked(tracked []*trackedPattern) error {
-	return forEach(len(tracked), inc.cfg.Parallelism, func(i int) error {
+// Everything about the update that does not depend on a pattern — the
+// refrozen snapshot, the dirty vertices in both index spaces, one mutation
+// ball per side and distinct pattern diameter — is prepared once, before the
+// fan-out, as a read-only core.Batch. With cfg.Parallelism >= 2 the
+// independent applications then run on forEach's worker pool, each mutating
+// only its candidate's own state, and the tracked states after a parallel
+// refresh are identical to a sequential one: delta maintenance is
+// per-candidate exact and the candidates share nothing but the batch.
+//
+// Every context applies the batch before any measure is evaluated. Apply
+// cannot fail on a batch that starts at the snapshot the whole tracked set is
+// synchronized with, so a measure's error leaves the session's contexts on
+// one snapshot — the new one — and the next Refresh finds them there, instead
+// of some moved on and the rest stranded behind a batch they never saw.
+func (inc *Incremental) refreshTracked(tracked []*trackedPattern, muts []graph.Mutation) error {
+	var radii []int
+	for _, tp := range tracked {
+		if r := tp.delta.Radius(); !slices.Contains(radii, r) {
+			radii = append(radii, r)
+		}
+	}
+	next := inc.freeze()
+	batch := core.NewBatch(inc.snap, next, muts, radii)
+	err := forEach(len(tracked), inc.cfg.Parallelism, func(i int) error {
 		tp := tracked[i]
-		if err := tp.delta.Refresh(); err != nil {
+		if err := tp.delta.Apply(batch); err != nil {
 			return fmt.Errorf("miner: refreshing %s: %w", tp.p, err)
 		}
-		return inc.evaluateTracked(tp)
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	inc.snap = next
+	return forEach(len(tracked), inc.cfg.Parallelism, func(i int) error {
+		return inc.evaluateTracked(tracked[i])
 	})
 }
 
@@ -347,19 +382,18 @@ func (inc *Incremental) track(p *pattern.Pattern) (*trackedPattern, error) {
 	// The context's enumeration parallelism is deliberately not throttled
 	// under candidate-level Parallelism (unlike Miner.evaluate): track runs
 	// only on the session goroutine — cold builds are the expensive
-	// enumerations and deserve the full machine — while the refresh passes
-	// that do run concurrently are root-restricted to the mutation ball,
-	// whose few roots make the auto mode fall back to sequential anyway.
-	d, err := core.NewDeltaContext(inc.g, p, core.Options{
-		Parallelism: inc.cfg.EnumParallelism,
-		Shards:      inc.cfg.EnumShards,
-	})
+	// enumerations and deserve the full machine — and it is the cold builds
+	// alone the setting reaches: the delta passes that do run concurrently
+	// are searches pinned at the batch's dirty vertices, which run on the
+	// goroutine that applies the batch by construction. The context is built
+	// on the session's snapshot and subscribes to nothing; refreshTracked
+	// feeds it.
+	d, err := core.NewDeltaContextAt(inc.g, inc.snap, p, core.Options{Parallelism: inc.cfg.EnumParallelism})
 	if err != nil {
 		return nil, fmt.Errorf("miner: building delta context for %s: %w", p, err)
 	}
 	tp := &trackedPattern{p: p, delta: d}
 	if err := inc.evaluateTracked(tp); err != nil {
-		d.Close()
 		return nil, err
 	}
 	inc.tracked[code] = tp

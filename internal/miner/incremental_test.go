@@ -1,7 +1,11 @@
 package miner_test
 
 import (
+	"errors"
+	"sync/atomic"
 	"testing"
+
+	"repro/internal/core"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -149,6 +153,65 @@ func TestIncrementalParallelRefreshMatchesSequential(t *testing.T) {
 		if seq.TrackedPatterns() != par.TrackedPatterns() {
 			t.Fatalf("batch %d: tracked sets diverged: %d vs %d", batch, seq.TrackedPatterns(), par.TrackedPatterns())
 		}
+	}
+}
+
+// failingMNI is MNI that fails its second evaluation after being armed, once.
+type failingMNI struct {
+	measures.MNI
+	countdown *atomic.Int32
+}
+
+func (f failingMNI) Compute(ctx *core.Context) (measures.Result, error) {
+	if f.countdown.Add(-1) == 0 {
+		return measures.Result{}, errors.New("injected measure failure")
+	}
+	return f.MNI.Compute(ctx)
+}
+
+// TestIncrementalSurvivesMeasureError pins what a failed Refresh leaves
+// behind: every tracked context on the batch's new snapshot, so the session
+// keeps refreshing. The failing batch adds an edge and removes it again —
+// mutations to apply, no support to move — and the measure fails on the
+// second candidate, with most of the tracked set still to come.
+func TestIncrementalSurvivesMeasureError(t *testing.T) {
+	for _, par := range []int{1, 4} {
+		countdown := new(atomic.Int32)
+		cfg := miner.Config{MinSupport: 4, MaxPatternSize: 4, Parallelism: par, Measure: failingMNI{countdown: countdown}}
+		g := gen.BarabasiAlbert(90, 2, gen.UniformLabels{K: 3}, 7)
+		inc, err := miner.NewIncremental(g, cfg)
+		if err != nil {
+			t.Fatalf("NewIncremental: %v", err)
+		}
+		defer inc.Close()
+		if inc.TrackedPatterns() < 4 {
+			t.Fatalf("session tracks %d patterns; too few to strand any", inc.TrackedPatterns())
+		}
+
+		ids := g.SortedVertices()
+		u, v := ids[3], ids[40]
+		if g.HasEdge(u, v) {
+			t.Fatalf("edge %d-%d already present; pick another pair", u, v)
+		}
+		g.MustAddEdge(u, v)
+		if err := g.RemoveEdge(u, v); err != nil {
+			t.Fatal(err)
+		}
+		countdown.Store(2)
+		if _, err := inc.Refresh(); err == nil {
+			t.Fatalf("Parallelism %d: Refresh swallowed the measure's error", par)
+		}
+
+		for step := 0; step < 6; step++ {
+			if u, v := ids[step*3], ids[step*11+7]; u != v && !g.HasEdge(u, v) {
+				g.MustAddEdge(u, v)
+			}
+		}
+		res, err := inc.Refresh()
+		if err != nil {
+			t.Fatalf("Parallelism %d: Refresh after a failed one: %v", par, err)
+		}
+		requireSameMining(t, res, freshMine(t, g, miner.Config{MinSupport: 4, MaxPatternSize: 4}), "after a failed refresh")
 	}
 }
 

@@ -66,6 +66,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"repro_enum_shard_drains_total",    // enumeration drain sampling
 		"repro_graph_mutations_total",      // graph mutation layer
 		"repro_delta_refreshes_total",      // delta maintenance
+		"repro_delta_pass_counted_total",   //
 		"repro_lp_solves_total",            // LP relaxation
 		"repro_cover_search_nodes_total",   // exact searches
 		"repro_packing_search_nodes_total", //
