@@ -20,10 +20,6 @@ type Config struct {
 	CSV bool
 }
 
-// DefaultConfig is the configuration used by cmd/gbench when no flags are
-// given.
-func DefaultConfig() Config { return Config{Seed: 1} }
-
 // Experiment is one reproducible experiment of the paper-reproduction suite.
 type Experiment struct {
 	// ID is the experiment identifier (e.g. "chain", "figures").

@@ -63,18 +63,28 @@ import (
 // dirty hub of degree d it walks the d⁴ ordered leaf tuples of a 4-leaf star
 // where the pinned, symmetry-broken search walks the C(d, 4) stars.
 //
+// Nothing a pass counts goes through a table of its own: every counted
+// representative is applied to the maintained state where the search hands it
+// over (deltaPass.yield, domainState.apply), so a pass costs the instances
+// through the dirty vertices — to find and to write — and nothing sized by a
+// neighbourhood or by the graph.
+//
 // An occurrence f touching a dirty vertex f(a) has every image f(b) within
 // dist_P(a, b) <= diam(P) hops of it, because pattern edges map onto data
 // edges. So the side's mutation ball of radius diam(P) — every vertex within
-// that many hops of a dirty one, BFS-grown over the side's own topology —
-// holds every image a pass counts, and is the universe its table is laid out
-// over: a pass costs rows the size of its ball, not of the graph. When either
-// ball grows past half its graph (a mutation storm that saturates every
-// shard), the context falls back to a from-scratch re-enumeration instead,
-// which is cheaper than two nearly-full delta passes and keeps answers exact.
-// The resulting aggregates are identical to a from-scratch streamed Context
-// for every shard count and parallelism setting, under insertions and
-// deletions alike.
+// that many hops of a dirty one, BFS-grown over the side's own topology — is
+// everywhere the two passes can reach, and its size is the measure of how
+// local a batch is. The size is all that is kept of it (Batch), and it is
+// read twice: when either ball grows past half its graph (a mutation storm
+// that saturates every shard), the context falls back to a from-scratch
+// re-enumeration instead, which is cheaper than two nearly-full delta passes
+// and keeps answers exact; and the two sizes summed are
+// DeltaStats.LastBallVertices and one observation of the
+// repro_delta_ball_vertices histogram, which the benchmark reads as
+// core.delta_ball_vertices — the reason the breadth-first search is still run
+// on batches far from saturation. The resulting aggregates are identical to a
+// from-scratch streamed Context for every shard count and parallelism
+// setting, under insertions and deletions alike.
 //
 // A context built by NewDeltaContext subscribes to the graph's mutation feed
 // and Refresh makes its own one-context batch; one built by NewDeltaContextAt
@@ -95,13 +105,13 @@ type DeltaContext struct {
 	snap *graph.Snapshot     // the snapshot the state is synchronized with
 
 	// counter runs every pass: the pattern's symmetry, derived once, and the
-	// orbit-row layout of the pass tables and of state.
+	// orbit-row layout of state.
 	counter *instanceCounter
-	// state is what every pass is folded into: the live instance count and
-	// the refcounted, VertexID-keyed MNI domains, one row per node orbit.
+	// state is what every pass writes: the live instance count and the
+	// refcounted, VertexID-keyed MNI domains, one row per node orbit.
 	state *domainState
-	// radius is the pattern's diameter, the radius of the mutation balls the
-	// pass tables are laid out over.
+	// radius is the pattern's diameter, the radius of the mutation balls whose
+	// sizes decide between the delta passes and a rebuild.
 	radius int
 	// pins[r] is the first node position of orbit r: where a delta pass pins
 	// its searches.
@@ -123,8 +133,8 @@ type DeltaStats struct {
 	// re-enumeration (saturating mutation batches).
 	FullRebuilds int
 	// LastBallVertices is the combined mutation-ball size of the most recent
-	// delta refresh: the number of vertices its two pass tables were laid out
-	// over, summed over both sides.
+	// delta refresh: the number of vertices within the pattern's diameter of
+	// a dirty vertex, summed over both sides.
 	LastBallVertices int
 	// PassRepresentatives is the number of representatives the delta passes'
 	// pinned searches have emitted, and PassCounted the number of them the
@@ -163,7 +173,7 @@ func NewDeltaContext(g *graph.Graph, p *pattern.Pattern, opts Options) (*DeltaCo
 // frozen snapshot of g, the context subscribes to nothing, and the owner
 // hands every later update to Apply as a Batch leading from the snapshot the
 // context is synchronized with to the next — one feed, one refreeze and one
-// set of mutation balls per update, however many patterns are tracked.
+// breadth-first search per side per update, however many patterns are tracked.
 // Options.Shards is ignored: the snapshots' own shard geometry applies.
 func NewDeltaContextAt(g *graph.Graph, snap *graph.Snapshot, p *pattern.Pattern, opts Options) (*DeltaContext, error) {
 	if g == nil || snap == nil || p == nil {
@@ -208,18 +218,18 @@ func (d *DeltaContext) Refresh() error {
 		return nil
 	}
 	newSnap := d.g.FreezeSharded(graph.FreezeOptions{Shards: d.opts.Shards})
-	return d.Apply(NewBatch(d.snap, newSnap, muts, []int{d.radius}))
+	return d.Apply(NewBatch(d.snap, newSnap, muts, d.radius))
 }
 
-// Radius returns the radius of the mutation balls the context's delta passes
-// count into: the pattern's diameter. A Batch must be prepared for it.
+// Radius returns the radius of the mutation balls the context reads the sizes
+// of: the pattern's diameter. A Batch must be prepared for at least it.
 func (d *DeltaContext) Radius() int { return d.radius }
 
 // Apply folds one update batch into the maintained aggregates and moves the
 // context on to the batch's new snapshot. The batch must lead away from the
 // snapshot the context is synchronized with and must have been prepared for
-// the context's Radius. Apply reads the batch and writes only the context, so
-// the contexts sharing a batch may apply it concurrently.
+// at least the context's Radius. Apply reads the batch and writes only the
+// context, so the contexts sharing a batch may apply it concurrently.
 func (d *DeltaContext) Apply(b *Batch) error {
 	if b.old.snap != d.snap {
 		return fmt.Errorf("core: batch does not start at the snapshot the DeltaContext of %s is synchronized with", d.p)
@@ -231,11 +241,11 @@ func (d *DeltaContext) Apply(b *Batch) error {
 	// Each side has its own mutation ball: with deletions in the batch,
 	// neither snapshot's edge set contains the other's, so distances differ
 	// between them and a single transferred ball would under-cover one side.
-	ballNew, okNew := b.new.ball(d.radius)
-	ballOld, okOld := b.old.ball(d.radius)
+	ballNew, okNew := b.new.ballSize(d.radius)
+	ballOld, okOld := b.old.ballSize(d.radius)
 	if !okNew || !okOld {
 		// Saturating batch: a ball covers most of its graph, so two delta
-		// passes would cost more than one full one. Rebuild the tables from
+		// passes would cost more than one full one. Rebuild the state from
 		// scratch; answers stay exact either way.
 		d.rebuild(b.new.snap)
 		d.stats.FullRebuilds++
@@ -243,62 +253,57 @@ func (d *DeltaContext) Apply(b *Batch) error {
 		return nil
 	}
 	d.stats.DeltaRefreshes++
-	d.stats.LastBallVertices = len(ballNew) + len(ballOld)
+	d.stats.LastBallVertices = ballNew + ballOld
 	mDeltaApplied.Inc()
 	mDeltaBall.Observe(float64(d.stats.LastBallVertices))
 
 	// Plus pass: the instances of the new graph through a dirty vertex — every
 	// instance the batch added plus the survivors of the mutated region.
-	d.state.fold(d.pass(&b.new, ballNew), +1)
+	d.pass(&b.new, +1)
 
 	// Minus pass: the same of the retained pre-mutation snapshot — exactly
 	// the contributions already present in the state, every instance the
-	// batch destroyed included.
-	d.state.fold(d.pass(&b.old, ballOld), -1)
+	// batch destroyed included. It runs second, so no refcount is negative
+	// in transit.
+	d.pass(&b.old, -1)
 	return nil
 }
 
-// pass counts, into a table over the side's ball, the instances of d's
-// pattern in the side's snapshot that touch one of its dirty indexes: for the
-// first position of every node orbit a search pinned at the dirty indexes,
-// counting what arrives rooted at its smallest dirty image (deltaPass.yield).
-// It runs on the calling goroutine whatever Options.Parallelism says: the
-// roots are the batch's few dirty vertices, and the owner of many contexts
-// fans out across contexts instead.
-func (d *DeltaContext) pass(s *batchSide, ball []int32) *accumulator {
-	if len(s.dirty) == 0 {
-		// No dirty vertex exists on this side, so nothing of it changed: no
-		// pass at all, which is not a pass without a restriction.
-		return mergeWorkers(d.counter.rowLayout, nil)
-	}
-	dp := deltaPass{
-		accumulator: accumulator{table: newDomainTable(s.snap, d.counter.rowLayout, ball)},
-		dirty:       s.dirty,
-	}
+// pass applies to the state, sign times each, the instances of d's pattern in
+// the side's snapshot that touch one of its dirty indexes: for the first
+// position of every node orbit a search pinned at the dirty indexes, counting
+// what arrives rooted at its smallest dirty image (deltaPass.yield). A side
+// with no dirty vertex has no roots and the searches return at once. It runs
+// on the calling goroutine whatever Options.Parallelism says: the roots are
+// the batch's few dirty vertices, and the owner of many contexts fans out
+// across contexts instead.
+func (d *DeltaContext) pass(s *batchSide, sign int) {
+	dp := deltaPass{state: d.state, sign: sign, dirty: s.dirty}
 	for _, root := range d.pins {
 		dp.root = root
 		isomorph.EnumeratePinned(s.snap, d.p, d.counter.sym, root, s.dirty, dp.yield)
 	}
 	d.stats.PassRepresentatives += dp.emitted
-	d.stats.PassCounted += dp.count
+	d.stats.PassCounted += dp.counted
 	mPassRepresentatives.Add(uint64(dp.emitted))
-	mPassCounted.Add(uint64(dp.count))
-	return &dp.accumulator
+	mPassCounted.Add(uint64(dp.counted))
 }
 
-// deltaPass is the consumer of one delta pass's pinned searches: the pass's
-// accumulator, the side's sorted dirty indexes and the pattern position the
-// search now running is pinned at.
+// deltaPass is the consumer of one delta pass's pinned searches: the state it
+// writes and the sign it writes with, the side's sorted dirty indexes and the
+// pattern position the search now running is pinned at.
 type deltaPass struct {
-	accumulator
-	dirty   []int32
-	root    int
-	emitted int
+	state            *domainState
+	sign             int
+	dirty            []int32
+	root             int
+	emitted, counted int
 }
 
 // yield counts a representative iff its root image is the smallest dirty
-// index among its images. The pinned searches deliver an instance once per
-// dirty vertex it touches, rooted there; this keeps the one rooted lowest.
+// index among its images, and applies what it counts to the state. The pinned
+// searches deliver an instance once per dirty vertex it touches, rooted
+// there; this keeps the one rooted lowest.
 //
 //gvet:hotpath
 func (dp *deltaPass) yield(o *isomorph.Occurrence) bool {
@@ -311,19 +316,20 @@ func (dp *deltaPass) yield(o *isomorph.Occurrence) bool {
 			}
 		}
 	}
-	dp.count++
-	dp.table.add(o)
+	dp.counted++
+	dp.state.apply(o, dp.sign)
 	return true
 }
 
 // Batch is one update of a graph prepared for every DeltaContext that has to
 // absorb it: the snapshot before and the snapshot after, and per side the
-// batch's dirty vertices as sorted dense indexes and one sorted mutation ball
-// per radius asked for. Everything a context needs that does not depend on
-// its pattern is computed here, once, so an owner of seventy contexts pays for
-// one dirty set and two or three balls per side, not seventy; and nothing in
-// it changes after NewBatch returns, so the contexts may apply it from
-// several goroutines at once.
+// batch's dirty vertices as sorted dense indexes and the size of the mutation
+// ball around them at every radius up to the one asked for. Everything a
+// context needs that does not depend on its pattern is computed here, once,
+// so an owner of seventy contexts pays for one dirty set and one
+// breadth-first search per side, not seventy; and nothing in it changes after
+// NewBatch returns, so the contexts may apply it from several goroutines at
+// once.
 type Batch struct {
 	old, new batchSide
 }
@@ -334,18 +340,16 @@ type batchSide struct {
 	// dirty is the batch's dirty vertices that exist in snap, as sorted dense
 	// indexes; never nil.
 	dirty []int32
-	// balls[r] is the sorted ball of radius r around dirty, for every radius
-	// the batch was prepared for that is at most reach; nil otherwise.
-	balls [][]int32
-	// reach is the largest radius whose ball holds at most half of snap's
-	// vertices, capped at the largest radius asked for; -1 when the dirty set
-	// alone is larger than that.
-	reach int
+	// ballSizes[r] is the number of vertices within r hops of a dirty one, for
+	// every radius up to the largest whose ball holds at most half of snap's
+	// vertices, capped at the radius the batch was prepared for; empty when
+	// the dirty set alone is larger than that.
+	ballSizes []int
 }
 
 // NewBatch prepares the update that leads from snapshot old to snapshot new
 // by the given mutations, for contexts whose radii (DeltaContext.Radius) are
-// among those listed.
+// at most maxRadius.
 //
 // The dirty vertex set is every vertex incident to mutated structure. An
 // instance gained by the batch must touch it (it uses an added edge or an
@@ -354,7 +358,7 @@ type batchSide struct {
 // into each side's indexes, so the old and new snapshots agree on which
 // shared instances touch it — which is what makes the signed cancellation of
 // a refresh exact.
-func NewBatch(old, new *graph.Snapshot, muts []graph.Mutation, radii []int) *Batch {
+func NewBatch(old, new *graph.Snapshot, muts []graph.Mutation, maxRadius int) *Batch {
 	dirty := make([]graph.VertexID, 0, 2*len(muts))
 	for _, m := range muts {
 		switch m.Kind {
@@ -366,36 +370,30 @@ func NewBatch(old, new *graph.Snapshot, muts []graph.Mutation, radii []int) *Bat
 	}
 	slices.Sort(dirty)
 	dirty = slices.Compact(dirty)
-	return &Batch{old: newBatchSide(old, dirty, radii), new: newBatchSide(new, dirty, radii)}
+	return &Batch{old: newBatchSide(old, dirty, maxRadius), new: newBatchSide(new, dirty, maxRadius)}
 }
 
 // newBatchSide translates the batch's sorted dirty VertexIDs into snap's
 // dense indexes, skipping the vertices snap does not have (IndexOf is
-// monotone, so the result is sorted), and grows the balls around them by one
-// breadth-first search, cutting a sorted copy at every radius asked for. The
-// search stops at the largest radius asked for or once the ball passes half
-// the graph — the point where a full rebuild is cheaper than two delta passes
-// — whichever comes first. Nothing here is sized by the graph.
-func newBatchSide(snap *graph.Snapshot, dirty []graph.VertexID, radii []int) batchSide {
-	s := batchSide{snap: snap, dirty: make([]int32, 0, len(dirty)), reach: -1}
+// monotone, so the result is sorted), and grows the ball around them by one
+// breadth-first search, noting how many vertices it has reached at every
+// radius. The search stops at maxRadius or once the ball passes half the
+// graph — the point where a full rebuild is cheaper than two delta passes —
+// whichever comes first. Nothing here is sized by the graph.
+func newBatchSide(snap *graph.Snapshot, dirty []graph.VertexID, maxRadius int) batchSide {
+	s := batchSide{snap: snap, dirty: make([]int32, 0, len(dirty)), ballSizes: make([]int, 0, maxRadius+1)}
 	for _, v := range dirty {
 		if i, inSnap := snap.IndexOf(v); inSnap {
 			s.dirty = append(s.dirty, i)
 		}
 	}
 	limit := snap.NumVertices() / 2
-	if len(radii) == 0 || len(s.dirty) > limit {
-		return s
-	}
-	s.balls = make([][]int32, slices.Max(radii)+1)
 	visited := make(map[int32]struct{}, 4*len(s.dirty))
 	for _, i := range s.dirty {
 		visited[i] = struct{}{}
 	}
-	// Seeding in index order makes the whole BFS visit order — and every
-	// intermediate slice it builds — reproducible run to run.
-	reached, frontier := slices.Clone(s.dirty), s.dirty
-	for r := range s.balls {
+	frontier := s.dirty
+	for r := 0; r <= maxRadius; r++ {
 		if r > 0 {
 			var next []int32
 			for _, i := range frontier {
@@ -406,35 +404,26 @@ func newBatchSide(snap *graph.Snapshot, dirty []graph.VertexID, radii []int) bat
 					}
 				}
 			}
-			reached, frontier = append(reached, next...), next
-			if len(reached) > limit {
-				break
-			}
+			frontier = next
 		}
-		s.reach = r
-		if slices.Contains(radii, r) {
-			ball := make([]int32, len(reached))
-			copy(ball, reached)
-			slices.Sort(ball)
-			s.balls[r] = ball
+		if len(visited) > limit {
+			break
 		}
+		s.ballSizes = append(s.ballSizes, len(visited))
 	}
 	return s
 }
 
-// ball returns the side's sorted mutation ball of the given radius: every
-// vertex within that many hops of a dirty one, which is everywhere an image
-// of an instance touching a dirty vertex can lie when the radius is its
-// pattern's diameter. It reports ok=false when the ball exceeds half the
-// graph.
-func (s *batchSide) ball(radius int) (ball []int32, ok bool) {
-	if radius > s.reach {
-		return nil, false
+// ballSize returns the size of the side's mutation ball of the given
+// radius: the number of vertices within that many hops of a dirty one, which
+// is everywhere an image of an instance touching a dirty vertex can lie when
+// the radius is its pattern's diameter. It reports ok=false when the ball
+// exceeds half the graph.
+func (s *batchSide) ballSize(radius int) (size int, ok bool) {
+	if radius >= len(s.ballSizes) {
+		return 0, false
 	}
-	if ball = s.balls[radius]; ball == nil {
-		panic(fmt.Sprintf("core: batch was not prepared for mutation balls of radius %d", radius))
-	}
-	return ball, true
+	return s.ballSizes[radius], true
 }
 
 // patternDiameter returns the largest shortest-path distance between two
@@ -462,11 +451,11 @@ func patternDiameter(p *pattern.Pattern) int {
 	return diameter
 }
 
-// rebuild discards the maintained state and recomputes it: the same fold, of
-// a complete enumeration of snap into an empty state.
+// rebuild discards the maintained state and recomputes it: a complete
+// enumeration of snap folded into an empty state.
 func (d *DeltaContext) rebuild(snap *graph.Snapshot) {
 	d.state = newDomainState(d.counter.rowLayout)
-	d.state.fold(d.counter.accumulate(snap, d.opts.Parallelism), +1)
+	d.state.fold(d.counter.accumulate(snap, d.opts.Parallelism))
 }
 
 // Graph returns the underlying data graph.

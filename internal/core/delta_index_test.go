@@ -29,8 +29,8 @@ func spreadIDs(g *graph.Graph, stride graph.VertexID) *graph.Graph {
 // two sides of a refresh disagree about every dense index of the mutated
 // region: a vertex inserted between existing IDs (every vertex above it moves
 // up one index in the new snapshot), a vertex removed below the region (every
-// vertex above it moves down), and both in one batch. Pass tables and dirty
-// sets are keyed by those indexes, the maintained state by VertexID; the
+// vertex above it moves down), and both in one batch. The passes' roots and
+// dirty sets are those indexes, the maintained state is keyed by VertexID; the
 // aggregates must equal a from-scratch context after every refresh, and every
 // refresh here is small enough to be applied as a delta.
 func TestDeltaContextAcrossShiftedIndexSpaces(t *testing.T) {
@@ -96,49 +96,113 @@ func TestDeltaContextAcrossShiftedIndexSpaces(t *testing.T) {
 	}
 }
 
-// TestRestrictedPassCostsItsBall checks that a delta refresh pays for its
-// mutation ball and not for the graph: the same kind of batch — one edge
-// between the two newest, lowest-degree vertices of a preferential-attachment
-// graph — allocates on 2^16 vertices what it allocates on 2^12, up to a fixed
-// slack. Per-worker search state, pass tables and dirty sets are all sized by
-// the pattern or the ball; one n-sized slice per worker per pass (64 KiB at a
-// byte per vertex, two workers, two passes) would be 16 times the slack. The
-// new snapshot is frozen before measuring, so Refresh finds it cached.
+// TestRestrictedPassCostsItsBall checks what a delta refresh pays for, on one
+// kind of batch — a single added edge, triangles maintained — in a
+// preferential-attachment graph: the edge runs from the newest vertex that
+// lies on a triangle, so the passes have something to count, to the newest
+// one not adjacent to it. The new snapshot is frozen and the batch's
+// mutations drained before measuring, so the two measured steps are exactly
+// core.NewBatch (dirty indexes and the breadth-first search that sizes the
+// balls) and DeltaContext.Apply (the two passes).
+//
+// The whole refresh pays for its mutation ball and not for the graph: between
+// two of the newest, lowest-degree vertices the edge allocates on 2^16 vertices
+// what it allocates on 2^12, up to a fixed slack. Per-worker search state and
+// dirty sets are sized by the pattern or the batch; one n-sized slice per
+// worker per pass (64 KiB at a byte per vertex, two workers, two passes) would
+// be 16 times the slack.
+//
+// Apply pays for the instances it counts and not for the ball either. The
+// third graph is the second with a hub added before the context is built — a
+// vertex of a label the pattern does not have, adjacent to every 16th vertex —
+// and the batch's edge runs to the hub instead. The balls are the hub's 4 096
+// neighbours on either side; the triangles through a dirty vertex are the
+// same few as before, because none passes through the hub. So applying that
+// batch may allocate what the small-ball batch does plus a fixed slack sized
+// from the counted instances — their refcounts exist already, but allow each
+// one an entry, and the searches a scratch buffer regrown for the one more
+// neighbour — where pass tables laid out over the balls (4 bytes a vertex, a
+// row per node orbit) come to 32 KiB.
 func TestRestrictedPassCostsItsBall(t *testing.T) {
 	const slack = 16 << 10
+	const applySlack = 1 << 10
+	const perCounted = 64 // bytes: a key, a refcount and a generous share of a map's growth
+	const hubLabel, hubStride = 2, 16
 	p := trianglePattern()
-	refreshBytes := func(n int) (bytes uint64, ball int) {
-		g := gen.BarabasiAlbert(n, 2, gen.UniformLabels{K: 1}, 9)
-		d, err := core.NewDeltaContext(g, p, core.Options{Shards: 16, Parallelism: 2})
-		if err != nil {
-			t.Fatalf("n=%d: NewDeltaContext: %v", n, err)
-		}
-		defer d.Close()
-		ids := g.SortedVertices()
-		u, v := ids[len(ids)-1], ids[len(ids)-2]
-		if g.HasEdge(u, v) {
-			t.Fatalf("n=%d: the two newest vertices are already adjacent", n)
-		}
-		g.MustAddEdge(u, v)
-		g.FreezeSharded(graph.FreezeOptions{Shards: 16})
-
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		err = d.Refresh()
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatalf("n=%d: Refresh: %v", n, err)
-		}
-		if st := d.Stats(); st.DeltaRefreshes != 1 {
-			t.Fatalf("n=%d: the refresh should take the delta path, stats %+v", n, st)
-		}
-		return after.TotalAlloc - before.TotalAlloc, d.Stats().LastBallVertices
+	type cost struct {
+		batch, apply uint64
+		stats        core.DeltaStats
 	}
-	small, smallBall := refreshBytes(1 << 12)
-	big, bigBall := refreshBytes(1 << 16)
-	if big > small+slack {
-		t.Errorf("one-edge refresh allocated %d B on 2^12 vertices (balls of %d) and %d B on 2^16 (balls of %d): a restricted pass must not pay for the graph",
-			small, smallBall, big, bigBall)
+	refreshBytes := func(n int, atHub bool) cost {
+		g := gen.BarabasiAlbert(n, 2, gen.UniformLabels{K: 1}, 9)
+		ids := g.SortedVertices()
+		onTriangle := func(v graph.VertexID) bool {
+			nbs := g.Neighbors(v)
+			for i, a := range nbs {
+				for _, b := range nbs[i+1:] {
+					if g.HasEdge(a, b) {
+						return true
+					}
+				}
+			}
+			return false
+		}
+		newest := func(ok func(graph.VertexID) bool) graph.VertexID {
+			for i := len(ids) - 1; i >= 0; i-- {
+				if ok(ids[i]) {
+					return ids[i]
+				}
+			}
+			t.Fatalf("n=%d: no vertex fits the batch", n)
+			return 0
+		}
+		v := newest(onTriangle)
+		u := newest(func(w graph.VertexID) bool { return w != v && !g.HasEdge(w, v) })
+		if atHub {
+			u = ids[len(ids)-1] + 1
+			g.MustAddVertex(u, hubLabel)
+			for i := 0; i < len(ids); i += hubStride {
+				g.MustAddEdge(u, ids[i])
+			}
+		}
+		freeze := graph.FreezeOptions{Shards: 16}
+		old := g.FreezeSharded(freeze)
+		d, err := core.NewDeltaContextAt(g, old, p, core.Options{Parallelism: 2})
+		if err != nil {
+			t.Fatalf("n=%d: NewDeltaContextAt: %v", n, err)
+		}
+		feed := g.Subscribe()
+		defer feed.Close()
+		g.MustAddEdge(u, v)
+		next := g.FreezeSharded(freeze)
+		muts := feed.Drain()
+
+		var m0, m1, m2 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		batch := core.NewBatch(old, next, muts, d.Radius())
+		runtime.ReadMemStats(&m1)
+		err = d.Apply(batch)
+		runtime.ReadMemStats(&m2)
+		if err != nil {
+			t.Fatalf("n=%d: Apply: %v", n, err)
+		}
+		if st := d.Stats(); st.DeltaRefreshes != 1 || st.PassCounted == 0 {
+			t.Fatalf("n=%d: the refresh should take the delta path and count the triangles through vertex %d, stats %+v", n, v, st)
+		}
+		return cost{batch: m1.TotalAlloc - m0.TotalAlloc, apply: m2.TotalAlloc - m1.TotalAlloc, stats: d.Stats()}
+	}
+	small, big := refreshBytes(1<<12, false), refreshBytes(1<<16, false)
+	if big.batch+big.apply > small.batch+small.apply+slack {
+		t.Errorf("one-edge refresh allocated %d+%d B on 2^12 vertices (balls of %d) and %d+%d B on 2^16 (balls of %d): a refresh must not pay for the graph",
+			small.batch, small.apply, small.stats.LastBallVertices, big.batch, big.apply, big.stats.LastBallVertices)
+	}
+	hub := refreshBytes(1<<16, true)
+	if hub.stats.LastBallVertices < 10*big.stats.LastBallVertices {
+		t.Fatalf("the hub's balls hold %d vertices against %d away from it; the case needs ten times as many", hub.stats.LastBallVertices, big.stats.LastBallVertices)
+	}
+	if allowed := big.apply + applySlack + perCounted*uint64(hub.stats.PassCounted); hub.apply > allowed {
+		t.Errorf("applying one edge allocated %d B with balls of %d vertices and %d B at the hub with balls of %d, where the passes counted %d instances: more than the %d B those account for, so something is paying for the ball",
+			big.apply, big.stats.LastBallVertices, hub.apply, hub.stats.LastBallVertices, hub.stats.PassCounted, allowed)
 	}
 }
 

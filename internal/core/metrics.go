@@ -5,7 +5,9 @@ import "repro/internal/obs"
 // Delta-maintenance metrics: the process-wide view of what the per-context
 // DeltaStats structs count individually. The delta-vs-full split is the
 // staleness/refresh-cost accounting a standing-query deployment watches, and
-// the ball-size histogram shows how local the update stream actually is.
+// the ball-size histogram shows how local the update stream actually is — the
+// ball is computed as a size for that and for the saturation rule; nothing is
+// laid out over it.
 var (
 	mDeltaRefreshes = obs.NewCounter("repro_delta_refreshes_total",
 		"DeltaContext refreshes, including no-op ones")

@@ -80,26 +80,8 @@ func (c *Context) ClassifyOverlap(f1, f2 *isomorph.Occurrence, policy isomorph.S
 	return kind
 }
 
-// OverlapMatrix computes the pairwise overlap classification of all
-// occurrences in the context. The result is indexed by occurrence position;
-// entry [i][j] for i < j holds the classification, the diagonal and lower
-// triangle are zero values.
-func (c *Context) OverlapMatrix(policy isomorph.SubgraphPolicy) [][]OverlapKind {
-	n := len(c.occurrences)
-	out := make([][]OverlapKind, n)
-	for i := range out {
-		out[i] = make([]OverlapKind, n)
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			out[i][j] = c.ClassifyOverlap(c.occurrences[i], c.occurrences[j], policy)
-		}
-	}
-	return out
-}
-
-// OverlapCounts summarizes an overlap matrix: how many occurrence pairs
-// exhibit each overlap kind.
+// OverlapCounts summarizes the pairwise overlap classification of a
+// context's occurrences: how many occurrence pairs exhibit each overlap kind.
 type OverlapCounts struct {
 	Pairs      int
 	Simple     int

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/isomorph"
@@ -28,12 +27,13 @@ import (
 // delta refresh may represent one instance by different occurrences and
 // still add and subtract the same entries.
 //
-// A domainTable lives for one enumeration pass over one snapshot, so it is
+// A domainTable lives for one complete enumeration of one snapshot, so it is
 // keyed the way the search is: by the snapshot's dense vertex indexes, which
-// is what an occurrence is found in and lent as (Occurrence.IndexAt). Counting
-// a representative is k array increments; no VertexID is looked at and no hash
-// table exists. A from-scratch Context reads "is the counter non-zero" and
-// throws the table away.
+// is what an occurrence is found in and lent as (Occurrence.IndexAt). It is
+// always the whole snapshot wide. Counting a representative is k array
+// increments; no VertexID is looked at and no hash table exists. A
+// from-scratch Context reads "is the counter non-zero" and throws the table
+// away.
 //
 // A domainState lives as long as a DeltaContext, across snapshots whose dense
 // indexes shift with every vertex insert or removal, so it is keyed by
@@ -43,8 +43,15 @@ import (
 // a vertex from one of many. It holds only the vertices some instance maps
 // to, not a counter per data vertex per tracked pattern.
 //
-// domainState.fold is the single place the first becomes the second — the
-// one point where a dense index is turned into a VertexID.
+// The state is written two ways, by what the writer has in hand. A complete
+// enumeration has millions of representatives and one table of them:
+// domainState.fold turns the table's non-zero counters into entries, the one
+// point where a dense index becomes a VertexID. A delta pass has the few
+// instances through a batch's dirty vertices — some twenty per context on the
+// benchmark's refreshes — and a table to carry them would cost its width to
+// allocate and again to scan: domainState.apply adds or subtracts each
+// representative as it arrives, by the VertexIDs the lent occurrence carries
+// beside its indexes.
 //
 // The one pass that is not a search for representatives is the scan of a
 // materialized list, whose order witnesses.golden pins and whose
@@ -106,33 +113,22 @@ func (l rowLayout) fanOut(perRow []int) []int {
 	return out
 }
 
-// domainTable is the MNI table one enumeration pass fills: for every row of
-// its layout a run of counters over the pass's vertex universe, row r at
-// counts[r*width:(r+1)*width], each the number of counted assignments that
-// map a node of the row to that vertex.
-//
-// The universe of a complete enumeration is the whole snapshot (universe nil,
-// the counter of dense index x at position x); the universe of a delta pass,
-// whose searches are rooted at the batch's dirty vertices, is the sorted
-// mutation ball around them (position by binary search), which by
-// construction holds every image of every instance the pass counts. One table
-// is 4·rows·width bytes — 4·orbits·n for a complete streaming pass,
-// 4·orbits·|ball| for a delta pass, never 4·k·n. Every worker of a complete
-// pass owns one; a delta pass has one.
+// domainTable is the MNI table one complete pass over a snapshot fills: for
+// every row of its layout a run of counters, one per vertex of the snapshot,
+// row r at counts[r*width:(r+1)*width] and the counter of dense index x at
+// position x, each the number of counted assignments that map a node of the
+// row to that vertex. One table is 4·rows·n bytes — 4·orbits·n for a
+// streaming pass, never 4·k·n — and every worker of the pass owns one.
 type domainTable struct {
 	rowLayout
-	snap     *graph.Snapshot
-	universe []int32
-	width    int
-	counts   []int32
+	snap   *graph.Snapshot
+	width  int
+	counts []int32
 }
 
-func newDomainTable(snap *graph.Snapshot, layout rowLayout, universe []int32) domainTable {
+func newDomainTable(snap *graph.Snapshot, layout rowLayout) domainTable {
 	width := snap.NumVertices()
-	if universe != nil {
-		width = len(universe)
-	}
-	return domainTable{rowLayout: layout, snap: snap, universe: universe, width: width, counts: make([]int32, layout.rows*width)}
+	return domainTable{rowLayout: layout, snap: snap, width: width, counts: make([]int32, layout.rows*width)}
 }
 
 // add counts one assignment lent by the enumeration of t's snapshot: every
@@ -163,55 +159,31 @@ func (t *domainTable) addListed(o *isomorph.Occurrence) {
 //
 //gvet:hotpath
 func (t *domainTable) bump(r int, x int32) {
-	pos := int(x)
-	if t.universe != nil {
-		pos = t.position(r, x)
-	}
-	c := &t.counts[r*t.width+pos]
+	c := &t.counts[r*t.width+int(x)]
 	if *c == math.MaxInt32 {
-		t.overflow(r, pos)
+		t.overflow(r, int(x))
 	}
 	*c++
 }
 
-// position returns where dense index x sits in a restricted universe. A miss
-// means an occurrence touching a dirty vertex has an image outside the
-// mutation ball, which the ball's radius (the pattern's diameter) rules out,
-// so it panics.
-func (t *domainTable) position(r int, x int32) int {
-	pos, ok := slices.BinarySearch(t.universe, x)
-	if !ok {
-		panic(fmt.Sprintf("core: image %d of %s lies outside the pass's %d-vertex mutation ball", t.snap.ID(x), t.describe(r), len(t.universe)))
-	}
-	return pos
-}
-
 // overflow reports a counter about to pass 2^31-1. A hub reaches that in
 // minutes of emits, so the counter must not wrap silently into "absent".
-func (t *domainTable) overflow(r, pos int) {
-	panic(fmt.Sprintf("core: more than %d counted assignments map %s to vertex %d; the pass table's counters are 32 bits wide", math.MaxInt32, t.describe(r), t.snap.ID(t.index(pos))))
+func (t *domainTable) overflow(r, x int) {
+	panic(fmt.Sprintf("core: more than %d counted assignments map %s to vertex %d; the pass table's counters are 32 bits wide", math.MaxInt32, t.describe(r), t.snap.ID(int32(x))))
 }
 
-// row returns row r's counters, one per universe position.
+// row returns row r's counters, one per dense index.
 func (t *domainTable) row(r int) []int32 { return t.counts[r*t.width : (r+1)*t.width] }
-
-// index returns the dense index of universe position pos.
-func (t *domainTable) index(pos int) int32 {
-	if t.universe != nil {
-		return t.universe[pos]
-	}
-	return int32(pos)
-}
 
 // merge adds the counters of another worker's table of the same pass into t.
 func (t *domainTable) merge(other domainTable) {
 	for r := 0; r < t.rows; r++ {
 		row := t.row(r)
-		for pos, c := range other.row(r) {
-			if c > math.MaxInt32-row[pos] {
-				t.overflow(r, pos)
+		for x, c := range other.row(r) {
+			if c > math.MaxInt32-row[x] {
+				t.overflow(r, x)
 			}
-			row[pos] += c
+			row[x] += c
 		}
 	}
 }
@@ -252,33 +224,48 @@ func newDomainState(layout rowLayout) *domainState {
 	return s
 }
 
-// fold adds sign times a pass's count and counters into s, translating every
-// non-zero counter's universe position to the VertexID it stands for in the
-// pass's snapshot, and deletes entries that reach zero. The pass must have
-// counted into s's own layout. A negative refcount means a subtracted
-// instance was never added — the plus and minus passes of a delta refresh
-// disagreed about the old graph — which the construction rules out, so it
-// panics. (Folding the plus pass first keeps every refcount non-negative in
-// transit as well.)
-func (s *domainState) fold(a *accumulator, sign int) {
-	s.count += sign * a.count
+// fold adds a complete pass's count and counters into s, translating every
+// non-zero counter's dense index to the VertexID it stands for in the pass's
+// snapshot. The pass must have counted into s's own layout.
+func (s *domainState) fold(a *accumulator) {
+	s.count += a.count
 	t := &a.table
 	for r, row := range s.entries {
-		for pos, c := range t.row(r) {
-			if c == 0 {
-				continue
-			}
-			v := t.snap.ID(t.index(pos))
-			switch next := row[v] + sign*int(c); {
-			case next > 0:
-				row[v] = next
-			case next == 0:
-				delete(row, v)
-			default:
-				panic(fmt.Sprintf("core: domain refcount for %s vertex %d went negative (%d)", s.describe(r), v, next))
+		for x, c := range t.row(r) {
+			if c != 0 {
+				row[t.snap.ID(int32(x))] += int(c)
 			}
 		}
 	}
+}
+
+// apply adds sign (+1 or -1) times one instance into s: the count and, for
+// every pattern node, the refcount of the node's image in the node's row, an
+// entry deleted when it reaches zero. o is any occurrence of the instance,
+// read by its VertexIDs. A negative refcount means a subtracted instance was
+// never added — the plus and minus passes of a delta refresh disagreed about
+// the old graph — which the construction rules out, so it panics. (Applying
+// the plus pass first keeps every refcount non-negative in transit as well.)
+//
+//gvet:hotpath
+func (s *domainState) apply(o *isomorph.Occurrence, sign int) {
+	s.count += sign
+	for i, r := range s.rowOf {
+		row, v := s.entries[r], o.ImageAt(i)
+		switch next := row[v] + sign; {
+		case next > 0:
+			row[v] = next
+		case next == 0:
+			delete(row, v)
+		default:
+			s.negative(r, v, next)
+		}
+	}
+}
+
+// negative reports a refcount below zero, outside apply's hot path.
+func (s *domainState) negative(r int, v graph.VertexID, next int) {
+	panic(fmt.Sprintf("core: domain refcount for %s vertex %d went negative (%d)", s.describe(r), v, next))
 }
 
 // sizes returns the MNI domain size of every pattern node, aligned with
@@ -291,16 +278,21 @@ func (s *domainState) sizes() []int {
 	return s.fanOut(perRow)
 }
 
-// accumulator is what one pass is folded into: the number of assignments
-// counted — representatives, one per instance, on a streaming pass; listed
-// occurrences on a scan — and the pass's domain table. It reads an occurrence
-// and retains nothing of it, which is what lets the enumeration engine lend
-// every worker's occurrences instead of allocating them. Each enumeration
-// worker of a complete pass owns exactly one, so the hot path takes no locks,
-// and the per-worker accumulators are merged once enumeration finishes; a
-// delta pass runs its pinned searches on one goroutine into one (deltaPass,
-// delta.go), which decides what of their output to count.
+// accumulator is what one complete pass is folded into: the number of
+// assignments counted — representatives, one per instance, on a streaming
+// pass; listed occurrences on a scan — and the pass's domain table. It reads an
+// occurrence and retains nothing of it, which is what lets the enumeration
+// engine lend every worker's occurrences instead of allocating them. Each
+// enumeration worker owns exactly one, so the hot path takes no locks, and the
+// per-worker accumulators are merged once enumeration finishes. (A delta pass
+// has no accumulator: deltaPass, delta.go, applies what it counts to the
+// maintained state.)
 type accumulator struct {
+	// The workers' accumulators are allocated one after another, and count is
+	// written on every emit: the pad keeps it a cache line away from the
+	// previous worker's table header, which that worker reads on every emit.
+	// (Sharing the line costs the two workers of eval-stream 7 % of an op.)
+	_     [64]byte
 	count int
 	table domainTable
 }
@@ -314,7 +306,7 @@ func (a *accumulator) yield(o *isomorph.Occurrence) bool {
 
 // instanceCounter is what the streaming passes of one context share: the
 // pattern, its symmetry — Aut(P) computed once — and the orbit-row layout
-// every pass table and the maintained state are laid out in.
+// every streaming pass table and the maintained state are laid out in.
 type instanceCounter struct {
 	p   *pattern.Pattern
 	sym *isomorph.Symmetry
@@ -338,7 +330,7 @@ func (c *instanceCounter) accumulate(snap *graph.Snapshot, parallelism int) *acc
 	var accs []*accumulator
 	enum := isomorph.Options{Parallelism: parallelism, Symmetry: c.sym}
 	isomorph.EnumerateSnapshotWorkers(snap, c.p, enum, func(int) func(*isomorph.Occurrence) bool {
-		a := &accumulator{table: newDomainTable(snap, c.rowLayout, nil)}
+		a := &accumulator{table: newDomainTable(snap, c.rowLayout)}
 		accs = append(accs, a)
 		return a.yield
 	})
@@ -353,7 +345,7 @@ func scan(snap *graph.Snapshot, p *pattern.Pattern, occs []*isomorph.Occurrence)
 	if len(occs) == 0 {
 		return mergeWorkers(layout, nil)
 	}
-	a := &accumulator{count: len(occs), table: newDomainTable(snap, layout, nil)}
+	a := &accumulator{count: len(occs), table: newDomainTable(snap, layout)}
 	for _, o := range occs {
 		a.table.addListed(o)
 	}

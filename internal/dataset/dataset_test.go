@@ -124,40 +124,6 @@ func TestLGFileHelpers(t *testing.T) {
 	}
 }
 
-func TestReadEdgeList(t *testing.T) {
-	input := `
-# comment
-l 1 5
-1 2
-2 3
-2 3
-3 3
-`
-	g, err := dataset.ReadEdgeList(strings.NewReader(input), "el", 9)
-	if err != nil {
-		t.Fatalf("ReadEdgeList: %v", err)
-	}
-	if g.NumVertices() != 3 {
-		t.Errorf("vertices = %d, want 3", g.NumVertices())
-	}
-	if g.NumEdges() != 2 { // duplicate edge and self loop dropped
-		t.Errorf("edges = %d, want 2", g.NumEdges())
-	}
-	if l, _ := g.LabelOf(1); l != 5 {
-		t.Errorf("label of 1 = %d, want 5 (from label line)", l)
-	}
-	if l, _ := g.LabelOf(2); l != 9 {
-		t.Errorf("label of 2 = %d, want default 9", l)
-	}
-
-	bad := []string{"l 1", "l a 1", "l 1 b", "1", "a 2", "1 b"}
-	for _, in := range bad {
-		if _, err := dataset.ReadEdgeList(strings.NewReader(in), "bad", 1); err == nil {
-			t.Errorf("expected error for %q", in)
-		}
-	}
-}
-
 func TestFigureExpectationsCoverKeyFigures(t *testing.T) {
 	// The central worked examples of the paper must carry explicit expected
 	// values so that the measure tests actually pin them down.

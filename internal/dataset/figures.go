@@ -1,6 +1,5 @@
-// Package dataset provides graph I/O (the GraMi-style .lg text format and a
-// simple edge-list format) and the built-in example graphs transcribed from
-// the paper's figures. The figure fixtures are the ground truth for the
+// Package dataset provides graph I/O (the GraMi-style .lg text format) and
+// the built-in example graphs transcribed from the paper's figures. The figure fixtures are the ground truth for the
 // correctness tests and for the F1-F10 rows of the gbench "figures" experiment.
 package dataset
 

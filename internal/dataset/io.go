@@ -130,86 +130,3 @@ func SaveLGFile(path string, g *graph.Graph) error {
 	}
 	return f.Close()
 }
-
-// ReadEdgeList parses the minimal "u v" edge-list format, one edge per line,
-// with optional "# label lines" of the form "l <vertex> <label>". Vertices
-// appearing only in edges receive defaultLabel.
-func ReadEdgeList(r io.Reader, name string, defaultLabel graph.Label) (*graph.Graph, error) {
-	g := graph.New(name)
-	type pendingEdge struct{ u, v int }
-	var edges []pendingEdge
-	labels := make(map[int]graph.Label)
-
-	scanner := bufio.NewScanner(r)
-	scanner.Buffer(make([]byte, 1024*1024), 16*1024*1024)
-	lineNo := 0
-	for scanner.Scan() {
-		lineNo++
-		line := strings.TrimSpace(scanner.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if fields[0] == "l" {
-			if len(fields) < 3 {
-				return nil, fmt.Errorf("dataset: line %d: label line needs vertex and label: %q", lineNo, line)
-			}
-			v, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return nil, fmt.Errorf("dataset: line %d: bad vertex %q: %w", lineNo, fields[1], err)
-			}
-			l, err := strconv.Atoi(fields[2])
-			if err != nil {
-				return nil, fmt.Errorf("dataset: line %d: bad label %q: %w", lineNo, fields[2], err)
-			}
-			labels[v] = graph.Label(l)
-			continue
-		}
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("dataset: line %d: edge line needs two endpoints: %q", lineNo, line)
-		}
-		u, err := strconv.Atoi(fields[0])
-		if err != nil {
-			return nil, fmt.Errorf("dataset: line %d: bad endpoint %q: %w", lineNo, fields[0], err)
-		}
-		v, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("dataset: line %d: bad endpoint %q: %w", lineNo, fields[1], err)
-		}
-		edges = append(edges, pendingEdge{u: u, v: v})
-	}
-	if err := scanner.Err(); err != nil {
-		return nil, fmt.Errorf("dataset: reading edge list: %w", err)
-	}
-
-	addVertex := func(v int) error {
-		if g.HasVertex(graph.VertexID(v)) {
-			return nil
-		}
-		label, ok := labels[v]
-		if !ok {
-			label = defaultLabel
-		}
-		return g.AddVertex(graph.VertexID(v), label)
-	}
-	for v := range labels {
-		if err := addVertex(v); err != nil {
-			return nil, err
-		}
-	}
-	for _, e := range edges {
-		if err := addVertex(e.u); err != nil {
-			return nil, err
-		}
-		if err := addVertex(e.v); err != nil {
-			return nil, err
-		}
-		if g.HasEdge(graph.VertexID(e.u), graph.VertexID(e.v)) || e.u == e.v {
-			continue // tolerate duplicate edges and self loops in raw edge lists
-		}
-		if err := g.AddEdge(graph.VertexID(e.u), graph.VertexID(e.v)); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
-}

@@ -89,27 +89,6 @@ func (g *Graph) Density() float64 {
 	return float64(g.NumEdges()) / (float64(n) * float64(n-1) / 2)
 }
 
-// TriangleCount returns the number of triangles (3-cycles) in the graph.
-// It uses the standard neighbor-intersection algorithm and is intended for
-// workload characterization, not as a support measure.
-func (g *Graph) TriangleCount() int {
-	count := 0
-	for e := range g.edges {
-		nu := g.adjacency[e.U]
-		nv := make(map[VertexID]bool, len(g.adjacency[e.V]))
-		for _, w := range g.adjacency[e.V] {
-			nv[w] = true
-		}
-		for _, w := range nu {
-			if w != e.U && w != e.V && nv[w] {
-				count++
-			}
-		}
-	}
-	// Each triangle is counted once per edge (3 edges) in the loop above.
-	return count / 3
-}
-
 // Validate performs internal consistency checks and returns an error
 // describing the first problem found. A graph constructed exclusively through
 // AddVertex/AddEdge always validates; this is a safety net for loaders.

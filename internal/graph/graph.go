@@ -406,28 +406,6 @@ func (g *Graph) InducedSubgraph(vs []VertexID) (*Graph, error) {
 	return sub, nil
 }
 
-// EdgeSubgraph returns the subgraph of g consisting of exactly the given
-// edges and their endpoints (not vertex-induced).
-func (g *Graph) EdgeSubgraph(edges []Edge) (*Graph, error) {
-	sub := New(g.name + "/edges")
-	for _, e := range edges {
-		e = e.Normalize()
-		if !g.HasEdge(e.U, e.V) {
-			return nil, fmt.Errorf("graph %q: edge subgraph references unknown edge %v", g.name, e)
-		}
-		if !sub.HasVertex(e.U) {
-			sub.MustAddVertex(e.U, g.labels[e.U])
-		}
-		if !sub.HasVertex(e.V) {
-			sub.MustAddVertex(e.V, g.labels[e.V])
-		}
-		if !sub.HasEdge(e.U, e.V) {
-			sub.MustAddEdge(e.U, e.V)
-		}
-	}
-	return sub, nil
-}
-
 // Equal reports whether g and h have identical vertex IDs, labels and edge
 // sets. This is identity equality, not isomorphism; use the isomorph package
 // for isomorphism checks.

@@ -145,20 +145,6 @@ func TestInducedSubgraph(t *testing.T) {
 	}
 }
 
-func TestEdgeSubgraph(t *testing.T) {
-	g := buildHouse(t)
-	sub, err := g.EdgeSubgraph([]graph.Edge{{U: 1, V: 2}, {U: 3, V: 5}})
-	if err != nil {
-		t.Fatalf("EdgeSubgraph: %v", err)
-	}
-	if sub.NumVertices() != 4 || sub.NumEdges() != 2 {
-		t.Errorf("edge subgraph has %d vertices, %d edges; want 4, 2", sub.NumVertices(), sub.NumEdges())
-	}
-	if _, err := g.EdgeSubgraph([]graph.Edge{{U: 1, V: 3}}); err == nil {
-		t.Error("expected error for non-existent edge")
-	}
-}
-
 func TestBuilderShapes(t *testing.T) {
 	g, err := graph.NewBuilder("shapes").
 		Vertices(1, 0, 1, 2, 3, 4, 5).
@@ -246,21 +232,6 @@ func TestDegreeStatisticsAndDensity(t *testing.T) {
 	es := empty.DegreeStatistics()
 	if es.Min != 0 || es.Max != 0 || es.Mean != 0 {
 		t.Errorf("empty degree stats = %+v", es)
-	}
-}
-
-func TestTriangleCount(t *testing.T) {
-	tri := graph.NewBuilder("tri").Vertices(1, 1, 2, 3, 4).Cycle(1, 2, 3).Edge(3, 4).MustBuild()
-	if got := tri.TriangleCount(); got != 1 {
-		t.Errorf("TriangleCount = %d, want 1", got)
-	}
-	k4 := graph.NewBuilder("k4").Vertices(1, 1, 2, 3, 4).Clique(1, 2, 3, 4).MustBuild()
-	if got := k4.TriangleCount(); got != 4 {
-		t.Errorf("K4 TriangleCount = %d, want 4", got)
-	}
-	path := graph.NewBuilder("path").Vertices(1, 1, 2, 3).Path(1, 2, 3).MustBuild()
-	if got := path.TriangleCount(); got != 0 {
-		t.Errorf("path TriangleCount = %d, want 0", got)
 	}
 }
 

@@ -184,27 +184,6 @@ func isSubset(a, b []graph.VertexID) bool {
 	return i == len(a)
 }
 
-// Dual returns the dual hypergraph H* (Definition 3.1.2): its vertices are
-// the edges of H (identified by position) and it has one edge X_v per vertex
-// v of H collecting all H-edges containing v. The dual's edges are labeled
-// with the originating vertex.
-type Dual struct {
-	// EdgeVertices lists, for each original vertex v (in sorted order), the
-	// IDs of the H-edges containing v; this is the dual edge X_v.
-	Names []graph.VertexID
-	Sets  [][]EdgeID
-}
-
-// Dual computes the dual hypergraph of h.
-func (h *Hypergraph) Dual() *Dual {
-	d := &Dual{}
-	for _, v := range h.Vertices() {
-		d.Names = append(d.Names, v)
-		d.Sets = append(d.Sets, h.IncidentEdges(v))
-	}
-	return d
-}
-
 // String returns a compact description of the hypergraph.
 func (h *Hypergraph) String() string {
 	k, uniform := h.IsUniform()

@@ -82,15 +82,10 @@ func TestIsSimpleAndDual(t *testing.T) {
 	if h.IsSimple() {
 		t.Error("edge {1,2} is a subset of {1,2,3}; hypergraph should not be simple")
 	}
-	d := h.Dual()
-	if len(d.Names) != 3 {
-		t.Fatalf("dual has %d vertices-as-edges, want 3", len(d.Names))
-	}
-	// Vertex 2 appears in all three edges.
-	for i, name := range d.Names {
-		if name == 2 && len(d.Sets[i]) != 3 {
-			t.Errorf("dual edge X_2 = %v, want all three edges", d.Sets[i])
-		}
+	// Vertex 2 appears in all three edges: the dual edge X_2 of Definition
+	// 3.1.2, which the solvers read as an incidence list.
+	if got := h.IncidentEdges(2); len(got) != 3 {
+		t.Errorf("edges incident to vertex 2 = %v, want all three", got)
 	}
 	if _, uniform := hypergraph.New().IsUniform(); !uniform {
 		t.Error("empty hypergraph is trivially uniform")

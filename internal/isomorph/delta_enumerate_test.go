@@ -42,70 +42,6 @@ func TestEnumerateSnapshotMatchesGraphEnumeration(t *testing.T) {
 	}
 }
 
-// TestRootRestrictedEnumeration checks Options.RootIndexes semantics: the
-// restricted run yields exactly the occurrences rooted at the allowed dense
-// indexes (for the star pattern, those whose center image is allowed), and
-// the result is identical across shard counts and parallelism.
-func TestRootRestrictedEnumeration(t *testing.T) {
-	g := gen.BarabasiAlbert(300, 3, gen.UniformLabels{K: 2}, 7)
-	p := starPattern()
-
-	snap := g.Freeze()
-	full := isomorph.EnumerateSnapshot(snap, p, isomorph.Options{Parallelism: 1})
-
-	// The root pattern node is the first node of the search order, which the
-	// planner chooses per (snapshot, pattern); resolve it through Explain
-	// rather than assuming the star center.
-	plan := isomorph.Explain(snap, p, isomorph.Options{})
-	rootNode, rootLabel := plan.Steps[0].Node, plan.Steps[0].Label
-
-	// Allow every other root-label vertex.
-	all := snap.IndexesWithLabel(rootLabel)
-	var allowed []int32
-	allowedSet := make(map[graph.VertexID]bool)
-	for i, c := range all {
-		if i%2 == 0 {
-			allowed = append(allowed, c)
-			allowedSet[snap.ID(c)] = true
-		}
-	}
-
-	var wantOccs []*isomorph.Occurrence
-	for _, o := range full {
-		if allowedSet[o.MustImage(rootNode)] {
-			wantOccs = append(wantOccs, o)
-		}
-	}
-	want := occurrenceKeys(wantOccs)
-	if len(want) == 0 || len(want) == len(full) {
-		t.Fatalf("restriction kept %d of %d occurrences; test needs a proper subset", len(want), len(full))
-	}
-
-	for _, shards := range []int{1, 2, 7} {
-		for _, par := range []int{1, 4} {
-			sh := sharded(g, shards)
-			// Dense indexes are snapshot-specific: re-resolve the allowed
-			// vertex IDs against this snapshot.
-			var roots []int32
-			for _, c := range sh.IndexesWithLabel(rootLabel) {
-				if allowedSet[sh.ID(c)] {
-					roots = append(roots, c)
-				}
-			}
-			got := occurrenceKeys(isomorph.EnumerateSnapshot(sh, p, isomorph.Options{Parallelism: par, RootIndexes: roots}))
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("shards=%d par=%d: restricted enumeration yielded %d occurrences, want %d",
-					shards, par, len(got), len(want))
-			}
-		}
-	}
-
-	// An empty (but non-nil) restriction enumerates nothing.
-	if got := isomorph.EnumerateSnapshot(snap, p, isomorph.Options{RootIndexes: []int32{}}); len(got) != 0 {
-		t.Fatalf("empty root restriction enumerated %d occurrences, want 0", len(got))
-	}
-}
-
 // TestEnumerateSnapshotIsHistorical checks that a retained snapshot keeps
 // answering with pre-mutation state: mutations that add occurrences are
 // visible through a fresh freeze but not through the old snapshot.

@@ -26,25 +26,6 @@ type Options struct {
 	// 1 forces the deterministic sequential path; values above 1 are used
 	// as given.
 	Parallelism int
-	// RootIndexes, when non-nil, restricts the search to occurrences rooted
-	// at the given global dense indexes of the snapshot the search runs on
-	// (the root is the data vertex matched to the first pattern node of the
-	// search order). The slice must be sorted ascending and hold no index
-	// twice (a repeated root is searched twice). The plan walks it
-	// once — keeping the indexes that pass the root's label and degree
-	// constraints, bucketed by shard — so planning a restricted search costs
-	// its restriction, not the graph, and a shard holding none of it never
-	// enters the worker schedule: a restriction clustered in a few shards
-	// skips every other shard's arrays.
-	//
-	// Dense indexes are snapshot-specific: they refer to the snapshot passed
-	// to the entry point. Note that the first pattern node of the search
-	// order is chosen per (snapshot, pattern) by the search-order planner, so
-	// the restriction says where that node may land, whichever it is; a
-	// caller that needs a particular node somewhere particular — delta
-	// maintenance, which wants the occurrences through a changed vertex —
-	// prescribes the root instead (EnumeratePinned).
-	RootIndexes []int32
 	// Symmetry, when non-nil, must be NewSymmetry of the pattern searched,
 	// and makes the search one over instances: of the Symmetry.Order()
 	// occurrences of an instance it delivers exactly one, the representative
@@ -147,7 +128,7 @@ type searchPlan struct {
 // newSearchPlan compiles the matching order of p against the given frozen
 // snapshot (see planner.go) and precomputes the per-depth constraint data and
 // kernel slots. It returns nil when the pattern cannot occur at all (empty
-// pattern, a label absent from the data graph, or an empty root restriction).
+// pattern, or a label absent from the data graph).
 func newSearchPlan(snap *graph.Snapshot, p *pattern.Pattern, opts Options) *searchPlan {
 	m := newPatternModel(p)
 	order, _ := chooseOrder(snap, m)
@@ -159,21 +140,17 @@ func newSearchPlan(snap *graph.Snapshot, p *pattern.Pattern, opts Options) *sear
 		weight = uint64(opts.Symmetry.Order())
 	}
 	pl := compilePlan(snap, m, order, opts.below(order), weight)
-	if opts.RootIndexes != nil {
-		pl.restrictRoots(opts.RootIndexes)
-	} else {
-		for s := 0; s < snap.NumShards(); s++ {
-			var roots []int32
-			for _, c := range snap.ShardIndexesWithLabel(s, pl.label[0]) {
-				if snap.DegreeAt(c) >= pl.minDeg[0] {
-					roots = append(roots, c)
-				}
+	for s := 0; s < snap.NumShards(); s++ {
+		var roots []int32
+		for _, c := range snap.ShardIndexesWithLabel(s, pl.label[0]) {
+			if snap.DegreeAt(c) >= pl.minDeg[0] {
+				roots = append(roots, c)
 			}
-			if len(roots) > 0 {
-				pl.rootsByShard = append(pl.rootsByShard, roots)
-				pl.shardIDs = append(pl.shardIDs, s)
-				pl.numRoots += len(roots)
-			}
+		}
+		if len(roots) > 0 {
+			pl.rootsByShard = append(pl.rootsByShard, roots)
+			pl.shardIDs = append(pl.shardIDs, s)
+			pl.numRoots += len(roots)
 		}
 	}
 	if pl.numRoots == 0 {
@@ -531,8 +508,7 @@ func (s *searchState) publishEmits() {
 // calling — and because snapshots are immutable this is also how historical
 // state is searched: a retained old snapshot is searched as it was while the
 // graph has already moved on (the minus pass of core.DeltaContext does so
-// through EnumeratePinned). Options.RootIndexes refers to snap's dense-index
-// space.
+// through EnumeratePinned).
 //
 // newYield is invoked once per worker, serially, before the workers start;
 // the returned consumer is then called from that worker's goroutine only, so

@@ -327,7 +327,7 @@ func TestEnumerateMaxOccurrencesParallelSafe(t *testing.T) {
 // on the last root candidate of a shard's bucket: the sequential drain must
 // return there, not move on to the next shard. The graph is four disjoint
 // 1–2 labelled edges, one per two-vertex shard, so every shard bucket holds
-// exactly one matching root — the shape a pinned or RootIndexes search has
+// exactly one matching root — the shape a pinned search has
 // all the time. A consumer that has returned false is never called again, and
 // a cap of one keeps one occurrence, at every entry point that drains.
 func TestStopOnLastRootOfShardHalts(t *testing.T) {
@@ -354,7 +354,7 @@ func TestStopOnLastRootOfShardHalts(t *testing.T) {
 		}
 	}
 	for n := 1; n <= 3; n++ {
-		for _, opts := range []isomorph.Options{{}, {RootIndexes: all}, {Symmetry: isomorph.NewSymmetry(edge)}} {
+		for _, opts := range []isomorph.Options{{}, {Symmetry: isomorph.NewSymmetry(edge)}} {
 			where := fmt.Sprintf("stop at %d, options %+v", n, opts)
 			calls := 0
 			opts.Parallelism = 1

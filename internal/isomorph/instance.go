@@ -16,9 +16,6 @@ import (
 type Instance struct {
 	vertices []graph.VertexID
 	edges    []graph.Edge
-	// occurrences lists the indexes (into the originating occurrence slice)
-	// of all occurrences whose image is this instance.
-	occurrences []int
 }
 
 // Vertices returns the instance's vertex set, sorted.
@@ -32,14 +29,6 @@ func (in *Instance) Vertices() []graph.VertexID {
 func (in *Instance) Edges() []graph.Edge {
 	out := make([]graph.Edge, len(in.edges))
 	copy(out, in.edges)
-	return out
-}
-
-// OccurrenceIndexes returns the indexes of the occurrences that project onto
-// this instance, relative to the occurrence slice passed to Instances.
-func (in *Instance) OccurrenceIndexes() []int {
-	out := make([]int, len(in.occurrences))
-	copy(out, in.occurrences)
 	return out
 }
 
@@ -60,21 +49,16 @@ func (in *Instance) Key() string {
 func (in *Instance) String() string { return "S{" + in.Key() + "}" }
 
 // Instances groups occurrences by their image subgraph f(P) (vertex set and
-// edge set) and returns the distinct instances in deterministic order. The
-// occurrence indexes recorded on each instance refer to positions in occs.
+// edge set) and returns the distinct instances in deterministic order.
 func Instances(p *pattern.Pattern, occs []*Occurrence) []*Instance {
 	byKey := make(map[string]*Instance)
 	var order []string
-	for i, o := range occs {
-		vs := o.VertexSet()
-		es := o.EdgeImage(p)
-		inst := &Instance{vertices: vs, edges: es}
+	for _, o := range occs {
+		inst := &Instance{vertices: o.VertexSet(), edges: o.EdgeImage(p)}
 		key := inst.Key()
-		if existing, ok := byKey[key]; ok {
-			existing.occurrences = append(existing.occurrences, i)
+		if _, seen := byKey[key]; seen {
 			continue
 		}
-		inst.occurrences = []int{i}
 		byKey[key] = inst
 		order = append(order, key)
 	}
@@ -84,34 +68,4 @@ func Instances(p *pattern.Pattern, occs []*Occurrence) []*Instance {
 		out = append(out, byKey[k])
 	}
 	return out
-}
-
-// VerticesOverlap reports whether two instances share at least one vertex
-// (vertex overlap, Definition 2.2.3).
-func VerticesOverlap(a, b *Instance) bool {
-	set := make(map[graph.VertexID]bool, len(a.vertices))
-	for _, v := range a.vertices {
-		set[v] = true
-	}
-	for _, v := range b.vertices {
-		if set[v] {
-			return true
-		}
-	}
-	return false
-}
-
-// EdgesOverlap reports whether two instances share at least one edge
-// (edge overlap, Definition 2.2.4).
-func EdgesOverlap(a, b *Instance) bool {
-	set := make(map[graph.Edge]bool, len(a.edges))
-	for _, e := range a.edges {
-		set[e] = true
-	}
-	for _, e := range b.edges {
-		if set[e] {
-			return true
-		}
-	}
-	return false
 }

@@ -33,9 +33,6 @@ func TestEnumerateFigure2(t *testing.T) {
 	if len(insts) != 1 {
 		t.Fatalf("got %d instances, want 1", len(insts))
 	}
-	if got := insts[0].OccurrenceIndexes(); len(got) != 6 {
-		t.Errorf("instance should aggregate all 6 occurrences, got %v", got)
-	}
 }
 
 func TestEnumerateRespectsLabels(t *testing.T) {
@@ -249,43 +246,6 @@ func containsNode(subset []pattern.NodeID, n pattern.NodeID) bool {
 		}
 	}
 	return false
-}
-
-func TestInstanceOverlapHelpers(t *testing.T) {
-	fig := dataset.Figure6()
-	occs := isomorph.EnumerateSnapshot(fig.Graph.Freeze(), fig.Pattern, isomorph.Options{})
-	insts := isomorph.Instances(fig.Pattern, occs)
-	if len(insts) != 7 {
-		t.Fatalf("Figure 6 should have 7 instances, got %d", len(insts))
-	}
-	// Instances {1,5} and {1,6} share vertex 1; {1,5} and {2,8} do not overlap.
-	var i15, i16, i28 *isomorph.Instance
-	for _, in := range insts {
-		vs := in.Vertices()
-		switch {
-		case len(vs) == 2 && vs[0] == 1 && vs[1] == 5:
-			i15 = in
-		case len(vs) == 2 && vs[0] == 1 && vs[1] == 6:
-			i16 = in
-		case len(vs) == 2 && vs[0] == 2 && vs[1] == 8:
-			i28 = in
-		}
-	}
-	if i15 == nil || i16 == nil || i28 == nil {
-		t.Fatal("expected instances {1,5}, {1,6}, {2,8} not found")
-	}
-	if !isomorph.VerticesOverlap(i15, i16) {
-		t.Error("instances {1,5} and {1,6} should overlap on vertex 1")
-	}
-	if isomorph.VerticesOverlap(i15, i28) {
-		t.Error("instances {1,5} and {2,8} should not overlap")
-	}
-	if isomorph.EdgesOverlap(i15, i16) {
-		t.Error("instances {1,5} and {1,6} share no edge")
-	}
-	if !isomorph.EdgesOverlap(i15, i15) {
-		t.Error("an instance edge-overlaps itself")
-	}
 }
 
 // TestOccurrenceInstanceAutomorphismProperty checks the counting identity

@@ -341,7 +341,7 @@ type PlanExplanation struct {
 	// Steps lists the chosen order, depth by depth.
 	Steps []PlanStep
 	// RootCandidates is the actual (not estimated) number of label+degree
-	// pruned root candidates, after any RootIndexes restriction.
+	// pruned root candidates.
 	RootCandidates int
 	// Automorphisms is |Aut(P)| and Orbits the number of node orbits when the
 	// plan is one under Options.Symmetry — the search then emits one
@@ -355,10 +355,9 @@ type PlanExplanation struct {
 
 // Explain compiles the search plan of p against snap without running the
 // search, returning the chosen order with per-depth candidate estimates. Of
-// opts RootIndexes narrows RootCandidates and Symmetry adds the ordering
-// constraints a search under it applies (Automorphisms, Orbits, Below); the
-// search order depends on the snapshot and pattern alone, and plain Options
-// explain the full search. It powers the -explain flags of the gsupport and
+// opts only Symmetry is read: it adds the ordering constraints a search under
+// it applies (Automorphisms, Orbits, Below); the search order depends on the
+// snapshot and pattern alone, and plain Options explain the full search. It powers the -explain flags of the gsupport and
 // gminer CLIs.
 func Explain(snap *graph.Snapshot, p *pattern.Pattern, opts Options) *PlanExplanation {
 	m := newPatternModel(p)

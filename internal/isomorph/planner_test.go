@@ -137,26 +137,6 @@ func TestPlannedMatchesNaiveStoreSnapshot(t *testing.T) {
 	}
 }
 
-// TestPlannedMatchesNaiveRootRestricted pins the planner's interaction with
-// Options.RootIndexes: the restriction applies to whichever pattern node the
-// chosen order roots, so with a full-range restriction the search must still
-// enumerate the complete reference sequence.
-func TestPlannedMatchesNaiveRootRestricted(t *testing.T) {
-	g := gen.BarabasiAlbert(300, 3, gen.UniformLabels{K: 2}, 12)
-	p := starPattern()
-	snap := sharded(g, 2)
-	all := make([]int32, snap.NumVertices())
-	for i := range all {
-		all[i] = int32(i)
-	}
-	want := referenceOccurrenceKeys(g, p)
-	if len(want) == 0 {
-		t.Fatal("no occurrences; workload is vacuous")
-	}
-	got := occurrenceKeys(isomorph.EnumerateSnapshot(snap, p, isomorph.Options{Parallelism: 1, RootIndexes: all}))
-	assertKeysEqual(t, "root-restricted", got, want)
-}
-
 // TestExplainDeterministic pins plan stability: the planner consults only
 // immutable snapshot statistics and the pattern's own symmetry, so repeated
 // Explain calls for the same (snapshot, pattern, options) must return the

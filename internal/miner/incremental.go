@@ -2,7 +2,6 @@ package miner
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"time"
 
@@ -262,9 +261,9 @@ func (inc *Incremental) Refresh() (*Result, error) {
 
 // refreshTracked delta-refreshes and re-evaluates every tracked candidate.
 // Everything about the update that does not depend on a pattern — the
-// refrozen snapshot, the dirty vertices in both index spaces, one mutation
-// ball per side and distinct pattern diameter — is prepared once, before the
-// fan-out, as a read-only core.Batch. With cfg.Parallelism >= 2 the
+// refrozen snapshot, the dirty vertices in both index spaces, the size of each
+// side's mutation ball at every radius up to the largest pattern diameter —
+// is prepared once, before the fan-out, as a read-only core.Batch. With cfg.Parallelism >= 2 the
 // independent applications then run on forEach's worker pool, each mutating
 // only its candidate's own state, and the tracked states after a parallel
 // refresh are identical to a sequential one: delta maintenance is
@@ -276,14 +275,12 @@ func (inc *Incremental) Refresh() (*Result, error) {
 // one snapshot — the new one — and the next Refresh finds them there, instead
 // of some moved on and the rest stranded behind a batch they never saw.
 func (inc *Incremental) refreshTracked(tracked []*trackedPattern, muts []graph.Mutation) error {
-	var radii []int
+	maxRadius := 0
 	for _, tp := range tracked {
-		if r := tp.delta.Radius(); !slices.Contains(radii, r) {
-			radii = append(radii, r)
-		}
+		maxRadius = max(maxRadius, tp.delta.Radius())
 	}
 	next := inc.freeze()
-	batch := core.NewBatch(inc.snap, next, muts, radii)
+	batch := core.NewBatch(inc.snap, next, muts, maxRadius)
 	err := forEach(len(tracked), inc.cfg.Parallelism, func(i int) error {
 		tp := tracked[i]
 		if err := tp.delta.Apply(batch); err != nil {

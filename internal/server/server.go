@@ -69,40 +69,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// EngineAPI is the stateless request surface of the serving layer: the
-// remote-procedure shape of support.Engine.Do and Engine.Update. The HTTP
-// handler is one thin transport over this interface; a gRPC transport would
-// implement the same methods from generated stubs.
-type EngineAPI interface {
-	// Evaluate computes support measures for one pattern on the current
-	// epoch. The context carries observability (an attached obs.Trace
-	// collects per-phase spans); it does not cancel the request.
-	Evaluate(ctx context.Context, req *EvaluateRequest) (*EvaluateResponse, error)
-	// Mine runs one frequent-pattern mining job on the current epoch.
-	Mine(ctx context.Context, req *MineWire) (*MineResponse, error)
-	// Mutate applies a mutation batch and hands off a new snapshot epoch.
-	Mutate(ctx context.Context, req *MutateRequest) (*MutateResponse, error)
-	// Stats describes the serving state (epoch, graph dimensions, load).
-	Stats(ctx context.Context) (*StatsResponse, error)
-}
-
-// SessionAPI is the stateful half: warm mining sessions with server-side
-// incremental state, the remote shape of Engine.OpenSession.
-type SessionAPI interface {
-	// OpenSession starts a warm mining session and returns its initial
-	// result.
-	OpenSession(ctx context.Context, req *OpenSessionRequest) (*SessionResponse, error)
-	// RefreshSession re-answers the session's mining question on the current
-	// epoch from incrementally maintained state.
-	RefreshSession(ctx context.Context, req *SessionRequest) (*SessionResponse, error)
-	// CloseSession releases the session's server-side state.
-	CloseSession(ctx context.Context, req *SessionRequest) (*CloseSessionResponse, error)
-}
-
-// Server serves one long-lived support.Engine to many concurrent clients:
-// it implements EngineAPI and SessionAPI on top of the engine and exposes
-// them over HTTP/JSON via Handler. One process, one engine, one frozen
-// snapshot per epoch — shared by every client instead of re-loaded per run.
+// Server serves one long-lived support.Engine to many concurrent clients. Its
+// request methods are the remote-procedure shape of the engine — Evaluate,
+// Mine, Mutate and Stats the stateless half (support.Engine.Do and
+// Engine.Update), OpenSession, RefreshSession and CloseSession the stateful
+// one (Engine.OpenSession: warm mining sessions with server-side incremental
+// state) — and Handler exposes them over HTTP/JSON as one thin transport. One
+// process, one engine, one frozen snapshot per epoch — shared by every client
+// instead of re-loaded per run.
 type Server struct {
 	eng *support.Engine
 	cfg Config
@@ -121,9 +95,6 @@ type Server struct {
 	// now is the clock; tests override it to drive idle eviction.
 	now func() time.Time
 }
-
-var _ EngineAPI = (*Server)(nil)
-var _ SessionAPI = (*Server)(nil)
 
 // New returns a server over an already-constructed engine. The engine's
 // lifetime belongs to the caller (Close the server first, then the engine).
@@ -197,8 +168,10 @@ func (s *Server) admitMine() func() {
 	}
 }
 
-// Evaluate implements EngineAPI: one support evaluation on the current
-// epoch, snapshot-pinned (never blocked by writers).
+// Evaluate computes support measures for one pattern on the current epoch,
+// snapshot-pinned (never blocked by writers). The context carries
+// observability (an attached obs.Trace collects per-phase spans); it does not
+// cancel the request.
 func (s *Server) Evaluate(ctx context.Context, req *EvaluateRequest) (*EvaluateResponse, error) {
 	p, err := req.Pattern.Pattern()
 	if err != nil {
@@ -216,7 +189,7 @@ func (s *Server) Evaluate(ctx context.Context, req *EvaluateRequest) (*EvaluateR
 	return encodeEvaluation(resp), nil
 }
 
-// Mine implements EngineAPI: one admission-gated mining run on the current
+// Mine runs one admission-gated frequent-pattern mining job on the current
 // epoch.
 func (s *Server) Mine(ctx context.Context, req *MineWire) (*MineResponse, error) {
 	spec, err := req.MineSpec()
@@ -236,13 +209,14 @@ func (s *Server) Mine(ctx context.Context, req *MineWire) (*MineResponse, error)
 	return encodeMining(resp.Epoch, resp.Mining), nil
 }
 
-// Mutate implements EngineAPI: apply a batch of vertex/edge additions and
-// removals, then refreeze. Duplicate vertices (same label), duplicate edges
-// and absent removal targets are skipped, not errors, so clients can replay
-// batches idempotently — and a skipped mutation never touches the graph, so
-// it dirties no shard and reaches no mutation feed. Conflicting labels,
-// self loops and dangling edges fail the batch (mutations applied before
-// the failure are still published, as Engine.Update documents).
+// Mutate applies a batch of vertex/edge additions and removals, then
+// refreezes and hands off a new snapshot epoch. Duplicate vertices (same
+// label), duplicate edges and absent removal targets are skipped, not errors,
+// so clients can replay batches idempotently — and a skipped mutation never
+// touches the graph, so it dirties no shard and reaches no mutation feed.
+// Conflicting labels, self loops and dangling edges fail the batch (mutations
+// applied before the failure are still published, as Engine.Update
+// documents).
 func (s *Server) Mutate(ctx context.Context, req *MutateRequest) (*MutateResponse, error) {
 	out := &MutateResponse{}
 	epoch, err := s.eng.Update(func(g *support.Graph) error {
@@ -295,7 +269,8 @@ func (s *Server) Mutate(ctx context.Context, req *MutateRequest) (*MutateRespons
 	return out, nil
 }
 
-// Stats implements EngineAPI. Alongside the current-state fields it reports
+// Stats describes the serving state (epoch, graph dimensions, load).
+// Alongside the current-state fields it reports
 // process-cumulative counts read from the metrics registry — monotone
 // counters, never timings, so the response body stays free of wall-clock
 // values (it is still load-dependent, unlike the epoch-deterministic /v1
@@ -323,7 +298,8 @@ func (s *Server) Stats(ctx context.Context) (*StatsResponse, error) {
 	return st, nil
 }
 
-// OpenSession implements SessionAPI. The initial result is refreshed under
+// OpenSession starts a warm mining session and returns its initial result.
+// The initial result is refreshed under
 // the engine's reader lock so the reported epoch is exactly the one the
 // result corresponds to.
 func (s *Server) OpenSession(ctx context.Context, req *OpenSessionRequest) (*SessionResponse, error) {
@@ -355,8 +331,9 @@ func (s *Server) OpenSession(ctx context.Context, req *OpenSessionRequest) (*Ses
 	}, nil
 }
 
-// RefreshSession implements SessionAPI: one serialized, admission-gated
-// refresh of the named session.
+// RefreshSession re-answers the named session's mining question on the
+// current epoch from incrementally maintained state: one serialized,
+// admission-gated refresh.
 func (s *Server) RefreshSession(ctx context.Context, req *SessionRequest) (*SessionResponse, error) {
 	ms, err := s.sessions.get(req.Session)
 	if err != nil {
@@ -381,7 +358,7 @@ func (s *Server) RefreshSession(ctx context.Context, req *SessionRequest) (*Sess
 	}, nil
 }
 
-// CloseSession implements SessionAPI.
+// CloseSession releases the named session's server-side state.
 func (s *Server) CloseSession(ctx context.Context, req *SessionRequest) (*CloseSessionResponse, error) {
 	if err := s.sessions.close(req.Session); err != nil {
 		return nil, statusError{http.StatusNotFound, err}

@@ -1,10 +1,9 @@
 // Package server is the serving layer of the library: a session-holding,
 // admission-controlled façade that exposes one long-lived support.Engine —
 // pattern matching, support evaluation, mutation, and warm mining sessions —
-// to many concurrent remote clients. The transport today is HTTP/JSON
-// (cmd/gserved); the handler surface is the pair of gRPC-shaped interfaces
-// EngineAPI and SessionAPI, so a proto/gRPC transport can bolt on later
-// without touching the serving logic.
+// to many concurrent remote clients. The transport is HTTP/JSON
+// (cmd/gserved): Handler routes every path to one request method of Server,
+// which takes and returns the wire types below and knows nothing of HTTP.
 //
 // Everything in this package reduces to support.Request/support.Response:
 // wire types decode into the same Request an in-process caller builds, so
