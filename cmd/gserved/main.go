@@ -61,6 +61,10 @@ import (
 	"repro/internal/server"
 )
 
+// readHeaderTimeout bounds how long a connection may take to send its request
+// headers, so a client that opens connections and stalls cannot hold them.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	var (
 		graphPath   = flag.String("graph", "", "path to the data graph in .lg format (mutable source: /v1/mutate and sessions work)")
@@ -147,7 +151,7 @@ func main() {
 		}()
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 
 	// Janitor: evict idle sessions in the background until shutdown.
 	janitorDone := make(chan struct{})

@@ -42,7 +42,7 @@ import (
 //
 // A pass finds the instances touching a dirty vertex by rooting the search
 // there rather than by filtering a wider enumeration. For the first position
-// j₀ of every node orbit of Aut(P) it runs isomorph.EnumeratePinned with j₀
+// j₀ of every node orbit of Aut(P) it runs an isomorph.PinnedSearch with j₀
 // pinned at the side's dirty indexes D, under the pattern's symmetry: the
 // occurrences of an instance I that map j₀ to x are one coset of j₀'s
 // stabiliser whenever x is an image of j₀'s orbit, and the pinned search
@@ -62,6 +62,14 @@ import (
 // "the first dirty position wins, divide by |Aut(P)|" is exact too, but at a
 // dirty hub of degree d it walks the d⁴ ordered leaf tuples of a 4-leaf star
 // where the pinned, symmetry-broken search walks the C(d, 4) stars.
+//
+// The searches are compiled once per context, not once per pass: rebuild
+// orders each from its snapshot's statistics when the context opens and again
+// after every saturating batch, and a pass only runs them, each run binding
+// the side's snapshot (isomorph.PinnedSearch.Run). What a pass counts does not
+// depend on the search order, so an order planned on an earlier snapshot
+// costs at most speed; and a refresh pays for the instances through its dirty
+// vertices, not for planning seventy patterns' searches again.
 //
 // Nothing a pass counts goes through a table of its own: every counted
 // representative is applied to the maintained state where the search hands it
@@ -94,7 +102,8 @@ import (
 //
 // A DeltaContext is not safe for concurrent use: Refresh, Apply and the read
 // accessors must not race with each other or with mutations of the
-// underlying graph, mirroring the Graph's own reader contract. A Batch is
+// underlying graph, mirroring the Graph's own reader contract, and its
+// compiled searches are one search state each. A Batch is
 // read-only once built, so any number of contexts may apply one concurrently.
 type DeltaContext struct {
 	g    *graph.Graph
@@ -113,9 +122,9 @@ type DeltaContext struct {
 	// radius is the pattern's diameter, the radius of the mutation balls whose
 	// sizes decide between the delta passes and a rebuild.
 	radius int
-	// pins[r] is the first node position of orbit r: where a delta pass pins
-	// its searches.
-	pins []int
+	// searches[r] is the delta passes' search pinned at the first node
+	// position of orbit r, compiled by rebuild and run by every pass.
+	searches []*isomorph.PinnedSearch
 
 	stats DeltaStats
 }
@@ -184,11 +193,6 @@ func NewDeltaContextAt(g *graph.Graph, snap *graph.Snapshot, p *pattern.Pattern,
 	}
 	opts.Streaming = true
 	d := &DeltaContext{g: g, p: p, opts: opts, snap: snap, counter: newInstanceCounter(p), radius: patternDiameter(p)}
-	for i, r := range d.counter.rowOf {
-		if r == len(d.pins) {
-			d.pins = append(d.pins, i)
-		}
-	}
 	d.rebuild(snap)
 	return d, nil
 }
@@ -271,17 +275,18 @@ func (d *DeltaContext) Apply(b *Batch) error {
 
 // pass applies to the state, sign times each, the instances of d's pattern in
 // the side's snapshot that touch one of its dirty indexes: for the first
-// position of every node orbit a search pinned at the dirty indexes, counting
-// what arrives rooted at its smallest dirty image (deltaPass.yield). A side
-// with no dirty vertex has no roots and the searches return at once. It runs
-// on the calling goroutine whatever Options.Parallelism says: the roots are
-// the batch's few dirty vertices, and the owner of many contexts fans out
-// across contexts instead.
+// position of every node orbit a run of the context's compiled search pinned
+// there, at the dirty indexes, counting what arrives rooted at its smallest
+// dirty image (deltaPass.yield). A side with no dirty vertex has no roots and
+// the searches return at once. It runs on the calling goroutine whatever
+// Options.Parallelism says: the roots are the batch's few dirty vertices, and
+// the owner of many contexts fans out across contexts instead.
 func (d *DeltaContext) pass(s *batchSide, sign int) {
 	dp := deltaPass{state: d.state, sign: sign, dirty: s.dirty}
-	for _, root := range d.pins {
-		dp.root = root
-		isomorph.EnumeratePinned(s.snap, d.p, d.counter.sym, root, s.dirty, dp.yield)
+	yield := dp.yield
+	for _, search := range d.searches {
+		dp.root = search.Root()
+		search.Run(s.snap, s.dirty, yield)
 	}
 	d.stats.PassRepresentatives += dp.emitted
 	d.stats.PassCounted += dp.counted
@@ -451,11 +456,18 @@ func patternDiameter(p *pattern.Pattern) int {
 	return diameter
 }
 
-// rebuild discards the maintained state and recomputes it: a complete
-// enumeration of snap folded into an empty state.
+// rebuild discards the maintained state and recomputes it — a complete
+// enumeration of snap folded into an empty state — and compiles the delta
+// passes' pinned searches against snap's statistics, one per node orbit.
 func (d *DeltaContext) rebuild(snap *graph.Snapshot) {
 	d.state = newDomainState(d.counter.rowLayout)
 	d.state.fold(d.counter.accumulate(snap, d.opts.Parallelism))
+	d.searches = d.searches[:0]
+	for i, r := range d.counter.rowOf {
+		if r == len(d.searches) {
+			d.searches = append(d.searches, isomorph.NewPinnedSearch(snap, d.p, d.counter.sym, i))
+		}
+	}
 }
 
 // Graph returns the underlying data graph.

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/isomorph"
 	"repro/internal/obs"
 	"repro/internal/pattern"
 )
@@ -203,6 +205,77 @@ func TestRestrictedPassCostsItsBall(t *testing.T) {
 	if allowed := big.apply + applySlack + perCounted*uint64(hub.stats.PassCounted); hub.apply > allowed {
 		t.Errorf("applying one edge allocated %d B with balls of %d vertices and %d B at the hub with balls of %d, where the passes counted %d instances: more than the %d B those account for, so something is paying for the ball",
 			big.apply, big.stats.LastBallVertices, hub.apply, hub.stats.LastBallVertices, hub.stats.PassCounted, allowed)
+	}
+}
+
+// TestApplyAllocatesNoPlans counts what DeltaContext.Apply allocates on a
+// one-edge batch and its undo — the edge closes a triangle through the newest
+// vertex of a preferential-attachment graph, so every pattern's passes have
+// instances to count — with the batches built beforehand, so nothing but
+// Apply is measured. A context compiles its pinned searches when it is built
+// and a pass only runs them, so what Apply allocates is a fixed handful, the
+// same for a pattern of one node orbit (the triangle) as for one of two (the
+// path of three nodes: its ends and its centre). Planning each orbit's search
+// afresh on every pass costs dozens of allocations per orbit per pass.
+func TestApplyAllocatesNoPlans(t *testing.T) {
+	const bound = 8 // allocations per Apply
+	g := gen.BarabasiAlbert(1<<10, 2, gen.UniformLabels{K: 1}, 9)
+	ids := g.SortedVertices()
+	v := ids[len(ids)-1]
+	w := g.Neighbors(v)[0]
+	u := v
+	for _, x := range g.Neighbors(w) {
+		if x != v && !g.HasEdge(x, v) {
+			u = x
+			break
+		}
+	}
+	if u == v {
+		t.Fatalf("no vertex two hops from %d to close a triangle with", v)
+	}
+	freeze := graph.FreezeOptions{Shards: 4}
+	old := g.FreezeSharded(freeze)
+	patterns := map[string]*pattern.Pattern{
+		"triangle": trianglePattern(),
+		"path3":    pattern.MustNew(graph.NewBuilder("path3").Vertices(1, 0, 1, 2).Edge(0, 1).Edge(1, 2).MustBuild()),
+	}
+	contexts := map[string]*core.DeltaContext{}
+	for name, p := range patterns {
+		d, err := core.NewDeltaContextAt(g, old, p, core.Options{Parallelism: 1})
+		if err != nil {
+			t.Fatalf("%s: NewDeltaContextAt: %v", name, err)
+		}
+		contexts[name] = d
+	}
+	feed := g.Subscribe()
+	defer feed.Close()
+	g.MustAddEdge(u, v)
+	next := g.FreezeSharded(freeze)
+	added := feed.Drain()
+	g.MustRemoveEdge(u, v)
+	removed := feed.Drain()
+
+	allocs := map[string]float64{}
+	for name, d := range contexts {
+		add := core.NewBatch(old, next, added, d.Radius())
+		undo := core.NewBatch(next, old, removed, d.Radius())
+		var err error
+		allocs[name] = testing.AllocsPerRun(10, func() {
+			err = errors.Join(err, d.Apply(add), d.Apply(undo))
+		}) / 2
+		if err != nil {
+			t.Fatalf("%s: Apply: %v", name, err)
+		}
+		if st := d.Stats(); st.FullRebuilds != 0 || st.PassCounted == 0 {
+			t.Fatalf("%s: every batch should take the delta path and count instances through %d and %d, stats %+v", name, u, v, st)
+		}
+	}
+	t.Logf("allocations per Apply: %v", allocs)
+	for name, n := range allocs {
+		if n > bound || n > allocs["triangle"] {
+			t.Errorf("Apply allocated %v times per one-edge batch for the %s (%d orbits) and %v for the triangle (1 orbit); want at most %d and no more than the triangle",
+				n, name, isomorph.NewSymmetry(patterns[name]).NumOrbits(), allocs["triangle"], bound)
+		}
 	}
 }
 

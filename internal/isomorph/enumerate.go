@@ -2,6 +2,7 @@ package isomorph
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -193,18 +194,22 @@ func compilePlan(snap *graph.Snapshot, m *patternModel, order []int, below [][]i
 }
 
 // restrictRoots makes the plan's root candidates those of the given sorted
-// dense indexes that pass the root's label and degree constraints, bucketed
-// by shard. The list is sorted, so its shards come up in ascending order and
-// each bucket is the tail of the list so far.
+// dense indexes of its snapshot that pass the root's label and degree
+// constraints, bucketed by shard, replacing whatever candidates it had and
+// reusing their buckets' backing arrays. The list is sorted, so its shards
+// come up in ascending order and each bucket is the tail of the list so far.
 func (pl *searchPlan) restrictRoots(indexes []int32) {
 	snap := pl.snap
+	pl.rootsByShard, pl.shardIDs, pl.numRoots = pl.rootsByShard[:0], pl.shardIDs[:0], 0
 	for _, c := range indexes {
 		if snap.LabelAt(c) != pl.label[0] || snap.DegreeAt(c) < pl.minDeg[0] {
 			continue
 		}
 		s := snap.ShardOf(c)
 		if last := len(pl.shardIDs) - 1; last < 0 || pl.shardIDs[last] != s {
-			pl.rootsByShard = append(pl.rootsByShard, nil)
+			n := len(pl.rootsByShard)
+			pl.rootsByShard = slices.Grow(pl.rootsByShard, 1)[:n+1]
+			pl.rootsByShard[n] = pl.rootsByShard[n][:0]
 			pl.shardIDs = append(pl.shardIDs, s)
 		}
 		last := len(pl.rootsByShard) - 1
@@ -290,10 +295,17 @@ func newSearchState(pl *searchPlan, yield func(*Occurrence) bool, stop *atomic.B
 		}
 	}
 	st.scratch = make([][]int32, pl.k)
-	if pl.snap.NumShards() == 1 {
-		st.ids = pl.snap.ShardVertexIDs(0)
-	}
+	st.ids = singleShardIDs(pl.snap)
 	return st
+}
+
+// singleShardIDs returns the dense-index→VertexID translation of a snapshot
+// with exactly one shard, and nil for any other.
+func singleShardIDs(snap *graph.Snapshot) []graph.VertexID {
+	if snap.NumShards() == 1 {
+		return snap.ShardVertexIDs(0)
+	}
+	return nil
 }
 
 // searchRoot explores the full subtree rooted at candidate r. It returns true
@@ -508,7 +520,7 @@ func (s *searchState) publishEmits() {
 // calling — and because snapshots are immutable this is also how historical
 // state is searched: a retained old snapshot is searched as it was while the
 // graph has already moved on (the minus pass of core.DeltaContext does so
-// through EnumeratePinned).
+// through a PinnedSearch, which binds whichever snapshot each run is handed).
 //
 // newYield is invoked once per worker, serially, before the workers start;
 // the returned consumer is then called from that worker's goroutine only, so
@@ -627,15 +639,21 @@ func (pl *searchPlan) drain(st *searchState) {
 	}
 }
 
-// EnumeratePinned is the entry point of a search whose root is prescribed: it
-// streams, on the calling goroutine and in the deterministic sequential order,
-// the occurrences of p in snap that map the pattern node at position root of
-// p.Nodes() to one of the given dense indexes of snap (sorted ascending, none
-// twice; those failing the node's label or degree constraint are skipped).
-// The search order is the planner's greedy growth from that node, so it costs
-// the neighbourhoods of the candidates, whatever the node — which is what an
-// update wants: the occurrences through a handful of changed vertices
-// (core.DeltaContext pins every node orbit's first position at them in turn).
+// PinnedSearch is a compiled search whose root is prescribed: the
+// occurrences of a pattern that map the node at a given position of
+// p.Nodes() to one of a given set of dense indexes. Its search order is the
+// planner's greedy growth from that node, so a run costs the neighbourhoods
+// of the candidates, whatever the node — which is what an update wants: the
+// occurrences through a handful of changed vertices (core.DeltaContext pins
+// every node orbit's first position at them in turn).
+//
+// Everything that depends on the pattern alone or on a snapshot's statistics
+// — the order, the per-depth constraints, the symmetry bounds, the kernel
+// slots and one search state — is compiled once, by NewPinnedSearch, and
+// every Run only binds the snapshot it is handed. A search order changes how
+// fast a run is, never what it delivers, so an order fixed against one
+// snapshot's statistics serves its successors: a caller recompiles when the
+// statistics have moved far, not per run.
 //
 // With sym nil every such occurrence is delivered. With sym the pattern's
 // Symmetry, the occurrences of one instance that agree on the root's image
@@ -643,12 +661,19 @@ func (pl *searchPlan) drain(st *searchState) {
 // delivers one of them (Symmetry.below), never entering the branches of the
 // others: per candidate x, one representative of every instance that maps a
 // node of the root's orbit to x. As under Options.Symmetry, nothing may depend
-// on which occurrence that is. The *Occurrence lent to yield is borrowed, as
-// in EnumerateSnapshotWorkers; returning false stops the search.
-func EnumeratePinned(snap *graph.Snapshot, p *pattern.Pattern, sym *Symmetry, root int, candidates []int32, yield func(*Occurrence) bool) {
-	if len(candidates) == 0 {
-		return
-	}
+// on which occurrence that is.
+//
+// A PinnedSearch is not safe for concurrent use: its runs share one search
+// state. Each core.DeltaContext owns its searches and runs them one at a time.
+type PinnedSearch struct {
+	pl *searchPlan
+	st *searchState
+}
+
+// NewPinnedSearch compiles the search of p pinned at position root of
+// p.Nodes(), ordered from snap's statistics, under sym (nil for the full
+// search). It retains nothing of snap.
+func NewPinnedSearch(snap *graph.Snapshot, p *pattern.Pattern, sym *Symmetry, root int) *PinnedSearch {
 	m := newPatternModel(p)
 	order := growOrder(m, newPlannerStats(snap, m), root)
 	below, weight := make([][]int, len(order)), uint64(1)
@@ -657,8 +682,39 @@ func EnumeratePinned(snap *graph.Snapshot, p *pattern.Pattern, sym *Symmetry, ro
 		below, weight = sym.below(order, stabiliser), uint64(len(stabiliser))
 	}
 	pl := compilePlan(snap, m, order, below, weight)
+	st := newSearchState(pl, nil, nil)
+	pl.snap, st.ids = nil, nil
+	return &PinnedSearch{pl: pl, st: st}
+}
+
+// Root returns the pattern position the search is pinned at.
+func (ps *PinnedSearch) Root() int { return ps.pl.slot[0] }
+
+// Run streams, on the calling goroutine and in the deterministic sequential
+// order of the compiled search, the occurrences of the pattern in snap that
+// map the pinned node to one of the given dense indexes of snap (sorted
+// ascending, none twice; those failing the node's label or degree constraint
+// are skipped). The *Occurrence lent to yield is borrowed, as in
+// EnumerateSnapshotWorkers; returning false stops the run.
+//
+// Each run binds snap afresh: the root buckets are rebuilt and every memoized
+// candidate run is dropped, because a run is keyed by its anchor's dense
+// index and that index names another vertex — or the same vertex with
+// another neighbour row — on another snapshot. On return the search holds
+// no reference to snap or yield.
+func (ps *PinnedSearch) Run(snap *graph.Snapshot, candidates []int32, yield func(*Occurrence) bool) {
+	if len(candidates) == 0 {
+		return
+	}
+	pl, st := ps.pl, ps.st
+	pl.snap = snap
 	pl.restrictRoots(candidates)
-	pl.drain(newSearchState(pl, yield, nil))
+	for i := range st.slots {
+		st.slots[i].anchor = -1
+	}
+	st.ids, st.yield = singleShardIDs(snap), yield
+	pl.drain(st)
+	pl.snap, st.ids, st.yield = nil, nil, nil
 }
 
 // capYield wraps a consumer so that enumeration stops after max occurrences

@@ -370,11 +370,14 @@ func TestStopOnLastRootOfShardHalts(t *testing.T) {
 			}
 		}
 		for root := 0; root < 2; root++ {
-			where := fmt.Sprintf("stop at %d, pinned at position %d", n, root)
-			calls := 0
-			isomorph.EnumeratePinned(snap, edge, nil, root, all, stopAfter(where, n, &calls))
-			if calls != n {
-				t.Errorf("%s: %d occurrences delivered, want %d", where, calls, n)
+			search := isomorph.NewPinnedSearch(snap, edge, nil, root)
+			for run := 0; run < 2; run++ { // a stopped run leaves nothing behind for the next
+				where := fmt.Sprintf("stop at %d, pinned at position %d, run %d", n, root, run)
+				calls := 0
+				search.Run(snap, all, stopAfter(where, n, &calls))
+				if calls != n {
+					t.Errorf("%s: %d occurrences delivered, want %d", where, calls, n)
+				}
 			}
 		}
 	}

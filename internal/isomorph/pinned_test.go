@@ -38,16 +38,37 @@ func dirtyIndexes(t *testing.T, snap *graph.Snapshot, dirty []graph.VertexID) []
 	return indexes
 }
 
-// checkPinnedSearch holds EnumeratePinned to the reference on one snapshot and
-// one dirty set D, in the terms a delta pass relies on. Under the pattern's
-// symmetry, pinned at the first position of every node orbit in turn, the
-// search emits exactly one representative per (instance I, x ∈ V(I) ∩ D) —
-// rooted at x, and a reference occurrence — so keeping those whose root is the
-// smallest dirty index among their images leaves every instance touching D
-// exactly once and no other. Without a symmetry, pinned at any position j, it
-// emits every occurrence f with f(j) ∈ D. It returns the number of instances
-// touching D.
-func checkPinnedSearch(t *testing.T, where string, ref *reference, snap *graph.Snapshot, p *pattern.Pattern, sym *isomorph.Symmetry, dirty []graph.VertexID) int {
+// pinnedSearches is one pattern's compiled pinned searches, as a delta pass
+// keeps them: under the pattern's symmetry at the first position of every node
+// orbit, and full (no symmetry) at every position.
+type pinnedSearches struct {
+	orbits, full []*isomorph.PinnedSearch
+}
+
+// compilePinned compiles p's pinned searches once, ordered from snap's
+// statistics; checkPinnedSearch runs them on any snapshot of the same graph.
+func compilePinned(snap *graph.Snapshot, p *pattern.Pattern, sym *isomorph.Symmetry) pinnedSearches {
+	var ps pinnedSearches
+	for _, root := range orbitFirsts(p, sym) {
+		ps.orbits = append(ps.orbits, isomorph.NewPinnedSearch(snap, p, sym, root))
+	}
+	for j := range p.Nodes() {
+		ps.full = append(ps.full, isomorph.NewPinnedSearch(snap, p, nil, j))
+	}
+	return ps
+}
+
+// checkPinnedSearch holds the compiled pinned searches to the reference on
+// one snapshot and one dirty set D, in the terms a delta pass relies on. Under
+// the pattern's symmetry, pinned at the first position of every node orbit in
+// turn, the search emits exactly one representative per (instance I,
+// x ∈ V(I) ∩ D) — rooted at x, and a reference occurrence — so keeping those
+// whose root is the smallest dirty index among their images leaves every
+// instance touching D exactly once and no other. Without a symmetry, pinned
+// at any position j, it emits every occurrence f with f(j) ∈ D. The searches
+// may have been compiled on, and already run on, any snapshot of the graph.
+// It returns the number of instances touching D.
+func checkPinnedSearch(t *testing.T, where string, ref *reference, snap *graph.Snapshot, p *pattern.Pattern, ps pinnedSearches, dirty []graph.VertexID) int {
 	t.Helper()
 	nodes := p.Nodes()
 	D := dirtyIndexes(t, snap, dirty)
@@ -67,9 +88,10 @@ func checkPinnedSearch(t *testing.T, where string, ref *reference, snap *graph.S
 	}
 
 	counted, emits := map[string]bool{}, 0
-	for _, root := range orbitFirsts(p, sym) {
+	for _, search := range ps.orbits {
+		root := search.Root()
 		perRoot := map[string]bool{} // instance key + root image: one representative each
-		isomorph.EnumeratePinned(snap, p, sym, root, D, func(o *isomorph.Occurrence) bool {
+		search.Run(snap, D, func(o *isomorph.Occurrence) bool {
 			emits++
 			images, x := o.Images(), o.IndexAt(root)
 			if !ref.occurrences[listKey(images)] {
@@ -110,7 +132,7 @@ func checkPinnedSearch(t *testing.T, where string, ref *reference, snap *graph.S
 		}
 	}
 
-	for j := range nodes {
+	for j, search := range ps.full {
 		want := 0
 		for key := range ref.occurrences {
 			v := graph.VertexID(key[2*j])<<8 | graph.VertexID(key[2*j+1])
@@ -119,7 +141,7 @@ func checkPinnedSearch(t *testing.T, where string, ref *reference, snap *graph.S
 			}
 		}
 		got := 0
-		isomorph.EnumeratePinned(snap, p, nil, j, D, func(o *isomorph.Occurrence) bool {
+		search.Run(snap, D, func(o *isomorph.Occurrence) bool {
 			if !ref.occurrences[listKey(o.Images())] {
 				t.Fatalf("%s D=%v node %d: the full pinned search emitted %v, not a reference occurrence", where, dirty, nodes[j], o.Images())
 			}
@@ -135,7 +157,9 @@ func checkPinnedSearch(t *testing.T, where string, ref *reference, snap *graph.S
 
 // TestPinnedSearchExhaustive runs checkPinnedSearch for every pattern of
 // sweepSmallPatterns over exhaustiveGraph, on one, two and seven shards, with
-// random dirty sets of one, two and five vertices.
+// random dirty sets of one, two and five vertices — every run by the same
+// searches, compiled once per pattern on the seven-shard snapshot, so each is
+// rebound across shard geometries and dirty sets as a delta pass rebinds it.
 func TestPinnedSearchExhaustive(t *testing.T) {
 	g := exhaustiveGraph()
 	snaps := []*graph.Snapshot{sharded(g, 1), sharded(g, 2), sharded(g, 7)}
@@ -144,7 +168,7 @@ func TestPinnedSearchExhaustive(t *testing.T) {
 	touched := 0
 	patterns := sweepSmallPatterns(func(where string, p *pattern.Pattern) {
 		ref := newReference(g, p)
-		sym := isomorph.NewSymmetry(p)
+		ps := compilePinned(snaps[2], p, isomorph.NewSymmetry(p))
 		for _, snap := range snaps {
 			for _, size := range []int{1, 2, 5} {
 				var dirty []graph.VertexID
@@ -153,7 +177,7 @@ func TestPinnedSearchExhaustive(t *testing.T) {
 						dirty = append(dirty, v)
 					}
 				}
-				touched += checkPinnedSearch(t, fmt.Sprintf("%s shards=%d", where, snap.NumShards()), ref, snap, p, sym, dirty)
+				touched += checkPinnedSearch(t, fmt.Sprintf("%s shards=%d", where, snap.NumShards()), ref, snap, p, ps, dirty)
 			}
 		}
 	})
@@ -184,9 +208,10 @@ func TestPinnedSearchAtAHub(t *testing.T) {
 	ref := newReference(g, star)
 	for _, shards := range []int{1, 4} {
 		snap := sharded(g, shards)
-		through := checkPinnedSearch(t, fmt.Sprintf("hub shards=%d", shards), ref, snap, star, sym, []graph.VertexID{100})
+		ps := compilePinned(snap, star, sym)
+		through := checkPinnedSearch(t, fmt.Sprintf("hub shards=%d", shards), ref, snap, star, ps, []graph.VertexID{100})
 		centred := 0
-		isomorph.EnumeratePinned(snap, star, sym, 0, dirtyIndexes(t, snap, []graph.VertexID{100}), func(*isomorph.Occurrence) bool {
+		ps.orbits[0].Run(snap, dirtyIndexes(t, snap, []graph.VertexID{100}), func(*isomorph.Occurrence) bool {
 			centred++
 			return true
 		})
@@ -199,10 +224,78 @@ func TestPinnedSearchAtAHub(t *testing.T) {
 	}
 }
 
+// TestPinnedSearchReusedAcrossSnapshots is the regression test for a compiled
+// search that keeps what it memoized on one snapshot into a run on another: a
+// delta refresh runs its plus and minus passes at the same dirty dense index
+// on two snapshots, and a memoized candidate run is keyed by that index. B is
+// A with an edge added at the one dirty vertex, so the vertex keeps its index
+// and its neighbour row changes; each search is compiled on A, then run on B,
+// A and B again, and every run must deliver what a search freshly compiled on
+// that snapshot does — by occurrence for the full search, by (instance, root
+// image) under the symmetry.
+func TestPinnedSearchReusedAcrossSnapshots(t *testing.T) {
+	const dirty = graph.VertexID(4)
+	g := graph.NewBuilder("reuse").Vertices(1, 1, 2, 3, 4, 5, 6, 7, 8).
+		Edge(3, 4).Edge(4, 5).Edge(5, 6).Edge(4, 6).Edge(5, 7).Edge(7, 8).Edge(1, 2).MustBuild()
+	a := g.Freeze()
+	g.MustAddEdge(dirty, 7)
+	b := g.Freeze()
+	D := dirtyIndexes(t, a, []graph.VertexID{dirty})
+	if !slices.Equal(D, dirtyIndexes(t, b, []graph.VertexID{dirty})) {
+		t.Fatalf("the dirty vertex moved between the snapshots; the case needs it at one index")
+	}
+
+	// keys runs search on snap and returns what it delivered, sorted.
+	keys := func(search *isomorph.PinnedSearch, snap *graph.Snapshot, p *pattern.Pattern, sym *isomorph.Symmetry) []string {
+		var out []string
+		search.Run(snap, D, func(o *isomorph.Occurrence) bool {
+			images := o.Images()
+			if sym == nil {
+				out = append(out, listKey(images))
+			} else {
+				root := search.Root()
+				out = append(out, imageKey(p, p.Nodes(), images)+listKey(images[root:root+1]))
+			}
+			return true
+		})
+		slices.Sort(out)
+		return out
+	}
+	path := pattern.MustNew(graph.NewBuilder("path3").Vertices(1, 0, 1, 2).Edge(0, 1).Edge(1, 2).MustBuild())
+	grew := false
+	for _, p := range []*pattern.Pattern{path, trianglePattern(1)} {
+		sym := isomorph.NewSymmetry(p)
+		for _, s := range []*isomorph.Symmetry{nil, sym} {
+			roots := orbitFirsts(p, sym)
+			if s == nil {
+				roots = []int{0, 1, 2}
+			}
+			for _, root := range roots {
+				fresh := map[*graph.Snapshot][]string{}
+				for _, snap := range []*graph.Snapshot{a, b} {
+					fresh[snap] = keys(isomorph.NewPinnedSearch(snap, p, s, root), snap, p, s)
+				}
+				grew = grew || len(fresh[b]) > len(fresh[a])
+				search := isomorph.NewPinnedSearch(a, p, s, root)
+				for step, snap := range []*graph.Snapshot{b, a, b} {
+					if got, want := keys(search, snap, p, s), fresh[snap]; !slices.Equal(got, want) {
+						t.Fatalf("%v symmetry=%v pinned at %d, run %d: the search compiled on A delivered %d, a fresh one %d: %q vs %q",
+							p, s != nil, root, step, len(got), len(want), got, want)
+					}
+				}
+			}
+		}
+	}
+	if !grew {
+		t.Fatalf("no run on B delivered more than on A; the case does not change the dirty vertex's neighbourhood")
+	}
+}
+
 // FuzzPinnedRepresentatives runs checkPinnedSearch on a small labeled graph
 // and a connected pattern of two to four nodes decoded from the fuzz input as
 // in FuzzRepresentatives, after two bytes that pick the dirty set: bit i set
-// makes the graph's vertex i dirty.
+// makes the graph's vertex i dirty. The searches are compiled once, on the
+// decoded shard count, and run on one shard and on that many.
 func FuzzPinnedRepresentatives(f *testing.F) {
 	f.Add([]byte{})
 	// A one-label triangle in K4, vertices 0 and 2 dirty.
@@ -224,9 +317,10 @@ func FuzzPinnedRepresentatives(f *testing.F) {
 			}
 		}
 		ref := newReference(g, p)
-		sym := isomorph.NewSymmetry(p)
-		for _, snap := range []*graph.Snapshot{sharded(g, 1), sharded(g, shards)} {
-			checkPinnedSearch(t, fmt.Sprintf("graph %v pattern %v shards=%d", g.Edges(), p, snap.NumShards()), ref, snap, p, sym, dirty)
+		snaps := []*graph.Snapshot{sharded(g, 1), sharded(g, shards)}
+		ps := compilePinned(snaps[1], p, isomorph.NewSymmetry(p))
+		for _, snap := range snaps {
+			checkPinnedSearch(t, fmt.Sprintf("graph %v pattern %v shards=%d", g.Edges(), p, snap.NumShards()), ref, snap, p, ps, dirty)
 		}
 	})
 }

@@ -229,7 +229,8 @@ func plannedOrder(m *patternModel, st *plannerStats) []int {
 
 // growOrder is plannedOrder's greedy growth from a given root position: the
 // whole of the planned order when the root is prescribed rather than chosen,
-// as it is for a search pinned at a pattern node (EnumeratePinned).
+// as it is for a search pinned at a pattern node, which NewPinnedSearch grows
+// once and every run of the compiled search then follows.
 func growOrder(m *patternModel, st *plannerStats, start int) []int {
 	k := len(m.nodes)
 	order := make([]int, 1, k)

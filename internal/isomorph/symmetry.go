@@ -96,11 +96,13 @@ func (s *Symmetry) OrbitOf(i int) int { return s.orbitOf[i] }
 //
 // group is the subgroup the rounds start from, the symmetry that is left to
 // break: all of Aut(P) (s.perms) for a search free to root anywhere, and for a
-// pinned search (EnumeratePinned), which is handed the image of order[0]
+// pinned search (PinnedSearch), which is handed the image of order[0]
 // rather than left to choose it, that position's stabiliser — the occurrences
 // f∘σ of an instance that agree with f on the pinned node are those with σ in
 // the stabiliser (f is injective), one coset, and the same rounds leave one of
-// them.
+// them. The constraints name depths, not dense indexes, so a pinned search
+// derives them once when it is compiled and every run on every snapshot
+// applies the same ones.
 func (s *Symmetry) below(order []int, group [][]int) [][]int {
 	if len(order) != len(s.orbitOf) {
 		panic(fmt.Sprintf("isomorph: symmetry of a %d-node pattern handed to the search of a %d-node one", len(s.orbitOf), len(order)))

@@ -3,7 +3,9 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"runtime"
@@ -456,11 +458,9 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) handleJSON(w http.ResponseWriter, r *http.Request, route string, req any, fn func(context.Context) (any, error), plan func() string) {
 	mHTTPRequests.Inc()
 	if req != nil {
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(req); err != nil {
+		if err := decodeBody(w, r, req); err != nil {
 			mHTTPErrors.Inc()
-			writeError(w, statusError{http.StatusBadRequest, fmt.Errorf("decode: %w", err)})
+			writeError(w, err)
 			return
 		}
 	}
@@ -481,6 +481,34 @@ func (s *Server) handleJSON(w http.ResponseWriter, r *http.Request, route string
 	// An encode failure here means the client hung up mid-body; there is no
 	// useful recovery.
 	_ = json.NewEncoder(w).Encode(resp)
+}
+
+// maxRequestBytes bounds a /v1 request body. It is far above any pattern,
+// mining request or mutation batch a client sends, and only stops a body
+// from growing without limit in the server's memory.
+const maxRequestBytes = 8 << 20
+
+// decodeBody decodes r's body into req: one JSON value with no unknown
+// fields, followed by nothing but whitespace, within maxRequestBytes. A
+// longer body is a 413 and anything else wrong with it a 400.
+func decodeBody(w http.ResponseWriter, r *http.Request, req any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(req)
+	if err == nil {
+		switch _, tail := dec.Token(); tail {
+		case io.EOF:
+			return nil
+		case nil:
+			err = errors.New("trailing data after the request's JSON value")
+		default:
+			err = fmt.Errorf("trailing data after the request's JSON value: %w", tail)
+		}
+	}
+	if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+		return statusError{http.StatusRequestEntityTooLarge, fmt.Errorf("decode: request body exceeds %d bytes", tooLarge.Limit)}
+	}
+	return statusError{http.StatusBadRequest, fmt.Errorf("decode: %w", err)}
 }
 
 // logSlow emits one structured slow-query record: route, latency, the

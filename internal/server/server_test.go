@@ -260,6 +260,48 @@ func TestHTTPEndpoints(t *testing.T) {
 	})
 }
 
+// TestRequestBodyBounds pins what the strict decoder refuses beyond unknown
+// keys: a body past maxRequestBytes is a 413 and a body with anything but
+// whitespace after its JSON value a 400, both in the ErrorWire shape, while
+// the same value followed by whitespace alone is served.
+func TestRequestBodyBounds(t *testing.T) {
+	eng, err := support.NewEngine(support.BarabasiAlbert(40, 2, 2, 9), support.EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(eng, Config{})
+	defer s.Close()
+	h := s.Handler()
+	post := func(body string) (int, ErrorWire) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/evaluate", strings.NewReader(body)))
+		var ew ErrorWire
+		if rec.Code != http.StatusOK {
+			if err := json.Unmarshal(rec.Body.Bytes(), &ew); err != nil || ew.Error == "" {
+				t.Fatalf("status %d with a body that is no ErrorWire: %q", rec.Code, rec.Body.Bytes())
+			}
+		}
+		return rec.Code, ew
+	}
+	const valid = `{"pattern":{"edge":[1,2]},"measures":["MNI"]}`
+	if code, ew := post(valid + " \n\t"); code != http.StatusOK {
+		t.Fatalf("valid body with trailing whitespace: %d %q, want 200", code, ew.Error)
+	}
+	for _, tail := range []string{"garbage", "{}", `{"pattern":{"edge":[1,2]}}`, "}"} {
+		if code, ew := post(valid + tail); code != http.StatusBadRequest || !strings.Contains(ew.Error, "trailing data") {
+			t.Fatalf("valid body followed by %q: %d %q, want 400 naming the trailing data", tail, code, ew.Error)
+		}
+	}
+	huge := `{"pattern":{"lg":"` + strings.Repeat("x", maxRequestBytes) + `"}}`
+	if code, ew := post(huge); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("a %d-byte body: %d %q, want 413", len(huge), code, ew.Error)
+	}
+	if code, ew := post(valid + strings.Repeat(" ", maxRequestBytes)); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("a valid body padded past the bound: %d %q, want 413", code, ew.Error)
+	}
+}
+
 // TestImmutableSource pins the error surface of snapshot-backed servers:
 // evaluation and one-shot mining work, mutation and sessions are client
 // errors, not panics.
