@@ -47,6 +47,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	_ "net/http/pprof"
@@ -65,59 +66,119 @@ import (
 // headers, so a client that opens connections and stalls cannot hold them.
 const readHeaderTimeout = 10 * time.Second
 
-func main() {
-	var (
-		graphPath   = flag.String("graph", "", "path to the data graph in .lg format (mutable source: /v1/mutate and sessions work)")
-		addr        = flag.String("addr", ":8731", "listen address")
-		maxMine     = flag.Int("max-mine", 0, "bound on concurrently running mining jobs, one-shot and session alike (0 = default, negative = unlimited)")
-		maxParallel = flag.Int("max-parallel", 0, "cap on per-request enumeration workers, whatever the request asks for (0 = GOMAXPROCS, negative = unclamped)")
-		maxSessions = flag.Int("max-sessions", 0, "cap on live warm mining sessions (0 = default, negative = unlimited)")
-		sessionTTL  = flag.Duration("session-ttl", 0, "evict sessions idle for this long (0 = default, negative = never)")
-		persistDir  = flag.String("persist", "", "open (creating if needed) a durable store directory as a mutable data source: mutations are WAL-logged before each epoch and folded into the store incrementally; with -graph, an empty directory is seeded from the .lg file")
-		commitEvery = flag.Int("commit-every", 16, "fold logged mutations of the -persist store into its segments every N updates (<=0 = only on shutdown or explicit persists)")
-		logLevel    = flag.String("log-level", "info", "log verbosity: debug, info, warn or error")
-		slowQuery   = flag.Duration("slow-query", 0, "log requests slower than this with their span tree and chosen plan (0 = disabled)")
-		pprofAddr   = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled; keep it loopback-only)")
-	)
-	fl := cliflags.Register(flag.CommandLine, cliflags.Enum, cliflags.Streaming, cliflags.Shards, cliflags.Store)
-	flag.Parse()
+// errFlags reports a command line the FlagSet rejected; the FlagSet has
+// already printed the reason and the usage to stderr.
+var errFlags = errors.New("invalid command line")
 
-	log, err := newLogger(*logLevel)
+func main() {
+	switch err := run(os.Args[1:], os.Stderr); {
+	case err == nil:
+	case errors.Is(err, errFlags):
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "gserved:", err)
+		os.Exit(1)
+	}
+}
+
+// config is a parsed gserved command line.
+type config struct {
+	graphPath, addr, persistDir, logLevel, pprofAddr string
+	maxMine, maxParallel, maxSessions, commitEvery   int
+	sessionTTL, slowQuery                            time.Duration
+	fl                                               *cliflags.Flags
+}
+
+// parseArgs parses a gserved command line, reporting a rejected one on
+// stderr. A help request (-h, -help) prints the usage there and returns a nil
+// config and a nil error: there is nothing to serve.
+func parseArgs(args []string, stderr io.Writer) (*config, error) {
+	fs := flag.NewFlagSet("gserved", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	c := &config{}
+	fs.StringVar(&c.graphPath, "graph", "", "path to the data graph in .lg format (mutable source: /v1/mutate and sessions work)")
+	fs.StringVar(&c.addr, "addr", ":8731", "listen address")
+	fs.IntVar(&c.maxMine, "max-mine", 0, "bound on concurrently running mining jobs, one-shot and session alike (0 = default, negative = unlimited)")
+	fs.IntVar(&c.maxParallel, "max-parallel", 0, "cap on per-request enumeration workers, whatever the request asks for (0 = GOMAXPROCS, negative = unclamped)")
+	fs.IntVar(&c.maxSessions, "max-sessions", 0, "cap on live warm mining sessions (0 = default, negative = unlimited)")
+	fs.DurationVar(&c.sessionTTL, "session-ttl", 0, "evict sessions idle for this long (0 = default, negative = never)")
+	fs.StringVar(&c.persistDir, "persist", "", "open (creating if needed) a durable store directory as a mutable data source: mutations are WAL-logged before each epoch and folded into the store incrementally; with -graph, an empty directory is seeded from the .lg file")
+	fs.IntVar(&c.commitEvery, "commit-every", 16, "fold logged mutations of the -persist store into its segments every N updates (<=0 = only on shutdown or explicit persists)")
+	fs.StringVar(&c.logLevel, "log-level", "info", "log verbosity: debug, info, warn or error")
+	fs.DurationVar(&c.slowQuery, "slow-query", 0, "log requests slower than this with their span tree and chosen plan (0 = disabled)")
+	fs.StringVar(&c.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this address (empty = disabled; keep it loopback-only)")
+	c.fl = cliflags.Register(fs, cliflags.Enum, cliflags.Streaming, cliflags.Shards, cliflags.Store)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil, nil
+		}
+		return nil, errFlags
+	}
+	return c, nil
+}
+
+// open opens the data source the command line names — a durable store
+// (seeded from -graph when empty), a -store snapshot or a -graph file — and
+// the server over it. The caller closes both, the server first.
+func (c *config) open(log *slog.Logger) (*support.Engine, *server.Server, error) {
+	var (
+		eng *support.Engine
+		err error
+	)
+	if c.persistDir != "" {
+		if c.fl.StorePath() != "" {
+			return nil, nil, fmt.Errorf("-persist and -store are mutually exclusive (-store serves read-only, -persist serves durable read-write)")
+		}
+		if eng, err = support.OpenDurableEngine(c.persistDir, c.commitEvery, c.fl.EngineOptions()); err != nil {
+			return nil, nil, err
+		}
+		if c.graphPath != "" {
+			if err := seedDurable(eng, c.graphPath); err != nil {
+				eng.Close()
+				return nil, nil, err
+			}
+		}
+	} else {
+		eng, err = c.fl.Engine(func() (*support.Graph, error) {
+			if c.graphPath == "" {
+				return nil, fmt.Errorf("one of -graph, -store or -persist is required")
+			}
+			return support.LoadLGFile(c.graphPath)
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	srv := server.New(eng, server.Config{
+		MaxMineInFlight: c.maxMine,
+		MaxParallelism:  c.maxParallel,
+		MaxSessions:     c.maxSessions,
+		SessionIdleTTL:  c.sessionTTL,
+		SlowQuery:       c.slowQuery,
+		Logger:          log,
+	})
+	return eng, srv, nil
+}
+
+// run is the whole command: it parses args, opens the data source they name
+// and serves it until SIGINT or SIGTERM. gserved writes nothing but its log,
+// which goes to stderr with any command-line error.
+func run(args []string, stderr io.Writer) error {
+	c, err := parseArgs(args, stderr)
+	if c == nil {
+		return err
+	}
+	log, err := newLogger(c.logLevel, stderr)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	slog.SetDefault(log)
 
-	var eng *support.Engine
-	if *persistDir != "" {
-		if fl.StorePath() != "" {
-			fatal(fmt.Errorf("-persist and -store are mutually exclusive (-store serves read-only, -persist serves durable read-write)"))
-		}
-		eng, err = support.OpenDurableEngine(*persistDir, *commitEvery, fl.EngineOptions())
-		if err == nil && *graphPath != "" {
-			err = seedDurable(eng, *graphPath)
-		}
-	} else {
-		eng, err = fl.Engine(func() (*support.Graph, error) {
-			if *graphPath == "" {
-				return nil, fmt.Errorf("one of -graph, -store or -persist is required")
-			}
-			return support.LoadLGFile(*graphPath)
-		})
-	}
+	eng, srv, err := c.open(log)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer eng.Close()
-
-	srv := server.New(eng, server.Config{
-		MaxMineInFlight: *maxMine,
-		MaxParallelism:  *maxParallel,
-		MaxSessions:     *maxSessions,
-		SessionIdleTTL:  *sessionTTL,
-		SlowQuery:       *slowQuery,
-		Logger:          log,
-	})
 	defer srv.Close()
 
 	snap, epoch := eng.Current()
@@ -127,34 +188,34 @@ func main() {
 		slog.Int("edges", snap.NumEdges()),
 		slog.Int("shards", snap.NumShards()),
 		slog.Uint64("epoch", epoch),
-		slog.String("addr", *addr))
+		slog.String("addr", c.addr))
 	if depoch, pending, ok := eng.Durable(); ok {
 		// The replay counters are process-cumulative; at startup they hold
 		// exactly what OpenDB just replayed from the WAL tail.
 		log.Info("recovered durable store",
-			slog.String("dir", *persistDir),
+			slog.String("dir", c.persistDir),
 			slog.Uint64("epoch", depoch),
 			slog.Int("pending_mutations", pending),
 			slog.Uint64("wal_replayed_batches", obs.Default.CounterValue("repro_wal_replayed_batches_total")),
 			slog.Uint64("wal_replayed_mutations", obs.Default.CounterValue("repro_wal_replayed_mutations_total")))
 	}
 
-	if *pprofAddr != "" {
+	if c.pprofAddr != "" {
 		// net/http/pprof registers its handlers on http.DefaultServeMux; the
 		// profiling listener is separate from the serving one so profiles are
 		// never exposed on the public address.
 		go func() {
-			log.Info("pprof listening", slog.String("addr", *pprofAddr))
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
+			log.Info("pprof listening", slog.String("addr", c.pprofAddr))
+			if err := http.ListenAndServe(c.pprofAddr, nil); err != nil {
 				log.Error("pprof server failed", slog.String("error", err.Error()))
 			}
 		}()
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
+	httpSrv := &http.Server{Addr: c.addr, Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 
 	// Janitor: evict idle sessions in the background until shutdown.
-	janitorDone := make(chan struct{})
+	janitorStop, janitorDone := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(janitorDone)
 		t := time.NewTicker(time.Minute)
@@ -184,20 +245,18 @@ func main() {
 	}()
 
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fatal(err)
+		return err
 	}
 	<-janitorDone
 	log.Info("shut down",
 		slog.Uint64("epoch", eng.Epoch()),
 		slog.Uint64("requests", obs.Default.CounterValue("repro_server_http_requests_total")))
+	return nil
 }
 
-// janitorStop ends the eviction ticker on shutdown.
-var janitorStop = make(chan struct{})
-
-// newLogger builds the process logger: slog text records on stderr at the
-// named level.
-func newLogger(level string) (*slog.Logger, error) {
+// newLogger builds the process logger: slog text records on w at the named
+// level.
+func newLogger(level string, w io.Writer) (*slog.Logger, error) {
 	var lvl slog.Level
 	switch level {
 	case "debug":
@@ -211,7 +270,7 @@ func newLogger(level string) (*slog.Logger, error) {
 	default:
 		return nil, fmt.Errorf("unknown -log-level %q (want debug, info, warn or error)", level)
 	}
-	return slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})), nil
+	return slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: lvl})), nil
 }
 
 // seedDurable populates an empty durable engine from a .lg seed graph in
@@ -242,9 +301,4 @@ func seedDurable(eng *support.Engine, path string) error {
 	}
 	_, err = eng.Persist()
 	return err
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "gserved:", err)
-	os.Exit(1)
 }

@@ -10,8 +10,8 @@ import (
 // immutable. It flags writes, appends, sorts and copies targeting the
 // frozen fields (ids, labels, rowPtr, colIdx, byLabel, shards) of types
 // named Snapshot or shard, and the same operations on locals aliased from
-// the sharing accessors (NeighborsAt, ShardVertexIDs,
-// ShardIndexesWithLabel, IndexesWithLabel, Labels) whose doc contracts say
+// the sharing accessors (NeighborsAt, ShardIndexesWithLabel,
+// IndexesWithLabel, Labels) whose doc contracts say
 // "callers must not modify". The freeze/builder functions that construct
 // shard arrays before publication are allowlisted by name.
 var SnapshotMut = &Analyzer{
@@ -43,7 +43,6 @@ var frozenFields = map[string]bool{
 // callers must not modify.
 var sharingAccessors = map[string]bool{
 	"NeighborsAt":           true,
-	"ShardVertexIDs":        true,
 	"ShardIndexesWithLabel": true,
 	"IndexesWithLabel":      true,
 	"Labels":                true,

@@ -143,7 +143,7 @@ func NewContext(g *graph.Graph, p *pattern.Pattern, opts Options) (*Context, err
 	ctx.numOccurrences = all.count
 	ctx.domainSizes = all.table.sizes()
 	if opts.MaxOccurrences == 0 {
-		ctx.numInstances = instancesByOrbit(all.count, len(isomorph.Automorphisms(p.Graph())))
+		ctx.numInstances = instancesByOrbit(all.count, isomorph.NewSymmetry(p).Order())
 	} else {
 		// A prefix no longer than the caller's own cap is not closed under
 		// automorphisms, so the orbit count does not apply to it.

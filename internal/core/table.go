@@ -50,8 +50,9 @@ import (
 // instances through a batch's dirty vertices — some twenty per context on the
 // benchmark's refreshes — and a table to carry them would cost its width to
 // allocate and again to scan: domainState.apply adds or subtracts each
-// representative as it arrives, by the VertexIDs the lent occurrence carries
-// beside its indexes.
+// representative as it arrives, deriving the k VertexIDs it keys by from the
+// lent occurrence's dense indexes and the snapshot the pass searched — the
+// one point on that path where an index becomes a VertexID.
 //
 // The one pass that is not a search for representatives is the scan of a
 // materialized list, whose order witnesses.golden pins and whose
@@ -214,10 +215,13 @@ type domainState struct {
 	rowLayout
 	count   int
 	entries []map[graph.VertexID]int
+	// ids is apply's buffer for the VertexIDs of the instance in hand, one per
+	// pattern node.
+	ids []graph.VertexID
 }
 
 func newDomainState(layout rowLayout) *domainState {
-	s := &domainState{rowLayout: layout, entries: make([]map[graph.VertexID]int, layout.rows)}
+	s := &domainState{rowLayout: layout, entries: make([]map[graph.VertexID]int, layout.rows), ids: make([]graph.VertexID, len(layout.nodes))}
 	for r := range s.entries {
 		s.entries[r] = make(map[graph.VertexID]int)
 	}
@@ -247,11 +251,20 @@ func (s *domainState) fold(a *accumulator) {
 // the old graph — which the construction rules out, so it panics. (Applying
 // the plus pass first keeps every refcount non-negative in transit as well.)
 //
+// A lent occurrence derives each VertexID from its snapshot, so all k are
+// read in one loop before the first map update: the loads are independent
+// and overlap, where translating inside the update loop would chain each
+// one into its hash lookup.
+//
 //gvet:hotpath
 func (s *domainState) apply(o *isomorph.Occurrence, sign int) {
 	s.count += sign
+	ids := s.ids
+	for i := range ids {
+		ids[i] = o.ImageAt(i)
+	}
 	for i, r := range s.rowOf {
-		row, v := s.entries[r], o.ImageAt(i)
+		row, v := s.entries[r], ids[i]
 		switch next := row[v] + sign; {
 		case next > 0:
 			row[v] = next

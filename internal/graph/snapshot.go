@@ -846,15 +846,6 @@ func (s *Snapshot) ShardIndexesWithLabel(k int, l Label) []int32 {
 	return s.shards[k].byLabel[l]
 }
 
-// ShardVertexIDs returns shard k's dense-index→VertexID translation as a
-// shared slice: entry j is the VertexID of global dense index lo+j, where
-// [lo, _) is the shard's ShardRange. Callers must not modify it. Hot
-// consumers translating many indexes of one shard (the enumeration emit
-// path) use it to skip the per-call shard routing of ID.
-func (s *Snapshot) ShardVertexIDs(k int) []VertexID {
-	return s.shards[k].ids
-}
-
 // ID returns the VertexID of dense index i.
 func (s *Snapshot) ID(i int32) VertexID {
 	sh := s.shardFor(i)

@@ -1,6 +1,7 @@
 package isomorph
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -12,74 +13,65 @@ import (
 type Automorphism map[graph.VertexID]graph.VertexID
 
 // Automorphisms returns all automorphisms of the labeled graph g, including
-// the identity. For the small pattern graphs the library works with this is
-// computed by exhaustive label- and degree-pruned backtracking.
+// the identity. It is the position search of the graph's model
+// (patternModel.automorphisms) with each permutation mapped back to vertices.
 func Automorphisms(g *graph.Graph) []Automorphism {
-	vertices := g.SortedVertices()
-	n := len(vertices)
-	if n == 0 {
-		return []Automorphism{{}}
+	m := newModel(g.SortedVertices(), g.MustLabelOf, g.Neighbors)
+	perms := m.automorphisms()
+	out := make([]Automorphism, len(perms))
+	for a, perm := range perms {
+		auto := make(Automorphism, len(perm))
+		for i, j := range perm {
+			auto[m.nodes[i]] = m.nodes[j]
+		}
+		out[a] = auto
 	}
+	return out
+}
 
-	var result []Automorphism
-	mapping := make(map[graph.VertexID]graph.VertexID, n)
-	used := make(map[graph.VertexID]bool, n)
-
-	var backtrack func(depth int)
-	backtrack = func(depth int) {
-		if depth == n {
-			// An injective, label-preserving map that sends every edge to an
-			// edge is an automorphism once all vertices are mapped: it maps
-			// the finite edge set injectively into itself, hence onto itself.
-			a := make(Automorphism, n)
-			for k, v := range mapping {
-				a[k] = v
-			}
-			result = append(result, a)
+// automorphisms returns Aut of the labeled graph m models, each automorphism
+// as the permutation of node positions it is (perm[i] is where position i
+// goes), found by label- and degree-pruned backtracking over
+// positions against an adjacency matrix — for the small graphs the library
+// works with, a few array reads per candidate. The permutations come in
+// lexicographic order; nothing built from them (Symmetry's below, stabiliser
+// and orbitOf, Orbits' union-find) depends on that order.
+func (m *patternModel) automorphisms() [][]int {
+	k := len(m.nodes)
+	edge := make([]bool, k*k)
+	for i, nbs := range m.adj {
+		for _, j := range nbs {
+			edge[i*k+j] = true
+		}
+	}
+	perm, used := make([]int, k), make([]bool, k)
+	var perms [][]int
+	var extend func(d int)
+	extend = func(d int) {
+		if d == k {
+			// An injective, label-preserving map that keeps every edge and
+			// non-edge among the mapped positions is an automorphism once
+			// every position is mapped.
+			perms = append(perms, slices.Clone(perm))
 			return
 		}
-		v := vertices[depth]
-		lv := g.MustLabelOf(v)
-		dv := g.Degree(v)
-		for _, c := range vertices {
-			if used[c] {
+	candidates:
+		for c := 0; c < k; c++ {
+			if used[c] || m.labels[c] != m.labels[d] || m.deg[c] != m.deg[d] {
 				continue
 			}
-			if g.MustLabelOf(c) != lv || g.Degree(c) != dv {
-				continue
-			}
-			ok := true
-			for _, nb := range g.Neighbors(v) {
-				img, mapped := mapping[nb]
-				if mapped && !g.HasEdge(c, img) {
-					ok = false
-					break
+			for w := 0; w < d; w++ {
+				if edge[d*k+w] != edge[c*k+perm[w]] {
+					continue candidates
 				}
 			}
-			if !ok {
-				continue
-			}
-			// Also require non-edges among mapped vertices to stay non-edges,
-			// which keeps the pruning exact (automorphisms preserve both
-			// edges and non-edges).
-			for _, w := range vertices[:depth] {
-				if g.HasEdge(v, w) != g.HasEdge(c, mapping[w]) {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			mapping[v] = c
-			used[c] = true
-			backtrack(depth + 1)
-			delete(mapping, v)
-			delete(used, c)
+			perm[d], used[c] = c, true
+			extend(d + 1)
+			used[c] = false
 		}
 	}
-	backtrack(0)
-	return result
+	extend(0)
+	return perms
 }
 
 // Orbits partitions the vertices of g into equivalence classes under its

@@ -258,7 +258,6 @@ type searchState struct {
 	pl     *searchPlan
 	assign []int32 // assign[d]: dense index matched at depth d
 	yield  func(*Occurrence) bool
-	stop   *atomic.Bool // shared cancellation flag; nil in sequential mode
 
 	// slots holds the memoized single-anchor candidate runs (see kernels.go);
 	// scratch[d] is depth d's reusable buffer for multi-anchor galloping
@@ -267,26 +266,21 @@ type searchState struct {
 	slots   []runSlot
 	scratch [][]int32
 
-	// ids is the single-shard dense-index→VertexID translation, hoisted out
-	// of the emit loop when the snapshot has exactly one shard; nil
-	// otherwise (emit falls back to Snapshot.ID).
-	ids []graph.VertexID
 	// occ is the one Occurrence this worker ever yields: emit overwrites its
-	// images and indexes in place and lends it to the consumer for the length
-	// of the call.
+	// indexes in place and lends it, bound to the plan's snapshot, to the
+	// consumer for the length of the call.
 	occ Occurrence
 	// emits counts the occurrences lent since the drain loop last published
 	// them (publishEmits).
 	emits uint64
 }
 
-func newSearchState(pl *searchPlan, yield func(*Occurrence) bool, stop *atomic.Bool) *searchState {
+func newSearchState(pl *searchPlan, yield func(*Occurrence) bool) *searchState {
 	st := &searchState{
 		pl:     pl,
 		assign: make([]int32, pl.k),
 		yield:  yield,
-		stop:   stop,
-		occ:    Occurrence{nodes: pl.nodes, images: make([]graph.VertexID, pl.k), indexes: make([]int32, pl.k)},
+		occ:    Occurrence{nodes: pl.nodes, indexes: make([]int32, pl.k), snap: pl.snap},
 	}
 	if pl.numSlots > 0 {
 		st.slots = make([]runSlot, pl.numSlots)
@@ -295,22 +289,13 @@ func newSearchState(pl *searchPlan, yield func(*Occurrence) bool, stop *atomic.B
 		}
 	}
 	st.scratch = make([][]int32, pl.k)
-	st.ids = singleShardIDs(pl.snap)
 	return st
 }
 
-// singleShardIDs returns the dense-index→VertexID translation of a snapshot
-// with exactly one shard, and nil for any other.
-func singleShardIDs(snap *graph.Snapshot) []graph.VertexID {
-	if snap.NumShards() == 1 {
-		return snap.ShardVertexIDs(0)
-	}
-	return nil
-}
-
 // searchRoot explores the full subtree rooted at candidate r. It returns true
-// when enumeration must halt (the consumer returned false or another worker
-// set the stop flag).
+// when the consumer returned false and enumeration must halt. Another
+// worker's stop is read by the drain loop between roots, so the per-node path
+// carries no check.
 //
 //gvet:hotpath
 func (s *searchState) searchRoot(r int32) bool {
@@ -368,9 +353,6 @@ func (s *searchState) taken(c int32, depth int) bool {
 //
 //gvet:hotpath
 func (s *searchState) search(depth int) bool {
-	if s.stop != nil && s.stop.Load() {
-		return true
-	}
 	pl := s.pl
 	if depth == pl.k {
 		return !s.emit()
@@ -475,28 +457,19 @@ candidateLoop:
 	return false
 }
 
-// emit writes the current full assignment into the worker's one Occurrence —
-// in pattern-node order, as dense indexes and as the VertexIDs they stand for
-// — and lends it to the consumer, returning the consumer's continue/stop
-// decision. The occurrence is borrowed: the next emit overwrites it, so a
-// consumer copies what it wants to keep before it returns.
+// emit writes the current full assignment into the worker's one Occurrence,
+// in pattern-node order and as dense indexes only — a consumer that wants a
+// VertexID derives it from the occurrence's snapshot — and lends it to the
+// consumer, returning the consumer's continue/stop decision. The occurrence
+// is borrowed: the next emit overwrites it, so a consumer copies what it
+// wants to keep before it returns.
 //
 //gvet:hotpath
 func (s *searchState) emit() bool {
 	pl := s.pl
-	images, indexes := s.occ.images, s.occ.indexes
-	if ids := s.ids; ids != nil {
-		for d := 0; d < pl.k; d++ {
-			x := s.assign[d]
-			indexes[pl.slot[d]] = x
-			images[pl.slot[d]] = ids[x]
-		}
-	} else {
-		for d := 0; d < pl.k; d++ {
-			x := s.assign[d]
-			indexes[pl.slot[d]] = x
-			images[pl.slot[d]] = pl.snap.ID(x)
-		}
+	indexes := s.occ.indexes
+	for d := 0; d < pl.k; d++ {
+		indexes[pl.slot[d]] = s.assign[d]
 	}
 	s.emits++
 	return s.yield(&s.occ)
@@ -525,15 +498,19 @@ func (s *searchState) publishEmits() {
 // newYield is invoked once per worker, serially, before the workers start;
 // the returned consumer is then called from that worker's goroutine only, so
 // consumers may accumulate into unsynchronized worker-local state. Returning
-// false from any consumer stops all workers.
+// false from any consumer stops all workers, at root granularity: the worker
+// whose consumer refused stops at once and never calls it again, and the
+// others finish the root they are searching and stop before their next one.
 //
 // The *Occurrence a consumer receives is borrowed: each worker owns one
 // Occurrence, overwrites it for every occurrence it finds and lends it for
 // the length of the call. A consumer folds it into its own state or copies
 // out what it keeps (Images, Key, ...) before returning; EnumerateSnapshot is
-// the consumer that keeps everything. While it is lent, IndexAt gives each
-// image's dense index in snap, so a consumer whose state lives and dies with
-// snap (core's per-pass MNI rows) never handles a VertexID.
+// the consumer that keeps everything. The search writes only the images'
+// dense indexes in snap (IndexAt), so a consumer whose state lives and dies
+// with snap (core's per-pass MNI rows) never handles a VertexID; every
+// VertexID accessor (ImageAt, Images, Key, ...) derives its answer from snap
+// on demand, so a consumer pays for the translations it reads and no more.
 //
 // With an effective parallelism of one (Options.Parallelism == 1, a tiny
 // input in auto mode, or a positive MaxOccurrences) everything runs on the
@@ -550,7 +527,7 @@ func EnumerateSnapshotWorkers(snap *graph.Snapshot, p *pattern.Pattern, opts Opt
 		if opts.MaxOccurrences > 0 {
 			yield = capYield(yield, opts.MaxOccurrences)
 		}
-		pl.drain(newSearchState(pl, yield, nil))
+		pl.drain(newSearchState(pl, yield))
 		return
 	}
 
@@ -577,7 +554,7 @@ func EnumerateSnapshotWorkers(snap *graph.Snapshot, p *pattern.Pattern, opts Opt
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			st := newSearchState(pl, yield, &stop)
+			st := newSearchState(pl, yield)
 			for k := 0; k < numShards; k++ {
 				s := (start + k) % numShards
 				roots := pl.rootsByShard[s]
@@ -682,8 +659,8 @@ func NewPinnedSearch(snap *graph.Snapshot, p *pattern.Pattern, sym *Symmetry, ro
 		below, weight = sym.below(order, stabiliser), uint64(len(stabiliser))
 	}
 	pl := compilePlan(snap, m, order, below, weight)
-	st := newSearchState(pl, nil, nil)
-	pl.snap, st.ids = nil, nil
+	st := newSearchState(pl, nil)
+	pl.snap, st.occ.snap = nil, nil
 	return &PinnedSearch{pl: pl, st: st}
 }
 
@@ -701,7 +678,8 @@ func (ps *PinnedSearch) Root() int { return ps.pl.slot[0] }
 // candidate run is dropped, because a run is keyed by its anchor's dense
 // index and that index names another vertex — or the same vertex with
 // another neighbour row — on another snapshot. On return the search holds
-// no reference to snap or yield.
+// no reference to snap or yield — its lent occurrence included, which is
+// bound to snap only while the run lasts.
 func (ps *PinnedSearch) Run(snap *graph.Snapshot, candidates []int32, yield func(*Occurrence) bool) {
 	if len(candidates) == 0 {
 		return
@@ -712,9 +690,9 @@ func (ps *PinnedSearch) Run(snap *graph.Snapshot, candidates []int32, yield func
 	for i := range st.slots {
 		st.slots[i].anchor = -1
 	}
-	st.ids, st.yield = singleShardIDs(snap), yield
+	st.occ.snap, st.yield = snap, yield
 	pl.drain(st)
-	pl.snap, st.ids, st.yield = nil, nil, nil
+	pl.snap, st.occ.snap, st.yield = nil, nil, nil
 }
 
 // capYield wraps a consumer so that enumeration stops after max occurrences
@@ -748,6 +726,8 @@ func EnumerateSnapshot(snap *graph.Snapshot, p *pattern.Pattern, opts Options) [
 	// 1.25x), and on a busy heap that garbage alone forces extra collection
 	// cycles mid-run.
 	const chunkOccs = 4096 // occurrences per image chunk
+	// The lent occurrences carry dense indexes; the chunks keep VertexIDs, so
+	// this copy is where a listed occurrence's images are translated.
 	type bucket struct {
 		chunks [][]graph.VertexID
 		nodes  []pattern.NodeID
@@ -761,14 +741,14 @@ func EnumerateSnapshot(snap *graph.Snapshot, p *pattern.Pattern, opts Options) [
 		return func(o *Occurrence) bool {
 			if b.nodes == nil {
 				b.nodes = o.nodes
-				b.k = len(o.images)
+				b.k = len(o.nodes)
 			}
 			cur := len(b.chunks) - 1
 			if cur < 0 || len(b.chunks[cur])+b.k > cap(b.chunks[cur]) {
 				b.chunks = append(b.chunks, make([]graph.VertexID, 0, chunkOccs*b.k))
 				cur++
 			}
-			b.chunks[cur] = append(b.chunks[cur], o.images...)
+			b.chunks[cur] = o.appendImages(b.chunks[cur])
 			b.n++
 			return true
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -329,7 +330,9 @@ func TestEnumerateMaxOccurrencesParallelSafe(t *testing.T) {
 // 1–2 labelled edges, one per two-vertex shard, so every shard bucket holds
 // exactly one matching root — the shape a pinned search has
 // all the time. A consumer that has returned false is never called again, and
-// a cap of one keeps one occurrence, at every entry point that drains.
+// a cap of one keeps one occurrence, at every entry point that drains. With
+// four workers the stop is per root: each worker's consumer, once it has
+// refused, is never called again, and the enumeration returns.
 func TestStopOnLastRootOfShardHalts(t *testing.T) {
 	b := graph.NewBuilder("matching")
 	for v := graph.VertexID(0); v < 8; v += 2 {
@@ -341,6 +344,7 @@ func TestStopOnLastRootOfShardHalts(t *testing.T) {
 	}
 	edge := pattern.MustNew(graph.NewBuilder("edge").Vertex(0, 1).Vertex(1, 2).Edge(0, 1).MustBuild())
 	all := []int32{0, 1, 2, 3, 4, 5, 6, 7}
+	big, star := gen.BarabasiAlbert(300, 3, gen.UniformLabels{K: 2}, 11).FreezeSharded(graph.FreezeOptions{Shards: 4}), starPattern()
 
 	// stopAfter returns a consumer that stops on its n-th occurrence and fails
 	// the test if it is called after that.
@@ -351,6 +355,23 @@ func TestStopOnLastRootOfShardHalts(t *testing.T) {
 				t.Errorf("%s: consumer called %d times after stopping at %d", where, *calls-n, n)
 			}
 			return *calls < n
+		}
+	}
+	// stopOnWorkers enumerates p in snap on opts.Parallelism workers, each
+	// with a consumer that stops on its n-th occurrence, and checks that they
+	// all started and that at least one was called.
+	stopOnWorkers := func(where string, snap *graph.Snapshot, p *pattern.Pattern, opts isomorph.Options, n int) {
+		var perWorker []*int
+		isomorph.EnumerateSnapshotWorkers(snap, p, opts, func(int) func(*isomorph.Occurrence) bool {
+			perWorker = append(perWorker, new(int))
+			return stopAfter(fmt.Sprintf("%s on %d workers", where, opts.Parallelism), n, perWorker[len(perWorker)-1])
+		})
+		total := 0
+		for _, c := range perWorker {
+			total += *c
+		}
+		if len(perWorker) != opts.Parallelism || total == 0 {
+			t.Errorf("%s: %d workers delivered %d occurrences, want %d workers and at least one occurrence", where, len(perWorker), total, opts.Parallelism)
 		}
 	}
 	for n := 1; n <= 3; n++ {
@@ -364,11 +385,17 @@ func TestStopOnLastRootOfShardHalts(t *testing.T) {
 			if calls != n {
 				t.Errorf("%s: %d occurrences delivered, want %d", where, calls, n)
 			}
+			opts.Parallelism = 4
+			stopOnWorkers(where, snap, edge, opts, n)
 			opts.Parallelism, opts.MaxOccurrences = 0, n
 			if got := isomorph.EnumerateSnapshot(snap, edge, opts); len(got) != n {
 				t.Errorf("MaxOccurrences %d, options %+v: %d occurrences returned", n, opts, len(got))
 			}
 		}
+		// Many roots per shard: a worker whose consumer refused must not go on
+		// to its next root, whatever the other workers are doing.
+		where := fmt.Sprintf("BA(300) star, stop at %d", n)
+		stopOnWorkers(where, big, star, isomorph.Options{Parallelism: 4}, n)
 		for root := 0; root < 2; root++ {
 			search := isomorph.NewPinnedSearch(snap, edge, nil, root)
 			for run := 0; run < 2; run++ { // a stopped run leaves nothing behind for the next
@@ -495,12 +522,15 @@ func TestYieldedOccurrenceIsBorrowed(t *testing.T) {
 	}
 }
 
-// TestLentOccurrenceCarriesDenseIndexes pins IndexAt: for every occurrence
-// the streaming entry point lends, IndexAt(i) is the dense index of
-// ImageAt(i) in the snapshot that was searched — at every shard geometry and
-// parallelism, and over an mmap-backed store snapshot — and an occurrence
-// that was not lent (listed, or built by hand) panics instead of answering.
-// The graph's IDs are spread out (7, 10, 13, ...) so an index is never its ID.
+// TestLentOccurrenceCarriesDenseIndexes pins IndexAt and the VertexIDs a lent
+// occurrence derives from it: for every occurrence the streaming entry point
+// lends, IndexAt(i) is a dense index of the snapshot that was searched, and
+// every VertexID accessor — ImageAt, Image, Images, Key, VertexSet, Compare
+// and String — answers what the hand-built occurrence of the images
+// snap.ID(IndexAt(i)) answers, at every shard geometry and parallelism and
+// over an mmap-backed store snapshot. An occurrence that was not lent
+// (listed, or built by hand) panics on IndexAt instead of answering. The
+// graph's IDs are spread out (7, 10, 13, ...) so an index is never its ID.
 func TestLentOccurrenceCarriesDenseIndexes(t *testing.T) {
 	dense := gen.BarabasiAlbert(300, 3, gen.UniformLabels{K: 2}, 11)
 	g := graph.New("spread")
@@ -527,18 +557,19 @@ func TestLentOccurrenceCarriesDenseIndexes(t *testing.T) {
 	defer st.Close()
 	snaps["store"] = st.Snapshot()
 
+	nodes := pat.Nodes()
 	for name, snap := range snaps {
+		// ref is a listed occurrence of the same search, the other side of
+		// every Compare.
+		ref := isomorph.EnumerateSnapshot(snap, pat, isomorph.Options{})[0]
 		for _, par := range []int{1, 4} {
 			var checked []int
 			isomorph.EnumerateSnapshotWorkers(snap, pat, isomorph.Options{Parallelism: par}, func(w int) func(*isomorph.Occurrence) bool {
 				checked = append(checked, 0)
 				return func(o *isomorph.Occurrence) bool {
-					for i := 0; i < o.Len(); i++ {
-						want, ok := snap.IndexOf(o.ImageAt(i))
-						if got := o.IndexAt(i); !ok || got != want {
-							t.Errorf("%s par=%d: %s has IndexAt(%d) = %d, IndexOf(%d) = %d (found %v)", name, par, o, i, got, o.ImageAt(i), want, ok)
-							return false
-						}
+					if err := checkLent(snap, pat, nodes, o, ref); err != nil {
+						t.Errorf("%s par=%d: %v", name, par, err)
+						return false
 					}
 					checked[w]++
 					return true
@@ -561,6 +592,50 @@ func TestLentOccurrenceCarriesDenseIndexes(t *testing.T) {
 		}
 	}()
 	listed.IndexAt(0)
+}
+
+// checkLent holds every VertexID accessor of the lent occurrence o to the
+// images its dense indexes name in snap, by way of the occurrence built by
+// hand from those images; nodes is p.Nodes() and ref a listed occurrence of
+// p.
+func checkLent(snap *graph.Snapshot, p *pattern.Pattern, nodes []pattern.NodeID, o, ref *isomorph.Occurrence) error {
+	want := make([]graph.VertexID, o.Len())
+	mapping := make(map[pattern.NodeID]graph.VertexID, len(nodes))
+	for i := range want {
+		x := o.IndexAt(i)
+		if x < 0 || int(x) >= snap.NumVertices() {
+			return fmt.Errorf("IndexAt(%d) = %d is not a dense index of the snapshot", i, x)
+		}
+		want[i] = snap.ID(x)
+		mapping[nodes[i]] = want[i]
+		if got := o.ImageAt(i); got != want[i] {
+			return fmt.Errorf("ImageAt(%d) = %d, snap.ID(IndexAt(%d)) = %d", i, got, i, want[i])
+		}
+		if got, ok := o.Image(nodes[i]); !ok || got != want[i] {
+			return fmt.Errorf("Image(%d) = %d (found %v), want %d", nodes[i], got, ok, want[i])
+		}
+	}
+	byHand, err := isomorph.NewOccurrence(p, mapping)
+	if err != nil {
+		return err
+	}
+	sorted := slices.Clone(want)
+	slices.Sort(sorted)
+	switch {
+	case !slices.Equal(o.Images(), want):
+		return fmt.Errorf("Images() = %v, want %v", o.Images(), want)
+	case !slices.Equal(o.VertexSet(), sorted):
+		return fmt.Errorf("VertexSet() = %v, want %v", o.VertexSet(), sorted)
+	case o.Key() != byHand.Key():
+		return fmt.Errorf("Key() = %q, want %q", o.Key(), byHand.Key())
+	case o.String() != byHand.String():
+		return fmt.Errorf("String() = %q, want %q", o.String(), byHand.String())
+	case o.Compare(byHand) != 0 || byHand.Compare(o) != 0 || o.Compare(o) != 0:
+		return fmt.Errorf("%s does not compare equal to itself and to %s", o, byHand)
+	case o.Compare(ref) != byHand.Compare(ref) || ref.Compare(o) != ref.Compare(byHand):
+		return fmt.Errorf("%s and %s compare differently against the listed %s", o, byHand, ref)
+	}
+	return nil
 }
 
 // allocatedBytes returns the heap bytes f allocates (nothing else runs

@@ -31,19 +31,23 @@ import (
 //
 // An occurrence names its images by VertexID, which means the same thing in
 // every snapshot of a graph. The one a streaming consumer is lent by
-// EnumerateSnapshotWorkers also carries them as dense indexes of the snapshot
-// that was searched (IndexAt) — the space the search found them in, valid for
-// that snapshot only — so a consumer that folds per snapshot never pays for a
-// translation.
+// EnumerateSnapshotWorkers holds only the dense indexes of the snapshot that
+// was searched (IndexAt) — the space the search found them in, valid for that
+// snapshot only — and derives a VertexID from that snapshot when an accessor
+// asks for one. So a consumer that folds by index never pays for a
+// translation, and one that keeps VertexIDs pays only for those it reads.
 type Occurrence struct {
-	// nodes is the pattern's node list in sorted order; images[i] is the data
-	// vertex f(nodes[i]). Keeping a parallel slice representation makes
-	// occurrences cheap to copy and hash.
-	nodes  []pattern.NodeID
+	// nodes is the pattern's node list in sorted order, shared by every
+	// occurrence of one enumeration.
+	nodes []pattern.NodeID
+	// images[i] is the data vertex f(nodes[i]) of a listed or hand-built
+	// occurrence; nil on a lent one.
 	images []graph.VertexID
-	// indexes[i] is the dense index of images[i] in the searched snapshot;
-	// nil unless the occurrence is lent by the enumeration engine.
+	// indexes[i] is the dense index of f(nodes[i]) in snap, the snapshot that
+	// was searched; both are nil unless the occurrence is lent by the
+	// enumeration engine.
 	indexes []int32
+	snap    *graph.Snapshot
 }
 
 // NewOccurrence builds an occurrence from an explicit mapping. It validates
@@ -76,14 +80,31 @@ func NewOccurrence(p *pattern.Pattern, mapping map[pattern.NodeID]graph.VertexID
 func (o *Occurrence) Image(v pattern.NodeID) (graph.VertexID, bool) {
 	i := sort.Search(len(o.nodes), func(k int) bool { return o.nodes[k] >= v })
 	if i < len(o.nodes) && o.nodes[i] == v {
-		return o.images[i], true
+		return o.ImageAt(i), true
 	}
 	return 0, false
 }
 
 // ImageAt returns f(Nodes()[i]) without copying the node or image slices; it
-// is the allocation-free accessor used by streaming consumers.
-func (o *Occurrence) ImageAt(i int) graph.VertexID { return o.images[i] }
+// is the allocation-free accessor used by streaming consumers. On a lent
+// occurrence it translates IndexAt(i) through the searched snapshot.
+func (o *Occurrence) ImageAt(i int) graph.VertexID {
+	if o.snap != nil {
+		return o.snap.ID(o.indexes[i])
+	}
+	return o.images[i]
+}
+
+// appendImages appends f(Nodes()[i]) for every i, in order, to dst.
+func (o *Occurrence) appendImages(dst []graph.VertexID) []graph.VertexID {
+	if o.snap == nil {
+		return append(dst, o.images...)
+	}
+	for _, x := range o.indexes {
+		dst = append(dst, o.snap.ID(x))
+	}
+	return dst
+}
 
 // IndexAt returns the dense index of ImageAt(i) in the snapshot handed to
 // EnumerateSnapshotWorkers. Only the occurrence that entry point lends to a
@@ -119,14 +140,12 @@ func (o *Occurrence) Nodes() []pattern.NodeID {
 
 // Images returns the data-vertex images aligned with Nodes().
 func (o *Occurrence) Images() []graph.VertexID {
-	out := make([]graph.VertexID, len(o.images))
-	copy(out, o.images)
-	return out
+	return o.appendImages(make([]graph.VertexID, 0, len(o.nodes)))
 }
 
 // VertexSet returns f(V_P) as a sorted slice without duplicates.
 func (o *Occurrence) VertexSet() []graph.VertexID {
-	out := slices.Clone(o.images)
+	out := o.Images()
 	slices.Sort(out)
 	return out
 }
@@ -170,7 +189,7 @@ func (o *Occurrence) EdgeImage(p *pattern.Pattern) []graph.Edge {
 func (o *Occurrence) Key() string {
 	s := ""
 	for i, n := range o.nodes {
-		s += fmt.Sprintf("%d>%d;", n, o.images[i])
+		s += fmt.Sprintf("%d>%d;", n, o.ImageAt(i))
 	}
 	return s
 }
@@ -202,9 +221,9 @@ func (o *Occurrence) Compare(q *Occurrence) int {
 			}
 		}
 	}
-	for i := range o.images {
-		if o.images[i] != q.images[i] {
-			if o.images[i] < q.images[i] {
+	for i := range o.nodes {
+		if a, b := o.ImageAt(i), q.ImageAt(i); a != b {
+			if a < b {
 				return -1
 			}
 			return 1

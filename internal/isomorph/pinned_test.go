@@ -2,8 +2,10 @@ package isomorph_test
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -289,6 +291,55 @@ func TestPinnedSearchReusedAcrossSnapshots(t *testing.T) {
 	if !grew {
 		t.Fatalf("no run on B delivered more than on A; the case does not change the dirty vertex's neighbourhood")
 	}
+}
+
+// TestPinnedSearchRetainsNoSnapshot is the regression test for a compiled
+// search that keeps the snapshot of its last run: a delta context holds one
+// search per node orbit for as long as it tracks its pattern, so a search that
+// kept its run's snapshot through its lent occurrence, its plan or its
+// consumer would keep every tracked pattern's last minus-pass snapshot alive.
+// Once Run has returned and the caller has dropped the snapshot, a finalizer
+// on it must run while the search is still reachable.
+func TestPinnedSearchRetainsNoSnapshot(t *testing.T) {
+	collected := make(chan struct{})
+	search := runOnDroppedSnapshot(t, collected)
+	deadline := time.After(10 * time.Second)
+	for done := false; !done; {
+		runtime.GC()
+		select {
+		case <-collected:
+			done = true
+		case <-deadline:
+			t.Fatal("the snapshot of a finished run was never collected; the pinned search still references it")
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	runtime.KeepAlive(search)
+}
+
+// runOnDroppedSnapshot compiles a pinned search, runs it on a snapshot of a
+// graph it builds, and returns the search with nothing else of the run left
+// reachable; closing collected is the snapshot's finalizer.
+func runOnDroppedSnapshot(t *testing.T, collected chan struct{}) *isomorph.PinnedSearch {
+	g := gen.BarabasiAlbert(200, 3, gen.UniformLabels{K: 2}, 3)
+	snap := g.FreezeSharded(graph.FreezeOptions{Shards: 2})
+	g.DropSnapshots()
+	runtime.SetFinalizer(snap, func(*graph.Snapshot) { close(collected) })
+	p := starPattern()
+	search := isomorph.NewPinnedSearch(snap, p, isomorph.NewSymmetry(p), 0)
+	all := make([]int32, snap.NumVertices())
+	for i := range all {
+		all[i] = int32(i)
+	}
+	emitted := 0
+	search.Run(snap, all, func(*isomorph.Occurrence) bool {
+		emitted++
+		return true
+	})
+	if emitted == 0 {
+		t.Fatal("the run emitted nothing; the test would not exercise a lent occurrence")
+	}
+	return search
 }
 
 // FuzzPinnedRepresentatives runs checkPinnedSearch on a small labeled graph

@@ -62,7 +62,12 @@ type patternModel struct {
 
 // newPatternModel indexes p by node position.
 func newPatternModel(p *pattern.Pattern) *patternModel {
-	nodes := p.Nodes()
+	return newModel(p.Nodes(), p.LabelOf, p.Neighbors)
+}
+
+// newModel indexes by position the labeled graph with the given sorted nodes,
+// node labels and neighbour lists.
+func newModel(nodes []pattern.NodeID, label func(pattern.NodeID) graph.Label, neighbors func(pattern.NodeID) []pattern.NodeID) *patternModel {
 	m := &patternModel{
 		nodes:  nodes,
 		labels: make([]graph.Label, len(nodes)),
@@ -70,9 +75,9 @@ func newPatternModel(p *pattern.Pattern) *patternModel {
 		adj:    make([][]int, len(nodes)),
 	}
 	for i, v := range nodes {
-		m.labels[i] = p.LabelOf(v)
-		m.deg[i] = p.Degree(v)
-		nbs := p.Neighbors(v)
+		m.labels[i] = label(v)
+		nbs := neighbors(v)
+		m.deg[i] = len(nbs)
 		pos := make([]int, len(nbs))
 		for j, nb := range nbs {
 			pos[j] = nodePos(nodes, nb)

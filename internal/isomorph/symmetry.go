@@ -34,23 +34,13 @@ type Symmetry struct {
 	orbits  int
 }
 
-// NewSymmetry computes Aut(p) once (Automorphisms) and indexes it by node
-// position.
+// NewSymmetry computes Aut(p) once, by the position search over p's model
+// (patternModel.automorphisms): nothing of it is keyed by node ID.
 func NewSymmetry(p *pattern.Pattern) *Symmetry {
-	nodes := p.Nodes()
-	autos := Automorphisms(p.Graph())
-	s := &Symmetry{perms: make([][]int, len(autos)), orbitOf: make([]int, len(nodes))}
-	flat := make([]int, len(autos)*len(nodes))
-	for a, auto := range autos {
-		perm := flat[a*len(nodes) : (a+1)*len(nodes)]
-		for i, v := range nodes {
-			perm[i] = nodePos(nodes, auto[v])
-		}
-		s.perms[a] = perm
-	}
+	s := &Symmetry{perms: newPatternModel(p).automorphisms(), orbitOf: make([]int, p.Size())}
 	// The group's images of a position are its whole orbit, so the orbit of a
 	// position is the smallest position any automorphism sends it to.
-	for i := range nodes {
+	for i := range s.orbitOf {
 		first := i
 		for _, perm := range s.perms {
 			first = min(first, perm[i])
