@@ -13,13 +13,15 @@
 //	ggen -model citation|protein|social -n 2000 -out preset.lg
 //	ggen -model ba -n 1000000 -store ba.store -store-shards 64
 //	                 # write the binary out-of-core shard store instead of
-//	                 # (or alongside) the .lg text form; gsupport/gminer/
-//	                 # gbench mmap it back with their -store flags
+//	                 # (or alongside) the .lg text form; gsupport, gminer
+//	                 # and gserved mmap it back with their -store flags
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/dataset"
@@ -28,27 +30,52 @@ import (
 	"repro/internal/store"
 )
 
+// errFlags reports a command line the FlagSet rejected; the FlagSet has
+// already printed the reason and the usage to stderr.
+var errFlags = errors.New("invalid command line")
+
 func main() {
+	switch err := run(os.Args[1:], os.Stdout, os.Stderr); {
+	case err == nil:
+	case errors.Is(err, errFlags):
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "ggen:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command: it parses args and generates the graph they
+// describe, writing it to -out (or stdout) and -store, with a summary on
+// stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("ggen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		model       = flag.String("model", "er", "generator: er, ba, geo, grid, star, cliques, citation, protein, social")
-		n           = flag.Int("n", 500, "number of vertices (er, ba, geo, presets)")
-		p           = flag.Float64("p", 0.01, "edge probability (er)")
-		m           = flag.Int("m", 2, "edges per new vertex (ba)")
-		radius      = flag.Float64("radius", 0.05, "connection radius (geo)")
-		rows        = flag.Int("rows", 10, "grid rows")
-		cols        = flag.Int("cols", 10, "grid cols")
-		hubs        = flag.Int("hubs", 8, "hub count (star)")
-		leaves      = flag.Int("leaves", 8, "leaves per hub (star)")
-		count       = flag.Int("count", 8, "clique count (cliques)")
-		size        = flag.Int("size", 4, "clique size (cliques)")
-		labels      = flag.Int("labels", 3, "label alphabet size (uniform labels)")
-		zipf        = flag.Bool("zipf", false, "use a Zipf label distribution instead of uniform")
-		seed        = flag.Uint64("seed", 1, "PRNG seed")
-		out         = flag.String("out", "", "output path (default: stdout)")
-		storeDir    = flag.String("store", "", "also write the graph as a binary shard store into this directory (mmap-loadable by gsupport/gminer/gbench -store)")
-		storeShards = flag.Int("store-shards", 0, "CSR shard count of the written store (0 = auto: one shard up to 65536 vertices)")
+		model       = fs.String("model", "er", "generator: er, ba, geo, grid, star, cliques, citation, protein, social")
+		n           = fs.Int("n", 500, "number of vertices (er, ba, geo, presets)")
+		p           = fs.Float64("p", 0.01, "edge probability (er)")
+		m           = fs.Int("m", 2, "edges per new vertex (ba)")
+		radius      = fs.Float64("radius", 0.05, "connection radius (geo)")
+		rows        = fs.Int("rows", 10, "grid rows")
+		cols        = fs.Int("cols", 10, "grid cols")
+		hubs        = fs.Int("hubs", 8, "hub count (star)")
+		leaves      = fs.Int("leaves", 8, "leaves per hub (star)")
+		count       = fs.Int("count", 8, "clique count (cliques)")
+		size        = fs.Int("size", 4, "clique size (cliques)")
+		labels      = fs.Int("labels", 3, "label alphabet size (uniform labels)")
+		zipf        = fs.Bool("zipf", false, "use a Zipf label distribution instead of uniform")
+		seed        = fs.Uint64("seed", 1, "PRNG seed")
+		out         = fs.String("out", "", "output path (default: stdout)")
+		storeDir    = fs.String("store", "", "also write the graph as a binary shard store into this directory (mmap-loadable by gsupport, gminer and gserved -store)")
+		storeShards = fs.Int("store-shards", 0, "CSR shard count of the written store (0 = auto: one shard up to 65536 vertices)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return errFlags
+	}
 
 	var labelModel gen.LabelModel = gen.UniformLabels{K: *labels}
 	if *zipf {
@@ -73,41 +100,34 @@ func main() {
 	case "citation", "protein", "social":
 		g, err = gen.FromPreset(gen.Preset(*model), *n, *seed)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 	default:
-		fatal(fmt.Errorf("unknown model %q", *model))
+		return fmt.Errorf("unknown model %q", *model)
 	}
 
 	stats := g.DegreeStatistics()
-	fmt.Fprintf(os.Stderr, "generated %s: degree min/mean/max = %d/%.2f/%d, density = %.5f, labels = %d\n",
+	fmt.Fprintf(stderr, "generated %s: degree min/mean/max = %d/%.2f/%d, density = %.5f, labels = %d\n",
 		g, stats.Min, stats.Mean, stats.Max, g.Density(), len(g.Labels()))
 
 	if *storeDir != "" {
 		snap := g.FreezeSharded(graph.FreezeOptions{Shards: *storeShards})
 		if err := store.Write(snap, *storeDir); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "wrote shard store %s (%d shards of %d vertices)\n",
+		fmt.Fprintf(stderr, "wrote shard store %s (%d shards of %d vertices)\n",
 			*storeDir, snap.NumShards(), snap.ShardSize())
 		if *out == "" {
-			return
+			return nil
 		}
 	}
 
 	if *out == "" {
-		if err := dataset.WriteLG(os.Stdout, g); err != nil {
-			fatal(err)
-		}
-		return
+		return dataset.WriteLG(stdout, g)
 	}
 	if err := dataset.SaveLGFile(*out, g); err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ggen:", err)
-	os.Exit(1)
+	fmt.Fprintf(stderr, "wrote %s\n", *out)
+	return nil
 }

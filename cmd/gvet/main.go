@@ -1,10 +1,9 @@
-// Command gvet is the repository's invariant multichecker. It runs the
-// five internal/analysis passes — snapshotmut, lockscope, pairing,
-// hotalloc, determinism — over the packages matching its arguments
-// (default ./...) and exits non-zero when any finding survives the
-// //gvet:ignore directives. CI runs it over the whole module; see the
-// "Checked invariants" section of ARCHITECTURE.md for what each pass
-// enforces and how to annotate deliberate exceptions.
+// Command gvet is the repository's invariant multichecker. It runs the two
+// internal/analysis passes — hotalloc and determinism — over the packages
+// matching its arguments (default ./...) and exits 1 when any finding
+// survives the //gvet:ignore directives. CI runs it over the whole module;
+// see the "Checked invariants" section of ARCHITECTURE.md for what each
+// pass enforces and how to annotate deliberate exceptions.
 //
 // Usage:
 //
@@ -12,35 +11,61 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/analysis"
 )
 
+var (
+	// errFlags reports a command line the FlagSet rejected; the FlagSet has
+	// already printed the reason and the usage to stderr.
+	errFlags = errors.New("invalid command line")
+	// errFindings reports that findings survived; they are on stdout and
+	// their count on stderr.
+	errFindings = errors.New("findings reported")
+)
+
 func main() {
-	list := flag.Bool("list", false, "print the analyzers and their docs, then exit")
-	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: gvet [-list] [packages]")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-	if *list {
-		for _, a := range analysis.Analyzers() {
-			fmt.Printf("%s\n\t%s\n", a.Name, a.Doc)
-		}
-		return
-	}
-	if err := run(flag.Args()); err != nil {
+	switch err := run(os.Args[1:], os.Stdout, os.Stderr); {
+	case err == nil:
+	case errors.Is(err, errFindings):
+		os.Exit(1)
+	case errors.Is(err, errFlags):
+		os.Exit(2)
+	default:
 		fmt.Fprintln(os.Stderr, "gvet:", err)
 		os.Exit(2)
 	}
 }
 
-// run loads every package matching the patterns and reports the surviving
-// findings of the full suite; any finding is an error exit.
-func run(patterns []string) error {
+// run is the whole command: it loads every package matching the patterns
+// in args and prints the surviving findings of the full suite to stdout,
+// one per line. Any finding makes it return errFindings.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("gvet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	list := fs.Bool("list", false, "print the analyzers and their docs, then exit")
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: gvet [-list] [packages]")
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return errFlags
+	}
+	if *list {
+		for _, a := range analysis.Analyzers() {
+			fmt.Fprintf(stdout, "%s\n\t%s\n", a.Name, a.Doc)
+		}
+		return nil
+	}
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -57,13 +82,13 @@ func run(patterns []string) error {
 			return err
 		}
 		for _, d := range analysis.Check(pkg, suite) {
-			fmt.Println(d)
+			fmt.Fprintln(stdout, d)
 			found++
 		}
 	}
 	if found > 0 {
-		fmt.Fprintf(os.Stderr, "gvet: %d finding(s)\n", found)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "gvet: %d finding(s)\n", found)
+		return errFindings
 	}
 	return nil
 }

@@ -318,7 +318,10 @@ func (e *Engine) Update(mutate func(g *Graph) error) (uint64, error) {
 	if e.db != nil {
 		logErr = e.db.Log()
 	}
-	snap := e.g.FreezeSharded(e.freezeOpts) //gvet:ignore lockscope deliberate epoch handoff: readers pin snapshots with an atomic load and never take e.mu, so the refreeze only serializes writers
+	// The refreeze runs under e.mu on purpose: readers pin snapshots with an
+	// atomic load and never take e.mu, so holding it here only serializes
+	// writers.
+	snap := e.g.FreezeSharded(e.freezeOpts)
 	next := &engineState{snap: snap, epoch: e.state.Load().epoch + 1}
 	e.state.Store(next)
 	mUpdates.Inc()

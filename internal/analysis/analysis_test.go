@@ -87,9 +87,6 @@ func runWantTest(t *testing.T, pkgName string, a *Analyzer) {
 	}
 }
 
-func TestSnapshotMut(t *testing.T)           { runWantTest(t, "snapmut", SnapshotMut) }
-func TestLockScope(t *testing.T)             { runWantTest(t, "lockscope", LockScope) }
-func TestPairing(t *testing.T)               { runWantTest(t, "pairing", Pairing) }
 func TestHotAlloc(t *testing.T)              { runWantTest(t, "hotalloc", HotAlloc) }
 func TestDeterminismMapOrder(t *testing.T)   { runWantTest(t, "determin", Determinism) }
 func TestDeterminismServerPkg(t *testing.T)  { runWantTest(t, "server", Determinism) }
@@ -115,10 +112,10 @@ func TestIgnoreDirectives(t *testing.T) {
 	pkg := loadTestPkg(t, "ignorepkg")
 	file := filepath.ToSlash(filepath.Join("testdata", "src", "ignorepkg", "ignorepkg.go"))
 	want := []string{
-		file + ":19: [gvet] //gvet:ignore snapshotmut has no reason; the reason is mandatory",
-		file + ":19: [snapshotmut] write to frozen snapshot array shard.ids; snapshots are immutable after freeze (lock-free readers share these arrays)",
-		file + `:23: [gvet] //gvet:ignore names unknown pass "snapshotmutt"`,
-		file + ":23: [snapshotmut] write to frozen snapshot array shard.ids; snapshots are immutable after freeze (lock-free readers share these arrays)",
+		file + ":18: [gvet] //gvet:ignore hotalloc has no reason; the reason is mandatory",
+		file + ":18: [hotalloc] make([]T) allocates in hot path; reuse a buffer owned by preallocated state in missingReason",
+		file + `:23: [gvet] //gvet:ignore names unknown pass "hotallocc"`,
+		file + ":23: [hotalloc] make([]T) allocates in hot path; reuse a buffer owned by preallocated state in unknownPass",
 	}
 	var got []string
 	for _, d := range Check(pkg, Analyzers()) {

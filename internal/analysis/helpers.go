@@ -34,43 +34,6 @@ func callee(pass *Pass, call *ast.CallExpr) (pkgPath, name string) {
 	return "", name
 }
 
-// namedTypeName returns the name of the (pointer-stripped) named type of
-// an expression, or "" when the type is unnamed or unknown.
-func namedTypeName(pass *Pass, e ast.Expr) string {
-	t := pass.Pkg.Info.TypeOf(e)
-	if t == nil {
-		return ""
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Name()
-	}
-	return ""
-}
-
-// isSyncMutex reports whether an expression's type is sync.Mutex or
-// sync.RWMutex (possibly behind a pointer).
-func isSyncMutex(pass *Pass, e ast.Expr) bool {
-	t := pass.Pkg.Info.TypeOf(e)
-	if t == nil {
-		return false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return false
-	}
-	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
-}
-
 // enclosingFuncs yields every function body of a file together with its
 // declared name ("" for function literals walked through declarations).
 func enclosingFuncs(f *ast.File, fn func(decl *ast.FuncDecl)) {

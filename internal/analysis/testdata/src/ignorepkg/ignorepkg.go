@@ -2,23 +2,23 @@
 // //gvet:ignore directives for the directive-handling tests.
 package ignorepkg
 
-type shard struct {
-	ids []uint32
+//gvet:hotpath
+func suppressedSameLine(n int) []int {
+	return make([]int, n) //gvet:ignore hotalloc testdata: exercising the same-line suppression path
 }
 
-func suppressedWrite(sh *shard) {
-	sh.ids[0] = 1 //gvet:ignore snapshotmut testdata: exercising the same-line suppression path
+//gvet:hotpath
+func suppressedAbove(n int) []int {
+	//gvet:ignore hotalloc testdata: a directive on the line above also applies
+	return make([]int, n)
 }
 
-func suppressedAbove(sh *shard) {
-	//gvet:ignore snapshotmut testdata: a directive on the line above also applies
-	sh.ids[0] = 2
+//gvet:hotpath
+func missingReason(n int) []int {
+	return make([]int, n) //gvet:ignore hotalloc
 }
 
-func missingReason(sh *shard) {
-	sh.ids[0] = 3 //gvet:ignore snapshotmut
-}
-
-func unknownPass(sh *shard) {
-	sh.ids[0] = 4 //gvet:ignore snapshotmutt typo in the pass name
+//gvet:hotpath
+func unknownPass(n int) []int {
+	return make([]int, n) //gvet:ignore hotallocc typo in the pass name
 }

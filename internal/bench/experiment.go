@@ -4,15 +4,13 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"repro/internal/obs"
 )
 
 // Config controls how experiments are run.
 type Config struct {
 	// Quick shrinks parameter sweeps so the whole suite finishes in seconds;
-	// used by unit tests and -short benchmarks. The full sweeps are what
-	// cmd/gbench runs by default.
+	// used by unit tests. The full sweeps are what cmd/gbench runs by
+	// default.
 	Quick bool
 	// Seed is the base PRNG seed for generated workloads.
 	Seed uint64
@@ -65,35 +63,23 @@ func (r *Registry) IDs() []string {
 
 // RunAll executes every experiment in ID order.
 func (r *Registry) RunAll(w io.Writer, cfg Config) error {
-	return r.RunAllTraced(w, cfg, nil)
-}
-
-// RunAllTraced is RunAll with one span per experiment recorded under the
-// trace's root, so gbench -trace reports where suite wall-clock went. A nil
-// trace records nothing (spans are nil-safe) and behaves exactly like
-// RunAll.
-func (r *Registry) RunAllTraced(w io.Writer, cfg Config, tr *obs.Trace) error {
 	for _, id := range r.IDs() {
 		e := r.byID[id]
 		if _, err := fmt.Fprintf(w, "### experiment %s — %s\n\n", e.ID, e.Claim); err != nil {
 			return err
 		}
-		sp := tr.Root().Start(e.ID)
-		err := e.Run(w, cfg)
-		sp.End()
-		if err != nil {
+		if err := e.Run(w, cfg); err != nil {
 			return fmt.Errorf("bench: experiment %s: %w", e.ID, err)
 		}
 	}
 	return nil
 }
 
-// allExperiments lists the experiments defined across this package's files.
+// allExperiments lists the experiments defined in experiments_quality.go.
 func allExperiments() []Experiment {
 	return []Experiment{
 		figuresExperiment(),
 		chainExperiment(),
-		scalingExperiment(),
 		approxExperiment(),
 		lpExperiment(),
 		overestimateExperiment(),

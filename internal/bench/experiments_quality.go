@@ -1,12 +1,14 @@
 package bench
 
 import (
-	"fmt"
 	"io"
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/measures"
+	"repro/internal/miner"
+	"repro/internal/pattern"
 )
 
 // figuresExperiment (F1-F10) recomputes every worked figure from the paper
@@ -243,6 +245,56 @@ func overestimateExperiment() Experiment {
 	}
 }
 
+// miningExperiment (E6) runs the frequent-pattern miner end to end with each
+// support measure and reports result counts and pruning statistics across
+// thresholds. Anti-monotonic pruning keeps the candidate count bounded for
+// every measure; stricter (smaller) measures report fewer frequent patterns
+// at the same threshold.
+func miningExperiment() Experiment {
+	return Experiment{
+		ID:    "mining",
+		Claim: "Chapter 1/2: anti-monotonic measures drive safe pruning in single-graph frequent pattern mining",
+		Run: func(w io.Writer, cfg Config) error {
+			n := quickInt(cfg, 50, 120)
+			g := gen.BarabasiAlbert(n, 2, gen.UniformLabels{K: 3}, cfg.Seed)
+			thresholds := []float64{2, 3, 5}
+			if cfg.Quick {
+				thresholds = []float64{3}
+			}
+			configs := []struct {
+				name    string
+				measure measures.Measure
+			}{
+				{"MNI", measures.MNI{}},
+				{"MI", measures.NewMI()},
+				{"MVC-approx", measures.MVC{Approximate: true}},
+				{"MIES-greedy", measures.MIES{Approximate: true}},
+			}
+			t := NewTable("frequent pattern mining (Barabási–Albert graph)",
+				"measure", "threshold", "frequent", "candidates", "pruned", "duplicates")
+			for _, mc := range configs {
+				for _, th := range thresholds {
+					m, err := miner.New(g, miner.Config{
+						MinSupport:     th,
+						MaxPatternSize: 4,
+						Measure:        mc.measure,
+					})
+					if err != nil {
+						return err
+					}
+					res, err := m.Mine()
+					if err != nil {
+						return err
+					}
+					t.AddRow(mc.name, th, res.Stats.Frequent, res.Stats.Candidates,
+						res.Stats.Pruned, res.Stats.Duplicates)
+				}
+			}
+			return render(w, cfg, t)
+		},
+	}
+}
+
 // overlapExperiment (F9/F10) counts simple, harmful and structural overlaps
 // between occurrence pairs on the figure fixtures and a generated workload,
 // and reports the MIS value under each overlap notion; weaker overlap notions
@@ -352,22 +404,53 @@ func antimonoExperiment() Experiment {
 	}
 }
 
+// patternPair is a (subpattern, superpattern) pair produced by a random
+// extension chain.
+type patternPair struct {
+	sub   *pattern.Pattern
+	super *pattern.Pattern
+}
+
+// extensionPairs grows `chains` random extension chains over the labels of g
+// and returns every consecutive (subpattern, superpattern) pair. Chains start
+// from single-edge patterns that occur in g and are extended up to four
+// nodes, so the NP-hard measures stay exact during the anti-monotonicity
+// experiment.
+func extensionPairs(g *graph.Graph, chains int, seed uint64) ([]patternPair, error) {
+	rng := gen.NewRNG(seed)
+	labels := g.Labels()
+	var seeds []*pattern.Pattern
+	seen := make(map[string]bool)
+	for _, e := range g.Edges() {
+		p := pattern.SingleEdge(g.MustLabelOf(e.U), g.MustLabelOf(e.V))
+		code := p.CanonicalCode()
+		if !seen[code] {
+			seen[code] = true
+			seeds = append(seeds, p)
+		}
+	}
+	if len(seeds) == 0 {
+		return nil, nil
+	}
+	var pairs []patternPair
+	for c := 0; c < chains; c++ {
+		current := seeds[rng.Intn(len(seeds))]
+		for current.Size() < 4 {
+			exts := current.Extend(labels)
+			if len(exts) == 0 {
+				break
+			}
+			next := exts[rng.Intn(len(exts))].Result
+			pairs = append(pairs, patternPair{sub: current, super: next})
+			current = next
+		}
+	}
+	return pairs, nil
+}
+
 func quickInt(cfg Config, quick, full int) int {
 	if cfg.Quick {
 		return quick
 	}
 	return full
-}
-
-func fmtDuration(ns float64) string {
-	switch {
-	case ns >= 1e9:
-		return fmt.Sprintf("%.2fs", ns/1e9)
-	case ns >= 1e6:
-		return fmt.Sprintf("%.2fms", ns/1e6)
-	case ns >= 1e3:
-		return fmt.Sprintf("%.2fµs", ns/1e3)
-	default:
-		return fmt.Sprintf("%.0fns", ns)
-	}
 }

@@ -1,9 +1,9 @@
-// Package bench implements the experiment harness behind cmd/gbench and the
-// root-level Go benchmarks: every table and figure reproduced from the paper
-// (allExperiments in experiment.go is the index) is an Experiment that
-// renders one or more Tables of results. Experiments are deterministic given
-// their seed. The package reproduces the paper; it does not measure this
-// implementation's speed — that is the program under benchmark/.
+// Package bench implements the experiment harness behind cmd/gbench: every
+// table and figure reproduced from the paper (allExperiments in
+// experiment.go is the index) is an Experiment that renders one or more
+// Tables of values. Experiments are deterministic given their seed, and no
+// table carries a timing: the package reproduces the paper, and this
+// implementation's speed is measured only by the program under benchmark/.
 package bench
 
 import (

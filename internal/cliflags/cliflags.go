@@ -1,7 +1,7 @@
 // Package cliflags is the one place the g* command-line tools declare their
 // shared engine-facing flags. gsupport, gminer and gserved speak the same
 // knobs — enumeration parallelism, snapshot sharding, the out-of-core store
-// pair (-store, -residency), -explain and -trace (which gbench shares) — and
+// pair (-store, -residency), -explain and -trace — and
 // the two that evaluate single patterns add streaming evaluation, which
 // mining has no use for (the miner picks streamed or materialized contexts
 // from the measure). Register installs the requested flag families on a

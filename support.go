@@ -16,8 +16,9 @@
 // Evaluate and VerifyBoundingChain are the option-free one-call forms of an
 // Engine evaluation. The heavy lifting lives in the internal packages
 // (internal/graph, internal/measures, internal/miner, ...); this package
-// keeps a small, stable, documented surface. See the examples/ directory for
-// runnable programs built exclusively on this facade.
+// keeps a small, stable, documented surface. The Example functions of this
+// package are runnable programs built exclusively on it, and `go test`
+// checks their output.
 package support
 
 import (

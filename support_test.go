@@ -56,11 +56,11 @@ func TestFacadeQuickstart(t *testing.T) {
 
 func TestFacadeMeasureSelection(t *testing.T) {
 	fig := support.PaperFigures()[1] // figure2
-	ev, err := support.Evaluate(fig.Graph, fig.Pattern, support.MNI, support.MVCApprox)
+	ev, err := support.Evaluate(fig.Graph, fig.Pattern, support.MNI, support.MVCApprox, support.MIESGreedy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ev.Results) != 2 {
+	if len(ev.Results) != 3 {
 		t.Errorf("expected exactly the requested measures, got %v", ev.Names())
 	}
 	if _, err := support.Evaluate(fig.Graph, fig.Pattern, "not-a-measure"); err == nil {
