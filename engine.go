@@ -353,13 +353,13 @@ func (e *Engine) Do(req *Request) (*Response, error) {
 	return e.DoContext(context.Background(), req)
 }
 
-// DoContext is Do with a context. The context carries observability only —
-// when an obs.Trace is attached (obs.ContextWithTrace), the request's phases
-// are recorded as child spans of the trace root (plan, enumerate, aggregate,
-// mine — the last with generate and evaluate children and the search counts
-// as attributes) and the root is annotated with the answering epoch.
-// Cancellation is not consulted: requests run on an immutable snapshot and
-// always complete. The Response is a pure function of (request, pinned
+// DoContext is Do with a context. When an obs.Trace is attached
+// (obs.ContextWithTrace), the request's phases are recorded as child spans of
+// the trace root (plan, enumerate, aggregate, mine — the last with generate
+// and evaluate children and the search counts as attributes) and the root is
+// annotated with the answering epoch. A mining request stops once ctx is
+// done, between two candidates, and returns ctx's error; an evaluation runs
+// to completion. The Response is a pure function of (request, pinned
 // snapshot); nothing timing-dependent ever enters it.
 func (e *Engine) DoContext(ctx context.Context, req *Request) (*Response, error) {
 	if req == nil {
@@ -401,7 +401,7 @@ func (e *Engine) DoContext(ctx context.Context, req *Request) (*Response, error)
 			sp.End()
 			return nil, err
 		}
-		res, err := m.Mine()
+		res, err := m.MineContext(ctx)
 		t.ObserveInto(mMineSeconds)
 		if err == nil {
 			observeMining(sp, res.Stats)
@@ -453,10 +453,12 @@ func observeMining(sp *obs.Span, st miner.Stats) {
 	sp.SetAttrInt("codes", int64(st.Codes))
 	sp.SetAttrInt("duplicates", int64(st.Duplicates))
 	sp.SetAttrInt("candidates", int64(st.Candidates))
+	sp.SetAttrInt("unsearched", int64(st.Unsearched))
 	mMinerExtensions.Add(uint64(st.Extensions))
 	mMinerCodes.Add(uint64(st.Codes))
 	mMinerDuplicates.Add(uint64(st.Duplicates))
 	mMinerCandidates.Add(uint64(st.Candidates))
+	mMinerUnsearched.Add(uint64(st.Unsearched))
 }
 
 // evaluateNamed computes the named measures (default set when none are

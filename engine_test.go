@@ -360,8 +360,9 @@ func keys(m map[uint64]int) []string {
 
 // TestMineSpanOpensUp: a traced mining request renders the miner's own split
 // of its time as generate and evaluate children of the mine span and its
-// search counts as attributes, and adds the counts to the repro_miner_
-// counters; the answer is the one an untraced request gets.
+// search counts as attributes — the candidates pruned without a search among
+// them — and adds the counts to the repro_miner_ counters; the answer is the
+// one an untraced request gets.
 func TestMineSpanOpensUp(t *testing.T) {
 	eng, err := support.NewEngine(support.BarabasiAlbert(60, 2, 3, 11), support.EngineOptions{})
 	if err != nil {
@@ -373,7 +374,7 @@ func TestMineSpanOpensUp(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	counters := []string{"repro_miner_extensions_total", "repro_miner_codes_total", "repro_miner_duplicates_total", "repro_miner_candidates_total"}
+	counters := []string{"repro_miner_extensions_total", "repro_miner_codes_total", "repro_miner_duplicates_total", "repro_miner_candidates_total", "repro_miner_unsearched_total"}
 	before := make([]uint64, len(counters))
 	for i, name := range counters {
 		before[i] = obs.Default.CounterValue(name)
@@ -387,7 +388,7 @@ func TestMineSpanOpensUp(t *testing.T) {
 	assertSameMining(t, traced.Mining, plain.Mining)
 
 	st := traced.Mining.Stats
-	for i, want := range []int{st.Extensions, st.Codes, st.Duplicates, st.Candidates} {
+	for i, want := range []int{st.Extensions, st.Codes, st.Duplicates, st.Candidates, st.Unsearched} {
 		if got := obs.Default.CounterValue(counters[i]) - before[i]; got != uint64(want) || want == 0 {
 			t.Errorf("%s grew by %d, the run counted %d", counters[i], got, want)
 		}
@@ -397,7 +398,7 @@ func TestMineSpanOpensUp(t *testing.T) {
 		!strings.HasPrefix(lines[2], "    generate ") || !strings.HasPrefix(lines[3], "    evaluate ") {
 		t.Fatalf("span tree:\n%s", tr.String())
 	}
-	want := fmt.Sprintf(" extensions=%d codes=%d duplicates=%d candidates=%d", st.Extensions, st.Codes, st.Duplicates, st.Candidates)
+	want := fmt.Sprintf(" extensions=%d codes=%d duplicates=%d candidates=%d unsearched=%d", st.Extensions, st.Codes, st.Duplicates, st.Candidates, st.Unsearched)
 	if !strings.HasSuffix(lines[1], want) {
 		t.Errorf("mine span %q should end in %q", lines[1], want)
 	}

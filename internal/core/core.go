@@ -20,7 +20,10 @@
 // instance count is the number of representatives, the occurrence count is
 // |Aut(P)| times that, and a node's MNI domain size is the number of non-zero
 // counters of its orbit's row, which is all that MNI and the raw counts need.
-// In the default (materialized) mode the list comes from
+// The miner's streamed context (NewDomainContext) also hands those rows back,
+// as bitsets over the snapshot's dense indexes, and its search may be
+// confined to the bitsets of the level below. In the default (materialized)
+// mode the list comes from
 // isomorph.EnumerateSnapshot's full search, identical for every parallelism
 // and shard setting, and is scanned once into a table with a row per node;
 // its instance count is the list's length over |Aut(P)| (instancesByOrbit,
@@ -125,14 +128,7 @@ func NewContext(g *graph.Graph, p *pattern.Pattern, opts Options) (*Context, err
 		snap = g.FreezeSharded(graph.FreezeOptions{Shards: opts.Shards})
 	}
 	if opts.Streaming && opts.MaxOccurrences == 0 {
-		// Nothing is kept: the search finds one representative per instance
-		// and every worker folds the ones it is lent into its own
-		// accumulator, each standing for |Aut(P)| occurrences.
-		c := newInstanceCounter(p)
-		all := c.accumulate(snap, opts.Parallelism)
-		ctx.numInstances = all.count
-		ctx.numOccurrences = c.occurrences(all.count)
-		ctx.domainSizes = all.table.sizes()
+		ctx.domainSizes = ctx.stream(snap, opts.Parallelism, nil).table.sizes()
 		return ctx, nil
 	}
 	// The list is wanted — by a materialized context for good, by a capped
@@ -159,6 +155,36 @@ func NewContext(g *graph.Graph, p *pattern.Pattern, opts Options) (*Context, err
 		ctx.occurrenceH.MustAddEdge(o.VertexSet())
 	}
 	return ctx, nil
+}
+
+// NewDomainContext is the miner's context: the streamed context of p over
+// snap — NewContext with Streaming, Snapshot and no MaxOccurrences — whose
+// search is confined to masks (isomorph.Options.Masks, aligned with
+// p.Nodes(); nil for none), returned with the MNI domain of every node of p
+// as a mask over snap. Masks that hold every node's images in every
+// occurrence leave the context what it is without them. A frequent pattern's
+// domains are what the miner confines the searches of the next level with.
+func NewDomainContext(snap *graph.Snapshot, p *pattern.Pattern, parallelism int, masks []isomorph.Mask) (*Context, []isomorph.Mask) {
+	ctx := &Context{p: p, streaming: true}
+	domains := ctx.stream(snap, parallelism, masks).table.domains(snap.NumVertices())
+	ctx.domainSizes = make([]int, len(domains))
+	for i, d := range domains {
+		ctx.domainSizes[i] = d.Count()
+	}
+	return ctx, domains
+}
+
+// stream fills a streaming context's counts from one search over snap,
+// confined to masks, and returns the pass's merged accumulator, whose table
+// the caller reads the domains off. Nothing is kept: the search finds one
+// representative per instance and every worker folds the ones it is lent
+// into its own accumulator, each standing for |Aut(P)| occurrences.
+func (c *Context) stream(snap *graph.Snapshot, parallelism int, masks []isomorph.Mask) *accumulator {
+	counter := newInstanceCounter(c.p)
+	all := counter.accumulate(snap, parallelism, masks)
+	c.numInstances = all.count
+	c.numOccurrences = counter.occurrences(all.count)
+	return all
 }
 
 // MustNewContext is NewContext but panics on error; intended for tests.

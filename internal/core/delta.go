@@ -461,7 +461,7 @@ func patternDiameter(p *pattern.Pattern) int {
 // passes' pinned searches against snap's statistics, one per node orbit.
 func (d *DeltaContext) rebuild(snap *graph.Snapshot) {
 	d.state = newDomainState(d.counter.rowLayout)
-	d.state.fold(d.counter.accumulate(snap, d.opts.Parallelism))
+	d.state.fold(d.counter.accumulate(snap, d.opts.Parallelism, nil))
 	d.searches = d.searches[:0]
 	for i, r := range d.counter.rowOf {
 		if r == len(d.searches) {

@@ -106,8 +106,8 @@ func (l rowLayout) describe(row int) string {
 
 // fanOut returns, aligned with the pattern's nodes, each node's row's entry of
 // perRow, as a fresh slice.
-func (l rowLayout) fanOut(perRow []int) []int {
-	out := make([]int, len(l.rowOf))
+func fanOut[T any](l rowLayout, perRow []T) []T {
+	out := make([]T, len(l.rowOf))
 	for i, r := range l.rowOf {
 		out[i] = perRow[r]
 	}
@@ -202,7 +202,25 @@ func (t *domainTable) sizes() []int {
 			}
 		}
 	}
-	return t.fanOut(perRow)
+	return fanOut(t.rowLayout, perRow)
+}
+
+// domains returns the MNI domain of every pattern node — the non-zero
+// counters of its row — as a mask over the dense indexes of a snapshot of n
+// vertices, aligned with Pattern().Nodes(); the nodes of one row share one
+// mask. A table with no counters reads as all empty.
+func (t *domainTable) domains(n int) []isomorph.Mask {
+	perRow := make([]isomorph.Mask, t.rows)
+	for r := range perRow {
+		m := isomorph.NewMask(n)
+		for x, c := range t.row(r) {
+			if c != 0 {
+				m.Add(int32(x))
+			}
+		}
+		perRow[r] = m
+	}
+	return fanOut(t.rowLayout, perRow)
 }
 
 // domainState is the MNI state a DeltaContext maintains: the live instance
@@ -288,7 +306,7 @@ func (s *domainState) sizes() []int {
 	for r, row := range s.entries {
 		perRow[r] = len(row)
 	}
-	return s.fanOut(perRow)
+	return fanOut(s.rowLayout, perRow)
 }
 
 // accumulator is what one complete pass is folded into: the number of
@@ -336,12 +354,13 @@ func newInstanceCounter(p *pattern.Pattern) *instanceCounter {
 func (c *instanceCounter) occurrences(instances int) int { return instances * c.sym.Order() }
 
 // accumulate streams one representative per instance of the pattern over the
-// whole of snap into one whole-snapshot accumulator per enumeration worker and
-// returns them merged; the empty accumulator when the search has no plan (the
-// pattern cannot occur at all).
-func (c *instanceCounter) accumulate(snap *graph.Snapshot, parallelism int) *accumulator {
+// whole of snap, confined to masks (isomorph.Options.Masks; nil for none),
+// into one whole-snapshot accumulator per enumeration worker and returns them
+// merged; the empty accumulator when the search has no plan (the pattern
+// cannot occur at all).
+func (c *instanceCounter) accumulate(snap *graph.Snapshot, parallelism int, masks []isomorph.Mask) *accumulator {
 	var accs []*accumulator
-	enum := isomorph.Options{Parallelism: parallelism, Symmetry: c.sym}
+	enum := isomorph.Options{Parallelism: parallelism, Symmetry: c.sym, Masks: masks}
 	isomorph.EnumerateSnapshotWorkers(snap, c.p, enum, func(int) func(*isomorph.Occurrence) bool {
 		a := &accumulator{table: newDomainTable(snap, c.rowLayout)}
 		accs = append(accs, a)

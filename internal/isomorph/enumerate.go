@@ -1,6 +1,8 @@
 package isomorph
 
 import (
+	"fmt"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -39,6 +41,16 @@ type Options struct {
 	// delivered. Nil is the full search: every occurrence, which is what a
 	// consumer that keeps or orders occurrences needs.
 	Symmetry *Symmetry
+	// Masks, when non-nil, confines the search: aligned with the pattern's
+	// Nodes(), Masks[i] is a set of dense indexes of the snapshot searched
+	// (nil for a node left free), and the node at position i is only ever
+	// tried at an index in it — at the root, in every memoized run and in
+	// every intersection. A mask must hold the node's image in every
+	// occurrence; then the search delivers what it delivers without masks, in
+	// an order that may differ, and only visits less. The planner counts a
+	// masked position's candidates by its mask instead of its label. The miner
+	// builds masks from the domains of a candidate's sub-patterns.
+	Masks []Mask
 }
 
 // workers resolves the effective worker count for a search with the given
@@ -77,6 +89,23 @@ func (o Options) below(order []int) [][]int {
 	return o.Symmetry.below(order, o.Symmetry.perms)
 }
 
+// checkMasks panics unless Masks is nil or holds one mask (or nil) per node
+// of a k-node pattern, each exactly as wide as snap: a mask of another
+// snapshot is a caller's bug, not an index out of range deep in a search.
+func (o Options) checkMasks(snap *graph.Snapshot, k int) {
+	if o.Masks == nil {
+		return
+	}
+	if len(o.Masks) != k {
+		panic(fmt.Sprintf("isomorph: %d masks for a %d-node pattern", len(o.Masks), k))
+	}
+	for _, mask := range o.Masks {
+		if mask != nil && len(mask) != (snap.NumVertices()+63)/64 {
+			panic(fmt.Sprintf("isomorph: a mask of %d words over a snapshot of %d vertices", len(mask), snap.NumVertices()))
+		}
+	}
+}
+
 // searchPlan is the per-(graph, pattern) preprocessing shared by all workers:
 // the frozen CSR snapshot, the connected search order with its label/degree
 // constraints, the anchor depths used for connectivity pruning, and the
@@ -89,15 +118,16 @@ type searchPlan struct {
 	slot   []int         // slot[d]: index into nodes of the d-th matched node
 	label  []graph.Label // required label at depth d
 	minDeg []int         // pattern degree at depth d (data degree lower bound)
+	mask   []Mask        // mask[d]: the indexes depth d is confined to, nil when free
 	// anchors[d] lists earlier depths whose pattern node is adjacent to the
 	// node matched at depth d; every listed assignment must be a data
 	// neighbor of the depth-d candidate.
 	anchors [][]int
 
 	// slotOf[d] is the memoized-run slot serving depth d, or -1 when the
-	// depth is not single-anchor. Depths whose (anchor depth, label, minDeg)
-	// constraint key coincides share a slot, so a star's leaf depths pay one
-	// filter pass per anchor assignment.
+	// depth is not single-anchor. Depths whose (anchor depth, label, minDeg,
+	// mask) constraint key coincides share a slot, so a star's leaf depths pay
+	// one filter pass per anchor assignment.
 	slotOf   []int
 	numSlots int
 
@@ -129,10 +159,11 @@ type searchPlan struct {
 // newSearchPlan compiles the matching order of p against the given frozen
 // snapshot (see planner.go) and precomputes the per-depth constraint data and
 // kernel slots. It returns nil when the pattern cannot occur at all (empty
-// pattern, or a label absent from the data graph).
+// pattern, a label absent from the data graph, or an empty root mask).
 func newSearchPlan(snap *graph.Snapshot, p *pattern.Pattern, opts Options) *searchPlan {
 	m := newPatternModel(p)
-	order, _ := chooseOrder(snap, m)
+	opts.checkMasks(snap, len(m.nodes))
+	order, _ := chooseOrder(snap, m, opts.Masks)
 	if len(order) == 0 {
 		return nil
 	}
@@ -140,18 +171,22 @@ func newSearchPlan(snap *graph.Snapshot, p *pattern.Pattern, opts Options) *sear
 	if opts.Symmetry != nil {
 		weight = uint64(opts.Symmetry.Order())
 	}
-	pl := compilePlan(snap, m, order, opts.below(order), weight)
-	for s := 0; s < snap.NumShards(); s++ {
-		var roots []int32
-		for _, c := range snap.ShardIndexesWithLabel(s, pl.label[0]) {
-			if snap.DegreeAt(c) >= pl.minDeg[0] {
-				roots = append(roots, c)
+	pl := compilePlan(snap, m, order, opts.below(order), weight, opts.Masks)
+	if mask := pl.mask[0]; mask != nil {
+		pl.rootsFromMask(mask)
+	} else {
+		for s := 0; s < snap.NumShards(); s++ {
+			var roots []int32
+			for _, c := range snap.ShardIndexesWithLabel(s, pl.label[0]) {
+				if snap.DegreeAt(c) >= pl.minDeg[0] {
+					roots = append(roots, c)
+				}
 			}
-		}
-		if len(roots) > 0 {
-			pl.rootsByShard = append(pl.rootsByShard, roots)
-			pl.shardIDs = append(pl.shardIDs, s)
-			pl.numRoots += len(roots)
+			if len(roots) > 0 {
+				pl.rootsByShard = append(pl.rootsByShard, roots)
+				pl.shardIDs = append(pl.shardIDs, s)
+				pl.numRoots += len(roots)
+			}
 		}
 	}
 	if pl.numRoots == 0 {
@@ -161,8 +196,9 @@ func newSearchPlan(snap *graph.Snapshot, p *pattern.Pattern, opts Options) *sear
 }
 
 // compilePlan precomputes the per-depth constraint data and kernel slots of
-// the given search order; the root candidates are the caller's to fill in.
-func compilePlan(snap *graph.Snapshot, m *patternModel, order []int, below [][]int, weight uint64) *searchPlan {
+// the given search order, confined to masks (by pattern position, nil for
+// none); the root candidates are the caller's to fill in.
+func compilePlan(snap *graph.Snapshot, m *patternModel, order []int, below [][]int, weight uint64, masks []Mask) *searchPlan {
 	pl := &searchPlan{
 		snap:    snap,
 		nodes:   m.nodes,
@@ -170,6 +206,7 @@ func compilePlan(snap *graph.Snapshot, m *patternModel, order []int, below [][]i
 		slot:    order,
 		label:   make([]graph.Label, len(order)),
 		minDeg:  make([]int, len(order)),
+		mask:    make([]Mask, len(order)),
 		anchors: make([][]int, len(order)),
 		below:   below,
 		weight:  weight,
@@ -182,6 +219,9 @@ func compilePlan(snap *graph.Snapshot, m *patternModel, order []int, below [][]i
 	for d, i := range order {
 		pl.label[d] = m.labels[i]
 		pl.minDeg[d] = m.deg[i]
+		if masks != nil {
+			pl.mask[d] = masks[i]
+		}
 		for _, nb := range m.adj[i] {
 			if ad := depthOf[nb]; ad >= 0 {
 				pl.anchors[d] = append(pl.anchors[d], ad)
@@ -218,8 +258,36 @@ func (pl *searchPlan) restrictRoots(indexes []int32) {
 	}
 }
 
+// rootsFromMask makes the plan's root candidates the members of mask that
+// pass the root's label and degree constraints, bucketed by shard. They are
+// collected in ascending order into one list, and a shard is a range of
+// indexes, so each bucket is a stretch of that list.
+func (pl *searchPlan) rootsFromMask(mask Mask) {
+	snap := pl.snap
+	roots := make([]int32, 0, mask.Count())
+	for i, w := range mask {
+		for ; w != 0; w &= w - 1 {
+			c := int32(i<<6 + bits.TrailingZeros64(w))
+			if snap.LabelAt(c) == pl.label[0] && snap.DegreeAt(c) >= pl.minDeg[0] {
+				roots = append(roots, c)
+			}
+		}
+	}
+	for len(roots) > 0 {
+		s, n := snap.ShardOf(roots[0]), 1
+		for n < len(roots) && snap.ShardOf(roots[n]) == s {
+			n++
+		}
+		pl.rootsByShard = append(pl.rootsByShard, roots[:n:n])
+		pl.shardIDs = append(pl.shardIDs, s)
+		pl.numRoots += n
+		roots = roots[n:]
+	}
+}
+
 // assignSlots gives every single-anchor depth a memoized-run slot, sharing
-// slots between depths whose (anchor depth, label, minDeg) key coincides.
+// slots between depths whose (anchor depth, label, minDeg, mask) key
+// coincides — masks by content, so the equal masks of a star's leaves share.
 // The key count is at most the pattern size, so a linear scan suffices.
 func (pl *searchPlan) assignSlots() {
 	type slotKey struct {
@@ -228,6 +296,7 @@ func (pl *searchPlan) assignSlots() {
 		minDeg int
 	}
 	var keys []slotKey
+	var depths []int // depths[j]: a depth served by slot j, for its mask
 	pl.slotOf = make([]int, pl.k)
 	for d := range pl.slotOf {
 		pl.slotOf[d] = -1
@@ -237,7 +306,7 @@ func (pl *searchPlan) assignSlots() {
 		key := slotKey{pl.anchors[d][0], pl.label[d], pl.minDeg[d]}
 		idx := -1
 		for j, k := range keys {
-			if k == key {
+			if k == key && slices.Equal(pl.mask[depths[j]], pl.mask[d]) {
 				idx = j
 				break
 			}
@@ -245,6 +314,7 @@ func (pl *searchPlan) assignSlots() {
 		if idx < 0 {
 			idx = len(keys)
 			keys = append(keys, key)
+			depths = append(depths, d)
 		}
 		pl.slotOf[d] = idx
 	}
@@ -370,7 +440,11 @@ func (s *searchState) search(depth int) bool {
 		// sharing the slot read it safely.
 		sl := &s.slots[slot]
 		if av := s.assign[anchors[0]]; sl.anchor != av {
-			sl.run = filterRun(snap, snap.NeighborsAt(av), label, minDeg, sl.run[:0])
+			if mask := pl.mask[depth]; mask != nil {
+				sl.run = filterRunMasked(snap, snap.NeighborsAt(av), label, minDeg, mask, sl.run[:0])
+			} else {
+				sl.run = filterRun(snap, snap.NeighborsAt(av), label, minDeg, sl.run[:0])
+			}
 			sl.anchor = av
 		}
 		run := sl.run
@@ -414,6 +488,9 @@ func (s *searchState) searchGallop(depth int, anchors []int, label graph.Label, 
 		}
 	}
 	run := gallopIntersect(snap.NeighborsAt(s.assign[a1]), snap.NeighborsAt(s.assign[a2]), s.scratch[depth][:0])
+	if mask := s.pl.mask[depth]; mask != nil {
+		run = keepMasked(run, mask)
+	}
 	s.scratch[depth] = run // keep the grown capacity for the next visit
 	if below := s.pl.below[depth]; len(below) > 0 {
 		run = s.above(run, below)
@@ -652,13 +729,13 @@ type PinnedSearch struct {
 // search). It retains nothing of snap.
 func NewPinnedSearch(snap *graph.Snapshot, p *pattern.Pattern, sym *Symmetry, root int) *PinnedSearch {
 	m := newPatternModel(p)
-	order := growOrder(m, newPlannerStats(snap, m), root)
+	order := growOrder(m, newPlannerStats(snap, m, nil), root)
 	below, weight := make([][]int, len(order)), uint64(1)
 	if sym != nil {
 		stabiliser := sym.stabiliser(root)
 		below, weight = sym.below(order, stabiliser), uint64(len(stabiliser))
 	}
-	pl := compilePlan(snap, m, order, below, weight)
+	pl := compilePlan(snap, m, order, below, weight, nil)
 	st := newSearchState(pl, nil)
 	pl.snap, st.occ.snap = nil, nil
 	return &PinnedSearch{pl: pl, st: st}

@@ -1,6 +1,10 @@
 package isomorph
 
-import "repro/internal/graph"
+import (
+	"math/bits"
+
+	"repro/internal/graph"
+)
 
 // Intersection kernels for the enumeration inner loop. The planner decides
 // WHERE selective constraints bind; these kernels make binding them cheap:
@@ -17,6 +21,11 @@ import "repro/internal/graph"
 //
 // Both kernels preserve the ascending candidate order of the plain CSR scan,
 // so for a fixed search order the sequential emission order is unchanged.
+//
+// A depth confined to a mask (Options.Masks) filters its memoized run through
+// the mask as well (filterRunMasked) and compacts its intersection to the
+// mask (keepMasked). Which kernel runs is decided once per run build or
+// visit, so an unmasked search runs the loops it always ran.
 
 // gallopIntersect appends to dst the values present in both sorted ascending
 // duplicate-free slices and returns the extended slice. It iterates the
@@ -75,6 +84,66 @@ func filterRun(snap *graph.Snapshot, run []int32, label graph.Label, minDeg int,
 		}
 	}
 	return dst
+}
+
+// filterRunMasked is filterRun for a depth confined to a mask
+// (Options.Masks): an entry must be in the mask as well. The mask is tested
+// first — one word load, where the label and degree each resolve a shard.
+//
+//gvet:hotpath
+func filterRunMasked(snap *graph.Snapshot, run []int32, label graph.Label, minDeg int, mask Mask, dst []int32) []int32 {
+	for _, c := range run {
+		if mask.Has(c) && snap.LabelAt(c) == label && snap.DegreeAt(c) >= minDeg {
+			dst = append(dst, c)
+		}
+	}
+	return dst
+}
+
+// keepMasked compacts a worker-owned candidate run in place to its entries in
+// mask, keeping their order, and returns the shortened run.
+//
+//gvet:hotpath
+func keepMasked(run []int32, mask Mask) []int32 {
+	out := run[:0]
+	for _, c := range run {
+		if mask.Has(c) {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// Mask is a set of dense indexes of one snapshot, one bit per vertex: index x
+// is in the set when bit x%64 of word x/64 is set.
+type Mask []uint64
+
+// NewMask returns the empty mask over a snapshot of n vertices.
+func NewMask(n int) Mask { return make(Mask, (n+63)/64) }
+
+// Add puts dense index x into m.
+func (m Mask) Add(x int32) { m[x>>6] |= 1 << uint(x&63) }
+
+// Has reports whether dense index x is in m.
+//
+//gvet:hotpath
+func (m Mask) Has(x int32) bool { return m[x>>6]&(1<<uint(x&63)) != 0 }
+
+// Count returns the number of indexes in m.
+func (m Mask) Count() int {
+	n := 0
+	for _, w := range m {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// Intersect removes from m every index that is not in o, a mask over the
+// same snapshot.
+func (m Mask) Intersect(o Mask) {
+	for i := range m {
+		m[i] &= o[i]
+	}
 }
 
 // runSlot is one memoized single-anchor candidate run: the filtered neighbor

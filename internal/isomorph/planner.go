@@ -34,7 +34,10 @@ import (
 // grows greedily, always appending the connected vertex (≥1 ordered
 // neighbor, so the search order stays connected) with the smallest extend
 // estimate — selective constraints bind first, and every extra anchor both
-// shrinks the estimate and prunes harder.
+// shrinks the estimate and prunes harder. A node confined to a mask
+// (Options.Masks) is priced by the mask's size in place of cnt(ℓv): the
+// miner's masks are sub-pattern domains, the node's real candidates, so the
+// search roots at the most selective of them.
 //
 // The planner falls back to naiveOrder when the snapshot is empty (no
 // statistics to consult) or when the cost model (orderCost, the expected
@@ -154,19 +157,26 @@ func naiveOrder(m *patternModel) []int {
 type plannerStats struct {
 	n      int
 	avgDeg float64
-	cnt    []int // cnt[i]: data vertices carrying m.labels[i]
+	cnt    []int // cnt[i]: data vertices carrying m.labels[i], or in position i's mask
 }
 
 // newPlannerStats reads the statistics for every pattern position; the only
-// per-label cost is Snapshot.LabelCount, O(shards) each.
-func newPlannerStats(snap *graph.Snapshot, m *patternModel) *plannerStats {
+// per-label cost is Snapshot.LabelCount, O(shards) each. A position confined
+// to a mask (Options.Masks, by position, nil for none) counts the mask's
+// indexes instead: a real cardinality, where the label's count is an upper
+// bound on it.
+func newPlannerStats(snap *graph.Snapshot, m *patternModel, masks []Mask) *plannerStats {
 	st := &plannerStats{
 		n:      snap.NumVertices(),
 		avgDeg: snap.AvgDegree(),
 		cnt:    make([]int, len(m.nodes)),
 	}
 	for i := range m.nodes {
-		st.cnt[i] = snap.LabelCount(m.labels[i])
+		if masks != nil && masks[i] != nil {
+			st.cnt[i] = masks[i].Count()
+		} else {
+			st.cnt[i] = snap.LabelCount(m.labels[i])
+		}
 	}
 	return st
 }
@@ -294,12 +304,12 @@ func orderCost(m *patternModel, st *plannerStats, order []int) float64 {
 // order
 // is also used when the snapshot is empty (no statistics to consult). The
 // second return reports whether the planned order was chosen.
-func chooseOrder(snap *graph.Snapshot, m *patternModel) ([]int, bool) {
+func chooseOrder(snap *graph.Snapshot, m *patternModel, masks []Mask) ([]int, bool) {
 	naive := naiveOrder(m)
 	if snap.NumVertices() == 0 {
 		return naive, false
 	}
-	st := newPlannerStats(snap, m)
+	st := newPlannerStats(snap, m, masks)
 	planned := plannedOrder(m, st)
 	if orderCost(m, st, planned) < orderCost(m, st, naive) {
 		return planned, true
@@ -319,7 +329,8 @@ type PlanStep struct {
 	// Anchors is the number of earlier depths adjacent to this node (zero at
 	// the root).
 	Anchors int
-	// LabelCount is the number of data vertices carrying Label.
+	// LabelCount is the number of data vertices carrying Label, or the size
+	// of the node's mask when the search is confined (Options.Masks).
 	LabelCount int
 	// Estimate is the planner's estimated candidate count at this depth (the
 	// root estimate at depth zero, the extend estimate otherwise). It is
@@ -361,14 +372,16 @@ type PlanExplanation struct {
 
 // Explain compiles the search plan of p against snap without running the
 // search, returning the chosen order with per-depth candidate estimates. Of
-// opts only Symmetry is read: it adds the ordering constraints a search under
-// it applies (Automorphisms, Orbits, Below); the search order depends on the
-// snapshot and pattern alone, and plain Options explain the full search. It powers the -explain flags of the gsupport and
-// gminer CLIs.
+// opts Symmetry and Masks are read: Symmetry adds the ordering constraints a
+// search under it applies (Automorphisms, Orbits, Below), Masks replace the
+// label counts of the positions they confine; otherwise the search order
+// depends on the snapshot and pattern alone, and plain Options explain the
+// full search. It powers the -explain flags of the gsupport and gminer CLIs.
 func Explain(snap *graph.Snapshot, p *pattern.Pattern, opts Options) *PlanExplanation {
 	m := newPatternModel(p)
-	order, planned := chooseOrder(snap, m)
-	st := newPlannerStats(snap, m)
+	opts.checkMasks(snap, len(m.nodes))
+	order, planned := chooseOrder(snap, m, opts.Masks)
+	st := newPlannerStats(snap, m, opts.Masks)
 	ex := &PlanExplanation{
 		Planned:  planned,
 		Steps:    make([]PlanStep, 0, len(order)),

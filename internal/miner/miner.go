@@ -5,10 +5,21 @@
 // branch whose support falls below the threshold. Because all measures in
 // this library are anti-monotonic, pruning is safe: no frequent pattern is
 // missed (the central argument of Chapter 2).
+//
+// Under MNI without an occurrence cap the miner uses anti-monotonicity
+// node by node as well: a level is searched inside the level below it. The
+// MNI domains of the previous level's frequent patterns, kept per canonical
+// place, bound the domains of every candidate built on them, so a candidate
+// is confined to their intersection, or shown infrequent without a search
+// when a sub-pattern is not frequent or an intersection is too small
+// (Miner.Mine, Stats.Unsearched). Results and counts are the unconfined
+// walk's.
 package miner
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -16,6 +27,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/isomorph"
 	"repro/internal/measures"
 	"repro/internal/pattern"
 )
@@ -81,12 +93,17 @@ type FrequentPattern struct {
 
 // Stats summarizes the work done by a mining run.
 type Stats struct {
-	// Candidates is the number of candidate patterns whose support was
-	// evaluated (after canonical-code de-duplication).
+	// Candidates is the number of candidate patterns considered (after
+	// canonical-code de-duplication): the support of each was either
+	// evaluated or shown below the threshold without a search.
 	Candidates int
-	// Pruned is the number of evaluated candidates that fell below the
+	// Pruned is the number of considered candidates that fell below the
 	// threshold.
 	Pruned int
+	// Unsearched is the number of pruned candidates shown infrequent without
+	// a search, from their sub-patterns' domains alone (see Miner); a subset
+	// of Pruned.
+	Unsearched int
 	// Frequent is the number of frequent patterns reported.
 	Frequent int
 	// Duplicates is the number of candidates skipped because an isomorphic
@@ -126,6 +143,11 @@ type Miner struct {
 	// is pure overhead; every other measure needs the materialized state.
 	// The mining result is the same either way.
 	streaming bool
+	// lattice says whether a level is searched inside the level below it:
+	// MNI without an occurrence cap, the one configuration where "below the
+	// threshold" and "domain" mean exactly what the confinement rule needs
+	// (see Mine). It too is derived, not configured.
+	lattice bool
 }
 
 // New returns a miner over the data graph as it is now: it freezes g once,
@@ -161,7 +183,12 @@ func NewSnapshot(snap *graph.Snapshot, cfg Config) (*Miner, error) {
 	if cfg.Measure == nil {
 		cfg.Measure = measures.MNI{}
 	}
-	return &Miner{snap: snap, cfg: cfg, streaming: measures.SupportsStreaming(cfg.Measure)}, nil
+	return &Miner{
+		snap:      snap,
+		cfg:       cfg,
+		streaming: measures.SupportsStreaming(cfg.Measure),
+		lattice:   cfg.Measure.Name() == measures.NameMNI && cfg.MaxOccurrences == 0,
+	}, nil
 }
 
 // Config returns the effective configuration of the miner after defaulting:
@@ -171,8 +198,29 @@ func (m *Miner) Config() Config { return m.cfg }
 // Mine runs the search and returns every frequent pattern found together
 // with run statistics. Patterns are reported in breadth-first order (fewer
 // edges first, since every grow step adds exactly one edge) and, within a
-// level, by canonical code.
-func (m *Miner) Mine() (*Result, error) {
+// level, by canonical code. It is MineContext with a background context.
+//
+// Under MNI without an occurrence cap a level is searched inside the level
+// below it. Every occurrence of a candidate restricts to an occurrence of
+// each of its connected one-edge-smaller sub-patterns
+// (pattern.SubPatterns), so a candidate node's MNI domain lies inside the
+// domain of every sub-pattern node it becomes. The miner keeps, for the
+// previous level's frequent patterns only, one domain per canonical place as
+// a bitset over the snapshot's dense indexes (core.NewDomainContext). A
+// candidate with a sub-pattern outside that table has an infrequent
+// sub-pattern — the walk finds every frequent pattern of a level — and is
+// infrequent too. A candidate whose intersected domains leave some node
+// fewer than MinSupport vertices has MNI below MinSupport. Both are pruned
+// without a search (Stats.Unsearched). Every other candidate is searched
+// confined to the intersections (isomorph.Options.Masks), which drop only
+// vertices no occurrence uses: supports, counts and Stats are what an
+// unconfined search gives.
+func (m *Miner) Mine() (*Result, error) { return m.MineContext(context.Background()) }
+
+// MineContext is Mine under ctx: the miner checks ctx between candidates,
+// never inside a search, and once it is done returns its error instead of a
+// result.
+func (m *Miner) MineContext(ctx context.Context) (*Result, error) {
 	start := time.Now()
 	res := &Result{}
 	// finish closes the clocks: whatever was not evaluation was generation.
@@ -204,27 +252,42 @@ func (m *Miner) Mine() (*Result, error) {
 	sortByCode(frontier)
 
 	labels := m.snap.Labels()
+	// known is the level table: the previous level's frequent patterns by
+	// canonical code, each with its MNI domain per canonical place. It is nil
+	// for the seeds, which have no level below them, and without the lattice
+	// rule.
+	var known map[string][]isomorph.Mask
 
 	for len(frontier) > 0 {
 		evalStart := time.Now()
-		evaluations, err := m.evaluateLevel(frontier)
+		evaluations, err := m.evaluateLevel(ctx, frontier, known)
 		res.Stats.Evaluate += time.Since(evalStart)
 		if err != nil {
 			return nil, err
 		}
 		var next []*pattern.Pattern
+		var nextKnown map[string][]isomorph.Mask
+		if m.lattice {
+			nextKnown = make(map[string][]isomorph.Mask)
+		}
 		for i, p := range frontier {
 			if m.cfg.MaxPatterns > 0 && res.Stats.Frequent >= m.cfg.MaxPatterns {
 				return finish(), nil
 			}
-			fp, frequent := evaluations[i].fp, evaluations[i].frequent
+			ev := evaluations[i]
 			res.Stats.Candidates++
-			if !frequent {
+			if !ev.frequent {
 				res.Stats.Pruned++
+				if ev.unsearched {
+					res.Stats.Unsearched++
+				}
 				continue
 			}
-			res.Patterns = append(res.Patterns, fp)
+			res.Patterns = append(res.Patterns, ev.fp)
 			res.Stats.Frequent++
+			if nextKnown != nil {
+				nextKnown[p.CanonicalCode()] = byPlace(p, ev.domains)
+			}
 
 			alphabet := growthAlphabet(p, labels, m.cfg.MaxPatternSize)
 			res.Stats.Codes += p.GrowSteps(len(alphabet))
@@ -236,9 +299,48 @@ func (m *Miner) Mine() (*Result, error) {
 			}
 		}
 		sortByCode(next)
-		frontier = next
+		frontier, known = next, nextKnown
 	}
 	return finish(), nil
+}
+
+// byPlace reorders a pattern's per-position domains by canonical place, the
+// naming every pattern isomorphic to p shares (pattern.CanonicalOrder).
+func byPlace(p *pattern.Pattern, domains []isomorph.Mask) []isomorph.Mask {
+	order := p.CanonicalOrder()
+	rows := make([]isomorph.Mask, len(order))
+	for a, pos := range order {
+		rows[a] = domains[pos]
+	}
+	return rows
+}
+
+// inherit confines p's search to its sub-patterns' domains: every position of
+// p gets the intersection of the known domains of the places it takes in p's
+// connected one-edge-smaller sub-patterns. It reports false — p is below the
+// threshold, without a search — when a sub-pattern is not known, or when an
+// intersection holds fewer than MinSupport vertices.
+func (m *Miner) inherit(p *pattern.Pattern, known map[string][]isomorph.Mask) ([]isomorph.Mask, bool) {
+	masks := make([]isomorph.Mask, p.Size())
+	for _, sub := range p.SubPatterns() {
+		rows, ok := known[sub.Code]
+		if !ok {
+			return nil, false
+		}
+		for a, pos := range sub.Places {
+			if masks[pos] == nil {
+				masks[pos] = slices.Clone(rows[a])
+			} else {
+				masks[pos].Intersect(rows[a])
+			}
+		}
+	}
+	for _, mask := range masks {
+		if mask != nil && float64(mask.Count()) < m.cfg.MinSupport {
+			return nil, false
+		}
+	}
+	return masks, true
 }
 
 // growthAlphabet is the alphabet p is extended over. The size cap limits the
@@ -263,20 +365,29 @@ func sortByCode(level []*pattern.Pattern) {
 type levelEval struct {
 	fp       FrequentPattern
 	frequent bool
+	// unsearched marks a candidate pruned without a search.
+	unsearched bool
+	// domains holds, under the lattice rule, the MNI domain of every position
+	// of a searched candidate.
+	domains []isomorph.Mask
 }
 
 // evaluateLevel computes the configured support measure for every candidate
 // of one search level, fanning the independent evaluations out across
-// cfg.Parallelism worker goroutines when asked to. The returned slice is
+// cfg.Parallelism worker goroutines when asked to, and checking ctx before
+// each. known is the level table (see Mine). The returned slice is
 // aligned with the input slice.
-func (m *Miner) evaluateLevel(level []*pattern.Pattern) ([]levelEval, error) {
+func (m *Miner) evaluateLevel(ctx context.Context, level []*pattern.Pattern, known map[string][]isomorph.Mask) ([]levelEval, error) {
 	results := make([]levelEval, len(level))
 	err := forEach(len(level), m.cfg.Parallelism, func(i int) error {
-		fp, frequent, err := m.evaluate(level[i])
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("miner: %w", err)
+		}
+		ev, err := m.evaluate(level[i], known)
 		if err != nil {
 			return err
 		}
-		results[i] = levelEval{fp: fp, frequent: frequent}
+		results[i] = ev
 		return nil
 	})
 	if err != nil {
@@ -338,8 +449,11 @@ func forEach(n, workers int, fn func(i int) error) error {
 	return nil
 }
 
-// evaluate computes the configured support measure for one candidate.
-func (m *Miner) evaluate(p *pattern.Pattern) (FrequentPattern, bool, error) {
+// evaluate computes the configured support measure for one candidate. Under
+// the lattice rule it first confines the candidate to what known says of its
+// sub-patterns, which may settle it without a search, and returns the
+// domains of a searched candidate.
+func (m *Miner) evaluate(p *pattern.Pattern, known map[string][]isomorph.Mask) (levelEval, error) {
 	enumPar := m.cfg.EnumParallelism
 	if enumPar == 0 && m.cfg.Parallelism > 1 {
 		// Candidate evaluations already run concurrently; auto-expanding
@@ -347,27 +461,42 @@ func (m *Miner) evaluate(p *pattern.Pattern) (FrequentPattern, bool, error) {
 		// machine with Parallelism x GOMAXPROCS workers.
 		enumPar = 1
 	}
-	ctx, err := core.NewContext(nil, p, core.Options{
-		MaxOccurrences: m.cfg.MaxOccurrences,
-		Parallelism:    enumPar,
-		Streaming:      m.streaming,
-		Snapshot:       m.snap,
-	})
-	if err != nil {
-		return FrequentPattern{}, false, fmt.Errorf("miner: building context for %s: %w", p, err)
+	var ev levelEval
+	var ctx *core.Context
+	if m.lattice {
+		var masks []isomorph.Mask
+		if known != nil {
+			var ok bool
+			if masks, ok = m.inherit(p, known); !ok {
+				return levelEval{unsearched: true}, nil
+			}
+		}
+		ctx, ev.domains = core.NewDomainContext(m.snap, p, enumPar, masks)
+	} else {
+		var err error
+		ctx, err = core.NewContext(nil, p, core.Options{
+			MaxOccurrences: m.cfg.MaxOccurrences,
+			Parallelism:    enumPar,
+			Streaming:      m.streaming,
+			Snapshot:       m.snap,
+		})
+		if err != nil {
+			return levelEval{}, fmt.Errorf("miner: building context for %s: %w", p, err)
+		}
 	}
 	r, err := m.cfg.Measure.Compute(ctx)
 	if err != nil {
-		return FrequentPattern{}, false, fmt.Errorf("miner: computing %s for %s: %w", m.cfg.Measure.Name(), p, err)
+		return levelEval{}, fmt.Errorf("miner: computing %s for %s: %w", m.cfg.Measure.Name(), p, err)
 	}
-	fp := FrequentPattern{
+	ev.fp = FrequentPattern{
 		Pattern:     p,
 		Support:     r.Value,
 		Exact:       r.Exact,
 		Occurrences: ctx.NumOccurrences(),
 		Instances:   ctx.NumInstances(),
 	}
-	return fp, r.Value >= m.cfg.MinSupport, nil
+	ev.frequent = r.Value >= m.cfg.MinSupport
+	return ev, nil
 }
 
 // seedPatterns returns the one-edge patterns for every ordered label pair

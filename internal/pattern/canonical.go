@@ -24,6 +24,17 @@ func (p *Pattern) CanonicalCode() string {
 	return code
 }
 
+// CanonicalOrder returns the node ordering CanonicalCode is written in:
+// element a is the position, in Nodes(), of the node at canonical place a.
+// Two isomorphic patterns meet place by place — place a of one and place a of
+// the other carry one label, and places are adjacent in one exactly when they
+// are in the other — so the places name a pattern's nodes independently of
+// its numbering. The slice is fresh.
+func (p *Pattern) CanonicalOrder() []int {
+	_, order := p.shape.canonicalForm()
+	return order
+}
+
 // IsIsomorphicTo reports whether p and q are isomorphic labeled graphs.
 func (p *Pattern) IsIsomorphicTo(q *Pattern) bool {
 	if p.Size() != q.Size() || p.NumEdges() != q.NumEdges() {
@@ -40,12 +51,20 @@ func (p *Pattern) IsIsomorphicTo(q *Pattern) bool {
 // token prefix, so the minimum is decided by the triangle alone — compared
 // as packed words, most significant bit first, and rendered once at the end.
 func (s shape) canonicalCode() string {
+	code, _ := s.canonicalForm()
+	return code
+}
+
+// canonicalForm returns the canonical code of s and the ordering it is
+// written in: element a is the node at place a.
+func (s shape) canonicalForm() (string, []int) {
 	k := len(s.labels)
+	ints := make([]int, 3*k) // one allocation for the three orderings
 	c := canonSearch{
 		s:       s,
-		perm:    make([]int, k),
-		cellEnd: make([]int, k),
-		best:    make([]int, k),
+		perm:    ints[:k:k],
+		cellEnd: ints[k : 2*k : 2*k],
+		best:    ints[2*k:],
 	}
 	// Stable insertion sort of the nodes by token.
 	for i := 0; i < k; i++ {
@@ -83,7 +102,7 @@ func (s shape) canonicalCode() string {
 			}
 		}
 	}
-	return string(buf)
+	return string(buf), c.best
 }
 
 // tokenLess orders labels by their code tokens "L<a>." and "L<b>.", which is

@@ -77,6 +77,64 @@ func (p *Pattern) Extend(labels []graph.Label) []Extension {
 	return out
 }
 
+// SubPattern is one connected sub-pattern of a pattern with one edge fewer,
+// named by its canonical code and placed inside the pattern it came from.
+type SubPattern struct {
+	// Code is the sub-pattern's canonical code.
+	Code string
+	// Places maps the sub-pattern into the pattern: Places[a] is the position,
+	// in the pattern's Nodes(), of the node at canonical place a of the
+	// sub-pattern (see CanonicalOrder). A dropped leaf has no place.
+	Places []int
+}
+
+// SubPatterns lists the connected sub-patterns of p with one edge fewer, one
+// per edge and dropped leaf. Without an edge on a cycle p keeps every node.
+// Without an edge to a leaf it is connected once the leaf goes too; a
+// one-edge pattern has two leaves and lists each single node. Without any
+// other bridge p falls apart and lists nothing for that edge. Isomorphic
+// sub-patterns reached through different edges are listed once per edge,
+// because each sits in p differently.
+//
+// Every occurrence f of p restricts along Places to an occurrence of every
+// listed sub-pattern S: the node at place a of S is mapped to f(Places[a]).
+// So the images of p's node at Places[a], over all occurrences of p, lie in
+// the images of the node at place a of any pattern whose code is S.Code.
+// This is what the miner confines a candidate's search with.
+func (p *Pattern) SubPatterns() []SubPattern {
+	k := len(p.nodes)
+	var out []SubPattern
+	add := func(s shape, kept []int) {
+		code, order := s.canonicalForm()
+		for a, n := range order {
+			order[a] = kept[n]
+		}
+		out = append(out, SubPattern{Code: code, Places: order})
+	}
+	all := make([]int, k)
+	for i := range all {
+		all[i] = i
+	}
+	for i := 0; i < k; i++ {
+		for j := i + 1; j < k; j++ {
+			if !p.has(i, j) {
+				continue
+			}
+			s := p.withoutEdge(i, j)
+			if s.connected() {
+				add(s, all)
+				continue
+			}
+			for _, leaf := range [2]int{i, j} {
+				if p.degree(leaf) == 1 {
+					add(s.withoutNode(leaf))
+				}
+			}
+		}
+	}
+	return out
+}
+
 // GrowSteps returns how many grow steps Extend generates — and computes a
 // canonical code for — over an alphabet of the given size, before it
 // de-duplicates them: one per non-adjacent node pair plus one per node and

@@ -1,7 +1,9 @@
 // Package pattern models query patterns (Definition 2.1.3): small connected
 // labeled graphs searched for inside a large data graph. It provides
 // canonical forms for duplicate elimination during mining, pattern extension
-// operators, and subpattern enumeration used by the MI support measure.
+// operators and their inverse (the one-edge-smaller sub-patterns a mined
+// candidate is confined by), and subpattern enumeration used by the MI
+// support measure.
 package pattern
 
 import (

@@ -78,6 +78,36 @@ func (s shape) withEdge(i, j int) shape {
 	return out
 }
 
+// withoutEdge returns a copy of s in which nodes i and j are not adjacent.
+func (s shape) withoutEdge(i, j int) shape {
+	out := shape{labels: s.labels, rows: append([]uint64(nil), s.rows...)}
+	out.row(i)[j>>6] &^= 1 << (uint(j) & 63)
+	out.row(j)[i>>6] &^= 1 << (uint(i) & 63)
+	return out
+}
+
+// withoutNode returns s without node drop, and the node of s every node of
+// the result was: kept[n] is the node now at n. The others keep their order.
+func (s shape) withoutNode(drop int) (shape, []int) {
+	k := len(s.labels)
+	kept := make([]int, 0, k-1)
+	for n := 0; n < k; n++ {
+		if n != drop {
+			kept = append(kept, n)
+		}
+	}
+	out := newShape(k - 1)
+	for a, n := range kept {
+		out.labels[a] = s.labels[n]
+		for b := a + 1; b < len(kept); b++ {
+			if s.has(n, kept[b]) {
+				out.setEdge(a, b)
+			}
+		}
+	}
+	return out, kept
+}
+
 // withLeaf returns a copy of s with one more node, labeled l and adjacent to
 // node i only. The new node takes the last position.
 func (s shape) withLeaf(i int, l graph.Label) shape {

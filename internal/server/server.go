@@ -153,21 +153,45 @@ func (s *Server) EvictIdleSessions() int {
 }
 
 // admitMine blocks until the mining admission semaphore grants a slot and
-// returns the release function. The wait — zero on the uncontended path — is
-// observed into the admission-wait histogram.
-func (s *Server) admitMine() func() {
+// returns the release function, or until ctx is done: a request whose client
+// has left never takes a slot, and gets the error requestError maps to 499.
+// The wait — zero on the uncontended path — is observed into the
+// admission-wait histogram.
+func (s *Server) admitMine(ctx context.Context) (func(), error) {
+	if err := ctx.Err(); err != nil {
+		return nil, requestError(ctx, err)
+	}
 	if s.mineSem == nil {
 		s.mineInFlight.Add(1)
-		return func() { s.mineInFlight.Add(-1) }
+		return func() { s.mineInFlight.Add(-1) }, nil
 	}
 	t := obs.StartTimer()
-	s.mineSem <- struct{}{}
+	select {
+	case s.mineSem <- struct{}{}:
+	case <-ctx.Done():
+		return nil, requestError(ctx, ctx.Err())
+	}
 	t.ObserveInto(mAdmissionWait)
 	s.mineInFlight.Add(1)
 	return func() {
 		s.mineInFlight.Add(-1)
 		<-s.mineSem
+	}, nil
+}
+
+// statusClientClosedRequest is the status of a request whose client left
+// before it was answered (nginx's 499). Nobody reads the body; the error
+// counter and the slow-query log do.
+const statusClientClosedRequest = 499
+
+// requestError maps an error a request ended with onto its status: 499 when
+// it is ctx's own error — the client left and the work stopped — and 400
+// otherwise.
+func requestError(ctx context.Context, err error) error {
+	if cause := ctx.Err(); cause != nil && errors.Is(err, cause) {
+		return statusError{statusClientClosedRequest, err}
 	}
+	return badRequest(err)
 }
 
 // Evaluate computes support measures for one pattern on the current epoch,
@@ -192,21 +216,25 @@ func (s *Server) Evaluate(ctx context.Context, req *EvaluateRequest) (*EvaluateR
 }
 
 // Mine runs one admission-gated frequent-pattern mining job on the current
-// epoch.
+// epoch. Once ctx is done — the client left — the job stops waiting for a
+// slot, or stops mining at its next candidate.
 func (s *Server) Mine(ctx context.Context, req *MineWire) (*MineResponse, error) {
 	spec, err := req.MineSpec()
 	if err != nil {
 		return nil, badRequest(err)
 	}
 	spec.Workers = clampParallelism(spec.Workers, s.cfg.MaxParallelism)
-	release := s.admitMine()
+	release, err := s.admitMine(ctx)
+	if err != nil {
+		return nil, err
+	}
 	defer release()
 	resp, err := s.eng.DoContext(ctx, &support.Request{
 		Mine:    spec,
 		Options: engineOptions(s.eng.Options(), req.Options, s.cfg.MaxParallelism),
 	})
 	if err != nil {
-		return nil, badRequest(err)
+		return nil, requestError(ctx, err)
 	}
 	return encodeMining(resp.Epoch, resp.Mining), nil
 }
@@ -310,7 +338,10 @@ func (s *Server) OpenSession(ctx context.Context, req *OpenSessionRequest) (*Ses
 		return nil, badRequest(err)
 	}
 	spec.Workers = clampParallelism(spec.Workers, s.cfg.MaxParallelism)
-	release := s.admitMine()
+	release, err := s.admitMine(ctx)
+	if err != nil {
+		return nil, err
+	}
 	defer release()
 	sess, err := s.eng.OpenSession(*spec)
 	if err != nil {
@@ -341,7 +372,10 @@ func (s *Server) RefreshSession(ctx context.Context, req *SessionRequest) (*Sess
 	if err != nil {
 		return nil, statusError{http.StatusNotFound, err}
 	}
-	release := s.admitMine()
+	release, err := s.admitMine(ctx)
+	if err != nil {
+		return nil, err
+	}
 	defer release()
 	ms.mu.Lock()
 	defer ms.mu.Unlock()

@@ -35,7 +35,9 @@ var (
 	mMinerDuplicates = obs.NewCounter("repro_miner_duplicates_total",
 		"candidates mining requests skipped as isomorphic to an earlier one")
 	mMinerCandidates = obs.NewCounter("repro_miner_candidates_total",
-		"candidates whose support mining requests evaluated")
+		"candidates whose support mining requests considered")
+	mMinerUnsearched = obs.NewCounter("repro_miner_unsearched_total",
+		"candidates mining requests pruned without a search, from their sub-patterns' domains")
 	mSessionOpens = obs.NewCounter("repro_session_opens_total",
 		"warm mining sessions opened on engines")
 	mSessionRefreshSeconds = obs.NewHistogram("repro_session_refresh_seconds",
