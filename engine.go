@@ -492,7 +492,9 @@ func (e *Engine) OpenSession(spec MineSpec) (*Session, error) {
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	t := obs.StartTimer()
 	inc, err := miner.NewIncremental(e.g, spec.minerConfig(e.opts))
+	t.ObserveInto(mSessionOpenSeconds)
 	if err != nil {
 		return nil, err
 	}

@@ -358,6 +358,48 @@ func keys(m map[uint64]int) []string {
 	return out
 }
 
+// TestSessionLatenciesObserved: every OpenSession is one observation of
+// repro_session_open_seconds and every Refresh one of
+// repro_session_refresh_seconds, and neither call feeds the other's.
+func TestSessionLatenciesObserved(t *testing.T) {
+	eng, err := support.NewEngine(support.BarabasiAlbert(60, 2, 2, 11), support.EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := obs.Default.Histogram("repro_session_open_seconds")
+	refresh := obs.Default.Histogram("repro_session_refresh_seconds")
+	if open == nil || refresh == nil {
+		t.Fatal("a session latency histogram is not registered")
+	}
+	opens, refreshes := open.Count(), refresh.Count()
+	requireCounts := func(step string, wantOpens, wantRefreshes uint64) {
+		t.Helper()
+		if got := open.Count() - opens; got != wantOpens {
+			t.Errorf("%s: repro_session_open_seconds counted %d observations, want %d", step, got, wantOpens)
+		}
+		if got := refresh.Count() - refreshes; got != wantRefreshes {
+			t.Errorf("%s: repro_session_refresh_seconds counted %d observations, want %d", step, got, wantRefreshes)
+		}
+	}
+
+	sess, err := eng.OpenSession(support.MineSpec{MinSupport: 3, MaxPatternSize: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	requireCounts("one open", 1, 0)
+	if open.Sum() <= 0 {
+		t.Errorf("repro_session_open_seconds sums to %v after an open", open.Sum())
+	}
+	if _, err := eng.Update(func(g *support.Graph) error { return g.AddEdge(0, 59) }); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sess.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	requireCounts("an open and a refresh", 1, 1)
+}
+
 // TestMineSpanOpensUp: a traced mining request renders the miner's own split
 // of its time as generate and evaluate children of the mine span and its
 // search counts as attributes — the candidates pruned without a search among

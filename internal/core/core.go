@@ -20,8 +20,9 @@
 // instance count is the number of representatives, the occurrence count is
 // |Aut(P)| times that, and a node's MNI domain size is the number of non-zero
 // counters of its orbit's row, which is all that MNI and the raw counts need.
-// The miner's streamed context (NewDomainContext) also hands those rows back,
-// as bitsets over the snapshot's dense indexes, and its search may be
+// The miner's streamed context (NewDomainContext) and the incremental miner's
+// first pass of a DeltaContext (NewDeltaContextAt) also hand those rows back,
+// as bitsets over the snapshot's dense indexes, and their search may be
 // confined to the bitsets of the level below. In the default (materialized)
 // mode the list comes from
 // isomorph.EnumerateSnapshot's full search, identical for every parallelism

@@ -168,7 +168,7 @@ func NewDeltaContext(g *graph.Graph, p *pattern.Pattern, opts Options) (*DeltaCo
 	// Subscribe before freezing: a mutation applied between the two is then
 	// in the first batch rather than lost.
 	feed := g.Subscribe()
-	d, err := NewDeltaContextAt(g, g.FreezeSharded(graph.FreezeOptions{Shards: opts.Shards}), p, opts)
+	d, _, err := NewDeltaContextAt(g, g.FreezeSharded(graph.FreezeOptions{Shards: opts.Shards}), p, opts, nil)
 	if err != nil {
 		feed.Close()
 		return nil, err
@@ -184,17 +184,25 @@ func NewDeltaContext(g *graph.Graph, p *pattern.Pattern, opts Options) (*DeltaCo
 // context is synchronized with to the next — one feed, one refreeze and one
 // breadth-first search per side per update, however many patterns are tracked.
 // Options.Shards is ignored: the snapshots' own shard geometry applies.
-func NewDeltaContextAt(g *graph.Graph, snap *graph.Snapshot, p *pattern.Pattern, opts Options) (*DeltaContext, error) {
+//
+// The complete pass that fills the state is confined to masks, exactly as
+// NewDomainContext's search is (isomorph.Options.Masks, aligned with
+// p.Nodes(); nil for none): masks that hold every node's images in every
+// occurrence on snap leave the state what it is without them. Only this first
+// pass is confined; a saturating batch's rebuild and every delta pass search
+// the whole snapshot. The pattern's MNI domain of every node on snap comes back
+// as a mask over snap, read off the pass table — the incremental miner
+// confines the next level's first passes with them.
+func NewDeltaContextAt(g *graph.Graph, snap *graph.Snapshot, p *pattern.Pattern, opts Options, masks []isomorph.Mask) (*DeltaContext, []isomorph.Mask, error) {
 	if g == nil || snap == nil || p == nil {
-		return nil, fmt.Errorf("core: nil graph or pattern")
+		return nil, nil, fmt.Errorf("core: nil graph or pattern")
 	}
 	if opts.MaxOccurrences != 0 {
-		return nil, fmt.Errorf("core: DeltaContext does not support MaxOccurrences (a truncated enumeration has no exact delta)")
+		return nil, nil, fmt.Errorf("core: DeltaContext does not support MaxOccurrences (a truncated enumeration has no exact delta)")
 	}
 	opts.Streaming = true
 	d := &DeltaContext{g: g, p: p, opts: opts, snap: snap, counter: newInstanceCounter(p), radius: patternDiameter(p)}
-	d.rebuild(snap)
-	return d, nil
+	return d, d.rebuild(snap, masks), nil
 }
 
 // Close unsubscribes the context from the graph's mutation feed, if it has
@@ -251,7 +259,7 @@ func (d *DeltaContext) Apply(b *Batch) error {
 		// Saturating batch: a ball covers most of its graph, so two delta
 		// passes would cost more than one full one. Rebuild the state from
 		// scratch; answers stay exact either way.
-		d.rebuild(b.new.snap)
+		d.rebuild(b.new.snap, nil)
 		d.stats.FullRebuilds++
 		mDeltaFull.Inc()
 		return nil
@@ -457,17 +465,22 @@ func patternDiameter(p *pattern.Pattern) int {
 }
 
 // rebuild discards the maintained state and recomputes it — a complete
-// enumeration of snap folded into an empty state — and compiles the delta
-// passes' pinned searches against snap's statistics, one per node orbit.
-func (d *DeltaContext) rebuild(snap *graph.Snapshot) {
+// enumeration of snap, confined to masks (nil for none), folded into an empty
+// state — and compiles the delta passes' pinned searches against snap's
+// statistics, one per node orbit. It returns the MNI domain of every pattern
+// node on snap, aligned with p.Nodes(), read off the pass's table.
+func (d *DeltaContext) rebuild(snap *graph.Snapshot, masks []isomorph.Mask) []isomorph.Mask {
+	all := d.counter.accumulate(snap, d.opts.Parallelism, masks)
+	rows := all.table.rowDomains(snap.NumVertices())
 	d.state = newDomainState(d.counter.rowLayout)
-	d.state.fold(d.counter.accumulate(snap, d.opts.Parallelism, nil))
+	d.state.fold(all, rows)
 	d.searches = d.searches[:0]
 	for i, r := range d.counter.rowOf {
 		if r == len(d.searches) {
 			d.searches = append(d.searches, isomorph.NewPinnedSearch(snap, d.p, d.counter.sym, i))
 		}
 	}
+	return fanOut(d.counter.rowLayout, rows)
 }
 
 // Graph returns the underlying data graph.

@@ -169,7 +169,7 @@ func TestRestrictedPassCostsItsBall(t *testing.T) {
 		}
 		freeze := graph.FreezeOptions{Shards: 16}
 		old := g.FreezeSharded(freeze)
-		d, err := core.NewDeltaContextAt(g, old, p, core.Options{Parallelism: 2})
+		d, _, err := core.NewDeltaContextAt(g, old, p, core.Options{Parallelism: 2}, nil)
 		if err != nil {
 			t.Fatalf("n=%d: NewDeltaContextAt: %v", n, err)
 		}
@@ -241,7 +241,7 @@ func TestApplyAllocatesNoPlans(t *testing.T) {
 	}
 	contexts := map[string]*core.DeltaContext{}
 	for name, p := range patterns {
-		d, err := core.NewDeltaContextAt(g, old, p, core.Options{Parallelism: 1})
+		d, _, err := core.NewDeltaContextAt(g, old, p, core.Options{Parallelism: 1}, nil)
 		if err != nil {
 			t.Fatalf("%s: NewDeltaContextAt: %v", name, err)
 		}

@@ -135,7 +135,7 @@ func FuzzDeltaAggregates(f *testing.F) {
 			one(graph.NewBuilder("triangle").Vertices(1, 0, 1, 2).Cycle(0, 1, 2)),
 			p,
 		} {
-			sd, err := core.NewDeltaContextAt(g, snap, sp, core.Options{Parallelism: par})
+			sd, _, err := core.NewDeltaContextAt(g, snap, sp, core.Options{Parallelism: par}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

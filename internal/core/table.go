@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/graph"
 	"repro/internal/isomorph"
@@ -205,11 +206,10 @@ func (t *domainTable) sizes() []int {
 	return fanOut(t.rowLayout, perRow)
 }
 
-// domains returns the MNI domain of every pattern node — the non-zero
-// counters of its row — as a mask over the dense indexes of a snapshot of n
-// vertices, aligned with Pattern().Nodes(); the nodes of one row share one
-// mask. A table with no counters reads as all empty.
-func (t *domainTable) domains(n int) []isomorph.Mask {
+// rowDomains returns the MNI domain of every row — its non-zero counters — as
+// a mask over the dense indexes of a snapshot of n vertices. A table with no
+// counters reads as all empty.
+func (t *domainTable) rowDomains(n int) []isomorph.Mask {
 	perRow := make([]isomorph.Mask, t.rows)
 	for r := range perRow {
 		m := isomorph.NewMask(n)
@@ -220,8 +220,12 @@ func (t *domainTable) domains(n int) []isomorph.Mask {
 		}
 		perRow[r] = m
 	}
-	return fanOut(t.rowLayout, perRow)
+	return perRow
 }
+
+// domains returns rowDomains fanned out to the pattern's nodes, aligned with
+// Pattern().Nodes(); the nodes of one row share one mask.
+func (t *domainTable) domains(n int) []isomorph.Mask { return fanOut(t.rowLayout, t.rowDomains(n)) }
 
 // domainState is the MNI state a DeltaContext maintains: the live instance
 // count and, per node orbit, a refcount for every data vertex at least one
@@ -248,14 +252,23 @@ func newDomainState(layout rowLayout) *domainState {
 
 // fold adds a complete pass's count and counters into s, translating every
 // non-zero counter's dense index to the VertexID it stands for in the pass's
-// snapshot. The pass must have counted into s's own layout.
-func (s *domainState) fold(a *accumulator) {
+// snapshot. The pass must have counted into s's own layout, and rows must be
+// its table's rowDomains: fold reads the counters where they say and nowhere
+// else, and replaces an empty row by a map sized for its domain, so filling it
+// never grows it.
+func (s *domainState) fold(a *accumulator, rows []isomorph.Mask) {
 	s.count += a.count
 	t := &a.table
 	for r, row := range s.entries {
-		for x, c := range t.row(r) {
-			if c != 0 {
-				row[t.snap.ID(int32(x))] += int(c)
+		if len(row) == 0 {
+			row = make(map[graph.VertexID]int, rows[r].Count())
+			s.entries[r] = row
+		}
+		counters := t.row(r)
+		for w, word := range rows[r] {
+			for ; word != 0; word &= word - 1 {
+				x := int32(w*64 + bits.TrailingZeros64(word))
+				row[t.snap.ID(x)] += int(counters[x])
 			}
 		}
 	}

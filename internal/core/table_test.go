@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/isomorph"
 	"repro/internal/pattern"
@@ -46,7 +49,7 @@ func TestDomainTableRefcounts(t *testing.T) {
 				a.count++
 				a.table.addListed(o)
 			}
-			state.fold(a)
+			state.fold(a, a.table.rowDomains(snap.NumVertices()))
 		},
 		"applied by representative": func(state *domainState) {
 			for _, o := range adds {
@@ -73,5 +76,70 @@ func TestDomainTableRefcounts(t *testing.T) {
 			}()
 			state.apply(rep(10, 20), -1)
 		})
+	}
+}
+
+// TestDeltaContextAtDomains pins what NewDeltaContextAt hands back and what
+// its masks may change. The domains it returns are the rows of the state it
+// built, one mask per pattern node over the snapshot's dense indexes; and a
+// context built under masks that hold every node's images — the returned
+// domains themselves, or those plus unrelated vertices — has exactly the state
+// of the unconfined one, refcounts included, and returns the same domains.
+func TestDeltaContextAtDomains(t *testing.T) {
+	g := gen.BarabasiAlbert(300, 2, gen.UniformLabels{K: 2}, 17)
+	one := func(b *graph.Builder) *pattern.Pattern { return pattern.MustNew(b.MustBuild()) }
+	patterns := []*pattern.Pattern{
+		one(graph.NewBuilder("edge").Vertices(1, 0).Vertices(2, 1).Edge(0, 1)),
+		one(graph.NewBuilder("path3").Vertices(1, 0, 2).Vertices(2, 1).Path(0, 1, 2)),
+		one(graph.NewBuilder("triangle").Vertices(1, 0, 1, 2).Cycle(0, 1, 2)),
+		one(graph.NewBuilder("star").Vertices(2, 0).Vertices(1, 1, 2, 3).Edge(0, 1).Edge(0, 2).Edge(0, 3)),
+		one(graph.NewBuilder("absent").Vertices(7, 0, 1).Edge(0, 1)),
+	}
+	for _, shards := range []int{1, 3} {
+		snap := g.FreezeSharded(graph.FreezeOptions{Shards: shards})
+		n := snap.NumVertices()
+		for _, p := range patterns {
+			for _, par := range []int{1, 4} {
+				tag := fmt.Sprintf("%s, %d shards, parallelism %d", p, shards, par)
+				d, domains, err := NewDeltaContextAt(g, snap, p, Options{Parallelism: par}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if absent := p == patterns[len(patterns)-1]; (d.state.count == 0) != absent {
+					t.Fatalf("%s: %d instances", tag, d.state.count)
+				}
+				for i, dom := range domains {
+					row := d.state.entries[d.state.rowOf[i]]
+					if dom.Count() != len(row) {
+						t.Fatalf("%s: node %d's domain holds %d vertices, its state row %d", tag, p.Nodes()[i], dom.Count(), len(row))
+					}
+					for x := int32(0); x < int32(n); x++ {
+						if _, inRow := row[snap.ID(x)]; inRow != dom.Has(x) {
+							t.Fatalf("%s: vertex %d is in node %d's domain: %v, in its state row: %v", tag, snap.ID(x), p.Nodes()[i], dom.Has(x), inRow)
+						}
+					}
+				}
+
+				loose := make([]isomorph.Mask, len(domains))
+				for i, dom := range domains {
+					loose[i] = slices.Clone(dom)
+					for x := int32(0); x < int32(n); x += 3 {
+						loose[i].Add(x)
+					}
+				}
+				for name, masks := range map[string][]isomorph.Mask{"exact": domains, "loose": loose} {
+					dm, got, err := NewDeltaContextAt(g, snap, p, Options{Parallelism: par}, masks)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if dm.state.count != d.state.count || !reflect.DeepEqual(dm.state.entries, d.state.entries) {
+						t.Fatalf("%s, %s masks: %d instances, domain sizes %v; unconfined %d, %v", tag, name, dm.state.count, dm.state.sizes(), d.state.count, d.state.sizes())
+					}
+					if !reflect.DeepEqual(got, domains) {
+						t.Fatalf("%s, %s masks: the confined build returned other domains", tag, name)
+					}
+				}
+			}
+		}
 	}
 }

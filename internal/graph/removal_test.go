@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -220,6 +221,47 @@ func TestFromSnapshotRoundTrip(t *testing.T) {
 	restored := FromSnapshot(g.FreezeSharded(FreezeOptions{ShardSize: 16}))
 	if !g.Equal(restored) {
 		t.Fatalf("FromSnapshot round trip diverged: %v vs %v", g, restored)
+	}
+}
+
+// TestFromSnapshotRestoresSparseGraph restores a graph with sparse IDs and
+// isolated vertices and then mutates the original and the restored graph
+// alike. The restored adjacency rows are cut from one array at exactly their
+// degree, so an edge added to a full row must move that row out rather than
+// write into its neighbour's: every row is compared, not only the edge set.
+func TestFromSnapshotRestoresSparseGraph(t *testing.T) {
+	g := New("sparse")
+	for _, v := range []VertexID{3, 10, 11, 40, 41, 97, 500, 501, 1000} {
+		g.MustAddVertex(v, Label(v%3))
+	}
+	for _, e := range [][2]VertexID{{3, 10}, {10, 11}, {11, 40}, {3, 40}, {40, 41}, {97, 500}} {
+		g.MustAddEdge(e[0], e[1])
+	}
+	// 501 and 1000 are isolated.
+	restored := FromSnapshot(g.FreezeSharded(FreezeOptions{ShardSize: 4}))
+	requireSameGraph := func(step string) {
+		t.Helper()
+		if !g.Equal(restored) || !reflect.DeepEqual(g.SortedVertices(), restored.SortedVertices()) {
+			t.Fatalf("%s: restored graph %v diverged from %v", step, restored, g)
+		}
+		for _, v := range g.SortedVertices() {
+			if want, got := g.Neighbors(v), restored.Neighbors(v); !reflect.DeepEqual(want, got) {
+				t.Fatalf("%s: vertex %d has neighbours %v restored, %v in the original", step, v, got, want)
+			}
+		}
+	}
+	requireSameGraph("restored")
+	for _, mutate := range []func(*Graph){
+		func(h *Graph) { h.MustAddEdge(10, 40) },    // both rows full
+		func(h *Graph) { h.MustAddEdge(501, 1000) }, // two empty rows
+		func(h *Graph) { h.MustRemoveEdge(3, 10) },
+		func(h *Graph) { h.MustAddEdge(3, 41) },
+		func(h *Graph) { h.MustRemoveVertex(40) },
+		func(h *Graph) { h.MustAddVertex(7, 2); h.MustAddEdge(7, 11) },
+	} {
+		mutate(g)
+		mutate(restored)
+		requireSameGraph("after a mutation")
 	}
 }
 

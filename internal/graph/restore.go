@@ -6,11 +6,29 @@ package graph
 // the snapshot's dense indexes are translated back to VertexIDs and each
 // undirected edge is added once. Vertices are added in increasing ID order,
 // so the restored graph's insertion order is deterministic.
+//
+// The snapshot knows every size up front, so the graph's vertex and edge
+// tables are allocated at their final size and every adjacency row at its
+// vertex's degree, cut from one array (a row that outgrows its degree later
+// moves out of it, as any appended slice does); nothing grows while it is
+// filled. Vertices and edges still go through AddVertex and AddEdge, with
+// every check those make.
 func FromSnapshot(snap *Snapshot) *Graph {
-	g := New(snap.Name())
 	n := int32(snap.NumVertices())
+	g := &Graph{
+		labels:    make(map[VertexID]Label, n),
+		adjacency: make(map[VertexID][]VertexID, n),
+		edges:     make(map[Edge]struct{}, snap.NumEdges()),
+		byLabel:   make(map[Label][]VertexID),
+		order:     make([]VertexID, 0, n),
+		name:      snap.Name(),
+	}
+	rows := make([]VertexID, 2*snap.NumEdges())
 	for i := int32(0); i < n; i++ {
-		g.MustAddVertex(snap.ID(i), snap.LabelAt(i))
+		v := snap.ID(i)
+		g.MustAddVertex(v, snap.LabelAt(i))
+		deg := snap.DegreeAt(i)
+		g.adjacency[v], rows = rows[:0:deg], rows[deg:]
 	}
 	for i := int32(0); i < n; i++ {
 		u := snap.ID(i)

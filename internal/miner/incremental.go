@@ -2,11 +2,13 @@ package miner
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/isomorph"
 	"repro/internal/measures"
 	"repro/internal/pattern"
 )
@@ -35,6 +37,14 @@ import (
 // trades the memory of the tracked contexts for never paying the full
 // re-enumeration.
 //
+// The session opens the way Mine walks: a level inside the level below it.
+// While NewIncremental runs, each candidate's first complete pass is confined
+// to the intersection of its tracked sub-patterns' MNI domains, frequent and
+// boundary patterns alike (each has exact state, so exact domains), and the
+// domains it finds confine the next level. Nothing is pruned on the way — the
+// boundary must be tracked exactly — and the table is dropped when the open
+// returns, so the cold tracks of a Refresh search the whole snapshot.
+//
 // An Incremental session is single-threaded: Refresh and the accessors must
 // not race with each other or with mutations of the data graph.
 type Incremental struct {
@@ -55,8 +65,14 @@ type Incremental struct {
 	// labels is the label alphabet extensions are generated over; new vertex
 	// labels widen it on Refresh.
 	labels map[graph.Label]bool
-	// seedPairs records the one-edge label pairs already seeded.
-	seedPairs map[[2]graph.Label]bool
+	// seeded records the one-edge label pairs already seeded.
+	seeded map[[2]graph.Label]bool
+	// known is the open's domain table: every pattern tracked so far by
+	// canonical code, with its MNI domains on snap by canonical place (the
+	// layout of Miner's level table). It exists only while NewIncremental
+	// runs, and track confines each first pass to it; Refresh's cold tracks
+	// search the whole snapshot.
+	known map[string][]isomorph.Mask
 
 	// duplicates, extensions and codes accumulate over the session's runs;
 	// evaluate is the support-evaluation time of the current run.
@@ -101,11 +117,11 @@ func NewIncremental(g *graph.Graph, cfg Config) (*Incremental, error) {
 		return nil, fmt.Errorf("miner: incremental mining does not support MaxPatterns")
 	}
 	inc := &Incremental{
-		g:         g,
-		cfg:       cfg,
-		tracked:   make(map[string]*trackedPattern),
-		labels:    make(map[graph.Label]bool),
-		seedPairs: make(map[[2]graph.Label]bool),
+		g:       g,
+		cfg:     cfg,
+		tracked: make(map[string]*trackedPattern),
+		labels:  make(map[graph.Label]bool),
+		seeded:  make(map[[2]graph.Label]bool),
 	}
 	for _, l := range g.Labels() {
 		inc.labels[l] = true
@@ -116,12 +132,13 @@ func NewIncremental(g *graph.Graph, cfg Config) (*Incremental, error) {
 	inc.snap = inc.freeze()
 
 	start := time.Now()
-	seeds, err := inc.seedNew(g.Edges())
-	if err != nil {
-		inc.Close()
-		return nil, err
+	inc.known = make(map[string][]isomorph.Mask)
+	seeds, err := inc.seedNew(seedPairs(inc.snap))
+	if err == nil {
+		err = inc.expand(seeds)
 	}
-	if err := inc.expand(seeds); err != nil {
+	inc.known = nil
+	if err != nil {
 		inc.Close()
 		return nil, err
 	}
@@ -227,13 +244,13 @@ func (inc *Incremental) Refresh() (*Result, error) {
 	// pairs. An edge that was added and then removed (or lost an endpoint)
 	// within the same batch seeds nothing: a cold mine of the final graph
 	// would not see it either, and its labels may already be gone.
-	var newEdges []graph.Edge
+	var pairs [][2]graph.Label
 	for _, m := range muts {
 		if m.Kind == graph.MutEdgeAdded && inc.g.HasEdge(m.U, m.V) {
-			newEdges = append(newEdges, graph.Edge{U: m.U, V: m.V})
+			pairs = append(pairs, labelPair(inc.g.MustLabelOf(m.U), inc.g.MustLabelOf(m.V)))
 		}
 	}
-	seeds, err := inc.seedNew(newEdges)
+	seeds, err := inc.seedNew(pairs)
 	if err != nil {
 		return nil, err
 	}
@@ -298,29 +315,19 @@ func (inc *Incremental) refreshTracked(tracked []*trackedPattern, muts []graph.M
 }
 
 // seedNew tracks the one-edge seed pattern of every not-yet-seen label pair
-// among the given data edges and returns the newly created candidates.
-func (inc *Incremental) seedNew(edges []graph.Edge) ([]*trackedPattern, error) {
-	var pairs [][2]graph.Label
-	for _, e := range edges {
-		la, lb := inc.g.MustLabelOf(e.U), inc.g.MustLabelOf(e.V)
-		if la > lb {
-			la, lb = lb, la
-		}
-		key := [2]graph.Label{la, lb}
-		if inc.seedPairs[key] {
-			continue
-		}
-		inc.seedPairs[key] = true
-		pairs = append(pairs, key)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i][0] != pairs[j][0] {
-			return pairs[i][0] < pairs[j][0]
-		}
-		return pairs[i][1] < pairs[j][1]
-	})
-	var out []*trackedPattern
+// among the given ones (each smaller label first, as labelPair makes them)
+// and returns the newly created candidates.
+func (inc *Incremental) seedNew(pairs [][2]graph.Label) ([]*trackedPattern, error) {
+	var unseen [][2]graph.Label
 	for _, pr := range pairs {
+		if !inc.seeded[pr] {
+			inc.seeded[pr] = true
+			unseen = append(unseen, pr)
+		}
+	}
+	slices.SortFunc(unseen, comparePairs)
+	var out []*trackedPattern
+	for _, pr := range unseen {
 		inc.codes++
 		tp, err := inc.track(pattern.SingleEdge(pr[0], pr[1]))
 		if err != nil {
@@ -368,6 +375,13 @@ func (inc *Incremental) expand(frontier []*trackedPattern) error {
 // track adds a new candidate to the tracked set: it builds the candidate's
 // live delta context and evaluates it. A candidate whose canonical code is
 // already tracked is counted as a duplicate instead, and nil is returned.
+//
+// While the session opens, the context's first pass is confined to the
+// intersection of its tracked sub-patterns' domains (subDomains over known),
+// and its own domains join known. Unlike Miner.inherit this never prunes: a
+// sub-pattern missing from known only leaves its places unconfined, and a
+// small intersection only a small search, because every tracked candidate,
+// the pruned boundary included, needs its exact state.
 func (inc *Incremental) track(p *pattern.Pattern) (*trackedPattern, error) {
 	code := p.CanonicalCode()
 	if _, ok := inc.tracked[code]; ok {
@@ -385,9 +399,16 @@ func (inc *Incremental) track(p *pattern.Pattern) (*trackedPattern, error) {
 	// goroutine that applies the batch by construction. The context is built
 	// on the session's snapshot and subscribes to nothing; refreshTracked
 	// feeds it.
-	d, err := core.NewDeltaContextAt(inc.g, inc.snap, p, core.Options{Parallelism: inc.cfg.EnumParallelism})
+	var masks []isomorph.Mask
+	if inc.known != nil {
+		masks, _ = subDomains(p, inc.known)
+	}
+	d, domains, err := core.NewDeltaContextAt(inc.g, inc.snap, p, core.Options{Parallelism: inc.cfg.EnumParallelism}, masks)
 	if err != nil {
 		return nil, fmt.Errorf("miner: building delta context for %s: %w", p, err)
+	}
+	if inc.known != nil {
+		inc.known[code] = byPlace(p, domains)
 	}
 	tp := &trackedPattern{p: p, delta: d}
 	if err := inc.evaluateTracked(tp); err != nil {

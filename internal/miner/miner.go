@@ -17,6 +17,7 @@
 package miner
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -315,17 +316,38 @@ func byPlace(p *pattern.Pattern, domains []isomorph.Mask) []isomorph.Mask {
 	return rows
 }
 
-// inherit confines p's search to its sub-patterns' domains: every position of
-// p gets the intersection of the known domains of the places it takes in p's
-// connected one-edge-smaller sub-patterns. It reports false — p is below the
-// threshold, without a search — when a sub-pattern is not known, or when an
-// intersection holds fewer than MinSupport vertices.
+// inherit confines p's search to its sub-patterns' domains (subDomains). It
+// reports false — p is below the threshold, without a search — when a
+// sub-pattern is not known, or when an intersection holds fewer than
+// MinSupport vertices.
 func (m *Miner) inherit(p *pattern.Pattern, known map[string][]isomorph.Mask) ([]isomorph.Mask, bool) {
-	masks := make([]isomorph.Mask, p.Size())
+	masks, complete := subDomains(p, known)
+	if !complete {
+		return nil, false
+	}
+	for _, mask := range masks {
+		if mask != nil && float64(mask.Count()) < m.cfg.MinSupport {
+			return nil, false
+		}
+	}
+	return masks, true
+}
+
+// subDomains returns, aligned with p.Nodes(), the intersection of the known
+// domains of the places every position of p takes in p's connected
+// one-edge-smaller sub-patterns — nil for a position that no known
+// sub-pattern places — and whether every sub-pattern was known. known maps a
+// canonical code to its domains by canonical place (byPlace), all over one
+// snapshot; each intersection holds the position's image in every occurrence
+// of p on it.
+func subDomains(p *pattern.Pattern, known map[string][]isomorph.Mask) (masks []isomorph.Mask, complete bool) {
+	masks = make([]isomorph.Mask, p.Size())
+	complete = true
 	for _, sub := range p.SubPatterns() {
 		rows, ok := known[sub.Code]
 		if !ok {
-			return nil, false
+			complete = false
+			continue
 		}
 		for a, pos := range sub.Places {
 			if masks[pos] == nil {
@@ -335,12 +357,7 @@ func (m *Miner) inherit(p *pattern.Pattern, known map[string][]isomorph.Mask) ([
 			}
 		}
 	}
-	for _, mask := range masks {
-		if mask != nil && float64(mask.Count()) < m.cfg.MinSupport {
-			return nil, false
-		}
-	}
-	return masks, true
+	return masks, complete
 }
 
 // growthAlphabet is the alphabet p is extended over. The size cap limits the
@@ -500,37 +517,47 @@ func (m *Miner) evaluate(p *pattern.Pattern, known map[string][]isomorph.Mask) (
 }
 
 // seedPatterns returns the one-edge patterns for every ordered label pair
-// that appears on at least one data edge, collected in one pass over the CSR
-// adjacency (visiting each undirected edge once, from its smaller endpoint).
+// that appears on at least one data edge (seedPairs).
 func (m *Miner) seedPatterns() []*pattern.Pattern {
-	type labelPair struct{ a, b graph.Label }
-	pairs := make(map[labelPair]bool)
-	for i := int32(0); i < int32(m.snap.NumVertices()); i++ {
-		la := m.snap.LabelAt(i)
-		for _, j := range m.snap.NeighborsAt(i) {
-			if j <= i {
-				continue
-			}
-			a, b := la, m.snap.LabelAt(j)
-			if a > b {
-				a, b = b, a
-			}
-			pairs[labelPair{a: a, b: b}] = true
-		}
-	}
-	keys := make([]labelPair, 0, len(pairs))
-	for p := range pairs {
-		keys = append(keys, p)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].a != keys[j].a {
-			return keys[i].a < keys[j].a
-		}
-		return keys[i].b < keys[j].b
-	})
-	out := make([]*pattern.Pattern, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, pattern.SingleEdge(k.a, k.b))
+	pairs := seedPairs(m.snap)
+	out := make([]*pattern.Pattern, 0, len(pairs))
+	for _, pr := range pairs {
+		out = append(out, pattern.SingleEdge(pr[0], pr[1]))
 	}
 	return out
+}
+
+// seedPairs returns, sorted, every label pair (smaller label first) that
+// appears on at least one edge of snap, collected in one pass over the CSR
+// adjacency (visiting each undirected edge once, from its smaller endpoint).
+func seedPairs(snap *graph.Snapshot) [][2]graph.Label {
+	seen := make(map[[2]graph.Label]bool)
+	for i := int32(0); i < int32(snap.NumVertices()); i++ {
+		la := snap.LabelAt(i)
+		for _, j := range snap.NeighborsAt(i) {
+			if j > i {
+				seen[labelPair(la, snap.LabelAt(j))] = true
+			}
+		}
+	}
+	pairs := make([][2]graph.Label, 0, len(seen))
+	for pr := range seen {
+		pairs = append(pairs, pr)
+	}
+	slices.SortFunc(pairs, comparePairs)
+	return pairs
+}
+
+// labelPair returns the label pair of an edge whose endpoints carry a and b,
+// smaller label first.
+func labelPair(a, b graph.Label) [2]graph.Label {
+	if a > b {
+		a, b = b, a
+	}
+	return [2]graph.Label{a, b}
+}
+
+// comparePairs orders label pairs by first label, then second.
+func comparePairs(a, b [2]graph.Label) int {
+	return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
 }

@@ -65,6 +65,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"repro_miner_candidates_total",     //
 		"repro_enum_shard_drains_total",    // enumeration drain sampling
 		"repro_graph_mutations_total",      // graph mutation layer
+		"repro_session_open_seconds",       // sessions
 		"repro_delta_refreshes_total",      // delta maintenance
 		"repro_delta_pass_counted_total",   //
 		"repro_lp_solves_total",            // LP relaxation

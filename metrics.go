@@ -40,6 +40,8 @@ var (
 		"candidates mining requests pruned without a search, from their sub-patterns' domains")
 	mSessionOpens = obs.NewCounter("repro_session_opens_total",
 		"warm mining sessions opened on engines")
+	mSessionOpenSeconds = obs.NewHistogram("repro_session_open_seconds",
+		"latency of Engine.OpenSession, the initial mining run included", obs.LatencyBuckets)
 	mSessionRefreshSeconds = obs.NewHistogram("repro_session_refresh_seconds",
 		"latency of Session.Refresh, including delta maintenance", obs.LatencyBuckets)
 )
