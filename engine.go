@@ -16,17 +16,13 @@ import (
 
 // EngineOptions is the one options type of the library: an Engine is
 // constructed with it and individual requests may override its per-request
-// fields (MaxOccurrences, Parallelism, Streaming). The CLIs and the gserved
-// server speak it too.
+// fields (Parallelism, Streaming). The CLIs and the gserved server speak it
+// too.
 //
-// Parallelism, Shards and ResidencyBudget never change results; the cap
-// truncates deterministically, and Streaming narrows which measures an
-// evaluation can compute.
+// Parallelism, Shards and ResidencyBudget never change results; Streaming
+// narrows which measures an evaluation can compute. Every support value comes
+// from the complete search.
 type EngineOptions struct {
-	// MaxOccurrences caps occurrence enumeration per evaluated pattern; zero
-	// means unlimited. A positive cap forces sequential enumeration so the
-	// kept prefix is deterministic.
-	MaxOccurrences int
 	// Parallelism is the worker count of the streaming enumeration engine:
 	// 0 picks GOMAXPROCS (with a sequential fallback on tiny inputs), 1
 	// forces the deterministic sequential path, higher values are used as
@@ -56,10 +52,9 @@ type EngineOptions struct {
 // contextOptions projects the enumeration-facing fields onto core.Options.
 func (o EngineOptions) contextOptions() core.Options {
 	return core.Options{
-		MaxOccurrences: o.MaxOccurrences,
-		Parallelism:    o.Parallelism,
-		Shards:         o.Shards,
-		Streaming:      o.Streaming,
+		Parallelism: o.Parallelism,
+		Shards:      o.Shards,
+		Streaming:   o.Streaming,
 	}
 }
 
@@ -91,7 +86,6 @@ func (ms *MineSpec) minerConfig(o EngineOptions) miner.Config {
 		MaxPatternSize:  ms.MaxPatternSize,
 		MaxPatterns:     ms.MaxPatterns,
 		Measure:         ms.Measure,
-		MaxOccurrences:  o.MaxOccurrences,
 		Parallelism:     ms.Workers,
 		EnumParallelism: o.Parallelism,
 		EnumShards:      o.Shards,

@@ -24,12 +24,10 @@
 // first pass of a DeltaContext (NewDeltaContextAt) also hand those rows back,
 // as bitsets over the snapshot's dense indexes, and their search may be
 // confined to the bitsets of the level below. In the default (materialized)
-// mode the list comes from
-// isomorph.EnumerateSnapshot's full search, identical for every parallelism
-// and shard setting, and is scanned once into a table with a row per node;
-// its instance count is the list's length over |Aut(P)| (instancesByOrbit,
-// which checks the division is exact), except that a MaxOccurrences prefix,
-// not being closed under automorphisms, is grouped by isomorph.Instances.
+// mode the list comes from isomorph.EnumerateSnapshot's full search,
+// identical for every parallelism and shard setting, and is scanned once into
+// a table with the same orbit rows; its instance count is the list's length
+// over |Aut(P)| (instancesByOrbit, which checks the division is exact).
 // DeltaContext keeps the streamed aggregates alive across graph mutations, in
 // a VertexID-keyed refcount state, one row per node orbit: a complete pass's
 // table is folded into it once, and after that every update adds and
@@ -85,10 +83,6 @@ type Context struct {
 
 // Options configures context construction.
 type Options struct {
-	// MaxOccurrences caps occurrence enumeration; zero means unlimited. A
-	// positive cap keeps the first MaxOccurrences occurrences of the
-	// sequential search order, whatever Parallelism says.
-	MaxOccurrences int
 	// Parallelism is the worker count of the enumeration engine: 0 picks
 	// GOMAXPROCS (with a sequential fallback on tiny inputs), 1 forces the
 	// sequential path, higher values are used as given. The resulting
@@ -128,28 +122,18 @@ func NewContext(g *graph.Graph, p *pattern.Pattern, opts Options) (*Context, err
 	if snap == nil {
 		snap = g.FreezeSharded(graph.FreezeOptions{Shards: opts.Shards})
 	}
-	if opts.Streaming && opts.MaxOccurrences == 0 {
+	if opts.Streaming {
 		ctx.domainSizes = ctx.stream(snap, opts.Parallelism, nil).table.sizes()
 		return ctx, nil
 	}
-	// The list is wanted — by a materialized context for good, by a capped
-	// streaming one just long enough to group it — so the search is the full
-	// one, and one scan folds its list into a table with a row per node.
-	occs := isomorph.EnumerateSnapshot(snap, p, isomorph.Options{MaxOccurrences: opts.MaxOccurrences, Parallelism: opts.Parallelism})
-	all := scan(snap, p, occs)
+	// The list is wanted, so the search is the full one, and one scan folds
+	// the list into the orbit rows a streaming pass fills.
+	occs := isomorph.EnumerateSnapshot(snap, p, isomorph.Options{Parallelism: opts.Parallelism})
+	counter := newInstanceCounter(p)
+	all := counter.scan(snap, occs)
 	ctx.numOccurrences = all.count
+	ctx.numInstances = instancesByOrbit(all.count, counter.sym.Order())
 	ctx.domainSizes = all.table.sizes()
-	if opts.MaxOccurrences == 0 {
-		ctx.numInstances = instancesByOrbit(all.count, isomorph.NewSymmetry(p).Order())
-	} else {
-		// A prefix no longer than the caller's own cap is not closed under
-		// automorphisms, so the orbit count does not apply to it.
-		ctx.numInstances = len(isomorph.Instances(p, occs))
-	}
-	if opts.Streaming {
-		return ctx, nil
-	}
-
 	ctx.occurrences = occs
 	ctx.occurrenceH = hypergraph.New()
 	for _, o := range occs {
@@ -159,12 +143,12 @@ func NewContext(g *graph.Graph, p *pattern.Pattern, opts Options) (*Context, err
 }
 
 // NewDomainContext is the miner's context: the streamed context of p over
-// snap — NewContext with Streaming, Snapshot and no MaxOccurrences — whose
-// search is confined to masks (isomorph.Options.Masks, aligned with
-// p.Nodes(); nil for none), returned with the MNI domain of every node of p
-// as a mask over snap. Masks that hold every node's images in every
-// occurrence leave the context what it is without them. A frequent pattern's
-// domains are what the miner confines the searches of the next level with.
+// snap — NewContext with Streaming and Snapshot — whose search is confined to
+// masks (isomorph.Options.Masks, aligned with p.Nodes(); nil for none),
+// returned with the MNI domain of every node of p as a mask over snap. Masks
+// that hold every node's images in every occurrence leave the context what it
+// is without them. A frequent pattern's domains are what the miner confines
+// the searches of the next level with.
 func NewDomainContext(snap *graph.Snapshot, p *pattern.Pattern, parallelism int, masks []isomorph.Mask) (*Context, []isomorph.Mask) {
 	ctx := &Context{p: p, streaming: true}
 	domains := ctx.stream(snap, parallelism, masks).table.domains(snap.NumVertices())

@@ -47,13 +47,6 @@ func TestNewContextValidation(t *testing.T) {
 	if _, err := core.NewContext(fig.Graph, nil, core.Options{}); err == nil {
 		t.Error("nil pattern should error")
 	}
-	ctx, err := core.NewContext(fig.Graph, fig.Pattern, core.Options{MaxOccurrences: 2})
-	if err != nil {
-		t.Fatalf("NewContext: %v", err)
-	}
-	if ctx.NumOccurrences() != 2 {
-		t.Errorf("MaxOccurrences not honored: %d", ctx.NumOccurrences())
-	}
 	defer func() {
 		if recover() == nil {
 			t.Error("MustNewContext should panic on error")

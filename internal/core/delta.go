@@ -158,9 +158,8 @@ type DeltaStats struct {
 // g's mutation feed so later Refresh calls can maintain them incrementally.
 // Close the returned context when it is no longer needed.
 //
-// Options.Streaming is implied — a DeltaContext never materializes
-// occurrence lists or hypergraphs — and Options.MaxOccurrences must be zero:
-// a truncated enumeration has no well-defined delta.
+// Options.Streaming is implied: a DeltaContext never materializes occurrence
+// lists or hypergraphs.
 func NewDeltaContext(g *graph.Graph, p *pattern.Pattern, opts Options) (*DeltaContext, error) {
 	if g == nil {
 		return nil, fmt.Errorf("core: nil graph or pattern")
@@ -196,9 +195,6 @@ func NewDeltaContext(g *graph.Graph, p *pattern.Pattern, opts Options) (*DeltaCo
 func NewDeltaContextAt(g *graph.Graph, snap *graph.Snapshot, p *pattern.Pattern, opts Options, masks []isomorph.Mask) (*DeltaContext, []isomorph.Mask, error) {
 	if g == nil || snap == nil || p == nil {
 		return nil, nil, fmt.Errorf("core: nil graph or pattern")
-	}
-	if opts.MaxOccurrences != 0 {
-		return nil, nil, fmt.Errorf("core: DeltaContext does not support MaxOccurrences (a truncated enumeration has no exact delta)")
 	}
 	opts.Streaming = true
 	d := &DeltaContext{g: g, p: p, opts: opts, snap: snap, counter: newInstanceCounter(p), radius: patternDiameter(p)}

@@ -195,13 +195,9 @@ func TestDeltaContextSaturationFallback(t *testing.T) {
 	requireDeltaMatchesScratch(t, d, g, p, "delta after storm")
 }
 
-// TestDeltaContextRejectsOccurrenceCap pins the constructor contract: a
-// truncated enumeration has no exact delta.
-func TestDeltaContextRejectsOccurrenceCap(t *testing.T) {
-	g := gen.BarabasiAlbert(50, 2, gen.UniformLabels{K: 2}, 1)
-	if _, err := core.NewDeltaContext(g, trianglePattern(), core.Options{MaxOccurrences: 10}); err == nil {
-		t.Fatal("NewDeltaContext accepted MaxOccurrences > 0")
-	}
+// TestDeltaContextRejectsNilGraph pins the constructor contract: there is no
+// delta without a graph to subscribe to.
+func TestDeltaContextRejectsNilGraph(t *testing.T) {
 	if _, err := core.NewDeltaContext(nil, trianglePattern(), core.Options{}); err == nil {
 		t.Fatal("NewDeltaContext accepted a nil graph")
 	}

@@ -56,12 +56,13 @@ import (
 // one point on that path where an index becomes a VertexID.
 //
 // The one pass that is not a search for representatives is the scan of a
-// materialized list, whose order witnesses.golden pins and whose
-// MaxOccurrences prefix is not closed under Aut(P): it counts every listed
-// occurrence into one row per node (nodeRows), through the same table.
+// materialized list. The list is the complete search, closed under Aut(P), so
+// an instance's |Aut(P)| listed occurrences bump exactly the orbit-row
+// counters its representative would, only |Aut(P)| times over: the scan counts
+// into the same rows, through the same table.
 
 // rowLayout says which row of a table each pattern node counts into: its
-// orbit's, for everything a streaming search fills, or its own.
+// orbit's.
 type rowLayout struct {
 	nodes []pattern.NodeID
 	rowOf []int // rowOf[i]: the row of nodes[i]; rows are numbered by first node
@@ -74,15 +75,6 @@ func orbitRows(nodes []pattern.NodeID, sym *isomorph.Symmetry) rowLayout {
 	l := rowLayout{nodes: nodes, rowOf: make([]int, len(nodes)), rows: sym.NumOrbits()}
 	for i := range nodes {
 		l.rowOf[i] = sym.OrbitOf(i)
-	}
-	return l
-}
-
-// nodeRows is the layout with one row per pattern node.
-func nodeRows(nodes []pattern.NodeID) rowLayout {
-	l := rowLayout{nodes: nodes, rowOf: make([]int, len(nodes)), rows: len(nodes)}
-	for i := range nodes {
-		l.rowOf[i] = i
 	}
 	return l
 }
@@ -119,8 +111,8 @@ func fanOut[T any](l rowLayout, perRow []T) []T {
 // every row of its layout a run of counters, one per vertex of the snapshot,
 // row r at counts[r*width:(r+1)*width] and the counter of dense index x at
 // position x, each the number of counted assignments that map a node of the
-// row to that vertex. One table is 4·rows·n bytes — 4·orbits·n for a
-// streaming pass, never 4·k·n — and every worker of the pass owns one.
+// row to that vertex. One table is 4·orbits·n bytes, never 4·k·n, and every
+// worker of the pass owns one.
 type domainTable struct {
 	rowLayout
 	snap   *graph.Snapshot
@@ -348,9 +340,9 @@ func (a *accumulator) yield(o *isomorph.Occurrence) bool {
 	return true
 }
 
-// instanceCounter is what the streaming passes of one context share: the
-// pattern, its symmetry — Aut(P) computed once — and the orbit-row layout
-// every streaming pass table and the maintained state are laid out in.
+// instanceCounter is what the passes of one context share: the pattern, its
+// symmetry — Aut(P) computed once — and the orbit-row layout every pass table
+// and the maintained state are laid out in.
 type instanceCounter struct {
 	p   *pattern.Pattern
 	sym *isomorph.Symmetry
@@ -382,15 +374,14 @@ func (c *instanceCounter) accumulate(snap *graph.Snapshot, parallelism int, mask
 	return mergeWorkers(c.rowLayout, accs)
 }
 
-// scan folds a list enumerated over snap into one accumulator with a row per
-// pattern node; like accumulate, it allocates no table for a pattern that
-// does not occur.
-func scan(snap *graph.Snapshot, p *pattern.Pattern, occs []*isomorph.Occurrence) *accumulator {
-	layout := nodeRows(p.Nodes())
+// scan folds the pattern's complete occurrence list, enumerated over snap,
+// into one accumulator in the orbit rows; like accumulate, it allocates no
+// table for a pattern that does not occur.
+func (c *instanceCounter) scan(snap *graph.Snapshot, occs []*isomorph.Occurrence) *accumulator {
 	if len(occs) == 0 {
-		return mergeWorkers(layout, nil)
+		return mergeWorkers(c.rowLayout, nil)
 	}
-	a := &accumulator{count: len(occs), table: newDomainTable(snap, layout)}
+	a := &accumulator{count: len(occs), table: newDomainTable(snap, c.rowLayout)}
 	for _, o := range occs {
 		a.table.addListed(o)
 	}
@@ -420,9 +411,8 @@ func mergeWorkers(layout rowLayout, accs []*accumulator) *accumulator {
 // Conversely f∘σ is an occurrence with f's image for every automorphism σ,
 // and f∘σ = f forces σ = id because f is injective. So Aut(P) acts freely on
 // the occurrences and its orbits are exactly the instances, each of size
-// |Aut(P)|. The one precondition is that the list is closed under that action:
-// an untruncated enumeration is; a MaxOccurrences prefix is not, and is
-// grouped from its retained list instead. The streaming search relies on the
+// |Aut(P)|. The one precondition is that the list is closed under that action,
+// which a complete enumeration is. The streaming search relies on the
 // same fact from the other end — it finds one occurrence per orbit and
 // multiplies — so the division, and its check, are the materialized list's
 // alone: a full search that missed or repeated an occurrence shows up here.

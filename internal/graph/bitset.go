@@ -38,8 +38,7 @@ func BitsetDegreeThreshold(n int) int {
 }
 
 // adjacencyBitsets is the lazily built table of high-degree bitmap rows,
-// published as one immutable value behind an atomic pointer (same discipline
-// as the cross-shard label index).
+// published as one immutable value behind an atomic pointer.
 type adjacencyBitsets struct {
 	rows map[int32]AdjacencyBits
 }

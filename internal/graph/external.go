@@ -137,9 +137,8 @@ func (s *Snapshot) ReleaseShard(k int) {
 	}
 }
 
-// Labels returns the distinct vertex labels of the snapshot, sorted. It is
-// derived from the per-shard label partitions, so it never materializes the
-// cross-shard label index.
+// Labels returns the distinct vertex labels of the snapshot, sorted, derived
+// from the per-shard label partitions.
 func (s *Snapshot) Labels() []Label {
 	seen := make(map[Label]bool)
 	for k := range s.shards {

@@ -82,7 +82,7 @@ func TestExternalSnapshotMatchesFrozen(t *testing.T) {
 			}
 		}
 		for _, l := range snap.Labels() {
-			if !reflect.DeepEqual(ext.IndexesWithLabel(l), snap.IndexesWithLabel(l)) {
+			if !reflect.DeepEqual(labelIndexes(ext, l), labelIndexes(snap, l)) {
 				t.Fatalf("shards=%d: label index differs for label %d", shards, l)
 			}
 		}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -42,23 +43,8 @@ func assertSnapshotMatchesScratch(t *testing.T, g *Graph, got *Snapshot) {
 		}
 	}
 	for _, l := range g.Labels() {
-		gi, wi := got.IndexesWithLabel(l), want.IndexesWithLabel(l)
-		if len(gi) != len(wi) {
-			t.Fatalf("label %d: %v, want %v", l, gi, wi)
-		}
-		for k := range wi {
-			if gi[k] != wi[k] {
-				t.Fatalf("label %d: %v, want %v", l, gi, wi)
-			}
-		}
-		var concat []int32
-		for k := 0; k < got.NumShards(); k++ {
-			concat = append(concat, got.ShardIndexesWithLabel(k, l)...)
-		}
-		for k := range wi {
-			if concat[k] != wi[k] {
-				t.Fatalf("label %d: shard concat %v, want %v", l, concat, wi)
-			}
+		if gi, wi := labelIndexes(got, l), labelIndexes(want, l); !slices.Equal(gi, wi) {
+			t.Fatalf("label %d: shard concat %v, want %v", l, gi, wi)
 		}
 	}
 }
@@ -91,7 +77,6 @@ func TestIncrementalRefreezeEdgeOnly(t *testing.T) {
 	if s1.NumShards() != 4 {
 		t.Fatalf("NumShards = %d, want 4", s1.NumShards())
 	}
-	s1.IndexesWithLabel(1) // materialize the cross-shard label index
 
 	before := g.shardBuilds.Load()
 	// Endpoints land in shards 1 (indexes 16..31) and 2 (indexes 32..47).
@@ -245,7 +230,6 @@ func TestIncrementalRefreezeMatrix(t *testing.T) {
 				g.MustAddEdge(VertexID(v*10), VertexID((v+1)*10))
 			}
 			s := g.FreezeSharded(opts)
-			s.IndexesWithLabel(1)
 			next := VertexID(10 * n)
 			for step := 0; step < 6; step++ {
 				switch step % 3 {
@@ -307,7 +291,6 @@ func TestSnapshotCacheLRU(t *testing.T) {
 func TestSetNameKeepsSnapshots(t *testing.T) {
 	g := buildDenseGraph(32)
 	s1 := g.FreezeSharded(FreezeOptions{ShardSize: 16})
-	s1.IndexesWithLabel(1)
 	before := g.shardBuilds.Load()
 	g.SetName("renamed")
 	s2 := g.FreezeSharded(FreezeOptions{ShardSize: 16})
@@ -324,10 +307,6 @@ func TestSetNameKeepsSnapshots(t *testing.T) {
 		if !sameInt32Backing(s1.shards[k].colIdx, s2.shards[k].colIdx) {
 			t.Errorf("shard %d not shared across SetName", k)
 		}
-	}
-	// The carried-over label index stays usable.
-	if got, want := s2.IndexesWithLabel(1), s1.IndexesWithLabel(1); !sameInt32Backing(got, want) {
-		t.Error("materialized label index was rebuilt across SetName")
 	}
 }
 
@@ -402,7 +381,6 @@ func TestOldSnapshotReadersDuringRefreeze(t *testing.T) {
 					_ = old.NeighborsAt(i)
 					_ = old.LabelAt(i)
 				}
-				_ = old.IndexesWithLabel(1)
 				if old.NumEdges() != oldEdges {
 					t.Error("old snapshot edge count changed under mutation")
 					return

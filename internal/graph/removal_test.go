@@ -111,7 +111,6 @@ func TestIncrementalRefreezeEdgeRemoval(t *testing.T) {
 	g := buildDenseGraph(64)
 	opts := FreezeOptions{ShardSize: 16}
 	s1 := g.FreezeSharded(opts)
-	s1.IndexesWithLabel(1) // materialize the cross-shard label index
 
 	before := g.shardBuilds.Load()
 	g.MustRemoveEdge(17, 18) // both endpoints in shard 1
@@ -154,7 +153,6 @@ func TestIncrementalRefreezeVertexRemoval(t *testing.T) {
 		g := buildDenseGraph(64)
 		opts := FreezeOptions{ShardSize: 16}
 		s1 := g.FreezeSharded(opts)
-		s1.IndexesWithLabel(2)
 		g.MustRemoveVertex(20) // shard 1; survivors after index 20 all shift
 		s2 := g.FreezeSharded(opts)
 		if s2.NumVertices() != 63 {
@@ -170,9 +168,9 @@ func TestIncrementalRefreezeVertexRemoval(t *testing.T) {
 	})
 }
 
-// TestRemovalLabelIndexCarry pins the seedLabelIndex removal soundness fix: a
-// removal that takes a shard's (or the snapshot's) last holder of a label
-// with it must not let the stale concatenation survive the carry.
+// TestRemovalLabelIndexCarry checks that a removal that takes a shard's (or
+// the snapshot's) last holder of a label with it leaves the label in no
+// shard's partition of the refrozen snapshot.
 func TestRemovalLabelIndexCarry(t *testing.T) {
 	t.Run("rebuilt-shard-loses-label", func(t *testing.T) {
 		g := New("labels")
@@ -185,12 +183,12 @@ func TestRemovalLabelIndexCarry(t *testing.T) {
 		}
 		opts := FreezeOptions{ShardSize: 16}
 		s1 := g.FreezeSharded(opts)
-		if got := s1.IndexesWithLabel(9); len(got) != 1 {
+		if got := labelIndexes(s1, 9); len(got) != 1 {
 			t.Fatalf("label 9 index %v, want one entry", got)
 		}
-		g.MustRemoveVertex(18) // last position: no shift, carry path taken
+		g.MustRemoveVertex(18) // last position: no shift
 		s2 := g.FreezeSharded(opts)
-		if got := s2.IndexesWithLabel(9); len(got) != 0 {
+		if got := labelIndexes(s2, 9); len(got) != 0 {
 			t.Fatalf("label 9 survived its last holder's removal: %v", got)
 		}
 		assertSnapshotMatchesScratch(t, g, s2)
@@ -202,14 +200,15 @@ func TestRemovalLabelIndexCarry(t *testing.T) {
 		}
 		g.MustAddVertex(16, 9) // alone in shard 1
 		opts := FreezeOptions{ShardSize: 16}
-		s1 := g.FreezeSharded(opts)
-		s1.IndexesWithLabel(9)
+		if got := labelIndexes(g.FreezeSharded(opts), 9); len(got) != 1 {
+			t.Fatalf("label 9 index %v, want one entry", got)
+		}
 		g.MustRemoveVertex(16) // shard 1 disappears entirely
 		s2 := g.FreezeSharded(opts)
 		if s2.NumShards() != 1 {
 			t.Fatalf("NumShards = %d, want 1", s2.NumShards())
 		}
-		if got := s2.IndexesWithLabel(9); len(got) != 0 {
+		if got := labelIndexes(s2, 9); len(got) != 0 {
 			t.Fatalf("label 9 survived its shard being dropped: %v", got)
 		}
 		assertSnapshotMatchesScratch(t, g, s2)

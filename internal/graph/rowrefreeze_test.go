@@ -54,7 +54,6 @@ func TestRowLevelRefreezeMatrix(t *testing.T) {
 			g := buildDenseGraph(n)
 			opts := FreezeOptions{Shards: shards}
 			prev := g.FreezeSharded(opts)
-			prev.IndexesWithLabel(1) // materialize the cross-shard label index
 			state := uint64(shards)
 			random := func(bound int) int {
 				state = state*6364136223846793005 + 1442695040888963407
@@ -96,8 +95,8 @@ func TestRowLevelRefreezeMatrix(t *testing.T) {
 				if next.NumEdges() != g.NumEdges() || next.NumVertices() != n {
 					t.Fatalf("%s: totals %d/%d, want %d/%d", where, next.NumVertices(), next.NumEdges(), n, g.NumEdges())
 				}
-				if !slices.Equal(next.IndexesWithLabel(1), buildSnapshot(g, next.shardShift).IndexesWithLabel(1)) {
-					t.Fatalf("%s: the carried cross-shard label index differs from a fresh one", where)
+				if !slices.Equal(labelIndexes(next, 1), labelIndexes(buildSnapshot(g, next.shardShift), 1)) {
+					t.Fatalf("%s: the concatenated label partitions differ from a fresh build's", where)
 				}
 				requireSameShards(t, where+": the snapshot before the batch", prev.shards, before)
 				for k := 0; k < next.NumShards(); k++ {

@@ -45,19 +45,9 @@ type Snapshot struct {
 	shardShift uint
 	shards     []shard
 
-	// byLabel is the thin cross-shard index: the global sorted dense-index
-	// list per label, concatenated from the per-shard partitions on first
-	// use so IndexesWithLabel stays a single O(1) map lookup afterwards.
-	// Built lazily because the enumeration hot path works from the per-shard
-	// partitions and never needs the full-graph concatenation. Stored behind
-	// an atomic pointer (instead of a sync.Once) so incremental refreezes can
-	// seed a fresh Snapshot with a mostly reused index.
-	labelMu sync.Mutex
-	byLabel atomic.Pointer[map[Label][]int32]
-
 	// adjBits is the lazily built table of high-degree adjacency bitmap rows
-	// (see AdjacencyRow), behind an atomic pointer under the same discipline
-	// as byLabel.
+	// (see AdjacencyRow), behind an atomic pointer so a renamed copy can share
+	// it once built.
 	bitsMu  sync.Mutex
 	adjBits atomic.Pointer[adjacencyBitsets]
 
@@ -488,7 +478,7 @@ func (g *Graph) renameSnapshots(name string) {
 }
 
 // withName returns a copy of s differing only in name, sharing every shard
-// array and any materialized cross-shard label index.
+// array and any materialized adjacency bitsets.
 func (s *Snapshot) withName(name string) *Snapshot {
 	c := &Snapshot{
 		name:       name,
@@ -497,9 +487,6 @@ func (s *Snapshot) withName(name string) *Snapshot {
 		shardShift: s.shardShift,
 		shards:     s.shards,
 		backing:    s.backing,
-	}
-	if bl := s.byLabel.Load(); bl != nil {
-		c.byLabel.Store(bl)
 	}
 	if bs := s.adjBits.Load(); bs != nil {
 		c.adjBits.Store(bs)
@@ -614,10 +601,9 @@ func (g *Graph) rebuildSnapshot(e *snapEntry, shardShift uint) *Snapshot {
 	if e.rowLevel() {
 		// Only edges changed, and every stale row is on the list: the vertex
 		// set, every dense index, every label and every label partition are
-		// the old snapshot's, so dirty shards are patched row by row and the
-		// cross-shard label index carries over as it is. The entry is shared
-		// with any concurrent freeze of this granularity, so the list is
-		// sorted in a copy.
+		// the old snapshot's, so dirty shards are patched row by row. The
+		// entry is shared with any concurrent freeze of this granularity, so
+		// the list is sorted in a copy.
 		stale := slices.Clone(e.rows)
 		slices.Sort(stale)
 		stale = slices.Compact(stale)
@@ -628,7 +614,6 @@ func (g *Graph) rebuildSnapshot(e *snapEntry, shardShift uint) *Snapshot {
 				s.shards[k] = old.shards[k]
 			}
 		}
-		s.seedLabelIndex(old, e, nil)
 		return s
 	}
 	var ids []VertexID
@@ -668,7 +653,6 @@ func (g *Graph) rebuildSnapshot(e *snapEntry, shardShift uint) *Snapshot {
 		lookup = func(v VertexID) int32 { return searchIndex(ids, v) }
 	}
 
-	var rebuiltShards []int
 	for k := range s.shards {
 		if k < oldShards && !e.shardDirty(k) {
 			reused := old.shards[k]
@@ -683,10 +667,7 @@ func (g *Graph) rebuildSnapshot(e *snapEntry, shardShift uint) *Snapshot {
 			continue
 		}
 		g.buildShard(s, k, ids, lookup)
-		rebuiltShards = append(rebuiltShards, k)
 	}
-
-	s.seedLabelIndex(old, e, rebuiltShards)
 	return s
 }
 
@@ -736,75 +717,6 @@ func (g *Graph) patchShard(old *Snapshot, osh *shard, stale []int32) shard {
 	copyClean(next, int32(len(osh.ids)))
 	g.shardBuilds.Add(1)
 	return shard{lo: osh.lo, ids: osh.ids, labels: osh.labels, byLabel: osh.byLabel, rowPtr: rowPtr, colIdx: colIdx}
-}
-
-// seedLabelIndex carries the materialized cross-shard label index across an
-// incremental refreeze when that is sound: labels absent from every rebuilt
-// shard keep their old concatenation by reference, labels present in a
-// rebuilt shard are re-concatenated. When no index was materialized, or when
-// an insert shifted global indexes (invalidating every entry of the old
-// concatenations), the index is simply left to lazy rebuild on first use.
-func (s *Snapshot) seedLabelIndex(old *Snapshot, e *snapEntry, rebuiltShards []int) {
-	oldIdx := old.byLabel.Load()
-	if oldIdx == nil || e.shifted {
-		return
-	}
-	if !e.grown {
-		// Edge-only refreeze: labels, dense indexes and every per-shard
-		// partition are unchanged, so the old concatenations are the new
-		// ones — share the whole index.
-		s.byLabel.Store(oldIdx)
-		return
-	}
-	// A label is touched when a rebuilt shard holds it now (its indexes may
-	// have changed) or held it before the rebuild (its old indexes may be
-	// gone — a removal can take a shard's last holder of a label with it, so
-	// the old side must be scanned too). Old shards past the new shard count
-	// were dropped entirely by a shrinking removal; everything they held is
-	// touched.
-	touched := make(map[Label]bool)
-	for _, k := range rebuiltShards {
-		for l := range s.shards[k].byLabel {
-			touched[l] = true
-		}
-		if k < len(old.shards) {
-			for l := range old.shards[k].byLabel {
-				touched[l] = true
-			}
-		}
-	}
-	for k := len(s.shards); k < len(old.shards); k++ {
-		for l := range old.shards[k].byLabel {
-			touched[l] = true
-		}
-	}
-	fresh := make(map[Label][]int32, len(*oldIdx)+len(touched))
-	for l, idxs := range *oldIdx {
-		if !touched[l] {
-			fresh[l] = idxs
-		}
-	}
-	for l := range touched {
-		var concat []int32
-		for k := range s.shards {
-			concat = append(concat, s.shards[k].byLabel[l]...)
-		}
-		fresh[l] = concat
-	}
-	s.byLabel.Store(&fresh)
-}
-
-// buildLabelIndex materializes the cross-shard label index: shard ranges are
-// increasing and each per-shard partition is sorted, so concatenation in
-// shard order is globally sorted.
-func (s *Snapshot) buildLabelIndex() map[Label][]int32 {
-	byLabel := make(map[Label][]int32)
-	for k := range s.shards {
-		for l, idxs := range s.shards[k].byLabel {
-			byLabel[l] = append(byLabel[l], idxs...)
-		}
-	}
-	return byLabel
 }
 
 // shardFor routes a global dense index to its owning shard.
@@ -910,25 +822,6 @@ func (s *Snapshot) HasEdgeAt(u, v int32) bool {
 	row := s.NeighborsAt(u)
 	k := sort.Search(len(row), func(i int) bool { return row[i] >= v })
 	return k < len(row) && row[k] == v
-}
-
-// IndexesWithLabel returns the sorted dense indexes of all vertices carrying
-// the given label, as a shared slice. Callers must not modify it. The
-// cross-shard concatenation is built on first call (synchronized, so
-// concurrent readers are safe); per-shard consumers should prefer
-// ShardIndexesWithLabel, which never materializes a full-graph index.
-func (s *Snapshot) IndexesWithLabel(l Label) []int32 {
-	if m := s.byLabel.Load(); m != nil {
-		return (*m)[l]
-	}
-	s.labelMu.Lock()
-	defer s.labelMu.Unlock()
-	if m := s.byLabel.Load(); m != nil {
-		return (*m)[l]
-	}
-	m := s.buildLabelIndex()
-	s.byLabel.Store(&m)
-	return m[l]
 }
 
 // Degree returns the degree of vertex v (0 if the vertex does not exist).

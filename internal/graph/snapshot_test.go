@@ -1,6 +1,9 @@
 package graph
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // buildTestGraph returns a small graph with non-dense vertex IDs, mirroring
 // the paper's figures which number vertices from 1.
@@ -58,7 +61,7 @@ func TestFreezeMatchesGraph(t *testing.T) {
 	}
 	// Label partitions must agree with the graph's label index.
 	for _, l := range g.Labels() {
-		idxs := s.IndexesWithLabel(l)
+		idxs := labelIndexes(s, l)
 		want := g.VerticesWithLabel(l)
 		if len(idxs) != len(want) {
 			t.Fatalf("label %d: snapshot %v, graph %v", l, idxs, want)
@@ -69,6 +72,16 @@ func TestFreezeMatchesGraph(t *testing.T) {
 			}
 		}
 	}
+}
+
+// labelIndexes returns the sorted dense indexes of s's vertices carrying
+// label l: the per-shard partitions concatenated in shard order.
+func labelIndexes(s *Snapshot, l Label) []int32 {
+	var out []int32
+	for k := 0; k < s.NumShards(); k++ {
+		out = append(out, s.ShardIndexesWithLabel(k, l)...)
+	}
+	return out
 }
 
 // buildChainGraph returns a deterministic 40-vertex graph with a mix of
@@ -144,21 +157,11 @@ func TestFreezeShardedMatchesUnsharded(t *testing.T) {
 				t.Fatalf("%+v: IndexOf(ID(%d)) = (%d, %v)", opts, i, j, ok)
 			}
 		}
-		// The cross-shard label index must equal the flat one and the
-		// concatenation of the per-shard partitions.
+		// The concatenated per-shard label partitions must equal the flat
+		// snapshot's one partition.
 		for _, l := range g.Labels() {
-			got, want := s.IndexesWithLabel(l), flat.IndexesWithLabel(l)
-			if len(got) != len(want) {
+			if got, want := labelIndexes(s, l), flat.ShardIndexesWithLabel(0, l); !slices.Equal(got, want) {
 				t.Fatalf("%+v: label %d: %v, want %v", opts, l, got, want)
-			}
-			var concat []int32
-			for k := 0; k < s.NumShards(); k++ {
-				concat = append(concat, s.ShardIndexesWithLabel(k, l)...)
-			}
-			for k := range want {
-				if got[k] != want[k] || concat[k] != want[k] {
-					t.Fatalf("%+v: label %d: global %v, concat %v, want %v", opts, l, got, concat, want)
-				}
 			}
 		}
 	}

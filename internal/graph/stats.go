@@ -8,7 +8,7 @@ package graph
 
 // LabelCount returns the number of vertices carrying the given label. It sums
 // the per-shard label partitions (already materialized at freeze/open time),
-// so the cost is O(shards) and the cross-shard label index is never built.
+// so the cost is O(shards).
 func (s *Snapshot) LabelCount(l Label) int {
 	total := 0
 	for k := range s.shards {

@@ -16,13 +16,6 @@ import (
 // search runs on the snapshot it is handed, so the shard count is decided
 // where that snapshot is frozen (core, support.Engine, the store).
 type Options struct {
-	// MaxOccurrences stops enumeration once this many occurrences have been
-	// delivered; zero means unlimited. A positive cap runs the search on the
-	// sequential path whatever Parallelism says, so the delivered occurrences
-	// are exactly the first MaxOccurrences of the deterministic sequential
-	// search order. Mining with a threshold t can set this to a small
-	// multiple of t to bound work on very frequent patterns.
-	MaxOccurrences int
 	// Parallelism is the number of worker goroutines the enumeration engine
 	// partitions root candidates across. Zero picks GOMAXPROCS (falling back
 	// to a single worker on tiny inputs where goroutine overhead dominates);
@@ -37,9 +30,9 @@ type Options struct {
 	// consumer counts Order() occurrences per representative and reads
 	// f(orbit) as every orbit node's images (see Symmetry); which occurrence
 	// represents an instance depends on the search order and so on the
-	// snapshot, and nothing may depend on it. A cap counts what is
-	// delivered. Nil is the full search: every occurrence, which is what a
-	// consumer that keeps or orders occurrences needs.
+	// snapshot, and nothing may depend on it. Nil is the full search: every
+	// occurrence, which is what a consumer that keeps or orders occurrences
+	// needs.
 	Symmetry *Symmetry
 	// Masks, when non-nil, confines the search: aligned with the pattern's
 	// Nodes(), Masks[i] is a set of dense indexes of the snapshot searched
@@ -56,11 +49,6 @@ type Options struct {
 // workers resolves the effective worker count for a search with the given
 // number of root candidates on a data graph with n vertices.
 func (o Options) workers(roots, n int) int {
-	if o.MaxOccurrences > 0 {
-		// The one cap rule: a capped search delivers the first MaxOccurrences
-		// occurrences of the sequential order, so it runs on that path.
-		return 1
-	}
 	w := o.Parallelism
 	if w <= 0 {
 		// Auto mode: parallelism is not worth goroutine startup on tiny
@@ -589,9 +577,9 @@ func (s *searchState) publishEmits() {
 // VertexID accessor (ImageAt, Images, Key, ...) derives its answer from snap
 // on demand, so a consumer pays for the translations it reads and no more.
 //
-// With an effective parallelism of one (Options.Parallelism == 1, a tiny
-// input in auto mode, or a positive MaxOccurrences) everything runs on the
-// calling goroutine in the deterministic sequential search order.
+// With an effective parallelism of one (Options.Parallelism == 1 or a tiny
+// input in auto mode) everything runs on the calling goroutine in the
+// deterministic sequential search order.
 func EnumerateSnapshotWorkers(snap *graph.Snapshot, p *pattern.Pattern, opts Options, newYield func(worker int) func(*Occurrence) bool) {
 	pl := newSearchPlan(snap, p, opts)
 	if pl == nil {
@@ -600,11 +588,7 @@ func EnumerateSnapshotWorkers(snap *graph.Snapshot, p *pattern.Pattern, opts Opt
 	workers := opts.workers(pl.numRoots, pl.snap.NumVertices())
 
 	if workers == 1 {
-		yield := newYield(0)
-		if opts.MaxOccurrences > 0 {
-			yield = capYield(yield, opts.MaxOccurrences)
-		}
-		pl.drain(newSearchState(pl, yield))
+		pl.drain(newSearchState(pl, newYield(0)))
 		return
 	}
 
@@ -772,27 +756,13 @@ func (ps *PinnedSearch) Run(snap *graph.Snapshot, candidates []int32, yield func
 	pl.snap, st.occ.snap, st.yield = nil, nil, nil
 }
 
-// capYield wraps a consumer so that enumeration stops after max occurrences
-// have been delivered.
-func capYield(yield func(*Occurrence) bool, max int) func(*Occurrence) bool {
-	count := 0
-	return func(o *Occurrence) bool {
-		if !yield(o) {
-			return false
-		}
-		count++
-		return count < max
-	}
-}
-
 // EnumerateSnapshot returns all occurrences of pattern p in snap, in the
 // canonical deterministic order (see SortOccurrences). It is the one
 // materializer on top of the streaming engine: each worker's borrowed
 // occurrences are copied out, the per-worker buckets are sorted concurrently
 // and merged, so the result is identical for every Parallelism setting and
 // every shard geometry, and the returned occurrences are the caller's to
-// keep. With a positive MaxOccurrences it returns exactly the first
-// MaxOccurrences occurrences of the sequential search order.
+// keep.
 func EnumerateSnapshot(snap *graph.Snapshot, p *pattern.Pattern, opts Options) []*Occurrence {
 	// Accumulate each worker's stream as pointer-free image chunks and
 	// materialize the Occurrence structs afterwards in one exact-size pass.

@@ -273,64 +273,13 @@ func TestEnumerateWorkersPerWorkerAccumulation(t *testing.T) {
 	}
 }
 
-// TestEnumerateMaxOccurrencesParallelSafe pins the one cap rule: a positive
-// MaxOccurrences means the first n occurrences of the sequential search
-// order at every entry point, whatever Parallelism asks for. The list entry
-// point returns the same capped list, and the streaming one delivers exactly
-// the Parallelism: 1 prefix, in order, to a single worker.
-func TestEnumerateMaxOccurrencesParallelSafe(t *testing.T) {
-	fig := dataset.Figure2()
-	snap := fig.Graph.Freeze()
-	want := isomorph.EnumerateSnapshot(snap, fig.Pattern, isomorph.Options{MaxOccurrences: 2, Parallelism: 1})
-	got := isomorph.EnumerateSnapshot(snap, fig.Pattern, isomorph.Options{MaxOccurrences: 2, Parallelism: 8})
-	if len(got) != 2 || len(want) != 2 {
-		t.Fatalf("caps not honored: sequential kept %d, parallel kept %d, want 2", len(want), len(got))
-	}
-	for i := range want {
-		if got[i].Key() != want[i].Key() {
-			t.Errorf("capped occurrence %d differs: %s vs %s", i, got[i].Key(), want[i].Key())
-		}
-	}
-
-	// Large enough that an uncapped Parallelism: 4 run really fans out.
-	big := gen.BarabasiAlbert(300, 3, gen.UniformLabels{K: 2}, 14).Freeze()
-	star := starPattern()
-	streamed := func(opts isomorph.Options) []string {
-		var keys []string
-		workers := 0
-		isomorph.EnumerateSnapshotWorkers(big, star, opts, func(int) func(*isomorph.Occurrence) bool {
-			workers++
-			return func(o *isomorph.Occurrence) bool {
-				keys = append(keys, o.Key())
-				return true
-			}
-		})
-		if workers != 1 {
-			t.Fatalf("%+v: capped search started %d workers, want 1", opts, workers)
-		}
-		return keys
-	}
-	order := streamed(isomorph.Options{Parallelism: 1})
-	if len(order) < 100 {
-		t.Fatalf("only %d occurrences; workload too small to exercise the cap", len(order))
-	}
-	for _, max := range []int{1, 7, 64} {
-		for _, par := range []int{1, 4, 8} {
-			got := streamed(isomorph.Options{MaxOccurrences: max, Parallelism: par})
-			if !reflect.DeepEqual(got, order[:max]) {
-				t.Errorf("max=%d Parallelism=%d: delivered %v, want the sequential prefix %v", max, par, got, order[:max])
-			}
-		}
-	}
-}
-
 // TestStopOnLastRootOfShardHalts is the regression test for a stop that lands
 // on the last root candidate of a shard's bucket: the sequential drain must
 // return there, not move on to the next shard. The graph is four disjoint
 // 1–2 labelled edges, one per two-vertex shard, so every shard bucket holds
 // exactly one matching root — the shape a pinned search has
-// all the time. A consumer that has returned false is never called again, and
-// a cap of one keeps one occurrence, at every entry point that drains. With
+// all the time. A consumer that has returned false is never called again, at
+// every entry point that drains. With
 // four workers the stop is per root: each worker's consumer, once it has
 // refused, is never called again, and the enumeration returns.
 func TestStopOnLastRootOfShardHalts(t *testing.T) {
@@ -387,10 +336,6 @@ func TestStopOnLastRootOfShardHalts(t *testing.T) {
 			}
 			opts.Parallelism = 4
 			stopOnWorkers(where, snap, edge, opts, n)
-			opts.Parallelism, opts.MaxOccurrences = 0, n
-			if got := isomorph.EnumerateSnapshot(snap, edge, opts); len(got) != n {
-				t.Errorf("MaxOccurrences %d, options %+v: %d occurrences returned", n, opts, len(got))
-			}
 		}
 		// Many roots per shard: a worker whose consumer refused must not go on
 		// to its next root, whatever the other workers are doing.

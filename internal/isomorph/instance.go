@@ -49,7 +49,9 @@ func (in *Instance) Key() string {
 func (in *Instance) String() string { return "S{" + in.Key() + "}" }
 
 // Instances groups occurrences by their image subgraph f(P) (vertex set and
-// edge set) and returns the distinct instances in deterministic order.
+// edge set) and returns the distinct instances in deterministic order. It is
+// the tests' reference grouping: no context counts instances this way, since
+// a complete list's instances are its orbits under Aut(P).
 func Instances(p *pattern.Pattern, occs []*Occurrence) []*Instance {
 	byKey := make(map[string]*Instance)
 	var order []string

@@ -52,14 +52,6 @@ func TestEnumerateRespectsLabels(t *testing.T) {
 	}
 }
 
-func TestEnumerateMaxOccurrences(t *testing.T) {
-	fig := dataset.Figure2()
-	occs := isomorph.EnumerateSnapshot(fig.Graph.Freeze(), fig.Pattern, isomorph.Options{MaxOccurrences: 2})
-	if len(occs) != 2 {
-		t.Fatalf("got %d occurrences, want capped 2", len(occs))
-	}
-}
-
 func TestEnumerateEdgePreservation(t *testing.T) {
 	// Every occurrence must map pattern edges to data edges.
 	g := gen.ErdosRenyi(30, 0.15, gen.UniformLabels{K: 2}, 3)

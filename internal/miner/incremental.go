@@ -99,8 +99,8 @@ type trackedPattern struct {
 // evaluated candidate. The configuration is validated as by New, with two
 // extra constraints that make exact delta maintenance possible: the measure
 // must be streaming-capable (it is evaluated on live streamed aggregates),
-// and MaxOccurrences/MaxPatterns must be zero (truncated enumerations and
-// truncated result sets have no well-defined delta).
+// and MaxPatterns must be zero (a truncated result set has no well-defined
+// delta).
 func NewIncremental(g *graph.Graph, cfg Config) (*Incremental, error) {
 	m, err := New(g, cfg)
 	if err != nil {
@@ -109,9 +109,6 @@ func NewIncremental(g *graph.Graph, cfg Config) (*Incremental, error) {
 	cfg = m.Config()
 	if !measures.SupportsStreaming(cfg.Measure) {
 		return nil, fmt.Errorf("miner: incremental mining requires a streaming-capable measure, %s is not", cfg.Measure.Name())
-	}
-	if cfg.MaxOccurrences != 0 {
-		return nil, fmt.Errorf("miner: incremental mining does not support MaxOccurrences")
 	}
 	if cfg.MaxPatterns != 0 {
 		return nil, fmt.Errorf("miner: incremental mining does not support MaxPatterns")

@@ -220,7 +220,6 @@ func TestIncrementalRejectsUnsupportedConfigs(t *testing.T) {
 	g := gen.BarabasiAlbert(40, 2, gen.UniformLabels{K: 2}, 1)
 	cases := []miner.Config{
 		{MinSupport: 2, Measure: measures.MVC{}}, // not streaming-capable
-		{MinSupport: 2, MaxOccurrences: 100},     // truncated enumeration
 		{MinSupport: 2, MaxPatterns: 5},          // truncated result set
 		{MinSupport: 0},                          // invalid threshold (via New)
 	}

@@ -6,14 +6,13 @@
 // this library are anti-monotonic, pruning is safe: no frequent pattern is
 // missed (the central argument of Chapter 2).
 //
-// Under MNI without an occurrence cap the miner uses anti-monotonicity
-// node by node as well: a level is searched inside the level below it. The
-// MNI domains of the previous level's frequent patterns, kept per canonical
-// place, bound the domains of every candidate built on them, so a candidate
-// is confined to their intersection, or shown infrequent without a search
-// when a sub-pattern is not frequent or an intersection is too small
-// (Miner.Mine, Stats.Unsearched). Results and counts are the unconfined
-// walk's.
+// Under MNI the miner uses anti-monotonicity node by node as well: a level is
+// searched inside the level below it. The MNI domains of the previous level's
+// frequent patterns, kept per canonical place, bound the domains of every
+// candidate built on them, so a candidate is confined to their intersection,
+// or shown infrequent without a search when a sub-pattern is not frequent or
+// an intersection is too small (Miner.Mine, Stats.Unsearched). Results and
+// counts are the unconfined walk's.
 package miner
 
 import (
@@ -47,10 +46,6 @@ type Config struct {
 	// Measure is the support measure driving pruning. Nil means MNI, the
 	// fastest of the anti-monotonic measures, mirroring GraMi's choice.
 	Measure measures.Measure
-	// MaxOccurrences caps occurrence enumeration per candidate pattern; zero
-	// means unlimited. Capping trades exactness of very high supports for
-	// bounded work on extremely frequent patterns.
-	MaxOccurrences int
 	// Parallelism is the number of worker goroutines used to evaluate the
 	// candidates of each search level concurrently — and, in an Incremental
 	// session, to fan the independent tracked-candidate delta refreshes out
@@ -145,9 +140,9 @@ type Miner struct {
 	// The mining result is the same either way.
 	streaming bool
 	// lattice says whether a level is searched inside the level below it:
-	// MNI without an occurrence cap, the one configuration where "below the
-	// threshold" and "domain" mean exactly what the confinement rule needs
-	// (see Mine). It too is derived, not configured.
+	// the measure is MNI, the one whose "below the threshold" and "domain"
+	// mean exactly what the confinement rule needs (see Mine). It too is
+	// derived, not configured.
 	lattice bool
 }
 
@@ -188,7 +183,7 @@ func NewSnapshot(snap *graph.Snapshot, cfg Config) (*Miner, error) {
 		snap:      snap,
 		cfg:       cfg,
 		streaming: measures.SupportsStreaming(cfg.Measure),
-		lattice:   cfg.Measure.Name() == measures.NameMNI && cfg.MaxOccurrences == 0,
+		lattice:   cfg.Measure.Name() == measures.NameMNI,
 	}, nil
 }
 
@@ -201,11 +196,10 @@ func (m *Miner) Config() Config { return m.cfg }
 // edges first, since every grow step adds exactly one edge) and, within a
 // level, by canonical code. It is MineContext with a background context.
 //
-// Under MNI without an occurrence cap a level is searched inside the level
-// below it. Every occurrence of a candidate restricts to an occurrence of
-// each of its connected one-edge-smaller sub-patterns
-// (pattern.SubPatterns), so a candidate node's MNI domain lies inside the
-// domain of every sub-pattern node it becomes. The miner keeps, for the
+// Under MNI a level is searched inside the level below it. Every occurrence
+// of a candidate restricts to an occurrence of each of its connected
+// one-edge-smaller sub-patterns (pattern.SubPatterns), so a candidate node's
+// MNI domain lies inside the domain of every sub-pattern node it becomes. The miner keeps, for the
 // previous level's frequent patterns only, one domain per canonical place as
 // a bitset over the snapshot's dense indexes (core.NewDomainContext). A
 // candidate with a sub-pattern outside that table has an infrequent
@@ -492,10 +486,9 @@ func (m *Miner) evaluate(p *pattern.Pattern, known map[string][]isomorph.Mask) (
 	} else {
 		var err error
 		ctx, err = core.NewContext(nil, p, core.Options{
-			MaxOccurrences: m.cfg.MaxOccurrences,
-			Parallelism:    enumPar,
-			Streaming:      m.streaming,
-			Snapshot:       m.snap,
+			Parallelism: enumPar,
+			Streaming:   m.streaming,
+			Snapshot:    m.snap,
 		})
 		if err != nil {
 			return levelEval{}, fmt.Errorf("miner: building context for %s: %w", p, err)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -258,6 +259,43 @@ func TestHTTPEndpoints(t *testing.T) {
 			t.Fatalf("retired option: error body not deterministic: %s vs %s", first, again)
 		}
 	})
+}
+
+// TestRemovedOptionsAreUnknownFields pins the options taken off the wire
+// (testdata/removed_options.json: the occurrence cap, on every route that
+// takes options): a body that still carries one is refused with a 400 naming
+// it as an unknown field, never answered as if the option still applied.
+func TestRemovedOptionsAreUnknownFields(t *testing.T) {
+	raw, err := os.ReadFile("testdata/removed_options.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cases []struct {
+		Path  string          `json:"path"`
+		Field string          `json:"field"`
+		Body  json.RawMessage `json:"body"`
+	}
+	if err := json.Unmarshal(raw, &cases); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := support.NewEngine(support.BarabasiAlbert(40, 2, 2, 9), support.EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(eng, Config{})
+	defer s.Close()
+	h := s.Handler()
+	for _, tc := range cases {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.Path, bytes.NewReader(tc.Body)))
+		var ew ErrorWire
+		if err := json.Unmarshal(rec.Body.Bytes(), &ew); err != nil {
+			t.Fatalf("POST %s: status %d with a body that is no ErrorWire: %q", tc.Path, rec.Code, rec.Body.Bytes())
+		}
+		if rec.Code != http.StatusBadRequest || !strings.Contains(ew.Error, fmt.Sprintf("unknown field %q", tc.Field)) {
+			t.Fatalf("POST %s: %d %q, want 400 naming the unknown field %s", tc.Path, rec.Code, ew.Error, tc.Field)
+		}
+	}
 }
 
 // TestRequestBodyBounds pins what the strict decoder refuses beyond unknown

@@ -57,8 +57,6 @@ type OptionsWire struct {
 	// Parallelism is the enumeration worker count (0 = server default,
 	// clamped by the server's admission limits).
 	Parallelism int `json:"parallelism,omitempty"`
-	// MaxOccurrences caps occurrence enumeration; zero means unlimited.
-	MaxOccurrences int `json:"max_occurrences,omitempty"`
 	// Streaming selects streaming aggregation (MNI and raw counts only).
 	Streaming bool `json:"streaming,omitempty"`
 }
@@ -352,7 +350,6 @@ func engineOptions(defaults support.EngineOptions, ow *OptionsWire, maxParalleli
 	o := defaults
 	if ow != nil {
 		o.Parallelism = ow.Parallelism
-		o.MaxOccurrences = ow.MaxOccurrences
 		o.Streaming = ow.Streaming
 	}
 	o.Parallelism = clampParallelism(o.Parallelism, maxParallelism)

@@ -24,10 +24,6 @@ type Options struct {
 	// ResidencyFraction expresses the budget as a fraction (0, 1] of the
 	// store's total mapped bytes; ignored when ResidencyBudget is set.
 	ResidencyFraction float64
-	// SkipVerify disables the per-segment checksum pass. Opening becomes
-	// O(manifest) instead of one sequential read of every segment — useful
-	// for very large stores on trusted storage.
-	SkipVerify bool
 }
 
 // Store is an open shard store directory: the parsed manifest, the mapped
@@ -48,7 +44,7 @@ type Store struct {
 // Open loads the shard store at dir and returns it with an mmap-backed
 // snapshot: every shard's CSR arrays alias the mapped segment bytes
 // directly (no deserialization copy), so opening costs one checksum pass
-// over the files (skippable via Options.SkipVerify) plus O(labels) map
+// over the files plus O(labels) map
 // construction per shard, independent of the graph's size. The snapshot
 // satisfies the entire read API — enumeration and mining over it are
 // byte-identical to the in-memory snapshot the store was written from.
@@ -74,11 +70,9 @@ func Open(dir string, opts Options) (*Store, error) {
 		}
 		st.maps = append(st.maps, m)
 		total += int64(len(m.data))
-		if !opts.SkipVerify {
-			if got := crc32.Checksum(m.data, castagnoli); got != seg.CRC32C {
-				st.closeMaps()
-				return nil, fmt.Errorf("store: segment %s checksum mismatch: file %#08x, manifest %#08x", seg.File, got, seg.CRC32C)
-			}
+		if got := crc32.Checksum(m.data, castagnoli); got != seg.CRC32C {
+			st.closeMaps()
+			return nil, fmt.Errorf("store: segment %s checksum mismatch: file %#08x, manifest %#08x", seg.File, got, seg.CRC32C)
 		}
 		ext[k], err = decodeShard(data, seg)
 		if err != nil {

@@ -280,14 +280,6 @@ func TestOpenErrorPaths(t *testing.T) {
 		if _, err := store.Open(dir, store.Options{}); err == nil || !strings.Contains(err.Error(), "checksum") {
 			t.Fatalf("Open of corrupted segment: %v", err)
 		}
-		// SkipVerify opens the same corrupted store without a checksum pass;
-		// the flipped byte sits in label-index payload the geometry checks
-		// never look at.
-		st, err := store.Open(dir, store.Options{SkipVerify: true})
-		if err != nil {
-			t.Fatalf("Open with SkipVerify: %v", err)
-		}
-		st.Close()
 	})
 
 	t.Run("unknown manifest version", func(t *testing.T) {
@@ -309,7 +301,7 @@ func TestOpenErrorPaths(t *testing.T) {
 		if err := os.WriteFile(seg, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := store.Open(dir, store.Options{SkipVerify: true}); err == nil || !strings.Contains(err.Error(), "version") {
+		if _, err := store.Open(dir, store.Options{}); err == nil || !strings.Contains(err.Error(), "version") {
 			t.Fatalf("Open of future-version segment: %v", err)
 		}
 	})

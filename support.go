@@ -213,7 +213,7 @@ func Evaluate(g *Graph, p *Pattern, names ...string) (*Evaluation, error) {
 // streaming-capable measures (MNI, the raw counts) on DeltaContext.Context().
 // It is the single-pattern form of Engine.OpenSession, for callers that
 // mutate the graph themselves. Of opts, Parallelism and Shards apply;
-// Streaming is implied and MaxOccurrences must be zero.
+// Streaming is implied.
 func NewDeltaContext(g *Graph, p *Pattern, opts EngineOptions) (*DeltaContext, error) {
 	return core.NewDeltaContext(g, p, opts.contextOptions())
 }

@@ -77,7 +77,8 @@ func TestFacadeMeasureSelection(t *testing.T) {
 }
 
 // TestFacadeContextAndCounts reads the raw counts off the Context an
-// evaluation carries, with and without a per-request occurrence cap.
+// evaluation carries, materialized and under a per-request streaming
+// override.
 func TestFacadeContextAndCounts(t *testing.T) {
 	fig := support.PaperFigures()[1] // figure2
 	eng, err := support.NewEngine(fig.Graph, support.EngineOptions{})
@@ -94,13 +95,13 @@ func TestFacadeContextAndCounts(t *testing.T) {
 	resp, err = eng.Do(&support.Request{
 		Pattern:  fig.Pattern,
 		Measures: []string{support.Occurrences},
-		Options:  &support.EngineOptions{MaxOccurrences: 3},
+		Options:  &support.EngineOptions{Streaming: true},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if capped := resp.Evaluation.Context; capped.NumOccurrences() != 3 {
-		t.Errorf("MaxOccurrences not honored: %d", capped.NumOccurrences())
+	if st := resp.Evaluation.Context; st.Materialized() || st.NumOccurrences() != 6 || st.NumInstances() != 1 {
+		t.Errorf("streaming override: materialized=%v counts = %d/%d", st.Materialized(), st.NumOccurrences(), st.NumInstances())
 	}
 }
 
