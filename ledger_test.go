@@ -1,0 +1,168 @@
+package support_test
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/miner"
+	"repro/internal/obs"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/work.golden from this run")
+
+// ledgerCounters are the work counters a ledger line records, as deltas over
+// one step: what the searches rooted, emitted and drained, and what the delta
+// passes emitted, counted and rebuilt. Each is deterministic at one shard and
+// parallelism 1.
+var ledgerCounters = []struct{ key, name string }{
+	{"roots", "repro_enum_roots_total"},
+	{"representatives", "repro_enum_representatives_total"},
+	{"occurrences", "repro_enum_occurrences_total"},
+	{"shard_drains", "repro_enum_shard_drains_total"},
+	{"pass_representatives", "repro_delta_pass_representatives_total"},
+	{"pass_counted", "repro_delta_pass_counted_total"},
+	{"full_rebuilds", "repro_delta_full_rebuilds_total"},
+}
+
+// ledger accumulates the lines of testdata/work.golden.
+type ledger struct {
+	buf    bytes.Buffer
+	before []uint64
+}
+
+// start opens a step: it reads every counter the step's line reports a delta
+// of.
+func (l *ledger) start() {
+	l.before = l.before[:0]
+	for _, c := range ledgerCounters {
+		l.before = append(l.before, obs.Default.CounterValue(c.name))
+	}
+}
+
+// record closes a step started by start, writing its miner counts and
+// counter deltas on one line.
+func (l *ledger) record(step string, st miner.Stats) {
+	fmt.Fprintf(&l.buf, "%s candidates=%d pruned=%d unsearched=%d frequent=%d duplicates=%d extensions=%d codes=%d",
+		step, st.Candidates, st.Pruned, st.Unsearched, st.Frequent, st.Duplicates, st.Extensions, st.Codes)
+	for i, c := range ledgerCounters {
+		fmt.Fprintf(&l.buf, " %s=%d", c.key, obs.Default.CounterValue(c.name)-l.before[i])
+	}
+	l.buf.WriteByte('\n')
+}
+
+// TestWorkLedger runs seeded, reduced copies of the mining workloads' work
+// with no timing and holds their work counts to testdata/work.golden: a
+// change that moves how many candidates, roots or delta passes a run takes
+// shows as a diff of that file. Run with -update to rewrite it.
+func TestWorkLedger(t *testing.T) {
+	var l ledger
+	l.buf.WriteString("# Work ledger: miner.Stats counts and enumeration / delta-pass counter deltas\n" +
+		"# of seeded mining runs at one shard and parallelism 1. Session lines carry the\n" +
+		"# session's Stats after the step and the counter deltas of the step alone.\n" +
+		"# Rewrite with: go test -run TestWorkLedger -update .\n")
+	ledgerMineCold(t, &l)
+	ledgerSession(t, &l)
+
+	path := filepath.Join("testdata", "work.golden")
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, l.buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got := l.buf.String(); got != string(want) {
+		gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < max(len(gotLines), len(wantLines)); i++ {
+			var g, w string
+			if i < len(gotLines) {
+				g = gotLines[i]
+			}
+			if i < len(wantLines) {
+				w = wantLines[i]
+			}
+			if g != w {
+				t.Fatalf("%s line %d differs:\n got %s\nwant %s", path, i+1, g, w)
+			}
+		}
+	}
+}
+
+// ledgerConfig is a mining configuration pinned to one shard and sequential
+// evaluation and enumeration.
+func ledgerConfig(minSupport float64, maxSize int) miner.Config {
+	return miner.Config{MinSupport: minSupport, MaxPatternSize: maxSize, EnumShards: 1, EnumParallelism: 1, Parallelism: 1}
+}
+
+// ledgerMineCold records a cold MNI mine: the mine-cold workload's work.
+func ledgerMineCold(t *testing.T, l *ledger) {
+	g := gen.BarabasiAlbert(400, 2, gen.UniformLabels{K: 3}, 1)
+	m, err := miner.New(g, ledgerConfig(10, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.buf.WriteString("== mine-cold: BA(400, 2), 3 labels, seed 1; MNI, MinSupport 10, size 4\n")
+	l.start()
+	res, err := m.Mine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.record("mine", res.Stats)
+}
+
+// ledgerSession records a session open and 16 refreshes: the refresh-durable
+// workload's work. Each batch toggles one edge; batch 5 also adds vertices
+// under a label the graph has not had, and batch 11 removes a vertex.
+func ledgerSession(t *testing.T, l *ledger) {
+	g := gen.BarabasiAlbert(4096, 2, gen.UniformLabels{K: 3}, 1)
+	l.buf.WriteString("== session: BA(4096, 2), 3 labels, seed 1; MNI, MinSupport 100, size 3; 16 batches\n")
+	l.start()
+	inc, err := miner.NewIncremental(g, ledgerConfig(100, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inc.Close()
+	l.record("open", inc.Result().Stats)
+
+	ids := g.SortedVertices()
+	n := len(ids)
+	for b := 0; b < 16; b++ {
+		u, v := ids[(b*37)%n], ids[(b*101+13)%n]
+		if g.HasEdge(u, v) {
+			g.MustRemoveEdge(u, v)
+		} else {
+			g.MustAddEdge(u, v)
+		}
+		switch b {
+		case 5:
+			// Three vertices of a label the graph has not had (BA's labels
+			// are 1..3) widen the alphabet and seed new label pairs.
+			for k := 1; k <= 3; k++ {
+				x := ids[n-1] + graph.VertexID(k)
+				g.MustAddVertex(x, 4)
+				g.MustAddEdge(x, ids[k*7])
+			}
+		case 11:
+			g.MustRemoveVertex(ids[n/2])
+		}
+		l.start()
+		res, err := inc.Refresh()
+		if err != nil {
+			t.Fatalf("refresh %d: %v", b, err)
+		}
+		l.record(fmt.Sprintf("refresh-%02d", b), res.Stats)
+	}
+}
