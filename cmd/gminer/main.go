@@ -183,14 +183,33 @@ func mineIncremental(stdout io.Writer, eng *support.Engine, g *support.Graph, sp
 		return err
 	}
 	coldElapsed := time.Since(start)
-	if len(cold.Mining.Patterns) != len(res.Patterns) {
-		return fmt.Errorf("delta refresh found %d frequent patterns, cold re-mine found %d", len(res.Patterns), len(cold.Mining.Patterns))
+	if err := sameMining(res, cold.Mining); err != nil {
+		return err
 	}
 
 	fmt.Fprintf(stdout, "\n=== after %d random edge inserts and %d removals (epoch %d -> %d) ===\n", applied, removed, epoch-1, refreshEpoch)
 	fmt.Fprintf(stdout, "delta refresh:  %12s  (tracked candidates: %d)\n", refreshElapsed, sess.TrackedPatterns())
 	fmt.Fprintf(stdout, "cold re-mine:   %12s  (same %d frequent patterns)\n\n", coldElapsed, len(cold.Mining.Patterns))
 	printResult(stdout, res, top, engineExplainer(eng, explain))
+	return nil
+}
+
+// sameMining returns an error naming the first frequent pattern on which a
+// delta refresh and a cold re-mine disagree: its canonical code, support,
+// exactness, occurrences or instances, in reporting order.
+func sameMining(warm, cold *support.MinerResult) error {
+	if len(warm.Patterns) != len(cold.Patterns) {
+		return fmt.Errorf("delta refresh found %d frequent patterns, cold re-mine found %d", len(warm.Patterns), len(cold.Patterns))
+	}
+	for i, w := range warm.Patterns {
+		c := cold.Patterns[i]
+		if w.Pattern.CanonicalCode() != c.Pattern.CanonicalCode() || w.Support != c.Support || w.Exact != c.Exact ||
+			w.Occurrences != c.Occurrences || w.Instances != c.Instances {
+			return fmt.Errorf("frequent pattern %d differs: delta refresh has %s support=%g exact=%t occurrences=%d instances=%d, cold re-mine %s support=%g exact=%t occurrences=%d instances=%d",
+				i+1, describePattern(w), w.Support, w.Exact, w.Occurrences, w.Instances,
+				describePattern(c), c.Support, c.Exact, c.Occurrences, c.Instances)
+		}
+	}
 	return nil
 }
 

@@ -5,7 +5,10 @@ import (
 	"errors"
 	"os"
 	"regexp"
+	"strings"
 	"testing"
+
+	support "repro"
 )
 
 // durations matches the wall-clock readings of a gminer report: the
@@ -75,5 +78,39 @@ func TestRunErrors(t *testing.T) {
 				t.Errorf("run %v still printed a report:\n%s", tc.args, out.String())
 			}
 		})
+	}
+}
+
+// TestSameMiningNamesTheFirstDifference: a cold re-mine that agrees with the
+// delta refresh on the number of patterns but not on one pattern's support
+// is a disagreement, and the error names that pattern.
+func TestSameMiningNamesTheFirstDifference(t *testing.T) {
+	g, err := support.LoadLGFile("testdata/ba120.lg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := support.NewEngine(g, support.EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	resp, err := eng.Do(&support.Request{Mine: &support.MineSpec{MinSupport: 4, MaxPatternSize: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := resp.Mining
+	if err := sameMining(warm, warm); err != nil {
+		t.Fatalf("a result differs from itself: %v", err)
+	}
+	cold := *warm
+	cold.Patterns = append([]support.FrequentPattern(nil), warm.Patterns...)
+	const k = 3
+	cold.Patterns[k].Support++
+	err = sameMining(warm, &cold)
+	if err == nil {
+		t.Fatal("a changed support with an equal pattern count passed the cross-check")
+	}
+	if want := "frequent pattern 4 differs: delta refresh has " + describePattern(warm.Patterns[k]); !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name the changed pattern (%q)", err, want)
 	}
 }

@@ -193,9 +193,6 @@ func (c *Context) Pattern() *pattern.Pattern { return c.p }
 // Options.Streaming.
 func (c *Context) Materialized() bool { return !c.streaming }
 
-// Streaming reports whether the context was built in streaming mode.
-func (c *Context) Streaming() bool { return c.streaming }
-
 // Occurrences returns all enumerated occurrences in deterministic order, or
 // nil for a streaming context.
 func (c *Context) Occurrences() []*isomorph.Occurrence { return c.occurrences }

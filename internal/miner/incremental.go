@@ -3,7 +3,6 @@ package miner
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -37,13 +36,14 @@ import (
 // trades the memory of the tracked contexts for never paying the full
 // re-enumeration.
 //
-// The session opens the way Mine walks: a level inside the level below it.
-// While NewIncremental runs, each candidate's first complete pass is confined
-// to the intersection of its tracked sub-patterns' MNI domains, frequent and
-// boundary patterns alike (each has exact state, so exact domains), and the
-// domains it finds confine the next level. Nothing is pruned on the way — the
-// boundary must be tracked exactly — and the table is dropped when the open
-// returns, so the cold tracks of a Refresh search the whole snapshot.
+// The session grows its candidates through Mine's own lattice walk, so its
+// candidate set is a cold mine's by construction. It opens the way Mine
+// walks, a level inside the level below it: each candidate's first complete
+// pass is confined to the intersection of its sub-patterns' MNI domains in
+// the walk's level table — every candidate of the previous level, frequent
+// and boundary alike (each has exact state, so exact domains). Nothing is
+// pruned on the way — the boundary must be tracked exactly. Refresh's climbs
+// keep no table, so their cold tracks search the whole snapshot.
 //
 // An Incremental session is single-threaded: Refresh and the accessors must
 // not race with each other or with mutations of the data graph.
@@ -62,24 +62,12 @@ type Incremental struct {
 	// (deletions can do that) is not evicted: it rejoins the pruned boundary,
 	// ready to cross back cheaply when later insertions revive it.
 	tracked map[string]*trackedPattern
-	// labels is the label alphabet extensions are generated over; new vertex
-	// labels widen it on Refresh.
-	labels map[graph.Label]bool
-	// seeded records the one-edge label pairs already seeded.
-	seeded map[[2]graph.Label]bool
-	// known is the open's domain table: every pattern tracked so far by
-	// canonical code, with its MNI domains on snap by canonical place (the
-	// layout of Miner's level table). It exists only while NewIncremental
-	// runs, and track confines each first pass to it; Refresh's cold tracks
-	// search the whole snapshot.
-	known map[string][]isomorph.Mask
-
-	// duplicates, extensions and codes accumulate over the session's runs;
+	// walk is the session's lattice walk: its alphabet (widened by new vertex
+	// labels on Refresh), its candidate codes — exactly the tracked ones — and
+	// its generation counts, which accumulate over the session's runs.
+	walk *walk
 	// evaluate is the support-evaluation time of the current run.
-	duplicates int
-	extensions int
-	codes      int
-	evaluate   time.Duration
+	evaluate time.Duration
 
 	result *Result
 	closed bool
@@ -96,13 +84,17 @@ type trackedPattern struct {
 
 // NewIncremental starts an incremental mining session: it runs the initial
 // mining fixpoint (equivalent to Mine) and retains a live delta context per
-// evaluated candidate. The configuration is validated as by New, with two
-// extra constraints that make exact delta maintenance possible: the measure
-// must be streaming-capable (it is evaluated on live streamed aggregates),
-// and MaxPatterns must be zero (a truncated result set has no well-defined
-// delta).
+// evaluated candidate. The configuration is validated as by NewSnapshot on
+// the snapshot the session opens on, with two extra constraints that make
+// exact delta maintenance possible: the measure must be streaming-capable (it
+// is evaluated on live streamed aggregates), and MaxPatterns must be zero (a
+// truncated result set has no well-defined delta).
 func NewIncremental(g *graph.Graph, cfg Config) (*Incremental, error) {
-	m, err := New(g, cfg)
+	if g == nil {
+		return nil, fmt.Errorf("miner: nil data graph")
+	}
+	snap := g.FreezeSharded(graph.FreezeOptions{Shards: cfg.EnumShards})
+	m, err := NewSnapshot(snap, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -116,26 +108,16 @@ func NewIncremental(g *graph.Graph, cfg Config) (*Incremental, error) {
 	inc := &Incremental{
 		g:       g,
 		cfg:     cfg,
+		snap:    snap,
 		tracked: make(map[string]*trackedPattern),
-		labels:  make(map[graph.Label]bool),
-		seeded:  make(map[[2]graph.Label]bool),
+		walk:    newWalk(snap, cfg.MaxPatternSize),
+		// Subscribed before the first enumeration: every mutation after the
+		// snapshot above reaches the first Refresh (none can come between
+		// the two, as the session must not race with mutations).
+		feed: g.Subscribe(),
 	}
-	for _, l := range g.Labels() {
-		inc.labels[l] = true
-	}
-	// Subscribe before the initial run: mutations applied between the
-	// initial enumerations and the first Refresh are then never lost.
-	inc.feed = g.Subscribe()
-	inc.snap = inc.freeze()
-
 	start := time.Now()
-	inc.known = make(map[string][]isomorph.Mask)
-	seeds, err := inc.seedNew(seedPairs(inc.snap))
-	if err == nil {
-		err = inc.expand(seeds)
-	}
-	inc.known = nil
-	if err != nil {
+	if err := inc.walk.climb(inc.walk.seed(seedPairs(snap)), inc.track(true), nil); err != nil {
 		inc.Close()
 		return nil, err
 	}
@@ -198,28 +180,14 @@ func (inc *Incremental) Refresh() (*Result, error) {
 	// labels introduced by this batch.
 	labelsGrew := false
 	for _, m := range muts {
-		if m.Kind == graph.MutVertexAdded && !inc.labels[m.Label] {
-			inc.labels[m.Label] = true
+		if m.Kind == graph.MutVertexAdded && inc.walk.widen(m.Label) {
 			labelsGrew = true
 		}
 	}
 
-	// Delta-refresh every tracked candidate and collect the boundary
-	// patterns that crossed the threshold. The per-candidate refreshes are
+	// Delta-refresh every tracked candidate. The per-candidate refreshes are
 	// independent (they read one prepared batch and write their own state),
-	// so they fan out across cfg.Parallelism workers; crossings are
-	// collected afterwards in the deterministic sorted order, so the
-	// frontier is identical to a sequential refresh. inFrontier guards
-	// against queueing a pattern twice (a threshold crossing and an alphabet
-	// widening in one batch would otherwise both enqueue it).
-	var frontier []*trackedPattern
-	inFrontier := make(map[string]bool)
-	enqueue := func(tp *trackedPattern) {
-		if code := tp.p.CanonicalCode(); !inFrontier[code] {
-			inFrontier[code] = true
-			frontier = append(frontier, tp)
-		}
-	}
+	// so they fan out across cfg.Parallelism workers.
 	tracked := inc.sortedTracked()
 	wasFrequent := make([]bool, len(tracked))
 	for i, tp := range tracked {
@@ -230,11 +198,6 @@ func (inc *Incremental) Refresh() (*Result, error) {
 	inc.evaluate += time.Since(refreshStart)
 	if err != nil {
 		return nil, err
-	}
-	for i, tp := range tracked {
-		if tp.frequent && !wasFrequent[i] {
-			enqueue(tp)
-		}
 	}
 
 	// New one-edge seeds can only come from added edges over unseen label
@@ -247,26 +210,22 @@ func (inc *Incremental) Refresh() (*Result, error) {
 			pairs = append(pairs, labelPair(inc.g.MustLabelOf(m.U), inc.g.MustLabelOf(m.V)))
 		}
 	}
-	seeds, err := inc.seedNew(pairs)
-	if err != nil {
+	if err := inc.walk.climb(inc.walk.seed(pairs), inc.track(false), nil); err != nil {
 		return nil, err
 	}
-	for _, tp := range seeds {
-		enqueue(tp)
-	}
 
-	// A wider alphabet can unlock extensions of patterns that were already
-	// frequent, so those must be re-extended too (existing extension codes
-	// de-duplicate against the tracked set).
-	if labelsGrew {
-		for _, tp := range inc.sortedTracked() {
-			if tp.frequent {
-				enqueue(tp)
-			}
+	// Then the walk climbs from the tracked patterns that crossed the
+	// threshold upward, which have never been grown. A wider alphabet can
+	// unlock extensions of patterns that were already frequent, so then every
+	// frequent one is grown again (extensions already tracked count as
+	// duplicates).
+	var wave []*pattern.Pattern
+	for i, tp := range tracked {
+		if tp.frequent && (labelsGrew || !wasFrequent[i]) {
+			wave = inc.walk.grow(wave, tp.p)
 		}
 	}
-
-	if err := inc.expand(frontier); err != nil {
+	if err := inc.walk.climb(wave, inc.track(false), nil); err != nil {
 		return nil, err
 	}
 	inc.assemble(time.Since(start))
@@ -311,108 +270,51 @@ func (inc *Incremental) refreshTracked(tracked []*trackedPattern, muts []graph.M
 	})
 }
 
-// seedNew tracks the one-edge seed pattern of every not-yet-seen label pair
-// among the given ones (each smaller label first, as labelPair makes them)
-// and returns the newly created candidates.
-func (inc *Incremental) seedNew(pairs [][2]graph.Label) ([]*trackedPattern, error) {
-	var unseen [][2]graph.Label
-	for _, pr := range pairs {
-		if !inc.seeded[pr] {
-			inc.seeded[pr] = true
-			unseen = append(unseen, pr)
-		}
-	}
-	slices.SortFunc(unseen, comparePairs)
-	var out []*trackedPattern
-	for _, pr := range unseen {
-		inc.codes++
-		tp, err := inc.track(pattern.SingleEdge(pr[0], pr[1]))
-		if err != nil {
-			return nil, err
-		}
-		if tp != nil {
-			out = append(out, tp)
-		}
-	}
-	return out, nil
-}
-
-// expand runs the mining fixpoint from the given frontier: every frequent
-// frontier pattern is extended over the current alphabet (the empty one once
-// it is at the size cap, as in Mine), unseen extension codes are tracked and
-// evaluated (the only cold enumerations in the session), and newly tracked
-// frequent patterns join the next wave.
-func (inc *Incremental) expand(frontier []*trackedPattern) error {
-	labels := inc.labelList()
-	for len(frontier) > 0 {
-		sort.Slice(frontier, func(i, j int) bool { return trackedLess(frontier[i], frontier[j]) })
-		var next []*trackedPattern
-		for _, tp := range frontier {
-			if !tp.frequent {
-				continue
-			}
-			alphabet := growthAlphabet(tp.p, labels, inc.cfg.MaxPatternSize)
-			inc.codes += tp.p.GrowSteps(len(alphabet))
-			for _, ext := range tp.p.Extend(alphabet) {
-				inc.extensions++
-				grown, err := inc.track(ext.Result)
-				if err != nil {
-					return err
-				}
-				if grown != nil {
-					next = append(next, grown)
-				}
-			}
-		}
-		frontier = next
-	}
-	return nil
-}
-
-// track adds a new candidate to the tracked set: it builds the candidate's
-// live delta context and evaluates it. A candidate whose canonical code is
-// already tracked is counted as a duplicate instead, and nil is returned.
+// track returns the session's evaluator (see walk.climb). For every candidate
+// of a wave, one at a time on the session goroutine, it builds the
+// candidate's live delta context on the session's snapshot, evaluates it and
+// adds it to the tracked set. Nothing is pruned: every tracked candidate, the
+// pruned boundary included, needs its exact state.
 //
-// While the session opens, the context's first pass is confined to the
-// intersection of its tracked sub-patterns' domains (subDomains over known),
-// and its own domains join known. Unlike Miner.inherit this never prunes: a
-// sub-pattern missing from known only leaves its places unconfined, and a
-// small intersection only a small search, because every tracked candidate,
-// the pruned boundary included, needs its exact state.
-func (inc *Incremental) track(p *pattern.Pattern) (*trackedPattern, error) {
-	code := p.CanonicalCode()
-	if _, ok := inc.tracked[code]; ok {
-		inc.duplicates++
-		return nil, nil
+// With confine set (the open), a context's first pass is confined to the
+// intersection of its sub-patterns' domains in the level table (subDomains),
+// and its own domains join the next wave's table. A sub-pattern missing from
+// the table only leaves its places unconfined, and a small intersection only
+// makes a small search. Refresh's cold tracks search the whole snapshot.
+func (inc *Incremental) track(confine bool) evaluator {
+	return func(wave []*pattern.Pattern, table map[string][]isomorph.Mask) ([]decision, error) {
+		start := time.Now()
+		defer func() { inc.evaluate += time.Since(start) }()
+		decisions := make([]decision, len(wave))
+		for i, p := range wave {
+			// The context's enumeration parallelism is deliberately not
+			// throttled under candidate-level Parallelism (unlike
+			// Miner.evaluate): cold builds are the expensive enumerations and
+			// deserve the full machine, and they alone are what the setting
+			// reaches — the delta passes that do run concurrently are
+			// searches pinned at the batch's dirty vertices, which run on the
+			// goroutine that applies the batch by construction. The context
+			// subscribes to nothing; refreshTracked feeds it.
+			var masks []isomorph.Mask
+			if table != nil {
+				masks, _ = subDomains(p, table)
+			}
+			d, domains, err := core.NewDeltaContextAt(inc.g, inc.snap, p, core.Options{Parallelism: inc.cfg.EnumParallelism}, masks)
+			if err != nil {
+				return nil, fmt.Errorf("miner: building delta context for %s: %w", p, err)
+			}
+			tp := &trackedPattern{p: p, delta: d}
+			if err := inc.evaluateTracked(tp); err != nil {
+				return nil, err
+			}
+			inc.tracked[p.CanonicalCode()] = tp
+			decisions[i].frequent = tp.frequent
+			if confine {
+				decisions[i].domains = domains
+			}
+		}
+		return decisions, nil
 	}
-	start := time.Now()
-	defer func() { inc.evaluate += time.Since(start) }()
-	// The context's enumeration parallelism is deliberately not throttled
-	// under candidate-level Parallelism (unlike Miner.evaluate): track runs
-	// only on the session goroutine — cold builds are the expensive
-	// enumerations and deserve the full machine — and it is the cold builds
-	// alone the setting reaches: the delta passes that do run concurrently
-	// are searches pinned at the batch's dirty vertices, which run on the
-	// goroutine that applies the batch by construction. The context is built
-	// on the session's snapshot and subscribes to nothing; refreshTracked
-	// feeds it.
-	var masks []isomorph.Mask
-	if inc.known != nil {
-		masks, _ = subDomains(p, inc.known)
-	}
-	d, domains, err := core.NewDeltaContextAt(inc.g, inc.snap, p, core.Options{Parallelism: inc.cfg.EnumParallelism}, masks)
-	if err != nil {
-		return nil, fmt.Errorf("miner: building delta context for %s: %w", p, err)
-	}
-	if inc.known != nil {
-		inc.known[code] = byPlace(p, domains)
-	}
-	tp := &trackedPattern{p: p, delta: d}
-	if err := inc.evaluateTracked(tp); err != nil {
-		return nil, err
-	}
-	inc.tracked[code] = tp
-	return tp, nil
 }
 
 // evaluateTracked computes the configured measure on a candidate's live
@@ -436,25 +338,7 @@ func (inc *Incremental) sortedTracked() []*trackedPattern {
 	for _, tp := range inc.tracked {
 		out = append(out, tp)
 	}
-	sort.Slice(out, func(i, j int) bool { return trackedLess(out[i], out[j]) })
-	return out
-}
-
-// trackedLess orders candidates by edge count, then canonical code.
-func trackedLess(a, b *trackedPattern) bool {
-	if na, nb := a.p.NumEdges(), b.p.NumEdges(); na != nb {
-		return na < nb
-	}
-	return a.p.CanonicalCode() < b.p.CanonicalCode()
-}
-
-// labelList returns the session's alphabet as a sorted slice.
-func (inc *Incremental) labelList() []graph.Label {
-	out := make([]graph.Label, 0, len(inc.labels))
-	for l := range inc.labels {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.SortFunc(out, func(a, b *trackedPattern) int { return patternOrder(a.p, b.p) })
 	return out
 }
 
@@ -476,9 +360,7 @@ func (inc *Incremental) assemble(elapsed time.Duration) {
 		})
 		res.Stats.Frequent++
 	}
-	res.Stats.Duplicates = inc.duplicates
-	res.Stats.Extensions = inc.extensions
-	res.Stats.Codes = inc.codes
+	inc.walk.count(&res.Stats)
 	res.Stats.Elapsed = elapsed
 	res.Stats.Evaluate = inc.evaluate
 	res.Stats.Generate = elapsed - inc.evaluate

@@ -6,9 +6,13 @@
 // this library are anti-monotonic, pruning is safe: no frequent pattern is
 // missed (the central argument of Chapter 2).
 //
+// The package has one lattice walk (seeding, growth, de-duplication and the
+// level table); a cold mine (Miner) and a warm session (Incremental) differ
+// only in how they decide the candidates it hands them.
+//
 // Under MNI the miner uses anti-monotonicity node by node as well: a level is
 // searched inside the level below it. The MNI domains of the previous level's
-// frequent patterns, kept per canonical place, bound the domains of every
+// searched candidates, kept per canonical place, bound the domains of every
 // candidate built on them, so a candidate is confined to their intersection,
 // or shown infrequent without a search when a sub-pattern is not frequent or
 // an intersection is too small (Miner.Mine, Stats.Unsearched). Results and
@@ -16,11 +20,8 @@
 package miner
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -199,13 +200,15 @@ func (m *Miner) Config() Config { return m.cfg }
 // Under MNI a level is searched inside the level below it. Every occurrence
 // of a candidate restricts to an occurrence of each of its connected
 // one-edge-smaller sub-patterns (pattern.SubPatterns), so a candidate node's
-// MNI domain lies inside the domain of every sub-pattern node it becomes. The miner keeps, for the
-// previous level's frequent patterns only, one domain per canonical place as
-// a bitset over the snapshot's dense indexes (core.NewDomainContext). A
-// candidate with a sub-pattern outside that table has an infrequent
-// sub-pattern — the walk finds every frequent pattern of a level — and is
-// infrequent too. A candidate whose intersected domains leave some node
-// fewer than MinSupport vertices has MNI below MinSupport. Both are pruned
+// MNI domain lies inside the domain of every sub-pattern node it becomes. The
+// walk keeps a level table: every searched candidate of the previous level,
+// one domain per canonical place as a bitset over the snapshot's dense
+// indexes (core.NewDomainContext). A candidate with a sub-pattern outside
+// that table has an infrequent sub-pattern — the walk finds every frequent
+// pattern of a level — and is infrequent too. A candidate whose intersected
+// domains leave some node fewer than MinSupport vertices has MNI below
+// MinSupport; an infrequent sub-pattern in the table has such a node, and
+// every node of a sub-pattern is a position of the candidate. Both are pruned
 // without a search (Stats.Unsearched). Every other candidate is searched
 // confined to the intersections (isomorph.Options.Masks), which drop only
 // vertices no occurrence uses: supports, counts and Stats are what an
@@ -218,104 +221,43 @@ func (m *Miner) Mine() (*Result, error) { return m.MineContext(context.Backgroun
 func (m *Miner) MineContext(ctx context.Context) (*Result, error) {
 	start := time.Now()
 	res := &Result{}
-	// finish closes the clocks: whatever was not evaluation was generation.
-	finish := func() *Result {
-		res.Stats.Elapsed = time.Since(start)
-		res.Stats.Generate = res.Stats.Elapsed - res.Stats.Evaluate
-		return res
+	w := newWalk(m.snap, m.cfg.MaxPatternSize)
+	eval := func(wave []*pattern.Pattern, table map[string][]isomorph.Mask) ([]decision, error) {
+		evalStart := time.Now()
+		defer func() { res.Stats.Evaluate += time.Since(evalStart) }()
+		return m.evaluateLevel(ctx, wave, table)
 	}
-	// admit de-duplicates candidates by canonical code.
-	seen := make(map[string]bool)
-	admit := func(p *pattern.Pattern) bool {
-		code := p.CanonicalCode()
-		if seen[code] {
-			res.Stats.Duplicates++
+	visit := func(d decision) bool {
+		if m.cfg.MaxPatterns > 0 && res.Stats.Frequent >= m.cfg.MaxPatterns {
 			return false
 		}
-		seen[code] = true
+		res.Stats.Candidates++
+		if !d.frequent {
+			res.Stats.Pruned++
+			if d.unsearched {
+				res.Stats.Unsearched++
+			}
+			return true
+		}
+		res.Patterns = append(res.Patterns, d.fp)
+		res.Stats.Frequent++
 		return true
 	}
-
-	// Seed: all one-edge patterns over label pairs that actually occur.
-	var frontier []*pattern.Pattern
-	for _, p := range m.seedPatterns() {
-		res.Stats.Codes++
-		if admit(p) {
-			frontier = append(frontier, p)
-		}
+	if err := w.climb(w.seed(seedPairs(m.snap)), eval, visit); err != nil {
+		return nil, err
 	}
-	sortByCode(frontier)
-
-	labels := m.snap.Labels()
-	// known is the level table: the previous level's frequent patterns by
-	// canonical code, each with its MNI domain per canonical place. It is nil
-	// for the seeds, which have no level below them, and without the lattice
-	// rule.
-	var known map[string][]isomorph.Mask
-
-	for len(frontier) > 0 {
-		evalStart := time.Now()
-		evaluations, err := m.evaluateLevel(ctx, frontier, known)
-		res.Stats.Evaluate += time.Since(evalStart)
-		if err != nil {
-			return nil, err
-		}
-		var next []*pattern.Pattern
-		var nextKnown map[string][]isomorph.Mask
-		if m.lattice {
-			nextKnown = make(map[string][]isomorph.Mask)
-		}
-		for i, p := range frontier {
-			if m.cfg.MaxPatterns > 0 && res.Stats.Frequent >= m.cfg.MaxPatterns {
-				return finish(), nil
-			}
-			ev := evaluations[i]
-			res.Stats.Candidates++
-			if !ev.frequent {
-				res.Stats.Pruned++
-				if ev.unsearched {
-					res.Stats.Unsearched++
-				}
-				continue
-			}
-			res.Patterns = append(res.Patterns, ev.fp)
-			res.Stats.Frequent++
-			if nextKnown != nil {
-				nextKnown[p.CanonicalCode()] = byPlace(p, ev.domains)
-			}
-
-			alphabet := growthAlphabet(p, labels, m.cfg.MaxPatternSize)
-			res.Stats.Codes += p.GrowSteps(len(alphabet))
-			for _, ext := range p.Extend(alphabet) {
-				res.Stats.Extensions++
-				if admit(ext.Result) {
-					next = append(next, ext.Result)
-				}
-			}
-		}
-		sortByCode(next)
-		frontier, known = next, nextKnown
-	}
-	return finish(), nil
+	w.count(&res.Stats)
+	res.Stats.Elapsed = time.Since(start)
+	res.Stats.Generate = res.Stats.Elapsed - res.Stats.Evaluate
+	return res, nil
 }
 
-// byPlace reorders a pattern's per-position domains by canonical place, the
-// naming every pattern isomorphic to p shares (pattern.CanonicalOrder).
-func byPlace(p *pattern.Pattern, domains []isomorph.Mask) []isomorph.Mask {
-	order := p.CanonicalOrder()
-	rows := make([]isomorph.Mask, len(order))
-	for a, pos := range order {
-		rows[a] = domains[pos]
-	}
-	return rows
-}
-
-// inherit confines p's search to its sub-patterns' domains (subDomains). It
-// reports false — p is below the threshold, without a search — when a
-// sub-pattern is not known, or when an intersection holds fewer than
-// MinSupport vertices.
-func (m *Miner) inherit(p *pattern.Pattern, known map[string][]isomorph.Mask) ([]isomorph.Mask, bool) {
-	masks, complete := subDomains(p, known)
+// inherit confines p's search to its sub-patterns' domains in the level
+// table (subDomains). It reports false — p is below the threshold, without a
+// search — when a sub-pattern is not in the table, or when an intersection
+// holds fewer than MinSupport vertices.
+func (m *Miner) inherit(p *pattern.Pattern, table map[string][]isomorph.Mask) ([]isomorph.Mask, bool) {
+	masks, complete := subDomains(p, table)
 	if !complete {
 		return nil, false
 	}
@@ -327,78 +269,22 @@ func (m *Miner) inherit(p *pattern.Pattern, known map[string][]isomorph.Mask) ([
 	return masks, true
 }
 
-// subDomains returns, aligned with p.Nodes(), the intersection of the known
-// domains of the places every position of p takes in p's connected
-// one-edge-smaller sub-patterns — nil for a position that no known
-// sub-pattern places — and whether every sub-pattern was known. known maps a
-// canonical code to its domains by canonical place (byPlace), all over one
-// snapshot; each intersection holds the position's image in every occurrence
-// of p on it.
-func subDomains(p *pattern.Pattern, known map[string][]isomorph.Mask) (masks []isomorph.Mask, complete bool) {
-	masks = make([]isomorph.Mask, p.Size())
-	complete = true
-	for _, sub := range p.SubPatterns() {
-		rows, ok := known[sub.Code]
-		if !ok {
-			complete = false
-			continue
-		}
-		for a, pos := range sub.Places {
-			if masks[pos] == nil {
-				masks[pos] = slices.Clone(rows[a])
-			} else {
-				masks[pos].Intersect(rows[a])
-			}
-		}
-	}
-	return masks, complete
-}
-
-// growthAlphabet is the alphabet p is extended over. The size cap limits the
-// number of pattern nodes, so a pattern already at the cap gets the empty
-// alphabet: its vertex extensions are never generated, while its internal
-// edge extensions (which keep the node count) are still explored so that
-// dense shapes like triangles are reachable.
-func growthAlphabet(p *pattern.Pattern, labels []graph.Label, maxSize int) []graph.Label {
-	if p.Size() >= maxSize {
-		return nil
-	}
-	return labels
-}
-
-// sortByCode orders one search level by canonical code, which every pattern
-// reaching a level already holds.
-func sortByCode(level []*pattern.Pattern) {
-	sort.Slice(level, func(i, j int) bool { return level[i].CanonicalCode() < level[j].CanonicalCode() })
-}
-
-// levelEval is the outcome of evaluating one candidate of a search level.
-type levelEval struct {
-	fp       FrequentPattern
-	frequent bool
-	// unsearched marks a candidate pruned without a search.
-	unsearched bool
-	// domains holds, under the lattice rule, the MNI domain of every position
-	// of a searched candidate.
-	domains []isomorph.Mask
-}
-
 // evaluateLevel computes the configured support measure for every candidate
 // of one search level, fanning the independent evaluations out across
 // cfg.Parallelism worker goroutines when asked to, and checking ctx before
-// each. known is the level table (see Mine). The returned slice is
-// aligned with the input slice.
-func (m *Miner) evaluateLevel(ctx context.Context, level []*pattern.Pattern, known map[string][]isomorph.Mask) ([]levelEval, error) {
-	results := make([]levelEval, len(level))
+// each. table is the level table (see Mine). The returned slice is aligned
+// with the input slice.
+func (m *Miner) evaluateLevel(ctx context.Context, level []*pattern.Pattern, table map[string][]isomorph.Mask) ([]decision, error) {
+	results := make([]decision, len(level))
 	err := forEach(len(level), m.cfg.Parallelism, func(i int) error {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("miner: %w", err)
 		}
-		ev, err := m.evaluate(level[i], known)
+		d, err := m.evaluate(level[i], table)
 		if err != nil {
 			return err
 		}
-		results[i] = ev
+		results[i] = d
 		return nil
 	})
 	if err != nil {
@@ -461,10 +347,10 @@ func forEach(n, workers int, fn func(i int) error) error {
 }
 
 // evaluate computes the configured support measure for one candidate. Under
-// the lattice rule it first confines the candidate to what known says of its
-// sub-patterns, which may settle it without a search, and returns the
-// domains of a searched candidate.
-func (m *Miner) evaluate(p *pattern.Pattern, known map[string][]isomorph.Mask) (levelEval, error) {
+// the lattice rule it first confines the candidate to what the level table
+// says of its sub-patterns, which may settle it without a search, and returns
+// the domains of a searched candidate.
+func (m *Miner) evaluate(p *pattern.Pattern, table map[string][]isomorph.Mask) (decision, error) {
 	enumPar := m.cfg.EnumParallelism
 	if enumPar == 0 && m.cfg.Parallelism > 1 {
 		// Candidate evaluations already run concurrently; auto-expanding
@@ -472,17 +358,17 @@ func (m *Miner) evaluate(p *pattern.Pattern, known map[string][]isomorph.Mask) (
 		// machine with Parallelism x GOMAXPROCS workers.
 		enumPar = 1
 	}
-	var ev levelEval
+	var d decision
 	var ctx *core.Context
 	if m.lattice {
 		var masks []isomorph.Mask
-		if known != nil {
+		if table != nil {
 			var ok bool
-			if masks, ok = m.inherit(p, known); !ok {
-				return levelEval{unsearched: true}, nil
+			if masks, ok = m.inherit(p, table); !ok {
+				return decision{unsearched: true}, nil
 			}
 		}
-		ctx, ev.domains = core.NewDomainContext(m.snap, p, enumPar, masks)
+		ctx, d.domains = core.NewDomainContext(m.snap, p, enumPar, masks)
 	} else {
 		var err error
 		ctx, err = core.NewContext(nil, p, core.Options{
@@ -491,66 +377,20 @@ func (m *Miner) evaluate(p *pattern.Pattern, known map[string][]isomorph.Mask) (
 			Snapshot:    m.snap,
 		})
 		if err != nil {
-			return levelEval{}, fmt.Errorf("miner: building context for %s: %w", p, err)
+			return decision{}, fmt.Errorf("miner: building context for %s: %w", p, err)
 		}
 	}
 	r, err := m.cfg.Measure.Compute(ctx)
 	if err != nil {
-		return levelEval{}, fmt.Errorf("miner: computing %s for %s: %w", m.cfg.Measure.Name(), p, err)
+		return decision{}, fmt.Errorf("miner: computing %s for %s: %w", m.cfg.Measure.Name(), p, err)
 	}
-	ev.fp = FrequentPattern{
+	d.fp = FrequentPattern{
 		Pattern:     p,
 		Support:     r.Value,
 		Exact:       r.Exact,
 		Occurrences: ctx.NumOccurrences(),
 		Instances:   ctx.NumInstances(),
 	}
-	ev.frequent = r.Value >= m.cfg.MinSupport
-	return ev, nil
-}
-
-// seedPatterns returns the one-edge patterns for every ordered label pair
-// that appears on at least one data edge (seedPairs).
-func (m *Miner) seedPatterns() []*pattern.Pattern {
-	pairs := seedPairs(m.snap)
-	out := make([]*pattern.Pattern, 0, len(pairs))
-	for _, pr := range pairs {
-		out = append(out, pattern.SingleEdge(pr[0], pr[1]))
-	}
-	return out
-}
-
-// seedPairs returns, sorted, every label pair (smaller label first) that
-// appears on at least one edge of snap, collected in one pass over the CSR
-// adjacency (visiting each undirected edge once, from its smaller endpoint).
-func seedPairs(snap *graph.Snapshot) [][2]graph.Label {
-	seen := make(map[[2]graph.Label]bool)
-	for i := int32(0); i < int32(snap.NumVertices()); i++ {
-		la := snap.LabelAt(i)
-		for _, j := range snap.NeighborsAt(i) {
-			if j > i {
-				seen[labelPair(la, snap.LabelAt(j))] = true
-			}
-		}
-	}
-	pairs := make([][2]graph.Label, 0, len(seen))
-	for pr := range seen {
-		pairs = append(pairs, pr)
-	}
-	slices.SortFunc(pairs, comparePairs)
-	return pairs
-}
-
-// labelPair returns the label pair of an edge whose endpoints carry a and b,
-// smaller label first.
-func labelPair(a, b graph.Label) [2]graph.Label {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]graph.Label{a, b}
-}
-
-// comparePairs orders label pairs by first label, then second.
-func comparePairs(a, b [2]graph.Label) int {
-	return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	d.frequent = r.Value >= m.cfg.MinSupport
+	return d, nil
 }

@@ -74,10 +74,10 @@ type contextSpy struct {
 func (s contextSpy) Name() string { return s.name }
 
 func (s contextSpy) Compute(ctx *core.Context) (measures.Result, error) {
-	if ctx.Streaming() {
-		*s.streamed++
-	} else {
+	if ctx.Materialized() {
 		*s.materialized++
+	} else {
+		*s.streamed++
 	}
 	return s.Measure.Compute(ctx)
 }

@@ -63,7 +63,9 @@ func mutateSession(g *graph.Graph, b int) {
 // checkSessionOpenMatchesReference opens a session on a copy of g at every
 // shard count in {1, 2, 7}, enumeration parallelism in {1, 4} and candidate
 // parallelism in {1, 3}. Every tracked pattern's state must equal an
-// unconfined build's, the result a cold Mine's; then three mutation batches
+// unconfined build's, the result and the counts of candidates, pruned and
+// frequent patterns, duplicates, extensions and codes a cold Mine's; then
+// three mutation batches
 // follow, and after each Refresh both must hold again. It returns the roots
 // the sequential open searched and the roots the unconfined builds of the
 // same tracked patterns searched.
@@ -85,7 +87,12 @@ func checkSessionOpenMatchesReference(t *testing.T, g *graph.Graph, minSupport f
 				if shards == 1 && enumPar == 1 && par == 1 {
 					openRoots, refRoots = opened, ref
 				}
-				requireSameMining(t, inc.Result(), freshMine(t, h, cfg), tag+", open")
+				cold := freshMine(t, h, cfg)
+				requireSameMining(t, inc.Result(), cold, tag+", open")
+				if w, c := inc.Result().Stats, cold.Stats; w.Candidates != c.Candidates || w.Pruned != c.Pruned || w.Frequent != c.Frequent ||
+					w.Duplicates != c.Duplicates || w.Extensions != c.Extensions || w.Codes != c.Codes {
+					t.Fatalf("%s: the open counted %+v, a cold mine %+v", tag, w, c)
+				}
 				for b := 0; b < 3; b++ {
 					mutateSession(h, b)
 					res, err := inc.Refresh()
