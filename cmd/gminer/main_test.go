@@ -24,7 +24,10 @@ func mask(report []byte) []byte { return durations.ReplaceAll(report, []byte("${
 // goldens were written by the gminer of the commit before patterns became
 // compact, so pattern order, node numbering, supports, raw counts and search
 // statistics are held across that rewrite; only the timings are masked. The
-// report does not depend on the parallelism flags.
+// report does not depend on the parallelism flags. The MI, MVC and MIS-HO
+// goldens hold the materialized measures' mines the same way; MIS-HO's values
+// are budget-truncated, so its golden also pins the overlap graph's adjacency
+// order.
 func TestRunGolden(t *testing.T) {
 	mining := []string{"-graph", "testdata/ba120.lg", "-minsup", "4", "-maxsize", "4"}
 	cases := []struct {
@@ -35,6 +38,9 @@ func TestRunGolden(t *testing.T) {
 		{"cold", mining, "testdata/cold.golden"},
 		{"cold-workers-parallel", append(mining[:len(mining):len(mining)], "-workers", "4", "-parallel", "2"), "testdata/cold.golden"},
 		{"incremental", append(mining[:len(mining):len(mining)], "-incremental", "-inserts", "12", "-removes", "6", "-insert-seed", "3"), "testdata/incremental.golden"},
+		{"cold-mi", append(mining[:len(mining):len(mining)], "-measure", "MI"), "testdata/cold-mi.golden"},
+		{"cold-mvc", append(mining[:len(mining):len(mining)], "-measure", "MVC"), "testdata/cold-mvc.golden"},
+		{"cold-mis-ho", []string{"-graph", "testdata/ba120.lg", "-minsup", "4", "-maxsize", "3", "-measure", "MIS-HO"}, "testdata/cold-mis-ho.golden"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -9,8 +9,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/measures"
 	"repro/internal/miner"
 	"repro/internal/obs"
 )
@@ -18,9 +20,9 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/work.golden from this run")
 
 // ledgerCounters are the work counters a ledger line records, as deltas over
-// one step: what the searches rooted, emitted and drained, and what the delta
-// passes emitted, counted and rebuilt. Each is deterministic at one shard and
-// parallelism 1.
+// one step: what the searches rooted, emitted and drained, what the delta
+// passes emitted, counted and rebuilt, and what the LP and the exact cover and
+// packing searches did. Each is deterministic at one shard and parallelism 1.
 var ledgerCounters = []struct{ key, name string }{
 	{"roots", "repro_enum_roots_total"},
 	{"representatives", "repro_enum_representatives_total"},
@@ -29,6 +31,10 @@ var ledgerCounters = []struct{ key, name string }{
 	{"pass_representatives", "repro_delta_pass_representatives_total"},
 	{"pass_counted", "repro_delta_pass_counted_total"},
 	{"full_rebuilds", "repro_delta_full_rebuilds_total"},
+	{"lp_solves", "repro_lp_solves_total"},
+	{"lp_pivots", "repro_lp_pivots_total"},
+	{"cover_nodes", "repro_cover_search_nodes_total"},
+	{"packing_nodes", "repro_packing_search_nodes_total"},
 }
 
 // ledger accumulates the lines of testdata/work.golden.
@@ -69,6 +75,8 @@ func TestWorkLedger(t *testing.T) {
 		"# Rewrite with: go test -run TestWorkLedger -update .\n")
 	ledgerMineCold(t, &l)
 	ledgerSession(t, &l)
+	ledgerMineMaterialized(t, &l, measures.NameMI)
+	ledgerMineMaterialized(t, &l, measures.NameMVC)
 
 	path := filepath.Join("testdata", "work.golden")
 	if *update {
@@ -165,4 +173,33 @@ func ledgerSession(t *testing.T, l *ledger) {
 		}
 		l.record(fmt.Sprintf("refresh-%02d", b), res.Stats)
 	}
+}
+
+// ledgerMineMaterialized records a cold mine of gminer's fixed graph
+// (cmd/gminer/testdata/ba120.lg) under the registry's measure of the given
+// name, one that needs the occurrence list: MI's transitive node subsets, or
+// MVC's LP and cover search. MIS is left out: its mine takes seconds, and the
+// ledger must repeat ten times in CI.
+func ledgerMineMaterialized(t *testing.T, l *ledger, name string) {
+	measure, err := measures.NewRegistry().New(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := dataset.LoadLGFile(filepath.Join("cmd", "gminer", "testdata", "ba120.lg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ledgerConfig(4, 4)
+	cfg.Measure = measure
+	m, err := miner.New(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&l.buf, "== mine-%s: ba120 (BA(120, 2), 3 labels, seed 7); %s, MinSupport 4, size 4\n", strings.ToLower(name), name)
+	l.start()
+	res, err := m.Mine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.record("mine", res.Stats)
 }
