@@ -195,7 +195,7 @@ func overestimateExperiment() Experiment {
 					return err
 				}
 				ev, err := measures.Evaluate(ctx,
-					measures.MNI{}, measures.NewMI(), measures.MVC{}, measures.MIS{})
+					measures.MNI{}, measures.MI{}, measures.MVC{}, measures.MIS{})
 				if err != nil {
 					return err
 				}
@@ -230,7 +230,7 @@ func overestimateExperiment() Experiment {
 					return err
 				}
 				ev, err := measures.Evaluate(ctx,
-					measures.MNI{}, measures.NewMI(), measures.MVC{}, measures.MIS{})
+					measures.MNI{}, measures.MI{}, measures.MVC{}, measures.MIS{})
 				if err != nil {
 					return err
 				}
@@ -266,7 +266,7 @@ func miningExperiment() Experiment {
 				measure measures.Measure
 			}{
 				{"MNI", measures.MNI{}},
-				{"MI", measures.NewMI()},
+				{"MI", measures.MI{}},
 				{"MVC-approx", measures.MVC{Approximate: true}},
 				{"MIES-greedy", measures.MIES{Approximate: true}},
 			}
@@ -317,7 +317,10 @@ func overlapExperiment() Experiment {
 				if err != nil {
 					return err
 				}
-				counts := ctx.CountOverlaps(measures.DefaultMIPolicy)
+				counts, err := ctx.CountOverlaps()
+				if err != nil {
+					return err
+				}
 				mis, err := measures.MIS{}.Compute(ctx)
 				if err != nil {
 					return err
@@ -355,7 +358,7 @@ func antimonoExperiment() Experiment {
 				workload{name: "clique-chain", g: gen.CliqueChain(4, 4, cfg.Seed+2)},
 			)
 			ms := []measures.Measure{
-				measures.MNI{}, measures.NewMI(), measures.MVC{}, measures.MIES{}, measures.MIS{},
+				measures.MNI{}, measures.MI{}, measures.MVC{}, measures.MIES{}, measures.MIS{},
 				measures.RawCount{Instances: false}, measures.RawCount{Instances: true},
 			}
 			chains := quickInt(cfg, 4, 8)

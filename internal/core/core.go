@@ -38,6 +38,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -69,14 +70,17 @@ type Context struct {
 	// map pattern node Pattern().Nodes()[i] to (the MNI domain size).
 	domainSizes []int
 
-	// Two pieces of state are filled lazily, each behind its own guard so
-	// concurrent measure computations stay safe. transitive caches the
-	// transitive node subsets per policy, computed on first use from the
-	// pattern only (they do not depend on the data graph).
-	transitiveMu sync.Mutex
-	transitive   map[isomorph.SubgraphPolicy][][]pattern.NodeID
+	// Two pieces of state are filled lazily, each at most once, so
+	// concurrent measure computations stay safe. transitive holds the
+	// pattern's transitive node subsets and pairs their two-node members as
+	// position pairs, computed on first use from the pattern alone (they do
+	// not depend on the data graph).
+	transitiveOnce sync.Once
+	transitive     [][]pattern.NodeID
+	pairs          [][2]int
+	transitiveErr  error
 	// relaxation is the packing LP optimum of occurrenceH, solved on first
-	// use and at most once.
+	// use.
 	relaxationOnce sync.Once
 	relaxation     lp.RelaxationResult
 }
@@ -218,19 +222,23 @@ func (c *Context) MNIDomainSizes() []int { return c.domainSizes }
 func (c *Context) OccurrenceHypergraph() *hypergraph.Hypergraph { return c.occurrenceH }
 
 // TransitiveNodeSubsets returns (and caches) the transitive node subsets of
-// the pattern under the given subgraph policy.
-func (c *Context) TransitiveNodeSubsets(policy isomorph.SubgraphPolicy) [][]pattern.NodeID {
-	c.transitiveMu.Lock()
-	defer c.transitiveMu.Unlock()
-	if cached, ok := c.transitive[policy]; ok {
-		return cached
-	}
-	if c.transitive == nil {
-		c.transitive = make(map[isomorph.SubgraphPolicy][][]pattern.NodeID)
-	}
-	subsets := isomorph.TransitiveNodeSubsets(c.p, policy)
-	c.transitive[policy] = subsets
-	return subsets
+// the pattern (isomorph.TransitiveNodeSubsets), the sets MI minimises over.
+// It is an error for a pattern of more than 64 nodes.
+func (c *Context) TransitiveNodeSubsets() ([][]pattern.NodeID, error) {
+	c.transitiveOnce.Do(func() {
+		c.transitive, c.transitiveErr = isomorph.TransitiveNodeSubsets(c.p)
+		// Every subset of a transitive node subset is one, so the pairs are
+		// the subsets of two nodes.
+		nodes := c.p.Nodes()
+		for _, s := range c.transitive {
+			if len(s) == 2 {
+				v, _ := slices.BinarySearch(nodes, s[0])
+				w, _ := slices.BinarySearch(nodes, s[1])
+				c.pairs = append(c.pairs, [2]int{v, w})
+			}
+		}
+	})
+	return c.transitive, c.transitiveErr
 }
 
 // Relaxation returns (and caches) the optimum of the packing LP of the

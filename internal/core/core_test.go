@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/graph"
-	"repro/internal/isomorph"
 	"repro/internal/pattern"
 )
 
@@ -75,35 +74,36 @@ func TestContextNoOccurrences(t *testing.T) {
 func TestTransitiveNodeSubsetsCaching(t *testing.T) {
 	fig := dataset.Figure4()
 	ctx := core.MustNewContext(fig.Graph, fig.Pattern, core.Options{})
-	a := ctx.TransitiveNodeSubsets(isomorph.AllSubgraphs)
-	b := ctx.TransitiveNodeSubsets(isomorph.AllSubgraphs)
-	if len(a) != len(b) {
-		t.Fatalf("cached call returned different result: %d vs %d", len(a), len(b))
+	a, errA := ctx.TransitiveNodeSubsets()
+	b, errB := ctx.TransitiveNodeSubsets()
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
 	}
-	if len(ctx.TransitiveNodeSubsets(isomorph.PatternOnly)) > len(a) {
-		t.Error("PatternOnly subsets should not exceed AllSubgraphs subsets")
+	if len(a) == 0 || &a[0] != &b[0] {
+		t.Fatalf("cached call returned a different result: %v vs %v", a, b)
 	}
 }
 
 // TestTransitiveNodeSubsetsConcurrent pins the Context contract "safe for
-// concurrent readers": measures under different subgraph policies (MI and
-// the structural-overlap MIS variant) share one Context, so the lazily
-// filled cache must tolerate concurrent first use. Fails under -race (or
-// dies with "concurrent map writes") when the cache is unsynchronized.
+// concurrent readers": MI and the structural-overlap MIS variant share one
+// Context, so the lazily filled subsets must tolerate concurrent first use.
+// Fails under -race when the first fill is unsynchronized.
 func TestTransitiveNodeSubsetsConcurrent(t *testing.T) {
 	fig := dataset.Figure4()
-	policies := []isomorph.SubgraphPolicy{isomorph.PatternOnly, isomorph.InducedSubpatterns, isomorph.AllSubgraphs}
 	for round := 0; round < 20; round++ {
 		ctx := core.MustNewContext(fig.Graph, fig.Pattern, core.Options{})
+		occs := ctx.Occurrences()
 		var wg sync.WaitGroup
 		for i := 0; i < 6; i++ {
 			wg.Add(1)
-			go func(policy isomorph.SubgraphPolicy) {
+			go func(i int) {
 				defer wg.Done()
-				if len(ctx.TransitiveNodeSubsets(policy)) == 0 {
-					t.Errorf("policy %d: no transitive node subsets", policy)
+				if i%2 == 0 {
+					ctx.ClassifyOverlap(occs[0], occs[len(occs)-1])
+				} else if subsets, err := ctx.TransitiveNodeSubsets(); err != nil || len(subsets) == 0 {
+					t.Errorf("no transitive node subsets: %v", err)
 				}
-			}(policies[i%len(policies)])
+			}(i)
 		}
 		wg.Wait()
 	}
@@ -116,7 +116,10 @@ func TestOverlapMatrixAndCounts(t *testing.T) {
 	if n != 7 {
 		t.Fatalf("expected 7 occurrences, got %d", n)
 	}
-	counts := ctx.CountOverlaps(isomorph.AllSubgraphs)
+	counts, err := ctx.CountOverlaps()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if counts.Pairs != n*(n-1)/2 {
 		t.Errorf("pairs = %d, want %d", counts.Pairs, n*(n-1)/2)
 	}
@@ -133,8 +136,8 @@ func TestOverlapMatrixAndCounts(t *testing.T) {
 	occs := ctx.Occurrences()
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			ab := ctx.ClassifyOverlap(occs[i], occs[j], isomorph.AllSubgraphs)
-			ba := ctx.ClassifyOverlap(occs[j], occs[i], isomorph.AllSubgraphs)
+			ab := ctx.ClassifyOverlap(occs[i], occs[j])
+			ba := ctx.ClassifyOverlap(occs[j], occs[i])
 			if ab.Simple != ba.Simple || ab.Structural != ba.Structural {
 				t.Errorf("overlap classification not symmetric for pair (%d,%d): %+v vs %+v", i, j, ab, ba)
 			}
@@ -150,7 +153,7 @@ func TestOverlapImplications(t *testing.T) {
 		occs := ctx.Occurrences()
 		for i := 0; i < len(occs); i++ {
 			for j := i + 1; j < len(occs); j++ {
-				k := ctx.ClassifyOverlap(occs[i], occs[j], isomorph.AllSubgraphs)
+				k := ctx.ClassifyOverlap(occs[i], occs[j])
 				if (k.Harmful || k.Structural) && !k.Simple {
 					t.Errorf("%s: pair (%d,%d): harmful/structural without simple overlap: %+v", fig.Name, i, j, k)
 				}

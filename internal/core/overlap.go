@@ -23,61 +23,53 @@ type OverlapKind struct {
 }
 
 // ClassifyOverlap classifies the overlap between two occurrences of the
-// context's pattern under the given subgraph policy for transitive node
-// subsets.
-func (c *Context) ClassifyOverlap(f1, f2 *isomorph.Occurrence, policy isomorph.SubgraphPolicy) OverlapKind {
+// context's pattern, reading their images by node position:
+//   - simple: the two image sets meet;
+//   - harmful: some node v has f1(v) in the image of f2 and f2(v) in that of
+//     f1, so both of v's images lie in the intersection;
+//   - structural: some transitive pair of distinct nodes v, w (two nodes of
+//     one transitive node subset) has f1(v) = f2(w), an image that lies in
+//     the intersection by definition. The nodes must be distinct: with v = w
+//     every harmful overlap would be structural as well, contradicting the
+//     taxonomy of Figure 10.
+//
+// The pattern must have at most 64 nodes; TransitiveNodeSubsets reports the
+// error ClassifyOverlap panics with on a larger one.
+func (c *Context) ClassifyOverlap(f1, f2 *isomorph.Occurrence) OverlapKind {
+	if _, err := c.TransitiveNodeSubsets(); err != nil {
+		panic(err)
+	}
 	var kind OverlapKind
-
-	set1 := make(map[graph.VertexID]bool)
-	for _, v := range f1.VertexSet() {
-		set1[v] = true
-	}
-	intersection := make(map[graph.VertexID]bool)
-	for _, v := range f2.VertexSet() {
-		if set1[v] {
-			intersection[v] = true
-		}
-	}
-	if len(intersection) == 0 {
-		return kind
-	}
-	kind.Simple = true
-
-	// Harmful overlap: some node's two images both land in the intersection.
-	for _, v := range c.p.Nodes() {
-		i1 := f1.MustImage(v)
-		i2 := f2.MustImage(v)
-		if intersection[i1] && intersection[i2] {
-			kind.Harmful = true
-			break
-		}
-	}
-
-	// Structural overlap: a transitive pair of distinct nodes (v, w) with
-	// f1(v) = f2(w) in the intersection. The pair must be distinct: if v = w
-	// were allowed, every harmful overlap would trivially be structural as
-	// well, contradicting the taxonomy of Figure 10.
-	subsets := c.TransitiveNodeSubsets(policy)
-	for _, subset := range subsets {
-		for _, v := range subset {
-			for _, w := range subset {
-				if v == w {
-					continue
-				}
-				iv := f1.MustImage(v)
-				if iv == f2.MustImage(w) && intersection[iv] {
-					kind.Structural = true
-					return kind
-				}
-				iw := f1.MustImage(w)
-				if iw == f2.MustImage(v) && intersection[iw] {
-					kind.Structural = true
-					return kind
-				}
+	for v := 0; v < f1.Len(); v++ {
+		if holds(f2, f1.ImageAt(v)) {
+			kind.Simple = true
+			if holds(f1, f2.ImageAt(v)) {
+				kind.Harmful = true
+				break
 			}
 		}
 	}
+	if !kind.Simple {
+		return kind
+	}
+	for _, pair := range c.pairs {
+		v, w := pair[0], pair[1]
+		if f1.ImageAt(v) == f2.ImageAt(w) || f1.ImageAt(w) == f2.ImageAt(v) {
+			kind.Structural = true
+			break
+		}
+	}
 	return kind
+}
+
+// holds reports whether x is an image of f.
+func holds(f *isomorph.Occurrence, x graph.VertexID) bool {
+	for i := 0; i < f.Len(); i++ {
+		if f.ImageAt(i) == x {
+			return true
+		}
+	}
+	return false
 }
 
 // OverlapCounts summarizes the pairwise overlap classification of a
@@ -90,13 +82,17 @@ type OverlapCounts struct {
 }
 
 // CountOverlaps classifies every pair of occurrences and tallies the kinds.
-func (c *Context) CountOverlaps(policy isomorph.SubgraphPolicy) OverlapCounts {
+// A pattern of more than 64 nodes is an error, as for TransitiveNodeSubsets.
+func (c *Context) CountOverlaps() (OverlapCounts, error) {
+	if _, err := c.TransitiveNodeSubsets(); err != nil {
+		return OverlapCounts{}, err
+	}
 	n := len(c.occurrences)
 	counts := OverlapCounts{}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			counts.Pairs++
-			k := c.ClassifyOverlap(c.occurrences[i], c.occurrences[j], isomorph.SubgraphPolicy(policy))
+			k := c.ClassifyOverlap(c.occurrences[i], c.occurrences[j])
 			if k.Simple {
 				counts.Simple++
 			}
@@ -108,5 +104,5 @@ func (c *Context) CountOverlaps(policy isomorph.SubgraphPolicy) OverlapCounts {
 			}
 		}
 	}
-	return counts
+	return counts, nil
 }

@@ -381,31 +381,6 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// InducedSubgraph returns the subgraph induced by the given vertex set: all
-// listed vertices (which must exist) plus every edge of g whose endpoints are
-// both in the set.
-func (g *Graph) InducedSubgraph(vs []VertexID) (*Graph, error) {
-	sub := New(g.name + "/induced")
-	in := make(map[VertexID]bool, len(vs))
-	for _, v := range vs {
-		l, ok := g.labels[v]
-		if !ok {
-			return nil, fmt.Errorf("graph %q: induced subgraph references unknown vertex %d", g.name, v)
-		}
-		if in[v] {
-			continue
-		}
-		in[v] = true
-		sub.MustAddVertex(v, l)
-	}
-	for e := range g.edges {
-		if in[e.U] && in[e.V] {
-			sub.MustAddEdge(e.U, e.V)
-		}
-	}
-	return sub, nil
-}
-
 // Equal reports whether g and h have identical vertex IDs, labels and edge
 // sets. This is identity equality, not isomorphism; use the isomorph package
 // for isomorphism checks.

@@ -126,25 +126,6 @@ func TestCloneAndEqual(t *testing.T) {
 	}
 }
 
-func TestInducedSubgraph(t *testing.T) {
-	g := buildHouse(t)
-	sub, err := g.InducedSubgraph([]graph.VertexID{3, 4, 5})
-	if err != nil {
-		t.Fatalf("InducedSubgraph: %v", err)
-	}
-	if sub.NumVertices() != 3 || sub.NumEdges() != 3 {
-		t.Errorf("induced subgraph has %d vertices, %d edges; want 3, 3", sub.NumVertices(), sub.NumEdges())
-	}
-	if _, err := g.InducedSubgraph([]graph.VertexID{1, 99}); err == nil {
-		t.Error("expected error for unknown vertex in induced subgraph")
-	}
-	// Duplicate vertices are tolerated.
-	dup, err := g.InducedSubgraph([]graph.VertexID{1, 1, 2})
-	if err != nil || dup.NumVertices() != 2 {
-		t.Errorf("duplicate-tolerant induced subgraph: %v %v", dup, err)
-	}
-}
-
 func TestBuilderShapes(t *testing.T) {
 	g, err := graph.NewBuilder("shapes").
 		Vertices(1, 0, 1, 2, 3, 4, 5).
@@ -261,43 +242,6 @@ func TestRandomGraphInvariants(t *testing.T) {
 			labelTotal += count
 		}
 		return labelTotal == g.NumVertices()
-	}
-	if err := quick.Check(property, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestInducedSubgraphProperty checks that induced subgraphs never contain
-// edges missing from the parent and preserve labels, for random subsets of
-// random graphs.
-func TestInducedSubgraphProperty(t *testing.T) {
-	property := func(seed uint64) bool {
-		g := gen.BarabasiAlbert(30, 2, gen.UniformLabels{K: 2}, seed)
-		rng := gen.NewRNG(seed ^ 0xABCD)
-		var subset []graph.VertexID
-		for _, v := range g.Vertices() {
-			if rng.Float64() < 0.4 {
-				subset = append(subset, v)
-			}
-		}
-		if len(subset) == 0 {
-			return true
-		}
-		sub, err := g.InducedSubgraph(subset)
-		if err != nil {
-			return false
-		}
-		for _, e := range sub.Edges() {
-			if !g.HasEdge(e.U, e.V) {
-				return false
-			}
-		}
-		for _, v := range sub.Vertices() {
-			if sub.MustLabelOf(v) != g.MustLabelOf(v) {
-				return false
-			}
-		}
-		return sub.Validate() == nil
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)

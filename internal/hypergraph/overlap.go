@@ -22,51 +22,41 @@ type OverlapGraph struct {
 // OverlapPredicate decides whether hypergraph edges a and b overlap. Simple
 // vertex overlap needs none (NewOverlapGraph reads it off the hypergraph);
 // the measures package supplies harmful-overlap and structural-overlap
-// predicates that compare the underlying occurrences.
+// predicates that compare the underlying occurrences. A predicate must imply
+// a shared vertex: it is asked only about edges that share one, and two
+// disjoint edges are never adjacent. Harmful and structural overlap both
+// imply simple overlap.
 type OverlapPredicate func(a, b EdgeID) bool
 
 // NewOverlapGraph builds the overlap graph of h under the given predicate.
-// A nil predicate means simple vertex overlap, which is read off the
-// incidence lists (work proportional to the number of overlapping pairs — it
-// matters for occurrence hypergraphs with thousands of edges); a predicate
-// is asked about every pair.
+// Simple vertex overlap is read off the incidence lists (work proportional to
+// the number of overlapping pairs — it matters for occurrence hypergraphs with
+// thousands of edges); a non-nil predicate then filters those pairs, asked
+// once per unordered pair a < b that shares a vertex.
 func NewOverlapGraph(h *Hypergraph, pred OverlapPredicate) *OverlapGraph {
 	n := h.NumEdges()
 	og := &OverlapGraph{n: n, adjOff: make([]int32, n+1)}
 	if pred == nil {
 		og.h = h
-		d := h.view()
-		mark := make([]int32, n)
-		for e := 0; e < n; e++ {
-			og.adjList = d.overlaps(int32(e), mark, og.adjList)
-			slices.Sort(og.adjList[og.adjOff[e]:])
-			og.adjOff[e+1] = int32(len(og.adjList))
+	}
+	d := h.view()
+	mark := make([]int32, n)
+	for e := int32(0); e < int32(n); e++ {
+		start := og.adjOff[e]
+		og.adjList = d.overlaps(e, mark, og.adjList)
+		slices.Sort(og.adjList[start:])
+		if pred != nil {
+			// A smaller neighbour's row is built: the pair was asked about then.
+			kept := slices.DeleteFunc(og.adjList[start:], func(j int32) bool {
+				if j < e {
+					_, ok := slices.BinarySearch(og.neighbors(j), e)
+					return !ok
+				}
+				return !pred(EdgeID(e), EdgeID(j))
+			})
+			og.adjList = og.adjList[:start+int32(len(kept))]
 		}
-		return og
-	}
-	var pairs []int32
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if pred(EdgeID(i), EdgeID(j)) {
-				pairs = append(pairs, int32(i), int32(j))
-				og.adjOff[i+1]++
-				og.adjOff[j+1]++
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		og.adjOff[i+1] += og.adjOff[i]
-	}
-	// Pairs arrive sorted by (i, j), so a vertex receives its smaller
-	// neighbors in order before its larger ones in order.
-	og.adjList = make([]int32, len(pairs))
-	next := slices.Clone(og.adjOff[:n])
-	for k := 0; k < len(pairs); k += 2 {
-		i, j := pairs[k], pairs[k+1]
-		og.adjList[next[i]] = j
-		next[i]++
-		og.adjList[next[j]] = i
-		next[j]++
+		og.adjOff[e+1] = int32(len(og.adjList))
 	}
 	return og
 }

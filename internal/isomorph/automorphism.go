@@ -1,33 +1,14 @@
 package isomorph
 
 import (
+	"cmp"
+	"fmt"
+	"math/bits"
 	"slices"
-	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/pattern"
 )
-
-// Automorphism is an isomorphism of a labeled graph onto itself
-// (Definition 2.1.6), represented as a vertex permutation.
-type Automorphism map[graph.VertexID]graph.VertexID
-
-// Automorphisms returns all automorphisms of the labeled graph g, including
-// the identity. It is the position search of the graph's model
-// (patternModel.automorphisms) with each permutation mapped back to vertices.
-func Automorphisms(g *graph.Graph) []Automorphism {
-	m := newModel(g.SortedVertices(), g.MustLabelOf, g.Neighbors)
-	perms := m.automorphisms()
-	out := make([]Automorphism, len(perms))
-	for a, perm := range perms {
-		auto := make(Automorphism, len(perm))
-		for i, j := range perm {
-			auto[m.nodes[i]] = m.nodes[j]
-		}
-		out[a] = auto
-	}
-	return out
-}
 
 // automorphisms returns Aut of the labeled graph m models, each automorphism
 // as the permutation of node positions it is (perm[i] is where position i
@@ -35,7 +16,7 @@ func Automorphisms(g *graph.Graph) []Automorphism {
 // positions against an adjacency matrix — for the small graphs the library
 // works with, a few array reads per candidate. The permutations come in
 // lexicographic order; nothing built from them (Symmetry's below, stabiliser
-// and orbitOf, Orbits' union-find) depends on that order.
+// and orbitOf, the orbits of TransitiveNodeSubsets) depends on that order.
 func (m *patternModel) automorphisms() [][]int {
 	k := len(m.nodes)
 	edge := make([]bool, k*k)
@@ -74,246 +55,126 @@ func (m *patternModel) automorphisms() [][]int {
 	return perms
 }
 
-// Orbits partitions the vertices of g into equivalence classes under its
-// automorphism group: u and v are in the same orbit iff some automorphism
-// maps u to v. By Theorem 3.1 transitivity (being in a common orbit) is an
-// equivalence relation, so orbits are well defined. Each orbit is sorted and
-// orbits are returned ordered by their smallest vertex.
-func Orbits(g *graph.Graph) [][]graph.VertexID {
-	autos := Automorphisms(g)
-	parent := make(map[graph.VertexID]graph.VertexID)
-	var find func(v graph.VertexID) graph.VertexID
-	find = func(v graph.VertexID) graph.VertexID {
-		if parent[v] != v {
-			parent[v] = find(parent[v])
-		}
-		return parent[v]
+// TransitiveNodeSubsets enumerates the transitive node subsets of pattern P
+// (Definition 3.2.3): every non-empty set of nodes that lie in one orbit of
+// some connected subgraph of P (Definition 3.2.4). Subgraphs are restricted
+// to connected ones so that the notion stays non-degenerate: with edgeless
+// subgraphs any two same-labeled nodes would be transitive, and structural
+// overlap would collapse into simple overlap, contradicting Figure 10. Taking
+// every connected subgraph, not only P or its induced subpatterns, is what
+// makes MI anti-monotonic under every extension, adding an edge between two
+// existing nodes included; it also catches the two nodes of Figure 4, which
+// are symmetric in a proper subpattern but not in P. The singletons, which
+// the identity makes transitive, are always there (hence σ_MI ≤ σ_MNI,
+// Theorem 3.4).
+//
+// Everything is computed on node positions: for every connected node set
+// (Pattern.ConnectedSubsets) the connected spanning edge subsets are chosen
+// edge by edge, the orbits of every such subgraph come from the one
+// automorphism search (patternModel.automorphisms) run on its model, and the
+// subsets are collected as position bitsets. They are returned sorted, by size
+// and then by node IDs, without duplicates. A pattern of more than 64 nodes,
+// whose node sets would not fit a bitset, is an error.
+func TransitiveNodeSubsets(p *pattern.Pattern) ([][]pattern.NodeID, error) {
+	k := p.Size()
+	if k > 64 {
+		return nil, fmt.Errorf("isomorph: transitive node subsets of a %d-node pattern: at most 64 nodes are supported", k)
 	}
-	union := func(a, b graph.VertexID) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
+	m := newPatternModel(p)
+	found := make([]uint64, k)
+	for i := range found {
+		found[i] = 1 << i // the singletons
 	}
-	for _, v := range g.SortedVertices() {
-		parent[v] = v
-	}
-	for _, a := range autos {
-		for u, v := range a {
-			union(u, v)
-		}
-	}
-	groups := make(map[graph.VertexID][]graph.VertexID)
-	for _, v := range g.SortedVertices() {
-		r := find(v)
-		groups[r] = append(groups[r], v)
-	}
-	var out [][]graph.VertexID
-	for _, members := range groups {
-		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-		out = append(out, members)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
-}
-
-// AreTransitive reports whether u and v are transitive in g
-// (Definition 3.2.2): some automorphism of g maps u to v. Every vertex is
-// transitive with itself via the identity automorphism.
-func AreTransitive(g *graph.Graph, u, v graph.VertexID) bool {
-	if u == v {
-		return g.HasVertex(u)
-	}
-	for _, orbit := range Orbits(g) {
-		hasU, hasV := false, false
-		for _, w := range orbit {
-			if w == u {
-				hasU = true
+	for size := 2; size <= k; size++ {
+		sets, _ := p.ConnectedSubsets(size) // k ≤ 64: no error
+		for _, nodes := range sets {
+			pos := make([]int, len(nodes))
+			for a, v := range nodes {
+				pos[a] = nodePos(m.nodes, v)
 			}
-			if w == v {
-				hasV = true
-			}
-		}
-		if hasU && hasV {
-			return true
-		}
-		if hasU || hasV {
-			return false
+			found = m.partialOrbitSubsets(pos, found)
 		}
 	}
-	return false
-}
-
-// SubgraphPolicy selects which subgraphs of the pattern are examined when
-// enumerating transitive node subsets for the MI measure (Definition 3.2.4
-// takes "a subgraph of pattern P"; the policy trades exhaustiveness for
-// speed).
-type SubgraphPolicy int
-
-const (
-	// PatternOnly considers only the pattern itself: transitive node subsets
-	// are subsets of orbits of P. Fastest, weakest (largest) MI value.
-	PatternOnly SubgraphPolicy = iota
-	// InducedSubpatterns (the default) considers every connected induced
-	// subpattern P[S]: for each connected node subset S the orbits of the
-	// induced subgraph contribute transitive node subsets. This captures the
-	// paper's motivating example (Figure 4) where two nodes are symmetric in
-	// a proper subpattern but not in P itself.
-	InducedSubpatterns
-	// AllSubgraphs additionally drops every subset of edges from each induced
-	// subpattern, keeping only the connected partial subgraphs. This is the
-	// faithful reading of Definition 3.2.4 (restricted to connected
-	// subgraphs so that the notion stays non-degenerate: with edgeless
-	// subgraphs any two same-labeled nodes would be "transitive" and
-	// structural overlap would collapse into simple overlap, contradicting
-	// Figure 10). It is the only policy that is anti-monotonic under
-	// arbitrary pattern extensions, including adding an edge between two
-	// existing pattern nodes, and is therefore the default for the MI
-	// measure. Exponential in the number of pattern edges, which is fine for
-	// the small patterns mining produces.
-	AllSubgraphs
-)
-
-// TransitiveNodeSubsets enumerates the candidate transitive node subsets T of
-// pattern P under the given policy: every returned subset has at least one
-// element, all of its vertex pairs are transitive in some subgraph of P
-// selected by the policy, and the collection always includes all singletons
-// (which is why sigma_MI <= sigma_MNI, Theorem 3.4). Subsets are returned in
-// deterministic order and without duplicates.
-func TransitiveNodeSubsets(p *pattern.Pattern, policy SubgraphPolicy) [][]pattern.NodeID {
-	seen := make(map[string]bool)
-	var out [][]pattern.NodeID
-
-	add := func(subset []pattern.NodeID) {
-		if len(subset) == 0 {
-			return
-		}
-		cp := make([]pattern.NodeID, len(subset))
-		copy(cp, subset)
-		sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-		key := ""
-		for _, v := range cp {
-			key += string(rune('A'+int(v)%26)) + itoa(int(v)) + ","
-		}
-		if seen[key] {
-			return
-		}
-		seen[key] = true
-		out = append(out, cp)
-	}
-
-	// Singletons are always transitive via the identity automorphism.
-	for _, v := range p.Nodes() {
-		add([]pattern.NodeID{v})
-	}
-
-	// addOrbitSubsets adds every subset (size >= 2) of each orbit of g.
-	addOrbitSubsets := func(g *graph.Graph) {
-		for _, orbit := range Orbits(g) {
-			if len(orbit) < 2 {
-				continue
-			}
-			// Enumerate all non-empty subsets of the orbit of size >= 2.
-			n := len(orbit)
-			for mask := 1; mask < (1 << n); mask++ {
-				if popcount(mask) < 2 {
-					continue
-				}
-				var subset []pattern.NodeID
-				for i := 0; i < n; i++ {
-					if mask&(1<<i) != 0 {
-						subset = append(subset, orbit[i])
-					}
-				}
-				add(subset)
-			}
-		}
-	}
-
-	switch policy {
-	case PatternOnly:
-		addOrbitSubsets(p.Graph())
-	case InducedSubpatterns:
-		for _, nodes := range p.AllConnectedSubsets() {
-			sub, err := p.Subpattern(nodes)
-			if err != nil {
-				continue
-			}
-			addOrbitSubsets(sub)
-		}
-	case AllSubgraphs:
-		for _, nodes := range p.AllConnectedSubsets() {
-			sub, err := p.Subpattern(nodes)
-			if err != nil {
-				continue
-			}
-			edges := sub.Edges()
-			m := len(edges)
-			for mask := 0; mask < (1 << m); mask++ {
-				var keep []graph.Edge
-				for i := 0; i < m; i++ {
-					if mask&(1<<i) != 0 {
-						keep = append(keep, edges[i])
-					}
-				}
-				partial := graph.New(sub.Name() + "/partial")
-				for _, v := range sub.SortedVertices() {
-					partial.MustAddVertex(v, sub.MustLabelOf(v))
-				}
-				for _, e := range keep {
-					partial.MustAddEdge(e.U, e.V)
-				}
-				// Only connected partial subgraphs contribute: see the
-				// AllSubgraphs documentation above.
-				if partial.NumVertices() > 1 && !partial.IsConnected() {
-					continue
-				}
-				addOrbitSubsets(partial)
-			}
-		}
-	}
-
-	sort.Slice(out, func(i, j int) bool {
-		if len(out[i]) != len(out[j]) {
-			return len(out[i]) < len(out[j])
-		}
-		for x := range out[i] {
-			if out[i][x] != out[j][x] {
-				return out[i][x] < out[j][x]
-			}
-		}
-		return false
+	slices.SortFunc(found, func(a, b uint64) int {
+		// Of two equally large sets the one holding the lowest position they
+		// do not share has the smaller sorted node list: bit-reversed, the
+		// larger number.
+		return cmp.Or(bits.OnesCount64(a)-bits.OnesCount64(b), cmp.Compare(bits.Reverse64(b), bits.Reverse64(a)))
 	})
-	return out
+	found = slices.Compact(found)
+	out := make([][]pattern.NodeID, len(found))
+	for a, set := range found {
+		out[a] = make([]pattern.NodeID, 0, bits.OnesCount64(set))
+		for s := set; s != 0; s &= s - 1 {
+			out[a] = append(out[a], m.nodes[bits.TrailingZeros64(s)])
+		}
+	}
+	return out, nil
 }
 
-func popcount(x int) int {
-	c := 0
-	for x != 0 {
-		x &= x - 1
-		c++
+// partialOrbitSubsets appends to found, as position bitsets, every subset of
+// at least two nodes of an orbit of a connected subgraph of m spanning the
+// connected node set at the ascending positions pos: the subgraph keeps some
+// of m's edges among pos, enough to connect it, and its node a is m's
+// position pos[a].
+func (m *patternModel) partialOrbitSubsets(pos []int, found []uint64) []uint64 {
+	var edges [][2]int // m's edges among pos, as indexes into pos
+	for a, i := range pos {
+		for _, j := range m.adj[i] {
+			if b, ok := slices.BinarySearch(pos, j); ok && b > a {
+				edges = append(edges, [2]int{a, b})
+			}
+		}
 	}
-	return c
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
+	kept := make([]uint64, len(pos)) // kept[a]: a's neighbours in the subgraph
+	var choose func(e int)
+	choose = func(e int) {
+		if e < len(edges) {
+			choose(e + 1)
+			a, b := edges[e][0], edges[e][1]
+			kept[a], kept[b] = kept[a]|1<<b, kept[b]|1<<a
+			choose(e + 1)
+			kept[a], kept[b] = kept[a]&^(1<<b), kept[b]&^(1<<a)
+			return
+		}
+		reached := uint64(1)
+		for frontier := reached; frontier != 0; {
+			var grown uint64
+			for f := frontier; f != 0; f &= f - 1 {
+				grown |= kept[bits.TrailingZeros64(f)]
+			}
+			frontier = grown &^ reached
+			reached |= grown
+		}
+		if reached != 1<<len(pos)-1 {
+			return
+		}
+		sub := &patternModel{nodes: make([]pattern.NodeID, len(pos)), labels: make([]graph.Label, len(pos)), deg: make([]int, len(pos)), adj: make([][]int, len(pos))}
+		for a, i := range pos {
+			sub.nodes[a], sub.labels[a], sub.deg[a] = m.nodes[i], m.labels[i], bits.OnesCount64(kept[a])
+			for r := kept[a]; r != 0; r &= r - 1 {
+				sub.adj[a] = append(sub.adj[a], bits.TrailingZeros64(r))
+			}
+		}
+		perms := sub.automorphisms()
+		for a := range pos {
+			var orbit uint64
+			first := true
+			for _, perm := range perms {
+				first = first && perm[a] >= a
+				orbit |= 1 << pos[perm[a]]
+			}
+			// Each orbit is taken once, at its first node.
+			if !first {
+				continue
+			}
+			for s := orbit; s != 0; s = (s - 1) & orbit {
+				if s&(s-1) != 0 {
+					found = append(found, s)
+				}
+			}
+		}
 	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [24]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
+	choose(0)
+	return found
 }

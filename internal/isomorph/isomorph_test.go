@@ -113,91 +113,56 @@ func TestAutomorphismCounts(t *testing.T) {
 		{"star A-BBB", graph.NewBuilder("s").Vertex(0, 1).Vertex(1, 2).Vertex(2, 2).Vertex(3, 2).Star(0, 1, 2, 3).MustBuild(), 6},
 	}
 	for _, c := range cases {
-		autos := isomorph.Automorphisms(c.g)
-		if len(autos) != c.want {
-			t.Errorf("%s: %d automorphisms, want %d", c.name, len(autos), c.want)
-		}
-		// The identity must always be present.
-		foundIdentity := false
-		for _, a := range autos {
-			id := true
-			for u, v := range a {
-				if u != v {
-					id = false
-					break
-				}
-			}
-			if id {
-				foundIdentity = true
-			}
-		}
-		if !foundIdentity {
-			t.Errorf("%s: identity automorphism missing", c.name)
+		if got := isomorph.NewSymmetry(pattern.MustNew(c.g)).Order(); got != c.want {
+			t.Errorf("%s: %d automorphisms, want %d", c.name, got, c.want)
 		}
 	}
 }
 
 func TestOrbits(t *testing.T) {
-	// Path A-B-B: orbits are {0} and... node 1 is the middle (degree 2),
-	// node 2 the end, so all three orbits are singletons.
-	p := graph.NewBuilder("p").Vertex(0, 1).Vertex(1, 2).Vertex(2, 2).Path(0, 1, 2).MustBuild()
-	if got := len(isomorph.Orbits(p)); got != 3 {
+	// Path A-B-B: node 1 is the middle (degree 2), node 2 the end, so all
+	// three orbits are singletons.
+	p := isomorph.NewSymmetry(pattern.MustNew(graph.NewBuilder("p").Vertex(0, 1).Vertex(1, 2).Vertex(2, 2).Path(0, 1, 2).MustBuild()))
+	if got := p.NumOrbits(); got != 3 {
 		t.Errorf("path ABB orbits = %d, want 3", got)
 	}
-	// Uniform triangle: a single orbit with all three vertices.
-	tri := graph.NewBuilder("t").Vertices(1, 0, 1, 2).Cycle(0, 1, 2).MustBuild()
-	orbits := isomorph.Orbits(tri)
-	if len(orbits) != 1 || len(orbits[0]) != 3 {
-		t.Errorf("triangle orbits = %v", orbits)
+	// Uniform triangle: a single orbit with all three nodes.
+	tri := isomorph.NewSymmetry(pattern.MustNew(graph.NewBuilder("t").Vertices(1, 0, 1, 2).Cycle(0, 1, 2).MustBuild()))
+	if tri.NumOrbits() != 1 || tri.OrbitOf(2) != 0 {
+		t.Errorf("triangle: %d orbits, node 2 in orbit %d", tri.NumOrbits(), tri.OrbitOf(2))
 	}
 	// Star with uniform leaves: hub alone, leaves together.
-	star := graph.NewBuilder("s").Vertex(0, 1).Vertex(1, 2).Vertex(2, 2).Vertex(3, 2).Star(0, 1, 2, 3).MustBuild()
-	orbits = isomorph.Orbits(star)
-	if len(orbits) != 2 {
-		t.Fatalf("star orbits = %v", orbits)
+	star := isomorph.NewSymmetry(pattern.MustNew(graph.NewBuilder("s").Vertex(0, 1).Vertex(1, 2).Vertex(2, 2).Vertex(3, 2).Star(0, 1, 2, 3).MustBuild()))
+	if star.NumOrbits() != 2 {
+		t.Fatalf("star orbits = %d, want 2", star.NumOrbits())
 	}
-	if !isomorph.AreTransitive(star, 1, 2) {
+	if star.OrbitOf(1) != star.OrbitOf(2) || star.OrbitOf(2) != star.OrbitOf(3) {
 		t.Error("star leaves should be transitive")
 	}
-	if isomorph.AreTransitive(star, 0, 1) {
+	if star.OrbitOf(0) == star.OrbitOf(1) {
 		t.Error("hub and leaf should not be transitive")
-	}
-	if !isomorph.AreTransitive(star, 0, 0) {
-		t.Error("a vertex is transitive with itself")
-	}
-	if isomorph.AreTransitive(star, 0, 99) {
-		t.Error("unknown vertex cannot be transitive")
 	}
 }
 
-func TestTransitiveNodeSubsetsPolicies(t *testing.T) {
+func TestTransitiveNodeSubsetsOfProperSubgraphs(t *testing.T) {
 	// Figure 4 pattern: path A-B-B. The pair {1,2} is transitive only in the
 	// subpattern consisting of the B-B edge.
 	p := pattern.MustNew(graph.NewBuilder("p").
 		Vertex(0, 1).Vertex(1, 2).Vertex(2, 2).Path(0, 1, 2).MustBuild())
-
-	patternOnly := isomorph.TransitiveNodeSubsets(p, isomorph.PatternOnly)
-	if len(patternOnly) != 3 { // singletons only
-		t.Errorf("PatternOnly subsets = %v, want 3 singletons", patternOnly)
+	if sym := isomorph.NewSymmetry(p); sym.OrbitOf(1) == sym.OrbitOf(2) {
+		t.Fatal("nodes 1 and 2 must not share an orbit of P itself")
 	}
-	induced := isomorph.TransitiveNodeSubsets(p, isomorph.InducedSubpatterns)
-	if !containsSubset(induced, []pattern.NodeID{1, 2}) {
-		t.Errorf("InducedSubpatterns should contain {1,2}, got %v", induced)
+	all, err := isomorph.TransitiveNodeSubsets(p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	all := isomorph.TransitiveNodeSubsets(p, isomorph.AllSubgraphs)
 	if !containsSubset(all, []pattern.NodeID{1, 2}) {
-		t.Errorf("AllSubgraphs should contain {1,2}, got %v", all)
+		t.Errorf("subsets should contain {1,2}, got %v", all)
 	}
-	// Policies are nested: PatternOnly ⊆ InducedSubpatterns ⊆ AllSubgraphs.
-	if len(patternOnly) > len(induced) || len(induced) > len(all) {
-		t.Errorf("policy nesting violated: %d > %d > %d", len(patternOnly), len(induced), len(all))
-	}
-	// Singletons must always be present under every policy.
-	for _, subsets := range [][][]pattern.NodeID{patternOnly, induced, all} {
-		for _, n := range p.Nodes() {
-			if !containsSubset(subsets, []pattern.NodeID{n}) {
-				t.Errorf("singleton {%d} missing", n)
-			}
+	// Singletons must always be present.
+	for _, n := range p.Nodes() {
+		if !containsSubset(all, []pattern.NodeID{n}) {
+			t.Errorf("singleton {%d} missing", n)
 		}
 	}
 	// Same-labeled but never-symmetric nodes must not appear together: in the
@@ -205,7 +170,11 @@ func TestTransitiveNodeSubsetsPolicies(t *testing.T) {
 	// subgraph.
 	q := pattern.MustNew(graph.NewBuilder("q").
 		Vertex(0, 1).Vertex(1, 2).Vertex(2, 3).Vertex(3, 1).Path(0, 1, 2, 3).MustBuild())
-	for _, subset := range isomorph.TransitiveNodeSubsets(q, isomorph.AllSubgraphs) {
+	subsets, err := isomorph.TransitiveNodeSubsets(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, subset := range subsets {
 		if containsNode(subset, 0) && containsNode(subset, 3) {
 			t.Errorf("nodes 0 and 3 of the A-B-C-A path must not share a transitive subset: %v", subset)
 		}
@@ -255,7 +224,7 @@ func TestOccurrenceInstanceAutomorphismProperty(t *testing.T) {
 		for _, p := range patterns {
 			occs := isomorph.EnumerateSnapshot(g.Freeze(), p, isomorph.Options{})
 			insts := isomorph.Instances(p, occs)
-			aut := len(isomorph.Automorphisms(p.Graph()))
+			aut := isomorph.NewSymmetry(p).Order()
 			if len(occs) != len(insts)*aut {
 				t.Logf("seed %d: pattern %s: %d occurrences, %d instances, %d automorphisms",
 					seed, p, len(occs), len(insts), aut)

@@ -65,12 +65,7 @@ type patternModel struct {
 
 // newPatternModel indexes p by node position.
 func newPatternModel(p *pattern.Pattern) *patternModel {
-	return newModel(p.Nodes(), p.LabelOf, p.Neighbors)
-}
-
-// newModel indexes by position the labeled graph with the given sorted nodes,
-// node labels and neighbour lists.
-func newModel(nodes []pattern.NodeID, label func(pattern.NodeID) graph.Label, neighbors func(pattern.NodeID) []pattern.NodeID) *patternModel {
+	nodes := p.Nodes()
 	m := &patternModel{
 		nodes:  nodes,
 		labels: make([]graph.Label, len(nodes)),
@@ -78,8 +73,8 @@ func newModel(nodes []pattern.NodeID, label func(pattern.NodeID) graph.Label, ne
 		adj:    make([][]int, len(nodes)),
 	}
 	for i, v := range nodes {
-		m.labels[i] = label(v)
-		nbs := neighbors(v)
+		m.labels[i] = p.LabelOf(v)
+		nbs := p.Neighbors(v)
 		m.deg[i] = len(nbs)
 		pos := make([]int, len(nbs))
 		for j, nb := range nbs {

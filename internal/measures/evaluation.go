@@ -49,7 +49,7 @@ func DefaultSet() []Measure {
 		RawCount{Instances: false},
 		RawCount{Instances: true},
 		MNI{},
-		NewMI(),
+		MI{},
 		MVC{},
 		MVC{Approximate: true},
 		MIES{},

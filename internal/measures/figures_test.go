@@ -45,7 +45,7 @@ func TestFigureSupports(t *testing.T) {
 				}
 			}
 			check("MNI", measures.MNI{}, fig.ExpectedMNI)
-			check("MI", measures.NewMI(), fig.ExpectedMI)
+			check("MI", measures.MI{}, fig.ExpectedMI)
 			check("MVC", measures.MVC{}, fig.ExpectedMVC)
 			check("MIS", measures.MIS{}, fig.ExpectedMIS)
 			check("MIES", measures.MIES{}, fig.ExpectedMIS) // Theorem 4.1: MIES = MIS
@@ -114,7 +114,7 @@ func TestFigureBoundingChain(t *testing.T) {
 func TestFigure5AntiMonotonicity(t *testing.T) {
 	fig2 := dataset.Figure2()
 	fig5 := dataset.Figure5()
-	for _, m := range []measures.Measure{measures.NewMI(), measures.MVC{}, measures.MNI{}, measures.MIES{}, measures.MIS{}} {
+	for _, m := range []measures.Measure{measures.MI{}, measures.MVC{}, measures.MNI{}, measures.MIES{}, measures.MIS{}} {
 		report, err := measures.CheckAntiMonotonicity(fig2.Graph, fig2.Pattern, fig5.Pattern, m)
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
@@ -155,11 +155,11 @@ func TestFigure9OverlapClassification(t *testing.T) {
 	if g1 < 0 || g2 < 0 || g3 < 0 {
 		t.Fatalf("could not identify g1, g2, g3 among occurrences %v", occs)
 	}
-	k12 := ctx.ClassifyOverlap(occs[g1], occs[g2], measures.DefaultMIPolicy)
+	k12 := ctx.ClassifyOverlap(occs[g1], occs[g2])
 	if !k12.Simple || !k12.Structural || k12.Harmful {
 		t.Errorf("g1/g2: got %+v, want simple+structural, not harmful", k12)
 	}
-	k13 := ctx.ClassifyOverlap(occs[g1], occs[g3], measures.DefaultMIPolicy)
+	k13 := ctx.ClassifyOverlap(occs[g1], occs[g3])
 	if !k13.Simple || !k13.Structural || !k13.Harmful {
 		t.Errorf("g1/g3: got %+v, want simple+structural+harmful", k13)
 	}
@@ -192,15 +192,15 @@ func TestFigure10OverlapClassification(t *testing.T) {
 	if f1 < 0 || f2 < 0 || f3 < 0 {
 		t.Fatalf("could not identify f1, f2, f3 among occurrences %v", occs)
 	}
-	k12 := ctx.ClassifyOverlap(occs[f1], occs[f2], measures.DefaultMIPolicy)
+	k12 := ctx.ClassifyOverlap(occs[f1], occs[f2])
 	if !k12.Simple || !k12.Harmful || k12.Structural {
 		t.Errorf("f1/f2: got %+v, want simple+harmful, not structural", k12)
 	}
-	k23 := ctx.ClassifyOverlap(occs[f2], occs[f3], measures.DefaultMIPolicy)
+	k23 := ctx.ClassifyOverlap(occs[f2], occs[f3])
 	if !k23.Simple || k23.Harmful || k23.Structural {
 		t.Errorf("f2/f3: got %+v, want simple only", k23)
 	}
-	k13 := ctx.ClassifyOverlap(occs[f1], occs[f3], measures.DefaultMIPolicy)
+	k13 := ctx.ClassifyOverlap(occs[f1], occs[f3])
 	if k13.Simple || k13.Harmful || k13.Structural {
 		t.Errorf("f1/f3: got %+v, want no overlap", k13)
 	}

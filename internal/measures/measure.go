@@ -93,7 +93,7 @@ func NewRegistry() *Registry {
 	r := &Registry{factories: make(map[string]func() Measure)}
 	r.Register(NameMNI, func() Measure { return MNI{} })
 	r.Register(NameMNIK, func() Measure { return MNIK{K: 2} })
-	r.Register(NameMI, func() Measure { return NewMI() })
+	r.Register(NameMI, func() Measure { return MI{} })
 	r.Register(NameMVC, func() Measure { return MVC{} })
 	r.Register(NameMVCApprox, func() Measure { return MVC{Approximate: true} })
 	r.Register(NameMIS, func() Measure { return MIS{} })

@@ -9,7 +9,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/isomorph"
 	"repro/internal/measures"
 	"repro/internal/pattern"
 )
@@ -120,26 +119,25 @@ func TestMNIKMonotoneInK(t *testing.T) {
 	}
 }
 
-func TestMIPolicyOrdering(t *testing.T) {
-	// Larger subset collections can only lower the minimum:
-	// MI_AllSubgraphs <= MI_Induced <= MI_PatternOnly.
-	for _, fig := range dataset.AllFigures() {
-		ctx := mustContext(t, fig.Graph, fig.Pattern)
-		all, err := measures.MI{Policy: isomorph.AllSubgraphs}.Compute(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		induced, err := measures.MI{Policy: isomorph.InducedSubpatterns}.Compute(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		patternOnly, err := measures.MI{Policy: isomorph.PatternOnly}.Compute(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if all.Value > induced.Value+1e-9 || induced.Value > patternOnly.Value+1e-9 {
-			t.Errorf("%s: MI policy ordering violated: all=%v induced=%v patternOnly=%v",
-				fig.Name, all.Value, induced.Value, patternOnly.Value)
+// TestWidePatternIsAnError: MI, MNIk and the harmful- and structural-overlap
+// MIS read node sets of the pattern as 64-bit position sets, so a pattern of
+// more than 64 nodes is an error, never a wrong value.
+func TestWidePatternIsAnError(t *testing.T) {
+	ids := make([]graph.VertexID, 65)
+	for i := range ids {
+		ids[i] = graph.VertexID(i)
+	}
+	g := graph.NewBuilder("path65").Vertices(1, ids...).Path(ids...).MustBuild()
+	ctx := mustContext(t, g, pattern.MustNew(g))
+	if ctx.NumOccurrences() != 2 {
+		t.Fatalf("the path has %d occurrences in itself, want 2", ctx.NumOccurrences())
+	}
+	for _, m := range []measures.Measure{
+		measures.MI{}, measures.MNIK{K: 2},
+		measures.MIS{Overlap: measures.HarmfulOverlap}, measures.MIS{Overlap: measures.StructuralOverlap},
+	} {
+		if r, err := m.Compute(ctx); err == nil {
+			t.Errorf("%s of a 65-node pattern = %+v, want an error", m.Name(), r)
 		}
 	}
 }
@@ -215,7 +213,7 @@ func TestApproximationGuarantees(t *testing.T) {
 func TestEvaluateSelectionAndErrors(t *testing.T) {
 	fig := dataset.Figure4()
 	ctx := mustContext(t, fig.Graph, fig.Pattern)
-	ev, err := measures.Evaluate(ctx, measures.MNI{}, measures.NewMI())
+	ev, err := measures.Evaluate(ctx, measures.MNI{}, measures.MI{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +276,7 @@ func TestBoundingChainOnRandomWorkloads(t *testing.T) {
 // pattern grows.
 func TestAntiMonotonicityOnRandomExtensions(t *testing.T) {
 	ms := []measures.Measure{
-		measures.MNI{}, measures.NewMI(), measures.MVC{}, measures.MIES{}, measures.MIS{},
+		measures.MNI{}, measures.MI{}, measures.MVC{}, measures.MIES{}, measures.MIS{},
 		measures.NuMVC{}, measures.NuMIES{},
 	}
 	property := func(seed uint64) bool {

@@ -7,52 +7,39 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/isomorph"
 	"repro/internal/pattern"
 )
 
 // MI is the minimum instance support measure introduced in Section 3.2: the
-// minimum, over all transitive node subsets T of subgraphs of the pattern, of
-// the number of distinct set-images {f_i(T)} across occurrences.
+// minimum, over all transitive node subsets T of the pattern — sets of nodes
+// in one orbit of some connected subgraph of it (Definition 3.2.4,
+// isomorph.TransitiveNodeSubsets) — of the number of distinct set-images
+// {f_i(T)} across occurrences. MI has no configuration: MI{} is the paper's
+// measure.
 //
 // Because every singleton {v} is a transitive node subset, σ_MI ≤ σ_MNI
 // (Theorem 3.4); because a cover of the minimizing subset's images covers the
 // whole occurrence hypergraph, σ_MVC ≤ σ_MI (Theorem 3.6). MI is
 // anti-monotonic (Theorem 3.2) and linear-time in the number of occurrences
 // once the pattern's transitive node subsets are known (Theorem 3.3); the
-// subsets depend only on the (small) pattern, not on the data graph.
-type MI struct {
-	// Policy selects which subgraphs of the pattern contribute transitive
-	// node subsets. The zero value selects isomorph.PatternOnly (fast but not
-	// anti-monotonic under every extension); most callers should use
-	// DefaultMIPolicy, the faithful reading of Definition 3.2.4.
-	Policy isomorph.SubgraphPolicy
-}
-
-// DefaultMIPolicy is the subgraph policy used by the registry and the public
-// facade: orbits of every connected (partial) subgraph of the pattern. It is
-// the only policy that is anti-monotonic under arbitrary pattern extensions.
-const DefaultMIPolicy = isomorph.AllSubgraphs
-
-// NewMI returns the MI measure with the default subgraph policy.
-func NewMI() MI { return MI{Policy: DefaultMIPolicy} }
+// subsets depend only on the (small) pattern, not on the data graph, and a
+// context computes them once. A pattern of more than 64 nodes is an error.
+type MI struct{}
 
 // Name implements Measure.
 func (MI) Name() string { return NameMI }
 
 // Compute implements Measure.
-func (m MI) Compute(ctx *core.Context) (Result, error) {
+func (MI) Compute(ctx *core.Context) (Result, error) {
 	if err := requireMaterialized(ctx, NameMI); err != nil {
 		return Result{}, err
 	}
-	occs := ctx.Occurrences()
-	if len(occs) == 0 {
+	if len(ctx.Occurrences()) == 0 {
 		return Result{Measure: NameMI, Value: 0, Exact: true}, nil
 	}
-	policy := m.Policy
-	subsets := ctx.TransitiveNodeSubsets(policy)
-	if len(subsets) == 0 {
-		return Result{}, fmt.Errorf("measures: pattern yielded no transitive node subsets")
+	subsets, err := ctx.TransitiveNodeSubsets()
+	if err != nil {
+		return Result{}, err
 	}
 	minSubset, minCount := minDistinctImages(ctx, subsets)
 	return Result{

@@ -85,20 +85,16 @@ func (m MIS) Compute(ctx *core.Context) (Result, error) {
 		return Result{Measure: NameMIS, Value: float64(res.Size), Exact: res.Exact, Witness: witness}, nil
 	}
 
+	if _, err := ctx.TransitiveNodeSubsets(); err != nil {
+		return Result{}, err
+	}
+	occs := ctx.Occurrences()
 	var pred hypergraph.OverlapPredicate
 	switch m.Overlap {
 	case HarmfulOverlap:
-		occs := ctx.Occurrences()
-		pred = func(a, b hypergraph.EdgeID) bool {
-			kind := ctx.ClassifyOverlap(occs[int(a)], occs[int(b)], DefaultMIPolicy)
-			return kind.Harmful
-		}
+		pred = func(a, b hypergraph.EdgeID) bool { return ctx.ClassifyOverlap(occs[a], occs[b]).Harmful }
 	case StructuralOverlap:
-		occs := ctx.Occurrences()
-		pred = func(a, b hypergraph.EdgeID) bool {
-			kind := ctx.ClassifyOverlap(occs[int(a)], occs[int(b)], DefaultMIPolicy)
-			return kind.Structural
-		}
+		pred = func(a, b hypergraph.EdgeID) bool { return ctx.ClassifyOverlap(occs[a], occs[b]).Structural }
 	default:
 		return Result{}, fmt.Errorf("measures: unknown overlap mode %d", m.Overlap)
 	}

@@ -68,9 +68,9 @@ func (m MNIK) Compute(ctx *core.Context) (Result, error) {
 	if len(occs) == 0 {
 		return Result{Measure: NameMNIK, Value: 0, Exact: true}, nil
 	}
-	subsets := p.ConnectedSubsets(k)
-	if len(subsets) == 0 {
-		return Result{}, fmt.Errorf("measures: pattern has no connected node subsets of size %d", k)
+	subsets, err := p.ConnectedSubsets(k)
+	if err != nil {
+		return Result{}, err
 	}
 	minSubset, minCount := minDistinctImages(ctx, subsets)
 	return Result{

@@ -38,7 +38,7 @@ func TestStreamingRejectsMaterializedMeasures(t *testing.T) {
 	st := core.MustNewContext(fig.Graph, fig.Pattern, core.Options{Streaming: true})
 
 	for _, m := range []measures.Measure{
-		measures.NewMI(), measures.MVC{}, measures.MVC{Approximate: true},
+		measures.MI{}, measures.MVC{}, measures.MVC{Approximate: true},
 		measures.MIS{}, measures.MIES{}, measures.MIES{Approximate: true},
 		measures.NuMVC{}, measures.NuMIES{}, measures.MCP{}, measures.MNIK{K: 2},
 	} {

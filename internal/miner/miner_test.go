@@ -179,7 +179,7 @@ func TestMineThresholdMonotonicity(t *testing.T) {
 	g := gen.BarabasiAlbert(50, 2, gen.UniformLabels{K: 2}, 8)
 	counts := make([]int, 0, 3)
 	for _, th := range []float64{2, 4, 8} {
-		m, err := miner.New(g, miner.Config{MinSupport: th, MaxPatternSize: 3, Measure: measures.NewMI()})
+		m, err := miner.New(g, miner.Config{MinSupport: th, MaxPatternSize: 3, Measure: measures.MI{}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,7 +261,7 @@ func TestMinedSupportsMatchDirectEvaluation(t *testing.T) {
 	// The support reported by the miner must equal the support computed
 	// directly through the measures package for the same pattern.
 	fig := dataset.Figure2()
-	m, err := miner.New(fig.Graph, miner.Config{MinSupport: 1, MaxPatternSize: 3, Measure: measures.NewMI()})
+	m, err := miner.New(fig.Graph, miner.Config{MinSupport: 1, MaxPatternSize: 3, Measure: measures.MI{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestMinedSupportsMatchDirectEvaluation(t *testing.T) {
 		t.Fatal("expected at least the single-edge pattern to be frequent")
 	}
 	for _, fp := range res.Patterns {
-		direct, err := measures.CheckAntiMonotonicity(fig.Graph, fp.Pattern, fp.Pattern, measures.NewMI())
+		direct, err := measures.CheckAntiMonotonicity(fig.Graph, fp.Pattern, fp.Pattern, measures.MI{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,7 +304,7 @@ func TestParallelMiningMatchesSequential(t *testing.T) {
 		m, err := miner.New(g, miner.Config{
 			MinSupport:     3,
 			MaxPatternSize: 3,
-			Measure:        measures.NewMI(),
+			Measure:        measures.MI{},
 			Parallelism:    parallelism,
 		})
 		if err != nil {

@@ -2,13 +2,17 @@
 // labeled graphs searched for inside a large data graph. It provides
 // canonical forms for duplicate elimination during mining, pattern extension
 // operators and their inverse (the one-edge-smaller sub-patterns a mined
-// candidate is confined by), and subpattern enumeration used by the MI
-// support measure.
+// candidate is confined by), and the connected node subsets the MNI(k)
+// support measure minimises over.
 package pattern
 
 import (
+	"bytes"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -190,83 +194,57 @@ func (p *Pattern) String() string {
 }
 
 // ConnectedSubsets enumerates every connected subset of pattern nodes with
-// exactly size elements, in deterministic order. It is used by the
-// parameterized MNI(k) measure (Definition 2.2.9). For size == 1 it returns
-// the singleton subsets.
-func (p *Pattern) ConnectedSubsets(size int) [][]NodeID {
+// exactly size elements, each sorted, for the parameterized MNI(k) measure
+// (Definition 2.2.9); size 1 gives the singletons. The subsets are ordered as
+// their keys "v1,v2,...," compare as strings, the order MNI(k)'s witness
+// names the first minimising subset in. They are grown as position bitsets,
+// one neighbour at a time through the adjacency rows, so the work is that of
+// the connected subsets up to size, never a scan of all 2^k node sets. A
+// pattern of more than 64 nodes, whose node sets would not fit a bitset, is an
+// error.
+func (p *Pattern) ConnectedSubsets(size int) ([][]NodeID, error) {
 	if size <= 0 || size > p.Size() {
-		return nil
+		return nil, nil
 	}
-	var result [][]NodeID
-	seen := make(map[string]bool)
-
-	var grow func(current []NodeID, inSet map[NodeID]bool)
-	grow = func(current []NodeID, inSet map[NodeID]bool) {
-		if len(current) == size {
-			key := subsetKey(current)
-			if !seen[key] {
-				seen[key] = true
-				cp := make([]NodeID, len(current))
-				copy(cp, current)
-				sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-				result = append(result, cp)
+	if p.Size() > 64 {
+		return nil, fmt.Errorf("pattern %q: connected subsets of a %d-node pattern: at most 64 nodes are supported", p.name, p.Size())
+	}
+	level := make([]uint64, p.Size())
+	for i := range level {
+		level[i] = 1 << i
+	}
+	for n := 1; n < size; n++ {
+		var next []uint64
+		for _, set := range level {
+			var reach uint64
+			for s := set; s != 0; s &= s - 1 {
+				reach |= p.row(bits.TrailingZeros64(s))[0]
 			}
-			return
-		}
-		// Candidates: neighbors of the current set not yet included.
-		candSet := make(map[NodeID]bool)
-		for v := range inSet {
-			for _, w := range p.Neighbors(v) {
-				if !inSet[w] {
-					candSet[w] = true
-				}
+			for r := reach &^ set; r != 0; r &= r - 1 {
+				next = append(next, set|r&-r)
 			}
 		}
-		cands := make([]NodeID, 0, len(candSet))
-		for v := range candSet {
-			cands = append(cands, v)
+		slices.Sort(next)
+		level = slices.Compact(next)
+	}
+	out := make([][]NodeID, len(level))
+	for a, set := range level {
+		out[a] = make([]NodeID, 0, size)
+		for s := set; s != 0; s &= s - 1 {
+			out[a] = append(out[a], p.nodes[bits.TrailingZeros64(s)])
 		}
-		sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
-		for _, w := range cands {
-			inSet[w] = true
-			grow(append(current, w), inSet)
-			delete(inSet, w)
+	}
+	slices.SortFunc(out, func(a, b []NodeID) int {
+		// Equally long keys agree up to the first node that differs and from
+		// there compare as its two decimals do: the comma ending the shorter
+		// one sorts below every digit.
+		for i := range a {
+			if a[i] != b[i] {
+				var x, y [20]byte
+				return bytes.Compare(strconv.AppendInt(x[:0], int64(a[i]), 10), strconv.AppendInt(y[:0], int64(b[i]), 10))
+			}
 		}
-	}
-
-	for _, start := range p.nodes {
-		grow([]NodeID{start}, map[NodeID]bool{start: true})
-	}
-	sort.Slice(result, func(i, j int) bool { return subsetKey(result[i]) < subsetKey(result[j]) })
-	return result
-}
-
-// AllConnectedSubsets enumerates every connected non-empty subset of pattern
-// nodes of any size, used when computing transitive node subsets over all
-// subgraphs of the pattern for the MI measure.
-func (p *Pattern) AllConnectedSubsets() [][]NodeID {
-	var out [][]NodeID
-	for size := 1; size <= p.Size(); size++ {
-		out = append(out, p.ConnectedSubsets(size)...)
-	}
-	return out
-}
-
-// subsetKey builds a canonical string key for a node subset.
-func subsetKey(vs []NodeID) string {
-	cp := make([]NodeID, len(vs))
-	copy(cp, vs)
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-	key := ""
-	for _, v := range cp {
-		key += fmt.Sprintf("%d,", v)
-	}
-	return key
-}
-
-// Subpattern returns the subgraph of the pattern induced by the given node
-// subset, as a plain graph (it may be disconnected, in which case it is not a
-// valid Pattern but is still useful for automorphism computations).
-func (p *Pattern) Subpattern(nodes []NodeID) (*graph.Graph, error) {
-	return p.Graph().InducedSubgraph(nodes)
+		return 0
+	})
+	return out, nil
 }

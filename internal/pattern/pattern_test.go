@@ -1,6 +1,7 @@
 package pattern_test
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -85,45 +86,67 @@ func TestCanonicalCodeInvariance(t *testing.T) {
 
 func TestConnectedSubsets(t *testing.T) {
 	p := pathPattern(1, 2, 2)
-	singles := p.ConnectedSubsets(1)
-	if len(singles) != 3 {
+	subsets := func(p *pattern.Pattern, size int) [][]pattern.NodeID {
+		t.Helper()
+		out, err := p.ConnectedSubsets(size)
+		if err != nil {
+			t.Fatalf("ConnectedSubsets(%d): %v", size, err)
+		}
+		return out
+	}
+	if singles := subsets(p, 1); len(singles) != 3 {
 		t.Errorf("size-1 subsets = %d, want 3", len(singles))
 	}
-	pairs := p.ConnectedSubsets(2)
-	if len(pairs) != 2 { // {0,1} and {1,2}; {0,2} is not connected
+	if pairs := subsets(p, 2); len(pairs) != 2 { // {0,1} and {1,2}; {0,2} is not connected
 		t.Errorf("size-2 subsets = %v, want 2 subsets", pairs)
 	}
-	triples := p.ConnectedSubsets(3)
-	if len(triples) != 1 {
+	if triples := subsets(p, 3); len(triples) != 1 {
 		t.Errorf("size-3 subsets = %v, want 1", triples)
 	}
-	if got := p.ConnectedSubsets(0); got != nil {
+	if got := subsets(p, 0); got != nil {
 		t.Errorf("size-0 subsets should be nil, got %v", got)
 	}
-	if got := p.ConnectedSubsets(4); got != nil {
+	if got := subsets(p, 4); got != nil {
 		t.Errorf("oversized subsets should be nil, got %v", got)
 	}
-	all := p.AllConnectedSubsets()
-	if len(all) != 6 {
-		t.Errorf("AllConnectedSubsets = %d, want 6", len(all))
-	}
-	tri := trianglePattern()
-	if got := len(tri.ConnectedSubsets(2)); got != 3 {
+	if got := len(subsets(trianglePattern(), 2)); got != 3 {
 		t.Errorf("triangle size-2 subsets = %d, want 3", got)
 	}
 }
 
-func TestSubpattern(t *testing.T) {
-	p := trianglePattern()
-	sub, err := p.Subpattern([]pattern.NodeID{0, 1})
-	if err != nil {
-		t.Fatalf("Subpattern: %v", err)
+// TestConnectedSubsetsMatchReference holds the bitset growth to the
+// map-based enumeration it replaced, order included, on random connected
+// patterns of up to 8 nodes whose IDs have one, two and three digits, so the
+// string order of the keys is not the numeric one.
+func TestConnectedSubsetsMatchReference(t *testing.T) {
+	property := func(seed uint64) bool {
+		rng := gen.NewRNG(seed)
+		k := 2 + rng.Intn(7)
+		ids := rng.Perm(150)[:k]
+		g := graph.New("rand")
+		for i, id := range ids {
+			g.MustAddVertex(graph.VertexID(id), 1)
+			if i > 0 {
+				g.MustAddEdge(graph.VertexID(id), graph.VertexID(ids[rng.Intn(i)]))
+			}
+		}
+		for extra := rng.Intn(k); extra > 0; extra-- {
+			if u, v := graph.VertexID(ids[rng.Intn(k)]), graph.VertexID(ids[rng.Intn(k)]); u != v && !g.HasEdge(u, v) {
+				g.MustAddEdge(u, v)
+			}
+		}
+		p := pattern.MustNew(g)
+		for size := 0; size <= k+1; size++ {
+			got, err := p.ConnectedSubsets(size)
+			if want := referenceConnectedSubsets(p, size); err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Logf("seed %d, size %d: got %v (%v), want %v", seed, size, got, err, want)
+				return false
+			}
+		}
+		return true
 	}
-	if sub.NumVertices() != 2 || sub.NumEdges() != 1 {
-		t.Errorf("subpattern = %v", sub)
-	}
-	if _, err := p.Subpattern([]pattern.NodeID{0, 99}); err == nil {
-		t.Error("expected error for unknown node")
+	if err := quick.Check(property, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -294,6 +317,9 @@ func TestWidePattern(t *testing.T) {
 	last := exts[len(exts)-1]
 	if last.Kind != "vertex" || last.From != 69 || last.To != 70 || last.Result.Size() != k+1 || !last.Result.HasEdge(69, 70) {
 		t.Errorf("last extension: %+v", last)
+	}
+	if _, err := p.ConnectedSubsets(2); err == nil {
+		t.Error("connected subsets of a pattern wider than a bitset should be an error")
 	}
 	if _, err := pattern.New(b.Vertex(99, 1).MustBuild()); err == nil {
 		t.Error("an isolated extra node should make the wide pattern disconnected")

@@ -6,12 +6,14 @@ import (
 	"strings"
 
 	"repro/internal/graph"
+	"repro/internal/pattern"
 )
 
 // The pattern package as it was before patterns became compact, kept as the
 // oracle of the differential and fuzz tests: the canonical code by trying
 // all k! node orders and rendering each with fmt, and Extend by cloning the
-// map-backed graph and renumbering it. Both work on plain graphs.
+// map-backed graph and renumbering it. Both work on plain graphs. The
+// map-based connected-subset enumeration MNI(k) used is kept beside them.
 
 // referenceCode is the lexicographically smallest encoding of g over all
 // node permutations: "L<label>." per node, then the upper triangle of the
@@ -152,4 +154,53 @@ func referenceExtend(g *graph.Graph, labels []graph.Label) (out []refExtension, 
 		}
 	}
 	return out, generated
+}
+
+// referenceConnectedSubsets is ConnectedSubsets as it was before it grew
+// position bitsets: every connected node set of the given size grown through
+// map-based neighbour sets, de-duplicated and ordered by the string key
+// "v1,v2,...," of its sorted nodes.
+func referenceConnectedSubsets(p *pattern.Pattern, size int) [][]pattern.NodeID {
+	if size <= 0 || size > p.Size() {
+		return nil
+	}
+	key := func(vs []pattern.NodeID) string {
+		var b strings.Builder
+		for _, v := range vs {
+			fmt.Fprintf(&b, "%d,", v)
+		}
+		return b.String()
+	}
+	var result [][]pattern.NodeID
+	seen := make(map[string]bool)
+	var grow func(current []pattern.NodeID, inSet map[pattern.NodeID]bool)
+	grow = func(current []pattern.NodeID, inSet map[pattern.NodeID]bool) {
+		if len(current) == size {
+			cp := append([]pattern.NodeID(nil), current...)
+			sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
+			if k := key(cp); !seen[k] {
+				seen[k] = true
+				result = append(result, cp)
+			}
+			return
+		}
+		cands := make(map[pattern.NodeID]bool)
+		for v := range inSet {
+			for _, w := range p.Neighbors(v) {
+				if !inSet[w] {
+					cands[w] = true
+				}
+			}
+		}
+		for w := range cands {
+			inSet[w] = true
+			grow(append(current, w), inSet)
+			delete(inSet, w)
+		}
+	}
+	for _, start := range p.Nodes() {
+		grow([]pattern.NodeID{start}, map[pattern.NodeID]bool{start: true})
+	}
+	sort.Slice(result, func(i, j int) bool { return key(result[i]) < key(result[j]) })
+	return result
 }
