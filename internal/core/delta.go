@@ -151,6 +151,9 @@ type DeltaStats struct {
 	// vertices, met again at a larger one. Their ratio is the share of a
 	// pass's search that was useful.
 	PassRepresentatives, PassCounted int
+	// PassApplied is the number of counted representatives the passes
+	// applied to the maintained state.
+	PassApplied int
 }
 
 // NewDeltaContext builds the initial streamed aggregates of p in g (a full
@@ -294,19 +297,21 @@ func (d *DeltaContext) pass(s *batchSide, sign int) {
 	}
 	d.stats.PassRepresentatives += dp.emitted
 	d.stats.PassCounted += dp.counted
+	d.stats.PassApplied += dp.applied
 	mPassRepresentatives.Add(uint64(dp.emitted))
 	mPassCounted.Add(uint64(dp.counted))
+	mPassApplied.Add(uint64(dp.applied))
 }
 
 // deltaPass is the consumer of one delta pass's pinned searches: the state it
 // writes and the sign it writes with, the side's sorted dirty indexes and the
 // pattern position the search now running is pinned at.
 type deltaPass struct {
-	state            *domainState
-	sign             int
-	dirty            []int32
-	root             int
-	emitted, counted int
+	state                     *domainState
+	sign                      int
+	dirty                     []int32
+	root                      int
+	emitted, counted, applied int
 }
 
 // yield counts a representative iff its root image is the smallest dirty
@@ -326,6 +331,7 @@ func (dp *deltaPass) yield(o *isomorph.Occurrence) bool {
 		}
 	}
 	dp.counted++
+	dp.applied++
 	dp.state.apply(o, dp.sign)
 	return true
 }

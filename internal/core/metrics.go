@@ -17,13 +17,15 @@ var (
 		"refreshes that fell back to a from-scratch re-enumeration")
 	mDeltaBall = obs.NewHistogram("repro_delta_ball_vertices",
 		"combined plus+minus mutation-ball size per delta refresh, in vertices", obs.SizeBuckets)
-	// The two pass counters are deterministic work counts, published once
-	// per pass: what the pinned searches emitted against what the pass
-	// counted. They differ only by the instances through two or more dirty
-	// vertices; a ratio far above one means a pass is filtering an
-	// enumeration again instead of rooting it.
+	// The three pass counters are deterministic work counts, published once
+	// per pass: what the pinned searches emitted, what the pass counted and
+	// what it applied to the maintained state. The first two differ only by
+	// the instances through two or more dirty vertices; a ratio far above one
+	// means a pass is filtering an enumeration again instead of rooting it.
 	mPassRepresentatives = obs.NewCounter("repro_delta_pass_representatives_total",
 		"representatives emitted by the pinned searches of delta passes")
 	mPassCounted = obs.NewCounter("repro_delta_pass_counted_total",
 		"representatives delta passes counted: one per instance touching a dirty vertex")
+	mPassApplied = obs.NewCounter("repro_delta_pass_applied_total",
+		"counted representatives delta passes applied to the maintained state")
 )

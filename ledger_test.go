@@ -21,7 +21,7 @@ var update = flag.Bool("update", false, "rewrite testdata/work.golden from this 
 
 // ledgerCounters are the work counters a ledger line records, as deltas over
 // one step: what the searches rooted, emitted and drained, what the delta
-// passes emitted, counted and rebuilt, and what the LP and the exact cover and
+// passes emitted, counted, applied and rebuilt, and what the LP and the exact cover and
 // packing searches did. Each is deterministic at one shard and parallelism 1.
 var ledgerCounters = []struct{ key, name string }{
 	{"roots", "repro_enum_roots_total"},
@@ -30,6 +30,7 @@ var ledgerCounters = []struct{ key, name string }{
 	{"shard_drains", "repro_enum_shard_drains_total"},
 	{"pass_representatives", "repro_delta_pass_representatives_total"},
 	{"pass_counted", "repro_delta_pass_counted_total"},
+	{"pass_applied", "repro_delta_pass_applied_total"},
 	{"full_rebuilds", "repro_delta_full_rebuilds_total"},
 	{"lp_solves", "repro_lp_solves_total"},
 	{"lp_pivots", "repro_lp_pivots_total"},
