@@ -279,14 +279,15 @@ func TestApplyAllocatesNoPlans(t *testing.T) {
 	}
 }
 
-// TestDeltaPassCountsWhatItEmits pins the two work counters of a delta pass on
+// TestDeltaPassCountsWhatItEmits pins the work counters of a delta pass on
 // the case that separates rooting the search at the dirty vertices from
 // filtering a wider enumeration: a one-label 4-leaf star (24 automorphisms)
 // and an edge added at a hub. The batch's two dirty vertices are the only
 // roots, an instance is emitted once per dirty vertex it touches and counted
 // once, so what the passes emit is at most twice what they count — not the
-// hub's ordered leaf tuples, and not everything rooted within three hops — and
-// the process-wide counters move by exactly what the context's stats do.
+// hub's ordered leaf tuples, and not everything rooted within three hops; what
+// they apply is the stars that use the new edge alone; and the process-wide
+// counters move by exactly what the context's stats do.
 func TestDeltaPassCountsWhatItEmits(t *testing.T) {
 	const leaves = 14
 	b := graph.NewBuilder("hub").Vertex(1000, 1).Vertex(2000, 1)
@@ -306,6 +307,7 @@ func TestDeltaPassCountsWhatItEmits(t *testing.T) {
 	before := d.NumInstances()
 	emitted0 := obs.Default.CounterValue("repro_delta_pass_representatives_total")
 	counted0 := obs.Default.CounterValue("repro_delta_pass_counted_total")
+	applied0 := obs.Default.CounterValue("repro_delta_pass_applied_total")
 
 	g.MustAddEdge(1000, 2000)
 	if err := d.Refresh(); err != nil {
@@ -317,8 +319,14 @@ func TestDeltaPassCountsWhatItEmits(t *testing.T) {
 		t.Fatalf("the refresh should take the delta path, stats %+v", st)
 	}
 	// The new edge makes 2000 a leaf of C(14, 3) more stars centred on the hub.
-	if gained, want := d.NumInstances()-before, leaves*(leaves-1)*(leaves-2)/6; gained != want {
+	gained := d.NumInstances() - before
+	if want := leaves * (leaves - 1) * (leaves - 2) / 6; gained != want {
 		t.Fatalf("the edge added %d stars, want C(%d, 3) = %d", gained, leaves, want)
+	}
+	// Only those stars use the new edge; every other star through the hub is
+	// the same on both sides and is left out of both passes.
+	if st.PassApplied != gained {
+		t.Fatalf("the passes applied %d instances, want the %d stars that use the new edge", st.PassApplied, gained)
 	}
 	// Both passes count at least the C(14, 4) stars centred on the hub.
 	if least := 2 * leaves * (leaves - 1) * (leaves - 2) * (leaves - 3) / 24; st.PassCounted < least {
@@ -330,5 +338,8 @@ func TestDeltaPassCountsWhatItEmits(t *testing.T) {
 	if emitted, counted := obs.Default.CounterValue("repro_delta_pass_representatives_total")-emitted0,
 		obs.Default.CounterValue("repro_delta_pass_counted_total")-counted0; emitted != uint64(st.PassRepresentatives) || counted != uint64(st.PassCounted) {
 		t.Fatalf("counters moved by %d emitted / %d counted, the context's stats say %d / %d", emitted, counted, st.PassRepresentatives, st.PassCounted)
+	}
+	if applied := obs.Default.CounterValue("repro_delta_pass_applied_total") - applied0; applied != uint64(st.PassApplied) {
+		t.Fatalf("the applied counter moved by %d, the context's stats say %d", applied, st.PassApplied)
 	}
 }
