@@ -504,34 +504,59 @@ func indexesIn(snap *graph.Snapshot, ids []graph.VertexID) []int32 {
 // breadth-first search and returns how many vertices it has reached at every
 // radius. The search stops at maxRadius or once the ball passes half the
 // graph — the point where a full rebuild is cheaper than two delta passes —
-// whichever comes first. Nothing here is sized by the graph.
+// whichever comes first. The ball is a sorted slice: each level sorts and
+// compacts the frontier's neighbours and merges them against it, so what the
+// search allocates is proportional to the ball and the frontier's degrees,
+// and nothing is sized by the graph.
 func ballSizes(snap *graph.Snapshot, dirty []int32, maxRadius int) []int {
 	sizes := make([]int, 0, maxRadius+1)
 	limit := snap.NumVertices() / 2
-	visited := make(map[int32]struct{}, 4*len(dirty))
-	for _, i := range dirty {
-		visited[i] = struct{}{}
-	}
+	ball := slices.Clone(dirty)
 	frontier := dirty
+	var merged, reached, next []int32
 	for r := 0; r <= maxRadius; r++ {
 		if r > 0 {
-			var next []int32
+			reached = reached[:0]
 			for _, i := range frontier {
-				for _, nb := range snap.NeighborsAt(i) {
-					if _, seen := visited[nb]; !seen {
-						visited[nb] = struct{}{}
-						next = append(next, nb)
-					}
-				}
+				reached = append(reached, snap.NeighborsAt(i)...)
 			}
+			slices.Sort(reached)
+			reached = slices.Compact(reached)
+			merged, next = mergeBall(merged[:0], next[:0], ball, reached)
+			ball, merged = merged, ball
 			frontier = next
 		}
-		if len(visited) > limit {
+		if len(ball) > limit {
 			break
 		}
-		sizes = append(sizes, len(visited))
+		sizes = append(sizes, len(ball))
 	}
 	return sizes
+}
+
+// mergeBall merges the sorted ball and the sorted, duplicate-free reached
+// indexes into merged, and appends to fresh those of reached the ball did not
+// hold: the next frontier, sorted.
+func mergeBall(merged, fresh, ball, reached []int32) ([]int32, []int32) {
+	a, b := 0, 0
+	for a < len(ball) && b < len(reached) {
+		switch x, y := ball[a], reached[b]; {
+		case x < y:
+			merged = append(merged, x)
+			a++
+		case x > y:
+			merged = append(merged, y)
+			fresh = append(fresh, y)
+			b++
+		default:
+			merged = append(merged, x)
+			a++
+			b++
+		}
+	}
+	merged = append(merged, ball[a:]...)
+	fresh = append(fresh, reached[b:]...)
+	return append(merged, reached[b:]...), fresh
 }
 
 // ballSize returns the size of the side's mutation ball of the given
