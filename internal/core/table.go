@@ -48,12 +48,14 @@ import (
 // enumeration has millions of representatives and one table of them:
 // domainState.fold turns the table's non-zero counters into entries, the one
 // point where a dense index becomes a VertexID. A delta pass has the few
-// instances through a batch's dirty vertices — some twenty per context on the
-// benchmark's refreshes — and a table to carry them would cost its width to
-// allocate and again to scan: domainState.apply adds or subtracts each
-// representative as it arrives, deriving the k VertexIDs it keys by from the
-// lent occurrence's dense indexes and the snapshot the pass searched — the
-// one point on that path where an index becomes a VertexID.
+// instances a batch changed: it counts some twenty per context on the
+// benchmark's refreshes, but writes only those that use a mutated vertex or
+// edge (deltaPass.yield), fewer than one per context. A table to carry them
+// would cost its width to allocate and again to scan: domainState.apply adds
+// or subtracts each such representative as it arrives, deriving the k
+// VertexIDs it keys by from the lent occurrence's dense indexes and the
+// snapshot the pass searched — the one point on that path where an index
+// becomes a VertexID.
 //
 // The one pass that is not a search for representatives is the scan of a
 // materialized list. The list is the complete search, closed under Aut(P), so
