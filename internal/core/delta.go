@@ -138,6 +138,10 @@ type DeltaContext struct {
 	// edges is the pattern's edges as pairs of node positions, the form a
 	// pass reads an occurrence's edge images in.
 	edges [][2]int
+	// dp is the consumer of the pass now running and yield its bound method,
+	// made once with the context so that starting a pass allocates nothing.
+	dp    deltaPass
+	yield func(*isomorph.Occurrence) bool
 
 	stats DeltaStats
 }
@@ -216,6 +220,7 @@ func NewDeltaContextAt(g *graph.Graph, snap *graph.Snapshot, p *pattern.Pattern,
 	}
 	opts.Streaming = true
 	d := &DeltaContext{g: g, p: p, opts: opts, snap: snap, counter: newInstanceCounter(p), radius: patternDiameter(p), edges: edgePositions(p)}
+	d.yield = d.dp.yield
 	return d, d.rebuild(snap, masks), nil
 }
 
@@ -304,11 +309,11 @@ func (d *DeltaContext) Apply(b *Batch) error {
 // Options.Parallelism says: the roots are the batch's few dirty vertices, and
 // the owner of many contexts fans out across contexts instead.
 func (d *DeltaContext) pass(s *batchSide, sign int) {
-	dp := deltaPass{state: d.state, sign: sign, dirty: s.dirty, vertices: s.vertices, edges: s.edges, patternEdges: d.edges}
-	yield := dp.yield
+	dp := &d.dp
+	*dp = deltaPass{state: d.state, sign: sign, dirty: s.dirty, vertices: s.vertices, edges: s.edges, patternEdges: d.edges}
 	for _, search := range d.searches {
 		dp.root = search.Root()
-		search.Run(s.snap, s.dirty, yield)
+		search.Run(s.snap, s.dirty, d.yield)
 	}
 	d.stats.PassRepresentatives += dp.emitted
 	d.stats.PassCounted += dp.counted
@@ -365,18 +370,14 @@ func (dp *deltaPass) yield(o *isomorph.Occurrence) bool {
 //
 //gvet:hotpath
 func (dp *deltaPass) mutated(o *isomorph.Occurrence) bool {
-	if len(dp.vertices) > 0 {
-		for i := 0; i < o.Len(); i++ {
-			if _, hit := slices.BinarySearch(dp.vertices, o.IndexAt(i)); hit {
-				return true
-			}
+	for i := 0; i < o.Len(); i++ {
+		if _, hit := slices.BinarySearch(dp.vertices, o.IndexAt(i)); hit {
+			return true
 		}
 	}
-	if len(dp.edges) > 0 {
-		for _, e := range dp.patternEdges {
-			if _, hit := slices.BinarySearch(dp.edges, edgeKey(o.IndexAt(e[0]), o.IndexAt(e[1]))); hit {
-				return true
-			}
+	for _, e := range dp.patternEdges {
+		if _, hit := slices.BinarySearch(dp.edges, edgeKey(o.IndexAt(e[0]), o.IndexAt(e[1]))); hit {
+			return true
 		}
 	}
 	return false
@@ -447,7 +448,7 @@ type batchSide struct {
 // into each side's indexes, so the old and new snapshots agree on which
 // shared instances touch it — which is what makes the signed cancellation of
 // a refresh exact. The mutated vertices and edges are translated the same
-// way: they are what a pass reads to leave out the shared instances (deltaPass.yield).
+// way; a pass reads them to leave out the shared instances (deltaPass.yield).
 func NewBatch(old, new *graph.Snapshot, muts []graph.Mutation, maxRadius int) *Batch {
 	dirty := make([]graph.VertexID, 0, 2*len(muts))
 	var vertices []graph.VertexID
@@ -507,7 +508,8 @@ func indexesIn(snap *graph.Snapshot, ids []graph.VertexID) []int32 {
 // whichever comes first. The ball is a sorted slice: each level sorts and
 // compacts the frontier's neighbours and merges them against it, so what the
 // search allocates is proportional to the ball and the frontier's degrees,
-// and nothing is sized by the graph.
+// and nothing is sized by the graph. Every buffer is grown to what its level
+// needs before it is filled, so none is copied while it grows.
 func ballSizes(snap *graph.Snapshot, dirty []int32, maxRadius int) []int {
 	sizes := make([]int, 0, maxRadius+1)
 	limit := snap.NumVertices() / 2
@@ -516,13 +518,17 @@ func ballSizes(snap *graph.Snapshot, dirty []int32, maxRadius int) []int {
 	var merged, reached, next []int32
 	for r := 0; r <= maxRadius; r++ {
 		if r > 0 {
-			reached = reached[:0]
+			degrees := 0
+			for _, i := range frontier {
+				degrees += snap.DegreeAt(i)
+			}
+			reached = slices.Grow(reached[:0], degrees)
 			for _, i := range frontier {
 				reached = append(reached, snap.NeighborsAt(i)...)
 			}
 			slices.Sort(reached)
 			reached = slices.Compact(reached)
-			merged, next = mergeBall(merged[:0], next[:0], ball, reached)
+			merged, next = mergeBall(slices.Grow(merged[:0], len(ball)+len(reached)), slices.Grow(next[:0], len(reached)), ball, reached)
 			ball, merged = merged, ball
 			frontier = next
 		}
