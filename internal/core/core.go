@@ -31,9 +31,10 @@
 // DeltaContext keeps the streamed aggregates alive across graph mutations, in
 // a VertexID-keyed refcount state, one row per node orbit: a complete pass's
 // table is folded into it once, and after that every update adds and
-// subtracts the instances through its dirty vertices, one representative at a
-// time. The mutation ball around those vertices is kept as a size only — it
-// decides between the delta passes and a rebuild and feeds one histogram.
+// subtracts the instances that use its mutated edges and vertices, one
+// representative at a time. The mutation ball around the batch's dirty
+// vertices is kept as a size only — it decides between the delta passes and a
+// rebuild and feeds one histogram.
 package core
 
 import (

@@ -26,70 +26,75 @@ import (
 // of the change, not by the database.
 //
 // A DeltaContext retains the snapshot it last synchronized on and absorbs one
-// Batch at a time: the mutations since then, the snapshot after them, and the
-// batch's dirty vertices — every endpoint of an added or removed edge, every
-// added or removed vertex — as dense indexes of either side (a removed vertex
-// exists only on the old side, an added one only on the new). An instance the
-// batch created uses an added edge or vertex, an instance it destroyed used a
-// removed one, so both have a dirty vertex among their images; every other
-// instance is the same subgraph on both sides. The delta rule of incremental
-// view maintenance then says what to do: add the instances of the new snapshot
-// that touch a dirty vertex (the plus pass), subtract those of the old one
-// (the minus pass), leave the rest alone. Because the state is refcounted, the
-// subtraction is exact — stale contributions are removed entry by entry, not
-// approximated.
+// Batch at a time: the mutations since then, the snapshot after them, and per
+// side the edges and vertices the batch added or removed, as dense indexes of
+// that side (a removed edge or vertex exists only on the old side, an added
+// one only on the new). An instance the batch created uses an added edge or
+// vertex, an instance it destroyed used a removed one, and every other
+// instance is the same subgraph, with the same labels, on both sides. The
+// delta rule of incremental view maintenance then says what to do: add the
+// instances of the new snapshot that use mutated structure (the plus pass),
+// subtract those of the old one (the minus pass), leave the rest alone.
+// Because the state is refcounted, the subtraction is exact — stale
+// contributions are removed entry by entry, not approximated.
 //
-// Most instances a pass meets are the batch's bystanders: they touch a dirty
-// vertex but use no mutated structure. A pass applies only the instances that
-// map a pattern node onto a vertex the batch added or removed, or a pattern
-// edge onto an edge it added or removed (the Batch carries both, per side, as
-// sorted dense indexes). This is exact. An instance that uses no mutated vertex
-// and no mutated edge is the same subgraph, with the same labels, on both
-// sides; it touches the same dirty VertexIDs on both, so each pass counts it
-// exactly once, and its +1 and its −1 are the same entries. Leaving out both
-// changes nothing. On the benchmark's session refreshes the skipped instances
-// are about 98 % of those counted (DeltaStats.PassApplied against PassCounted).
+// Edges suffice to find those instances. RemoveVertex records the removal of
+// every edge at the vertex before its own, and a vertex is never relabelled in
+// place, so every edge at an added or removed vertex is an added or removed
+// edge of that side: an instance of a connected pattern of two or more nodes
+// that uses a mutated vertex uses a mutated edge. A one-node pattern has no
+// edge; the instances a batch changed are the side's mutated vertices of its
+// label, and its passes apply those without a search.
 //
-// A pass finds the instances touching a dirty vertex by rooting the search
-// there rather than by filtering a wider enumeration. For the first position
-// j₀ of every node orbit of Aut(P) it runs an isomorph.PinnedSearch with j₀
-// pinned at the side's dirty indexes D, under the pattern's symmetry: the
-// occurrences of an instance I that map j₀ to x are one coset of j₀'s
-// stabiliser whenever x is an image of j₀'s orbit, and the pinned search
-// delivers one occurrence per coset, so over all orbits exactly one
-// representative arrives per pair (I, x ∈ V(I) ∩ D) — an instance's vertex is
-// an image of exactly one orbit. The pass counts a representative iff its root
-// image is the smallest dirty index among its images, which keeps one of those
-// pairs per instance: every instance touching D is counted once, as one
-// representative, into one row per node orbit (table.go), exactly as a
-// complete streaming pass counts it. What a pass adds for an instance with
-// representative f is one to (orbit(j), f(j)) for every pattern node j; for
-// another occurrence f∘σ of the same instance that is one to (orbit(σ(j)),
-// f(σ(j))), the same entries summed in another order — so the two passes of a
-// refresh need not agree on which occurrence stands for an instance, and will
-// not when the planner orders the searches differently on the two snapshots.
-// The search stays at instance level on purpose: the occurrence-level rule
-// "the first dirty position wins, divide by |Aut(P)|" is exact too, but at a
-// dirty hub of degree d it walks the d⁴ ordered leaf tuples of a 4-leaf star
-// where the pinned, symmetry-broken search walks the C(d, 4) stars.
+// A pass finds the instances using a mutated edge by rooting the search at
+// the edge rather than by filtering a wider enumeration. For the first arc
+// (a, b) of every edge orbit of Aut(P) it runs an isomorph.PinnedSearch with
+// (a, b) pinned at the side's mutated edges, under the pattern's symmetry: the
+// occurrences of an instance I that map (a, b) onto one data arc are one coset
+// of the pointwise stabiliser of a and b, and the search delivers one per
+// coset, trying a data edge in one orientation when an automorphism reverses
+// (a, b) and in both otherwise. So over all orbits exactly one representative
+// arrives per pair (I, e), e a mutated edge I maps a pattern edge onto — that
+// pattern edge lies in exactly one orbit. The pass counts a representative iff
+// no pattern edge maps onto a mutated edge with a smaller key
+// (isomorph.EdgeKey) than the one it is pinned at, which keeps one of those
+// pairs per instance, and applies what it counts: every instance that uses
+// mutated structure is applied once, as one representative, into one row per
+// node orbit (table.go), exactly as a complete streaming pass counts it. What
+// a pass adds for an instance with representative f is one to (orbit(j), f(j))
+// for every pattern node j; for another occurrence f∘σ of the same instance
+// that is one to (orbit(σ(j)), f(σ(j))), the same entries summed in another
+// order — so the two passes of a refresh need not agree on which occurrence
+// stands for an instance, and will not when the planner orders the searches
+// differently on the two snapshots. The search stays at instance level on
+// purpose: the occurrence-level rule "the first pinned arc wins, divide by
+// |Aut(P)|" is exact too, but at a mutated hub–leaf edge of a hub of degree d
+// it walks the (d − 1)(d − 2)(d − 3) ordered leaf triples of a 4-leaf star
+// where the pinned, symmetry-broken search walks the C(d − 1, 3) stars.
+//
+// An instance that uses no mutated structure is never met. Its +1 and its −1
+// would be the same entries; a search rooted at the mutated edges' ends rather
+// than at the edges would meet every such bystander through them, on both
+// sides, to write none of it.
 //
 // The searches are compiled once per context, not once per pass: rebuild
 // orders each from its snapshot's statistics when the context opens and again
 // after every saturating batch, and a pass only runs them, each run binding
 // the side's snapshot (isomorph.PinnedSearch.Run). What a pass counts does not
 // depend on the search order, so an order planned on an earlier snapshot
-// costs at most speed; and a refresh pays for the instances through its dirty
-// vertices, not for planning seventy patterns' searches again.
+// costs at most speed; and a refresh pays for the instances through its
+// mutated edges, not for planning seventy patterns' searches again.
 //
 // Nothing a pass counts goes through a table of its own: every representative
-// it applies is applied to the maintained state where the search hands it over
-// (deltaPass.yield, domainState.apply), so a pass costs the instances through
-// the dirty vertices to find, the ones the batch changed to write, and nothing
-// sized by a neighbourhood or by the graph.
+// is applied to the maintained state where the search hands it over
+// (deltaPass.yield, domainState.apply), so a pass costs the instances the
+// batch changed, found once per mutated edge they use, and nothing sized by a
+// neighbourhood or by the graph.
 //
-// An occurrence f touching a dirty vertex f(a) has every image f(b) within
-// dist_P(a, b) <= diam(P) hops of it, because pattern edges map onto data
-// edges. So the side's mutation ball of radius diam(P) — every vertex within
+// The batch's dirty vertices are the ends of its mutated edges and its
+// mutated vertices. An occurrence f touching a dirty vertex f(a) has every
+// image f(b) within dist_P(a, b) <= diam(P) hops of it, because pattern edges
+// map onto data edges. So the side's mutation ball of radius diam(P) — every vertex within
 // that many hops of a dirty one, BFS-grown over the side's own topology — is
 // everywhere the two passes can reach, and its size is the measure of how
 // local a batch is. The size is all that is kept of it (Batch), and it is
@@ -132,11 +137,12 @@ type DeltaContext struct {
 	// radius is the pattern's diameter, the radius of the mutation balls whose
 	// sizes decide between the delta passes and a rebuild.
 	radius int
-	// searches[r] is the delta passes' search pinned at the first node
-	// position of orbit r, compiled by rebuild and run by every pass.
+	// searches[r] is the delta passes' search pinned at the first arc of
+	// edge orbit r, compiled by rebuild and run by every pass.
 	searches []*isomorph.PinnedSearch
 	// edges is the pattern's edges as pairs of node positions, the form a
-	// pass reads an occurrence's edge images in.
+	// pass reads an occurrence's edge images in; empty for a one-node
+	// pattern, whose passes read the mutated vertices instead.
 	edges [][2]int
 	// dp is the consumer of the pass now running and yield its bound method,
 	// made once with the context so that starting a pass allocates nothing.
@@ -153,7 +159,7 @@ type DeltaStats struct {
 	// ones.
 	Refreshes int
 	// DeltaRefreshes counts refreshes applied as a plus and a minus delta
-	// pass rooted at the batch's dirty vertices.
+	// pass rooted at the batch's mutated edges.
 	DeltaRefreshes int
 	// FullRebuilds counts refreshes that fell back to from-scratch
 	// re-enumeration (saturating mutation batches).
@@ -164,14 +170,13 @@ type DeltaStats struct {
 	LastBallVertices int
 	// PassRepresentatives is the number of representatives the delta passes'
 	// pinned searches have emitted, and PassCounted the number of them the
-	// passes counted — the others were instances through two or more dirty
-	// vertices, met again at a larger one. Their ratio is the share of a
-	// pass's search that was useful.
+	// passes counted — the others were instances using two or more mutated
+	// edges, met again at a larger one. A one-node pattern's pass emits and
+	// counts its mutated vertices of the pattern's label.
 	PassRepresentatives, PassCounted int
-	// PassApplied is the number of counted representatives the passes
-	// applied to the maintained state: the instances that use a vertex or an
-	// edge the batch added or removed. The others are counted alike by both
-	// passes and left out of both.
+	// PassApplied is the number of representatives the passes applied to the
+	// maintained state: every one they counted, the instances that use an
+	// edge or a vertex the batch added or removed.
 	PassApplied int
 }
 
@@ -288,109 +293,93 @@ func (d *DeltaContext) Apply(b *Batch) error {
 	mDeltaApplied.Inc()
 	mDeltaBall.Observe(float64(d.stats.LastBallVertices))
 
-	// Plus pass: the instances of the new graph through a dirty vertex — every
-	// instance the batch added plus the survivors of the mutated region.
+	// Plus pass: the instances of the new graph that use mutated structure —
+	// every instance the batch added, and those it removed and added back.
 	d.pass(&b.new, +1)
 
-	// Minus pass: the same of the retained pre-mutation snapshot — exactly
-	// the contributions already present in the state, every instance the
-	// batch destroyed included. It runs second, so no refcount is negative
-	// in transit.
+	// Minus pass: the same of the retained pre-mutation snapshot — exactly the
+	// contributions already present in the state, every instance the batch
+	// destroyed included. It runs second, so no refcount is negative in
+	// transit.
 	d.pass(&b.old, -1)
 	return nil
 }
 
 // pass applies to the state, sign times each, the instances of d's pattern in
-// the side's snapshot that touch one of its dirty indexes: for the first
-// position of every node orbit a run of the context's compiled search pinned
-// there, at the dirty indexes, counting what arrives rooted at its smallest
-// dirty image (deltaPass.yield). A side with no dirty vertex has no roots and
-// the searches return at once. It runs on the calling goroutine whatever
-// Options.Parallelism says: the roots are the batch's few dirty vertices, and
+// the side's snapshot that use an edge the batch added or removed: for the
+// first arc of every edge orbit of Aut(P) a run of the context's compiled
+// search pinned there, at the side's mutated edges, counting what arrives
+// pinned at its smallest mutated edge (deltaPass.yield). A one-node pattern
+// has no edge to pin; its instances are the side's mutated vertices of its
+// label, applied without a search. A side with no mutated edge has nothing to
+// pin and the searches return at once. It runs on the calling goroutine
+// whatever Options.Parallelism says: the arcs are the batch's few edges, and
 // the owner of many contexts fans out across contexts instead.
 func (d *DeltaContext) pass(s *batchSide, sign int) {
 	dp := &d.dp
-	*dp = deltaPass{state: d.state, sign: sign, dirty: s.dirty, vertices: s.vertices, edges: s.edges, patternEdges: d.edges}
-	for _, search := range d.searches {
-		dp.root = search.Root()
-		search.Run(s.snap, s.dirty, d.yield)
+	*dp = deltaPass{state: d.state, sign: sign, edges: s.edges, patternEdges: d.edges}
+	if len(d.edges) == 0 {
+		dp.applyVertices(s.snap, s.vertices, d.p.LabelOf(d.counter.nodes[0]))
 	}
+	for _, search := range d.searches {
+		dp.arc[0], dp.arc[1] = search.Arc()
+		search.Run(s.snap, s.edges, d.yield)
+	}
+	// A pass applies everything it counts.
 	d.stats.PassRepresentatives += dp.emitted
 	d.stats.PassCounted += dp.counted
-	d.stats.PassApplied += dp.applied
+	d.stats.PassApplied += dp.counted
 	mPassRepresentatives.Add(uint64(dp.emitted))
 	mPassCounted.Add(uint64(dp.counted))
-	mPassApplied.Add(uint64(dp.applied))
+	mPassApplied.Add(uint64(dp.counted))
 }
 
 // deltaPass is the consumer of one delta pass's pinned searches: the state it
-// writes and the sign it writes with, the side's sorted dirty indexes, its
-// sorted mutated vertices and edges, the pattern's edges as position pairs and
-// the pattern position the search now running is pinned at.
+// writes and the sign it writes with, the side's sorted mutated edges, the
+// pattern's edges as position pairs and the pattern arc the search now
+// running is pinned at.
 type deltaPass struct {
-	state                     *domainState
-	sign                      int
-	dirty, vertices           []int32
-	edges                     []uint64
-	patternEdges              [][2]int
-	root                      int
-	emitted, counted, applied int
+	state            *domainState
+	sign             int
+	edges            []uint64
+	patternEdges     [][2]int
+	arc              [2]int
+	emitted, counted int
 }
 
-// yield counts a representative iff its root image is the smallest dirty
-// index among its images, and applies what it counts to the state iff the
-// instance uses structure the batch mutated. The pinned searches deliver an
-// instance once per dirty vertex it touches, rooted there; the first rule
-// keeps the one rooted lowest. An instance that uses no mutated vertex or
-// edge is counted by both passes alike, so the second rule leaves out a +1
-// and a −1 of the same entries.
+// yield counts a representative iff no pattern edge maps onto a mutated edge
+// with a smaller key than the one its arc is pinned at, and applies what it
+// counts to the state. The pinned searches deliver an instance once per
+// mutated edge it uses, pinned there; the rule keeps the one pinned at the
+// smallest.
 //
 //gvet:hotpath
 func (dp *deltaPass) yield(o *isomorph.Occurrence) bool {
 	dp.emitted++
-	x := o.IndexAt(dp.root)
-	for i := 0; i < o.Len(); i++ {
-		if y := o.IndexAt(i); y < x {
-			if _, dirty := slices.BinarySearch(dp.dirty, y); dirty {
+	pinned := isomorph.EdgeKey(o.IndexAt(dp.arc[0]), o.IndexAt(dp.arc[1]))
+	for _, e := range dp.patternEdges {
+		if k := isomorph.EdgeKey(o.IndexAt(e[0]), o.IndexAt(e[1])); k < pinned {
+			if _, mutated := slices.BinarySearch(dp.edges, k); mutated {
 				return true
 			}
 		}
 	}
 	dp.counted++
-	if dp.mutated(o) {
-		dp.applied++
-		dp.state.apply(o, dp.sign)
-	}
+	dp.state.apply(o, dp.sign)
 	return true
 }
 
-// mutated reports whether the representative maps a pattern node onto a
-// vertex the batch added or removed, or a pattern edge onto an edge it added
-// or removed.
-//
-//gvet:hotpath
-func (dp *deltaPass) mutated(o *isomorph.Occurrence) bool {
-	for i := 0; i < o.Len(); i++ {
-		if _, hit := slices.BinarySearch(dp.vertices, o.IndexAt(i)); hit {
-			return true
+// applyVertices is a one-node pattern's pass: every mutated vertex of the
+// side that carries the pattern's label is an instance the batch added (on
+// the new side) or removed (on the old), and nothing else is.
+func (dp *deltaPass) applyVertices(snap *graph.Snapshot, vertices []int32, label graph.Label) {
+	for _, x := range vertices {
+		if snap.LabelAt(x) == label {
+			dp.emitted++
+			dp.counted++
+			dp.state.applyVertex(snap.ID(x), dp.sign)
 		}
 	}
-	for _, e := range dp.patternEdges {
-		if _, hit := slices.BinarySearch(dp.edges, edgeKey(o.IndexAt(e[0]), o.IndexAt(e[1]))); hit {
-			return true
-		}
-	}
-	return false
-}
-
-// edgeKey packs the edge between dense indexes x and y as one uint64, the
-// smaller index in the high half, so an edge has one key and keys sort by
-// (lo, hi).
-func edgeKey(x, y int32) uint64 {
-	if x > y {
-		x, y = y, x
-	}
-	return uint64(x)<<32 | uint64(y)
 }
 
 // edgePositions returns p's edges as pairs of positions in p.Nodes().
@@ -408,11 +397,12 @@ func edgePositions(p *pattern.Pattern) [][2]int {
 
 // Batch is one update of a graph prepared for every DeltaContext that has to
 // absorb it: the snapshot before and the snapshot after, and per side the
-// batch's dirty vertices as sorted dense indexes and the size of the mutation
-// ball around them at every radius up to the one asked for. Everything a
-// context needs that does not depend on its pattern is computed here, once,
-// so an owner of seventy contexts pays for one dirty set and one
-// breadth-first search per side, not seventy; and nothing in it changes after
+// batch's mutated edges and vertices as sorted dense indexes and the size of
+// the mutation ball around the dirty vertices at every radius up to the one
+// asked for. Everything a context needs that does not depend on its pattern
+// is computed here, once, so an owner of seventy contexts pays for one
+// translation and one breadth-first search per side, not seventy; and nothing
+// in it changes after
 // NewBatch returns, so the contexts may apply it from several goroutines at
 // once.
 type Batch struct {
@@ -422,12 +412,9 @@ type Batch struct {
 // batchSide is one snapshot's half of a Batch.
 type batchSide struct {
 	snap *graph.Snapshot
-	// dirty is the batch's dirty vertices that exist in snap, as sorted dense
-	// indexes; never nil.
-	dirty []int32
 	// vertices is the vertices the batch added or removed that exist in snap,
 	// and edges the edges it added or removed whose endpoints both do, packed
-	// by edgeKey; both sorted dense indexes.
+	// by isomorph.EdgeKey; both sorted dense indexes.
 	vertices []int32
 	edges    []uint64
 	// ballSizes[r] is the number of vertices within r hops of a dirty one, for
@@ -441,14 +428,13 @@ type batchSide struct {
 // by the given mutations, for contexts whose radii (DeltaContext.Radius) are
 // at most maxRadius.
 //
-// The dirty vertex set is every vertex incident to mutated structure. An
-// instance gained by the batch must touch it (it uses an added edge or an
-// added vertex), an instance lost by the batch must touch it too (it used a
-// removed edge or vertex), and the set is one list of VertexIDs translated
-// into each side's indexes, so the old and new snapshots agree on which
-// shared instances touch it — which is what makes the signed cancellation of
-// a refresh exact. The mutated vertices and edges are translated the same
-// way; a pass reads them to leave out the shared instances (deltaPass.yield).
+// The mutated edges are those named by an edge mutation and the mutated
+// vertices those named by a vertex mutation, each one list of VertexIDs
+// translated into each side's indexes: an instance gained by the batch uses
+// an added one, an instance lost by it used a removed one, and a pass is
+// rooted at them (DeltaContext.pass). The dirty vertex set is every vertex
+// incident to mutated structure, translated the same way; the balls around it
+// are what decides between the passes and a rebuild.
 func NewBatch(old, new *graph.Snapshot, muts []graph.Mutation, maxRadius int) *Batch {
 	dirty := make([]graph.VertexID, 0, 2*len(muts))
 	var vertices []graph.VertexID
@@ -475,17 +461,17 @@ func NewBatch(old, new *graph.Snapshot, muts []graph.Mutation, maxRadius int) *B
 // have (IndexOf is monotone, so the vertex lists stay sorted), and measures
 // the mutation ball around the dirty indexes (ballSizes).
 func newBatchSide(snap *graph.Snapshot, dirty, vertices []graph.VertexID, edges []graph.Edge, maxRadius int) batchSide {
-	s := batchSide{snap: snap, dirty: indexesIn(snap, dirty), vertices: indexesIn(snap, vertices), edges: make([]uint64, 0, len(edges))}
+	s := batchSide{snap: snap, vertices: indexesIn(snap, vertices), edges: make([]uint64, 0, len(edges))}
 	for _, e := range edges {
 		u, okU := snap.IndexOf(e.U)
 		v, okV := snap.IndexOf(e.V)
 		if okU && okV {
-			s.edges = append(s.edges, edgeKey(u, v))
+			s.edges = append(s.edges, isomorph.EdgeKey(u, v))
 		}
 	}
 	slices.Sort(s.edges)
 	s.edges = slices.Compact(s.edges)
-	s.ballSizes = ballSizes(snap, s.dirty, maxRadius)
+	s.ballSizes = ballSizes(snap, indexesIn(snap, dirty), maxRadius)
 	return s
 }
 
@@ -605,7 +591,7 @@ func patternDiameter(p *pattern.Pattern) int {
 // rebuild discards the maintained state and recomputes it — a complete
 // enumeration of snap, confined to masks (nil for none), folded into an empty
 // state — and compiles the delta passes' pinned searches against snap's
-// statistics, one per node orbit. It returns the MNI domain of every pattern
+// statistics, one per edge orbit. It returns the MNI domain of every pattern
 // node on snap, aligned with p.Nodes(), read off the pass's table.
 func (d *DeltaContext) rebuild(snap *graph.Snapshot, masks []isomorph.Mask) []isomorph.Mask {
 	all := d.counter.accumulate(snap, d.opts.Parallelism, masks)
@@ -613,10 +599,8 @@ func (d *DeltaContext) rebuild(snap *graph.Snapshot, masks []isomorph.Mask) []is
 	d.state = newDomainState(d.counter.rowLayout)
 	d.state.fold(all, rows)
 	d.searches = d.searches[:0]
-	for i, r := range d.counter.rowOf {
-		if r == len(d.searches) {
-			d.searches = append(d.searches, isomorph.NewPinnedSearch(snap, d.p, d.counter.sym, i))
-		}
+	for _, arc := range d.counter.sym.EdgeOrbits(d.p) {
+		d.searches = append(d.searches, isomorph.NewPinnedSearch(snap, d.p, d.counter.sym, arc[0], arc[1]))
 	}
 	return fanOut(d.counter.rowLayout, rows)
 }

@@ -12,7 +12,7 @@ var (
 	mDeltaRefreshes = obs.NewCounter("repro_delta_refreshes_total",
 		"DeltaContext refreshes, including no-op ones")
 	mDeltaApplied = obs.NewCounter("repro_delta_delta_refreshes_total",
-		"refreshes applied as plus/minus delta passes rooted at the batch's dirty vertices")
+		"refreshes applied as plus/minus delta passes rooted at the batch's mutated edges")
 	mDeltaFull = obs.NewCounter("repro_delta_full_rebuilds_total",
 		"refreshes that fell back to a from-scratch re-enumeration")
 	mDeltaBall = obs.NewHistogram("repro_delta_ball_vertices",
@@ -20,12 +20,13 @@ var (
 	// The three pass counters are deterministic work counts, published once
 	// per pass: what the pinned searches emitted, what the pass counted and
 	// what it applied to the maintained state. The first two differ only by
-	// the instances through two or more dirty vertices; a ratio far above one
-	// means a pass is filtering an enumeration again instead of rooting it.
+	// the instances using two or more mutated edges, and the last two not at
+	// all; a ratio far above one means a pass is meeting instances the batch
+	// left alone again.
 	mPassRepresentatives = obs.NewCounter("repro_delta_pass_representatives_total",
 		"representatives emitted by the pinned searches of delta passes")
 	mPassCounted = obs.NewCounter("repro_delta_pass_counted_total",
-		"representatives delta passes counted: one per instance touching a dirty vertex")
+		"representatives delta passes counted: one per instance using a mutated edge or vertex")
 	mPassApplied = obs.NewCounter("repro_delta_pass_applied_total",
 		"counted representatives delta passes applied to the maintained state")
 )

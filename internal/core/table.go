@@ -283,11 +283,26 @@ func (s *domainState) fold(a *accumulator, rows []isomorph.Mask) {
 //
 //gvet:hotpath
 func (s *domainState) apply(o *isomorph.Occurrence, sign int) {
-	s.count += sign
 	ids := s.ids
 	for i := range ids {
 		ids[i] = o.ImageAt(i)
 	}
+	s.applyIDs(sign)
+}
+
+// applyVertex adds sign times the instance of a one-node pattern at vertex v
+// into s.
+func (s *domainState) applyVertex(v graph.VertexID, sign int) {
+	s.ids[0] = v
+	s.applyIDs(sign)
+}
+
+// applyIDs adds sign times the instance whose images are in s.ids into s.
+//
+//gvet:hotpath
+func (s *domainState) applyIDs(sign int) {
+	s.count += sign
+	ids := s.ids
 	for i, r := range s.rowOf {
 		row, v := s.entries[r], ids[i]
 		switch next := row[v] + sign; {

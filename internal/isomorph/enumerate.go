@@ -221,31 +221,6 @@ func compilePlan(snap *graph.Snapshot, m *patternModel, order []int, below [][]i
 	return pl
 }
 
-// restrictRoots makes the plan's root candidates those of the given sorted
-// dense indexes of its snapshot that pass the root's label and degree
-// constraints, bucketed by shard, replacing whatever candidates it had and
-// reusing their buckets' backing arrays. The list is sorted, so its shards
-// come up in ascending order and each bucket is the tail of the list so far.
-func (pl *searchPlan) restrictRoots(indexes []int32) {
-	snap := pl.snap
-	pl.rootsByShard, pl.shardIDs, pl.numRoots = pl.rootsByShard[:0], pl.shardIDs[:0], 0
-	for _, c := range indexes {
-		if snap.LabelAt(c) != pl.label[0] || snap.DegreeAt(c) < pl.minDeg[0] {
-			continue
-		}
-		s := snap.ShardOf(c)
-		if last := len(pl.shardIDs) - 1; last < 0 || pl.shardIDs[last] != s {
-			n := len(pl.rootsByShard)
-			pl.rootsByShard = slices.Grow(pl.rootsByShard, 1)[:n+1]
-			pl.rootsByShard[n] = pl.rootsByShard[n][:0]
-			pl.shardIDs = append(pl.shardIDs, s)
-		}
-		last := len(pl.rootsByShard) - 1
-		pl.rootsByShard[last] = append(pl.rootsByShard[last], c)
-		pl.numRoots++
-	}
-}
-
 // rootsFromMask makes the plan's root candidates the members of mask that
 // pass the root's label and degree constraints, bucketed by shard. They are
 // collected in ascending order into one list, and a shard is a range of
@@ -677,13 +652,13 @@ func (pl *searchPlan) drain(st *searchState) {
 	}
 }
 
-// PinnedSearch is a compiled search whose root is prescribed: the
-// occurrences of a pattern that map the node at a given position of
-// p.Nodes() to one of a given set of dense indexes. Its search order is the
-// planner's greedy growth from that node, so a run costs the neighbourhoods
-// of the candidates, whatever the node — which is what an update wants: the
-// occurrences through a handful of changed vertices (core.DeltaContext pins
-// every node orbit's first position at them in turn).
+// PinnedSearch is a compiled search whose first edge is prescribed: the
+// occurrences of a pattern that map a given arc (a, b) of it — an edge, its
+// ends in order, as positions of p.Nodes() — onto given data edges. Its search
+// order is a, b, then the planner's greedy growth from that edge, so a run
+// costs the neighbourhoods of the edges it is handed, whatever the arc — which
+// is what an update wants: the occurrences through a handful of changed edges
+// (core.DeltaContext pins the first arc of every edge orbit at them in turn).
 //
 // Everything that depends on the pattern alone or on a snapshot's statistics
 // — the order, the per-depth constraints, the symmetry bounds, the kernel
@@ -693,67 +668,124 @@ func (pl *searchPlan) drain(st *searchState) {
 // snapshot's statistics serves its successors: a caller recompiles when the
 // statistics have moved far, not per run.
 //
-// With sym nil every such occurrence is delivered. With sym the pattern's
-// Symmetry, the occurrences of one instance that agree on the root's image
-// are one coset of the root position's stabiliser in Aut(P), and the search
-// delivers one of them (Symmetry.below), never entering the branches of the
-// others: per candidate x, one representative of every instance that maps a
-// node of the root's orbit to x. As under Options.Symmetry, nothing may depend
-// on which occurrence that is.
+// A run tries each data edge {x, y} in the orientations the search's group
+// leaves distinct. With sym the pattern's Symmetry, the occurrences of one
+// instance that map (a, b) to a given data arc are one coset of the pointwise
+// stabiliser of a and b in Aut(P), and the search delivers one of them
+// (Symmetry.below), never entering the branches of the others. When some
+// automorphism maps (a, b) to (b, a) — a triangle's edge, a one-label edge —
+// the two orientations of a data edge meet the same cosets, so a run tries
+// (x, y) alone; otherwise it tries both, and an instance meets its edge in at
+// most one of them. Either way a run delivers one representative per pair
+// (instance, data edge) in which the instance maps an edge of (a, b)'s orbit
+// onto the data edge. With sym nil the group is the identity: a run tries
+// both orientations and delivers every occurrence mapping (a, b) onto a data
+// edge either way round. As under Options.Symmetry, nothing may depend on
+// which occurrence represents an instance.
 //
 // A PinnedSearch is not safe for concurrent use: its runs share one search
 // state. Each core.DeltaContext owns its searches and runs them one at a time.
 type PinnedSearch struct {
 	pl *searchPlan
 	st *searchState
+	// reversible reports that the search's group maps (a, b) to (b, a), so
+	// one orientation of a data edge meets every coset the other does.
+	reversible bool
 }
 
-// NewPinnedSearch compiles the search of p pinned at position root of
-// p.Nodes(), ordered from snap's statistics, under sym (nil for the full
-// search). It retains nothing of snap.
-func NewPinnedSearch(snap *graph.Snapshot, p *pattern.Pattern, sym *Symmetry, root int) *PinnedSearch {
+// NewPinnedSearch compiles the search of p pinned at the arc (a, b) of
+// positions of p.Nodes(), which must be adjacent, ordered from snap's
+// statistics, under sym (nil for the full search). It retains nothing of snap.
+func NewPinnedSearch(snap *graph.Snapshot, p *pattern.Pattern, sym *Symmetry, a, b int) *PinnedSearch {
 	m := newPatternModel(p)
-	order := growOrder(m, newPlannerStats(snap, m, nil), root)
-	below, weight := make([][]int, len(order)), uint64(1)
+	if !slices.Contains(m.adj[a], b) {
+		panic(fmt.Sprintf("isomorph: a search pinned at positions %d and %d of %v, which are not adjacent", a, b, p))
+	}
+	order := growOrder(m, newPlannerStats(snap, m, nil), a, b)
+	below, weight, reversible := make([][]int, len(order)), uint64(1), false
 	if sym != nil {
-		stabiliser := sym.stabiliser(root)
-		below, weight = sym.below(order, stabiliser), uint64(len(stabiliser))
+		stabiliser := sym.stabiliser(a, b)
+		below, weight, reversible = sym.below(order, stabiliser), uint64(len(stabiliser)), sym.swaps(a, b)
 	}
 	pl := compilePlan(snap, m, order, below, weight, nil)
 	st := newSearchState(pl, nil)
 	pl.snap, st.occ.snap = nil, nil
-	return &PinnedSearch{pl: pl, st: st}
+	return &PinnedSearch{pl: pl, st: st, reversible: reversible}
 }
 
-// Root returns the pattern position the search is pinned at.
-func (ps *PinnedSearch) Root() int { return ps.pl.slot[0] }
+// Arc returns the pattern positions (a, b) the search is pinned at.
+func (ps *PinnedSearch) Arc() (a, b int) { return ps.pl.slot[0], ps.pl.slot[1] }
+
+// EdgeKey packs the edge between dense indexes x and y as one uint64, the
+// smaller index in the high half, so an edge has one key and keys sort by
+// (lo, hi). It is the form PinnedSearch.Run is handed its data edges in.
+func EdgeKey(x, y int32) uint64 {
+	if x > y {
+		x, y = y, x
+	}
+	return uint64(x)<<32 | uint64(y)
+}
 
 // Run streams, on the calling goroutine and in the deterministic sequential
 // order of the compiled search, the occurrences of the pattern in snap that
-// map the pinned node to one of the given dense indexes of snap (sorted
-// ascending, none twice; those failing the node's label or degree constraint
-// are skipped). The *Occurrence lent to yield is borrowed, as in
-// EnumerateSnapshotWorkers; returning false stops the run.
+// map the pinned arc onto one of the given data edges (EdgeKey-packed dense
+// indexes of snap, tried in the order given, none twice; one whose ends fail
+// the arc's label or degree constraints, or that snap does not have, is
+// skipped),
+// in the orientations the search's group leaves distinct (see PinnedSearch).
+// The *Occurrence lent to yield is borrowed, as in EnumerateSnapshotWorkers;
+// returning false stops the run.
 //
-// Each run binds snap afresh: the root buckets are rebuilt and every memoized
-// candidate run is dropped, because a run is keyed by its anchor's dense
-// index and that index names another vertex — or the same vertex with
-// another neighbour row — on another snapshot. On return the search holds
-// no reference to snap or yield — its lent occurrence included, which is
-// bound to snap only while the run lasts.
-func (ps *PinnedSearch) Run(snap *graph.Snapshot, candidates []int32, yield func(*Occurrence) bool) {
-	if len(candidates) == 0 {
+// Each run binds snap afresh: every memoized candidate run is dropped,
+// because a run is keyed by its anchor's dense index and that index names
+// another vertex — or the same vertex with another neighbour row — on another
+// snapshot. On return the search holds no reference to snap or yield — its
+// lent occurrence included, which is bound to snap only while the run lasts.
+func (ps *PinnedSearch) Run(snap *graph.Snapshot, edges []uint64, yield func(*Occurrence) bool) {
+	if len(edges) == 0 {
 		return
 	}
 	pl, st := ps.pl, ps.st
 	pl.snap = snap
-	pl.restrictRoots(candidates)
 	for i := range st.slots {
 		st.slots[i].anchor = -1
 	}
 	st.occ.snap, st.yield = snap, yield
-	pl.drain(st)
+	var searched uint64
+	for _, e := range edges {
+		x, y := int32(e>>32), int32(uint32(e))
+		if st.searchArc(x, y, &searched) || !ps.reversible && st.searchArc(y, x, &searched) {
+			break
+		}
+	}
+	// Each arc is searched inside an acquisition of its first end's shard:
+	// a drain of one root.
+	mShardDrains.Add(searched)
+	mRoots.Add(searched)
+	st.publishEmits()
 	pl.snap, st.occ.snap, st.yield = nil, nil, nil
+}
+
+// searchArc binds depth 0 to u and depth 1 to v, when they pass those
+// depths' label and degree constraints and are adjacent, and explores the
+// subtree below them, counting the arc in searched. It returns true when the
+// consumer returned false and the run must halt.
+//
+//gvet:hotpath
+func (s *searchState) searchArc(u, v int32, searched *uint64) bool {
+	pl := s.pl
+	snap := pl.snap
+	if snap.LabelAt(u) != pl.label[0] || snap.DegreeAt(u) < pl.minDeg[0] ||
+		snap.LabelAt(v) != pl.label[1] || snap.DegreeAt(v) < pl.minDeg[1] || !snap.HasEdgeAt(u, v) {
+		return false
+	}
+	*searched++
+	shard := snap.ShardOf(u)
+	snap.AcquireShard(shard)
+	s.assign[0], s.assign[1] = u, v
+	halt := s.search(2)
+	snap.ReleaseShard(shard)
+	return halt
 }
 
 // EnumerateSnapshot returns all occurrences of pattern p in snap, in the

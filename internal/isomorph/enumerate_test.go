@@ -292,7 +292,7 @@ func TestStopOnLastRootOfShardHalts(t *testing.T) {
 		t.Fatalf("froze into %d shards, want 4", snap.NumShards())
 	}
 	edge := pattern.MustNew(graph.NewBuilder("edge").Vertex(0, 1).Vertex(1, 2).Edge(0, 1).MustBuild())
-	all := []int32{0, 1, 2, 3, 4, 5, 6, 7}
+	matching := []uint64{isomorph.EdgeKey(0, 1), isomorph.EdgeKey(2, 3), isomorph.EdgeKey(4, 5), isomorph.EdgeKey(6, 7)}
 	big, star := gen.BarabasiAlbert(300, 3, gen.UniformLabels{K: 2}, 11).FreezeSharded(graph.FreezeOptions{Shards: 4}), starPattern()
 
 	// stopAfter returns a consumer that stops on its n-th occurrence and fails
@@ -342,11 +342,11 @@ func TestStopOnLastRootOfShardHalts(t *testing.T) {
 		where := fmt.Sprintf("BA(300) star, stop at %d", n)
 		stopOnWorkers(where, big, star, isomorph.Options{Parallelism: 4}, n)
 		for root := 0; root < 2; root++ {
-			search := isomorph.NewPinnedSearch(snap, edge, nil, root)
+			search := isomorph.NewPinnedSearch(snap, edge, nil, root, 1-root)
 			for run := 0; run < 2; run++ { // a stopped run leaves nothing behind for the next
-				where := fmt.Sprintf("stop at %d, pinned at position %d, run %d", n, root, run)
+				where := fmt.Sprintf("stop at %d, pinned at arc (%d, %d), run %d", n, root, 1-root, run)
 				calls := 0
-				search.Run(snap, all, stopAfter(where, n, &calls))
+				search.Run(snap, matching, stopAfter(where, n, &calls))
 				if calls != n {
 					t.Errorf("%s: %d occurrences delivered, want %d", where, calls, n)
 				}

@@ -237,16 +237,18 @@ func plannedOrder(m *patternModel, st *plannerStats) []int {
 	return growOrder(m, st, start)
 }
 
-// growOrder is plannedOrder's greedy growth from a given root position: the
-// whole of the planned order when the root is prescribed rather than chosen,
-// as it is for a search pinned at a pattern node, which NewPinnedSearch grows
-// once and every run of the compiled search then follows.
-func growOrder(m *patternModel, st *plannerStats, start int) []int {
+// growOrder is plannedOrder's greedy growth from the given connected prefix
+// of positions: the whole of the planned order when the root is prescribed
+// rather than chosen, and the rest of it after a pinned arc (a, b), which
+// NewPinnedSearch grows once and every run of the compiled search then
+// follows.
+func growOrder(m *patternModel, st *plannerStats, prefix ...int) []int {
 	k := len(m.nodes)
-	order := make([]int, 1, k)
-	order[0] = start
+	order := append(make([]int, 0, k), prefix...)
 	inOrder := make([]bool, k)
-	inOrder[start] = true
+	for _, i := range prefix {
+		inOrder[i] = true
+	}
 	for len(order) < k {
 		best, bestAnchors := -1, 0
 		var bestEst float64

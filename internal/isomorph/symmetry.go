@@ -2,6 +2,7 @@ package isomorph
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/pattern"
 )
@@ -86,13 +87,13 @@ func (s *Symmetry) OrbitOf(i int) int { return s.orbitOf[i] }
 //
 // group is the subgroup the rounds start from, the symmetry that is left to
 // break: all of Aut(P) (s.perms) for a search free to root anywhere, and for a
-// pinned search (PinnedSearch), which is handed the image of order[0]
-// rather than left to choose it, that position's stabiliser — the occurrences
-// f∘σ of an instance that agree with f on the pinned node are those with σ in
-// the stabiliser (f is injective), one coset, and the same rounds leave one of
-// them. The constraints name depths, not dense indexes, so a pinned search
-// derives them once when it is compiled and every run on every snapshot
-// applies the same ones.
+// pinned search (PinnedSearch), which is handed the images of order[0] and
+// order[1] rather than left to choose them, those positions' pointwise
+// stabiliser — the occurrences f∘σ of an instance that agree with f on the
+// pinned arc are those with σ in the stabiliser (f is injective), one coset,
+// and the same rounds leave one of them. The constraints name depths, not
+// dense indexes, so a pinned search derives them once when it is compiled and
+// every run on every snapshot applies the same ones.
 func (s *Symmetry) below(order []int, group [][]int) [][]int {
 	if len(order) != len(s.orbitOf) {
 		panic(fmt.Sprintf("isomorph: symmetry of a %d-node pattern handed to the search of a %d-node one", len(s.orbitOf), len(order)))
@@ -120,13 +121,48 @@ func (s *Symmetry) below(order []int, group [][]int) [][]int {
 	return below
 }
 
-// stabiliser returns the automorphisms that fix position i.
-func (s *Symmetry) stabiliser(i int) [][]int {
+// stabiliser returns the automorphisms that fix positions a and b.
+func (s *Symmetry) stabiliser(a, b int) [][]int {
 	var fixing [][]int
 	for _, perm := range s.perms {
-		if perm[i] == i {
+		if perm[a] == a && perm[b] == b {
 			fixing = append(fixing, perm)
 		}
 	}
 	return fixing
+}
+
+// swaps reports whether some automorphism maps position a to b and b to a.
+func (s *Symmetry) swaps(a, b int) bool {
+	return slices.ContainsFunc(s.perms, func(perm []int) bool { return perm[a] == b && perm[b] == a })
+}
+
+// EdgeOrbits returns one arc (a, b) per orbit of Aut(P) on p's edges, as
+// positions of p.Nodes() with a < b: the edge of the orbit that comes first
+// by (a, b), and orbits in that order too. p must be the pattern s is the
+// symmetry of. Every edge of p is the image of exactly one returned arc's
+// edge under some automorphism, which is what lets a search pinned at each of
+// them in turn (PinnedSearch) meet every edge an instance maps onto a data
+// edge.
+func (s *Symmetry) EdgeOrbits(p *pattern.Pattern) [][2]int {
+	var arcs [][2]int
+	for a, nbs := range newPatternModel(p).adj {
+		for _, b := range nbs {
+			if b < a {
+				continue
+			}
+			first := true
+			for _, perm := range s.perms {
+				x, y := min(perm[a], perm[b]), max(perm[a], perm[b])
+				if x < a || x == a && y < b {
+					first = false
+					break
+				}
+			}
+			if first {
+				arcs = append(arcs, [2]int{a, b})
+			}
+		}
+	}
+	return arcs
 }

@@ -234,7 +234,7 @@ func (inc *Incremental) Refresh() (*Result, error) {
 
 // refreshTracked delta-refreshes and re-evaluates every tracked candidate.
 // Everything about the update that does not depend on a pattern — the
-// refrozen snapshot, the dirty vertices in both index spaces, the size of each
+// refrozen snapshot, the mutated edges and vertices in both index spaces, the size of each
 // side's mutation ball at every radius up to the largest pattern diameter —
 // is prepared once, before the fan-out, as a read-only core.Batch. With cfg.Parallelism >= 2 the
 // independent applications then run on forEach's worker pool, each mutating
@@ -292,7 +292,7 @@ func (inc *Incremental) track(confine bool) evaluator {
 			// Miner.evaluate): cold builds are the expensive enumerations and
 			// deserve the full machine, and they alone are what the setting
 			// reaches — the delta passes that do run concurrently are
-			// searches pinned at the batch's dirty vertices, which run on the
+			// searches pinned at the batch's mutated edges, which run on the
 			// goroutine that applies the batch by construction. The context
 			// subscribes to nothing; refreshTracked feeds it.
 			var masks []isomorph.Mask
