@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -79,23 +80,7 @@ func (w *WAL) Append(muts []graph.Mutation) error {
 	if w.broken {
 		return errors.New("store: WAL is broken by an earlier failed append; commit to reset it")
 	}
-	payload := make([]byte, 8+4+len(muts)*walMutBytes)
-	binary.LittleEndian.PutUint64(payload[0:], w.epoch)
-	binary.LittleEndian.PutUint32(payload[8:], uint32(len(muts)))
-	off := 12
-	for _, m := range muts {
-		payload[off] = byte(m.Kind)
-		binary.LittleEndian.PutUint64(payload[off+1:], uint64(m.U))
-		binary.LittleEndian.PutUint64(payload[off+9:], uint64(m.V))
-		binary.LittleEndian.PutUint64(payload[off+17:], uint64(m.Label))
-		off += walMutBytes
-	}
-	rec := make([]byte, 8+len(payload)+4)
-	binary.LittleEndian.PutUint32(rec[0:], walMagic)
-	binary.LittleEndian.PutUint32(rec[4:], uint32(len(payload)))
-	copy(rec[8:], payload)
-	binary.LittleEndian.PutUint32(rec[8+len(payload):], crc32.Checksum(payload, castagnoli))
-
+	rec := appendWALRecord(nil, w.epoch, muts)
 	if ferr := fireFault("wal-append", WALFile); ferr != nil {
 		w.f.Write(rec[:len(rec)/2])
 		w.broken = true
@@ -118,6 +103,27 @@ func (w *WAL) Append(muts []graph.Mutation) error {
 	mWALAppends.Inc()
 	mWALMutations.Add(uint64(len(muts)))
 	return nil
+}
+
+// appendWALRecord appends to dst the record of one batch logged under the
+// given epoch, as Append writes it and ReadWAL decodes it: the magic, the
+// payload's length, the payload — epoch, mutation count, and every mutation
+// in walMutBytes — and the payload's CRC-32C.
+func appendWALRecord(dst []byte, epoch uint64, muts []graph.Mutation) []byte {
+	plen := 8 + 4 + len(muts)*walMutBytes
+	dst = slices.Grow(dst, 8+plen+4)
+	dst = binary.LittleEndian.AppendUint32(dst, walMagic)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(plen))
+	start := len(dst)
+	dst = binary.LittleEndian.AppendUint64(dst, epoch)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(muts)))
+	for _, m := range muts {
+		dst = append(dst, byte(m.Kind))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(m.U))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(m.V))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(m.Label))
+	}
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
 }
 
 // Reset truncates the log after a successful commit and stamps subsequent
