@@ -219,11 +219,10 @@ func (s *Server) Evaluate(ctx context.Context, req *EvaluateRequest) (*EvaluateR
 // epoch. Once ctx is done — the client left — the job stops waiting for a
 // slot, or stops mining at its next candidate.
 func (s *Server) Mine(ctx context.Context, req *MineWire) (*MineResponse, error) {
-	spec, err := req.MineSpec()
+	spec, err := req.MineSpec(s.cfg.MaxParallelism)
 	if err != nil {
 		return nil, badRequest(err)
 	}
-	spec.Workers = clampParallelism(spec.Workers, s.cfg.MaxParallelism)
 	release, err := s.admitMine(ctx)
 	if err != nil {
 		return nil, err
@@ -333,11 +332,10 @@ func (s *Server) Stats(ctx context.Context) (*StatsResponse, error) {
 // the engine's reader lock so the reported epoch is exactly the one the
 // result corresponds to.
 func (s *Server) OpenSession(ctx context.Context, req *OpenSessionRequest) (*SessionResponse, error) {
-	spec, err := req.Mine.MineSpec()
+	spec, err := req.Mine.MineSpec(s.cfg.MaxParallelism)
 	if err != nil {
 		return nil, badRequest(err)
 	}
-	spec.Workers = clampParallelism(spec.Workers, s.cfg.MaxParallelism)
 	release, err := s.admitMine(ctx)
 	if err != nil {
 		return nil, err

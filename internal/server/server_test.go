@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -723,6 +725,70 @@ func TestParallelismClamp(t *testing.T) {
 	for _, c := range cases {
 		if got := clampParallelism(c.req, c.max); got != c.want {
 			t.Errorf("clampParallelism(%d, %d) = %d, want %d", c.req, c.max, got, c.want)
+		}
+	}
+}
+
+// TestWorkersZeroMeansMaxParallelism pins what an omitted or zero "workers"
+// means on the wire: the server's MaxParallelism, which is its default, and
+// not the engine's sequential zero; a larger value is clamped down to it.
+// /v1/mine and /v1/sessions decode their mining configuration through
+// MineWire.MineSpec, which the test reads for each endpoint's body as its
+// handler decodes it. Over HTTP every body is answered, and a one-shot mine and
+// a session's result are the same for every workers value.
+func TestWorkersZeroMeansMaxParallelism(t *testing.T) {
+	const maxParallelism = 3
+	eng, err := support.NewEngine(support.BarabasiAlbert(60, 2, 2, 3), support.EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(eng, Config{MaxParallelism: maxParallelism})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	c := ts.Client()
+
+	var mined, opened MineResponse
+	for i, tc := range []struct {
+		workers string
+		want    int
+	}{
+		{"", maxParallelism},
+		{`,"workers":0`, maxParallelism},
+		{`,"workers":2`, 2},
+		{`,"workers":64`, maxParallelism},
+	} {
+		mine := `{"min_support":5,"max_pattern_size":3` + tc.workers + `}`
+		var mw MineWire
+		var open OpenSessionRequest
+		if err := errors.Join(json.Unmarshal([]byte(mine), &mw), json.Unmarshal([]byte(`{"mine":`+mine+`}`), &open)); err != nil {
+			t.Fatalf("%s: %v", mine, err)
+		}
+		for endpoint, w := range map[string]MineWire{"/v1/mine": mw, "/v1/sessions": open.Mine} {
+			spec, err := w.MineSpec(s.cfg.MaxParallelism)
+			if err != nil || spec.Workers != tc.want {
+				t.Fatalf("%s %s: decoded workers %v (err %v), want %d", endpoint, mine, spec, err, tc.want)
+			}
+		}
+
+		var mr MineResponse
+		var sr SessionResponse
+		if err := errors.Join(
+			json.Unmarshal(postOK(t, c, ts.URL+"/v1/mine", json.RawMessage(mine)), &mr),
+			json.Unmarshal(postOK(t, c, ts.URL+"/v1/sessions", json.RawMessage(`{"mine":`+mine+`}`)), &sr),
+		); err != nil {
+			t.Fatalf("%s: %v", mine, err)
+		}
+		if code, raw := doJSON(t, c, http.MethodDelete, ts.URL+"/v1/sessions/"+sr.Session, nil); code != http.StatusOK {
+			t.Fatalf("closing session %s: %d %s", sr.Session, code, raw)
+		}
+		if i == 0 {
+			mined, opened = mr, sr.Result
+			if len(mined.Patterns) == 0 {
+				t.Fatalf("%s: the mine found no pattern; the comparison would be vacuous", mine)
+			}
+		} else if !reflect.DeepEqual(mr, mined) || !reflect.DeepEqual(sr.Result, opened) {
+			t.Fatalf("%s: the answers differ from those with workers omitted", mine)
 		}
 	}
 }

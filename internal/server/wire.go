@@ -102,20 +102,25 @@ type MineWire struct {
 	MaxPatterns int `json:"max_patterns,omitempty"`
 	// Measure is the canonical measure name ("" = MNI).
 	Measure string `json:"measure,omitempty"`
-	// Workers is the candidate-level evaluation parallelism (clamped by the
-	// server's admission limits).
+	// Workers is the candidate-level evaluation parallelism. An omitted or
+	// zero value means the server's MaxParallelism, which is its default, and
+	// a larger one is clamped down to it (MineSpec); only a server without a
+	// cap passes zero on, which the engine runs sequentially.
 	Workers int `json:"workers,omitempty"`
 	// Options overrides the engine defaults for this request.
 	Options *OptionsWire `json:"options,omitempty"`
 }
 
-// MineSpec decodes the wire form into the engine's mining spec.
-func (mw MineWire) MineSpec() (*support.MineSpec, error) {
+// MineSpec decodes the wire form into the engine's mining spec for a server
+// whose parallelism cap is maxParallelism: Workers goes through
+// clampParallelism, so zero becomes the cap. /v1/mine and /v1/sessions both
+// decode their configurations here.
+func (mw MineWire) MineSpec(maxParallelism int) (*support.MineSpec, error) {
 	spec := &support.MineSpec{
 		MinSupport:     mw.MinSupport,
 		MaxPatternSize: mw.MaxPatternSize,
 		MaxPatterns:    mw.MaxPatterns,
-		Workers:        mw.Workers,
+		Workers:        clampParallelism(mw.Workers, maxParallelism),
 	}
 	if mw.Measure != "" {
 		m, err := support.NewMeasure(mw.Measure)
