@@ -9,12 +9,14 @@ import (
 	"strings"
 	"testing"
 
+	support "repro"
 	"repro/internal/dataset"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/measures"
 	"repro/internal/miner"
 	"repro/internal/obs"
+	"repro/internal/pattern"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/work.golden from this run")
@@ -58,6 +60,12 @@ func (l *ledger) start() {
 func (l *ledger) record(step string, st miner.Stats) {
 	fmt.Fprintf(&l.buf, "%s candidates=%d pruned=%d unsearched=%d frequent=%d duplicates=%d extensions=%d codes=%d",
 		step, st.Candidates, st.Pruned, st.Unsearched, st.Frequent, st.Duplicates, st.Extensions, st.Codes)
+	l.counters()
+}
+
+// counters writes the counter deltas of the step started by start and ends
+// its line.
+func (l *ledger) counters() {
 	for i, c := range ledgerCounters {
 		fmt.Fprintf(&l.buf, " %s=%d", c.key, obs.Default.CounterValue(c.name)-l.before[i])
 	}
@@ -78,6 +86,7 @@ func TestWorkLedger(t *testing.T) {
 	ledgerSession(t, &l)
 	ledgerMineMaterialized(t, &l, measures.NameMI)
 	ledgerMineMaterialized(t, &l, measures.NameMVC)
+	ledgerEvalMeasures(t, &l)
 
 	path := filepath.Join("testdata", "work.golden")
 	if *update {
@@ -203,4 +212,66 @@ func ledgerMineMaterialized(t *testing.T, l *ledger, name string) {
 		t.Fatal(err)
 	}
 	l.record("mine", res.Stats)
+}
+
+// ledgerPattern builds a pattern from node labels and edges over node
+// positions.
+func ledgerPattern(labels []graph.Label, edges ...[2]int) *pattern.Pattern {
+	b := graph.NewBuilder("pattern")
+	for i, l := range labels {
+		b.Vertex(graph.VertexID(i), l)
+	}
+	for _, e := range edges {
+		b.Edge(graph.VertexID(e[0]), graph.VertexID(e[1]))
+	}
+	return pattern.MustNew(b.MustBuild())
+}
+
+// ledgerEvalMeasures records the eval-measures workload's evaluations, each
+// materialised and sequential: the polynomial measures of an edge, a path, a
+// star and a path of four on BA(240) and the whole bounding chain of the edge
+// and the path on BA(100), both on the generator's own numbering. Each line
+// carries the evaluation's counter deltas and then every value and Exact
+// flag, so a change in work shows beside proof that the answers held.
+func ledgerEvalMeasures(t *testing.T, l *ledger) {
+	poly := []string{"MNI", "MI", "nuMVC", "nuMIES", "MVC-approx", "occurrences", "instances"}
+	chain := []string{"MNI", "MI", "nuMVC", "nuMIES", "MVC", "MIS", "MIES"}
+	cases := []struct {
+		name     string
+		n        int
+		p        *pattern.Pattern
+		measures []string
+	}{
+		{"edge", 240, pattern.SingleEdge(1, 2), poly},
+		{"path", 240, ledgerPattern([]graph.Label{1, 2, 2}, [2]int{0, 1}, [2]int{1, 2}), poly},
+		{"star", 240, ledgerPattern([]graph.Label{1, 2, 2, 2}, [2]int{0, 1}, [2]int{0, 2}, [2]int{0, 3}), poly},
+		{"path4", 240, ledgerPattern([]graph.Label{1, 2, 1, 2}, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 3}), poly},
+		{"edge-exact", 100, pattern.SingleEdge(1, 2), chain},
+		{"path-exact", 100, ledgerPattern([]graph.Label{1, 2, 2}, [2]int{0, 1}, [2]int{1, 2}), chain},
+	}
+	engines := map[int]*support.Engine{}
+	for _, n := range []int{240, 100} {
+		eng, err := support.NewEngine(gen.BarabasiAlbert(n, 2, gen.UniformLabels{K: 2}, 1), support.EngineOptions{Parallelism: 1, Shards: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines[n] = eng
+	}
+	l.buf.WriteString("== eval-measures: BA(240, 2) and BA(100, 2), 2 labels, seed 1; materialised, sequential\n")
+	for _, c := range cases {
+		l.start()
+		resp, err := engines[c.n].Do(&support.Request{Pattern: c.p, Measures: c.measures})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		fmt.Fprintf(&l.buf, "eval-%s", c.name)
+		l.counters()
+		ev := resp.Evaluation
+		l.buf.WriteString("  values")
+		for _, name := range ev.Names() {
+			r := ev.Results[name]
+			fmt.Fprintf(&l.buf, " %s=%g/%t", name, r.Value, r.Exact)
+		}
+		l.buf.WriteByte('\n')
+	}
 }
