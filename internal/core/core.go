@@ -1,33 +1,41 @@
 // Package core assembles the paper's hypergraph framework: given a data
-// graph and a pattern it enumerates occurrences, builds the occurrence
-// hypergraph (Definition 3.1.3) and classifies pairwise overlaps between
-// occurrences (simple, harmful and structural overlap, Section 4.5). All
-// support measures in the measures package are computed from a Context
-// produced here. The instance hypergraph (Definition 3.1.4) is not built: as
-// vertex sets its edges are the occurrence hypergraph's, each only repeated
-// fewer times, so every cover, packing and LP optimum has the same value on
-// either.
+// graph and a pattern it enumerates the pattern's instances, builds the
+// instance hypergraph H_I (Definition 3.1.4: one edge per instance, over its
+// vertex set) and classifies pairwise overlaps between occurrences (simple,
+// harmful and structural overlap, Section 4.5). All support measures in the
+// measures package are computed from a Context produced here.
 //
 // Context construction runs on the streaming parallel enumeration engine of
-// package isomorph. In streaming mode the pattern's symmetry is derived once
-// (isomorph.NewSymmetry) and handed to the search, which then finds one
+// package isomorph, one search per context. The pattern's symmetry is derived
+// once (isomorph.NewSymmetry) and handed to the search, which then finds one
 // representative occurrence per instance instead of all |Aut(P)| of them;
 // every worker folds the representatives it is lent into one accumulator —
 // their count and the MNI domain table, one row of counters per node orbit
 // keyed by the snapshot's dense vertex indexes (table.go) — and the
-// accumulators are merged once enumeration finishes. The occurrence list and
-// the hypergraph are never materialized and only the aggregates survive: the
-// instance count is the number of representatives, the occurrence count is
-// |Aut(P)| times that, and a node's MNI domain size is the number of non-zero
-// counters of its orbit's row, which is all that MNI and the raw counts need.
-// The miner's streamed context (NewDomainContext) and the incremental miner's
-// first pass of a DeltaContext (NewDeltaContextAt) also hand those rows back,
-// as bitsets over the snapshot's dense indexes, and their search may be
-// confined to the bitsets of the level below. In the default (materialized)
-// mode the list comes from isomorph.EnumerateSnapshot's full search,
-// identical for every parallelism and shard setting, and is scanned once into
-// a table with the same orbit rows; its instance count is the list's length
-// over |Aut(P)| (instancesByOrbit, which checks the division is exact).
+// accumulators are merged once enumeration finishes. The instance count is
+// the number of representatives, the occurrence count is |Aut(P)| times that,
+// and a node's MNI domain size is the number of non-zero counters of its
+// orbit's row, which is all that MNI and the raw counts need. In streaming
+// mode only those aggregates survive. The miner's streamed context
+// (NewDomainContext) and the incremental miner's first pass of a DeltaContext
+// (NewDeltaContextAt) also hand the rows back, as bitsets over the snapshot's
+// dense indexes, and their search may be confined to the bitsets of the level
+// below.
+//
+// In the default (materialized) mode the same search also keeps what it
+// counts (isomorph.ListSnapshot): every representative, copied out as its
+// instance's smallest automorphic copy and listed in canonical order, which
+// is identical for every parallelism and shard setting. Edge i of the
+// hypergraph is instance i, so the instances are ordered as their first
+// occurrences are in the full occurrence list, and every vertex set's first
+// edge keeps its place relative to the others: a solver that reads edges in
+// order meets the sets as it would on the occurrence hypergraph H_O, which
+// repeats every edge |Aut(P)| times. MI and MNIk read an instance's other
+// occurrences off its representative through the symmetry's position
+// permutations; the full occurrence list, which the harmful- and
+// structural-overlap measures and CountOverlaps need, is expanded from the
+// instances once, on first use.
+//
 // DeltaContext keeps the streamed aggregates alive across graph mutations, in
 // a VertexID-keyed refcount state, one row per node orbit: a complete pass's
 // table is folded into it once, and after that every update adds and
@@ -50,19 +58,22 @@ import (
 )
 
 // Context bundles a pattern, a data graph, the aggregates of the pattern's
-// occurrences and — unless built with Options.Streaming — the occurrence list
-// and the occurrence hypergraph, whose edge i is occurrence i. A Context is
-// immutable after construction and safe for concurrent readers, so one
-// Context can feed many measure computations.
+// occurrences and — unless built with Options.Streaming — the instance list
+// and the instance hypergraph, whose edge i is instance i. A Context is
+// immutable after construction (its lazily filled state is filled once, under
+// a sync.Once) and safe for concurrent readers, so one Context can feed many
+// measure computations.
 type Context struct {
 	g *graph.Graph
 	p *pattern.Pattern
 
 	streaming bool
+	// sym is Aut(P), which the search was broken by.
+	sym *isomorph.Symmetry
 
 	// Materialized state; both nil when the context was built with Streaming.
-	occurrences []*isomorph.Occurrence
-	occurrenceH *hypergraph.Hypergraph
+	instances []*isomorph.Occurrence
+	instanceH *hypergraph.Hypergraph
 
 	// Streamed aggregates, valid in both modes.
 	numOccurrences int
@@ -80,10 +91,13 @@ type Context struct {
 	transitive     [][]pattern.NodeID
 	pairs          [][2]int
 	transitiveErr  error
-	// relaxation is the packing LP optimum of occurrenceH, solved on first
+	// relaxation is the packing LP optimum of instanceH, solved on first
 	// use.
 	relaxationOnce sync.Once
 	relaxation     lp.RelaxationResult
+	// occurrences is the instances expanded under Aut(P), on first use.
+	occurrencesOnce sync.Once
+	occurrences     []*isomorph.Occurrence
 }
 
 // Options configures context construction.
@@ -99,7 +113,7 @@ type Options struct {
 	// graph.FreezeOptions). The resulting Context is identical for every
 	// setting.
 	Shards int
-	// Streaming skips materializing the occurrence list and the occurrence
+	// Streaming skips materializing the instance list and the instance
 	// hypergraph; only the incremental aggregates (occurrence and instance
 	// counts, MNI domain tables) are kept. Measures that need the
 	// materialized state (MI, MVC, MIS/MIES, the LP relaxations, MCP) return
@@ -115,7 +129,7 @@ type Options struct {
 	Snapshot *graph.Snapshot
 }
 
-// NewContext enumerates the occurrences of p in g and builds the configured
+// NewContext enumerates the instances of p in g and builds the configured
 // amount of derived state (see Options).
 func NewContext(g *graph.Graph, p *pattern.Pattern, opts Options) (*Context, error) {
 	if (g == nil && opts.Snapshot == nil) || p == nil {
@@ -127,22 +141,13 @@ func NewContext(g *graph.Graph, p *pattern.Pattern, opts Options) (*Context, err
 	if snap == nil {
 		snap = g.FreezeSharded(graph.FreezeOptions{Shards: opts.Shards})
 	}
+	ctx.domainSizes = ctx.stream(snap, opts.Parallelism, nil).table.sizes()
 	if opts.Streaming {
-		ctx.domainSizes = ctx.stream(snap, opts.Parallelism, nil).table.sizes()
 		return ctx, nil
 	}
-	// The list is wanted, so the search is the full one, and one scan folds
-	// the list into the orbit rows a streaming pass fills.
-	occs := isomorph.EnumerateSnapshot(snap, p, isomorph.Options{Parallelism: opts.Parallelism})
-	counter := newInstanceCounter(p)
-	all := counter.scan(snap, occs)
-	ctx.numOccurrences = all.count
-	ctx.numInstances = instancesByOrbit(all.count, counter.sym.Order())
-	ctx.domainSizes = all.table.sizes()
-	ctx.occurrences = occs
-	ctx.occurrenceH = hypergraph.New()
-	for _, o := range occs {
-		ctx.occurrenceH.MustAddEdge(o.VertexSet())
+	ctx.instanceH = hypergraph.New()
+	for _, in := range ctx.instances {
+		ctx.instanceH.MustAddEdge(in.VertexSet())
 	}
 	return ctx, nil
 }
@@ -164,14 +169,16 @@ func NewDomainContext(snap *graph.Snapshot, p *pattern.Pattern, parallelism int,
 	return ctx, domains
 }
 
-// stream fills a streaming context's counts from one search over snap,
-// confined to masks, and returns the pass's merged accumulator, whose table
-// the caller reads the domains off. Nothing is kept: the search finds one
-// representative per instance and every worker folds the ones it is lent
-// into its own accumulator, each standing for |Aut(P)| occurrences.
+// stream fills the context's counts from its one search over snap, confined
+// to masks, and returns the pass's merged accumulator, whose table the caller
+// reads the domains off. The search finds one representative per instance,
+// each standing for |Aut(P)| occurrences, and every worker folds the ones it
+// is lent into its own accumulator; a materialized context also keeps them as
+// its instance list.
 func (c *Context) stream(snap *graph.Snapshot, parallelism int, masks []isomorph.Mask) *accumulator {
 	counter := newInstanceCounter(c.p)
-	all := counter.accumulate(snap, parallelism, masks)
+	all, instances := counter.accumulate(snap, parallelism, masks, !c.streaming)
+	c.sym, c.instances = counter.sym, instances
 	c.numInstances = all.count
 	c.numOccurrences = counter.occurrences(all.count)
 	return all
@@ -193,14 +200,33 @@ func (c *Context) Graph() *graph.Graph { return c.g }
 // Pattern returns the query pattern.
 func (c *Context) Pattern() *pattern.Pattern { return c.p }
 
-// Materialized reports whether the context holds the occurrence list and the
-// occurrence hypergraph. It is false for contexts built with
-// Options.Streaming.
+// Materialized reports whether the context holds the instance list and the
+// instance hypergraph. It is false for contexts built with Options.Streaming.
 func (c *Context) Materialized() bool { return !c.streaming }
 
-// Occurrences returns all enumerated occurrences in deterministic order, or
-// nil for a streaming context.
-func (c *Context) Occurrences() []*isomorph.Occurrence { return c.occurrences }
+// Symmetry returns Aut(P), the pattern's symmetry the context's search was
+// broken by; its position permutations (isomorph.Symmetry.Perm) carry an
+// instance's representative to each of its occurrences.
+func (c *Context) Symmetry() *isomorph.Symmetry { return c.sym }
+
+// Instances returns one occurrence per instance (Definition 2.1.9), the
+// instance's smallest automorphic copy, in canonical order — the order of
+// those copies in Occurrences(). Edge i of OccurrenceHypergraph() is
+// Instances()[i]. It is nil for a streaming context.
+func (c *Context) Instances() []*isomorph.Occurrence { return c.instances }
+
+// Occurrences returns all occurrences in canonical order — every instance's
+// copies under every automorphism, isomorph.EnumerateSnapshot's full list — or
+// nil for a streaming context. The list is expanded from Instances() on the
+// first call and kept; only the measures that compare individual occurrences
+// (the harmful- and structural-overlap MIS, CountOverlaps) need it.
+func (c *Context) Occurrences() []*isomorph.Occurrence {
+	if c.streaming {
+		return nil
+	}
+	c.occurrencesOnce.Do(func() { c.occurrences = c.sym.Expand(c.instances) })
+	return c.occurrences
+}
 
 // NumOccurrences returns the occurrence count (not a valid support measure on
 // its own; see Chapter 2). It is available in both modes.
@@ -216,11 +242,15 @@ func (c *Context) NumInstances() int { return c.numInstances }
 // occurrences. It is available in both modes and is all measures.MNI reads.
 func (c *Context) MNIDomainSizes() []int { return c.domainSizes }
 
-// OccurrenceHypergraph returns the occurrence hypergraph H_O: one edge per
-// occurrence over its vertex images, in occurrence order, so the edge with
-// EdgeID(i) is the vertex set of Occurrences()[i] and NumEdges equals
-// NumOccurrences. It is nil for a streaming context.
-func (c *Context) OccurrenceHypergraph() *hypergraph.Hypergraph { return c.occurrenceH }
+// OccurrenceHypergraph returns the instance hypergraph H_I (Definition
+// 3.1.4): one edge per instance over its vertex set, in Instances() order, so
+// the edge with EdgeID(i) is the vertex set of Instances()[i] and NumEdges
+// equals NumInstances. Distinct instances may share a vertex set (the three
+// paths of three on one triangle). As vertex sets H_I's edges are those of the
+// occurrence hypergraph H_O, each repeated |Aut(P)| times fewer, so every
+// cover, packing and LP optimum has the same value on either. It is nil for a
+// streaming context.
+func (c *Context) OccurrenceHypergraph() *hypergraph.Hypergraph { return c.instanceH }
 
 // TransitiveNodeSubsets returns (and caches) the transitive node subsets of
 // the pattern (isomorph.TransitiveNodeSubsets), the sets MI minimises over.
@@ -243,12 +273,12 @@ func (c *Context) TransitiveNodeSubsets() ([][]pattern.NodeID, error) {
 }
 
 // Relaxation returns (and caches) the optimum of the packing LP of the
-// occurrence hypergraph: ν_MIES and, by duality, ν_MVC (Theorem 4.6), with an
+// instance hypergraph: ν_MIES and, by duality, ν_MVC (Theorem 4.6), with an
 // optimal fractional packing and cover. Every measure that needs an LP bound
 // reads this one result, so a context pays for at most one solve. It must not
 // be called on a streaming context, which has no hypergraph to relax.
 func (c *Context) Relaxation() lp.RelaxationResult {
-	c.relaxationOnce.Do(func() { c.relaxation = lp.Solve(c.occurrenceH) })
+	c.relaxationOnce.Do(func() { c.relaxation = lp.Solve(c.instanceH) })
 	return c.relaxation
 }
 
@@ -258,6 +288,6 @@ func (c *Context) String() string {
 		return fmt.Sprintf("Context(pattern k=%d, %d occurrences, %d instances, streaming)",
 			c.p.Size(), c.numOccurrences, c.numInstances)
 	}
-	return fmt.Sprintf("Context(pattern k=%d, %d occurrences, %d instances, H_O=%s)",
-		c.p.Size(), c.numOccurrences, c.numInstances, c.occurrenceH)
+	return fmt.Sprintf("Context(pattern k=%d, %d occurrences, %d instances, H_I=%s)",
+		c.p.Size(), c.numOccurrences, c.numInstances, c.instanceH)
 }

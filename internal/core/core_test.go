@@ -22,16 +22,20 @@ func TestNewContextFigure2(t *testing.T) {
 	if ctx.NumOccurrences() != 6 || ctx.NumInstances() != 1 {
 		t.Fatalf("occurrences/instances = %d/%d, want 6/1", ctx.NumOccurrences(), ctx.NumInstances())
 	}
-	ho := ctx.OccurrenceHypergraph()
-	if ho.NumEdges() != 6 {
-		t.Errorf("occurrence hypergraph edges = %d, want 6", ho.NumEdges())
+	// One hyperedge per instance: the six occurrences are one triangle.
+	hi := ctx.OccurrenceHypergraph()
+	if hi.NumEdges() != 1 {
+		t.Errorf("instance hypergraph edges = %d, want 1", hi.NumEdges())
 	}
-	if k, uniform := ho.IsUniform(); !uniform || k != 3 {
-		t.Errorf("occurrence hypergraph should be 3-uniform, got k=%d uniform=%v", k, uniform)
+	if k, uniform := hi.IsUniform(); !uniform || k != 3 {
+		t.Errorf("instance hypergraph should be 3-uniform, got k=%d uniform=%v", k, uniform)
 	}
-	// The occurrence hypergraph's vertex set is exactly the triangle.
-	if got := ho.NumVertices(); got != 3 {
-		t.Errorf("occurrence hypergraph vertices = %d, want 3", got)
+	// The instance hypergraph's vertex set is exactly the triangle.
+	if got := hi.NumVertices(); got != 3 {
+		t.Errorf("instance hypergraph vertices = %d, want 3", got)
+	}
+	if got := len(ctx.Occurrences()); got != 6 {
+		t.Errorf("%d listed occurrences, want 6", got)
 	}
 	if s := ctx.String(); s == "" {
 		t.Error("String should not be empty")

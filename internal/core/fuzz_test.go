@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -15,7 +16,9 @@ import (
 // pattern of at most four nodes decoded from the fuzz input, that the
 // occurrence count, instance count, MNI domain sizes and MNI value of a
 // streaming and of a materialized context equal what a plain scan of
-// isomorph.EnumerateSnapshot's list and isomorph.Instances' grouping gives.
+// isomorph.EnumerateSnapshot's list and isomorph.Instances' grouping gives,
+// and that the materialized context's occurrence list, expanded from its
+// instances, is that list.
 func FuzzStreamedAggregates(f *testing.F) {
 	f.Add([]byte{})
 	// A one-label triangle in K4: 24 occurrences, 4 instances.
@@ -54,6 +57,9 @@ func FuzzStreamedAggregates(f *testing.F) {
 			res, err := measures.MNI{}.Compute(ctx)
 			if err != nil || res.Value != float64(mni) {
 				t.Fatalf("graph %v pattern %v par=%d streaming=%v: MNI = %v (err %v), scan gives %d", g.Edges(), p, par, streaming, res.Value, err, mni)
+			}
+			if !streaming {
+				requireFullList(t, fmt.Sprintf("graph %v pattern %v par=%d", g.Edges(), p, par), ctx, occs)
 			}
 		}
 	})

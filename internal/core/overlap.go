@@ -87,12 +87,12 @@ func (c *Context) CountOverlaps() (OverlapCounts, error) {
 	if _, err := c.TransitiveNodeSubsets(); err != nil {
 		return OverlapCounts{}, err
 	}
-	n := len(c.occurrences)
+	occs := c.Occurrences()
 	counts := OverlapCounts{}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
+	for i := range occs {
+		for j := i + 1; j < len(occs); j++ {
 			counts.Pairs++
-			k := c.ClassifyOverlap(c.occurrences[i], c.occurrences[j])
+			k := c.ClassifyOverlap(occs[i], occs[j])
 			if k.Simple {
 				counts.Simple++
 			}

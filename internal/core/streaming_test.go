@@ -120,37 +120,73 @@ func TestStreamingContextMatchesMaterialized(t *testing.T) {
 }
 
 // TestStreamingContextOmitsMaterializedState checks that streaming mode
-// really does not materialize: the occurrence list and the occurrence
-// hypergraph must be absent.
+// really does not materialize: the occurrence and instance lists and the
+// instance hypergraph must be absent.
 func TestStreamingContextOmitsMaterializedState(t *testing.T) {
 	fig := dataset.Figure2()
 	st := core.MustNewContext(fig.Graph, fig.Pattern, core.Options{Streaming: true})
-	if st.Occurrences() != nil {
-		t.Error("streaming context materialized the occurrence list")
+	if st.Occurrences() != nil || st.Instances() != nil {
+		t.Error("streaming context materialized the occurrence or instance list")
 	}
 	if st.OccurrenceHypergraph() != nil {
 		t.Error("streaming context materialized a hypergraph")
 	}
 }
 
-// TestOccurrenceHypergraphEdgeIsOccurrence pins the one identity a
-// materialized context has: hyperedge EdgeID(i) is the vertex set of
-// Occurrences()[i] — what MIS-HO and MIS-SO rely on when they index the
-// occurrence list by the overlap graph's edge IDs — at every parallelism.
-func TestOccurrenceHypergraphEdgeIsOccurrence(t *testing.T) {
+// TestOccurrenceHypergraphEdgeIsInstance pins the identities a materialized
+// context has, at every parallelism: hyperedge EdgeID(i) is the vertex set of
+// Instances()[i], one edge per instance (the instance hypergraph H_I);
+// Occurrences() is isomorph.EnumerateSnapshot's full list, in its order and
+// with its keys; and Instances() is that list with every occurrence left out
+// whose instance an earlier one already has — each instance's smallest copy,
+// in the full list's order, which is what keeps every vertex set's first edge
+// where the occurrence hypergraph had it.
+func TestOccurrenceHypergraphEdgeIsInstance(t *testing.T) {
 	for _, tc := range aggregateCases(t) {
+		snap := tc.snap
+		if snap == nil {
+			snap = tc.g.Freeze()
+		}
+		full := isomorph.EnumerateSnapshot(snap, tc.p, isomorph.Options{Parallelism: 1})
+		seen := make(map[string]bool)
+		var firsts []string
+		for _, o := range full {
+			if key := isomorph.Instances(tc.p, []*isomorph.Occurrence{o})[0].Key(); !seen[key] {
+				seen[key] = true
+				firsts = append(firsts, o.Key())
+			}
+		}
 		for _, par := range []int{1, 4} {
 			ctx := core.MustNewContext(tc.g, tc.p, core.Options{Snapshot: tc.snap, Parallelism: par})
-			h, occs := ctx.OccurrenceHypergraph(), ctx.Occurrences()
-			if h.NumEdges() != ctx.NumOccurrences() || len(occs) != ctx.NumOccurrences() {
-				t.Fatalf("%s par=%d: %d hyperedges and %d listed occurrences for %d occurrences", tc.name, par, h.NumEdges(), len(occs), ctx.NumOccurrences())
+			h, ins := ctx.OccurrenceHypergraph(), ctx.Instances()
+			if h.NumEdges() != ctx.NumInstances() || len(ins) != ctx.NumInstances() || len(ins) != len(firsts) {
+				t.Fatalf("%s par=%d: %d hyperedges and %d listed instances for %d instances, the full list has %d", tc.name, par, h.NumEdges(), len(ins), ctx.NumInstances(), len(firsts))
 			}
-			for i, o := range occs {
+			for i, in := range ins {
 				e, ok := h.Edge(hypergraph.EdgeID(i))
-				if !ok || !reflect.DeepEqual(e.Vertices, o.VertexSet()) {
-					t.Fatalf("%s par=%d: hyperedge %d is %v, occurrence %d has vertex set %v", tc.name, par, i, e.Vertices, i, o.VertexSet())
+				if !ok || !reflect.DeepEqual(e.Vertices, in.VertexSet()) {
+					t.Fatalf("%s par=%d: hyperedge %d is %v, instance %d has vertex set %v", tc.name, par, i, e.Vertices, i, in.VertexSet())
+				}
+				if in.Key() != firsts[i] {
+					t.Fatalf("%s par=%d: instance %d is listed as %s, its first occurrence in the full list is %s", tc.name, par, i, in.Key(), firsts[i])
 				}
 			}
+			requireFullList(t, fmt.Sprintf("%s par=%d", tc.name, par), ctx, full)
+		}
+	}
+}
+
+// requireFullList checks that a materialized context's occurrence list is the
+// given full list — isomorph.EnumerateSnapshot's — in its order, key by key.
+func requireFullList(t *testing.T, tag string, ctx *core.Context, full []*isomorph.Occurrence) {
+	t.Helper()
+	occs := ctx.Occurrences()
+	if len(occs) != len(full) || len(occs) != ctx.NumOccurrences() {
+		t.Fatalf("%s: %d listed occurrences for %d occurrences, the full search lists %d", tag, len(occs), ctx.NumOccurrences(), len(full))
+	}
+	for i, o := range occs {
+		if o.Key() != full[i].Key() {
+			t.Fatalf("%s: occurrence %d is %s, the full search lists %s", tag, i, o.Key(), full[i].Key())
 		}
 	}
 }
@@ -167,6 +203,7 @@ func TestContextIdenticalAcrossShards(t *testing.T) {
 	}
 	for _, tc := range cases {
 		base := core.MustNewContext(tc.g, tc.p, core.Options{Parallelism: 1})
+		requireFullList(t, tc.name, base, isomorph.EnumerateSnapshot(tc.g.Freeze(), tc.p, isomorph.Options{Parallelism: 1}))
 		for _, shards := range []int{1, 2, 7} {
 			for _, par := range []int{1, 4} {
 				tag := fmt.Sprintf("%s shards=%d par=%d", tc.name, shards, par)

@@ -57,11 +57,9 @@ import (
 // snapshot the pass searched — the one point on that path where an index
 // becomes a VertexID.
 //
-// The one pass that is not a search for representatives is the scan of a
-// materialized list. The list is the complete search, closed under Aut(P), so
-// an instance's |Aut(P)| listed occurrences bump exactly the orbit-row
-// counters its representative would, only |Aut(P)| times over: the scan counts
-// into the same rows, through the same table.
+// A materialized context is no exception: its one search is the streaming
+// one, which also keeps the representatives it counts as the context's
+// instance list.
 
 // rowLayout says which row of a table each pattern node counts into: its
 // orbit's.
@@ -134,20 +132,6 @@ func newDomainTable(snap *graph.Snapshot, layout rowLayout) domainTable {
 func (t *domainTable) add(o *isomorph.Occurrence) {
 	for i, r := range t.rowOf {
 		t.bump(r, o.IndexAt(i))
-	}
-}
-
-// addListed counts one occurrence of a list enumerated over t's snapshot
-// (isomorph.EnumerateSnapshot): a listed occurrence has outlived its index
-// space, so each image is translated back, log n apiece — against the sort
-// and the hyperedge a materialized build already pays per occurrence.
-func (t *domainTable) addListed(o *isomorph.Occurrence) {
-	for i, r := range t.rowOf {
-		x, ok := t.snap.IndexOf(o.ImageAt(i))
-		if !ok {
-			panic(fmt.Sprintf("core: occurrence image %d of pattern node %d is not a vertex of the snapshot it was enumerated on", o.ImageAt(i), t.nodes[i]))
-		}
-		t.bump(r, x)
 	}
 }
 
@@ -332,8 +316,7 @@ func (s *domainState) sizes() []int {
 }
 
 // accumulator is what one complete pass is folded into: the number of
-// assignments counted — representatives, one per instance, on a streaming
-// pass; listed occurrences on a scan — and the pass's domain table. It reads an
+// representatives counted, one per instance, and the pass's domain table. It reads an
 // occurrence and retains nothing of it, which is what lets the enumeration
 // engine lend every worker's occurrences instead of allocating them. Each
 // enumeration worker owns exactly one, so the hot path takes no locks, and the
@@ -379,30 +362,25 @@ func (c *instanceCounter) occurrences(instances int) int { return instances * c.
 // whole of snap, confined to masks (isomorph.Options.Masks; nil for none),
 // into one whole-snapshot accumulator per enumeration worker and returns them
 // merged; the empty accumulator when the search has no plan (the pattern
-// cannot occur at all).
-func (c *instanceCounter) accumulate(snap *graph.Snapshot, parallelism int, masks []isomorph.Mask) *accumulator {
+// cannot occur at all). With list set the same search also copies every
+// representative out and returns the instances as isomorph.ListSnapshot lists
+// them, each as its smallest automorphic copy, in canonical order; without it
+// nothing is kept.
+func (c *instanceCounter) accumulate(snap *graph.Snapshot, parallelism int, masks []isomorph.Mask, list bool) (*accumulator, []*isomorph.Occurrence) {
 	var accs []*accumulator
 	enum := isomorph.Options{Parallelism: parallelism, Symmetry: c.sym, Masks: masks}
-	isomorph.EnumerateSnapshotWorkers(snap, c.p, enum, func(int) func(*isomorph.Occurrence) bool {
+	newYield := func(int) func(*isomorph.Occurrence) bool {
 		a := &accumulator{table: newDomainTable(snap, c.rowLayout)}
 		accs = append(accs, a)
 		return a.yield
-	})
-	return mergeWorkers(c.rowLayout, accs)
-}
-
-// scan folds the pattern's complete occurrence list, enumerated over snap,
-// into one accumulator in the orbit rows; like accumulate, it allocates no
-// table for a pattern that does not occur.
-func (c *instanceCounter) scan(snap *graph.Snapshot, occs []*isomorph.Occurrence) *accumulator {
-	if len(occs) == 0 {
-		return mergeWorkers(c.rowLayout, nil)
 	}
-	a := &accumulator{count: len(occs), table: newDomainTable(snap, c.rowLayout)}
-	for _, o := range occs {
-		a.table.addListed(o)
+	var instances []*isomorph.Occurrence
+	if list {
+		instances = isomorph.ListSnapshot(snap, c.p, enum, newYield)
+	} else {
+		isomorph.EnumerateSnapshotWorkers(snap, c.p, enum, newYield)
 	}
-	return a
+	return mergeWorkers(c.rowLayout, accs), instances
 }
 
 // mergeWorkers merges per-worker accumulators into the first of them, which
@@ -418,24 +396,4 @@ func mergeWorkers(layout rowLayout, accs []*accumulator) *accumulator {
 		all.table.merge(b.table)
 	}
 	return all
-}
-
-// instancesByOrbit is the distinct-instance count of a complete occurrence
-// list. An instance (Definition 2.1.9) is an image subgraph f(P), identified
-// by its vertex set and its edge set. Two occurrences f, g with the same
-// image differ by the permutation g⁻¹∘f of the pattern's nodes, which keeps
-// labels and maps edges onto edges: an automorphism (Definition 2.1.6).
-// Conversely f∘σ is an occurrence with f's image for every automorphism σ,
-// and f∘σ = f forces σ = id because f is injective. So Aut(P) acts freely on
-// the occurrences and its orbits are exactly the instances, each of size
-// |Aut(P)|. The one precondition is that the list is closed under that action,
-// which a complete enumeration is. The streaming search relies on the
-// same fact from the other end — it finds one occurrence per orbit and
-// multiplies — so the division, and its check, are the materialized list's
-// alone: a full search that missed or repeated an occurrence shows up here.
-func instancesByOrbit(occurrences, automorphisms int) int {
-	if occurrences%automorphisms != 0 {
-		panic(fmt.Sprintf("core: %d occurrences is not a multiple of the pattern's %d automorphisms", occurrences, automorphisms))
-	}
-	return occurrences / automorphisms
 }

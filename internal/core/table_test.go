@@ -47,7 +47,10 @@ func TestDomainTableRefcounts(t *testing.T) {
 			a := &accumulator{table: newDomainTable(snap, c.rowLayout)}
 			for _, o := range adds {
 				a.count++
-				a.table.addListed(o)
+				for i, r := range a.table.rowOf {
+					x, _ := snap.IndexOf(o.ImageAt(i))
+					a.table.bump(r, x)
+				}
 			}
 			state.fold(a, a.table.rowDomains(snap.NumVertices()))
 		},

@@ -145,8 +145,10 @@ func (d *dense) overlaps(e int32, mark, buf []int32) []int32 {
 
 // EdgeClasses partitions the edges by vertex set: element e of the result is
 // the lowest EdgeID whose vertex set equals that of edge e, so an edge that
-// is the first with its vertex set maps to itself. The |Aut(P)| occurrences
-// of one instance are one class.
+// is the first with its vertex set maps to itself. On an instance hypergraph
+// distinct instances over one vertex set (the three paths of three on one
+// triangle) are one class; on an occurrence hypergraph so are the |Aut(P)|
+// occurrences of one instance.
 func (h *Hypergraph) EdgeClasses() []EdgeID {
 	d := h.view()
 	m := d.numEdges()

@@ -35,7 +35,8 @@ type EdgeID int
 // HyperEdge is a non-empty subset of hypergraph vertices. Its EdgeID — its
 // position in insertion order — is its only identity and what distinguishes
 // it from other edges over the same vertex set (the paper's f_i: the
-// occurrence hypergraph has one edge per occurrence, in occurrence order).
+// instance hypergraph has one edge per instance, in instance order, and two
+// instances may share a vertex set).
 type HyperEdge struct {
 	Vertices []graph.VertexID
 }

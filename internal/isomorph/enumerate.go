@@ -30,9 +30,9 @@ type Options struct {
 	// consumer counts Order() occurrences per representative and reads
 	// f(orbit) as every orbit node's images (see Symmetry); which occurrence
 	// represents an instance depends on the search order and so on the
-	// snapshot, and nothing may depend on it. Nil is the full search: every
-	// occurrence, which is what a consumer that keeps or orders occurrences
-	// needs.
+	// snapshot, and nothing may depend on it — a list of instances
+	// (ListSnapshot) copies each out as its smallest automorphic copy, which
+	// does not. Nil is the full search: every occurrence.
 	Symmetry *Symmetry
 	// Masks, when non-nil, confines the search: aligned with the pattern's
 	// Nodes(), Masks[i] is a set of dense indexes of the snapshot searched
@@ -789,13 +789,28 @@ func (s *searchState) searchArc(u, v int32, searched *uint64) bool {
 }
 
 // EnumerateSnapshot returns all occurrences of pattern p in snap, in the
-// canonical deterministic order (see SortOccurrences). It is the one
-// materializer on top of the streaming engine: each worker's borrowed
-// occurrences are copied out, the per-worker buckets are sorted concurrently
-// and merged, so the result is identical for every Parallelism setting and
-// every shard geometry, and the returned occurrences are the caller's to
-// keep.
+// canonical deterministic order (see SortOccurrences). It is ListSnapshot
+// with no consumer of its own: under Options.Symmetry the list is one
+// occurrence per instance.
 func EnumerateSnapshot(snap *graph.Snapshot, p *pattern.Pattern, opts Options) []*Occurrence {
+	return ListSnapshot(snap, p, opts, nil)
+}
+
+// ListSnapshot is the one materializer on top of the streaming engine: it
+// runs EnumerateSnapshotWorkers, lends every occurrence a worker finds to that
+// worker's consumer from newYield (nil for none) and then copies it out; the
+// per-worker buckets are sorted concurrently and merged, so the list is
+// identical for every Parallelism setting and every shard geometry, and the
+// returned occurrences are the caller's to keep. A consumer that returns false
+// stops the search, and the list holds what was found until then.
+//
+// With Options.Symmetry nil the list is every occurrence, in the canonical
+// order (see SortOccurrences). Under a Symmetry it is one occurrence per
+// instance: the search's representative is copied out as the instance's
+// smallest automorphic copy, the one that comes first in the full list, and
+// the list is in the canonical order of those — the full list with every
+// other copy left out. Symmetry.Expand puts the others back.
+func ListSnapshot(snap *graph.Snapshot, p *pattern.Pattern, opts Options, newYield func(worker int) func(*Occurrence) bool) []*Occurrence {
 	// Accumulate each worker's stream as pointer-free image chunks and
 	// materialize the Occurrence structs afterwards in one exact-size pass.
 	// Compared to appending per-occurrence pointers this keeps GC
@@ -814,9 +829,14 @@ func EnumerateSnapshot(snap *graph.Snapshot, p *pattern.Pattern, opts Options) [
 		n      int // total occurrences
 	}
 	var buckets []*bucket
-	EnumerateSnapshotWorkers(snap, p, opts, func(int) func(*Occurrence) bool {
+	sym := opts.Symmetry
+	EnumerateSnapshotWorkers(snap, p, opts, func(w int) func(*Occurrence) bool {
 		b := &bucket{}
 		buckets = append(buckets, b)
+		var yield func(*Occurrence) bool
+		if newYield != nil {
+			yield = newYield(w)
+		}
 		return func(o *Occurrence) bool {
 			if b.nodes == nil {
 				b.nodes = o.nodes
@@ -827,9 +847,15 @@ func EnumerateSnapshot(snap *graph.Snapshot, p *pattern.Pattern, opts Options) [
 				b.chunks = append(b.chunks, make([]graph.VertexID, 0, chunkOccs*b.k))
 				cur++
 			}
-			b.chunks[cur] = o.appendImages(b.chunks[cur])
+			if sym == nil {
+				b.chunks[cur] = o.appendImages(b.chunks[cur])
+			} else {
+				for _, i := range sym.smallestCopy(o.indexes) {
+					b.chunks[cur] = append(b.chunks[cur], o.snap.ID(o.indexes[i]))
+				}
+			}
 			b.n++
-			return true
+			return yield == nil || yield(o)
 		}
 	})
 	slices := make([][]*Occurrence, len(buckets))

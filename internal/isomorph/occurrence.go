@@ -12,11 +12,12 @@
 // freeze). EnumerateSnapshotWorkers streams: every worker lends its one
 // Occurrence to its consumer for the length of each call, so a consumer
 // folds it or copies out what it keeps, and the search allocates nothing per
-// occurrence. EnumerateSnapshot is the one materializer: the consumer that
-// keeps everything and returns it as a list in canonical order. The paper's
-// measures want exactly those two things — MNI and the raw counts fold an
-// occurrence into a projection and forget it (Definition 2.2.8), the
-// hypergraph measures need the whole set (Definition 3.1.3).
+// occurrence. ListSnapshot (EnumerateSnapshot without a consumer of its own) is
+// the one materializer: the consumer that keeps everything and returns it as a
+// list in canonical order — one occurrence per instance under a Symmetry. The
+// paper's measures want exactly those two things — MNI and the raw counts fold
+// an occurrence into a projection and forget it (Definition 2.2.8), the
+// hypergraph measures need the whole set of instances (Definition 3.1.4).
 package isomorph
 
 import (

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/graph"
 	"repro/internal/pattern"
 )
 
@@ -61,6 +62,64 @@ func (s *Symmetry) Order() int { return len(s.perms) }
 
 // NumOrbits returns the number of node orbits of Aut(P).
 func (s *Symmetry) NumOrbits() int { return s.orbits }
+
+// Perm returns automorphism a of Aut(P), for 0 ≤ a < Order(), as a
+// permutation of node positions: Perm(a)[i] is the position it sends position
+// i to. The copy f∘σ of an occurrence f under that automorphism σ maps the
+// node at position i to f's image of position Perm(a)[i], so a consumer of
+// representatives reads every occurrence of an instance off its one
+// representative. The slice is shared and must not be modified.
+func (s *Symmetry) Perm(a int) []int { return s.perms[a] }
+
+// smallestCopy returns the automorphism whose copy of the occurrence with the
+// given images — by position, in any numbering that orders vertices as their
+// VertexIDs do, such as a snapshot's dense indexes — compares smallest (see
+// Occurrence.Compare): the instance's occurrence that comes first in the
+// canonical order.
+func (s *Symmetry) smallestCopy(images []int32) []int {
+	best := s.perms[0]
+	for _, perm := range s.perms[1:] {
+		for i, j := range perm {
+			if a, b := images[j], images[best[i]]; a != b {
+				if a < b {
+					best = perm
+				}
+				break
+			}
+		}
+	}
+	return best
+}
+
+// Expand returns every occurrence of the given instances, each listed as one
+// of its occurrences (EnumerateSnapshot under Options.Symmetry lists them so),
+// in the canonical order: the copies f∘σ of every listed f under every
+// automorphism σ, which is EnumerateSnapshot's full list of the snapshot the
+// instances were found in.
+func (s *Symmetry) Expand(instances []*Occurrence) []*Occurrence {
+	if len(instances) == 0 {
+		return nil
+	}
+	k := len(s.orbitOf)
+	n := len(instances) * len(s.perms)
+	images := make([]graph.VertexID, 0, n*k)
+	occs := make([]Occurrence, n)
+	out := make([]*Occurrence, n)
+	j := 0
+	for _, in := range instances {
+		for _, perm := range s.perms {
+			start := len(images)
+			for _, i := range perm {
+				images = append(images, in.ImageAt(i))
+			}
+			occs[j] = Occurrence{nodes: in.nodes, images: images[start:len(images):len(images)]}
+			out[j] = &occs[j]
+			j++
+		}
+	}
+	SortOccurrences(out)
+	return out
+}
 
 // OrbitOf returns the orbit, in 0..NumOrbits()-1, of the pattern node at
 // position i of Pattern.Nodes(). Orbits are numbered by their first node, so

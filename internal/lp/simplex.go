@@ -10,12 +10,14 @@
 //
 // Two things keep a pivot at the price of the numbers it changes, and neither
 // changes a pivot. The tableau has one column per distinct vertex set, not per
-// edge: the |Aut(P)| occurrences of one instance are identical columns, an
-// identical column keeps the reduced cost of its class's first edge through
-// every row operation and loses every Dantzig and Bland tie to it (both take
-// the lowest index), so it never enters the basis — its y is 0 whether it has
-// a column or not, and dropping it leaves the kept columns in their order, so
-// pricing and the ratio test's lowest-basis-index tie-break decide as before.
+// edge: distinct instances can share a vertex set (the three paths of three
+// on one triangle), and so do the |Aut(P)| occurrences of one instance on an
+// occurrence hypergraph. An identical column keeps the reduced cost of its
+// class's first edge through every row operation and loses every Dantzig and
+// Bland tie to it (both take the lowest index), so it never enters the basis —
+// its y is 0 whether it has a column or not, and dropping it leaves the kept
+// columns in their order, so pricing and the ratio test's lowest-basis-index
+// tie-break decide as before.
 // And a pivot subtracts multiples of the pivot row, which in a packing tableau
 // is mostly zeros: its non-zero positions are gathered once per pivot, into a
 // scratch slice owned by the solve, and every row is updated over those only —
@@ -32,8 +34,8 @@
 // flight does not ride through the burst of allocation and the scheduler-free
 // arithmetic between them (see the comment in Solve).
 //
-// The solver targets the moderate sizes of occurrence hypergraphs (hundreds
-// of vertices, thousands of edges), not industrial LP workloads.
+// The solver targets the moderate sizes of instance hypergraphs (hundreds of
+// vertices, thousands of edges), not industrial LP workloads.
 package lp
 
 import "math"

@@ -127,8 +127,8 @@ func TestOneSolvePerContext(t *testing.T) {
 	}
 }
 
-// TestMISIsMIES sweeps 160 small contexts (156 once hypergraphs over 800 edges
-// are skipped) under a budget tight enough to truncate some searches: MIS and
+// TestMISIsMIES sweeps 160 small contexts (156 once contexts of over 800
+// occurrences are skipped) under a budget tight enough to truncate some searches: MIS and
 // MIES must agree in value and in exactness on every one. Before they shared
 // one search they disagreed on five — the named cases below — and no bound
 // either of them reported then may have got worse.
@@ -159,7 +159,7 @@ func TestMISIsMIES(t *testing.T) {
 				}
 				for name, p := range queryPatterns {
 					ctx := mustContext(t, g, p)
-					if ctx.OccurrenceHypergraph().NumEdges() > 800 {
+					if ctx.NumOccurrences() > 800 {
 						continue
 					}
 					checked++
@@ -246,5 +246,31 @@ func TestSearchTreesUnmoved(t *testing.T) {
 	}
 	if n := coverNodes.Value() - before; !res.Exact || res.Witness != "vertex cover "+cases[0].cover || n >= 50 {
 		t.Errorf("MVC under ⌈ν⌉ and 50 nodes: %v (exact %v) after %d nodes, %s", res.Value, res.Exact, n, res.Witness)
+	}
+}
+
+// TestStarPackingFinishesWithinBudget pins MIS and MIES of the 3-leaf star on
+// BA(100, 2, 2 labels, seed 1) under DefaultMaxNodes. While the hypergraph
+// held every automorphic copy of an instance (six per star) the packing search
+// branched over all of them and ran out of budget at 9, not exact; on one
+// hyperedge per instance it finishes, at 10, exact, and the bounding chain
+// holds around it.
+func TestStarPackingFinishesWithinBudget(t *testing.T) {
+	ctx := mustContext(t, barabasiAlbert(100, 1), queryPatterns["star"])
+	for _, m := range []measures.Measure{measures.MIS{}, measures.MIES{}} {
+		res, err := m.Compute(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Value != 10 || !res.Exact {
+			t.Errorf("%s = %v (exact %v), want 10, exact", m.Name(), res.Value, res.Exact)
+		}
+	}
+	ev, err := measures.Evaluate(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ev.VerifyBoundingChain(); err != nil {
+		t.Error(err)
 	}
 }

@@ -19,7 +19,7 @@ import (
 //
 // Because every singleton {v} is a transitive node subset, σ_MI ≤ σ_MNI
 // (Theorem 3.4); because a cover of the minimizing subset's images covers the
-// whole occurrence hypergraph, σ_MVC ≤ σ_MI (Theorem 3.6). MI is
+// whole instance hypergraph, σ_MVC ≤ σ_MI (Theorem 3.6). MI is
 // anti-monotonic (Theorem 3.2) and linear-time in the number of occurrences
 // once the pattern's transitive node subsets are known (Theorem 3.3); the
 // subsets depend only on the (small) pattern, not on the data graph, and a
@@ -34,7 +34,7 @@ func (MI) Compute(ctx *core.Context) (Result, error) {
 	if err := requireMaterialized(ctx, NameMI); err != nil {
 		return Result{}, err
 	}
-	if len(ctx.Occurrences()) == 0 {
+	if ctx.NumOccurrences() == 0 {
 		return Result{Measure: NameMI, Value: 0, Exact: true}, nil
 	}
 	subsets, err := ctx.TransitiveNodeSubsets()
@@ -58,14 +58,19 @@ func (MI) Compute(ctx *core.Context) (Result, error) {
 //
 // A singleton's distinct images are its node's MNI domain, whose size the
 // context counted while it was built; only a subset of several nodes has its
-// images hashed, through one key buffer, one image buffer and one map reused
-// across occurrences and subsets.
+// images hashed. The occurrences are read off the instances: an instance's
+// occurrences are f∘σ for its listed f and every automorphism σ, and
+// (f∘σ)(W) = f(σ(W)), so the set-images of W are f(S) for f over the
+// instances and S over the distinct position sets σ(W) — as many as W's
+// orbit under Aut(P), not |Aut(P)|. One key buffer, one image buffer and one
+// map are reused across instances and subsets.
 func minDistinctImages(ctx *core.Context, subsets [][]pattern.NodeID) ([]pattern.NodeID, int) {
-	occs, nodes, sizes := ctx.Occurrences(), ctx.Pattern().Nodes(), ctx.MNIDomainSizes()
+	instances, nodes, sizes, sym := ctx.Instances(), ctx.Pattern().Nodes(), ctx.MNIDomainSizes(), ctx.Symmetry()
 	minCount := -1
 	var minSubset []pattern.NodeID
 	var (
-		at     []int // positions of the subset's nodes in an occurrence
+		at     []int   // positions of the subset's nodes
+		sets   [][]int // the distinct position sets σ(at), each sorted
 		image  []graph.VertexID
 		key    []byte
 		images map[string]bool
@@ -81,29 +86,43 @@ func minDistinctImages(ctx *core.Context, subsets [][]pattern.NodeID) ([]pattern
 		if len(at) == 1 {
 			count = sizes[at[0]]
 		} else {
+			sets = sets[:0]
+			for a := 0; a < sym.Order(); a++ {
+				perm := sym.Perm(a)
+				set := make([]int, len(at))
+				for j, i := range at {
+					set[j] = perm[i]
+				}
+				slices.Sort(set)
+				if !slices.ContainsFunc(sets, func(s []int) bool { return slices.Equal(s, set) }) {
+					sets = append(sets, set)
+				}
+			}
 			if images == nil {
-				images = make(map[string]bool, len(occs))
+				images = make(map[string]bool, len(instances))
 			}
 			clear(images)
-			for _, o := range occs {
-				image = image[:0]
-				for _, i := range at {
-					image = append(image, o.ImageAt(i))
-				}
-				// An occurrence is injective, so only a node repeated in the
-				// subset repeats an image.
-				slices.Sort(image)
-				image = slices.Compact(image)
-				// Varints are prefix-free, so distinct sorted images get
-				// distinct keys with no separator.
-				key = key[:0]
-				for _, v := range image {
-					key = binary.AppendVarint(key, int64(v))
-				}
-				// The lookup converts without allocating; only a new image
-				// pays for its string.
-				if !images[string(key)] {
-					images[string(key)] = true
+			for _, in := range instances {
+				for _, set := range sets {
+					image = image[:0]
+					for _, i := range set {
+						image = append(image, in.ImageAt(i))
+					}
+					// An occurrence is injective, so only a node repeated in
+					// the subset repeats an image.
+					slices.Sort(image)
+					image = slices.Compact(image)
+					// Varints are prefix-free, so distinct sorted images get
+					// distinct keys with no separator.
+					key = key[:0]
+					for _, v := range image {
+						key = binary.AppendVarint(key, int64(v))
+					}
+					// The lookup converts without allocating; only a new
+					// image pays for its string.
+					if !images[string(key)] {
+						images[string(key)] = true
+					}
 				}
 			}
 			count = len(images)

@@ -88,7 +88,15 @@ func (m MIS) Compute(ctx *core.Context) (Result, error) {
 	if _, err := ctx.TransitiveNodeSubsets(); err != nil {
 		return Result{}, err
 	}
+	// Automorphic copies always overlap harmfully, but which copy of an
+	// instance overlaps another instance's occurrences decides the set, so
+	// these variants run on the occurrences: the overlap graph is H_O's, one
+	// vertex per occurrence.
 	occs := ctx.Occurrences()
+	h = hypergraph.New()
+	for _, o := range occs {
+		h.MustAddEdge(o.VertexSet())
+	}
 	var pred hypergraph.OverlapPredicate
 	switch m.Overlap {
 	case HarmfulOverlap:
@@ -133,8 +141,8 @@ func independentEdgeSet(ctx *core.Context, maxNodes int) (res hypergraph.Matchin
 }
 
 // MIES is the maximum independent edge set support (Definition 4.2.1): the
-// largest number of pairwise vertex-disjoint edges of the occurrence
-// hypergraph (disjoint edges are distinct vertex sets, so the instance
+// largest number of pairwise vertex-disjoint edges of the instance
+// hypergraph (disjoint edges are distinct vertex sets, so the occurrence
 // hypergraph packs the same). It equals MIS (Theorem 4.1) and is
 // anti-monotonic (Theorem 4.2); it is NP-hard to compute exactly.
 type MIES struct {

@@ -64,8 +64,7 @@ func (m MNIK) Compute(ctx *core.Context) (Result, error) {
 	if k > p.Size() {
 		k = p.Size()
 	}
-	occs := ctx.Occurrences()
-	if len(occs) == 0 {
+	if ctx.NumOccurrences() == 0 {
 		return Result{Measure: NameMNIK, Value: 0, Exact: true}, nil
 	}
 	subsets, err := p.ConnectedSubsets(k)

@@ -10,8 +10,8 @@ import (
 )
 
 // MVC is the minimum vertex cover support measure of Section 3.3: the size
-// of a smallest vertex set of the occurrence hypergraph that intersects every
-// hyperedge (the instance hypergraph has the same edges as vertex sets, hence
+// of a smallest vertex set of the instance hypergraph that intersects every
+// hyperedge (the occurrence hypergraph has the same edges as vertex sets, hence
 // the same covers). MVC is anti-monotonic (Theorem 3.5), bounded by
 // MI from above (Theorem 3.6) and by MIES/MIS from below (Theorem 4.5), but
 // computing it exactly is NP-hard. The exact solver is branch and bound; the

@@ -54,7 +54,7 @@ type (
 	// Occurrence is one isomorphism from a pattern into the data graph.
 	Occurrence = isomorph.Occurrence
 	// Context bundles a (graph, pattern) pair with its occurrence aggregates
-	// and, when materialized, its occurrence list and occurrence hypergraph;
+	// and, when materialized, its instance list and instance hypergraph;
 	// every Evaluation carries the one its measures were computed on.
 	Context = core.Context
 	// Measure computes a support value on a Context.
