@@ -10,11 +10,13 @@ import (
 )
 
 // A delta pass applies only the instances that use a vertex or an edge its
-// batch added or removed; every other instance is counted by both passes
-// alike and left out of both. The tests below hold that rule to from-scratch
-// contexts on the batches where "mutated" is easiest to get wrong: structure
-// that is mutated and restored within one batch, a vertex whose label changes
-// under one ID, a removal's cascade, and vertices with no edges at all.
+// batch added or removed. Its searches are pinned at the mutated edges (a
+// one-node pattern's pass reads the mutated vertices), so every other instance
+// is never met, by either side's pass. The tests below hold that rule to
+// from-scratch contexts on the batches where "mutated" is easiest to get
+// wrong: structure that is mutated and restored within one batch, a vertex
+// whose label changes under one ID, a removal's cascade, and vertices with no
+// edges at all.
 
 // skipPatterns are the patterns every skip-rule batch is checked for: a single
 // node of each label, which no edge can hold and only the mutated vertices

@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -27,22 +28,8 @@ func FuzzStreamedAggregates(f *testing.F) {
 	f.Add([]byte{1, 2, 1, 0, 1, 0, 0, 1, 0, 4, 0, 1, 0, 1, 0, 1, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 0, 0, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, p, par := decodeGraphAndPattern(data)
-		occs := isomorph.EnumerateSnapshot(g.Freeze(), p, isomorph.Options{Parallelism: 1})
-		nodes := p.Nodes()
-		sizes := make([]int, len(nodes))
-		mni := 0
-		for i, n := range nodes {
-			images := make(map[graph.VertexID]bool)
-			for _, o := range occs {
-				images[o.MustImage(n)] = true
-			}
-			sizes[i] = len(images)
-			if i == 0 || sizes[i] < mni {
-				mni = sizes[i]
-			}
-		}
-
-		instances := len(isomorph.Instances(p, occs))
+		occs, instances, sizes := scanFullSearch(g, p)
+		mni := slices.Min(sizes)
 		for _, streaming := range []bool{true, false} {
 			ctx := core.MustNewContext(g, p, core.Options{Streaming: streaming, Parallelism: par})
 			if ctx.NumOccurrences() != len(occs) {
@@ -79,9 +66,10 @@ func FuzzStreamedAggregates(f *testing.F) {
 // dense indexes that the batch's own vertex inserts and removals shifted
 // between the two sides, each counted representative applied straight to the
 // VertexID-keyed state — or as a saturation rebuild. Both of those search one
-// representative per instance and count into orbit rows, so a
-// materialized context is the second oracle: the full search, every occurrence
-// listed and scanned into a row per node, sharing neither.
+// representative per instance and count into orbit rows, and so does every
+// context, so the second oracle is the full search's list (scanFullSearch):
+// every occurrence listed, grouped into instances and scanned into a set per
+// node, sharing neither.
 //
 // Beside the decoded pattern, refreshed on its own through
 // DeltaContext.Refresh, four one-label patterns of diameters one, two, three
@@ -152,14 +140,18 @@ func FuzzDeltaAggregates(f *testing.F) {
 		requireFresh := func(op int, how string, d *core.DeltaContext) {
 			t.Helper()
 			got := d.Context()
-			for _, streaming := range []bool{true, false} {
-				fresh := core.MustNewContext(g.Clone(), d.Pattern(), core.Options{Streaming: streaming, Parallelism: par})
-				if got.NumOccurrences() != fresh.NumOccurrences() || got.NumInstances() != fresh.NumInstances() ||
-					!reflect.DeepEqual(got.MNIDomainSizes(), fresh.MNIDomainSizes()) {
-					t.Fatalf("after op %d, graph %v pattern %v par=%d, %s (stats %+v): maintained %d occurrences / %d instances / domains %v, from scratch (streaming=%v) %d / %d / %v",
-						op, g.Edges(), d.Pattern(), par, how, d.Stats(), got.NumOccurrences(), got.NumInstances(), got.MNIDomainSizes(),
-						streaming, fresh.NumOccurrences(), fresh.NumInstances(), fresh.MNIDomainSizes())
-				}
+			fresh := core.MustNewContext(g.Clone(), d.Pattern(), core.Options{Streaming: true, Parallelism: par})
+			if got.NumOccurrences() != fresh.NumOccurrences() || got.NumInstances() != fresh.NumInstances() ||
+				!reflect.DeepEqual(got.MNIDomainSizes(), fresh.MNIDomainSizes()) {
+				t.Fatalf("after op %d, graph %v pattern %v par=%d, %s (stats %+v): maintained %d occurrences / %d instances / domains %v, from scratch %d / %d / %v",
+					op, g.Edges(), d.Pattern(), par, how, d.Stats(), got.NumOccurrences(), got.NumInstances(), got.MNIDomainSizes(),
+					fresh.NumOccurrences(), fresh.NumInstances(), fresh.MNIDomainSizes())
+			}
+			occs, instances, sizes := scanFullSearch(g, d.Pattern())
+			if got.NumOccurrences() != len(occs) || got.NumInstances() != instances || !reflect.DeepEqual(got.MNIDomainSizes(), sizes) {
+				t.Fatalf("after op %d, graph %v pattern %v par=%d, %s (stats %+v): maintained %d occurrences / %d instances / domains %v, the full search's list %d / %d / %v",
+					op, g.Edges(), d.Pattern(), par, how, d.Stats(), got.NumOccurrences(), got.NumInstances(), got.MNIDomainSizes(),
+					len(occs), instances, sizes)
 			}
 		}
 		check := func(op int) {
@@ -213,6 +205,23 @@ func FuzzDeltaAggregates(f *testing.F) {
 		}
 		check(len(data))
 	})
+}
+
+// scanFullSearch is the oracle the contexts are held to, sharing no code
+// with them past the search itself: isomorph.EnumerateSnapshot's full list of
+// p's occurrences in g — the search with no symmetry — its instance count by
+// isomorph.Instances' grouping, and, aligned with p.Nodes(), the distinct
+// images of every node by a scan of the list.
+func scanFullSearch(g *graph.Graph, p *pattern.Pattern) (occs []*isomorph.Occurrence, instances int, sizes []int) {
+	occs = isomorph.EnumerateSnapshot(g.Freeze(), p, isomorph.Options{Parallelism: 1})
+	for _, n := range p.Nodes() {
+		images := make(map[graph.VertexID]bool)
+		for _, o := range occs {
+			images[o.MustImage(n)] = true
+		}
+		sizes = append(sizes, len(images))
+	}
+	return occs, len(isomorph.Instances(p, occs)), sizes
 }
 
 // decodeGraphAndPattern reads from data a connected pattern of two to four

@@ -799,9 +799,9 @@ func EnumerateSnapshot(snap *graph.Snapshot, p *pattern.Pattern, opts Options) [
 // ListSnapshot is the one materializer on top of the streaming engine: it
 // runs EnumerateSnapshotWorkers, lends every occurrence a worker finds to that
 // worker's consumer from newYield (nil for none) and then copies it out; the
-// per-worker buckets are sorted concurrently and merged, so the list is
-// identical for every Parallelism setting and every shard geometry, and the
-// returned occurrences are the caller's to keep. A consumer that returns false
+// workers' copies are sorted together, so the list is identical for every
+// Parallelism setting and every shard geometry, and the returned occurrences
+// are the caller's to keep. A consumer that returns false
 // stops the search, and the list holds what was found until then.
 //
 // With Options.Symmetry nil the list is every occurrence, in the canonical
@@ -858,103 +858,25 @@ func ListSnapshot(snap *graph.Snapshot, p *pattern.Pattern, opts Options, newYie
 			return yield == nil || yield(o)
 		}
 	})
-	slices := make([][]*Occurrence, len(buckets))
-	for i, b := range buckets {
-		if b.k == 0 {
-			continue
-		}
-		occs := make([]Occurrence, b.n)
-		ptrs := make([]*Occurrence, b.n)
-		j := 0
+	total := 0
+	for _, b := range buckets {
+		total += b.n
+	}
+	if total == 0 {
+		return nil
+	}
+	occs := make([]Occurrence, total)
+	out := make([]*Occurrence, total)
+	j := 0
+	for _, b := range buckets {
 		for _, c := range b.chunks {
 			for off := 0; off < len(c); off += b.k {
-				occs[j].nodes = b.nodes
-				occs[j].images = c[off : off+b.k : off+b.k]
-				ptrs[j] = &occs[j]
+				occs[j] = Occurrence{nodes: b.nodes, images: c[off : off+b.k : off+b.k]}
+				out[j] = &occs[j]
 				j++
 			}
 		}
-		slices[i] = ptrs
 	}
-	return mergeSortedOccurrences(slices)
-}
-
-// mergeSortedOccurrences sorts each bucket of occurrences concurrently and
-// merges the sorted buckets into one slice in the canonical order. It is the
-// materialization tail of EnumerateSnapshot: bucket sorting
-// parallelizes across cores, leaving only the final k-way merge sequential.
-// The merge keeps a binary min-heap over the bucket heads, so it costs
-// O(total log buckets) comparisons rather than a per-element scan of every
-// bucket.
-func mergeSortedOccurrences(buckets [][]*Occurrence) []*Occurrence {
-	buckets = nonEmpty(buckets)
-	switch len(buckets) {
-	case 0:
-		return nil
-	case 1:
-		SortOccurrences(buckets[0])
-		return buckets[0]
-	}
-	var wg sync.WaitGroup
-	total := 0
-	for _, b := range buckets {
-		total += len(b)
-		wg.Add(1)
-		go func(b []*Occurrence) {
-			defer wg.Done()
-			SortOccurrences(b)
-		}(b)
-	}
-	wg.Wait()
-
-	// Binary min-heap of bucket indexes, keyed by each bucket's head.
-	heap := make([]int, len(buckets))
-	for i := range heap {
-		heap[i] = i
-	}
-	less := func(a, b int) bool { return buckets[heap[a]][0].Compare(buckets[heap[b]][0]) < 0 }
-	siftDown := func(i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			min := i
-			if l < len(heap) && less(l, min) {
-				min = l
-			}
-			if r < len(heap) && less(r, min) {
-				min = r
-			}
-			if min == i {
-				return
-			}
-			heap[i], heap[min] = heap[min], heap[i]
-			i = min
-		}
-	}
-	for i := len(heap)/2 - 1; i >= 0; i-- {
-		siftDown(i)
-	}
-
-	out := make([]*Occurrence, 0, total)
-	for len(heap) > 0 {
-		b := heap[0]
-		out = append(out, buckets[b][0])
-		buckets[b] = buckets[b][1:]
-		if len(buckets[b]) == 0 {
-			heap[0] = heap[len(heap)-1]
-			heap = heap[:len(heap)-1]
-		}
-		siftDown(0)
-	}
-	return out
-}
-
-// nonEmpty drops empty buckets in place.
-func nonEmpty(buckets [][]*Occurrence) [][]*Occurrence {
-	out := buckets[:0]
-	for _, b := range buckets {
-		if len(b) > 0 {
-			out = append(out, b)
-		}
-	}
+	SortOccurrences(out)
 	return out
 }

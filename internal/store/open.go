@@ -74,7 +74,7 @@ func Open(dir string, opts Options) (*Store, error) {
 			st.closeMaps()
 			return nil, fmt.Errorf("store: segment %s checksum mismatch: file %#08x, manifest %#08x", seg.File, got, seg.CRC32C)
 		}
-		ext[k], err = decodeShard(data, seg)
+		ext[k], err = decodeShard(data, seg, k<<man.ShardShift, man.Vertices)
 		if err != nil {
 			st.closeMaps()
 			return nil, fmt.Errorf("store: segment %s: %w", seg.File, err)
@@ -178,8 +178,10 @@ func loadSegment(dir string, seg Segment, k int, shift uint) (mapping, []byte, e
 // zero-copy reinterpretation on little-endian 64-bit hosts, a heap-copying
 // decode elsewhere. The per-label map is always built on the heap (one entry
 // per distinct label); its value slices alias the labelIdx section on the
-// zero-copy path.
-func decodeShard(data []byte, seg Segment) (graph.ExternalShard, error) {
+// zero-copy path. The shard's first dense index is lo and the snapshot has
+// vertices vertices; checkShard holds every index the snapshot will follow
+// to them.
+func decodeShard(data []byte, seg Segment, lo, vertices int) (graph.ExternalShard, error) {
 	n, m, l := seg.Vertices, seg.Neighbors, seg.Labels
 	lay := layoutFor(n, m, l)
 	var ext graph.ExternalShard
@@ -206,6 +208,9 @@ func decodeShard(data []byte, seg Segment) (graph.ExternalShard, error) {
 		ext.ColIdx = copyInt32s(data, lay.colIdx, m)
 		labelIdx = copyInt32s(data, lay.labelIdx, n)
 	}
+	if err := checkShard(ext, labelIdx, lo, vertices); err != nil {
+		return ext, err
+	}
 
 	ext.ByLabel = make(map[graph.Label][]int32, l)
 	for li := 0; li < l; li++ {
@@ -219,6 +224,40 @@ func decodeShard(data []byte, seg Segment) (graph.ExternalShard, error) {
 		ext.ByLabel[label] = labelIdx[off : off+cnt : off+cnt]
 	}
 	return ext, nil
+}
+
+// checkShard verifies the indexes a snapshot follows without checking them
+// again: the CSR row offsets start at 0, never decrease and end at the
+// segment's neighbour count; every neighbour is a dense index below vertices;
+// and every label-index entry is one of the shard's own, in [lo, lo+n). A
+// matching checksum proves the bytes are the writer's, not that the writer was
+// right, so a bad segment must fail here rather than index out of range later.
+// It reads each array once, in the pass that has just checksummed the same
+// bytes.
+func checkShard(ext graph.ExternalShard, labelIdx []int32, lo, vertices int) error {
+	rows, cols := ext.RowPtr, ext.ColIdx
+	if rows[0] != 0 {
+		return fmt.Errorf("rowPtr starts at %d, not 0", rows[0])
+	}
+	for j := 1; j < len(rows); j++ {
+		if rows[j] < rows[j-1] {
+			return fmt.Errorf("rowPtr decreases at vertex %d, from %d to %d", j-1, rows[j-1], rows[j])
+		}
+	}
+	if end := rows[len(rows)-1]; int(end) != len(cols) {
+		return fmt.Errorf("rowPtr ends at %d, the segment holds %d neighbours", end, len(cols))
+	}
+	for i, c := range cols {
+		if c < 0 || int(c) >= vertices {
+			return fmt.Errorf("neighbour %d is dense index %d, outside the snapshot's %d vertices", i, c, vertices)
+		}
+	}
+	for i, x := range labelIdx {
+		if int(x) < lo || int(x) >= lo+len(labelIdx) {
+			return fmt.Errorf("label index entry %d is dense index %d, outside the shard's [%d,%d)", i, x, lo, lo+len(labelIdx))
+		}
+	}
+	return nil
 }
 
 // copyInt32s decodes n little-endian int32 values starting at data[off].
