@@ -26,11 +26,12 @@
 // counts (isomorph.ListSnapshot): every representative, copied out as its
 // instance's smallest automorphic copy and listed in canonical order, which
 // is identical for every parallelism and shard setting. Edge i of the
-// hypergraph is instance i, so the instances are ordered as their first
-// occurrences are in the full occurrence list, and every vertex set's first
-// edge keeps its place relative to the others: a solver that reads edges in
-// order meets the sets as it would on the occurrence hypergraph H_O, which
-// repeats every edge |Aut(P)| times. MI and MNIk read an instance's other
+// hypergraph is instance i. The instances are in the order of their first
+// occurrences in the full occurrence list, so every vertex set's first edge
+// keeps its place relative to the others, and a solver that reads edges in
+// order (the LP above all) meets the vertex sets in the order it would on the
+// occurrence hypergraph H_O, which repeats every edge |Aut(P)| times. MI and
+// MNIk read an instance's other
 // occurrences off its representative through the symmetry's position
 // permutations; the full occurrence list, which the harmful- and
 // structural-overlap measures and CountOverlaps need, is expanded from the

@@ -57,9 +57,9 @@ import (
 // snapshot the pass searched — the one point on that path where an index
 // becomes a VertexID.
 //
-// A materialized context is no exception: its one search is the streaming
-// one, which also keeps the representatives it counts as the context's
-// instance list.
+// Every complete pass is such a search, a materialized context's included: its
+// one search counts its representatives into a table like any other and also
+// keeps them, as the context's instance list.
 
 // rowLayout says which row of a table each pattern node counts into: its
 // orbit's.
@@ -316,13 +316,13 @@ func (s *domainState) sizes() []int {
 }
 
 // accumulator is what one complete pass is folded into: the number of
-// representatives counted, one per instance, and the pass's domain table. It reads an
-// occurrence and retains nothing of it, which is what lets the enumeration
-// engine lend every worker's occurrences instead of allocating them. Each
-// enumeration worker owns exactly one, so the hot path takes no locks, and the
-// per-worker accumulators are merged once enumeration finishes. (A delta pass
-// has no accumulator: deltaPass, delta.go, applies what it counts to the
-// maintained state.)
+// representatives counted, one per instance, and the pass's domain table. It
+// reads an occurrence and retains nothing of it, which is what lets the
+// enumeration engine lend every worker's occurrences instead of allocating
+// them. Each enumeration worker owns exactly one, so the hot path takes no
+// locks, and the per-worker accumulators are merged once enumeration
+// finishes. (A delta pass has no accumulator: deltaPass, delta.go, applies
+// what it counts to the maintained state.)
 type accumulator struct {
 	// The workers' accumulators are allocated one after another, and count is
 	// written on every emit: the pad keeps it a cache line away from the

@@ -801,8 +801,8 @@ func EnumerateSnapshot(snap *graph.Snapshot, p *pattern.Pattern, opts Options) [
 // worker's consumer from newYield (nil for none) and then copies it out; the
 // workers' copies are sorted together, so the list is identical for every
 // Parallelism setting and every shard geometry, and the returned occurrences
-// are the caller's to keep. A consumer that returns false
-// stops the search, and the list holds what was found until then.
+// are the caller's to keep. A consumer that returns false stops the search,
+// and the list holds what was found until then.
 //
 // With Options.Symmetry nil the list is every occurrence, in the canonical
 // order (see SortOccurrences). Under a Symmetry it is one occurrence per

@@ -254,5 +254,5 @@ func SortOccurrences(occs []*Occurrence) {
 	if sorted {
 		return
 	}
-	sort.Slice(occs, func(i, j int) bool { return occs[i].Compare(occs[j]) < 0 })
+	slices.SortFunc(occs, (*Occurrence).Compare)
 }
