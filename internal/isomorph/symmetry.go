@@ -97,24 +97,14 @@ func (s *Symmetry) smallestCopy(images []int32) []int {
 // automorphism σ, which is EnumerateSnapshot's full list of the snapshot the
 // instances were found in.
 func (s *Symmetry) Expand(instances []*Occurrence) []*Occurrence {
-	if len(instances) == 0 {
-		return nil
-	}
-	k := len(s.orbitOf)
-	n := len(instances) * len(s.perms)
-	images := make([]graph.VertexID, 0, n*k)
-	occs := make([]Occurrence, n)
-	out := make([]*Occurrence, n)
-	j := 0
+	var out []*Occurrence
 	for _, in := range instances {
 		for _, perm := range s.perms {
-			start := len(images)
-			for _, i := range perm {
-				images = append(images, in.ImageAt(i))
+			images := make([]graph.VertexID, len(perm))
+			for i, j := range perm {
+				images[i] = in.ImageAt(j)
 			}
-			occs[j] = Occurrence{nodes: in.nodes, images: images[start:len(images):len(images)]}
-			out[j] = &occs[j]
-			j++
+			out = append(out, &Occurrence{nodes: in.nodes, images: images})
 		}
 	}
 	SortOccurrences(out)
