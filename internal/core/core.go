@@ -68,14 +68,6 @@ type Context struct {
 	g *graph.Graph
 	p *pattern.Pattern
 
-	streaming bool
-	// sym is Aut(P), which the search was broken by.
-	sym *isomorph.Symmetry
-
-	// Materialized state; both nil when the context was built with Streaming.
-	instances []*isomorph.Occurrence
-	instanceH *hypergraph.Hypergraph
-
 	// Streamed aggregates, valid in both modes.
 	numOccurrences int
 	numInstances   int
@@ -83,20 +75,34 @@ type Context struct {
 	// map pattern node Pattern().Nodes()[i] to (the MNI domain size).
 	domainSizes []int
 
-	// Two pieces of state are filled lazily, each at most once, so
-	// concurrent measure computations stay safe. transitive holds the
-	// pattern's transitive node subsets and pairs their two-node members as
-	// position pairs, computed on first use from the pattern alone (they do
-	// not depend on the data graph).
+	// mat is the materialized state; nil when the context was built with
+	// Streaming.
+	mat *materialized
+
+	// transitive holds the pattern's transitive node subsets and pairs their
+	// two-node members as position pairs, computed on first use from the
+	// pattern alone (they do not depend on the data graph), at most once, so
+	// concurrent measure computations stay safe.
 	transitiveOnce sync.Once
 	transitive     [][]pattern.NodeID
 	pairs          [][2]int
 	transitiveErr  error
-	// relaxation is the packing LP optimum of instanceH, solved on first
-	// use.
+}
+
+// materialized is what a context holds beyond the aggregates unless it was
+// built with Options.Streaming. Its lazily filled state is filled at most
+// once, like the transitive node subsets.
+type materialized struct {
+	// sym is Aut(P), which the search was broken by.
+	sym *isomorph.Symmetry
+	// instances is one occurrence per instance, its smallest automorphic
+	// copy, in canonical order; edge i of h is instances[i].
+	instances []*isomorph.Occurrence
+	h         *hypergraph.Hypergraph
+	// relaxation is the packing LP optimum of h, solved on first use.
 	relaxationOnce sync.Once
 	relaxation     lp.RelaxationResult
-	// occurrences is the instances expanded under Aut(P), on first use.
+	// occurrences is the instances expanded under sym, on first use.
 	occurrencesOnce sync.Once
 	occurrences     []*isomorph.Occurrence
 }
@@ -136,19 +142,20 @@ func NewContext(g *graph.Graph, p *pattern.Pattern, opts Options) (*Context, err
 	if (g == nil && opts.Snapshot == nil) || p == nil {
 		return nil, fmt.Errorf("core: nil graph or pattern")
 	}
-	ctx := &Context{g: g, p: p, streaming: opts.Streaming}
+	ctx := &Context{g: g, p: p}
 
 	snap := opts.Snapshot
 	if snap == nil {
 		snap = g.FreezeSharded(graph.FreezeOptions{Shards: opts.Shards})
 	}
-	ctx.domainSizes = ctx.stream(snap, opts.Parallelism, nil).table.sizes()
-	if opts.Streaming {
-		return ctx, nil
-	}
-	ctx.instanceH = hypergraph.New()
-	for _, in := range ctx.instances {
-		ctx.instanceH.MustAddEdge(in.VertexSet())
+	all, mat := ctx.stream(snap, opts.Parallelism, nil, !opts.Streaming)
+	ctx.domainSizes = all.table.sizes()
+	if mat != nil {
+		mat.h = hypergraph.New()
+		for _, in := range mat.instances {
+			mat.h.MustAddEdge(in.VertexSet())
+		}
+		ctx.mat = mat
 	}
 	return ctx, nil
 }
@@ -161,8 +168,9 @@ func NewContext(g *graph.Graph, p *pattern.Pattern, opts Options) (*Context, err
 // is without them. A frequent pattern's domains are what the miner confines
 // the searches of the next level with.
 func NewDomainContext(snap *graph.Snapshot, p *pattern.Pattern, parallelism int, masks []isomorph.Mask) (*Context, []isomorph.Mask) {
-	ctx := &Context{p: p, streaming: true}
-	domains := ctx.stream(snap, parallelism, masks).table.domains(snap.NumVertices())
+	ctx := &Context{p: p}
+	all, _ := ctx.stream(snap, parallelism, masks, false)
+	domains := all.table.domains(snap.NumVertices())
 	ctx.domainSizes = make([]int, len(domains))
 	for i, d := range domains {
 		ctx.domainSizes[i] = d.Count()
@@ -174,15 +182,17 @@ func NewDomainContext(snap *graph.Snapshot, p *pattern.Pattern, parallelism int,
 // to masks, and returns the pass's merged accumulator, whose table the caller
 // reads the domains off. The search finds one representative per instance,
 // each standing for |Aut(P)| occurrences, and every worker folds the ones it
-// is lent into its own accumulator; a materialized context also keeps them as
-// its instance list.
-func (c *Context) stream(snap *graph.Snapshot, parallelism int, masks []isomorph.Mask) *accumulator {
+// is lent into its own accumulator. With list set the search also keeps them,
+// and stream returns them as the start of the materialized state.
+func (c *Context) stream(snap *graph.Snapshot, parallelism int, masks []isomorph.Mask, list bool) (*accumulator, *materialized) {
 	counter := newInstanceCounter(c.p)
-	all, instances := counter.accumulate(snap, parallelism, masks, !c.streaming)
-	c.sym, c.instances = counter.sym, instances
+	all, instances := counter.accumulate(snap, parallelism, masks, list)
 	c.numInstances = all.count
 	c.numOccurrences = counter.occurrences(all.count)
-	return all
+	if !list {
+		return all, nil
+	}
+	return all, &materialized{sym: counter.sym, instances: instances}
 }
 
 // MustNewContext is NewContext but panics on error; intended for tests.
@@ -203,18 +213,29 @@ func (c *Context) Pattern() *pattern.Pattern { return c.p }
 
 // Materialized reports whether the context holds the instance list and the
 // instance hypergraph. It is false for contexts built with Options.Streaming.
-func (c *Context) Materialized() bool { return !c.streaming }
+func (c *Context) Materialized() bool { return c.mat != nil }
 
 // Symmetry returns Aut(P), the pattern's symmetry the context's search was
 // broken by; its position permutations (isomorph.Symmetry.Perm) carry an
-// instance's representative to each of its occurrences.
-func (c *Context) Symmetry() *isomorph.Symmetry { return c.sym }
+// instance's representative to each of its occurrences. It is nil for a
+// streaming context.
+func (c *Context) Symmetry() *isomorph.Symmetry {
+	if c.mat == nil {
+		return nil
+	}
+	return c.mat.sym
+}
 
 // Instances returns one occurrence per instance (Definition 2.1.9), the
 // instance's smallest automorphic copy, in canonical order — the order of
 // those copies in Occurrences(). Edge i of OccurrenceHypergraph() is
 // Instances()[i]. It is nil for a streaming context.
-func (c *Context) Instances() []*isomorph.Occurrence { return c.instances }
+func (c *Context) Instances() []*isomorph.Occurrence {
+	if c.mat == nil {
+		return nil
+	}
+	return c.mat.instances
+}
 
 // Occurrences returns all occurrences in canonical order — every instance's
 // copies under every automorphism, isomorph.EnumerateSnapshot's full list — or
@@ -222,11 +243,12 @@ func (c *Context) Instances() []*isomorph.Occurrence { return c.instances }
 // first call and kept; only the measures that compare individual occurrences
 // (the harmful- and structural-overlap MIS, CountOverlaps) need it.
 func (c *Context) Occurrences() []*isomorph.Occurrence {
-	if c.streaming {
+	m := c.mat
+	if m == nil {
 		return nil
 	}
-	c.occurrencesOnce.Do(func() { c.occurrences = c.sym.Expand(c.instances) })
-	return c.occurrences
+	m.occurrencesOnce.Do(func() { m.occurrences = m.sym.Expand(m.instances) })
+	return m.occurrences
 }
 
 // NumOccurrences returns the occurrence count (not a valid support measure on
@@ -251,7 +273,12 @@ func (c *Context) MNIDomainSizes() []int { return c.domainSizes }
 // occurrence hypergraph H_O, each repeated |Aut(P)| times fewer, so every
 // cover, packing and LP optimum has the same value on either. It is nil for a
 // streaming context.
-func (c *Context) OccurrenceHypergraph() *hypergraph.Hypergraph { return c.instanceH }
+func (c *Context) OccurrenceHypergraph() *hypergraph.Hypergraph {
+	if c.mat == nil {
+		return nil
+	}
+	return c.mat.h
+}
 
 // TransitiveNodeSubsets returns (and caches) the transitive node subsets of
 // the pattern (isomorph.TransitiveNodeSubsets), the sets MI minimises over.
@@ -279,16 +306,17 @@ func (c *Context) TransitiveNodeSubsets() ([][]pattern.NodeID, error) {
 // reads this one result, so a context pays for at most one solve. It must not
 // be called on a streaming context, which has no hypergraph to relax.
 func (c *Context) Relaxation() lp.RelaxationResult {
-	c.relaxationOnce.Do(func() { c.relaxation = lp.Solve(c.instanceH) })
-	return c.relaxation
+	m := c.mat
+	m.relaxationOnce.Do(func() { m.relaxation = lp.Solve(m.h) })
+	return m.relaxation
 }
 
 // String returns a compact summary of the context.
 func (c *Context) String() string {
-	if c.streaming {
+	if c.mat == nil {
 		return fmt.Sprintf("Context(pattern k=%d, %d occurrences, %d instances, streaming)",
 			c.p.Size(), c.numOccurrences, c.numInstances)
 	}
 	return fmt.Sprintf("Context(pattern k=%d, %d occurrences, %d instances, H_I=%s)",
-		c.p.Size(), c.numOccurrences, c.numInstances, c.instanceH)
+		c.p.Size(), c.numOccurrences, c.numInstances, c.mat.h)
 }

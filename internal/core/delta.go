@@ -635,7 +635,6 @@ func (d *DeltaContext) Context() *Context {
 	return &Context{
 		g:              d.g,
 		p:              d.p,
-		streaming:      true,
 		numOccurrences: d.NumOccurrences(),
 		numInstances:   d.NumInstances(),
 		domainSizes:    d.MNIDomainSizes(),
