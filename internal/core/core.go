@@ -35,7 +35,11 @@
 // occurrences off its representative through the symmetry's position
 // permutations; the full occurrence list, which the harmful- and
 // structural-overlap measures and CountOverlaps need, is expanded from the
-// instances once, on first use.
+// instances once, on first use. So is H_I's kernel (hypergraph.Kernel): the
+// LP relaxation and the exact cover and packing measures read it — it has
+// their optima, usually in tens of edges where H_I has thousands — and their
+// answers are read back onto H_I's vertices and EdgeIDs; MNI, MI and the
+// approximations never build it.
 //
 // DeltaContext keeps the streamed aggregates alive across graph mutations, in
 // a VertexID-keyed refcount state, one row per node orbit: a complete pass's
@@ -99,7 +103,14 @@ type materialized struct {
 	// copy, in canonical order; edge i of h is instances[i].
 	instances []*isomorph.Occurrence
 	h         *hypergraph.Hypergraph
-	// relaxation is the packing LP optimum of h, solved on first use.
+	// kernel is h reduced (hypergraph.Kernel), built on first use by the LP
+	// relaxation or an exact cover or packing; kernel edge i is edge
+	// origin[i] of h.
+	kernelOnce sync.Once
+	kernel     *hypergraph.Hypergraph
+	origin     []hypergraph.EdgeID
+	// relaxation is the packing LP optimum of the kernel mapped back onto h,
+	// solved on first use.
 	relaxationOnce sync.Once
 	relaxation     lp.RelaxationResult
 	// occurrences is the instances expanded under sym, on first use.
@@ -300,14 +311,33 @@ func (c *Context) TransitiveNodeSubsets() ([][]pattern.NodeID, error) {
 	return c.transitive, c.transitiveErr
 }
 
+// Kernel returns (and caches) the kernel of the instance hypergraph
+// (hypergraph.Kernel) and the EdgeID in OccurrenceHypergraph() of each of its
+// edges: a hypergraph of the same minimum cover, maximum packing and LP
+// optimum, usually far smaller, which the LP relaxation and the exact cover
+// and packing measures read. It is built at most once, on first use, so a
+// context evaluated by MNI or MI alone never builds it. It must not be
+// called on a streaming context.
+func (c *Context) Kernel() (*hypergraph.Hypergraph, []hypergraph.EdgeID) {
+	m := c.mat
+	m.kernelOnce.Do(func() { m.kernel, m.origin = m.h.Kernel() })
+	return m.kernel, m.origin
+}
+
 // Relaxation returns (and caches) the optimum of the packing LP of the
 // instance hypergraph: ν_MIES and, by duality, ν_MVC (Theorem 4.6), with an
-// optimal fractional packing and cover. Every measure that needs an LP bound
-// reads this one result, so a context pays for at most one solve. It must not
-// be called on a streaming context, which has no hypergraph to relax.
+// optimal fractional packing and cover. It solves the LP of the kernel and
+// reads the result onto H_I (lp.SolveKernel), so Packing is indexed by H_I's
+// EdgeIDs and Cover is aligned with H_I's Vertices(). Every measure that
+// needs an LP bound reads this one result, so a context pays for at most one
+// solve. It must not be called on a streaming context, which has no
+// hypergraph to relax.
 func (c *Context) Relaxation() lp.RelaxationResult {
 	m := c.mat
-	m.relaxationOnce.Do(func() { m.relaxation = lp.Solve(m.h) })
+	m.relaxationOnce.Do(func() {
+		k, origin := c.Kernel()
+		m.relaxation = lp.SolveKernel(m.h, k, origin)
+	})
 	return m.relaxation
 }
 

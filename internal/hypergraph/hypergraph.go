@@ -19,6 +19,27 @@
 // map-based searches kept in reference_test.go, which FuzzSolverTrees holds
 // the solvers to node for node. repro_cover_search_nodes_total and
 // repro_packing_search_nodes_total count the nodes.
+//
+// Kernel shrinks a hypergraph before it is solved, by the two set-cover data
+// reductions of Weihe ("Covering trains by stations or the power of data
+// reduction", 1998), applied to a fixpoint:
+//
+//   - (E) an edge that contains another edge goes; of edges over one vertex
+//     set the lowest EdgeID stays. A cover of the smaller edge covers the
+//     larger, and a packing holding the larger may hold the smaller instead.
+//   - (V) a vertex u goes when another vertex w lies in every edge at u; of
+//     two vertices in the same edges the lower rank stays. A cover holding u
+//     may hold w instead, and two edges that meet at u meet at w, so no
+//     packing changes.
+//
+// Both arguments hold for fractional covers and packings too, so the kernel
+// keeps the minimum vertex cover, the maximum independent edge set and the
+// packing LP's optimum ν, and its witnesses are the hypergraph's: a cover of
+// the kernel covers every edge (a dropped edge contains a kept one), and
+// kernel edges named by their origin EdgeIDs are disjoint in the hypergraph
+// when they are in the kernel. An instance hypergraph repeats vertex sets and
+// hangs many edges off a few hub vertices, so its kernel is usually tens of
+// edges where the hypergraph has thousands.
 package hypergraph
 
 import (

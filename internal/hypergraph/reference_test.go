@@ -458,7 +458,10 @@ func starBytes() []byte {
 // on a fuzz-decoded hypergraph, duplicate edges included, under budgets that
 // truncate at the first node, early, late and never: sizes, Exact flags,
 // covers, packings and explored-node counts must all agree, so a truncated
-// search stops on the same node with the same incumbent.
+// search stops on the same node with the same incumbent. It also holds the
+// kernel to the hypergraph: its unbudgeted minimum cover and maximum packing
+// have the reference's sizes, its cover covers the hypergraph, and its
+// packing, read through the origin EdgeIDs, is independent there.
 func FuzzSolverTrees(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 1, 2, 3, 2, 1, 2, 3, 2, 1, 2, 3, 2, 1, 2, 3, 2, 1, 2, 3, 2, 1, 2, 3})
@@ -501,6 +504,20 @@ func FuzzSolverTrees(f *testing.F) {
 		set, _ := ref.maximumIndependentSet(0)
 		if got, nodes := og.maximumIndependentSet(0, set.Size); !sameIndependentSet(got, set) {
 			t.Fatalf("%v: independent set under its own bound %+v in %d nodes, reference %+v", h.Edges(), got, nodes, set)
+		}
+
+		k, origin := h.Kernel()
+		kCover := k.MinimumVertexCover(0)
+		if kCover.Size != cover.Size || !kCover.Exact || h.ValidateCover(kCover.Cover) != nil {
+			t.Fatalf("%v: kernel %v gives cover %+v, reference %+v", h.Edges(), k.Edges(), kCover, cover)
+		}
+		kPacking := k.MaximumIndependentEdgeSet(0)
+		edges := make([]EdgeID, kPacking.Size)
+		for i, e := range kPacking.Edges {
+			edges[i] = origin[e]
+		}
+		if kPacking.Size != set.Size || !kPacking.Exact || !h.IsIndependentEdgeSet(edges) {
+			t.Fatalf("%v: kernel %v gives packing %+v (%v in h), reference %+v", h.Edges(), k.Edges(), kPacking, edges, set)
 		}
 	})
 }

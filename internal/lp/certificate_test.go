@@ -230,7 +230,10 @@ func TestSolveDegenerateProblem(t *testing.T) {
 // followed by that many vertex bytes — and asserts the certificate together
 // with the integral sandwich ⌈ν⌉ ≤ σ_MVC and σ_MIES ≤ ⌊ν⌋ against the
 // unbudgeted exact solvers, and that an edge repeating an earlier vertex set
-// is given exactly zero: it has no column to enter the basis with.
+// is given exactly zero: its column never enters the basis. It also solves
+// the kernel (SolveKernel): ν must be ν of the whole hypergraph within 1e-9,
+// and the packing and cover read back onto the hypergraph must pass the same
+// certificate there.
 func FuzzRelaxationCertificate(f *testing.F) {
 	f.Add([]byte{})
 	// The triangle of Figure 2, six times over.
@@ -275,5 +278,11 @@ func FuzzRelaxationCertificate(f *testing.F) {
 		if pack := h.MaximumIndependentEdgeSet(0); pack.Size > int(math.Floor(res.Value+1e-6)) {
 			t.Fatalf("%v %v: integral packing %d exceeds fractional %v", h, h.Edges(), pack.Size, res.Value)
 		}
+		k, origin := h.Kernel()
+		reduced := lp.SolveKernel(h, k, origin)
+		if math.Abs(reduced.Value-res.Value) > 1e-9 {
+			t.Fatalf("%v %v: ν = %v, on the kernel %v ν = %v", h, h.Edges(), res.Value, k.Edges(), reduced.Value)
+		}
+		certify(t, h, reduced)
 	})
 }

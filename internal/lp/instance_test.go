@@ -36,8 +36,7 @@ func instancePattern(labels []graph.Label, edges ...[2]int) *pattern.Pattern {
 // three (|Aut| = 2) on a triangle-rich random graph. There the three paths
 // of one triangle are distinct instances over one vertex set, as are the
 // paths of four around one labeled 4-cycle of the BA graph, so H_I still
-// repeats vertex sets and the solver's duplicate-column collapse still has
-// work to do.
+// repeats vertex sets.
 func TestSolveInstanceHypergraphMatchesReference(t *testing.T) {
 	ba := gen.BarabasiAlbert(240, 2, gen.UniformLabels{K: 2}, 1).Freeze()
 	cases := []struct {

@@ -11,10 +11,9 @@ import (
 	"repro/internal/obs"
 )
 
-// referenceSolve is Solve as it was before duplicate columns were collapsed
-// and pivots went sparse: one column per edge, every pivot subtracting the
-// whole pivot row from every row. It is the oracle Solve is held to bit for
-// bit and pivot for pivot.
+// referenceSolve is Solve as it was before pivots went sparse: one column
+// per edge, every pivot subtracting the whole pivot row from every row. It is
+// the oracle Solve is held to bit for bit and pivot for pivot.
 func referenceSolve(h *hypergraph.Hypergraph) (res RelaxationResult, pivots int) {
 	n := h.NumEdges()
 	if n == 0 {

@@ -31,30 +31,18 @@ type RelaxationResult struct {
 //
 // and returns its value, the optimal y and — as the shadow prices of the
 // vertex constraints — an optimal x of the dual fractional vertex cover LP
-// (Definition 4.3.1). The tableau has one column per distinct vertex set, in
-// the order of each set's first edge, followed by one slack column per vertex
-// row, in Vertices() order; an edge that repeats an earlier vertex set has no
-// column and y = 0 (see the package comment). The y(e) <= 1 and x(v) <= 1
-// bounds of the definitions are implied by the constraints and not
-// materialized.
+// (Definition 4.3.1). The tableau has one column per edge, in EdgeID order,
+// followed by one slack column per vertex row, in Vertices() order. The
+// y(e) <= 1 and x(v) <= 1 bounds of the definitions are implied by the
+// constraints and not materialized.
 func Solve(h *hypergraph.Hypergraph) RelaxationResult {
 	mSolves.Inc()
 	n := h.NumEdges()
 	if n == 0 {
 		return RelaxationResult{Status: Optimal}
 	}
-	// column[e] is the tableau column of edge e, -1 for a repeated set.
-	column := make([]int, n)
-	cols := 0
-	for e, first := range h.EdgeClasses() {
-		column[e] = -1
-		if int(first) == e {
-			column[e] = cols
-			cols++
-		}
-	}
 	vertices := h.Vertices()
-	totalCols := cols + len(vertices)
+	totalCols := n + len(vertices)
 	// Solve yields the processor on the way in and again after the pivots. It
 	// allocates its tableau in one burst and then computes for milliseconds
 	// without a scheduling point, and a collector cycle whose workers have
@@ -71,18 +59,16 @@ func Solve(h *hypergraph.Hypergraph) RelaxationResult {
 	for i, v := range vertices {
 		row := make([]float64, totalCols+1)
 		for _, e := range h.IncidentEdges(v) {
-			if c := column[e]; c >= 0 {
-				row[c] = 1
-			}
+			row[e] = 1
 		}
-		row[cols+i] = 1
+		row[n+i] = 1
 		row[totalCols] = 1
 		tab[i] = row
-		basis[i] = cols + i
+		basis[i] = n + i
 	}
 	// The tableau minimizes, so maximizing sum y is minimizing -sum y.
 	objective := make([]float64, totalCols)
-	for j := 0; j < cols; j++ {
+	for j := 0; j < n; j++ {
 		objective[j] = -1
 	}
 	status, objRow := runSimplex(tab, basis, objective, totalCols)
@@ -91,16 +77,10 @@ func Solve(h *hypergraph.Hypergraph) RelaxationResult {
 	if status != Optimal {
 		return res
 	}
-	basic := make([]float64, cols)
-	for i, b := range basis {
-		if b < cols {
-			basic[b] = tab[i][totalCols]
-		}
-	}
 	res.Packing = make([]float64, n)
-	for e, c := range column {
-		if c >= 0 {
-			res.Packing[e] = basic[c]
+	for i, b := range basis {
+		if b < n {
+			res.Packing[b] = tab[i][totalCols]
 		}
 	}
 	// Summed in edge order: ν is held to the bit, and float addition is not
@@ -112,7 +92,38 @@ func Solve(h *hypergraph.Hypergraph) RelaxationResult {
 	// slack column, negated because the tableau minimizes.
 	res.Cover = make([]float64, len(vertices))
 	for i := range res.Cover {
-		res.Cover[i] = -objRow[cols+i]
+		res.Cover[i] = -objRow[n+i]
+	}
+	return res
+}
+
+// SolveKernel solves the LP of kernel, a kernel of h whose edge i is what
+// is left of edge origin[i] of h (hypergraph.Kernel), and reads the result
+// onto h: Packing is indexed by h's EdgeIDs, an edge the kernel dropped
+// reading 0, and Cover is aligned with h's Vertices(), a vertex the kernel
+// dropped reading 0. The kernel's optimum is h's, and the pair read onto h
+// is still feasible — a dropped vertex u had a kept vertex in every kept
+// edge at it, whose load bounds u's, and a dropped edge contains a kept
+// one — so it is optimal on h, with the kernel's Value to the bit.
+func SolveKernel(h, kernel *hypergraph.Hypergraph, origin []hypergraph.EdgeID) RelaxationResult {
+	k := Solve(kernel)
+	res := RelaxationResult{Value: k.Value, Status: k.Status}
+	if k.Status != Optimal {
+		return res
+	}
+	res.Packing = make([]float64, h.NumEdges())
+	for i, e := range origin {
+		res.Packing[e] = k.Packing[i]
+	}
+	// The kernel's vertices are some of h's, both ascending.
+	vertices := h.Vertices()
+	res.Cover = make([]float64, len(vertices))
+	at := 0
+	for i, v := range kernel.Vertices() {
+		for vertices[at] != v {
+			at++
+		}
+		res.Cover[at] = k.Cover[i]
 	}
 	return res
 }

@@ -8,26 +8,16 @@
 // covering LP is never solved on its own — its optimal x is read off the final
 // objective row.
 //
-// Two things keep a pivot at the price of the numbers it changes, and neither
-// changes a pivot. The tableau has one column per distinct vertex set, not per
-// edge: distinct instances can share a vertex set (the three paths of three
-// on one triangle), and so do the |Aut(P)| occurrences of one instance on an
-// occurrence hypergraph. An identical column keeps the reduced cost of its
-// class's first edge through every row operation and loses every Dantzig and
-// Bland tie to it (both take the lowest index), so it never enters the basis —
-// its y is 0 whether it has a column or not, and dropping it leaves the kept
-// columns in their order, so pricing and the ratio test's lowest-basis-index
-// tie-break decide as before.
-// And a pivot subtracts multiples of the pivot row, which in a packing tableau
+// A pivot subtracts multiples of the pivot row, which in a packing tableau
 // is mostly zeros: its non-zero positions are gathered once per pivot, into a
 // scratch slice owned by the solve, and every row is updated over those only —
 // the skipped terms are x - f·0. Pivot sequence, every floating-point
 // operation on a non-zero entry and hence ν's bits are those of the
-// uncollapsed, dense-row solver kept as the oracle in reference_test.go. (One
-// path is not covered by the argument: a column disabled as round-off noise
-// takes its whole class with it, where the uncollapsed solver would go on to
-// try the duplicates one by one; that needs a reduced cost above 1e-7 on a
-// column with no positive entry and has not been seen to happen.)
+// dense-row solver kept as the oracle in reference_test.go.
+//
+// The tableau has one column per edge, repeated vertex sets included: the
+// measures solve the LP of a kernel (hypergraph.Kernel), in which no edge
+// repeats or contains another.
 //
 // Solve is also a scheduling point: it yields the processor before it
 // allocates the tableau and after the pivots, so that a garbage collection in

@@ -2,12 +2,16 @@ package measures_test
 
 import (
 	"fmt"
+	"math"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/hypergraph"
 	"repro/internal/lp"
 	"repro/internal/measures"
 	"repro/internal/obs"
@@ -42,10 +46,12 @@ func barabasiAlbert(n int, seed uint64) *graph.Graph {
 }
 
 // TestNuBitIdentical holds ν_MVC of the six eval-measures cases of the
-// benchmark to the bits the general two-phase simplex produced before the
-// packing LP was laid onto the tableau directly (constants generated at that
-// commit; path4's is 33.99999999999999, not 34). ν_MIES must be the same
-// float, not merely a close one.
+// benchmark to the bit. Five are the bits the general two-phase simplex
+// produced on the whole instance hypergraph before the packing LP was laid
+// onto the tableau directly (constants generated at that commit). path4's
+// was 33.99999999999999 there; the context now solves the LP of H_I's
+// kernel, where it is exactly 34. ν_MIES must be the same float, not merely
+// a close one.
 func TestNuBitIdentical(t *testing.T) {
 	cases := []struct {
 		n       int
@@ -55,7 +61,7 @@ func TestNuBitIdentical(t *testing.T) {
 		{240, "edge", "6051711999279104p-46"},
 		{240, "path", "5207287069147136p-47"},
 		{240, "star", "5348024557502464p-48"},
-		{240, "path4", "4785074604081151p-47"},
+		{240, "path4", "4785074604081152p-47"},
 		{100, "edge", "7881299347898368p-48"},
 		{100, "path", "5066549580791808p-48"},
 	}
@@ -127,6 +133,40 @@ func TestOneSolvePerContext(t *testing.T) {
 	}
 }
 
+// TestKernelOnlyWhenSolved counts kernel builds: evaluating MNI, MI, the raw
+// counts and the measures that read H_I itself (MVC-approx, MIES-greedy,
+// MCP) on a materialized context builds no kernel, the first measure that
+// needs the LP or an exact cover or packing builds one, and the rest of the
+// default set reuses it.
+func TestKernelOnlyWhenSolved(t *testing.T) {
+	vertices := obs.Default.Counter("repro_hypergraph_kernel_vertices_total")
+	edges := obs.Default.Counter("repro_hypergraph_kernel_edges_total")
+	ctx := mustContext(t, barabasiAlbert(60, 1), queryPatterns["path"])
+	evaluate := func(ms ...measures.Measure) (uint64, uint64) {
+		v0, e0 := vertices.Value(), edges.Value()
+		if _, err := measures.Evaluate(ctx, ms...); err != nil {
+			t.Fatal(err)
+		}
+		return vertices.Value() - v0, edges.Value() - e0
+	}
+	if v, e := evaluate(measures.MNI{}, measures.MI{}, measures.RawCount{}, measures.RawCount{Instances: true},
+		measures.MVC{Approximate: true}, measures.MIES{Approximate: true}, measures.MCP{}); v != 0 || e != 0 {
+		t.Errorf("measures that read no kernel built one of %d vertices and %d edges", v, e)
+	}
+	k, _ := ctx.Kernel()
+	if v, e := evaluate(measures.MIES{}); v != 0 || e != 0 {
+		t.Errorf("MIES after Kernel() built another kernel of %d vertices and %d edges", v, e)
+	}
+
+	ctx = mustContext(t, barabasiAlbert(60, 1), queryPatterns["path"])
+	if v, e := evaluate(measures.NuMVC{}); v != uint64(k.NumVertices()) || e != uint64(k.NumEdges()) {
+		t.Errorf("nuMVC built kernels of %d vertices and %d edges in all, want one of %d and %d", v, e, k.NumVertices(), k.NumEdges())
+	}
+	if v, e := evaluate(measures.DefaultSet()...); v != 0 || e != 0 {
+		t.Errorf("the default set built another kernel of %d vertices and %d edges", v, e)
+	}
+}
+
 // TestMISIsMIES sweeps 160 small contexts (156 once contexts of over 800
 // occurrences are skipped) under a budget tight enough to truncate some searches: MIS and
 // MIES must agree in value and in exactness on every one. Before they shared
@@ -190,15 +230,77 @@ func TestMISIsMIES(t *testing.T) {
 	}
 }
 
+// TestSearchedWitnessesAreHIs evaluates MVC and MIES where the LP bound
+// certifies no greedy answer on the kernel — one-label edges and paths on
+// sparse random graphs — so the kernel's searches run: each value must be
+// H_I's unbudgeted optimum, and each witness a cover of H_I, or disjoint
+// edges of H_I named by H_I's EdgeIDs, of that size.
+func TestSearchedWitnessesAreHIs(t *testing.T) {
+	searched := 0
+	for _, n := range []int{10, 12, 16} {
+		g := gen.ErdosRenyi(n, 0.3, gen.UniformLabels{K: 1}, 1)
+		for _, p := range []*pattern.Pattern{pattern.SingleEdge(1, 1), labeledPattern([]graph.Label{1, 1, 1}, [2]int{0, 1}, [2]int{1, 2})} {
+			ctx := mustContext(t, g, p)
+			h := ctx.OccurrenceHypergraph()
+			mvc, err := measures.MVC{}.Compute(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := h.MinimumVertexCover(0).Size; mvc.Value != float64(want) || !mvc.Exact {
+				t.Errorf("ER(%d) %v: MVC = %v (exact %v), H_I's minimum cover is %d", n, p, mvc.Value, mvc.Exact, want)
+			}
+			if cover, ok := witnessIDs[graph.VertexID](mvc.Witness, "vertex cover "); ok {
+				searched++
+				if len(cover) != int(mvc.Value) || h.ValidateCover(cover) != nil {
+					t.Errorf("ER(%d) %v: MVC witness %s is no cover of H_I of size %v", n, p, mvc.Witness, mvc.Value)
+				}
+			}
+			mies, err := measures.MIES{}.Compute(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := h.MaximumIndependentEdgeSet(0).Size; mies.Value != float64(want) || !mies.Exact {
+				t.Errorf("ER(%d) %v: MIES = %v (exact %v), H_I's maximum packing is %d", n, p, mies.Value, mies.Exact, want)
+			}
+			if edges, ok := witnessIDs[hypergraph.EdgeID](mies.Witness, "independent hyperedges "); ok {
+				searched++
+				if len(edges) != int(mies.Value) || !h.IsIndependentEdgeSet(edges) {
+					t.Errorf("ER(%d) %v: MIES witness %s is not %v disjoint edges of H_I", n, p, mies.Witness, mies.Value)
+				}
+			}
+		}
+	}
+	if searched < 4 {
+		t.Errorf("only %d of the 12 answers came from a search", searched)
+	}
+}
+
+// witnessIDs parses a witness of the form prefix + "[1 2 3]" into its IDs.
+func witnessIDs[ID ~int | ~int64](witness, prefix string) ([]ID, bool) {
+	list, ok := strings.CutPrefix(witness, prefix)
+	if !ok {
+		return nil, false
+	}
+	var ids []ID
+	for _, f := range strings.Fields(strings.Trim(list, "[]")) {
+		id, err := strconv.Atoi(f)
+		if err != nil {
+			return nil, false
+		}
+		ids = append(ids, ID(id))
+	}
+	return ids, true
+}
+
 // TestSearchTreesUnmoved pins the exact searches on the two small
 // eval-measures cases, without the LP bound (the unbounded entry points the
 // benchmark's probes call) and at the probes' 20 000-node budget, to what the
 // map-based searches did before the solvers moved onto the dense view: the
 // cover search explores 7 409 nodes on the edge pattern and is cut off on
 // node 20 001 on the path, and both searches return the covers and packings
-// recorded then. Handed ⌈ν⌉ — what measures.MVC does — the edge search stops
-// on the same cover the moment it finds it, which a 50-node budget is enough
-// for.
+// recorded then. Handed ⌈ν⌉ — the bound measures.MVC hands its search — the
+// edge search stops on the same cover the moment it finds it, which a
+// 50-node budget is enough for.
 func TestSearchTreesUnmoved(t *testing.T) {
 	coverNodes := obs.Default.Counter("repro_cover_search_nodes_total")
 	packingNodes := obs.Default.Counter("repro_packing_search_nodes_total")
@@ -239,13 +341,11 @@ func TestSearchTreesUnmoved(t *testing.T) {
 	}
 
 	ctx := mustContext(t, barabasiAlbert(100, 1), queryPatterns["edge"])
+	lower := int(math.Ceil(ctx.Relaxation().Value - 1e-6))
 	before := coverNodes.Value()
-	res, err := measures.MVC{MaxNodes: 50}.Compute(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := coverNodes.Value() - before; !res.Exact || res.Witness != "vertex cover "+cases[0].cover || n >= 50 {
-		t.Errorf("MVC under ⌈ν⌉ and 50 nodes: %v (exact %v) after %d nodes, %s", res.Value, res.Exact, n, res.Witness)
+	res := ctx.OccurrenceHypergraph().MinimumVertexCoverBounded(50, lower)
+	if n := coverNodes.Value() - before; !res.Exact || fmt.Sprint(res.Cover) != cases[0].cover || n >= 50 {
+		t.Errorf("cover under ⌈ν⌉ = %d and 50 nodes: %v (exact %v) after %d nodes", lower, res.Cover, res.Exact, n)
 	}
 }
 

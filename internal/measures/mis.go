@@ -121,23 +121,29 @@ func (m MIS) Compute(ctx *core.Context) (Result, error) {
 }
 
 // independentEdgeSet computes σ_MIES = σ_MIS (Theorem 4.1) on a context with
-// at least one occurrence: the greedy packing when it reaches the upper bound
-// of the context's LP relaxation and is thereby certified maximum — only Size
-// and Exact are set then, and certified is true — and otherwise the
+// at least one occurrence, on the context's kernel of H_I, which packs as
+// many edges: the greedy packing when it reaches the upper bound of the
+// context's LP relaxation and is thereby certified maximum — only Size and
+// Exact are set then, and certified is true — and otherwise the
 // branch-and-bound search under the given node budget (zero means
 // DefaultMaxNodes), which is handed the same bound and ends the moment it
-// finds a packing that large. The certificate is tried first because it needs
-// no quadratic structure; the search builds the conflict lists.
+// finds a packing that large; its Edges are H_I's EdgeIDs, disjoint in H_I.
+// The certificate is tried first because it needs no quadratic structure;
+// the search builds the conflict lists.
 func independentEdgeSet(ctx *core.Context, maxNodes int) (res hypergraph.MatchingResult, certified bool) {
-	h := ctx.OccurrenceHypergraph()
+	k, origin := ctx.Kernel()
 	_, upper := nuBounds(ctx)
-	if size := h.GreedyIndependentEdgeSet().Size; upper > 0 && size >= upper {
+	if size := k.GreedyIndependentEdgeSet().Size; upper > 0 && size >= upper {
 		return hypergraph.MatchingResult{Size: size, Exact: true}, true
 	}
 	if maxNodes == 0 {
 		maxNodes = DefaultMaxNodes
 	}
-	return h.MaximumIndependentEdgeSetBounded(maxNodes, upper), false
+	res = k.MaximumIndependentEdgeSetBounded(maxNodes, upper)
+	for i, e := range res.Edges {
+		res.Edges[i] = origin[e]
+	}
+	return res, false
 }
 
 // MIES is the maximum independent edge set support (Definition 4.2.1): the

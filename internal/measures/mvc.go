@@ -14,9 +14,11 @@ import (
 // hyperedge (the occurrence hypergraph has the same edges as vertex sets, hence
 // the same covers). MVC is anti-monotonic (Theorem 3.5), bounded by
 // MI from above (Theorem 3.6) and by MIES/MIS from below (Theorem 4.5), but
-// computing it exactly is NP-hard. The exact solver is branch and bound; the
-// approximate variant is the textbook k-approximation for k-uniform
-// hypergraphs (take all vertices of an uncovered edge).
+// computing it exactly is NP-hard. The exact solver is branch and bound on
+// the context's kernel of H_I (core.Context.Kernel), whose every cover covers
+// H_I and whose minimum is H_I's; the approximate variant reads H_I itself
+// and is the textbook k-approximation for k-uniform hypergraphs (take all
+// vertices of an uncovered edge).
 type MVC struct {
 	// Approximate skips the exact solver and reports the matching-based
 	// k-approximation.
@@ -64,9 +66,10 @@ func (m MVC) Compute(ctx *core.Context) (Result, error) {
 	// LP certificate shortcut: if a polynomial heuristic cover already
 	// matches the ceiling of the fractional optimum, it is provably minimum
 	// (sigma_MVC is an integer >= nu_MVC), so the exponential search can be
-	// skipped entirely.
+	// skipped entirely. Both run on the kernel: a cover of it covers H_I.
 	lower, _ := nuBounds(ctx)
-	if size, ok := mvcLPShortcut(h, lower); ok {
+	k, _ := ctx.Kernel()
+	if size, ok := mvcLPShortcut(k, lower); ok {
 		return Result{
 			Measure: NameMVC,
 			Value:   float64(size),
@@ -80,7 +83,7 @@ func (m MVC) Compute(ctx *core.Context) (Result, error) {
 	}
 	// The search gets the same bound: it ends the moment it finds a cover of
 	// that size rather than spending the budget on proving it minimum.
-	res := h.MinimumVertexCoverBounded(budget, lower)
+	res := k.MinimumVertexCoverBounded(budget, lower)
 	return Result{
 		Measure: NameMVC,
 		Value:   float64(res.Size),

@@ -23,8 +23,9 @@ var update = flag.Bool("update", false, "rewrite testdata/work.golden from this 
 
 // ledgerCounters are the work counters a ledger line records, as deltas over
 // one step: what the searches rooted, emitted and drained, what the delta
-// passes emitted, counted, applied and rebuilt, and what the LP and the exact cover and
-// packing searches did. Each is deterministic at one shard and parallelism 1.
+// passes emitted, counted, applied and rebuilt, how large the kernels built
+// for the LP were, and what the LP and the exact cover and packing searches
+// did. Each is deterministic at one shard and parallelism 1.
 var ledgerCounters = []struct{ key, name string }{
 	{"roots", "repro_enum_roots_total"},
 	{"representatives", "repro_enum_representatives_total"},
@@ -34,6 +35,8 @@ var ledgerCounters = []struct{ key, name string }{
 	{"pass_counted", "repro_delta_pass_counted_total"},
 	{"pass_applied", "repro_delta_pass_applied_total"},
 	{"full_rebuilds", "repro_delta_full_rebuilds_total"},
+	{"kernel_vertices", "repro_hypergraph_kernel_vertices_total"},
+	{"kernel_edges", "repro_hypergraph_kernel_edges_total"},
 	{"lp_solves", "repro_lp_solves_total"},
 	{"lp_pivots", "repro_lp_pivots_total"},
 	{"cover_nodes", "repro_cover_search_nodes_total"},
@@ -86,6 +89,7 @@ func TestWorkLedger(t *testing.T) {
 	ledgerSession(t, &l)
 	ledgerMineMaterialized(t, &l, measures.NameMI)
 	ledgerMineMaterialized(t, &l, measures.NameMVC)
+	ledgerMineMaterialized(t, &l, measures.NameMIS)
 	ledgerEvalMeasures(t, &l)
 
 	path := filepath.Join("testdata", "work.golden")
@@ -188,8 +192,7 @@ func ledgerSession(t *testing.T, l *ledger) {
 // ledgerMineMaterialized records a cold mine of gminer's fixed graph
 // (cmd/gminer/testdata/ba120.lg) under the registry's measure of the given
 // name, one that needs the occurrence list: MI's transitive node subsets, or
-// MVC's LP and cover search. MIS is left out: its mine takes seconds, and the
-// ledger must repeat ten times in CI.
+// the LP and the cover or packing search of MVC and MIS.
 func ledgerMineMaterialized(t *testing.T, l *ledger, name string) {
 	measure, err := measures.NewRegistry().New(name)
 	if err != nil {
