@@ -37,8 +37,8 @@
 // structural-overlap measures and CountOverlaps need, is expanded from the
 // instances once, on first use. So is H_I's kernel (hypergraph.Kernel): the
 // LP relaxation and the exact cover and packing measures read it — it has
-// their optima, usually in tens of edges where H_I has thousands — and their
-// answers are read back onto H_I's vertices and EdgeIDs; MNI, MI and the
+// their optima, usually in tens of edges where H_I has thousands — and the
+// exact packings are read back onto H_I's EdgeIDs; MNI, MI and the
 // approximations never build it.
 //
 // DeltaContext keeps the streamed aggregates alive across graph mutations, in
@@ -109,8 +109,8 @@ type materialized struct {
 	kernelOnce sync.Once
 	kernel     *hypergraph.Hypergraph
 	origin     []hypergraph.EdgeID
-	// relaxation is the packing LP optimum of the kernel mapped back onto h,
-	// solved on first use.
+	// relaxation is the packing LP optimum of the kernel, solved on first
+	// use; its Packing is indexed by kernel edge.
 	relaxationOnce sync.Once
 	relaxation     lp.RelaxationResult
 	// occurrences is the instances expanded under sym, on first use.
@@ -326,17 +326,17 @@ func (c *Context) Kernel() (*hypergraph.Hypergraph, []hypergraph.EdgeID) {
 
 // Relaxation returns (and caches) the optimum of the packing LP of the
 // instance hypergraph: ν_MIES and, by duality, ν_MVC (Theorem 4.6), with an
-// optimal fractional packing and cover. It solves the LP of the kernel and
-// reads the result onto H_I (lp.SolveKernel), so Packing is indexed by H_I's
-// EdgeIDs and Cover is aligned with H_I's Vertices(). Every measure that
-// needs an LP bound reads this one result, so a context pays for at most one
-// solve. It must not be called on a streaming context, which has no
-// hypergraph to relax.
+// optimal fractional packing and cover. It solves the LP of the kernel, whose
+// optimum is H_I's, so Packing is indexed by the kernel's edges — Kernel()'s
+// origin names each one's EdgeID in H_I — and Cover is aligned with the
+// kernel's Vertices(). Every measure that needs an LP bound reads this one
+// result, so a context pays for at most one solve. It must not be called on
+// a streaming context, which has no hypergraph to relax.
 func (c *Context) Relaxation() lp.RelaxationResult {
 	m := c.mat
 	m.relaxationOnce.Do(func() {
-		k, origin := c.Kernel()
-		m.relaxation = lp.SolveKernel(m.h, k, origin)
+		k, _ := c.Kernel()
+		m.relaxation = lp.Solve(k)
 	})
 	return m.relaxation
 }

@@ -16,7 +16,11 @@ func (h *Hypergraph) Kernel() (*Hypergraph, []EdgeID) {
 	d := h.view()
 	r := newReducer(d)
 	if _, uniform := h.IsUniform(); uniform {
-		// Edges of one size nest only when equal.
+		// Edges of one size nest only when equal, so their classes are
+		// enough. The superset scan of the other branch finds the same
+		// edges, but over the six instance hypergraphs of the eval-measures
+		// benchmark it took 4.0 ms against 1.2 ms for the whole kernel
+		// build (2-core x86-64), and made an op half as long again.
 		for e, first := range h.EdgeClasses() {
 			if int(first) != e {
 				r.dropEdge(int32(e))

@@ -231,9 +231,9 @@ func TestSolveDegenerateProblem(t *testing.T) {
 // with the integral sandwich ⌈ν⌉ ≤ σ_MVC and σ_MIES ≤ ⌊ν⌋ against the
 // unbudgeted exact solvers, and that an edge repeating an earlier vertex set
 // is given exactly zero: its column never enters the basis. It also solves
-// the kernel (SolveKernel): ν must be ν of the whole hypergraph within 1e-9,
-// and the packing and cover read back onto the hypergraph must pass the same
-// certificate there.
+// the kernel (Hypergraph.Kernel): ν must be ν of the whole hypergraph within
+// 1e-9, and the packing and cover read back onto the hypergraph (onWhole)
+// must pass the same certificate there.
 func FuzzRelaxationCertificate(f *testing.F) {
 	f.Add([]byte{})
 	// The triangle of Figure 2, six times over.
@@ -279,10 +279,34 @@ func FuzzRelaxationCertificate(f *testing.F) {
 			t.Fatalf("%v %v: integral packing %d exceeds fractional %v", h, h.Edges(), pack.Size, res.Value)
 		}
 		k, origin := h.Kernel()
-		reduced := lp.SolveKernel(h, k, origin)
+		reduced := lp.Solve(k)
 		if math.Abs(reduced.Value-res.Value) > 1e-9 {
 			t.Fatalf("%v %v: ν = %v, on the kernel %v ν = %v", h, h.Edges(), res.Value, k.Edges(), reduced.Value)
 		}
-		certify(t, h, reduced)
+		certify(t, h, onWhole(h, k, origin, reduced))
 	})
+}
+
+// onWhole reads an optimal solution of the LP of k, a kernel of h whose edge
+// i is what is left of edge origin[i], onto h: an edge the kernel dropped
+// gets y = 0 and a vertex it dropped x = 0. The pair stays feasible on h — a
+// dropped vertex had a kept vertex in every kept edge at it, whose load
+// bounds its own, and a dropped edge contains a kept one — and keeps its
+// value.
+func onWhole(h, k *hypergraph.Hypergraph, origin []hypergraph.EdgeID, res lp.RelaxationResult) lp.RelaxationResult {
+	if res.Status != lp.Optimal {
+		return res
+	}
+	whole := lp.RelaxationResult{Value: res.Value, Status: res.Status, Packing: make([]float64, h.NumEdges())}
+	for i, e := range origin {
+		whole.Packing[e] = res.Packing[i]
+	}
+	x := make(map[graph.VertexID]float64, k.NumVertices())
+	for i, v := range k.Vertices() {
+		x[v] = res.Cover[i]
+	}
+	for _, v := range h.Vertices() {
+		whole.Cover = append(whole.Cover, x[v])
+	}
+	return whole
 }

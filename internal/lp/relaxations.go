@@ -97,37 +97,6 @@ func Solve(h *hypergraph.Hypergraph) RelaxationResult {
 	return res
 }
 
-// SolveKernel solves the LP of kernel, a kernel of h whose edge i is what
-// is left of edge origin[i] of h (hypergraph.Kernel), and reads the result
-// onto h: Packing is indexed by h's EdgeIDs, an edge the kernel dropped
-// reading 0, and Cover is aligned with h's Vertices(), a vertex the kernel
-// dropped reading 0. The kernel's optimum is h's, and the pair read onto h
-// is still feasible — a dropped vertex u had a kept vertex in every kept
-// edge at it, whose load bounds u's, and a dropped edge contains a kept
-// one — so it is optimal on h, with the kernel's Value to the bit.
-func SolveKernel(h, kernel *hypergraph.Hypergraph, origin []hypergraph.EdgeID) RelaxationResult {
-	k := Solve(kernel)
-	res := RelaxationResult{Value: k.Value, Status: k.Status}
-	if k.Status != Optimal {
-		return res
-	}
-	res.Packing = make([]float64, h.NumEdges())
-	for i, e := range origin {
-		res.Packing[e] = k.Packing[i]
-	}
-	// The kernel's vertices are some of h's, both ascending.
-	vertices := h.Vertices()
-	res.Cover = make([]float64, len(vertices))
-	at := 0
-	for i, v := range kernel.Vertices() {
-		for vertices[at] != v {
-			at++
-		}
-		res.Cover[at] = k.Cover[i]
-	}
-	return res
-}
-
 // FractionalVertexCover is Solve under the name of Definition 4.3.1 (the
 // ν_MVC support): read Value and Cover.
 func FractionalVertexCover(h *hypergraph.Hypergraph) (RelaxationResult, error) {

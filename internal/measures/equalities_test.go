@@ -298,9 +298,9 @@ func witnessIDs[ID ~int | ~int64](witness, prefix string) ([]ID, bool) {
 // map-based searches did before the solvers moved onto the dense view: the
 // cover search explores 7 409 nodes on the edge pattern and is cut off on
 // node 20 001 on the path, and both searches return the covers and packings
-// recorded then. Handed ⌈ν⌉ — the bound measures.MVC hands its search — the
-// edge search stops on the same cover the moment it finds it, which a
-// 50-node budget is enough for.
+// recorded then. Handed ⌈ν⌉ — the bound measures.MVC hands its search on
+// the kernel (TestMeasuresBoundTheirSearches) — the edge search stops on the
+// same cover the moment it finds it, which a 50-node budget is enough for.
 func TestSearchTreesUnmoved(t *testing.T) {
 	coverNodes := obs.Default.Counter("repro_cover_search_nodes_total")
 	packingNodes := obs.Default.Counter("repro_packing_search_nodes_total")
@@ -346,6 +346,78 @@ func TestSearchTreesUnmoved(t *testing.T) {
 	res := ctx.OccurrenceHypergraph().MinimumVertexCoverBounded(50, lower)
 	if n := coverNodes.Value() - before; !res.Exact || fmt.Sprint(res.Cover) != cases[0].cover || n >= 50 {
 		t.Errorf("cover under ⌈ν⌉ = %d and 50 nodes: %v (exact %v) after %d nodes", lower, res.Cover, res.Exact, n)
+	}
+}
+
+// TestMeasuresBoundTheirSearches holds the exact measures to the LP bound
+// they hand their kernel searches, on two one-label ER contexts where no
+// greedy answer is certified. The cover search on the kernel of the edge
+// pattern on ER(16, 0.3, seed 2) meets ⌈ν⌉ = 8 after 10 nodes but needs 22 to
+// prove 8 minimum without it; the packing search on the edge pattern on
+// ER(12, 0.3, seed 1) starts at ⌊ν⌋ = 6 but needs 308 nodes to prove it
+// maximum. Under a budget of those 10 and 1 nodes, MVC, MIES and MIS must be
+// exact and explore exactly the nodes the bounded search does.
+func TestMeasuresBoundTheirSearches(t *testing.T) {
+	coverNodes := obs.Default.Counter("repro_cover_search_nodes_total")
+	packingNodes := obs.Default.Counter("repro_packing_search_nodes_total")
+	compute := func(ctx *core.Context, m measures.Measure, nodes *obs.Counter) (measures.Result, uint64) {
+		before := nodes.Value()
+		res, err := m.Compute(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, nodes.Value() - before
+	}
+	edge := pattern.SingleEdge(1, 1)
+
+	ctx := mustContext(t, gen.ErdosRenyi(16, 0.3, gen.UniformLabels{K: 1}, 2), edge)
+	k, _ := ctx.Kernel()
+	lower := int(math.Ceil(ctx.Relaxation().Value - 1e-6))
+	before := coverNodes.Value()
+	if k.MinimumVertexCover(0); coverNodes.Value()-before != 22 {
+		t.Errorf("the unbounded cover search explored %d nodes, want 22", coverNodes.Value()-before)
+	}
+	if res := k.MinimumVertexCover(10); res.Exact {
+		t.Errorf("the unbounded cover search proved %d minimum within 10 nodes", res.Size)
+	}
+	before = coverNodes.Value()
+	want := k.MinimumVertexCoverBounded(10, lower)
+	wantNodes := coverNodes.Value() - before
+	if !want.Exact || want.Size != lower || wantNodes != 10 {
+		t.Fatalf("under ⌈ν⌉ = %d the cover search found %d (exact %v) after %d nodes, want %d, exact, after 10", lower, want.Size, want.Exact, wantNodes, lower)
+	}
+	mvc, n := compute(ctx, measures.MVC{MaxNodes: 10}, coverNodes)
+	if mvc.Value != float64(want.Size) || !mvc.Exact || n != wantNodes || mvc.Witness != fmt.Sprintf("vertex cover %v", want.Cover) {
+		t.Errorf("MVC under 10 nodes = %v (exact %v) after %d nodes, %s; the bounded search found %d after %d",
+			mvc.Value, mvc.Exact, n, mvc.Witness, want.Size, wantNodes)
+	}
+
+	ctx = mustContext(t, gen.ErdosRenyi(12, 0.3, gen.UniformLabels{K: 1}, 1), edge)
+	k, origin := ctx.Kernel()
+	upper := int(math.Floor(ctx.Relaxation().Value + 1e-6))
+	before = packingNodes.Value()
+	if k.MaximumIndependentEdgeSet(0); packingNodes.Value()-before != 308 {
+		t.Errorf("the unbounded packing search explored %d nodes, want 308", packingNodes.Value()-before)
+	}
+	if res := k.MaximumIndependentEdgeSet(1); res.Exact {
+		t.Errorf("the unbounded packing search proved %d maximum within 1 node", res.Size)
+	}
+	before = packingNodes.Value()
+	packing := k.MaximumIndependentEdgeSetBounded(1, upper)
+	wantNodes = packingNodes.Value() - before
+	if !packing.Exact || packing.Size != upper {
+		t.Fatalf("under ⌊ν⌋ = %d the packing search found %d (exact %v)", upper, packing.Size, packing.Exact)
+	}
+	edges := make([]hypergraph.EdgeID, len(packing.Edges))
+	for i, e := range packing.Edges {
+		edges[i] = origin[e]
+	}
+	for _, m := range []measures.Measure{measures.MIES{MaxNodes: 1}, measures.MIS{MaxNodes: 1}} {
+		res, n := compute(ctx, m, packingNodes)
+		if res.Value != float64(packing.Size) || !res.Exact || n != wantNodes || !strings.HasSuffix(res.Witness, fmt.Sprint(edges)) {
+			t.Errorf("%s under 1 node = %v (exact %v) after %d nodes, %s; the bounded search found %v after %d",
+				m.Name(), res.Value, res.Exact, n, res.Witness, edges, wantNodes)
+		}
 	}
 }
 
