@@ -30,8 +30,12 @@
 // occurrences in the full occurrence list, so every vertex set's first edge
 // keeps its place relative to the others, and a solver that reads edges in
 // order (the LP above all) meets the vertex sets in the order it would on the
-// occurrence hypergraph H_O, which repeats every edge |Aut(P)| times. MI and
-// MNIk read an instance's other
+// occurrence hypergraph H_O, which repeats every edge |Aut(P)| times. H_I is
+// built without leaving the snapshot's dense indexes: the list comes with its
+// instances' indexes, a mark array over the snapshot's width numbered in
+// index order turns them into vertex ranks, and hypergraph.NewUniform lays
+// the rank lists out as H_I's dense view directly — no VertexID is hashed or
+// searched for on the way. MI and MNIk read an instance's other
 // occurrences off its representative through the symmetry's position
 // permutations; the full occurrence list, which the harmful- and
 // structural-overlap measures and CountOverlaps need, is expanded from the
@@ -161,13 +165,7 @@ func NewContext(g *graph.Graph, p *pattern.Pattern, opts Options) (*Context, err
 	}
 	all, mat := ctx.stream(snap, opts.Parallelism, nil, !opts.Streaming)
 	ctx.domainSizes = all.table.sizes()
-	if mat != nil {
-		mat.h = hypergraph.New()
-		for _, in := range mat.instances {
-			mat.h.MustAddEdge(in.VertexSet())
-		}
-		ctx.mat = mat
-	}
+	ctx.mat = mat
 	return ctx, nil
 }
 
@@ -194,16 +192,41 @@ func NewDomainContext(snap *graph.Snapshot, p *pattern.Pattern, parallelism int,
 // reads the domains off. The search finds one representative per instance,
 // each standing for |Aut(P)| occurrences, and every worker folds the ones it
 // is lent into its own accumulator. With list set the search also keeps them,
-// and stream returns them as the start of the materialized state.
+// and stream returns them as the materialized state, with H_I laid out from
+// their dense indexes.
 func (c *Context) stream(snap *graph.Snapshot, parallelism int, masks []isomorph.Mask, list bool) (*accumulator, *materialized) {
 	counter := newInstanceCounter(c.p)
-	all, instances := counter.accumulate(snap, parallelism, masks, list)
+	all, instances, indexes := counter.accumulate(snap, parallelism, masks, list)
 	c.numInstances = all.count
 	c.numOccurrences = counter.occurrences(all.count)
 	if !list {
 		return all, nil
 	}
-	return all, &materialized{sym: counter.sym, instances: instances}
+	h := instanceHypergraph(snap, len(c.p.Nodes()), indexes)
+	return all, &materialized{sym: counter.sym, instances: instances, h: h}
+}
+
+// instanceHypergraph lays H_I out from the instances' dense indexes in snap,
+// k to an instance (isomorph.ListSnapshot): a mark per index of snap,
+// numbered in index order — which is VertexID order — ranks the vertices the
+// instances use, and edge i is instance i's k ranks, written over its
+// indexes.
+func instanceHypergraph(snap *graph.Snapshot, k int, indexes []int32) *hypergraph.Hypergraph {
+	rank := make([]int32, snap.NumVertices())
+	for _, x := range indexes {
+		rank[x] = 1
+	}
+	var vertices []graph.VertexID
+	for x, used := range rank {
+		if used != 0 {
+			rank[x] = int32(len(vertices))
+			vertices = append(vertices, snap.ID(int32(x)))
+		}
+	}
+	for i, x := range indexes {
+		indexes[i] = rank[x]
+	}
+	return hypergraph.NewUniform(vertices, k, indexes)
 }
 
 // MustNewContext is NewContext but panics on error; intended for tests.

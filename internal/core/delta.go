@@ -594,7 +594,7 @@ func patternDiameter(p *pattern.Pattern) int {
 // statistics, one per edge orbit. It returns the MNI domain of every pattern
 // node on snap, aligned with p.Nodes(), read off the pass's table.
 func (d *DeltaContext) rebuild(snap *graph.Snapshot, masks []isomorph.Mask) []isomorph.Mask {
-	all, _ := d.counter.accumulate(snap, d.opts.Parallelism, masks, false)
+	all, _, _ := d.counter.accumulate(snap, d.opts.Parallelism, masks, false)
 	rows := all.table.rowDomains(snap.NumVertices())
 	d.state = newDomainState(d.counter.rowLayout)
 	d.state.fold(all, rows)

@@ -2,13 +2,16 @@ package core_test
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/hypergraph"
 	"repro/internal/isomorph"
+	"repro/internal/lp"
 	"repro/internal/measures"
 	"repro/internal/pattern"
 )
@@ -17,9 +20,12 @@ import (
 // pattern of at most four nodes decoded from the fuzz input, that the
 // occurrence count, instance count, MNI domain sizes and MNI value of a
 // streaming and of a materialized context equal what a plain scan of
-// isomorph.EnumerateSnapshot's list and isomorph.Instances' grouping gives,
+// isomorph.EnumerateSnapshot's list and its grouping by image subgraph gives,
 // and that the materialized context's occurrence list, expanded from its
-// instances, is that list.
+// instances, is that list. Every materialized context is also built at
+// parallelism 1 and 4 over 1 and 7 shards, and its H_I — laid out from the
+// search's dense indexes — held to requireAddEdgeLayout's rebuild through
+// AddEdge.
 func FuzzStreamedAggregates(f *testing.F) {
 	f.Add([]byte{})
 	// A one-label triangle in K4: 24 occurrences, 4 instances.
@@ -49,7 +55,49 @@ func FuzzStreamedAggregates(f *testing.F) {
 				requireFullList(t, fmt.Sprintf("graph %v pattern %v par=%d", g.Edges(), p, par), ctx, occs)
 			}
 		}
+		for _, par := range []int{1, 4} {
+			for _, shards := range []int{1, 7} {
+				ctx := core.MustNewContext(g, p, core.Options{Parallelism: par, Shards: shards})
+				requireAddEdgeLayout(t, fmt.Sprintf("graph %v pattern %v par=%d shards=%d", g.Edges(), p, par, shards), ctx)
+			}
+		}
 	})
+}
+
+// requireAddEdgeLayout rebuilds a materialized context's H_I the plain way —
+// hypergraph.New and one AddEdge per instance, over its vertex set — and
+// requires the context's to be that hypergraph in everything a solver reads:
+// its edges in order, Vertices(), every incidence list, the kernel with its
+// origin, a minimum vertex cover found by the same search (so the same branch
+// orders) and the LP optimum to the bit.
+func requireAddEdgeLayout(t *testing.T, tag string, ctx *core.Context) {
+	t.Helper()
+	got, want := ctx.OccurrenceHypergraph(), hypergraph.New()
+	for _, in := range ctx.Instances() {
+		want.MustAddEdge(in.VertexSet())
+	}
+	if !reflect.DeepEqual(got.Edges(), want.Edges()) {
+		t.Fatalf("%s: H_I has edges %v, AddEdge builds %v", tag, got.Edges(), want.Edges())
+	}
+	if !slices.Equal(got.Vertices(), want.Vertices()) {
+		t.Fatalf("%s: H_I has vertices %v, AddEdge builds %v", tag, got.Vertices(), want.Vertices())
+	}
+	for _, v := range want.Vertices() {
+		if !slices.Equal(got.IncidentEdges(v), want.IncidentEdges(v)) {
+			t.Fatalf("%s: vertex %d is in edges %v of H_I, %v of AddEdge's", tag, v, got.IncidentEdges(v), want.IncidentEdges(v))
+		}
+	}
+	if a, b := got.MinimumVertexCover(200), want.MinimumVertexCover(200); !reflect.DeepEqual(a, b) {
+		t.Fatalf("%s: H_I's cover search gives %+v, AddEdge's %+v", tag, a, b)
+	}
+	gotK, gotOrigin := ctx.Kernel()
+	wantK, wantOrigin := want.Kernel()
+	if !reflect.DeepEqual(gotK.Edges(), wantK.Edges()) || !slices.Equal(gotOrigin, wantOrigin) {
+		t.Fatalf("%s: kernel %v from %v, AddEdge's %v from %v", tag, gotK.Edges(), gotOrigin, wantK.Edges(), wantOrigin)
+	}
+	if a, b := ctx.Relaxation().Value, lp.Solve(wantK).Value; math.Float64bits(a) != math.Float64bits(b) {
+		t.Fatalf("%s: ν = %b, AddEdge's kernel gives %b", tag, a, b)
+	}
 }
 
 // FuzzDeltaAggregates checks DeltaContext against re-evaluation from scratch
@@ -210,8 +258,8 @@ func FuzzDeltaAggregates(f *testing.F) {
 // scanFullSearch is the oracle the contexts are held to, sharing no code
 // with them past the search itself: isomorph.EnumerateSnapshot's full list of
 // p's occurrences in g — the search with no symmetry — its instance count by
-// isomorph.Instances' grouping, and, aligned with p.Nodes(), the distinct
-// images of every node by a scan of the list.
+// countInstances' grouping, and, aligned with p.Nodes(), the distinct images
+// of every node by a scan of the list.
 func scanFullSearch(g *graph.Graph, p *pattern.Pattern) (occs []*isomorph.Occurrence, instances int, sizes []int) {
 	occs = isomorph.EnumerateSnapshot(g.Freeze(), p, isomorph.Options{Parallelism: 1})
 	for _, n := range p.Nodes() {
@@ -221,7 +269,22 @@ func scanFullSearch(g *graph.Graph, p *pattern.Pattern) (occs []*isomorph.Occurr
 		}
 		sizes = append(sizes, len(images))
 	}
-	return occs, len(isomorph.Instances(p, occs)), sizes
+	return occs, countInstances(p, occs), sizes
+}
+
+// instanceKey names the instance (Definition 2.1.9) o is an occurrence of:
+// its image subgraph, as its vertex set and its edge image.
+func instanceKey(p *pattern.Pattern, o *isomorph.Occurrence) string {
+	return fmt.Sprint(o.VertexSet(), o.EdgeImage(p))
+}
+
+// countInstances groups occs by instanceKey and counts the groups.
+func countInstances(p *pattern.Pattern, occs []*isomorph.Occurrence) int {
+	seen := make(map[string]bool)
+	for _, o := range occs {
+		seen[instanceKey(p, o)] = true
+	}
+	return len(seen)
 }
 
 // decodeGraphAndPattern reads from data a connected pattern of two to four

@@ -67,7 +67,7 @@ func aggregateCases(t *testing.T) []aggregateCase {
 
 // requireAggregatesMatch checks a context's aggregates against values
 // recomputed from a materialized context's occurrence list by a plain scan:
-// occurrence count, instance count (isomorph.Instances' grouping of the list,
+// occurrence count, instance count (countInstances' grouping of the list,
 // never another orbit count) and per-node distinct images. Both contexts must
 // report those counts and sizes.
 func requireAggregatesMatch(t *testing.T, tag string, got, mat *core.Context) {
@@ -75,7 +75,7 @@ func requireAggregatesMatch(t *testing.T, tag string, got, mat *core.Context) {
 	if got.NumOccurrences() != len(mat.Occurrences()) {
 		t.Fatalf("%s: %d occurrences, materialized list has %d", tag, got.NumOccurrences(), len(mat.Occurrences()))
 	}
-	instances := len(isomorph.Instances(mat.Pattern(), mat.Occurrences()))
+	instances := countInstances(mat.Pattern(), mat.Occurrences())
 	if got.NumInstances() != instances {
 		t.Fatalf("%s: %d instances, grouping the materialized list gives %d", tag, got.NumInstances(), instances)
 	}
@@ -151,7 +151,7 @@ func TestOccurrenceHypergraphEdgeIsInstance(t *testing.T) {
 		seen := make(map[string]bool)
 		var firsts []string
 		for _, o := range full {
-			if key := isomorph.Instances(tc.p, []*isomorph.Occurrence{o})[0].Key(); !seen[key] {
+			if key := instanceKey(tc.p, o); !seen[key] {
 				seen[key] = true
 				firsts = append(firsts, o.Key())
 			}

@@ -364,9 +364,9 @@ func (c *instanceCounter) occurrences(instances int) int { return instances * c.
 // merged; the empty accumulator when the search has no plan (the pattern
 // cannot occur at all). With list set the same search also copies every
 // representative out and returns the instances as isomorph.ListSnapshot lists
-// them, each as its smallest automorphic copy, in canonical order; without it
-// nothing is kept.
-func (c *instanceCounter) accumulate(snap *graph.Snapshot, parallelism int, masks []isomorph.Mask, list bool) (*accumulator, []*isomorph.Occurrence) {
+// them, each as its smallest automorphic copy, in canonical order, with their
+// dense indexes in snap; without it nothing is kept.
+func (c *instanceCounter) accumulate(snap *graph.Snapshot, parallelism int, masks []isomorph.Mask, list bool) (*accumulator, []*isomorph.Occurrence, []int32) {
 	var accs []*accumulator
 	enum := isomorph.Options{Parallelism: parallelism, Symmetry: c.sym, Masks: masks}
 	newYield := func(int) func(*isomorph.Occurrence) bool {
@@ -375,12 +375,13 @@ func (c *instanceCounter) accumulate(snap *graph.Snapshot, parallelism int, mask
 		return a.yield
 	}
 	var instances []*isomorph.Occurrence
+	var indexes []int32
 	if list {
-		instances = isomorph.ListSnapshot(snap, c.p, enum, newYield)
+		instances, indexes = isomorph.ListSnapshot(snap, c.p, enum, newYield)
 	} else {
 		isomorph.EnumerateSnapshotWorkers(snap, c.p, enum, newYield)
 	}
-	return mergeWorkers(c.rowLayout, accs), instances
+	return mergeWorkers(c.rowLayout, accs), instances, indexes
 }
 
 // mergeWorkers merges per-worker accumulators into the first of them, which

@@ -37,43 +37,51 @@ func (h *Hypergraph) view() *dense {
 	return h.dense
 }
 
+// newDense is the AddEdge path to the dense view: it ranks every vertex
+// mention of the built edges and lays them out.
 func newDense(edges []HyperEdge) *dense {
-	d := &dense{edgeOff: make([]int32, len(edges)+1)}
+	edgeOff := make([]int32, len(edges)+1)
 	mentions := 0
 	for i, e := range edges {
 		mentions += len(e.Vertices)
-		d.edgeOff[i+1] = int32(mentions)
+		edgeOff[i+1] = int32(mentions)
 	}
-	seen := make(map[graph.VertexID]struct{})
+	vertices := make([]graph.VertexID, 0, mentions)
 	for _, e := range edges {
-		for _, v := range e.Vertices {
-			if _, ok := seen[v]; !ok {
-				seen[v] = struct{}{}
-				d.vertices = append(d.vertices, v)
-			}
-		}
+		vertices = append(vertices, e.Vertices...)
 	}
-	slices.Sort(d.vertices)
-
+	slices.Sort(vertices)
+	vertices = slices.Clip(slices.Compact(vertices))
 	// An edge's vertex list is sorted by ID, so its ranks come out ascending.
-	d.edgeVtx = make([]int32, mentions)
-	d.incOff = make([]int32, len(d.vertices)+1)
-	at := 0
+	edgeVtx := make([]int32, 0, mentions)
 	for _, e := range edges {
 		for _, v := range e.Vertices {
-			r, _ := d.rank(v)
-			d.edgeVtx[at] = r
-			d.incOff[r+1]++
-			at++
+			r, _ := slices.BinarySearch(vertices, v)
+			edgeVtx = append(edgeVtx, int32(r))
 		}
 	}
-	for r := range d.vertices {
+	return layout(vertices, edgeOff, edgeVtx)
+}
+
+// layout is the one writer of a dense view: given the vertices by rank and
+// every edge's ranks, ascending, under edgeOff, it lays out the incidence
+// lists and the branch orders. Both constructors, AddEdge's newDense and
+// NewUniform, end here, so a hypergraph has one view whichever way its edges
+// came in.
+func layout(vertices []graph.VertexID, edgeOff, edgeVtx []int32) *dense {
+	d := &dense{vertices: vertices, edgeOff: edgeOff, edgeVtx: edgeVtx}
+	m := d.numEdges()
+	d.incOff = make([]int32, len(vertices)+1)
+	for _, r := range edgeVtx {
+		d.incOff[r+1]++
+	}
+	for r := range vertices {
 		d.incOff[r+1] += d.incOff[r]
 	}
 	// Filling in edge order leaves every incidence list ascending.
-	d.incEdge = make([]int32, mentions)
-	next := slices.Clone(d.incOff[:len(d.vertices)])
-	for e := range edges {
+	d.incEdge = make([]int32, len(edgeVtx))
+	next := slices.Clone(d.incOff[:len(vertices)])
+	for e := 0; e < m; e++ {
 		for _, r := range d.edge(int32(e)) {
 			d.incEdge[next[r]] = int32(e)
 			next[r]++
@@ -81,8 +89,8 @@ func newDense(edges []HyperEdge) *dense {
 	}
 
 	// Edges are short: an insertion sort per edge, stable from ascending rank.
-	d.branch = slices.Clone(d.edgeVtx)
-	for e := range edges {
+	d.branch = slices.Clone(edgeVtx)
+	for e := 0; e < m; e++ {
 		vs := d.branchOrder(int32(e))
 		for i := 1; i < len(vs); i++ {
 			for j := i; j > 0 && d.degree(vs[j]) > d.degree(vs[j-1]); j-- {

@@ -10,7 +10,12 @@
 // but the edge list; the first query lays the built hypergraph out once as a
 // dense, index-keyed view (dense.go) — vertices ranked 0..|V|-1 in Vertices()
 // order, edges and incidence lists as flat int32 CSR, every edge's branch
-// order sorted once — and every solver and accessor runs on that. A solver's
+// order sorted once — and every solver and accessor runs on that. A k-uniform
+// hypergraph whose caller has its vertices ranked already — the instance
+// hypergraph, ranked by the snapshot's dense indexes — is built by NewUniform
+// from the ranks, its edges over one flat VertexID array, and laid out at
+// once. Both ways end in one layout function, which alone writes the CSR
+// arrays, so the two give the same view of the same edges. A solver's
 // state is then a handful of slices indexed by rank or EdgeID: a search node
 // of MinimumVertexCover costs the incidence list of the vertex it branches on
 // plus one pass over the still-uncovered edges, and nothing is hashed or
@@ -64,8 +69,9 @@ type HyperEdge struct {
 
 // Hypergraph is a hypergraph H = (V, E) whose edges are told apart by
 // position. Vertices are data-graph vertex IDs; edges are vertex subsets.
-// Build one with New. Once built it is safe for concurrent readers; AddEdge
-// must not run concurrently with anything else.
+// Build one with New and AddEdge, or with NewUniform. Once built it is safe
+// for concurrent readers; AddEdge must not run concurrently with anything
+// else.
 type Hypergraph struct {
 	edges []HyperEdge
 
@@ -94,6 +100,42 @@ func (h *Hypergraph) AddEdge(vertices []graph.VertexID) (EdgeID, error) {
 	h.edges = append(h.edges, HyperEdge{Vertices: vs})
 	h.dense = nil
 	return id, nil
+}
+
+// NewUniform returns the k-uniform hypergraph over vertices, ascending
+// VertexIDs each in some edge, whose edge e is the vertices of ranks
+// ranks[e*k:(e+1)*k]: k distinct ranks in any order, which NewUniform sorts
+// in place. The hypergraph keeps both slices, and the caller must not touch
+// them again. It lays the dense view out at once, and its edges, Vertices(),
+// incidence lists and branch orders are those that New and AddEdge would
+// build from the same vertex sets in the same order.
+func NewUniform(vertices []graph.VertexID, k int, ranks []int32) *Hypergraph {
+	if k <= 0 || len(ranks)%k != 0 {
+		panic(fmt.Sprintf("hypergraph: %d ranks are no whole number of %d-vertex edges", len(ranks), k))
+	}
+	m := len(ranks) / k
+	h := &Hypergraph{edges: make([]HyperEdge, m)}
+	edgeOff := make([]int32, m+1)
+	ids := make([]graph.VertexID, len(ranks))
+	for e := 0; e < m; e++ {
+		lo, hi := e*k, (e+1)*k
+		vs := ranks[lo:hi]
+		for i := 1; i < k; i++ {
+			for j := i; j > 0 && vs[j] < vs[j-1]; j-- {
+				vs[j], vs[j-1] = vs[j-1], vs[j]
+			}
+		}
+		for i, r := range vs {
+			if i > 0 && r == vs[i-1] {
+				panic(fmt.Sprintf("hypergraph: edge %d names rank %d twice", e, r))
+			}
+			ids[lo+i] = vertices[r]
+		}
+		h.edges[e] = HyperEdge{Vertices: ids[lo:hi:hi]}
+		edgeOff[e+1] = int32(hi)
+	}
+	h.dense = layout(vertices, edgeOff, ranks)
+	return h
 }
 
 // MustAddEdge is AddEdge but panics on error.

@@ -29,7 +29,7 @@ func TestEnumerateFigure2(t *testing.T) {
 			t.Errorf("occurrence %v has vertex set %v, want [1 2 3]", o, vs)
 		}
 	}
-	insts := isomorph.Instances(fig.Pattern, occs)
+	insts := instances(fig.Pattern, occs)
 	if len(insts) != 1 {
 		t.Fatalf("got %d instances, want 1", len(insts))
 	}
@@ -223,7 +223,7 @@ func TestOccurrenceInstanceAutomorphismProperty(t *testing.T) {
 		g := gen.ErdosRenyi(25, 0.12, gen.UniformLabels{K: 2}, seed)
 		for _, p := range patterns {
 			occs := isomorph.EnumerateSnapshot(g.Freeze(), p, isomorph.Options{})
-			insts := isomorph.Instances(p, occs)
+			insts := instances(p, occs)
 			aut := isomorph.NewSymmetry(p).Order()
 			if len(occs) != len(insts)*aut {
 				t.Logf("seed %d: pattern %s: %d occurrences, %d instances, %d automorphisms",

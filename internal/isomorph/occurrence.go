@@ -14,7 +14,8 @@
 // folds it or copies out what it keeps, and the search allocates nothing per
 // occurrence. ListSnapshot (EnumerateSnapshot without a consumer of its own) is
 // the one materializer: the consumer that keeps everything and returns it as a
-// list in canonical order — one occurrence per instance under a Symmetry. The
+// list in canonical order — one occurrence per instance under a Symmetry —
+// sorted as k-tuples of dense indexes and handed back in those too. The
 // paper's measures want exactly those two things — MNI and the raw counts fold
 // an occurrence into a projection and forget it (Definition 2.2.8), the
 // hypergraph measures need the whole set of instances (Definition 3.1.4).
@@ -99,17 +100,6 @@ func (o *Occurrence) ImageAt(i int) graph.VertexID {
 	return o.images[i]
 }
 
-// appendImages appends f(Nodes()[i]) for every i, in order, to dst.
-func (o *Occurrence) appendImages(dst []graph.VertexID) []graph.VertexID {
-	if o.snap == nil {
-		return append(dst, o.images...)
-	}
-	for _, x := range o.indexes {
-		dst = append(dst, o.snap.ID(x))
-	}
-	return dst
-}
-
 // IndexAt returns the dense index of ImageAt(i) in the snapshot handed to
 // EnumerateSnapshotWorkers. Only the occurrence that entry point lends to a
 // consumer has one, for as long as it is lent: a copied, listed or hand-built
@@ -144,7 +134,11 @@ func (o *Occurrence) Nodes() []pattern.NodeID {
 
 // Images returns the data-vertex images aligned with Nodes().
 func (o *Occurrence) Images() []graph.VertexID {
-	return o.appendImages(make([]graph.VertexID, 0, len(o.nodes)))
+	out := make([]graph.VertexID, len(o.nodes))
+	for i := range out {
+		out[i] = o.ImageAt(i)
+	}
+	return out
 }
 
 // VertexSet returns f(V_P) as a sorted slice without duplicates.

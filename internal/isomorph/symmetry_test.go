@@ -26,8 +26,8 @@ func listKey(vs []graph.VertexID) string {
 
 // imageKey identifies the instance (Definition 2.1.9) an occurrence is an
 // occurrence of — the image subgraph, as its sorted edge list, or its one
-// vertex for a single-node pattern — without going through
-// isomorph.Instances.
+// vertex for a single-node pattern — without going through the reference
+// grouping of instance_test.go.
 func imageKey(p *pattern.Pattern, nodes []pattern.NodeID, images []graph.VertexID) string {
 	if len(nodes) == 1 {
 		return listKey(images)

@@ -141,7 +141,35 @@ func readManifest(dir string) (Manifest, error) {
 	if man.Shards != len(man.Segments) {
 		return Manifest{}, fmt.Errorf("store: manifest lists %d segments for %d shards", len(man.Segments), man.Shards)
 	}
+	if err := checkManifest(man); err != nil {
+		return Manifest{}, fmt.Errorf("store: %s: %w", ManifestFile, err)
+	}
 	return man, nil
+}
+
+// checkManifest rejects what a manifest could say that no writer writes and
+// that Open would otherwise follow: a negative count, a count beyond what a
+// dense int32 index reaches, a shard shift that overflows a shift of the
+// shard index, and a segment file that is not a plain name inside the store
+// directory (filepath.Join would follow "../" out of it).
+func checkManifest(man Manifest) error {
+	if man.Vertices < 0 || man.Vertices > math.MaxInt32 || man.Edges < 0 {
+		return fmt.Errorf("bad totals: %d vertices, %d edges", man.Vertices, man.Edges)
+	}
+	if man.ShardShift >= 63 {
+		return fmt.Errorf("shard shift %d is out of range", man.ShardShift)
+	}
+	for k, seg := range man.Segments {
+		if seg.Vertices < 0 || seg.Vertices > math.MaxInt32 || seg.Neighbors < 0 || seg.Neighbors > math.MaxInt32 ||
+			seg.Labels < 0 || seg.Labels > math.MaxInt32 || seg.Bytes < 0 {
+			return fmt.Errorf("segment %d has bad counts: %d vertices, %d neighbours, %d labels, %d bytes",
+				k, seg.Vertices, seg.Neighbors, seg.Labels, seg.Bytes)
+		}
+		if !filepath.IsLocal(seg.File) || filepath.Base(seg.File) != seg.File || seg.File == "." {
+			return fmt.Errorf("segment %d names file %q, not a plain file name in the store", k, seg.File)
+		}
+	}
+	return nil
 }
 
 // loadSegment maps shard k's segment file and cross-checks its size and

@@ -17,6 +17,7 @@ import (
 	"repro/internal/miner"
 	"repro/internal/obs"
 	"repro/internal/pattern"
+	"repro/internal/store"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/work.golden from this run")
@@ -91,6 +92,7 @@ func TestWorkLedger(t *testing.T) {
 	ledgerMineMaterialized(t, &l, measures.NameMVC)
 	ledgerMineMaterialized(t, &l, measures.NameMIS)
 	ledgerEvalMeasures(t, &l)
+	ledgerEvalStream(t, &l)
 
 	path := filepath.Join("testdata", "work.golden")
 	if *update {
@@ -235,7 +237,7 @@ func ledgerPattern(labels []graph.Label, edges ...[2]int) *pattern.Pattern {
 // star and a path of four on BA(240) and the whole bounding chain of the edge
 // and the path on BA(100), both on the generator's own numbering. Each line
 // carries the evaluation's counter deltas and then every value and Exact
-// flag, so a change in work shows beside proof that the answers held.
+// flag (ledger.evaluate).
 func ledgerEvalMeasures(t *testing.T, l *ledger) {
 	poly := []string{"MNI", "MI", "nuMVC", "nuMIES", "MVC-approx", "occurrences", "instances"}
 	chain := []string{"MNI", "MI", "nuMVC", "nuMIES", "MVC", "MIS", "MIES"}
@@ -262,19 +264,58 @@ func ledgerEvalMeasures(t *testing.T, l *ledger) {
 	}
 	l.buf.WriteString("== eval-measures: BA(240, 2) and BA(100, 2), 2 labels, seed 1; materialised, sequential\n")
 	for _, c := range cases {
-		l.start()
-		resp, err := engines[c.n].Do(&support.Request{Pattern: c.p, Measures: c.measures})
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		fmt.Fprintf(&l.buf, "eval-%s", c.name)
-		l.counters()
-		ev := resp.Evaluation
-		l.buf.WriteString("  values")
-		for _, name := range ev.Names() {
-			r := ev.Results[name]
-			fmt.Fprintf(&l.buf, " %s=%g/%t", name, r.Value, r.Exact)
-		}
-		l.buf.WriteByte('\n')
+		l.evaluate(t, engines[c.n], c.name, c.p, c.measures)
 	}
+}
+
+// ledgerEvalStream records the eval-stream workload's evaluations on a
+// reduced graph: ER(2^12) at mean degree 6 with 2 labels on the generator's
+// own numbering, written to a one-shard store and served from it mmapped,
+// and MNI and the occurrence count of an edge, a path, a triangle and a
+// 3-star streamed at parallelism 1.
+func ledgerEvalStream(t *testing.T, l *ledger) {
+	const n = 1 << 12
+	dir := t.TempDir()
+	g := gen.ErdosRenyi(n, 6/float64(n-1), gen.UniformLabels{K: 2}, 1)
+	if err := store.Write(g.FreezeSharded(graph.FreezeOptions{Shards: 1}), dir); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := support.OpenStoreEngine(dir, support.EngineOptions{Parallelism: 1, Streaming: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	l.buf.WriteString("== eval-stream: ER(4096, 6/4095), 2 labels, seed 1, a one-shard store; streamed, sequential\n")
+	for _, c := range []struct {
+		name string
+		p    *pattern.Pattern
+	}{
+		{"edge", pattern.SingleEdge(1, 2)},
+		{"path", ledgerPattern([]graph.Label{1, 2, 2}, [2]int{0, 1}, [2]int{1, 2})},
+		{"triangle", ledgerPattern([]graph.Label{1, 2, 2}, [2]int{0, 1}, [2]int{1, 2}, [2]int{0, 2})},
+		{"star", ledgerPattern([]graph.Label{1, 2, 2, 2}, [2]int{0, 1}, [2]int{0, 2}, [2]int{0, 3})},
+	} {
+		l.evaluate(t, eng, c.name, c.p, []string{"MNI", "occurrences"})
+	}
+}
+
+// evaluate records one evaluation of p on eng: a line of its counter deltas,
+// then one of every value and Exact flag, so a change in work shows beside
+// proof that the answers held.
+func (l *ledger) evaluate(t *testing.T, eng *support.Engine, name string, p *pattern.Pattern, names []string) {
+	t.Helper()
+	l.start()
+	resp, err := eng.Do(&support.Request{Pattern: p, Measures: names})
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	fmt.Fprintf(&l.buf, "eval-%s", name)
+	l.counters()
+	ev := resp.Evaluation
+	l.buf.WriteString("  values")
+	for _, name := range ev.Names() {
+		r := ev.Results[name]
+		fmt.Fprintf(&l.buf, " %s=%g/%t", name, r.Value, r.Exact)
+	}
+	l.buf.WriteByte('\n')
 }
