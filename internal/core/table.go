@@ -31,7 +31,10 @@ import (
 // A domainTable lives for one complete enumeration of one snapshot, so it is
 // keyed the way the search is: by the snapshot's dense vertex indexes, which
 // is what an occurrence is found in and lent as (Occurrence.IndexAt). It is
-// always the whole snapshot wide. Counting a representative is k array
+// always the whole snapshot wide. The search lends its last depth a prefix at
+// a time (isomorph.RunFunc): the n representatives of one run share the
+// prefix's images, so counting them is k-1 additions of n and n increments of
+// the last position's row, where counting each alone would be n·k
 // increments; no VertexID is looked at and no hash table exists. A
 // from-scratch Context reads "is the counter non-zero" and throws the table
 // away.
@@ -125,13 +128,22 @@ func newDomainTable(snap *graph.Snapshot, layout rowLayout) domainTable {
 	return domainTable{rowLayout: layout, snap: snap, width: width, counts: make([]int32, layout.rows*width)}
 }
 
-// add counts one assignment lent by the enumeration of t's snapshot: every
-// node's image into the node's row.
+// addRun counts one run of leaves lent by the enumeration of t's snapshot
+// (isomorph.RunFunc): the n leaves share the prefix's image at every position
+// but last, so each of those counts n at once into its row, and each leaf
+// counts its own image into last's row.
 //
 //gvet:hotpath
-func (t *domainTable) add(o *isomorph.Occurrence) {
+func (t *domainTable) addRun(o *isomorph.Occurrence, last int, run []int32) {
+	n := int32(len(run))
 	for i, r := range t.rowOf {
-		t.bump(r, o.IndexAt(i))
+		if i != last {
+			t.bumpBy(r, o.IndexAt(i), n)
+		}
+	}
+	r := t.rowOf[last]
+	for _, x := range run {
+		t.bump(r, x)
 	}
 }
 
@@ -144,6 +156,17 @@ func (t *domainTable) bump(r int, x int32) {
 		t.overflow(r, int(x))
 	}
 	*c++
+}
+
+// bumpBy adds n to the counter of (row r, dense index x).
+//
+//gvet:hotpath
+func (t *domainTable) bumpBy(r int, x, n int32) {
+	c := &t.counts[r*t.width+int(x)]
+	if *c > math.MaxInt32-n {
+		t.overflow(r, int(x))
+	}
+	*c += n
 }
 
 // overflow reports a counter about to pass 2^31-1. A hub reaches that in
@@ -317,26 +340,29 @@ func (s *domainState) sizes() []int {
 
 // accumulator is what one complete pass is folded into: the number of
 // representatives counted, one per instance, and the pass's domain table. It
-// reads an occurrence and retains nothing of it, which is what lets the
-// enumeration engine lend every worker's occurrences instead of allocating
-// them. Each enumeration worker owns exactly one, so the hot path takes no
-// locks, and the per-worker accumulators are merged once enumeration
-// finishes. (A delta pass has no accumulator: deltaPass, delta.go, applies
+// takes the search's last depth a prefix at a time (isomorph.RunFunc) and
+// retains nothing of a run, which is what lets the enumeration engine lend
+// every worker's occurrence and candidate runs instead of allocating them.
+// Each enumeration worker owns exactly one, so the hot path takes no locks,
+// and the per-worker accumulators are merged once enumeration finishes. (A
+// delta pass has no accumulator: deltaPass, delta.go, applies
 // what it counts to the maintained state.)
 type accumulator struct {
 	// The workers' accumulators are allocated one after another, and count is
-	// written on every emit: the pad keeps it a cache line away from the
-	// previous worker's table header, which that worker reads on every emit.
+	// written on every run: the pad keeps it a cache line away from the
+	// previous worker's table header, which that worker reads on every run.
 	// (Sharing the line costs the two workers of eval-stream 7 % of an op.)
 	_     [64]byte
 	count int
 	table domainTable
 }
 
+// run counts a run of representatives sharing one prefix (see addRun).
+//
 //gvet:hotpath
-func (a *accumulator) yield(o *isomorph.Occurrence) bool {
-	a.count++
-	a.table.add(o)
+func (a *accumulator) run(o *isomorph.Occurrence, last int, run []int32) bool {
+	a.count += len(run)
+	a.table.addRun(o, last, run)
 	return true
 }
 
@@ -369,17 +395,17 @@ func (c *instanceCounter) occurrences(instances int) int { return instances * c.
 func (c *instanceCounter) accumulate(snap *graph.Snapshot, parallelism int, masks []isomorph.Mask, list bool) (*accumulator, []*isomorph.Occurrence, []int32) {
 	var accs []*accumulator
 	enum := isomorph.Options{Parallelism: parallelism, Symmetry: c.sym, Masks: masks}
-	newYield := func(int) func(*isomorph.Occurrence) bool {
+	newRuns := func(int) isomorph.RunFunc {
 		a := &accumulator{table: newDomainTable(snap, c.rowLayout)}
 		accs = append(accs, a)
-		return a.yield
+		return a.run
 	}
 	var instances []*isomorph.Occurrence
 	var indexes []int32
 	if list {
-		instances, indexes = isomorph.ListSnapshot(snap, c.p, enum, newYield)
+		instances, indexes = isomorph.ListSnapshot(snap, c.p, enum, newRuns)
 	} else {
-		isomorph.EnumerateSnapshotWorkers(snap, c.p, enum, newYield)
+		isomorph.EnumerateSnapshotRuns(snap, c.p, enum, newRuns)
 	}
 	return mergeWorkers(c.rowLayout, accs), instances, indexes
 }

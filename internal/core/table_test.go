@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -79,6 +80,52 @@ func TestDomainTableRefcounts(t *testing.T) {
 			}()
 			state.apply(rep(10, 20), -1)
 		})
+	}
+}
+
+// TestRunCountOverflow holds a run's bulk count to the overflow check of a
+// single increment: the data's one label-1 vertex 10 is every edge's prefix
+// and its two label-2 neighbours 20 and 21 are one run of two leaves. A prefix
+// counter at 2^31-2 that the run would add two to, and a leaf counter at
+// 2^31-1, each panic with the diagnostic naming the row and the VertexID, and
+// neither counter moves.
+func TestRunCountOverflow(t *testing.T) {
+	p := pattern.MustNew(graph.NewBuilder("edge").Vertices(1, 5).Vertices(2, 9).Edge(5, 9).MustBuild())
+	snap := graph.NewBuilder("data").Vertices(1, 10).Vertices(2, 20, 21).Edge(10, 20).Edge(10, 21).MustBuild().Freeze()
+	c := newInstanceCounter(p)
+	// wantOverflow runs addRun on a fresh table with counter (row, x) at start
+	// and checks the panic names want and leaves the counter at start.
+	wantOverflow := func(o *isomorph.Occurrence, last int, run []int32, row int, x int32, start int32, want string) {
+		t.Helper()
+		table := newDomainTable(snap, c.rowLayout)
+		table.row(row)[x] = start
+		defer func() {
+			t.Helper()
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, want) {
+				t.Errorf("counter at %d: panic %q, want one containing %q", start, msg, want)
+			}
+			if got := table.row(row)[x]; got != start {
+				t.Errorf("counter at %d: %d after the panic, want it unmoved", start, got)
+			}
+		}()
+		table.addRun(o, last, run)
+	}
+	runs := 0
+	isomorph.EnumerateSnapshotRuns(snap, p, isomorph.Options{Parallelism: 1}, func(int) isomorph.RunFunc {
+		return func(o *isomorph.Occurrence, last int, run []int32) bool {
+			runs++
+			if len(run) != 2 || p.Nodes()[last] != 9 {
+				t.Fatalf("run %v at node %d, want the two leaves 20 and 21 at node 9", run, p.Nodes()[last])
+			}
+			prefix := 1 - last
+			wantOverflow(o, last, run, c.rowOf[prefix], o.IndexAt(prefix), math.MaxInt32-1, "map node 5 to vertex 10;")
+			wantOverflow(o, last, run, c.rowOf[last], run[1], math.MaxInt32, "map node 9 to vertex 21;")
+			return true
+		}
+	})
+	if runs != 1 {
+		t.Fatalf("%d runs, want 1", runs)
 	}
 }
 

@@ -1,9 +1,13 @@
 package dataset_test
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -91,6 +95,53 @@ e 0 1 7
 		if _, err := dataset.ReadLG(strings.NewReader(in), "bad"); err == nil {
 			t.Errorf("expected error for input %q", in)
 		}
+	}
+}
+
+// TestReadLGSmallInputAllocatesLittle holds a pattern-sized parse — what
+// every /v1/evaluate decodes — below 64 KiB allocated: the scanner must
+// start small, not at a megabyte it zeroes for four lines.
+func TestReadLGSmallInputAllocatesLittle(t *testing.T) {
+	const input = "v 1 0\nv 2 1\nv 3 0\nv 4 1\ne 1 2\ne 2 3\ne 3 4\n"
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := dataset.ReadLG(strings.NewReader(input), "pattern"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 64<<10 {
+		t.Fatalf("ReadLG of a 4-node pattern allocated %d bytes, want under 64 KiB", per)
+	}
+}
+
+// repeatByte is an endless stream of one byte.
+type repeatByte byte
+
+func (b repeatByte) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(b)
+	}
+	return len(p), nil
+}
+
+// TestReadLGLongLines pins the line limit: the scanner grows past its
+// starting buffer for a 2 MiB line, and a line over 16 MiB is an error
+// wrapping bufio.ErrTooLong.
+func TestReadLGLongLines(t *testing.T) {
+	name := strings.Repeat("n", 2<<20)
+	g, err := dataset.ReadLG(strings.NewReader("t # "+name+"\nv 0 1\n"), "fallback")
+	if err != nil {
+		t.Fatalf("a 2 MiB line: %v", err)
+	}
+	if g.Name() != name || g.NumVertices() != 1 {
+		t.Fatalf("a 2 MiB line: name of %d bytes, %d vertices; want %d bytes and 1", len(g.Name()), g.NumVertices(), len(name))
+	}
+	long := io.MultiReader(strings.NewReader("# "), io.LimitReader(repeatByte('x'), 16<<20))
+	if _, err := dataset.ReadLG(long, "long"); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("a line over 16 MiB: error %v, want bufio.ErrTooLong", err)
 	}
 }
 

@@ -27,8 +27,12 @@ import (
 // the stream has no "t" header.
 func ReadLG(r io.Reader, name string) (*graph.Graph, error) {
 	g := graph.New(name)
+	// The scanner starts at bufio's own small buffer and grows it only for a
+	// long line, up to 16 MiB: a pattern of a few lines, which every
+	// /v1/evaluate decodes through here, costs a few KiB and not a zeroed
+	// megabyte.
 	scanner := bufio.NewScanner(r)
-	scanner.Buffer(make([]byte, 1024*1024), 16*1024*1024)
+	scanner.Buffer(nil, 16*1024*1024)
 	lineNo := 0
 	for scanner.Scan() {
 		lineNo++

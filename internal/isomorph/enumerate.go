@@ -284,13 +284,45 @@ func (pl *searchPlan) assignSlots() {
 	pl.numSlots = len(keys)
 }
 
+// RunFunc consumes the search's last depth one prefix at a time. With every
+// depth but the last assigned, the search makes one call: o is the worker's
+// one Occurrence, lent for the length of the call and valid at every position
+// but last (the pattern position the last depth matches), and run holds, in
+// the order the search visits them, the dense indexes that complete the prefix
+// at last — one leaf each, every one an occurrence (a representative, under
+// Options.Symmetry). run is the search's own memory, borrowed like o: a
+// consumer reads it and does not write or keep it. The leaves of one prefix may
+// come in several runs, never an empty one. Returning false stops the search
+// as a per-occurrence consumer refusing does (EnumerateSnapshotWorkers).
+type RunFunc func(o *Occurrence, last int, run []int32) bool
+
+// leafYield adapts a per-occurrence consumer to runs: it writes each leaf of a
+// run into the lent occurrence and hands it over, in order, until the
+// consumer refuses. Every entry point with a per-occurrence consumer wraps it
+// once per worker in one of these, so it sees the occurrences in the order the
+// search visits them.
+type leafYield struct {
+	yield func(*Occurrence) bool
+}
+
+//gvet:hotpath
+func (l *leafYield) run(o *Occurrence, last int, run []int32) bool {
+	for _, c := range run {
+		o.indexes[last] = c
+		if !l.yield(o) {
+			return false
+		}
+	}
+	return true
+}
+
 // searchState is the per-worker mutable state of the backtracking search.
 // Nothing in it is sized by the data graph: a worker costs its pattern, so a
 // search pinned at a handful of vertices is as cheap to start as it is to run.
 type searchState struct {
-	pl     *searchPlan
-	assign []int32 // assign[d]: dense index matched at depth d
-	yield  func(*Occurrence) bool
+	pl      *searchPlan
+	assign  []int32 // assign[d]: dense index matched at depth d
+	consume RunFunc
 
 	// slots holds the memoized single-anchor candidate runs (see kernels.go);
 	// scratch[d] is depth d's reusable buffer for multi-anchor galloping
@@ -299,21 +331,21 @@ type searchState struct {
 	slots   []runSlot
 	scratch [][]int32
 
-	// occ is the one Occurrence this worker ever yields: emit overwrites its
-	// indexes in place and lends it, bound to the plan's snapshot, to the
-	// consumer for the length of the call.
+	// occ is the one Occurrence this worker ever lends: emit overwrites the
+	// prefix's indexes in place and lends it, bound to the plan's snapshot,
+	// to the consumer for the length of the call.
 	occ Occurrence
-	// emits counts the occurrences lent since the drain loop last published
+	// emits counts the leaves delivered since the drain loop last published
 	// them (publishEmits).
 	emits uint64
 }
 
-func newSearchState(pl *searchPlan, yield func(*Occurrence) bool) *searchState {
+func newSearchState(pl *searchPlan, consume RunFunc) *searchState {
 	st := &searchState{
-		pl:     pl,
-		assign: make([]int32, pl.k),
-		yield:  yield,
-		occ:    Occurrence{nodes: pl.nodes, indexes: make([]int32, pl.k), snap: pl.snap},
+		pl:      pl,
+		assign:  make([]int32, pl.k),
+		consume: consume,
+		occ:     Occurrence{nodes: pl.nodes, indexes: make([]int32, pl.k), snap: pl.snap},
 	}
 	if pl.numSlots > 0 {
 		st.slots = make([]runSlot, pl.numSlots)
@@ -382,13 +414,17 @@ func (s *searchState) taken(c int32, depth int) bool {
 // the galloping intersection when the depth has two or more anchors. Every
 // depth past the root has at least one anchor because the search order is
 // connected. Both kernels visit candidates in ascending dense-index order, so
-// the sequential emission order is fixed by the search order alone.
+// the sequential emission order is fixed by the search order alone. The last
+// depth does not descend: it hands its candidates that pass every check to the
+// consumer as runs (emit). Only a search whose every depth is bound before it
+// starts — one node, or a pinned edge — reaches depth k, and emits the one
+// assignment it has as a run of one.
 //
 //gvet:hotpath
 func (s *searchState) search(depth int) bool {
 	pl := s.pl
 	if depth == pl.k {
-		return !s.emit()
+		return !s.emit(s.assign[depth-1:])
 	}
 	snap := pl.snap
 	anchors := pl.anchors[depth]
@@ -414,6 +450,9 @@ func (s *searchState) search(depth int) bool {
 		if below := pl.below[depth]; len(below) > 0 {
 			run = s.above(run, below)
 		}
+		if depth == pl.k-1 {
+			return s.emitUntaken(run, depth)
+		}
 		for _, c := range run {
 			if s.taken(c, depth) {
 				continue
@@ -428,11 +467,32 @@ func (s *searchState) search(depth int) bool {
 	return s.searchGallop(depth, anchors, label, minDeg)
 }
 
+// emitUntaken emits the last depth's memoized run as the pieces between the
+// entries taken rejects — at most k-1 of them, since the run holds no index
+// twice — so every piece is a stretch of the run itself and nothing is
+// copied. It returns true when the consumer returned false.
+//
+//gvet:hotpath
+func (s *searchState) emitUntaken(run []int32, depth int) bool {
+	start := 0
+	for i, c := range run {
+		if s.taken(c, depth) {
+			if i > start && !s.emit(run[start:i]) {
+				return true
+			}
+			start = i + 1
+		}
+	}
+	return start < len(run) && !s.emit(run[start:])
+}
+
 // searchGallop is the multi-anchor kernel: intersect the two smallest-degree
 // anchors' sorted neighbor runs by galloping binary search, filter the
 // (typically tiny) intersection by the static constraints, and verify any
 // remaining anchors through the snapshot's high-degree adjacency bitsets
-// when available.
+// when available. The candidates that pass are compacted in place in the
+// depth's scratch buffer, keeping their order; the last depth emits them as
+// one run, any other descends into each in turn.
 //
 //gvet:hotpath
 func (s *searchState) searchGallop(depth int, anchors []int, label graph.Label, minDeg int) bool {
@@ -475,6 +535,7 @@ func (s *searchState) searchGallop(depth int, anchors []int, label graph.Label, 
 		res = append(res, residual{v, snap.AdjacencyRow(v)})
 	}
 
+	pass := run[:0]
 candidateLoop:
 	for _, c := range run {
 		if s.taken(c, depth) || snap.LabelAt(c) != label || snap.DegreeAt(c) < minDeg {
@@ -489,6 +550,12 @@ candidateLoop:
 				continue candidateLoop
 			}
 		}
+		pass = append(pass, c)
+	}
+	if depth == s.pl.k-1 {
+		return len(pass) > 0 && !s.emit(pass)
+	}
+	for _, c := range pass {
 		s.assign[depth] = c
 		if s.search(depth + 1) {
 			return true
@@ -497,28 +564,30 @@ candidateLoop:
 	return false
 }
 
-// emit writes the current full assignment into the worker's one Occurrence,
-// in pattern-node order and as dense indexes only — a consumer that wants a
-// VertexID derives it from the occurrence's snapshot — and lends it to the
-// consumer, returning the consumer's continue/stop decision. The occurrence
-// is borrowed: the next emit overwrites it, so a consumer copies what it
-// wants to keep before it returns.
+// emit lends the consumer one run of leaves under the current prefix: it
+// writes the images of depths 0..k-2 into the worker's one Occurrence, in
+// pattern-node order and as dense indexes only — a consumer that wants a
+// VertexID derives it from the occurrence's snapshot — and returns the
+// consumer's continue/stop decision. The occurrence and run are borrowed: the
+// next emit overwrites them, so a consumer copies what it wants to keep
+// before it returns.
 //
 //gvet:hotpath
-func (s *searchState) emit() bool {
+func (s *searchState) emit(run []int32) bool {
 	pl := s.pl
 	indexes := s.occ.indexes
-	for d := 0; d < pl.k; d++ {
+	for d := 0; d < pl.k-1; d++ {
 		indexes[pl.slot[d]] = s.assign[d]
 	}
-	s.emits++
-	return s.yield(&s.occ)
+	s.emits += uint64(len(run))
+	return s.consume(&s.occ, pl.slot[pl.k-1], run)
 }
 
-// publishEmits moves the worker's emits since the last call into the
-// enumeration counters: what the search delivered, and the occurrences that
-// stands for. The drain loops call it once per drained shard, beside the root
-// count, so emit itself only bumps a worker-local integer.
+// publishEmits moves the worker's emitted leaves since the last call into
+// the enumeration counters: what the search delivered, and the occurrences
+// that stands for. The drain loops call it once per drained shard, beside the
+// root count, so emit itself only adds a run's length to a worker-local
+// integer. A consumer that stops mid-run still counts the whole run.
 func (s *searchState) publishEmits() {
 	mRepresentatives.Add(s.emits)
 	mOccurrences.Add(s.emits * s.pl.weight)
@@ -544,18 +613,34 @@ func (s *searchState) publishEmits() {
 //
 // The *Occurrence a consumer receives is borrowed: each worker owns one
 // Occurrence, overwrites it for every occurrence it finds and lends it for
-// the length of the call. A consumer folds it into its own state or copies
-// out what it keeps (Images, Key, ...) before returning; EnumerateSnapshot is
-// the consumer that keeps everything. The search writes only the images'
-// dense indexes in snap (IndexAt), so a consumer whose state lives and dies
-// with snap (core's per-pass MNI rows) never handles a VertexID; every
-// VertexID accessor (ImageAt, Images, Key, ...) derives its answer from snap
-// on demand, so a consumer pays for the translations it reads and no more.
+// the length of the call, complete at every position. A consumer folds it
+// into its own state or copies out what it keeps (Images, Key, ...) before
+// returning; EnumerateSnapshot is the consumer that keeps everything. The
+// search writes only the images' dense indexes in snap (IndexAt), so a
+// consumer whose state lives and dies with snap never handles a VertexID;
+// every VertexID accessor (ImageAt, Images, Key, ...) derives its answer from
+// snap on demand, so a consumer pays for the translations it reads and no
+// more. A consumer that can take the search's last depth a prefix at a time
+// (core's MNI rows) takes runs from EnumerateSnapshotRuns instead; this entry
+// point is that one with each consumer wrapped to see the runs' leaves one by
+// one, in the same order.
 //
 // With an effective parallelism of one (Options.Parallelism == 1 or a tiny
 // input in auto mode) everything runs on the calling goroutine in the
 // deterministic sequential search order.
 func EnumerateSnapshotWorkers(snap *graph.Snapshot, p *pattern.Pattern, opts Options, newYield func(worker int) func(*Occurrence) bool) {
+	EnumerateSnapshotRuns(snap, p, opts, func(w int) RunFunc {
+		return (&leafYield{newYield(w)}).run
+	})
+}
+
+// EnumerateSnapshotRuns is EnumerateSnapshotWorkers with consumers of runs
+// (RunFunc): every worker lends its consumer one Occurrence per prefix of the
+// search's last depth, valid but at the last-matched position, with the
+// leaves that complete it. newRuns and the consumers it returns are called as
+// newYield and its consumers are there, and the leaves arrive in the order
+// that entry point lends its occurrences in.
+func EnumerateSnapshotRuns(snap *graph.Snapshot, p *pattern.Pattern, opts Options, newRuns func(worker int) RunFunc) {
 	pl := newSearchPlan(snap, p, opts)
 	if pl == nil {
 		return
@@ -563,7 +648,7 @@ func EnumerateSnapshotWorkers(snap *graph.Snapshot, p *pattern.Pattern, opts Opt
 	workers := opts.workers(pl.numRoots, pl.snap.NumVertices())
 
 	if workers == 1 {
-		pl.drain(newSearchState(pl, newYield(0)))
+		pl.drain(newSearchState(pl, newRuns(0)))
 		return
 	}
 
@@ -578,19 +663,19 @@ func EnumerateSnapshotWorkers(snap *graph.Snapshot, p *pattern.Pattern, opts Opt
 	)
 	cursors := make([]int64, len(pl.rootsByShard))
 	numShards := len(pl.rootsByShard)
-	// All consumers are created before any worker starts, so newYield may
+	// All consumers are created before any worker starts, so newRuns may
 	// safely grow shared registries without synchronization.
-	yields := make([]func(*Occurrence) bool, workers)
-	for w := range yields {
-		yields[w] = newYield(w)
+	consumers := make([]RunFunc, workers)
+	for w := range consumers {
+		consumers[w] = newRuns(w)
 	}
 	for w := 0; w < workers; w++ {
-		yield := yields[w]
+		consume := consumers[w]
 		start := w * numShards / workers
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			st := newSearchState(pl, yield)
+			st := newSearchState(pl, consume)
 			for k := 0; k < numShards; k++ {
 				s := (start + k) % numShards
 				roots := pl.rootsByShard[s]
@@ -688,6 +773,9 @@ func (pl *searchPlan) drain(st *searchState) {
 type PinnedSearch struct {
 	pl *searchPlan
 	st *searchState
+	// leaves is the search state's consumer: the adapter that hands a run's
+	// leaves to the yield Run was handed; that yield is nil between runs.
+	leaves leafYield
 	// reversible reports that the search's group maps (a, b) to (b, a), so
 	// one orientation of a data edge meets every coset the other does.
 	reversible bool
@@ -707,10 +795,10 @@ func NewPinnedSearch(snap *graph.Snapshot, p *pattern.Pattern, sym *Symmetry, a,
 		stabiliser := sym.stabiliser(a, b)
 		below, weight, reversible = sym.below(order, stabiliser), uint64(len(stabiliser)), sym.swaps(a, b)
 	}
-	pl := compilePlan(snap, m, order, below, weight, nil)
-	st := newSearchState(pl, nil)
-	pl.snap, st.occ.snap = nil, nil
-	return &PinnedSearch{pl: pl, st: st, reversible: reversible}
+	ps := &PinnedSearch{pl: compilePlan(snap, m, order, below, weight, nil), reversible: reversible}
+	ps.st = newSearchState(ps.pl, ps.leaves.run)
+	ps.pl.snap, ps.st.occ.snap = nil, nil
+	return ps
 }
 
 // Arc returns the pattern positions (a, b) the search is pinned at.
@@ -750,7 +838,7 @@ func (ps *PinnedSearch) Run(snap *graph.Snapshot, edges []uint64, yield func(*Oc
 	for i := range st.slots {
 		st.slots[i].anchor = -1
 	}
-	st.occ.snap, st.yield = snap, yield
+	st.occ.snap, ps.leaves.yield = snap, yield
 	var searched uint64
 	for _, e := range edges {
 		x, y := int32(e>>32), int32(uint32(e))
@@ -763,7 +851,7 @@ func (ps *PinnedSearch) Run(snap *graph.Snapshot, edges []uint64, yield func(*Oc
 	mShardDrains.Add(searched)
 	mRoots.Add(searched)
 	st.publishEmits()
-	pl.snap, st.occ.snap, st.yield = nil, nil, nil
+	pl.snap, st.occ.snap, ps.leaves.yield = nil, nil, nil
 }
 
 // searchArc binds depth 0 to u and depth 1 to v, when they pass those
@@ -798,12 +886,13 @@ func EnumerateSnapshot(snap *graph.Snapshot, p *pattern.Pattern, opts Options) [
 }
 
 // ListSnapshot is the one materializer on top of the streaming engine: it
-// runs EnumerateSnapshotWorkers, lends every occurrence a worker finds to that
-// worker's consumer from newYield (nil for none) and then copies it out; the
-// workers' copies are sorted together, so the list is identical for every
-// Parallelism setting and every shard geometry, and the returned occurrences
-// are the caller's to keep. A consumer that returns false stops the search,
-// and the list holds what was found until then.
+// runs EnumerateSnapshotRuns, copies out every leaf of every run a worker
+// finds and then passes the run unchanged to that worker's consumer from
+// newRuns (nil for none); the workers' copies are sorted together, so the
+// list is identical for every Parallelism setting and every shard geometry,
+// and the returned occurrences are the caller's to keep. A consumer that
+// returns false stops the search, and the list holds what was found until
+// then, the refused run included.
 //
 // With Options.Symmetry nil the list is every occurrence, in the canonical
 // order (see SortOccurrences). Under a Symmetry it is one occurrence per
@@ -819,7 +908,7 @@ func EnumerateSnapshot(snap *graph.Snapshot, p *pattern.Pattern, opts Options) [
 // well: indexes[j*k:(j+1)*k] are the dense indexes in snap of occurrence j's
 // images, aligned with its Nodes(), for a caller that goes on in snap's
 // index space.
-func ListSnapshot(snap *graph.Snapshot, p *pattern.Pattern, opts Options, newYield func(worker int) func(*Occurrence) bool) (occs []*Occurrence, indexes []int32) {
+func ListSnapshot(snap *graph.Snapshot, p *pattern.Pattern, opts Options, newRuns func(worker int) RunFunc) (occs []*Occurrence, indexes []int32) {
 	// Accumulate each worker's stream as pointer-free index chunks. The
 	// chunks have a fixed capacity and are never regrown: repeatedly
 	// re-growing one flat log would allocate ~5x the final size in copies (Go
@@ -834,28 +923,31 @@ func ListSnapshot(snap *graph.Snapshot, p *pattern.Pattern, opts Options, newYie
 	sym := opts.Symmetry
 	nodes := p.Nodes()
 	k := len(nodes)
-	EnumerateSnapshotWorkers(snap, p, opts, func(w int) func(*Occurrence) bool {
+	EnumerateSnapshotRuns(snap, p, opts, func(w int) RunFunc {
 		b := &bucket{}
 		buckets = append(buckets, b)
-		var yield func(*Occurrence) bool
-		if newYield != nil {
-			yield = newYield(w)
+		var consume RunFunc
+		if newRuns != nil {
+			consume = newRuns(w)
 		}
-		return func(o *Occurrence) bool {
-			cur := len(b.chunks) - 1
-			if cur < 0 || len(b.chunks[cur])+k > cap(b.chunks[cur]) {
-				b.chunks = append(b.chunks, make([]int32, 0, chunkOccs*k))
-				cur++
-			}
-			if sym == nil {
-				b.chunks[cur] = append(b.chunks[cur], o.indexes...)
-			} else {
-				for _, i := range sym.smallestCopy(o.indexes) {
-					b.chunks[cur] = append(b.chunks[cur], o.indexes[i])
+		return func(o *Occurrence, last int, run []int32) bool {
+			for _, c := range run {
+				o.indexes[last] = c
+				cur := len(b.chunks) - 1
+				if cur < 0 || len(b.chunks[cur])+k > cap(b.chunks[cur]) {
+					b.chunks = append(b.chunks, make([]int32, 0, chunkOccs*k))
+					cur++
+				}
+				if sym == nil {
+					b.chunks[cur] = append(b.chunks[cur], o.indexes...)
+				} else {
+					for _, i := range sym.smallestCopy(o.indexes) {
+						b.chunks[cur] = append(b.chunks[cur], o.indexes[i])
+					}
 				}
 			}
-			b.n++
-			return yield == nil || yield(o)
+			b.n += len(run)
+			return consume == nil || consume(o, last, run)
 		}
 	})
 	total := 0

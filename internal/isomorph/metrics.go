@@ -5,7 +5,8 @@ import "repro/internal/obs"
 // Enumeration metrics, sampled at shard-drain granularity: the drain loops
 // accumulate into goroutine-local counters and publish one atomic add per
 // drained shard, so the //gvet:hotpath search functions make no obs call and
-// stay allocation-free (emit bumps one integer of its own searchState). Roots are counted as searched, which includes the partial
+// stay allocation-free (emit adds a run's length to one integer of its own
+// searchState). Roots are counted as searched, which includes the partial
 // drain of a shard cut short by an occurrence cap or a halt. The two emit
 // counters say what the searches delivered and what that stood for: a search
 // under Options.Symmetry delivers one representative per instance, each

@@ -9,13 +9,17 @@
 //
 // Enumeration has two entry points, both over a frozen graph.Snapshot (the
 // package never freezes a graph; callers choose the shard count where they
-// freeze). EnumerateSnapshotWorkers streams: every worker lends its one
-// Occurrence to its consumer for the length of each call, so a consumer
-// folds it or copies out what it keeps, and the search allocates nothing per
-// occurrence. ListSnapshot (EnumerateSnapshot without a consumer of its own) is
-// the one materializer: the consumer that keeps everything and returns it as a
-// list in canonical order — one occurrence per instance under a Symmetry —
-// sorted as k-tuples of dense indexes and handed back in those too. The
+// freeze). EnumerateSnapshotRuns streams: the search does not descend into
+// its last depth but hands it over a prefix at a time, every worker lending
+// its one Occurrence — valid but at the last-matched position — with the run
+// of candidates that complete it, so a consumer folds a whole run at once or
+// copies out what it keeps, and the search allocates nothing per occurrence.
+// EnumerateSnapshotWorkers is the same stream with each consumer wrapped to be
+// lent the run's occurrences one at a time, complete. ListSnapshot
+// (EnumerateSnapshot without a consumer of its own) is the one materializer:
+// the consumer that keeps everything and returns it as a list in canonical
+// order — one occurrence per instance under a Symmetry — sorted as k-tuples
+// of dense indexes and handed back in those too. The
 // paper's measures want exactly those two things — MNI and the raw counts fold
 // an occurrence into a projection and forget it (Definition 2.2.8), the
 // hypergraph measures need the whole set of instances (Definition 3.1.4).
@@ -40,7 +44,9 @@ import (
 // was searched (IndexAt) — the space the search found them in, valid for that
 // snapshot only — and derives a VertexID from that snapshot when an accessor
 // asks for one. So a consumer that folds by index never pays for a
-// translation, and one that keeps VertexIDs pays only for those it reads.
+// translation, and one that keeps VertexIDs pays only for those it reads. The
+// one lent with a run (RunFunc) is a prefix: every position but the run's
+// last-matched one holds its image, and that one is the run's to fill.
 type Occurrence struct {
 	// nodes is the pattern's node list in sorted order, shared by every
 	// occurrence of one enumeration.
@@ -101,8 +107,8 @@ func (o *Occurrence) ImageAt(i int) graph.VertexID {
 }
 
 // IndexAt returns the dense index of ImageAt(i) in the snapshot handed to
-// EnumerateSnapshotWorkers. Only the occurrence that entry point lends to a
-// consumer has one, for as long as it is lent: a copied, listed or hand-built
+// EnumerateSnapshotWorkers (or EnumerateSnapshotRuns). Only the occurrence
+// those entry points lend to a consumer has one, for as long as it is lent: a copied, listed or hand-built
 // occurrence (EnumerateSnapshot, NewOccurrence) outlives the snapshot whose
 // index space it was found in, so on those IndexAt panics — translate with
 // Snapshot.IndexOf(ImageAt(i)) instead.
