@@ -335,9 +335,11 @@ type searchState struct {
 	// prefix's indexes in place and lends it, bound to the plan's snapshot,
 	// to the consumer for the length of the call.
 	occ Occurrence
-	// emits counts the leaves delivered since the drain loop last published
-	// them (publishEmits).
-	emits uint64
+	// emits counts the leaves delivered and scanned the neighbour-row entries
+	// the kernels read since the drain loop last published them (publish):
+	// the anchor row's length per memoized run built, the shorter row's length
+	// per intersection.
+	emits, scanned uint64
 }
 
 func newSearchState(pl *searchPlan, consume RunFunc) *searchState {
@@ -439,12 +441,14 @@ func (s *searchState) search(depth int) bool {
 		// sharing the slot read it safely.
 		sl := &s.slots[slot]
 		if av := s.assign[anchors[0]]; sl.anchor != av {
+			row := snap.NeighborsAt(av)
 			if mask := pl.mask[depth]; mask != nil {
-				sl.run = filterRunMasked(snap, snap.NeighborsAt(av), label, minDeg, mask, sl.run[:0])
+				sl.run = filterRunMasked(snap, row, label, minDeg, mask, sl.run[:0])
 			} else {
-				sl.run = filterRun(snap, snap.NeighborsAt(av), label, minDeg, sl.run[:0])
+				sl.run = filterRun(snap, row, label, minDeg, sl.run[:0])
 			}
 			sl.anchor = av
+			s.scanned += uint64(len(row))
 		}
 		run := sl.run
 		if below := pl.below[depth]; len(below) > 0 {
@@ -510,7 +514,9 @@ func (s *searchState) searchGallop(depth int, anchors []int, label graph.Label, 
 			a2 = a
 		}
 	}
-	run := gallopIntersect(snap.NeighborsAt(s.assign[a1]), snap.NeighborsAt(s.assign[a2]), s.scratch[depth][:0])
+	row1, row2 := snap.NeighborsAt(s.assign[a1]), snap.NeighborsAt(s.assign[a2])
+	s.scanned += uint64(min(len(row1), len(row2)))
+	run := gallopIntersect(row1, row2, s.scratch[depth][:0])
 	if mask := s.pl.mask[depth]; mask != nil {
 		run = keepMasked(run, mask)
 	}
@@ -583,15 +589,17 @@ func (s *searchState) emit(run []int32) bool {
 	return s.consume(&s.occ, pl.slot[pl.k-1], run)
 }
 
-// publishEmits moves the worker's emitted leaves since the last call into
-// the enumeration counters: what the search delivered, and the occurrences
-// that stands for. The drain loops call it once per drained shard, beside the
-// root count, so emit itself only adds a run's length to a worker-local
-// integer. A consumer that stops mid-run still counts the whole run.
-func (s *searchState) publishEmits() {
+// publish moves the worker's emitted leaves and scanned row entries since the
+// last call into the enumeration counters: what the search delivered, the
+// occurrences that stands for, and what the kernels read to find it. The
+// drain loops call it once per drained shard, beside the root count, so the
+// search itself only adds to worker-local integers. A consumer that stops
+// mid-run still counts the whole run.
+func (s *searchState) publish() {
 	mRepresentatives.Add(s.emits)
 	mOccurrences.Add(s.emits * s.pl.weight)
-	s.emits = 0
+	mScanned.Add(s.scanned)
+	s.emits, s.scanned = 0, 0
 }
 
 // EnumerateSnapshotWorkers is the streaming entry point of the enumeration
@@ -703,7 +711,7 @@ func EnumerateSnapshotRuns(snap *graph.Snapshot, p *pattern.Pattern, opts Option
 				}()
 				mShardDrains.Inc()
 				mRoots.Add(searched)
-				st.publishEmits()
+				st.publish()
 				if halt {
 					return
 				}
@@ -730,7 +738,7 @@ func (pl *searchPlan) drain(st *searchState) {
 		snap.ReleaseShard(pl.shardIDs[s])
 		mShardDrains.Inc()
 		mRoots.Add(uint64(searched))
-		st.publishEmits()
+		st.publish()
 		if halt {
 			return
 		}
@@ -850,7 +858,7 @@ func (ps *PinnedSearch) Run(snap *graph.Snapshot, edges []uint64, yield func(*Oc
 	// a drain of one root.
 	mShardDrains.Add(searched)
 	mRoots.Add(searched)
-	st.publishEmits()
+	st.publish()
 	pl.snap, st.occ.snap, ps.leaves.yield = nil, nil, nil
 }
 

@@ -23,15 +23,16 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/work.golden from this run")
 
 // ledgerCounters are the work counters a ledger line records, as deltas over
-// one step: what the searches rooted, emitted and drained, what the delta
-// passes emitted, counted, applied and rebuilt, how large the kernels built
-// for the LP were, and what the LP and the exact cover and packing searches
-// did. Each is deterministic at one shard and parallelism 1.
+// one step: what the searches rooted, emitted, drained and scanned, what the
+// delta passes emitted, counted, applied and rebuilt, how large the kernels
+// built for the LP were, and what the LP and the exact cover and packing
+// searches did. Each is deterministic at one shard and parallelism 1.
 var ledgerCounters = []struct{ key, name string }{
 	{"roots", "repro_enum_roots_total"},
 	{"representatives", "repro_enum_representatives_total"},
 	{"occurrences", "repro_enum_occurrences_total"},
 	{"shard_drains", "repro_enum_shard_drains_total"},
+	{"scanned", "repro_enum_scanned_total"},
 	{"pass_representatives", "repro_delta_pass_representatives_total"},
 	{"pass_counted", "repro_delta_pass_counted_total"},
 	{"pass_applied", "repro_delta_pass_applied_total"},
