@@ -34,15 +34,17 @@ func TestRunGolden(t *testing.T) {
 				"MNI          MNI=4 (exact)\n"},
 		// -explain names the pattern's symmetry: the one-label triangle's six
 		// occurrences are one instance, and a streamed search finds it once
-		// because each depth starts above the images matched before it.
+		// because each depth starts above the images matched before it. Each
+		// estimate is cut by those bounds (2/2 and 0.67/3), and the header
+		// carries the order's modeled work.
 		{"figure2-streaming-explain", []string{"-figure", "figure2", "-streaming", "-explain", "-measures", "occurrences,instances,MNI"},
 			"data graph: Graph(\"figure2\", |V|=6, |E|=6, |Σ|=1)\n" +
 				"pattern:    Pattern(k=3, m=3, code=L1.L1.L1.111)\n\n" +
-				"search order (naive; |V|=6 |E|=6, 3 root candidates)\n" +
+				"search order (naive; |V|=6 |E|=6, 3 root candidates, work 43.3)\n" +
 				"  symmetry: |Aut(P)|=6, node orbits=1; a streamed search emits one representative per instance, 1 of every 6 occurrences\n" +
 				"  depth 0: node 0 label 1 patternDeg 2 anchors 0 labelCount 6 est 6.0 kernel roots\n" +
-				"  depth 1: node 1 label 1 patternDeg 2 anchors 1 labelCount 6 est 2.0 kernel run-cache image above depths [0]\n" +
-				"  depth 2: node 2 label 1 patternDeg 2 anchors 2 labelCount 6 est 0.7 kernel gallop image above depths [0 1]\n\n" +
+				"  depth 1: node 1 label 1 patternDeg 2 anchors 1 labelCount 6 est 1.0 kernel run-cache image above depths [0]\n" +
+				"  depth 2: node 2 label 1 patternDeg 2 anchors 2 labelCount 6 est 0.2 kernel gallop image above depths [0 1]\n\n" +
 				"occurrences  occurrences=6 (exact)\n" +
 				"instances    instances=1 (exact)\n" +
 				"MNI          MNI=3 (exact)\n"},

@@ -151,7 +151,7 @@ type searchPlan struct {
 func newSearchPlan(snap *graph.Snapshot, p *pattern.Pattern, opts Options) *searchPlan {
 	m := newPatternModel(p)
 	opts.checkMasks(snap, len(m.nodes))
-	order, _ := chooseOrder(snap, m, opts.Masks)
+	order, _ := chooseOrder(snap, m, opts.Masks, opts.Symmetry)
 	if len(order) == 0 {
 		return nil
 	}
@@ -797,7 +797,8 @@ func NewPinnedSearch(snap *graph.Snapshot, p *pattern.Pattern, sym *Symmetry, a,
 	if !slices.Contains(m.adj[a], b) {
 		panic(fmt.Sprintf("isomorph: a search pinned at positions %d and %d of %v, which are not adjacent", a, b, p))
 	}
-	order := growOrder(m, newPlannerStats(snap, m, nil), a, b)
+	st := newPlannerStats(snap, m, nil)
+	order := growOrder(m, &st, a, b)
 	below, weight, reversible := make([][]int, len(order)), uint64(1), false
 	if sym != nil {
 		stabiliser := sym.stabiliser(a, b)
