@@ -2,6 +2,7 @@ package isomorph_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -84,9 +85,16 @@ func assertKeysEqual(t *testing.T, where string, got, want []string) {
 // workloads whose label distributions push the planner both ways (uniform
 // labels keep the naive order, skewed labels re-root the search) and whose
 // patterns reach both kernels (the star's single-anchor runs, the triangle's
-// galloping intersection). Run under -race this also exercises the kernels'
-// lazily built shared state.
+// galloping intersection). The A–B–B path and triangle on a two-label ER
+// graph are also searched under their symmetry, in the orders the work model
+// gives them there — the path rooted at its centre, the triangle at its B–B
+// orbit pair, its second B above the first — and their representatives times
+// |Aut(P)| and the instances they represent must be the reference matcher's.
+// Run under -race this also exercises the kernels' lazily built shared state.
 func TestPlannedMatchesNaive(t *testing.T) {
+	erAB := gen.ErdosRenyi(300, 0.03, gen.UniformLabels{K: 2}, 10)
+	pathAB := pattern.MustNew(graph.NewBuilder("path").Vertex(0, 1).Vertex(1, 2).Vertex(2, 2).Path(0, 1, 2).MustBuild())
+	triangleAB := pattern.MustNew(graph.NewBuilder("triangle").Vertex(0, 1).Vertex(1, 2).Vertex(2, 2).Path(0, 1, 2, 0).MustBuild())
 	workloads := []struct {
 		name string
 		g    *graph.Graph
@@ -95,6 +103,8 @@ func TestPlannedMatchesNaive(t *testing.T) {
 		{"ba-star", gen.BarabasiAlbert(400, 3, gen.UniformLabels{K: 2}, 7), starPattern()},
 		{"ba-zipf-triangle", gen.BarabasiAlbert(400, 3, gen.ZipfLabels{K: 4, Exponent: 1.5}, 8), trianglePattern(1)},
 		{"er-star", gen.ErdosRenyi(300, 0.02, gen.UniformLabels{K: 3}, 9), starPattern()},
+		{"er-path", erAB, pathAB},
+		{"er-triangle", erAB, triangleAB},
 	}
 	for _, wl := range workloads {
 		want := referenceOccurrenceKeys(wl.g, wl.p)
@@ -106,6 +116,30 @@ func TestPlannedMatchesNaive(t *testing.T) {
 				got := occurrenceKeys(isomorph.EnumerateSnapshot(sharded(wl.g, shards), wl.p, isomorph.Options{Parallelism: par}))
 				assertKeysEqual(t, fmt.Sprintf("%s shards=%d par=%d", wl.name, shards, par), got, want)
 			}
+		}
+	}
+
+	snaps := []*graph.Snapshot{sharded(erAB, 1), sharded(erAB, 2), sharded(erAB, 7)}
+	for _, wl := range []struct {
+		name  string
+		p     *pattern.Pattern
+		root  pattern.NodeID
+		below [][]int
+	}{
+		{"er-path", pathAB, 1, [][]int{nil, nil, nil}},
+		{"er-triangle", triangleAB, 1, [][]int{nil, {0}, nil}},
+	} {
+		ex := isomorph.Explain(snaps[0], wl.p, isomorph.Options{Symmetry: isomorph.NewSymmetry(wl.p)})
+		if ex.Steps[0].Node != wl.root {
+			t.Fatalf("%s under its symmetry roots at node %d, want %d:\n%s", wl.name, ex.Steps[0].Node, wl.root, ex)
+		}
+		for d, s := range ex.Steps {
+			if !slices.Equal(s.Below, wl.below[d]) {
+				t.Fatalf("%s under its symmetry: depth %d starts above depths %v, want %v:\n%s", wl.name, d, s.Below, wl.below[d], ex)
+			}
+		}
+		if _, occs := checkSymmetricSearch(t, wl.name+" under symmetry", erAB, snaps, wl.p, []int{1, 4}); occs == 0 {
+			t.Fatalf("%s: no occurrences; workload is vacuous", wl.name)
 		}
 	}
 }
