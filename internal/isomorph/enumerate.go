@@ -797,8 +797,7 @@ func NewPinnedSearch(snap *graph.Snapshot, p *pattern.Pattern, sym *Symmetry, a,
 	if !slices.Contains(m.adj[a], b) {
 		panic(fmt.Sprintf("isomorph: a search pinned at positions %d and %d of %v, which are not adjacent", a, b, p))
 	}
-	st := newPlannerStats(snap, m, nil)
-	order := growOrder(m, &st, a, b)
+	order := growOrder(m, newPlannerStats(snap, m, nil), a, b)
 	below, weight, reversible := make([][]int, len(order)), uint64(1), false
 	if sym != nil {
 		stabiliser := sym.stabiliser(a, b)

@@ -78,8 +78,7 @@ func TestPlannerPricesRuns(t *testing.T) {
 		}
 	}
 	m := newPatternModel(orderPath)
-	st := newPlannerStats(er, m, nil)
-	p := newPricer(m, &st, nil, NewSymmetry(orderPath))
+	p := newPricer(m, newPlannerStats(er, m, nil), nil, NewSymmetry(orderPath))
 	work := func(order ...int) float64 {
 		p.reset()
 		for _, i := range order {
@@ -128,11 +127,44 @@ func TestPlannerPricesRuns(t *testing.T) {
 	}
 }
 
-// TestChooseOrderAllocations holds planning to a fixed handful of
-// allocations: trying every root carves its scratch from two allocations
-// made once per call, so a 4-node pattern under its symmetry plans in no more
-// allocations than the 8 that one greedy growth and two tree-cost evaluations
-// took before.
+// TestPricerCutMatchesBelow holds the planner's incremental stabiliser chain
+// to Symmetry.below: pushed in any order, every position of a symmetric
+// pattern is priced with as many earlier depths in its cut as the search
+// under that order starts its depth above.
+func TestPricerCutMatchesBelow(t *testing.T) {
+	er := erStream()
+	k4 := orderPattern([]graph.Label{1, 1, 1, 1}, [2]int{0, 1}, [2]int{0, 2}, [2]int{0, 3}, [2]int{1, 2}, [2]int{1, 3}, [2]int{2, 3})
+	for _, pat := range []*pattern.Pattern{orderTriangle, orderStar, orderTailed, orderCycle4, k4} {
+		m, sym := newPatternModel(pat), NewSymmetry(pat)
+		p := newPricer(m, newPlannerStats(er, m, nil), nil, sym)
+		var permute func(order []int, rest []int)
+		permute = func(order []int, rest []int) {
+			if len(rest) == 0 {
+				p.reset()
+				for _, i := range order {
+					p.push(i)
+				}
+				for d, b := range sym.below(order, sym.perms) {
+					if got := p.cut[order[d]]; got != len(b) {
+						t.Fatalf("%v in order %v: depth %d priced with a cut of %d, the search starts it above %v", pat, order, d, got, b)
+					}
+				}
+				return
+			}
+			for j := range rest {
+				next := append(slices.Clone(rest[:j]), rest[j+1:]...)
+				permute(append(order, rest[j]), next)
+			}
+		}
+		permute(nil, []int{0, 1, 2, 3}[:len(m.nodes)])
+	}
+}
+
+// TestChooseOrderAllocations holds planning a 4-node pattern under its
+// symmetry to at most 8 allocations: the pricer carves its scratch from two
+// allocations made once per call, so trying every root costs no more
+// allocations than trying one, and planning adds nothing to a mine's
+// allocation profile.
 func TestChooseOrderAllocations(t *testing.T) {
 	er := erStream()
 	for _, p := range []*pattern.Pattern{orderStar, orderTailed, orderCycle4} {

@@ -247,7 +247,7 @@ func (st *plannerStats) extendEstimate(m *patternModel, i, anchors int) float64 
 // pricing one does.
 type pricer struct {
 	m     *patternModel
-	st    *plannerStats
+	st    plannerStats
 	masks []Mask  // by position, nil for none
 	perms [][]int // Aut(P) as position permutations; nil prices the full search
 
@@ -263,7 +263,7 @@ type pricer struct {
 	work  float64   // modeled work of order
 }
 
-func newPricer(m *patternModel, st *plannerStats, masks []Mask, sym *Symmetry) pricer {
+func newPricer(m *patternModel, st plannerStats, masks []Mask, sym *Symmetry) pricer {
 	k := len(m.nodes)
 	p := pricer{m: m, st: st, masks: masks, level: make([]float64, k)}
 	if sym != nil {
@@ -412,7 +412,7 @@ func (p *pricer) grow() {
 // positions, priced for the full search: the rest of the order after a pinned
 // arc (a, b), which NewPinnedSearch grows once and every run of the compiled
 // search then follows.
-func growOrder(m *patternModel, st *plannerStats, prefix ...int) []int {
+func growOrder(m *patternModel, st plannerStats, prefix ...int) []int {
 	p := newPricer(m, st, nil, nil)
 	for _, i := range prefix {
 		p.push(i)
@@ -435,8 +435,7 @@ func chooseOrder(snap *graph.Snapshot, m *patternModel, masks []Mask, sym *Symme
 	if snap.NumVertices() == 0 {
 		return naive, false
 	}
-	st := newPlannerStats(snap, m, masks)
-	p := newPricer(m, &st, masks, sym)
+	p := newPricer(m, newPlannerStats(snap, m, masks), masks, sym)
 	for _, i := range naive {
 		p.push(i)
 	}
@@ -531,7 +530,7 @@ func Explain(snap *graph.Snapshot, p *pattern.Pattern, opts Options) *PlanExplan
 	opts.checkMasks(snap, len(m.nodes))
 	order, planned := chooseOrder(snap, m, opts.Masks, opts.Symmetry)
 	st := newPlannerStats(snap, m, opts.Masks)
-	pr := newPricer(m, &st, opts.Masks, opts.Symmetry)
+	pr := newPricer(m, st, opts.Masks, opts.Symmetry)
 	ex := &PlanExplanation{
 		Planned:  planned,
 		Steps:    make([]PlanStep, 0, len(order)),

@@ -142,7 +142,9 @@ func (s *Symmetry) OrbitOf(i int) int { return s.orbitOf[i] }
 // pinned arc are those with σ in the stabiliser (f is injective), one coset,
 // and the same rounds leave one of them. The constraints name depths, not
 // dense indexes, so a pinned search derives them once when it is compiled and
-// every run on every snapshot applies the same ones.
+// every run on every snapshot applies the same ones. The planner walks the same
+// rounds one depth at a time as it grows an order (pricer.breakSymmetry), so
+// it prices each depth with the constraints this derives for it.
 func (s *Symmetry) below(order []int, group [][]int) [][]int {
 	if len(order) != len(s.orbitOf) {
 		panic(fmt.Sprintf("isomorph: symmetry of a %d-node pattern handed to the search of a %d-node one", len(s.orbitOf), len(order)))
