@@ -2,6 +2,7 @@ package isomorph
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -88,6 +89,22 @@ func TestPlannerPricesRuns(t *testing.T) {
 	}
 	if leaf, centre := work(0, 1, 2), work(1, 0, 2); leaf <= centre {
 		t.Errorf("path: rooted at the A leaf models work %.0f, at the centre %.0f; want the leaf dearer", leaf, centre)
+	}
+	// The star's three leaves share one memoized run of the centre's row, so
+	// the model charges one row read per centre: the root scan, the visits
+	// and a single run.
+	sm := newPatternModel(orderStar)
+	star := newPricer(sm, newPlannerStats(er, sm, nil), nil, NewSymmetry(orderStar))
+	levels, level := 0.0, 1.0
+	for d, i := range []int{0, 1, 2, 3} {
+		level *= star.push(i)
+		levels += level
+		if d == 0 {
+			levels += float64(star.st.cnt[i]) + level*star.st.avgDeg
+		}
+	}
+	if math.Abs(star.work-levels) > 1e-9*levels {
+		t.Errorf("star: modeled work %.3f, want %.3f: the leaves' shared run charged once", star.work, levels)
 	}
 
 	// Every arc's order, as the planner grew it before it priced runs.
