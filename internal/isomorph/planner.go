@@ -379,11 +379,16 @@ func (p *pricer) breakSymmetry(i, d int) {
 	}
 }
 
-// grow completes the order greedily: each depth takes the connected position
-// with the smallest estimate. Ties break toward more anchors, then higher
-// pattern degree, then smaller label, then smaller node ID — all explicit, so
-// the order is deterministic.
-func (p *pricer) grow() {
+// grow builds an order from the given connected prefix of positions and
+// completes it greedily: each later depth takes the connected position with
+// the smallest estimate. Ties break toward more anchors, then higher pattern
+// degree, then smaller label, then smaller node ID — all explicit, so the
+// order is deterministic.
+func (p *pricer) grow(prefix ...int) {
+	p.reset()
+	for _, i := range prefix {
+		p.push(i)
+	}
 	m := p.m
 	for len(p.order) < len(m.nodes) {
 		best, bestAnchors := -1, 0
@@ -414,10 +419,7 @@ func (p *pricer) grow() {
 // search then follows.
 func growOrder(m *patternModel, st plannerStats, prefix ...int) []int {
 	p := newPricer(m, st, nil, nil)
-	for _, i := range prefix {
-		p.push(i)
-	}
-	p.grow()
+	p.grow(prefix...)
 	return p.order
 }
 
@@ -441,9 +443,7 @@ func chooseOrder(snap *graph.Snapshot, m *patternModel, masks []Mask, sym *Symme
 	}
 	best, least := -1, p.work
 	for root := range m.nodes {
-		p.reset()
-		p.push(root)
-		p.grow()
+		p.grow(root)
 		if p.work < least {
 			best, least = root, p.work
 		}
@@ -453,9 +453,7 @@ func chooseOrder(snap *graph.Snapshot, m *patternModel, masks []Mask, sym *Symme
 	}
 	// Grow the winner again, into the naive order's slice: the growth is
 	// deterministic, and the naive order is not needed any more.
-	p.reset()
-	p.push(best)
-	p.grow()
+	p.grow(best)
 	copy(naive, p.order)
 	return naive, true
 }
@@ -519,18 +517,18 @@ type PlanExplanation struct {
 }
 
 // Explain compiles the search plan of p against snap without running the
-// search, returning the chosen order with per-depth candidate estimates. Of
-// opts Symmetry and Masks are read: Symmetry adds the ordering constraints a
-// search under it applies (Automorphisms, Orbits, Below), Masks replace the
-// label counts of the positions they confine; otherwise the search order
-// depends on the snapshot and pattern alone, and plain Options explain the
-// full search. It powers the -explain flags of the gsupport and gminer CLIs.
+// search, returning the chosen order with per-depth candidate estimates and
+// its modeled work. Of opts Symmetry and Masks are read, as the search reads
+// them: Symmetry adds the ordering constraints a search under it applies
+// (Automorphisms, Orbits, Below) and the cut they make in the estimates the
+// order is chosen by, Masks replace the label counts of the positions they
+// confine; plain Options explain the full search. It powers the -explain flags
+// of the gsupport and gminer CLIs.
 func Explain(snap *graph.Snapshot, p *pattern.Pattern, opts Options) *PlanExplanation {
 	m := newPatternModel(p)
 	opts.checkMasks(snap, len(m.nodes))
 	order, planned := chooseOrder(snap, m, opts.Masks, opts.Symmetry)
-	st := newPlannerStats(snap, m, opts.Masks)
-	pr := newPricer(m, st, opts.Masks, opts.Symmetry)
+	pr := newPricer(m, newPlannerStats(snap, m, opts.Masks), opts.Masks, opts.Symmetry)
 	ex := &PlanExplanation{
 		Planned:  planned,
 		Steps:    make([]PlanStep, 0, len(order)),
@@ -548,7 +546,7 @@ func Explain(snap *graph.Snapshot, p *pattern.Pattern, opts Options) *PlanExplan
 			Label:         m.labels[i],
 			PatternDegree: m.deg[i],
 			Anchors:       anchors,
-			LabelCount:    st.cnt[i],
+			LabelCount:    pr.st.cnt[i],
 			Estimate:      pr.push(i),
 			Below:         below[d],
 		}

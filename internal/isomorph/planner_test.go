@@ -176,8 +176,8 @@ func TestPlannedMatchesNaiveStoreSnapshot(t *testing.T) {
 // Explain calls for the same (snapshot, pattern, options) must return the
 // identical plan — for the full search plain Options explain, which says
 // nothing of symmetry, and for the search under the star's symmetry, which is
-// the same order with the group's order, the orbit count and the leaves' lower
-// bounds added.
+// here the same order with the group's order, the orbit count and the leaves'
+// lower bounds added, and its estimates and work cut by those bounds.
 func TestExplainDeterministic(t *testing.T) {
 	g := gen.BarabasiAlbert(300, 3, gen.UniformLabels{K: 3}, 13)
 	p := starPattern()
