@@ -223,7 +223,6 @@ func NewDeltaContextAt(g *graph.Graph, snap *graph.Snapshot, p *pattern.Pattern,
 	if g == nil || snap == nil || p == nil {
 		return nil, nil, fmt.Errorf("core: nil graph or pattern")
 	}
-	opts.Streaming = true
 	d := &DeltaContext{g: g, p: p, opts: opts, snap: snap, counter: newInstanceCounter(p), radius: patternDiameter(p), edges: edgePositions(p)}
 	d.yield = d.dp.yield
 	return d, d.rebuild(snap, masks), nil

@@ -3,8 +3,6 @@ package graph
 import (
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // Snapshot is an immutable, cache-friendly view of a Graph: adjacency in
@@ -44,12 +42,6 @@ type Snapshot struct {
 	// shift on the enumeration hot path rather than a division.
 	shardShift uint
 	shards     []shard
-
-	// adjBits is the lazily built table of high-degree adjacency bitmap rows
-	// (see AdjacencyRow), behind an atomic pointer so a renamed copy can share
-	// it once built.
-	bitsMu  sync.Mutex
-	adjBits atomic.Pointer[adjacencyBitsets]
 
 	// backing receives residency hints for shards whose arrays live outside
 	// the Go heap (see NewExternalSnapshot); nil for heap snapshots.
@@ -478,20 +470,11 @@ func (g *Graph) renameSnapshots(name string) {
 }
 
 // withName returns a copy of s differing only in name, sharing every shard
-// array and any materialized adjacency bitsets.
+// array.
 func (s *Snapshot) withName(name string) *Snapshot {
-	c := &Snapshot{
-		name:       name,
-		n:          s.n,
-		numEdges:   s.numEdges,
-		shardShift: s.shardShift,
-		shards:     s.shards,
-		backing:    s.backing,
-	}
-	if bs := s.adjBits.Load(); bs != nil {
-		c.adjBits.Store(bs)
-	}
-	return c
+	c := *s
+	c.name = name
+	return &c
 }
 
 // insertPos returns the dense position a vertex with ID v would occupy in

@@ -26,85 +26,3 @@ func TestAvgDegreeEmptySnapshot(t *testing.T) {
 		t.Fatalf("AvgDegree of empty snapshot = %g, want 0", got)
 	}
 }
-
-func TestBitsetDegreeThreshold(t *testing.T) {
-	cases := []struct{ n, want int }{
-		{0, 64},
-		{100, 64},
-		{16384, 64},
-		{16640, 65},
-		{1 << 20, 4096},
-	}
-	for _, c := range cases {
-		if got := BitsetDegreeThreshold(c.n); got != c.want {
-			t.Errorf("BitsetDegreeThreshold(%d) = %d, want %d", c.n, got, c.want)
-		}
-	}
-}
-
-// TestAdjacencyRowThresholdBoundary builds a star whose hub degree equals
-// the threshold exactly: the hub must get a bitmap row (the threshold is
-// inclusive), the leaves must not, and the row must agree with HasEdgeAt
-// bit for bit.
-func TestAdjacencyRowThresholdBoundary(t *testing.T) {
-	hubDeg := BitsetDegreeThreshold(65) // 64: a 65-vertex star sits exactly on it
-	g := New("star")
-	g.MustAddVertex(0, 1)
-	for i := 1; i <= hubDeg; i++ {
-		g.MustAddVertex(VertexID(i), 2)
-		g.MustAddEdge(0, VertexID(i))
-	}
-	for _, shards := range []int{1, 3} {
-		snap := g.FreezeSharded(FreezeOptions{Shards: shards})
-		hub, ok := snap.IndexOf(0)
-		if !ok {
-			t.Fatal("hub not in snapshot")
-		}
-		row := snap.AdjacencyRow(hub)
-		if row == nil {
-			t.Fatalf("shards=%d: hub with degree %d = threshold has no bitmap row", shards, hubDeg)
-		}
-		for i := int32(0); i < int32(snap.NumVertices()); i++ {
-			if got, want := row.Contains(i), snap.HasEdgeAt(hub, i); got != want {
-				t.Errorf("shards=%d: row.Contains(%d) = %v, HasEdgeAt = %v", shards, i, got, want)
-			}
-		}
-		leaf, ok := snap.IndexOf(1)
-		if !ok {
-			t.Fatal("leaf not in snapshot")
-		}
-		if snap.AdjacencyRow(leaf) != nil {
-			t.Errorf("shards=%d: leaf below the threshold has a bitmap row", shards)
-		}
-	}
-}
-
-// TestAdjacencyRowConcurrentBuild races the lazy table build from several
-// goroutines; under -race this pins the publish discipline.
-func TestAdjacencyRowConcurrentBuild(t *testing.T) {
-	hubDeg := BitsetDegreeThreshold(100)
-	g := New("star")
-	g.MustAddVertex(0, 1)
-	for i := 1; i <= hubDeg; i++ {
-		g.MustAddVertex(VertexID(i), 2)
-		g.MustAddEdge(0, VertexID(i))
-	}
-	snap := g.Freeze()
-	hub, _ := snap.IndexOf(0)
-	done := make(chan AdjacencyBits, 8)
-	for i := 0; i < 8; i++ {
-		go func() { done <- snap.AdjacencyRow(hub) }()
-	}
-	var first AdjacencyBits
-	for i := 0; i < 8; i++ {
-		row := <-done
-		if row == nil {
-			t.Fatal("concurrent AdjacencyRow returned nil for the hub")
-		}
-		if first == nil {
-			first = row
-		} else if &first[0] != &row[0] {
-			t.Fatal("concurrent builds published different tables")
-		}
-	}
-}

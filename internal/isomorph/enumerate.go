@@ -493,10 +493,9 @@ func (s *searchState) emitUntaken(run []int32, depth int) bool {
 // searchGallop is the multi-anchor kernel: intersect the two smallest-degree
 // anchors' sorted neighbor runs by galloping binary search, filter the
 // (typically tiny) intersection by the static constraints, and verify any
-// remaining anchors through the snapshot's high-degree adjacency bitsets
-// when available. The candidates that pass are compacted in place in the
-// depth's scratch buffer, keeping their order; the last depth emits them as
-// one run, any other descends into each in turn.
+// remaining anchors on the CSR rows (HasEdgeAt). The candidates that pass
+// are compacted in place in the depth's scratch buffer, keeping their order;
+// the last depth emits them as one run, any other descends into each in turn.
 //
 //gvet:hotpath
 func (s *searchState) searchGallop(depth int, anchors []int, label graph.Label, minDeg int) bool {
@@ -525,34 +524,14 @@ func (s *searchState) searchGallop(depth int, anchors []int, label graph.Label, 
 		run = s.above(run, below)
 	}
 
-	// Residual anchors are verified per candidate; hoist their bitmap rows
-	// (nil for low-degree assignments) out of the loop.
-	type residual struct {
-		v    int32
-		bits graph.AdjacencyBits
-	}
-	var resBuf [4]residual
-	res := resBuf[:0]
-	for _, a := range anchors {
-		if a == a1 || a == a2 {
-			continue
-		}
-		v := s.assign[a]
-		res = append(res, residual{v, snap.AdjacencyRow(v)})
-	}
-
 	pass := run[:0]
 candidateLoop:
 	for _, c := range run {
 		if s.taken(c, depth) || snap.LabelAt(c) != label || snap.DegreeAt(c) < minDeg {
 			continue
 		}
-		for _, r := range res {
-			if r.bits != nil {
-				if !r.bits.Contains(c) {
-					continue candidateLoop
-				}
-			} else if !snap.HasEdgeAt(c, r.v) {
+		for _, a := range anchors {
+			if a != a1 && a != a2 && !snap.HasEdgeAt(c, s.assign[a]) {
 				continue candidateLoop
 			}
 		}

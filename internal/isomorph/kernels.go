@@ -17,7 +17,7 @@ import (
 //   - Multi-anchor depths intersect the two smallest-degree anchors' sorted
 //     neighbor runs with galloping binary search (gallopIntersect) instead of
 //     probing HasEdgeAt per candidate, then verify any remaining anchors
-//     through the snapshot's high-degree adjacency bitsets when available.
+//     with HasEdgeAt on the few candidates the intersection leaves.
 //
 // Both kernels preserve the ascending candidate order of the plain CSR scan,
 // so for a fixed search order the sequential emission order is unchanged.

@@ -85,16 +85,19 @@ func assertKeysEqual(t *testing.T, where string, got, want []string) {
 // workloads whose label distributions push the planner both ways (uniform
 // labels keep the naive order, skewed labels re-root the search) and whose
 // patterns reach both kernels (the star's single-anchor runs, the triangle's
-// galloping intersection). The A–B–B path and triangle on a two-label ER
-// graph are also searched under their symmetry, in the orders the work model
-// gives them there — the path rooted at its centre, the triangle at its B–B
-// orbit pair, its second B above the first — and their representatives times
-// |Aut(P)| and the instances they represent must be the reference matcher's.
-// Run under -race this also exercises the kernels' lazily built shared state.
+// galloping intersection, the one-label 4-clique's last depth, which checks
+// its third anchor with HasEdgeAt, hubs of degree 64 and more among them).
+// The A–B–B path and triangle on a two-label ER graph are also searched
+// under their symmetry, in the orders the work model gives them there — the
+// path rooted at its centre, the triangle at its B–B orbit pair, its second B
+// above the first — and their representatives times |Aut(P)| and the
+// instances they represent must be the reference matcher's.
+// Run under -race this also exercises the workers sharing one snapshot.
 func TestPlannedMatchesNaive(t *testing.T) {
 	erAB := gen.ErdosRenyi(300, 0.03, gen.UniformLabels{K: 2}, 10)
 	pathAB := pattern.MustNew(graph.NewBuilder("path").Vertex(0, 1).Vertex(1, 2).Vertex(2, 2).Path(0, 1, 2).MustBuild())
 	triangleAB := pattern.MustNew(graph.NewBuilder("triangle").Vertex(0, 1).Vertex(1, 2).Vertex(2, 2).Path(0, 1, 2, 0).MustBuild())
+	clique4 := pattern.MustNew(graph.NewBuilder("clique4").Vertices(1, 0, 1, 2, 3).Clique(0, 1, 2, 3).MustBuild())
 	workloads := []struct {
 		name string
 		g    *graph.Graph
@@ -105,6 +108,7 @@ func TestPlannedMatchesNaive(t *testing.T) {
 		{"er-star", gen.ErdosRenyi(300, 0.02, gen.UniformLabels{K: 3}, 9), starPattern()},
 		{"er-path", erAB, pathAB},
 		{"er-triangle", erAB, triangleAB},
+		{"ba-clique4", gen.BarabasiAlbert(600, 6, gen.UniformLabels{K: 1}, 11), clique4},
 	}
 	for _, wl := range workloads {
 		want := referenceOccurrenceKeys(wl.g, wl.p)
@@ -146,8 +150,7 @@ func TestPlannedMatchesNaive(t *testing.T) {
 
 // TestPlannedMatchesNaiveStoreSnapshot repeats the identity over an
 // mmap-backed store snapshot: the kernels read neighbor runs straight out of
-// mapped segment bytes, so the identity must survive the out-of-core path
-// (including lazily built adjacency bitsets over mapped CSR rows).
+// mapped segment bytes, so the identity must survive the out-of-core path.
 func TestPlannedMatchesNaiveStoreSnapshot(t *testing.T) {
 	g := gen.BarabasiAlbert(300, 3, gen.UniformLabels{K: 2}, 11)
 	p := starPattern()
