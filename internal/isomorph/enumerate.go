@@ -161,21 +161,9 @@ func newSearchPlan(snap *graph.Snapshot, p *pattern.Pattern, opts Options) *sear
 	}
 	pl := compilePlan(snap, m, order, opts.below(order), weight, opts.Masks)
 	if mask := pl.mask[0]; mask != nil {
-		pl.rootsFromMask(mask)
+		pl.bucketRoots(pl.rootsFromMask(mask))
 	} else {
-		for s := 0; s < snap.NumShards(); s++ {
-			var roots []int32
-			for _, c := range snap.ShardIndexesWithLabel(s, pl.label[0]) {
-				if snap.DegreeAt(c) >= pl.minDeg[0] {
-					roots = append(roots, c)
-				}
-			}
-			if len(roots) > 0 {
-				pl.rootsByShard = append(pl.rootsByShard, roots)
-				pl.shardIDs = append(pl.shardIDs, s)
-				pl.numRoots += len(roots)
-			}
-		}
+		pl.bucketRoots(pl.rootsFromLabel())
 	}
 	if pl.numRoots == 0 {
 		return nil
@@ -221,11 +209,9 @@ func compilePlan(snap *graph.Snapshot, m *patternModel, order []int, below [][]i
 	return pl
 }
 
-// rootsFromMask makes the plan's root candidates the members of mask that
-// pass the root's label and degree constraints, bucketed by shard. They are
-// collected in ascending order into one list, and a shard is a range of
-// indexes, so each bucket is a stretch of that list.
-func (pl *searchPlan) rootsFromMask(mask Mask) {
+// rootsFromMask returns, ascending, the members of mask that pass the root's
+// label and degree constraints.
+func (pl *searchPlan) rootsFromMask(mask Mask) []int32 {
 	snap := pl.snap
 	roots := make([]int32, 0, mask.Count())
 	for i, w := range mask {
@@ -236,6 +222,34 @@ func (pl *searchPlan) rootsFromMask(mask Mask) {
 			}
 		}
 	}
+	return roots
+}
+
+// rootsFromLabel returns, ascending, the vertices of the root's label that
+// pass its degree constraint, read off the shards' label indexes into one
+// slice sized by them.
+func (pl *searchPlan) rootsFromLabel() []int32 {
+	snap := pl.snap
+	n := 0
+	for s := range snap.NumShards() {
+		n += len(snap.ShardIndexesWithLabel(s, pl.label[0]))
+	}
+	roots := make([]int32, 0, n)
+	for s := range snap.NumShards() {
+		for _, c := range snap.ShardIndexesWithLabel(s, pl.label[0]) {
+			if snap.DegreeAt(c) >= pl.minDeg[0] {
+				roots = append(roots, c)
+			}
+		}
+	}
+	return roots
+}
+
+// bucketRoots makes roots, ascending, the plan's root candidates, bucketed by
+// shard. A shard is a range of indexes, so each bucket is a stretch of the
+// one list.
+func (pl *searchPlan) bucketRoots(roots []int32) {
+	snap := pl.snap
 	for len(roots) > 0 {
 		s, n := snap.ShardOf(roots[0]), 1
 		for n < len(roots) && snap.ShardOf(roots[n]) == s {
