@@ -10,17 +10,16 @@
 // once (isomorph.NewSymmetry) and handed to the search, which then finds one
 // representative occurrence per instance instead of all |Aut(P)| of them;
 // every worker folds the representatives it is lent into one accumulator —
-// their count and the MNI domain table, one row of counters per node orbit
-// keyed by the snapshot's dense vertex indexes (table.go) — and the
-// accumulators are merged once enumeration finishes. The instance count is
-// the number of representatives, the occurrence count is |Aut(P)| times that,
-// and a node's MNI domain size is the number of non-zero counters of its
-// orbit's row, which is all that MNI and the raw counts need. In streaming
-// mode only those aggregates survive. The miner's streamed context
-// (NewDomainContext) and the incremental miner's first pass of a DeltaContext
-// (NewDeltaContextAt) also hand the rows back, as bitsets over the snapshot's
-// dense indexes, and their search may be confined to the bitsets of the level
-// below.
+// their count and the MNI domain table, one presence mask per node orbit
+// over the snapshot's dense vertex indexes (table.go) — and the accumulators
+// are merged once enumeration finishes. The instance count is the number of
+// representatives, the occurrence count is |Aut(P)| times that, and a node's
+// MNI domain size is the number of indexes in its orbit's row, which is all
+// that MNI and the raw counts need. In streaming mode only those aggregates
+// survive. The miner's streamed context (NewDomainContext) and the
+// incremental miner's first pass of a DeltaContext (NewDeltaContextAt) also
+// hand the rows back as the domains, and their search may be confined to the
+// rows of the level below.
 //
 // In the default (materialized) mode the same search also keeps what it
 // counts (isomorph.ListSnapshot): every representative, copied out as its
@@ -179,12 +178,8 @@ func NewContext(g *graph.Graph, p *pattern.Pattern, opts Options) (*Context, err
 func NewDomainContext(snap *graph.Snapshot, p *pattern.Pattern, parallelism int, masks []isomorph.Mask) (*Context, []isomorph.Mask) {
 	ctx := &Context{p: p}
 	all, _ := ctx.stream(snap, parallelism, masks, false)
-	domains := all.table.domains(snap.NumVertices())
-	ctx.domainSizes = make([]int, len(domains))
-	for i, d := range domains {
-		ctx.domainSizes[i] = d.Count()
-	}
-	return ctx, domains
+	ctx.domainSizes = all.table.sizes()
+	return ctx, all.table.domains()
 }
 
 // stream fills the context's counts from its one search over snap, confined
@@ -196,7 +191,7 @@ func NewDomainContext(snap *graph.Snapshot, p *pattern.Pattern, parallelism int,
 // their dense indexes.
 func (c *Context) stream(snap *graph.Snapshot, parallelism int, masks []isomorph.Mask, list bool) (*accumulator, *materialized) {
 	counter := newInstanceCounter(c.p)
-	all, instances, indexes := counter.accumulate(snap, parallelism, masks, list)
+	all, instances, indexes := counter.accumulate(snap, parallelism, masks, false, list)
 	c.numInstances = all.count
 	c.numOccurrences = counter.occurrences(all.count)
 	if !list {

@@ -60,7 +60,7 @@ import (
 // (isomorph.EdgeKey) than the one it is pinned at, which keeps one of those
 // pairs per instance, and applies what it counts: every instance that uses
 // mutated structure is applied once, as one representative, into one row per
-// node orbit (table.go), exactly as a complete streaming pass counts it. What
+// node orbit (table.go), exactly as rebuild's complete pass counts it. What
 // a pass adds for an instance with representative f is one to (orbit(j), f(j))
 // for every pattern node j; for another occurrence f∘σ of the same instance
 // that is one to (orbit(σ(j)), f(σ(j))), the same entries summed in another
@@ -593,15 +593,14 @@ func patternDiameter(p *pattern.Pattern) int {
 // statistics, one per edge orbit. It returns the MNI domain of every pattern
 // node on snap, aligned with p.Nodes(), read off the pass's table.
 func (d *DeltaContext) rebuild(snap *graph.Snapshot, masks []isomorph.Mask) []isomorph.Mask {
-	all, _, _ := d.counter.accumulate(snap, d.opts.Parallelism, masks, false)
-	rows := all.table.rowDomains(snap.NumVertices())
+	all, _, _ := d.counter.accumulate(snap, d.opts.Parallelism, masks, true, false)
 	d.state = newDomainState(d.counter.rowLayout)
-	d.state.fold(all, rows)
+	d.state.fold(all)
 	d.searches = d.searches[:0]
 	for _, arc := range d.counter.sym.EdgeOrbits(d.p) {
 		d.searches = append(d.searches, isomorph.NewPinnedSearch(snap, d.p, d.counter.sym, arc[0], arc[1]))
 	}
-	return fanOut(d.counter.rowLayout, rows)
+	return all.table.domains()
 }
 
 // Graph returns the underlying data graph.

@@ -19,25 +19,29 @@ import (
 // search yields one representative f per instance (isomorph.Options.Symmetry);
 // the instance's |Aut(P)| occurrences are f∘σ, and over them a node j of orbit
 // O takes the images f(σ(j)) — the set f(O), whichever occurrence f is. So a
-// representative adds one to (O, f(j)) for every node j, the counter of
-// (O, v) is the number of instances with v ∈ f(O), the non-zero counters of
-// row O are the MNI domain of every node of O alike, and sizes() fans the
-// row's size out to them. None of this mentions which occurrence represents
-// an instance, which matters because that choice follows the search order
-// and the search order follows the snapshot: the plus and minus passes of a
-// delta refresh may represent one instance by different occurrences and
-// still add and subtract the same entries.
+// representative adds (O, f(j)) for every node j, row O holds v exactly when
+// some instance has v ∈ f(O), that set is the MNI domain of every node of O
+// alike, and sizes() fans the row's size out to them. Where a table counts,
+// the counter of (O, v) is the number of such instances. None of this
+// mentions which occurrence represents an instance, which matters because
+// that choice follows the search order and the search order follows the
+// snapshot: the plus and minus passes of a delta refresh may represent one
+// instance by different occurrences and still add and subtract the same
+// entries.
 //
 // A domainTable lives for one complete enumeration of one snapshot, so it is
 // keyed the way the search is: by the snapshot's dense vertex indexes, which
 // is what an occurrence is found in and lent as (Occurrence.IndexAt). It is
-// always the whole snapshot wide. The search lends its last depth a prefix at
-// a time (isomorph.RunFunc): the n representatives of one run share the
-// prefix's images, so counting them is k-1 additions of n and n increments of
-// the last position's row, where counting each alone would be n·k
-// increments; no VertexID is looked at and no hash table exists. A
-// from-scratch Context reads "is the counter non-zero" and throws the table
-// away.
+// always the whole snapshot wide: a row is a presence mask, one bit per
+// vertex, orbits·n/8 bytes a table. MNI asks only which vertices a row
+// covers, so that is all a table keeps, unless its pass feeds a domainState
+// and needs multiplicities too (see below). The search lends its last depth a
+// prefix at a time (isomorph.RunFunc): the n representatives of one run share
+// the prefix's images, so adding them sets k-1 bits once and n bits in the
+// last position's row, where adding each alone would set n·k; no VertexID is
+// looked at and no hash table exists. A from-scratch Context reads its rows'
+// sizes and throws the table away; NewDomainContext hands the rows themselves
+// back as the domains.
 //
 // A domainState lives as long as a DeltaContext, across snapshots whose dense
 // indexes shift with every vertex insert or removal, so it is keyed by
@@ -48,12 +52,14 @@ import (
 // to, not a counter per data vertex per tracked pattern.
 //
 // The state is written two ways, by what the writer has in hand. A complete
-// enumeration has millions of representatives and one table of them:
-// domainState.fold turns the table's non-zero counters into entries, the one
-// point where a dense index becomes a VertexID. A delta pass has the few
-// instances a batch changed: it counts some twenty per context on the
-// benchmark's refreshes, but writes only those that use a mutated vertex or
-// edge (deltaPass.yield), fewer than one per context. A table to carry them
+// enumeration has millions of representatives and one table of them, which
+// for this one reader also counts (DeltaContext.rebuild): its table carries
+// an int32 counter per (row, vertex) beside the masks, and domainState.fold
+// turns the counters of the rows' members into entries, the one point where a
+// dense index becomes a VertexID. A delta pass has the few instances a batch
+// changed: it counts some twenty per context on the benchmark's refreshes,
+// but writes only those that use a mutated vertex or edge (deltaPass.yield),
+// fewer than one per context. A table to carry them
 // would cost its width to allocate and again to scan: domainState.apply adds
 // or subtracts each such representative as it arrives, deriving the k
 // VertexIDs it keys by from the lent occurrence's dense indexes and the
@@ -61,10 +67,10 @@ import (
 // becomes a VertexID.
 //
 // Every complete pass is such a search, a materialized context's included: its
-// one search counts its representatives into a table like any other and also
+// one search adds its representatives to a table like any other and also
 // keeps them, as the context's instance list.
 
-// rowLayout says which row of a table each pattern node counts into: its
+// rowLayout says which row of a table each pattern node is added to: its
 // orbit's.
 type rowLayout struct {
 	nodes []pattern.NodeID
@@ -82,8 +88,8 @@ func orbitRows(nodes []pattern.NodeID, sym *isomorph.Symmetry) rowLayout {
 	return l
 }
 
-// describe names a row for a diagnostic by the first pattern node counting
-// into it: "node 9", or "the orbit of node 5" when others share the row.
+// describe names a row for a diagnostic by the first pattern node added to
+// it: "node 9", or "the orbit of node 5" when others share the row.
 func (l rowLayout) describe(row int) string {
 	first, members := -1, 0
 	for i, r := range l.rowOf {
@@ -111,57 +117,82 @@ func fanOut[T any](l rowLayout, perRow []T) []T {
 }
 
 // domainTable is the MNI table one complete pass over a snapshot fills: for
-// every row of its layout a run of counters, one per vertex of the snapshot,
-// row r at counts[r*width:(r+1)*width] and the counter of dense index x at
-// position x, each the number of counted assignments that map a node of the
-// row to that vertex. One table is 4·orbits·n bytes, never 4·k·n, and every
-// worker of the pass owns one.
+// every row of its layout a presence mask over the snapshot's dense indexes
+// (isomorph.Mask), dense index x set in row r when some assignment the pass
+// adds maps a node of the row to that vertex. The rows are stretches of one
+// backing array of ⌈n/64⌉ words each, so one table is orbits·n/8 bytes, never
+// k·n/8, and every worker of the pass owns one.
+//
+// A pass that feeds a domainState (DeltaContext.rebuild, the one reader of
+// multiplicities) also needs how many assignments map there: its table has a
+// run of int32 counters per row too, row r at counts[r*width:(r+1)*width],
+// and the counter of x at position x. Every other table leaves counts nil and
+// never counts.
 type domainTable struct {
 	rowLayout
 	snap   *graph.Snapshot
 	width  int
+	words  []uint64
+	masks  []isomorph.Mask // masks[r]: row r's stretch of words
 	counts []int32
 }
 
-func newDomainTable(snap *graph.Snapshot, layout rowLayout) domainTable {
+// newDomainTable returns the empty table of layout over snap, with counters
+// when counted is set.
+func newDomainTable(snap *graph.Snapshot, layout rowLayout, counted bool) domainTable {
 	width := snap.NumVertices()
-	return domainTable{rowLayout: layout, snap: snap, width: width, counts: make([]int32, layout.rows*width)}
+	stride := (width + 63) / 64
+	t := domainTable{rowLayout: layout, snap: snap, width: width, words: make([]uint64, layout.rows*stride), masks: make([]isomorph.Mask, layout.rows)}
+	for r := range t.masks {
+		t.masks[r] = t.words[r*stride : (r+1)*stride : (r+1)*stride]
+	}
+	if counted {
+		t.counts = make([]int32, layout.rows*width)
+	}
+	return t
 }
 
-// addRun counts one run of leaves lent by the enumeration of t's snapshot
+// addRun adds one run of leaves lent by the enumeration of t's snapshot
 // (isomorph.RunFunc): the n leaves share the prefix's image at every position
-// but last, so each of those counts n at once into its row, and each leaf
-// counts its own image into last's row.
+// but last, so each of those is added once, n at a time, to its row, and each
+// leaf adds its own image to last's row — a bit set in the row's mask, and a
+// counter bumped first on a counted table.
 //
 //gvet:hotpath
 func (t *domainTable) addRun(o *isomorph.Occurrence, last int, run []int32) {
 	n := int32(len(run))
 	for i, r := range t.rowOf {
 		if i != last {
-			t.bumpBy(r, o.IndexAt(i), n)
+			t.add(r, o.IndexAt(i), n)
 		}
 	}
 	r := t.rowOf[last]
+	if t.counts != nil {
+		for _, x := range run {
+			t.count(r, x, 1)
+		}
+	}
+	row := t.masks[r]
 	for _, x := range run {
-		t.bump(r, x)
+		row.Add(x)
 	}
 }
 
-// bump increments the counter of (row r, dense index x).
+// add records n assignments of a node of row r to dense index x: it sets x in
+// the row's mask and, on a counted table, adds n to the counter of (r, x).
 //
 //gvet:hotpath
-func (t *domainTable) bump(r int, x int32) {
-	c := &t.counts[r*t.width+int(x)]
-	if *c == math.MaxInt32 {
-		t.overflow(r, int(x))
+func (t *domainTable) add(r int, x, n int32) {
+	if t.counts != nil {
+		t.count(r, x, n)
 	}
-	*c++
+	t.masks[r].Add(x)
 }
 
-// bumpBy adds n to the counter of (row r, dense index x).
+// count adds n to the counter of (row r, dense index x).
 //
 //gvet:hotpath
-func (t *domainTable) bumpBy(r int, x, n int32) {
+func (t *domainTable) count(r int, x, n int32) {
 	c := &t.counts[r*t.width+int(x)]
 	if *c > math.MaxInt32-n {
 		t.overflow(r, int(x))
@@ -175,58 +206,37 @@ func (t *domainTable) overflow(r, x int) {
 	panic(fmt.Sprintf("core: more than %d counted assignments map %s to vertex %d; the pass table's counters are 32 bits wide", math.MaxInt32, t.describe(r), t.snap.ID(int32(x))))
 }
 
-// row returns row r's counters, one per dense index.
-func (t *domainTable) row(r int) []int32 { return t.counts[r*t.width : (r+1)*t.width] }
+// counters returns row r's counters, one per dense index, on a counted table.
+func (t *domainTable) counters(r int) []int32 { return t.counts[r*t.width : (r+1)*t.width] }
 
-// merge adds the counters of another worker's table of the same pass into t.
+// merge adds another worker's table of the same pass into t: the union of
+// its masks and, on counted tables, the sum of its counters.
 func (t *domainTable) merge(other domainTable) {
-	for r := 0; r < t.rows; r++ {
-		row := t.row(r)
-		for x, c := range other.row(r) {
-			if c > math.MaxInt32-row[x] {
-				t.overflow(r, x)
-			}
-			row[x] += c
+	for i, w := range other.words {
+		t.words[i] |= w
+	}
+	for i, c := range other.counts {
+		if c > math.MaxInt32-t.counts[i] {
+			t.overflow(i/t.width, i%t.width)
 		}
+		t.counts[i] += c
 	}
 }
 
 // sizes returns the MNI domain size of every pattern node — the number of
-// non-zero counters of its row — aligned with Pattern().Nodes(), as a fresh
-// slice. A table with no counters (mergeWorkers' answer when the pattern
-// cannot occur) has zero-width rows and reads as all zeros.
+// indexes in its row — aligned with Pattern().Nodes(), as a fresh slice.
 func (t *domainTable) sizes() []int {
 	perRow := make([]int, t.rows)
-	for r := range perRow {
-		for _, c := range t.row(r) {
-			if c != 0 {
-				perRow[r]++
-			}
-		}
+	for r, m := range t.masks {
+		perRow[r] = m.Count()
 	}
 	return fanOut(t.rowLayout, perRow)
 }
 
-// rowDomains returns the MNI domain of every row — its non-zero counters — as
-// a mask over the dense indexes of a snapshot of n vertices. A table with no
-// counters reads as all empty.
-func (t *domainTable) rowDomains(n int) []isomorph.Mask {
-	perRow := make([]isomorph.Mask, t.rows)
-	for r := range perRow {
-		m := isomorph.NewMask(n)
-		for x, c := range t.row(r) {
-			if c != 0 {
-				m.Add(int32(x))
-			}
-		}
-		perRow[r] = m
-	}
-	return perRow
-}
-
-// domains returns rowDomains fanned out to the pattern's nodes, aligned with
-// Pattern().Nodes(); the nodes of one row share one mask.
-func (t *domainTable) domains(n int) []isomorph.Mask { return fanOut(t.rowLayout, t.rowDomains(n)) }
+// domains returns the MNI domain of every pattern node, aligned with
+// Pattern().Nodes(): its row's mask itself, shared by the nodes of the row,
+// which the caller must not modify.
+func (t *domainTable) domains() []isomorph.Mask { return fanOut(t.rowLayout, t.masks) }
 
 // domainState is the MNI state a DeltaContext maintains: the live instance
 // count and, per node orbit, a refcount for every data vertex at least one
@@ -252,21 +262,22 @@ func newDomainState(layout rowLayout) *domainState {
 }
 
 // fold adds a complete pass's count and counters into s, translating every
-// non-zero counter's dense index to the VertexID it stands for in the pass's
-// snapshot. The pass must have counted into s's own layout, and rows must be
-// its table's rowDomains: fold reads the counters where they say and nowhere
-// else, and replaces an empty row by a map sized for its domain, so filling it
-// never grows it.
-func (s *domainState) fold(a *accumulator, rows []isomorph.Mask) {
+// counted dense index to the VertexID it stands for in the pass's snapshot.
+// The pass must have counted (accumulate's counted) into s's own layout: fold
+// reads the counters where the table's masks say and nowhere else, and
+// replaces an empty row by a map sized for its domain, so filling it never
+// grows it.
+func (s *domainState) fold(a *accumulator) {
 	s.count += a.count
 	t := &a.table
 	for r, row := range s.entries {
+		mask := t.masks[r]
 		if len(row) == 0 {
-			row = make(map[graph.VertexID]int, rows[r].Count())
+			row = make(map[graph.VertexID]int, mask.Count())
 			s.entries[r] = row
 		}
-		counters := t.row(r)
-		for w, word := range rows[r] {
+		counters := t.counters(r)
+		for w, word := range mask {
 			for ; word != 0; word &= word - 1 {
 				x := int32(w*64 + bits.TrailingZeros64(word))
 				row[t.snap.ID(x)] += int(counters[x])
@@ -387,16 +398,18 @@ func (c *instanceCounter) occurrences(instances int) int { return instances * c.
 // accumulate streams one representative per instance of the pattern over the
 // whole of snap, confined to masks (isomorph.Options.Masks; nil for none),
 // into one whole-snapshot accumulator per enumeration worker and returns them
-// merged; the empty accumulator when the search has no plan (the pattern
-// cannot occur at all). With list set the same search also copies every
-// representative out and returns the instances as isomorph.ListSnapshot lists
-// them, each as its smallest automorphic copy, in canonical order, with their
-// dense indexes in snap; without it nothing is kept.
-func (c *instanceCounter) accumulate(snap *graph.Snapshot, parallelism int, masks []isomorph.Mask, list bool) (*accumulator, []*isomorph.Occurrence, []int32) {
+// merged; an empty accumulator when the search has no plan (the pattern
+// cannot occur at all). Its table has counters only when counted is set, for
+// a caller that folds it into a domainState. With list set the same search
+// also copies every representative out and returns the instances as
+// isomorph.ListSnapshot lists them, each as its smallest automorphic copy, in
+// canonical order, with their dense indexes in snap; without it nothing is
+// kept.
+func (c *instanceCounter) accumulate(snap *graph.Snapshot, parallelism int, masks []isomorph.Mask, counted, list bool) (*accumulator, []*isomorph.Occurrence, []int32) {
 	var accs []*accumulator
 	enum := isomorph.Options{Parallelism: parallelism, Symmetry: c.sym, Masks: masks}
 	newRuns := func(int) isomorph.RunFunc {
-		a := &accumulator{table: newDomainTable(snap, c.rowLayout)}
+		a := &accumulator{table: newDomainTable(snap, c.rowLayout, counted)}
 		accs = append(accs, a)
 		return a.run
 	}
@@ -407,16 +420,15 @@ func (c *instanceCounter) accumulate(snap *graph.Snapshot, parallelism int, mask
 	} else {
 		isomorph.EnumerateSnapshotRuns(snap, c.p, enum, newRuns)
 	}
-	return mergeWorkers(c.rowLayout, accs), instances, indexes
+	if len(accs) == 0 {
+		newRuns(0)
+	}
+	return mergeWorkers(accs), instances, indexes
 }
 
-// mergeWorkers merges per-worker accumulators into the first of them, which
-// saves the sequential path a copy of its only table. No workers at all (the
-// pattern cannot occur) merge to an accumulator with no counters.
-func mergeWorkers(layout rowLayout, accs []*accumulator) *accumulator {
-	if len(accs) == 0 {
-		return &accumulator{table: domainTable{rowLayout: layout}}
-	}
+// mergeWorkers merges per-worker accumulators, at least one, into the first
+// of them, which saves the sequential path a copy of its only table.
+func mergeWorkers(accs []*accumulator) *accumulator {
 	all := accs[0]
 	for _, b := range accs[1:] {
 		all.count += b.count
