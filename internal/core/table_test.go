@@ -152,15 +152,15 @@ func streamPatterns() []*pattern.Pattern {
 // uncounted one allocates no counters, and each row's mask in either pass is
 // exactly the counted pass's non-zero counters. The rows must hold indexes in
 // every 64-bit word of the snapshot's masks, so every word boundary has
-// indexes on both sides and a bit set in the wrong word shows. NewDomainContext's domains, which the miner
-// confines the next level with, are the ones DeltaContext.rebuild returns.
+// indexes on both sides and a bit set in the wrong word shows.
+// NewDomainContext's domains, which the miner confines the next level with,
+// are the ones DeltaContext.rebuild returns.
 func TestPresenceMatchesCounts(t *testing.T) {
 	g := gen.BarabasiAlbert(600, 3, gen.UniformLabels{K: 2}, 7)
-	var seen isomorph.Mask // every index some row holds
+	seen := isomorph.NewMask(g.NumVertices()) // every index some row holds
 	for _, shards := range []int{1, 2, 7} {
 		snap := g.FreezeSharded(graph.FreezeOptions{Shards: shards})
 		n := int32(snap.NumVertices())
-		seen = isomorph.NewMask(int(n))
 		for _, p := range streamPatterns() {
 			c := newInstanceCounter(p)
 			for _, par := range []int{1, 4} {
