@@ -128,11 +128,13 @@ type searchPlan struct {
 	// under a Symmetry, one without.
 	weight uint64
 
-	// rootsByShard holds the label- and degree-pruned root candidates of each
-	// non-empty snapshot shard, in ascending shard (and therefore global
-	// index) order. Keeping the partition shard-first lets parallel workers
-	// own whole shards before stealing across them; concatenated in order it
-	// is exactly the sorted global candidate list the sequential path walks.
+	// rootsByShard holds the root candidates of each snapshot shard that has
+	// one, in ascending shard (and therefore global index) order. Keeping the
+	// partition shard-first lets parallel workers own whole shards before
+	// stealing across them; concatenated in order, with the members isRoot
+	// rejects skipped, it is exactly the sorted global candidate list the
+	// sequential path walks. An unconfined plan's buckets are the shards'
+	// label indexes themselves, shared with the snapshot and never written.
 	rootsByShard [][]int32
 	// shardIDs maps each rootsByShard entry back to its snapshot shard
 	// number (empty shards are dropped from the schedule, so positions and
@@ -141,6 +143,7 @@ type searchPlan struct {
 	// how the out-of-core store learns which shards to page in ahead of a
 	// drain and which to evict last.
 	shardIDs []int
+	// numRoots counts the root candidates isRoot accepts.
 	numRoots int
 }
 
@@ -163,7 +166,7 @@ func newSearchPlan(snap *graph.Snapshot, p *pattern.Pattern, opts Options) *sear
 	if mask := pl.mask[0]; mask != nil {
 		pl.bucketRoots(pl.rootsFromMask(mask))
 	} else {
-		pl.bucketRoots(pl.rootsFromLabel())
+		pl.rootsFromLabel()
 	}
 	if pl.numRoots == 0 {
 		return nil
@@ -225,25 +228,32 @@ func (pl *searchPlan) rootsFromMask(mask Mask) []int32 {
 	return roots
 }
 
-// rootsFromLabel returns, ascending, the vertices of the root's label that
-// pass its degree constraint, read off the shards' label indexes into one
-// slice sized by them.
-func (pl *searchPlan) rootsFromLabel() []int32 {
+// rootsFromLabel makes the shards' label indexes of the root's label the
+// plan's buckets, as they are: no copy is made. A member below the root's
+// degree bound stays in its bucket, and the drains skip it (isRoot); a shard
+// none of whose members passes gets no bucket.
+func (pl *searchPlan) rootsFromLabel() {
 	snap := pl.snap
-	n := 0
 	for s := range snap.NumShards() {
-		n += len(snap.ShardIndexesWithLabel(s, pl.label[0]))
-	}
-	roots := make([]int32, 0, n)
-	for s := range snap.NumShards() {
-		for _, c := range snap.ShardIndexesWithLabel(s, pl.label[0]) {
-			if snap.DegreeAt(c) >= pl.minDeg[0] {
-				roots = append(roots, c)
+		idx := snap.ShardIndexesWithLabel(s, pl.label[0])
+		n := 0
+		for _, c := range idx {
+			if pl.isRoot(c) {
+				n++
 			}
 		}
+		if n > 0 {
+			pl.rootsByShard = append(pl.rootsByShard, idx)
+			pl.shardIDs = append(pl.shardIDs, s)
+			pl.numRoots += n
+		}
 	}
-	return roots
 }
+
+// isRoot reports whether bucket member c passes the root's degree bound. Its
+// label is the root's, and a confined plan's buckets hold only members that
+// pass.
+func (pl *searchPlan) isRoot(c int32) bool { return pl.snap.DegreeAt(c) >= pl.minDeg[0] }
 
 // bucketRoots makes roots, ascending, the plan's root candidates, bucketed by
 // shard. A shard is a range of indexes, so each bucket is a stretch of the
@@ -695,6 +705,9 @@ func EnumerateSnapshotRuns(snap *graph.Snapshot, p *pattern.Pattern, opts Option
 						if stop.Load() {
 							return true
 						}
+						if !pl.isRoot(roots[i]) {
+							continue
+						}
 						searched++
 						if st.searchRoot(roots[i]) {
 							stop.Store(true)
@@ -721,16 +734,20 @@ func (pl *searchPlan) drain(st *searchState) {
 	snap := pl.snap
 	for s, roots := range pl.rootsByShard {
 		snap.AcquireShard(pl.shardIDs[s])
-		searched, halt := len(roots), false
-		for j, r := range roots {
+		searched, halt := uint64(0), false
+		for _, r := range roots {
+			if !pl.isRoot(r) {
+				continue
+			}
+			searched++
 			if st.searchRoot(r) {
-				searched, halt = j+1, true
+				halt = true
 				break
 			}
 		}
 		snap.ReleaseShard(pl.shardIDs[s])
 		mShardDrains.Inc()
-		mRoots.Add(uint64(searched))
+		mRoots.Add(searched)
 		st.publish()
 		if halt {
 			return

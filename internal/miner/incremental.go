@@ -39,11 +39,14 @@ import (
 // The session grows its candidates through Mine's own lattice walk, so its
 // candidate set is a cold mine's by construction. It opens the way Mine
 // walks, a level inside the level below it: each candidate's first complete
-// pass is confined to the intersection of its sub-patterns' MNI domains in
-// the walk's level table — every candidate of the previous level, frequent
-// and boundary alike (each has exact state, so exact domains). Nothing is
-// pruned on the way — the boundary must be tracked exactly. Refresh's climbs
-// keep no table, so their cold tracks search the whole snapshot.
+// pass is confined to the intersection of its sub-patterns' MNI domains, as
+// its witness carries them — from every candidate of the previous level,
+// frequent and boundary alike (each has exact state, so exact domains): the
+// frequent ones place themselves as they grow the wave, the boundary through
+// the same grow steps once it is grown, admitting and counting nothing.
+// Nothing is pruned on the way — the boundary must be tracked exactly.
+// Refresh's climbs give no domains, so their cold tracks search the whole
+// snapshot.
 //
 // An Incremental session is single-threaded: Refresh and the accessors must
 // not race with each other or with mutations of the data graph.
@@ -219,13 +222,13 @@ func (inc *Incremental) Refresh() (*Result, error) {
 	// unlock extensions of patterns that were already frequent, so then every
 	// frequent one is grown again (extensions already tracked count as
 	// duplicates).
-	var wave []*pattern.Pattern
+	var next level
 	for i, tp := range tracked {
 		if tp.frequent && (labelsGrew || !wasFrequent[i]) {
-			wave = inc.walk.grow(wave, tp.p)
+			inc.walk.grow(&next, tp.p, nil)
 		}
 	}
-	if err := inc.walk.climb(wave, inc.track(false), nil); err != nil {
+	if err := inc.walk.climb(next.done(), inc.track(false), nil); err != nil {
 		return nil, err
 	}
 	inc.assemble(time.Since(start))
@@ -276,17 +279,18 @@ func (inc *Incremental) refreshTracked(tracked []*trackedPattern, muts []graph.M
 // adds it to the tracked set. Nothing is pruned: every tracked candidate, the
 // pruned boundary included, needs its exact state.
 //
-// With confine set (the open), a context's first pass is confined to the
-// intersection of its sub-patterns' domains in the level table (subDomains),
-// and its own domains join the next wave's table. A sub-pattern missing from
-// the table only leaves its places unconfined, and a small intersection only
-// makes a small search. Refresh's cold tracks search the whole snapshot.
+// With confine set (the open), a context's first pass is confined to its
+// witness's domains, and its own domains go to the next wave's witnesses. A
+// sub-pattern the witness has not heard from only leaves its places
+// unconfined, and a small intersection only makes a small search. Refresh's
+// cold tracks search the whole snapshot.
 func (inc *Incremental) track(confine bool) evaluator {
-	return func(wave []*pattern.Pattern, table map[string][]isomorph.Mask) ([]decision, error) {
+	return func(wave []candidate) ([]decision, error) {
 		start := time.Now()
 		defer func() { inc.evaluate += time.Since(start) }()
 		decisions := make([]decision, len(wave))
-		for i, p := range wave {
+		for i, c := range wave {
+			p := c.p
 			// The context's enumeration parallelism is deliberately not
 			// throttled under candidate-level Parallelism (unlike
 			// Miner.evaluate): cold builds are the expensive enumerations and
@@ -296,8 +300,8 @@ func (inc *Incremental) track(confine bool) evaluator {
 			// goroutine that applies the batch by construction. The context
 			// subscribes to nothing; refreshTracked feeds it.
 			var masks []isomorph.Mask
-			if table != nil {
-				masks, _ = subDomains(p, table)
+			if c.w != nil {
+				masks = c.w.domains(p, p.Automorphisms())
 			}
 			d, domains, err := core.NewDeltaContextAt(inc.g, inc.snap, p, core.Options{Parallelism: inc.cfg.EnumParallelism}, masks)
 			if err != nil {

@@ -7,16 +7,16 @@
 // missed (the central argument of Chapter 2).
 //
 // The package has one lattice walk (seeding, growth, de-duplication and the
-// level table); a cold mine (Miner) and a warm session (Incremental) differ
-// only in how they decide the candidates it hands them.
+// grow-step witnesses); a cold mine (Miner) and a warm session (Incremental)
+// differ only in how they decide the candidates it hands them.
 //
 // Under MNI the miner uses anti-monotonicity node by node as well: a level is
-// searched inside the level below it. The MNI domains of the previous level's
-// searched candidates, kept per canonical place, bound the domains of every
-// candidate built on them, so a candidate is confined to their intersection,
-// or shown infrequent without a search when a sub-pattern is not frequent or
-// an intersection is too small (Miner.Mine, Stats.Unsearched). Results and
-// counts are the unconfined walk's.
+// searched inside the level below it. Every grow step that reaches a
+// candidate from a frequent pattern places that parent inside it, so the
+// parent's MNI domains bound the candidate's; a candidate is confined to
+// their intersection, or shown infrequent without a search when a sub-pattern
+// is not frequent or an intersection is too small (Miner.Mine,
+// Stats.Unsearched). Results and counts are the unconfined walk's.
 package miner
 
 import (
@@ -109,9 +109,10 @@ type Stats struct {
 	// Extensions is the number of extensions pattern.Extend returned to the
 	// search: grow steps of frequent patterns, one per shape and parent.
 	Extensions int
-	// Codes is the number of canonical codes computed for the search: one
-	// per one-edge seed and one per grow step Extend generated, including
-	// the steps it de-duplicated away (pattern.GrowSteps).
+	// Codes is the number of candidate shapes the search generated: one per
+	// one-edge seed and one per grow step of a grown pattern, including the
+	// steps de-duplicated away (pattern.GrowSteps). A grow step that the
+	// parent's symmetry repeats is counted but its code never computed.
 	Codes int
 	// Elapsed is the wall-clock duration of the run. Generate and Evaluate
 	// split it: Generate is the time spent producing candidates (seeding,
@@ -199,20 +200,23 @@ func (m *Miner) Config() Config { return m.cfg }
 //
 // Under MNI a level is searched inside the level below it. Every occurrence
 // of a candidate restricts to an occurrence of each of its connected
-// one-edge-smaller sub-patterns (pattern.SubPatterns), so a candidate node's
-// MNI domain lies inside the domain of every sub-pattern node it becomes. The
-// walk keeps a level table: every searched candidate of the previous level,
-// one domain per canonical place as a bitset over the snapshot's dense
-// indexes (core.NewDomainContext). A candidate with a sub-pattern outside
-// that table has an infrequent sub-pattern — the walk finds every frequent
-// pattern of a level — and is infrequent too. A candidate whose intersected
-// domains leave some node fewer than MinSupport vertices has MNI below
-// MinSupport; an infrequent sub-pattern in the table has such a node, and
-// every node of a sub-pattern is a position of the candidate. Both are pruned
-// without a search (Stats.Unsearched). Every other candidate is searched
-// confined to the intersections (isomorph.Options.Masks), which drop only
-// vertices no occurrence uses: supports, counts and Stats are what an
-// unconfined search gives.
+// one-edge-smaller sub-patterns, so a candidate node's MNI domain lies inside
+// the domain of every sub-pattern node it becomes. The walk does not take a
+// candidate apart to find them: the grow steps that built it from the
+// previous level's frequent patterns are its sub-patterns, placed in it. Each
+// step hands the candidate a witness — the parent's MNI domains as bitsets
+// over the snapshot's dense indexes (core.NewDomainContext), mapped to the
+// candidate's canonical places, and the place pair of the edge it added —
+// closed over the candidate's automorphisms. A candidate whose witness has
+// not heard from some sub-pattern (an edge whose removal leaves it connected,
+// or drops a leaf, that no step added up to symmetry) has an infrequent
+// sub-pattern — the walk finds every frequent pattern of a level — and is
+// infrequent too. A candidate whose intersected domains leave some node fewer
+// than MinSupport vertices has MNI below MinSupport. Both are pruned without
+// a search (Stats.Unsearched). Every other candidate is searched confined to
+// the intersections (isomorph.Options.Masks), which drop only vertices no
+// occurrence uses: supports, counts and Stats are what an unconfined search
+// gives.
 func (m *Miner) Mine() (*Result, error) { return m.MineContext(context.Background()) }
 
 // MineContext is Mine under ctx: the miner checks ctx between candidates,
@@ -222,10 +226,10 @@ func (m *Miner) MineContext(ctx context.Context) (*Result, error) {
 	start := time.Now()
 	res := &Result{}
 	w := newWalk(m.snap, m.cfg.MaxPatternSize)
-	eval := func(wave []*pattern.Pattern, table map[string][]isomorph.Mask) ([]decision, error) {
+	eval := func(wave []candidate) ([]decision, error) {
 		evalStart := time.Now()
 		defer func() { res.Stats.Evaluate += time.Since(evalStart) }()
-		return m.evaluateLevel(ctx, wave, table)
+		return m.evaluateLevel(ctx, wave)
 	}
 	visit := func(d decision) bool {
 		if m.cfg.MaxPatterns > 0 && res.Stats.Frequent >= m.cfg.MaxPatterns {
@@ -252,15 +256,16 @@ func (m *Miner) MineContext(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// inherit confines p's search to its sub-patterns' domains in the level
-// table (subDomains). It reports false — p is below the threshold, without a
-// search — when a sub-pattern is not in the table, or when an intersection
-// holds fewer than MinSupport vertices.
-func (m *Miner) inherit(p *pattern.Pattern, table map[string][]isomorph.Mask) ([]isomorph.Mask, bool) {
-	masks, complete := subDomains(p, table)
-	if !complete {
+// inherit confines c's search to its witness's domains. It reports false —
+// c is below the threshold, without a search — when the witness has not heard
+// from every sub-pattern, or when an intersection holds fewer than MinSupport
+// vertices.
+func (m *Miner) inherit(c candidate) ([]isomorph.Mask, bool) {
+	auts := c.p.Automorphisms()
+	if !c.w.complete(c.p, auts) {
 		return nil, false
 	}
+	masks := c.w.domains(c.p, auts)
 	for _, mask := range masks {
 		if mask != nil && float64(mask.Count()) < m.cfg.MinSupport {
 			return nil, false
@@ -272,15 +277,14 @@ func (m *Miner) inherit(p *pattern.Pattern, table map[string][]isomorph.Mask) ([
 // evaluateLevel computes the configured support measure for every candidate
 // of one search level, fanning the independent evaluations out across
 // cfg.Parallelism worker goroutines when asked to, and checking ctx before
-// each. table is the level table (see Mine). The returned slice is aligned
-// with the input slice.
-func (m *Miner) evaluateLevel(ctx context.Context, level []*pattern.Pattern, table map[string][]isomorph.Mask) ([]decision, error) {
+// each. The returned slice is aligned with the input slice.
+func (m *Miner) evaluateLevel(ctx context.Context, level []candidate) ([]decision, error) {
 	results := make([]decision, len(level))
 	err := forEach(len(level), m.cfg.Parallelism, func(i int) error {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("miner: %w", err)
 		}
-		d, err := m.evaluate(level[i], table)
+		d, err := m.evaluate(level[i])
 		if err != nil {
 			return err
 		}
@@ -347,10 +351,11 @@ func forEach(n, workers int, fn func(i int) error) error {
 }
 
 // evaluate computes the configured support measure for one candidate. Under
-// the lattice rule it first confines the candidate to what the level table
-// says of its sub-patterns, which may settle it without a search, and returns
-// the domains of a searched candidate.
-func (m *Miner) evaluate(p *pattern.Pattern, table map[string][]isomorph.Mask) (decision, error) {
+// the lattice rule it first confines the candidate to what its witness says
+// of its sub-patterns, which may settle it without a search, and returns the
+// domains of a frequent candidate, which the next wave's witnesses take.
+func (m *Miner) evaluate(c candidate) (decision, error) {
+	p := c.p
 	enumPar := m.cfg.EnumParallelism
 	if enumPar == 0 && m.cfg.Parallelism > 1 {
 		// Candidate evaluations already run concurrently; auto-expanding
@@ -362,9 +367,9 @@ func (m *Miner) evaluate(p *pattern.Pattern, table map[string][]isomorph.Mask) (
 	var ctx *core.Context
 	if m.lattice {
 		var masks []isomorph.Mask
-		if table != nil {
+		if c.w != nil {
 			var ok bool
-			if masks, ok = m.inherit(p, table); !ok {
+			if masks, ok = m.inherit(c); !ok {
 				return decision{unsearched: true}, nil
 			}
 		}
@@ -392,5 +397,8 @@ func (m *Miner) evaluate(p *pattern.Pattern, table map[string][]isomorph.Mask) (
 		Instances:   ctx.NumInstances(),
 	}
 	d.frequent = r.Value >= m.cfg.MinSupport
+	if !d.frequent {
+		d.domains = nil // no witness takes them: the walk grows frequent patterns only
+	}
 	return d, nil
 }

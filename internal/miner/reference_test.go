@@ -233,3 +233,19 @@ func TestMineContextStopsWhenCancelled(t *testing.T) {
 		t.Fatalf("a live context: %v", err)
 	}
 }
+
+// FuzzWitnessesMatchSubDomains grows the candidates of a mining problem
+// decoded from the fuzz input (decodeMiningInput, as FuzzMineMatchesReference
+// does) through a cold mine's and a session open's walks, and holds every
+// witness to the sub-patterns it replaced: the same masks and completeness
+// over shards {1, 2, 7} × parallelism {1, 4}.
+func FuzzWitnessesMatchSubDomains(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{5, 1, 0, 2, 0, 1, 0, 1, 0, 1, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 0, 0, 3, 1, 4})
+	f.Add([]byte{9, 0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 2, 1, 2, 1, 3, 2, 4, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 0, 2, 6, 3, 7})
+	f.Add([]byte{14, 2, 0, 1, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 9, 10, 10, 11, 11, 12, 12, 13, 0, 7, 3, 10, 1, 9})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, minSupport, maxSize := decodeMiningInput(data)
+		miner.CheckWitnesses(t, g, minSupport, maxSize)
+	})
+}

@@ -14,8 +14,10 @@ import (
 // Incremental session's open and Refresh: it seeds one-edge candidates, grows
 // every frequent pattern by one edge, de-duplicates candidates by canonical
 // code and counts the generation work (Stats.Codes, Extensions, Duplicates).
-// How a candidate is decided is the caller's evaluator; so a session's
-// candidate set is a cold mine's by construction.
+// While it grows a wave it records, for every candidate, the witness of the
+// parents that reached it (see witness). How a candidate is decided is the
+// caller's evaluator; so a session's candidate set is a cold mine's by
+// construction.
 type walk struct {
 	maxSize int
 	// alphabet is the sorted label alphabet patterns grow over; a session
@@ -24,8 +26,26 @@ type walk struct {
 	// admitted holds the canonical code of every candidate the walk has
 	// handed to an evaluator.
 	admitted map[string]bool
+	// seen is grow's scratch: the codes one parent's steps have reached.
+	seen map[string]bool
 
 	codes, extensions, duplicates int
+}
+
+// candidate is one pattern of a wave with its witness: nil when no parent
+// with domains reached it, as in a wave with no level below it.
+type candidate struct {
+	p *pattern.Pattern
+	w witness
+}
+
+// level is the next wave while the walk grows it: the candidates in the order
+// they were admitted, by canonical code the index of each, and the
+// placements recorded so far, for any candidate (see done).
+type level struct {
+	wave   []candidate
+	byCode map[string]int
+	placed []placement
 }
 
 // decision is what an evaluator says of one candidate.
@@ -36,20 +56,19 @@ type decision struct {
 	frequent bool
 	// unsearched marks a candidate pruned without a search.
 	unsearched bool
-	// domains holds the MNI domain of every position of a searched candidate
-	// the next wave may be confined to; nil keeps the candidate out of the
-	// level table.
+	// domains holds the MNI domain of every position of a searched
+	// candidate, aligned with its Nodes(), that the next wave's witnesses
+	// take; nil leaves the candidate out of them.
 	domains []isomorph.Mask
 }
 
-// evaluator decides one wave of candidates, aligned with the wave. table is
-// the level table (see climb): nil for a wave with no level below it.
-type evaluator func(wave []*pattern.Pattern, table map[string][]isomorph.Mask) ([]decision, error)
+// evaluator decides one wave of candidates, aligned with the wave.
+type evaluator func(wave []candidate) ([]decision, error)
 
 // newWalk returns a walk over snap's labels that grows patterns up to maxSize
 // nodes.
 func newWalk(snap *graph.Snapshot, maxSize int) *walk {
-	return &walk{maxSize: maxSize, alphabet: snap.Labels(), admitted: make(map[string]bool)}
+	return &walk{maxSize: maxSize, alphabet: snap.Labels(), admitted: make(map[string]bool), seen: make(map[string]bool)}
 }
 
 // widen adds l to the alphabet and reports whether it was new.
@@ -64,75 +83,123 @@ func (w *walk) widen(l graph.Label) bool {
 // seed returns the one-edge candidates of the given label pairs (each smaller
 // label first, as labelPair makes them). A pair already seeded is skipped and
 // not counted.
-func (w *walk) seed(pairs [][2]graph.Label) []*pattern.Pattern {
-	var wave []*pattern.Pattern
+func (w *walk) seed(pairs [][2]graph.Label) []candidate {
+	var wave []candidate
 	for _, pr := range pairs {
 		p := pattern.SingleEdge(pr[0], pr[1])
 		if code := p.CanonicalCode(); !w.admitted[code] {
 			w.admitted[code] = true
 			w.codes++
-			wave = append(wave, p)
+			wave = append(wave, candidate{p: p})
 		}
 	}
 	return wave
 }
 
-// grow appends to wave the extensions of the frequent pattern p that are new
-// candidates. The size cap limits the number of pattern nodes, so a pattern
-// already at the cap grows over the empty alphabet: its vertex extensions are
-// never generated, while its internal edge extensions (which keep the node
-// count) are still explored so that dense shapes like triangles are
-// reachable.
-func (w *walk) grow(wave []*pattern.Pattern, p *pattern.Pattern) []*pattern.Pattern {
-	alphabet := w.alphabet
+// alphabetFor returns the labels p grows over. The size cap limits the
+// number of pattern nodes, so a pattern already at the cap grows over the
+// empty alphabet: its vertex steps are never taken, while its internal edge
+// steps (which keep the node count) are, so that dense shapes like triangles
+// are reachable.
+func (w *walk) alphabetFor(p *pattern.Pattern) []graph.Label {
 	if p.Size() >= w.maxSize {
-		alphabet = nil
+		return nil
 	}
+	return w.alphabet
+}
+
+// grow adds to next the extensions of the frequent pattern p that are new
+// candidates — the first step of p that reaches a shape stands for it, as in
+// pattern.Extend — and, when p has domains, places p in every candidate of
+// next each of its steps reaches.
+func (w *walk) grow(next *level, p *pattern.Pattern, domains []isomorph.Mask) {
+	alphabet := w.alphabetFor(p)
 	w.codes += p.GrowSteps(len(alphabet))
-	for _, ext := range p.Extend(alphabet) {
-		w.extensions++
-		if code := ext.Result.CanonicalCode(); w.admitted[code] {
-			w.duplicates++
-		} else {
-			w.admitted[code] = true
-			wave = append(wave, ext.Result)
+	clear(w.seen)
+	p.Steps(alphabet, func(s pattern.Step) bool {
+		if !w.seen[s.Code] {
+			w.seen[s.Code] = true
+			w.extensions++
+			if w.admitted[s.Code] {
+				w.duplicates++
+			} else {
+				w.admitted[s.Code] = true
+				next.admit(s)
+			}
 		}
+		if domains != nil {
+			next.place(s, domains)
+		}
+		return true
+	})
+}
+
+// admit appends the pattern s grows to the wave.
+func (l *level) admit(s pattern.Step) {
+	if l.byCode == nil {
+		l.byCode = make(map[string]int)
 	}
-	return wave
+	l.byCode[s.Code] = len(l.wave)
+	l.wave = append(l.wave, candidate{p: s.Pattern()})
+}
+
+// place records s, from a parent with the given domains, for the candidate
+// it reaches, if that is in the wave.
+func (l *level) place(s pattern.Step, domains []isomorph.Mask) {
+	if i, ok := l.byCode[s.Code]; ok {
+		l.placed = append(l.placed, placement{at: i, domains: domains, places: s.Places, edge: [2]int{s.Places[s.Edge[0]], s.Places[s.Edge[1]]}})
+	}
+}
+
+// done returns the grown wave, each candidate holding its placements as its
+// witness: one stretch of the wave's placements, grouped by candidate.
+func (l *level) done() []candidate {
+	slices.SortFunc(l.placed, func(a, b placement) int { return cmp.Compare(a.at, b.at) })
+	for rest := l.placed; len(rest) > 0; {
+		n := 1
+		for n < len(rest) && rest[n].at == rest[0].at {
+			n++
+		}
+		l.wave[rest[0].at].w = witness(rest[:n:n])
+		rest = rest[n:]
+	}
+	return l.wave
 }
 
 // climb walks the lattice up from wave: it sorts each wave (patternOrder),
 // hands it to eval, shows every decision to visit in wave order, and grows
 // the next wave from the frequent candidates. visit may be nil; once it
-// returns false the walk stops. The level table climb hands eval is every
-// candidate of the previous wave that its decision gave domains, keyed by
-// canonical code, the domains by canonical place (byPlace).
-func (w *walk) climb(wave []*pattern.Pattern, eval evaluator, visit func(decision) bool) error {
-	var table map[string][]isomorph.Mask
+// returns false the walk stops. Every candidate its decision gave domains
+// places itself in the next wave's candidates: a frequent one as it grows
+// them, any other — a session's boundary — once the wave is grown, through
+// the same steps, admitting and counting nothing.
+func (w *walk) climb(wave []candidate, eval evaluator, visit func(decision) bool) error {
 	for len(wave) > 0 {
-		slices.SortFunc(wave, patternOrder)
-		decisions, err := eval(wave, table)
+		slices.SortFunc(wave, func(a, b candidate) int { return patternOrder(a.p, b.p) })
+		decisions, err := eval(wave)
 		if err != nil {
 			return err
 		}
-		var next []*pattern.Pattern
-		table = nil
-		for i, p := range wave {
+		var next level
+		var boundary []int
+		for i, c := range wave {
 			d := decisions[i]
 			if visit != nil && !visit(d) {
 				return nil
 			}
-			if d.domains != nil {
-				if table == nil {
-					table = make(map[string][]isomorph.Mask)
-				}
-				table[p.CanonicalCode()] = byPlace(p, d.domains)
-			}
 			if d.frequent {
-				next = w.grow(next, p)
+				w.grow(&next, c.p, d.domains)
+			} else if d.domains != nil {
+				boundary = append(boundary, i)
 			}
 		}
-		wave = next
+		for _, i := range boundary {
+			wave[i].p.Steps(w.alphabetFor(wave[i].p), func(s pattern.Step) bool {
+				next.place(s, decisions[i].domains)
+				return true
+			})
+		}
+		wave = next.done()
 	}
 	return nil
 }
@@ -148,42 +215,88 @@ func patternOrder(a, b *pattern.Pattern) int {
 	return cmp.Or(cmp.Compare(a.NumEdges(), b.NumEdges()), strings.Compare(a.CanonicalCode(), b.CanonicalCode()))
 }
 
-// byPlace reorders a pattern's per-position domains by canonical place, the
-// naming every pattern isomorphic to p shares (pattern.CanonicalOrder).
-func byPlace(p *pattern.Pattern, domains []isomorph.Mask) []isomorph.Mask {
-	order := p.CanonicalOrder()
-	rows := make([]isomorph.Mask, len(order))
-	for a, pos := range order {
-		rows[a] = domains[pos]
-	}
-	return rows
+// witness is what the grow steps that reached a candidate say of its
+// domains. A step from parent P places P inside the candidate C: every
+// occurrence of C restricts to an occurrence of P, so the images of C's node
+// at the place P's node i takes lie in P's MNI domain of i. The steps' added
+// edges say which one-edge-smaller sub-patterns the witness has heard from.
+//
+// The walk takes every step of every parent, but the steps reach C through
+// one edge of each Aut(C) orbit at least, not through every edge: so the
+// witness closes both over C's automorphisms. An automorphism maps one
+// edge's placement onto its image's, and domains are invariant under it, so
+// the intersection over an orbit of places is the intersection over every
+// edge whose removal leaves a parent — what taking C apart edge by edge
+// would give.
+type witness []placement
+
+// placement is one grow step from a parent with domains.
+type placement struct {
+	// at is the index of the candidate in its wave as the walk admitted it.
+	at int
+	// domains are the parent's, aligned with its Nodes(): the parent's node
+	// at position i sits at canonical place places[i] of the candidate.
+	domains []isomorph.Mask
+	places  []int
+	// edge is the added edge, as canonical places of the candidate.
+	edge [2]int
 }
 
-// subDomains returns, aligned with p.Nodes(), the intersection of the
-// table's domains of the places every position of p takes in p's connected
-// one-edge-smaller sub-patterns — nil for a position that no sub-pattern in
-// the table places — and whether every sub-pattern was in the table. The
-// table maps a canonical code to its domains by canonical place (byPlace),
-// all over one snapshot; each intersection holds the position's image in
-// every occurrence of p on it.
-func subDomains(p *pattern.Pattern, table map[string][]isomorph.Mask) (masks []isomorph.Mask, complete bool) {
-	masks = make([]isomorph.Mask, p.Size())
-	complete = true
-	for _, sub := range p.SubPatterns() {
-		rows, ok := table[sub.Code]
-		if !ok {
-			complete = false
-			continue
-		}
-		for a, pos := range sub.Places {
-			if masks[pos] == nil {
-				masks[pos] = slices.Clone(rows[a])
-			} else {
-				masks[pos].Intersect(rows[a])
+// complete reports whether the witness has heard from every sub-pattern of
+// p: whether every edge a grow step can add to reach p (GrownEdges) is one of
+// the steps' added edges up to auts, p's automorphisms. Only one edge leads
+// to each sub-pattern placement once p has two edges; a one-edge pattern — a
+// seed, which has no witness — would have two leaves to drop.
+func (wt witness) complete(p *pattern.Pattern, auts [][]int) bool {
+	k := p.Size()
+	var small [64]bool
+	covered := small[:]
+	if k*k > len(small) {
+		covered = make([]bool, k*k)
+	}
+	n := 0
+	for _, st := range wt {
+		for _, sigma := range auts {
+			a, b := sigma[st.edge[0]], sigma[st.edge[1]]
+			if a > b {
+				a, b = b, a
+			}
+			if !covered[a*k+b] {
+				covered[a*k+b] = true
+				n++
 			}
 		}
 	}
-	return masks, complete
+	return n == p.GrownEdges()
+}
+
+// domains returns, aligned with p.Nodes(), the intersection of every domain
+// the steps give the places of a node's Aut orbit (auts, p's automorphisms),
+// or nil for a node no step places. Nodes of one orbit share their mask.
+func (wt witness) domains(p *pattern.Pattern, auts [][]int) []isomorph.Mask {
+	k := p.Size()
+	orbit := make([]int, k) // orbit[a]: the smallest place of a's orbit
+	for a := range orbit {
+		orbit[a] = a
+		for _, sigma := range auts {
+			orbit[a] = min(orbit[a], sigma[a])
+		}
+	}
+	rows := make([]isomorph.Mask, k) // by orbit, at its smallest place
+	for _, st := range wt {
+		for i, d := range st.domains {
+			if o := orbit[st.places[i]]; rows[o] == nil {
+				rows[o] = slices.Clone(d)
+			} else {
+				rows[o].Intersect(d)
+			}
+		}
+	}
+	masks := make([]isomorph.Mask, k)
+	for a, pos := range p.CanonicalOrder() {
+		masks[pos] = rows[orbit[a]]
+	}
+	return masks
 }
 
 // seedPairs returns, sorted, every label pair (smaller label first) that

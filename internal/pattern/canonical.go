@@ -2,7 +2,9 @@ package pattern
 
 import (
 	"bytes"
+	"slices"
 	"strconv"
+	"strings"
 
 	"repro/internal/graph"
 )
@@ -15,24 +17,46 @@ import (
 // triangle of the adjacency matrix under that ordering, row by row, as '0'
 // and '1'. It plays the same role as the minimum DFS code in gSpan but is
 // simpler to verify and exact. It is computed once per pattern and cached.
-func (p *Pattern) CanonicalCode() string {
-	if c := p.code.Load(); c != nil {
-		return *c
-	}
-	code := p.shape.canonicalCode()
-	p.code.Store(&code)
-	return code
-}
+func (p *Pattern) CanonicalCode() string { return p.canon().code }
 
 // CanonicalOrder returns the node ordering CanonicalCode is written in:
 // element a is the position, in Nodes(), of the node at canonical place a.
 // Two isomorphic patterns meet place by place — place a of one and place a of
 // the other carry one label, and places are adjacent in one exactly when they
 // are in the other — so the places name a pattern's nodes independently of
-// its numbering. The slice is fresh.
-func (p *Pattern) CanonicalOrder() []int {
-	_, order := p.shape.canonicalForm()
-	return order
+// its numbering. The order is cached with the code; the slice is fresh.
+func (p *Pattern) CanonicalOrder() []int { return slices.Clone(p.canon().order) }
+
+// Automorphisms returns the automorphisms of the pattern as permutations of
+// its canonical places (see CanonicalOrder): σ maps place a to σ[a], which
+// carries a's label and is adjacent to σ[b] exactly when a is adjacent to b.
+// The identity comes first. They are found with the code and cached; the
+// slices are fresh.
+func (p *Pattern) Automorphisms() [][]int {
+	f := p.canon()
+	k := len(f.order)
+	flat := make([]int, k+len(f.auts))
+	for a := range k {
+		flat[a] = a
+	}
+	copy(flat[k:], f.auts)
+	out := make([][]int, len(flat)/k)
+	for i := range out {
+		out[i] = flat[i*k : (i+1)*k : (i+1)*k]
+	}
+	return out
+}
+
+// canon returns the pattern's canonical form, computing it on first use.
+// Racing first calls compute equal forms, so whichever pointer lands is
+// right.
+func (p *Pattern) canon() *form {
+	if f := p.canonical.Load(); f != nil {
+		return f
+	}
+	f := p.shape.canonicalForm(nil)
+	p.canonical.Store(f)
+	return f
 }
 
 // IsIsomorphicTo reports whether p and q are isomorphic labeled graphs.
@@ -43,29 +67,41 @@ func (p *Pattern) IsIsomorphicTo(q *Pattern) bool {
 	return p.CanonicalCode() == q.CanonicalCode()
 }
 
-// canonicalCode computes the code of a shape without trying all k! node
-// orders. A token ends in '.' and holds no other '.', so no token is a
+// form is a shape's canonical form: its code, the ordering it is written in
+// and the automorphisms that ordering shows.
+type form struct {
+	code string
+	// order[a] is the node at place a; places[n] is the place of node n.
+	order, places []int
+	// auts holds every automorphism but the identity as a place permutation,
+	// k places each, back to back.
+	auts []int
+	// small holds order and places of a shape of up to eight nodes, so they
+	// come with the form's own allocation.
+	small [16]int
+}
+
+// canonicalForm computes the canonical form of a shape without trying all k!
+// node orders. A token ends in '.' and holds no other '.', so no token is a
 // prefix of another: the smallest token sequence is the tokens in sorted
 // order, and every ordering that attains it differs from the sorted one only
 // by permuting nodes that carry the same label. All such orderings share the
 // token prefix, so the minimum is decided by the triangle alone — compared
 // as packed words, most significant bit first, and rendered once at the end.
-func (s shape) canonicalCode() string {
-	code, _ := s.canonicalForm()
-	return code
-}
-
-// canonicalForm returns the canonical code of s and the ordering it is
-// written in: element a is the node at place a.
-func (s shape) canonicalForm() (string, []int) {
+// The orderings that tie with the minimum are the canonical one composed with
+// an automorphism, so the same search finds the automorphisms.
+//
+// c, when non-nil, lends the search its buffers (newCanonSearch), so a
+// caller computing many forms in a row allocates only what each form keeps.
+func (s shape) canonicalForm(c *canonSearch) *form {
 	k := len(s.labels)
-	ints := make([]int, 3*k) // one allocation for the three orderings
-	c := canonSearch{
-		s:       s,
-		perm:    ints[:k:k],
-		cellEnd: ints[k : 2*k : 2*k],
-		best:    ints[2*k:],
+	if c == nil || len(c.ints) < 3*k {
+		c = newCanonSearch(k)
 	}
+	words := triWords(k)
+	c.s, c.found, c.ties = s, false, c.ties[:0]
+	c.perm, c.cellEnd, c.best = c.ints[:k:k], c.ints[k:2*k:2*k], c.ints[2*k:3*k:3*k]
+	c.cur, c.bestTri = c.tri[:words:words], c.tri[words:2*words:2*words]
 	// Stable insertion sort of the nodes by token.
 	for i := 0; i < k; i++ {
 		j := i
@@ -82,28 +118,56 @@ func (s shape) canonicalForm() (string, []int) {
 			c.cellEnd[i] = i + 1
 		}
 	}
-	nbits := k * (k - 1) / 2
-	tri := make([]uint64, 2*((nbits+63)/64)) // the current triangle and the best
-	c.cur, c.bestTri = tri[:len(tri)/2], tri[len(tri)/2:]
 	c.permute(0)
 
-	buf := make([]byte, 0, 4*k+nbits)
+	f := &form{}
+	ints := f.small[:]
+	if 2*k > len(ints) {
+		ints = make([]int, 2*k)
+	}
+	f.order, f.places = ints[:k:k], ints[k:2*k:2*k]
+	copy(f.order, c.best)
+	for a, n := range f.order {
+		f.places[n] = a
+	}
+	// A tie t puts node t[a] at place a where the canonical ordering has it
+	// at places[t[a]]: the automorphism maps a there.
+	if len(c.ties) > 0 {
+		f.auts = make([]int, len(c.ties))
+		for i, n := range c.ties {
+			f.auts[i] = f.places[n]
+		}
+	}
+
+	var code strings.Builder
+	code.Grow(4*k + k*(k-1)/2)
+	var num [20]byte
 	for _, i := range c.best {
-		buf = append(buf, 'L')
-		buf = strconv.AppendInt(buf, int64(s.labels[i]), 10)
-		buf = append(buf, '.')
+		code.WriteByte('L')
+		code.Write(strconv.AppendInt(num[:0], int64(s.labels[i]), 10))
+		code.WriteByte('.')
 	}
 	for a := 0; a < k; a++ {
 		for b := a + 1; b < k; b++ {
 			if s.has(c.best[a], c.best[b]) {
-				buf = append(buf, '1')
+				code.WriteByte('1')
 			} else {
-				buf = append(buf, '0')
+				code.WriteByte('0')
 			}
 		}
 	}
-	return string(buf), c.best
+	f.code = code.String()
+	return f
 }
+
+// newCanonSearch returns a search with buffers for shapes of up to k nodes.
+func newCanonSearch(k int) *canonSearch {
+	return &canonSearch{ints: make([]int, 3*k), tri: make([]uint64, 2*triWords(k))}
+}
+
+// triWords is the number of words the upper triangle of a k-node shape packs
+// into.
+func triWords(k int) int { return (k*(k-1)/2 + 63) / 64 }
 
 // tokenLess orders labels by their code tokens "L<a>." and "L<b>.", which is
 // string order, not numeric order: "L10." < "L2." and "L-1." < "L1.".
@@ -119,7 +183,7 @@ func tokenLess(a, b graph.Label) bool {
 
 // canonSearch walks the node orderings that keep the sorted token sequence —
 // the permutations within each label cell — and keeps the one with the
-// smallest triangle.
+// smallest triangle and the later ones that tie with it.
 type canonSearch struct {
 	s       shape
 	perm    []int // current ordering: perm[a] is the node at place a
@@ -127,6 +191,9 @@ type canonSearch struct {
 	cur     []uint64 // triangle of perm, packed
 	best    []int    // ordering of the smallest triangle so far
 	bestTri []uint64
+	ints    []int    // perm, cellEnd and best, back to back
+	tri     []uint64 // cur and bestTri, back to back
+	ties    []int    // orderings that tie with best, k nodes each, back to back
 	found   bool
 }
 
@@ -145,7 +212,8 @@ func (c *canonSearch) permute(from int) {
 }
 
 // leaf packs the upper triangle of the current ordering, row by row, and
-// keeps it when it is the smallest seen.
+// keeps it when it is the smallest seen, or records it as a tie when it
+// equals the smallest.
 func (c *canonSearch) leaf() {
 	k := len(c.perm)
 	var acc uint64
@@ -165,18 +233,20 @@ func (c *canonSearch) leaf() {
 		c.cur[w] = acc
 	}
 	if c.found {
-		smaller := false
-		for i, word := range c.cur {
-			if word != c.bestTri[i] {
-				smaller = word < c.bestTri[i]
-				break
-			}
+		i := 0
+		for i < len(c.cur) && c.cur[i] == c.bestTri[i] {
+			i++
 		}
-		if !smaller {
+		if i == len(c.cur) {
+			c.ties = append(c.ties, c.perm...)
+			return
+		}
+		if c.cur[i] > c.bestTri[i] {
 			return
 		}
 	}
 	c.found = true
+	c.ties = c.ties[:0]
 	copy(c.best, c.perm)
 	copy(c.bestTri, c.cur)
 }

@@ -2,6 +2,8 @@ package pattern_test
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -61,6 +63,7 @@ func TestCanonicalCodeMatchesReference(t *testing.T) {
 				if got, want := p.CanonicalCode(), referenceCode(g); got != want {
 					t.Fatalf("k=%d mask=%b labeling=%d: code %q, reference %q", k, mask, lab, got, want)
 				}
+				checkAutomorphisms(t, p)
 				checked++
 			}
 		}
@@ -78,7 +81,8 @@ func TestCanonicalCodeMatchesReference(t *testing.T) {
 }
 
 // FuzzCanonicalCode checks, on graphs decoded from the fuzz input, that the
-// code equals the reference and does not depend on how nodes are numbered.
+// code equals the reference and does not depend on how nodes are numbered,
+// and that the automorphisms are the reference's.
 func FuzzCanonicalCode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 0, 0, 1, 1, 1, 0, 1, 2, 0xff})
@@ -87,17 +91,42 @@ func FuzzCanonicalCode(f *testing.F) {
 }
 
 // checkAgainstReference decodes a graph and a renumbering of it from data
-// and compares their codes with each other and with the reference.
+// and compares their codes with each other and with the reference, and the
+// graph's automorphisms with the reference's.
 func checkAgainstReference(t *testing.T, data []byte) {
 	t.Helper()
 	g, renumbered := decodeGraphs(data)
 	want := referenceCode(g)
-	if got := pattern.MustNew(g).CanonicalCode(); got != want {
+	p := pattern.MustNew(g)
+	if got := p.CanonicalCode(); got != want {
 		t.Fatalf("graph %v %v: code %q, reference %q", describe(g), g.Edges(), got, want)
 	}
+	checkAutomorphisms(t, p)
 	if got := pattern.MustNew(renumbered).CanonicalCode(); got != want {
 		t.Fatalf("graph %v %v renumbered to %v %v: code %q, want %q",
 			describe(g), g.Edges(), describe(renumbered), renumbered.Edges(), got, want)
+	}
+}
+
+// checkAutomorphisms holds p.Automorphisms to referenceAutomorphisms: the
+// same set, the identity first.
+func checkAutomorphisms(t *testing.T, p *pattern.Pattern) {
+	t.Helper()
+	auts := p.Automorphisms()
+	got := make([]string, len(auts))
+	for i, sigma := range auts {
+		got[i] = fmt.Sprint(sigma)
+	}
+	identity := make([]int, p.Size())
+	for a := range identity {
+		identity[a] = a
+	}
+	if got[0] != fmt.Sprint(identity) {
+		t.Fatalf("%s: first automorphism %s is not the identity", p, got[0])
+	}
+	sort.Strings(got)
+	if want := referenceAutomorphisms(p); strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("%s: automorphisms %v, reference %v", p, got, want)
 	}
 }
 
@@ -210,6 +239,169 @@ func TestExtendMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestStepsPlaceTheParent: Steps yields, in order, the GrowSteps grow steps
+// that no automorphism of the parent maps onto an earlier one, and keeping
+// the first step per code gives Extend's extensions in Extend's order. Every
+// step's Code is its pattern's code and its Places the inverse of the
+// pattern's CanonicalOrder, and the grown pattern is the parent, numbered as
+// the parent, plus the step's Edge — and for a vertex step a new last node
+// with the step's label. A yield that returns false ends the steps.
+func TestStepsPlaceTheParent(t *testing.T) {
+	alphabets := [][]graph.Label{nil, {1}, {10, 2, -1}, {3, 1, 3, 2}}
+	rng := gen.NewRNG(43)
+	for n := 0; n < 60; n++ {
+		data := make([]byte, 40)
+		for i := range data {
+			data[i] = byte(rng.Intn(256))
+		}
+		g, _ := decodeGraphs(data)
+		p := pattern.MustNew(g)
+		nodes := p.Nodes()
+		k := len(nodes)
+		for _, labels := range alphabets {
+			tag := fmt.Sprintf("%v %v over %v", describe(g), g.Edges(), labels)
+			var steps []pattern.Step
+			p.Steps(labels, func(s pattern.Step) bool {
+				steps = append(steps, s)
+				return true
+			})
+			want := unrepeatedSteps(p, labels)
+			if len(want) > p.GrowSteps(len(labels)) {
+				t.Fatalf("%s: %d unrepeated steps of %d", tag, len(want), p.GrowSteps(len(labels)))
+			}
+			if len(steps) != len(want) {
+				t.Fatalf("%s: %d steps, want %d: %v", tag, len(steps), len(want), want)
+			}
+			for n, s := range steps {
+				if w := want[n]; s.Edge != [2]int{w[0], w[1]} || s.Kind == "vertex" && s.Label != graph.Label(w[2]) {
+					t.Fatalf("%s: step %d adds %v label %d, want %v", tag, n, s.Edge, s.Label, w)
+				}
+			}
+			var firsts []pattern.Step
+			seen := make(map[string]bool)
+			for _, s := range steps {
+				q := s.Pattern()
+				if q.CanonicalCode() != s.Code {
+					t.Fatalf("%s: step code %q, its pattern's %q", tag, s.Code, q.CanonicalCode())
+				}
+				for a, pos := range q.CanonicalOrder() {
+					if s.Places[pos] != a {
+						t.Fatalf("%s: step places %v do not invert the order %v", tag, s.Places, q.CanonicalOrder())
+					}
+				}
+				grown := k
+				if s.Kind == "vertex" {
+					grown++
+					if q.LabelOf(pattern.NodeID(k)) != s.Label || s.Edge != [2]int{indexOf(nodes, s.From), k} {
+						t.Fatalf("%s: vertex step %+v grows %s", tag, s, q)
+					}
+				}
+				if q.Size() != grown || q.NumEdges() != p.NumEdges()+1 || !q.HasEdge(pattern.NodeID(s.Edge[0]), pattern.NodeID(s.Edge[1])) {
+					t.Fatalf("%s: step %+v grows %s", tag, s, q)
+				}
+				for i := 0; i < k; i++ {
+					if q.LabelOf(pattern.NodeID(i)) != p.LabelOf(nodes[i]) {
+						t.Fatalf("%s: step %+v relabels position %d", tag, s, i)
+					}
+					for j := i + 1; j < k; j++ {
+						added := s.Edge == [2]int{i, j}
+						if q.HasEdge(pattern.NodeID(i), pattern.NodeID(j)) != (p.HasEdge(nodes[i], nodes[j]) || added) {
+							t.Fatalf("%s: step %+v moves pair %d-%d", tag, s, i, j)
+						}
+					}
+				}
+				if !seen[s.Code] {
+					seen[s.Code] = true
+					firsts = append(firsts, s)
+				}
+			}
+			exts := p.Extend(labels)
+			if len(exts) != len(firsts) {
+				t.Fatalf("%s: %d distinct steps, %d extensions", tag, len(firsts), len(exts))
+			}
+			for i, e := range exts {
+				s := firsts[i]
+				if e.Kind != s.Kind || e.From != s.From || e.To != s.To || e.Label != s.Label || e.Result.CanonicalCode() != s.Code {
+					t.Fatalf("%s: extension %d is %s %d->%d label %d, first step %s %d->%d label %d", tag, i, e.Kind, e.From, e.To, e.Label, s.Kind, s.From, s.To, s.Label)
+				}
+			}
+			if len(steps) > 1 {
+				calls := 0
+				p.Steps(labels, func(pattern.Step) bool {
+					calls++
+					return calls < 2
+				})
+				if calls != 2 {
+					t.Fatalf("%s: a yield that said stop at the second step was called %d times", tag, calls)
+				}
+			}
+		}
+	}
+}
+
+// unrepeatedSteps lists p's grow steps over labels in Steps' order — node
+// pairs, then nodes and ascending labels — as {i, j, label} (j = p.Size() for
+// a new node), leaving out each step an automorphism of p maps onto an
+// earlier one.
+func unrepeatedSteps(p *pattern.Pattern, labels []graph.Label) [][3]int {
+	nodes := p.Nodes()
+	k := len(nodes)
+	order := p.CanonicalOrder()
+	places := make([]int, k)
+	for a, pos := range order {
+		places[pos] = a
+	}
+	var perms [][]int // the automorphisms as position permutations
+	for _, sigma := range p.Automorphisms() {
+		pi := make([]int, k)
+		for i := range pi {
+			pi[i] = order[sigma[places[i]]]
+		}
+		perms = append(perms, pi)
+	}
+	earlier := func(a, b [2]int) bool { return a[0] < b[0] || a[0] == b[0] && a[1] < b[1] }
+	repeated := func(i, j int) bool {
+		for _, pi := range perms {
+			img := [2]int{pi[i], j}
+			if j < k {
+				img = [2]int{min(pi[i], pi[j]), max(pi[i], pi[j])}
+			}
+			if earlier(img, [2]int{i, j}) {
+				return true
+			}
+		}
+		return false
+	}
+	var out [][3]int
+	for i := 0; i < k; i++ {
+		for j := i + 1; j < k; j++ {
+			if !p.HasEdge(nodes[i], nodes[j]) && !repeated(i, j) {
+				out = append(out, [3]int{i, j, 0})
+			}
+		}
+	}
+	sorted := append([]graph.Label(nil), labels...)
+	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
+	for i := 0; i < k; i++ {
+		for _, l := range sorted {
+			if !repeated(i, k) {
+				out = append(out, [3]int{i, k, int(l)})
+			}
+		}
+	}
+	return out
+}
+
+// indexOf returns the position of v in nodes.
+func indexOf(nodes []pattern.NodeID, v pattern.NodeID) int {
+	for i, n := range nodes {
+		if n == v {
+			return i
+		}
+	}
+	return -1
 }
 
 // TestNewCopiesGraph: a pattern is a copy. Mutating the graph it was built

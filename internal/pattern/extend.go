@@ -1,7 +1,7 @@
 package pattern
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -29,116 +29,171 @@ type Extension struct {
 // pattern, so the miner explores each shape exactly once per parent; the
 // first grow step reaching a shape (edge steps by node pair, then vertex
 // steps by node and ascending label) represents it. An empty alphabet yields
-// the edge extensions only.
+// the edge extensions only. It is Steps with the steps that reach a shape
+// already listed dropped.
 //
 // Result nodes are numbered 0..k-1 in the order of p's sorted node IDs, a
 // new node taking the last number; From and To name p's own IDs (To of a
 // vertex extension is one past p's largest, at least 0). Each Result already
-// holds its canonical code.
+// holds its canonical form.
 func (p *Pattern) Extend(labels []graph.Label) []Extension {
-	k := len(p.nodes)
 	out := make([]Extension, 0, p.GrowSteps(len(labels)))
 	seen := make(map[string]bool, cap(out))
-	record := func(ext Extension, nodes []NodeID, s shape) {
-		code := s.canonicalCode()
-		if seen[code] {
-			return
+	p.Steps(labels, func(s Step) bool {
+		if !seen[s.Code] {
+			seen[s.Code] = true
+			out = append(out, Extension{Kind: s.Kind, From: s.From, To: s.To, Label: s.Label, Result: s.Pattern()})
 		}
-		seen[code] = true
-		ext.Result = &Pattern{name: p.name, nodes: nodes, shape: s, edges: p.edges + 1}
-		ext.Result.code.Store(&code)
-		out = append(out, ext)
+		return true
+	})
+	return out
+}
+
+// Step is one grow step of a pattern (see Steps): what it adds, the grown
+// pattern's canonical form, and where the parent sits in the grown pattern.
+// The grown pattern's positions below the parent's size are the parent's own
+// positions; a vertex step's new node takes the last.
+type Step struct {
+	// Kind, From, To and Label say what the step adds, as in Extension.
+	Kind     string
+	From, To NodeID
+	Label    graph.Label
+	// Edge is the added edge, as positions of the grown pattern.
+	Edge [2]int
+	// Code is the grown pattern's canonical code.
+	Code string
+	// Places[i] is the canonical place of the grown pattern's node at
+	// position i, the inverse of its CanonicalOrder. Shared: callers must not
+	// modify it.
+	Places []int
+
+	parent *Pattern
+	nodes  []NodeID
+	shape  shape
+	form   *form
+}
+
+// Pattern returns the grown pattern with dense node IDs, holding its
+// canonical form. Each call builds a new one.
+func (s Step) Pattern() *Pattern {
+	out := &Pattern{name: s.parent.name, nodes: s.nodes, shape: s.shape, edges: s.parent.edges + 1}
+	out.canonical.Store(s.form)
+	return out
+}
+
+// Steps calls yield with the grow steps of p over the given labels — one per
+// node pair that is not an edge, then one per node and label, labels in
+// ascending order — until yield returns false. Unlike Extend it keeps the
+// steps that reach one shape more than once, since each places p in the shape
+// differently. It skips only what p's own symmetry repeats: a step that an
+// automorphism of p maps onto an earlier step reaches the same shape and
+// places p in it the same way up to the shape's automorphisms, so only the
+// first step of each such orbit is taken. Every step taken computes one
+// canonical form.
+func (p *Pattern) Steps(labels []graph.Label, yield func(Step) bool) {
+	k := len(p.nodes)
+	auts := p.positionAutomorphisms()
+	// repeated reports whether an automorphism maps the step joining i and j
+	// (j == k for a new node) onto an earlier one.
+	repeated := func(i, j int) bool {
+		for _, pi := range auts {
+			a, b := pi[i], j
+			if j < k {
+				a, b = min(pi[i], pi[j]), max(pi[i], pi[j])
+			}
+			if a < i || a == i && b < j {
+				return true
+			}
+		}
+		return false
+	}
+	search := newCanonSearch(k + 1) // lent from step to step
+	step := func(s Step) bool {
+		s.parent = p
+		s.form = s.shape.canonicalForm(search)
+		s.Code, s.Places = s.form.code, s.form.places
+		return yield(s)
 	}
 
-	same := denseNodes(k) // shared by the results: patterns never change
+	var same []NodeID // shared by the results: patterns never change
 	for i := 0; i < k; i++ {
 		for j := i + 1; j < k; j++ {
-			if !p.has(i, j) {
-				record(Extension{Kind: "edge", From: p.nodes[i], To: p.nodes[j]}, same, p.withEdge(i, j))
+			if p.has(i, j) || repeated(i, j) {
+				continue
+			}
+			if same == nil {
+				same = denseNodes(k)
+			}
+			if !step(Step{Kind: "edge", From: p.nodes[i], To: p.nodes[j], Edge: [2]int{i, j}, nodes: same, shape: p.withEdge(i, j)}) {
+				return
 			}
 		}
 	}
 
 	if len(labels) == 0 {
-		return out
+		return
 	}
-	sorted := append([]graph.Label(nil), labels...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(labels)
+	slices.Sort(sorted)
 	grown := denseNodes(k + 1)
 	newID := NodeID(0)
 	if last := p.nodes[k-1]; last >= 0 {
 		newID = last + 1
 	}
 	for i := 0; i < k; i++ {
-		for _, l := range sorted {
-			record(Extension{Kind: "vertex", From: p.nodes[i], To: newID, Label: l}, grown, p.withLeaf(i, l))
+		if repeated(i, k) {
+			continue
 		}
+		for _, l := range sorted {
+			if !step(Step{Kind: "vertex", From: p.nodes[i], To: newID, Label: l, Edge: [2]int{i, k}, nodes: grown, shape: p.withLeaf(i, l)}) {
+				return
+			}
+		}
+	}
+}
+
+// positionAutomorphisms returns p's automorphisms but the identity as
+// permutations of its positions: the node at position i maps to position
+// pi[i]. It is nil when the identity is the only one.
+func (p *Pattern) positionAutomorphisms() [][]int {
+	f := p.canon()
+	k := len(f.order)
+	if len(f.auts) == 0 {
+		return nil
+	}
+	flat := make([]int, len(f.auts))
+	out := make([][]int, len(f.auts)/k)
+	for n := range out {
+		sigma, pi := f.auts[n*k:(n+1)*k], flat[n*k:(n+1)*k:(n+1)*k]
+		for i := range pi {
+			pi[i] = f.order[sigma[f.places[i]]]
+		}
+		out[n] = pi
 	}
 	return out
 }
 
-// SubPattern is one connected sub-pattern of a pattern with one edge fewer,
-// named by its canonical code and placed inside the pattern it came from.
-type SubPattern struct {
-	// Code is the sub-pattern's canonical code.
-	Code string
-	// Places maps the sub-pattern into the pattern: Places[a] is the position,
-	// in the pattern's Nodes(), of the node at canonical place a of the
-	// sub-pattern (see CanonicalOrder). A dropped leaf has no place.
-	Places []int
-}
-
-// SubPatterns lists the connected sub-patterns of p with one edge fewer, one
-// per edge and dropped leaf. Without an edge on a cycle p keeps every node.
-// Without an edge to a leaf it is connected once the leaf goes too; a
-// one-edge pattern has two leaves and lists each single node. Without any
-// other bridge p falls apart and lists nothing for that edge. Isomorphic
-// sub-patterns reached through different edges are listed once per edge,
-// because each sits in p differently.
-//
-// Every occurrence f of p restricts along Places to an occurrence of every
-// listed sub-pattern S: the node at place a of S is mapped to f(Places[a]).
-// So the images of p's node at Places[a], over all occurrences of p, lie in
-// the images of the node at place a of any pattern whose code is S.Code.
-// This is what the miner confines a candidate's search with.
-func (p *Pattern) SubPatterns() []SubPattern {
-	k := len(p.nodes)
-	var out []SubPattern
-	add := func(s shape, kept []int) {
-		code, order := s.canonicalForm()
-		for a, n := range order {
-			order[a] = kept[n]
-		}
-		out = append(out, SubPattern{Code: code, Places: order})
-	}
-	all := make([]int, k)
-	for i := range all {
-		all[i] = i
-	}
+// GrownEdges returns how many edges of p some grow step adds (its Edge) to
+// reach p from a connected pattern with one edge fewer: every edge to a leaf,
+// which a vertex step adds, and every edge whose removal leaves p connected,
+// which an edge step adds. A bridge between two larger parts is never one
+// step's.
+func (p *Pattern) GrownEdges() int {
+	k, n := len(p.nodes), 0
 	for i := 0; i < k; i++ {
 		for j := i + 1; j < k; j++ {
-			if !p.has(i, j) {
-				continue
-			}
-			s := p.withoutEdge(i, j)
-			if s.connected() {
-				add(s, all)
-				continue
-			}
-			for _, leaf := range [2]int{i, j} {
-				if p.degree(leaf) == 1 {
-					add(s.withoutNode(leaf))
-				}
+			if p.has(i, j) && (p.degree(i) == 1 || p.degree(j) == 1 || p.onCycle(i, j)) {
+				n++
 			}
 		}
 	}
-	return out
+	return n
 }
 
-// GrowSteps returns how many grow steps Extend generates — and computes a
-// canonical code for — over an alphabet of the given size, before it
-// de-duplicates them: one per non-adjacent node pair plus one per node and
-// label.
+// GrowSteps returns how many grow steps p has over an alphabet of the given
+// size: one per non-adjacent node pair plus one per node and label. Steps
+// and Extend compute a canonical code for each of them that p's symmetry does
+// not repeat.
 func (p *Pattern) GrowSteps(alphabet int) int {
 	k := len(p.nodes)
 	return k*(k-1)/2 - p.edges + k*alphabet

@@ -204,3 +204,51 @@ func referenceConnectedSubsets(p *pattern.Pattern, size int) [][]pattern.NodeID 
 	sort.Slice(result, func(i, j int) bool { return key(result[i]) < key(result[j]) })
 	return result
 }
+
+// referenceAutomorphisms lists every permutation of p's positions that keeps
+// labels and adjacency, tried over all k! orders, each written as a
+// permutation of canonical places (σ[a] is the place position π(order[a])
+// takes) and rendered with fmt; sorted.
+func referenceAutomorphisms(p *pattern.Pattern) []string {
+	nodes := p.Nodes()
+	k := len(nodes)
+	order := p.CanonicalOrder()
+	places := make([]int, k)
+	for a, pos := range order {
+		places[pos] = a
+	}
+	var out []string
+	perm := make([]int, 0, k)
+	used := make([]bool, k)
+	var search func()
+	search = func() {
+		i := len(perm)
+		if i == k {
+			sigma := make([]int, k)
+			for a, pos := range order {
+				sigma[a] = places[perm[pos]]
+			}
+			out = append(out, fmt.Sprint(sigma))
+			return
+		}
+		for j := 0; j < k; j++ {
+			if used[j] || p.LabelOf(nodes[i]) != p.LabelOf(nodes[j]) {
+				continue
+			}
+			fits := true
+			for h := 0; h < i && fits; h++ {
+				fits = p.HasEdge(nodes[h], nodes[i]) == p.HasEdge(nodes[perm[h]], nodes[j])
+			}
+			if fits {
+				used[j] = true
+				perm = append(perm, j)
+				search()
+				perm = perm[:i]
+				used[j] = false
+			}
+		}
+	}
+	search()
+	sort.Strings(out)
+	return out
+}

@@ -70,6 +70,27 @@ func (s shape) connected() bool {
 	return n == k
 }
 
+// onCycle reports whether adjacent nodes i and j stay connected without
+// their edge.
+func (s shape) onCycle(i, j int) bool {
+	if s.words() > 1 {
+		return s.withoutEdge(i, j).connected() // shapes are connected
+	}
+	reached, fresh := uint64(1)<<i, uint64(1)<<i
+	for fresh != 0 {
+		n := bits.TrailingZeros64(fresh)
+		fresh &= fresh - 1
+		next := s.rows[n]
+		if n == i {
+			next &^= 1 << j
+		}
+		next &^= reached
+		reached |= next
+		fresh |= next
+	}
+	return reached>>j&1 == 1
+}
+
 // withEdge returns a copy of s in which nodes i and j are adjacent. The
 // labels are shared: shapes are immutable once built.
 func (s shape) withEdge(i, j int) shape {
@@ -84,28 +105,6 @@ func (s shape) withoutEdge(i, j int) shape {
 	out.row(i)[j>>6] &^= 1 << (uint(j) & 63)
 	out.row(j)[i>>6] &^= 1 << (uint(i) & 63)
 	return out
-}
-
-// withoutNode returns s without node drop, and the node of s every node of
-// the result was: kept[n] is the node now at n. The others keep their order.
-func (s shape) withoutNode(drop int) (shape, []int) {
-	k := len(s.labels)
-	kept := make([]int, 0, k-1)
-	for n := 0; n < k; n++ {
-		if n != drop {
-			kept = append(kept, n)
-		}
-	}
-	out := newShape(k - 1)
-	for a, n := range kept {
-		out.labels[a] = s.labels[n]
-		for b := a + 1; b < len(kept); b++ {
-			if s.has(n, kept[b]) {
-				out.setEdge(a, b)
-			}
-		}
-	}
-	return out, kept
 }
 
 // withLeaf returns a copy of s with one more node, labeled l and adjacent to
