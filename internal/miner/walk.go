@@ -221,9 +221,10 @@ func patternOrder(a, b *pattern.Pattern) int {
 // at the place P's node i takes lie in P's MNI domain of i. The steps' added
 // edges say which one-edge-smaller sub-patterns the witness has heard from.
 //
-// The walk takes every step of every parent, but the steps reach C through
-// one edge of each Aut(C) orbit at least, not through every edge: so the
-// witness closes both over C's automorphisms. An automorphism maps one
+// The walk takes every step of every parent up to the parent's symmetry
+// (pattern.Steps), so the steps reach C through one edge of each Aut(C)
+// orbit at least, not through every edge: the witness closes both over C's
+// automorphisms. An automorphism maps one
 // edge's placement onto its image's, and domains are invariant under it, so
 // the intersection over an orbit of places is the intersection over every
 // edge whose removal leaves a parent — what taking C apart edge by edge
