@@ -228,7 +228,7 @@ func (inc *Incremental) Refresh() (*Result, error) {
 			inc.walk.grow(&next, tp.p, nil)
 		}
 	}
-	if err := inc.walk.climb(next.done(), inc.track(false), nil); err != nil {
+	if err := inc.walk.climb(next.wave, inc.track(false), nil); err != nil {
 		return nil, err
 	}
 	inc.assemble(time.Since(start))
@@ -301,7 +301,7 @@ func (inc *Incremental) track(confine bool) evaluator {
 			// subscribes to nothing; refreshTracked feeds it.
 			var masks []isomorph.Mask
 			if c.w != nil {
-				masks = c.w.domains(p, p.Automorphisms())
+				masks = c.w.domains(p)
 			}
 			d, domains, err := core.NewDeltaContextAt(inc.g, inc.snap, p, core.Options{Parallelism: inc.cfg.EnumParallelism}, masks)
 			if err != nil {

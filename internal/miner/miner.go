@@ -261,11 +261,10 @@ func (m *Miner) MineContext(ctx context.Context) (*Result, error) {
 // from every sub-pattern, or when an intersection holds fewer than MinSupport
 // vertices.
 func (m *Miner) inherit(c candidate) ([]isomorph.Mask, bool) {
-	auts := c.p.Automorphisms()
-	if !c.w.complete(c.p, auts) {
+	if !c.w.complete(c.p) {
 		return nil, false
 	}
-	masks := c.w.domains(c.p, auts)
+	masks := c.w.domains(c.p)
 	for _, mask := range masks {
 		if mask != nil && float64(mask.Count()) < m.cfg.MinSupport {
 			return nil, false

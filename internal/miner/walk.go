@@ -40,12 +40,11 @@ type candidate struct {
 }
 
 // level is the next wave while the walk grows it: the candidates in the order
-// they were admitted, by canonical code the index of each, and the
-// placements recorded so far, for any candidate (see done).
+// they were admitted, each with the placements recorded so far, and by
+// canonical code the index of each.
 type level struct {
 	wave   []candidate
 	byCode map[string]int
-	placed []placement
 }
 
 // decision is what an evaluator says of one candidate.
@@ -147,23 +146,8 @@ func (l *level) admit(s pattern.Step) {
 // it reaches, if that is in the wave.
 func (l *level) place(s pattern.Step, domains []isomorph.Mask) {
 	if i, ok := l.byCode[s.Code]; ok {
-		l.placed = append(l.placed, placement{at: i, domains: domains, places: s.Places, edge: [2]int{s.Places[s.Edge[0]], s.Places[s.Edge[1]]}})
+		l.wave[i].w = append(l.wave[i].w, placement{domains: domains, places: s.Places, edge: [2]int{s.Places[s.Edge[0]], s.Places[s.Edge[1]]}})
 	}
-}
-
-// done returns the grown wave, each candidate holding its placements as its
-// witness: one stretch of the wave's placements, grouped by candidate.
-func (l *level) done() []candidate {
-	slices.SortFunc(l.placed, func(a, b placement) int { return cmp.Compare(a.at, b.at) })
-	for rest := l.placed; len(rest) > 0; {
-		n := 1
-		for n < len(rest) && rest[n].at == rest[0].at {
-			n++
-		}
-		l.wave[rest[0].at].w = witness(rest[:n:n])
-		rest = rest[n:]
-	}
-	return l.wave
 }
 
 // climb walks the lattice up from wave: it sorts each wave (patternOrder),
@@ -199,7 +183,7 @@ func (w *walk) climb(wave []candidate, eval evaluator, visit func(decision) bool
 				return true
 			})
 		}
-		wave = next.done()
+		wave = next.wave
 	}
 	return nil
 }
@@ -233,8 +217,6 @@ type witness []placement
 
 // placement is one grow step from a parent with domains.
 type placement struct {
-	// at is the index of the candidate in its wave as the walk admitted it.
-	at int
 	// domains are the parent's, aligned with its Nodes(): the parent's node
 	// at position i sits at canonical place places[i] of the candidate.
 	domains []isomorph.Mask
@@ -245,25 +227,23 @@ type placement struct {
 
 // complete reports whether the witness has heard from every sub-pattern of
 // p: whether every edge a grow step can add to reach p (GrownEdges) is one of
-// the steps' added edges up to auts, p's automorphisms. Only one edge leads
-// to each sub-pattern placement once p has two edges; a one-edge pattern — a
-// seed, which has no witness — would have two leaves to drop.
-func (wt witness) complete(p *pattern.Pattern, auts [][]int) bool {
+// the steps' added edges up to p's automorphisms (PairOrbit). Only one edge
+// leads to each sub-pattern placement once p has two edges; a one-edge
+// pattern — a seed, which has no witness — would have two leaves to drop.
+func (wt witness) complete(p *pattern.Pattern) bool {
 	k := p.Size()
 	var small [64]bool
-	covered := small[:]
-	if k*k > len(small) {
-		covered = make([]bool, k*k)
+	covered := small[:] // by pair orbit
+	if pairs := k * (k - 1) / 2; pairs > len(small) {
+		covered = make([]bool, pairs)
+	}
+	for _, st := range wt {
+		covered[p.PairOrbit(st.edge[0], st.edge[1])] = true
 	}
 	n := 0
-	for _, st := range wt {
-		for _, sigma := range auts {
-			a, b := sigma[st.edge[0]], sigma[st.edge[1]]
-			if a > b {
-				a, b = b, a
-			}
-			if !covered[a*k+b] {
-				covered[a*k+b] = true
+	for b := 1; b < k; b++ {
+		for a := 0; a < b; a++ {
+			if covered[p.PairOrbit(a, b)] {
 				n++
 			}
 		}
@@ -272,21 +252,15 @@ func (wt witness) complete(p *pattern.Pattern, auts [][]int) bool {
 }
 
 // domains returns, aligned with p.Nodes(), the intersection of every domain
-// the steps give the places of a node's Aut orbit (auts, p's automorphisms),
-// or nil for a node no step places. Nodes of one orbit share their mask.
-func (wt witness) domains(p *pattern.Pattern, auts [][]int) []isomorph.Mask {
+// the steps give the places of a node's orbit under p's automorphisms
+// (PlaceOrbit), or nil for a node no step places. Nodes of one orbit share
+// their mask.
+func (wt witness) domains(p *pattern.Pattern) []isomorph.Mask {
 	k := p.Size()
-	orbit := make([]int, k) // orbit[a]: the smallest place of a's orbit
-	for a := range orbit {
-		orbit[a] = a
-		for _, sigma := range auts {
-			orbit[a] = min(orbit[a], sigma[a])
-		}
-	}
 	rows := make([]isomorph.Mask, k) // by orbit, at its smallest place
 	for _, st := range wt {
 		for i, d := range st.domains {
-			if o := orbit[st.places[i]]; rows[o] == nil {
+			if o := p.PlaceOrbit(st.places[i]); rows[o] == nil {
 				rows[o] = slices.Clone(d)
 			} else {
 				rows[o].Intersect(d)
@@ -295,7 +269,7 @@ func (wt witness) domains(p *pattern.Pattern, auts [][]int) []isomorph.Mask {
 	}
 	masks := make([]isomorph.Mask, k)
 	for a, pos := range p.CanonicalOrder() {
-		masks[pos] = rows[orbit[a]]
+		masks[pos] = rows[p.PlaceOrbit(a)]
 	}
 	return masks
 }

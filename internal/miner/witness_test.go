@@ -117,8 +117,7 @@ func byPlace(p *pattern.Pattern, domains []isomorph.Mask) []isomorph.Mask {
 func requireWitnessMatches(t testing.TB, c candidate, table map[string][]isomorph.Mask, tag string) {
 	t.Helper()
 	want, wantComplete := subDomains(c.p, table)
-	auts := c.p.Automorphisms()
-	got, gotComplete := c.w.domains(c.p, auts), c.w.complete(c.p, auts)
+	got, gotComplete := c.w.domains(c.p), c.w.complete(c.p)
 	if gotComplete != wantComplete {
 		t.Fatalf("%s: %s: witness of %d steps complete = %v, sub-patterns say %v", tag, c.p, len(c.w), gotComplete, wantComplete)
 	}
@@ -204,13 +203,9 @@ func checkWitnesses(t testing.TB, g *graph.Graph, minSupport float64, maxSize in
 // only on p's code and the Aut orbit of the position's canonical place, as
 // MNI domains do, dense enough that intersections of several stay non-empty.
 func syntheticDomains(p *pattern.Pattern) []isomorph.Mask {
-	auts := p.Automorphisms()
 	out := make([]isomorph.Mask, p.Size())
 	for a, pos := range p.CanonicalOrder() {
-		orbit := a
-		for _, sigma := range auts {
-			orbit = min(orbit, sigma[a])
-		}
+		orbit := p.PlaceOrbit(a)
 		mask := isomorph.NewMask(256)
 		for v := int32(0); v < 256; v++ {
 			h := fnv.New32a()
@@ -321,6 +316,6 @@ func checkSyntheticWitness(t *testing.T, p *pattern.Pattern, labels []graph.Labe
 		if absent >= 0 {
 			tag += ", without " + codes[absent]
 		}
-		requireWitnessMatches(t, next.done()[0], table, tag)
+		requireWitnessMatches(t, next.wave[0], table, tag)
 	}
 }

@@ -27,25 +27,18 @@ func (p *Pattern) CanonicalCode() string { return p.canon().code }
 // its numbering. The order is cached with the code; the slice is fresh.
 func (p *Pattern) CanonicalOrder() []int { return slices.Clone(p.canon().order) }
 
-// Automorphisms returns the automorphisms of the pattern as permutations of
-// its canonical places (see CanonicalOrder): σ maps place a to σ[a], which
-// carries a's label and is adjacent to σ[b] exactly when a is adjacent to b.
-// The identity comes first. They are found with the code and cached; the
-// slices are fresh.
-func (p *Pattern) Automorphisms() [][]int {
-	f := p.canon()
-	k := len(f.order)
-	flat := make([]int, k+len(f.auts))
-	for a := range k {
-		flat[a] = a
-	}
-	copy(flat[k:], f.auts)
-	out := make([][]int, len(flat)/k)
-	for i := range out {
-		out[i] = flat[i*k : (i+1)*k : (i+1)*k]
-	}
-	return out
-}
+// PlaceOrbit returns the orbit of canonical place a (see CanonicalOrder)
+// under the pattern's automorphisms: the smallest place an automorphism maps
+// a to. Places of one orbit carry one label and sit alike in the pattern.
+// The orbits are found with the code and cached.
+func (p *Pattern) PlaceOrbit(a int) int { return p.canon().orbits[a] }
+
+// PairOrbit returns the orbit of the pair of distinct canonical places a and
+// b under the pattern's automorphisms: the smallest index b'(b'-1)/2 + a',
+// a' < b', of a pair {a', b'} an automorphism maps {a, b} to. It lies in
+// [0, k(k-1)/2) for a k-node pattern, and pairs of one orbit are both edges
+// or both not.
+func (p *Pattern) PairOrbit(a, b int) int { return p.canon().pairOrbit(a, b) }
 
 // canon returns the pattern's canonical form, computing it on first use.
 // Racing first calls compute equal forms, so whichever pointer lands is
@@ -68,18 +61,32 @@ func (p *Pattern) IsIsomorphicTo(q *Pattern) bool {
 }
 
 // form is a shape's canonical form: its code, the ordering it is written in
-// and the automorphisms that ordering shows.
+// and the orbits of places and of place pairs under its automorphisms. It
+// keeps the orbits, not the group: a one-label star of k nodes has (k-1)!
+// automorphisms but k + k(k-1)/2 orbit entries.
 type form struct {
 	code string
 	// order[a] is the node at place a; places[n] is the place of node n.
 	order, places []int
-	// auts holds every automorphism but the identity as a place permutation,
-	// k places each, back to back.
-	auts []int
-	// small holds order and places of a shape of up to eight nodes, so they
-	// come with the form's own allocation.
-	small [16]int
+	// orbits[a] is PlaceOrbit(a); pairs[pairIndex(a, b)] is PairOrbit(a, b).
+	orbits, pairs []int
+	// small holds the slices of a shape of up to six nodes, so they come
+	// with the form's own allocation.
+	small [33]int
 }
+
+// pairIndex numbers the pair of distinct places or nodes a and b: the
+// pairs {a', b'}, a' < b', of a k-node shape are numbered 0..k(k-1)/2-1 in
+// order of b', then a'.
+func pairIndex(a, b int) int {
+	if a > b {
+		a, b = b, a
+	}
+	return b*(b-1)/2 + a
+}
+
+// pairOrbit is PairOrbit.
+func (f *form) pairOrbit(a, b int) int { return f.pairs[pairIndex(a, b)] }
 
 // canonicalForm computes the canonical form of a shape without trying all k!
 // node orders. A token ends in '.' and holds no other '.', so no token is a
@@ -88,19 +95,25 @@ type form struct {
 // by permuting nodes that carry the same label. All such orderings share the
 // token prefix, so the minimum is decided by the triangle alone — compared
 // as packed words, most significant bit first, and rendered once at the end.
-// The orderings that tie with the minimum are the canonical one composed with
-// an automorphism, so the same search finds the automorphisms.
+// Two orderings that give one triangle differ by an automorphism, so each
+// tie the search meets merges the orbits it shows (canonSearch.tie); every
+// automorphism is shown by the ordering it maps the canonical one to.
 //
 // c, when non-nil, lends the search its buffers (newCanonSearch), so a
 // caller computing many forms in a row allocates only what each form keeps.
 func (s shape) canonicalForm(c *canonSearch) *form {
 	k := len(s.labels)
+	pairs := k * (k - 1) / 2
 	if c == nil || len(c.ints) < 3*k {
 		c = newCanonSearch(k)
 	}
 	words := triWords(k)
-	c.s, c.found, c.ties = s, false, c.ties[:0]
+	c.s, c.found = s, false
 	c.perm, c.cellEnd, c.best = c.ints[:k:k], c.ints[k:2*k:2*k], c.ints[2*k:3*k:3*k]
+	c.classes, c.smallest = c.classes[:k+pairs], c.smallest[:k+pairs]
+	for i := range c.classes {
+		c.classes[i] = i
+	}
 	c.cur, c.bestTri = c.tri[:words:words], c.tri[words:2*words:2*words]
 	// Stable insertion sort of the nodes by token.
 	for i := 0; i < k; i++ {
@@ -122,20 +135,32 @@ func (s shape) canonicalForm(c *canonSearch) *form {
 
 	f := &form{}
 	ints := f.small[:]
-	if 2*k > len(ints) {
-		ints = make([]int, 2*k)
+	if 3*k+pairs > len(ints) {
+		ints = make([]int, 3*k+pairs)
 	}
 	f.order, f.places = ints[:k:k], ints[k:2*k:2*k]
+	f.orbits, f.pairs = ints[2*k:3*k:3*k], ints[3*k:3*k+pairs:3*k+pairs]
 	copy(f.order, c.best)
 	for a, n := range f.order {
 		f.places[n] = a
 	}
-	// A tie t puts node t[a] at place a where the canonical ordering has it
-	// at places[t[a]]: the automorphism maps a there.
-	if len(c.ties) > 0 {
-		f.auts = make([]int, len(c.ties))
-		for i, n := range c.ties {
-			f.auts[i] = f.places[n]
+	// A class of nodes or of node pairs is an orbit; it is named by the
+	// smallest place, or place pair index, of its members, kept at its root.
+	for i := range c.smallest {
+		c.smallest[i] = k + pairs
+	}
+	for m := range k {
+		r := c.root(m)
+		c.smallest[r] = min(c.smallest[r], f.places[m])
+		for n := range m {
+			r := c.root(k + pairIndex(n, m))
+			c.smallest[r] = min(c.smallest[r], pairIndex(f.places[n], f.places[m]))
+		}
+	}
+	for a, n := range f.order {
+		f.orbits[a] = c.smallest[c.root(n)]
+		for b, m := range f.order[:a] {
+			f.pairs[pairIndex(b, a)] = c.smallest[c.root(k+pairIndex(n, m))]
 		}
 	}
 
@@ -162,7 +187,14 @@ func (s shape) canonicalForm(c *canonSearch) *form {
 
 // newCanonSearch returns a search with buffers for shapes of up to k nodes.
 func newCanonSearch(k int) *canonSearch {
-	return &canonSearch{ints: make([]int, 3*k), tri: make([]uint64, 2*triWords(k))}
+	classes := make([]int, 2*(k+k*(k-1)/2))
+	n := len(classes) / 2
+	return &canonSearch{
+		ints:     make([]int, 3*k),
+		tri:      make([]uint64, 2*triWords(k)),
+		classes:  classes[:n:n],
+		smallest: classes[n:],
+	}
 }
 
 // triWords is the number of words the upper triangle of a k-node shape packs
@@ -182,8 +214,8 @@ func tokenLess(a, b graph.Label) bool {
 }
 
 // canonSearch walks the node orderings that keep the sorted token sequence —
-// the permutations within each label cell — and keeps the one with the
-// smallest triangle and the later ones that tie with it.
+// the permutations within each label cell — keeps the one with the smallest
+// triangle and merges the orbits every tie shows.
 type canonSearch struct {
 	s       shape
 	perm    []int // current ordering: perm[a] is the node at place a
@@ -193,8 +225,12 @@ type canonSearch struct {
 	bestTri []uint64
 	ints    []int    // perm, cellEnd and best, back to back
 	tri     []uint64 // cur and bestTri, back to back
-	ties    []int    // orderings that tie with best, k nodes each, back to back
-	found   bool
+	// classes is a union-find forest over the k nodes, then the node pairs
+	// by pairIndex, offset by k: the orbits the ties have shown so far.
+	classes []int
+	// smallest names each orbit at its root once the search is done.
+	smallest []int
+	found    bool
 }
 
 // permute fixes places from onwards, trying every node of the place's cell
@@ -238,7 +274,7 @@ func (c *canonSearch) leaf() {
 			i++
 		}
 		if i == len(c.cur) {
-			c.ties = append(c.ties, c.perm...)
+			c.tie()
 			return
 		}
 		if c.cur[i] > c.bestTri[i] {
@@ -246,7 +282,36 @@ func (c *canonSearch) leaf() {
 		}
 	}
 	c.found = true
-	c.ties = c.ties[:0]
 	copy(c.best, c.perm)
 	copy(c.bestTri, c.cur)
+}
+
+// tie merges the orbits shown by the current ordering, whose triangle equals
+// best's: the map taking best[a] to perm[a] keeps labels (both orderings
+// keep the cells) and adjacency (they give one triangle), so it is an
+// automorphism, whichever ordering ends up canonical.
+func (c *canonSearch) tie() {
+	k := len(c.perm)
+	for a, n := range c.best {
+		c.union(n, c.perm[a])
+		for b, m := range c.best[:a] {
+			c.union(k+pairIndex(m, n), k+pairIndex(c.perm[b], c.perm[a]))
+		}
+	}
+}
+
+// root returns the root of i's class, halving the path on the way.
+func (c *canonSearch) root(i int) int {
+	for c.classes[i] != i {
+		c.classes[i] = c.classes[c.classes[i]]
+		i = c.classes[i]
+	}
+	return i
+}
+
+// union merges the classes of i and j.
+func (c *canonSearch) union(i, j int) {
+	if ri, rj := c.root(i), c.root(j); ri != rj {
+		c.classes[max(ri, rj)] = min(ri, rj)
+	}
 }

@@ -92,20 +92,16 @@ func (s Step) Pattern() *Pattern {
 // canonical form.
 func (p *Pattern) Steps(labels []graph.Label, yield func(Step) bool) {
 	k := len(p.nodes)
-	auts := p.positionAutomorphisms()
-	// repeated reports whether an automorphism maps the step joining i and j
-	// (j == k for a new node) onto an earlier one.
-	repeated := func(i, j int) bool {
-		for _, pi := range auts {
-			a, b := pi[i], j
-			if j < k {
-				a, b = min(pi[i], pi[j]), max(pi[i], pi[j])
-			}
-			if a < i || a == i && b < j {
-				return true
-			}
+	f := p.canon()
+	// taken marks the orbits under p's automorphisms a step has come from:
+	// the node pair orbits, then the node orbits offset past them.
+	taken := make([]bool, len(f.pairs)+k)
+	first := func(orbit int) bool {
+		if taken[orbit] {
+			return false
 		}
-		return false
+		taken[orbit] = true
+		return true
 	}
 	search := newCanonSearch(k + 1) // lent from step to step
 	step := func(s Step) bool {
@@ -118,7 +114,7 @@ func (p *Pattern) Steps(labels []graph.Label, yield func(Step) bool) {
 	var same []NodeID // shared by the results: patterns never change
 	for i := 0; i < k; i++ {
 		for j := i + 1; j < k; j++ {
-			if p.has(i, j) || repeated(i, j) {
+			if p.has(i, j) || !first(f.pairOrbit(f.places[i], f.places[j])) {
 				continue
 			}
 			if same == nil {
@@ -141,7 +137,7 @@ func (p *Pattern) Steps(labels []graph.Label, yield func(Step) bool) {
 		newID = last + 1
 	}
 	for i := 0; i < k; i++ {
-		if repeated(i, k) {
+		if !first(len(f.pairs) + f.orbits[f.places[i]]) {
 			continue
 		}
 		for _, l := range sorted {
@@ -150,27 +146,6 @@ func (p *Pattern) Steps(labels []graph.Label, yield func(Step) bool) {
 			}
 		}
 	}
-}
-
-// positionAutomorphisms returns p's automorphisms but the identity as
-// permutations of its positions: the node at position i maps to position
-// pi[i]. It is nil when the identity is the only one.
-func (p *Pattern) positionAutomorphisms() [][]int {
-	f := p.canon()
-	k := len(f.order)
-	if len(f.auts) == 0 {
-		return nil
-	}
-	flat := make([]int, len(f.auts))
-	out := make([][]int, len(f.auts)/k)
-	for n := range out {
-		sigma, pi := f.auts[n*k:(n+1)*k], flat[n*k:(n+1)*k:(n+1)*k]
-		for i := range pi {
-			pi[i] = f.order[sigma[f.places[i]]]
-		}
-		out[n] = pi
-	}
-	return out
 }
 
 // GrownEdges returns how many edges of p some grow step adds (its Edge) to

@@ -1,9 +1,9 @@
 // Package pattern models query patterns (Definition 2.1.3): small connected
 // labeled graphs searched for inside a large data graph. It provides
-// canonical forms and automorphisms for duplicate elimination during mining,
-// pattern extension operators (grow steps that say where the parent sits in
-// the grown pattern, which is what a mined candidate is confined by), and the
-// connected node subsets the MNI(k) support measure minimises over.
+// canonical forms and automorphism orbits for duplicate elimination during
+// mining, pattern extension operators (grow steps that say where the parent
+// sits in the grown pattern, which is what a mined candidate is confined by),
+// and the connected node subsets the MNI(k) support measure minimises over.
 package pattern
 
 import (
@@ -36,8 +36,8 @@ type Pattern struct {
 	shape          // labels and adjacency by position in nodes
 	edges int
 
-	// canonical caches the canonical form: CanonicalCode, CanonicalOrder and
-	// Automorphisms (see canon).
+	// canonical caches the canonical form: CanonicalCode, CanonicalOrder,
+	// PlaceOrbit and PairOrbit (see canon).
 	canonical atomic.Pointer[form]
 
 	graphOnce sync.Once

@@ -207,9 +207,9 @@ func referenceConnectedSubsets(p *pattern.Pattern, size int) [][]pattern.NodeID 
 
 // referenceAutomorphisms lists every permutation of p's positions that keeps
 // labels and adjacency, tried over all k! orders, each written as a
-// permutation of canonical places (σ[a] is the place position π(order[a])
-// takes) and rendered with fmt; sorted.
-func referenceAutomorphisms(p *pattern.Pattern) []string {
+// permutation of canonical places: σ[a] is the place position π(order[a])
+// takes.
+func referenceAutomorphisms(p *pattern.Pattern) [][]int {
 	nodes := p.Nodes()
 	k := len(nodes)
 	order := p.CanonicalOrder()
@@ -217,7 +217,7 @@ func referenceAutomorphisms(p *pattern.Pattern) []string {
 	for a, pos := range order {
 		places[pos] = a
 	}
-	var out []string
+	var out [][]int
 	perm := make([]int, 0, k)
 	used := make([]bool, k)
 	var search func()
@@ -228,7 +228,7 @@ func referenceAutomorphisms(p *pattern.Pattern) []string {
 			for a, pos := range order {
 				sigma[a] = places[perm[pos]]
 			}
-			out = append(out, fmt.Sprint(sigma))
+			out = append(out, sigma)
 			return
 		}
 		for j := 0; j < k; j++ {
@@ -249,6 +249,5 @@ func referenceAutomorphisms(p *pattern.Pattern) []string {
 		}
 	}
 	search()
-	sort.Strings(out)
 	return out
 }

@@ -72,24 +72,7 @@ func (s shape) connected() bool {
 
 // onCycle reports whether adjacent nodes i and j stay connected without
 // their edge.
-func (s shape) onCycle(i, j int) bool {
-	if s.words() > 1 {
-		return s.withoutEdge(i, j).connected() // shapes are connected
-	}
-	reached, fresh := uint64(1)<<i, uint64(1)<<i
-	for fresh != 0 {
-		n := bits.TrailingZeros64(fresh)
-		fresh &= fresh - 1
-		next := s.rows[n]
-		if n == i {
-			next &^= 1 << j
-		}
-		next &^= reached
-		reached |= next
-		fresh |= next
-	}
-	return reached>>j&1 == 1
-}
+func (s shape) onCycle(i, j int) bool { return s.withoutEdge(i, j).connected() }
 
 // withEdge returns a copy of s in which nodes i and j are adjacent. The
 // labels are shared: shapes are immutable once built.
