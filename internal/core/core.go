@@ -310,11 +310,11 @@ func (c *Context) OccurrenceHypergraph() *hypergraph.Hypergraph {
 }
 
 // TransitiveNodeSubsets returns (and caches) the transitive node subsets of
-// the pattern (isomorph.TransitiveNodeSubsets), the sets MI minimises over.
+// the pattern (Pattern.TransitiveNodeSubsets), the sets MI minimises over.
 // It is an error for a pattern of more than 64 nodes.
 func (c *Context) TransitiveNodeSubsets() ([][]pattern.NodeID, error) {
 	c.transitiveOnce.Do(func() {
-		c.transitive, c.transitiveErr = isomorph.TransitiveNodeSubsets(c.p)
+		c.transitive, c.transitiveErr = c.p.TransitiveNodeSubsets()
 		// Every subset of a transitive node subset is one, so the pairs are
 		// the subsets of two nodes.
 		nodes := c.p.Nodes()

@@ -33,8 +33,8 @@ type OverlapKind struct {
 //     every harmful overlap would be structural as well, contradicting the
 //     taxonomy of Figure 10.
 //
-// The pattern must have at most 64 nodes; TransitiveNodeSubsets reports the
-// error ClassifyOverlap panics with on a larger one.
+// The pattern must have at most 64 nodes; Context.TransitiveNodeSubsets
+// reports the error ClassifyOverlap panics with on a larger one.
 func (c *Context) ClassifyOverlap(f1, f2 *isomorph.Occurrence) OverlapKind {
 	if _, err := c.TransitiveNodeSubsets(); err != nil {
 		panic(err)
@@ -82,7 +82,8 @@ type OverlapCounts struct {
 }
 
 // CountOverlaps classifies every pair of occurrences and tallies the kinds.
-// A pattern of more than 64 nodes is an error, as for TransitiveNodeSubsets.
+// A pattern of more than 64 nodes is an error, as for
+// Context.TransitiveNodeSubsets.
 func (c *Context) CountOverlaps() (OverlapCounts, error) {
 	if _, err := c.TransitiveNodeSubsets(); err != nil {
 		return OverlapCounts{}, err

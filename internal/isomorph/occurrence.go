@@ -1,11 +1,12 @@
 // Package isomorph implements the subgraph isomorphism machinery the support
 // measures are built on: enumeration of occurrences (Definition 2.1.8) of a
 // pattern in a data graph, de-duplication of occurrences into instances
-// (Definition 2.1.9), and the pattern's symmetry. Aut(P) has one search, over
-// node positions (patternModel.automorphisms): NewSymmetry runs it on P for
-// the symmetry-broken search and the orbit rows of the MNI tables, and
-// TransitiveNodeSubsets runs it on every connected subgraph of P for the MI
-// measure and structural overlap (Definitions 3.2.3 and 4.5.2).
+// (Definition 2.1.9), and the pattern's symmetry as the search uses it.
+// Aut(P) is found by package pattern, which owns the one automorphism search
+// (Pattern.Automorphisms) and also runs it on every connected subgraph of P
+// for the MI measure and structural overlap (Pattern.TransitiveNodeSubsets,
+// Definitions 3.2.3 and 4.5.2); NewSymmetry reads the group for the
+// symmetry-broken search and the orbit rows of the MNI tables.
 //
 // Enumeration has two entry points, both over a frozen graph.Snapshot (the
 // package never freezes a graph; callers choose the shard count where they

@@ -36,10 +36,10 @@ type Symmetry struct {
 	orbits  int
 }
 
-// NewSymmetry computes Aut(p) once, by the position search over p's model
-// (patternModel.automorphisms): nothing of it is keyed by node ID.
+// NewSymmetry computes Aut(p) once, as p's automorphisms
+// (Pattern.Automorphisms, in their order): nothing of it is keyed by node ID.
 func NewSymmetry(p *pattern.Pattern) *Symmetry {
-	s := &Symmetry{perms: newPatternModel(p).automorphisms(), orbitOf: make([]int, p.Size())}
+	s := &Symmetry{perms: p.Automorphisms(), orbitOf: make([]int, p.Size())}
 	// The group's images of a position are its whole orbit, so the orbit of a
 	// position is the smallest position any automorphism sends it to.
 	for i := range s.orbitOf {
@@ -197,22 +197,19 @@ func (s *Symmetry) swaps(a, b int) bool {
 // edge.
 func (s *Symmetry) EdgeOrbits(p *pattern.Pattern) [][2]int {
 	var arcs [][2]int
-	for a, nbs := range newPatternModel(p).adj {
-		for _, b := range nbs {
-			if b < a {
-				continue
+	nodes := p.Nodes()
+	for _, e := range p.Edges() {
+		a, b := nodePos(nodes, e.U), nodePos(nodes, e.V)
+		first := true
+		for _, perm := range s.perms {
+			x, y := min(perm[a], perm[b]), max(perm[a], perm[b])
+			if x < a || x == a && y < b {
+				first = false
+				break
 			}
-			first := true
-			for _, perm := range s.perms {
-				x, y := min(perm[a], perm[b]), max(perm[a], perm[b])
-				if x < a || x == a && y < b {
-					first = false
-					break
-				}
-			}
-			if first {
-				arcs = append(arcs, [2]int{a, b})
-			}
+		}
+		if first {
+			arcs = append(arcs, [2]int{a, b})
 		}
 	}
 	return arcs

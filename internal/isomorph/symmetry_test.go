@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -289,6 +290,39 @@ func TestSymmetryOrbitsAndConstraints(t *testing.T) {
 		if len(s.Below) != 0 {
 			t.Fatalf("asymmetric path has a bound at node %d: %v", s.Node, s.Below)
 		}
+	}
+}
+
+// TestSymmetryAllocatesLittle bounds what NewSymmetry allocates for a
+// three-label 4-node path, the shape of a mined candidate: the group is
+// searched on the pattern's own adjacency rows (Pattern.Automorphisms), with
+// no position model or edge matrix built for it.
+func TestSymmetryAllocatesLittle(t *testing.T) {
+	p := pattern.MustNew(graph.NewBuilder("path").Vertex(0, 1).Vertex(1, 2).Vertex(2, 3).Vertex(3, 1).Path(0, 1, 2, 3).MustBuild())
+	if allocs := testing.AllocsPerRun(100, func() { isomorph.NewSymmetry(p) }); allocs > 8 {
+		t.Fatalf("NewSymmetry of a three-label 4-node path made %.0f allocations, want at most 8", allocs)
+	}
+}
+
+// TestSymmetryOfALongPath: the group of a one-label 12-node path, the
+// identity and the reversal, is found at once. The search prunes by degree
+// and adjacency; the canonical form's cell search would try all 12! orderings
+// of the one cell.
+func TestSymmetryOfALongPath(t *testing.T) {
+	ids := make([]graph.VertexID, 12)
+	for i := range ids {
+		ids[i] = graph.VertexID(i)
+	}
+	p := pattern.MustNew(graph.NewBuilder("path").Vertices(1, ids...).Path(ids...).MustBuild())
+	done := make(chan *isomorph.Symmetry, 1)
+	go func() { done <- isomorph.NewSymmetry(p) }()
+	select {
+	case sym := <-done:
+		if sym.Order() != 2 || sym.NumOrbits() != 6 {
+			t.Fatalf("one-label 12-node path: %d automorphisms, %d orbits; want 2 and 6", sym.Order(), sym.NumOrbits())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("NewSymmetry of a one-label 12-node path took over 10 s")
 	}
 }
 

@@ -13,9 +13,9 @@ import (
 // MI is the minimum instance support measure introduced in Section 3.2: the
 // minimum, over all transitive node subsets T of the pattern — sets of nodes
 // in one orbit of some connected subgraph of it (Definition 3.2.4,
-// isomorph.TransitiveNodeSubsets) — of the number of distinct set-images
-// {f_i(T)} across occurrences. MI has no configuration: MI{} is the paper's
-// measure.
+// pattern.Pattern.TransitiveNodeSubsets) — of the number of distinct
+// set-images {f_i(T)} across occurrences. MI has no configuration: MI{} is the
+// paper's measure.
 //
 // Because every singleton {v} is a transitive node subset, σ_MI ≤ σ_MNI
 // (Theorem 3.4); because a cover of the minimizing subset's images covers the

@@ -3,6 +3,7 @@ package pattern_test
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -110,11 +111,38 @@ func checkAgainstReference(t *testing.T, data []byte) {
 
 // checkOrbits holds p.PlaceOrbit and p.PairOrbit to the orbits of
 // referenceAutomorphisms: the smallest place, and the smallest pair index, an
-// automorphism maps each place and each pair of places to.
+// automorphism maps each place and each pair of places to. It holds
+// p.Automorphisms to the reference too: the same permutations, written on
+// positions, in lexicographic order with the identity first, and a group
+// whose smallest image of each place is its PlaceOrbit.
 func checkOrbits(t *testing.T, p *pattern.Pattern) {
 	t.Helper()
 	auts := referenceAutomorphisms(p)
 	k := p.Size()
+	order := p.CanonicalOrder()
+	places := make([]int, k)
+	for a, pos := range order {
+		places[pos] = a
+	}
+	want := make([][]int, len(auts))
+	for g, sigma := range auts {
+		// σ sends place a to place σ[a], so it sends position order[a] to
+		// position order[σ[a]].
+		want[g] = make([]int, k)
+		for a, pos := range order {
+			want[g][pos] = order[sigma[a]]
+		}
+	}
+	slices.SortFunc(want, slices.Compare)
+	group := p.Automorphisms()
+	if fmt.Sprint(group) != fmt.Sprint(want) {
+		t.Fatalf("%s: automorphisms %v, reference in lexicographic order %v", p, group, want)
+	}
+	for i, j := range group[0] {
+		if i != j {
+			t.Fatalf("%s: first automorphism %v is not the identity", p, group[0])
+		}
+	}
 	pairIndex := func(a, b int) int { return max(a, b)*(max(a, b)-1)/2 + min(a, b) }
 	for a := 0; a < k; a++ {
 		want := a
@@ -123,6 +151,13 @@ func checkOrbits(t *testing.T, p *pattern.Pattern) {
 		}
 		if got := p.PlaceOrbit(a); got != want {
 			t.Fatalf("%s: place %d in orbit %d, reference %d", p, a, got, want)
+		}
+		smallest := a
+		for _, perm := range group {
+			smallest = min(smallest, places[perm[order[a]]])
+		}
+		if got := p.PlaceOrbit(a); got != smallest {
+			t.Fatalf("%s: place %d in orbit %d, but Automorphisms take it to place %d at least", p, a, got, smallest)
 		}
 		for b := 0; b < a; b++ {
 			want := pairIndex(a, b)

@@ -3,11 +3,14 @@
 // canonical forms and automorphism orbits for duplicate elimination during
 // mining, pattern extension operators (grow steps that say where the parent
 // sits in the grown pattern, which is what a mined candidate is confined by),
-// and the connected node subsets the MNI(k) support measure minimises over.
+// the connected node subsets the MNI(k) support measure minimises over, and
+// the pattern's symmetry: the automorphism group instance counting rests on,
+// and the transitive node subsets the MI measure minimises over.
 package pattern
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -193,15 +196,22 @@ func (p *Pattern) String() string {
 	return fmt.Sprintf("Pattern(k=%d, m=%d, code=%s)", p.Size(), p.NumEdges(), p.CanonicalCode())
 }
 
+// Automorphisms returns Aut(P), each automorphism as the permutation of node
+// positions in Nodes() it is: perm[i] is the position it sends position i
+// to. They come in lexicographic order, so the identity is first. The group
+// is searched for on every call (shape.automorphisms), not cached: the
+// canonical form keeps orbits only, since a one-label star's group is
+// factorial, so a caller that needs the group keeps what this returns.
+func (p *Pattern) Automorphisms() [][]int { return p.automorphisms() }
+
 // ConnectedSubsets enumerates every connected subset of pattern nodes with
 // exactly size elements, each sorted, for the parameterized MNI(k) measure
 // (Definition 2.2.9); size 1 gives the singletons. The subsets are ordered as
 // their keys "v1,v2,...," compare as strings, the order MNI(k)'s witness
-// names the first minimising subset in. They are grown as position bitsets,
-// one neighbour at a time through the adjacency rows, so the work is that of
-// the connected subsets up to size, never a scan of all 2^k node sets. A
-// pattern of more than 64 nodes, whose node sets would not fit a bitset, is an
-// error.
+// names the first minimising subset in. They are grown as position bitsets
+// (growSets), so the work is that of the connected subsets up to size, never
+// a scan of all 2^k node sets. A pattern of more than 64 nodes, whose node
+// sets would not fit a bitset, is an error.
 func (p *Pattern) ConnectedSubsets(size int) ([][]NodeID, error) {
 	if size <= 0 || size > p.Size() {
 		return nil, nil
@@ -209,31 +219,11 @@ func (p *Pattern) ConnectedSubsets(size int) ([][]NodeID, error) {
 	if p.Size() > 64 {
 		return nil, fmt.Errorf("pattern %q: connected subsets of a %d-node pattern: at most 64 nodes are supported", p.name, p.Size())
 	}
-	level := make([]uint64, p.Size())
-	for i := range level {
-		level[i] = 1 << i
-	}
+	level := p.singletons()
 	for n := 1; n < size; n++ {
-		var next []uint64
-		for _, set := range level {
-			var reach uint64
-			for s := set; s != 0; s &= s - 1 {
-				reach |= p.row(bits.TrailingZeros64(s))[0]
-			}
-			for r := reach &^ set; r != 0; r &= r - 1 {
-				next = append(next, set|r&-r)
-			}
-		}
-		slices.Sort(next)
-		level = slices.Compact(next)
+		level = p.growSets(level)
 	}
-	out := make([][]NodeID, len(level))
-	for a, set := range level {
-		out[a] = make([]NodeID, 0, size)
-		for s := set; s != 0; s &= s - 1 {
-			out[a] = append(out[a], p.nodes[bits.TrailingZeros64(s)])
-		}
-	}
+	out := p.nodeLists(level)
 	slices.SortFunc(out, func(a, b []NodeID) int {
 		// Equally long keys agree up to the first node that differs and from
 		// there compare as its two decimals do: the comma ending the shorter
@@ -247,4 +237,140 @@ func (p *Pattern) ConnectedSubsets(size int) ([][]NodeID, error) {
 		return 0
 	})
 	return out, nil
+}
+
+// singletons returns the one-node sets of a pattern of at most 64 nodes, as
+// position bitsets.
+func (p *Pattern) singletons() []uint64 {
+	sets := make([]uint64, p.Size())
+	for i := range sets {
+		sets[i] = 1 << i
+	}
+	return sets
+}
+
+// growSets returns, sorted and without duplicates, the connected node sets
+// one node larger than the given ones that contain one of them: each set
+// grown by one neighbour, read off the adjacency rows. The sets are position
+// bitsets of a pattern of at most 64 nodes.
+func (p *Pattern) growSets(level []uint64) []uint64 {
+	var next []uint64
+	for _, set := range level {
+		var reach uint64
+		for s := set; s != 0; s &= s - 1 {
+			reach |= p.row(bits.TrailingZeros64(s))[0]
+		}
+		for r := reach &^ set; r != 0; r &= r - 1 {
+			next = append(next, set|r&-r)
+		}
+	}
+	slices.Sort(next)
+	return slices.Compact(next)
+}
+
+// nodeLists returns each position bitset as the sorted list of its node IDs.
+func (p *Pattern) nodeLists(sets []uint64) [][]NodeID {
+	out := make([][]NodeID, len(sets))
+	for a, set := range sets {
+		out[a] = make([]NodeID, 0, bits.OnesCount64(set))
+		for s := set; s != 0; s &= s - 1 {
+			out[a] = append(out[a], p.nodes[bits.TrailingZeros64(s)])
+		}
+	}
+	return out
+}
+
+// TransitiveNodeSubsets enumerates the transitive node subsets of pattern P
+// (Definition 3.2.3): every non-empty set of nodes that lie in one orbit of
+// some connected subgraph of P (Definition 3.2.4). Subgraphs are restricted
+// to connected ones so that the notion stays non-degenerate: with edgeless
+// subgraphs any two same-labeled nodes would be transitive, and structural
+// overlap would collapse into simple overlap, contradicting Figure 10. Taking
+// every connected subgraph, not only P or its induced subpatterns, is what
+// makes MI anti-monotonic under every extension, adding an edge between two
+// existing nodes included; it also catches the two nodes of Figure 4, which
+// are symmetric in a proper subpattern but not in P. The singletons, which
+// the identity makes transitive, are always there (hence σ_MI ≤ σ_MNI,
+// Theorem 3.4).
+//
+// Everything is computed on position bitsets: for every connected node set
+// (growSets, as ConnectedSubsets grows them) the connected spanning edge
+// subsets are chosen edge by edge, each is a shape whose orbits come from the
+// one automorphism search (shape.automorphisms), and the subsets are
+// collected as bitsets. They are returned sorted, by size and then by node
+// IDs, without duplicates. A pattern of more than 64 nodes, whose node sets
+// would not fit a bitset, is an error.
+func (p *Pattern) TransitiveNodeSubsets() ([][]NodeID, error) {
+	k := p.Size()
+	if k > 64 {
+		return nil, fmt.Errorf("pattern %q: transitive node subsets of a %d-node pattern: at most 64 nodes are supported", p.name, k)
+	}
+	level := p.singletons()
+	found := slices.Clone(level)
+	for size := 2; size <= k; size++ {
+		level = p.growSets(level)
+		for _, set := range level {
+			found = p.orbitSubsets(set, found)
+		}
+	}
+	slices.SortFunc(found, func(a, b uint64) int {
+		// Of two equally large sets the one holding the lowest position they
+		// do not share has the smaller sorted node list: bit-reversed, the
+		// larger number.
+		return cmp.Or(bits.OnesCount64(a)-bits.OnesCount64(b), cmp.Compare(bits.Reverse64(b), bits.Reverse64(a)))
+	})
+	return p.nodeLists(slices.Compact(found)), nil
+}
+
+// orbitSubsets appends to found, as position bitsets, every subset of at
+// least two nodes of an orbit of a connected subgraph spanning the connected
+// node set set: one that keeps some of P's edges among set, enough to connect
+// it. Each such subgraph is a shape on set's nodes in position order, whose
+// rows are the edges it keeps.
+func (p *Pattern) orbitSubsets(set uint64, found []uint64) []uint64 {
+	n := bits.OnesCount64(set)
+	pos := make([]int, 0, n) // pos[a]: the position of the subgraph's node a
+	sub := shape{labels: make([]graph.Label, n), rows: make([]uint64, n)}
+	var edges [][2]int // P's edges among set, as nodes of sub
+	for s := set; s != 0; s &= s - 1 {
+		i, a := bits.TrailingZeros64(s), len(pos)
+		pos, sub.labels[a] = append(pos, i), p.labels[i]
+		for r := p.row(i)[0] & set &^ (uint64(1)<<(i+1) - 1); r != 0; r &= r - 1 {
+			// A later neighbour's node is the number of set's nodes below it.
+			edges = append(edges, [2]int{a, bits.OnesCount64(set & (r&-r - 1))})
+		}
+	}
+	kept := sub.rows
+	var choose func(e int)
+	choose = func(e int) {
+		if e < len(edges) {
+			choose(e + 1)
+			a, b := edges[e][0], edges[e][1]
+			kept[a], kept[b] = kept[a]|1<<b, kept[b]|1<<a
+			choose(e + 1)
+			kept[a], kept[b] = kept[a]&^(1<<b), kept[b]&^(1<<a)
+			return
+		}
+		if !sub.connected() {
+			return
+		}
+		perms := sub.automorphisms()
+		for a, i := range pos {
+			var orbit uint64
+			for _, perm := range perms {
+				orbit |= 1 << pos[perm[a]]
+			}
+			// Each orbit is taken once, at its first node.
+			if orbit&(1<<i-1) != 0 {
+				continue
+			}
+			for s := orbit; s != 0; s = (s - 1) & orbit {
+				if s&(s-1) != 0 {
+					found = append(found, s)
+				}
+			}
+		}
+	}
+	choose(0)
+	return found
 }

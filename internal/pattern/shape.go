@@ -2,6 +2,7 @@ package pattern
 
 import (
 	"math/bits"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -47,6 +48,58 @@ func (s shape) degree(i int) int {
 		d += bits.OnesCount64(w)
 	}
 	return d
+}
+
+// automorphisms returns Aut of s, each automorphism as the permutation of
+// nodes it is (perm[i] is where node i goes), in lexicographic order, so the
+// identity comes first. It backtracks over the nodes in order: a candidate
+// image must be free, carry the node's label and degree, and be adjacent to
+// the images of exactly the earlier nodes the node is adjacent to — for the
+// small shapes patterns are, a few word reads per candidate.
+func (s shape) automorphisms() [][]int {
+	k := len(s.labels)
+	ints := make([]int, 2*k)
+	a := autSearch{s: s, deg: ints[:k:k], perm: ints[k:], used: make([]bool, k)}
+	for i := range a.deg {
+		a.deg[i] = s.degree(i)
+	}
+	a.extend(0)
+	return a.perms
+}
+
+// autSearch is the state of shape.automorphisms' backtracking.
+type autSearch struct {
+	s     shape
+	deg   []int // deg[i] is node i's degree
+	perm  []int // perm[i] is node i's image, for the nodes mapped so far
+	used  []bool
+	perms [][]int
+}
+
+// extend maps node d and every node after it in every way that keeps the
+// mapping an automorphism so far.
+func (a *autSearch) extend(d int) {
+	if d == len(a.perm) {
+		// An injective, label-preserving map that keeps every edge and
+		// non-edge among the mapped nodes is an automorphism once every node
+		// is mapped.
+		a.perms = append(a.perms, slices.Clone(a.perm))
+		return
+	}
+candidates:
+	for c := range a.perm {
+		if a.used[c] || a.s.labels[c] != a.s.labels[d] || a.deg[c] != a.deg[d] {
+			continue
+		}
+		for w, img := range a.perm[:d] {
+			if a.s.has(d, w) != a.s.has(c, img) {
+				continue candidates
+			}
+		}
+		a.perm[d], a.used[c] = c, true
+		a.extend(d + 1)
+		a.used[c] = false
+	}
 }
 
 // connected reports whether every node is reachable from node 0.

@@ -1,4 +1,4 @@
-package isomorph_test
+package pattern_test
 
 import (
 	"fmt"
@@ -134,7 +134,7 @@ func referenceOrbits(g *graph.Graph) [][]graph.VertexID {
 // reference's list for p, order included.
 func checkTransitiveNodeSubsets(t *testing.T, p *pattern.Pattern) {
 	t.Helper()
-	got, err := isomorph.TransitiveNodeSubsets(p)
+	got, err := p.TransitiveNodeSubsets()
 	if err != nil {
 		t.Fatalf("%v: %v", p.Graph(), err)
 	}
@@ -229,7 +229,72 @@ func TestTransitiveNodeSubsetsWidePattern(t *testing.T) {
 		ids[i] = graph.VertexID(i)
 	}
 	p := pattern.MustNew(graph.NewBuilder("wide").Vertices(1, ids...).Path(ids...).MustBuild())
-	if subsets, err := isomorph.TransitiveNodeSubsets(p); err == nil {
+	if subsets, err := p.TransitiveNodeSubsets(); err == nil {
 		t.Errorf("a 65-node pattern gave %d subsets and no error", len(subsets))
 	}
+}
+
+func TestTransitiveNodeSubsetsOfProperSubgraphs(t *testing.T) {
+	// Figure 4 pattern: path A-B-B. The pair {1,2} is transitive only in the
+	// subpattern consisting of the B-B edge.
+	p := pattern.MustNew(graph.NewBuilder("p").
+		Vertex(0, 1).Vertex(1, 2).Vertex(2, 2).Path(0, 1, 2).MustBuild())
+	if sym := isomorph.NewSymmetry(p); sym.OrbitOf(1) == sym.OrbitOf(2) {
+		t.Fatal("nodes 1 and 2 must not share an orbit of P itself")
+	}
+	all, err := p.TransitiveNodeSubsets()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !containsSubset(all, []pattern.NodeID{1, 2}) {
+		t.Errorf("subsets should contain {1,2}, got %v", all)
+	}
+	// Singletons must always be present.
+	for _, n := range p.Nodes() {
+		if !containsSubset(all, []pattern.NodeID{n}) {
+			t.Errorf("singleton {%d} missing", n)
+		}
+	}
+	// Same-labeled but never-symmetric nodes must not appear together: in the
+	// A-B-C-A path, the two A nodes are not transitive in any connected
+	// subgraph.
+	q := pattern.MustNew(graph.NewBuilder("q").
+		Vertex(0, 1).Vertex(1, 2).Vertex(2, 3).Vertex(3, 1).Path(0, 1, 2, 3).MustBuild())
+	subsets, err := q.TransitiveNodeSubsets()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, subset := range subsets {
+		if containsNode(subset, 0) && containsNode(subset, 3) {
+			t.Errorf("nodes 0 and 3 of the A-B-C-A path must not share a transitive subset: %v", subset)
+		}
+	}
+}
+
+func containsSubset(subsets [][]pattern.NodeID, want []pattern.NodeID) bool {
+	for _, s := range subsets {
+		if len(s) != len(want) {
+			continue
+		}
+		match := true
+		for i := range s {
+			if s[i] != want[i] {
+				match = false
+				break
+			}
+		}
+		if match {
+			return true
+		}
+	}
+	return false
+}
+
+func containsNode(subset []pattern.NodeID, n pattern.NodeID) bool {
+	for _, v := range subset {
+		if v == n {
+			return true
+		}
+	}
+	return false
 }
