@@ -29,20 +29,23 @@
 // occurrences in the full occurrence list, so every vertex set's first edge
 // keeps its place relative to the others, and a solver that reads edges in
 // order (the LP above all) meets the vertex sets in the order it would on the
-// occurrence hypergraph H_O, which repeats every edge |Aut(P)| times. H_I is
-// built without leaving the snapshot's dense indexes: the list comes with its
-// instances' indexes, a mark array over the snapshot's width numbered in
-// index order turns them into vertex ranks, and hypergraph.NewUniform lays
-// the rank lists out as H_I's dense view directly — no VertexID is hashed or
-// searched for on the way. MI and MNIk read an instance's other
-// occurrences off its representative through the symmetry's position
-// permutations; the full occurrence list, which the harmful- and
-// structural-overlap measures and CountOverlaps need, is expanded from the
-// instances once, on first use. So is H_I's kernel (hypergraph.Kernel): the
-// LP relaxation and the exact cover and packing measures read it — it has
-// their optima, usually in tens of edges where H_I has thousands — and the
-// exact packings are read back onto H_I's EdgeIDs; MNI, MI and the
-// approximations never build it.
+// occurrence hypergraph H_O, which repeats every edge |Aut(P)| times. The
+// context never leaves the snapshot's dense indexes: the list is k-tuples of
+// them, a mark array over the snapshot's width numbered in index order turns
+// them into H_I's vertex ranks, and the context keeps each instance as that
+// rank tuple, aligned with the pattern's nodes (InstanceRanks) —
+// hypergraph.NewUniform lays a copy of the tuples out as H_I's dense view
+// directly, and no VertexID is hashed or searched for on the way. MI and
+// MNIk read an instance's other occurrences off its tuple through the
+// symmetry's position permutations. No Occurrence is made unless one is
+// read: Instances() expands the tuples on its first call and Occurrences()
+// expands those under the symmetry, both once — only the harmful- and
+// structural-overlap measures and CountOverlaps read the occurrences. H_I's
+// kernel (hypergraph.Kernel) is built on first use too: the LP relaxation and
+// the exact cover and packing measures read it — it has their optima,
+// usually in tens of edges where H_I has thousands — and the exact packings
+// are read back onto H_I's EdgeIDs; MNI, MI and the approximations never
+// build it.
 //
 // DeltaContext keeps the streamed aggregates alive across graph mutations, in
 // a VertexID-keyed refcount state, one row per node orbit: a complete pass's
@@ -102,10 +105,15 @@ type Context struct {
 type materialized struct {
 	// sym is Aut(P), which the search was broken by.
 	sym *isomorph.Symmetry
-	// instances is one occurrence per instance, its smallest automorphic
-	// copy, in canonical order; edge i of h is instances[i].
-	instances []*isomorph.Occurrence
-	h         *hypergraph.Hypergraph
+	// ranks is one tuple per instance, its smallest automorphic copy, in
+	// canonical order: ranks[i*k:(i+1)*k] are instance i's images as ranks
+	// in h's Vertices(), aligned with the pattern's nodes; edge i of h is
+	// tuple i's vertex set.
+	ranks []int32
+	h     *hypergraph.Hypergraph
+	// instances is ranks expanded into occurrences, on first use.
+	instancesOnce sync.Once
+	instances     []*isomorph.Occurrence
 	// kernel is h reduced (hypergraph.Kernel), built on first use by the LP
 	// relaxation or an exact cover or packing; kernel edge i is edge
 	// origin[i] of h.
@@ -191,21 +199,22 @@ func NewDomainContext(snap *graph.Snapshot, p *pattern.Pattern, parallelism int,
 // their dense indexes.
 func (c *Context) stream(snap *graph.Snapshot, parallelism int, masks []isomorph.Mask, list bool) (*accumulator, *materialized) {
 	counter := newInstanceCounter(c.p)
-	all, instances, indexes := counter.accumulate(snap, parallelism, masks, false, list)
+	all, tuples := counter.accumulate(snap, parallelism, masks, false, list)
 	c.numInstances = all.count
 	c.numOccurrences = counter.occurrences(all.count)
 	if !list {
 		return all, nil
 	}
-	h := instanceHypergraph(snap, len(c.p.Nodes()), indexes)
-	return all, &materialized{sym: counter.sym, instances: instances, h: h}
+	h := instanceHypergraph(snap, c.p.Size(), tuples)
+	return all, &materialized{sym: counter.sym, ranks: tuples, h: h}
 }
 
 // instanceHypergraph lays H_I out from the instances' dense indexes in snap,
 // k to an instance (isomorph.ListSnapshot): a mark per index of snap,
 // numbered in index order — which is VertexID order — ranks the vertices the
-// instances use, and edge i is instance i's k ranks, written over its
-// indexes.
+// instances use, and each index is overwritten with its rank, so the tuples
+// stay aligned with the pattern's nodes. Edge i is instance i's k ranks;
+// hypergraph.NewUniform sorts them in place, so it is handed a copy.
 func instanceHypergraph(snap *graph.Snapshot, k int, indexes []int32) *hypergraph.Hypergraph {
 	rank := make([]int32, snap.NumVertices())
 	for _, x := range indexes {
@@ -221,7 +230,7 @@ func instanceHypergraph(snap *graph.Snapshot, k int, indexes []int32) *hypergrap
 	for i, x := range indexes {
 		indexes[i] = rank[x]
 	}
-	return hypergraph.NewUniform(vertices, k, indexes)
+	return hypergraph.NewUniform(vertices, k, slices.Clone(indexes))
 }
 
 // MustNewContext is NewContext but panics on error; intended for tests.
@@ -258,12 +267,33 @@ func (c *Context) Symmetry() *isomorph.Symmetry {
 // Instances returns one occurrence per instance (Definition 2.1.9), the
 // instance's smallest automorphic copy, in canonical order — the order of
 // those copies in Occurrences(). Edge i of OccurrenceHypergraph() is
-// Instances()[i]. It is nil for a streaming context.
+// Instances()[i]. The list is expanded from InstanceRanks() on the first
+// call and kept; no measure reads it, only Occurrences() does. It is nil for
+// a streaming context.
 func (c *Context) Instances() []*isomorph.Occurrence {
+	m := c.mat
+	if m == nil {
+		return nil
+	}
+	m.instancesOnce.Do(func() {
+		vertices := m.h.Vertices()
+		m.instances = isomorph.TupleOccurrences(c.p, m.ranks, func(r int32) graph.VertexID { return vertices[r] })
+	})
+	return m.instances
+}
+
+// InstanceRanks returns the instances as tuples of H_I's vertex ranks, k =
+// Pattern().Size() to an instance: ranks[i*k:(i+1)*k] are the images of
+// Instances()[i], aligned with Pattern().Nodes(), each its vertex's position
+// in OccurrenceHypergraph().Vertices() — so ranks order as VertexIDs do. It
+// is what Instances() expands and what MI and MNIk count set images over;
+// the slice is shared and must not be modified. It is nil for a streaming
+// context.
+func (c *Context) InstanceRanks() []int32 {
 	if c.mat == nil {
 		return nil
 	}
-	return c.mat.instances
+	return c.mat.ranks
 }
 
 // Occurrences returns all occurrences in canonical order — every instance's
@@ -276,7 +306,7 @@ func (c *Context) Occurrences() []*isomorph.Occurrence {
 	if m == nil {
 		return nil
 	}
-	m.occurrencesOnce.Do(func() { m.occurrences = m.sym.Expand(m.instances) })
+	m.occurrencesOnce.Do(func() { m.occurrences = m.sym.Expand(c.Instances()) })
 	return m.occurrences
 }
 

@@ -565,18 +565,18 @@ func (s *batchSide) ballSize(radius int) (size int, ok bool) {
 // patternDiameter returns the largest shortest-path distance between two
 // nodes of p, by one BFS per node.
 func patternDiameter(p *pattern.Pattern) int {
-	nodes := p.Nodes()
+	adj := p.Adjacency()
 	diameter := 0
-	dist := make([]int, len(nodes))
-	for src := range nodes {
+	dist := make([]int, len(adj))
+	for src := range adj {
 		for i := range dist {
 			dist[i] = -1
 		}
 		dist[src] = 0
 		for queue := []int{src}; len(queue) > 0; queue = queue[1:] {
 			u := queue[0]
-			for _, nb := range p.Neighbors(nodes[u]) {
-				if w, _ := slices.BinarySearch(nodes, nb); dist[w] < 0 {
+			for _, w := range adj[u] {
+				if dist[w] < 0 {
 					dist[w] = dist[u] + 1
 					diameter = max(diameter, dist[w])
 					queue = append(queue, w)
@@ -593,7 +593,7 @@ func patternDiameter(p *pattern.Pattern) int {
 // statistics, one per edge orbit. It returns the MNI domain of every pattern
 // node on snap, aligned with p.Nodes(), read off the pass's table.
 func (d *DeltaContext) rebuild(snap *graph.Snapshot, masks []isomorph.Mask) []isomorph.Mask {
-	all, _, _ := d.counter.accumulate(snap, d.opts.Parallelism, masks, true, false)
+	all, _ := d.counter.accumulate(snap, d.opts.Parallelism, masks, true, false)
 	d.state = newDomainState(d.counter.rowLayout)
 	d.state.fold(all)
 	d.searches = d.searches[:0]

@@ -402,10 +402,10 @@ func (c *instanceCounter) occurrences(instances int) int { return instances * c.
 // cannot occur at all). Its table has counters only when counted is set, for
 // a caller that folds it into a domainState. With list set the same search
 // also copies every representative out and returns the instances as
-// isomorph.ListSnapshot lists them, each as its smallest automorphic copy, in
-// canonical order, with their dense indexes in snap; without it nothing is
+// isomorph.ListSnapshot lists them, each its smallest automorphic copy as a
+// tuple of dense indexes in snap, in canonical order; without it nothing is
 // kept.
-func (c *instanceCounter) accumulate(snap *graph.Snapshot, parallelism int, masks []isomorph.Mask, counted, list bool) (*accumulator, []*isomorph.Occurrence, []int32) {
+func (c *instanceCounter) accumulate(snap *graph.Snapshot, parallelism int, masks []isomorph.Mask, counted, list bool) (*accumulator, []int32) {
 	var accs []*accumulator
 	enum := isomorph.Options{Parallelism: parallelism, Symmetry: c.sym, Masks: masks}
 	newRuns := func(int) isomorph.RunFunc {
@@ -413,17 +413,16 @@ func (c *instanceCounter) accumulate(snap *graph.Snapshot, parallelism int, mask
 		accs = append(accs, a)
 		return a.run
 	}
-	var instances []*isomorph.Occurrence
-	var indexes []int32
+	var tuples []int32
 	if list {
-		instances, indexes = isomorph.ListSnapshot(snap, c.p, enum, newRuns)
+		tuples = isomorph.ListSnapshot(snap, c.p, enum, newRuns)
 	} else {
 		isomorph.EnumerateSnapshotRuns(snap, c.p, enum, newRuns)
 	}
 	if len(accs) == 0 {
 		newRuns(0)
 	}
-	return mergeWorkers(accs), instances, indexes
+	return mergeWorkers(accs), tuples
 }
 
 // mergeWorkers merges per-worker accumulators, at least one, into the first

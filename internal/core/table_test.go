@@ -165,8 +165,8 @@ func TestPresenceMatchesCounts(t *testing.T) {
 			c := newInstanceCounter(p)
 			for _, par := range []int{1, 4} {
 				tag := fmt.Sprintf("%s, %d shards, parallelism %d", p, shards, par)
-				bare, _, _ := c.accumulate(snap, par, nil, false, false)
-				counted, _, _ := c.accumulate(snap, par, nil, true, false)
+				bare, _ := c.accumulate(snap, par, nil, false, false)
+				counted, _ := c.accumulate(snap, par, nil, true, false)
 				if bare.table.counts != nil {
 					t.Fatalf("%s: an uncounted pass has counters", tag)
 				}

@@ -895,12 +895,12 @@ func (s *searchState) searchArc(u, v int32, searched *uint64) bool {
 }
 
 // EnumerateSnapshot returns all occurrences of pattern p in snap, in the
-// canonical deterministic order (see SortOccurrences). It is ListSnapshot
-// with no consumer of its own: under Options.Symmetry the list is one
-// occurrence per instance.
+// canonical deterministic order (see SortOccurrences): ListSnapshot with no
+// consumer of its own, its index tuples expanded into occurrences
+// (TupleOccurrences). Under Options.Symmetry the list is one occurrence per
+// instance.
 func EnumerateSnapshot(snap *graph.Snapshot, p *pattern.Pattern, opts Options) []*Occurrence {
-	occs, _ := ListSnapshot(snap, p, opts, nil)
-	return occs
+	return TupleOccurrences(p, ListSnapshot(snap, p, opts, nil), snap.ID)
 }
 
 // ListSnapshot is the one materializer on top of the streaming engine: it
@@ -908,39 +908,38 @@ func EnumerateSnapshot(snap *graph.Snapshot, p *pattern.Pattern, opts Options) [
 // finds and then passes the run unchanged to that worker's consumer from
 // newRuns (nil for none); the workers' copies are sorted together, so the
 // list is identical for every Parallelism setting and every shard geometry,
-// and the returned occurrences are the caller's to keep. A consumer that
-// returns false stops the search, and the list holds what was found until
-// then, the refused run included.
+// and it is the caller's to keep. A consumer that returns false stops the
+// search, and the list holds what was found until then, the refused run
+// included.
 //
-// With Options.Symmetry nil the list is every occurrence, in the canonical
-// order (see SortOccurrences). Under a Symmetry it is one occurrence per
-// instance: the search's representative is copied out as the instance's
-// smallest automorphic copy, the one that comes first in the full list, and
-// the list is in the canonical order of those — the full list with every
-// other copy left out. Symmetry.Expand puts the others back.
-//
-// The copies stay in snap's dense indexes until the list is sorted: the
-// occurrences are k-tuples of indexes in one flat array, sorted as tuples —
-// indexes ascend with VertexIDs, so tuple order is the canonical order — and
-// translated to VertexIDs once, after. ListSnapshot returns that array as
-// well: indexes[j*k:(j+1)*k] are the dense indexes in snap of occurrence j's
-// images, aligned with its Nodes(), for a caller that goes on in snap's
-// index space.
-func ListSnapshot(snap *graph.Snapshot, p *pattern.Pattern, opts Options, newRuns func(worker int) RunFunc) (occs []*Occurrence, indexes []int32) {
-	// Accumulate each worker's stream as pointer-free index chunks. The
-	// chunks have a fixed capacity and are never regrown: repeatedly
-	// re-growing one flat log would allocate ~5x the final size in copies (Go
-	// grows large slices by 1.25x), and on a busy heap that garbage alone
-	// forces extra collection cycles mid-run.
-	const chunkOccs = 4096 // occurrences per index chunk
+// The list is k-tuples of snap's dense indexes laid end to end:
+// tuples[j*k:(j+1)*k] are the indexes of occurrence j's images, aligned with
+// p.Nodes(). Indexes ascend with VertexIDs, so the tuples are sorted as
+// tuples into the canonical order, and no VertexID is looked up; a caller
+// that wants occurrences expands them (TupleOccurrences, as
+// EnumerateSnapshot does), one that goes on in snap's index space reads them
+// as they are. With Options.Symmetry nil the list is every occurrence. Under
+// a Symmetry it is one occurrence per instance: the search's representative
+// is copied out as the instance's smallest automorphic copy, the one that
+// comes first in the full list, and the list is in the canonical order of
+// those — the full list with every other copy left out. Symmetry.Expand puts
+// the others back.
+func ListSnapshot(snap *graph.Snapshot, p *pattern.Pattern, opts Options, newRuns func(worker int) RunFunc) []int32 {
+	// Accumulate each worker's stream as pointer-free index chunks. A chunk
+	// is never regrown: repeatedly re-growing one flat log would allocate ~5x
+	// the final size in copies (Go grows large slices by 1.25x), and on a
+	// busy heap that garbage alone forces extra collection cycles mid-run.
+	// A worker's first chunk is small and each next one twice as large, up
+	// to a cap, so a short list — an eval-measures pattern's few hundred
+	// instances — does not pay for a full chunk.
+	const firstChunk, chunkOccs = 64, 4096 // occurrences per index chunk
 	type bucket struct {
 		chunks [][]int32
 		n      int // total occurrences
 	}
 	var buckets []*bucket
 	sym := opts.Symmetry
-	nodes := p.Nodes()
-	k := len(nodes)
+	k := p.Size()
 	EnumerateSnapshotRuns(snap, p, opts, func(w int) RunFunc {
 		b := &bucket{}
 		buckets = append(buckets, b)
@@ -953,7 +952,11 @@ func ListSnapshot(snap *graph.Snapshot, p *pattern.Pattern, opts Options, newRun
 				o.indexes[last] = c
 				cur := len(b.chunks) - 1
 				if cur < 0 || len(b.chunks[cur])+k > cap(b.chunks[cur]) {
-					b.chunks = append(b.chunks, make([]int32, 0, chunkOccs*k))
+					size := firstChunk
+					if cur >= 0 {
+						size = min(2*cap(b.chunks[cur])/k, chunkOccs)
+					}
+					b.chunks = append(b.chunks, make([]int32, 0, size*k))
 					cur++
 				}
 				if sym == nil {
@@ -973,26 +976,16 @@ func ListSnapshot(snap *graph.Snapshot, p *pattern.Pattern, opts Options, newRun
 		total += b.n
 	}
 	if total == 0 {
-		return nil, nil
+		return nil
 	}
-	indexes = make([]int32, 0, total*k)
+	tuples := make([]int32, 0, total*k)
 	for _, b := range buckets {
 		for _, c := range b.chunks {
-			indexes = append(indexes, c...)
+			tuples = append(tuples, c...)
 		}
 	}
-	sortTuples(indexes, k, snap.NumVertices())
-	images := make([]graph.VertexID, len(indexes))
-	for i, x := range indexes {
-		images[i] = snap.ID(x)
-	}
-	list := make([]Occurrence, total)
-	occs = make([]*Occurrence, total)
-	for j := range list {
-		list[j] = Occurrence{nodes: nodes, images: images[j*k : (j+1)*k : (j+1)*k]}
-		occs[j] = &list[j]
-	}
-	return occs, indexes
+	sortTuples(tuples, k, snap.NumVertices())
+	return tuples
 }
 
 // sortTuples sorts the k-tuples of dense indexes below n laid end to end in

@@ -16,14 +16,14 @@
 // of candidates that complete it, so a consumer folds a whole run at once or
 // copies out what it keeps, and the search allocates nothing per occurrence.
 // EnumerateSnapshotWorkers is the same stream with each consumer wrapped to be
-// lent the run's occurrences one at a time, complete. ListSnapshot
-// (EnumerateSnapshot without a consumer of its own) is the one materializer:
-// the consumer that keeps everything and returns it as a list in canonical
-// order — one occurrence per instance under a Symmetry — sorted as k-tuples
-// of dense indexes and handed back in those too. The
-// paper's measures want exactly those two things — MNI and the raw counts fold
-// an occurrence into a projection and forget it (Definition 2.2.8), the
-// hypergraph measures need the whole set of instances (Definition 3.1.4).
+// lent the run's occurrences one at a time, complete. ListSnapshot is the
+// one materializer: the consumer that keeps everything and returns it as a
+// list in canonical order — one occurrence per instance under a Symmetry —
+// of k-tuples of dense indexes, sorted as tuples; EnumerateSnapshot expands
+// those into occurrences (TupleOccurrences). The paper's measures want
+// exactly those two things — MNI and the raw counts fold an occurrence into a
+// projection and forget it (Definition 2.2.8), the hypergraph measures need
+// the whole set of instances (Definition 3.1.4).
 package isomorph
 
 import (
@@ -85,6 +85,30 @@ func NewOccurrence(p *pattern.Pattern, mapping map[pattern.NodeID]graph.VertexID
 		images[i] = img
 	}
 	return &Occurrence{nodes: nodes, images: images}, nil
+}
+
+// TupleOccurrences expands k-tuples of p's images laid end to end —
+// tuples[j*k:(j+1)*k] occurrence j's, aligned with p.Nodes(), as
+// ListSnapshot lists them — into occurrences, in the tuples' order; id names
+// the VertexID of a tuple entry (Snapshot.ID for dense indexes). The images,
+// the occurrences and the list are one allocation each. It returns nil for
+// no tuples.
+func TupleOccurrences(p *pattern.Pattern, tuples []int32, id func(int32) graph.VertexID) []*Occurrence {
+	if len(tuples) == 0 {
+		return nil
+	}
+	nodes, k := p.Nodes(), p.Size()
+	images := make([]graph.VertexID, len(tuples))
+	for i, x := range tuples {
+		images[i] = id(x)
+	}
+	list := make([]Occurrence, len(tuples)/k)
+	occs := make([]*Occurrence, len(list))
+	for j := range list {
+		list[j] = Occurrence{nodes: nodes, images: images[j*k : (j+1)*k : (j+1)*k]}
+		occs[j] = &list[j]
+	}
+	return occs
 }
 
 // Image returns f(v) for a pattern node v. The nodes slice is sorted, so the

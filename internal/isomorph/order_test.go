@@ -181,13 +181,17 @@ func TestPricerCutMatchesBelow(t *testing.T) {
 // symmetry to at most 8 allocations: the pricer carves its scratch from two
 // allocations made once per call, so trying every root costs no more
 // allocations than trying one, and planning adds nothing to a mine's
-// allocation profile.
+// allocation profile. The model it plans on is six allocations, whatever the
+// pattern's size: its adjacency is read off the pattern's rows at once.
 func TestChooseOrderAllocations(t *testing.T) {
 	er := erStream()
 	for _, p := range []*pattern.Pattern{orderStar, orderTailed, orderCycle4} {
 		m, sym := newPatternModel(p), NewSymmetry(p)
 		if allocs := testing.AllocsPerRun(100, func() { chooseOrder(er, m, nil, sym) }); allocs > 8 {
 			t.Errorf("%v: chooseOrder makes %.0f allocations, want at most 8", p, allocs)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { newPatternModel(p) }); allocs > 6 {
+			t.Errorf("%v: newPatternModel makes %.0f allocations, want at most 6", p, allocs)
 		}
 	}
 }

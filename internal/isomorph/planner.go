@@ -97,17 +97,11 @@ func newPatternModel(p *pattern.Pattern) *patternModel {
 		nodes:  nodes,
 		labels: make([]graph.Label, len(nodes)),
 		deg:    make([]int, len(nodes)),
-		adj:    make([][]int, len(nodes)),
+		adj:    p.Adjacency(),
 	}
 	for i, v := range nodes {
 		m.labels[i] = p.LabelOf(v)
-		nbs := p.Neighbors(v)
-		m.deg[i] = len(nbs)
-		pos := make([]int, len(nbs))
-		for j, nb := range nbs {
-			pos[j] = nodePos(nodes, nb)
-		}
-		m.adj[i] = pos
+		m.deg[i] = len(m.adj[i])
 	}
 	return m
 }

@@ -1,12 +1,11 @@
 package measures
 
 import (
-	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/pattern"
 )
 
@@ -23,7 +22,11 @@ import (
 // anti-monotonic (Theorem 3.2) and linear-time in the number of occurrences
 // once the pattern's transitive node subsets are known (Theorem 3.3); the
 // subsets depend only on the (small) pattern, not on the data graph, and a
-// context computes them once. A pattern of more than 64 nodes is an error.
+// context computes them once. The images are counted off the context's
+// instance rank tuples (Context.InstanceRanks), not its occurrences: once per
+// Aut(P) class of subsets, as packed integer keys with no map and no
+// allocation per image (minDistinctImages). A pattern of more than 64 nodes
+// is an error.
 type MI struct{}
 
 // Name implements Measure.
@@ -58,74 +61,55 @@ func (MI) Compute(ctx *core.Context) (Result, error) {
 //
 // A singleton's distinct images are its node's MNI domain, whose size the
 // context counted while it was built; only a subset of several nodes has its
-// images hashed. The occurrences are read off the instances: an instance's
+// images counted. The occurrences are read off the instances: an instance's
 // occurrences are f∘σ for its listed f and every automorphism σ, and
 // (f∘σ)(W) = f(σ(W)), so the set-images of W are f(S) for f over the
-// instances and S over the distinct position sets σ(W) — as many as W's
-// orbit under Aut(P), not |Aut(P)|. One key buffer, one image buffer and one
-// map are reused across instances and subsets.
+// instances and S over W's orbit under Aut(P) — its distinct position sets
+// σ(W), not |Aut(P)| of them. The images of every set of that orbit are the
+// same, so the orbit is counted once, under its smallest position bitmask,
+// and every later subset of it reads that count. The counting itself is
+// imageCounter's, over the instances' rank tuples (Context.InstanceRanks).
 func minDistinctImages(ctx *core.Context, subsets [][]pattern.NodeID) ([]pattern.NodeID, int) {
-	instances, nodes, sizes, sym := ctx.Instances(), ctx.Pattern().Nodes(), ctx.MNIDomainSizes(), ctx.Symmetry()
+	nodes, sizes, sym := ctx.Pattern().Nodes(), ctx.MNIDomainSizes(), ctx.Symmetry()
+	images := newImageCounter(ctx.InstanceRanks(), len(nodes), ctx.OccurrenceHypergraph().NumVertices())
+	type class struct {
+		key   uint64 // the orbit's smallest position bitmask
+		count int
+	}
+	var (
+		classes []class
+		orbit   []uint64 // the subset's position bitmasks σ(W)
+	)
 	minCount := -1
 	var minSubset []pattern.NodeID
-	var (
-		at     []int   // positions of the subset's nodes
-		sets   [][]int // the distinct position sets σ(at), each sorted
-		image  []graph.VertexID
-		key    []byte
-		images map[string]bool
-	)
 	for _, subset := range subsets {
-		at = at[:0]
+		var set uint64
 		for _, n := range subset {
 			if i, ok := slices.BinarySearch(nodes, n); ok {
-				at = append(at, i)
+				set |= 1 << i
 			}
 		}
-		count := 0
-		if len(at) == 1 {
-			count = sizes[at[0]]
+		var count int
+		if bits.OnesCount64(set) == 1 {
+			count = sizes[bits.TrailingZeros64(set)]
 		} else {
-			sets = sets[:0]
+			orbit = orbit[:0]
 			for a := 0; a < sym.Order(); a++ {
-				perm := sym.Perm(a)
-				set := make([]int, len(at))
-				for j, i := range at {
-					set[j] = perm[i]
+				var image uint64
+				for m, perm := set, sym.Perm(a); m != 0; m &= m - 1 {
+					image |= 1 << perm[bits.TrailingZeros64(m)]
 				}
-				slices.Sort(set)
-				if !slices.ContainsFunc(sets, func(s []int) bool { return slices.Equal(s, set) }) {
-					sets = append(sets, set)
+				if !slices.Contains(orbit, image) {
+					orbit = append(orbit, image)
 				}
 			}
-			if images == nil {
-				images = make(map[string]bool, len(instances))
+			key := slices.Min(orbit)
+			if j := slices.IndexFunc(classes, func(c class) bool { return c.key == key }); j >= 0 {
+				count = classes[j].count
+			} else {
+				count = images.distinct(orbit)
+				classes = append(classes, class{key, count})
 			}
-			clear(images)
-			for _, in := range instances {
-				for _, set := range sets {
-					image = image[:0]
-					for _, i := range set {
-						image = append(image, in.ImageAt(i))
-					}
-					// An occurrence is injective, so only a node repeated in
-					// the subset repeats an image.
-					slices.Sort(image)
-					image = slices.Compact(image)
-					// Varints are prefix-free, so distinct sorted images get
-					// distinct keys with no separator.
-					key = key[:0]
-					for _, v := range image {
-						key = binary.AppendVarint(key, int64(v))
-					}
-					// The lookup converts without allocating; only a new
-					// image pays for its string.
-					if !images[string(key)] {
-						images[string(key)] = true
-					}
-				}
-			}
-			count = len(images)
 		}
 		if minCount < 0 || count < minCount {
 			minCount = count
@@ -133,4 +117,127 @@ func minDistinctImages(ctx *core.Context, subsets [][]pattern.NodeID) ([]pattern
 		}
 	}
 	return minSubset, minCount
+}
+
+// imageCounter counts the distinct images of position sets over instances
+// given as rank tuples, k ranks below n to an instance: an image is the set
+// of its instance's ranks at the set's positions. Ranks order as VertexIDs
+// do, so distinct images of ranks are distinct images of vertices. When s
+// ranks of width bits fit in 64 bits, an image is its ranks sorted and
+// packed side by side into one uint64, the keys are sorted by a radix pass
+// per rank — a counting sort over the n ranks — and the distinct ones are
+// counted in order; wider images fall back to a sort of rank tuples. Its
+// buffers are reused from one count to the next, so no image allocates.
+type imageCounter struct {
+	ranks []int32
+	k, n  int
+	width int // bits per packed rank
+
+	image       []int32  // one image's ranks
+	keys, spare []uint64 // the packed images and the radix passes' other buffer
+	counts      []int32  // a radix pass's bucket starts, n+1 of them
+	wide        []int32  // the fallback's images, s ranks each
+	order       []int32  // the fallback's image order
+}
+
+func newImageCounter(ranks []int32, k, n int) *imageCounter {
+	return &imageCounter{ranks: ranks, k: k, n: n, width: bits.Len(uint(max(n-1, 0)))}
+}
+
+// distinct returns the number of distinct images of the position sets in
+// orbit, all of one size, over every instance.
+func (c *imageCounter) distinct(orbit []uint64) int {
+	s := bits.OnesCount64(orbit[0])
+	if s*c.width > 64 {
+		return c.distinctWide(orbit)
+	}
+	c.keys = slices.Grow(c.keys[:0], len(c.ranks)/c.k*len(orbit))
+	for t := 0; t < len(c.ranks); t += c.k {
+		for _, set := range orbit {
+			var key uint64
+			for _, r := range c.imageOf(t, set) {
+				key = key<<c.width | uint64(r)
+			}
+			c.keys = append(c.keys, key)
+		}
+	}
+	keys := c.radixSort(s)
+	count := 0
+	for i, key := range keys {
+		if i == 0 || key != keys[i-1] {
+			count++
+		}
+	}
+	return count
+}
+
+// imageOf returns the ranks of the instance whose tuple starts at t at the
+// positions of set, ascending, in c.image.
+func (c *imageCounter) imageOf(t int, set uint64) []int32 {
+	c.image = c.image[:0]
+	for m := set; m != 0; m &= m - 1 {
+		r := c.ranks[t+bits.TrailingZeros64(m)]
+		j := len(c.image)
+		c.image = append(c.image, r)
+		for ; j > 0 && c.image[j-1] > r; j-- {
+			c.image[j] = c.image[j-1]
+		}
+		c.image[j] = r
+	}
+	return c.image
+}
+
+// radixSort sorts c.keys, s packed ranks each, with one stable counting pass
+// per rank, least significant first, and returns the sorted keys.
+func (c *imageCounter) radixSort(s int) []uint64 {
+	if len(c.counts) < c.n+1 {
+		c.counts = make([]int32, c.n+1)
+	}
+	c.spare = slices.Grow(c.spare[:0], len(c.keys))[:len(c.keys)]
+	keys, spare := c.keys, c.spare
+	mask := uint64(1)<<c.width - 1
+	for pass := 0; pass < s; pass++ {
+		shift := uint(pass * c.width)
+		counts := c.counts[:c.n+1]
+		clear(counts)
+		for _, key := range keys {
+			counts[key>>shift&mask+1]++
+		}
+		for x := 1; x <= c.n; x++ {
+			counts[x] += counts[x-1]
+		}
+		for _, key := range keys {
+			d := key >> shift & mask
+			spare[counts[d]] = key
+			counts[d]++
+		}
+		keys, spare = spare, keys
+	}
+	c.keys, c.spare = keys, spare
+	return keys
+}
+
+// distinctWide is distinct for images too wide to pack: they are laid out
+// as tuples of s sorted ranks and sorted as tuples.
+func (c *imageCounter) distinctWide(orbit []uint64) int {
+	s := bits.OnesCount64(orbit[0])
+	c.wide = c.wide[:0]
+	for t := 0; t < len(c.ranks); t += c.k {
+		for _, set := range orbit {
+			c.wide = append(c.wide, c.imageOf(t, set)...)
+		}
+	}
+	tuple := func(j int32) []int32 { return c.wide[int(j)*s : int(j+1)*s] }
+	c.order = c.order[:0]
+	for j := 0; j < len(c.wide)/s; j++ {
+		c.order = append(c.order, int32(j))
+	}
+	slices.SortFunc(c.order, func(a, b int32) int { return slices.Compare(tuple(a), tuple(b)) })
+	count := 0
+	for i, j := range c.order {
+		if i == 0 || !slices.Equal(tuple(j), tuple(c.order[i-1])) {
+			count++
+		}
+	}
+	return count
 }

@@ -190,6 +190,25 @@ func (p *Pattern) Neighbors(v NodeID) []NodeID {
 	return out
 }
 
+// Adjacency returns the pattern's adjacency by node position: Adjacency()[i]
+// lists the positions in Nodes() of the neighbours of the node at position
+// i, ascending. It is read off the bitset rows, and the lists share one
+// backing array.
+func (p *Pattern) Adjacency() [][]int {
+	adj := make([][]int, len(p.nodes))
+	flat := make([]int, 0, 2*p.edges)
+	for i := range adj {
+		start := len(flat)
+		for w, word := range p.row(i) {
+			for ; word != 0; word &= word - 1 {
+				flat = append(flat, w<<6|bits.TrailingZeros64(word))
+			}
+		}
+		adj[i] = flat[start:len(flat):len(flat)]
+	}
+	return adj
+}
+
 // String returns a compact description including the canonical code, which
 // makes log output stable across runs.
 func (p *Pattern) String() string {

@@ -285,6 +285,9 @@ func TestAccessorsOnSparseIDs(t *testing.T) {
 	if nbs := p.Neighbors(1); nbs != nil {
 		t.Errorf("Neighbors of an unknown node = %v", nbs)
 	}
+	if adj := p.Adjacency(); fmt.Sprint(adj) != "[[1 2] [0 2] [0 1 3] [2]]" {
+		t.Errorf("Adjacency() = %v, want the neighbours' positions [[1 2] [0 2] [0 1 3] [2]]", adj)
+	}
 	if view := p.Graph(); !view.Equal(g) || view.Name() != "kite" || view != p.Graph() {
 		t.Errorf("Graph() = %v, want a memoised copy of %v", view, g)
 	}
@@ -309,6 +312,9 @@ func TestWidePattern(t *testing.T) {
 	p := pattern.MustNew(b.Path(ids...).MustBuild())
 	if p.Size() != k || p.NumEdges() != k-1 || p.Degree(64) != 2 || !p.HasEdge(64, 65) || p.HasEdge(0, 69) {
 		t.Fatalf("wide path misread: %d nodes, %d edges", p.Size(), p.NumEdges())
+	}
+	if adj := p.Adjacency(); fmt.Sprint(adj[0], adj[63], adj[64], adj[69]) != "[1] [62 64] [63 65] [68]" {
+		t.Errorf("Adjacency() of the wide path reads %v %v %v %v at positions 0, 63, 64, 69", adj[0], adj[63], adj[64], adj[69])
 	}
 	exts := p.Extend([]graph.Label{1})
 	if len(exts) != p.GrowSteps(1) { // distinct labels: no two steps are isomorphic
