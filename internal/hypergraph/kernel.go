@@ -52,22 +52,15 @@ func (h *Hypergraph) Kernel() (*Hypergraph, []EdgeID) {
 }
 
 // reducer is the state of one Kernel call on the dense view: each edge's
-// live vertices, each vertex's incident edges and number of live edges, and
-// the work lists of edges that shrank and vertices that lost an edge since
-// they were last checked. A dropped edge has size 0 and a dropped vertex
-// degree 0.
+// live vertices and each vertex's number of live edges, and the work lists
+// of edges that shrank and vertices that lost an edge since they were last
+// checked. A dropped edge has size 0 and a dropped vertex degree 0.
 type reducer struct {
 	d *dense
 	// vtx holds, under d's edge offsets, each edge's live vertex ranks
 	// ascending in its first size[e] slots.
-	vtx  []int32
-	size []int32
-	// inc holds, under d's incidence offsets, each vertex's incident edges
-	// ascending in its first incLen[u] slots: every live one, and the ones
-	// dropped since the list was last compacted. Rule E reads the lists at
-	// hubs again and again, so each read compacts the list it scans.
-	inc      []int32
-	incLen   []int32
+	vtx      []int32
+	size     []int32
 	degree   []int32
 	edges    workList
 	vertices workList
@@ -79,8 +72,6 @@ func newReducer(d *dense) *reducer {
 		d:        d,
 		vtx:      append([]int32(nil), d.edgeVtx...),
 		size:     make([]int32, m),
-		inc:      append([]int32(nil), d.incEdge...),
-		incLen:   make([]int32, n),
 		degree:   make([]int32, n),
 		edges:    newWorkList(m),
 		vertices: newWorkList(n),
@@ -89,20 +80,10 @@ func newReducer(d *dense) *reducer {
 		r.size[e] = d.edgeOff[e+1] - d.edgeOff[e]
 	}
 	for u := range r.degree {
-		r.incLen[u] = d.incOff[u+1] - d.incOff[u]
-		r.degree[u] = r.incLen[u]
+		r.degree[u] = int32(d.degree(int32(u)))
 		r.vertices.push(int32(u))
 	}
 	return r
-}
-
-// incident returns vertex u's incident-edge list as it stands: its live
-// edges, ascending, among those dropped since it was last compacted. A
-// caller that scans it writes the live ones back to the front, in order,
-// and sets incLen[u] to their number.
-func (r *reducer) incident(u int32) []int32 {
-	off := r.d.incOff[u]
-	return r.inc[off : off+r.incLen[u]]
 }
 
 // live returns the live vertex ranks of edge e, ascending.
@@ -125,9 +106,7 @@ func (r *reducer) dropEdge(e int32) {
 // is checked again.
 func (r *reducer) dropVertex(u int32) {
 	r.degree[u] = 0
-	at := r.incident(u)
-	r.incLen[u] = 0
-	for _, e := range at {
+	for _, e := range r.d.incident(u) {
 		if r.size[e] == 0 {
 			continue
 		}
@@ -147,7 +126,7 @@ func (r *reducer) dropVertex(u int32) {
 // vertex sets contain e's, it keeps the lowest ID among those equal to e
 // and drops the rest, each of which contains the kept one. A superset of e
 // has every vertex of e, so only the edges at e's vertex of least degree
-// are tried, and the pivot's list is compacted on the way.
+// are tried.
 func (r *reducer) dropSupersets(e int32) {
 	vs := r.live(e)
 	pivot := vs[0]
@@ -157,41 +136,29 @@ func (r *reducer) dropSupersets(e int32) {
 		}
 	}
 	size, keep := int32(len(vs)), e
-	at, n := r.incident(pivot), 0
-	for _, g := range at {
-		if g != e && r.size[g] >= size && containsAll(r.live(g), vs) {
-			drop := g
-			if r.size[g] == size && g < keep {
-				keep, drop = g, keep
-			}
-			r.dropEdge(drop)
+	for _, g := range r.d.incident(pivot) {
+		if g == e || r.size[g] < size || !containsAll(r.live(g), vs) {
+			continue
 		}
-		if r.size[g] > 0 {
-			at[n] = g
-			n++
+		if r.size[g] == size && g < keep {
+			keep, g = g, keep
 		}
+		r.dropEdge(g)
 	}
-	r.incLen[pivot] = int32(n)
 }
 
 // checkVertex applies rule V to vertex u: it drops u when another live
 // vertex w lies in every live edge at u — of two vertices with the same
 // edges, the higher rank goes. Such a w is in u's first live edge and has
-// at least u's degree, so only those vertices of that edge are tried. u's
-// list is compacted first, so every edge of at is live.
+// at least u's degree, so only those vertices of that edge are tried.
 func (r *reducer) checkVertex(u int32) {
 	if r.degree[u] == 0 {
 		return
 	}
-	at, n := r.incident(u), 0
-	for _, e := range at {
-		if r.size[e] > 0 {
-			at[n] = e
-			n++
-		}
+	at := r.d.incident(u)
+	for r.size[at[0]] == 0 {
+		at = at[1:]
 	}
-	at = at[:n]
-	r.incLen[u] = int32(n)
 	for _, w := range r.live(at[0]) {
 		if w == u || r.degree[w] < r.degree[u] || (r.degree[w] == r.degree[u] && w > u) {
 			continue
@@ -203,11 +170,13 @@ func (r *reducer) checkVertex(u int32) {
 	}
 }
 
-// inEveryLiveEdge reports whether vertex w lies in every edge of at, all
-// of them live.
+// inEveryLiveEdge reports whether vertex w lies in every live edge of at.
 func (r *reducer) inEveryLiveEdge(w int32, at []int32) bool {
 next:
 	for _, e := range at {
+		if r.size[e] == 0 {
+			continue
+		}
 		for _, v := range r.live(e) {
 			if v == w {
 				continue next

@@ -24,9 +24,9 @@ import (
 // subsets depend only on the (small) pattern, not on the data graph, and a
 // context computes them once. The images are counted off the context's
 // instance rank tuples (Context.InstanceRanks), not its occurrences: once per
-// Aut(P) class of subsets, as packed integer keys with no map and no
-// allocation per image (minDistinctImages). A pattern of more than 64 nodes
-// is an error.
+// Aut(P) class of subsets, by a radix sort of the images' ranks with no map
+// and no allocation per image (minDistinctImages). A pattern of more than 64
+// nodes is an error.
 type MI struct{}
 
 // Name implements Measure.
@@ -122,122 +122,77 @@ func minDistinctImages(ctx *core.Context, subsets [][]pattern.NodeID) ([]pattern
 // imageCounter counts the distinct images of position sets over instances
 // given as rank tuples, k ranks below n to an instance: an image is the set
 // of its instance's ranks at the set's positions. Ranks order as VertexIDs
-// do, so distinct images of ranks are distinct images of vertices. When s
-// ranks of width bits fit in 64 bits, an image is its ranks sorted and
-// packed side by side into one uint64, the keys are sorted by a radix pass
-// per rank — a counting sort over the n ranks — and the distinct ones are
-// counted in order; wider images fall back to a sort of rank tuples. Its
-// buffers are reused from one count to the next, so no image allocates.
+// do, so distinct images of ranks are distinct images of vertices. The
+// images of s ranks each, their ranks ascending, are laid end to end and
+// put in order by one stable counting pass per rank position, last first —
+// a radix sort of the tuples over ranks below n, whatever s and n are —
+// and the distinct ones are counted in that order. Its buffers are reused
+// from one count to the next, so no image allocates.
 type imageCounter struct {
 	ranks []int32
 	k, n  int
-	width int // bits per packed rank
 
-	image       []int32  // one image's ranks
-	keys, spare []uint64 // the packed images and the radix passes' other buffer
-	counts      []int32  // a radix pass's bucket starts, n+1 of them
-	wide        []int32  // the fallback's images, s ranks each
-	order       []int32  // the fallback's image order
+	images       []int32 // the images, s ranks each, ranks ascending
+	order, spare []int32 // the images' order and the radix passes' other buffer
+	counts       []int32 // a radix pass's bucket starts, n+1 of them
 }
 
 func newImageCounter(ranks []int32, k, n int) *imageCounter {
-	return &imageCounter{ranks: ranks, k: k, n: n, width: bits.Len(uint(max(n-1, 0)))}
+	return &imageCounter{ranks: ranks, k: k, n: n}
 }
 
 // distinct returns the number of distinct images of the position sets in
 // orbit, all of one size, over every instance.
 func (c *imageCounter) distinct(orbit []uint64) int {
 	s := bits.OnesCount64(orbit[0])
-	if s*c.width > 64 {
-		return c.distinctWide(orbit)
-	}
-	c.keys = slices.Grow(c.keys[:0], len(c.ranks)/c.k*len(orbit))
+	c.images = slices.Grow(c.images[:0], len(c.ranks)/c.k*len(orbit)*s)
 	for t := 0; t < len(c.ranks); t += c.k {
 		for _, set := range orbit {
-			var key uint64
-			for _, r := range c.imageOf(t, set) {
-				key = key<<c.width | uint64(r)
+			at := len(c.images)
+			for m := set; m != 0; m &= m - 1 {
+				r := c.ranks[t+bits.TrailingZeros64(m)]
+				j := len(c.images)
+				c.images = append(c.images, r)
+				for ; j > at && c.images[j-1] > r; j-- {
+					c.images[j] = c.images[j-1]
+				}
+				c.images[j] = r
 			}
-			c.keys = append(c.keys, key)
 		}
 	}
-	keys := c.radixSort(s)
-	count := 0
-	for i, key := range keys {
-		if i == 0 || key != keys[i-1] {
-			count++
-		}
+	m := len(c.images) / s
+	order := slices.Grow(c.order[:0], m)[:m]
+	spare := slices.Grow(c.spare[:0], m)[:m]
+	for j := range order {
+		order[j] = int32(j)
 	}
-	return count
-}
-
-// imageOf returns the ranks of the instance whose tuple starts at t at the
-// positions of set, ascending, in c.image.
-func (c *imageCounter) imageOf(t int, set uint64) []int32 {
-	c.image = c.image[:0]
-	for m := set; m != 0; m &= m - 1 {
-		r := c.ranks[t+bits.TrailingZeros64(m)]
-		j := len(c.image)
-		c.image = append(c.image, r)
-		for ; j > 0 && c.image[j-1] > r; j-- {
-			c.image[j] = c.image[j-1]
-		}
-		c.image[j] = r
-	}
-	return c.image
-}
-
-// radixSort sorts c.keys, s packed ranks each, with one stable counting pass
-// per rank, least significant first, and returns the sorted keys.
-func (c *imageCounter) radixSort(s int) []uint64 {
-	if len(c.counts) < c.n+1 {
+	if c.counts == nil {
 		c.counts = make([]int32, c.n+1)
 	}
-	c.spare = slices.Grow(c.spare[:0], len(c.keys))[:len(c.keys)]
-	keys, spare := c.keys, c.spare
-	mask := uint64(1)<<c.width - 1
-	for pass := 0; pass < s; pass++ {
-		shift := uint(pass * c.width)
-		counts := c.counts[:c.n+1]
-		clear(counts)
-		for _, key := range keys {
-			counts[key>>shift&mask+1]++
+	for p := s - 1; p >= 0; p-- {
+		clear(c.counts)
+		for i := p; i < len(c.images); i += s {
+			c.counts[c.images[i]+1]++
 		}
 		for x := 1; x <= c.n; x++ {
-			counts[x] += counts[x-1]
+			c.counts[x] += c.counts[x-1]
 		}
-		for _, key := range keys {
-			d := key >> shift & mask
-			spare[counts[d]] = key
-			counts[d]++
+		for _, j := range order {
+			r := c.images[int(j)*s+p]
+			spare[c.counts[r]] = j
+			c.counts[r]++
 		}
-		keys, spare = spare, keys
+		order, spare = spare, order
 	}
-	c.keys, c.spare = keys, spare
-	return keys
-}
-
-// distinctWide is distinct for images too wide to pack: they are laid out
-// as tuples of s sorted ranks and sorted as tuples.
-func (c *imageCounter) distinctWide(orbit []uint64) int {
-	s := bits.OnesCount64(orbit[0])
-	c.wide = c.wide[:0]
-	for t := 0; t < len(c.ranks); t += c.k {
-		for _, set := range orbit {
-			c.wide = append(c.wide, c.imageOf(t, set)...)
-		}
-	}
-	tuple := func(j int32) []int32 { return c.wide[int(j)*s : int(j+1)*s] }
-	c.order = c.order[:0]
-	for j := 0; j < len(c.wide)/s; j++ {
-		c.order = append(c.order, int32(j))
-	}
-	slices.SortFunc(c.order, func(a, b int32) int { return slices.Compare(tuple(a), tuple(b)) })
+	c.order, c.spare = order, spare
 	count := 0
-	for i, j := range c.order {
-		if i == 0 || !slices.Equal(tuple(j), tuple(c.order[i-1])) {
+	var last []int32
+	for _, j := range order {
+		image := c.images[int(j)*s : int(j+1)*s]
+		if last == nil || !slices.Equal(image, last) {
 			count++
 		}
+		last = image
 	}
 	return count
 }
