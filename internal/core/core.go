@@ -48,10 +48,10 @@
 // build it.
 //
 // DeltaContext keeps the streamed aggregates alive across graph mutations, in
-// a VertexID-keyed refcount state, one row per node orbit: a complete pass's
-// table is folded into it once, and after that every update adds and
-// subtracts the instances that use its mutated edges and vertices, one
-// representative at a time. The mutation ball around the batch's dirty
+// a complete pass's own table kept alive, one presence row per node orbit:
+// after the pass every update adds and subtracts the instances that use its
+// mutated edges and vertices, one representative at a time, and re-checks the
+// vertices the subtracted ones used. The mutation ball around the batch's dirty
 // vertices is kept as a size only — it decides between the delta passes and a
 // rebuild and feeds one histogram.
 package core
@@ -199,7 +199,7 @@ func NewDomainContext(snap *graph.Snapshot, p *pattern.Pattern, parallelism int,
 // their dense indexes.
 func (c *Context) stream(snap *graph.Snapshot, parallelism int, masks []isomorph.Mask, list bool) (*accumulator, *materialized) {
 	counter := newInstanceCounter(c.p)
-	all, tuples := counter.accumulate(snap, parallelism, masks, false, list)
+	all, tuples := counter.accumulate(snap, parallelism, masks, list)
 	c.numInstances = all.count
 	c.numOccurrences = counter.occurrences(all.count)
 	if !list {

@@ -19,11 +19,11 @@ import (
 // DeltaContext re-enumerates only the instances through the vertices it
 // touched. The construction follows the dynamic query-answering discipline of
 // Berkholz, Keppeler and Schweikardt ("Answering FO+MOD queries under
-// updates"): the maintained state is a refcounted table (a multiplicity per
-// projected tuple), keyed by VertexID because it outlives every snapshot it
-// was computed on, each update batch is turned into exact insert/delete
-// deltas against it, and what an update costs is bounded by the neighbourhood
-// of the change, not by the database.
+// updates"): each update batch is turned into exact insert/delete deltas
+// against the maintained state, and what an update costs is bounded by the
+// neighbourhood of the change, not by the database. The state is the cold
+// pass's own shape (table.go): the instance count and, per node orbit, one
+// presence bit per vertex of the snapshot the context is synchronized with.
 //
 // A DeltaContext retains the snapshot it last synchronized on and absorbs one
 // Batch at a time: the mutations since then, the snapshot after them, and per
@@ -34,9 +34,15 @@ import (
 // instance is the same subgraph, with the same labels, on both sides. The
 // delta rule of incremental view maintenance then says what to do: add the
 // instances of the new snapshot that use mutated structure (the plus pass),
-// subtract those of the old one (the minus pass), leave the rest alone.
-// Because the state is refcounted, the subtraction is exact — stale
-// contributions are removed entry by entry, not approximated.
+// subtract those of the old one (the minus pass), leave the rest alone. The
+// count takes both exactly. A presence bit cannot be subtracted: MNI asks only
+// whether some instance maps a node of the orbit to the vertex, and the minus
+// pass cannot tell the last such instance from one of many. So it records
+// every image of a destroyed instance as a suspect, and after both passes each
+// distinct suspect is re-checked on the new snapshot (recheck): the bit stays
+// if a search pinned at the vertex's own edges meets an instance that still
+// maps a node of the orbit there, and is cleared otherwise. What a refresh
+// pays for that is the suspects' neighbourhoods, usually one search step each.
 //
 // Edges suffice to find those instances. RemoveVertex records the removal of
 // every edge at the vertex before its own, and a vertex is never relabelled in
@@ -44,7 +50,8 @@ import (
 // edge of that side: an instance of a connected pattern of two or more nodes
 // that uses a mutated vertex uses a mutated edge. A one-node pattern has no
 // edge; the instances a batch changed are the side's mutated vertices of its
-// label, and its passes apply those without a search.
+// label, its passes apply those without a search, and a suspect is re-checked
+// by its label alone.
 //
 // A pass finds the instances using a mutated edge by rooting the search at
 // the edge rather than by filtering a wider enumeration. For the first arc
@@ -61,12 +68,12 @@ import (
 // pairs per instance, and applies what it counts: every instance that uses
 // mutated structure is applied once, as one representative, into one row per
 // node orbit (table.go), exactly as rebuild's complete pass counts it. What
-// a pass adds for an instance with representative f is one to (orbit(j), f(j))
-// for every pattern node j; for another occurrence f∘σ of the same instance
-// that is one to (orbit(σ(j)), f(σ(j))), the same entries summed in another
-// order — so the two passes of a refresh need not agree on which occurrence
-// stands for an instance, and will not when the planner orders the searches
-// differently on the two snapshots. The search stays at instance level on
+// a pass writes for an instance with representative f is (orbit(j), f(j)) for
+// every pattern node j; for another occurrence f∘σ of the same instance that
+// is (orbit(σ(j)), f(σ(j))), the same entries in another order — so the two
+// passes of a refresh need not agree on which occurrence stands for an
+// instance, and will not when the planner orders the searches differently on
+// the two snapshots. The search stays at instance level on
 // purpose: the occurrence-level rule "the first pinned arc wins, divide by
 // |Aut(P)|" is exact too, but at a mutated hub–leaf edge of a hub of degree d
 // it walks the (d − 1)(d − 2)(d − 3) ordered leaf triples of a 4-leaf star
@@ -83,13 +90,21 @@ import (
 // the side's snapshot (isomorph.PinnedSearch.Run). What a pass counts does not
 // depend on the search order, so an order planned on an earlier snapshot
 // costs at most speed; and a refresh pays for the instances through its
-// mutated edges, not for planning seventy patterns' searches again.
+// mutated edges, not for planning seventy patterns' searches again. The
+// re-checks run the same searches, pinned at a suspect's edges, and only those
+// of the edge orbits that touch the suspect's node orbit (Probe: their work is
+// counted apart from the passes').
 //
 // Nothing a pass counts goes through a table of its own: every representative
 // is applied to the maintained state where the search hands it over
-// (deltaPass.yield, domainState.apply), so a pass costs the instances the
-// batch changed, found once per mutated edge they use, and nothing sized by a
-// neighbourhood or by the graph.
+// (deltaPass.yield), so a pass costs the instances the batch changed, found
+// once per mutated edge they use, and nothing sized by a neighbourhood or by
+// the graph. The rows are over the dense indexes of the snapshot the context
+// is synchronized with; a batch that inserts or removes vertices moves them
+// onto the new snapshot's indexes between its passes (domainState.remap),
+// which costs ⌈n/64⌉ words a row and a lookup per member: a vertex batch is
+// the one update whose cost grows with the graph, orbits·n/64 words a
+// context.
 //
 // The batch's dirty vertices are the ends of its mutated edges and its
 // mutated vertices. An occurrence f touching a dirty vertex f(a) has every
@@ -131,8 +146,8 @@ type DeltaContext struct {
 	// counter runs every pass: the pattern's symmetry, derived once, and the
 	// orbit-row layout of state.
 	counter *instanceCounter
-	// state is what every pass writes: the live instance count and the
-	// refcounted, VertexID-keyed MNI domains, one row per node orbit.
+	// state is what every pass writes: the live instance count and the MNI
+	// domains, one presence row per node orbit over snap's dense indexes.
 	state *domainState
 	// radius is the pattern's diameter, the radius of the mutation balls whose
 	// sizes decide between the delta passes and a rebuild.
@@ -148,6 +163,15 @@ type DeltaContext struct {
 	// made once with the context so that starting a pass allocates nothing.
 	dp    deltaPass
 	yield func(*isomorph.Occurrence) bool
+	// suspects is the minus pass's (row, index) pairs (suspectKey), kept
+	// between refreshes so that recording them reuses one buffer.
+	suspects []uint64
+	// probe is the consumer of a re-check's searches and found its bound
+	// method; around is the suspect's incident edges the searches are pinned
+	// at. All three are reused by every re-check.
+	probe  recheck
+	found  func(*isomorph.Occurrence) bool
+	around []uint64
 
 	stats DeltaStats
 }
@@ -178,6 +202,11 @@ type DeltaStats struct {
 	// maintained state: every one they counted, the instances that use an
 	// edge or a vertex the batch added or removed.
 	PassApplied int
+	// Rechecks is the number of distinct (node orbit, vertex) pairs the minus
+	// passes found in a destroyed instance and the re-checks searched for on
+	// the new snapshot, and RecheckCleared the number of them no instance
+	// mapped the orbit to any more, taken out of their domains.
+	Rechecks, RecheckCleared int
 }
 
 // NewDeltaContext builds the initial streamed aggregates of p in g (a full
@@ -225,6 +254,8 @@ func NewDeltaContextAt(g *graph.Graph, snap *graph.Snapshot, p *pattern.Pattern,
 	}
 	d := &DeltaContext{g: g, p: p, opts: opts, snap: snap, counter: newInstanceCounter(p), radius: patternDiameter(p), edges: edgePositions(p)}
 	d.yield = d.dp.yield
+	d.probe.rowOf = d.counter.rowOf
+	d.found = d.probe.yield
 	return d, d.rebuild(snap, masks), nil
 }
 
@@ -292,20 +323,29 @@ func (d *DeltaContext) Apply(b *Batch) error {
 	mDeltaApplied.Inc()
 	mDeltaBall.Observe(float64(d.stats.LastBallVertices))
 
-	// Plus pass: the instances of the new graph that use mutated structure —
-	// every instance the batch added, and those it removed and added back.
-	d.pass(&b.new, +1)
+	// Minus pass: the instances of the retained pre-mutation snapshot that use
+	// mutated structure — all of them already in the state, every instance
+	// the batch destroyed included. It runs first,
+	// while the rows still have the old snapshot's indexes, so every image it
+	// subtracts can be checked against its row.
+	d.suspects = d.pass(&b.old, false, d.suspects[:0])
 
-	// Minus pass: the same of the retained pre-mutation snapshot — exactly the
-	// contributions already present in the state, every instance the batch
-	// destroyed included. It runs second, so no refcount is negative in
-	// transit.
-	d.pass(&b.old, -1)
+	// The rows and the suspects move onto the new snapshot's indexes; a
+	// suspect whose vertex the batch removed went with it.
+	d.suspects = d.state.remap(b.to, b.new.snap.NumVertices(), d.suspects)
+
+	// Plus pass: the same of the new graph — every instance the batch added,
+	// and those it removed and added back.
+	d.pass(&b.new, true, nil)
+
+	d.recheck(b.new.snap)
 	return nil
 }
 
-// pass applies to the state, sign times each, the instances of d's pattern in
-// the side's snapshot that use an edge the batch added or removed: for the
+// pass applies to the state the instances of d's pattern in the side's
+// snapshot that use an edge the batch added or removed — adding them on the
+// plus side, subtracting them on the minus side, where it appends the images
+// of each to suspects and returns them (domainState.subtract): for the
 // first arc of every edge orbit of Aut(P) a run of the context's compiled
 // search pinned there, at the side's mutated edges, counting what arrives
 // pinned at its smallest mutated edge (deltaPass.yield). A one-node pattern
@@ -314,9 +354,9 @@ func (d *DeltaContext) Apply(b *Batch) error {
 // pin and the searches return at once. It runs on the calling goroutine
 // whatever Options.Parallelism says: the arcs are the batch's few edges, and
 // the owner of many contexts fans out across contexts instead.
-func (d *DeltaContext) pass(s *batchSide, sign int) {
+func (d *DeltaContext) pass(s *batchSide, plus bool, suspects []uint64) []uint64 {
 	dp := &d.dp
-	*dp = deltaPass{state: d.state, sign: sign, edges: s.edges, patternEdges: d.edges}
+	*dp = deltaPass{state: d.state, plus: plus, suspects: suspects, edges: s.edges, patternEdges: d.edges}
 	if len(d.edges) == 0 {
 		dp.applyVertices(s.snap, s.vertices, d.p.LabelOf(d.counter.nodes[0]))
 	}
@@ -331,15 +371,18 @@ func (d *DeltaContext) pass(s *batchSide, sign int) {
 	mPassRepresentatives.Add(uint64(dp.emitted))
 	mPassCounted.Add(uint64(dp.counted))
 	mPassApplied.Add(uint64(dp.counted))
+	suspects, dp.suspects = dp.suspects, nil
+	return suspects
 }
 
 // deltaPass is the consumer of one delta pass's pinned searches: the state it
-// writes and the sign it writes with, the side's sorted mutated edges, the
-// pattern's edges as position pairs and the pattern arc the search now
-// running is pinned at.
+// writes, whether it adds or subtracts, the minus side's suspects so far, the
+// side's sorted mutated edges, the pattern's edges as position pairs and the
+// pattern arc the search now running is pinned at.
 type deltaPass struct {
 	state            *domainState
-	sign             int
+	plus             bool
+	suspects         []uint64
 	edges            []uint64
 	patternEdges     [][2]int
 	arc              [2]int
@@ -364,7 +407,11 @@ func (dp *deltaPass) yield(o *isomorph.Occurrence) bool {
 		}
 	}
 	dp.counted++
-	dp.state.apply(o, dp.sign)
+	if dp.plus {
+		dp.state.add(o)
+	} else {
+		dp.suspects = dp.state.subtract(o, dp.suspects)
+	}
 	return true
 }
 
@@ -373,12 +420,90 @@ func (dp *deltaPass) yield(o *isomorph.Occurrence) bool {
 // the new side) or removed (on the old), and nothing else is.
 func (dp *deltaPass) applyVertices(snap *graph.Snapshot, vertices []int32, label graph.Label) {
 	for _, x := range vertices {
-		if snap.LabelAt(x) == label {
-			dp.emitted++
-			dp.counted++
-			dp.state.applyVertex(snap.ID(x), dp.sign)
+		if snap.LabelAt(x) != label {
+			continue
+		}
+		dp.emitted++
+		dp.counted++
+		if dp.plus {
+			dp.state.addVertex(x)
+		} else {
+			dp.suspects = dp.state.subtractVertex(snap, x, dp.suspects)
 		}
 	}
+}
+
+// recheck settles the suspects the minus pass recorded, now over snap's
+// indexes: each distinct (row, index) keeps its bit iff some instance in snap
+// still maps a node of the row's orbit to the vertex. For a pattern with
+// edges that instance uses an edge at the vertex whose pattern edge touches
+// the orbit, so the context's searches of the edge orbits that touch it, run
+// over the vertex's incident edges, meet a representative of it, and the
+// first one whose images put the vertex in the orbit settles the suspect (the
+// images of an orbit are the same set for every occurrence of an instance,
+// table.go). A one-node pattern's instance at the vertex is the vertex
+// itself, so its label settles it.
+func (d *DeltaContext) recheck(snap *graph.Snapshot) {
+	slices.Sort(d.suspects)
+	d.suspects = slices.Compact(d.suspects)
+	rc, s := &d.probe, d.state
+	cleared, roots := 0, 0
+	for _, key := range d.suspects {
+		r, x := int(key>>32), int32(uint32(key))
+		held := false
+		if len(d.edges) == 0 {
+			held = snap.LabelAt(x) == d.p.LabelOf(d.counter.nodes[0])
+		} else {
+			d.around = d.around[:0]
+			for _, y := range snap.NeighborsAt(x) {
+				d.around = append(d.around, isomorph.EdgeKey(x, y))
+			}
+			rc.row, rc.x, rc.held = r, x, false
+			for _, search := range d.searches {
+				if a, b := search.Arc(); s.rowOf[a] != r && s.rowOf[b] != r {
+					continue
+				}
+				roots += search.Probe(snap, d.around, d.found)
+				if rc.held {
+					break
+				}
+			}
+			held = rc.held
+		}
+		if !held {
+			s.clear(r, x)
+			cleared++
+		}
+	}
+	d.stats.Rechecks += len(d.suspects)
+	d.stats.RecheckCleared += cleared
+	mRechecks.Add(uint64(len(d.suspects)))
+	mRecheckCleared.Add(uint64(cleared))
+	mRecheckRoots.Add(uint64(roots))
+}
+
+// recheck is the consumer of a re-check's searches: it looks for an
+// occurrence that maps a node of row's orbit to dense index x, and stops the
+// search at the first.
+type recheck struct {
+	rowOf []int
+	row   int
+	x     int32
+	held  bool
+}
+
+// yield records whether o maps a node of the row's orbit to x and stops the
+// search if it does.
+//
+//gvet:hotpath
+func (rc *recheck) yield(o *isomorph.Occurrence) bool {
+	for i, r := range rc.rowOf {
+		if r == rc.row && o.IndexAt(i) == rc.x {
+			rc.held = true
+			return false
+		}
+	}
+	return true
 }
 
 // edgePositions returns p's edges as pairs of positions in p.Nodes().
@@ -400,12 +525,15 @@ func edgePositions(p *pattern.Pattern) [][2]int {
 // the mutation ball around the dirty vertices at every radius up to the one
 // asked for. Everything a context needs that does not depend on its pattern
 // is computed here, once, so an owner of seventy contexts pays for one
-// translation and one breadth-first search per side, not seventy; and nothing
-// in it changes after
-// NewBatch returns, so the contexts may apply it from several goroutines at
-// once.
+// translation, one breadth-first search per side and one index map, not
+// seventy; and nothing in it changes after NewBatch returns, so the contexts
+// may apply it from several goroutines at once.
 type Batch struct {
 	old, new batchSide
+	// to maps each dense index of the old side to the same vertex's on the
+	// new side, -1 for a vertex the batch removed; nil when the batch
+	// inserted and removed no vertex, so the two sides' indexes agree.
+	to []int32
 }
 
 // batchSide is one snapshot's half of a Batch.
@@ -433,7 +561,10 @@ type batchSide struct {
 // an added one, an instance lost by it used a removed one, and a pass is
 // rooted at them (DeltaContext.pass). The dirty vertex set is every vertex
 // incident to mutated structure, translated the same way; the balls around it
-// are what decides between the passes and a rebuild.
+// are what decides between the passes and a rebuild. When some mutated vertex
+// exists on one side only, the batch inserted or removed it and the two
+// sides' indexes differ, so the batch also maps one onto the other
+// (indexMap).
 func NewBatch(old, new *graph.Snapshot, muts []graph.Mutation, maxRadius int) *Batch {
 	dirty := make([]graph.VertexID, 0, 2*len(muts))
 	var vertices []graph.VertexID
@@ -452,7 +583,36 @@ func NewBatch(old, new *graph.Snapshot, muts []graph.Mutation, maxRadius int) *B
 	dirty = slices.Compact(dirty)
 	slices.Sort(vertices)
 	vertices = slices.Compact(vertices)
-	return &Batch{old: newBatchSide(old, dirty, vertices, edges, maxRadius), new: newBatchSide(new, dirty, vertices, edges, maxRadius)}
+	return &Batch{old: newBatchSide(old, dirty, vertices, edges, maxRadius), new: newBatchSide(new, dirty, vertices, edges, maxRadius), to: indexMap(old, new, vertices)}
+}
+
+// indexMap returns, for every dense index of old, the dense index of the same
+// vertex in new, -1 for a vertex new does not have; nil when none of the
+// batch's mutated vertices exists on one side only, so the two snapshots have
+// the same vertices at the same indexes. Both number their vertices in
+// VertexID order, so one merge of the two ID sequences pairs them up.
+func indexMap(old, new *graph.Snapshot, vertices []graph.VertexID) []int32 {
+	if !slices.ContainsFunc(vertices, func(v graph.VertexID) bool {
+		_, inOld := old.IndexOf(v)
+		_, inNew := new.IndexOf(v)
+		return inOld != inNew
+	}) {
+		return nil
+	}
+	to := make([]int32, old.NumVertices())
+	y, n := int32(0), int32(new.NumVertices())
+	for x := range to {
+		v := old.ID(int32(x))
+		for y < n && new.ID(y) < v {
+			y++
+		}
+		to[x] = -1
+		if y < n && new.ID(y) == v {
+			to[x] = y
+			y++
+		}
+	}
+	return to
 }
 
 // newBatchSide translates the batch's sorted dirty and mutated VertexIDs and
@@ -587,15 +747,15 @@ func patternDiameter(p *pattern.Pattern) int {
 	return diameter
 }
 
-// rebuild discards the maintained state and recomputes it — a complete
-// enumeration of snap, confined to masks (nil for none), folded into an empty
-// state — and compiles the delta passes' pinned searches against snap's
-// statistics, one per edge orbit. It returns the MNI domain of every pattern
-// node on snap, aligned with p.Nodes(), read off the pass's table.
+// rebuild discards the maintained state and recomputes it — the same
+// complete enumeration of snap a cold context runs, confined to masks (nil for
+// none), whose table the state copies — and compiles the delta passes' pinned
+// searches against snap's statistics, one per edge orbit. It returns the MNI
+// domain of every pattern node on snap, aligned with p.Nodes(): the pass
+// table's own masks, which the state does not share.
 func (d *DeltaContext) rebuild(snap *graph.Snapshot, masks []isomorph.Mask) []isomorph.Mask {
-	all, _ := d.counter.accumulate(snap, d.opts.Parallelism, masks, true, false)
-	d.state = newDomainState(d.counter.rowLayout)
-	d.state.fold(all)
+	all, _ := d.counter.accumulate(snap, d.opts.Parallelism, masks, false)
+	d.state = newDomainState(all)
 	d.searches = d.searches[:0]
 	for _, arc := range d.counter.sym.EdgeOrbits(d.p) {
 		d.searches = append(d.searches, isomorph.NewPinnedSearch(snap, d.p, d.counter.sym, arc[0], arc[1]))

@@ -32,9 +32,10 @@ func spreadIDs(g *graph.Graph, stride graph.VertexID) *graph.Graph {
 // region: a vertex inserted between existing IDs (every vertex above it moves
 // up one index in the new snapshot), a vertex removed below the region (every
 // vertex above it moves down), and both in one batch. The passes' roots and
-// dirty sets are those indexes, the maintained state is keyed by VertexID; the
-// aggregates must equal a from-scratch context after every refresh, and every
-// refresh here is small enough to be applied as a delta.
+// dirty sets are those indexes, and the maintained rows are remapped from the
+// old side's onto the new side's; the aggregates and every domain's vertices
+// must equal a from-scratch context's after every refresh, and every refresh
+// here is small enough to be applied as a delta.
 func TestDeltaContextAcrossShiftedIndexSpaces(t *testing.T) {
 	p := trianglePattern()
 	for _, shards := range []int{1, 2, 7} {
@@ -123,14 +124,14 @@ func TestDeltaContextAcrossShiftedIndexSpaces(t *testing.T) {
 // through a mutated edge are the same few as before, because none passes
 // through the hub. So applying that
 // batch may allocate what the small-ball batch does plus a fixed slack sized
-// from the counted instances — their refcounts exist already, but allow each
-// one an entry, and the searches a scratch buffer regrown for the one more
-// neighbour — where pass tables laid out over the balls (4 bytes a vertex, a
+// from the counted instances — their bits exist already, but allow each one
+// a generous share of a growing buffer, and the searches a scratch buffer
+// regrown for the one more neighbour — where pass tables laid out over the balls (4 bytes a vertex, a
 // row per node orbit) come to 32 KiB.
 func TestRestrictedPassCostsItsBall(t *testing.T) {
 	const slack = 16 << 10
 	const applySlack = 1 << 10
-	const perCounted = 64 // bytes: a key, a refcount and a generous share of a map's growth
+	const perCounted = 64 // bytes: a generous share of a buffer's growth
 	const hubLabel, hubStride = 2, 16
 	p := trianglePattern()
 	type cost struct {

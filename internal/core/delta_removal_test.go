@@ -6,14 +6,19 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/isomorph"
 )
 
 // TestDeltaContextMatchesScratchUnderDeletions extends the tentpole
 // correctness bar to removals: after batches that delete edges and vertices
 // (cascades included) — and batches mixing inserts with deletions — the
-// delta-maintained aggregates must still equal a from-scratch context, across
-// shard counts and parallelism (run under -race in CI).
+// delta-maintained aggregates must still equal a from-scratch context, and
+// every maintained domain a cold pass's as a vertex set, across shard counts
+// and parallelism (run under -race in CI). The removals must have made the
+// re-checks run everywhere and clear suspects somewhere, so that the clearing
+// is held to the cold domains too.
 func TestDeltaContextMatchesScratchUnderDeletions(t *testing.T) {
+	cleared := 0
 	for _, tc := range deltaCases(200, 17) {
 		p := tc.p
 		for _, set := range tc.settings {
@@ -72,13 +77,21 @@ func TestDeltaContextMatchesScratchUnderDeletions(t *testing.T) {
 			if st := d.Stats(); st.DeltaRefreshes == 0 {
 				t.Fatalf("%s shards=%d par=%d: no removal refresh took the delta path (stats %+v)", tc.name, shards, par, st)
 			}
+			if st := d.Stats(); st.Rechecks == 0 {
+				t.Fatalf("%s shards=%d par=%d: the removals destroyed instances but nothing was re-checked", tc.name, shards, par)
+			}
+			cleared += d.Stats().RecheckCleared
 		}
+	}
+	if cleared == 0 {
+		t.Fatal("no re-check cleared a suspect: the clearing was never held to a cold pass")
 	}
 }
 
 // TestDeltaContextDrainsToZero removes every edge of a small graph one batch
-// at a time: the refcounted tables must subtract all the way down to empty
-// without ever going negative (a negative refcount panics in the table's merge).
+// at a time: the maintained state must subtract all the way down to empty
+// without ever going negative (a negative count, or a subtracted image its row
+// does not hold, panics in the minus pass).
 func TestDeltaContextDrainsToZero(t *testing.T) {
 	p := trianglePattern()
 	g := gen.BarabasiAlbert(60, 3, gen.UniformLabels{K: 2}, 7)
@@ -91,11 +104,31 @@ func TestDeltaContextDrainsToZero(t *testing.T) {
 		t.Fatal("workload has no triangles; test needs a non-trivial baseline")
 	}
 
+	// With nothing added, every (orbit, vertex) pair a delta refresh takes
+	// out of the domains is one its re-checks cleared.
+	sym := isomorph.NewSymmetry(p)
+	held := func() int {
+		n, orbits := 0, map[int]bool{}
+		for i, size := range d.MNIDomainSizes() {
+			if o := sym.OrbitOf(i); !orbits[o] {
+				orbits[o] = true
+				n += size
+			}
+		}
+		return n
+	}
 	for _, e := range g.Edges() {
+		before, st := held(), d.Stats()
 		g.MustRemoveEdge(e.U, e.V)
 		if err := d.Refresh(); err != nil {
 			t.Fatalf("Refresh after removing %v: %v", e, err)
 		}
+		if now := d.Stats(); now.FullRebuilds == st.FullRebuilds && now.RecheckCleared-st.RecheckCleared != before-held() {
+			t.Fatalf("removing %v took %d (orbit, vertex) pairs out of the domains, but the re-checks cleared %d", e, before-held(), now.RecheckCleared-st.RecheckCleared)
+		}
+	}
+	if st := d.Stats(); st.RecheckCleared == 0 {
+		t.Fatal("draining the graph cleared no suspect")
 	}
 	if d.NumOccurrences() != 0 || d.NumInstances() != 0 {
 		t.Fatalf("edgeless graph still has %d occurrences / %d instances", d.NumOccurrences(), d.NumInstances())

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -33,6 +34,23 @@ func requireDeltaMatchesScratch(t *testing.T, d *core.DeltaContext, g *graph.Gra
 	}
 	if got != want {
 		t.Fatalf("%s: MNI on delta context = %+v, scratch = %+v", tag, got, want)
+	}
+	requireDomainsMatchCold(t, d, g, tag)
+}
+
+// requireDomainsMatchCold holds every maintained MNI domain of d, as a set of
+// vertices, to the domain a cold pass over g's current snapshot finds
+// (core.NewDomainContext): equal sizes are not enough, a row must hold the
+// very vertices.
+func requireDomainsMatchCold(t *testing.T, d *core.DeltaContext, g *graph.Graph, tag string) {
+	t.Helper()
+	snap := g.Freeze()
+	_, cold := core.NewDomainContext(snap, d.Pattern(), 1, nil)
+	kept := core.DomainSets(d)
+	for i, n := range d.Pattern().Nodes() {
+		if want := core.MaskIDs(snap, cold[i]); !slices.Equal(kept[i], want) {
+			t.Fatalf("%s: node %d's maintained domain is %v, a cold pass finds %v", tag, n, kept[i], want)
+		}
 	}
 }
 

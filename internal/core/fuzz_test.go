@@ -110,14 +110,16 @@ func requireAddEdgeLayout(t *testing.T, tag string, ctx *core.Context) {
 // 47, remove a vertex (its edges with it), or refresh — with a refresh after
 // the last. After every refresh the maintained occurrence count, instance
 // count and MNI domain sizes must equal a from-scratch streaming context's,
-// whether the batch was applied as two delta passes — searches rooted at dirty
-// dense indexes that the batch's own vertex inserts and removals shifted
-// between the two sides, each counted representative applied straight to the
-// VertexID-keyed state — or as a saturation rebuild. Both of those search one
-// representative per instance and count into orbit rows, and so does every
-// context, so the second oracle is the full search's list (scanFullSearch):
-// every occurrence listed, grouped into instances and scanned into a set per
-// node, sharing neither.
+// and every maintained domain, as a set of vertices, a cold pass's domain,
+// whether the batch was applied as two delta passes — searches rooted at
+// mutated edges whose dense indexes the batch's own vertex inserts and
+// removals shifted between the two sides, the rows remapped between them and
+// every suspect of the minus pass re-checked after — or as a saturation
+// rebuild; and the re-checks may clear no more suspects than they checked.
+// Both of those search one representative per instance and count into orbit
+// rows, and so does every context, so the second oracle is the full search's
+// list (scanFullSearch): every occurrence listed, grouped into instances and
+// scanned into a set per node, sharing neither.
 //
 // Beside the decoded pattern, refreshed on its own through
 // DeltaContext.Refresh, four one-label patterns of diameters one, two, three
@@ -201,6 +203,7 @@ func FuzzDeltaAggregates(f *testing.F) {
 					op, g.Edges(), d.Pattern(), par, how, d.Stats(), got.NumOccurrences(), got.NumInstances(), got.MNIDomainSizes(),
 					len(occs), instances, sizes)
 			}
+			requireDomainsMatchCold(t, d, g, fmt.Sprintf("after op %d, graph %v pattern %v par=%d, %s (stats %+v)", op, g.Edges(), d.Pattern(), par, how, d.Stats()))
 		}
 		check := func(op int) {
 			t.Helper()

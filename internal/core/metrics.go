@@ -29,4 +29,15 @@ var (
 		"representatives delta passes counted: one per instance using a mutated edge or vertex")
 	mPassApplied = obs.NewCounter("repro_delta_pass_applied_total",
 		"counted representatives delta passes applied to the maintained state")
+	// The re-check counters are deterministic work counts too, published once
+	// per refresh: the distinct (orbit, vertex) suspects the minus passes left,
+	// how many of them the re-checks cleared, and the arcs the re-checks'
+	// searches were rooted at. The re-checks publish nothing to the
+	// enumeration counters, which count the passes' work alone.
+	mRechecks = obs.NewCounter("repro_delta_rechecks_total",
+		"distinct (node orbit, vertex) pairs of destroyed instances re-checked after a delta refresh")
+	mRecheckCleared = obs.NewCounter("repro_delta_recheck_cleared_total",
+		"re-checked (node orbit, vertex) pairs no instance maps any more, cleared from their domains")
+	mRecheckRoots = obs.NewCounter("repro_delta_recheck_roots_total",
+		"data arcs the re-checks' pinned searches were rooted at")
 )

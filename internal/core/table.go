@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/isomorph"
@@ -11,60 +11,42 @@ import (
 )
 
 // MNI state (Definition 2.2.8: project the occurrence relation onto each
-// pattern node, count distinct) has one layout per lifetime, and this file is
-// the only one that knows either.
+// pattern node, count distinct) has one shape, and this file is the only one
+// that knows it: for each node orbit of Aut(P) a presence mask over a
+// snapshot's dense indexes (isomorph.Mask), one bit per vertex.
 //
-// Both layouts keep one row per node orbit of Aut(P), not one per node,
-// because that is all the streaming search delivers and all MNI needs. The
-// search yields one representative f per instance (isomorph.Options.Symmetry);
-// the instance's |Aut(P)| occurrences are f∘σ, and over them a node j of orbit
-// O takes the images f(σ(j)) — the set f(O), whichever occurrence f is. So a
-// representative adds (O, f(j)) for every node j, row O holds v exactly when
-// some instance has v ∈ f(O), that set is the MNI domain of every node of O
-// alike, and sizes() fans the row's size out to them. Where a table counts,
-// the counter of (O, v) is the number of such instances. None of this
-// mentions which occurrence represents an instance, which matters because
-// that choice follows the search order and the search order follows the
-// snapshot: the plus and minus passes of a delta refresh may represent one
-// instance by different occurrences and still add and subtract the same
-// entries.
+// A row stands for an orbit, not a node, because that is all the streaming
+// search delivers and all MNI needs. The search yields one representative f
+// per instance (isomorph.Options.Symmetry); the instance's |Aut(P)|
+// occurrences are f∘σ, and over them a node j of orbit O takes the images
+// f(σ(j)) — the set f(O), whichever occurrence f is. So a representative sets
+// (O, f(j)) for every node j, row O holds v exactly when some instance has
+// v ∈ f(O), that set is the MNI domain of every node of O alike, and sizes()
+// fans the row's size out to them. None of this mentions which occurrence
+// represents an instance, which matters because that choice follows the search
+// order and the search order follows the snapshot.
 //
-// A domainTable lives for one complete enumeration of one snapshot, so it is
-// keyed the way the search is: by the snapshot's dense vertex indexes, which
-// is what an occurrence is found in and lent as (Occurrence.IndexAt). It is
-// always the whole snapshot wide: a row is a presence mask, one bit per
-// vertex, orbits·n/8 bytes a table. MNI asks only which vertices a row
-// covers, so that is all a table keeps, unless its pass feeds a domainState
-// and needs multiplicities too (see below). The search lends its last depth a
-// prefix at a time (isomorph.RunFunc): the n representatives of one run share
-// the prefix's images, so adding them sets k-1 bits once and n bits in the
-// last position's row, where adding each alone would set n·k; no VertexID is
-// looked at and no hash table exists. A from-scratch Context reads its rows'
-// sizes and throws the table away; NewDomainContext hands the rows themselves
-// back as the domains.
+// A domainTable lives for one complete enumeration of one snapshot and is
+// filled by it. The search lends its last depth a prefix at a time
+// (isomorph.RunFunc): the n representatives of one run share the prefix's
+// images, so adding them sets k-1 bits once and n bits in the last position's
+// row, where adding each alone would set n·k; no VertexID is looked at and no
+// hash table exists. A from-scratch Context reads its rows' sizes and throws
+// the table away; NewDomainContext hands the rows themselves back as the
+// domains.
 //
-// A domainState lives as long as a DeltaContext, across snapshots whose dense
-// indexes shift with every vertex insert or removal, so it is keyed by
-// VertexID, which means the same vertex in all of them; and it keeps exact
-// multiplicities (a refcount per projected tuple, Berkholz et al., PAPERS.md),
-// because a delta refresh subtracts and must tell the last instance through
-// a vertex from one of many. It holds only the vertices some instance maps
-// to, not a counter per data vertex per tracked pattern.
-//
-// The state is written two ways, by what the writer has in hand. A complete
-// enumeration has millions of representatives and one table of them, which
-// for this one reader also counts (DeltaContext.rebuild): its table carries
-// an int32 counter per (row, vertex) beside the masks, and domainState.fold
-// turns the counters of the rows' members into entries, the one point where a
-// dense index becomes a VertexID. A delta pass has the few instances a batch
-// changed: it counts some twenty per context on the benchmark's refreshes,
-// but writes only those that use a mutated vertex or edge (deltaPass.yield),
-// fewer than one per context. A table to carry them
-// would cost its width to allocate and again to scan: domainState.apply adds
-// or subtracts each such representative as it arrives, deriving the k
-// VertexIDs it keys by from the lent occurrence's dense indexes and the
-// snapshot the pass searched — the one point on that path where an index
-// becomes a VertexID.
+// A domainState is the same rows kept alive by a DeltaContext across the
+// snapshots it synchronizes with, plus the instance count and each row's size.
+// A complete pass fills it (DeltaContext.rebuild copies the pass table's
+// masks); after that a delta refresh writes it. Its plus pass sets the bits of
+// the instances a batch created. Presence cannot be subtracted, so its minus
+// pass only checks that every image of a destroyed instance is in its row and
+// records the (row, index) as a suspect; once both passes are in, each distinct
+// suspect is re-checked on the new snapshot by a search pinned at the vertex's
+// own edges (DeltaContext.recheck), and cleared when no instance maps a node of
+// the orbit there. A batch that inserts or removes vertices shifts every dense
+// index above the change, so between the two passes every member of every row
+// is moved to its vertex's index on the new snapshot (remap).
 //
 // Every complete pass is such a search, a materialized context's included: its
 // one search adds its representatives to a table like any other and also
@@ -116,110 +98,65 @@ func fanOut[T any](l rowLayout, perRow []T) []T {
 	return out
 }
 
-// domainTable is the MNI table one complete pass over a snapshot fills: for
-// every row of its layout a presence mask over the snapshot's dense indexes
-// (isomorph.Mask), dense index x set in row r when some assignment the pass
-// adds maps a node of the row to that vertex. The rows are stretches of one
-// backing array of ⌈n/64⌉ words each, so one table is orbits·n/8 bytes, never
-// k·n/8, and every worker of the pass owns one.
-//
-// A pass that feeds a domainState (DeltaContext.rebuild, the one reader of
-// multiplicities) also needs how many assignments map there: its table has a
-// run of int32 counters per row too, row r at counts[r*width:(r+1)*width],
-// and the counter of x at position x. Every other table leaves counts nil and
-// never counts.
-type domainTable struct {
-	rowLayout
-	snap   *graph.Snapshot
-	width  int
-	words  []uint64
-	masks  []isomorph.Mask // masks[r]: row r's stretch of words
-	counts []int32
+// newRows returns the given number of empty presence masks over n dense
+// indexes, stretches of one backing array of ⌈n/64⌉ words each, and the
+// array.
+func newRows(rows, n int) ([]uint64, []isomorph.Mask) {
+	words := make([]uint64, rows*((n+63)/64))
+	return words, splitRows(words, rows)
 }
 
-// newDomainTable returns the empty table of layout over snap, with counters
-// when counted is set.
-func newDomainTable(snap *graph.Snapshot, layout rowLayout, counted bool) domainTable {
-	width := snap.NumVertices()
-	stride := (width + 63) / 64
-	t := domainTable{rowLayout: layout, snap: snap, width: width, words: make([]uint64, layout.rows*stride), masks: make([]isomorph.Mask, layout.rows)}
-	for r := range t.masks {
-		t.masks[r] = t.words[r*stride : (r+1)*stride : (r+1)*stride]
+// splitRows returns words cut into the given number of rows of equal length.
+func splitRows(words []uint64, rows int) []isomorph.Mask {
+	stride := len(words) / rows
+	masks := make([]isomorph.Mask, rows)
+	for r := range masks {
+		masks[r] = words[r*stride : (r+1)*stride : (r+1)*stride]
 	}
-	if counted {
-		t.counts = make([]int32, layout.rows*width)
-	}
-	return t
+	return masks
+}
+
+// domainTable is the MNI table one complete pass over a snapshot fills: for
+// every row of its layout a presence mask over the snapshot's dense indexes,
+// dense index x set in row r when some assignment the pass adds maps a node of
+// the row to that vertex. One table is orbits·n/8 bytes, never k·n/8, and
+// every worker of the pass owns one.
+type domainTable struct {
+	rowLayout
+	words []uint64
+	masks []isomorph.Mask // masks[r]: row r's stretch of words
+}
+
+// newDomainTable returns the empty table of layout over a snapshot of n
+// vertices.
+func newDomainTable(n int, layout rowLayout) domainTable {
+	words, masks := newRows(layout.rows, n)
+	return domainTable{rowLayout: layout, words: words, masks: masks}
 }
 
 // addRun adds one run of leaves lent by the enumeration of t's snapshot
 // (isomorph.RunFunc): the n leaves share the prefix's image at every position
-// but last, so each of those is added once, n at a time, to its row, and each
-// leaf adds its own image to last's row — a bit set in the row's mask, and a
-// counter bumped first on a counted table.
+// but last, so each of those is set once in its row, and each leaf sets its
+// own image in last's row.
 //
 //gvet:hotpath
 func (t *domainTable) addRun(o *isomorph.Occurrence, last int, run []int32) {
-	n := int32(len(run))
 	for i, r := range t.rowOf {
 		if i != last {
-			t.add(r, o.IndexAt(i), n)
+			t.masks[r].Add(o.IndexAt(i))
 		}
 	}
-	r := t.rowOf[last]
-	if t.counts != nil {
-		for _, x := range run {
-			t.count(r, x, 1)
-		}
-	}
-	row := t.masks[r]
+	row := t.masks[t.rowOf[last]]
 	for _, x := range run {
 		row.Add(x)
 	}
 }
 
-// add records n assignments of a node of row r to dense index x: it sets x in
-// the row's mask and, on a counted table, adds n to the counter of (r, x).
-//
-//gvet:hotpath
-func (t *domainTable) add(r int, x, n int32) {
-	if t.counts != nil {
-		t.count(r, x, n)
-	}
-	t.masks[r].Add(x)
-}
-
-// count adds n to the counter of (row r, dense index x).
-//
-//gvet:hotpath
-func (t *domainTable) count(r int, x, n int32) {
-	c := &t.counts[r*t.width+int(x)]
-	if *c > math.MaxInt32-n {
-		t.overflow(r, int(x))
-	}
-	*c += n
-}
-
-// overflow reports a counter about to pass 2^31-1. A hub reaches that in
-// minutes of emits, so the counter must not wrap silently into "absent".
-func (t *domainTable) overflow(r, x int) {
-	panic(fmt.Sprintf("core: more than %d counted assignments map %s to vertex %d; the pass table's counters are 32 bits wide", math.MaxInt32, t.describe(r), t.snap.ID(int32(x))))
-}
-
-// counters returns row r's counters, one per dense index, on a counted table.
-func (t *domainTable) counters(r int) []int32 { return t.counts[r*t.width : (r+1)*t.width] }
-
 // merge adds another worker's table of the same pass into t: the union of
-// its masks and, on counted tables, the sum of its counters.
+// its masks.
 func (t *domainTable) merge(other domainTable) {
 	for i, w := range other.words {
 		t.words[i] |= w
-	}
-	for i, c := range other.counts {
-		if c > math.MaxInt32-t.counts[i] {
-			t.overflow(i/t.width, i%t.width)
-		}
-		t.counts[i] += c
 	}
 }
 
@@ -239,114 +176,161 @@ func (t *domainTable) sizes() []int {
 func (t *domainTable) domains() []isomorph.Mask { return fanOut(t.rowLayout, t.masks) }
 
 // domainState is the MNI state a DeltaContext maintains: the live instance
-// count and, per node orbit, a refcount for every data vertex at least one
-// instance maps a node of the orbit to (an entry exists only while its
-// refcount is positive, so the MNI domain size of the orbit's nodes is the
-// length of its row). It is the only VertexID-keyed table in the package:
-// orbits·|domain| refcounts per tracked pattern at rest.
+// count and, per node orbit, a presence mask over the dense indexes of the
+// snapshot the context is synchronized with, whose size it keeps up to date:
+// orbits·⌈n/64⌉ words per tracked pattern at rest, twice that once a batch
+// has inserted or removed vertices (remap's spare).
 type domainState struct {
 	rowLayout
-	count   int
-	entries []map[graph.VertexID]int
-	// ids is apply's buffer for the VertexIDs of the instance in hand, one per
-	// pattern node.
-	ids []graph.VertexID
+	count int
+	words []uint64
+	masks []isomorph.Mask
+	size  []int // size[r]: the number of indexes in masks[r]
+	// spare is the backing array remap last moved the rows out of, kept for
+	// the next vertex batch to move them into; nil until the first.
+	spare []uint64
 }
 
-func newDomainState(layout rowLayout) *domainState {
-	s := &domainState{rowLayout: layout, entries: make([]map[graph.VertexID]int, layout.rows), ids: make([]graph.VertexID, len(layout.nodes))}
-	for r := range s.entries {
-		s.entries[r] = make(map[graph.VertexID]int)
+// newDomainState returns the state of a complete pass: its count and a copy of
+// its table's masks, so the table's own masks may be handed out as domains
+// while the state changes under later batches.
+func newDomainState(a *accumulator) *domainState {
+	t := &a.table
+	words := slices.Clone(t.words)
+	s := &domainState{rowLayout: t.rowLayout, count: a.count, words: words, masks: splitRows(words, t.rows), size: make([]int, t.rows)}
+	for r, m := range s.masks {
+		s.size[r] = m.Count()
 	}
 	return s
 }
 
-// fold adds a complete pass's count and counters into s, translating every
-// counted dense index to the VertexID it stands for in the pass's snapshot.
-// The pass must have counted (accumulate's counted) into s's own layout: fold
-// reads the counters where the table's masks say and nowhere else, and
-// replaces an empty row by a map sized for its domain, so filling it never
-// grows it.
-func (s *domainState) fold(a *accumulator) {
-	s.count += a.count
-	t := &a.table
-	for r, row := range s.entries {
-		mask := t.masks[r]
-		if len(row) == 0 {
-			row = make(map[graph.VertexID]int, mask.Count())
-			s.entries[r] = row
-		}
-		counters := t.counters(r)
-		for w, word := range mask {
-			for ; word != 0; word &= word - 1 {
-				x := int32(w*64 + bits.TrailingZeros64(word))
-				row[t.snap.ID(x)] += int(counters[x])
-			}
-		}
+// set puts dense index x into row r.
+//
+//gvet:hotpath
+func (s *domainState) set(r int, x int32) {
+	if !s.masks[r].Has(x) {
+		s.masks[r].Add(x)
+		s.size[r]++
 	}
 }
 
-// apply adds sign (+1 or -1) times one instance into s: the count and, for
-// every pattern node, the refcount of the node's image in the node's row, an
-// entry deleted when it reaches zero. o is any occurrence of the instance,
-// read by its VertexIDs. A negative refcount means a subtracted instance was
-// never added — the plus and minus passes of a delta refresh disagreed about
-// the old graph — which the construction rules out, so it panics. (Applying
-// the plus pass first keeps every refcount non-negative in transit as well.)
-//
-// A lent occurrence derives each VertexID from its snapshot, so all k are
-// read in one loop before the first map update: the loads are independent
-// and overlap, where translating inside the update loop would chain each
-// one into its hash lookup.
-//
-//gvet:hotpath
-func (s *domainState) apply(o *isomorph.Occurrence, sign int) {
-	ids := s.ids
-	for i := range ids {
-		ids[i] = o.ImageAt(i)
-	}
-	s.applyIDs(sign)
+// clear takes dense index x, which row r holds, out of the row.
+func (s *domainState) clear(r int, x int32) {
+	s.masks[r][x>>6] &^= 1 << uint(x&63)
+	s.size[r]--
 }
 
-// applyVertex adds sign times the instance of a one-node pattern at vertex v
-// into s.
-func (s *domainState) applyVertex(v graph.VertexID, sign int) {
-	s.ids[0] = v
-	s.applyIDs(sign)
-}
-
-// applyIDs adds sign times the instance whose images are in s.ids into s.
+// add adds one instance, o any occurrence of it: the count and every image in
+// its node's row.
 //
 //gvet:hotpath
-func (s *domainState) applyIDs(sign int) {
-	s.count += sign
-	ids := s.ids
+func (s *domainState) add(o *isomorph.Occurrence) {
+	s.count++
 	for i, r := range s.rowOf {
-		row, v := s.entries[r], ids[i]
-		switch next := row[v] + sign; {
-		case next > 0:
-			row[v] = next
-		case next == 0:
-			delete(row, v)
-		default:
-			s.negative(r, v, next)
-		}
+		s.set(r, o.IndexAt(i))
 	}
 }
 
-// negative reports a refcount below zero, outside apply's hot path.
-func (s *domainState) negative(r int, v graph.VertexID, next int) {
-	panic(fmt.Sprintf("core: domain refcount for %s vertex %d went negative (%d)", s.describe(r), v, next))
+// subtract takes one instance out of the count, o any occurrence of it, and
+// appends every image to suspects as (row, index) (suspectKey): whether the
+// row still holds it depends on the instances left, which only a re-check can
+// tell. An image its row does not hold, or a count below zero, means a
+// subtracted instance was never added — the passes of a delta refresh
+// disagreed about the old graph — which the construction rules out, so either
+// panics.
+//
+//gvet:hotpath
+func (s *domainState) subtract(o *isomorph.Occurrence, suspects []uint64) []uint64 {
+	s.uncount()
+	for i, r := range s.rowOf {
+		x := o.IndexAt(i)
+		if !s.masks[r].Has(x) {
+			s.missing(r, o.ImageAt(i))
+		}
+		suspects = append(suspects, suspectKey(r, x))
+	}
+	return suspects
 }
+
+// addVertex adds the instance at dense index x of a one-node pattern.
+func (s *domainState) addVertex(x int32) {
+	s.count++
+	s.set(0, x)
+}
+
+// subtractVertex is subtract for the instance at dense index x of snap of a
+// one-node pattern.
+func (s *domainState) subtractVertex(snap *graph.Snapshot, x int32, suspects []uint64) []uint64 {
+	s.uncount()
+	if !s.masks[0].Has(x) {
+		s.missing(0, snap.ID(x))
+	}
+	return append(suspects, suspectKey(0, x))
+}
+
+// uncount takes one instance out of the count, which must not go below zero.
+func (s *domainState) uncount() {
+	if s.count--; s.count < 0 {
+		panic(fmt.Sprintf("core: the instance count went negative (%d)", s.count))
+	}
+}
+
+// missing reports a subtracted image its row does not hold, outside
+// subtract's hot path.
+func (s *domainState) missing(r int, v graph.VertexID) {
+	panic(fmt.Sprintf("core: a subtracted instance maps %s to vertex %d, which its domain does not hold", s.describe(r), v))
+}
+
+// suspectKey packs row r and dense index x as one uint64, so suspects sort by
+// row, then index.
+func suspectKey(r int, x int32) uint64 { return uint64(r)<<32 | uint64(uint32(x)) }
 
 // sizes returns the MNI domain size of every pattern node, aligned with
 // Pattern().Nodes(), as a fresh slice.
-func (s *domainState) sizes() []int {
-	perRow := make([]int, s.rows)
-	for r, row := range s.entries {
-		perRow[r] = len(row)
+func (s *domainState) sizes() []int { return fanOut(s.rowLayout, s.size) }
+
+// remap moves every row and the given suspects onto the new side of a batch
+// that inserted or removed vertices, a snapshot of n vertices, and returns the
+// suspects moved. to is the batch's index map (Batch.to): the new index of
+// every old one, -1 for a vertex the batch removed, whose bit leaves its row
+// and whose suspect is dropped. Each member is set again at its new index in
+// the spare backing array, which then becomes the rows' while theirs becomes
+// the spare, so a context allocates for a vertex batch only until its spare
+// is as large as the rows; the remap costs orbits·⌈n/64⌉ words cleared and
+// scanned plus one lookup per member. A nil to leaves both as they are.
+func (s *domainState) remap(to []int32, n int, suspects []uint64) []uint64 {
+	if to == nil {
+		return suspects
 	}
-	return fanOut(s.rowLayout, perRow)
+	stride := (n + 63) / 64
+	words := s.spare[:0]
+	if need := s.rows * stride; cap(words) < need {
+		words = make([]uint64, need)
+	} else {
+		words = words[:need]
+		clear(words)
+	}
+	for r, m := range s.masks {
+		row := isomorph.Mask(words[r*stride : (r+1)*stride : (r+1)*stride])
+		for i, w := range m {
+			for ; w != 0; w &= w - 1 {
+				if y := to[i<<6|bits.TrailingZeros64(w)]; y >= 0 {
+					row.Add(y)
+				} else {
+					s.size[r]--
+				}
+			}
+		}
+		s.masks[r] = row
+	}
+	s.words, s.spare = words, s.words
+	kept := suspects[:0]
+	for _, key := range suspects {
+		if y := to[uint32(key)]; y >= 0 {
+			kept = append(kept, suspectKey(int(key>>32), y))
+		}
+	}
+	return kept
 }
 
 // accumulator is what one complete pass is folded into: the number of
@@ -356,8 +340,8 @@ func (s *domainState) sizes() []int {
 // every worker's occurrence and candidate runs instead of allocating them.
 // Each enumeration worker owns exactly one, so the hot path takes no locks,
 // and the per-worker accumulators are merged once enumeration finishes. (A
-// delta pass has no accumulator: deltaPass, delta.go, applies
-// what it counts to the maintained state.)
+// delta pass has no accumulator: deltaPass, delta.go, writes what it counts
+// to the maintained state.)
 type accumulator struct {
 	// The workers' accumulators are allocated one after another, and count is
 	// written on every run: the pad keeps it a cache line away from the
@@ -399,17 +383,16 @@ func (c *instanceCounter) occurrences(instances int) int { return instances * c.
 // whole of snap, confined to masks (isomorph.Options.Masks; nil for none),
 // into one whole-snapshot accumulator per enumeration worker and returns them
 // merged; an empty accumulator when the search has no plan (the pattern
-// cannot occur at all). Its table has counters only when counted is set, for
-// a caller that folds it into a domainState. With list set the same search
+// cannot occur at all). With list set the same search
 // also copies every representative out and returns the instances as
 // isomorph.ListSnapshot lists them, each its smallest automorphic copy as a
 // tuple of dense indexes in snap, in canonical order; without it nothing is
 // kept.
-func (c *instanceCounter) accumulate(snap *graph.Snapshot, parallelism int, masks []isomorph.Mask, counted, list bool) (*accumulator, []int32) {
+func (c *instanceCounter) accumulate(snap *graph.Snapshot, parallelism int, masks []isomorph.Mask, list bool) (*accumulator, []int32) {
 	var accs []*accumulator
 	enum := isomorph.Options{Parallelism: parallelism, Symmetry: c.sym, Masks: masks}
 	newRuns := func(int) isomorph.RunFunc {
-		a := &accumulator{table: newDomainTable(snap, c.rowLayout, counted)}
+		a := &accumulator{table: newDomainTable(snap.NumVertices(), c.rowLayout)}
 		accs = append(accs, a)
 		return a.run
 	}

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"math"
+	"math/rand/v2"
 	"reflect"
 	"runtime"
 	"slices"
@@ -15,121 +15,245 @@ import (
 	"repro/internal/pattern"
 )
 
-// TestDomainTableRefcounts pins the contract of the maintained state on its
+// TestDomainStatePresence pins the contract of the maintained state on its
 // own, in the layout it really has: one row per node orbit. The pattern is a
-// one-label edge, whose two nodes are one orbit, so an instance counts both its
-// images into the one row and the row's size is the domain size of either
+// one-label edge, whose two nodes are one orbit, so an instance sets both its
+// images in the one row and the row's size is the domain size of either
 // node. The two instances {10, 20} and {10, 21} get in both ways a state is
-// written — folded from the counted table of a complete pass (rebuild), which
-// counted them under the snapshot's dense indexes (IDs 10, 20, 21 sit at 0, 1,
-// 2), and
-// applied one representative at a time (a delta pass) — and from either start
-// a vertex stays in the domain until the last instance through it is applied
-// out, and applying out an instance that was never in panics naming the orbit
-// by its first node and the data vertex.
-func TestDomainTableRefcounts(t *testing.T) {
+// written — copied from the table of a complete pass (rebuild), and added one
+// lent representative at a time (a plus pass) — and from either start:
+// subtracting an instance takes it out of the count but leaves every row as
+// it is, and hands back each image as a suspect (row, dense index); a
+// suspect the re-check clears leaves its row; and subtracting an image the
+// row does not hold panics, naming the orbit by its first node and the data
+// vertex, as does subtracting from a count of zero. A state copied from a
+// table shares none of its words.
+func TestDomainStatePresence(t *testing.T) {
 	p := pattern.MustNew(graph.NewBuilder("edge").Vertices(1, 5, 9).Edge(5, 9).MustBuild())
 	snap := graph.NewBuilder("data").Vertices(1, 10, 20, 21).Edge(10, 20).Edge(10, 21).MustBuild().Freeze()
 	c := newInstanceCounter(p)
 	if c.rows != 1 || c.occurrences(1) != 2 {
 		t.Fatalf("one-label edge: %d rows, %d occurrences per instance; want one orbit and two automorphisms", c.rows, c.occurrences(1))
 	}
-	// rep is the occurrence mapping node 5 to u and node 9 to v.
-	rep := func(u, v graph.VertexID) *isomorph.Occurrence {
-		o, err := isomorph.NewOccurrence(p, map[pattern.NodeID]graph.VertexID{5: u, 9: v})
-		if err != nil {
-			t.Fatal(err)
+	// lent runs f on the occurrence the search lends for the mapping of node
+	// 5 to u and node 9 to v: only a lent occurrence has dense indexes.
+	lent := func(u, v graph.VertexID, f func(*isomorph.Occurrence)) {
+		t.Helper()
+		met := false
+		isomorph.EnumerateSnapshotWorkers(snap, p, isomorph.Options{Parallelism: 1}, func(int) func(*isomorph.Occurrence) bool {
+			return func(o *isomorph.Occurrence) bool {
+				if o.ImageAt(0) == u && o.ImageAt(1) == v {
+					met = true
+					f(o)
+				}
+				return true
+			}
+		})
+		if !met {
+			t.Fatalf("the search lends no occurrence %d→%d", u, v)
 		}
-		return o
 	}
+	index := func(v graph.VertexID) int32 { x, _ := snap.IndexOf(v); return x }
 	// The same row whichever occurrence represents {10, 21}.
-	adds := []*isomorph.Occurrence{rep(10, 20), rep(21, 10)}
+	adds := [][2]graph.VertexID{{10, 20}, {21, 10}}
 
-	for name, add := range map[string]func(*domainState){
-		"folded from a pass table": func(state *domainState) {
-			a := &accumulator{table: newDomainTable(snap, c.rowLayout, true)}
-			for _, o := range adds {
+	for name, build := range map[string]func() *domainState{
+		"copied from a pass table": func() *domainState {
+			a := &accumulator{table: newDomainTable(snap.NumVertices(), c.rowLayout)}
+			for _, e := range adds {
 				a.count++
-				for i, r := range a.table.rowOf {
-					x, _ := snap.IndexOf(o.ImageAt(i))
-					a.table.add(r, x, 1)
+				for i, r := range c.rowOf {
+					a.table.masks[r].Add(index(e[i]))
 				}
 			}
-			state.fold(a)
-		},
-		"applied by representative": func(state *domainState) {
-			for _, o := range adds {
-				state.apply(o, +1)
+			s := newDomainState(a)
+			s.clear(0, index(20))
+			if !a.table.masks[0].Has(index(20)) {
+				t.Fatal("clearing a bit of the state cleared the pass table's: the state aliases the table")
 			}
+			s.set(0, index(20))
+			return s
+		},
+		"added by representative": func() *domainState {
+			s := newDomainState(&accumulator{table: newDomainTable(snap.NumVertices(), c.rowLayout)})
+			for _, e := range adds {
+				lent(e[0], e[1], s.add)
+			}
+			return s
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			state := newDomainState(c.rowLayout)
-			add(state)
+			state := build()
 			if got := state.sizes(); !reflect.DeepEqual(got, []int{3, 3}) || state.count != 2 {
 				t.Fatalf("after two adds: sizes %v count %d, want [3 3] and 2", got, state.count)
 			}
-			state.apply(rep(20, 10), -1)
-			if got := state.sizes(); !reflect.DeepEqual(got, []int{2, 2}) || state.count != 1 {
-				t.Fatalf("after applying one out: sizes %v count %d, want [2 2] and 1: vertex 10 still has an instance", got, state.count)
+			var suspects []uint64
+			lent(20, 10, func(o *isomorph.Occurrence) { suspects = state.subtract(o, suspects) })
+			if got := state.sizes(); !reflect.DeepEqual(got, []int{3, 3}) || state.count != 1 {
+				t.Fatalf("after subtracting one: sizes %v count %d, want [3 3] and 1: presence is only cleared by a re-check", got, state.count)
+			}
+			if want := []uint64{suspectKey(0, index(20)), suspectKey(0, index(10))}; !slices.Equal(suspects, want) {
+				t.Fatalf("subtracting {10, 20} suspected %v, want %v", suspects, want)
+			}
+			// Vertex 10 is still in {10, 21}; vertex 20 is in no instance.
+			state.clear(0, index(20))
+			if got := state.sizes(); !reflect.DeepEqual(got, []int{2, 2}) || state.masks[0].Has(index(20)) {
+				t.Fatalf("after clearing vertex 20: sizes %v, want [2 2] without index %d", got, index(20))
 			}
 
-			defer func() {
-				msg, _ := recover().(string)
-				if !strings.Contains(msg, "the orbit of node 5 vertex 20") {
-					t.Fatalf("applying out a never-added instance: panic %q, want one naming the orbit of node 5 and vertex 20", msg)
-				}
-			}()
-			state.apply(rep(10, 20), -1)
+			wantPanic := func(want string, f func()) {
+				t.Helper()
+				defer func() {
+					t.Helper()
+					if msg, _ := recover().(string); !strings.Contains(msg, want) {
+						t.Fatalf("panic %q, want one containing %q", msg, want)
+					}
+				}()
+				f()
+			}
+			wantPanic("maps the orbit of node 5 to vertex 20,", func() {
+				lent(10, 20, func(o *isomorph.Occurrence) { state.subtract(o, nil) })
+			})
+			state.count = 0
+			wantPanic("instance count went negative", func() {
+				lent(10, 21, func(o *isomorph.Occurrence) { state.subtract(o, nil) })
+			})
 		})
 	}
 }
 
-// TestRunCountOverflow holds a run's bulk count on a counted table to the
-// overflow check of a single increment: the data's one label-1 vertex 10 is
-// every edge's prefix and its two label-2 neighbours 20 and 21 are one run of
-// two leaves. A prefix counter at 2^31-2 that the run would add two to, and a
-// leaf counter at 2^31-1, each panic with the diagnostic naming the row and
-// the VertexID, and neither counter moves.
-func TestRunCountOverflow(t *testing.T) {
-	p := pattern.MustNew(graph.NewBuilder("edge").Vertices(1, 5).Vertices(2, 9).Edge(5, 9).MustBuild())
-	snap := graph.NewBuilder("data").Vertices(1, 10).Vertices(2, 20, 21).Edge(10, 20).Edge(10, 21).MustBuild().Freeze()
-	c := newInstanceCounter(p)
-	// wantOverflow runs addRun on a fresh counted table whose (row, x) was
-	// added start times, and checks the panic names want and leaves the
-	// counter at start.
-	wantOverflow := func(o *isomorph.Occurrence, last int, run []int32, row int, x int32, start int32, want string) {
-		t.Helper()
-		table := newDomainTable(snap, c.rowLayout, true)
-		table.add(row, x, start)
-		defer func() {
-			t.Helper()
-			msg, _ := recover().(string)
-			if !strings.Contains(msg, want) {
-				t.Errorf("counter at %d: panic %q, want one containing %q", start, msg, want)
-			}
-			if got := table.counters(row)[x]; got != start {
-				t.Errorf("counter at %d: %d after the panic, want it unmoved", start, got)
-			}
-		}()
-		table.addRun(o, last, run)
+// TestRemapKeepsVertexSets holds domainState.remap to what it stands for:
+// across random batches of vertex inserts and removals (each also adding a
+// few edges) over a graph of four mask words plus a few bits, every row holds
+// the same VertexIDs before and after, less the vertices the batch removed,
+// at the new snapshot's indexes, with its size; and so does the list of
+// suspects. The rows start random, full and empty. Some batches remove the
+// first and the last index of the old side, others insert IDs below the first
+// and above the last; every batch inserts a vertex and removes it again,
+// which must change no index, and removes one and inserts it back, which must
+// keep its bit. A batch of edges alone maps no index, and once a context has
+// a spare as large as its rows a remap allocates nothing.
+func TestRemapKeepsVertexSets(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 11))
+	g := graph.New("shift")
+	for v := 0; v < 64*4+7; v++ {
+		g.MustAddVertex(graph.VertexID(3*v+3), 1)
 	}
-	runs := 0
-	isomorph.EnumerateSnapshotRuns(snap, p, isomorph.Options{Parallelism: 1}, func(int) isomorph.RunFunc {
-		return func(o *isomorph.Occurrence, last int, run []int32) bool {
-			runs++
-			if len(run) != 2 || p.Nodes()[last] != 9 {
-				t.Fatalf("run %v at node %d, want the two leaves 20 and 21 at node 9", run, p.Nodes()[last])
-			}
-			prefix := 1 - last
-			wantOverflow(o, last, run, c.rowOf[prefix], o.IndexAt(prefix), math.MaxInt32-1, "map node 5 to vertex 10;")
-			wantOverflow(o, last, run, c.rowOf[last], run[1], math.MaxInt32, "map node 9 to vertex 21;")
-			return true
+	ids := g.SortedVertices()
+	for i := 1; i < len(ids); i++ {
+		g.MustAddEdge(ids[i-1], ids[i])
+	}
+	feed := g.Subscribe()
+	defer feed.Close()
+	old := g.Freeze()
+	s := newDomainState(&accumulator{table: newDomainTable(old.NumVertices(), rowLayout{rowOf: []int{0, 1, 2}, rows: 3})})
+	for x := int32(0); x < int32(old.NumVertices()); x++ {
+		if rng.IntN(3) == 0 {
+			s.set(0, x)
 		}
-	})
-	if runs != 1 {
-		t.Fatalf("%d runs, want 1", runs)
+		s.set(1, x)
 	}
+	for batch := 0; batch < 60; batch++ {
+		ids := g.SortedVertices()
+		first, last := ids[0], ids[len(ids)-1]
+		for k := rng.IntN(4); k > 0; k-- {
+			if v := ids[rng.IntN(len(ids))]; g.HasVertex(v) {
+				g.MustRemoveVertex(v)
+			}
+		}
+		for k := rng.IntN(4); k > 0; k-- {
+			if v := graph.VertexID(rng.IntN(int(last) + 8)); !g.HasVertex(v) {
+				g.MustAddVertex(v, 1)
+			}
+		}
+		switch batch % 4 {
+		case 0:
+			if g.HasVertex(first) {
+				g.MustRemoveVertex(first)
+			}
+			if g.HasVertex(last) {
+				g.MustRemoveVertex(last)
+			}
+		case 1:
+			if first > 0 && !g.HasVertex(first-1) {
+				g.MustAddVertex(first-1, 1)
+			}
+			g.MustAddVertex(last+1, 1)
+		default:
+			g.MustAddVertex(last+3, 1)
+		}
+		// Inserted and removed again: in neither snapshot.
+		if v := last + 2; !g.HasVertex(v) {
+			g.MustAddVertex(v, 1)
+			g.MustRemoveVertex(v)
+		}
+		// Removed and inserted back: in both, and kept.
+		back := g.SortedVertices()[rng.IntN(g.NumVertices())]
+		g.MustRemoveVertex(back)
+		g.MustAddVertex(back, 2)
+		vs := g.SortedVertices()
+		for k := 0; k < 3; k++ {
+			if u, w := vs[rng.IntN(len(vs))], vs[rng.IntN(len(vs))]; u != w && !g.HasEdge(u, w) {
+				g.MustAddEdge(u, w)
+			}
+		}
+		next := g.Freeze()
+		b := NewBatch(old, next, feed.Drain(), 0)
+		if b.to == nil {
+			t.Fatalf("batch %d changed the vertex set but maps no index", batch)
+		}
+		// survivors keeps the VertexIDs of ids that next has.
+		survivors := func(ids []graph.VertexID) []graph.VertexID {
+			return slices.DeleteFunc(ids, func(v graph.VertexID) bool { _, ok := next.IndexOf(v); return !ok })
+		}
+		want := make([][]graph.VertexID, s.rows)
+		for r, m := range s.masks {
+			want[r] = survivors(MaskIDs(old, m))
+		}
+		var suspects []uint64
+		var wantSuspects []graph.VertexID
+		for _, v := range []graph.VertexID{old.ID(0), back, old.ID(int32(old.NumVertices() - 1))} {
+			suspects = append(suspects, suspectKey(1, mustIndex(t, old, v)))
+			wantSuspects = append(wantSuspects, v)
+		}
+		suspects = s.remap(b.to, next.NumVertices(), suspects)
+		for r, m := range s.masks {
+			if got := MaskIDs(next, m); !slices.Equal(got, want[r]) || s.size[r] != len(got) {
+				t.Fatalf("batch %d, row %d: remapped to %v (size %d), want %v", batch, r, got, s.size[r], want[r])
+			}
+		}
+		var got []graph.VertexID
+		for _, key := range suspects {
+			got = append(got, next.ID(int32(uint32(key))))
+		}
+		if want := survivors(wantSuspects); !slices.Equal(got, want) {
+			t.Fatalf("batch %d: suspects remapped to %v, want %v", batch, got, want)
+		}
+		old = next
+	}
+	// A batch of edges alone maps nothing.
+	vs := g.SortedVertices()
+	g.MustAddEdge(vs[0], vs[len(vs)-1])
+	if b := NewBatch(old, g.Freeze(), feed.Drain(), 0); b.to != nil {
+		t.Fatalf("an edge batch maps %d indexes", len(b.to))
+	}
+	same := make([]int32, old.NumVertices())
+	for x := range same {
+		same[x] = int32(x)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { s.remap(same, old.NumVertices(), nil) }); allocs != 0 {
+		t.Fatalf("a remap into a spare as large as the rows allocated %.0f times", allocs)
+	}
+}
+
+// mustIndex returns v's dense index in snap.
+func mustIndex(t *testing.T, snap *graph.Snapshot, v graph.VertexID) int32 {
+	t.Helper()
+	x, ok := snap.IndexOf(v)
+	if !ok {
+		t.Fatalf("vertex %d is not in the snapshot", v)
+	}
+	return x
 }
 
 // streamPatterns returns a two-label edge, a path of three, a one-label
@@ -146,15 +270,15 @@ func streamPatterns() []*pattern.Pattern {
 }
 
 // TestPresenceMatchesCounts holds the presence rows every complete pass fills
-// to the counters only a session's rebuild asks for: on a graph of ten mask
-// words, for every pattern, shard count and parallelism, an uncounted pass
-// and a counted pass over the same snapshot find the same instances, the
-// uncounted one allocates no counters, and each row's mask in either pass is
-// exactly the counted pass's non-zero counters. The rows must hold indexes in
-// every 64-bit word of the snapshot's masks, so every word boundary has
-// indexes on both sides and a bit set in the wrong word shows.
-// NewDomainContext's domains, which the miner confines the next level with,
-// are the ones DeltaContext.rebuild returns.
+// to counting: on a graph of ten mask words, for every pattern, shard count
+// and parallelism, each row holds exactly the indexes that some occurrence in
+// the full search's list (no symmetry, no orbit rows) maps a node of the
+// row's orbit to — a non-zero count of images — and the pass finds the list's
+// instances. The rows must hold indexes in every 64-bit word of the
+// snapshot's masks, so every word boundary has indexes on both sides and a
+// bit set in the wrong word shows. NewDomainContext's domains, which the
+// miner confines the next level with, are the ones DeltaContext.rebuild
+// returns, and those share no word with the state the context keeps.
 func TestPresenceMatchesCounts(t *testing.T) {
 	g := gen.BarabasiAlbert(600, 3, gen.UniformLabels{K: 2}, 7)
 	seen := isomorph.NewMask(g.NumVertices()) // every index some row holds
@@ -163,22 +287,28 @@ func TestPresenceMatchesCounts(t *testing.T) {
 		n := int32(snap.NumVertices())
 		for _, p := range streamPatterns() {
 			c := newInstanceCounter(p)
+			counts := make([][]int, c.rows)
+			for r := range counts {
+				counts[r] = make([]int, n)
+			}
+			occs := isomorph.EnumerateSnapshot(snap, p, isomorph.Options{Parallelism: 1})
+			for _, o := range occs {
+				for i, r := range c.rowOf {
+					x, _ := snap.IndexOf(o.ImageAt(i))
+					counts[r][x]++
+				}
+			}
 			for _, par := range []int{1, 4} {
 				tag := fmt.Sprintf("%s, %d shards, parallelism %d", p, shards, par)
-				bare, _ := c.accumulate(snap, par, nil, false, false)
-				counted, _ := c.accumulate(snap, par, nil, true, false)
-				if bare.table.counts != nil {
-					t.Fatalf("%s: an uncounted pass has counters", tag)
-				}
-				if bare.count == 0 || bare.count != counted.count {
-					t.Fatalf("%s: %d instances uncounted, %d counted", tag, bare.count, counted.count)
+				all, _ := c.accumulate(snap, par, nil, false)
+				if all.count == 0 || c.occurrences(all.count) != len(occs) {
+					t.Fatalf("%s: %d instances of %d occurrences each, the full search lists %d occurrences", tag, all.count, c.occurrences(1), len(occs))
 				}
 				for r := range c.rows {
-					counters := counted.table.counters(r)
 					for x := range n {
-						in := counters[x] != 0
-						if bare.table.masks[r].Has(x) != in || counted.table.masks[r].Has(x) != in {
-							t.Fatalf("%s: %s, index %d: present %v uncounted, %v counted; counter %d", tag, c.describe(r), x, bare.table.masks[r].Has(x), counted.table.masks[r].Has(x), counters[x])
+						in := counts[r][x] != 0
+						if all.table.masks[r].Has(x) != in {
+							t.Fatalf("%s: %s, index %d: present %v; %d images counted", tag, c.describe(r), x, all.table.masks[r].Has(x), counts[r][x])
 						}
 						if in {
 							seen.Add(x)
@@ -187,12 +317,17 @@ func TestPresenceMatchesCounts(t *testing.T) {
 				}
 
 				_, domains := NewDomainContext(snap, p, par, nil)
-				_, rebuilt, err := NewDeltaContextAt(g, snap, p, Options{Parallelism: par}, nil)
+				d, rebuilt, err := NewDeltaContextAt(g, snap, p, Options{Parallelism: par}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(domains, rebuilt) {
 					t.Fatalf("%s: NewDomainContext's domains differ from rebuild's", tag)
+				}
+				for i, dom := range rebuilt {
+					if &dom[0] == &d.state.masks[c.rowOf[i]][0] {
+						t.Fatalf("%s: rebuild handed out node %d's state row as its domain", tag, p.Nodes()[i])
+					}
 				}
 			}
 		}
@@ -233,7 +368,7 @@ func TestColdPassAllocatesNoCounters(t *testing.T) {
 // built, one mask per pattern node over the snapshot's dense indexes; and a
 // context built under masks that hold every node's images — the returned
 // domains themselves, or those plus unrelated vertices — has exactly the state
-// of the unconfined one, refcounts included, and returns the same domains.
+// of the unconfined one, row sizes included, and returns the same domains.
 func TestDeltaContextAtDomains(t *testing.T) {
 	g := gen.BarabasiAlbert(300, 2, gen.UniformLabels{K: 2}, 17)
 	patterns := append(streamPatterns(), pattern.MustNew(graph.NewBuilder("absent").Vertices(7, 0, 1).Edge(0, 1).MustBuild()))
@@ -251,14 +386,9 @@ func TestDeltaContextAtDomains(t *testing.T) {
 					t.Fatalf("%s: %d instances", tag, d.state.count)
 				}
 				for i, dom := range domains {
-					row := d.state.entries[d.state.rowOf[i]]
-					if dom.Count() != len(row) {
-						t.Fatalf("%s: node %d's domain holds %d vertices, its state row %d", tag, p.Nodes()[i], dom.Count(), len(row))
-					}
-					for x := int32(0); x < int32(n); x++ {
-						if _, inRow := row[snap.ID(x)]; inRow != dom.Has(x) {
-							t.Fatalf("%s: vertex %d is in node %d's domain: %v, in its state row: %v", tag, snap.ID(x), p.Nodes()[i], dom.Has(x), inRow)
-						}
+					row := d.state.masks[d.state.rowOf[i]]
+					if dom.Count() != d.state.size[d.state.rowOf[i]] || !slices.Equal(dom, row) {
+						t.Fatalf("%s: node %d's domain holds %d vertices, its state row %d of size %d", tag, p.Nodes()[i], dom.Count(), row.Count(), d.state.size[d.state.rowOf[i]])
 					}
 				}
 
@@ -274,7 +404,7 @@ func TestDeltaContextAtDomains(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if dm.state.count != d.state.count || !reflect.DeepEqual(dm.state.entries, d.state.entries) {
+					if dm.state.count != d.state.count || !slices.Equal(dm.state.words, d.state.words) || !slices.Equal(dm.state.size, d.state.size) {
 						t.Fatalf("%s, %s masks: %d instances, domain sizes %v; unconfined %d, %v", tag, name, dm.state.count, dm.state.sizes(), d.state.count, d.state.sizes())
 					}
 					if !reflect.DeepEqual(got, domains) {

@@ -848,8 +848,30 @@ func EdgeKey(x, y int32) uint64 {
 // snapshot. On return the search holds no reference to snap or yield — its
 // lent occurrence included, which is bound to snap only while the run lasts.
 func (ps *PinnedSearch) Run(snap *graph.Snapshot, edges []uint64, yield func(*Occurrence) bool) {
+	searched := ps.run(snap, edges, yield)
+	// Each arc is searched inside an acquisition of its first end's shard:
+	// a drain of one root.
+	mShardDrains.Add(searched)
+	mRoots.Add(searched)
+	ps.st.publish()
+}
+
+// Probe is Run for a caller that asks a question of the occurrences rather
+// than enumerating them, and usually stops at the first: it publishes nothing
+// to the enumeration counters, so what they count stays the work of
+// enumerations, and it returns the number of arcs it searched — its roots —
+// for the caller to account for itself.
+func (ps *PinnedSearch) Probe(snap *graph.Snapshot, edges []uint64, yield func(*Occurrence) bool) int {
+	searched := ps.run(snap, edges, yield)
+	ps.st.emits, ps.st.scanned = 0, 0
+	return int(searched)
+}
+
+// run is Run without the counters: it returns the arcs it searched and leaves
+// the search state's emits and scans for the caller to publish or drop.
+func (ps *PinnedSearch) run(snap *graph.Snapshot, edges []uint64, yield func(*Occurrence) bool) uint64 {
 	if len(edges) == 0 {
-		return
+		return 0
 	}
 	pl, st := ps.pl, ps.st
 	pl.snap = snap
@@ -864,12 +886,8 @@ func (ps *PinnedSearch) Run(snap *graph.Snapshot, edges []uint64, yield func(*Oc
 			break
 		}
 	}
-	// Each arc is searched inside an acquisition of its first end's shard:
-	// a drain of one root.
-	mShardDrains.Add(searched)
-	mRoots.Add(searched)
-	st.publish()
 	pl.snap, st.occ.snap, ps.leaves.yield = nil, nil, nil
+	return searched
 }
 
 // searchArc binds depth 0 to u and depth 1 to v, when they pass those

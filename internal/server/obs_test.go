@@ -56,26 +56,29 @@ func TestMetricsEndpoint(t *testing.T) {
 	// One representative family per layer. Registration is global, so the
 	// names must be present regardless of which counters this test bumped.
 	families := []string{
-		"repro_engine_requests_total",      // engine requests
-		"repro_engine_enumerate_seconds",   // engine phase histograms
-		"repro_engine_epoch",               // epoch gauge
-		"repro_miner_extensions_total",     // miner search counts
-		"repro_miner_codes_total",          //
-		"repro_miner_duplicates_total",     //
-		"repro_miner_candidates_total",     //
-		"repro_enum_shard_drains_total",    // enumeration drain sampling
-		"repro_graph_mutations_total",      // graph mutation layer
-		"repro_session_open_seconds",       // sessions
-		"repro_delta_refreshes_total",      // delta maintenance
-		"repro_delta_pass_counted_total",   //
-		"repro_lp_solves_total",            // LP relaxation
-		"repro_cover_search_nodes_total",   // exact searches
-		"repro_packing_search_nodes_total", //
-		"repro_store_page_ins_total",       // shard residency
-		"repro_store_resident_bytes",       // residency gauge
-		"repro_wal_fsync_seconds",          // WAL durability
-		"repro_server_http_requests_total", // serving layer
-		"repro_server_sessions",            // session lifecycle
+		"repro_engine_requests_total",       // engine requests
+		"repro_engine_enumerate_seconds",    // engine phase histograms
+		"repro_engine_epoch",                // epoch gauge
+		"repro_miner_extensions_total",      // miner search counts
+		"repro_miner_codes_total",           //
+		"repro_miner_duplicates_total",      //
+		"repro_miner_candidates_total",      //
+		"repro_enum_shard_drains_total",     // enumeration drain sampling
+		"repro_graph_mutations_total",       // graph mutation layer
+		"repro_session_open_seconds",        // sessions
+		"repro_delta_refreshes_total",       // delta maintenance
+		"repro_delta_pass_counted_total",    //
+		"repro_delta_rechecks_total",        //
+		"repro_delta_recheck_cleared_total", //
+		"repro_delta_recheck_roots_total",   //
+		"repro_lp_solves_total",             // LP relaxation
+		"repro_cover_search_nodes_total",    // exact searches
+		"repro_packing_search_nodes_total",  //
+		"repro_store_page_ins_total",        // shard residency
+		"repro_store_resident_bytes",        // residency gauge
+		"repro_wal_fsync_seconds",           // WAL durability
+		"repro_server_http_requests_total",  // serving layer
+		"repro_server_sessions",             // session lifecycle
 	}
 	for _, name := range families {
 		if !strings.Contains(text, "# TYPE "+name+" ") {

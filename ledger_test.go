@@ -24,7 +24,9 @@ var update = flag.Bool("update", false, "rewrite testdata/work.golden from this 
 
 // ledgerCounters are the work counters a ledger line records, as deltas over
 // one step: what the searches rooted, emitted, drained and scanned, what the
-// delta passes emitted, counted, applied and rebuilt, how large the kernels
+// delta passes emitted, counted, applied and rebuilt, how many suspects the
+// re-checks after them searched for, cleared and rooted searches at (the
+// enumeration counters leave the re-checks out), how large the kernels
 // built for the LP were, and what the LP and the exact cover and packing
 // searches did. Each is deterministic at one shard and parallelism 1.
 var ledgerCounters = []struct{ key, name string }{
@@ -36,6 +38,9 @@ var ledgerCounters = []struct{ key, name string }{
 	{"pass_representatives", "repro_delta_pass_representatives_total"},
 	{"pass_counted", "repro_delta_pass_counted_total"},
 	{"pass_applied", "repro_delta_pass_applied_total"},
+	{"rechecks", "repro_delta_rechecks_total"},
+	{"recheck_cleared", "repro_delta_recheck_cleared_total"},
+	{"recheck_roots", "repro_delta_recheck_roots_total"},
 	{"full_rebuilds", "repro_delta_full_rebuilds_total"},
 	{"kernel_vertices", "repro_hypergraph_kernel_vertices_total"},
 	{"kernel_edges", "repro_hypergraph_kernel_edges_total"},
