@@ -35,7 +35,8 @@
 // them into H_I's vertex ranks, and the context keeps each instance as that
 // rank tuple, aligned with the pattern's nodes (InstanceRanks) —
 // hypergraph.NewUniform lays a copy of the tuples out as H_I's dense view
-// directly, and no VertexID is hashed or searched for on the way. MI and
+// directly, which is all H_I is: no VertexID is hashed, searched for or
+// written per vertex mention on the way. MI and
 // MNIk read an instance's other occurrences off its tuple through the
 // symmetry's position permutations. No Occurrence is made unless one is
 // read: Instances() expands the tuples on its first call and Occurrences()
@@ -214,7 +215,10 @@ func (c *Context) stream(snap *graph.Snapshot, parallelism int, masks []isomorph
 // numbered in index order — which is VertexID order — ranks the vertices the
 // instances use, and each index is overwritten with its rank, so the tuples
 // stay aligned with the pattern's nodes. Edge i is instance i's k ranks;
-// hypergraph.NewUniform sorts them in place, so it is handed a copy.
+// hypergraph.NewUniform sorts them in place, so it is handed a copy, and
+// keeps it as the edges of H_I's dense view, the only form H_I takes: the
+// VertexIDs of its used vertices are looked up once each, here, and an
+// edge's are read off them only if something asks for them.
 func instanceHypergraph(snap *graph.Snapshot, k int, indexes []int32) *hypergraph.Hypergraph {
 	rank := make([]int32, snap.NumVertices())
 	for _, x := range indexes {

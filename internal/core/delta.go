@@ -167,11 +167,14 @@ type DeltaContext struct {
 	// between refreshes so that recording them reuses one buffer.
 	suspects []uint64
 	// probe is the consumer of a re-check's searches and found its bound
-	// method; around is the suspect's incident edges the searches are pinned
-	// at. All three are reused by every re-check.
+	// method; around is the suspect's incident edges a search is pinned at
+	// (aroundFor). All three are reused by every re-check.
 	probe  recheck
 	found  func(*isomorph.Occurrence) bool
 	around []uint64
+	// sizes is Apply's copy of the rows' sizes before the batch, which it
+	// compares with theirs after.
+	sizes []int
 
 	stats DeltaStats
 }
@@ -284,7 +287,8 @@ func (d *DeltaContext) Refresh() error {
 		return nil
 	}
 	newSnap := d.g.FreezeSharded(graph.FreezeOptions{Shards: d.opts.Shards})
-	return d.Apply(NewBatch(d.snap, newSnap, muts, d.radius))
+	_, err := d.Apply(NewBatch(d.snap, newSnap, muts, d.radius))
+	return err
 }
 
 // Radius returns the radius of the mutation balls the context reads the sizes
@@ -296,10 +300,22 @@ func (d *DeltaContext) Radius() int { return d.radius }
 // snapshot the context is synchronized with and must have been prepared for
 // at least the context's Radius. Apply reads the batch and writes only the
 // context, so the contexts sharing a batch may apply it concurrently.
-func (d *DeltaContext) Apply(b *Batch) error {
+//
+// It reports whether the batch moved the instance count or the size of any
+// MNI domain: when it did not, every figure Context carries is what it was
+// before, so an owner that keeps a measure of them need not compute it again.
+func (d *DeltaContext) Apply(b *Batch) (bool, error) {
 	if b.old.snap != d.snap {
-		return fmt.Errorf("core: batch does not start at the snapshot the DeltaContext of %s is synchronized with", d.p)
+		return false, fmt.Errorf("core: batch does not start at the snapshot the DeltaContext of %s is synchronized with", d.p)
 	}
+	count := d.state.count
+	d.sizes = append(d.sizes[:0], d.state.size...)
+	d.apply(b)
+	return d.state.count != count || !slices.Equal(d.state.size, d.sizes), nil
+}
+
+// apply is Apply on a batch that starts at the context's snapshot.
+func (d *DeltaContext) apply(b *Batch) {
 	d.stats.Refreshes++
 	mDeltaRefreshes.Inc()
 	d.snap = b.new.snap
@@ -316,7 +332,7 @@ func (d *DeltaContext) Apply(b *Batch) error {
 		d.rebuild(b.new.snap, nil)
 		d.stats.FullRebuilds++
 		mDeltaFull.Inc()
-		return nil
+		return
 	}
 	d.stats.DeltaRefreshes++
 	d.stats.LastBallVertices = ballNew + ballOld
@@ -339,7 +355,6 @@ func (d *DeltaContext) Apply(b *Batch) error {
 	d.pass(&b.new, true, nil)
 
 	d.recheck(b.new.snap)
-	return nil
 }
 
 // pass applies to the state the instances of d's pattern in the side's
@@ -454,16 +469,13 @@ func (d *DeltaContext) recheck(snap *graph.Snapshot) {
 		if len(d.edges) == 0 {
 			held = snap.LabelAt(x) == d.p.LabelOf(d.counter.nodes[0])
 		} else {
-			d.around = d.around[:0]
-			for _, y := range snap.NeighborsAt(x) {
-				d.around = append(d.around, isomorph.EdgeKey(x, y))
-			}
 			rc.row, rc.x, rc.held = r, x, false
 			for _, search := range d.searches {
-				if a, b := search.Arc(); s.rowOf[a] != r && s.rowOf[b] != r {
+				a, b := search.Arc()
+				if s.rowOf[a] != r && s.rowOf[b] != r {
 					continue
 				}
-				roots += search.Probe(snap, d.around, d.found)
+				roots += search.Probe(snap, d.aroundFor(snap, x, r, a, b), d.found)
 				if rc.held {
 					break
 				}
@@ -480,6 +492,24 @@ func (d *DeltaContext) recheck(snap *graph.Snapshot) {
 	mRechecks.Add(uint64(len(d.suspects)))
 	mRecheckCleared.Add(uint64(cleared))
 	mRecheckRoots.Add(uint64(roots))
+}
+
+// aroundFor returns the edges at dense index x of snap that the re-check of
+// row r's suspect x hands the search pinned at arc (a, b): those whose other
+// end carries the label of the arc's other node, which is all an occurrence
+// putting x in the row through that arc can use — b's label when a is in the
+// row, a's when b is, either when both are. It refills d.around.
+func (d *DeltaContext) aroundFor(snap *graph.Snapshot, x int32, r, a, b int) []uint64 {
+	rowOf := d.state.rowOf
+	la, lb := d.p.LabelOf(d.counter.nodes[a]), d.p.LabelOf(d.counter.nodes[b])
+	inA, inB := rowOf[a] == r, rowOf[b] == r
+	d.around = d.around[:0]
+	for _, y := range snap.NeighborsAt(x) {
+		if l := snap.LabelAt(y); inA && l == lb || inB && l == la {
+			d.around = append(d.around, isomorph.EdgeKey(x, y))
+		}
+	}
+	return d.around
 }
 
 // recheck is the consumer of a re-check's searches: it looks for an

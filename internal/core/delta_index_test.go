@@ -199,7 +199,7 @@ func TestRestrictedPassCostsItsBall(t *testing.T) {
 		runtime.ReadMemStats(&m0)
 		batch := core.NewBatch(old, next, muts, d.Radius())
 		runtime.ReadMemStats(&m1)
-		err = d.Apply(batch)
+		_, err = d.Apply(batch)
 		runtime.ReadMemStats(&m2)
 		if err != nil {
 			t.Fatalf("n=%d: Apply: %v", n, err)
@@ -277,7 +277,9 @@ func TestApplyAllocatesNoPlans(t *testing.T) {
 		undo := core.NewBatch(next, old, removed, d.Radius())
 		var err error
 		allocs[name] = testing.AllocsPerRun(10, func() {
-			err = errors.Join(err, d.Apply(add), d.Apply(undo))
+			_, errAdd := d.Apply(add)
+			_, errUndo := d.Apply(undo)
+			err = errors.Join(err, errAdd, errUndo)
 		}) / 2
 		if err != nil {
 			t.Fatalf("%s: Apply: %v", name, err)

@@ -216,8 +216,14 @@ func FuzzDeltaAggregates(f *testing.F) {
 				batch := core.NewBatch(snap, next, muts, maxRadius)
 				snap = next
 				for _, sd := range shared {
-					if err := sd.Apply(batch); err != nil {
+					instances, sizes := sd.NumInstances(), sd.MNIDomainSizes()
+					moved, err := sd.Apply(batch)
+					if err != nil {
 						t.Fatalf("op %d: Apply: %v", op, err)
+					}
+					if want := sd.NumInstances() != instances || !reflect.DeepEqual(sd.MNIDomainSizes(), sizes); moved != want {
+						t.Fatalf("op %d, pattern %v: Apply reported moved=%v, but %d instances / domains %v became %d / %v",
+							op, sd.Pattern(), moved, instances, sizes, sd.NumInstances(), sd.MNIDomainSizes())
 					}
 				}
 			}

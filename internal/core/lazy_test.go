@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/hypergraph"
 	"repro/internal/isomorph"
 	"repro/internal/measures"
 	"repro/internal/pattern"
@@ -65,5 +66,41 @@ func TestMaterializedContextListsNoOccurrence(t *testing.T) {
 		if !slices.Equal(got[i].Images(), want[i].Images()) || !slices.Equal(got[i].Nodes(), want[i].Nodes()) {
 			t.Fatalf("instance %d is %v, the symmetric search lists %v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestInstanceHypergraphAllocatesNoVertexIDs bounds what laying the star's
+// H_I out on BA(240) — 612 edges of 4 ranks, which is what every
+// eval-measures case builds — and kernelising it allocate:
+// hypergraph.NewUniform over the context's rank tuples, then Kernel. Both
+// write the dense view alone, so the bytes are the incidence lists and the
+// reducer's scratch, and no HyperEdge or VertexID per vertex mention: that
+// reads 40 776 B a build, against 93 120 B while NewUniform kept a
+// []HyperEdge over its own VertexID array and a branch order, and the kernel
+// went through the allocating EdgeClasses, New and AddEdge.
+func TestInstanceHypergraphAllocatesNoVertexIDs(t *testing.T) {
+	g := gen.BarabasiAlbert(240, 2, gen.UniformLabels{K: 2}, 1)
+	p := pattern.MustNew(graph.NewBuilder("star").Vertex(0, 1).Vertices(2, 1, 2, 3).Star(0, 1, 2, 3).MustBuild())
+	ctx, err := core.NewContext(g, p, core.Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vertices, k := ctx.OccurrenceHypergraph().Vertices(), p.Size()
+	const runs = 10
+	ranks := make([][]int32, runs)
+	for i := range ranks {
+		ranks[i] = slices.Clone(ctx.InstanceRanks())
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, r := range ranks {
+		hypergraph.NewUniform(vertices, k, r).Kernel()
+	}
+	runtime.ReadMemStats(&after)
+	perBuild := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("NewUniform and Kernel allocated %d bytes a build", perBuild)
+	const bound = 48 << 10
+	if perBuild > bound {
+		t.Errorf("laying out and kernelising the star's H_I (612 edges of 4) allocated %d bytes, want at most %d", perBuild, bound)
 	}
 }

@@ -265,7 +265,7 @@ next:
 				continue next
 			}
 		}
-		return fmt.Errorf("hypergraph: edge %d %v is not covered", e, h.edges[e].Vertices)
+		return fmt.Errorf("hypergraph: edge %d %v is not covered", e, d.edgeIDs(e))
 	}
 	return nil
 }

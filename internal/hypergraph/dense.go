@@ -2,6 +2,7 @@ package hypergraph
 
 import (
 	"slices"
+	"sync"
 
 	"repro/internal/graph"
 )
@@ -19,7 +20,11 @@ type dense struct {
 	edgeVtx []int32
 	// branch holds, under the same offsets, each edge's vertices in the order
 	// the cover search branches on them: degree descending, rank ascending.
-	branch []int32
+	// It is laid out under branchOnce by the first branchOrder call: only a
+	// cover search reads it, and most views — an instance hypergraph, whose
+	// solvers run on its kernel — are never searched.
+	branchOnce sync.Once
+	branch     []int32
 	// incOff/incEdge: the edges containing rank r are
 	// incEdge[incOff[r]:incOff[r+1]], ascending.
 	incOff  []int32
@@ -65,8 +70,8 @@ func newDense(edges []HyperEdge) *dense {
 
 // layout is the one writer of a dense view: given the vertices by rank and
 // every edge's ranks, ascending, under edgeOff, it lays out the incidence
-// lists and the branch orders. Both constructors, AddEdge's newDense and
-// NewUniform, end here, so a hypergraph has one view whichever way its edges
+// lists; it keeps all three slices. AddEdge's newDense, NewUniform and
+// Kernel end here, so a hypergraph has one view whichever way its edges
 // came in.
 func layout(vertices []graph.VertexID, edgeOff, edgeVtx []int32) *dense {
 	d := &dense{vertices: vertices, edgeOff: edgeOff, edgeVtx: edgeVtx}
@@ -87,17 +92,6 @@ func layout(vertices []graph.VertexID, edgeOff, edgeVtx []int32) *dense {
 			next[r]++
 		}
 	}
-
-	// Edges are short: an insertion sort per edge, stable from ascending rank.
-	d.branch = slices.Clone(edgeVtx)
-	for e := 0; e < m; e++ {
-		vs := d.branchOrder(int32(e))
-		for i := 1; i < len(vs); i++ {
-			for j := i; j > 0 && d.degree(vs[j]) > d.degree(vs[j-1]); j-- {
-				vs[j], vs[j-1] = vs[j-1], vs[j]
-			}
-		}
-	}
 	return d
 }
 
@@ -114,13 +108,55 @@ func (d *dense) edge(e int32) []int32 { return d.edgeVtx[d.edgeOff[e]:d.edgeOff[
 
 // branchOrder returns the vertex ranks of edge e, highest degree first and
 // lowest rank first among equals.
-func (d *dense) branchOrder(e int32) []int32 { return d.branch[d.edgeOff[e]:d.edgeOff[e+1]] }
+func (d *dense) branchOrder(e int32) []int32 {
+	d.branchOnce.Do(d.layoutBranch)
+	return d.branch[d.edgeOff[e]:d.edgeOff[e+1]]
+}
+
+// layoutBranch sorts every edge's ranks into its branch order. Edges are
+// short: an insertion sort per edge, stable from ascending rank.
+func (d *dense) layoutBranch() {
+	d.branch = slices.Clone(d.edgeVtx)
+	for e := 0; e < d.numEdges(); e++ {
+		vs := d.branch[d.edgeOff[e]:d.edgeOff[e+1]]
+		for i := 1; i < len(vs); i++ {
+			for j := i; j > 0 && d.degree(vs[j]) > d.degree(vs[j-1]); j-- {
+				vs[j], vs[j-1] = vs[j-1], vs[j]
+			}
+		}
+	}
+}
 
 // incident returns the edges containing rank r, ascending.
 func (d *dense) incident(r int32) []int32 { return d.incEdge[d.incOff[r]:d.incOff[r+1]] }
 
 // degree returns the number of edges containing rank r.
 func (d *dense) degree(r int32) int { return int(d.incOff[r+1] - d.incOff[r]) }
+
+// edgeIDs returns the VertexIDs of edge e, ascending, as a fresh slice.
+func (d *dense) edgeIDs(e int32) []graph.VertexID {
+	vs := d.edge(e)
+	out := make([]graph.VertexID, len(vs))
+	for i, r := range vs {
+		out[i] = d.vertices[r]
+	}
+	return out
+}
+
+// hyperEdges returns every edge's VertexIDs in EdgeID order, over one fresh
+// flat array.
+func (d *dense) hyperEdges() []HyperEdge {
+	ids := make([]graph.VertexID, len(d.edgeVtx))
+	for i, r := range d.edgeVtx {
+		ids[i] = d.vertices[r]
+	}
+	out := make([]HyperEdge, d.numEdges())
+	for e := range out {
+		lo, hi := d.edgeOff[e], d.edgeOff[e+1]
+		out[e] = HyperEdge{Vertices: ids[lo:hi:hi]}
+	}
+	return out
+}
 
 // ids translates a rank-indexed membership array into the sorted VertexIDs
 // of its members.
@@ -159,6 +195,14 @@ func (d *dense) overlaps(e int32, mark, buf []int32) []int32 {
 // occurrences of one instance.
 func (h *Hypergraph) EdgeClasses() []EdgeID {
 	d := h.view()
+	classes := make([]EdgeID, d.numEdges())
+	d.edgeClasses(func(e, first int32) { classes[e] = EdgeID(first) })
+	return classes
+}
+
+// edgeClasses calls visit(e, first) for every edge e in EdgeID order, first
+// the lowest EdgeID with e's vertex set (EdgeClasses).
+func (d *dense) edgeClasses(visit func(e, first int32)) {
 	m := d.numEdges()
 	// An open-addressing table of the first edge of every class seen so far,
 	// at most half full; edges enter in ID order, so a hit is the class name.
@@ -170,7 +214,6 @@ func (h *Hypergraph) EdgeClasses() []EdgeID {
 	for i := range first {
 		first[i] = -1
 	}
-	classes := make([]EdgeID, m)
 	for e := int32(0); e < int32(m); e++ {
 		vs := d.edge(e)
 		hash := uint64(len(vs))
@@ -184,7 +227,6 @@ func (h *Hypergraph) EdgeClasses() []EdgeID {
 		if first[slot] < 0 {
 			first[slot] = e
 		}
-		classes[e] = EdgeID(first[slot])
+		visit(e, first[slot])
 	}
-	return classes
 }

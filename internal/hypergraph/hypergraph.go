@@ -9,13 +9,16 @@
 // A Hypergraph is built edge by edge and then queried. Building keeps nothing
 // but the edge list; the first query lays the built hypergraph out once as a
 // dense, index-keyed view (dense.go) — vertices ranked 0..|V|-1 in Vertices()
-// order, edges and incidence lists as flat int32 CSR, every edge's branch
-// order sorted once — and every solver and accessor runs on that. A k-uniform
-// hypergraph whose caller has its vertices ranked already — the instance
-// hypergraph, ranked by the snapshot's dense indexes — is built by NewUniform
-// from the ranks, its edges over one flat VertexID array, and laid out at
-// once. Both ways end in one layout function, which alone writes the CSR
-// arrays, so the two give the same view of the same edges. A solver's
+// order, edges and incidence lists as flat int32 CSR — and every solver and
+// accessor runs on that. A k-uniform hypergraph whose caller has its vertices
+// ranked already — the instance hypergraph, ranked by the snapshot's dense
+// indexes — is built by NewUniform from the ranks, and a kernel by Kernel
+// from the ranks that survive: both are their dense view and nothing else,
+// and the VertexIDs of an edge are read off the view (vertices[rank]) only
+// when Edges or Edge asks for them. All three ways end in one layout
+// function, which alone writes the CSR arrays, so they give the same view of
+// the same edges; the cover search's branch orders are laid out on its first
+// call, because most hypergraphs are never searched. A solver's
 // state is then a handful of slices indexed by rank or EdgeID: a search node
 // of MinimumVertexCover costs the incidence list of the vertex it branches on
 // plus one pass over the still-uncovered edges, and nothing is hashed or
@@ -73,11 +76,14 @@ type HyperEdge struct {
 // for concurrent readers; AddEdge must not run concurrently with anything
 // else.
 type Hypergraph struct {
+	// edges is AddEdge's builder: the edges added so far. It is nil on a
+	// hypergraph from NewUniform or Kernel, which is its dense view alone.
 	edges []HyperEdge
 
-	// dense is the index-keyed view of the edges added so far, laid out
-	// under denseMu by the first query after the last AddEdge (which has the
-	// hypergraph to itself and drops the view without the lock).
+	// dense is the index-keyed view of the edges, laid out under denseMu by
+	// the first query after the last AddEdge (which has the hypergraph to
+	// itself and drops the view without the lock), or at once by NewUniform
+	// and Kernel.
 	denseMu sync.Mutex
 	dense   *dense
 }
@@ -88,8 +94,12 @@ func New() *Hypergraph { return &Hypergraph{} }
 // AddEdge adds an edge over the given vertex set, implicitly adding any new
 // vertices, and returns its ID: the number of edges added before it. The
 // vertex set must be non-empty. Duplicate vertex mentions within one edge are
-// collapsed.
+// collapsed. On a hypergraph from NewUniform or Kernel the first AddEdge
+// copies the view's edges into the builder.
 func (h *Hypergraph) AddEdge(vertices []graph.VertexID) (EdgeID, error) {
+	if h.edges == nil && h.dense != nil {
+		h.edges = h.dense.hyperEdges()
+	}
 	if len(vertices) == 0 {
 		return 0, fmt.Errorf("hypergraph: edge %d has an empty vertex set", len(h.edges))
 	}
@@ -106,17 +116,16 @@ func (h *Hypergraph) AddEdge(vertices []graph.VertexID) (EdgeID, error) {
 // VertexIDs each in some edge, whose edge e is the vertices of ranks
 // ranks[e*k:(e+1)*k]: k distinct ranks in any order, which NewUniform sorts
 // in place. The hypergraph keeps both slices, and the caller must not touch
-// them again. It lays the dense view out at once, and its edges, Vertices(),
-// incidence lists and branch orders are those that New and AddEdge would
-// build from the same vertex sets in the same order.
+// them again. It is its dense view, laid out at once over the ranks, and
+// holds no VertexID of an edge: Edges and Edge read them off the view. Its
+// edges, Vertices(), incidence lists and branch orders are those that New
+// and AddEdge would build from the same vertex sets in the same order.
 func NewUniform(vertices []graph.VertexID, k int, ranks []int32) *Hypergraph {
 	if k <= 0 || len(ranks)%k != 0 {
 		panic(fmt.Sprintf("hypergraph: %d ranks are no whole number of %d-vertex edges", len(ranks), k))
 	}
 	m := len(ranks) / k
-	h := &Hypergraph{edges: make([]HyperEdge, m)}
 	edgeOff := make([]int32, m+1)
-	ids := make([]graph.VertexID, len(ranks))
 	for e := 0; e < m; e++ {
 		lo, hi := e*k, (e+1)*k
 		vs := ranks[lo:hi]
@@ -125,17 +134,14 @@ func NewUniform(vertices []graph.VertexID, k int, ranks []int32) *Hypergraph {
 				vs[j], vs[j-1] = vs[j-1], vs[j]
 			}
 		}
-		for i, r := range vs {
-			if i > 0 && r == vs[i-1] {
-				panic(fmt.Sprintf("hypergraph: edge %d names rank %d twice", e, r))
+		for i := 1; i < k; i++ {
+			if vs[i] == vs[i-1] {
+				panic(fmt.Sprintf("hypergraph: edge %d names rank %d twice", e, vs[i]))
 			}
-			ids[lo+i] = vertices[r]
 		}
-		h.edges[e] = HyperEdge{Vertices: ids[lo:hi:hi]}
 		edgeOff[e+1] = int32(hi)
 	}
-	h.dense = layout(vertices, edgeOff, ranks)
-	return h
+	return &Hypergraph{dense: layout(vertices, edgeOff, ranks)}
 }
 
 // MustAddEdge is AddEdge but panics on error.
@@ -151,27 +157,27 @@ func (h *Hypergraph) MustAddEdge(vertices []graph.VertexID) EdgeID {
 func (h *Hypergraph) NumVertices() int { return len(h.view().vertices) }
 
 // NumEdges returns |E|.
-func (h *Hypergraph) NumEdges() int { return len(h.edges) }
+func (h *Hypergraph) NumEdges() int {
+	if h.edges != nil {
+		return len(h.edges)
+	}
+	return h.view().numEdges()
+}
 
 // Vertices returns the vertex set in sorted order.
 func (h *Hypergraph) Vertices() []graph.VertexID { return slices.Clone(h.view().vertices) }
 
 // Edges returns all edges in insertion order. The returned slice shares no
 // storage with the hypergraph's internal state.
-func (h *Hypergraph) Edges() []HyperEdge {
-	out := make([]HyperEdge, len(h.edges))
-	for i, e := range h.edges {
-		out[i] = HyperEdge{Vertices: slices.Clone(e.Vertices)}
-	}
-	return out
-}
+func (h *Hypergraph) Edges() []HyperEdge { return h.view().hyperEdges() }
 
 // Edge returns the edge with the given ID.
 func (h *Hypergraph) Edge(id EdgeID) (HyperEdge, bool) {
-	if int(id) < 0 || int(id) >= len(h.edges) {
+	d := h.view()
+	if int(id) < 0 || int(id) >= d.numEdges() {
 		return HyperEdge{}, false
 	}
-	return HyperEdge{Vertices: slices.Clone(h.edges[id].Vertices)}, true
+	return HyperEdge{Vertices: d.edgeIDs(int32(id))}, true
 }
 
 // IncidentEdges returns the IDs of the edges containing vertex v, ascending.
@@ -203,49 +209,31 @@ func (h *Hypergraph) VertexDegree(v graph.VertexID) int {
 // returns that cardinality k. The occurrence hypergraph of a k-node pattern
 // is always k-uniform (Section 4.4).
 func (h *Hypergraph) IsUniform() (int, bool) {
-	if len(h.edges) == 0 {
+	d := h.view()
+	if d.numEdges() == 0 {
 		return 0, true
 	}
-	k := len(h.edges[0].Vertices)
-	for _, e := range h.edges[1:] {
-		if len(e.Vertices) != k {
+	k := d.edgeOff[1]
+	for e := 1; e < d.numEdges(); e++ {
+		if d.edgeOff[e+1]-d.edgeOff[e] != k {
 			return 0, false
 		}
 	}
-	return k, true
+	return int(k), true
 }
 
 // IsSimple reports whether no edge's vertex set is a subset of another
 // edge's vertex set (Definition 3.1.1).
 func (h *Hypergraph) IsSimple() bool {
-	for i := range h.edges {
-		for j := range h.edges {
-			if i == j {
-				continue
-			}
-			if isSubset(h.edges[i].Vertices, h.edges[j].Vertices) {
+	d := h.view()
+	for i := int32(0); i < int32(d.numEdges()); i++ {
+		for j := int32(0); j < int32(d.numEdges()); j++ {
+			if i != j && containsAll(d.edge(j), d.edge(i)) {
 				return false
 			}
 		}
 	}
 	return true
-}
-
-// isSubset reports whether sorted slice a is a subset of sorted slice b.
-func isSubset(a, b []graph.VertexID) bool {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			i++
-			j++
-		case a[i] > b[j]:
-			j++
-		default:
-			return false
-		}
-	}
-	return i == len(a)
 }
 
 // String returns a compact description of the hypergraph.

@@ -59,6 +59,23 @@ func checkKernel(t *testing.T, h, k *Hypergraph, origin []EdgeID) {
 	}
 }
 
+// isSubset reports whether sorted slice a is a subset of sorted slice b.
+func isSubset(a, b []graph.VertexID) bool {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] == b[j]:
+			i++
+			j++
+		case a[i] > b[j]:
+			j++
+		default:
+			return false
+		}
+	}
+	return i == len(a)
+}
+
 // TestKernelOnRandomHypergraphs reduces 2 000 random hypergraphs — uniform
 // ones with repeated vertex sets, as instance hypergraphs are, and ones of
 // mixed edge sizes, where edges nest — and checks each kernel.

@@ -461,7 +461,12 @@ func starBytes() []byte {
 // search stops on the same node with the same incumbent. It also holds the
 // kernel to the hypergraph: its unbudgeted minimum cover and maximum packing
 // have the reference's sizes, its cover covers the hypergraph, and its
-// packing, read through the origin EdgeIDs, is independent there.
+// packing, read through the origin EdgeIDs, is independent there; and the
+// kernel's view, laid out straight from the reducer's live edges, to the one
+// New and AddEdge build from the same edges (referenceKernel). A decoded
+// hypergraph that is uniform is built a second time through NewUniform,
+// from its ranks, and held to the same reference trees, its view and its
+// kernel to the AddEdge-built hypergraph's.
 func FuzzSolverTrees(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 1, 2, 3, 2, 1, 2, 3, 2, 1, 2, 3, 2, 1, 2, 3, 2, 1, 2, 3, 2, 1, 2, 3})
@@ -470,56 +475,165 @@ func FuzzSolverTrees(f *testing.F) {
 	f.Add(starBytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h := decodeHypergraph(data)
-		ref := newReference(h)
-
-		if got, want := h.GreedyVertexCover(), ref.greedyVertexCover(); !sameCover(got, want) {
-			t.Fatalf("%v: greedy cover %+v, reference %+v", h.Edges(), got, want)
-		}
-		if got, want := h.GreedyIndependentEdgeSet(), ref.greedyIndependentEdgeSet(); !sameMatching(got, want) {
-			t.Fatalf("%v: greedy packing %+v, reference %+v", h.Edges(), got, want)
-		}
-		og := NewOverlapGraph(h, nil)
-		if got, want := og.GreedyIndependentSet(), ref.greedyIndependentSet(); !sameIndependentSet(got, want) {
-			t.Fatalf("%v: greedy independent set %+v, reference %+v", h.Edges(), got, want)
-		}
-		for _, budget := range []int{0, 1, 7, 200} {
-			cover, coverNodes := h.minimumVertexCover(budget, 0)
-			wantCover, wantCoverNodes := ref.minimumVertexCover(budget)
-			if !sameCover(cover, wantCover) || coverNodes != wantCoverNodes {
-				t.Fatalf("%v budget %d: cover %+v in %d nodes, reference %+v in %d", h.Edges(), budget, cover, coverNodes, wantCover, wantCoverNodes)
-			}
-			set, setNodes := og.maximumIndependentSet(budget, 0)
-			wantSet, wantSetNodes := ref.maximumIndependentSet(budget)
-			if !sameIndependentSet(set, wantSet) || setNodes != wantSetNodes {
-				t.Fatalf("%v budget %d: independent set %+v in %d nodes, reference %+v in %d", h.Edges(), budget, set, setNodes, wantSet, wantSetNodes)
-			}
-		}
-
-		// A bound the optimum meets ends the search early and changes
-		// nothing else: the unbudgeted answers are the reference's.
-		cover, _ := ref.minimumVertexCover(0)
-		if got, nodes := h.minimumVertexCover(0, cover.Size); !sameCover(got, cover) {
-			t.Fatalf("%v: cover under its own bound %+v in %d nodes, reference %+v", h.Edges(), got, nodes, cover)
-		}
-		set, _ := ref.maximumIndependentSet(0)
-		if got, nodes := og.maximumIndependentSet(0, set.Size); !sameIndependentSet(got, set) {
-			t.Fatalf("%v: independent set under its own bound %+v in %d nodes, reference %+v", h.Edges(), got, nodes, set)
-		}
-
+		want := referenceTrees(newReference(h))
+		checkSolverTrees(t, h, want)
 		k, origin := h.Kernel()
-		kCover := k.MinimumVertexCover(0)
-		if kCover.Size != cover.Size || !kCover.Exact || h.ValidateCover(kCover.Cover) != nil {
-			t.Fatalf("%v: kernel %v gives cover %+v, reference %+v", h.Edges(), k.Edges(), kCover, cover)
+		wantK, wantOrigin := h.reduce().referenceKernel()
+		requireSameView(t, k, wantK)
+		if !slices.Equal(origin, wantOrigin) {
+			t.Fatalf("%v: kernel origin %v, reference %v", h.Edges(), origin, wantOrigin)
 		}
-		kPacking := k.MaximumIndependentEdgeSet(0)
-		edges := make([]EdgeID, kPacking.Size)
-		for i, e := range kPacking.Edges {
-			edges[i] = origin[e]
+
+		u := uniformCopy(h)
+		if u == nil {
+			return
 		}
-		if kPacking.Size != set.Size || !kPacking.Exact || !h.IsIndependentEdgeSet(edges) {
-			t.Fatalf("%v: kernel %v gives packing %+v (%v in h), reference %+v", h.Edges(), k.Edges(), kPacking, edges, set)
+		requireSameView(t, u, h)
+		checkSolverTrees(t, u, want)
+		uk, uOrigin := u.Kernel()
+		requireSameView(t, uk, k)
+		if !slices.Equal(uOrigin, origin) {
+			t.Fatalf("%v: NewUniform's kernel origin %v, AddEdge's %v", h.Edges(), uOrigin, origin)
 		}
 	})
+}
+
+// fuzzBudgets are the node budgets FuzzSolverTrees runs the searches under.
+var fuzzBudgets = []int{0, 1, 7, 200}
+
+// trees is what the reference finds on one hypergraph: the greedy answers,
+// and the searches' answers and node counts under each of fuzzBudgets.
+type trees struct {
+	greedyCover   CoverResult
+	greedyPacking MatchingResult
+	greedySet     IndependentSetResult
+	covers        []CoverResult
+	coverNodes    []int
+	sets          []IndependentSetResult
+	setNodes      []int
+	cover         CoverResult          // unbudgeted
+	set           IndependentSetResult // unbudgeted
+}
+
+// referenceTrees runs the reference's solvers once, for every hypergraph
+// FuzzSolverTrees holds to them.
+func referenceTrees(ref *reference) trees {
+	w := trees{greedyCover: ref.greedyVertexCover(), greedyPacking: ref.greedyIndependentEdgeSet(), greedySet: ref.greedyIndependentSet()}
+	for _, budget := range fuzzBudgets {
+		cover, coverNodes := ref.minimumVertexCover(budget)
+		set, setNodes := ref.maximumIndependentSet(budget)
+		w.covers, w.coverNodes = append(w.covers, cover), append(w.coverNodes, coverNodes)
+		w.sets, w.setNodes = append(w.sets, set), append(w.setNodes, setNodes)
+		if budget == 0 {
+			w.cover, w.set = cover, set
+		}
+	}
+	return w
+}
+
+// checkSolverTrees is FuzzSolverTrees' check of one hypergraph against what
+// the reference found.
+func checkSolverTrees(t *testing.T, h *Hypergraph, want trees) {
+	t.Helper()
+	if got := h.GreedyVertexCover(); !sameCover(got, want.greedyCover) {
+		t.Fatalf("%v: greedy cover %+v, reference %+v", h.Edges(), got, want.greedyCover)
+	}
+	if got := h.GreedyIndependentEdgeSet(); !sameMatching(got, want.greedyPacking) {
+		t.Fatalf("%v: greedy packing %+v, reference %+v", h.Edges(), got, want.greedyPacking)
+	}
+	og := NewOverlapGraph(h, nil)
+	if got := og.GreedyIndependentSet(); !sameIndependentSet(got, want.greedySet) {
+		t.Fatalf("%v: greedy independent set %+v, reference %+v", h.Edges(), got, want.greedySet)
+	}
+	for i, budget := range fuzzBudgets {
+		cover, coverNodes := h.minimumVertexCover(budget, 0)
+		if !sameCover(cover, want.covers[i]) || coverNodes != want.coverNodes[i] {
+			t.Fatalf("%v budget %d: cover %+v in %d nodes, reference %+v in %d", h.Edges(), budget, cover, coverNodes, want.covers[i], want.coverNodes[i])
+		}
+		set, setNodes := og.maximumIndependentSet(budget, 0)
+		if !sameIndependentSet(set, want.sets[i]) || setNodes != want.setNodes[i] {
+			t.Fatalf("%v budget %d: independent set %+v in %d nodes, reference %+v in %d", h.Edges(), budget, set, setNodes, want.sets[i], want.setNodes[i])
+		}
+	}
+
+	// A bound the optimum meets ends the search early and changes
+	// nothing else: the unbudgeted answers are the reference's.
+	cover, set := want.cover, want.set
+	if got, nodes := h.minimumVertexCover(0, cover.Size); !sameCover(got, cover) {
+		t.Fatalf("%v: cover under its own bound %+v in %d nodes, reference %+v", h.Edges(), got, nodes, cover)
+	}
+	if got, nodes := og.maximumIndependentSet(0, set.Size); !sameIndependentSet(got, set) {
+		t.Fatalf("%v: independent set under its own bound %+v in %d nodes, reference %+v", h.Edges(), got, nodes, set)
+	}
+
+	k, origin := h.Kernel()
+	kCover := k.MinimumVertexCover(0)
+	if kCover.Size != cover.Size || !kCover.Exact || h.ValidateCover(kCover.Cover) != nil {
+		t.Fatalf("%v: kernel %v gives cover %+v, reference %+v", h.Edges(), k.Edges(), kCover, cover)
+	}
+	kPacking := k.MaximumIndependentEdgeSet(0)
+	edges := make([]EdgeID, kPacking.Size)
+	for i, e := range kPacking.Edges {
+		edges[i] = origin[e]
+	}
+	if kPacking.Size != set.Size || !kPacking.Exact || !h.IsIndependentEdgeSet(edges) {
+		t.Fatalf("%v: kernel %v gives packing %+v (%v in h), reference %+v", h.Edges(), k.Edges(), kPacking, edges, set)
+	}
+}
+
+// referenceKernel is the kernel as Kernel built it before it wrote its view
+// straight from the live edges: every live edge's VertexIDs, in EdgeID
+// order, added to a New hypergraph, whose view newDense lays out.
+func (r *reducer) referenceKernel() (*Hypergraph, []EdgeID) {
+	k := New()
+	var origin []EdgeID
+	for e, size := range r.size {
+		if size == 0 {
+			continue
+		}
+		vs := make([]graph.VertexID, 0, size)
+		for _, u := range r.live(int32(e)) {
+			vs = append(vs, r.d.vertices[u])
+		}
+		k.MustAddEdge(vs)
+		origin = append(origin, EdgeID(e))
+	}
+	return k, origin
+}
+
+// uniformCopy returns h built through NewUniform — its ranks in Vertices()
+// order, each edge's handed over reversed so that NewUniform sorts them —
+// or nil when h is not uniform.
+func uniformCopy(h *Hypergraph) *Hypergraph {
+	k, uniform := h.IsUniform()
+	if !uniform {
+		return nil
+	}
+	vertices := h.Vertices()
+	ranks := make([]int32, 0, k*h.NumEdges())
+	for _, e := range h.Edges() {
+		for i := len(e.Vertices) - 1; i >= 0; i-- {
+			r, _ := slices.BinarySearch(vertices, e.Vertices[i])
+			ranks = append(ranks, int32(r))
+		}
+	}
+	return NewUniform(vertices, max(k, 1), ranks)
+}
+
+// requireSameView fails unless got and want have one dense view: vertices,
+// edges, incidence lists and every edge's branch order.
+func requireSameView(t *testing.T, got, want *Hypergraph) {
+	t.Helper()
+	g, w := got.view(), want.view()
+	if !slices.Equal(g.vertices, w.vertices) || !slices.Equal(g.edgeOff, w.edgeOff) || !slices.Equal(g.edgeVtx, w.edgeVtx) ||
+		!slices.Equal(g.incOff, w.incOff) || !slices.Equal(g.incEdge, w.incEdge) {
+		t.Fatalf("view %v, want %v", got.Edges(), want.Edges())
+	}
+	for e := int32(0); e < int32(w.numEdges()); e++ {
+		if !slices.Equal(g.branchOrder(e), w.branchOrder(e)) {
+			t.Fatalf("%v: edge %d branches on %v, want %v", want.Edges(), e, g.branchOrder(e), w.branchOrder(e))
+		}
+	}
 }
 
 func sameCover(a, b CoverResult) bool {

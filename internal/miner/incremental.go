@@ -83,6 +83,9 @@ type trackedPattern struct {
 	support  float64
 	exact    bool
 	frequent bool
+	// stale reports that a batch has moved the context's figures since
+	// support, exact and frequent were computed from them.
+	stale bool
 }
 
 // NewIncremental starts an incremental mining session: it runs the initial
@@ -245,6 +248,13 @@ func (inc *Incremental) Refresh() (*Result, error) {
 // refresh are identical to a sequential one: delta maintenance is
 // per-candidate exact and the candidates share nothing but the batch.
 //
+// A measure is evaluated again only where it is stale — a batch moved the
+// instance count or a domain size (Apply reports it) since the measure was
+// last computed, by this batch or by one whose refresh failed before it got
+// there: a session's measure is streamed and reads nothing else
+// (DeltaContext.Context), so elsewhere the last support, exactness and
+// frequency stand.
+//
 // Every context applies the batch before any measure is evaluated. Apply
 // cannot fail on a batch that starts at the snapshot the whole tracked set is
 // synchronized with, so a measure's error leaves the session's contexts on
@@ -259,9 +269,11 @@ func (inc *Incremental) refreshTracked(tracked []*trackedPattern, muts []graph.M
 	batch := core.NewBatch(inc.snap, next, muts, maxRadius)
 	err := forEach(len(tracked), inc.cfg.Parallelism, func(i int) error {
 		tp := tracked[i]
-		if err := tp.delta.Apply(batch); err != nil {
+		moved, err := tp.delta.Apply(batch)
+		if err != nil {
 			return fmt.Errorf("miner: refreshing %s: %w", tp.p, err)
 		}
+		tp.stale = tp.stale || moved
 		return nil
 	})
 	if err != nil {
@@ -269,6 +281,9 @@ func (inc *Incremental) refreshTracked(tracked []*trackedPattern, muts []graph.M
 	}
 	inc.snap = next
 	return forEach(len(tracked), inc.cfg.Parallelism, func(i int) error {
+		if !tracked[i].stale {
+			return nil
+		}
 		return inc.evaluateTracked(tracked[i])
 	})
 }
@@ -331,6 +346,7 @@ func (inc *Incremental) evaluateTracked(tp *trackedPattern) error {
 	tp.support = r.Value
 	tp.exact = r.Exact
 	tp.frequent = r.Value >= inc.cfg.MinSupport
+	tp.stale = false
 	return nil
 }
 

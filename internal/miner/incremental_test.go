@@ -171,9 +171,11 @@ func (f failingMNI) Compute(ctx *core.Context) (measures.Result, error) {
 
 // TestIncrementalSurvivesMeasureError pins what a failed Refresh leaves
 // behind: every tracked context on the batch's new snapshot, so the session
-// keeps refreshing. The failing batch adds an edge and removes it again —
-// mutations to apply, no support to move — and the measure fails on the
-// second candidate, with most of the tracked set still to come.
+// keeps refreshing. A first batch adds an edge and removes it again —
+// mutations to apply, no support to move — so no measure is computed and the
+// armed failure does not fire. The failing batch adds the edge for good, and
+// the measure fails on the second candidate whose figures it moved, with
+// most of the tracked set still to come.
 func TestIncrementalSurvivesMeasureError(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		countdown := new(atomic.Int32)
@@ -198,6 +200,13 @@ func TestIncrementalSurvivesMeasureError(t *testing.T) {
 			t.Fatal(err)
 		}
 		countdown.Store(2)
+		if _, err := inc.Refresh(); err != nil {
+			t.Fatalf("Parallelism %d: a batch that moves no support computed a measure: %v", par, err)
+		}
+		if n := countdown.Load(); n != 2 {
+			t.Fatalf("Parallelism %d: a batch that moves no support computed the measure %d times", par, 2-n)
+		}
+		g.MustAddEdge(u, v)
 		if _, err := inc.Refresh(); err == nil {
 			t.Fatalf("Parallelism %d: Refresh swallowed the measure's error", par)
 		}

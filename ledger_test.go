@@ -245,14 +245,29 @@ func ledgerPattern(labels []graph.Label, edges ...[2]int) *pattern.Pattern {
 // carries the evaluation's counter deltas and then every value and Exact
 // flag (ledger.evaluate).
 func ledgerEvalMeasures(t *testing.T, l *ledger) {
+	cases, engines := evalMeasuresCases(t)
+	l.buf.WriteString("== eval-measures: BA(240, 2) and BA(100, 2), 2 labels, seed 1; materialised, sequential\n")
+	for _, c := range cases {
+		l.evaluate(t, engines[c.n], c.name, c.p, c.measures)
+	}
+}
+
+// evalMeasuresCase is one evaluation of the eval-measures workload: a
+// pattern and the measures asked of it on BA(n).
+type evalMeasuresCase struct {
+	name     string
+	n        int
+	p        *pattern.Pattern
+	measures []string
+}
+
+// evalMeasuresCases returns the eval-measures workload's six evaluations and
+// the engines they run on, keyed by n: BA(240, 2) and BA(100, 2), 2 labels,
+// seed 1, one shard, sequential.
+func evalMeasuresCases(tb testing.TB) ([]evalMeasuresCase, map[int]*support.Engine) {
 	poly := []string{"MNI", "MI", "nuMVC", "nuMIES", "MVC-approx", "occurrences", "instances"}
 	chain := []string{"MNI", "MI", "nuMVC", "nuMIES", "MVC", "MIS", "MIES"}
-	cases := []struct {
-		name     string
-		n        int
-		p        *pattern.Pattern
-		measures []string
-	}{
+	cases := []evalMeasuresCase{
 		{"edge", 240, pattern.SingleEdge(1, 2), poly},
 		{"path", 240, ledgerPattern([]graph.Label{1, 2, 2}, [2]int{0, 1}, [2]int{1, 2}), poly},
 		{"star", 240, ledgerPattern([]graph.Label{1, 2, 2, 2}, [2]int{0, 1}, [2]int{0, 2}, [2]int{0, 3}), poly},
@@ -264,14 +279,11 @@ func ledgerEvalMeasures(t *testing.T, l *ledger) {
 	for _, n := range []int{240, 100} {
 		eng, err := support.NewEngine(gen.BarabasiAlbert(n, 2, gen.UniformLabels{K: 2}, 1), support.EngineOptions{Parallelism: 1, Shards: 1})
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		engines[n] = eng
 	}
-	l.buf.WriteString("== eval-measures: BA(240, 2) and BA(100, 2), 2 labels, seed 1; materialised, sequential\n")
-	for _, c := range cases {
-		l.evaluate(t, engines[c.n], c.name, c.p, c.measures)
-	}
+	return cases, engines
 }
 
 // ledgerEvalStream records the eval-stream workload's evaluations on a
