@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -23,7 +24,7 @@ func (g *Graph) ConnectedComponents() [][]VertexID {
 			v := queue[0]
 			queue = queue[1:]
 			comp = append(comp, v)
-			for _, w := range g.adjacency[v] {
+			for _, w := range g.Neighbors(v) {
 				if !visited[w] {
 					visited[w] = true
 					queue = append(queue, w)
@@ -60,7 +61,7 @@ func (g *Graph) DegreeStatistics() DegreeStats {
 	first := true
 	total := 0
 	for _, v := range g.order {
-		d := len(g.adjacency[v])
+		d := g.Degree(v)
 		if first {
 			stats.Min, stats.Max = d, d
 			first = false
@@ -91,10 +92,28 @@ func (g *Graph) Density() float64 {
 
 // Validate performs internal consistency checks and returns an error
 // describing the first problem found. A graph constructed exclusively through
-// AddVertex/AddEdge always validates; this is a safety net for loaders.
+// AddVertex/AddEdge always validates; this is a safety net for loaders. It
+// checks the overlay against itself and against the base: every vertex is
+// counted once, every overlay edge and row names live vertices and agrees
+// with the edge set, and the degrees sum to twice the edge count. A base
+// row the overlay does not hold is a frozen snapshot's and is not re-read.
 func (g *Graph) Validate() error {
-	if len(g.order) != len(g.labels) {
-		return fmt.Errorf("graph %q: order list has %d entries but label map has %d", g.name, len(g.order), len(g.labels))
+	live := len(g.labels)
+	if g.base != nil {
+		live += g.base.NumVertices() - len(g.goneVertices)
+		for v := range g.goneVertices {
+			if _, ok := g.base.IndexOf(v); !ok {
+				return fmt.Errorf("graph %q: removed vertex %d is not a base vertex", g.name, v)
+			}
+		}
+		for e := range g.goneEdges {
+			if !g.base.HasEdge(e.U, e.V) {
+				return fmt.Errorf("graph %q: removed edge %v is not a base edge", g.name, e)
+			}
+		}
+	}
+	if len(g.order) != live {
+		return fmt.Errorf("graph %q: order list has %d entries but label map has %d", g.name, len(g.order), live)
 	}
 	for e := range g.edges {
 		if e.U >= e.V {
@@ -103,29 +122,38 @@ func (g *Graph) Validate() error {
 		if !g.HasVertex(e.U) || !g.HasVertex(e.V) {
 			return fmt.Errorf("graph %q: edge %v references a missing vertex", g.name, e)
 		}
+		if g.base != nil && g.base.HasEdge(e.U, e.V) {
+			return fmt.Errorf("graph %q: overlay edge %v is a base edge too", g.name, e)
+		}
 	}
-	degreeSum := 0
+	var sorted []VertexID
 	for v, adj := range g.adjacency {
 		if !g.HasVertex(v) {
 			return fmt.Errorf("graph %q: adjacency entry for missing vertex %d", g.name, v)
 		}
-		seen := make(map[VertexID]bool, len(adj))
-		for _, w := range adj {
+		sorted = append(sorted[:0], adj...)
+		slices.Sort(sorted)
+		for k, w := range sorted {
 			if w == v {
 				return fmt.Errorf("graph %q: self loop in adjacency of %d", g.name, v)
 			}
-			if seen[w] {
+			if k > 0 && sorted[k-1] == w {
 				return fmt.Errorf("graph %q: duplicate adjacency %d-%d", g.name, v, w)
 			}
-			seen[w] = true
 			if !g.HasEdge(v, w) {
 				return fmt.Errorf("graph %q: adjacency %d-%d has no matching edge", g.name, v, w)
 			}
 		}
-		degreeSum += len(adj)
 	}
-	if degreeSum != 2*len(g.edges) {
-		return fmt.Errorf("graph %q: degree sum %d does not equal 2*|E|=%d", g.name, degreeSum, 2*len(g.edges))
+	degreeSum := 0
+	for _, v := range g.order {
+		if !g.HasVertex(v) {
+			return fmt.Errorf("graph %q: order list names missing vertex %d", g.name, v)
+		}
+		degreeSum += g.Degree(v)
+	}
+	if degreeSum != 2*g.NumEdges() {
+		return fmt.Errorf("graph %q: degree sum %d does not equal 2*|E|=%d", g.name, degreeSum, 2*g.NumEdges())
 	}
 	for label, vs := range g.byLabel {
 		for _, v := range vs {

@@ -76,6 +76,7 @@ func NewExternalSnapshot(name string, shardShift uint, numEdges int, shards []Ex
 		shardShift: shardShift,
 		shards:     make([]shard, len(shards)),
 		backing:    backing,
+		external:   true,
 	}
 	n := 0
 	for k := range shards {

@@ -1,44 +1,45 @@
 package graph
 
-// FromSnapshot materializes a mutable Graph with exactly the vertices,
-// labels and edges of a frozen snapshot. It is the inverse of Freeze, used
-// by the durable store to reopen a persisted graph for in-place mutation:
-// the snapshot's dense indexes are translated back to VertexIDs and each
-// undirected edge is added once. Vertices are added in increasing ID order,
-// so the restored graph's insertion order is deterministic.
-//
-// The snapshot knows every size up front, so the graph's vertex and edge
-// tables are allocated at their final size and every adjacency row at its
-// vertex's degree, cut from one array (a row that outgrows its degree later
-// moves out of it, as any appended slice does); nothing grows while it is
-// filled. Vertices and edges still go through AddVertex and AddEdge, with
-// every check those make.
+import "slices"
+
+// FromSnapshot returns a mutable Graph with exactly the vertices, labels and
+// edges of a frozen snapshot — the inverse of Freeze, used by the durable
+// store to reopen a persisted graph for in-place mutation. The graph wraps
+// the snapshot as its base with an empty overlay (see Graph) instead of
+// replaying it: a heap snapshot is adopted as it is, and one over external
+// arrays (NewExternalSnapshot, the store's mmapped segments) is first copied
+// shard by shard onto the heap, because its owner may unmap the arrays as
+// soon as this returns. Either way the graph's snapshot cache is seeded with
+// that heap snapshot as a clean entry at its own shard size, so a freeze at
+// that granularity builds nothing and returns it. The graph's insertion
+// order is the snapshot's, increasing IDs.
 func FromSnapshot(snap *Snapshot) *Graph {
-	n := int32(snap.NumVertices())
-	g := &Graph{
-		labels:    make(map[VertexID]Label, n),
-		adjacency: make(map[VertexID][]VertexID, n),
-		edges:     make(map[Edge]struct{}, snap.NumEdges()),
-		byLabel:   make(map[Label][]VertexID),
-		order:     make([]VertexID, 0, n),
-		name:      snap.Name(),
+	if snap.external {
+		snap = snap.heapCopy()
 	}
-	rows := make([]VertexID, 2*snap.NumEdges())
-	for i := int32(0); i < n; i++ {
-		v := snap.ID(i)
-		g.MustAddVertex(v, snap.LabelAt(i))
-		deg := snap.DegreeAt(i)
-		g.adjacency[v], rows = rows[:0:deg], rows[deg:]
+	g := &Graph{base: snap, name: snap.name, order: make([]VertexID, 0, snap.n)}
+	for k := range snap.shards {
+		g.order = append(g.order, snap.shards[k].ids...)
 	}
-	for i := int32(0); i < n; i++ {
-		u := snap.ID(i)
-		for _, nb := range snap.NeighborsAt(i) {
-			if nb > i {
-				g.MustAddEdge(u, snap.ID(nb))
-			}
-		}
-	}
+	g.snapClock = 1
+	g.snaps = map[int]*snapEntry{int(snap.shardShift): {snap: snap, suffixFrom: -1, lastUse: g.snapClock}}
 	return g
+}
+
+// heapCopy returns a snapshot with the contents of s in fresh heap arrays
+// and no backing.
+func (s *Snapshot) heapCopy() *Snapshot {
+	c := &Snapshot{name: s.name, n: s.n, numEdges: s.numEdges, shardShift: s.shardShift, shards: make([]shard, len(s.shards))}
+	for k := range s.shards {
+		sh := &s.shards[k]
+		byLabel := make(map[Label][]int32, len(sh.byLabel))
+		for l, idx := range sh.byLabel {
+			byLabel[l] = slices.Clone(idx)
+		}
+		c.shards[k] = shard{lo: sh.lo, ids: slices.Clone(sh.ids), labels: slices.Clone(sh.labels),
+			rowPtr: slices.Clone(sh.rowPtr), colIdx: slices.Clone(sh.colIdx), byLabel: byLabel}
+	}
+	return c
 }
 
 // SharesShard reports whether shard k of s is backed by the same CSR arrays

@@ -9,9 +9,10 @@ import (
 // compressed sparse row (CSR) form over dense vertex indexes, per-index label
 // and degree arrays, and a label-partitioned vertex index. All hot read paths
 // (occurrence enumeration in particular) run on a Snapshot instead of the
-// Graph's mutable maps: array indexing replaces map lookups, neighbor lists
+// Graph's overlay maps: array indexing replaces map lookups, neighbor lists
 // are contiguous, and the whole structure is safe for unsynchronized
-// concurrent readers.
+// concurrent readers. A Graph holds its latest snapshot as its base, so the
+// snapshot is the one full copy of the graph's data.
 //
 // A Snapshot is backed by one or more shards, each covering a contiguous
 // range of dense indexes with its own independently allocated CSR arrays
@@ -46,6 +47,10 @@ type Snapshot struct {
 	// backing receives residency hints for shards whose arrays live outside
 	// the Go heap (see NewExternalSnapshot); nil for heap snapshots.
 	backing ShardBacking
+	// external records that the shard arrays were handed in by
+	// NewExternalSnapshot's caller, who may release them (the store unmaps
+	// its segments on Close): FromSnapshot copies such a snapshot.
+	external bool
 }
 
 // shard is one contiguous dense-index range of a Snapshot with its own CSR
@@ -116,7 +121,10 @@ func resolveShardShift(opts FreezeOptions, n int) uint {
 // snapEntry is one cached snapshot granularity together with the record of
 // which shards mutations have dirtied since it was built. The dirty state is
 // always relative to the entry's own snapshot: shard numbers refer to its
-// partition, insert positions to its dense-index space.
+// partition, insert positions to its dense-index space. It never depends on
+// the graph's base: a refreeze reads the current rows through the overlay
+// and the base whichever snapshot the base is. A clean entry is one a
+// mutation may rebase the graph onto (Graph.rebase); FromSnapshot seeds one.
 type snapEntry struct {
 	snap *Snapshot
 
@@ -319,12 +327,16 @@ const maxCachedSnapshots = 4
 // Snapshots are cached per resolved shard size, so alternating callers with
 // different options do not rebuild each other's snapshots.
 //
-// Mutations no longer discard cached snapshots wholesale: each mutation marks
-// the shards it touches dirty (see AddEdge, AddVertex) and the next freeze of
-// that granularity rebuilds only those, sharing every clean shard's
-// ids/labels/rowPtr/colIdx/byLabel arrays with the previous snapshot.
-// Snapshots stay immutable throughout — readers holding a pre-mutation
-// snapshot keep reading pre-mutation data.
+// Mutations do not discard cached snapshots: each mutation marks the shards
+// it touches dirty (see AddEdge, AddVertex) and the next freeze of that
+// granularity rebuilds only those, sharing every clean shard's
+// ids/labels/rowPtr/colIdx/byLabel arrays with the previous snapshot; the
+// rows a mutation made stale come from the graph's overlay and every other
+// row from its base (rebuildSnapshot). Snapshots stay immutable throughout —
+// readers holding a pre-mutation snapshot keep reading pre-mutation data.
+// The snapshot a freeze installs is also what the graph's next mutation
+// rebases onto; a freeze itself never rewrites the graph, because it runs
+// beside other freezes.
 //
 // The CSR construction itself runs outside the cache lock, so a freeze at
 // one granularity never blocks a concurrent freeze at another behind a full
@@ -463,9 +475,18 @@ func (g *Graph) noteVertexRemoved(v VertexID) {
 // to earlier callers stay immutable and keep the old name).
 func (g *Graph) renameSnapshots(name string) {
 	g.snapMu.Lock()
-	for _, e := range g.snaps {
-		e.snap = e.snap.withName(name)
+	var base *Snapshot
+	if g.base != nil {
+		base = g.base.withName(name)
 	}
+	for _, e := range g.snaps {
+		if e.snap == g.base {
+			e.snap = base // the base keeps its identity with its entry
+		} else {
+			e.snap = e.snap.withName(name)
+		}
+	}
+	g.base = base
 	g.snapMu.Unlock()
 }
 
@@ -493,16 +514,10 @@ func searchIndex(ids []VertexID, v VertexID) int32 {
 // buildSnapshot constructs the sharded CSR form of g with 1<<shardShift
 // vertices per shard, building every shard from scratch.
 func buildSnapshot(g *Graph, shardShift uint) *Snapshot {
-	n := g.NumVertices()
-	s := newShellSnapshot(g, shardShift, n)
-	ids := g.SortedVertices()
-	indexOf := make(map[VertexID]int32, n)
-	for i, v := range ids {
-		indexOf[v] = int32(i)
-	}
-	lookup := func(v VertexID) int32 { return indexOf[v] }
+	s := newShellSnapshot(g, shardShift, g.NumVertices())
+	src := g.source()
 	for k := range s.shards {
-		g.buildShard(s, k, ids, lookup)
+		g.buildShard(s, k, &src)
 	}
 	return s
 }
@@ -524,33 +539,120 @@ func newShellSnapshot(g *Graph, shardShift uint, n int) *Snapshot {
 	}
 }
 
-// buildShard fills shard k of the snapshot under construction from the
-// graph's adjacency maps. lookup resolves a VertexID to its new global dense
-// index.
-func (g *Graph) buildShard(s *Snapshot, k int, ids []VertexID, lookup func(VertexID) int32) {
+// freezeSource is the graph's vertex list in ID order — the dense index
+// space of the snapshot a freeze builds — and how each row is translated
+// into it.
+type freezeSource struct {
+	ids []VertexID
+	// fromBase[i] is the base index of ids[i] when it is a live base vertex,
+	// -1 otherwise, and toNew[b] the new index of base index b, -1 for a
+	// removed vertex: a base row is carried over through toNew, which keeps
+	// it sorted. Both are nil without a base.
+	fromBase, toNew []int32
+	// indexOf resolves a neighbour in an overlay row to its new index.
+	indexOf func(VertexID) int32
+}
+
+// source lays out the graph's current vertices for a freeze. Without a
+// base every row is an overlay row, and an ID map resolves their neighbours
+// as a bulk build needs. With one, the new ID list is one merge of the base's
+// surviving IDs with the overlay's sorted vertices, a base row needs no
+// lookup at all, and an overlay row's neighbours are binary-searched in the
+// new ID list: no ID map is built, whatever the batch did.
+func (g *Graph) source() freezeSource {
+	if g.base == nil {
+		ids := g.SortedVertices()
+		indexOf := make(map[VertexID]int32, len(ids))
+		for i, v := range ids {
+			indexOf[v] = int32(i)
+		}
+		return freezeSource{ids: ids, indexOf: func(v VertexID) int32 { return indexOf[v] }}
+	}
+	added := sortedKeys(g.labels)
+	gone := sortedKeys(g.goneVertices)
+	n := g.NumVertices()
+	src := freezeSource{ids: make([]VertexID, 0, n), fromBase: make([]int32, 0, n), toNew: make([]int32, g.base.n)}
+	emit := func(v VertexID, b int32) {
+		src.ids = append(src.ids, v)
+		src.fromBase = append(src.fromBase, b)
+	}
+	for b := range int32(g.base.n) {
+		v := g.base.ID(b)
+		for len(added) > 0 && added[0] < v {
+			emit(added[0], -1)
+			added = added[1:]
+		}
+		if len(gone) > 0 && gone[0] == v {
+			// Removed, and maybe added again: then it comes from added.
+			gone = gone[1:]
+			src.toNew[b] = -1
+			continue
+		}
+		src.toNew[b] = int32(len(src.ids))
+		emit(v, b)
+	}
+	for _, v := range added {
+		emit(v, -1)
+	}
+	src.indexOf = func(v VertexID) int32 { return searchIndex(src.ids, v) }
+	return src
+}
+
+// sortedKeys returns the vertices keying m in increasing order.
+func sortedKeys[T any](m map[VertexID]T) []VertexID {
+	out := make([]VertexID, 0, len(m))
+	for v := range m {
+		out = append(out, v)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// buildShard fills shard k of the snapshot under construction: a vertex
+// with an overlay row has it translated through src.indexOf and sorted, a
+// base vertex without one has its base row carried over through src.toNew.
+func (g *Graph) buildShard(s *Snapshot, k int, src *freezeSource) {
 	shardSize := 1 << s.shardShift
 	lo := k * shardSize
-	hi := lo + shardSize
-	if hi > s.n {
-		hi = s.n
-	}
+	hi := min(lo+shardSize, s.n)
 	sh := &s.shards[k]
 	sh.lo = int32(lo)
-	sh.ids = make([]VertexID, hi-lo)
-	copy(sh.ids, ids[lo:hi])
+	sh.ids = slices.Clone(src.ids[lo:hi])
 	sh.labels = make([]Label, hi-lo)
 	sh.rowPtr = make([]int32, hi-lo+1)
 	sh.colIdx = nil
 	sh.byLabel = make(map[Label][]int32)
 	for i := lo; i < hi; i++ {
-		v := ids[i]
-		l := g.labels[v]
+		v := src.ids[i]
+		b := int32(-1)
+		if src.fromBase != nil {
+			b = src.fromBase[i]
+		}
+		var l Label
+		if b >= 0 {
+			l = g.base.LabelAt(b)
+		} else {
+			l = g.labels[v]
+		}
 		sh.labels[i-lo] = l
 		sh.byLabel[l] = append(sh.byLabel[l], int32(i))
-		sh.colIdx = appendRow(sh.colIdx, g.adjacency[v], lookup)
+		if row, ok := g.adjacency[v]; ok || b < 0 {
+			sh.colIdx = appendRow(sh.colIdx, row, src.indexOf)
+		} else {
+			for _, c := range g.base.NeighborsAt(b) {
+				sh.colIdx = append(sh.colIdx, src.toNew[c])
+			}
+		}
 		sh.rowPtr[i-lo+1] = int32(len(sh.colIdx))
 	}
+	g.countShardBuild()
+}
+
+// countShardBuild counts one shard built or patched, for the graph's tests
+// and for repro_graph_shard_builds_total.
+func (g *Graph) countShardBuild() {
 	g.shardBuilds.Add(1)
+	mShardBuilds.Inc()
 }
 
 // appendRow appends one CSR row to col: the dense indexes of the given
@@ -564,23 +666,60 @@ func appendRow(col []int32, neighbors []VertexID, lookup func(VertexID) int32) [
 	return col
 }
 
+// appendCurrentRow appends v's current row to col, its neighbours resolved
+// by lookup and sorted: the overlay row when v has one, else the base row.
+func (g *Graph) appendCurrentRow(col []int32, v VertexID, lookup func(VertexID) int32) []int32 {
+	if row, ok := g.adjacency[v]; ok {
+		return appendRow(col, row, lookup)
+	}
+	start := len(col)
+	i, _ := g.baseIndex(v)
+	for _, c := range g.base.NeighborsAt(i) {
+		col = append(col, lookup(g.base.ID(c)))
+	}
+	slices.Sort(col[start:])
+	return col
+}
+
+// positionsIn maps every dense index of old to the index of the same vertex
+// in the sorted ID list ids, -1 for a vertex ids does not hold: one merge of
+// the two ascending ID sequences.
+func positionsIn(old *Snapshot, ids []VertexID) []int32 {
+	to := make([]int32, old.n)
+	y := 0
+	for x := range to {
+		v := old.ID(int32(x))
+		for y < len(ids) && ids[y] < v {
+			y++
+		}
+		to[x] = -1
+		if y < len(ids) && ids[y] == v {
+			to[x] = int32(y)
+			y++
+		}
+	}
+	return to
+}
+
 // rebuildSnapshot produces a fresh Snapshot for the entry's granularity,
 // rebuilding exactly the dirty shards and sharing every clean shard with the
 // previous snapshot. Shard geometry is fixed per granularity, so old shard k
-// and new shard k cover the same dense-index range.
+// and new shard k cover the same dense-index range. Dirty shards take the
+// rows mutations made stale from the overlay and every other row from the
+// base (buildShard, patchShard).
 //
 // Clean shards are reused by reference. The one exception is their colIdx
-// array when a mid-range vertex insert shifted global indexes (entry.shifted):
-// the shard's own vertex range is untouched — every insert landed at or after
-// its end — but its neighbor references may point past the insert position,
-// so they are remapped through the surviving vertices' new positions (a copy
-// and O(log n) searches, still far cheaper than re-sorting adjacency).
-// Neighbor lists stay sorted under the remap because inserts preserve the
-// relative order of surviving indexes.
+// array when a mid-range vertex insert or removal shifted global indexes
+// (entry.shifted): the shard's own vertex range is untouched — every insert
+// landed at or after its end — but its neighbor references may point past
+// the insert position, so they are moved through each old index's new
+// position — the base's when the entry's snapshot is the base, else one
+// merge of the two ID lists (positionsIn). Neighbor lists stay sorted under
+// the remap because inserts and removals preserve the relative order of
+// surviving indexes.
 func (g *Graph) rebuildSnapshot(e *snapEntry, shardShift uint) *Snapshot {
 	old := e.snap
-	n := g.NumVertices()
-	s := newShellSnapshot(g, shardShift, n)
+	s := newShellSnapshot(g, shardShift, g.NumVertices())
 	if e.rowLevel() {
 		// Only edges changed, and every stale row is on the list: the vertex
 		// set, every dense index, every label and every label partition are
@@ -599,57 +738,28 @@ func (g *Graph) rebuildSnapshot(e *snapEntry, shardShift uint) *Snapshot {
 		}
 		return s
 	}
-	var ids []VertexID
-	if e.grown {
-		ids = g.SortedVertices()
-	} else {
-		// Edge-only staleness: the vertex set is the old snapshot's, so the
-		// sorted ID list is just its shards' id arrays concatenated — an
-		// O(n) copy instead of an O(n log n) re-sort.
-		ids = make([]VertexID, n)
-		for k := range old.shards {
-			copy(ids[old.shards[k].lo:], old.shards[k].ids)
+	src := g.source()
+	var to []int32
+	if e.shifted {
+		to = src.toNew
+		if old != g.base {
+			to = positionsIn(old, src.ids)
 		}
 	}
-	// Resolving a neighbor's new dense index costs O(log n) by binary search
-	// with zero setup, or O(1) through a map that costs O(n) to fill. Binary
-	// search wins for the common trickle-update case (a bounded number of
-	// dirty shards); when most of the snapshot's neighbor entries must be
-	// resolved anyway — many dirty shards, or a shifted insert forcing every
-	// clean shard's colIdx through the remap — fall back to the map so the
-	// incremental path is never asymptotically worse than a full build.
-	oldShards := len(old.shards)
-	needBuild := 0
 	for k := range s.shards {
-		if k >= oldShards || e.shardDirty(k) {
-			needBuild++
-		}
-	}
-	var lookup func(VertexID) int32
-	if e.shifted || 2*needBuild >= len(s.shards) {
-		indexOf := make(map[VertexID]int32, n)
-		for i, v := range ids {
-			indexOf[v] = int32(i)
-		}
-		lookup = func(v VertexID) int32 { return indexOf[v] }
-	} else {
-		lookup = func(v VertexID) int32 { return searchIndex(ids, v) }
-	}
-
-	for k := range s.shards {
-		if k < oldShards && !e.shardDirty(k) {
+		if k < len(old.shards) && !e.shardDirty(k) {
 			reused := old.shards[k]
 			if e.shifted {
 				col := make([]int32, len(reused.colIdx))
 				for i, c := range reused.colIdx {
-					col[i] = lookup(old.ID(c))
+					col[i] = to[c]
 				}
 				reused.colIdx = col
 			}
 			s.shards[k] = reused
 			continue
 		}
-		g.buildShard(s, k, ids, lookup)
+		g.buildShard(s, k, &src)
 	}
 	return s
 }
@@ -662,9 +772,10 @@ func (g *Graph) rebuildSnapshot(e *snapEntry, shardShift uint) *Snapshot {
 // because array identity is how SharesShard, and through it the store's
 // incremental rewrite, tells a shard whose bytes changed from one whose bytes
 // did not. Clean rows are copied from the old colIdx a run at a time; only
-// the stale rows are re-derived from the graph's adjacency lists, whose
-// vertices all exist in old. A four-edge update therefore costs its eight
-// rows and two shard-sized copies, not the sort of every row of two shards.
+// the stale rows are re-derived, from the overlay rows the edge mutations
+// left (appendCurrentRow), whose vertices all exist in old. A four-edge
+// update therefore costs its eight rows and two shard-sized copies, not the
+// sort of every row of two shards.
 func (g *Graph) patchShard(old *Snapshot, osh *shard, stale []int32) shard {
 	from, _ := slices.BinarySearch(stale, osh.lo)
 	to, _ := slices.BinarySearch(stale, osh.lo+int32(len(osh.ids)))
@@ -672,7 +783,7 @@ func (g *Graph) patchShard(old *Snapshot, osh *shard, stale []int32) shard {
 	size := len(osh.colIdx)
 	for _, i := range stale {
 		j := i - osh.lo
-		size += len(g.adjacency[osh.ids[j]]) - int(osh.rowPtr[j+1]-osh.rowPtr[j])
+		size += g.Degree(osh.ids[j]) - int(osh.rowPtr[j+1]-osh.rowPtr[j])
 	}
 	rowPtr, colIdx := make([]int32, len(osh.rowPtr)), make([]int32, 0, size)
 	// copyClean carries local rows [a, b) over: their columns in one copy,
@@ -693,12 +804,12 @@ func (g *Graph) patchShard(old *Snapshot, osh *shard, stale []int32) shard {
 	for _, i := range stale {
 		j := i - osh.lo
 		copyClean(next, j)
-		colIdx = appendRow(colIdx, g.adjacency[osh.ids[j]], lookup)
+		colIdx = g.appendCurrentRow(colIdx, osh.ids[j], lookup)
 		rowPtr[j+1] = int32(len(colIdx))
 		next = j + 1
 	}
 	copyClean(next, int32(len(osh.ids)))
-	g.shardBuilds.Add(1)
+	g.countShardBuild()
 	return shard{lo: osh.lo, ids: osh.ids, labels: osh.labels, byLabel: osh.byLabel, rowPtr: rowPtr, colIdx: colIdx}
 }
 

@@ -498,8 +498,29 @@ func FuzzSolverTrees(f *testing.F) {
 	})
 }
 
-// fuzzBudgets are the node budgets FuzzSolverTrees runs the searches under.
+// fuzzBudgets are the node budgets FuzzSolverTrees runs the searches under;
+// 0, the unbudgeted arm, comes first.
 var fuzzBudgets = []int{0, 1, 7, 200}
+
+// maxUnbudgetedEdges is the most edges a hypergraph may have for
+// FuzzSolverTrees to run the unbudgeted searches on it: the reference's and
+// the solver's (budget 0) and the kernel's. The packing searches branch over
+// the overlap graph, whose vertices are the edges, and both sides explore
+// the same tree, exponential in it: one decoded input of 40 edges cost each
+// of them 327 180 nodes (≈ 45 ms the reference, ≈ 15 ms the solver, twice),
+// ≈ 150 ms an exec, and the fuzzer spent its minimisation time on inputs
+// like it at no execs a second. Larger inputs keep the budgeted arms.
+const maxUnbudgetedEdges = 24
+
+// budgetsFor returns the budgets FuzzSolverTrees runs on a hypergraph of
+// the given number of edges: fuzzBudgets without the unbudgeted arm past
+// maxUnbudgetedEdges.
+func budgetsFor(edges int) []int {
+	if edges > maxUnbudgetedEdges {
+		return fuzzBudgets[1:]
+	}
+	return fuzzBudgets
+}
 
 // trees is what the reference finds on one hypergraph: the greedy answers,
 // and the searches' answers and node counts under each of fuzzBudgets.
@@ -511,15 +532,15 @@ type trees struct {
 	coverNodes    []int
 	sets          []IndependentSetResult
 	setNodes      []int
-	cover         CoverResult          // unbudgeted
-	set           IndependentSetResult // unbudgeted
+	cover         CoverResult          // unbudgeted, up to maxUnbudgetedEdges
+	set           IndependentSetResult // unbudgeted, up to maxUnbudgetedEdges
 }
 
 // referenceTrees runs the reference's solvers once, for every hypergraph
 // FuzzSolverTrees holds to them.
 func referenceTrees(ref *reference) trees {
 	w := trees{greedyCover: ref.greedyVertexCover(), greedyPacking: ref.greedyIndependentEdgeSet(), greedySet: ref.greedyIndependentSet()}
-	for _, budget := range fuzzBudgets {
+	for _, budget := range budgetsFor(len(ref.edges)) {
 		cover, coverNodes := ref.minimumVertexCover(budget)
 		set, setNodes := ref.maximumIndependentSet(budget)
 		w.covers, w.coverNodes = append(w.covers, cover), append(w.coverNodes, coverNodes)
@@ -545,7 +566,7 @@ func checkSolverTrees(t *testing.T, h *Hypergraph, want trees) {
 	if got := og.GreedyIndependentSet(); !sameIndependentSet(got, want.greedySet) {
 		t.Fatalf("%v: greedy independent set %+v, reference %+v", h.Edges(), got, want.greedySet)
 	}
-	for i, budget := range fuzzBudgets {
+	for i, budget := range budgetsFor(h.NumEdges()) {
 		cover, coverNodes := h.minimumVertexCover(budget, 0)
 		if !sameCover(cover, want.covers[i]) || coverNodes != want.coverNodes[i] {
 			t.Fatalf("%v budget %d: cover %+v in %d nodes, reference %+v in %d", h.Edges(), budget, cover, coverNodes, want.covers[i], want.coverNodes[i])
@@ -556,6 +577,9 @@ func checkSolverTrees(t *testing.T, h *Hypergraph, want trees) {
 		}
 	}
 
+	if h.NumEdges() > maxUnbudgetedEdges {
+		return
+	}
 	// A bound the optimum meets ends the search early and changes
 	// nothing else: the unbudgeted answers are the reference's.
 	cover, set := want.cover, want.set

@@ -71,6 +71,15 @@ type Incremental struct {
 	walk *walk
 	// evaluate is the support-evaluation time of the current run.
 	evaluate time.Duration
+	// owedPairs and regrowAll are growth a Refresh has not finished: the
+	// label pairs its batches' added edges seed, and whether every frequent
+	// tracked pattern must be grown again — the alphabet widened, or a
+	// refresh failed after evaluations may have made patterns frequent, or
+	// after a wave admitted candidates it never tracked. They carry over a
+	// failed Refresh (its batch is drained) until one completes; growth
+	// redone finds what is already tracked and counts it as duplicates.
+	owedPairs [][2]graph.Label
+	regrowAll bool
 
 	result *Result
 	closed bool
@@ -170,24 +179,39 @@ func (inc *Incremental) TrackedPatterns() int { return len(inc.tracked) }
 // re-assembled result drops it exactly as a cold re-mine would. Only
 // patterns that newly become reachable — extensions past a boundary pattern
 // that crossed the threshold upward, or seeds over new label pairs — are
-// enumerated from scratch, once, on their way into the tracked set.
-func (inc *Incremental) Refresh() (*Result, error) {
+// enumerated from scratch, once, on their way into the tracked set. A
+// Refresh that fails has drained its batch; the next one, with or without
+// new mutations, evaluates what is still stale and does the growth the
+// failed one owed.
+func (inc *Incremental) Refresh() (res *Result, err error) {
 	if inc.closed {
 		return nil, fmt.Errorf("miner: Refresh on a closed incremental session")
 	}
 	muts := inc.feed.Drain()
-	if len(muts) == 0 {
+	if len(muts) == 0 && !inc.owed() {
 		return inc.result, nil
 	}
 	start := time.Now()
 	inc.evaluate = 0
+	defer func() {
+		if err != nil {
+			inc.regrowAll = true
+			inc.walk.readmit(inc.tracked)
+		}
+	}()
 
 	// Widen the label alphabet first: extension generation below must see
-	// labels introduced by this batch.
-	labelsGrew := false
+	// labels introduced by this batch. New one-edge seeds can only come from
+	// added edges over unseen label pairs. An edge that was added and then
+	// removed (or lost an endpoint) within the same batch seeds nothing: a
+	// cold mine of the final graph would not see it either, and its labels
+	// may already be gone.
 	for _, m := range muts {
 		if m.Kind == graph.MutVertexAdded && inc.walk.widen(m.Label) {
-			labelsGrew = true
+			inc.regrowAll = true
+		}
+		if m.Kind == graph.MutEdgeAdded && inc.g.HasEdge(m.U, m.V) {
+			inc.owedPairs = append(inc.owedPairs, labelPair(inc.g.MustLabelOf(m.U), inc.g.MustLabelOf(m.V)))
 		}
 	}
 
@@ -200,23 +224,12 @@ func (inc *Incremental) Refresh() (*Result, error) {
 		wasFrequent[i] = tp.frequent
 	}
 	refreshStart := time.Now()
-	err := inc.refreshTracked(tracked, muts)
+	err = inc.refreshTracked(tracked, muts)
 	inc.evaluate += time.Since(refreshStart)
 	if err != nil {
 		return nil, err
 	}
-
-	// New one-edge seeds can only come from added edges over unseen label
-	// pairs. An edge that was added and then removed (or lost an endpoint)
-	// within the same batch seeds nothing: a cold mine of the final graph
-	// would not see it either, and its labels may already be gone.
-	var pairs [][2]graph.Label
-	for _, m := range muts {
-		if m.Kind == graph.MutEdgeAdded && inc.g.HasEdge(m.U, m.V) {
-			pairs = append(pairs, labelPair(inc.g.MustLabelOf(m.U), inc.g.MustLabelOf(m.V)))
-		}
-	}
-	if err := inc.walk.climb(inc.walk.seed(pairs), inc.track(false), nil); err != nil {
+	if err := inc.walk.climb(inc.walk.seed(inc.owedPairs), inc.track(false), nil); err != nil {
 		return nil, err
 	}
 
@@ -227,16 +240,20 @@ func (inc *Incremental) Refresh() (*Result, error) {
 	// duplicates).
 	var next level
 	for i, tp := range tracked {
-		if tp.frequent && (labelsGrew || !wasFrequent[i]) {
+		if tp.frequent && (inc.regrowAll || !wasFrequent[i]) {
 			inc.walk.grow(&next, tp.p, nil)
 		}
 	}
 	if err := inc.walk.climb(next.wave, inc.track(false), nil); err != nil {
 		return nil, err
 	}
+	inc.owedPairs, inc.regrowAll = nil, false
 	inc.assemble(time.Since(start))
 	return inc.result, nil
 }
+
+// owed reports that a failed Refresh left growth for the next one.
+func (inc *Incremental) owed() bool { return len(inc.owedPairs) > 0 || inc.regrowAll }
 
 // refreshTracked delta-refreshes and re-evaluates every tracked candidate.
 // Everything about the update that does not depend on a pattern — the
@@ -265,21 +282,23 @@ func (inc *Incremental) refreshTracked(tracked []*trackedPattern, muts []graph.M
 	for _, tp := range tracked {
 		maxRadius = max(maxRadius, tp.delta.Radius())
 	}
-	next := inc.freeze()
-	batch := core.NewBatch(inc.snap, next, muts, maxRadius)
-	err := forEach(len(tracked), inc.cfg.Parallelism, func(i int) error {
-		tp := tracked[i]
-		moved, err := tp.delta.Apply(batch)
+	if len(muts) > 0 {
+		next := inc.freeze()
+		batch := core.NewBatch(inc.snap, next, muts, maxRadius)
+		err := forEach(len(tracked), inc.cfg.Parallelism, func(i int) error {
+			tp := tracked[i]
+			moved, err := tp.delta.Apply(batch)
+			if err != nil {
+				return fmt.Errorf("miner: refreshing %s: %w", tp.p, err)
+			}
+			tp.stale = tp.stale || moved
+			return nil
+		})
 		if err != nil {
-			return fmt.Errorf("miner: refreshing %s: %w", tp.p, err)
+			return err
 		}
-		tp.stale = tp.stale || moved
-		return nil
-	})
-	if err != nil {
-		return err
+		inc.snap = next
 	}
-	inc.snap = next
 	return forEach(len(tracked), inc.cfg.Parallelism, func(i int) error {
 		if !tracked[i].stale {
 			return nil

@@ -2,6 +2,7 @@ package miner_test
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -221,6 +222,53 @@ func TestIncrementalSurvivesMeasureError(t *testing.T) {
 			t.Fatalf("Parallelism %d: Refresh after a failed one: %v", par, err)
 		}
 		requireSameMining(t, res, freshMine(t, g, miner.Config{MinSupport: 4, MaxPatternSize: 4}), "after a failed refresh")
+	}
+}
+
+// TestIncrementalFailureAnywhereIsMadeUp arms the measure to fail at every
+// third evaluation of one batch's Refresh in turn — among the tracked
+// patterns' re-evaluations and among the new candidates its climbs evaluate
+// (the batch makes ≈ 120) — and
+// then refreshes again with no new mutation. The failed Refresh has drained
+// its batch, so the second one alone must bring the session to what a cold
+// mine of the graph finds: the stale measures, the seeds of the batch's new
+// label pairs, and every extension the failed climb admitted but never
+// tracked.
+func TestIncrementalFailureAnywhereIsMadeUp(t *testing.T) {
+	failures := 0
+	for k := int32(1); ; k += 3 {
+		countdown := new(atomic.Int32)
+		cfg := miner.Config{MinSupport: 4, MaxPatternSize: 4, Measure: failingMNI{countdown: countdown}}
+		g := gen.BarabasiAlbert(90, 2, gen.UniformLabels{K: 3}, 7)
+		inc, err := miner.NewIncremental(g, cfg)
+		if err != nil {
+			t.Fatalf("NewIncremental: %v", err)
+		}
+		ids := g.SortedVertices()
+		g.MustAddVertex(1000, 3) // a new label: new seeds, and every frequent pattern grows again
+		g.MustAddEdge(1000, ids[5])
+		g.MustAddEdge(1000, ids[6])
+		for step := 0; step < 6; step++ {
+			if u, v := ids[step*3], ids[step*11+7]; u != v && !g.HasEdge(u, v) {
+				g.MustAddEdge(u, v)
+			}
+		}
+		countdown.Store(k)
+		_, err = inc.Refresh()
+		if err == nil {
+			inc.Close()
+			break // k passed the batch's last evaluation
+		}
+		failures++
+		res, err := inc.Refresh()
+		if err != nil {
+			t.Fatalf("failure at evaluation %d: the next Refresh: %v", k, err)
+		}
+		requireSameMining(t, res, freshMine(t, g, miner.Config{MinSupport: 4, MaxPatternSize: 4}), fmt.Sprintf("after a failure at evaluation %d", k))
+		inc.Close()
+	}
+	if failures < 10 {
+		t.Fatalf("the batch's Refresh evaluated the measure %d times; too few to fail inside its climbs", failures)
 	}
 }
 

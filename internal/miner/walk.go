@@ -95,6 +95,16 @@ func (w *walk) seed(pairs [][2]graph.Label) []candidate {
 	return wave
 }
 
+// readmit makes the session's tracked candidates exactly the admitted ones
+// again after a failed climb, whose waves may have admitted candidates they
+// never evaluated: growing their parents again admits them anew.
+func (w *walk) readmit(tracked map[string]*trackedPattern) {
+	clear(w.admitted)
+	for code := range tracked {
+		w.admitted[code] = true
+	}
+}
+
 // alphabetFor returns the labels p grows over. The size cap limits the
 // number of pattern nodes, so a pattern already at the cap grows over the
 // empty alphabet: its vertex steps are never taken, while its internal edge

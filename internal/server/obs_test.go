@@ -65,6 +65,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"repro_miner_candidates_total",      //
 		"repro_enum_shard_drains_total",     // enumeration drain sampling
 		"repro_graph_mutations_total",       // graph mutation layer
+		"repro_graph_shard_builds_total",    // graph freezes
 		"repro_session_open_seconds",        // sessions
 		"repro_delta_refreshes_total",       // delta maintenance
 		"repro_delta_pass_counted_total",    //
@@ -98,6 +99,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"repro_miner_duplicates_total",
 		"repro_miner_candidates_total",
 		"repro_graph_mutations_total",
+		"repro_graph_shard_builds_total",
 		"repro_server_http_requests_total",
 	} {
 		if obs.Default.CounterValue(name) == 0 {

@@ -9,7 +9,9 @@ import (
 )
 
 // DB is a durable mutable graph: a mutable graph.Graph bound to a store
-// directory, a write-ahead log, and the manifest-swap rewrite protocol.
+// directory, a write-ahead log, and the manifest-swap rewrite protocol. The
+// graph is the committed snapshot (as its base) plus an overlay of the
+// mutations since, never a second map-based copy of the data.
 // Mutations are applied to the graph and logged with Log — an fsynced WAL
 // append that makes them crash-durable before they are acknowledged — and
 // folded into the segment store with Commit, an incremental WriteUpdate
@@ -37,10 +39,13 @@ type DB struct {
 }
 
 // OpenDB opens (creating if needed) a durable graph at dir. An existing
-// store is loaded, its snapshot materialized back into a mutable graph, and
-// the write-ahead log tail — batches logged under the manifest's epoch but
-// never committed — replayed onto it; batches stamped with older epochs are
-// already part of the snapshot and are skipped. A fresh directory starts
+// store is loaded and its snapshot, copied off the mapped segments onto the
+// heap, becomes the base of the mutable graph (graph.FromSnapshot) — nothing
+// is rebuilt, and the first freeze at the store's shard size returns that
+// snapshot — and the write-ahead log tail — batches logged under the
+// manifest's epoch but never committed — is replayed onto it; batches
+// stamped with older epochs are already part of the snapshot and are
+// skipped. A fresh directory starts
 // empty at epoch zero. The shards argument fixes the freeze geometry of a
 // fresh database; an existing store keeps the shard size it was written
 // with, so carried segments stay carriable.
@@ -60,9 +65,10 @@ func OpenDB(dir string, shards int) (*DB, error) {
 		if err := st.Close(); err != nil {
 			return nil, err
 		}
-		// Freeze the pre-replay graph: its shards hold exactly the committed
-		// bytes, so the next Commit's freeze shares every shard the replayed
-		// tail leaves clean, and WriteUpdate carries those segments.
+		// The pre-replay graph's freeze is the restored snapshot itself (a
+		// cache hit): its shards hold exactly the committed bytes, so the
+		// next Commit's freeze shares every shard the replayed tail leaves
+		// clean, and WriteUpdate carries those segments.
 		db.prev = db.g.FreezeSharded(db.opts)
 	} else {
 		db.g = graph.New(filepath.Base(dir))
