@@ -201,25 +201,8 @@ func (g *Graph) rebase() {
 		return
 	}
 	g.base = next
-	g.labels, g.adjacency, g.edges = emptied(g.labels), emptied(g.adjacency), emptied(g.edges)
-	g.byLabel, g.goneVertices, g.goneEdges = emptied(g.byLabel), emptied(g.goneVertices), emptied(g.goneEdges)
-}
-
-// maxReusedOverlay is the most entries an overlay map may hold for a rebase
-// to clear it and keep it for the next batch rather than release it: a
-// graph frozen between batches then allocates no maps per batch, while a
-// bulk build's maps, as large as the graph, are released at its first
-// rebase.
-const maxReusedOverlay = 1024
-
-// emptied returns m cleared for reuse when it holds at most
-// maxReusedOverlay entries, nil otherwise.
-func emptied[K comparable, V any](m map[K]V) map[K]V {
-	if len(m) > maxReusedOverlay {
-		return nil
-	}
-	clear(m)
-	return m
+	g.labels, g.adjacency, g.edges, g.byLabel = nil, nil, nil, nil
+	g.goneVertices, g.goneEdges = nil, nil
 }
 
 // baseIndex returns v's dense index in the base when v is a base vertex the

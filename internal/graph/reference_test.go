@@ -516,35 +516,3 @@ func TestGraphMatchesReference(t *testing.T) {
 		})
 	}
 }
-
-// TestRebaseReleasesBulkMaps builds a graph whose vertex maps are small
-// enough for a rebase to clear and keep but whose edge set is not, and
-// mutates it after a freeze: the rebase must release the edge set, keep the
-// others empty, and leave a graph that still matches the reference.
-func TestRebaseReleasesBulkMaps(t *testing.T) {
-	g, r := New("bulk"), newRefGraph()
-	const n = maxReusedOverlay - 24
-	for v := VertexID(0); v < n; v++ {
-		g.MustAddVertex(v, Label(v%3))
-		r.addVertex(v, Label(v%3))
-	}
-	for v := VertexID(0); v < n; v++ {
-		for _, w := range []VertexID{(v + 1) % n, (v + 7) % n} {
-			if !g.HasEdge(v, w) {
-				g.MustAddEdge(v, w)
-				r.addEdge(v, w)
-			}
-		}
-	}
-	s := g.FreezeSharded(FreezeOptions{ShardSize: 64})
-	g.MustAddEdge(0, n/2)
-	r.addEdge(0, n/2)
-	if g.base != s || len(g.edges) != 1 || len(g.adjacency) != 2 || len(g.labels) != 0 {
-		t.Fatalf("after the rebase: base is the freeze %v, overlay of %d edges, %d rows, %d vertices",
-			g.base == s, len(g.edges), len(g.adjacency), len(g.labels))
-	}
-	g.MustAddVertex(n, 1)
-	r.addVertex(n, 1)
-	requireMatchesReference(t, "after the rebase", g, r)
-	requireSameShards(t, "refrozen", g.FreezeSharded(FreezeOptions{ShardSize: 64}).shards, refFreeze(r, 6))
-}

@@ -681,26 +681,6 @@ func (g *Graph) appendCurrentRow(col []int32, v VertexID, lookup func(VertexID) 
 	return col
 }
 
-// positionsIn maps every dense index of old to the index of the same vertex
-// in the sorted ID list ids, -1 for a vertex ids does not hold: one merge of
-// the two ascending ID sequences.
-func positionsIn(old *Snapshot, ids []VertexID) []int32 {
-	to := make([]int32, old.n)
-	y := 0
-	for x := range to {
-		v := old.ID(int32(x))
-		for y < len(ids) && ids[y] < v {
-			y++
-		}
-		to[x] = -1
-		if y < len(ids) && ids[y] == v {
-			to[x] = int32(y)
-			y++
-		}
-	}
-	return to
-}
-
 // rebuildSnapshot produces a fresh Snapshot for the entry's granularity,
 // rebuilding exactly the dirty shards and sharing every clean shard with the
 // previous snapshot. Shard geometry is fixed per granularity, so old shard k
@@ -713,10 +693,11 @@ func positionsIn(old *Snapshot, ids []VertexID) []int32 {
 // (entry.shifted): the shard's own vertex range is untouched — every insert
 // landed at or after its end — but its neighbor references may point past
 // the insert position, so they are moved through each old index's new
-// position — the base's when the entry's snapshot is the base, else one
-// merge of the two ID lists (positionsIn). Neighbor lists stay sorted under
-// the remap because inserts and removals preserve the relative order of
-// surviving indexes.
+// position: through the base's toNew when the entry's snapshot is the
+// base, as it is whenever the graph is frozen at one granularity, else by
+// resolving each old index's ID in the new list. Neighbor lists stay sorted
+// under the remap because inserts and removals preserve the relative order
+// of surviving indexes.
 func (g *Graph) rebuildSnapshot(e *snapEntry, shardShift uint) *Snapshot {
 	old := e.snap
 	s := newShellSnapshot(g, shardShift, g.NumVertices())
@@ -739,20 +720,17 @@ func (g *Graph) rebuildSnapshot(e *snapEntry, shardShift uint) *Snapshot {
 		return s
 	}
 	src := g.source()
-	var to []int32
-	if e.shifted {
-		to = src.toNew
-		if old != g.base {
-			to = positionsIn(old, src.ids)
-		}
-	}
 	for k := range s.shards {
 		if k < len(old.shards) && !e.shardDirty(k) {
 			reused := old.shards[k]
 			if e.shifted {
 				col := make([]int32, len(reused.colIdx))
 				for i, c := range reused.colIdx {
-					col[i] = to[c]
+					if old == g.base {
+						col[i] = src.toNew[c]
+					} else {
+						col[i] = src.indexOf(old.ID(c))
+					}
 				}
 				reused.colIdx = col
 			}
