@@ -28,10 +28,11 @@ type ShardBacking interface {
 }
 
 // ExternalShard describes one shard's CSR arrays for NewExternalSnapshot.
-// The slices follow exactly the layout of snapshots built by FreezeSharded
-// (see the shard type): they may live on the Go heap or alias externally
-// managed memory such as an mmapped file — the two kinds coexist freely
-// within one snapshot. The caller must not mutate any slice after handing it
+// The slices are a shard's CSR arrays with its columns as one array, as a
+// store segment holds them; the snapshot cuts that array into column blocks
+// without copying it (see the shard type). They may live on the Go heap or
+// alias externally managed memory such as an mmapped file — the two kinds
+// coexist freely within one snapshot. The caller must not mutate any slice after handing it
 // over.
 type ExternalShard struct {
 	// IDs maps shard-local offset to VertexID, sorted ascending; IDs of
@@ -64,7 +65,8 @@ type ExternalShard struct {
 // all ColIdx lengths). backing, when non-nil, receives the residency hints
 // described on ShardBacking.
 //
-// Only the shard geometry and array lengths are validated here; content
+// Only the shard geometry, array lengths and the row offsets at block
+// bounds (which the block table is cut at) are validated here; content
 // invariants (sorted IDs, sorted neighbor rows, ByLabel consistency) are
 // trusted, because callers like the store verify segment checksums instead
 // of re-deriving them.
@@ -100,6 +102,12 @@ func NewExternalSnapshot(name string, shardShift uint, numEdges int, shards []Ex
 		if ext.RowPtr[0] != 0 || int(ext.RowPtr[cnt]) != len(ext.ColIdx) {
 			return nil, fmt.Errorf("graph: external shard %d rowPtr spans [%d,%d], want [0,%d]", k, ext.RowPtr[0], ext.RowPtr[cnt], len(ext.ColIdx))
 		}
+		for j, prev := 1<<blockShift, int32(0); j < cnt; j += 1 << blockShift {
+			if at := ext.RowPtr[j]; at < prev || int(at) > len(ext.ColIdx) {
+				return nil, fmt.Errorf("graph: external shard %d rowPtr is %d at row %d, after %d", k, at, j, prev)
+			}
+			prev = ext.RowPtr[j]
+		}
 		byLabel := ext.ByLabel
 		if byLabel == nil {
 			byLabel = make(map[Label][]int32)
@@ -112,7 +120,7 @@ func NewExternalSnapshot(name string, shardShift uint, numEdges int, shards []Ex
 			ids:     ext.IDs,
 			labels:  ext.Labels,
 			rowPtr:  ext.RowPtr,
-			colIdx:  ext.ColIdx,
+			cols:    blockTable(ext.RowPtr, ext.ColIdx),
 			byLabel: byLabel,
 		}
 		n += cnt

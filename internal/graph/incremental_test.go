@@ -13,6 +13,11 @@ func sameInt32Backing(a, b []int32) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
+// sameCols reports whether two shards share their column block table.
+func sameCols(a, b shard) bool {
+	return len(a.cols) == len(b.cols) && (len(a.cols) == 0 || &a.cols[0] == &b.cols[0])
+}
+
 func sameIDBacking(a, b []VertexID) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
@@ -90,14 +95,14 @@ func TestIncrementalRefreezeEdgeOnly(t *testing.T) {
 	}
 	for _, k := range []int{0, 3} {
 		if !sameIDBacking(s1.shards[k].ids, s2.shards[k].ids) ||
-			!sameInt32Backing(s1.shards[k].colIdx, s2.shards[k].colIdx) ||
+			!sameCols(s1.shards[k], s2.shards[k]) ||
 			!sameInt32Backing(s1.shards[k].rowPtr, s2.shards[k].rowPtr) {
 			t.Errorf("clean shard %d was copied instead of reused by reference", k)
 		}
 	}
 	for _, k := range []int{1, 2} {
-		if sameInt32Backing(s1.shards[k].colIdx, s2.shards[k].colIdx) {
-			t.Errorf("dirty shard %d still shares its colIdx with the stale snapshot", k)
+		if sameCols(s1.shards[k], s2.shards[k]) {
+			t.Errorf("dirty shard %d still shares its column blocks with the stale snapshot", k)
 		}
 	}
 	assertSnapshotMatchesScratch(t, g, s2)
@@ -136,7 +141,7 @@ func TestIncrementalRefreezeAppend(t *testing.T) {
 			t.Fatalf("append rebuilt %d shards, want 1 (the partial last shard)", delta)
 		}
 		for k := 0; k < 2; k++ {
-			if !sameInt32Backing(s1.shards[k].colIdx, s2.shards[k].colIdx) {
+			if !sameCols(s1.shards[k], s2.shards[k]) {
 				t.Errorf("clean shard %d not reused by reference", k)
 			}
 		}
@@ -157,7 +162,7 @@ func TestIncrementalRefreezeAppend(t *testing.T) {
 			t.Fatalf("NumShards = %d, want 3", s2.NumShards())
 		}
 		for k := 0; k < 2; k++ {
-			if !sameInt32Backing(s1.shards[k].colIdx, s2.shards[k].colIdx) {
+			if !sameCols(s1.shards[k], s2.shards[k]) {
 				t.Errorf("clean shard %d not reused by reference", k)
 			}
 		}
@@ -195,14 +200,14 @@ func TestIncrementalRefreezeMidInsert(t *testing.T) {
 	if delta := g.shardBuilds.Load() - before; delta != 4 {
 		t.Fatalf("mid insert rebuilt %d shards, want 4", delta)
 	}
-	// Shard 0 keeps its ids/labels/rowPtr by reference; colIdx is remapped
-	// (it references shifted indexes) and therefore freshly allocated.
+	// Shard 0 keeps its ids/labels/rowPtr by reference; its columns are
+	// remapped (they reference shifted indexes) into fresh blocks.
 	if !sameIDBacking(s1.shards[0].ids, s2.shards[0].ids) ||
 		!sameInt32Backing(s1.shards[0].rowPtr, s2.shards[0].rowPtr) {
 		t.Error("clean prefix shard 0 did not share ids/rowPtr")
 	}
-	if sameInt32Backing(s1.shards[0].colIdx, s2.shards[0].colIdx) {
-		t.Error("prefix shard colIdx was reused without remapping despite shifted indexes")
+	if sameCols(s1.shards[0], s2.shards[0]) {
+		t.Error("prefix shard columns were reused without remapping despite shifted indexes")
 	}
 	assertSnapshotMatchesScratch(t, g, s2)
 	// Edges into the mutated region must now resolve via shifted indexes.
@@ -304,7 +309,7 @@ func TestSetNameKeepsSnapshots(t *testing.T) {
 		t.Errorf("old snapshot name %q changed", s1.Name())
 	}
 	for k := range s1.shards {
-		if !sameInt32Backing(s1.shards[k].colIdx, s2.shards[k].colIdx) {
+		if !sameCols(s1.shards[k], s2.shards[k]) {
 			t.Errorf("shard %d not shared across SetName", k)
 		}
 	}

@@ -116,7 +116,8 @@ func (r *refGraph) graph(name string) *Graph {
 }
 
 // refFreeze is the reference's CSR build at 1<<shift vertices per shard:
-// IDs sorted, an ID map, every row translated and sorted.
+// IDs sorted, an ID map, every row translated and sorted, and the columns
+// cut into blocks of 1<<blockShift rows.
 func refFreeze(r *refGraph, shift uint) []shard {
 	ids := r.sortedVertices()
 	indexOf := make(map[VertexID]int32, len(ids))
@@ -128,25 +129,30 @@ func refFreeze(r *refGraph, shift uint) []shard {
 	for lo := 0; lo < len(ids); lo += size {
 		hi := min(lo+size, len(ids))
 		sh := shard{lo: int32(lo), ids: slices.Clone(ids[lo:hi]), labels: make([]Label, hi-lo), rowPtr: make([]int32, hi-lo+1), byLabel: map[Label][]int32{}}
+		var col []int32
 		for i := lo; i < hi; i++ {
 			l := r.labels[ids[i]]
 			sh.labels[i-lo] = l
 			sh.byLabel[l] = append(sh.byLabel[l], int32(i))
-			start := len(sh.colIdx)
+			start := len(col)
 			for _, w := range r.adjacency[ids[i]] {
-				sh.colIdx = append(sh.colIdx, indexOf[w])
+				col = append(col, indexOf[w])
 			}
-			slices.Sort(sh.colIdx[start:])
-			sh.rowPtr[i-lo+1] = int32(len(sh.colIdx))
+			slices.Sort(col[start:])
+			sh.rowPtr[i-lo+1] = int32(len(col))
 		}
+		sh.cols = blockTable(sh.rowPtr, col)
 		out = append(out, sh)
 	}
 	return out
 }
 
 // requireMatchesReference compares every read accessor of g with the
-// reference's.
-func requireMatchesReference(t *testing.T, where string, g *Graph, r *refGraph) {
+// reference's. HasEdge is asked of every pair of IDs up to one past the
+// largest, unless wide: then, to keep a graph of hundreds of vertices cheap
+// to check after every op, only of each vertex's pairs with its reference
+// neighbours, the IDs next to those, and the IDs within two of its own.
+func requireMatchesReference(t *testing.T, where string, g *Graph, r *refGraph, wide bool) {
 	t.Helper()
 	if g.NumVertices() != len(r.labels) || g.NumEdges() != len(r.edges) {
 		t.Fatalf("%s: |V|, |E| = %d, %d, want %d, %d", where, g.NumVertices(), g.NumEdges(), len(r.labels), len(r.edges))
@@ -173,11 +179,25 @@ func requireMatchesReference(t *testing.T, where string, g *Graph, r *refGraph) 
 		if got, want := g.Neighbors(v), r.neighbors(v); !slices.Equal(got, want) || g.Degree(v) != len(want) {
 			t.Fatalf("%s: Neighbors(%d) = %v (degree %d), want %v", where, v, got, g.Degree(v), want)
 		}
-		for w := VertexID(0); w <= maxID+1; w++ {
+		checkPair := func(w VertexID) {
 			_, want := r.edges[Edge{U: v, V: w}.Normalize()]
 			if g.HasEdge(v, w) != want {
 				t.Fatalf("%s: HasEdge(%d, %d) = %v", where, v, w, !want)
 			}
+		}
+		if !wide {
+			for w := VertexID(0); w <= maxID+1; w++ {
+				checkPair(w)
+			}
+			continue
+		}
+		for w := v - 2; w <= v+2; w++ {
+			checkPair(w)
+		}
+		for _, w := range r.adjacency[v] {
+			checkPair(w - 1)
+			checkPair(w)
+			checkPair(w + 1)
 		}
 	}
 	hist := map[Label]int{}
@@ -270,11 +290,11 @@ func (m *shardModel) vertexRemoved(v VertexID) {
 
 // clean reports whether shard k of the next freeze may share its arrays
 // with the previous snapshot's. A shift remaps a clean shard's neighbour
-// references into a fresh array, unless it has none: then nothing changed
-// and SharesShard, which takes two empty arrays for one, says so.
+// references into fresh blocks, unless it has none: then nothing changed
+// and the shard keeps its block table.
 func (m *shardModel) clean(k int) bool {
 	return m.prev != nil && k < m.prev.NumShards() && !m.dirty[k] && (m.suffix < 0 || k < m.suffix) &&
-		(!m.shifted || len(m.prev.shards[k].colIdx) == 0)
+		(!m.shifted || m.prev.shards[k].numCols() == 0)
 }
 
 // externalCopy returns an external snapshot over fresh copies of s's arrays
@@ -288,7 +308,7 @@ func externalCopy(t *testing.T, s *Snapshot) (*Snapshot, func()) {
 		for l, idx := range sh.byLabel {
 			byLabel[l] = slices.Clone(idx)
 		}
-		ext[k] = ExternalShard{IDs: slices.Clone(sh.ids), Labels: slices.Clone(sh.labels), RowPtr: slices.Clone(sh.rowPtr), ColIdx: slices.Clone(sh.colIdx), ByLabel: byLabel}
+		ext[k] = ExternalShard{IDs: slices.Clone(sh.ids), Labels: slices.Clone(sh.labels), RowPtr: slices.Clone(sh.rowPtr), ColIdx: sh.appendCols(nil), ByLabel: byLabel}
 	}
 	snap, err := NewExternalSnapshot(s.Name(), s.shardShift, s.NumEdges(), ext, nil)
 	if err != nil {
@@ -330,7 +350,36 @@ func FuzzGraphMatchesReference(f *testing.F) {
 	f.Add([]byte{12, 7, 0, 4, 3, 4, 9, 8, 0, 1, 5, 3, 6, 9, 1, 8, 2, 7, 3, 4, 7, 9, 2, 8, 5, 2, 0, 7, 1})
 	f.Add([]byte{20, 8, 0, 8, 1, 3, 200, 4, 17, 1, 9, 9, 0, 8, 0, 5, 5, 8, 0, 3, 4, 8, 1, 6, 6, 6, 6, 9, 1, 3, 1, 7, 0})
 	f.Add([]byte{30, 7, 0, 9, 0, 7, 0, 0, 0, 2, 3, 7, 0, 3, 11, 7, 0, 1, 5, 1, 9, 7, 1, 4, 4, 5, 9, 7, 1, 3, 40, 8, 1})
+	for _, seed := range blockSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(checkGraphOps)
+}
+
+// blockSeeds are op sequences on the wide graphs (a first byte from 198 on)
+// that patch column blocks at their edges. Until a vertex is added or
+// removed, pick's byte is a vertex's dense index; 4 u v adds an edge, 3 v
+// removes a vertex, 7 freezes into 16-vertex shards and 8 into 128-vertex
+// shards of two blocks.
+func blockSeeds() [][]byte {
+	// 199 vertices: shard 0 is blocks [0, 64) and [64, 128), shard 1 the
+	// full block [128, 192) and the partial [192, 199). Edges join each
+	// block's first and last rows, then rows on either side of a block
+	// bound and of a shard bound.
+	edges := []byte{243, 8, 4, 0, 63, 4, 64, 127, 8, 4, 128, 191, 4, 192, 198, 8,
+		4, 63, 64, 4, 127, 128, 8, 7, 4, 0, 198, 7, 8}
+	// 100 vertices: one 128-vertex shard whose second block is partial, and
+	// seven 16-vertex shards, the last of four; a mid-range removal in
+	// between shifts every later index.
+	partial := []byte{210, 8, 7, 4, 99, 64, 4, 98, 2, 8, 7, 3, 50, 8, 7, 4, 0, 98, 8, 7}
+	// 70 vertices: index 66 in the partial second block becomes a hub, three
+	// edges a batch, until its row holds more columns than its whole block
+	// did; the same block is patched in every batch.
+	hub := []byte{200, 8}
+	for k := byte(0); k < 12; k++ {
+		hub = append(hub, 4, 66, 10+3*k, 4, 66, 11+3*k, 4, 66, 12+3*k, 7+k%2)
+	}
+	return [][]byte{edges, partial, hub}
 }
 
 // checkGraphOps is FuzzGraphMatchesReference's body.
@@ -346,7 +395,17 @@ func checkGraphOps(t *testing.T, data []byte) {
 		data = data[1:]
 		return int(b)
 	}
-	n0 := next() % 33
+	// The first byte picks the starting graph's size and the two freeze
+	// granularities: up to 32 vertices frozen into 4- and 16-vertex shards,
+	// or, from 198 on, 64 to 235 vertices frozen into 16-vertex shards,
+	// smaller than one column block, and 128-vertex shards of two blocks, the
+	// last maybe partial.
+	n0, grans, wide := next(), []FreezeOptions{{ShardSize: 4}, {ShardSize: 16}}, false
+	if n0 < 198 {
+		n0 %= 33
+	} else {
+		n0, grans, wide = 64+3*(n0-198), []FreezeOptions{{ShardSize: 16}, {ShardSize: 128}}, true
+	}
 	g, r := New("fuzz"), newRefGraph()
 	for i := 0; i < n0; i++ {
 		v := VertexID(2*i + 1) // gaps below, between and above for later inserts
@@ -360,7 +419,6 @@ func checkGraphOps(t *testing.T, data []byte) {
 			}
 		}
 	}
-	grans := []FreezeOptions{{ShardSize: 4}, {ShardSize: 16}}
 	models := make([]shardModel, len(grans))
 	for k := range models {
 		models[k].reset(nil)
@@ -497,7 +555,7 @@ func checkGraphOps(t *testing.T, data []byte) {
 			t.Logf("%s: V=%v E=%v base=%p", where, r.sortedVertices(), r.edgeList(), g.base)
 		}
 		lastWasFreeze = code >= 7
-		requireMatchesReference(t, where, g, r)
+		requireMatchesReference(t, where, g, r, wide)
 	}
 }
 

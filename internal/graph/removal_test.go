@@ -120,7 +120,7 @@ func TestIncrementalRefreezeEdgeRemoval(t *testing.T) {
 	}
 	for _, k := range []int{0, 2, 3} {
 		if !sameIDBacking(s1.shards[k].ids, s2.shards[k].ids) ||
-			!sameInt32Backing(s1.shards[k].colIdx, s2.shards[k].colIdx) {
+			!sameCols(s1.shards[k], s2.shards[k]) {
 			t.Errorf("clean shard %d was copied instead of reused by reference", k)
 		}
 	}
@@ -132,7 +132,7 @@ func TestIncrementalRefreezeEdgeRemoval(t *testing.T) {
 
 // TestIncrementalRefreezeVertexRemoval covers both removal positions: the
 // remove-at-max-ID fast path (no shift, clean prefix reused by reference) and
-// a mid-range removal (shift forces the clean-shard colIdx remap).
+// a mid-range removal (shift forces the clean-shard column remap).
 func TestIncrementalRefreezeVertexRemoval(t *testing.T) {
 	t.Run("tail", func(t *testing.T) {
 		g := buildDenseGraph(64)
@@ -143,7 +143,7 @@ func TestIncrementalRefreezeVertexRemoval(t *testing.T) {
 		s2 := g.FreezeSharded(opts)
 		for _, k := range []int{0, 1} {
 			if !sameIDBacking(s1.shards[k].ids, s2.shards[k].ids) ||
-				!sameInt32Backing(s1.shards[k].colIdx, s2.shards[k].colIdx) {
+				!sameCols(s1.shards[k], s2.shards[k]) {
 				t.Errorf("clean shard %d was copied instead of reused by reference", k)
 			}
 		}
@@ -264,25 +264,68 @@ func TestFromSnapshotRestoresSparseGraph(t *testing.T) {
 	}
 }
 
+// TestSharesShard holds SharesShard to the block layout on 128-vertex
+// shards of two column blocks each: a patched shard never shares with its
+// parent, though it keeps its clean block's columns by reference; a clean
+// shard whose columns a mid-range insert or removal remapped keeps its
+// rowPtr but not its blocks, and does not share, or the store would carry
+// its stale segment; an untouched shard shares.
 func TestSharesShard(t *testing.T) {
-	g := buildDenseGraph(64)
-	opts := FreezeOptions{ShardSize: 16}
-	s1 := g.FreezeSharded(opts)
-	g.MustAddEdge(2, 17) // dirties shards 0 and 1
-	s2 := g.FreezeSharded(opts)
-	for k := 0; k < 2; k++ {
-		if s2.SharesShard(s1, k) {
-			t.Errorf("dirty shard %d reported as shared", k)
+	opts := FreezeOptions{ShardSize: 128}
+	t.Run("patched", func(t *testing.T) {
+		g := buildDenseGraph(512)
+		s1 := g.FreezeSharded(opts)
+		g.MustAddEdge(2, 130) // rows 2 and 130: block 0 of shards 0 and 1
+		s2 := g.FreezeSharded(opts)
+		for k := 0; k < 2; k++ {
+			a, b := s2.shards[k], s1.shards[k]
+			if s2.SharesShard(s1, k) || sameInt32Backing(a.rowPtr, b.rowPtr) || sameCols(a, b) {
+				t.Errorf("patched shard %d shares its rowPtr or block table with its parent", k)
+			}
+			if sameInt32Backing(a.cols[0].col, b.cols[0].col) || !sameInt32Backing(a.cols[1].col, b.cols[1].col) {
+				t.Errorf("patched shard %d copied its clean block or kept its stale one", k)
+			}
 		}
-	}
-	for k := 2; k < 4; k++ {
-		if !s2.SharesShard(s1, k) {
-			t.Errorf("clean shard %d reported as changed", k)
+		for k := 2; k < 4; k++ {
+			if !s2.SharesShard(s1, k) {
+				t.Errorf("untouched shard %d reported as changed", k)
+			}
 		}
+		if s2.SharesShard(nil, 0) || s2.SharesShard(s1, 99) {
+			t.Error("SharesShard accepted an out-of-range comparison")
+		}
+		assertSnapshotMatchesScratch(t, g, s2)
+	})
+	remapped := func(t *testing.T, g *Graph, s1 *Snapshot) {
+		t.Helper()
+		s2 := g.FreezeSharded(opts)
+		for k := 0; k < 2; k++ {
+			a, b := s2.shards[k], s1.shards[k]
+			if s2.SharesShard(s1, k) || !sameInt32Backing(a.rowPtr, b.rowPtr) || sameCols(a, b) {
+				t.Errorf("remapped shard %d: shared %v, same rowPtr %v, same blocks %v; want false, true, false",
+					k, s2.SharesShard(s1, k), sameInt32Backing(a.rowPtr, b.rowPtr), sameCols(a, b))
+			}
+		}
+		assertSnapshotMatchesScratch(t, g, s2)
 	}
-	if s2.SharesShard(nil, 0) || s2.SharesShard(s1, 99) {
-		t.Error("SharesShard accepted an out-of-range comparison")
-	}
+	t.Run("remapped-by-removal", func(t *testing.T) {
+		g := buildDenseGraph(512) // chords tie shards 0 and 1 to 2 and 3
+		s1 := g.FreezeSharded(opts)
+		g.MustRemoveVertex(300) // shard 2; its edges stay there
+		remapped(t, g, s1)
+	})
+	t.Run("remapped-by-insert", func(t *testing.T) {
+		g := New("gaps")
+		for v := 0; v < 512; v++ {
+			g.MustAddVertex(VertexID(2*v), Label(v%3))
+		}
+		for v := 0; v < 256; v++ {
+			g.MustAddEdge(VertexID(2*v), VertexID(2*v+512))
+		}
+		s1 := g.FreezeSharded(opts)
+		g.MustAddVertex(601, 1) // dense position 301, in shard 2
+		remapped(t, g, s1)
+	})
 }
 
 // TestApplyReplaysMutationStream checks that replaying a drained feed onto a

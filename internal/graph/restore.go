@@ -26,8 +26,8 @@ func FromSnapshot(snap *Snapshot) *Graph {
 	return g
 }
 
-// heapCopy returns a snapshot with the contents of s in fresh heap arrays
-// and no backing.
+// heapCopy returns a snapshot with the contents of s in fresh heap arrays,
+// each shard's columns laid out as one, and no backing.
 func (s *Snapshot) heapCopy() *Snapshot {
 	c := &Snapshot{name: s.name, n: s.n, numEdges: s.numEdges, shardShift: s.shardShift, shards: make([]shard, len(s.shards))}
 	for k := range s.shards {
@@ -36,8 +36,9 @@ func (s *Snapshot) heapCopy() *Snapshot {
 		for l, idx := range sh.byLabel {
 			byLabel[l] = slices.Clone(idx)
 		}
+		rowPtr := slices.Clone(sh.rowPtr)
 		c.shards[k] = shard{lo: sh.lo, ids: slices.Clone(sh.ids), labels: slices.Clone(sh.labels),
-			rowPtr: slices.Clone(sh.rowPtr), colIdx: slices.Clone(sh.colIdx), byLabel: byLabel}
+			rowPtr: rowPtr, cols: blockTable(rowPtr, sh.appendCols(make([]int32, 0, sh.numCols()))), byLabel: byLabel}
 	}
 	return c
 }
@@ -46,9 +47,12 @@ func (s *Snapshot) heapCopy() *Snapshot {
 // as shard k of prev — the identity the incremental refreeze establishes for
 // clean shards, which the store's incremental rewrite uses to skip segments
 // whose bytes cannot have changed. Array identity (not content equality) is
-// the test: a rebuilt shard always allocates fresh arrays, and a clean shard
-// whose colIdx was remapped after a shifting insert or removal got a fresh
-// column array precisely because its contents changed.
+// the test, over ids, labels, rowPtr and the column block table: a patched
+// or rebuilt shard always allocates a fresh rowPtr and table, and a clean
+// shard whose columns were remapped after a shifting insert or removal keeps
+// its rowPtr but got a fresh table precisely because its contents changed.
+// A patched shard shares most of its column blocks with its parent; the
+// table, not the blocks, is what tells it apart.
 func (s *Snapshot) SharesShard(prev *Snapshot, k int) bool {
 	if prev == nil || k >= len(s.shards) || k >= len(prev.shards) {
 		return false
@@ -58,7 +62,7 @@ func (s *Snapshot) SharesShard(prev *Snapshot, k int) bool {
 		sameBacking(len(a.ids), len(b.ids), func() bool { return &a.ids[0] == &b.ids[0] }) &&
 		sameBacking(len(a.labels), len(b.labels), func() bool { return &a.labels[0] == &b.labels[0] }) &&
 		sameBacking(len(a.rowPtr), len(b.rowPtr), func() bool { return &a.rowPtr[0] == &b.rowPtr[0] }) &&
-		sameBacking(len(a.colIdx), len(b.colIdx), func() bool { return &a.colIdx[0] == &b.colIdx[0] })
+		sameBacking(len(a.cols), len(b.cols), func() bool { return &a.cols[0] == &b.cols[0] })
 }
 
 // sameBacking reports whether two slices of equal length share their first

@@ -12,8 +12,9 @@ import (
 func copyShards(s *Snapshot) []shard {
 	out := make([]shard, len(s.shards))
 	for k, sh := range s.shards {
+		rowPtr := slices.Clone(sh.rowPtr)
 		out[k] = shard{lo: sh.lo, ids: slices.Clone(sh.ids), labels: slices.Clone(sh.labels),
-			rowPtr: slices.Clone(sh.rowPtr), colIdx: slices.Clone(sh.colIdx), byLabel: make(map[Label][]int32)}
+			rowPtr: rowPtr, cols: blockTable(rowPtr, sh.appendCols(nil)), byLabel: make(map[Label][]int32)}
 		for l, idxs := range sh.byLabel {
 			out[k].byLabel[l] = slices.Clone(idxs)
 		}
@@ -21,7 +22,10 @@ func copyShards(s *Snapshot) []shard {
 	return out
 }
 
-// requireSameShards compares two shard lists element for element.
+// requireSameShards compares two shard lists element for element: every
+// array, the shard's columns row by row, and its block table block by block
+// — each block's base and columns, which a patched block must size exactly
+// as a whole-shard build cuts it.
 func requireSameShards(t *testing.T, where string, got, want []shard) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -29,10 +33,20 @@ func requireSameShards(t *testing.T, where string, got, want []shard) {
 	}
 	for k := range want {
 		g, w := got[k], want[k]
+		gc, wc := g.appendCols(nil), w.appendCols(nil)
 		if g.lo != w.lo || !slices.Equal(g.ids, w.ids) || !slices.Equal(g.labels, w.labels) ||
-			!slices.Equal(g.rowPtr, w.rowPtr) || !slices.Equal(g.colIdx, w.colIdx) || !reflect.DeepEqual(g.byLabel, w.byLabel) {
-			t.Fatalf("%s: shard %d differs:\n got  lo=%d ids=%v labels=%v rowPtr=%v colIdx=%v byLabel=%v\n want lo=%d ids=%v labels=%v rowPtr=%v colIdx=%v byLabel=%v",
-				where, k, g.lo, g.ids, g.labels, g.rowPtr, g.colIdx, g.byLabel, w.lo, w.ids, w.labels, w.rowPtr, w.colIdx, w.byLabel)
+			!slices.Equal(g.rowPtr, w.rowPtr) || !slices.Equal(gc, wc) || !reflect.DeepEqual(g.byLabel, w.byLabel) {
+			t.Fatalf("%s: shard %d differs:\n got  lo=%d ids=%v labels=%v rowPtr=%v cols=%v byLabel=%v\n want lo=%d ids=%v labels=%v rowPtr=%v cols=%v byLabel=%v",
+				where, k, g.lo, g.ids, g.labels, g.rowPtr, gc, g.byLabel, w.lo, w.ids, w.labels, w.rowPtr, wc, w.byLabel)
+		}
+		if len(g.cols) != len(w.cols) {
+			t.Fatalf("%s: shard %d has %d column blocks, want %d", where, k, len(g.cols), len(w.cols))
+		}
+		for b := range w.cols {
+			if g.cols[b].base != w.cols[b].base || !slices.Equal(g.cols[b].col, w.cols[b].col) {
+				t.Fatalf("%s: shard %d block %d is base %d cols %v, want base %d cols %v",
+					where, k, b, g.cols[b].base, g.cols[b].col, w.cols[b].base, w.cols[b].col)
+			}
 		}
 	}
 }
@@ -44,7 +58,7 @@ func requireSameShards(t *testing.T, where string, got, want []shard) {
 // removed again, two edges at one vertex — and batches larger than the
 // stale-row cut-off, which fall back to building whole shards. After every
 // refreeze the snapshot must equal a from-scratch build element for element
-// (ids, labels, rowPtr, colIdx and label partitions of every shard),
+// (ids, labels, rowPtr, column blocks and label partitions of every shard),
 // SharesShard must be false for exactly the shards that own an endpoint of
 // the batch, and the snapshot before the batch must read as it did.
 func TestRowLevelRefreezeMatrix(t *testing.T) {

@@ -26,7 +26,10 @@ import (
 //
 // Sharding also bounds the cost of mutation: the Graph tracks which shards a
 // mutation dirties and a later Freeze rebuilds only those, sharing the clean
-// shards' arrays with the previous snapshot (see FreezeSharded).
+// shards' arrays with the previous snapshot (see FreezeSharded). Within a
+// shard the columns are cut into 64-row blocks (see shard), so an edge-only
+// refreeze of a dirty shard copies the blocks its stale rows lie in and
+// shares the rest.
 //
 // Dense indexes are assigned in increasing VertexID order, so index order and
 // ID order coincide and every per-row neighbor list is sorted. Obtain a
@@ -54,7 +57,7 @@ type Snapshot struct {
 }
 
 // shard is one contiguous dense-index range of a Snapshot with its own CSR
-// arrays. All slices are allocated per shard; colIdx entries are global dense
+// arrays. All slices are allocated per shard; column entries are global dense
 // indexes (they may point into other shards).
 type shard struct {
 	lo int32 // first global dense index of this shard
@@ -63,14 +66,60 @@ type shard struct {
 	ids []VertexID
 	// labels[j] is the label of ids[j].
 	labels []Label
-	// rowPtr/colIdx are the shard-local CSR adjacency: the neighbors of
-	// global index i in this shard are colIdx[rowPtr[i-lo]:rowPtr[i-lo+1]],
-	// each a global dense index, sorted ascending.
+	// rowPtr/cols are the shard-local CSR adjacency. rowPtr is flat: local
+	// row j's columns are the shard's [rowPtr[j], rowPtr[j+1]), so a degree
+	// is two loads. The columns themselves are cut into blocks of
+	// 1<<blockShift rows, cols[j>>blockShift] holding local row j's (see
+	// colBlock); each entry is a global dense index, every row sorted
+	// ascending. A refreeze that patches a few rows gives the shard a fresh
+	// rowPtr and block table but new columns only for the blocks holding
+	// those rows: every other block is shared with the previous snapshot.
 	rowPtr []int32
-	colIdx []int32
+	cols   []colBlock
 	// byLabel partitions this shard's global dense indexes by label, each
 	// slice sorted ascending.
 	byLabel map[Label][]int32
+}
+
+// blockShift is the log2 of the rows per column block. A patched block is
+// copied whole, so the block bounds what a stale row costs beyond its own
+// columns; the table, one entry per block, is what every patch allocates
+// besides rowPtr.
+const blockShift = 6
+
+// colBlock is one block of a shard's column array: the columns of its rows,
+// in row order, and base, the shard's rowPtr at its first row, so that local
+// row j's neighbours are col[rowPtr[j]-base : rowPtr[j+1]-base]. A block's
+// col is never written once its snapshot is published; blocks built
+// together (a whole-shard build, a remap, a restored segment) are windows of
+// one array.
+type colBlock struct {
+	base int32
+	col  []int32
+}
+
+// blockTable cuts the columns of a shard with the given row pointers, laid
+// out as one array, into its block table.
+func blockTable(rowPtr, col []int32) []colBlock {
+	n := len(rowPtr) - 1
+	cols := make([]colBlock, (n+1<<blockShift-1)>>blockShift) // ⌈n / 64⌉
+	for b := range cols {
+		lo, hi := rowPtr[b<<blockShift], rowPtr[min((b+1)<<blockShift, n)]
+		cols[b] = colBlock{base: lo, col: col[lo:hi:hi]}
+	}
+	return cols
+}
+
+// numCols returns the number of column entries of the shard, the sum of its
+// rows' degrees.
+func (sh *shard) numCols() int { return int(sh.rowPtr[len(sh.rowPtr)-1]) }
+
+// appendCols appends the shard's columns, row by row, to dst.
+func (sh *shard) appendCols(dst []int32) []int32 {
+	for _, b := range sh.cols {
+		dst = append(dst, b.col...)
+	}
+	return dst
 }
 
 // DefaultShardSize is the auto-mode shard granularity: graphs with at most
@@ -141,7 +190,7 @@ type snapEntry struct {
 	// shifted records that at least one vertex insert landed strictly before
 	// the snapshot's end, i.e. pre-existing dense indexes moved. Clean
 	// shards' own ranges are unaffected (all inserts land at or after their
-	// end, by construction of suffixFrom), but their colIdx arrays hold
+	// end, by construction of suffixFrom), but their columns hold
 	// global references that may point into the shifted region and must be
 	// remapped on refreeze. Pure appends never set this, which is what makes
 	// append-at-max-ID the cheap path.
@@ -218,13 +267,14 @@ func (e *snapEntry) markEndpoint(v VertexID) {
 // maxStaleRows is the number of stale-row marks an entry keeps before it
 // gives up tracking rows: an eighth of the snapshot's vertices. The cut is on
 // the safe side of the measured break-even: with that many marks spread over
-// a random degree-6 graph a patched refreeze took 0.21 ms against 0.49 ms for
-// the whole-shard build on one 2 000-vertex shard and 18 against 72 ms on 16
-// shards of 4 096, and patching stayed ahead until about n/2 marks (0.81
-// against 0.65, 65 against 74 ms). What the cut bounds is the other side: a
-// tracked mark costs two IndexOf searches (≈ 0.3 µs per AddEdge) and four
-// bytes, which a bulk load against a warm cache pays for n/16 edges and then
-// no more.
+// a random degree-6 graph — one in eight rows, so nearly every column block
+// holds one and is copied — a patched refreeze took 0.14 ms against 0.26 ms
+// for the whole-shard build on one 2 000-vertex shard and 9.5 against 14.7 ms
+// on 16 shards of 4 096, and patching stayed ahead up to n/2 marks (0.58
+// against 0.61, 36.5 against 38.4 ms; best of seven on a 2-core x86-64 box).
+// What the cut bounds is the other side: a tracked mark costs two IndexOf
+// searches (≈ 0.3 µs per AddEdge) and four bytes, which a bulk load against a
+// warm cache pays for n/16 edges and then no more.
 func (e *snapEntry) maxStaleRows() int { return e.snap.n / 8 }
 
 // rowLevel reports whether the entry's staleness is still described row by
@@ -330,10 +380,12 @@ const maxCachedSnapshots = 4
 // Mutations do not discard cached snapshots: each mutation marks the shards
 // it touches dirty (see AddEdge, AddVertex) and the next freeze of that
 // granularity rebuilds only those, sharing every clean shard's
-// ids/labels/rowPtr/colIdx/byLabel arrays with the previous snapshot; the
-// rows a mutation made stale come from the graph's overlay and every other
-// row from its base (rebuildSnapshot). Snapshots stay immutable throughout —
-// readers holding a pre-mutation snapshot keep reading pre-mutation data.
+// ids/labels/rowPtr/byLabel arrays and column blocks with the previous
+// snapshot; the rows a mutation made stale come from the graph's overlay and
+// every other row from its base (rebuildSnapshot), and a dirty shard keeps
+// every column block none of them lies in (patchShard). Snapshots stay
+// immutable throughout — readers holding a pre-mutation snapshot keep
+// reading pre-mutation data.
 // The snapshot a freeze installs is also what the graph's next mutation
 // rebases onto; a freeze itself never rewrites the graph, because it runs
 // beside other freezes.
@@ -455,7 +507,7 @@ func (g *Graph) noteEdgeTouched(u, v VertexID) {
 // noteVertexRemoved records a successful RemoveVertex(v) against every cached
 // snapshot: the shards from v's dense position onward are stale because every
 // surviving index after it shifts down by one. Clean shards before that
-// position can still hold colIdx references into the shifted region, which is
+// position can still hold column references into the shifted region, which is
 // why a mid-range removal sets shifted (forcing the clean-shard remap on
 // refreeze) exactly like a mid-range insert. A clean shard can never
 // reference the removed vertex itself: any shard with an edge to v was
@@ -611,6 +663,7 @@ func sortedKeys[T any](m map[VertexID]T) []VertexID {
 // buildShard fills shard k of the snapshot under construction: a vertex
 // with an overlay row has it translated through src.indexOf and sorted, a
 // base vertex without one has its base row carried over through src.toNew.
+// The columns are laid out as one array and cut into blocks at the end.
 func (g *Graph) buildShard(s *Snapshot, k int, src *freezeSource) {
 	shardSize := 1 << s.shardShift
 	lo := k * shardSize
@@ -620,8 +673,8 @@ func (g *Graph) buildShard(s *Snapshot, k int, src *freezeSource) {
 	sh.ids = slices.Clone(src.ids[lo:hi])
 	sh.labels = make([]Label, hi-lo)
 	sh.rowPtr = make([]int32, hi-lo+1)
-	sh.colIdx = nil
 	sh.byLabel = make(map[Label][]int32)
+	var col []int32
 	for i := lo; i < hi; i++ {
 		v := src.ids[i]
 		b := int32(-1)
@@ -637,14 +690,15 @@ func (g *Graph) buildShard(s *Snapshot, k int, src *freezeSource) {
 		sh.labels[i-lo] = l
 		sh.byLabel[l] = append(sh.byLabel[l], int32(i))
 		if row, ok := g.adjacency[v]; ok || b < 0 {
-			sh.colIdx = appendRow(sh.colIdx, row, src.indexOf)
+			col = appendRow(col, row, src.indexOf)
 		} else {
 			for _, c := range g.base.NeighborsAt(b) {
-				sh.colIdx = append(sh.colIdx, src.toNew[c])
+				col = append(col, src.toNew[c])
 			}
 		}
-		sh.rowPtr[i-lo+1] = int32(len(sh.colIdx))
+		sh.rowPtr[i-lo+1] = int32(len(col))
 	}
+	sh.cols = blockTable(sh.rowPtr, col)
 	g.countShardBuild()
 }
 
@@ -688,16 +742,17 @@ func (g *Graph) appendCurrentRow(col []int32, v VertexID, lookup func(VertexID) 
 // rows mutations made stale from the overlay and every other row from the
 // base (buildShard, patchShard).
 //
-// Clean shards are reused by reference. The one exception is their colIdx
-// array when a mid-range vertex insert or removal shifted global indexes
+// Clean shards are reused by reference. The one exception is their columns
+// when a mid-range vertex insert or removal shifted global indexes
 // (entry.shifted): the shard's own vertex range is untouched — every insert
 // landed at or after its end — but its neighbor references may point past
 // the insert position, so they are moved through each old index's new
-// position: through the base's toNew when the entry's snapshot is the
+// position into one fresh array and a fresh block table, the shard keeping
+// its rowPtr: through the base's toNew when the entry's snapshot is the
 // base, as it is whenever the graph is frozen at one granularity, else by
 // resolving each old index's ID in the new list. Neighbor lists stay sorted
 // under the remap because inserts and removals preserve the relative order
-// of surviving indexes.
+// of surviving indexes. A shard without a column has nothing to remap.
 func (g *Graph) rebuildSnapshot(e *snapEntry, shardShift uint) *Snapshot {
 	old := e.snap
 	s := newShellSnapshot(g, shardShift, g.NumVertices())
@@ -723,16 +778,18 @@ func (g *Graph) rebuildSnapshot(e *snapEntry, shardShift uint) *Snapshot {
 	for k := range s.shards {
 		if k < len(old.shards) && !e.shardDirty(k) {
 			reused := old.shards[k]
-			if e.shifted {
-				col := make([]int32, len(reused.colIdx))
-				for i, c := range reused.colIdx {
-					if old == g.base {
-						col[i] = src.toNew[c]
-					} else {
-						col[i] = src.indexOf(old.ID(c))
+			if e.shifted && reused.numCols() > 0 {
+				col := make([]int32, 0, reused.numCols())
+				for _, b := range reused.cols {
+					for _, c := range b.col {
+						if old == g.base {
+							col = append(col, src.toNew[c])
+						} else {
+							col = append(col, src.indexOf(old.ID(c)))
+						}
 					}
 				}
-				reused.colIdx = col
+				reused.cols = blockTable(reused.rowPtr, col)
 			}
 			s.shards[k] = reused
 			continue
@@ -746,49 +803,74 @@ func (g *Graph) rebuildSnapshot(e *snapEntry, shardShift uint) *Snapshot {
 // brought up to date; stale is the snapshot's sorted list of them, of which
 // the shard's are one run. The new shard shares ids, labels and byLabel with
 // the old one by reference — an edge changes none of them — and gets a fresh
-// rowPtr and colIdx, fresh even where their contents repeat the old ones,
-// because array identity is how SharesShard, and through it the store's
-// incremental rewrite, tells a shard whose bytes changed from one whose bytes
-// did not. Clean rows are copied from the old colIdx a run at a time; only
-// the stale rows are re-derived, from the overlay rows the edge mutations
-// left (appendCurrentRow), whose vertices all exist in old. A four-edge
-// update therefore costs its eight rows and two shard-sized copies, not the
-// sort of every row of two shards.
+// rowPtr and a fresh block table, fresh even where their contents repeat the
+// old ones, because array identity is how SharesShard, and through it the
+// store's incremental rewrite, tells a shard whose bytes changed from one
+// whose bytes did not. A block without a stale row keeps its columns by
+// reference, only its base moved by how far the blocks before it grew or
+// shrank; a block with one gets a new column array, sized for its rows'
+// current degrees, into which its clean rows are copied a run at a time and
+// its stale rows re-derived from the overlay rows the edge mutations left
+// (appendCurrentRow), whose vertices all exist in old. A four-edge update
+// therefore costs its eight rows, the blocks around them, and one rowPtr and
+// block table per dirty shard, not the sort of every row of two shards nor a
+// copy of their columns.
 func (g *Graph) patchShard(old *Snapshot, osh *shard, stale []int32) shard {
 	from, _ := slices.BinarySearch(stale, osh.lo)
 	to, _ := slices.BinarySearch(stale, osh.lo+int32(len(osh.ids)))
 	stale = stale[from:to]
-	size := len(osh.colIdx)
-	for _, i := range stale {
-		j := i - osh.lo
-		size += g.Degree(osh.ids[j]) - int(osh.rowPtr[j+1]-osh.rowPtr[j])
-	}
-	rowPtr, colIdx := make([]int32, len(osh.rowPtr)), make([]int32, 0, size)
-	// copyClean carries local rows [a, b) over: their columns in one copy,
-	// their row pointers moved by how far the rebuilt rows before them have
-	// shifted the columns.
-	copyClean := func(a, b int32) {
-		shift := int32(len(colIdx)) - osh.rowPtr[a]
-		colIdx = append(colIdx, osh.colIdx[osh.rowPtr[a]:osh.rowPtr[b]]...)
-		for j := a + 1; j <= b; j++ {
-			rowPtr[j] = osh.rowPtr[j] + shift
-		}
-	}
+	n := int32(len(osh.ids))
+	rowPtr, cols := make([]int32, n+1), make([]colBlock, len(osh.cols))
 	lookup := func(v VertexID) int32 {
 		i, _ := old.IndexOf(v)
 		return i
 	}
-	next := int32(0) // first local row not yet written
-	for _, i := range stale {
-		j := i - osh.lo
-		copyClean(next, j)
-		colIdx = g.appendCurrentRow(colIdx, osh.ids[j], lookup)
-		rowPtr[j+1] = int32(len(colIdx))
-		next = j + 1
+	for b := range cols {
+		ob := &osh.cols[b]
+		lo, hi := int32(b)<<blockShift, min(int32(b+1)<<blockShift, n)
+		base := rowPtr[lo]
+		// The block's stale rows are stale[:run].
+		run := 0
+		for run < len(stale) && stale[run]-osh.lo < hi {
+			run++
+		}
+		if run == 0 {
+			for j := lo + 1; j <= hi; j++ {
+				rowPtr[j] = osh.rowPtr[j] - ob.base + base
+			}
+			cols[b] = colBlock{base: base, col: ob.col}
+			continue
+		}
+		size := len(ob.col)
+		for _, i := range stale[:run] {
+			j := i - osh.lo
+			size += g.Degree(osh.ids[j]) - int(osh.rowPtr[j+1]-osh.rowPtr[j])
+		}
+		col := make([]int32, 0, size)
+		// copyClean carries local rows [a, c) over: their columns in one
+		// copy, their row pointers moved by how far the rebuilt rows before
+		// them have shifted the columns.
+		copyClean := func(a, c int32) {
+			shift := base + int32(len(col)) - osh.rowPtr[a]
+			col = append(col, ob.col[osh.rowPtr[a]-ob.base:osh.rowPtr[c]-ob.base]...)
+			for j := a + 1; j <= c; j++ {
+				rowPtr[j] = osh.rowPtr[j] + shift
+			}
+		}
+		next := lo // first local row of the block not yet written
+		for _, i := range stale[:run] {
+			j := i - osh.lo
+			copyClean(next, j)
+			col = g.appendCurrentRow(col, osh.ids[j], lookup)
+			rowPtr[j+1] = base + int32(len(col))
+			next = j + 1
+		}
+		copyClean(next, hi)
+		cols[b] = colBlock{base: base, col: col}
+		stale = stale[run:]
 	}
-	copyClean(next, int32(len(osh.ids)))
 	g.countShardBuild()
-	return shard{lo: osh.lo, ids: osh.ids, labels: osh.labels, byLabel: osh.byLabel, rowPtr: rowPtr, colIdx: colIdx}
+	return shard{lo: osh.lo, ids: osh.ids, labels: osh.labels, byLabel: osh.byLabel, rowPtr: rowPtr, cols: cols}
 }
 
 // shardFor routes a global dense index to its owning shard.
@@ -882,7 +964,8 @@ func (s *Snapshot) DegreeAt(i int32) int {
 func (s *Snapshot) NeighborsAt(i int32) []int32 {
 	sh := s.shardFor(i)
 	j := i - sh.lo
-	return sh.colIdx[sh.rowPtr[j]:sh.rowPtr[j+1]]
+	b := &sh.cols[j>>blockShift]
+	return b.col[sh.rowPtr[j]-b.base : sh.rowPtr[j+1]-b.base]
 }
 
 // HasEdgeAt reports whether the undirected edge between dense indexes u and v

@@ -32,7 +32,10 @@ type DB struct {
 	// prev is the snapshot the directory's manifest was committed from; it
 	// shares clean shards by array identity with the next freeze, which is
 	// what lets Commit skip their segments.
-	prev    *graph.Snapshot
+	prev *graph.Snapshot
+	// segBuf is the buffer Commit encodes segments into, kept from one
+	// segment and one commit to the next; Commit is its one writer.
+	segBuf  []byte
 	epoch   uint64
 	pending int
 	closed  bool
@@ -156,7 +159,7 @@ func (db *DB) Log() error {
 func (db *DB) Commit() (WriteStats, error) {
 	db.Log()
 	snap := db.g.FreezeSharded(db.opts)
-	stats, err := WriteUpdate(snap, db.dir, db.prev)
+	stats, err := writeUpdate(snap, db.dir, db.prev, &db.segBuf)
 	if err != nil {
 		return stats, err
 	}

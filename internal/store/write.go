@@ -8,6 +8,7 @@ import (
 	"math/bits"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -63,6 +64,13 @@ func Write(snap *graph.Snapshot, dir string) error {
 // the shard arrays directly from the mapped file bytes; see segLayout for
 // the exact layout.
 func WriteUpdate(snap *graph.Snapshot, dir string, prev *graph.Snapshot) (WriteStats, error) {
+	var buf []byte
+	return writeUpdate(snap, dir, prev, &buf)
+}
+
+// writeUpdate is WriteUpdate encoding every segment into *buf, which it
+// grows as a segment needs and leaves grown for the caller's next commit.
+func writeUpdate(snap *graph.Snapshot, dir string, prev *graph.Snapshot, buf *[]byte) (WriteStats, error) {
 	var stats WriteStats
 	if snap == nil {
 		return stats, fmt.Errorf("store: nil snapshot")
@@ -96,7 +104,7 @@ func WriteUpdate(snap *graph.Snapshot, dir string, prev *graph.Snapshot) (WriteS
 			stats.SegmentsCarried++
 			continue
 		}
-		seg, err := writeSegment(dir, snap, k, epochSegmentName(k, epoch))
+		seg, err := writeSegment(dir, snap, k, epochSegmentName(k, epoch), buf)
 		if err != nil {
 			return stats, err
 		}
@@ -231,8 +239,11 @@ func syncDir(dir, point string) error {
 // writeSegment encodes shard k of the snapshot into the named segment file,
 // fsyncs it, and returns the manifest descriptor. The whole segment is
 // assembled in one buffer — shards bound every snapshot allocation, so the
-// buffer is bounded by the shard size, not the graph size.
-func writeSegment(dir string, snap *graph.Snapshot, k int, name string) (Segment, error) {
+// buffer is bounded by the shard size, not the graph size — and that buffer
+// is *buf's array, grown when the segment does not fit it and zeroed first,
+// so the layout's padding reads as in a fresh one. Nothing keeps the bytes
+// past the return, so the next segment reuses the array.
+func writeSegment(dir string, snap *graph.Snapshot, k int, name string, bufp *[]byte) (Segment, error) {
 	lo, hi := snap.ShardRange(k)
 	n := int(hi - lo)
 
@@ -251,7 +262,9 @@ func writeSegment(dir string, snap *graph.Snapshot, k int, name string) (Segment
 	sort.Slice(labels, func(i, j int) bool { return labels[i] < labels[j] })
 
 	lay := layoutFor(n, m, len(labels))
-	buf := make([]byte, lay.total)
+	*bufp = slices.Grow((*bufp)[:0], int(lay.total))
+	buf := (*bufp)[:lay.total]
+	clear(buf)
 	putHeader(buf, segHeader{
 		magic:     segMagic,
 		version:   FormatVersion,
