@@ -32,8 +32,8 @@ type ShardBacking interface {
 // store segment holds them; the snapshot cuts that array into column blocks
 // without copying it (see the shard type). They may live on the Go heap or
 // alias externally managed memory such as an mmapped file — the two kinds
-// coexist freely within one snapshot. The caller must not mutate any slice after handing it
-// over.
+// coexist freely within one snapshot. The caller must not mutate any slice
+// after handing it over.
 type ExternalShard struct {
 	// IDs maps shard-local offset to VertexID, sorted ascending; IDs of
 	// consecutive shards must be globally sorted too.
@@ -65,11 +65,11 @@ type ExternalShard struct {
 // all ColIdx lengths). backing, when non-nil, receives the residency hints
 // described on ShardBacking.
 //
-// Only the shard geometry, array lengths and the row offsets at block
-// bounds (which the block table is cut at) are validated here; content
-// invariants (sorted IDs, sorted neighbor rows, ByLabel consistency) are
-// trusted, because callers like the store verify segment checksums instead
-// of re-deriving them.
+// Only the shard geometry and array lengths are validated here; content
+// invariants (sorted IDs, sorted neighbor rows, ByLabel consistency, and a
+// RowPtr that never decreases, which the column blocks are cut by) are
+// trusted, because callers like the store verify segment checksums and
+// row offsets instead of re-deriving them.
 func NewExternalSnapshot(name string, shardShift uint, numEdges int, shards []ExternalShard, backing ShardBacking) (*Snapshot, error) {
 	shardSize := 1 << shardShift
 	s := &Snapshot{
@@ -101,12 +101,6 @@ func NewExternalSnapshot(name string, shardShift uint, numEdges int, shards []Ex
 		}
 		if ext.RowPtr[0] != 0 || int(ext.RowPtr[cnt]) != len(ext.ColIdx) {
 			return nil, fmt.Errorf("graph: external shard %d rowPtr spans [%d,%d], want [0,%d]", k, ext.RowPtr[0], ext.RowPtr[cnt], len(ext.ColIdx))
-		}
-		for j, prev := 1<<blockShift, int32(0); j < cnt; j += 1 << blockShift {
-			if at := ext.RowPtr[j]; at < prev || int(at) > len(ext.ColIdx) {
-				return nil, fmt.Errorf("graph: external shard %d rowPtr is %d at row %d, after %d", k, at, j, prev)
-			}
-			prev = ext.RowPtr[j]
 		}
 		byLabel := ext.ByLabel
 		if byLabel == nil {

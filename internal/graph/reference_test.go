@@ -346,44 +346,48 @@ func externalCopy(t *testing.T, s *Snapshot) (*Snapshot, func()) {
 // rebase the graph onto a clean snapshot, leaving an overlay of only what it
 // touched.
 func FuzzGraphMatchesReference(f *testing.F) {
-	f.Add([]byte{9, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
-	f.Add([]byte{12, 7, 0, 4, 3, 4, 9, 8, 0, 1, 5, 3, 6, 9, 1, 8, 2, 7, 3, 4, 7, 9, 2, 8, 5, 2, 0, 7, 1})
-	f.Add([]byte{20, 8, 0, 8, 1, 3, 200, 4, 17, 1, 9, 9, 0, 8, 0, 5, 5, 8, 0, 3, 4, 8, 1, 6, 6, 6, 6, 9, 1, 3, 1, 7, 0})
-	f.Add([]byte{30, 7, 0, 9, 0, 7, 0, 0, 0, 2, 3, 7, 0, 3, 11, 7, 0, 1, 5, 1, 9, 7, 1, 4, 4, 5, 9, 7, 1, 3, 40, 8, 1})
+	f.Add([]byte{9, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, false)
+	f.Add([]byte{12, 7, 0, 4, 3, 4, 9, 8, 0, 1, 5, 3, 6, 9, 1, 8, 2, 7, 3, 4, 7, 9, 2, 8, 5, 2, 0, 7, 1}, false)
+	f.Add([]byte{20, 8, 0, 8, 1, 3, 200, 4, 17, 1, 9, 9, 0, 8, 0, 5, 5, 8, 0, 3, 4, 8, 1, 6, 6, 6, 6, 9, 1, 3, 1, 7, 0}, false)
+	f.Add([]byte{30, 7, 0, 9, 0, 7, 0, 0, 0, 2, 3, 7, 0, 3, 11, 7, 0, 1, 5, 1, 9, 7, 1, 4, 4, 5, 9, 7, 1, 3, 40, 8, 1}, false)
 	for _, seed := range blockSeeds() {
-		f.Add(seed)
+		f.Add(seed, true)
 	}
 	f.Fuzz(checkGraphOps)
 }
 
-// blockSeeds are op sequences on the wide graphs (a first byte from 198 on)
-// that patch column blocks at their edges. Until a vertex is added or
-// removed, pick's byte is a vertex's dense index; 4 u v adds an edge, 3 v
-// removes a vertex, 7 freezes into 16-vertex shards and 8 into 128-vertex
-// shards of two blocks.
+// blockSeeds are op sequences on wide graphs that patch column blocks at
+// their edges. Their first byte b starts the graph with 64+3b vertices.
+// Until a vertex is added or removed, pick's byte is a vertex's dense index;
+// 4 u v adds an edge, 3 v removes a vertex, 7 freezes into 16-vertex shards
+// and 8 into 128-vertex shards of two blocks.
 func blockSeeds() [][]byte {
 	// 199 vertices: shard 0 is blocks [0, 64) and [64, 128), shard 1 the
 	// full block [128, 192) and the partial [192, 199). Edges join each
 	// block's first and last rows, then rows on either side of a block
 	// bound and of a shard bound.
-	edges := []byte{243, 8, 4, 0, 63, 4, 64, 127, 8, 4, 128, 191, 4, 192, 198, 8,
+	edges := []byte{45, 8, 4, 0, 63, 4, 64, 127, 8, 4, 128, 191, 4, 192, 198, 8,
 		4, 63, 64, 4, 127, 128, 8, 7, 4, 0, 198, 7, 8}
 	// 100 vertices: one 128-vertex shard whose second block is partial, and
 	// seven 16-vertex shards, the last of four; a mid-range removal in
 	// between shifts every later index.
-	partial := []byte{210, 8, 7, 4, 99, 64, 4, 98, 2, 8, 7, 3, 50, 8, 7, 4, 0, 98, 8, 7}
+	partial := []byte{12, 8, 7, 4, 99, 64, 4, 98, 2, 8, 7, 3, 50, 8, 7, 4, 0, 98, 8, 7}
 	// 70 vertices: index 66 in the partial second block becomes a hub, three
 	// edges a batch, until its row holds more columns than its whole block
 	// did; the same block is patched in every batch.
-	hub := []byte{200, 8}
+	hub := []byte{2, 8}
 	for k := byte(0); k < 12; k++ {
 		hub = append(hub, 4, 66, 10+3*k, 4, 66, 11+3*k, 4, 66, 12+3*k, 7+k%2)
 	}
 	return [][]byte{edges, partial, hub}
 }
 
-// checkGraphOps is FuzzGraphMatchesReference's body.
-func checkGraphOps(t *testing.T, data []byte) {
+// checkGraphOps is FuzzGraphMatchesReference's body. The first byte picks
+// the starting graph's size. A narrow graph starts with up to 32 vertices and
+// freezes into 4- and 16-vertex shards. A wide one starts with 64 to 235
+// vertices and freezes into 16-vertex shards, smaller than one column block,
+// and 128-vertex shards of two blocks, the last maybe partial.
+func checkGraphOps(t *testing.T, data []byte, wide bool) {
 	if len(data) == 0 {
 		return
 	}
@@ -395,16 +399,10 @@ func checkGraphOps(t *testing.T, data []byte) {
 		data = data[1:]
 		return int(b)
 	}
-	// The first byte picks the starting graph's size and the two freeze
-	// granularities: up to 32 vertices frozen into 4- and 16-vertex shards,
-	// or, from 198 on, 64 to 235 vertices frozen into 16-vertex shards,
-	// smaller than one column block, and 128-vertex shards of two blocks, the
-	// last maybe partial.
-	n0, grans, wide := next(), []FreezeOptions{{ShardSize: 4}, {ShardSize: 16}}, false
-	if n0 < 198 {
-		n0 %= 33
-	} else {
-		n0, grans, wide = 64+3*(n0-198), []FreezeOptions{{ShardSize: 16}, {ShardSize: 128}}, true
+	first := next()
+	n0, grans := first%33, []FreezeOptions{{ShardSize: 4}, {ShardSize: 16}}
+	if wide {
+		n0, grans = 64+3*(first%58), []FreezeOptions{{ShardSize: 16}, {ShardSize: 128}}
 	}
 	g, r := New("fuzz"), newRefGraph()
 	for i := 0; i < n0; i++ {
@@ -559,18 +557,23 @@ func checkGraphOps(t *testing.T, data []byte) {
 	}
 }
 
-// TestGraphMatchesReference runs the fuzz seeds and a batch of random op
-// sequences, so the reference check holds in every plain test run.
+// TestGraphMatchesReference runs a batch of random op sequences on narrow
+// graphs and then a batch on wide ones, so the reference check holds in
+// every plain test run.
 func TestGraphMatchesReference(t *testing.T) {
 	state := uint64(7)
-	for i := 0; i < 200; i++ {
+	for i := 0; i < 250; i++ {
 		data := make([]byte, 120)
 		for k := range data {
 			state = state*6364136223846793005 + 1442695040888963407
 			data[k] = byte(state >> 56)
 		}
-		t.Run(fmt.Sprint(i), func(t *testing.T) {
-			checkGraphOps(t, data)
+		name, wide := fmt.Sprint(i), false
+		if i >= 200 {
+			name, wide = fmt.Sprint("wide/", i-200), true
+		}
+		t.Run(name, func(t *testing.T) {
+			checkGraphOps(t, data, wide)
 		})
 	}
 }

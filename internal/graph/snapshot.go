@@ -92,7 +92,10 @@ const blockShift = 6
 // row j's neighbours are col[rowPtr[j]-base : rowPtr[j+1]-base]. A block's
 // col is never written once its snapshot is published; blocks built
 // together (a whole-shard build, a remap, a restored segment) are windows of
-// one array.
+// one array. That array stays alive while any block still points into it,
+// so a shard patched block by block holds up to about twice its columns (the
+// array it was built over plus the blocks that replaced parts of it) until
+// it is next built or remapped whole.
 type colBlock struct {
 	base int32
 	col  []int32
